@@ -18,6 +18,12 @@ it, the replica answers from ``pending`` — which is safe precisely because
 the lower bound was learned from a sibling write that was already stable,
 implying this replica has received its share of the transaction (see the
 paper's argument in Appendix B).
+
+A transaction's acknowledgement entry lives only while the transaction is
+unstable: the acknowledgement that completes the set hands the local writes
+to the caller for promotion and leaves just the timestamp behind, which is
+what later duplicates (anti-entropy echoes, stray acknowledgements) are
+checked against.
 """
 
 from __future__ import annotations
@@ -28,21 +34,15 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.storage.records import Timestamp, Version
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingTransaction:
-    """Book-keeping for one transaction timestamp at one replica."""
+    """Book-keeping for one not-yet-stable transaction at one replica."""
 
-    timestamp: Timestamp
     expected_acks: int = 0
     #: Distinct (origin server, key) acknowledgement pairs seen so far.
     acks: Set[Tuple[str, str]] = field(default_factory=set)
-    #: Local writes for this transaction still waiting to become stable.
+    #: Local writes for this transaction waiting to become stable.
     writes: List[Version] = field(default_factory=list)
-
-    @property
-    def stable(self) -> bool:
-        """``True`` once every expected acknowledgement has arrived."""
-        return self.expected_acks > 0 and len(self.acks) >= self.expected_acks
 
 
 @dataclass
@@ -59,105 +59,96 @@ class MAVState:
 
     def __init__(self, replication_factor: int):
         self.replication_factor = replication_factor
+        #: Transactions still collecting acknowledgements.
         self._pending: Dict[Timestamp, PendingTransaction] = {}
         #: key -> {timestamp -> version} for pending reads by exact timestamp.
         self._pending_by_key: Dict[str, Dict[Timestamp, Version]] = {}
-        self._seen: Set[Tuple[str, Timestamp]] = set()
+        #: Transactions that became stable here (the only per-txn residue).
+        self._stable: Set[Timestamp] = set()
         self.stats = MAVStats()
 
     # -- write arrival ------------------------------------------------------------
     def add_write(self, version: Version) -> bool:
-        """Record an incoming MAV write.
+        """Record an incoming write of a transaction that is not stable here.
 
         Returns ``True`` if this is the first time the replica has seen this
-        (key, timestamp) pair — only then should it notify sibling replicas.
+        (key, timestamp) pair — only then should it acknowledge the write to
+        the sibling replicas.  A write of an already-stable transaction never
+        becomes pending (see :meth:`is_stable`; it belongs in ``good``).
         """
-        token = (version.key, version.timestamp)
-        if token in self._seen:
+        timestamp = version.timestamp
+        if timestamp in self._stable:
             return False
-        self._seen.add(token)
+        by_key = self._pending_by_key.setdefault(version.key, {})
+        if timestamp in by_key:
+            return False
+        by_key[timestamp] = version
         self.stats.puts += 1
-        entry = self._entry(version.timestamp, version.siblings)
-        entry.writes.append(version)
-        self._pending_by_key.setdefault(version.key, {})[version.timestamp] = version
-        return True
-
-    def _entry(self, timestamp: Timestamp, siblings) -> PendingTransaction:
         entry = self._pending.get(timestamp)
         if entry is None:
-            entry = PendingTransaction(timestamp=timestamp)
-            self._pending[timestamp] = entry
-        if siblings and entry.expected_acks == 0:
-            entry.expected_acks = len(siblings) * self.replication_factor
-        return entry
+            entry = self._pending[timestamp] = PendingTransaction()
+        if entry.expected_acks == 0:
+            entry.expected_acks = len(version.siblings) * self.replication_factor
+        entry.writes.append(version)
+        return True
 
     # -- acknowledgements ------------------------------------------------------------
     def record_ack(self, timestamp: Timestamp, origin: str, key: str,
-                   expected_acks: int) -> bool:
-        """Record one acknowledgement; return True if the txn is now stable."""
+                   expected_acks: int) -> List[Version]:
+        """Record one acknowledgement; return the writes it made stable.
+
+        The list is non-empty only for the acknowledgement that completes the
+        transaction's set — the *transition* to stable — and holds this
+        replica's pending writes for it, which the caller installs into the
+        ``good`` store.  From then on only the timestamp is remembered:
+        further acknowledgements for it are ignored, and acknowledgements may
+        complete before any local write arrived (the list is then empty).
+        """
         self.stats.notifies_received += 1
+        if timestamp in self._stable:
+            return []
         entry = self._pending.get(timestamp)
         if entry is None:
-            entry = PendingTransaction(timestamp=timestamp)
-            self._pending[timestamp] = entry
-        if expected_acks and entry.expected_acks == 0:
+            entry = self._pending[timestamp] = PendingTransaction()
+        if entry.expected_acks == 0:
             entry.expected_acks = expected_acks
         entry.acks.add((origin, key))
-        return entry.stable
+        if entry.expected_acks == 0 or len(entry.acks) < entry.expected_acks:
+            return []
+        del self._pending[timestamp]
+        self._stable.add(timestamp)
+        for version in entry.writes:
+            by_key = self._pending_by_key[version.key]
+            del by_key[timestamp]
+            if not by_key:
+                del self._pending_by_key[version.key]
+        self.stats.promoted += len(entry.writes)
+        return entry.writes
 
     def is_stable(self, timestamp: Timestamp) -> bool:
-        entry = self._pending.get(timestamp)
-        return entry.stable if entry is not None else False
-
-    # -- promotion --------------------------------------------------------------------
-    def take_stable_writes(self, timestamp: Timestamp) -> List[Version]:
-        """Remove and return this replica's now-stable writes for ``timestamp``.
-
-        The caller installs them into the ``good`` store.  The transaction's
-        acknowledgement entry is retained (cheaply) so that late-arriving
-        writes for the same transaction promote immediately.
-        """
-        entry = self._pending.get(timestamp)
-        if entry is None or not entry.stable:
-            return []
-        writes, entry.writes = entry.writes, []
-        for version in writes:
-            by_key = self._pending_by_key.get(version.key)
-            if by_key is not None:
-                by_key.pop(version.timestamp, None)
-                if not by_key:
-                    self._pending_by_key.pop(version.key, None)
-        self.stats.promoted += len(writes)
-        return writes
+        return timestamp in self._stable
 
     # -- pending reads --------------------------------------------------------------------
     def read_pending(self, key: str, required: Timestamp) -> Optional[Version]:
         """Serve a read from pending: the exact required version, if present.
 
         Falling back to the *highest* pending version would risk returning a
-        write that never becomes stable, so only the requested timestamp (or
-        a higher already-known pending version of the same key from a stable
-        transaction) is returned.
+        write that never becomes stable, so only the requested timestamp is
+        returned (stable writes are never pending: they are in ``good``).
         """
         self.stats.pending_reads += 1
-        by_key = self._pending_by_key.get(key, {})
-        exact = by_key.get(required)
-        if exact is not None:
-            return exact
-        # Any pending version at or above the bound whose transaction is
-        # already stable is also safe to reveal.
-        candidates = [
-            version for ts, version in by_key.items()
-            if ts >= required and self.is_stable(ts)
-        ]
-        if candidates:
-            return max(candidates, key=lambda v: v.timestamp)
-        return None
+        by_key = self._pending_by_key.get(key)
+        return by_key.get(required) if by_key is not None else None
 
     # -- introspection -----------------------------------------------------------------------
     def pending_count(self) -> int:
         """Number of writes currently waiting for stability."""
-        return sum(len(entry.writes) for entry in self._pending.values())
+        return sum(len(by_key) for by_key in self._pending_by_key.values())
 
     def tracked_transactions(self) -> int:
+        """Transactions still holding an acknowledgement entry (unstable)."""
         return len(self._pending)
+
+    def stable_count(self) -> int:
+        """Transactions remembered as stable (one timestamp each)."""
+        return len(self._stable)

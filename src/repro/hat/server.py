@@ -6,7 +6,7 @@ Section 6.3 — the testbed simply selects which client talks to it:
 * ``ru.*`` — Read Uncommitted / eventual and Read Committed writes and reads
   (RC differs from eventual only on the client, which buffers writes),
 * ``mav.*`` — the Monotonic Atomic View algorithm of Appendix B (pending and
-  good sets, sibling notifications, promotion),
+  good sets, per-server batches of sibling acknowledgements, promotion),
 * ``master.*`` / ``repl.push`` — mastered per-key operation with asynchronous
   replication to the other replicas,
 * ``lock.*`` / ``txn.*`` — the per-key lock service and two-phase commit used
@@ -22,8 +22,7 @@ occupancy, which is where throughput saturation comes from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.node import ServerNode, ServiceCostModel
@@ -34,6 +33,11 @@ from repro.replication.lockmanager import LockManager
 from repro.sim import Environment
 from repro.storage.lsm import LSMCostModel
 from repro.storage.records import Timestamp, Version
+
+#: One MAV acknowledgement — ``MAVState.record_ack``'s argument list:
+#: ``(timestamp, origin, key, expected)`` — and a handler's acks by destination.
+Ack = Tuple[Timestamp, str, str, int]
+AckOutbox = Dict[str, List[Ack]]
 
 
 @dataclass(slots=True)
@@ -81,7 +85,6 @@ class HATServer(ServerNode):
         self.register_handler("mav.put", self._handle_mav_put)
         self.register_handler("mav.get", self._handle_mav_get)
         self.register_handler("mav.notify", self._handle_mav_notify)
-        self.register_handler("mav.promote", self._handle_mav_promote)
         self.register_handler("master.put", self._handle_master_put)
         self.register_handler("master.get", self._handle_ru_get)
         self.register_handler("repl.push", self._handle_repl_push)
@@ -157,74 +160,79 @@ class HATServer(ServerNode):
         # A MAV write is committed (acknowledged to the client) on arrival
         # at the origin; its remote installs happen at promotion time.
         self._stamp_commit(version)
-        cost = self._accept_mav_write(version, size)
+        outbox: AckOutbox = {}
+        cost = self._accept_mav_write(version, size, outbox)
+        cost += self._flush_acks(outbox)
         return {"ok": True, "timestamp": version.timestamp}, cost
 
-    def _accept_mav_write(self, version: Version, size_bytes: int) -> float:
-        """Common path for MAV writes arriving from clients or anti-entropy."""
+    def _accept_mav_write(self, version: Version, size_bytes: int,
+                          outbox: AckOutbox) -> float:
+        """Common path for MAV writes arriving from clients or anti-entropy.
+
+        Acks for a first-seen write go into ``outbox``; the calling handler
+        flushes it once, so each server gets one ``mav.notify`` per batch.
+        """
         # First write into the write-ahead log / pending set (first of the
         # "two writes for every client-side write" the paper describes).
         cost = self._durable_write_cost(size_bytes + version.metadata_bytes)
-        first_time = self.mav.add_write(version)
-        if first_time:
+        timestamp = version.timestamp
+        if self.mav.add_write(version):
             self.anti_entropy.mark_dirty(version)
-            self._notify_siblings(version)
-            if self.mav.is_stable(version.timestamp):
-                # Acknowledgements already arrived before the write did.
-                self._schedule_promotion(version.timestamp)
+            siblings = version.siblings or (version.key,)
+            replicas_for = self.config.replicas_for
+            ack = (timestamp, self.name, version.key,
+                   len(siblings) * self.config.replication_factor())
+            for server in {replica for sibling in siblings
+                           for replica in replicas_for(sibling)}:
+                outbox.setdefault(server, []).append(ack)
+        elif (self.mav.is_stable(timestamp)
+              and self.store.data.exact(version.key, timestamp) is None):
+            # Every replica already acknowledged this transaction: nobody
+            # waits for our ack, the write goes straight into good.  (An echo
+            # of a write we already hold, pending or good, is a no-op.)
+            self.mav.stats.puts += 1
+            self.mav.stats.promoted += 1
+            cost += self._install(version, 1024, durable=self.durable)
         return cost
 
-    def _notify_siblings(self, version: Version) -> None:
-        siblings = version.siblings or frozenset([version.key])
-        expected = len(siblings) * self.config.replication_factor()
-        payload = {
-            "timestamp": version.timestamp,
-            "origin": self.name,
-            "key": version.key,
-            "expected": expected,
-        }
-        # Sorted so notification order never depends on the interpreter's
-        # randomized string hashing: seeded runs must be bit-identical across
-        # processes (the parallel sweep executor relies on it).  The payload
-        # is shared across the fan-out: mav.notify handlers only read it.
-        for sibling in sorted(siblings):
-            for replica in self.config.replicas_for(sibling):
-                self.mav.stats.notifies_sent += 1
-                self.network.send(self.name, replica, "mav.notify", payload)
+    def _flush_acks(self, outbox: AckOutbox) -> float:
+        """Send each server its batch of acks; return local promotion cost.
+
+        Destinations are visited in sorted order so seeded runs stay
+        bit-identical across processes whatever the string-hash seed (the
+        parallel sweep executor relies on it).  Our own acks are applied in
+        place, so a write whose other acks arrived first is promoted here.
+        """
+        own = outbox.pop(self.name, ())
+        for server in sorted(outbox):
+            self.mav.stats.notifies_sent += 1
+            self.network.send(self.name, server, "mav.notify",
+                              {"acks": outbox[server]})
+        return self._apply_acks(own)
+
+    def _apply_acks(self, acks: Sequence[Ack]) -> float:
+        """Record acks; promote (pending -> good) what they made stable.
+
+        The second write's install + WAL cost is returned so it occupies
+        the worker of whichever handler observed stability.
+        """
+        cost = 0.0
+        record_ack = self.mav.record_ack
+        for timestamp, origin, key, expected in acks:
+            for version in record_ack(timestamp, origin, key, expected):
+                cost += self._install(version, 1024, durable=self.durable)
+        return cost
 
     def _handle_mav_notify(self, message: Message) -> Tuple[None, float]:
-        payload = message.payload
-        stable = self.mav.record_ack(
-            timestamp=payload["timestamp"],
-            origin=payload["origin"],
-            key=payload["key"],
-            expected_acks=payload["expected"],
-        )
-        if stable:
-            self._schedule_promotion(payload["timestamp"])
-        return None, 0.01
-
-    def _schedule_promotion(self, timestamp: Timestamp) -> None:
-        """Queue the second write (pending -> good) as local server work."""
-        self.network.send(self.name, self.name, "mav.promote", {"timestamp": timestamp})
-
-    def _handle_mav_promote(self, message: Message) -> Tuple[None, float]:
-        timestamp = message.payload["timestamp"]
-        writes = self.mav.take_stable_writes(timestamp)
-        cost = 0.0
-        for version in writes:
-            cost += self._install(version, 1024, durable=self.durable)
-        return None, cost
+        acks = message.payload["acks"]
+        return None, 0.01 * len(acks) + self._apply_acks(acks)
 
     def _handle_mav_get(self, message: Message) -> Tuple[dict, float]:
         payload = message.payload
         key = payload["key"]
         required: Optional[Timestamp] = payload.get("required")
-        if required is None:
-            version, cost = self.store.get_latest(key)
-            return {"version": version}, cost
         version, cost = self.store.get_latest(key)
-        if version.timestamp >= required:
+        if required is None or version.timestamp >= required:
             return {"version": version}, cost
         pending = self.mav.read_pending(key, required)
         if pending is not None:
@@ -233,6 +241,20 @@ class HATServer(ServerNode):
         # bound was learned from a stable sibling; fall back to the latest
         # good version rather than blocking (availability first).
         return {"version": version, "stale": True}, cost
+
+    def _absorb_versions(self, versions: List[Version]) -> float:
+        """Take in replicated history (anti-entropy batch, handoff offer)."""
+        cost = 0.0
+        outbox: AckOutbox = {}
+        for version in versions:
+            if version.siblings:
+                # MAV writes stay pending until their transaction is stable.
+                cost += self._accept_mav_write(version, 1024, outbox)
+            else:
+                cost += self._install(version, 1024, durable=self.durable)
+        if outbox:
+            cost += self._flush_acks(outbox)
+        return cost
 
     # -- master / asynchronous replication -----------------------------------------------
     def _handle_master_put(self, message: Message) -> Tuple[dict, float]:
@@ -360,12 +382,7 @@ class HATServer(ServerNode):
     def _handle_handoff_offer(self, message: Message) -> Tuple[dict, float]:
         """Absorb version history handed off by a leaving server."""
         versions: List[Version] = message.payload["versions"]
-        cost = 0.0
-        for version in versions:
-            if version.siblings:
-                cost += self._accept_mav_write(version, 1024)
-            else:
-                cost += self._install(version, 1024, durable=self.durable)
+        cost = self._absorb_versions(versions)
         self.handoff.offers_received += 1
         self.handoff.versions_received += len(versions)
         self.handoff.bytes_received += int(message.payload.get("size_bytes", 0))
@@ -387,12 +404,4 @@ class HATServer(ServerNode):
         return None, self.anti_entropy.run_coupled_round()
 
     def _handle_ae_push(self, message: Message) -> Tuple[None, float]:
-        versions: List[Version] = message.payload["versions"]
-        cost = 0.0
-        for version in versions:
-            if version.siblings:
-                # MAV writes stay pending until their transaction is stable.
-                cost += self._accept_mav_write(version, 1024)
-            else:
-                cost += self._install(version, 1024, durable=self.durable)
-        return None, cost
+        return None, self._absorb_versions(message.payload["versions"])

@@ -151,10 +151,10 @@ class AntiEntropyService:
         if not self._running or not self.server.alive:
             return
         if self.settings.capacity_coupled:
-            # Route the round through the server's own request queue (the
-            # same trick MAV promotion uses): the push happens when a
-            # worker picks it up and its cost occupies that worker, so
-            # catch-up competes with foreground requests for capacity.
+            # Route the round through the server's own request queue: the
+            # push happens when a worker picks it up and its cost occupies
+            # that worker, so catch-up competes with foreground requests
+            # for capacity.
             if self._dirty:
                 self.server.network.send(self.server.name, self.server.name,
                                          "ae.round", None)

@@ -1,0 +1,56 @@
+"""Deterministic cost pins: simulator work per committed transaction.
+
+Events and messages per committed transaction depend only on the seed, never
+on the machine, so they can be asserted in tier-1 (ROADMAP item 1c).  MAV is
+held to the budget its stabilisation needs — one acknowledgement message per
+destination server per handler, promotion inside the handler that saw the
+last ack — so a change that re-inflates the notify storm fails here, not
+only in the benchmark.  ``eventual`` is pinned exactly: nothing MAV-related
+may move the base path.
+"""
+
+import pytest
+
+from repro.bench.runner import RunConfig, run_workload
+from repro.hat.testbed import Scenario, build_testbed
+
+
+@pytest.fixture(scope="module")
+def costs():
+    """(events, messages, mav.notify messages, committed) per protocol on a
+    one-simulated-second default YCSB run over VA+OR, two servers each."""
+    measured = {}
+    for protocol in ("eventual", "mav"):
+        scenario = Scenario(regions=["VA", "OR"], servers_per_cluster=2, seed=0)
+        testbed = build_testbed(scenario)
+        stats = run_workload(
+            RunConfig(protocol=protocol, scenario=scenario, duration_ms=1000.0,
+                      warmup_ms=0.0, seed=0), testbed=testbed)
+        notifies = sum(s.mav.stats.notifies_sent for s in testbed.server_list())
+        # The counter means mav.notify messages handed to the network.
+        assert notifies == testbed.network.stats.per_kind.get("mav.notify", 0)
+        measured[protocol] = (testbed.env.events_executed,
+                              testbed.network.stats.sent, notifies,
+                              stats.committed)
+    return measured
+
+
+def test_mav_stays_inside_its_event_and_notify_budget(costs):
+    events, messages, notifies, committed = costs["mav"]
+    assert committed > 500
+    assert events / committed <= 120.0
+    assert messages / committed <= 40.0
+    assert notifies / committed <= 20.0
+
+
+def test_mav_still_costs_more_than_eventual(costs):
+    """The second write and the acks are real work: cheaper than eventual
+    would mean stabilisation was skipped, not batched."""
+    mav_events, _, mav_notifies, mav_committed = costs["mav"]
+    events, _, _, committed = costs["eventual"]
+    assert mav_notifies > 0
+    assert mav_events / mav_committed > events / committed
+
+
+def test_eventual_cost_is_pinned_exactly(costs):
+    assert costs["eventual"] == (38872, 17748, 0, 1084)

@@ -8,8 +8,12 @@ Two layers of bit-exactness, captured BEFORE the tracing subsystem landed:
 
 If either drifts, tracing (or any other change) perturbed the untraced
 simulation path — the zero-overhead-when-disabled contract is broken.
+
+The staleness artifact's quick payload (600 KB rendered) is pinned by its
+SHA-256 plus a summary small enough to read and to diff in review.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -31,27 +35,77 @@ class TestGoldenAvailability:
         )
 
 
-class TestGoldenStaleness:
-    def test_quick_payload_is_bit_identical(self):
-        from repro.bench.__main__ import _staleness
+STALENESS_PIN = DATA / "golden_staleness_quick_pin.json"
 
-        _, payload = _staleness(True, None)
-        rendered = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-        golden = (DATA / "golden_staleness_quick.json").read_text()
-        assert rendered == golden, (
-            "staleness --quick payload drifted from its golden — either the "
-            "metrics/probe path changed behaviour or the simulation kernel "
-            "under it did"
-        )
+
+def render_staleness() -> str:
+    from repro.bench.__main__ import _staleness
+
+    _, payload = _staleness(True, None)
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def staleness_pin(rendered: str) -> dict:
+    """SHA-256 of the rendered payload plus the numbers a person reads."""
+    summary = {}
+    for entry in json.loads(rendered)["protocols"]:
+        row = {key: entry[key] for key in
+               ("committed_total", "aborted_total", "counters",
+                "partition_over_healthy_p99") if key in entry}
+        row["phase_recency"] = {
+            phase: {metric: stats and {q: stats[q] for q in ("count", "p50", "p99")}
+                    for metric, stats in metrics.items()}
+            for phase, metrics in entry["phase_recency"].items()}
+        summary[entry["protocol"]] = row
+    return {"sha256": hashlib.sha256(rendered.encode()).hexdigest(),
+            "summary": summary}
+
+
+def first_difference(pinned, actual, path="") -> str:
+    """Key path of the first place two JSON values differ ('' if equal)."""
+    if isinstance(pinned, dict) and isinstance(actual, dict):
+        for key in list(pinned) + [k for k in actual if k not in pinned]:
+            if key not in pinned or key not in actual:
+                return f"{path}/{key} (only in one side)"
+            found = first_difference(pinned[key], actual[key], f"{path}/{key}")
+            if found:
+                return found
+        return ""
+    return "" if pinned == actual else f"{path}: pinned {pinned!r}, got {actual!r}"
+
+
+class TestGoldenStaleness:
+    def test_quick_payload_matches_pin(self, tmp_path):
+        rendered = render_staleness()
+        actual = staleness_pin(rendered)
+        pinned = json.loads(STALENESS_PIN.read_text())
+        if actual != pinned:
+            dump = tmp_path / "staleness_quick.json"
+            dump.write_text(rendered)
+            where = (first_difference(pinned["summary"], actual["summary"])
+                     or "summary equal; only unpinned detail (cdfs, "
+                        "timeseries, prometheus text) moved")
+            pytest.fail(
+                "staleness --quick payload drifted from its pin — either the "
+                "metrics/probe path changed behaviour or the simulation "
+                f"under it did.  First difference: {where}.  Rendered "
+                f"payload: {dump}.  Deliberate change? re-pin with "
+                "`PYTHONPATH=src python tests/bench/test_golden_artifacts.py`")
+
+    def test_first_difference_names_the_key_path(self):
+        pinned = {"a": {"b": 1, "c": [1, 2]}, "d": 0}
+        assert first_difference(pinned, pinned) == ""
+        assert first_difference(pinned, {"a": {"b": 1, "c": [1, 3]}, "d": 0}) \
+            == "/a/c: pinned [1, 2], got [1, 3]"
+        assert first_difference(pinned, {"a": {"b": 1, "c": [1, 2]}}) \
+            == "/d (only in one side)"
 
     def test_partition_inflates_eventual_p99_tenfold(self):
         """The acceptance headline: under a cross-region partition the
         eventual stack's p99 t-visibility blows up by >= 10x over healthy
         operation — recency is an operating-conditions property."""
-        golden = json.loads(
-            (DATA / "golden_staleness_quick.json").read_text())
-        eventual = [p for p in golden["protocols"]
-                    if p["protocol"] == "eventual"][0]
+        pinned = json.loads(STALENESS_PIN.read_text())
+        eventual = pinned["summary"]["eventual"]
         assert eventual["partition_over_healthy_p99"] >= 10.0
 
 
@@ -78,3 +132,9 @@ class TestGoldenKernelRun:
         assert stats.throughput_txn_s == golden["throughput_txn_s"]
         assert stats.latency.mean == golden["mean_latency_ms"]
         assert stats.latency.p95 == golden["p95_latency_ms"]
+
+
+if __name__ == "__main__":
+    STALENESS_PIN.write_text(
+        json.dumps(staleness_pin(render_staleness()), indent=2) + "\n")
+    print(f"re-pinned {STALENESS_PIN}")

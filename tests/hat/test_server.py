@@ -102,12 +102,11 @@ class TestMAVHandlers:
         server_name = testbed.config.replicas_for(key)[0]
         ts = Timestamp(11, 1)
         replicas = testbed.config.replicas_for(key)
-        # All acknowledgements arrive before the write itself.
+        # All acknowledgements arrive before the write itself: one batch
+        # per origin server, as the origins would send them.
         for origin in replicas:
             testbed.network.send(probe, server_name, "mav.notify", {
-                "timestamp": ts, "origin": origin, "key": key,
-                "expected": len(replicas),
-            })
+                "acks": [(ts, origin, key, len(replicas))]})
         testbed.run(100.0)
         version = Version(key, "eventually", ts, txn_id=11,
                           siblings=frozenset({key}))
@@ -115,6 +114,77 @@ class TestMAVHandlers:
         testbed.run(100.0)
         read = rpc(testbed, probe, server_name, "mav.get", {"key": key})
         assert read["version"].value == "eventually"
+
+    def test_each_server_promotes_its_writes_exactly_once(self, rig):
+        """One promotion per owned write, made by the handler that saw the
+        last ack: no promote verb, no handler that finds nothing to do."""
+        testbed, probe = rig
+        keys = ["k0", "k1", "k2", "k3"]
+        ts = Timestamp(21, 1)
+        for key in keys:
+            version = Version(key, f"v-{key}", ts, txn_id=21,
+                              siblings=frozenset(keys))
+            rpc(testbed, probe, testbed.config.replicas_for(key)[0],
+                "mav.put", {"version": version})
+        testbed.run(2000.0)
+        owned = {name: 0 for name in testbed.servers}
+        for key in keys:
+            for replica in testbed.config.replicas_for(key):
+                owned[replica] += 1
+        assert sum(owned.values()) == 2 * len(keys)
+        for name, server in testbed.servers.items():
+            assert server.mav.stats.promoted == owned[name]
+            assert server.store.stats.puts == owned[name]
+            assert "mav.promote" not in server.stats.per_kind
+            # At most one notify per handler that accepted a write on
+            # another server: never one per sibling key this server owns.
+            assert (server.stats.per_kind.get("mav.notify", 0)
+                    <= sum(owned.values()) - owned[name])
+            assert server.mav.tracked_transactions() == 0
+            assert server.mav.pending_count() == 0
+        # Duplicate acks after stability change nothing.
+        target = testbed.servers[testbed.config.replicas_for(keys[0])[0]]
+        before = (target.mav.stats.promoted, target.store.stats.puts)
+        expected = 2 * len(keys)
+        testbed.network.send(probe, target.name, "mav.notify", {
+            "acks": [(ts, origin, key, expected)
+                     for key in keys
+                     for origin in testbed.config.replicas_for(key)]})
+        testbed.run(100.0)
+        assert (target.mav.stats.promoted, target.store.stats.puts) == before
+        assert target.mav.tracked_transactions() == 0
+        for key in keys:
+            for replica in testbed.config.replicas_for(key):
+                read = rpc(testbed, probe, replica, "mav.get", {"key": key})
+                assert read["version"].value == f"v-{key}"
+
+    def test_late_write_for_stable_transaction_goes_straight_to_good(self, rig):
+        """A server that took part in a transaction under one key and is
+        later handed another of its keys installs it without re-pending."""
+        testbed, probe = rig
+        key = "solo2"
+        server_name = testbed.config.replicas_for(key)[0]
+        server = testbed.servers[server_name]
+        ts = Timestamp(31, 1)
+        version = Version(key, "first", ts, txn_id=31, siblings=frozenset({key}))
+        rpc(testbed, probe, server_name, "mav.put", {"version": version})
+        testbed.run(2000.0)
+        assert server.mav.is_stable(ts)
+        puts = server.store.stats.puts
+        # An anti-entropy echo of the promoted write is a no-op ...
+        testbed.network.send(probe, server_name, "ae.push", {"versions": [version]})
+        testbed.run(100.0)
+        assert server.store.stats.puts == puts
+        # ... a handed-off sibling the server never saw is installed at once.
+        other = Version("handed", "second", ts, txn_id=31,
+                        siblings=frozenset({key}))
+        reply = rpc(testbed, probe, server_name, "handoff.offer",
+                    {"versions": [other]})
+        assert reply["count"] == 1
+        assert server.store.stats.puts == puts + 1
+        assert server.mav.pending_count() == 0
+        read = rpc(testbed, probe, server_name, "mav.get", {"key": "handed"})
+        assert read["version"].value == "second"
 
 
 class TestTwoPhaseCommitHandlers:

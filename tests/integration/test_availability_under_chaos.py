@@ -82,6 +82,8 @@ class TestAdyaChecksUnderChaos:
     @pytest.mark.parametrize("protocol,level", [
         ("causal", "PRAM"),
         ("read-committed", "RC"),
+        ("mav", "MAV"),
+        ("mav+causal", "MAV"),
     ])
     def test_history_recorded_under_chaos_passes_claimed_level(self, protocol,
                                                                level):

@@ -4,8 +4,10 @@ Servers used to retain every version of every key forever — a leak that
 only showed up in long chaos runs.  ``Scenario.keep_versions`` now bounds
 per-key retention on every server's store, and the WAL caps its record
 list, so sustained write traffic cannot grow replica memory without bound.
+MAV's stability bookkeeping compacts to one timestamp per transaction.
 """
 
+from repro.bench.runner import RunConfig, run_workload
 from repro.hat.testbed import Scenario, build_testbed
 from repro.hat.transaction import Operation, Transaction
 from repro.storage.kvstore import VersionedStore
@@ -61,3 +63,26 @@ class TestKeepVersionsBound:
             assert len(server.wal) <= server.wal.max_records
             # LSNs keep advancing even though old records are dropped.
             assert server.wal.last_lsn >= len(server.wal) - 1
+
+
+class TestMAVBookkeepingBound:
+    def test_closed_loop_run_leaves_only_stable_timestamps(self):
+        """Once every transaction is stable no ack entry, ack set or pending
+        write survives: the stable timestamp is the only per-txn residue."""
+        scenario = Scenario(regions=["VA", "OR"], servers_per_cluster=2, seed=3)
+        testbed = build_testbed(scenario)
+        stats = run_workload(RunConfig(protocol="mav", scenario=scenario,
+                                       duration_ms=400.0, warmup_ms=0.0,
+                                       seed=3), testbed=testbed)
+        assert stats.committed > 50
+        remembered = 0
+        for server in testbed.server_list():
+            mav = server.mav
+            assert mav.tracked_transactions() == 0, server.name
+            assert mav.pending_count() == 0, server.name
+            assert mav._pending_by_key == {}, server.name
+            assert mav.stats.promoted == mav.stats.puts == server.store.stats.puts
+            remembered += mav.stable_count()
+        # One timestamp per server a transaction touched: never more than
+        # one per (transaction, server), however many keys and acks it had.
+        assert remembered <= stats.committed * len(testbed.server_list())

@@ -280,6 +280,28 @@ class CutIsolationLayer(GuaranteeLayer):
 # Session guarantees (Section 5.1.3)
 # ---------------------------------------------------------------------------
 
+class OwedIndex:
+    """The keys of one remembered map that forwarding still has to examine.
+
+    Invariant: a remembered key *outside* ``owed`` holds the bottom version,
+    or a version the replica it routed to under ``stamp`` is known to hold.
+    """
+
+    __slots__ = ("owed", "rank", "stamp")
+
+    def __init__(self) -> None:
+        self.owed: Set[str] = set()
+        #: key -> position in the remembered map (first-remembered order).
+        self.rank: Dict[str, int] = {}
+        #: ``(ClusterConfig.epoch, PartitionManager.generation)`` the map was
+        #: last examined in full under; routing is a pure function of it.
+        self.stamp: Optional[Tuple[int, int]] = None
+
+    def add(self, key: str) -> None:
+        self.rank.setdefault(key, len(self.rank))
+        self.owed.add(key)
+
+
 @dataclass
 class SessionState:
     """Everything a session remembers across transactions.
@@ -289,7 +311,10 @@ class SessionState:
     monotonic-writes and writes-follow-reads layers forward them to replicas
     a failed-over session writes through, and the holder map records which
     replicas are already known to store a remembered version so steady-state
-    (sticky, unpartitioned) operation forwards nothing.
+    (sticky, unpartitioned) operation forwards nothing.  Each version map has
+    an :class:`OwedIndex`: a key becomes owed when its remembered version
+    changes or its holder entry is replaced, and stops being owed only when
+    forwarding finds the routed replica already holds it.
     """
 
     #: Highest version observed by a session read, per key (MR floor; the
@@ -305,14 +330,21 @@ class SessionState:
     #: Diagnostics: reads that would have violated a guarantee had the cache
     #: not been consulted (or that *did* violate it in non-sticky mode).
     stale_reads: int = 0
+    #: Diagnostics: remembered keys forwarding examined / versions it sent.
+    forward_probes: int = 0
+    forwards_issued: int = 0
     #: key -> (timestamp, replicas known to hold that version or newer).
     holders: Dict[str, Tuple[Timestamp, Set[str]]] = field(default_factory=dict)
+    #: What forwarding still owes from ``last_seen`` / ``own_writes``.
+    seen_owed: OwedIndex = field(default_factory=OwedIndex)
+    own_owed: OwedIndex = field(default_factory=OwedIndex)
 
     # -- memory -------------------------------------------------------------------
     def remember_read(self, key: str, version: Version) -> None:
         current = self.last_seen.get(key)
         if current is None or version.timestamp > current.timestamp:
             self.last_seen[key] = version
+            self.seen_owed.add(key)
         self._raise_high_water(version.timestamp)
 
     def remember_write(self, key: str, version: Version,
@@ -320,10 +352,9 @@ class SessionState:
         current = self.own_writes.get(key)
         if current is None or version.timestamp > current.timestamp:
             self.own_writes[key] = version
+            self.own_owed.add(key)
         if update_last_seen:
-            seen = self.last_seen.get(key)
-            if seen is None or version.timestamp > seen.timestamp:
-                self.last_seen[key] = version
+            self.remember_read(key, version)
         self._raise_high_water(version.timestamp)
 
     def _raise_high_water(self, timestamp: Timestamp) -> None:
@@ -335,6 +366,9 @@ class SessionState:
         current = self.holders.get(key)
         if current is None or timestamp > current[0]:
             self.holders[key] = (timestamp, {replica})
+            for index in (self.seen_owed, self.own_owed):
+                if key in index.rank:
+                    index.owed.add(key)
         elif timestamp == current[0]:
             current[1].add(replica)
 
@@ -368,7 +402,8 @@ class SessionLayer(GuaranteeLayer):
             if target is not None:
                 self.state.note_holder(key, version.timestamp, target)
 
-    def _forward(self, ctx: TxnContext, versions: Dict[str, Version]) -> Generator:
+    def _forward(self, ctx: TxnContext, versions: Dict[str, Version],
+                 index: OwedIndex) -> Generator:
         """Push remembered versions to the replicas this transaction can reach.
 
         The constructive halves of monotonic writes and writes-follow-reads:
@@ -379,13 +414,28 @@ class SessionLayer(GuaranteeLayer):
         forwards nothing.  Unreachable dependency replicas are skipped too —
         transactional availability only requires replicas for the items the
         transaction itself accesses (Section 4.2).
+
+        Only the owed keys of ``versions`` are examined, in first-remembered
+        order; when routing moved since the map was last examined in full
+        (membership epoch or partition generation), every key is owed again.
+        A key stops being owed once its routed replica is found to hold it;
+        one skipped as overwritten or unreachable stays owed.
         """
         client = self.client
+        state = self.state
+        stamp = (client.node.config.epoch,
+                 client.node.network.partitions.generation)
+        if index.stamp != stamp:
+            index.stamp = stamp
+            index.owed.update(versions)
         futures = []
         delivered: List[Tuple[str, Timestamp, str]] = []
         overwritten = {op.key for op in ctx.plan if op.is_write}
-        for key, version in versions.items():
+        for key in sorted(index.owed, key=index.rank.__getitem__):
+            version = versions[key]
+            state.forward_probes += 1
             if version.txn_id is None:
+                index.owed.discard(key)
                 continue  # the initial (bottom) version needs no forwarding
             if key in overwritten:
                 continue  # this transaction's own newer write supersedes it
@@ -393,7 +443,8 @@ class SessionLayer(GuaranteeLayer):
                 replica = client._pick_replica(key)
             except UnavailableError:
                 continue
-            if replica in self.state.holders_of(key, version.timestamp):
+            if replica in state.holders_of(key, version.timestamp):
+                index.owed.discard(key)
                 continue
             size = client.value_bytes + (version.metadata_bytes
                                          if version.siblings else 0)
@@ -403,9 +454,10 @@ class SessionLayer(GuaranteeLayer):
             }))
             delivered.append((key, version.timestamp, replica))
         if futures:
+            state.forwards_issued += len(futures)
             yield all_of(client.node.env, futures)
         for key, timestamp, replica in delivered:
-            self.state.note_holder(key, timestamp, replica)
+            state.note_holder(key, timestamp, replica)
 
 
 class MonotonicReadsLayer(SessionLayer):
@@ -461,7 +513,8 @@ class MonotonicWritesLayer(SessionLayer):
 
     def begin(self, ctx: TxnContext) -> Generator:
         if any(op.is_write for op in ctx.plan):
-            yield from self._forward(ctx, self.state.own_writes)
+            yield from self._forward(ctx, self.state.own_writes,
+                                     self.state.own_owed)
 
     def finalize(self, ctx: TxnContext) -> None:
         self._remember_writes(ctx)
@@ -480,7 +533,8 @@ class WritesFollowReadsLayer(SessionLayer):
 
     def begin(self, ctx: TxnContext) -> Generator:
         if any(op.is_write for op in ctx.plan):
-            yield from self._forward(ctx, self.state.last_seen)
+            yield from self._forward(ctx, self.state.last_seen,
+                                     self.state.seen_owed)
 
     def after_read(self, ctx: TxnContext, op: Operation, version: Version,
                    replica: str, replica_version: Version) -> None:

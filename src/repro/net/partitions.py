@@ -25,10 +25,16 @@ class PartitionManager:
         #: Maintained eagerly so the network's per-message reachability check
         #: is one attribute read in the (overwhelmingly common) healthy case.
         self.idle: bool = True
+        #: Bumped by every mutator (never by a query).  Reachability is a
+        #: pure function of the state set since the last bump, so callers
+        #: may memoise routing decisions under a generation.
+        self.generation: int = 0
 
-    def _refresh_idle(self) -> None:
+    def _changed(self) -> None:
+        """Every mutator ends here: recompute ``idle``, bump ``generation``."""
         self.idle = (self._groups is None and self._classifier is None
                      and not self._isolated)
+        self.generation += 1
 
     # -- configuration -------------------------------------------------------
     def partition(self, groups: Sequence[Iterable[str]]) -> None:
@@ -51,7 +57,7 @@ class PartitionManager:
         # A static partition replaces any classifier-based one: leaving a
         # stale classifier in place would silently AND the two splits.
         self._classifier = None
-        self._refresh_idle()
+        self._changed()
 
     def partition_by(self, classifier: Callable[[str], Optional[str]]) -> None:
         """Partition by a classifier: sites communicate iff same group label.
@@ -61,20 +67,24 @@ class PartitionManager:
         are still assigned to the right side of the split.  A classifier
         returning ``None`` marks a site as unreachable from everywhere.
         Replaces any static partition previously set with :meth:`partition`.
+
+        The classifier must be a pure function of the site name: routing
+        memoised under :attr:`generation` assumes the split only changes
+        through this manager's mutators.
         """
         self._classifier = classifier
         self._groups = None
-        self._refresh_idle()
+        self._changed()
 
     def isolate(self, site: str) -> None:
         """Cut one site off from every other site."""
         self._isolated.add(site)
-        self.idle = False
+        self._changed()
 
     def rejoin(self, site: str) -> None:
         """Undo :meth:`isolate` for one site."""
         self._isolated.discard(site)
-        self._refresh_idle()
+        self._changed()
 
     def clear_partition(self) -> None:
         """Remove the group/classifier split but keep per-site isolations.
@@ -86,14 +96,14 @@ class PartitionManager:
         """
         self._groups = None
         self._classifier = None
-        self._refresh_idle()
+        self._changed()
 
     def heal(self) -> None:
         """Remove every partition and isolation."""
         self._groups = None
         self._isolated.clear()
         self._classifier = None
-        self.idle = True
+        self._changed()
 
     # -- queries ---------------------------------------------------------------
     @property

@@ -200,3 +200,102 @@ class TestForwardingIsLazy:
         assert session.session.holders_of(
             "a", session.session.own_writes["a"].timestamp
         )
+
+
+def run_spying_forwards(testbed, client, operations):
+    """Run one transaction; also return the ``(key, timestamp, replica)`` of
+    every dependency it forwarded (puts for keys it does not itself write)."""
+    puts = []
+    original = client._issue
+
+    def spy(result, dst, kind, payload):
+        if kind == client.put_kind:
+            version = payload["version"]
+            puts.append((version.key, version.timestamp, dst))
+        return original(result, dst, kind, payload)
+
+    client._issue = spy
+    try:
+        result = run(testbed, client, operations)
+    finally:
+        del client._issue
+    written = {op.key for op in operations if op.is_write}
+    return result, [put for put in puts if put[0] not in written]
+
+
+class TestOwedIndex:
+    """Forwarding examines only the keys that can be owed (the owed set),
+    and every remembered key again once routing has moved."""
+
+    def session_with_memory(self, testbed, keys):
+        home = testbed.config.cluster_names[0]
+        session = testbed.make_client("causal", home_cluster=home)
+        for key in keys:
+            run(testbed, session, [Operation.write(key, key.upper())])
+        return session, home
+
+    def remembered(self, session):
+        return {key: version.timestamp
+                for key, version in session.session.own_writes.items()}
+
+    def test_probes_per_transaction_do_not_grow_with_session_length(self):
+        def probes_per_txn(length):
+            testbed = frozen_ae_testbed()
+            session = testbed.make_client("causal")
+            for i in range(length):
+                run(testbed, session, [Operation.read(f"k{i - 1}"),
+                                       Operation.write(f"k{i}", i)])
+            before = session.session.forward_probes
+            for i in range(length, length + 10):
+                run(testbed, session, [Operation.read(f"k{i - 1}"),
+                                       Operation.write(f"k{i}", i)])
+            assert len(session.session.own_writes) == length + 10
+            return (session.session.forward_probes - before) / 10
+
+        short, long = probes_per_txn(25), probes_per_txn(100)
+        assert long <= short <= 4
+
+    def test_isolating_the_sticky_replica_forwards_what_the_failover_lacks(self):
+        testbed = frozen_ae_testbed()
+        keys = [f"k{i}" for i in range(8)]
+        session, home = self.session_with_memory(testbed, keys)
+        remembered = self.remembered(session)
+        victim = testbed.config.local_replica_for("k0", home)
+        stranded = {key for key in keys
+                    if testbed.config.local_replica_for(key, home) == victim}
+        assert stranded and stranded != set(keys)
+        testbed.network.partitions.isolate(victim)
+
+        _, forwards = run_spying_forwards(
+            testbed, session, [Operation.write("fresh", 1)])
+        assert {key for key, _, _ in forwards} == stranded
+        for key, timestamp, replica in forwards:
+            assert timestamp == remembered[key]
+            assert replica in testbed.config.replicas_for(key)
+            assert testbed.config.cluster_of_server(replica) != home
+        _, again = run_spying_forwards(
+            testbed, session, [Operation.write("fresher", 2)])
+        assert again == []
+
+    def test_ring_join_forwards_the_keys_that_moved_to_the_joiner(self):
+        testbed = build_testbed(Scenario(regions=["VA", "OR"],
+                                         servers_per_cluster=2,
+                                         placement="ring",
+                                         anti_entropy_interval_ms=600_000.0))
+        keys = [f"k{i}" for i in range(40)]
+        session, home = self.session_with_memory(testbed, keys)
+        remembered = self.remembered(session)
+        joiner = testbed.add_server(home).name
+        testbed.config.add_server(home, joiner)
+        moved = {key for key in keys
+                 if testbed.config.local_replica_for(key, home) == joiner}
+        assert moved and len(moved) < len(keys)
+
+        _, forwards = run_spying_forwards(
+            testbed, session, [Operation.write("fresh", 1)])
+        assert sorted(forwards) == sorted(
+            (key, remembered[key], joiner) for key in moved)
+        _, again = run_spying_forwards(
+            testbed, session, [Operation.write("fresher", 2)])
+        assert again == []
+        assert session.session.forwards_issued == len(moved)

@@ -102,3 +102,43 @@ class TestPartitionStateTransitions:
         manager.clear_partition()
         assert manager.connected("a", "b")
         assert not manager.active
+
+
+class TestGeneration:
+    """Routing may be memoised under ``generation``: every mutator bumps it,
+    no query does."""
+
+    MUTATORS = [
+        lambda m: m.partition([["a"], ["b"]]),
+        lambda m: m.partition_by(lambda site: site),
+        lambda m: m.isolate("a"),
+        lambda m: m.rejoin("a"),
+        lambda m: m.clear_partition(),
+        lambda m: m.heal(),
+    ]
+
+    @pytest.mark.parametrize("mutate", MUTATORS)
+    def test_every_mutator_bumps_it(self, mutate):
+        manager = PartitionManager()
+        before = manager.generation
+        mutate(manager)
+        assert manager.generation > before
+
+    def test_mutators_bump_it_while_a_fault_is_active_too(self):
+        manager = PartitionManager()
+        manager.isolate("z")
+        for mutate in self.MUTATORS:
+            before = manager.generation
+            mutate(manager)
+            assert manager.generation > before
+
+    def test_queries_do_not_bump_it(self):
+        manager = PartitionManager()
+        manager.partition([["a", "b"], ["c"]])
+        manager.isolate("z")
+        before = manager.generation
+        manager.connected("a", "c")
+        manager.reachable_from("a", ["b", "c", "z"])
+        manager.describe()
+        assert manager.active
+        assert manager.generation == before

@@ -284,7 +284,8 @@ class OwedIndex:
     """The keys of one remembered map that forwarding still has to examine.
 
     Invariant: a remembered key *outside* ``owed`` holds the bottom version,
-    or a version the replica it routed to under ``stamp`` is known to hold.
+    or a version the replica it routed to under ``stamp`` is known to hold
+    (at that timestamp or a newer one).
     """
 
     __slots__ = ("owed", "rank", "stamp")
@@ -333,8 +334,10 @@ class SessionState:
     #: Diagnostics: remembered keys forwarding examined / versions it sent.
     forward_probes: int = 0
     forwards_issued: int = 0
-    #: key -> (timestamp, replicas known to hold that version or newer).
-    holders: Dict[str, Tuple[Timestamp, Set[str]]] = field(default_factory=dict)
+    #: key -> (timestamp, replicas known to hold that version or newer); a
+    #: tuple, not a set: at most one replica per cluster, one entry per key.
+    holders: Dict[str, Tuple[Timestamp, Tuple[str, ...]]] = field(
+        default_factory=dict)
     #: What forwarding still owes from ``last_seen`` / ``own_writes``.
     seen_owed: OwedIndex = field(default_factory=OwedIndex)
     own_owed: OwedIndex = field(default_factory=OwedIndex)
@@ -365,17 +368,20 @@ class SessionState:
     def note_holder(self, key: str, timestamp: Timestamp, replica: str) -> None:
         current = self.holders.get(key)
         if current is None or timestamp > current[0]:
-            self.holders[key] = (timestamp, {replica})
+            self.holders[key] = (timestamp, (replica,))
             for index in (self.seen_owed, self.own_owed):
                 if key in index.rank:
                     index.owed.add(key)
-        elif timestamp == current[0]:
-            current[1].add(replica)
+        elif timestamp == current[0] and replica not in current[1]:
+            self.holders[key] = (timestamp, current[1] + (replica,))
 
-    def holders_of(self, key: str, timestamp: Timestamp) -> Set[str]:
+    def holders_of(self, key: str, timestamp: Timestamp) -> Tuple[str, ...]:
+        """Replicas known to hold ``key`` at ``timestamp`` *or newer*: under
+        last-writer-wins a replica storing a newer version of the key already
+        orders the superseded one, so there is nothing left to send it."""
         current = self.holders.get(key)
-        if current is None or current[0] != timestamp:
-            return set()
+        if current is None or current[0] < timestamp:
+            return ()
         return current[1]
 
 
@@ -410,10 +416,11 @@ class SessionLayer(GuaranteeLayer):
         before a (possibly failed-over) transaction writes, the versions that
         must become visible *first* are installed at whichever replica the
         client would currently contact for them.  Replicas that already hold
-        a version are skipped, so a sticky session on a healthy network
-        forwards nothing.  Unreachable dependency replicas are skipped too —
-        transactional availability only requires replicas for the items the
-        transaction itself accesses (Section 4.2).
+        a version — or a newer one of the same key, which orders it under
+        last-writer-wins — are skipped, so a sticky session on a healthy
+        network forwards nothing.  Unreachable dependency replicas are
+        skipped too — transactional availability only requires replicas for
+        the items the transaction itself accesses (Section 4.2).
 
         Only the owed keys of ``versions`` are examined, in first-remembered
         order; when routing moved since the map was last examined in full
@@ -431,9 +438,10 @@ class SessionLayer(GuaranteeLayer):
         futures = []
         delivered: List[Tuple[str, Timestamp, str]] = []
         overwritten = {op.key for op in ctx.plan if op.is_write}
-        for key in sorted(index.owed, key=index.rank.__getitem__):
+        candidates = sorted(index.owed, key=index.rank.__getitem__)
+        state.forward_probes += len(candidates)
+        for key in candidates:
             version = versions[key]
-            state.forward_probes += 1
             if version.txn_id is None:
                 index.owed.discard(key)
                 continue  # the initial (bottom) version needs no forwarding

@@ -6,8 +6,13 @@ held to the budget its stabilisation needs — one acknowledgement message per
 destination server per handler, promotion inside the handler that saw the
 last ack — so a change that re-inflates the notify storm fails here, not
 only in the benchmark.  ``eventual`` is pinned exactly: nothing MAV-related
-may move the base path.
+may move the base path.  ``causal`` is pinned to the same numbers: on a
+healthy network a sticky session forwards nothing, so the session stack adds
+client-side bookkeeping but not one event or message — and that bookkeeping
+examines a bounded number of remembered keys per transaction.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,10 +22,12 @@ from repro.hat.testbed import Scenario, build_testbed
 
 @pytest.fixture(scope="module")
 def costs():
-    """(events, messages, mav.notify messages, committed) per protocol on a
-    one-simulated-second default YCSB run over VA+OR, two servers each."""
+    """Per protocol on a one-simulated-second default YCSB run over VA+OR,
+    two servers each: ``cost`` = (events, messages, mav.notify messages,
+    committed), ``puts`` = write RPCs sent, and the sessions' forwarding
+    diagnostics (``probes``, ``forwards``) summed over the clients."""
     measured = {}
-    for protocol in ("eventual", "mav"):
+    for protocol in ("eventual", "mav", "causal"):
         scenario = Scenario(regions=["VA", "OR"], servers_per_cluster=2, seed=0)
         testbed = build_testbed(scenario)
         stats = run_workload(
@@ -29,14 +36,19 @@ def costs():
         notifies = sum(s.mav.stats.notifies_sent for s in testbed.server_list())
         # The counter means mav.notify messages handed to the network.
         assert notifies == testbed.network.stats.per_kind.get("mav.notify", 0)
-        measured[protocol] = (testbed.env.events_executed,
-                              testbed.network.stats.sent, notifies,
-                              stats.committed)
+        sessions = [client.session for client in testbed.clients
+                    if client.session is not None]
+        measured[protocol] = SimpleNamespace(
+            cost=(testbed.env.events_executed, testbed.network.stats.sent,
+                  notifies, stats.committed),
+            puts=testbed.network.stats.per_kind.get("ru.put", 0),
+            probes=sum(s.forward_probes for s in sessions),
+            forwards=sum(s.forwards_issued for s in sessions))
     return measured
 
 
 def test_mav_stays_inside_its_event_and_notify_budget(costs):
-    events, messages, notifies, committed = costs["mav"]
+    events, messages, notifies, committed = costs["mav"].cost
     assert committed > 500
     assert events / committed <= 120.0
     assert messages / committed <= 40.0
@@ -46,11 +58,26 @@ def test_mav_stays_inside_its_event_and_notify_budget(costs):
 def test_mav_still_costs_more_than_eventual(costs):
     """The second write and the acks are real work: cheaper than eventual
     would mean stabilisation was skipped, not batched."""
-    mav_events, _, mav_notifies, mav_committed = costs["mav"]
-    events, _, _, committed = costs["eventual"]
+    mav_events, _, mav_notifies, mav_committed = costs["mav"].cost
+    events, _, _, committed = costs["eventual"].cost
     assert mav_notifies > 0
     assert mav_events / mav_committed > events / committed
 
 
 def test_eventual_cost_is_pinned_exactly(costs):
-    assert costs["eventual"] == (38872, 17748, 0, 1084)
+    assert costs["eventual"].cost == (38872, 17748, 0, 1084)
+
+
+def test_causal_on_a_healthy_network_costs_what_eventual_costs(costs):
+    """Same transactions, same replicas, nothing forwarded: every write RPC
+    is one of the workload's own writes."""
+    assert costs["causal"].cost == (38872, 17748, 0, 1084)
+    assert costs["causal"].forwards == 0
+    assert costs["causal"].puts == costs["eventual"].puts == 4400
+
+
+def test_causal_forwarding_examines_a_bounded_number_of_keys(costs):
+    """A re-introduced scan of session memory would examine hundreds of
+    remembered versions per transaction by the end of this run."""
+    committed = costs["causal"].cost[3]
+    assert 0 < costs["causal"].probes / committed <= 12.0

@@ -201,6 +201,31 @@ class TestForwardingIsLazy:
             "a", session.session.own_writes["a"].timestamp
         )
 
+    def test_superseded_versions_are_not_forwarded_again(self):
+        """A holder of a newer version of the key holds the older one too.
+
+        Regression: after reading ``k@t1`` and then writing ``k@t2`` (or
+        writing ``k`` and then reading someone's newer write of it), the
+        older remembered version matched no holder entry and was re-sent —
+        a blocking RPC — before every later writing transaction.
+        """
+        testbed = frozen_ae_testbed()
+        author = testbed.make_client("eventual")
+        session = testbed.make_client("causal")
+        run(testbed, author, [Operation.write("read-then-written", 1)])
+        run(testbed, session, [Operation.read("read-then-written")])
+        run(testbed, session, [Operation.write("read-then-written", 2),
+                               Operation.write("written-then-read", 3)])
+        # The author reads first so its write orders after the session's.
+        run(testbed, author, [Operation.read("written-then-read"),
+                              Operation.write("written-then-read", 4)])
+        seen = run(testbed, session, [Operation.read("written-then-read")])
+        assert seen.value_read("written-then-read") == 4
+        for i in range(5):
+            result = run(testbed, session, [Operation.write(f"later{i}", i)])
+            assert result.committed
+        assert session.session.forwards_issued == 0
+
 
 def run_spying_forwards(testbed, client, operations):
     """Run one transaction; also return the ``(key, timestamp, replica)`` of
@@ -242,11 +267,9 @@ class TestOwedIndex:
         def probes_per_txn(length):
             testbed = frozen_ae_testbed()
             session = testbed.make_client("causal")
-            for i in range(length):
-                run(testbed, session, [Operation.read(f"k{i - 1}"),
-                                       Operation.write(f"k{i}", i)])
-            before = session.session.forward_probes
-            for i in range(length, length + 10):
+            for i in range(length + 10):
+                if i == length:
+                    before = session.session.forward_probes
                 run(testbed, session, [Operation.read(f"k{i - 1}"),
                                        Operation.write(f"k{i}", i)])
             assert len(session.session.own_writes) == length + 10

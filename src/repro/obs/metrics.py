@@ -107,18 +107,32 @@ class MetricsRegistry:
         #: The recency probe rides on the registry so every instrumentation
         #: site reaches both through the one ``network.metrics`` attribute.
         self.staleness = StalenessProbe(self)
+        #: ``tuple(labels.items())`` -> canonical items, so the recording
+        #: primitives do not re-stringify and re-sort labels on every call.
+        self._label_memo: Dict[tuple, LabelItems] = {}
+
+    def _items(self, labels: Dict[str, object]) -> LabelItems:
+        token = tuple(labels.items())
+        items = self._label_memo.get(token)
+        if items is None:
+            items = _label_items(labels)
+            # Only all-string labels are memoised: 1, 1.0 and True hash and
+            # compare equal but stringify differently.
+            if all(type(value) is str for value in labels.values()):
+                self._label_memo[token] = items
+        return items
 
     # -- primitives ----------------------------------------------------------
     def inc(self, name: str, amount: float = 1.0, **labels) -> None:
-        key = (name, _label_items(labels))
+        key = (name, self._items(labels))
         self.counters[key] = self.counters.get(key, 0.0) + amount
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
-        self.gauges[(name, _label_items(labels))] = float(value)
+        self.gauges[(name, self._items(labels))] = float(value)
 
     def max_gauge(self, name: str, value: float, **labels) -> None:
         """Keep the high-water mark (deterministic under any merge order)."""
-        key = (name, _label_items(labels))
+        key = (name, self._items(labels))
         current = self.gauges.get(key)
         if current is None or value > current:
             self.gauges[key] = float(value)
@@ -126,7 +140,7 @@ class MetricsRegistry:
     def observe(self, name: str, at_ms: float, value: float,
                 **labels) -> None:
         """Add ``value`` to the histogram series at sim-time ``at_ms``."""
-        key = (name, _label_items(labels))
+        key = (name, self._items(labels))
         index = int(at_ms // self.window_ms)
         per_window = self._windows.setdefault(key, {})
         digest = per_window.get(index)

@@ -10,6 +10,17 @@ The cost matters for reproducing Figure 3C and Figure 6: with five clusters,
 "every YCSB put operation resulted in four put operations on remote replicas
 and, accordingly, the cost of anti-entropy increased", which is why MAV's
 relative throughput drops as clusters are added.
+
+A push round examines only entries whose outcome can have changed.  Fresh
+marks wait in ``_dirty``; an entry that was examined and is still owed a
+version is *parked*.  The parked-set invariant: every parked entry was
+examined under ``_parked_stamp`` — the routing stamp ``(ClusterConfig.epoch,
+PartitionManager.generation)`` — and is owed only to peers unreachable under
+it.  Placement and reachability are pure functions of the stamp, so a parked
+entry cannot be pushed anywhere until the stamp moves (partition start or
+heal, isolate/rejoin, membership flip); then all of them re-enter the queue,
+oldest first.  A partition's backlog therefore costs O(marks + requeues),
+not O(backlog x rounds).
 """
 
 from __future__ import annotations
@@ -87,6 +98,11 @@ class AntiEntropyStats:
     messages: int = 0
     #: Superseded same-key versions dropped from a round instead of pushed.
     versions_coalesced: int = 0
+    #: Entries whose owed peers a round looked at (once per mark, and once
+    #: more per requeue — never once per round a partition strands them).
+    entries_examined: int = 0
+    #: Parked entries put back in the queue because the routing stamp moved.
+    requeues: int = 0
 
 
 class AntiEntropyService:
@@ -104,15 +120,25 @@ class AntiEntropyService:
         self.config = config
         self.settings = settings or AntiEntropyConfig()
         self.stats = AntiEntropyStats()
-        #: Versions accepted locally but not yet fully pushed, in arrival
-        #: order.  Each entry is ``(version, delivered_peers)``:
+        #: Versions accepted locally and not yet examined by a push round,
+        #: in arrival order.  Each entry is ``(version, delivered_peers)``:
         #: ``None``/empty means no peer has received it yet (the fresh-mark
         #: case); a tuple lists peers that already got it, so a version
-        #: partitioned away from one peer is not re-pushed to the others on
-        #: every subsequent round.  The peers *owed* are always recomputed
-        #: from the live config, so a membership epoch change re-targets a
-        #: deferred push at the key's current owners.
+        #: partitioned away from one peer is not re-pushed to the others.
+        #: The peers *owed* are computed from the live config when the entry
+        #: is examined, so a membership epoch change re-targets a deferred
+        #: push at the key's current owners.
         self._dirty: List[tuple] = []
+        #: Examined entries still owed a push, in the order they were
+        #: parked (the dict key is only a unique slot number).  Invariant:
+        #: each was examined under :attr:`_parked_stamp` and is owed only to
+        #: peers unreachable under it.
+        self._parked: Dict[int, tuple] = {}
+        #: key -> slots in ``_parked`` of its sibling-free entries.  They
+        #: all hold one ``Version`` object: coalescing keeps a key's newest.
+        self._parked_plain: Dict[str, List[int]] = {}
+        self._parked_stamp: Optional[tuple] = None
+        self._next_slot = 0
         self._running = False
 
     # -- dirty tracking ---------------------------------------------------------
@@ -132,8 +158,15 @@ class AntiEntropyService:
         membership coordinator drains these and re-marks them on the keys'
         successors before the leaver departs.
         """
-        pending, self._dirty = self._dirty, []
+        pending, self._dirty = self._unpark() + self._dirty, []
         return pending
+
+    def _unpark(self) -> List[tuple]:
+        """Empty the parked set; returns its entries, oldest first."""
+        entries = list(self._parked.values())
+        self._parked.clear()
+        self._parked_plain.clear()
+        return entries
 
     # -- lifecycle -------------------------------------------------------------
     def start(self) -> None:
@@ -155,7 +188,7 @@ class AntiEntropyService:
             # push happens when a worker picks it up and its cost occupies
             # that worker, so catch-up competes with foreground requests
             # for capacity.
-            if self._dirty:
+            if self._dirty or self._parked:
                 self.server.network.send(self.server.name, self.server.name,
                                          "ae.round", None)
         else:
@@ -186,15 +219,23 @@ class AntiEntropyService:
         replica must see each one so its transaction can collect the
         acknowledgements that make it stable (Appendix B); coalescing one
         away would strand the transaction in the pending set.
+
+        ``dirty`` also competes with the parked set, key by key: a newer
+        version evicts the key's parked entries, an older-or-equal one is
+        dropped — what coalescing the two lists together would do.
         """
-        if len(dirty) < 2:
-            return dirty
         newest: Dict[str, Version] = {}
         for version, _owed in dirty:
             if version.siblings:
                 continue
             current = newest.get(version.key)
-            if current is None or version.timestamp > current.timestamp:
+            if current is None:
+                # A parked version of the key is older in arrival order
+                # than any fresh one, so it is the one to beat.
+                slots = self._parked_plain.get(version.key)
+                current = newest[version.key] = (
+                    self._parked[slots[0]][0] if slots else version)
+            if version.timestamp > current.timestamp:
                 newest[version.key] = version
         kept: List[tuple] = []
         coalesced = 0
@@ -204,53 +245,76 @@ class AntiEntropyService:
                 coalesced += 1
                 continue
             kept.append(entry)
+        for key, version in newest.items():
+            slots = self._parked_plain.get(key)
+            if slots and self._parked[slots[0]][0] is not version:
+                coalesced += len(slots)
+                for slot in self._parked_plain.pop(key):
+                    del self._parked[slot]
         if coalesced:
             self.stats.versions_coalesced += coalesced
         return kept
 
     def _push_dirty(self) -> int:
         metrics = self.server.network.metrics
+        backlog = len(self._dirty) + len(self._parked)
         if metrics is not None:
             # Backlog is sampled at round boundaries (including empty
             # rounds) so the windowed series shows partition-era growth and
             # post-heal drain, not just the rounds that pushed something.
             metrics.observe("ae_backlog_versions", self.env.now,
-                            float(len(self._dirty)), node=self.server.name)
-        if not self._dirty:
+                            float(backlog), node=self.server.name)
+        if not backlog:
             return 0
         self.stats.rounds += 1
         if metrics is not None:
             metrics.inc("ae_rounds_total", node=self.server.name)
+        partitions = self.server.network.partitions
+        stamp = (self.config.epoch, partitions.generation)
+        if stamp != self._parked_stamp:
+            # Routing moved: any parked entry may now be deliverable, or owed
+            # to different peers.  They re-enter the queue ahead of the
+            # fresh marks, oldest first.
+            self._parked_stamp = stamp
+            self.stats.requeues += len(self._parked)
+            self._dirty = self._unpark() + self._dirty
         batches: Dict[str, List[Version]] = {}
         dirty, self._dirty = self._coalesce(self._dirty), []
         cap = self.settings.effective_max_per_round()
         if cap is not None and len(dirty) > cap:
             self._dirty = dirty[cap:]
             dirty = dirty[:cap]
-        partitions = self.server.network.partitions
-        retry: List[tuple] = []
+        self.stats.entries_examined += len(dirty)
+        reachable: Dict[str, bool] = {}
         for version, delivered in dirty:
-            # The owed set is the key's *current* peer replicas (recomputed
-            # every round, so membership epoch changes re-target deferred
-            # pushes at the live owners) minus the peers that already got
-            # this version (so a partition-stranded entry never re-sends to
-            # the reachable side on every round).
+            # The owed set is the key's *current* peer replicas (a requeue
+            # after a membership epoch change re-targets deferred pushes at
+            # the live owners) minus the peers that already got this version
+            # (so a partition-stranded entry never re-sends to the reachable
+            # side).
             peers = self.config.peer_replicas(version.key, self.server.name)
             deferred = False
             for peer in peers:
                 if delivered is not None and peer in delivered:
                     continue
-                if not partitions.connected(self.server.name, peer):
-                    # The peer is unreachable: keep the version dirty so it
-                    # is pushed once the partition heals (epidemic repair).
+                connected = reachable.get(peer)
+                if connected is None:
+                    connected = reachable[peer] = partitions.connected(
+                        self.server.name, peer)
+                if not connected:
+                    # The peer is unreachable: park the version so it is
+                    # pushed once the partition heals (epidemic repair).
                     deferred = True
                     continue
                 batch = batches.setdefault(peer, [])
                 batch.append(version)
                 delivered = (*(delivered or ()), peer)
             if deferred:
-                retry.append((version, delivered))
-        self._dirty.extend(retry)
+                self._parked[self._next_slot] = (version, delivered)
+                if not version.siblings:
+                    self._parked_plain.setdefault(version.key, []).append(
+                        self._next_slot)
+                self._next_slot += 1
         tracer = self.server.network.tracer
         pushed = 0
         for peer, versions in batches.items():

@@ -9,7 +9,9 @@ only in the benchmark.  ``eventual`` is pinned exactly: nothing MAV-related
 may move the base path.  ``causal`` is pinned to the same numbers: on a
 healthy network a sticky session forwards nothing, so the session stack adds
 client-side bookkeeping but not one event or message — and that bookkeeping
-examines a bounded number of remembered keys per transaction.
+examines a bounded number of remembered keys per transaction.  Anti-entropy
+through a partition examines each stranded version once when it is marked and
+once when the heal re-queues it, never once per round in between.
 """
 
 from types import SimpleNamespace
@@ -17,6 +19,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.bench.runner import RunConfig, run_workload
+from repro.chaos import Nemesis, canonical_partition_campaign
 from repro.hat.testbed import Scenario, build_testbed
 
 
@@ -81,3 +84,23 @@ def test_causal_forwarding_examines_a_bounded_number_of_keys(costs):
     remembered versions per transaction by the end of this run."""
     committed = costs["causal"].cost[3]
     assert 0 < costs["causal"].probes / committed <= 12.0
+
+
+def test_partition_backlog_is_not_rescanned_every_round():
+    """A re-introduced rescan examines every stranded entry on each of the
+    150 partition-era rounds: 63 examinations per pushed version on this
+    run before parking, under 2 with it."""
+    scenario = Scenario(regions=["VA", "OR"], servers_per_cluster=2, seed=0)
+    testbed = build_testbed(scenario)
+    campaign = canonical_partition_campaign(
+        scenario.regions, baseline_ms=200.0, partition_ms=1_500.0,
+        recovery_ms=300.0)
+    Nemesis(testbed, campaign).install()
+    run_workload(
+        RunConfig(protocol="eventual", scenario=scenario,
+                  duration_ms=campaign.duration_ms, warmup_ms=0.0, seed=0),
+        testbed=testbed)
+    stats = [server.anti_entropy.stats for server in testbed.server_list()]
+    pushed = sum(s.versions_pushed for s in stats)
+    assert pushed > 5_000 and sum(s.requeues for s in stats) > 5_000
+    assert sum(s.entries_examined for s in stats) / pushed <= 3.0

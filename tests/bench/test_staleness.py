@@ -32,12 +32,16 @@ class TestStalenessExperiment:
         assert "repro_staleness_commits_total" in result.prometheus
 
     def test_partition_inflates_eventual_t_visibility(self):
+        """Medians, not p99s: commits just before the cut are charged to
+        the healthy bucket, so on a run this short the healthy *tail* is
+        already the partition's length; the typical write is not."""
         result = _tiny(protocols=("eventual",))[0]
-        healthy = result.phase_quantile("healthy", "t_visibility_ms", "p99")
+        healthy = result.phase_quantile("healthy", "t_visibility_ms", "p50")
         partition = result.phase_quantile(
-            "partition", "t_visibility_ms", "p99")
+            "partition", "t_visibility_ms", "p50")
         assert healthy is not None and partition is not None
-        assert partition > healthy
+        assert healthy < 100.0
+        assert partition > 10.0 * healthy
 
     def test_sequential_and_parallel_payloads_identical(self):
         sequential = staleness_report_json(_tiny(jobs=None))

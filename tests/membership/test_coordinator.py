@@ -227,9 +227,17 @@ class TestReplicationObligations:
         for index in range(100):
             testbed.env.run_until_complete(client.execute(
                 Transaction([Operation.write(f"key{index}", "partition-era")])))
+        leaver = testbed.servers[testbed.config.clusters[0].servers[-1]]
+        examined = leaver.anti_entropy.stats.entries_examined
+        # Rounds examine the leaver's writes and park them (OR is cut off):
+        # the handoff must drain the parked set, not only the fresh marks.
+        testbed.run(50.0)
+        assert leaver.anti_entropy.stats.entries_examined > examined
         record = testbed.membership.scale_in(testbed.config.cluster_names[0])
         testbed.run(2_000.0)
         assert record.done and record.server in testbed.retired
+        assert record.server == leaver.name
+        assert leaver.anti_entropy.take_pending() == []
         testbed.heal()
         testbed.run(500.0)
         remote = testbed.config.cluster_names[1]

@@ -18,6 +18,23 @@ class TestCounters:
         assert registry.counter_value("requests_total", node="s1") == 1.0
         assert registry.counter_total("requests_total") == 4.0
 
+    def test_series_identity_survives_the_label_memo(self):
+        """Keyword order does not split a series; labels that hash equal
+        but stringify differently (1, 1.0, True) do not merge into one."""
+        registry = MetricsRegistry()
+        for _ in range(2):
+            registry.inc("sheds_total", node="s1", reason="full")
+            registry.inc("sheds_total", reason="full", node="s1")
+        key = ("sheds_total", (("node", "s1"), ("reason", "full")))
+        assert registry.counters == {key: 4.0}
+        for shard in (1, 1.0, True, "1"):
+            registry.inc("by_shard_total", shard=shard)
+            registry.inc("by_shard_total", shard=shard)
+        assert {items[0][1]: value
+                for (name, items), value in registry.counters.items()
+                if name == "by_shard_total"} == {
+                    "1": 4.0, "1.0": 2.0, "True": 2.0}
+
     def test_unknown_counter_is_zero(self):
         registry = MetricsRegistry()
         assert registry.counter_value("nope") == 0.0

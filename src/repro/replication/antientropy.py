@@ -98,8 +98,7 @@ class AntiEntropyStats:
     messages: int = 0
     #: Superseded same-key versions dropped from a round instead of pushed.
     versions_coalesced: int = 0
-    #: Entries whose owed peers a round looked at (once per mark, and once
-    #: more per requeue — never once per round a partition strands them).
+    #: Entries a round examined: once per mark, once more per requeue.
     entries_examined: int = 0
     #: Parked entries put back in the queue because the routing stamp moved.
     requeues: int = 0
@@ -235,7 +234,8 @@ class AntiEntropyService:
                 slots = self._parked_plain.get(version.key)
                 current = newest[version.key] = (
                     self._parked[slots[0]][0] if slots else version)
-            if version.timestamp > current.timestamp:
+            if (current is not version
+                    and version.timestamp > current.timestamp):
                 newest[version.key] = version
         kept: List[tuple] = []
         coalesced = 0
@@ -245,26 +245,27 @@ class AntiEntropyService:
                 coalesced += 1
                 continue
             kept.append(entry)
-        for key, version in newest.items():
-            slots = self._parked_plain.get(key)
-            if slots and self._parked[slots[0]][0] is not version:
-                coalesced += len(slots)
-                for slot in self._parked_plain.pop(key):
-                    del self._parked[slot]
+        if self._parked_plain:
+            for key, version in newest.items():
+                slots = self._parked_plain.get(key)
+                if slots and self._parked[slots[0]][0] is not version:
+                    coalesced += len(slots)
+                    for slot in self._parked_plain.pop(key):
+                        del self._parked[slot]
         if coalesced:
             self.stats.versions_coalesced += coalesced
         return kept
 
     def _push_dirty(self) -> int:
         metrics = self.server.network.metrics
-        backlog = len(self._dirty) + len(self._parked)
         if metrics is not None:
             # Backlog is sampled at round boundaries (including empty
             # rounds) so the windowed series shows partition-era growth and
             # post-heal drain, not just the rounds that pushed something.
             metrics.observe("ae_backlog_versions", self.env.now,
-                            float(backlog), node=self.server.name)
-        if not backlog:
+                            float(len(self._dirty) + len(self._parked)),
+                            node=self.server.name)
+        if not self._dirty and not self._parked:
             return 0
         self.stats.rounds += 1
         if metrics is not None:

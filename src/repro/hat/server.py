@@ -28,7 +28,8 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.node import ServerNode, ServiceCostModel
 from repro.hat.mav_state import MAVState
 from repro.net.network import Message, Network
-from repro.replication.antientropy import AntiEntropyConfig, AntiEntropyService
+from repro.replication.antientropy import (AntiEntropyClock, AntiEntropyConfig,
+                                           AntiEntropyService)
 from repro.replication.lockmanager import LockManager
 from repro.sim import Environment
 from repro.storage.lsm import LSMCostModel
@@ -67,6 +68,7 @@ class HATServer(ServerNode):
         durable: bool = True,
         keep_versions: Optional[int] = None,
         admission=None,
+        ae_clock: Optional[AntiEntropyClock] = None,
     ):
         super().__init__(env, network, name, cost_model=cost_model,
                          lsm_cost=lsm_cost, keep_versions=keep_versions,
@@ -76,7 +78,8 @@ class HATServer(ServerNode):
         self.mav = MAVState(replication_factor=config.replication_factor())
         self.locks = LockManager()
         self._prepared: Dict[int, List[Version]] = {}
-        self.anti_entropy = AntiEntropyService(env, self, config, anti_entropy)
+        self.anti_entropy = AntiEntropyService(env, self, config, anti_entropy,
+                                               ae_clock)
         self.handoff = HandoffStats()
 
         self.register_handler("ru.put", self._handle_ru_put)
@@ -99,6 +102,10 @@ class HATServer(ServerNode):
         self.register_handler("ae.round", self._handle_ae_round)
         self.register_handler("handoff.fetch", self._handle_handoff_fetch)
         self.register_handler("handoff.offer", self._handle_handoff_offer)
+
+    def recover(self) -> None:
+        super().recover()
+        self.anti_entropy.wake()
 
     # -- shared helpers ---------------------------------------------------------
     def _durable_write_cost(self, size_bytes: int) -> float:
@@ -401,7 +408,9 @@ class HATServer(ServerNode):
         worker, so a large catch-up backlog visibly steals capacity from
         foreground requests instead of being free.
         """
-        return None, self.anti_entropy.run_coupled_round()
+        service = self.anti_entropy
+        return None, (service.settings.send_cost_ms_per_version
+                      * service.run_round())
 
     def _handle_ae_push(self, message: Message) -> Tuple[None, float]:
         return None, self._absorb_versions(message.payload["versions"])

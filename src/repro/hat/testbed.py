@@ -29,7 +29,7 @@ from repro.net.network import Network
 from repro.net.partitions import PartitionManager
 from repro.net.topology import Topology
 from repro.overload.admission import AdmissionConfig
-from repro.replication.antientropy import AntiEntropyConfig
+from repro.replication.antientropy import AntiEntropyClock, AntiEntropyConfig
 from repro.sim import Environment, RandomStreams
 from repro.storage.lsm import LSMCostModel
 
@@ -108,7 +108,8 @@ class Testbed:
 
     def __init__(self, scenario: Scenario, env: Environment, topology: Topology,
                  network: Network, config: ClusterConfig,
-                 servers: Dict[str, HATServer], streams: RandomStreams):
+                 servers: Dict[str, HATServer], streams: RandomStreams,
+                 ae_clock: AntiEntropyClock):
         self.scenario = scenario
         self.env = env
         self.topology = topology
@@ -116,6 +117,8 @@ class Testbed:
         self.config = config
         self.servers = servers
         self.streams = streams
+        #: The one anti-entropy timer every server's service ticks on.
+        self.ae_clock = ae_clock
         #: The deployment's tracer (None unless ``Scenario.tracing``).
         self.tracer = network.tracer
         #: The deployment's metrics registry (None unless ``Scenario.metrics``).
@@ -204,6 +207,7 @@ class Testbed:
             durable=self.scenario.durable,
             keep_versions=self.scenario.keep_versions,
             admission=self.scenario.admission,
+            ae_clock=self.ae_clock,
         )
         self.servers[server_name] = server
         return server
@@ -316,6 +320,7 @@ def build_testbed(scenario: Scenario) -> Testbed:
 
     servers: Dict[str, HATServer] = {}
     ae_config = _anti_entropy_config(scenario)
+    ae_clock = AntiEntropyClock(env)
     for cluster in config.clusters:
         for server_name in cluster.servers:
             server = HATServer(
@@ -326,11 +331,13 @@ def build_testbed(scenario: Scenario) -> Testbed:
                 durable=scenario.durable,
                 keep_versions=scenario.keep_versions,
                 admission=scenario.admission,
+                ae_clock=ae_clock,
             )
             server.anti_entropy.start()
             servers[server_name] = server
 
-    testbed = Testbed(scenario, env, topology, network, config, servers, streams)
+    testbed = Testbed(scenario, env, topology, network, config, servers, streams,
+                      ae_clock)
     if scenario.membership:
         # Validates placement eagerly: a join against modulo placement has
         # no minimal-disruption pending ring to hand off against.

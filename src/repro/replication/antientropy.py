@@ -6,6 +6,13 @@ epidemic approach of Demers et al.  Each server periodically pushes the
 versions it accepted since the last round to the peer replicas of the
 affected keys (the owners of the same partition in the other clusters).
 
+Lifecycle: services started with the same ``(interval_ms, start phase)``
+share one :class:`AntiEntropyClock` tick per grid instant, which runs a
+round on each of them that has work, in start order.  The tick is armed iff
+some started, live service has dirty or parked entries: a mark, a start or a
+recovery arms it for the next grid instant, and a tick that leaves every
+queue empty does not re-arm.  An idle deployment schedules no event at all.
+
 The cost matters for reproducing Figure 3C and Figure 6: with five clusters,
 "every YCSB put operation resulted in four put operations on remote replicas
 and, accordingly, the cost of anti-entropy increased", which is why MAV's
@@ -104,6 +111,57 @@ class AntiEntropyStats:
     requeues: int = 0
 
 
+class _Grid:
+    """The one tick the services started in one ``(interval_ms, phase)`` share."""
+
+    def __init__(self, env: Environment, interval_ms: float):
+        self.env = env
+        self.interval_ms = interval_ms
+        #: Instant ``k`` is ``origin + k * interval_ms``; ``_k`` is the newest
+        #: one a tick was scheduled for.
+        self.origin = env.now
+        self._k = 0
+        self.armed = False
+        #: In start order — the order the per-server timers used to fire in.
+        self.services: List["AntiEntropyService"] = []
+
+    def arm(self) -> None:
+        """Schedule the tick for the next instant not yet run (once)."""
+        if self.armed:
+            return
+        self.armed = True
+        now = self.env.now
+        k = max(self._k + 1, int((now - self.origin) / self.interval_ms))
+        if self.origin + k * self.interval_ms < now:
+            k += 1
+        self._k = k
+        self.env.schedule_at(self.origin + k * self.interval_ms, self._tick)
+
+    def _tick(self) -> None:
+        self.armed = False
+        for service in self.services:
+            if service.has_work():
+                service._round()
+        if any(service.has_work() for service in self.services):
+            self.arm()
+
+
+class AntiEntropyClock:
+    """A deployment's anti-entropy timer: one :class:`_Grid` per start phase."""
+
+    def __init__(self, env: Environment):
+        self.env = env
+        self._grids: Dict[tuple, _Grid] = {}
+
+    def join(self, service: "AntiEntropyService") -> _Grid:
+        """Register ``service``: its first round is one interval from now."""
+        interval_ms = service.settings.interval_ms
+        grid = self._grids.setdefault((interval_ms, self.env.now % interval_ms),
+                                      _Grid(self.env, interval_ms))
+        grid.services.append(service)
+        return grid
+
+
 class AntiEntropyService:
     """Periodic push replication for one server."""
 
@@ -113,11 +171,13 @@ class AntiEntropyService:
         server: "HATServer",
         config: ClusterConfig,
         settings: AntiEntropyConfig = None,
+        clock: Optional[AntiEntropyClock] = None,
     ):
         self.env = env
         self.server = server
         self.config = config
         self.settings = settings or AntiEntropyConfig()
+        self.clock = clock or AntiEntropyClock(env)
         self.stats = AntiEntropyStats()
         #: Versions accepted locally and not yet examined by a push round,
         #: in arrival order.  Each entry is ``(version, delivered_peers)``:
@@ -138,7 +198,8 @@ class AntiEntropyService:
         self._parked_plain: Dict[str, List[int]] = {}
         self._parked_stamp: Optional[tuple] = None
         self._next_slot = 0
-        self._running = False
+        #: The shared tick this service is registered with (None = stopped).
+        self._grid: Optional[_Grid] = None
 
     # -- dirty tracking ---------------------------------------------------------
     def mark_dirty(self, version: Version, delivered=None) -> None:
@@ -149,6 +210,7 @@ class AntiEntropyService:
         fresh joiner) does not re-broadcast to every replica.
         """
         self._dirty.append((version, tuple(delivered) if delivered else None))
+        self.wake()
 
     def take_pending(self) -> List[tuple]:
         """Remove and return the undelivered entries (decommission handoff).
@@ -169,40 +231,52 @@ class AntiEntropyService:
 
     # -- lifecycle -------------------------------------------------------------
     def start(self) -> None:
-        """Begin periodic push rounds."""
-        if self._running:
-            return
-        self._running = True
-        self.env.schedule(self.settings.interval_ms, self._round)
+        """Begin push rounds, one interval from now (no-op when started)."""
+        if self._grid is None:
+            self._grid = self.clock.join(self)
+            self.wake()
 
     def stop(self) -> None:
-        self._running = False
+        if self._grid is not None:
+            self._grid.services.remove(self)
+            self._grid = None
+
+    def has_work(self) -> bool:
+        return bool(self._dirty or self._parked) and self.server.alive
+
+    def wake(self) -> None:
+        """Arm the tick if this started, live service has entries queued."""
+        if self._grid is not None and self.has_work():
+            self._grid.arm()
 
     # -- push rounds ------------------------------------------------------------
     def _round(self) -> None:
-        if not self._running or not self.server.alive:
-            return
         if self.settings.capacity_coupled:
             # Route the round through the server's own request queue: the
             # push happens when a worker picks it up and its cost occupies
             # that worker, so catch-up competes with foreground requests
             # for capacity.
-            if self._dirty or self._parked:
-                self.server.network.send(self.server.name, self.server.name,
-                                         "ae.round", None)
+            self.server.network.send(self.server.name, self.server.name,
+                                     "ae.round", None)
         else:
-            self._push_dirty()
-        self.env.schedule(self.settings.interval_ms, self._round)
+            self.run_round()
 
-    def run_coupled_round(self) -> float:
-        """Execute one queued push round; returns its service cost (ms).
+    def run_round(self) -> int:
+        """Execute one push round; returns the number of versions pushed.
 
-        Called by the server's ``ae.round`` handler.  Rounds queued behind
-        a backlog may find the dirty set already drained by an earlier
-        round — those cost only the request overhead.
+        The server's ``ae.round`` handler runs coupled rounds through here;
+        one queued behind a backlog may find the dirty set already drained
+        by an earlier round and costs only the request overhead.
         """
         pushed = self._push_dirty()
-        return self.settings.send_cost_ms_per_version * pushed
+        metrics = self.server.network.metrics
+        if metrics is not None and not self._dirty and not self._parked:
+            # No idle round follows to record the drained gauge, so a round
+            # that leaves nothing queued closes the series with a zero: a
+            # window without a sample means the service was idle.
+            metrics.observe("ae_backlog_versions", self.env.now, 0.0,
+                            node=self.server.name)
+        return pushed
 
     def _coalesce(self, dirty: List[tuple]) -> List[tuple]:
         """Drop versions superseded by a later version of the same key.
@@ -259,9 +333,8 @@ class AntiEntropyService:
     def _push_dirty(self) -> int:
         metrics = self.server.network.metrics
         if metrics is not None:
-            # Backlog is sampled at round boundaries (including empty
-            # rounds) so the windowed series shows partition-era growth and
-            # post-heal drain, not just the rounds that pushed something.
+            # Backlog is sampled by every round that runs, so the windowed
+            # series shows partition-era growth and post-heal drain.
             metrics.observe("ae_backlog_versions", self.env.now,
                             float(len(self._dirty) + len(self._parked)),
                             node=self.server.name)

@@ -171,6 +171,15 @@ class Environment:
         else:
             heappush(self._queue, (self._now + delay, seq, callback, args))
 
+    def schedule_at(self, when: float, callback: Callable, *args: Any) -> None:
+        """Run ``callback(*args)`` at exactly ``when`` (a relative delay
+        would land on ``now + (when - now)``, which can be an ulp off)."""
+        if when < self._now:
+            raise SimulationError(f"cannot schedule in the past: {when!r}")
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        heappush(self._queue, (when, seq, callback, args))
+
     def schedule_now(self, callback: Callable, *args: Any) -> None:
         """Run ``callback(*args)`` on the next tick (a zero-delay schedule)."""
         seq = self._next_seq

@@ -4,6 +4,7 @@ import pytest
 
 from repro.hat.testbed import Scenario, Testbed, build_testbed
 from repro.hat.transaction import Operation, Transaction
+from repro.storage.records import Timestamp, Version
 
 
 @pytest.fixture
@@ -77,3 +78,53 @@ class TestAntiEntropy:
             remote.execute(Transaction([Operation.read("user3")]))
         )
         assert fresh.value_read("user3") == "only-va"
+
+
+def _version(key: str, sequence: int) -> Version:
+    return Version(key=key, value=sequence,
+                   timestamp=Timestamp(sequence=sequence, client_id=1))
+
+
+class TestLifecycle:
+    """The shared clock skips a dead or stopped server; it never unhooks one
+    for good and never runs one twice."""
+
+    def test_a_recovered_server_replicates_again(self, testbed):
+        server = testbed.server_list()[0]
+        testbed.run(25.0)
+        server.crash()
+        testbed.run(25.0)
+        server.recover()
+        server.anti_entropy.mark_dirty(_version("user1", 1))
+        testbed.run(450.0)
+        assert server.anti_entropy.stats.versions_pushed >= 1
+        assert server.anti_entropy.take_pending() == []
+
+    def test_entries_queued_before_a_crash_are_pushed_after_recovery(self, testbed):
+        server = testbed.server_list()[0]
+        testbed.run(21.0)
+        server.anti_entropy.mark_dirty(_version("user1", 1))
+        server.crash()
+        testbed.run(100.0)
+        # Dead: skipped, and the clock did not stay armed for it.
+        assert server.anti_entropy.stats.rounds == 0
+        assert testbed.env.pending_events == 0
+        server.recover()
+        testbed.run(100.0)
+        assert server.anti_entropy.stats.versions_pushed >= 1
+
+    def test_stop_then_start_leaves_one_timer(self, testbed):
+        """At the parent the pending tick of the first start() survived the
+        stop(), so a restarted service ran rounds on both phases."""
+        service = testbed.server_list()[0].anti_entropy
+        testbed.run(2.0)
+        service.stop()
+        service.start()
+        service.start()  # idempotent
+        sequence = 0
+        while testbed.env.now < 102.0:
+            sequence += 1
+            service.mark_dirty(_version(f"user{sequence}", sequence))
+            testbed.run(1.0)
+        # Restarted at t=2 with a 5 ms interval: rounds at 7, 12, ..., 102.
+        assert service.stats.rounds == 20

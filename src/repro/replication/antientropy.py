@@ -139,10 +139,12 @@ class _Grid:
 
     def _tick(self) -> None:
         self.armed = False
+        again = False
         for service in self.services:
             if service.has_work():
                 service._round()
-        if any(service.has_work() for service in self.services):
+                again = again or service.has_work()
+        if again:
             self.arm()
 
 
@@ -210,7 +212,9 @@ class AntiEntropyService:
         fresh joiner) does not re-broadcast to every replica.
         """
         self._dirty.append((version, tuple(delivered) if delivered else None))
-        self.wake()
+        grid = self._grid
+        if grid is not None and not grid.armed:  # once per interval, not per mark
+            self.wake()
 
     def take_pending(self) -> List[tuple]:
         """Remove and return the undelivered entries (decommission handoff).

@@ -109,8 +109,75 @@ class TestGoldenStaleness:
         assert eventual["partition_over_healthy_p99"] >= 10.0
 
 
+ARTIFACT_PINS = DATA / "golden_artifact_pins.json"
+
+#: Sweep name (``artifact_sweep`` in tests/conftest.py) -> the report
+#: module's (JSON builder, text formatter); None where a form does not exist.
+PINNED_ARTIFACTS = {
+    "tpcc_sim_healthy": ("tpcc_sim_report_json", "format_tpcc_sim"),
+    "tpcc_sim_partitioned": ("tpcc_sim_report_json", "format_tpcc_sim"),
+    "saturation": ("saturation_report_json", "format_saturation"),
+    "metastability": ("metastability_report_json", "format_metastability"),
+    "trace": ("trace_report_json", "format_trace"),
+    "staleness": ("staleness_report_json", "format_staleness"),
+    "elasticity": ("elasticity_report_json", "format_elasticity"),
+    "figure4": (None, "format_series"),
+    "figure5": (None, "format_series"),
+}
+
+
+def artifact_hashes(name: str, results) -> dict:
+    """SHA-256 of each rendered form of one shared artifact sweep."""
+    from repro.bench import report
+
+    def sha(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def json_sha(payload) -> str:
+        return sha(json.dumps(payload, indent=2, allow_nan=False))
+
+    # The trace experiment returns (stacks, provenance); its renderers take
+    # both, and the Chrome export rides beside the payload.
+    args = results if name == "trace" else (results,)
+    to_json, to_text = PINNED_ARTIFACTS[name]
+    hashes = {"text": sha(getattr(report, to_text)(*args))}
+    if to_json is not None:
+        hashes["json"] = json_sha(getattr(report, to_json)(*args))
+    if name == "trace":
+        hashes["chrome"] = json_sha(results[1].chrome)
+    return hashes
+
+
+class TestGoldenArtifactPins:
+    """Every artifact's JSON payload and text rendering, pinned by hash on
+    the small sweeps the artifact suites already run (zero extra
+    simulation): a refactor of the experiment/report layer must leave all
+    of them byte-identical."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_ARTIFACTS))
+    def test_rendered_forms_match_pin(self, name, artifact_sweep):
+        pinned = json.loads(ARTIFACT_PINS.read_text())[name]
+        actual = artifact_hashes(name, artifact_sweep(name))
+        where = first_difference(pinned, actual, f"/{name}")
+        assert not where, (
+            f"the {name} sweep no longer renders byte-identically — the "
+            "simulation under it or its report function changed.  First "
+            f"difference: {where}.  Deliberate change? replace its entry in "
+            f"{ARTIFACT_PINS.name} with {json.dumps(actual)}")
+
+
 class TestGoldenKernelRun:
-    def test_canonical_causal_run_matches_pin(self):
+    """The canonical causal run, observability off and on.
+
+    Tracing and metrics are bookkeeping layered on the same events: a run
+    with either (or both) switched on must execute the *identical* event
+    sequence as the untraced run the golden pins — if a span or a recency
+    observation perturbs the simulation, every traced artifact is suspect.
+    """
+
+    @pytest.mark.parametrize("tracing, metrics", [
+        (False, False), (True, False), (False, True), (True, True)])
+    def test_canonical_causal_run_matches_pin(self, tracing, metrics):
         from repro.bench.runner import RunConfig, run_workload
         from repro.hat.testbed import Scenario, build_testbed
         from repro.workloads.ycsb import YCSBConfig
@@ -119,7 +186,7 @@ class TestGoldenKernelRun:
         config = RunConfig(
             protocol="causal",
             scenario=Scenario(regions=["VA", "OR"], servers_per_cluster=2,
-                              seed=0),
+                              seed=0, tracing=tracing, metrics=metrics),
             workload=YCSBConfig(),
             duration_ms=400.0,
             seed=0,
@@ -132,6 +199,13 @@ class TestGoldenKernelRun:
         assert stats.throughput_txn_s == golden["throughput_txn_s"]
         assert stats.latency.mean == golden["mean_latency_ms"]
         assert stats.latency.p95 == golden["p95_latency_ms"]
+        # The instrumentation must actually have been on, not silently off.
+        if tracing:
+            assert len(testbed.tracer.spans) > stats.committed
+        if metrics:
+            registry = testbed.metrics
+            assert registry.counter_total("staleness_installs_total") > 0
+            assert registry.counter_total("staleness_reads_total") > 0
 
 
 if __name__ == "__main__":

@@ -14,14 +14,13 @@ from repro.bench.experiments import (
     METASTABILITY_PIN_FRACTION,
     METASTABILITY_PROTOCOLS,
     METASTABILITY_RECOVERY_FRACTION,
-    metastability_experiment,
 )
 from repro.bench.report import format_metastability, metastability_report_json
 
 
 @pytest.fixture(scope="module")
-def results():
-    return metastability_experiment(protocols=("eventual",))
+def results(artifact_sweep):
+    return artifact_sweep("metastability")
 
 
 class TestExperiment:
@@ -68,8 +67,8 @@ class TestExperiment:
         assert defended.stats.retries < undefended.stats.retries
         assert defended.stats.committed > undefended.stats.committed
 
-    def test_parallel_results_bit_identical(self, results):
-        parallel = metastability_experiment(protocols=("eventual",), jobs=2)
+    def test_parallel_results_bit_identical(self, results, artifact_sweep):
+        parallel = artifact_sweep("metastability", jobs=2)
         sequential_json = json.dumps(metastability_report_json(results),
                                      sort_keys=True)
         parallel_json = json.dumps(metastability_report_json(parallel),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.experiments import figure4_transaction_length, figure5_write_proportion
+from repro.bench.experiments import figure4_transaction_length
 from repro.bench.report import format_latency_and_throughput, format_series
 from repro.bench.runner import (
     GRACE_RTT_MULTIPLE,
@@ -196,17 +196,14 @@ class TestTelemetryIntegration:
 
 
 class TestExperimentHelpers:
-    def test_figure4_point_structure(self):
-        points = figure4_transaction_length(lengths=(1, 4), protocols=("eventual",),
-                                            clients_per_cluster=1, duration_ms=200.0)
+    def test_figure4_point_structure(self, artifact_sweep):
+        points = artifact_sweep("figure4")
         assert len(points) == 2
         assert {p.x_value for p in points} == {1, 4}
         assert all(p.figure == "fig4" for p in points)
 
-    def test_figure5_write_proportions(self):
-        points = figure5_write_proportion(write_proportions=(0.0, 1.0),
-                                          protocols=("eventual",),
-                                          clients_per_cluster=1, duration_ms=200.0)
+    def test_figure5_write_proportions(self, artifact_sweep):
+        points = artifact_sweep("figure5")
         assert {p.x_value for p in points} == {0.0, 1.0}
 
     def test_report_formatting(self):

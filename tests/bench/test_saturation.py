@@ -4,30 +4,12 @@ import json
 
 import pytest
 
-from repro.bench.experiments import (
-    SATURATION_PROTOCOLS,
-    saturation_experiment,
-)
+from repro.bench.experiments import SATURATION_PROTOCOLS
 from repro.bench.report import format_saturation, saturation_report_json
 
-TINY = dict(
-    users=5_000,
-    sessions_per_cluster=2,
-    ramp_start_rate_s=10.0,
-    ramp_peak_rate_s=120.0,
-    ramp_ms=1_200.0,
-    heal_rate_s=4.0,
-    baseline_ms=400.0,
-    partition_ms=800.0,
-    recovery_ms=1_600.0,
-    window_ms=200.0,
-    key_count=500,
-)
-
-
 @pytest.fixture(scope="module")
-def results():
-    return saturation_experiment(protocols=("eventual", "lock-sr"), **TINY)
+def results(artifact_sweep):
+    return artifact_sweep("saturation")
 
 
 class TestExperiment:
@@ -59,9 +41,8 @@ class TestExperiment:
             assert result.heal_campaign
             assert result.narration
 
-    def test_parallel_results_bit_identical(self, results):
-        parallel = saturation_experiment(protocols=("eventual", "lock-sr"),
-                                         jobs=2, **TINY)
+    def test_parallel_results_bit_identical(self, results, artifact_sweep):
+        parallel = artifact_sweep("saturation", jobs=2)
         sequential_json = json.dumps(saturation_report_json(results),
                                      sort_keys=True)
         parallel_json = json.dumps(saturation_report_json(parallel),

@@ -2,25 +2,22 @@
 
 import json
 
-from repro.bench.experiments import staleness_experiment
+import pytest
+
 from repro.bench.report import format_staleness, staleness_report_json
 
 
-def _tiny(jobs=None, protocols=("eventual", "master")):
-    return staleness_experiment(
-        protocols=protocols,
-        healthy_ms=600.0,
-        partition_ms=1_000.0,
-        rebalance_ms=800.0,
-        window_ms=200.0,
-        jobs=jobs,
-    )
+@pytest.fixture(scope="module")
+def sweep(artifact_sweep):
+    """The shared eventual + master sweep; each protocol's run is
+    independent, so ``sweep[:1]`` is the eventual-only sweep."""
+    return artifact_sweep("staleness")
 
 
 class TestStalenessExperiment:
-    def test_phases_and_probes_populated(self):
-        results = _tiny(protocols=("eventual",))
-        result = results[0]
+    def test_phases_and_probes_populated(self, sweep):
+        result = sweep[0]
+        assert result.protocol == "eventual"
         assert [p.name for p in result.campaign.phases] == [
             "healthy", "partition", "rebalance"]
         # The healthy phase must see real recency observations.
@@ -31,11 +28,11 @@ class TestStalenessExperiment:
         assert result.cdfs["t_visibility_ms"]
         assert "repro_staleness_commits_total" in result.prometheus
 
-    def test_partition_inflates_eventual_t_visibility(self):
+    def test_partition_inflates_eventual_t_visibility(self, sweep):
         """Medians, not p99s: commits just before the cut are charged to
         the healthy bucket, so on a run this short the healthy *tail* is
         already the partition's length; the typical write is not."""
-        result = _tiny(protocols=("eventual",))[0]
+        result = sweep[0]
         healthy = result.phase_quantile("healthy", "t_visibility_ms", "p50")
         partition = result.phase_quantile(
             "partition", "t_visibility_ms", "p50")
@@ -43,14 +40,15 @@ class TestStalenessExperiment:
         assert healthy < 100.0
         assert partition > 10.0 * healthy
 
-    def test_sequential_and_parallel_payloads_identical(self):
-        sequential = staleness_report_json(_tiny(jobs=None))
-        parallel = staleness_report_json(_tiny(jobs=2))
+    def test_sequential_and_parallel_payloads_identical(self, sweep,
+                                                        artifact_sweep):
+        sequential = staleness_report_json(sweep)
+        parallel = staleness_report_json(artifact_sweep("staleness", jobs=2))
         assert (json.dumps(sequential, sort_keys=True, allow_nan=False)
                 == json.dumps(parallel, sort_keys=True, allow_nan=False))
 
-    def test_report_renders(self):
-        results = _tiny(protocols=("eventual",))
+    def test_report_renders(self, sweep):
+        results = sweep[:1]
         text = format_staleness(results)
         assert "t-visibility (ms)" in text
         assert "nemesis narration" in text

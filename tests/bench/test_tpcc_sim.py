@@ -7,22 +7,18 @@ import pytest
 from repro.bench.experiments import (
     TPCC_SIM_PROTOCOLS,
     default_tpcc_config,
-    tpcc_sim_experiment,
 )
 from repro.bench.report import format_tpcc_sim, tpcc_sim_report_json
 
 
 @pytest.fixture(scope="module")
-def healthy_results():
-    return tpcc_sim_experiment(protocols=("read-committed", "lock-sr"),
-                               duration_ms=500.0, seed=2)
+def healthy_results(artifact_sweep):
+    return artifact_sweep("tpcc_sim_healthy")
 
 
 @pytest.fixture(scope="module")
-def partitioned_results():
-    return tpcc_sim_experiment(protocols=("eventual",), partition=True,
-                               baseline_ms=400.0, partition_ms=800.0,
-                               recovery_ms=400.0, window_ms=200.0, seed=2)
+def partitioned_results(artifact_sweep):
+    return artifact_sweep("tpcc_sim_partitioned")
 
 
 class TestExperiment:

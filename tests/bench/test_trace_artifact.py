@@ -9,18 +9,16 @@ import json
 
 import pytest
 
-from repro.bench.experiments import TRACE_PROTOCOLS, trace_experiment
+from repro.bench.experiments import TRACE_PROTOCOLS
 from repro.bench.report import format_trace, trace_report_json
 from repro.obs.critical_path import SEGMENTS
 
 PROTOCOLS = ("eventual", "causal")
-KWARGS = dict(protocols=PROTOCOLS, duration_ms=600.0, baseline_ms=400.0,
-              partition_ms=800.0, recovery_ms=400.0, key_count=500, seed=0)
 
 
 @pytest.fixture(scope="module")
-def experiment():
-    return trace_experiment(**KWARGS)
+def experiment(artifact_sweep):
+    return artifact_sweep("trace")
 
 
 class TestStacks:
@@ -104,9 +102,9 @@ class TestReportForms:
 
 
 class TestDeterminism:
-    def test_parallel_equals_sequential(self, experiment):
+    def test_parallel_equals_sequential(self, experiment, artifact_sweep):
         stacks, provenance = experiment
-        again_stacks, again_provenance = trace_experiment(jobs=2, **KWARGS)
+        again_stacks, again_provenance = artifact_sweep("trace", jobs=2)
         assert trace_report_json(stacks, provenance) == trace_report_json(
             again_stacks, again_provenance)
         assert provenance.chrome == again_provenance.chrome

@@ -12,19 +12,13 @@ import pytest
 
 from repro.adya.history import HistoryRecorder
 from repro.adya.levels import check_history
-from repro.bench.experiments import elasticity_experiment
 from repro.bench.report import elasticity_report_json, format_elasticity
 
-QUICK = dict(baseline_ms=1_000.0, scale_out_ms=1_250.0, partition_ms=2_000.0,
-             scale_in_ms=1_250.0, recovery_ms=750.0, window_ms=250.0)
-
-
 @pytest.fixture(scope="module")
-def sweep():
+def sweep(artifact_sweep):
     """One shared HAT-versus-master elasticity sweep (the expensive part)."""
     return {result.protocol: result
-            for result in elasticity_experiment(
-                protocols=("eventual", "causal", "master"), **QUICK)}
+            for result in artifact_sweep("elasticity")}
 
 
 class TestAvailabilityThroughRebalance:

@@ -15,6 +15,7 @@ Run with::
 
 from repro.hat import Operation, Scenario, Transaction, build_testbed
 from repro.hat.sessions import SessionClient
+from repro.replication.antientropy import AntiEntropyConfig
 
 
 def profile_update_scenario(sticky):
@@ -53,7 +54,7 @@ def composite_causal_scenario():
     the reply without its causes.
     """
     testbed = build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=2,
-                                     anti_entropy_interval_ms=60_000.0))
+                                     anti_entropy=AntiEntropyConfig(interval_ms=60_000.0)))
     home, away = testbed.config.cluster_names
     friend = testbed.make_client("eventual", home_cluster=home)
     user = testbed.make_client("causal", home_cluster=home)

@@ -21,6 +21,7 @@ from repro.bench.runner import RunConfig, run_workload
 from repro.hat.protocols import MASTER, QUORUM, READ_COMMITTED, TWO_PHASE_LOCKING
 from repro.hat.testbed import Scenario, build_testbed
 from repro.hat.transaction import Operation, Transaction
+from repro.replication.antientropy import AntiEntropyConfig
 from repro.workloads.ycsb import YCSBConfig
 
 
@@ -53,7 +54,7 @@ def anti_entropy_visibility(
     points: List[VisibilityPoint] = []
     for interval in intervals_ms:
         testbed = build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=2,
-                                         anti_entropy_interval_ms=interval, seed=seed))
+                                         anti_entropy=AntiEntropyConfig(interval_ms=interval), seed=seed))
         writer = testbed.make_client("eventual",
                                      home_cluster=testbed.config.cluster_names[0])
         reader = testbed.make_client("eventual",

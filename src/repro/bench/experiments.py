@@ -676,7 +676,7 @@ def _elasticity_protocol_run(
                         servers_per_cluster=servers_per_cluster,
                         seed=seed, placement="ring",
                         virtual_nodes=virtual_nodes,
-                        anti_entropy_max_per_round=32)
+                        anti_entropy=AntiEntropyConfig(max_versions_per_round=32))
     testbed = build_testbed(scenario)
     campaign = canonical_elasticity_campaign(
         list(regions), cluster=testbed.config.cluster_names[0],
@@ -807,7 +807,7 @@ def _staleness_protocol_run(
                         servers_per_cluster=servers_per_cluster,
                         seed=seed, placement="ring",
                         virtual_nodes=virtual_nodes,
-                        anti_entropy_max_per_round=32,
+                        anti_entropy=AntiEntropyConfig(max_versions_per_round=32),
                         metrics=True, metrics_window_ms=window_ms)
     testbed = build_testbed(scenario)
     campaign = canonical_staleness_campaign(

@@ -72,18 +72,11 @@ class Nemesis:
             description=event.description,
             targets=event.targets,
         ))
-        tracer = getattr(self.testbed, "tracer", None)
-        if tracer is not None:
-            # Feed the same structured record to the trace joiner so spans
-            # overlapping this fault are stamped with its window.
-            tracer.on_fault(event.kind, event.targets, self.testbed.env.now,
-                            event.description)
-        metrics = getattr(self.testbed, "metrics", None)
-        if metrics is not None:
-            # The metrics registry keeps its own fault-window ledger so the
-            # windowed time-series export can be joined with chaos phases.
-            metrics.on_fault(event.kind, event.targets, self.testbed.env.now,
-                             event.description)
+        # The same structured record goes to the deployment's fault ledger,
+        # which the trace joiner (spans overlapping this fault) and the
+        # metrics time-series export (windows joined with chaos phases) read.
+        self.testbed.faults.on_fault(event.kind, event.targets,
+                                     self.testbed.env.now, event.description)
 
     def phase_at(self, t_ms: float) -> Optional[str]:
         """The campaign phase active at ``t_ms`` (see :class:`Campaign`)."""

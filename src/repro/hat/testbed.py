@@ -28,6 +28,7 @@ from repro.net.latency import EC2LatencyModel, FixedLatencyModel, LatencyModel
 from repro.net.network import Network
 from repro.net.partitions import PartitionManager
 from repro.net.topology import Topology
+from repro.obs.trace import FaultLedger, Tracer
 from repro.overload.admission import AdmissionConfig
 from repro.replication.antientropy import AntiEntropyClock, AntiEntropyConfig
 from repro.sim import Environment, RandomStreams
@@ -49,15 +50,12 @@ class Scenario:
     value_bytes: int = 1024
     seed: int = 0
     durable: bool = True
-    anti_entropy_interval_ms: float = 10.0
-    #: Cap on dirty versions each anti-entropy round processes (None keeps
-    #: the historical flush-everything behaviour); elastic scenarios bound
-    #: it so handoff/heal catch-up bursts do not saturate replicas.
-    anti_entropy_max_per_round: Optional[int] = None
-    #: Full anti-entropy override (capacity coupling, send costs, batch
-    #: sizes).  When set it wins over the two legacy fields above; the
-    #: overload experiments use it to couple catch-up to service capacity.
-    anti_entropy: Optional[AntiEntropyConfig] = None
+    #: Anti-entropy settings (interval, per-round cap, capacity coupling,
+    #: send costs, batch sizes).  Elastic scenarios cap
+    #: ``max_versions_per_round`` so handoff/heal catch-up bursts do not
+    #: saturate replicas; the overload experiments couple catch-up to
+    #: service capacity.
+    anti_entropy: AntiEntropyConfig = field(default_factory=AntiEntropyConfig)
     #: Server-side admission control: bounded request queues with a
     #: shedding policy (see :mod:`repro.overload.admission`).  ``None``
     #: keeps the historical unbounded FIFO.
@@ -109,7 +107,7 @@ class Testbed:
     def __init__(self, scenario: Scenario, env: Environment, topology: Topology,
                  network: Network, config: ClusterConfig,
                  servers: Dict[str, HATServer], streams: RandomStreams,
-                 ae_clock: AntiEntropyClock):
+                 ae_clock: AntiEntropyClock, faults: FaultLedger):
         self.scenario = scenario
         self.env = env
         self.topology = topology
@@ -119,6 +117,9 @@ class Testbed:
         self.streams = streams
         #: The one anti-entropy timer every server's service ticks on.
         self.ae_clock = ae_clock
+        #: The one fault-window ledger: the nemesis and the membership
+        #: coordinator feed it, the tracer and the metrics registry read it.
+        self.faults = faults
         #: The deployment's tracer (None unless ``Scenario.tracing``).
         self.tracer = network.tracer
         #: The deployment's metrics registry (None unless ``Scenario.metrics``).
@@ -203,7 +204,7 @@ class Testbed:
             self.env, self.network, server_name, self.config,
             cost_model=self.scenario.service_cost,
             lsm_cost=self.scenario.lsm_cost,
-            anti_entropy=_anti_entropy_config(self.scenario),
+            anti_entropy=self.scenario.anti_entropy,
             durable=self.scenario.durable,
             keep_versions=self.scenario.keep_versions,
             admission=self.scenario.admission,
@@ -267,15 +268,6 @@ class Testbed:
         return worst
 
 
-def _anti_entropy_config(scenario: Scenario) -> AntiEntropyConfig:
-    """The anti-entropy settings a scenario implies (override wins)."""
-    if scenario.anti_entropy is not None:
-        return scenario.anti_entropy
-    return AntiEntropyConfig(
-        interval_ms=scenario.anti_entropy_interval_ms,
-        max_versions_per_round=scenario.anti_entropy_max_per_round)
-
-
 def build_testbed(scenario: Scenario) -> Testbed:
     """Construct every component of a simulated deployment."""
     env = Environment()
@@ -303,23 +295,22 @@ def build_testbed(scenario: Scenario) -> Testbed:
         latency = EC2LatencyModel(topology)
     network = Network(env, topology, latency, streams=streams,
                       partitions=PartitionManager())
+    faults = FaultLedger()
     if scenario.tracing:
         # Installed before any server is built: ServerNode only allocates
         # its per-message queue-depth ledger when the network carries a
         # tracer at construction time.
-        from repro.obs.trace import Tracer
-
-        network.tracer = Tracer()
+        network.tracer = Tracer(faults)
     if scenario.metrics:
         # Installed before any server is built for the same reason as the
         # tracer: instrumentation sites snapshot ``network.metrics`` at
         # construction time where doing so avoids a per-message lookup.
         from repro.obs.metrics import MetricsRegistry
 
-        network.metrics = MetricsRegistry(window_ms=scenario.metrics_window_ms)
+        network.metrics = MetricsRegistry(window_ms=scenario.metrics_window_ms,
+                                          faults=faults)
 
     servers: Dict[str, HATServer] = {}
-    ae_config = _anti_entropy_config(scenario)
     ae_clock = AntiEntropyClock(env)
     for cluster in config.clusters:
         for server_name in cluster.servers:
@@ -327,7 +318,7 @@ def build_testbed(scenario: Scenario) -> Testbed:
                 env, network, server_name, config,
                 cost_model=scenario.service_cost,
                 lsm_cost=scenario.lsm_cost,
-                anti_entropy=ae_config,
+                anti_entropy=scenario.anti_entropy,
                 durable=scenario.durable,
                 keep_versions=scenario.keep_versions,
                 admission=scenario.admission,
@@ -337,7 +328,7 @@ def build_testbed(scenario: Scenario) -> Testbed:
             servers[server_name] = server
 
     testbed = Testbed(scenario, env, topology, network, config, servers, streams,
-                      ae_clock)
+                      ae_clock, faults)
     if scenario.membership:
         # Validates placement eagerly: a join against modulo placement has
         # no minimal-disruption pending ring to hand off against.

@@ -256,18 +256,10 @@ class MembershipCoordinator:
         env = self.testbed.env
         joiner_name = joiner.name
         flipped = False
-        tracer = getattr(self.testbed, "tracer", None)
-        window = None
-        if tracer is not None:
-            window = tracer.open_window(
-                "handoff", (cluster.name, joiner_name), record.start_ms,
-                f"join {joiner_name} into {cluster.name}")
-        metrics = getattr(self.testbed, "metrics", None)
-        metric_window = None
-        if metrics is not None:
-            metric_window = metrics.open_fault(
-                "handoff", (cluster.name, joiner_name), record.start_ms,
-                f"join {joiner_name} into {cluster.name}")
+        faults = self.testbed.faults
+        window = faults.open(
+            "handoff", (cluster.name, joiner_name), record.start_ms,
+            f"join {joiner_name} into {cluster.name}")
         try:
             pending = cluster.pending_partitioner(add=joiner_name)
             owned_by_joiner = pending.owner_for
@@ -336,10 +328,7 @@ class MembershipCoordinator:
                 joiner.crash()
                 self.testbed.retire_server(joiner_name)
         finally:
-            if window is not None:
-                tracer.close_window(window, env.now)
-            if metric_window is not None:
-                metrics.close_fault(metric_window, env.now)
+            faults.close(window, env.now)
             self._busy.discard(cluster.name)
 
     # -- leave ----------------------------------------------------------------
@@ -376,18 +365,10 @@ class MembershipCoordinator:
                 record.versions_moved += len(versions)
                 record.bytes_moved += bytes_per_version * len(versions)
 
-        tracer = getattr(self.testbed, "tracer", None)
-        window = None
-        if tracer is not None:
-            window = tracer.open_window(
-                "handoff", (cluster.name, leaver.name), record.start_ms,
-                f"drain {leaver.name} out of {cluster.name}")
-        metrics = getattr(self.testbed, "metrics", None)
-        metric_window = None
-        if metrics is not None:
-            metric_window = metrics.open_fault(
-                "handoff", (cluster.name, leaver.name), record.start_ms,
-                f"drain {leaver.name} out of {cluster.name}")
+        faults = self.testbed.faults
+        window = faults.open(
+            "handoff", (cluster.name, leaver.name), record.start_ms,
+            f"drain {leaver.name} out of {cluster.name}")
         try:
             pending = cluster.pending_partitioner(remove=leaver.name)
             # Two pre-flip rounds: the delta round re-drains versions
@@ -442,8 +423,5 @@ class MembershipCoordinator:
             # orphan so no data is destroyed — either way the record says
             # why, and the cluster is free for the next event.
         finally:
-            if window is not None:
-                tracer.close_window(window, env.now)
-            if metric_window is not None:
-                metrics.close_fault(metric_window, env.now)
+            faults.close(window, env.now)
             self._busy.discard(cluster.name)

@@ -13,18 +13,19 @@ One :class:`MetricsRegistry` per deployment (attached to the network when
   clock half-open (``[i*w, (i+1)*w)``), so an observation on a boundary
   belongs to exactly one window by construction.
 
-The registry also keeps its own fault-window ledger (same
-:class:`~repro.obs.trace.FaultWindow` machinery the tracer uses, fed by
-the nemesis and the membership coordinator), which is what lets the
-windowed export be *joined* with chaos phases: every exported window
-carries the ids of the fault windows it overlapped.
+The registry reads the deployment's :class:`~repro.obs.trace.FaultLedger`
+(the one the tracer uses, fed by the nemesis and the membership
+coordinator), which is what lets the windowed export be *joined* with
+chaos phases: every exported window carries the ids of the fault windows
+it overlapped.
 
 Zero-overhead contract: like tracing, nothing here schedules simulator
 events or consumes randomness — all bookkeeping is inline arithmetic on
 plain dicts — and every instrumentation site guards on
 ``metrics is not None``, so a metrics-off run executes the exact same
-event sequence (pinned by ``measure_metrics_overhead`` in the perf
-artifact and by the golden-artifact byte-identity tests).
+event sequence (pinned by ``TestGoldenKernelRun`` in
+``tests/bench/test_golden_artifacts.py``, which runs the canonical causal
+config with metrics on and requires the metrics-off event count).
 
 Determinism: registries are keyed and iterated in sorted order, ids are
 registry-local, and the t-digest is the deterministic mergeable sketch
@@ -45,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.obs.staleness import StalenessProbe
-from repro.obs.trace import _CLOSERS, _OPENERS, FaultWindow
+from repro.obs.trace import FaultLedger, FaultWindow
 
 __all__ = ["MetricsRegistry"]
 
@@ -93,7 +94,8 @@ def _prom_labels(items: LabelItems) -> str:
 class MetricsRegistry:
     """Counters, gauges, and windowed t-digest histograms for one run."""
 
-    def __init__(self, window_ms: float = 500.0):
+    def __init__(self, window_ms: float = 500.0,
+                 faults: Optional[FaultLedger] = None):
         if window_ms <= 0.0:
             raise ReproError(f"window_ms must be > 0, got {window_ms!r}")
         self.window_ms = float(window_ms)
@@ -101,9 +103,8 @@ class MetricsRegistry:
         self.gauges: Dict[SeriesKey, float] = {}
         self._windows: Dict[SeriesKey, Dict[int, object]] = {}
         self._totals: Dict[SeriesKey, object] = {}
-        self.fault_windows: List[FaultWindow] = []
-        self._open_faults: List[FaultWindow] = []
-        self._next_fault = 1
+        #: The deployment's ledger (a private one for a bare registry).
+        self.faults = faults if faults is not None else FaultLedger()
         #: The recency probe rides on the registry so every instrumentation
         #: site reaches both through the one ``network.metrics`` attribute.
         self.staleness = StalenessProbe(self)
@@ -153,46 +154,18 @@ class MetricsRegistry:
         total.add(value)
 
     # -- fault windows -------------------------------------------------------
+    @property
+    def fault_windows(self) -> List[FaultWindow]:
+        return self.faults.windows
+
     def on_fault(self, kind: str, targets: Sequence[str], at_ms: float,
                  description: str = "") -> None:
-        """Structured fault feed (same contract as ``Tracer.on_fault``)."""
-        if kind in _OPENERS:
-            self.open_fault(kind, targets, at_ms, description)
-            return
-        closes = _CLOSERS.get(kind)
-        if closes is None:
-            window = self.open_fault(kind, targets, at_ms, description)
-            self.close_fault(window, at_ms)
-            return
-        targets = tuple(targets)
-        for window in list(self._open_faults):
-            if window.kind not in closes:
-                continue
-            if targets and window.targets and set(window.targets) != set(targets):
-                continue
-            self.close_fault(window, at_ms)
-
-    def open_fault(self, kind: str, targets: Sequence[str], at_ms: float,
-                   description: str = "") -> FaultWindow:
-        window = FaultWindow(self._next_fault, kind, tuple(targets), at_ms,
-                             description)
-        self._next_fault += 1
-        self.fault_windows.append(window)
-        self._open_faults.append(window)
-        return window
-
-    def close_fault(self, window: FaultWindow, at_ms: float) -> None:
-        if window.end_ms is None:
-            window.end_ms = at_ms
-        try:
-            self._open_faults.remove(window)
-        except ValueError:
-            pass
+        """Feed the ledger (see :meth:`FaultLedger.on_fault`)."""
+        self.faults.on_fault(kind, targets, at_ms, description)
 
     def finalize(self, now_ms: float) -> None:
         """Close any still-open fault windows at end of run."""
-        for window in list(self._open_faults):
-            self.close_fault(window, now_ms)
+        self.faults.close_all(now_ms)
 
     # -- merge (property-tested: merge-of-parts == whole) --------------------
     def merge(self, other: "MetricsRegistry") -> None:

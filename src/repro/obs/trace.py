@@ -9,9 +9,11 @@ transaction trees by :class:`TraceContext` (a trace id + parent span id
 pair carried on processes and messages).
 
 The chaos nemesis and membership coordinator report faults as
-:class:`FaultWindow` intervals; :meth:`Tracer.finalize` stamps every span
-with the windows it overlapped, which is what lets the provenance joiner
-say "this anomaly's writes raced inside partition w3".
+:class:`FaultWindow` intervals to the deployment's one :class:`FaultLedger`
+(owned by the testbed, shared by the tracer and the metrics registry);
+:meth:`Tracer.finalize` stamps every span with the windows it overlapped,
+which is what lets the provenance joiner say "this anomaly's writes raced
+inside partition w3".
 
 Determinism: all ids are tracer-local counters (never global, never
 process-wide), so two runs of the same seeded scenario produce identical
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["TraceContext", "Span", "FaultWindow", "Tracer"]
+__all__ = ["TraceContext", "Span", "FaultWindow", "FaultLedger", "Tracer"]
 
 
 class TraceContext:
@@ -124,17 +126,81 @@ _CLOSERS = {
 }
 
 
-class Tracer:
-    """Span sink + fault-window ledger for one traced run."""
+class FaultLedger:
+    """One deployment's fault (and handoff) windows, in firing order.
+
+    The testbed owns the ledger; the nemesis and the membership coordinator
+    feed it once, and the tracer and the metrics registry both read it.
+    Window ids are ledger-local counters starting at 1.
+    """
 
     def __init__(self):
+        self.windows: List[FaultWindow] = []
+        self._open: List[FaultWindow] = []
+        self._next_id = 1
+
+    def open(self, kind: str, targets: Sequence[str], at_ms: float,
+             description: str = "") -> FaultWindow:
+        window = FaultWindow(self._next_id, kind, tuple(targets), at_ms,
+                             description)
+        self._next_id += 1
+        self.windows.append(window)
+        self._open.append(window)
+        return window
+
+    def close(self, window: FaultWindow, at_ms: float) -> None:
+        if window.end_ms is None:
+            window.end_ms = at_ms
+        try:
+            self._open.remove(window)
+        except ValueError:
+            pass
+
+    def on_fault(self, kind: str, targets: Sequence[str], at_ms: float,
+                 description: str = "") -> None:
+        """Structured fault feed from the nemesis.
+
+        Opening kinds start a window; their paired closing kinds end every
+        open window of the matching kind (and, for targeted pairs like
+        ``rejoin``/``recover``, the matching target).
+        """
+        if kind in _OPENERS:
+            self.open(kind, targets, at_ms, description)
+            return
+        closes = _CLOSERS.get(kind)
+        if closes is None:
+            # Informational (scale-out/scale-in, ...): a zero-width marker
+            # window so the timeline still records it.
+            self.close(self.open(kind, targets, at_ms, description), at_ms)
+            return
+        targets = tuple(targets)
+        for window in list(self._open):
+            if window.kind not in closes:
+                continue
+            if targets and window.targets and set(window.targets) != set(targets):
+                continue
+            self.close(window, at_ms)
+
+    def close_all(self, now_ms: float) -> None:
+        """End of run: close whatever is still open."""
+        for window in list(self._open):
+            self.close(window, now_ms)
+
+
+class Tracer:
+    """Span sink for one traced run, joined to the deployment's faults."""
+
+    def __init__(self, faults: Optional[FaultLedger] = None):
         self.spans: List[Span] = []
-        self.fault_windows: List[FaultWindow] = []
+        #: The deployment's ledger (a private one for a bare ``Tracer()``).
+        self.faults = faults if faults is not None else FaultLedger()
         self._next_span = 1
         self._next_trace = 1
-        self._next_window = 1
         self._by_txn: Dict[int, Span] = {}
-        self._open_windows: List[FaultWindow] = []
+
+    @property
+    def fault_windows(self) -> List[FaultWindow]:
+        return self.faults.windows
 
     # -- spans ---------------------------------------------------------------
     def start_span(self, name: str, kind: str,
@@ -200,54 +266,15 @@ class Tracer:
         return self._by_txn.get(txn_id)
 
     # -- fault windows -------------------------------------------------------
-    def open_window(self, kind: str, targets: Sequence[str], at_ms: float,
-                    description: str = "") -> FaultWindow:
-        window = FaultWindow(self._next_window, kind, tuple(targets), at_ms,
-                             description)
-        self._next_window += 1
-        self.fault_windows.append(window)
-        self._open_windows.append(window)
-        return window
-
-    def close_window(self, window: FaultWindow, at_ms: float) -> None:
-        if window.end_ms is None:
-            window.end_ms = at_ms
-        try:
-            self._open_windows.remove(window)
-        except ValueError:
-            pass
-
     def on_fault(self, kind: str, targets: Sequence[str], at_ms: float,
                  description: str = "") -> None:
-        """Structured fault feed from the nemesis.
-
-        Opening kinds start a window; their paired closing kinds end every
-        open window of the matching kind (and, for targeted pairs like
-        ``rejoin``/``recover``, the matching target).
-        """
-        if kind in _OPENERS:
-            self.open_window(kind, targets, at_ms, description)
-            return
-        closes = _CLOSERS.get(kind)
-        if closes is None:
-            # Informational (scale-out/scale-in, ...): a zero-width marker
-            # window so the timeline still records it.
-            window = self.open_window(kind, targets, at_ms, description)
-            self.close_window(window, at_ms)
-            return
-        targets = tuple(targets)
-        for window in list(self._open_windows):
-            if window.kind not in closes:
-                continue
-            if targets and window.targets and set(window.targets) != set(targets):
-                continue
-            self.close_window(window, at_ms)
+        """Feed the ledger (see :meth:`FaultLedger.on_fault`)."""
+        self.faults.on_fault(kind, targets, at_ms, description)
 
     # -- finalization --------------------------------------------------------
     def finalize(self, now_ms: float) -> None:
         """Close open windows and unfinished spans, stamp fault overlaps."""
-        for window in list(self._open_windows):
-            self.close_window(window, now_ms)
+        self.faults.close_all(now_ms)
         windows = [w for w in self.fault_windows
                    if (w.end_ms or 0.0) > w.start_ms]
         for span in self.spans:

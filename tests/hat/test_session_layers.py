@@ -12,6 +12,7 @@ from repro.adya.history import HistoryRecorder
 from repro.adya.phenomena import MRWD, MYR, N_MR, detect
 from repro.hat.testbed import Scenario, build_testbed
 from repro.hat.transaction import Operation, Transaction
+from repro.replication.antientropy import AntiEntropyConfig
 
 
 def frozen_ae_testbed():
@@ -21,7 +22,7 @@ def frozen_ae_testbed():
     test, so which side holds which version is fully deterministic.
     """
     return build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=2,
-                                  anti_entropy_interval_ms=600_000.0))
+                                  anti_entropy=AntiEntropyConfig(interval_ms=600_000.0)))
 
 
 def run(testbed, client, operations):
@@ -69,7 +70,7 @@ class TestMonotonicReads:
         # Both clusters converge on "old"; only the home cluster sees "new".
         testbed = build_testbed(Scenario(regions=["VA", "OR"],
                                          servers_per_cluster=2,
-                                         anti_entropy_interval_ms=500.0))
+                                         anti_entropy=AntiEntropyConfig(interval_ms=500.0)))
         home = testbed.config.cluster_names[0]
         writer = testbed.make_client("eventual", home_cluster=home,
                                      recorder=recorder)
@@ -304,7 +305,7 @@ class TestOwedIndex:
         testbed = build_testbed(Scenario(regions=["VA", "OR"],
                                          servers_per_cluster=2,
                                          placement="ring",
-                                         anti_entropy_interval_ms=600_000.0))
+                                         anti_entropy=AntiEntropyConfig(interval_ms=600_000.0)))
         keys = [f"k{i}" for i in range(40)]
         session, home = self.session_with_memory(testbed, keys)
         remembered = self.remembered(session)

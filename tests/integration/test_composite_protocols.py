@@ -20,6 +20,7 @@ from repro.adya.levels import check_history
 from repro.adya.phenomena import MYR, N_MR, detect
 from repro.bench.runner import RunConfig, run_workload
 from repro.hat.testbed import Scenario, build_testbed
+from repro.replication.antientropy import AntiEntropyConfig
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
 
 
@@ -98,7 +99,7 @@ class TestCausalPhenomena:
     def test_causal_upholds_pram_across_mid_run_failover(self):
         """Every session keeps MR/MW/RYW while a partition forces failover."""
         scenario = Scenario(regions=["VA", "OR"], servers_per_cluster=2,
-                            anti_entropy_interval_ms=600_000.0)
+                            anti_entropy=AntiEntropyConfig(interval_ms=600_000.0))
         history = record_workload("causal", scenario, partition_home_after=12)
         report = check_history(history, "PRAM")
         assert report.satisfied, str(report)
@@ -107,7 +108,7 @@ class TestCausalPhenomena:
         """The same failover schedule without session layers shows the
         violations the causal stack prevents."""
         scenario = Scenario(regions=["VA", "OR"], servers_per_cluster=2,
-                            anti_entropy_interval_ms=600_000.0)
+                            anti_entropy=AntiEntropyConfig(interval_ms=600_000.0))
         history = record_workload("eventual", scenario, partition_home_after=12)
         assert detect(history, MYR) or detect(history, N_MR)
 

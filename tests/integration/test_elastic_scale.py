@@ -137,10 +137,11 @@ def _record_run(protocol: str, recorder: HistoryRecorder, make_campaign=None):
     from repro.chaos.campaign import canonical_elasticity_campaign
     from repro.chaos.nemesis import Nemesis
     from repro.hat.testbed import Scenario, build_testbed
+    from repro.replication.antientropy import AntiEntropyConfig
     from repro.workloads.ycsb import YCSBConfig
 
     scenario = Scenario(regions=["VA", "OR"], servers_per_cluster=2,
-                        placement="ring", anti_entropy_max_per_round=32)
+                        placement="ring", anti_entropy=AntiEntropyConfig(max_versions_per_round=32))
     testbed = build_testbed(scenario)
     cluster = testbed.config.cluster_names[0]
     campaign = make_campaign(cluster) if make_campaign else \

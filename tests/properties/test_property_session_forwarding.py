@@ -14,6 +14,7 @@ from repro.errors import UnavailableError
 from repro.hat.layers import SessionLayer
 from repro.hat.testbed import Scenario, build_testbed
 from repro.hat.transaction import Operation, Transaction
+from repro.replication.antientropy import AntiEntropyConfig
 
 KEYS = [f"k{i}" for i in range(4)]
 
@@ -70,7 +71,8 @@ def execute(testbed, client, ops):
 def test_owed_index_forwards_what_a_full_scan_would(steps, converging):
     testbed = build_testbed(Scenario(
         regions=["VA", "OR"], servers_per_cluster=2,
-        anti_entropy_interval_ms=10.0 if converging else 600_000.0))
+        anti_entropy=AntiEntropyConfig(
+            interval_ms=10.0 if converging else 600_000.0)))
     home = testbed.config.cluster_names[0]
     session = testbed.make_client("causal", home_cluster=home)
     # Homed with the session, so its writes are what the session reads next.

@@ -4,13 +4,14 @@ import pytest
 
 from repro.hat.testbed import Scenario, Testbed, build_testbed
 from repro.hat.transaction import Operation, Transaction
+from repro.replication.antientropy import AntiEntropyConfig
 from repro.storage.records import Timestamp, Version
 
 
 @pytest.fixture
 def testbed() -> Testbed:
     return build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=2,
-                                  anti_entropy_interval_ms=5.0))
+                                  anti_entropy=AntiEntropyConfig(interval_ms=5.0)))
 
 
 class TestAntiEntropy:

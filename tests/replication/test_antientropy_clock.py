@@ -13,6 +13,7 @@ from repro.bench.runner import RunConfig, run_workload
 from repro.chaos import Nemesis, canonical_partition_campaign
 from repro.hat.testbed import (FIVE_REGION_DEPLOYMENT, Scenario, Testbed,
                                build_testbed)
+from repro.replication.antientropy import AntiEntropyConfig
 from repro.storage.records import Timestamp, Version
 
 
@@ -43,7 +44,7 @@ def _record_pushes(testbed: Testbed) -> list:
 
 def _small_testbed() -> Testbed:
     return build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=2,
-                                  anti_entropy_interval_ms=5.0))
+                                  anti_entropy=AntiEntropyConfig(interval_ms=5.0)))
 
 
 class FreeRunningTimer:
@@ -174,7 +175,7 @@ class TestBacklogGauge:
         a window without a sample means the service was idle."""
         testbed = build_testbed(Scenario(
             regions=["VA", "OR"], servers_per_cluster=2, metrics=True,
-            anti_entropy_interval_ms=5.0))
+            anti_entropy=AntiEntropyConfig(interval_ms=5.0)))
         server = testbed.server_list()[0]
         samples = []
         observe = testbed.metrics.observe

@@ -9,6 +9,7 @@ one behaviour change — stranded entries no longer eat the per-round cap.
 
 from repro.hat.testbed import Scenario, build_testbed
 from repro.hat.transaction import Operation, Transaction
+from repro.replication.antientropy import AntiEntropyConfig
 from repro.storage.records import Timestamp, Version
 
 
@@ -67,7 +68,7 @@ class TestCapSkipsTheStranded:
         write waited ``backlog / cap`` rounds for a peer it could reach."""
         testbed = build_testbed(Scenario(
             regions=["VA", "OR", "CA"], servers_per_cluster=1,
-            anti_entropy_max_per_round=4))
+            anti_entropy=AntiEntropyConfig(max_versions_per_round=4)))
         testbed.partition_regions([["VA", "OR"], ["CA"]])
         origin, reachable, _cut_off = testbed.server_list()
         service = origin.anti_entropy
@@ -89,7 +90,7 @@ class TestCapSkipsTheStranded:
         the first post-heal round started wherever the rotation stood."""
         testbed = build_testbed(Scenario(
             regions=["VA", "OR"], servers_per_cluster=1,
-            anti_entropy_max_per_round=4))
+            anti_entropy=AntiEntropyConfig(max_versions_per_round=4)))
         testbed.partition_regions([["VA"], ["OR"]])
         origin, remote = testbed.server_list()
         service = origin.anti_entropy

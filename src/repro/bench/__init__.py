@@ -2,12 +2,12 @@
 
 * :mod:`repro.bench.metrics` — latency/throughput aggregation,
 * :mod:`repro.bench.runner` — closed-loop YCSB clients driving a testbed,
-* :mod:`repro.bench.experiments` — one entry point per paper artifact
-  (Figure 3A/B/C, Figure 4, Figure 5, Figure 6, plus the table helpers),
-* :mod:`repro.bench.report` — text rendering of the resulting series.
+* :mod:`repro.bench.experiments` — one entry point per artifact (Figures
+  3A/B/C, 4, 5, 6 and the chaos artifacts), parameters as keyword overrides,
+* :mod:`repro.bench.report` — text and JSON rendering of the results.
 
-The experiment functions accept a ``scale`` factor so the same code runs as a
-quick smoke test in CI (the defaults) or as a longer, higher-fidelity sweep.
+``python -m repro.bench`` runs each artifact at a quick (CI smoke) or full
+parameterisation; the two override sets live in its ``ARTIFACTS`` table.
 """
 
 from repro.bench.metrics import LatencySummary, RunStats

@@ -16,45 +16,12 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, NamedTuple, Optional
 
-from repro.bench.experiments import (
-    AVAILABILITY_PROTOCOLS,
-    ELASTICITY_PROTOCOLS,
-    SATURATION_PROTOCOLS,
-    TPCC_SIM_PROTOCOLS,
-    availability_experiment,
-    composite_guarantee_sweep,
-    elasticity_experiment,
-    figure3_geo_replication,
-    figure4_transaction_length,
-    figure5_write_proportion,
-    figure6_scale_out,
-    metastability_experiment,
-    saturation_experiment,
-    staleness_experiment,
-    tpcc_sim_experiment,
-    trace_experiment,
-)
+from repro.bench import experiments, report
 from repro.bench.provenance import provenance_header
-from repro.bench.report import (
-    availability_report_json,
-    elasticity_report_json,
-    format_availability,
-    format_elasticity,
-    format_latency_and_throughput,
-    format_metastability,
-    format_saturation,
-    format_series,
-    format_staleness,
-    format_tpcc_sim,
-    format_trace,
-    metastability_report_json,
-    saturation_report_json,
-    staleness_report_json,
-    tpcc_sim_report_json,
-    trace_report_json,
-)
 from repro.net.measurement import (
     cross_region_mean_table,
     format_table_1c,
@@ -66,82 +33,65 @@ from repro.taxonomy.survey import format_table_2
 from repro.workloads.tpcc_analysis import hat_compliance_table
 
 
-def _table1(quick: bool, jobs=None) -> str:
+class Rendered(NamedTuple):
+    """What every artifact returns: the printed report, its JSON form (if it
+    has one), and any files written beside ``<artifact>.json``."""
+
+    text: str
+    payload: Optional[dict] = None
+    extra_files: Dict[str, dict] = {}
+
+
+@dataclass(frozen=True)
+class Artifact:
+    """One row of :data:`ARTIFACTS`."""
+
+    #: ``run(quick, jobs)`` regenerates the artifact.
+    run: Callable[[bool, Optional[int]], Rendered]
+    #: Whether ``run`` returns a payload ``--json`` can write.
+    has_json: bool = False
+
+
+def _sweep(experiment: Callable, text: Callable, payload: Optional[Callable] = None,
+           *, quick: dict, full: dict) -> Artifact:
+    """An artifact that is one experiment call rendered one way.
+
+    ``quick`` / ``full`` are the keyword overrides the two parameterisations
+    pass to ``experiment``; what neither names keeps the experiment's own
+    default.
+    """
+    def run(quick_mode: bool, jobs: Optional[int] = None) -> Rendered:
+        results = experiment(jobs=jobs, **(quick if quick_mode else full))
+        return Rendered(text(results),
+                        payload(results) if payload is not None else None)
+
+    return Artifact(run, has_json=payload is not None)
+
+
+def _static(title: str, body: Callable[[bool], str]) -> Artifact:
+    """A simulation-free artifact: ``title`` over ``body(quick)``."""
+    return Artifact(lambda quick, jobs=None: Rendered(f"{title}\n{body(quick)}"))
+
+
+def _table1(quick: bool) -> str:
     study, _topology, _model = run_ping_study(samples_per_link=200 if quick else 2000)
-    matrix = cross_region_mean_table(study)
-    return "Table 1c: mean cross-region RTTs (ms)\n" + format_table_1c(matrix)
+    return format_table_1c(cross_region_mean_table(study))
 
 
-def _table2(quick: bool, jobs=None) -> str:
-    return "Table 2: default and maximum isolation levels\n" + format_table_2()
-
-
-def _table3(quick: bool, jobs=None) -> str:
-    return "Table 3: availability classification\n" + availability_summary().as_table()
-
-
-def _fig2(quick: bool, jobs=None) -> str:
+def _fig2(quick: bool) -> str:
     lattice = build_lattice()
-    lines = ["Figure 2: model strength lattice (weaker -> stronger)"]
-    lines += [f"  {a} -> {b}" for a, b in lattice.edge_list()]
+    lines = [f"  {a} -> {b}" for a, b in lattice.edge_list()]
     lines.append(f"strongest HAT combination: "
                  f"{', '.join(sorted(lattice.strongest_hat_combination()))}")
     return "\n".join(lines)
 
 
-def _fig3(quick: bool, jobs=None) -> str:
-    points = figure3_geo_replication(
-        deployment="B-two-regions",
-        client_counts=(2, 6) if quick else (4, 16, 48),
-        duration_ms=400.0 if quick else 2000.0,
-        servers_per_cluster=2 if quick else 5,
-        jobs=jobs,
-    )
-    return format_latency_and_throughput(points)
-
-
-def _fig4(quick: bool, jobs=None) -> str:
-    points = figure4_transaction_length(
-        lengths=(1, 8, 32) if quick else (1, 2, 4, 8, 16, 32, 64, 128),
-        duration_ms=400.0 if quick else 1500.0,
-        jobs=jobs,
-    )
-    return format_series(points, value="throughput_ops_s")
-
-
-def _fig5(quick: bool, jobs=None) -> str:
-    points = figure5_write_proportion(
-        write_proportions=(0.0, 0.5, 1.0) if quick else (0.0, 0.25, 0.5, 0.75, 1.0),
-        duration_ms=400.0 if quick else 1500.0,
-        jobs=jobs,
-    )
-    return format_series(points, value="throughput_txn_s")
-
-
-def _fig6(quick: bool, jobs=None) -> str:
-    points = figure6_scale_out(
-        servers_per_cluster_values=(2, 4, 8) if quick else (5, 10, 15, 25),
-        duration_ms=400.0 if quick else 1200.0,
-        jobs=jobs,
-    )
-    return format_series(points, value="throughput_txn_s")
-
-
-def _composite(quick: bool, jobs=None) -> str:
-    points = composite_guarantee_sweep(
-        client_counts=(2,) if quick else (2, 8, 16),
-        duration_ms=300.0 if quick else 1500.0,
-        jobs=jobs,
-    )
+def _composite_text(points) -> str:
     return ("Composite guarantee stacks (registry specs) on VA+OR\n"
-            + format_latency_and_throughput(points))
+            + report.format_latency_and_throughput(points))
 
 
-def _tpcc(quick: bool, jobs=None) -> str:
-    return "Section 6.2: TPC-C HAT compliance\n" + hat_compliance_table()
-
-
-def _tpcc_sim(quick: bool, jobs=None):
+def _tpcc_sim(quick: bool, jobs=None) -> Rendered:
     """TPC-C executed through the cluster, audited for Section 6.2 anomalies.
 
     Two passes: every protocol on a healthy network, then the HAT/locking
@@ -149,169 +99,24 @@ def _tpcc_sim(quick: bool, jobs=None):
     keeps serving (and keeps colliding on order ids), the serializable
     baseline goes dark but stays clean.
     """
-    healthy = tpcc_sim_experiment(
-        protocols=TPCC_SIM_PROTOCOLS,
-        duration_ms=1_200.0 if quick else 4_000.0,
-        jobs=jobs,
-    )
-    partitioned = tpcc_sim_experiment(
-        protocols=("eventual", "causal", "lock-sr"),
-        partition=True,
-        baseline_ms=800.0 if quick else 2_000.0,
-        partition_ms=1_600.0 if quick else 4_000.0,
-        recovery_ms=800.0 if quick else 2_000.0,
-        jobs=jobs,
-    )
-    text = (format_tpcc_sim(healthy)
+    healthy = experiments.tpcc_sim_experiment(
+        duration_ms=1_200.0 if quick else 4_000.0, jobs=jobs)
+    phase_ms = 800.0 if quick else 2_000.0
+    partitioned = experiments.tpcc_sim_experiment(
+        protocols=("eventual", "causal", "lock-sr"), partition=True,
+        baseline_ms=phase_ms, partition_ms=2 * phase_ms, recovery_ms=phase_ms,
+        jobs=jobs)
+    text = (report.format_tpcc_sim(healthy)
             + "\n\nUnder the canonical region-partition campaign:\n"
-            + format_tpcc_sim(partitioned))
-    payload = {
+            + report.format_tpcc_sim(partitioned))
+    return Rendered(text, {
         "figure": "tpcc-sim",
-        "healthy": tpcc_sim_report_json(healthy),
-        "partitioned": tpcc_sim_report_json(partitioned),
-    }
-    return text, payload
+        "healthy": report.tpcc_sim_report_json(healthy),
+        "partitioned": report.tpcc_sim_report_json(partitioned),
+    })
 
 
-def _perf(quick: bool, jobs=None):
-    """Wall-clock perf artifact: how fast the simulator itself runs.
-
-    The canonical matrix always runs sequentially — wall-clock numbers are
-    meaningless when cases compete for cores.  ``--jobs`` instead selects
-    the worker count for the *scaling* measurement appended afterwards: the
-    same runs sequentially versus through the sweep executor's process
-    pool, reporting the measured speedup and per-worker wall time.
-    """
-    from repro.bench.perf import (
-        format_metrics_overhead,
-        format_perf,
-        format_speedup,
-        format_tracing_overhead,
-        measure_metrics_overhead,
-        measure_parallel_speedup,
-        measure_tracing_overhead,
-        perf_report_json,
-        run_perf_matrix,
-    )
-
-    results = run_perf_matrix(quick=quick)
-    speedup = measure_parallel_speedup(
-        jobs=jobs, duration_ms=200.0 if quick else 600.0)
-    overhead = measure_tracing_overhead(
-        duration_ms=300.0 if quick else 800.0)
-    metrics_overhead = measure_metrics_overhead(
-        duration_ms=300.0 if quick else 800.0)
-    return (format_perf(results) + "\n\n" + format_speedup(speedup)
-            + "\n" + format_tracing_overhead(overhead)
-            + "\n" + format_metrics_overhead(metrics_overhead),
-            perf_report_json(results, speedup=speedup,
-                             tracing_overhead=overhead,
-                             metrics_overhead=metrics_overhead))
-
-
-def _availability(quick: bool, jobs=None):
-    """Timeline artifact: HAT stacks serving through a region partition."""
-    results = availability_experiment(
-        protocols=("causal", "master") if quick else AVAILABILITY_PROTOCOLS,
-        baseline_ms=1_500.0 if quick else 3_000.0,
-        partition_ms=3_000.0 if quick else 6_000.0,
-        recovery_ms=1_500.0 if quick else 3_000.0,
-        jobs=jobs,
-    )
-    return format_availability(results), availability_report_json(results)
-
-
-def _elasticity(quick: bool, jobs=None):
-    """Elasticity artifact: availability and data movement through churn.
-
-    Five phases — baseline, live scale-out, a region partition with a
-    second rebalance inside it, scale-in, recovery — per protocol spec.
-    Sticky HAT stacks keep serving through the partitioned rebalance
-    while master/quorum stall; the rebalance table reports keys moved
-    versus the 1/n consistent-hashing ideal plus handoff bytes/duration.
-    """
-    scale = 0.5 if quick else 1.0
-    results = elasticity_experiment(
-        protocols=("eventual", "causal", "master") if quick
-        else ELASTICITY_PROTOCOLS,
-        baseline_ms=2_000.0 * scale,
-        scale_out_ms=2_500.0 * scale,
-        partition_ms=4_000.0 * scale,
-        scale_in_ms=2_500.0 * scale,
-        recovery_ms=1_500.0 * scale,
-        window_ms=500.0 * scale,
-        jobs=jobs,
-    )
-    return format_elasticity(results), elasticity_report_json(results)
-
-
-def _saturation(quick: bool, jobs=None):
-    """Open-loop saturation artifact: the knee, tail latency, drain time.
-
-    Each protocol gets an offered-load ramp over a bounded session pool —
-    10^5 logical users even in quick mode, at O(pool) memory — and then a
-    fixed-rate run through the canonical partition campaign, measuring how
-    long the backlog built while dark takes to drain after heal.
-    """
-    results = saturation_experiment(
-        protocols=SATURATION_PROTOCOLS,
-        users=100_000 if quick else 1_000_000,
-        ramp_peak_rate_s=500.0 if quick else 600.0,
-        ramp_ms=2_500.0 if quick else 6_000.0,
-        baseline_ms=1_000.0 if quick else 1_500.0,
-        partition_ms=2_000.0 if quick else 3_000.0,
-        recovery_ms=4_000.0 if quick else 5_000.0,
-        window_ms=250.0 if quick else 500.0,
-        jobs=jobs,
-    )
-    return format_saturation(results), saturation_report_json(results)
-
-
-def _staleness(quick: bool, jobs=None):
-    """Staleness observatory: t-visibility / k-staleness recency quantiles.
-
-    Each protocol stack runs the same YCSB workload with the metrics
-    registry on while the nemesis walks healthy -> cross-region partition
-    -> post-heal rebalance.  The artifact reports per-phase p50/p99 for
-    both recency probes, whole-run CDFs, counter totals, the windowed
-    time-series joined with fault windows, and a Prometheus snapshot.
-    """
-    scale = 0.5 if quick else 1.0
-    results = staleness_experiment(
-        healthy_ms=2_000.0 * scale,
-        partition_ms=4_000.0 * scale,
-        rebalance_ms=4_000.0 * scale,
-        window_ms=500.0 * scale,
-        jobs=jobs,
-    )
-    return format_staleness(results), staleness_report_json(results)
-
-
-def _metastability(quick: bool, jobs=None):
-    """Metastable-failure artifact: the same trigger, with and without defenses.
-
-    Each protocol runs the canonical partition campaign twice over a
-    capacity-coupled deployment at an offered rate below its healthy knee.
-    Undefended (unbounded queues, one-burst anti-entropy catch-up, naive
-    retries) the heal wedges a worker past the RPC deadline and the retry
-    storm sustains the overload after the trigger is gone — post-heal
-    goodput stays pinned.  Defended (bounded admission queues with
-    adaptive-LIFO shedding, capped catch-up rounds, retry budgets, circuit
-    breakers) the same trigger is absorbed, with a measured time to
-    recover.
-    """
-    scale = 1.0 if quick else 2.0
-    results = metastability_experiment(
-        baseline_ms=1_500.0 * scale,
-        partition_ms=2_000.0 * scale,
-        recovery_ms=6_000.0 * scale,
-        window_ms=250.0 * scale,
-        jobs=jobs,
-    )
-    return format_metastability(results), metastability_report_json(results)
-
-
-def _trace(quick: bool, jobs=None):
+def _trace(quick: bool, jobs=None) -> Rendered:
     """Tracing artifact: per-stack p99 critical-path breakdown + provenance.
 
     Two legs: every TRACE_PROTOCOLS stack traced healthy and under the
@@ -323,38 +128,100 @@ def _trace(quick: bool, jobs=None):
     ``trace_events.json`` — Chrome trace-event JSON, loadable at
     https://ui.perfetto.dev.
     """
-    stacks, provenance = trace_experiment(
-        duration_ms=1_200.0 if quick else 3_000.0,
-        baseline_ms=600.0 if quick else 1_000.0,
-        partition_ms=1_200.0 if quick else 2_000.0,
-        recovery_ms=600.0 if quick else 1_000.0,
-        key_count=2_000 if quick else 10_000,
-        jobs=jobs,
-    )
-    return (format_trace(stacks, provenance),
-            trace_report_json(stacks, provenance),
-            {"trace_events.json": provenance.chrome})
+    overrides = (dict(duration_ms=1_200.0, baseline_ms=600.0,
+                      partition_ms=1_200.0, recovery_ms=600.0, key_count=2_000)
+                 if quick else {})
+    stacks, provenance = experiments.trace_experiment(jobs=jobs, **overrides)
+    return Rendered(report.format_trace(stacks, provenance),
+                    report.trace_report_json(stacks, provenance),
+                    {"trace_events.json": provenance.chrome})
 
 
-ARTIFACTS: Dict[str, Callable[[bool], object]] = {
-    "table1": _table1,
-    "table2": _table2,
-    "table3": _table3,
-    "fig2": _fig2,
-    "fig3": _fig3,
-    "fig4": _fig4,
-    "fig5": _fig5,
-    "fig6": _fig6,
-    "composite": _composite,
-    "tpcc": _tpcc,
-    "tpcc-sim": _tpcc_sim,
-    "availability": _availability,
-    "elasticity": _elasticity,
-    "saturation": _saturation,
-    "staleness": _staleness,
-    "metastability": _metastability,
-    "perf": _perf,
-    "trace": _trace,
+#: Every artifact, in ``--list`` order.  A ``_sweep`` row is one experiment
+#: with its quick and full overrides, a ``_static`` row needs no simulation,
+#: and the two-pass artifacts (``tpcc-sim``, ``trace``) are plain functions.
+ARTIFACTS: Dict[str, Artifact] = {
+    "table1": _static("Table 1c: mean cross-region RTTs (ms)", _table1),
+    "table2": _static("Table 2: default and maximum isolation levels",
+                      lambda quick: format_table_2()),
+    "table3": _static("Table 3: availability classification",
+                      lambda quick: availability_summary().as_table()),
+    "fig2": _static("Figure 2: model strength lattice (weaker -> stronger)",
+                    _fig2),
+    "fig3": _sweep(
+        partial(experiments.figure3_geo_replication,
+                deployment="B-two-regions"),
+        report.format_latency_and_throughput,
+        quick=dict(client_counts=(2, 6), duration_ms=400.0,
+                   servers_per_cluster=2),
+        full=dict(client_counts=(4, 16, 48), duration_ms=2000.0,
+                  servers_per_cluster=5)),
+    "fig4": _sweep(
+        experiments.figure4_transaction_length,
+        partial(report.format_series, value="throughput_ops_s"),
+        quick=dict(lengths=(1, 8, 32), duration_ms=400.0),
+        full=dict(duration_ms=1500.0)),
+    "fig5": _sweep(
+        experiments.figure5_write_proportion,
+        partial(report.format_series, value="throughput_txn_s"),
+        quick=dict(write_proportions=(0.0, 0.5, 1.0), duration_ms=400.0),
+        full=dict(duration_ms=1500.0)),
+    "fig6": _sweep(
+        experiments.figure6_scale_out,
+        partial(report.format_series, value="throughput_txn_s"),
+        quick=dict(servers_per_cluster_values=(2, 4, 8), duration_ms=400.0),
+        full=dict(duration_ms=1200.0)),
+    "composite": _sweep(
+        experiments.composite_guarantee_sweep, _composite_text,
+        quick=dict(client_counts=(2,), duration_ms=300.0),
+        full=dict(client_counts=(2, 8, 16), duration_ms=1500.0)),
+    "tpcc": _static("Section 6.2: TPC-C HAT compliance",
+                    lambda quick: hat_compliance_table()),
+    "tpcc-sim": Artifact(_tpcc_sim, has_json=True),
+    # Timeline artifact: HAT stacks serving through a region partition.
+    "availability": _sweep(
+        experiments.availability_experiment,
+        report.format_availability, report.availability_report_json,
+        quick=dict(protocols=("causal", "master"), baseline_ms=1_500.0,
+                   partition_ms=3_000.0, recovery_ms=1_500.0),
+        full={}),
+    # Availability and data movement through churn: baseline, live
+    # scale-out, a region partition with a second rebalance inside it,
+    # scale-in, recovery.  Quick halves every phase and the window.
+    "elasticity": _sweep(
+        experiments.elasticity_experiment,
+        report.format_elasticity, report.elasticity_report_json,
+        quick=dict(protocols=("eventual", "causal", "master"),
+                   baseline_ms=1_000.0, scale_out_ms=1_250.0,
+                   partition_ms=2_000.0, scale_in_ms=1_250.0,
+                   recovery_ms=750.0, window_ms=250.0),
+        full={}),
+    # Open-loop saturation: the knee, tail latency, drain time — 10^5
+    # logical users even in quick mode, at O(pool) memory.
+    "saturation": _sweep(
+        experiments.saturation_experiment,
+        report.format_saturation, report.saturation_report_json,
+        quick=dict(users=100_000, ramp_peak_rate_s=500.0, ramp_ms=2_500.0,
+                   baseline_ms=1_000.0, partition_ms=2_000.0,
+                   recovery_ms=4_000.0, window_ms=250.0),
+        full={}),
+    # Staleness observatory: t-visibility / k-staleness through healthy ->
+    # partition -> post-heal rebalance.  Quick halves phases and window.
+    "staleness": _sweep(
+        experiments.staleness_experiment,
+        report.format_staleness, report.staleness_report_json,
+        quick=dict(healthy_ms=1_000.0, partition_ms=2_000.0,
+                   rebalance_ms=2_000.0, window_ms=250.0),
+        full={}),
+    # The same partition trigger with and without the overload defenses;
+    # the experiment's defaults are the quick scale, full doubles them.
+    "metastability": _sweep(
+        experiments.metastability_experiment, report.format_metastability,
+        report.metastability_report_json,
+        quick={},
+        full=dict(baseline_ms=3_000.0, partition_ms=4_000.0,
+                  recovery_ms=12_000.0, window_ms=500.0)),
+    "trace": Artifact(_trace, has_json=True),
 }
 
 
@@ -374,11 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run swept simulations across N worker "
                              "processes (default: sequential); results are "
                              "bit-identical to a sequential run")
+    with_json = ", ".join(name for name, artifact in ARTIFACTS.items()
+                          if artifact.has_json)
     parser.add_argument("--json", metavar="DIR", default=None,
                         help="also write <DIR>/<artifact>.json for artifacts "
-                             "with a JSON form (currently: availability, "
-                             "elasticity, saturation, staleness, "
-                             "metastability, tpcc-sim, perf, trace)")
+                             f"with a JSON form ({with_json})")
     return parser
 
 
@@ -409,21 +276,13 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         print(f"\n===== {name} =====")
-        rendered = ARTIFACTS[name](args.quick, args.jobs)
-        payload: Optional[dict] = None
-        extra_files: Dict[str, dict] = {}
-        if isinstance(rendered, tuple):
-            if len(rendered) == 3:
-                rendered, payload, extra_files = rendered
-            else:
-                rendered, payload = rendered
-        print(rendered)
-        if args.json and payload is not None:
+        rendered = ARTIFACTS[name].run(args.quick, args.jobs)
+        print(rendered.text)
+        if args.json and rendered.payload is not None:
             header = provenance_header(name, quick=args.quick, jobs=args.jobs)
-            path = _write_artifact(args.json, f"{name}.json", payload, header)
-            print(f"(wrote {path})")
-            for filename, extra in extra_files.items():
-                path = _write_artifact(args.json, filename, extra, header)
+            files = {f"{name}.json": rendered.payload, **rendered.extra_files}
+            for filename, payload in files.items():
+                path = _write_artifact(args.json, filename, payload, header)
                 print(f"(wrote {path})")
     return 0
 

@@ -14,9 +14,9 @@ DESIGN.md calls out three design choices whose effect is worth isolating:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.bench.metrics import LatencySummary
+from repro.bench.metrics import RunStats
 from repro.bench.runner import RunConfig, run_workload
 from repro.hat.protocols import MASTER, QUORUM, READ_COMMITTED, TWO_PHASE_LOCKING
 from repro.hat.testbed import Scenario, build_testbed
@@ -138,6 +138,21 @@ def stickiness_ablation(sessions: int = 10, seed: int = 0) -> StickinessResult:
     )
 
 
+def _two_region_runs(protocols: Sequence[str], servers_per_cluster: int,
+                     workload: YCSBConfig, clients_per_cluster: int,
+                     duration_ms: float, seed: int) -> List[RunStats]:
+    """One closed-loop YCSB run per protocol on Virginia + Oregon."""
+    return [run_workload(RunConfig(
+        protocol=protocol,
+        scenario=Scenario(regions=["VA", "OR"],
+                          servers_per_cluster=servers_per_cluster, seed=seed),
+        workload=workload,
+        clients_per_cluster=clients_per_cluster,
+        duration_ms=duration_ms,
+        seed=seed,
+    )) for protocol in protocols]
+
+
 # ---------------------------------------------------------------------------
 # Session-layer overhead
 # ---------------------------------------------------------------------------
@@ -166,25 +181,13 @@ def session_layer_overhead(
     unpartitioned deployment a stacked client should track its base protocol
     closely — this ablation quantifies the claim.
     """
-    points: List[LayerOverheadPoint] = []
-    for protocol in protocols:
-        config = RunConfig(
-            protocol=protocol,
-            scenario=Scenario(regions=["VA", "OR"], servers_per_cluster=2,
-                              seed=seed),
-            workload=YCSBConfig(key_count=500),
-            clients_per_cluster=clients_per_cluster,
-            duration_ms=duration_ms,
-            seed=seed,
-        )
-        stats = run_workload(config)
-        points.append(LayerOverheadPoint(
-            protocol=protocol,
-            throughput_txn_s=stats.throughput_txn_s,
-            mean_latency_ms=stats.latency.mean,
-            remote_rpc_fraction=stats.remote_rpc_fraction,
-        ))
-    return points
+    return [LayerOverheadPoint(
+        protocol=stats.protocol,
+        throughput_txn_s=stats.throughput_txn_s,
+        mean_latency_ms=stats.latency.mean,
+        remote_rpc_fraction=stats.remote_rpc_fraction,
+    ) for stats in _two_region_runs(protocols, 2, YCSBConfig(key_count=500),
+                                    clients_per_cluster, duration_ms, seed)]
 
 
 # ---------------------------------------------------------------------------
@@ -210,22 +213,12 @@ def coordinated_baselines(
     seed: int = 0,
 ) -> List[BaselinePoint]:
     """Latency of the coordinated protocols on a two-region deployment."""
-    points: List[BaselinePoint] = []
-    for protocol in protocols:
-        config = RunConfig(
-            protocol=protocol,
-            scenario=Scenario(regions=["VA", "OR"], servers_per_cluster=3, seed=seed),
-            workload=YCSBConfig(operations_per_transaction=4, key_count=5000),
-            clients_per_cluster=clients_per_cluster,
-            duration_ms=duration_ms,
-            seed=seed,
-        )
-        stats = run_workload(config)
-        points.append(BaselinePoint(
-            protocol=protocol,
-            mean_latency_ms=stats.latency.mean,
-            p95_latency_ms=stats.latency.p95,
-            throughput_txn_s=stats.throughput_txn_s,
-            abort_rate=stats.abort_rate,
-        ))
-    return points
+    return [BaselinePoint(
+        protocol=stats.protocol,
+        mean_latency_ms=stats.latency.mean,
+        p95_latency_ms=stats.latency.p95,
+        throughput_txn_s=stats.throughput_txn_s,
+        abort_rate=stats.abort_rate,
+    ) for stats in _two_region_runs(
+        protocols, 3, YCSBConfig(operations_per_transaction=4, key_count=5000),
+        clients_per_cluster, duration_ms, seed)]

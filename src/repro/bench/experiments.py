@@ -1,11 +1,16 @@
 """Experiment definitions: one function per figure of the evaluation.
 
-Each function sweeps the same parameter the paper sweeps and returns a list
-of :class:`ExperimentPoint` — protocol, x-value, throughput, latency — which
-the benchmark scripts print as the figure's data series.  Scale factors keep
-the default sweeps small enough for CI; the shapes (who wins, by what factor,
-where the crossovers are) are what the reproduction targets, not absolute
-numbers, because the substrate is a simulator rather than EC2 hardware.
+Each figure function sweeps the same parameter the paper sweeps and returns
+a list of :class:`ExperimentPoint` — protocol, x-value, throughput, latency —
+which the benchmark scripts print as the figure's data series.  The default
+sweeps are small enough for CI; the shapes (who wins, by what factor, where
+the crossovers are) are what the reproduction targets, not absolute numbers,
+because the substrate is a simulator rather than EC2 hardware.
+
+Every artifact beyond the figures is the same methodology plus a fault
+campaign.  Each states its parameters once, as a frozen ``*Params``
+dataclass: ``x_experiment(protocols=..., jobs=..., **overrides)`` builds it
+from keyword overrides and hands it whole to the per-protocol worker.
 
 Every sweep accepts ``jobs``: each swept point is an independent seeded
 simulation, so with ``jobs=N`` the points fan out across a process pool (see
@@ -15,8 +20,8 @@ results are bit-identical to sequential ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.adya.history import HistoryRecorder
 from repro.adya.phenomena import detect
@@ -41,7 +46,7 @@ from repro.chaos.telemetry import (
 )
 from repro.errors import ReproError
 from repro.hat.protocols import EVENTUAL, MASTER, MAV, QUORUM, READ_COMMITTED
-from repro.hat.testbed import FIVE_REGION_DEPLOYMENT, Scenario, build_testbed
+from repro.hat.testbed import FIVE_REGION_DEPLOYMENT, Scenario, Testbed, build_testbed
 from repro.overload import AdmissionConfig, RetryPolicy
 from repro.replication.antientropy import AntiEntropyConfig
 from repro.obs.critical_path import aggregate_stack, decompose
@@ -57,11 +62,7 @@ from repro.loadgen import (
 from repro.workloads.base import run_preload
 from repro.workloads.tpcc import TPCCConfig
 from repro.workloads.tpcc_audit import TPCCAnomalyReport, audit_tpcc_history
-from repro.workloads.tpcc_driver import (
-    CLUSTER_MIX,
-    TPCCDriverFactory,
-    contended_tpcc_config,
-)
+from repro.workloads.tpcc_driver import TPCCDriverFactory, contended_tpcc_config
 from repro.workloads.ycsb import YCSBConfig
 
 #: The four configurations plotted in Figures 3-6.
@@ -110,6 +111,21 @@ RECENCY_METRICS = ("t_visibility_ms", "k_staleness_versions")
 #: Quantile grid for run-level recency CDFs.
 STALENESS_CDF_GRID = tuple(i / 20.0 for i in range(1, 20)) + (0.99,)
 
+#: Protocols swept by the metastability experiment: the HAT base, the
+#: strongest sticky-available stack, and the two coordinated baselines
+#: whose partition behaviour (fail-fast master checks, lock deadlines)
+#: feeds the retry storm differently.
+METASTABILITY_PROTOCOLS = (EVENTUAL, "causal", MASTER, "lock-sr")
+
+#: Post-heal goodput at or below this fraction of the healthy baseline is
+#: *pinned*: the trigger is gone, the load never exceeded healthy capacity,
+#: and the system still cannot climb back — the metastable signature.
+METASTABILITY_PIN_FRACTION = 0.7
+
+#: The trailing mean committed rate must reach this fraction of the healthy
+#: baseline for the run to count as recovered.
+METASTABILITY_RECOVERY_FRACTION = 0.9
+
 #: Protocols swept by the trace experiment: one representative of each
 #: latency shape — the bare HAT base, the strongest sticky-available stack,
 #: the mastered baseline (remote RTT dominated), and serializable 2PL
@@ -124,6 +140,119 @@ TRACE_PROTOCOLS = (EVENTUAL, "causal", MASTER, "lock-sr")
 #: to them).  One policy object replaces the per-experiment kwargs dicts.
 CHAOS_RETRY = RetryPolicy(rpc_timeout_ms=2_000.0, lock_timeout_ms=2_000.0)
 
+#: The contended TPC-C scale the simulation sweeps by default (the same
+#: config :class:`TPCCDriverFactory` defaults to — one source of truth).
+default_tpcc_config = contended_tpcc_config
+
+
+# ---------------------------------------------------------------------------
+# The run every artifact shares: a seeded deployment, optionally under a
+# nemesis campaign, driven closed-loop or open-loop
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DeploymentParams:
+    """What every artifact's params start from: the deployment and its seed."""
+
+    regions: Sequence[str] = ("VA", "OR")
+    servers_per_cluster: int = 2
+    seed: int = 0
+
+
+def _scenario(params: DeploymentParams, **extra) -> Scenario:
+    """The deployment an artifact's params describe, plus its own extras."""
+    return Scenario(regions=list(params.regions),
+                    servers_per_cluster=params.servers_per_cluster,
+                    seed=params.seed, **extra)
+
+
+def _partition_campaign(params) -> Campaign:
+    """The canonical baseline -> region partition -> recovery campaign."""
+    return canonical_partition_campaign(
+        list(params.regions), baseline_ms=params.baseline_ms,
+        partition_ms=params.partition_ms, recovery_ms=params.recovery_ms)
+
+
+def _install(testbed: Testbed,
+             campaign: Optional[Campaign]) -> List[NarrationEntry]:
+    """Arm ``campaign`` on the testbed's clock (None = a healthy run).
+
+    Returns the log the nemesis appends to as its faults fire: what it
+    actually did, stamped with simulated fire times.
+    """
+    if campaign is None:
+        return []
+    nemesis = Nemesis(testbed, campaign)
+    nemesis.install()
+    return nemesis.log
+
+
+def _closed_loop_leg(protocol: str, testbed: Testbed,
+                     campaign: Optional[Campaign], workload: Any, params, *,
+                     duration_ms: Optional[float] = None,
+                     retry: Optional[RetryPolicy] = None,
+                     recorder: Optional[object] = None,
+                     telemetry: Optional[TimelineTelemetry] = None,
+                     preload: bool = True
+                     ) -> Tuple[RunStats, List[NarrationEntry]]:
+    """The chaos leg every closed-loop worker shares.
+
+    Installs ``campaign`` through a nemesis, then runs
+    ``params.clients_per_cluster`` closed-loop clients per cluster with no
+    warm-up for the campaign's duration (``duration_ms`` when the run is
+    healthy), and returns the run's stats with the nemesis narration.
+    """
+    narration = _install(testbed, campaign)
+    config = RunConfig(
+        protocol=protocol,
+        scenario=testbed.scenario,
+        workload=workload,
+        clients_per_cluster=params.clients_per_cluster,
+        duration_ms=(duration_ms if campaign is None
+                     else campaign.duration_ms),
+        warmup_ms=0.0,
+        seed=params.seed,
+        retry=retry,
+    )
+    stats = run_workload(config, testbed=testbed, recorder=recorder,
+                         telemetry=telemetry, preload=preload)
+    return stats, list(narration)
+
+
+def _open_loop_leg(protocol: str, testbed: Testbed,
+                   campaign: Optional[Campaign], arrivals, workload: Any,
+                   params, *, duration_ms: Optional[float] = None,
+                   seed: Optional[int] = None,
+                   retry: Optional[RetryPolicy] = None,
+                   telemetry: Optional[TimelineTelemetry] = None
+                   ) -> Tuple[OpenLoopStats, List[NarrationEntry]]:
+    """The open-loop sibling of :func:`_closed_loop_leg`.
+
+    Load is the per-cluster ``arrivals`` process over ``params.users``
+    logical users and ``params.sessions_per_cluster`` pooled sessions;
+    ``seed`` overrides ``params.seed`` for the arrival streams only.
+    """
+    narration = _install(testbed, campaign)
+    stats = run_open_loop(
+        OpenLoopConfig(
+            protocol=protocol,
+            scenario=testbed.scenario,
+            arrivals=arrivals,
+            workload=workload,
+            users=params.users,
+            sessions_per_cluster=params.sessions_per_cluster,
+            duration_ms=(duration_ms if campaign is None
+                         else campaign.duration_ms),
+            seed=params.seed if seed is None else seed,
+            retry=retry,
+        ),
+        testbed=testbed, telemetry=telemetry)
+    return stats, list(narration)
+
+
+# ---------------------------------------------------------------------------
+# Figures 3-6 and the composite sweep: protocols x one swept YCSB parameter
+# ---------------------------------------------------------------------------
 
 @dataclass
 class ExperimentPoint:
@@ -143,34 +272,61 @@ class ExperimentPoint:
     extras: Dict[str, float] = field(default_factory=dict)
 
 
-def _sweep_points(figure: str, x_label: str,
-                  tasks: List[Tuple[float, RunConfig]],
+def _figure_sweep(figure: str, x_label: str, protocols: Sequence[str],
+                  x_values: Sequence, point: Callable[[Any], tuple],
+                  duration_ms: float, seed: int,
                   jobs: Optional[int]) -> List[ExperimentPoint]:
-    """Execute enumerated (x_value, config) tasks and zip them into points."""
-    stats_list = run_configs([config for _x, config in tasks], jobs=jobs)
-    return [_point(figure, x_label, x_value, stats)
-            for (x_value, _config), stats in zip(tasks, stats_list)]
+    """The double loop every figure is: protocols x swept values.
+
+    ``point(x)`` says what one swept value means for the run, as
+    ``(x_value, scenario, workload, clients_per_cluster)``; each
+    (protocol, x) pair is one closed-loop YCSB run of ``duration_ms``.
+    """
+    x_of_config: List[float] = []
+    configs: List[RunConfig] = []
+    for protocol in protocols:
+        for x in x_values:
+            x_value, scenario, workload, clients_per_cluster = point(x)
+            x_of_config.append(x_value)
+            configs.append(RunConfig(
+                protocol=protocol,
+                scenario=scenario,
+                workload=workload,
+                clients_per_cluster=clients_per_cluster,
+                duration_ms=duration_ms,
+                seed=seed,
+            ))
+    return [
+        ExperimentPoint(
+            figure=figure,
+            protocol=stats.protocol,
+            x_label=x_label,
+            x_value=x_value,
+            throughput_txn_s=stats.throughput_txn_s,
+            throughput_ops_s=stats.throughput_ops_s,
+            mean_latency_ms=stats.latency.mean,
+            p95_latency_ms=stats.latency.p95,
+            committed=stats.committed,
+            aborted=stats.aborted,
+            extras={"remote_rpc_fraction": stats.remote_rpc_fraction},
+        )
+        for x_value, stats in zip(x_of_config, run_configs(configs, jobs=jobs))
+    ]
 
 
-def _point(figure: str, x_label: str, x_value: float, stats: RunStats) -> ExperimentPoint:
-    return ExperimentPoint(
-        figure=figure,
-        protocol=stats.protocol,
-        x_label=x_label,
-        x_value=x_value,
-        throughput_txn_s=stats.throughput_txn_s,
-        throughput_ops_s=stats.throughput_ops_s,
-        mean_latency_ms=stats.latency.mean,
-        p95_latency_ms=stats.latency.p95,
-        committed=stats.committed,
-        aborted=stats.aborted,
-        extras={"remote_rpc_fraction": stats.remote_rpc_fraction},
-    )
+def _two_regions(servers_per_cluster: int, seed: int) -> Scenario:
+    """The Virginia + Oregon deployment Figures 3B and 4-6 run on."""
+    return Scenario(regions=["VA", "OR"],
+                    servers_per_cluster=servers_per_cluster, seed=seed)
 
 
-# ---------------------------------------------------------------------------
-# Figure 3: geo-replication (A: one datacenter, B: two regions, C: five regions)
-# ---------------------------------------------------------------------------
+def _clients_point(scenario: Scenario, clients: int) -> tuple:
+    """Spread ``clients`` evenly over the clusters (at least one each); the
+    x-value is the client count actually run."""
+    clusters = len(scenario.cluster_regions())
+    per_cluster = max(1, clients // clusters)
+    return per_cluster * clusters, scenario, YCSBConfig(), per_cluster
+
 
 FIG3_DEPLOYMENTS: Dict[str, Scenario] = {
     "A-single-dc": Scenario(regions=["VA"], clusters_per_region=2,
@@ -196,30 +352,18 @@ def figure3_geo_replication(
     B (Virginia + Oregon) or C (five regions).
     """
     base = FIG3_DEPLOYMENTS[deployment]
-    tasks: List[Tuple[float, RunConfig]] = []
-    for protocol in protocols:
-        for clients in client_counts:
-            scenario = Scenario(
-                regions=list(base.regions),
-                clusters_per_region=base.clusters_per_region,
-                servers_per_cluster=servers_per_cluster or base.servers_per_cluster,
-                seed=seed,
-            )
-            config = RunConfig(
-                protocol=protocol,
-                scenario=scenario,
-                workload=YCSBConfig(),
-                clients_per_cluster=max(1, clients // len(scenario.cluster_regions())),
-                duration_ms=duration_ms,
-                seed=seed,
-            )
-            tasks.append((config.total_clients, config))
-    return _sweep_points(f"fig3{deployment}", "clients", tasks, jobs)
 
+    def point(clients: int) -> tuple:
+        return _clients_point(Scenario(
+            regions=list(base.regions),
+            clusters_per_region=base.clusters_per_region,
+            servers_per_cluster=servers_per_cluster or base.servers_per_cluster,
+            seed=seed,
+        ), clients)
 
-# ---------------------------------------------------------------------------
-# Composite guarantee stacks (beyond the paper's figures)
-# ---------------------------------------------------------------------------
+    return _figure_sweep(f"fig3{deployment}", "clients", protocols,
+                         client_counts, point, duration_ms, seed, jobs)
+
 
 def composite_guarantee_sweep(
     protocols: Sequence[str] = COMPOSITE_SWEEP_PROTOCOLS,
@@ -236,26 +380,12 @@ def composite_guarantee_sweep(
     specs (``causal``, ``mav+causal``) beside their single-guarantee bases
     under the Figure 3B methodology.
     """
-    tasks: List[Tuple[float, RunConfig]] = []
-    for protocol in protocols:
-        for clients in client_counts:
-            scenario = Scenario(regions=["VA", "OR"],
-                                servers_per_cluster=servers_per_cluster, seed=seed)
-            config = RunConfig(
-                protocol=protocol,
-                scenario=scenario,
-                workload=YCSBConfig(),
-                clients_per_cluster=max(1, clients // len(scenario.cluster_regions())),
-                duration_ms=duration_ms,
-                seed=seed,
-            )
-            tasks.append((config.total_clients, config))
-    return _sweep_points("composite", "clients", tasks, jobs)
+    return _figure_sweep(
+        "composite", "clients", protocols, client_counts,
+        lambda clients: _clients_point(
+            _two_regions(servers_per_cluster, seed), clients),
+        duration_ms, seed, jobs)
 
-
-# ---------------------------------------------------------------------------
-# Figure 4: transaction length
-# ---------------------------------------------------------------------------
 
 def figure4_transaction_length(
     lengths: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128),
@@ -266,25 +396,13 @@ def figure4_transaction_length(
     jobs: Optional[int] = None,
 ) -> List[ExperimentPoint]:
     """Figure 4: throughput versus operations per transaction (VA + OR)."""
-    tasks: List[Tuple[float, RunConfig]] = []
-    for protocol in protocols:
-        for length in lengths:
-            scenario = Scenario(regions=["VA", "OR"], servers_per_cluster=5, seed=seed)
-            config = RunConfig(
-                protocol=protocol,
-                scenario=scenario,
-                workload=YCSBConfig(operations_per_transaction=length),
-                clients_per_cluster=clients_per_cluster,
-                duration_ms=duration_ms,
-                seed=seed,
-            )
-            tasks.append((length, config))
-    return _sweep_points("fig4", "transaction length", tasks, jobs)
+    return _figure_sweep(
+        "fig4", "transaction length", protocols, lengths,
+        lambda length: (length, _two_regions(5, seed),
+                        YCSBConfig(operations_per_transaction=length),
+                        clients_per_cluster),
+        duration_ms, seed, jobs)
 
-
-# ---------------------------------------------------------------------------
-# Figure 5: read/write proportion
-# ---------------------------------------------------------------------------
 
 def figure5_write_proportion(
     write_proportions: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
@@ -303,26 +421,14 @@ def figure5_write_proportion(
     which only governs throughput once servers — not client round trips —
     are the bottleneck.
     """
-    tasks: List[Tuple[float, RunConfig]] = []
-    for protocol in protocols:
-        for write_proportion in write_proportions:
-            scenario = Scenario(regions=["VA", "OR"],
-                                servers_per_cluster=servers_per_cluster, seed=seed)
-            config = RunConfig(
-                protocol=protocol,
-                scenario=scenario,
-                workload=YCSBConfig(write_proportion=write_proportion),
-                clients_per_cluster=clients_per_cluster,
-                duration_ms=duration_ms,
-                seed=seed,
-            )
-            tasks.append((write_proportion, config))
-    return _sweep_points("fig5", "write proportion", tasks, jobs)
+    return _figure_sweep(
+        "fig5", "write proportion", protocols, write_proportions,
+        lambda proportion: (proportion,
+                            _two_regions(servers_per_cluster, seed),
+                            YCSBConfig(write_proportion=proportion),
+                            clients_per_cluster),
+        duration_ms, seed, jobs)
 
-
-# ---------------------------------------------------------------------------
-# Figure 6: scale-out
-# ---------------------------------------------------------------------------
 
 def figure6_scale_out(
     servers_per_cluster_values: Sequence[int] = (5, 10, 15, 25),
@@ -338,26 +444,29 @@ def figure6_scale_out(
     the sweep completes quickly, but the client count still scales with the
     number of servers so linear scale-out is observable.
     """
-    tasks: List[Tuple[float, RunConfig]] = []
-    for protocol in protocols:
-        for servers in servers_per_cluster_values:
-            scenario = Scenario(regions=["VA", "OR"], servers_per_cluster=servers,
-                                seed=seed)
-            config = RunConfig(
-                protocol=protocol,
-                scenario=scenario,
-                workload=YCSBConfig(),
-                clients_per_cluster=clients_per_server * servers,
-                duration_ms=duration_ms,
-                seed=seed,
-            )
-            tasks.append((servers * 2, config))
-    return _sweep_points("fig6", "total servers", tasks, jobs)
+    return _figure_sweep(
+        "fig6", "total servers", protocols, servers_per_cluster_values,
+        lambda servers: (servers * 2, _two_regions(servers, seed),
+                         YCSBConfig(), clients_per_server * servers),
+        duration_ms, seed, jobs)
 
 
 # ---------------------------------------------------------------------------
 # Availability under a partition campaign (the Table 3 claim, measured)
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AvailabilityParams(DeploymentParams):
+    """Everything one availability run depends on besides the protocol."""
+
+    clients_per_cluster: int = 2
+    baseline_ms: float = 3_000.0
+    partition_ms: float = 6_000.0
+    recovery_ms: float = 3_000.0
+    window_ms: float = 500.0
+    slo: Optional[AvailabilitySLO] = None
+    workload: Optional[YCSBConfig] = None
+
 
 @dataclass
 class AvailabilityTimeline:
@@ -387,66 +496,32 @@ class AvailabilityTimeline:
         return min(scores) if scores else None
 
 
-def _availability_protocol_run(
-    protocol: str,
-    regions: Sequence[str],
-    servers_per_cluster: int,
-    clients_per_cluster: int,
-    baseline_ms: float,
-    partition_ms: float,
-    recovery_ms: float,
-    window_ms: float,
-    slo: Optional[AvailabilitySLO],
-    workload: Optional[YCSBConfig],
-    seed: int,
-    recorder: Optional[object] = None,
-) -> AvailabilityTimeline:
+def _availability_run(protocol: str, params: AvailabilityParams,
+                      recorder: Optional[object] = None
+                      ) -> AvailabilityTimeline:
     """One protocol's full availability run (the parallel-sweep worker)."""
-    scenario = Scenario(regions=list(regions),
-                        servers_per_cluster=servers_per_cluster, seed=seed)
-    testbed = build_testbed(scenario)
-    campaign = canonical_partition_campaign(
-        list(regions), baseline_ms=baseline_ms,
-        partition_ms=partition_ms, recovery_ms=recovery_ms)
-    nemesis = Nemesis(testbed, campaign)
-    nemesis.install()
-    telemetry = TimelineTelemetry(window_ms=window_ms, slo=slo)
-    config = RunConfig(
-        protocol=protocol,
-        scenario=scenario,
-        workload=workload or YCSBConfig(key_count=10_000),
-        clients_per_cluster=clients_per_cluster,
-        duration_ms=campaign.duration_ms,
-        warmup_ms=0.0,
-        seed=seed,
-    )
-    stats = run_workload(config, testbed=testbed, recorder=recorder,
-                         telemetry=telemetry)
+    campaign = _partition_campaign(params)
+    telemetry = TimelineTelemetry(window_ms=params.window_ms, slo=params.slo)
+    stats, narration = _closed_loop_leg(
+        protocol, build_testbed(_scenario(params)), campaign,
+        params.workload or YCSBConfig(key_count=10_000), params,
+        recorder=recorder, telemetry=telemetry)
     return AvailabilityTimeline(
         protocol=protocol,
         campaign=campaign,
-        window_ms=window_ms,
+        window_ms=params.window_ms,
         slo=telemetry.slo,
         groups=telemetry.build(),
         stats=stats,
-        narration=list(nemesis.log),
+        narration=narration,
     )
 
 
 def availability_experiment(
     protocols: Sequence[str] = AVAILABILITY_PROTOCOLS,
-    regions: Sequence[str] = ("VA", "OR"),
-    servers_per_cluster: int = 2,
-    clients_per_cluster: int = 2,
-    baseline_ms: float = 3_000.0,
-    partition_ms: float = 6_000.0,
-    recovery_ms: float = 3_000.0,
-    window_ms: float = 500.0,
-    slo: Optional[AvailabilitySLO] = None,
-    workload: Optional[YCSBConfig] = None,
-    seed: int = 0,
     recorder: Optional[object] = None,
     jobs: Optional[int] = None,
+    **overrides,
 ) -> List[AvailabilityTimeline]:
     """Sweep protocol specs across the canonical region-partition campaign.
 
@@ -456,27 +531,45 @@ def availability_experiment(
     each SLO window per client region.  The artifact shows sticky-available
     stacks serving through the partition while the unavailable baselines
     stall: the availability column of Table 3, finally measured end-to-end
-    rather than argued from the impossibility proofs.
+    rather than argued from the impossibility proofs.  ``overrides`` set
+    :class:`AvailabilityParams` fields.
     """
-    if recorder is not None and len(list(protocols)) > 1:
-        # Runs restart session ids from zero, so one recorder would merge
-        # independent histories into colliding Adya sessions.
-        raise ReproError("pass a recorder only when sweeping a single protocol")
     if recorder is not None:
+        if len(list(protocols)) > 1:
+            # Runs restart session ids from zero, so one recorder would merge
+            # independent histories into colliding Adya sessions.
+            raise ReproError(
+                "pass a recorder only when sweeping a single protocol")
         # A recorder accumulates in-process state, which worker processes
         # could not hand back; the single-protocol case it is limited to
         # runs sequentially regardless of ``jobs``.
         jobs = None
-    tasks = [(protocol, regions, servers_per_cluster, clients_per_cluster,
-              baseline_ms, partition_ms, recovery_ms, window_ms, slo,
-              workload, seed, recorder)
-             for protocol in protocols]
-    return run_tasks(_availability_protocol_run, tasks, jobs=jobs)
+    params = AvailabilityParams(**overrides)
+    return run_tasks(_availability_run,
+                     [(protocol, params, recorder) for protocol in protocols],
+                     jobs=jobs)
 
 
 # ---------------------------------------------------------------------------
 # TPC-C through the simulated cluster (the Section 6.2 predictions, measured)
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TPCCSimParams(DeploymentParams):
+    """Everything one TPC-C simulation depends on besides the protocol."""
+
+    clients_per_cluster: int = 2
+    #: Length of a healthy run; a partitioned run lasts its campaign.
+    duration_ms: float = 1500.0
+    tpcc: Optional[TPCCConfig] = None
+    #: Run under the canonical partition campaign with timeline telemetry.
+    partition: bool = False
+    baseline_ms: float = 1_000.0
+    partition_ms: float = 2_000.0
+    recovery_ms: float = 1_000.0
+    window_ms: float = 500.0
+    slo: Optional[AvailabilitySLO] = None
+
 
 @dataclass
 class TPCCSimResult:
@@ -498,71 +591,35 @@ class TPCCSimResult:
         return self.campaign is not None
 
 
-#: The contended TPC-C scale the simulation sweeps by default (the same
-#: config :class:`TPCCDriverFactory` defaults to — one source of truth).
-default_tpcc_config = contended_tpcc_config
-
-
-def _tpcc_protocol_run(
-    protocol: str,
-    regions: Sequence[str],
-    servers_per_cluster: int,
-    clients_per_cluster: int,
-    duration_ms: float,
-    tpcc: Optional[TPCCConfig],
-    partition: bool,
-    baseline_ms: float,
-    partition_ms: float,
-    recovery_ms: float,
-    window_ms: float,
-    slo: Optional[AvailabilitySLO],
-    seed: int,
-) -> TPCCSimResult:
+def _tpcc_sim_run(protocol: str, params: TPCCSimParams) -> TPCCSimResult:
     """One protocol's full TPC-C simulation (the parallel-sweep worker)."""
-    scenario = Scenario(regions=list(regions),
-                        servers_per_cluster=servers_per_cluster, seed=seed)
-    testbed = build_testbed(scenario)
+    testbed = build_testbed(_scenario(params))
     recorder = HistoryRecorder()
-    factory = TPCCDriverFactory(config=tpcc or default_tpcc_config())
+    factory = TPCCDriverFactory(config=params.tpcc or default_tpcc_config())
     # Preload first: the campaign (if any) installs afterwards, so its
     # fault timeline is relative to the measured run, not the load.
     run_preload(testbed, factory)
     run_start_ms = testbed.env.now
-    campaign = None
-    telemetry = None
-    nemesis = None
-    run_duration = duration_ms
-    if partition:
-        campaign = canonical_partition_campaign(
-            list(regions), baseline_ms=baseline_ms,
-            partition_ms=partition_ms, recovery_ms=recovery_ms)
-        nemesis = Nemesis(testbed, campaign)
-        nemesis.install()
-        telemetry = TimelineTelemetry(window_ms=window_ms, slo=slo)
-        run_duration = campaign.duration_ms
-    config = RunConfig(
-        protocol=protocol,
-        scenario=scenario,
-        workload=factory,
-        clients_per_cluster=clients_per_cluster,
-        duration_ms=run_duration,
-        warmup_ms=0.0,
-        seed=seed,
-    )
-    stats = run_workload(config, testbed=testbed, recorder=recorder,
-                         telemetry=telemetry, preload=False)
+    campaign = telemetry = None
+    if params.partition:
+        campaign = _partition_campaign(params)
+        telemetry = TimelineTelemetry(window_ms=params.window_ms,
+                                      slo=params.slo)
+    stats, narration = _closed_loop_leg(
+        protocol, testbed, campaign, factory, params,
+        duration_ms=params.duration_ms, recorder=recorder,
+        telemetry=telemetry, preload=False)
     report = audit_tpcc_history(recorder.build())
     phase_availability: Dict[str, Optional[float]] = {}
-    if campaign is not None and telemetry is not None:
-        # Telemetry windows carry absolute simulated times; shift the
-        # campaign phases by the preloaded run's start before scoring.
-        shifted = [CampaignPhase(name=p.name,
-                                 start_ms=p.start_ms + run_start_ms,
-                                 end_ms=p.end_ms + run_start_ms)
-                   for p in campaign.phases]
+    if campaign is not None:
         groups = telemetry.build()
-        for phase in shifted:
-            scores = [availability_score(t.phase_windows(phase),
+        for phase in campaign.phases:
+            # Telemetry windows carry absolute simulated times; shift the
+            # campaign phase by the preloaded run's start before scoring.
+            shifted = CampaignPhase(name=phase.name,
+                                    start_ms=phase.start_ms + run_start_ms,
+                                    end_ms=phase.end_ms + run_start_ms)
+            scores = [availability_score(t.phase_windows(shifted),
                                          telemetry.slo)
                       for t in groups.values()]
             scores = [s for s in scores if s is not None]
@@ -574,25 +631,14 @@ def _tpcc_protocol_run(
         committed_by_type=dict(factory.mirror.committed_by_type),
         campaign=campaign,
         phase_availability=phase_availability,
-        narration=list(nemesis.log) if nemesis is not None else [],
+        narration=narration,
     )
 
 
 def tpcc_sim_experiment(
     protocols: Sequence[str] = TPCC_SIM_PROTOCOLS,
-    regions: Sequence[str] = ("VA", "OR"),
-    servers_per_cluster: int = 2,
-    clients_per_cluster: int = 2,
-    duration_ms: float = 1500.0,
-    tpcc: Optional[TPCCConfig] = None,
-    partition: bool = False,
-    baseline_ms: float = 1_000.0,
-    partition_ms: float = 2_000.0,
-    recovery_ms: float = 1_000.0,
-    window_ms: float = 500.0,
-    slo: Optional[AvailabilitySLO] = None,
-    seed: int = 0,
     jobs: Optional[int] = None,
+    **overrides,
 ) -> List[TPCCSimResult]:
     """Run the TPC-C mix through every protocol and audit the histories.
 
@@ -606,46 +652,42 @@ def tpcc_sim_experiment(
     colliding on order ids), the coordinated baselines go dark but stay
     clean.  With ``jobs=N`` the protocols fan out across worker processes
     (each already builds its own testbed, factory, and recorder).
+    ``overrides`` set :class:`TPCCSimParams` fields.
     """
-    tasks = [(protocol, regions, servers_per_cluster, clients_per_cluster,
-              duration_ms, tpcc, partition, baseline_ms, partition_ms,
-              recovery_ms, window_ms, slo, seed)
-             for protocol in protocols]
-    return run_tasks(_tpcc_protocol_run, tasks, jobs=jobs)
+    params = TPCCSimParams(**overrides)
+    return run_tasks(_tpcc_sim_run,
+                     [(protocol, params) for protocol in protocols], jobs=jobs)
 
 
 # ---------------------------------------------------------------------------
 # Elasticity: availability and data movement through live membership churn
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ElasticityResult:
-    """One protocol's run through the canonical elasticity campaign."""
+@dataclass(frozen=True)
+class ElasticityParams(DeploymentParams):
+    """Everything one elasticity run depends on besides the protocol."""
 
-    protocol: str
-    campaign: Campaign
-    window_ms: float
-    slo: AvailabilitySLO
-    #: Home region -> per-window timeline for the clients homed there.
-    groups: Dict[str, GroupTimeline]
-    stats: RunStats
+    clients_per_cluster: int = 2
+    virtual_nodes: int = 128
+    baseline_ms: float = 2_000.0
+    scale_out_ms: float = 2_500.0
+    partition_ms: float = 4_000.0
+    scale_in_ms: float = 2_500.0
+    recovery_ms: float = 1_500.0
+    window_ms: float = 500.0
+    slo: Optional[AvailabilitySLO] = None
+    workload: Optional[YCSBConfig] = None
+
+
+@dataclass
+class ElasticityResult(AvailabilityTimeline):
+    """One protocol's run through the canonical elasticity campaign: its
+    availability timeline plus what the membership churn moved."""
+
     #: Every membership change the coordinator drove, in firing order.
     rebalances: List[RebalanceRecord] = field(default_factory=list)
     #: Adya anomaly witness counts on the recorded history.
     anomalies: Dict[str, int] = field(default_factory=dict)
-    narration: List[NarrationEntry] = field(default_factory=list)
-
-    def phase_availability(self, group: str) -> Dict[str, Optional[float]]:
-        """SLO-window availability per campaign phase for one client group."""
-        return self.groups[group].phase_availability(self.campaign.phases,
-                                                     self.slo)
-
-    def min_phase_availability(self, phase: str) -> Optional[float]:
-        """The worst group's availability during ``phase`` (None if unscored)."""
-        scores = [self.phase_availability(group).get(phase)
-                  for group in self.groups]
-        scores = [s for s in scores if s is not None]
-        return min(scores) if scores else None
 
     def first_join(self) -> Optional[RebalanceRecord]:
         """The healthy scale-out join (the keys-moved-vs-ideal headline)."""
@@ -655,82 +697,47 @@ class ElasticityResult:
         return None
 
 
-def _elasticity_protocol_run(
-    protocol: str,
-    regions: Sequence[str],
-    servers_per_cluster: int,
-    clients_per_cluster: int,
-    virtual_nodes: int,
-    baseline_ms: float,
-    scale_out_ms: float,
-    partition_ms: float,
-    scale_in_ms: float,
-    recovery_ms: float,
-    window_ms: float,
-    slo: Optional[AvailabilitySLO],
-    workload: Optional[YCSBConfig],
-    seed: int,
-) -> ElasticityResult:
+def _ring_scenario(params, **extra) -> Scenario:
+    """Ring placement (elastic membership needs it), with catch-up rounds
+    capped so handoff/heal bursts do not saturate replicas."""
+    return _scenario(
+        params, placement="ring", virtual_nodes=params.virtual_nodes,
+        anti_entropy=AntiEntropyConfig(max_versions_per_round=32), **extra)
+
+
+def _elasticity_run(protocol: str, params: ElasticityParams) -> ElasticityResult:
     """One protocol's full elasticity run (the parallel-sweep worker)."""
-    scenario = Scenario(regions=list(regions),
-                        servers_per_cluster=servers_per_cluster,
-                        seed=seed, placement="ring",
-                        virtual_nodes=virtual_nodes,
-                        anti_entropy=AntiEntropyConfig(max_versions_per_round=32))
-    testbed = build_testbed(scenario)
+    testbed = build_testbed(_ring_scenario(params))
     campaign = canonical_elasticity_campaign(
-        list(regions), cluster=testbed.config.cluster_names[0],
-        baseline_ms=baseline_ms, scale_out_ms=scale_out_ms,
-        partition_ms=partition_ms, scale_in_ms=scale_in_ms,
-        recovery_ms=recovery_ms)
-    nemesis = Nemesis(testbed, campaign)
-    nemesis.install()
-    telemetry = TimelineTelemetry(window_ms=window_ms, slo=slo)
+        list(params.regions), cluster=testbed.config.cluster_names[0],
+        baseline_ms=params.baseline_ms, scale_out_ms=params.scale_out_ms,
+        partition_ms=params.partition_ms, scale_in_ms=params.scale_in_ms,
+        recovery_ms=params.recovery_ms)
+    telemetry = TimelineTelemetry(window_ms=params.window_ms, slo=params.slo)
     recorder = HistoryRecorder()
-    config = RunConfig(
-        protocol=protocol,
-        scenario=scenario,
-        workload=workload or YCSBConfig(key_count=5_000),
-        clients_per_cluster=clients_per_cluster,
-        duration_ms=campaign.duration_ms,
-        warmup_ms=0.0,
-        seed=seed,
-        retry=CHAOS_RETRY,
-    )
-    stats = run_workload(config, testbed=testbed, recorder=recorder,
-                         telemetry=telemetry)
+    stats, narration = _closed_loop_leg(
+        protocol, testbed, campaign,
+        params.workload or YCSBConfig(key_count=5_000), params,
+        retry=CHAOS_RETRY, recorder=recorder, telemetry=telemetry)
     history = recorder.build()
-    anomalies = {name: len(detect(history, name))
-                 for name in ELASTICITY_ANOMALIES}
     return ElasticityResult(
         protocol=protocol,
         campaign=campaign,
-        window_ms=window_ms,
+        window_ms=params.window_ms,
         slo=telemetry.slo,
         groups=telemetry.build(),
         stats=stats,
         rebalances=list(testbed.membership.records),
-        anomalies=anomalies,
-        narration=list(nemesis.log),
+        anomalies={name: len(detect(history, name))
+                   for name in ELASTICITY_ANOMALIES},
+        narration=narration,
     )
 
 
 def elasticity_experiment(
     protocols: Sequence[str] = ELASTICITY_PROTOCOLS,
-    regions: Sequence[str] = ("VA", "OR"),
-    servers_per_cluster: int = 2,
-    clients_per_cluster: int = 2,
-    virtual_nodes: int = 128,
-    baseline_ms: float = 2_000.0,
-    scale_out_ms: float = 2_500.0,
-    partition_ms: float = 4_000.0,
-    scale_in_ms: float = 2_500.0,
-    recovery_ms: float = 1_500.0,
-    window_ms: float = 500.0,
-    slo: Optional[AvailabilitySLO] = None,
-    workload: Optional[YCSBConfig] = None,
-    seed: int = 0,
     jobs: Optional[int] = None,
+    **overrides,
 ) -> List[ElasticityResult]:
     """Sweep protocol specs through the canonical elasticity campaign.
 
@@ -743,18 +750,29 @@ def elasticity_experiment(
     HAT stacks keep serving through the partitioned rebalance while
     master/quorum stall), the coordinator's rebalance records (keys moved
     versus the 1/n consistent-hashing ideal, handoff bytes and duration),
-    and Adya anomaly counts from the recorded history.
+    and Adya anomaly counts from the recorded history.  ``overrides`` set
+    :class:`ElasticityParams` fields.
     """
-    tasks = [(protocol, regions, servers_per_cluster, clients_per_cluster,
-              virtual_nodes, baseline_ms, scale_out_ms, partition_ms,
-              scale_in_ms, recovery_ms, window_ms, slo, workload, seed)
-             for protocol in protocols]
-    return run_tasks(_elasticity_protocol_run, tasks, jobs=jobs)
+    params = ElasticityParams(**overrides)
+    return run_tasks(_elasticity_run,
+                     [(protocol, params) for protocol in protocols], jobs=jobs)
 
 
 # ---------------------------------------------------------------------------
 # Staleness observatory: t-visibility / k-staleness recency probes
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class StalenessParams(DeploymentParams):
+    """Everything one staleness run depends on besides the protocol."""
+
+    clients_per_cluster: int = 2
+    virtual_nodes: int = 128
+    healthy_ms: float = 2_000.0
+    partition_ms: float = 4_000.0
+    rebalance_ms: float = 4_000.0
+    window_ms: float = 500.0
+
 
 @dataclass
 class StalenessResult:
@@ -790,69 +808,37 @@ class StalenessResult:
         return summary.get(which)
 
 
-def _staleness_protocol_run(
-    protocol: str,
-    regions: Sequence[str],
-    servers_per_cluster: int,
-    clients_per_cluster: int,
-    virtual_nodes: int,
-    healthy_ms: float,
-    partition_ms: float,
-    rebalance_ms: float,
-    window_ms: float,
-    seed: int,
-) -> StalenessResult:
+def _staleness_run(protocol: str, params: StalenessParams) -> StalenessResult:
     """One protocol's full staleness run (the parallel-sweep worker)."""
-    scenario = Scenario(regions=list(regions),
-                        servers_per_cluster=servers_per_cluster,
-                        seed=seed, placement="ring",
-                        virtual_nodes=virtual_nodes,
-                        anti_entropy=AntiEntropyConfig(max_versions_per_round=32),
-                        metrics=True, metrics_window_ms=window_ms)
-    testbed = build_testbed(scenario)
+    testbed = build_testbed(_ring_scenario(
+        params, metrics=True, metrics_window_ms=params.window_ms))
     campaign = canonical_staleness_campaign(
-        list(regions), cluster=testbed.config.cluster_names[0],
-        healthy_ms=healthy_ms, partition_ms=partition_ms,
-        rebalance_ms=rebalance_ms)
-    nemesis = Nemesis(testbed, campaign)
-    nemesis.install()
-    config = RunConfig(
-        protocol=protocol,
-        scenario=scenario,
-        workload=YCSBConfig(key_count=5_000),
-        clients_per_cluster=clients_per_cluster,
-        duration_ms=campaign.duration_ms,
-        warmup_ms=0.0,
-        seed=seed,
-        retry=CHAOS_RETRY,
-    )
-    stats = run_workload(config, testbed=testbed)
+        list(params.regions), cluster=testbed.config.cluster_names[0],
+        healthy_ms=params.healthy_ms, partition_ms=params.partition_ms,
+        rebalance_ms=params.rebalance_ms)
+    stats, narration = _closed_loop_leg(
+        protocol, testbed, campaign, YCSBConfig(key_count=5_000), params,
+        retry=CHAOS_RETRY)
     registry = testbed.metrics
     registry.finalize(testbed.env.now)
     # YCSB has no preload, so the run starts at t=0 and campaign phases are
     # absolute simulated times: phase windows index the registry directly.
     phase_recency: Dict[str, Dict[str, Optional[Dict[str, float]]]] = {}
     for phase in campaign.phases:
-        per_metric: Dict[str, Optional[Dict[str, float]]] = {}
-        for metric in RECENCY_METRICS:
-            indices = registry.indices_in_range(phase.start_ms, phase.end_ms)
-            per_metric[metric] = registry.merged_quantiles(metric, indices)
-        phase_recency[phase.name] = per_metric
-    cdfs: Dict[str, List[Tuple[float, float]]] = {}
-    summaries: Dict[str, Optional[Dict[str, float]]] = {}
-    for metric in RECENCY_METRICS:
-        summaries[metric] = registry.summary(metric)
-        if summaries[metric] is None:
-            cdfs[metric] = []
-        else:
-            cdfs[metric] = [(q, registry.quantile(metric, q))
-                            for q in STALENESS_CDF_GRID]
+        indices = registry.indices_in_range(phase.start_ms, phase.end_ms)
+        phase_recency[phase.name] = {
+            metric: registry.merged_quantiles(metric, indices)
+            for metric in RECENCY_METRICS}
+    summaries = {metric: registry.summary(metric) for metric in RECENCY_METRICS}
+    cdfs = {metric: [] if summaries[metric] is None else
+            [(q, registry.quantile(metric, q)) for q in STALENESS_CDF_GRID]
+            for metric in RECENCY_METRICS}
     counters = {name: registry.counter_total(name)
                 for name in sorted({key[0] for key in registry.counters})}
     return StalenessResult(
         protocol=protocol,
         campaign=campaign,
-        window_ms=window_ms,
+        window_ms=params.window_ms,
         phase_recency=phase_recency,
         cdfs=cdfs,
         summaries=summaries,
@@ -860,22 +846,14 @@ def _staleness_protocol_run(
         timeseries=registry.timeseries(),
         prometheus=registry.prometheus(),
         stats=stats,
-        narration=list(nemesis.log),
+        narration=narration,
     )
 
 
 def staleness_experiment(
     protocols: Sequence[str] = STALENESS_PROTOCOLS,
-    regions: Sequence[str] = ("VA", "OR"),
-    servers_per_cluster: int = 2,
-    clients_per_cluster: int = 2,
-    virtual_nodes: int = 128,
-    healthy_ms: float = 2_000.0,
-    partition_ms: float = 4_000.0,
-    rebalance_ms: float = 4_000.0,
-    window_ms: float = 500.0,
-    seed: int = 0,
     jobs: Optional[int] = None,
+    **overrides,
 ) -> List[StalenessResult]:
     """Sweep protocol stacks through the canonical staleness campaign.
 
@@ -890,18 +868,37 @@ def staleness_experiment(
     versions each read trailed the freshest commit by).  The result
     carries per-phase p50/p90/p99 for both metrics, whole-run CDFs on a
     fixed quantile grid, counter totals, the windowed time-series joined
-    with fault windows, and a Prometheus text snapshot.
+    with fault windows, and a Prometheus text snapshot.  ``overrides`` set
+    :class:`StalenessParams` fields.
     """
-    tasks = [(protocol, regions, servers_per_cluster, clients_per_cluster,
-              virtual_nodes, healthy_ms, partition_ms, rebalance_ms,
-              window_ms, seed)
-             for protocol in protocols]
-    return run_tasks(_staleness_protocol_run, tasks, jobs=jobs)
+    params = StalenessParams(**overrides)
+    return run_tasks(_staleness_run,
+                     [(protocol, params) for protocol in protocols], jobs=jobs)
 
 
 # ---------------------------------------------------------------------------
 # Saturation: open-loop offered-load ramps and post-heal backlog drain
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SaturationParams(DeploymentParams):
+    """Everything one saturation run depends on besides the protocol."""
+
+    users: int = 1_000_000
+    sessions_per_cluster: int = 4
+    ramp_start_rate_s: float = 20.0
+    ramp_peak_rate_s: float = 600.0
+    ramp_ms: float = 6_000.0
+    #: Per-cluster fixed rate of the heal pass — deliberately below every
+    #: protocol's healthy capacity, so backlog growth is attributable to
+    #: the partition rather than to standing overload.
+    heal_rate_s: float = 4.0
+    baseline_ms: float = 1_500.0
+    partition_ms: float = 3_000.0
+    recovery_ms: float = 5_000.0
+    window_ms: float = 500.0
+    key_count: int = 10_000
+
 
 @dataclass
 class SaturationWindow:
@@ -916,28 +913,21 @@ class SaturationWindow:
     #: Summed per-region peak backlog (queued + in flight) in the window.
     queue_depth: int
 
+    def _rate_s(self, count: int) -> float:
+        return 1000.0 * count / max(self.end_ms - self.start_ms, 1e-9)
+
     @property
     def offered_rate_s(self) -> float:
-        span_ms = max(self.end_ms - self.start_ms, 1e-9)
-        return 1000.0 * self.offered / span_ms
+        return self._rate_s(self.offered)
 
     @property
     def committed_rate_s(self) -> float:
-        span_ms = max(self.end_ms - self.start_ms, 1e-9)
-        return 1000.0 * self.committed / span_ms
+        return self._rate_s(self.committed)
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "index": self.index,
-            "start_ms": self.start_ms,
-            "end_ms": self.end_ms,
-            "offered": self.offered,
-            "committed": self.committed,
-            "aborted": self.aborted,
-            "queue_depth": self.queue_depth,
-            "offered_rate_s": self.offered_rate_s,
-            "committed_rate_s": self.committed_rate_s,
-        }
+        return {**asdict(self),
+                "offered_rate_s": self.offered_rate_s,
+                "committed_rate_s": self.committed_rate_s}
 
 
 @dataclass
@@ -991,50 +981,20 @@ def _merged_windows(groups: Dict[str, GroupTimeline]) -> List[SaturationWindow]:
     return merged
 
 
-def _saturation_protocol_run(
-    protocol: str,
-    regions: Sequence[str],
-    servers_per_cluster: int,
-    users: int,
-    sessions_per_cluster: int,
-    ramp_start_rate_s: float,
-    ramp_peak_rate_s: float,
-    ramp_ms: float,
-    heal_rate_s: float,
-    baseline_ms: float,
-    partition_ms: float,
-    recovery_ms: float,
-    window_ms: float,
-    key_count: int,
-    seed: int,
-) -> SaturationResult:
+def _saturation_run(protocol: str, params: SaturationParams) -> SaturationResult:
     """One protocol's ramp + heal runs (the parallel-sweep worker)."""
-    scenario = Scenario(regions=list(regions),
-                        servers_per_cluster=servers_per_cluster, seed=seed)
-    workload = YCSBConfig(key_count=key_count)
+    scenario = _scenario(params)
+    workload = YCSBConfig(key_count=params.key_count)
 
     # Pass 1 — healthy ramp: offered load climbs linearly through the knee.
-    testbed = build_testbed(scenario)
-    telemetry = TimelineTelemetry(window_ms=window_ms)
-    ramp_stats = run_open_loop(
-        OpenLoopConfig(
-            protocol=protocol,
-            scenario=scenario,
-            arrivals=RampArrivals(ramp_start_rate_s, ramp_peak_rate_s,
-                                  ramp_ms),
-            workload=workload,
-            users=users,
-            sessions_per_cluster=sessions_per_cluster,
-            duration_ms=ramp_ms,
-            seed=seed,
-        ),
-        testbed=testbed, telemetry=telemetry)
+    telemetry = TimelineTelemetry(window_ms=params.window_ms)
+    ramp_stats, _ = _open_loop_leg(
+        protocol, build_testbed(scenario), None,
+        RampArrivals(params.ramp_start_rate_s, params.ramp_peak_rate_s,
+                     params.ramp_ms),
+        workload, params, duration_ms=params.ramp_ms, telemetry=telemetry)
     windows = _merged_windows(telemetry.build())
-    knee_txn_s = max((w.committed_rate_s for w in windows), default=0.0)
     sessions = ramp_stats.sessions
-    overload_offered_s = next(
-        (w.offered_rate_s for w in windows
-         if w.queue_depth > 2 * sessions), None)
     digest = ramp_stats.digest
     has_commits = digest.count > 0
 
@@ -1043,70 +1003,39 @@ def _saturation_protocol_run(
     # the backlog the partition built must drain after it heals (or not —
     # the metastable case).
     heal_testbed = build_testbed(scenario)
-    campaign = canonical_partition_campaign(
-        list(regions), baseline_ms=baseline_ms,
-        partition_ms=partition_ms, recovery_ms=recovery_ms)
-    nemesis = Nemesis(heal_testbed, campaign)
-    nemesis.install()
-    heal_start_ms = heal_testbed.env.now
-    heal_stats = run_open_loop(
-        OpenLoopConfig(
-            protocol=protocol,
-            scenario=scenario,
-            arrivals=PoissonArrivals(heal_rate_s),
-            workload=workload,
-            users=users,
-            sessions_per_cluster=sessions_per_cluster,
-            duration_ms=campaign.duration_ms,
-            seed=seed + 1,
-            retry=CHAOS_RETRY,
-        ),
-        testbed=heal_testbed)
-    heal_at_ms = heal_start_ms + baseline_ms + partition_ms
-    drain_ms: Optional[float] = None
-    for sample in heal_stats.backlog:
-        if sample.t_ms >= heal_at_ms and sample.backlog <= sessions:
-            drain_ms = sample.t_ms - heal_at_ms
-            break
+    campaign = _partition_campaign(params)
+    heal_at_ms = heal_testbed.env.now + params.baseline_ms + params.partition_ms
+    heal_stats, narration = _open_loop_leg(
+        protocol, heal_testbed, campaign, PoissonArrivals(params.heal_rate_s),
+        workload, params, seed=params.seed + 1, retry=CHAOS_RETRY)
+    drain_ms = next((sample.t_ms - heal_at_ms for sample in heal_stats.backlog
+                     if sample.t_ms >= heal_at_ms
+                     and sample.backlog <= sessions), None)
 
     return SaturationResult(
         protocol=protocol,
-        users=users,
+        users=params.users,
         sessions=sessions,
         ramp=ramp_stats,
         windows=windows,
-        knee_txn_s=knee_txn_s,
-        overload_offered_s=overload_offered_s,
+        knee_txn_s=max((w.committed_rate_s for w in windows), default=0.0),
+        overload_offered_s=next(
+            (w.offered_rate_s for w in windows
+             if w.queue_depth > 2 * sessions), None),
         p50_ms=digest.quantile(0.5) if has_commits else None,
         p99_ms=digest.quantile(0.99) if has_commits else None,
         p999_ms=digest.quantile(0.999) if has_commits else None,
         heal=heal_stats,
         heal_campaign=campaign,
         drain_ms=drain_ms,
-        narration=list(nemesis.log),
+        narration=narration,
     )
 
 
 def saturation_experiment(
     protocols: Sequence[str] = SATURATION_PROTOCOLS,
-    regions: Sequence[str] = ("VA", "OR"),
-    servers_per_cluster: int = 2,
-    users: int = 1_000_000,
-    sessions_per_cluster: int = 4,
-    ramp_start_rate_s: float = 20.0,
-    ramp_peak_rate_s: float = 600.0,
-    ramp_ms: float = 6_000.0,
-    #: Per-cluster fixed rate of the heal pass — deliberately below every
-    #: protocol's healthy capacity, so backlog growth is attributable to
-    #: the partition rather than to standing overload.
-    heal_rate_s: float = 4.0,
-    baseline_ms: float = 1_500.0,
-    partition_ms: float = 3_000.0,
-    recovery_ms: float = 5_000.0,
-    window_ms: float = 500.0,
-    key_count: int = 10_000,
-    seed: int = 0,
     jobs: Optional[int] = None,
+    **overrides,
 ) -> List[SaturationResult]:
     """Sweep protocol specs through an open-loop offered-load ramp.
 
@@ -1121,34 +1050,50 @@ def saturation_experiment(
     campaign measuring how long the backlog the partition built takes to
     drain after heal.  With ``jobs=N`` protocols fan out across worker
     processes; the merge is in input order, so results are bit-identical to
-    a sequential run.
+    a sequential run.  ``overrides`` set :class:`SaturationParams` fields.
     """
-    tasks = [(protocol, regions, servers_per_cluster, users,
-              sessions_per_cluster, ramp_start_rate_s, ramp_peak_rate_s,
-              ramp_ms, heal_rate_s, baseline_ms, partition_ms, recovery_ms,
-              window_ms, key_count, seed)
-             for protocol in protocols]
-    return run_tasks(_saturation_protocol_run, tasks, jobs=jobs)
+    params = SaturationParams(**overrides)
+    return run_tasks(_saturation_run,
+                     [(protocol, params) for protocol in protocols], jobs=jobs)
 
 
 # ---------------------------------------------------------------------------
 # Metastability: trigger, sustaining retry feedback, (defended) recovery
 # ---------------------------------------------------------------------------
 
-#: Protocols swept by the metastability experiment: the HAT base, the
-#: strongest sticky-available stack, and the two coordinated baselines
-#: whose partition behaviour (fail-fast master checks, lock deadlines)
-#: feeds the retry storm differently.
-METASTABILITY_PROTOCOLS = (EVENTUAL, "causal", MASTER, "lock-sr")
+@dataclass(frozen=True)
+class MetastabilityParams(DeploymentParams):
+    """Everything one leg depends on besides (protocol, defenses on/off)."""
 
-#: Post-heal goodput at or below this fraction of the healthy baseline is
-#: *pinned*: the trigger is gone, the load never exceeded healthy capacity,
-#: and the system still cannot climb back — the metastable signature.
-METASTABILITY_PIN_FRACTION = 0.7
-
-#: The trailing mean committed rate must reach this fraction of the healthy
-#: baseline for the run to count as recovered.
-METASTABILITY_RECOVERY_FRACTION = 0.9
+    servers_per_cluster: int = 1
+    #: Per-cluster offered rate — below the deployment's healthy knee, so
+    #: only retry amplification (never raw load) can exceed capacity.
+    rate_s: float = 120.0
+    #: Large pool: the retry storm needs concurrency to sustain itself.
+    sessions_per_cluster: int = 256
+    users: int = 100_000
+    baseline_ms: float = 1_500.0
+    partition_ms: float = 2_000.0
+    recovery_ms: float = 6_000.0
+    window_ms: float = 250.0
+    #: Raised per-request cost over a single worker: utilization sits
+    #: high enough that amplified load crosses capacity.
+    request_overhead_ms: float = 2.5
+    send_cost_ms_per_version: float = 2.0
+    ae_interval_ms: float = 25.0
+    #: Deliberately tight deadline — the knob every retry-storm postmortem
+    #: names.  The undefended catch-up burst wedges a worker for longer
+    #: than this, so every queued request's client gives up and re-sends.
+    rpc_timeout_ms: float = 250.0
+    max_attempts: int = 6
+    max_queue_depth: int = 48
+    #: Short interactive requests (the retry-storm literature's shape):
+    #: a timed-out attempt wastes a full request's worth of server work,
+    #: so ``max_attempts`` retries amplify load past what the same
+    #: arrival would cost when healthy.
+    operations_per_transaction: int = 2
+    write_proportion: float = 0.5
+    key_count: int = 10_000
 
 
 @dataclass
@@ -1199,29 +1144,8 @@ def _mean_rate_s(windows: Sequence[SaturationWindow]) -> float:
     return sum(w.committed_rate_s for w in windows) / len(windows)
 
 
-def _metastability_run(
-    protocol: str,
-    defended: bool,
-    regions: Sequence[str],
-    servers_per_cluster: int,
-    rate_s: float,
-    sessions_per_cluster: int,
-    users: int,
-    baseline_ms: float,
-    partition_ms: float,
-    recovery_ms: float,
-    window_ms: float,
-    request_overhead_ms: float,
-    send_cost_ms_per_version: float,
-    ae_interval_ms: float,
-    rpc_timeout_ms: float,
-    max_attempts: int,
-    max_queue_depth: int,
-    operations_per_transaction: int,
-    write_proportion: float,
-    key_count: int,
-    seed: int,
-) -> MetastabilityRun:
+def _metastability_run(protocol: str, defended: bool,
+                       params: MetastabilityParams) -> MetastabilityRun:
     """One (protocol, defenses) leg (the parallel-sweep worker).
 
     Both legs run the *same* trigger — the canonical partition campaign at
@@ -1242,67 +1166,43 @@ def _metastability_run(
       chunks), a retry budget bounding amplification to ~1.1x, and a
       circuit breaker that sheds client pressure while the server is dark.
     """
-    service_cost = ServiceCostModel(request_overhead_ms=request_overhead_ms,
-                                    concurrency=1)
-    if defended:
-        anti_entropy = AntiEntropyConfig(
-            interval_ms=ae_interval_ms,
-            capacity_coupled=True,
-            send_cost_ms_per_version=send_cost_ms_per_version)
-        admission: Optional[AdmissionConfig] = AdmissionConfig(
-            max_queue_depth=max_queue_depth, policy="adaptive-lifo")
-        retry = RetryPolicy(
-            rpc_timeout_ms=rpc_timeout_ms, lock_timeout_ms=rpc_timeout_ms,
-            max_attempts=max_attempts, backoff_base_ms=10.0,
-            backoff_cap_ms=80.0, retry_budget_ratio=0.1,
-            breaker_failure_threshold=8, breaker_cooldown_ms=500.0)
-    else:
-        # An explicit effectively-unbounded cap (winning over the coupled
-        # default) reproduces the naive deployment: the first post-heal
-        # round pushes the entire backlog as one request.
-        anti_entropy = AntiEntropyConfig(
-            interval_ms=ae_interval_ms,
-            capacity_coupled=True,
-            send_cost_ms_per_version=send_cost_ms_per_version,
-            max_versions_per_round=1_000_000)
-        admission = None
-        retry = RetryPolicy(
-            rpc_timeout_ms=rpc_timeout_ms, lock_timeout_ms=rpc_timeout_ms,
-            max_attempts=max_attempts, backoff_base_ms=10.0,
-            backoff_cap_ms=80.0)
-    scenario = Scenario(regions=list(regions),
-                        servers_per_cluster=servers_per_cluster, seed=seed,
-                        service_cost=service_cost,
-                        anti_entropy=anti_entropy,
-                        admission=admission)
-    testbed = build_testbed(scenario)
-    campaign = canonical_partition_campaign(
-        list(regions), baseline_ms=baseline_ms,
-        partition_ms=partition_ms, recovery_ms=recovery_ms)
-    nemesis = Nemesis(testbed, campaign)
-    nemesis.install()
+    # Undefended, an explicit effectively-unbounded cap (winning over the
+    # coupled default) reproduces the naive deployment: the first post-heal
+    # round pushes the entire backlog as one request.
+    anti_entropy = AntiEntropyConfig(
+        interval_ms=params.ae_interval_ms,
+        capacity_coupled=True,
+        send_cost_ms_per_version=params.send_cost_ms_per_version,
+        max_versions_per_round=None if defended else 1_000_000)
+    admission = AdmissionConfig(max_queue_depth=params.max_queue_depth,
+                                policy="adaptive-lifo") if defended else None
+    defenses = dict(retry_budget_ratio=0.1, breaker_failure_threshold=8,
+                    breaker_cooldown_ms=500.0) if defended else {}
+    retry = RetryPolicy(
+        rpc_timeout_ms=params.rpc_timeout_ms,
+        lock_timeout_ms=params.rpc_timeout_ms,
+        max_attempts=params.max_attempts, backoff_base_ms=10.0,
+        backoff_cap_ms=80.0, **defenses)
+    testbed = build_testbed(_scenario(
+        params,
+        service_cost=ServiceCostModel(
+            request_overhead_ms=params.request_overhead_ms, concurrency=1),
+        anti_entropy=anti_entropy,
+        admission=admission))
+    campaign = _partition_campaign(params)
     start_ms = testbed.env.now
-    telemetry = TimelineTelemetry(window_ms=window_ms)
-    stats = run_open_loop(
-        OpenLoopConfig(
-            protocol=protocol,
-            scenario=scenario,
-            arrivals=PoissonArrivals(rate_s),
-            workload=YCSBConfig(
-                key_count=key_count,
-                operations_per_transaction=operations_per_transaction,
-                write_proportion=write_proportion),
-            users=users,
-            sessions_per_cluster=sessions_per_cluster,
-            duration_ms=campaign.duration_ms,
-            seed=seed,
-            retry=retry,
-        ),
-        testbed=testbed, telemetry=telemetry)
+    telemetry = TimelineTelemetry(window_ms=params.window_ms)
+    stats, narration = _open_loop_leg(
+        protocol, testbed, campaign, PoissonArrivals(params.rate_s),
+        YCSBConfig(
+            key_count=params.key_count,
+            operations_per_transaction=params.operations_per_transaction,
+            write_proportion=params.write_proportion),
+        params, retry=retry, telemetry=telemetry)
     windows = _merged_windows(telemetry.build())
-    heal_at_ms = start_ms + baseline_ms + partition_ms
+    heal_at_ms = start_ms + params.baseline_ms + params.partition_ms
     baseline_windows = [w for w in windows
-                        if w.end_ms <= start_ms + baseline_ms]
+                        if w.end_ms <= start_ms + params.baseline_ms]
     post_windows = [w for w in windows if w.start_ms >= heal_at_ms]
     healthy_rate_s = _mean_rate_s(baseline_windows)
     post_heal_rate_s = _mean_rate_s(post_windows)
@@ -1327,44 +1227,14 @@ def _metastability_run(
         post_heal_rate_s=post_heal_rate_s,
         pinned=pinned,
         time_to_recover_ms=time_to_recover_ms,
-        narration=list(nemesis.log),
+        narration=narration,
     )
 
 
 def metastability_experiment(
     protocols: Sequence[str] = METASTABILITY_PROTOCOLS,
-    regions: Sequence[str] = ("VA", "OR"),
-    servers_per_cluster: int = 1,
-    #: Per-cluster offered rate — below the deployment's healthy knee, so
-    #: only retry amplification (never raw load) can exceed capacity.
-    rate_s: float = 120.0,
-    #: Large pool: the retry storm needs concurrency to sustain itself.
-    sessions_per_cluster: int = 256,
-    users: int = 100_000,
-    baseline_ms: float = 1_500.0,
-    partition_ms: float = 2_000.0,
-    recovery_ms: float = 6_000.0,
-    window_ms: float = 250.0,
-    #: Raised per-request cost over a single worker: utilization sits
-    #: high enough that amplified load crosses capacity.
-    request_overhead_ms: float = 2.5,
-    send_cost_ms_per_version: float = 2.0,
-    ae_interval_ms: float = 25.0,
-    #: Deliberately tight deadline — the knob every retry-storm postmortem
-    #: names.  The undefended catch-up burst wedges a worker for longer
-    #: than this, so every queued request's client gives up and re-sends.
-    rpc_timeout_ms: float = 250.0,
-    max_attempts: int = 6,
-    max_queue_depth: int = 48,
-    #: Short interactive requests (the retry-storm literature's shape):
-    #: a timed-out attempt wastes a full request's worth of server work,
-    #: so ``max_attempts`` retries amplify load past what the same
-    #: arrival would cost when healthy.
-    operations_per_transaction: int = 2,
-    write_proportion: float = 0.5,
-    key_count: int = 10_000,
-    seed: int = 0,
     jobs: Optional[int] = None,
+    **overrides,
 ) -> List[MetastabilityResult]:
     """Drive each protocol through trigger -> feedback -> recovery, twice.
 
@@ -1378,15 +1248,13 @@ def metastability_experiment(
     circuit breaking, with a measured time to recover.  With ``jobs=N``
     the (protocol, defenses) legs fan out across worker processes;
     results merge in input order, bit-identical to a sequential run.
+    ``overrides`` set :class:`MetastabilityParams` fields.
     """
-    tasks = [(protocol, defended, regions, servers_per_cluster, rate_s,
-              sessions_per_cluster, users, baseline_ms, partition_ms,
-              recovery_ms, window_ms, request_overhead_ms,
-              send_cost_ms_per_version, ae_interval_ms, rpc_timeout_ms,
-              max_attempts, max_queue_depth, operations_per_transaction,
-              write_proportion, key_count, seed)
-             for protocol in protocols for defended in (False, True)]
-    runs = run_tasks(_metastability_run, tasks, jobs=jobs)
+    params = MetastabilityParams(**overrides)
+    runs = run_tasks(_metastability_run,
+                     [(protocol, defended, params)
+                      for protocol in protocols for defended in (False, True)],
+                     jobs=jobs)
     return [MetastabilityResult(protocol=undefended.protocol,
                                 undefended=undefended, defended=defended)
             for undefended, defended in zip(runs[0::2], runs[1::2])]
@@ -1395,6 +1263,23 @@ def metastability_experiment(
 # ---------------------------------------------------------------------------
 # Tracing: critical-path decomposition and anomaly provenance
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TraceParams(DeploymentParams):
+    """Everything a traced run depends on besides (protocol, condition)."""
+
+    clients_per_cluster: int = 2
+    #: Length of a healthy stack run; partitioned runs last the campaign.
+    duration_ms: float = 3_000.0
+    baseline_ms: float = 1_000.0
+    partition_ms: float = 2_000.0
+    recovery_ms: float = 1_000.0
+    key_count: int = 10_000
+    #: The stack whose contended TPC-C run is audited and joined to traces.
+    provenance_protocol: str = EVENTUAL
+    #: Faulted-context traces exported beside the implicated ones.
+    context_traces: int = 25
+
 
 @dataclass
 class TraceStackResult:
@@ -1433,9 +1318,8 @@ class TraceProvenanceResult:
     narration: List[NarrationEntry] = field(default_factory=list)
 
 
-def _transaction_breakdowns(tracer) -> List[Tuple[float, Dict[str, float],
-                                                  bool, bool]]:
-    """Per-transaction ``(latency, breakdown, committed, faulted)`` rows."""
+def _committed_breakdowns(tracer) -> List[Tuple[float, Dict[str, float], bool]]:
+    """Per committed transaction: ``(latency, breakdown, faulted)``."""
     children: Dict[int, List] = {}
     for span in tracer.spans:
         if span.parent_id is not None:
@@ -1446,61 +1330,28 @@ def _transaction_breakdowns(tracer) -> List[Tuple[float, Dict[str, float],
             continue
         if root.end_ms is None or root.end_ms <= root.start_ms:
             continue
-        breakdown = decompose(root, children.get(root.trace_id, ()))
-        rows.append((root.duration_ms, breakdown,
-                     bool(root.attrs.get("committed")), bool(root.faults)))
+        if root.attrs.get("committed"):
+            breakdown = decompose(root, children.get(root.trace_id, ()))
+            rows.append((root.duration_ms, breakdown, bool(root.faults)))
     return rows
 
 
-def _trace_stack_run(
-    protocol: str,
-    regions: Sequence[str],
-    servers_per_cluster: int,
-    clients_per_cluster: int,
-    duration_ms: float,
-    partition: bool,
-    baseline_ms: float,
-    partition_ms: float,
-    recovery_ms: float,
-    key_count: int,
-    seed: int,
-) -> TraceStackResult:
+def _trace_stack_run(protocol: str, partition: bool,
+                     params: TraceParams) -> TraceStackResult:
     """One traced (protocol, condition) run (the parallel-sweep worker)."""
-    scenario = Scenario(regions=list(regions),
-                        servers_per_cluster=servers_per_cluster, seed=seed,
-                        tracing=True)
-    testbed = build_testbed(scenario)
+    testbed = build_testbed(_scenario(params, tracing=True))
     tracer = testbed.tracer
-    nemesis = None
-    run_duration = duration_ms
-    retry: Optional[RetryPolicy] = None
-    if partition:
-        campaign = canonical_partition_campaign(
-            list(regions), baseline_ms=baseline_ms,
-            partition_ms=partition_ms, recovery_ms=recovery_ms)
-        nemesis = Nemesis(testbed, campaign)
-        nemesis.install()
-        run_duration = campaign.duration_ms
-        # The timed-out RPC becomes the trace's ``retry`` segment.
-        retry = CHAOS_RETRY
-    config = RunConfig(
-        protocol=protocol,
-        scenario=scenario,
-        workload=YCSBConfig(key_count=key_count),
-        clients_per_cluster=clients_per_cluster,
-        duration_ms=run_duration,
-        warmup_ms=0.0,
-        seed=seed,
-        retry=retry,
-    )
-    stats = run_workload(config, testbed=testbed)
+    # Partitioned, the timed-out RPC becomes the trace's ``retry`` segment.
+    stats, narration = _closed_loop_leg(
+        protocol, testbed, _partition_campaign(params) if partition else None,
+        YCSBConfig(key_count=params.key_count), params,
+        duration_ms=params.duration_ms,
+        retry=CHAOS_RETRY if partition else None)
     tracer.finalize(testbed.env.now)
-    rows = _transaction_breakdowns(tracer)
-    committed = [(latency, breakdown)
-                 for latency, breakdown, ok, _faulted in rows if ok]
+    rows = _committed_breakdowns(tracer)
+    committed = [(latency, breakdown) for latency, breakdown, _ in rows]
     faulted = [(latency, breakdown)
-               for latency, breakdown, ok, was_faulted in rows
-               if ok and was_faulted]
+               for latency, breakdown, was_faulted in rows if was_faulted]
     return TraceStackResult(
         protocol=protocol,
         condition="partitioned" if partition else "healthy",
@@ -1510,7 +1361,7 @@ def _trace_stack_run(
         traces=len({span.trace_id for span in tracer.spans}),
         spans=len(tracer.spans),
         fault_windows=[w.as_dict() for w in tracer.fault_windows],
-        narration=list(nemesis.log) if nemesis is not None else [],
+        narration=narration,
     )
 
 
@@ -1538,47 +1389,22 @@ def _provenance_export_spans(tracer, provenance: Dict[str, object],
     return [span for span in tracer.spans if span.trace_id in keep]
 
 
-def _trace_tpcc_run(
-    protocol: str,
-    regions: Sequence[str],
-    servers_per_cluster: int,
-    clients_per_cluster: int,
-    baseline_ms: float,
-    partition_ms: float,
-    recovery_ms: float,
-    context_traces: int,
-    seed: int,
-) -> TraceProvenanceResult:
+def _trace_tpcc_run(params: TraceParams) -> TraceProvenanceResult:
     """The traced TPC-C provenance leg: partitioned, audited, and joined."""
-    scenario = Scenario(regions=list(regions),
-                        servers_per_cluster=servers_per_cluster, seed=seed,
-                        tracing=True)
-    testbed = build_testbed(scenario)
+    protocol = params.provenance_protocol
+    testbed = build_testbed(_scenario(params, tracing=True))
     tracer = testbed.tracer
     recorder = HistoryRecorder()
     factory = TPCCDriverFactory(config=default_tpcc_config())
     run_preload(testbed, factory)
-    campaign = canonical_partition_campaign(
-        list(regions), baseline_ms=baseline_ms,
-        partition_ms=partition_ms, recovery_ms=recovery_ms)
-    nemesis = Nemesis(testbed, campaign)
-    nemesis.install()
-    config = RunConfig(
-        protocol=protocol,
-        scenario=scenario,
-        workload=factory,
-        clients_per_cluster=clients_per_cluster,
-        duration_ms=campaign.duration_ms,
-        warmup_ms=0.0,
-        seed=seed,
-        retry=CHAOS_RETRY,
-    )
-    stats = run_workload(config, testbed=testbed, recorder=recorder,
-                         preload=False)
+    stats, narration = _closed_loop_leg(
+        protocol, testbed, _partition_campaign(params), factory, params,
+        retry=CHAOS_RETRY, recorder=recorder, preload=False)
     tracer.finalize(testbed.env.now)
     report = audit_tpcc_history(recorder.build())
     provenance = join_anomalies(report, tracer)
-    exported = _provenance_export_spans(tracer, provenance, context_traces)
+    exported = _provenance_export_spans(tracer, provenance,
+                                        params.context_traces)
     chrome = chrome_trace(exported, tracer.fault_windows,
                           process_name=f"repro tpcc {protocol}")
     return TraceProvenanceResult(
@@ -1589,24 +1415,14 @@ def _trace_tpcc_run(
         chrome=chrome,
         spans=len(tracer.spans),
         exported_traces=len({span.trace_id for span in exported}),
-        narration=list(nemesis.log),
+        narration=narration,
     )
 
 
 def trace_experiment(
     protocols: Sequence[str] = TRACE_PROTOCOLS,
-    regions: Sequence[str] = ("VA", "OR"),
-    servers_per_cluster: int = 2,
-    clients_per_cluster: int = 2,
-    duration_ms: float = 3_000.0,
-    baseline_ms: float = 1_000.0,
-    partition_ms: float = 2_000.0,
-    recovery_ms: float = 1_000.0,
-    key_count: int = 10_000,
-    provenance_protocol: str = EVENTUAL,
-    context_traces: int = 25,
-    seed: int = 0,
     jobs: Optional[int] = None,
+    **overrides,
 ) -> Tuple[List[TraceStackResult], TraceProvenanceResult]:
     """Trace every protocol stack healthy and partitioned, then join anomalies.
 
@@ -1621,18 +1437,12 @@ def trace_experiment(
 
     With ``jobs=N`` the runs fan out across worker processes; every id in
     the output is tracer-local, so the merged artifact is bit-identical to
-    a sequential run.
+    a sequential run.  ``overrides`` set :class:`TraceParams` fields.
     """
-    tasks = []
-    for protocol in protocols:
-        for partition in (False, True):
-            tasks.append((protocol, regions, servers_per_cluster,
-                          clients_per_cluster, duration_ms, partition,
-                          baseline_ms, partition_ms, recovery_ms, key_count,
-                          seed))
-    stack_results = run_tasks(_trace_stack_run, tasks, jobs=jobs)
-    provenance_result = _trace_tpcc_run(
-        provenance_protocol, regions, servers_per_cluster,
-        clients_per_cluster, baseline_ms, partition_ms, recovery_ms,
-        context_traces, seed)
-    return stack_results, provenance_result
+    params = TraceParams(**overrides)
+    stack_results = run_tasks(
+        _trace_stack_run,
+        [(protocol, partition, params)
+         for protocol in protocols for partition in (False, True)],
+        jobs=jobs)
+    return stack_results, _trace_tpcc_run(params)

@@ -29,13 +29,6 @@ from repro.bench.metrics import RunStats
 from repro.bench.runner import RunConfig, run_workload
 
 
-def effective_jobs(jobs: Optional[int], tasks: int) -> int:
-    """The worker count actually used for ``tasks`` items."""
-    if jobs is None or jobs <= 1 or tasks <= 1:
-        return 1
-    return min(jobs, tasks)
-
-
 def run_tasks(worker: Callable, task_args: Sequence[tuple],
               jobs: Optional[int] = None) -> List[object]:
     """Run ``worker(*args)`` for every argument tuple, preserving order.
@@ -45,10 +38,9 @@ def run_tasks(worker: Callable, task_args: Sequence[tuple],
     first, so callers can zip them against their task descriptions.
     """
     tasks = list(task_args)
-    workers = effective_jobs(jobs, len(tasks))
-    if workers <= 1:
+    if jobs is None or jobs <= 1 or len(tasks) <= 1:
         return [worker(*args) for args in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         futures = [pool.submit(worker, *args) for args in tasks]
         return [future.result() for future in futures]
 

@@ -3,9 +3,8 @@
 An artifact file that outlives its run is only evidence if it says what
 produced it: which commit, which parameterisation, which schema.  The
 bench CLI injects this header under the ``"provenance"`` key of every
-JSON payload it writes (availability, tpcc-sim, elasticity, saturation,
-perf, trace), so a downloaded CI artifact can always be traced back to
-the exact tree and knobs that generated it.
+JSON payload it writes, so a downloaded CI artifact can always be traced
+back to the exact tree and knobs that generated it.
 
 The header is injected *centrally* by :mod:`repro.bench.__main__` — the
 experiment payloads themselves stay byte-identical to what the report

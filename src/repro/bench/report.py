@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.bench.experiments import (
     METASTABILITY_PIN_FRACTION,
@@ -18,6 +18,8 @@ from repro.bench.experiments import (
     TraceProvenanceResult,
     TraceStackResult,
 )
+from repro.chaos.campaign import Campaign
+from repro.chaos.nemesis import NarrationEntry
 from repro.obs.critical_path import SEGMENTS
 
 
@@ -30,32 +32,21 @@ def format_series(points: Sequence[ExperimentPoint],
     """
     if not points:
         return "(no data)"
-    protocols: List[str] = []
-    for point in points:
-        if point.protocol not in protocols:
-            protocols.append(point.protocol)
-    x_values: List[float] = []
-    for point in points:
-        if point.x_value not in x_values:
-            x_values.append(point.x_value)
-    x_label = points[0].x_label
+    # First-seen order, duplicates dropped.
+    protocols = list(dict.fromkeys(point.protocol for point in points))
+    x_values = list(dict.fromkeys(point.x_value for point in points))
     lookup: Dict[tuple, ExperimentPoint] = {
         (p.protocol, p.x_value): p for p in points
     }
 
-    header = f"{x_label:>20} " + "".join(f"{p:>16}" for p in protocols)
+    header = (f"{points[0].x_label:>20} "
+              + "".join(f"{p:>16}" for p in protocols))
     lines = [f"figure: {points[0].figure}   metric: {value}", header,
              "-" * len(header)]
     for x in x_values:
-        cells = []
-        for protocol in protocols:
-            point = lookup.get((protocol, x))
-            cell = None if point is None else getattr(point, value)
-            if cell is None:
-                # Missing point, or a latency statistic with no samples.
-                cells.append(f"{'-':>16}")
-            else:
-                cells.append(f"{cell:>16.1f}")
+        # ``-``: a missing point, or a latency statistic with no samples.
+        cells = [_cell(getattr(lookup.get((protocol, x)), value, None), 16)
+                 for protocol in protocols]
         lines.append(f"{x:>20.2f} " + "".join(cells))
     return "\n".join(lines)
 
@@ -69,56 +60,109 @@ def format_latency_and_throughput(points: Sequence[ExperimentPoint]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Availability timelines
+# Fragments the chaos artifacts share
 # ---------------------------------------------------------------------------
 
-def _score_cell(score: Optional[float]) -> str:
-    return f"{score:>10.2f}" if score is not None else f"{'-':>10}"
+def _cell(value: Optional[float], width: int = 9, places: int = 1) -> str:
+    """A right-aligned table cell; ``-`` marks a value never observed."""
+    if value is None:
+        return f"{'-':>{width}}"
+    return f"{value:>{width}.{places}f}"
 
 
-def format_availability(results: Sequence[AvailabilityTimeline]) -> str:
-    """Render availability timelines: one strip per (protocol, client region).
+def _fields(source, *names: str) -> Dict:
+    """``{name: source.name}`` for each name, in the order given."""
+    return {name: getattr(source, name) for name in names}
+
+
+def _phases_line(campaign: Campaign) -> str:
+    return "phases: " + "  ".join(
+        f"{p.name} [{p.start_ms:g}, {p.end_ms:g})" for p in campaign.phases)
+
+
+def _narration_footer(narration: Sequence[NarrationEntry],
+                      unit: str = "protocol") -> List[str]:
+    """The closing lines of every chaos report: what the nemesis did."""
+    if not narration:
+        return []
+    return (["", f"nemesis narration (identical for every {unit}):"]
+            + [f"  {entry}" for entry in narration])
+
+
+def _campaign_json(campaign: Campaign, actions: bool = True) -> Dict:
+    """The campaign block of a chaos payload (phases, optionally actions)."""
+    block: Dict = {
+        "duration_ms": campaign.duration_ms,
+        "phases": [{"name": p.name, "start_ms": p.start_ms,
+                    "end_ms": p.end_ms} for p in campaign.phases],
+    }
+    if actions:
+        block["actions"] = [{"at_ms": a.at_ms, "kind": a.kind, "note": a.note}
+                            for a in campaign.timeline()]
+    return block
+
+
+def _slo_strips(title: str, results: Sequence, column: int) -> List[str]:
+    """SLO header plus one ``#``/``.`` strip per (protocol, client region).
 
     Each character is one SLO window: ``#`` served (window met the SLO),
-    ``.`` did not.  The per-phase columns give the fraction of that phase's
-    windows meeting the SLO — the availability score.
+    ``.`` did not.  The per-phase columns (``column`` wide) give the
+    fraction of that phase's windows meeting the SLO — the availability
+    score.
     """
-    if not results:
-        return "(no data)"
     campaign = results[0].campaign
     slo = results[0].slo
     lines = [
-        "Availability under a region partition campaign "
-        f"(window = {results[0].window_ms:g} ms)",
+        f"{title} (window = {results[0].window_ms:g} ms)",
         f"SLO per window: >= {slo.min_committed} commit(s), "
         f">= {slo.min_success_fraction:.0%} success"
         + (f", p95 <= {slo.max_p95_latency_ms:g} ms"
            if slo.max_p95_latency_ms is not None else ""),
-        "phases: " + "  ".join(
-            f"{p.name} [{p.start_ms:g}, {p.end_ms:g})" for p in campaign.phases),
+        _phases_line(campaign),
         "",
     ]
     phase_names = [phase.name for phase in campaign.phases]
     strip_width = max((len(t.windows) for r in results
                        for t in r.groups.values()), default=0)
     header = (f"{'protocol':<16} {'region':<8} {'timeline':<{strip_width}} "
-              + "".join(f"{name:>10}" for name in phase_names))
+              + "".join(f"{name:>{column}}" for name in phase_names))
     lines += [header, "-" * len(header)]
     for result in results:
         for group in sorted(result.groups):
-            timeline = result.groups[group]
             strip = "".join("#" if w.meets(result.slo) else "."
-                            for w in timeline.windows)
+                            for w in result.groups[group].windows)
             scores = result.phase_availability(group)
             lines.append(
                 f"{result.protocol:<16} {group:<8} {strip:<{strip_width}} "
-                + "".join(_score_cell(scores.get(name)) for name in phase_names)
-            )
-    narration = [entry for result in results[:1] for entry in result.narration]
-    if narration:
-        lines += ["", "nemesis narration (identical for every protocol):"]
-        lines += [f"  {entry}" for entry in narration]
-    return "\n".join(lines)
+                + "".join(_cell(scores.get(name), column, 2)
+                          for name in phase_names))
+    return lines
+
+
+def _groups_json(result) -> Dict:
+    """Per-client-region availability, phase scores, and window series."""
+    return {
+        group: {
+            "availability": timeline.availability(result.slo),
+            "phase_availability": result.phase_availability(group),
+            "windows": [w.as_dict() for w in timeline.windows],
+        }
+        for group, timeline in sorted(result.groups.items())
+    }
+
+
+# ---------------------------------------------------------------------------
+# Availability timelines
+# ---------------------------------------------------------------------------
+
+def format_availability(results: Sequence[AvailabilityTimeline]) -> str:
+    """Render availability timelines: one strip per (protocol, client region)
+    (see :func:`_slo_strips` for how to read them)."""
+    if not results:
+        return "(no data)"
+    lines = _slo_strips("Availability under a region partition campaign",
+                        results, 10)
+    return "\n".join(lines + _narration_footer(results[0].narration))
 
 
 # ---------------------------------------------------------------------------
@@ -129,17 +173,11 @@ def format_tpcc_sim(results: Sequence[TPCCSimResult]) -> str:
     """One row per protocol: throughput beside the audited anomaly counts."""
     if not results:
         return "(no data)"
-    partitioned = any(r.partitioned for r in results)
-    phase_names: List[str] = []
-    if partitioned:
-        for result in results:
-            if result.campaign is not None:
-                phase_names = [p.name for p in result.campaign.phases]
-                break
+    campaign = next((r.campaign for r in results if r.partitioned), None)
+    phase_names = [p.name for p in campaign.phases] if campaign else []
     header = (f"{'protocol':<16} {'committed':>9} {'aborted':>8} {'txn/s':>8} "
               f"{'orders':>7} {'dup-ids':>8} {'gaps':>6} {'dbl-deliv':>10}")
-    if phase_names:
-        header += "".join(f"{('avail:' + name):>17}" for name in phase_names)
+    header += "".join(f"{('avail:' + name):>17}" for name in phase_names)
     lines = [
         "TPC-C through the simulated cluster (Section 6.2, measured)",
         "order-id anomalies: duplicate / gapped district order ids; "
@@ -156,16 +194,10 @@ def format_tpcc_sim(results: Sequence[TPCCSimResult]) -> str:
                 f"{len(anomalies.duplicate_order_ids):>8} "
                 f"{len(anomalies.gapped_order_ids):>6} "
                 f"{len(anomalies.double_deliveries):>10}")
-        if phase_names:
-            scores = result.phase_availability
-            line += "".join(_score_cell(scores.get(name)).rjust(17)
-                            for name in phase_names)
-        lines.append(line)
-    narration = [entry for result in results[:1] for entry in result.narration]
-    if narration:
-        lines += ["", "nemesis narration (identical for every protocol):"]
-        lines += [f"  {entry}" for entry in narration]
-    return "\n".join(lines)
+        lines.append(line + "".join(
+            _cell(result.phase_availability.get(name), 17, 2)
+            for name in phase_names))
+    return "\n".join(lines + _narration_footer(results[0].narration))
 
 
 def tpcc_sim_report_json(results: Sequence[TPCCSimResult]) -> Dict:
@@ -173,11 +205,8 @@ def tpcc_sim_report_json(results: Sequence[TPCCSimResult]) -> Dict:
     payload: Dict = {"figure": "tpcc-sim", "protocols": []}
     for result in results:
         entry = {
-            "protocol": result.protocol,
-            "partitioned": result.partitioned,
-            "committed": result.stats.committed,
-            "aborted": result.stats.aborted,
-            "throughput_txn_s": result.stats.throughput_txn_s,
+            **_fields(result, "protocol", "partitioned"),
+            **_fields(result.stats, "committed", "aborted", "throughput_txn_s"),
             "latency": result.stats.latency.as_dict(),
             "committed_by_type": dict(result.committed_by_type),
             "anomalies": result.anomalies.as_dict(),
@@ -193,31 +222,16 @@ def availability_report_json(results: Sequence[AvailabilityTimeline]) -> Dict:
     """A JSON-safe artifact of the availability experiment (no NaN anywhere)."""
     payload: Dict = {"figure": "availability", "protocols": []}
     if results:
-        campaign = results[0].campaign
         payload["window_ms"] = results[0].window_ms
         payload["slo"] = results[0].slo.as_dict()
-        payload["campaign"] = {
-            "duration_ms": campaign.duration_ms,
-            "phases": [{"name": p.name, "start_ms": p.start_ms,
-                        "end_ms": p.end_ms} for p in campaign.phases],
-            "actions": [{"at_ms": a.at_ms, "kind": a.kind, "note": a.note}
-                        for a in campaign.timeline()],
-        }
+        payload["campaign"] = _campaign_json(results[0].campaign)
     for result in results:
-        entry = {
+        payload["protocols"].append({
             "protocol": result.protocol,
             "committed_total": result.stats.committed,
             "aborted_total": result.stats.aborted,
-            "groups": {},
-        }
-        for group in sorted(result.groups):
-            timeline = result.groups[group]
-            entry["groups"][group] = {
-                "availability": timeline.availability(result.slo),
-                "phase_availability": result.phase_availability(group),
-                "windows": [w.as_dict() for w in timeline.windows],
-            }
-        payload["protocols"].append(entry)
+            "groups": _groups_json(result),
+        })
     return payload
 
 
@@ -231,34 +245,8 @@ def format_elasticity(results: Sequence[ElasticityResult]) -> str:
     and duration, and Adya anomaly counts per protocol."""
     if not results:
         return "(no data)"
-    campaign = results[0].campaign
-    slo = results[0].slo
-    lines = [
-        "Availability through elastic membership churn "
-        f"(window = {results[0].window_ms:g} ms)",
-        f"SLO per window: >= {slo.min_committed} commit(s), "
-        f">= {slo.min_success_fraction:.0%} success",
-        "phases: " + "  ".join(
-            f"{p.name} [{p.start_ms:g}, {p.end_ms:g})" for p in campaign.phases),
-        "",
-    ]
-    phase_names = [phase.name for phase in campaign.phases]
-    strip_width = max((len(t.windows) for r in results
-                       for t in r.groups.values()), default=0)
-    header = (f"{'protocol':<16} {'region':<8} {'timeline':<{strip_width}} "
-              + "".join(f"{name:>22}" for name in phase_names))
-    lines += [header, "-" * len(header)]
-    for result in results:
-        for group in sorted(result.groups):
-            timeline = result.groups[group]
-            strip = "".join("#" if w.meets(result.slo) else "."
-                            for w in timeline.windows)
-            scores = result.phase_availability(group)
-            lines.append(
-                f"{result.protocol:<16} {group:<8} {strip:<{strip_width}} "
-                + "".join(_score_cell(scores.get(name)).rjust(22)
-                          for name in phase_names)
-            )
+    lines = _slo_strips("Availability through elastic membership churn",
+                        results, 22)
     lines += ["", "rebalances (identical campaign for every protocol; "
                   "handoff volume varies with the data each run wrote):"]
     rebalance_header = (f"{'protocol':<16} {'event':<6} {'server':<18} "
@@ -271,10 +259,9 @@ def format_elasticity(results: Sequence[ElasticityResult]) -> str:
             lines.append(
                 f"{result.protocol:<16} {record.kind:<6} {record.server:<18} "
                 f"{record.start_ms:>8.0f} "
-                + (f"{record.duration_ms:>8.1f} " if record.done else f"{'-':>8} ")
-                + f"{record.keys_moved:>6} "
-                + (f"{moved:>7.3f} " if moved is not None else f"{'-':>7} ")
-                + f"{record.ideal_fraction:>7.3f} {record.versions_moved:>9} "
+                + _cell(record.duration_ms if record.done else None, 8)
+                + f" {record.keys_moved:>6} " + _cell(moved, 7, 3)
+                + f" {record.ideal_fraction:>7.3f} {record.versions_moved:>9} "
                   f"{record.bytes_moved / 1024.0:>8.1f}"
             )
     lines += ["", "Adya anomaly witnesses on the recorded histories:"]
@@ -286,20 +273,12 @@ def format_elasticity(results: Sequence[ElasticityResult]) -> str:
         lines.append(f"{result.protocol:<16} "
                      + "".join(f"{result.anomalies.get(name, 0):>12}"
                                for name in anomaly_names))
-    narration = [entry for result in results[:1] for entry in result.narration]
-    if narration:
-        lines += ["", "nemesis narration (identical for every protocol):"]
-        lines += [f"  {entry}" for entry in narration]
-    return "\n".join(lines)
+    return "\n".join(lines + _narration_footer(results[0].narration))
 
 
 # ---------------------------------------------------------------------------
 # Saturation: open-loop offered-load ramps and post-heal backlog drain
 # ---------------------------------------------------------------------------
-
-def _ms_cell(value: Optional[float], width: int = 9) -> str:
-    return f"{value:>{width}.1f}" if value is not None else f"{'-':>{width}}"
-
 
 def format_saturation(results: Sequence[SaturationResult]) -> str:
     """One row per protocol: the knee, tail latencies, and drain time."""
@@ -327,16 +306,14 @@ def format_saturation(results: Sequence[SaturationResult]) -> str:
             f"{result.protocol:<16} {result.ramp.offered:>8} "
             f"{result.ramp.committed:>10} {result.ramp.shed:>6} "
             f"{result.knee_txn_s:>8.1f} "
-            + _ms_cell(result.overload_offered_s, 10) + " "
-            + _ms_cell(result.p50_ms) + " " + _ms_cell(result.p99_ms) + " "
-            + _ms_cell(result.p999_ms) + f" {result.ramp.queue_peak:>6}")
+            + _cell(result.overload_offered_s, 10) + " "
+            + _cell(result.p50_ms) + " " + _cell(result.p99_ms) + " "
+            + _cell(result.p999_ms) + f" {result.ramp.queue_peak:>6}")
     lines += [
         "",
         "Post-heal backlog drain (fixed offered rate through the canonical "
         "partition campaign):",
-        "phases: " + "  ".join(
-            f"{p.name} [{p.start_ms:g}, {p.end_ms:g})"
-            for p in campaign.phases),
+        _phases_line(campaign),
         "drain: ms after heal until backlog <= sessions "
         "(0 = never built up, '-' = never drained)",
         "",
@@ -351,49 +328,30 @@ def format_saturation(results: Sequence[SaturationResult]) -> str:
             f"{result.protocol:<16} {result.heal.offered:>8} "
             f"{result.heal.committed:>10} {result.heal.aborted:>8} "
             f"{peak:>13} {result.heal.backlog_final:>6} "
-            + _ms_cell(result.drain_ms))
-    narration = [entry for result in results[:1]
-                 for entry in result.narration]
-    if narration:
-        lines += ["", "nemesis narration (identical for every protocol):"]
-        lines += [f"  {entry}" for entry in narration]
-    return "\n".join(lines)
+            + _cell(result.drain_ms))
+    return "\n".join(lines + _narration_footer(first.narration))
 
 
 def saturation_report_json(results: Sequence[SaturationResult]) -> Dict:
     """A JSON-safe artifact of the saturation experiment (no NaN anywhere)."""
     payload: Dict = {"figure": "saturation", "protocols": []}
     if results:
-        campaign = results[0].heal_campaign
         payload["users"] = results[0].users
         payload["sessions"] = results[0].sessions
-        payload["heal_campaign"] = {
-            "duration_ms": campaign.duration_ms,
-            "phases": [{"name": p.name, "start_ms": p.start_ms,
-                        "end_ms": p.end_ms} for p in campaign.phases],
-        }
+        payload["heal_campaign"] = _campaign_json(results[0].heal_campaign,
+                                                  actions=False)
     for result in results:
         payload["protocols"].append({
-            "protocol": result.protocol,
-            "knee_txn_s": result.knee_txn_s,
-            "overload_offered_s": result.overload_offered_s,
-            "p50_ms": result.p50_ms,
-            "p99_ms": result.p99_ms,
-            "p999_ms": result.p999_ms,
+            **_fields(result, "protocol", "knee_txn_s", "overload_offered_s",
+                      "p50_ms", "p99_ms", "p999_ms"),
             "ramp": {
-                "offered": result.ramp.offered,
-                "committed": result.ramp.committed,
-                "aborted": result.ramp.aborted,
-                "shed": result.ramp.shed,
-                "queue_peak": result.ramp.queue_peak,
-                "backlog_final": result.ramp.backlog_final,
+                **_fields(result.ramp, "offered", "committed", "aborted",
+                          "shed", "queue_peak", "backlog_final"),
                 "latency": result.ramp.latency.as_dict(),
                 "windows": [w.as_dict() for w in result.windows],
             },
             "heal": {
-                "offered": result.heal.offered,
-                "committed": result.heal.committed,
-                "aborted": result.heal.aborted,
+                **_fields(result.heal, "offered", "committed", "aborted"),
                 "backlog_peak": max((s.backlog for s in result.heal.backlog),
                                     default=0),
                 "backlog_final": result.heal.backlog_final,
@@ -414,7 +372,7 @@ def _metastability_row(run: MetastabilityRun) -> str:
         "recovered" if run.recovered else "degraded")
     return (f"{run.protocol:<10} {'on' if run.defended else 'off':>8} "
             f"{run.healthy_rate_s:>10.1f} {run.post_heal_rate_s:>10.1f} "
-            + _ms_cell(run.time_to_recover_ms, 11)
+            + _cell(run.time_to_recover_ms, 11)
             + f" {stats.retries:>8} {stats.retry_denials:>8} "
             f"{stats.breaker_denials:>8} {stats.server_rejected:>8} "
             f"{verdict:>10}")
@@ -427,9 +385,7 @@ def format_metastability(results: Sequence[MetastabilityResult]) -> str:
     campaign = results[0].undefended.campaign
     lines = [
         "Metastable failure: trigger -> sustaining retry feedback -> recovery",
-        "phases: " + "  ".join(
-            f"{p.name} [{p.start_ms:g}, {p.end_ms:g})"
-            for p in campaign.phases),
+        _phases_line(campaign),
         "the partition is the trigger; after it heals, capacity-coupled "
         "catch-up plus timed-out",
         "sessions retrying sustain the overload — unless admission control, "
@@ -450,33 +406,17 @@ def format_metastability(results: Sequence[MetastabilityResult]) -> str:
     for result in results:
         lines.append(_metastability_row(result.undefended))
         lines.append(_metastability_row(result.defended))
-    narration = [entry for result in results[:1]
-                 for entry in result.undefended.narration]
-    if narration:
-        lines += ["", "nemesis narration (identical for every leg):"]
-        lines += [f"  {entry}" for entry in narration]
-    return "\n".join(lines)
+    return "\n".join(
+        lines + _narration_footer(results[0].undefended.narration, "leg"))
 
 
 def _metastability_run_json(run: MetastabilityRun) -> Dict:
-    stats = run.stats
     return {
-        "defended": run.defended,
-        "healthy_rate_s": run.healthy_rate_s,
-        "post_heal_rate_s": run.post_heal_rate_s,
-        "pinned": run.pinned,
-        "recovered": run.recovered,
-        "time_to_recover_ms": run.time_to_recover_ms,
-        "heal_at_ms": run.heal_at_ms,
-        "offered": stats.offered,
-        "committed": stats.committed,
-        "aborted": stats.aborted,
-        "retries": stats.retries,
-        "retry_denials": stats.retry_denials,
-        "breaker_opens": stats.breaker_opens,
-        "breaker_denials": stats.breaker_denials,
-        "server_rejected": stats.server_rejected,
-        "backlog_final": stats.backlog_final,
+        **_fields(run, "defended", "healthy_rate_s", "post_heal_rate_s",
+                  "pinned", "recovered", "time_to_recover_ms", "heal_at_ms"),
+        **_fields(run.stats, "offered", "committed", "aborted", "retries",
+                  "retry_denials", "breaker_opens", "breaker_denials",
+                  "server_rejected", "backlog_final"),
         "windows": [w.as_dict() for w in run.windows],
     }
 
@@ -490,12 +430,8 @@ def metastability_report_json(results: Sequence[MetastabilityResult]) -> Dict:
         "protocols": [],
     }
     if results:
-        campaign = results[0].undefended.campaign
-        payload["campaign"] = {
-            "duration_ms": campaign.duration_ms,
-            "phases": [{"name": p.name, "start_ms": p.start_ms,
-                        "end_ms": p.end_ms} for p in campaign.phases],
-        }
+        payload["campaign"] = _campaign_json(
+            results[0].undefended.campaign, actions=False)
     for result in results:
         payload["protocols"].append({
             "protocol": result.protocol,
@@ -559,10 +495,7 @@ def format_trace(stacks: Sequence[TraceStackResult],
     narration = next((result.narration for result in stacks
                       if result.condition == "partitioned"
                       and result.narration), [])
-    if narration:
-        lines += ["", "nemesis narration (identical for every protocol):"]
-        lines += [f"  {entry}" for entry in narration]
-    return "\n".join(lines)
+    return "\n".join(lines + _narration_footer(narration))
 
 
 def trace_report_json(stacks: Sequence[TraceStackResult],
@@ -577,16 +510,10 @@ def trace_report_json(stacks: Sequence[TraceStackResult],
                      "stacks": []}
     for result in stacks:
         payload["stacks"].append({
-            "protocol": result.protocol,
-            "condition": result.condition,
-            "committed": result.stats.committed,
-            "aborted": result.stats.aborted,
-            "throughput_txn_s": result.stats.throughput_txn_s,
-            "traces": result.traces,
-            "spans": result.spans,
-            "critical_path": result.critical_path,
-            "faulted_critical_path": result.faulted_critical_path,
-            "fault_windows": result.fault_windows,
+            **_fields(result, "protocol", "condition"),
+            **_fields(result.stats, "committed", "aborted", "throughput_txn_s"),
+            **_fields(result, "traces", "spans", "critical_path",
+                      "faulted_critical_path", "fault_windows"),
             "narration": [n.as_dict() for n in result.narration],
         })
     if provenance is not None:
@@ -609,35 +536,20 @@ def elasticity_report_json(results: Sequence[ElasticityResult]) -> Dict:
     """A JSON-safe artifact of the elasticity experiment (no NaN anywhere)."""
     payload: Dict = {"figure": "elasticity", "protocols": []}
     if results:
-        campaign = results[0].campaign
         payload["window_ms"] = results[0].window_ms
         payload["slo"] = results[0].slo.as_dict()
-        payload["campaign"] = {
-            "duration_ms": campaign.duration_ms,
-            "phases": [{"name": p.name, "start_ms": p.start_ms,
-                        "end_ms": p.end_ms} for p in campaign.phases],
-            "actions": [{"at_ms": a.at_ms, "kind": a.kind, "note": a.note}
-                        for a in campaign.timeline()],
-        }
+        payload["campaign"] = _campaign_json(results[0].campaign)
     for result in results:
-        entry = {
+        first = result.first_join()
+        payload["protocols"].append({
             "protocol": result.protocol,
             "committed_total": result.stats.committed,
             "aborted_total": result.stats.aborted,
             "anomalies": dict(result.anomalies),
             "rebalances": [record.as_dict() for record in result.rebalances],
-            "groups": {},
-        }
-        first = result.first_join()
-        entry["first_join"] = first.as_dict() if first is not None else None
-        for group in sorted(result.groups):
-            timeline = result.groups[group]
-            entry["groups"][group] = {
-                "availability": timeline.availability(result.slo),
-                "phase_availability": result.phase_availability(group),
-                "windows": [w.as_dict() for w in timeline.windows],
-            }
-        payload["protocols"].append(entry)
+            "groups": _groups_json(result),
+            "first_join": first.as_dict() if first is not None else None,
+        })
     return payload
 
 
@@ -645,8 +557,10 @@ def elasticity_report_json(results: Sequence[ElasticityResult]) -> Dict:
 # Staleness observatory: t-visibility / k-staleness recency tables
 # ---------------------------------------------------------------------------
 
-def _recency_cell(value: Optional[float], width: int = 9) -> str:
-    return f"{value:>{width}.1f}" if value is not None else f"{'-':>{width}}"
+def _eventual_p99s(result: StalenessResult):
+    """(healthy, partition) p99 t-visibility — the headline's two numbers."""
+    return (result.phase_quantile("healthy", "t_visibility_ms", "p99"),
+            result.phase_quantile("partition", "t_visibility_ms", "p99"))
 
 
 def format_staleness(results: Sequence[StalenessResult]) -> str:
@@ -666,8 +580,7 @@ def format_staleness(results: Sequence[StalenessResult]) -> str:
     lines = [
         "Staleness observatory: recency through healthy -> partition -> "
         f"rebalance (window = {results[0].window_ms:g} ms)",
-        "phases: " + "  ".join(
-            f"{p.name} [{p.start_ms:g}, {p.end_ms:g})" for p in campaign.phases),
+        _phases_line(campaign),
         "",
     ]
     header = (f"{'protocol':<14} {'metric':<22} "
@@ -678,44 +591,28 @@ def format_staleness(results: Sequence[StalenessResult]) -> str:
               "k_staleness_versions": "k-staleness (versions)"}
     for result in results:
         for metric, label in labels.items():
-            cells = []
-            for name in phase_names:
-                cells.append(_recency_cell(
-                    result.phase_quantile(name, metric, "p50"), 15))
-                cells.append(_recency_cell(
-                    result.phase_quantile(name, metric, "p99"), 15))
+            cells = [_cell(result.phase_quantile(name, metric, which), 15)
+                     for name in phase_names for which in ("p50", "p99")]
             lines.append(f"{result.protocol:<14} {label:<22} " + "".join(cells))
     for result in results:
         if result.protocol != "eventual":
             continue
-        healthy = result.phase_quantile("healthy", "t_visibility_ms", "p99")
-        partition = result.phase_quantile("partition", "t_visibility_ms", "p99")
+        healthy, partition = _eventual_p99s(result)
         if healthy and partition is not None:
             lines += ["", (
                 "headline: eventual's partition-phase p99 t-visibility is "
                 f"{partition / healthy:.1f}x its healthy p99 "
                 f"({partition:.1f} ms vs {healthy:.1f} ms) — recency is an "
                 "operating-conditions property, not a protocol guarantee.")]
-    narration = [entry for result in results[:1] for entry in result.narration]
-    if narration:
-        lines += ["", "nemesis narration (identical for every protocol):"]
-        lines += [f"  {entry}" for entry in narration]
-    return "\n".join(lines)
+    return "\n".join(lines + _narration_footer(results[0].narration))
 
 
 def staleness_report_json(results: Sequence[StalenessResult]) -> Dict:
     """A JSON-safe artifact of the staleness experiment (no NaN anywhere)."""
     payload: Dict = {"figure": "staleness", "protocols": []}
     if results:
-        campaign = results[0].campaign
         payload["window_ms"] = results[0].window_ms
-        payload["campaign"] = {
-            "duration_ms": campaign.duration_ms,
-            "phases": [{"name": p.name, "start_ms": p.start_ms,
-                        "end_ms": p.end_ms} for p in campaign.phases],
-            "actions": [{"at_ms": a.at_ms, "kind": a.kind, "note": a.note}
-                        for a in campaign.timeline()],
-        }
+        payload["campaign"] = _campaign_json(results[0].campaign)
     for result in results:
         entry = {
             "protocol": result.protocol,
@@ -725,16 +622,11 @@ def staleness_report_json(results: Sequence[StalenessResult]) -> Dict:
             "cdfs": {metric: [{"q": q, "value": value}
                               for q, value in points]
                      for metric, points in result.cdfs.items()},
-            "summaries": result.summaries,
-            "counters": result.counters,
-            "timeseries": result.timeseries,
-            "prometheus": result.prometheus,
+            **_fields(result, "summaries", "counters", "timeseries",
+                      "prometheus"),
         }
         if result.protocol == "eventual":
-            healthy = result.phase_quantile(
-                "healthy", "t_visibility_ms", "p99")
-            partition = result.phase_quantile(
-                "partition", "t_visibility_ms", "p99")
+            healthy, partition = _eventual_p99s(result)
             entry["partition_over_healthy_p99"] = (
                 partition / healthy
                 if healthy and partition is not None else None)

@@ -146,7 +146,7 @@ class Environment:
         #: backwards, so the deque is always sorted by ``(when, seq)``.
         self._immediate: deque = deque()
         self._next_seq = 0
-        #: Total callbacks executed, for the perf harness (events/sec).
+        #: Total callbacks executed, for the benchmark ledger (events/sec).
         self.events_executed = 0
         #: Ambient trace context while traced code runs (see repro.obs).
         #: Published by Process._resume / server dispatch, read by the

@@ -24,9 +24,9 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 
 class TestGoldenAvailability:
     def test_quick_payload_is_bit_identical(self):
-        from repro.bench.__main__ import _availability
+        from repro.bench.__main__ import ARTIFACTS
 
-        _, payload = _availability(True, None)
+        payload = ARTIFACTS["availability"].run(True, None).payload
         rendered = json.dumps(payload, indent=2, allow_nan=False) + "\n"
         golden = (DATA / "golden_availability_quick.json").read_text()
         assert rendered == golden, (
@@ -39,9 +39,9 @@ STALENESS_PIN = DATA / "golden_staleness_quick_pin.json"
 
 
 def render_staleness() -> str:
-    from repro.bench.__main__ import _staleness
+    from repro.bench.__main__ import ARTIFACTS
 
-    _, payload = _staleness(True, None)
+    payload = ARTIFACTS["staleness"].run(True, None).payload
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 

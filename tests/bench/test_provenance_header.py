@@ -18,7 +18,7 @@ class TestHeaderShape:
         assert header["config"] == {"quick": True, "jobs": 2, "seed": 0}
 
     def test_json_safe(self):
-        json.dumps(provenance_header("perf", quick=False), allow_nan=False)
+        json.dumps(provenance_header("fig4", quick=False), allow_nan=False)
 
     def test_git_sha_resolves_in_this_repo(self):
         assert re.fullmatch(r"[0-9a-f]{40}", git_sha())
@@ -30,10 +30,11 @@ class TestHeaderInjection:
         the header lands in the main payload AND every extra file."""
 
         def fake(quick, jobs=None):
-            return ("text report", {"figure": "fake", "value": 7},
-                    {"extra.json": {"traceEvents": []}})
+            return cli.Rendered("text report", {"figure": "fake", "value": 7},
+                                {"extra.json": {"traceEvents": []}})
 
-        monkeypatch.setitem(cli.ARTIFACTS, "fake", fake)
+        monkeypatch.setitem(cli.ARTIFACTS, "fake",
+                            cli.Artifact(fake, has_json=True))
         cli.main(["fake", "--json", str(tmp_path)])
 
         main_payload = json.loads((tmp_path / "fake.json").read_text())
@@ -47,10 +48,11 @@ class TestHeaderInjection:
         assert main_payload["value"] == 7
         assert extra_payload["traceEvents"] == []
 
-    def test_two_tuple_artifacts_also_get_the_header(self, tmp_path,
-                                                     monkeypatch):
-        monkeypatch.setitem(cli.ARTIFACTS, "fake2",
-                            lambda quick, jobs=None: ("t", {"figure": "f2"}))
+    def test_artifacts_without_extra_files_also_get_the_header(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setitem(cli.ARTIFACTS, "fake2", cli.Artifact(
+            lambda quick, jobs=None: cli.Rendered("t", {"figure": "f2"}),
+            has_json=True))
         cli.main(["fake2", "--json", str(tmp_path)])
         payload = json.loads((tmp_path / "fake2.json").read_text())
         assert payload["provenance"]["artifact"] == "fake2"

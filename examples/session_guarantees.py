@@ -53,8 +53,9 @@ def composite_causal_scenario():
     the reply lands (WFR + MW), so a reader in the other region never sees
     the reply without its causes.
     """
-    testbed = build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=2,
-                                     anti_entropy=AntiEntropyConfig(interval_ms=60_000.0)))
+    testbed = build_testbed(Scenario(
+        regions=["VA", "OR"], servers_per_cluster=2,
+        anti_entropy=AntiEntropyConfig(interval_ms=60_000.0)))
     home, away = testbed.config.cluster_names
     friend = testbed.make_client("eventual", home_cluster=home)
     user = testbed.make_client("causal", home_cluster=home)

@@ -53,8 +53,9 @@ def anti_entropy_visibility(
     """
     points: List[VisibilityPoint] = []
     for interval in intervals_ms:
-        testbed = build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=2,
-                                         anti_entropy=AntiEntropyConfig(interval_ms=interval), seed=seed))
+        testbed = build_testbed(Scenario(
+            regions=["VA", "OR"], servers_per_cluster=2, seed=seed,
+            anti_entropy=AntiEntropyConfig(interval_ms=interval)))
         writer = testbed.make_client("eventual",
                                      home_cluster=testbed.config.cluster_names[0])
         reader = testbed.make_client("eventual",

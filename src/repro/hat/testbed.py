@@ -28,6 +28,7 @@ from repro.net.latency import EC2LatencyModel, FixedLatencyModel, LatencyModel
 from repro.net.network import Network
 from repro.net.partitions import PartitionManager
 from repro.net.topology import Topology
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import FaultLedger, Tracer
 from repro.overload.admission import AdmissionConfig
 from repro.replication.antientropy import AntiEntropyClock, AntiEntropyConfig
@@ -305,8 +306,6 @@ def build_testbed(scenario: Scenario) -> Testbed:
         # Installed before any server is built for the same reason as the
         # tracer: instrumentation sites snapshot ``network.metrics`` at
         # construction time where doing so avoids a per-message lookup.
-        from repro.obs.metrics import MetricsRegistry
-
         network.metrics = MetricsRegistry(window_ms=scenario.metrics_window_ms,
                                           faults=faults)
 

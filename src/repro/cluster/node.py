@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Deque, Dict, NamedTuple, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.net.network import Message, Network, OVERLOADED_REPLY
@@ -52,6 +52,14 @@ class ServerStats:
     per_kind: Dict[str, int] = field(default_factory=dict)
 
 
+class _QueueSeries(NamedTuple):
+    """One server's queue series, resolved once from the metrics registry."""
+
+    depth: object
+    depth_max: object
+    wait: object
+
+
 #: A handler receives the request message and returns ``(reply_payload,
 #: extra_cost_ms)``.  The extra cost is added to the request's service time
 #: *before* the reply is sent (e.g. a synchronous WAL flush).
@@ -84,16 +92,16 @@ class ServerNode:
         self.stats = ServerStats()
         self.alive = True
         self._handlers: Dict[str, Handler] = {}
-        self._queue: Deque[Tuple[Message, float]] = deque()
+        #: ``(message, enqueued at, queue depth found)`` per waiting request.
+        self._queue: Deque[Tuple[Message, float, int]] = deque()
         self._busy_workers = 0
-        # Queue depth at admission, recorded per message so server spans can
-        # report it; only allocated when the network carries a tracer (the
-        # tracer must be installed before servers are built).
-        self._trace_depths: Optional[Deque[int]] = (
-            deque() if network.tracer is not None else None)
-        # Metrics registry snapshot (None in the common case); like the
-        # tracer it must be installed on the network before servers exist.
-        self._metrics = network.metrics
+        # The registry must be installed on the network before servers
+        # exist: the probe is resolved here, None in the common case.
+        metrics = network.metrics
+        self._probe = None if metrics is None else _QueueSeries(
+            metrics.histogram("server_queue_depth", node=name),
+            metrics.gauge("server_queue_depth_max", node=name),
+            metrics.histogram("server_queue_wait_ms", node=name))
         network.register(name, self._on_message)
 
     # -- handler registration -------------------------------------------------
@@ -143,28 +151,25 @@ class ServerNode:
             else:
                 self._reject(message, "queue-full")
                 return
-        if self._trace_depths is not None:
-            self._trace_depths.append(len(queue))
-        queue.append((message, self.env._now))
-        if len(queue) > stats.max_queue_depth:
-            stats.max_queue_depth = len(queue)
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.observe("server_queue_depth", self.env._now,
-                            float(len(queue)), node=self.name)
-            metrics.max_gauge("server_queue_depth_max", float(len(queue)),
-                              node=self.name)
+        now = self.env._now
+        queue.append((message, now, len(queue)))
+        depth = len(queue)
+        probe = self._probe
+        if probe is not None:
+            probe.depth.observe(now, depth)
+        if depth > stats.max_queue_depth:
+            stats.max_queue_depth = depth
+            if probe is not None:  # the gauge is this same high-water mark
+                probe.depth_max.max(depth)
         if self._busy_workers < self.cost.concurrency:
             self._maybe_start_worker()
 
     def _evict_oldest_sheddable(self, admission: AdmissionConfig) -> bool:
         """Shed the oldest sheddable queued request; False = none found."""
         queue = self._queue
-        for index, (queued, _enqueued_at) in enumerate(queue):
+        for index, (queued, _enqueued_at, _depth) in enumerate(queue):
             if queued.kind in admission.sheddable_kinds:
                 del queue[index]
-                if self._trace_depths is not None:
-                    del self._trace_depths[index]
                 self._reject(queued, "evicted")
                 return True
         return False
@@ -178,14 +183,13 @@ class ServerNode:
         the client learns of the rejection one latency sample later.
         """
         self.stats.rejected += 1
-        if self._metrics is not None:
-            self._metrics.inc("server_sheds_total", node=self.name,
-                              reason=reason, kind=message.kind)
         network = self.network
-        tracer = network.tracer
-        if tracer is not None and message.trace is not None:
-            event = tracer.event("queue-reject", message.trace, self.name,
-                                 self.env._now)
+        if network.metrics is not None:
+            network.metrics.inc("server_sheds_total", node=self.name,
+                                reason=reason, kind=message.kind)
+        if message.trace is not None:
+            event = network.tracer.event("queue-reject", message.trace,
+                                         self.name, self.env._now)
             event.attrs["kind"] = message.kind
             event.attrs["reason"] = reason
             event.attrs["queue_depth"] = len(self._queue)
@@ -200,22 +204,19 @@ class ServerNode:
         cost = self.cost
         env = self.env
         handlers = self._handlers
-        depths = self._trace_depths
+        probe = self._probe
         admission = self.admission
         while self._busy_workers < cost.concurrency and queue:
             if admission is None:
-                message, enqueued_at = queue.popleft()
-                depth = depths.popleft() if depths is not None else 0
+                message, enqueued_at, depth = queue.popleft()
             else:
                 if (admission.policy == "adaptive-lifo"
                         and len(queue) > admission.lifo_depth):
                     # Overloaded: serve newest-first so fresh requests see
                     # low latency while the backlog drains.
-                    message, enqueued_at = queue.pop()
-                    depth = depths.pop() if depths is not None else 0
+                    message, enqueued_at, depth = queue.pop()
                 else:
-                    message, enqueued_at = queue.popleft()
-                    depth = depths.popleft() if depths is not None else 0
+                    message, enqueued_at, depth = queue.popleft()
                 if (admission.policy == "codel"
                         and env._now - enqueued_at > admission.codel_target_ms
                         and message.kind in admission.sheddable_kinds):
@@ -227,22 +228,19 @@ class ServerNode:
                     continue
             queue_wait = env._now - enqueued_at
             stats.queue_wait_ms += queue_wait
-            if self._metrics is not None:
-                self._metrics.observe("server_queue_wait_ms", env._now,
-                                      queue_wait, node=self.name)
+            if probe is not None:
+                probe.wait.observe(env._now, queue_wait)
             self._busy_workers += 1
             handler = handlers.get(message.kind)
             span = None
-            if depths is not None and message.trace is not None \
-                    and handler is not None:
+            if message.trace is not None and handler is not None:
                 tracer = self.network.tracer
-                span = tracer.start_span(f"server:{message.kind}", "server",
-                                         parent=message.trace, site=self.name,
-                                         start_ms=enqueued_at)
                 # Publish the server span as the ambient context so any
                 # messages the handler itself sends (MAV sibling notifies,
                 # master replication pushes) chain under it.
-                env.current_trace = tracer.context(span)
+                span = env.current_trace = tracer.start_span(
+                    tracer.server_names[message.kind], "server",
+                    message.trace, self.name, enqueued_at)
             if handler is None:
                 # Unknown request kinds get an error reply so clients fail
                 # fast instead of timing out.

@@ -75,27 +75,26 @@ class ProtocolClient:
         self._home_servers = frozenset(
             node.config.cluster(node.home_cluster).servers
         )
+        # Both sinks are installed before any client is built; each is None
+        # unless the scenario asked for it.
+        network = node.network
+        self._tracer = network.tracer
+        self._staleness = (None if network.metrics is None
+                           else network.metrics.staleness)
 
     # -- public API ---------------------------------------------------------------
     def execute(self, transaction: Transaction) -> Process:
         """Run ``transaction``; the returned process resolves to its result."""
         process = self.node.env.process(self._execute(transaction))
-        tracer = self.node.network.tracer
+        tracer = self._tracer
         if tracer is not None:
             # The span carries no session_id: client ids come from a
             # process-global counter, so they diverge between --jobs pool
             # layouts.  The site (node name) identifies the session
-            # deterministically.
-            span = tracer.begin_transaction(
+            # deterministically.  The span is its own trace context.
+            process.trace = transaction.trace = tracer.begin_transaction(
                 transaction.txn_id, self.protocol_name, self.node.name,
                 self.node.env.now, label=transaction.label)
-            context = tracer.context(span)
-            process.trace = context
-            transaction.trace = context
-            for op in transaction.operations:
-                # Operation is a frozen dataclass; the trace stamp is the
-                # one sanctioned mutation, applied only on traced runs.
-                object.__setattr__(op, "trace", context)
         return process
 
     # -- core driver -------------------------------------------------------------
@@ -126,10 +125,10 @@ class ProtocolClient:
                     if metrics is not None:
                         metrics.inc("breaker_denials_total",
                                     protocol=self.protocol_name)
-                    tracer = self.node.network.tracer
-                    if tracer is not None and transaction.trace is not None:
-                        event = tracer.event("breaker-open", transaction.trace,
-                                             self.node.name, self.node.env.now)
+                    if transaction.trace is not None:
+                        event = self._tracer.event(
+                            "breaker-open", transaction.trace,
+                            self.node.name, self.node.env.now)
                         event.attrs["protocol"] = self.protocol_name
                     raise OverloadedError("circuit breaker open")
             yield from self._run(transaction, result)
@@ -152,7 +151,7 @@ class ProtocolClient:
                 metrics.inc("breaker_transitions_total",
                             protocol=self.protocol_name, to=breaker.state)
         result.writes = transaction.write_set if result.committed else {}
-        tracer = self.node.network.tracer
+        tracer = self._tracer
         if tracer is not None:
             tracer.finish_transaction(transaction.txn_id, result.end_ms,
                                       result.committed, error=result.error,
@@ -204,10 +203,10 @@ class ProtocolClient:
         reachable = self.node.reachable_replicas(key)
         if not reachable:
             raise UnavailableError(f"no reachable replica for key {key!r}")
-        tracer = self.node.network.tracer
-        if tracer is not None and self.node.env.current_trace is not None:
-            event = tracer.event("failover", self.node.env.current_trace,
-                                 self.node.name, self.node.env.now)
+        trace = self.node.env.current_trace
+        if trace is not None:
+            event = self._tracer.event("failover", trace, self.node.name,
+                                       self.node.env.now)
             event.attrs["key"] = key
             event.attrs["from"] = sticky
             event.attrs["to"] = reachable[0]
@@ -217,13 +216,12 @@ class ProtocolClient:
         # Lamport receive rule: future timestamps must order after anything
         # this client has read, or LWW would discard its subsequent writes.
         self.node.witness_timestamp(version.timestamp)
-        metrics = self.node.network.metrics
-        if metrics is not None:
+        staleness = self._staleness
+        if staleness is not None:
             # Every read any stack serves flows through here — replica
             # replies, session-cache repairs, and buffered-write echoes
             # alike — so this is the single k-staleness probe point.
-            metrics.staleness.on_read(key, version.timestamp,
-                                      self.node.env.now)
+            staleness.on_read(key, version.timestamp, self.node.env._now)
         result.reads.append(ReadObservation(key=key, version=version))
         return version
 
@@ -355,7 +353,7 @@ class LayeredClient(ProtocolClient):
 
     def _run(self, transaction: Transaction, result: TransactionResult) -> Generator:
         ctx = TxnContext(transaction=transaction, result=result, timestamp=None)
-        tracer = self.node.network.tracer
+        tracer = self._tracer
         trace = transaction.trace if tracer is not None else None
         env = self.node.env
         plan = list(transaction.operations)
@@ -458,9 +456,8 @@ class LayeredClient(ProtocolClient):
             return version
         if state is not None:
             state.cache_hits += 1
-        tracer = self.node.network.tracer
-        if tracer is not None and ctx.transaction.trace is not None:
-            event = tracer.event("session-repair", ctx.transaction.trace,
-                                 self.node.name, self.node.env.now)
+        if ctx.transaction.trace is not None:
+            event = self._tracer.event("session-repair", ctx.transaction.trace,
+                                       self.node.name, self.node.env.now)
             event.attrs["key"] = version.key
         return floor

@@ -81,6 +81,9 @@ class HATServer(ServerNode):
         self.anti_entropy = AntiEntropyService(env, self, config, anti_entropy,
                                                ae_clock)
         self.handoff = HandoffStats()
+        #: The recency probe (None unless the network carries a registry).
+        self._staleness = (None if network.metrics is None
+                           else network.metrics.staleness)
 
         self.register_handler("ru.put", self._handle_ru_put)
         self.register_handler("ru.get", self._handle_ru_get)
@@ -119,12 +122,13 @@ class HATServer(ServerNode):
         cost = self.store.put(version, value_bytes=size_bytes)
         if durable:
             cost += self._durable_write_cost(size_bytes)
-        if self._metrics is not None:
+        staleness = self._staleness
+        if staleness is not None:
             # Single install chokepoint: anti-entropy batches, master
             # replication pushes, MAV promotions, and handoff offers all
             # land here, so one probe call covers every replication path.
-            self._metrics.staleness.on_install(
-                version.key, version.timestamp, self.name, self.env.now)
+            staleness.on_install(version.key, version.timestamp, self.name,
+                                 self.env._now)
         return cost
 
     def _stamp_commit(self, version: Version) -> None:
@@ -134,10 +138,11 @@ class HATServer(ServerNode):
         rebalance streaming this version to a brand-new owner does not
         count as t-visibility lag.
         """
-        if self._metrics is not None:
-            self._metrics.staleness.on_commit(
-                version.key, version.timestamp, self.name, self.env.now,
-                replicas=self.config.replicas_for(version.key))
+        staleness = self._staleness
+        if staleness is not None:
+            staleness.on_commit(version.key, version.timestamp, self.name,
+                                self.env._now,
+                                self.config.replicas_for(version.key))
 
     # -- Read Uncommitted / Read Committed / quorum ------------------------------
     def _handle_ru_put(self, message: Message) -> Tuple[dict, float]:
@@ -286,11 +291,10 @@ class HATServer(ServerNode):
     def _handle_lock_acquire(self, message: Message) -> Tuple[None, float]:
         payload = message.payload
         key, txn_id = payload["key"], payload["txn_id"]
-        tracer = self.network.tracer
-        metrics = self._metrics
+        metrics = self.network.metrics
         trace = message.trace
-        want_span = tracer is not None and trace is not None
-        if want_span or metrics is not None:
+        if trace is not None or metrics is not None:
+            tracer = self.network.tracer
             requested_at = self.env.now
 
             def _grant() -> None:
@@ -301,7 +305,7 @@ class HATServer(ServerNode):
                     # Only contended grants earn a lock-wait span or a
                     # wait observation; an immediate grant spent no time
                     # blocked.
-                    if want_span:
+                    if trace is not None:
                         span = tracer.start_span(f"lock-wait:{key}", "lock",
                                                  trace, self.name,
                                                  start_ms=requested_at)
@@ -372,10 +376,11 @@ class HATServer(ServerNode):
         self.handoff.versions_sent += len(versions)
         self.handoff.bytes_sent += (
             self.anti_entropy.settings.bytes_per_version * len(versions))
-        if self._metrics is not None:
-            self._metrics.inc("handoff_fetches_total", node=self.name)
-            self._metrics.inc("handoff_versions_sent_total",
-                              float(len(versions)), node=self.name)
+        metrics = self.network.metrics
+        if metrics is not None:
+            metrics.inc("handoff_fetches_total", node=self.name)
+            metrics.inc("handoff_versions_sent_total", float(len(versions)),
+                        node=self.name)
         # Cost model: one memtable/SSTable read per streamed key batch —
         # or, under capacity coupling, the same per-version streaming cost
         # anti-entropy catch-up pays, so a joiner's bulk fetch competes
@@ -393,10 +398,11 @@ class HATServer(ServerNode):
         self.handoff.offers_received += 1
         self.handoff.versions_received += len(versions)
         self.handoff.bytes_received += int(message.payload.get("size_bytes", 0))
-        if self._metrics is not None:
-            self._metrics.inc("handoff_offers_total", node=self.name)
-            self._metrics.inc("handoff_versions_received_total",
-                              float(len(versions)), node=self.name)
+        metrics = self.network.metrics
+        if metrics is not None:
+            metrics.inc("handoff_offers_total", node=self.name)
+            metrics.inc("handoff_versions_received_total",
+                        float(len(versions)), node=self.name)
         return {"ok": True, "count": len(versions)}, cost
 
     # -- anti-entropy -----------------------------------------------------------------------------

@@ -39,9 +39,6 @@ class Operation:
     #: For derived writes: ``(reads so far) -> (key, value)``, resolved by the
     #: protocol client at execution time (see :func:`resolve_derived`).
     derive: Optional[Callable[[Dict[str, Any]], "tuple"]] = None
-    #: Trace context (:class:`repro.obs.trace.TraceContext`) stamped by a
-    #: traced client at execute time; None whenever tracing is off.
-    trace: Optional[object] = None
 
     def __post_init__(self) -> None:
         if self.kind not in _OPERATION_KINDS:

@@ -235,6 +235,14 @@ def _run_open_loop_inner(config: OpenLoopConfig, testbed: Testbed, env,
 
     def make_handler(group: str, budgets: Dict[int, RetryBudget],
                      retry_rng):
+        # This pool's retry-budget counters, resolved once (None without a
+        # registry).
+        deposits = denials = withdrawals = None
+        if metrics is not None:
+            deposits, denials, withdrawals = (
+                metrics.counter(f"retry_budget_{event}_total", group=group)
+                for event in ("deposits", "denials", "withdrawals"))
+
         def handle(client, session_id: int, request: PendingRequest):
             transaction = request.transaction
             transaction.session_id = session_id
@@ -244,8 +252,8 @@ def _run_open_loop_inner(config: OpenLoopConfig, testbed: Testbed, env,
                 if budget is None:
                     budget = budgets[session_id] = retry.make_budget()
                 budget.deposit()
-                if metrics is not None:
-                    metrics.inc("retry_budget_deposits_total", group=group)
+                if deposits is not None:
+                    deposits.inc()
             result = yield client.execute(transaction)
             if retry is not None:
                 # Externally aborted requests (timeouts, overload
@@ -258,13 +266,11 @@ def _run_open_loop_inner(config: OpenLoopConfig, testbed: Testbed, env,
                        and attempt_no < retry.max_attempts):
                     if budget is not None and not budget.withdraw():
                         counters.retry_denials += 1
-                        if metrics is not None:
-                            metrics.inc("retry_budget_denials_total",
-                                        group=group)
+                        if denials is not None:
+                            denials.inc()
                         break
-                    if budget is not None and metrics is not None:
-                        metrics.inc("retry_budget_withdrawals_total",
-                                    group=group)
+                    if budget is not None and withdrawals is not None:
+                        withdrawals.inc()
                     delay = retry.backoff_ms(attempt_no, retry_rng)
                     if delay > 0.0:
                         yield env.timeout(delay)

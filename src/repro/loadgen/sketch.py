@@ -26,7 +26,9 @@ Two properties the benchmark layer depends on, both pinned by tests:
 
 from __future__ import annotations
 
-import math
+from itertools import repeat
+from math import asin, pi
+from operator import itemgetter
 from typing import Iterable, List, Optional, Tuple
 
 __all__ = ["LatencyDigest"]
@@ -35,19 +37,17 @@ __all__ = ["LatencyDigest"]
 DEFAULT_COMPRESSION = 100
 
 
-def _k_scale(q: float, compression: float) -> float:
-    """Dunning's k1 scale function: fine near the tails, coarse in the middle."""
-    return compression * (math.asin(2.0 * q - 1.0) / math.pi + 0.5)
-
-
 class LatencyDigest:
     """Streaming quantile sketch over latency samples (milliseconds).
 
-    ``add`` buffers incoming samples and periodically compresses them into
-    centroids; ``merge`` folds in another digest; ``quantile`` interpolates
-    between centroid means.  ``count``/``mean``/``minimum``/``maximum`` are
-    exact (tracked outside the sketch), only interior quantiles are
-    approximate.
+    ``add`` only buffers: the sample joins ``count``/``mean``/``minimum``/
+    ``maximum`` — folded from the buffer **in arrival order**, so every
+    float is the one eager bookkeeping would have produced — when the
+    buffer fills (``4 * compression`` samples, then it is compressed into
+    centroids and dropped: no raw sample outlives a compress) or when a
+    statistic is read.  ``merge`` folds in another digest; ``quantile``
+    interpolates between centroid means.  The four statistics are exact
+    (tracked outside the sketch), only interior quantiles are approximate.
     """
 
     def __init__(self, compression: int = DEFAULT_COMPRESSION):
@@ -60,7 +60,10 @@ class LatencyDigest:
         #: Uncompressed recent samples, folded in at the next compress.
         self._buffer: List[float] = []
         self._buffer_cap = 4 * self.compression
-        self.count = 0
+        #: Statistics of every sample but the buffer's last
+        #: ``len(_buffer) - _folded`` (see :meth:`_fold`).
+        self._folded = 0
+        self._count = 0
         self._sum = 0.0
         self._min: Optional[float] = None
         self._max: Optional[float] = None
@@ -68,15 +71,8 @@ class LatencyDigest:
     # -- ingestion ---------------------------------------------------------
     def add(self, value: float) -> None:
         """Fold one sample into the sketch."""
-        value = float(value)
-        self.count += 1
-        self._sum += value
-        if self._min is None or value < self._min:
-            self._min = value
-        if self._max is None or value > self._max:
-            self._max = value
         buffer = self._buffer
-        buffer.append(value)
+        buffer.append(float(value))
         if len(buffer) >= self._buffer_cap:
             self._compress()
 
@@ -84,72 +80,103 @@ class LatencyDigest:
         for value in values:
             self.add(value)
 
+    def _fold(self) -> None:
+        """Bring the exact statistics up to date with the buffer.
+
+        The sum is accumulated sample by sample, as ``add`` used to do it
+        (not with ``sum``, whose float result differs across Python
+        versions), so deferring the bookkeeping moves no exported number.
+        """
+        fresh = self._buffer[self._folded:] if self._folded else self._buffer
+        if not fresh:
+            return
+        self._folded += len(fresh)
+        self._count += len(fresh)
+        total = self._sum
+        for value in fresh:
+            total += value
+        self._sum = total
+        low, high = min(fresh), max(fresh)
+        if self._min is None or low < self._min:
+            self._min = low
+        if self._max is None or high > self._max:
+            self._max = high
+
     def merge(self, other: "LatencyDigest") -> "LatencyDigest":
         """Fold ``other``'s mass into this digest (rank error stays bounded)."""
-        if other.count == 0:
+        self._fold()
+        other._fold()
+        if other._count == 0:
             return self
-        self.count += other.count
+        self._count += other._count
         self._sum += other._sum
-        if other._min is not None and (self._min is None or other._min < self._min):
+        if self._min is None or other._min < self._min:
             self._min = other._min
-        if other._max is not None and (self._max is None or other._max > self._max):
+        if self._max is None or other._max > self._max:
             self._max = other._max
-        pending = list(zip(self._means, self._weights))
-        pending += [(m, 1.0) for m in self._buffer]
-        pending += list(zip(other._means, other._weights))
-        pending += [(m, 1.0) for m in other._buffer]
-        self._buffer = []
-        self._means, self._weights = self._merge_points(pending)
+        self._merge_points([*zip(other._means, other._weights),
+                            *zip(other._buffer, repeat(1.0))])
         return self
 
     def _compress(self) -> None:
-        pending = list(zip(self._means, self._weights))
-        pending += [(m, 1.0) for m in self._buffer]
-        self._buffer = []
-        self._means, self._weights = self._merge_points(pending)
+        self._fold()
+        self._merge_points([])
 
-    def _merge_points(
-            self, points: List[Tuple[float, float]],
-    ) -> Tuple[List[float], List[float]]:
-        """One merging pass: sort by mean, greedily fuse within the k-limit."""
-        if not points:
-            return [], []
-        points.sort(key=lambda p: p[0])
-        total = sum(w for _m, w in points)
+    def _merge_points(self, points: List[Tuple[float, float]]) -> None:
+        """One merging pass over our centroids, our buffer and ``points``:
+        sort by mean (stable: equal means keep that order), greedily fuse
+        within Dunning's k1 scale limit — fine near the tails, coarse in the
+        middle.  The total weight is the (already updated) sample count.
+        """
+        points[:0] = [*zip(self._means, self._weights),
+                      *zip(self._buffer, repeat(1.0))]
+        self._buffer = []
+        self._folded = 0
+        points.sort(key=itemgetter(0))
+        total = float(self._count)
         compression = float(self.compression)
-        means: List[float] = []
-        weights: List[float] = []
-        cur_sum = points[0][0] * points[0][1]
-        cur_weight = points[0][1]
+        self._means = means = []
+        self._weights = weights = []
+        remaining = iter(points)
+        mean, cur_weight = next(remaining)
+        cur_sum = mean * cur_weight
         done = 0.0  # weight already sealed into emitted centroids
-        k_floor = _k_scale(0.0, compression)
-        for mean, weight in points[1:]:
+        k_floor = compression * (asin(-1.0) / pi + 0.5)
+        for mean, weight in remaining:
             q_new = (done + cur_weight + weight) / total
-            if _k_scale(q_new, compression) - k_floor <= 1.0:
+            if compression * (asin(2.0 * q_new - 1.0) / pi + 0.5) - k_floor <= 1.0:
                 cur_sum += mean * weight
                 cur_weight += weight
             else:
                 means.append(cur_sum / cur_weight)
                 weights.append(cur_weight)
                 done += cur_weight
-                k_floor = _k_scale(done / total, compression)
+                k_floor = compression * (
+                    asin(2.0 * (done / total) - 1.0) / pi + 0.5)
                 cur_sum = mean * weight
                 cur_weight = weight
         means.append(cur_sum / cur_weight)
         weights.append(cur_weight)
-        return means, weights
 
     # -- statistics --------------------------------------------------------
     @property
+    def count(self) -> int:
+        self._fold()
+        return self._count
+
+    @property
     def mean(self) -> Optional[float]:
-        return self._sum / self.count if self.count else None
+        count = self.count
+        return self._sum / count if count else None
 
     @property
     def minimum(self) -> Optional[float]:
+        self._fold()
         return self._min
 
     @property
     def maximum(self) -> Optional[float]:
+        self._fold()
         return self._max
 
     def quantile(self, q: float) -> Optional[float]:
@@ -163,7 +190,7 @@ class LatencyDigest:
         means, weights = self._means, self._weights
         if len(means) == 1:
             return means[0]
-        target = q * self.count
+        target = q * self._count
         # Centroid i covers ranks centred on cum(i) - weight/2; interpolate
         # between adjacent centres, clamping to the exact extremes.
         cum = 0.0

@@ -90,13 +90,13 @@ class Network:
         #: it during degraded-latency epochs and restore it to 1.0 afterwards.
         self.latency_factor = 1.0
         self.stats = NetworkStats()
-        #: Span sink (a :class:`repro.obs.trace.Tracer`) when tracing is on;
-        #: None (the overwhelmingly common case) costs one attribute check
-        #: per message.
+        #: Span sink (a :class:`repro.obs.trace.Tracer`) when tracing is on.
+        #: The message path never tests it: a message or process carries a
+        #: trace context only when traced code put one there.
         self.tracer = None
         #: Metrics sink (a :class:`repro.obs.metrics.MetricsRegistry`) when
-        #: ``Scenario.metrics`` is on; None costs one attribute check at each
-        #: instrumented seam.
+        #: ``Scenario.metrics`` is on; components resolve their series from
+        #: it at construction, so it is installed before they are built.
         self.metrics = None
         #: msg_id -> open RPC span, finished on reply or timeout.
         self._rpc_spans: Dict[int, Any] = {}
@@ -150,11 +150,11 @@ class Network:
             payload=payload,
             msg_id=msg_id,
             reply_to=reply_to,
-        )
-        if self.tracer is not None:
             # Explicit context (RPC spans, anti-entropy) wins; otherwise the
-            # ambient context of whatever process/handler is sending.
-            message.trace = trace if trace is not None else self.env.current_trace
+            # ambient context of whatever process/handler is sending.  Both
+            # are None whenever tracing is off.
+            trace=trace if trace is not None else self.env.current_trace,
+        )
         delay = self.latency.one_way(self._rng, src, dst) * self.latency_factor
         self.env.schedule(delay, self._deliver, message)
         return msg_id
@@ -182,12 +182,12 @@ class Network:
             pending = self._pending_rpcs.pop(reply_to, None)
             if pending is not None and not pending.triggered:
                 payload = message.payload
-                if self.tracer is not None:
+                if self._rpc_spans:
                     span = self._rpc_spans.pop(reply_to, None)
                     if span is not None:
-                        status = ("overloaded" if payload is OVERLOADED_REPLY
-                                  else "ok")
-                        self.tracer.finish(span, self.env._now, status=status)
+                        span.end_ms = self.env._now
+                        if payload is OVERLOADED_REPLY:
+                            span.status = "overloaded"
                 if payload is OVERLOADED_REPLY:
                     pending.fail(OverloadedError(
                         f"server {message.src} shed "
@@ -210,15 +210,14 @@ class Network:
     ) -> Future:
         """Send a request and return a future for the matching response."""
         response: Future = self.env.future()
-        tracer = self.tracer
-        span = None
-        if tracer is not None and self.env.current_trace is not None:
-            span = tracer.start_span(f"rpc:{kind}", "rpc",
-                                     parent=self.env.current_trace,
-                                     site=src, start_ms=self.env._now)
+        parent = self.env.current_trace
+        if parent is not None:  # set by traced code only: a tracer is installed
+            tracer = self.tracer
+            span = tracer.start_span(tracer.rpc_names[kind], "rpc", parent,
+                                     src, self.env._now)
             span.attrs["dst"] = dst
             msg_id = self.send(src, dst, kind, payload, size_bytes=size_bytes,
-                               trace=tracer.context(span))
+                               trace=span)
             self._rpc_spans[msg_id] = span
         else:
             msg_id = self.send(src, dst, kind, payload, size_bytes=size_bytes)
@@ -242,10 +241,9 @@ class Network:
             pending = pending_rpcs.pop(msg_id, None)
             if pending is not None and not pending.triggered:
                 self.stats.rpc_timeouts += 1
-                if self.tracer is not None:
-                    span = self._rpc_spans.pop(msg_id, None)
-                    if span is not None:
-                        self.tracer.finish(span, now, status="timeout")
+                span = self._rpc_spans.pop(msg_id, None)
+                if span is not None:
+                    self.tracer.finish(span, now, status="timeout")
                 pending.fail(RequestTimeout(
                     f"rpc {kind!r} from {src} to {dst} timed out after "
                     f"{timeout_ms} ms"

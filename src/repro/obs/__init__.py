@@ -12,7 +12,7 @@ runs the canonical causal config traced and requires the untraced count).
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.staleness import StalenessProbe
-from repro.obs.trace import FaultLedger, FaultWindow, Span, TraceContext, Tracer
+from repro.obs.trace import FaultLedger, FaultWindow, Span, Tracer
 
 __all__ = ["FaultLedger", "FaultWindow", "MetricsRegistry", "Span",
-           "StalenessProbe", "TraceContext", "Tracer"]
+           "StalenessProbe", "Tracer"]

@@ -42,13 +42,14 @@ sample lines plus ``_sum`` and ``_count``).  Metric names are prefixed
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.obs.staleness import StalenessProbe
 from repro.obs.trace import FaultLedger, FaultWindow
 
-__all__ = ["MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 #: Canonical series identity: metric name + sorted (label, value) pairs.
 LabelItems = Tuple[Tuple[str, str], ...]
@@ -63,6 +64,8 @@ def _label_items(labels: Dict[str, object]) -> LabelItems:
 
 
 def _new_digest():
+    # Function-level: importing ``repro.loadgen.sketch`` runs the package's
+    # ``__init__``, whose engine imports ``hat.testbed``, which imports us.
     from repro.loadgen.sketch import LatencyDigest
 
     return LatencyDigest()
@@ -91,6 +94,83 @@ def _prom_labels(items: LabelItems) -> str:
     return "{" + ",".join(parts) + "}"
 
 
+def _stats(digest, quantiles: Sequence[float]) -> Dict:
+    stats = {"count": digest.count, "mean": digest.mean,
+             "min": digest.minimum, "max": digest.maximum}
+    for q in quantiles:
+        stats[f"p{int(round(q * 100))}"] = digest.quantile(q)
+    return stats
+
+
+class _Scalar:
+    """A series holding one float; ``None`` until first touched."""
+
+    __slots__ = ("value",)
+
+    def __init__(self):
+        self.value: Optional[float] = None
+
+
+class Counter(_Scalar):
+    """One counter series, resolved: ``inc`` is a float add."""
+
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        value = self.value
+        self.value = 0.0 + amount if value is None else value + amount
+
+
+class Gauge(_Scalar):
+    """One gauge series, resolved."""
+
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        self.value = float(value)
+
+    def max(self, value: float) -> None:
+        """Keep the high-water mark (deterministic under any merge order)."""
+        current = self.value
+        if current is None or value > current:
+            self.value = float(value)
+
+
+class Histogram:
+    """One windowed histogram series, resolved.
+
+    ``observe`` keeps the digest of the window it last wrote bound, and
+    looks a window up again only when ``int(at_ms // window_ms)`` changes
+    (in either direction: t-visibility is bucketed by *commit* time).
+    """
+
+    __slots__ = ("windows", "total", "_window_ms", "_tile", "_add_window",
+                 "_add_total")
+
+    def __init__(self, window_ms: float):
+        self.windows: Dict[int, object] = {}  # window index -> its digest
+        self.total = _new_digest()
+        self._window_ms = window_ms
+        self._tile: Optional[float] = None  # at_ms // window_ms, last written
+        self._add_window: Optional[Callable[[float], None]] = None
+        self._add_total = self.total.add
+
+    def window(self, index: int):
+        digest = self.windows.get(index)
+        if digest is None:
+            digest = self.windows[index] = _new_digest()
+        return digest
+
+    def observe(self, at_ms: float, value: float) -> None:
+        """Add ``value`` to the series at sim-time ``at_ms``."""
+        tile = at_ms // self._window_ms
+        if tile != self._tile:
+            self._tile = tile
+            self._add_window = self.window(int(tile)).add
+        self._add_window(value)
+        self._add_total(value)
+
+
 class MetricsRegistry:
     """Counters, gauges, and windowed t-digest histograms for one run."""
 
@@ -99,18 +179,21 @@ class MetricsRegistry:
         if window_ms <= 0.0:
             raise ReproError(f"window_ms must be > 0, got {window_ms!r}")
         self.window_ms = float(window_ms)
-        self.counters: Dict[SeriesKey, float] = {}
-        self.gauges: Dict[SeriesKey, float] = {}
-        self._windows: Dict[SeriesKey, Dict[int, object]] = {}
-        self._totals: Dict[SeriesKey, object] = {}
+        #: The one storage: series key -> its handle.  A series enters the
+        #: queries and exports only once touched (see :class:`_Scalar`; a
+        #: histogram is touched when it has a window).
+        self._counters: Dict[SeriesKey, Counter] = {}
+        self._gauges: Dict[SeriesKey, Gauge] = {}
+        self._histograms: Dict[SeriesKey, Histogram] = {}
+        self._new_histogram = partial(Histogram, self.window_ms)
         #: The deployment's ledger (a private one for a bare registry).
         self.faults = faults if faults is not None else FaultLedger()
+        #: ``tuple(labels.items())`` -> canonical items, so resolving a
+        #: series does not re-stringify and re-sort labels on every call.
+        self._label_memo: Dict[tuple, LabelItems] = {}
         #: The recency probe rides on the registry so every instrumentation
         #: site reaches both through the one ``network.metrics`` attribute.
         self.staleness = StalenessProbe(self)
-        #: ``tuple(labels.items())`` -> canonical items, so the recording
-        #: primitives do not re-stringify and re-sort labels on every call.
-        self._label_memo: Dict[tuple, LabelItems] = {}
 
     def _items(self, labels: Dict[str, object]) -> LabelItems:
         token = tuple(labels.items())
@@ -123,35 +206,58 @@ class MetricsRegistry:
                 self._label_memo[token] = items
         return items
 
-    # -- primitives ----------------------------------------------------------
-    def inc(self, name: str, amount: float = 1.0, **labels) -> None:
-        key = (name, self._items(labels))
-        self.counters[key] = self.counters.get(key, 0.0) + amount
+    # -- series handles ------------------------------------------------------
+    @staticmethod
+    def _series(table: Dict, key: SeriesKey, new: Callable):
+        series = table.get(key)
+        if series is None:
+            series = table[key] = new()
+        return series
 
-    def set_gauge(self, name: str, value: float, **labels) -> None:
-        self.gauges[(name, self._items(labels))] = float(value)
+    def counter(self, name: str, /, **labels) -> Counter:
+        """The handle of one series; hot seams resolve theirs once."""
+        return self._series(self._counters, (name, self._items(labels)),
+                            Counter)
 
-    def max_gauge(self, name: str, value: float, **labels) -> None:
-        """Keep the high-water mark (deterministic under any merge order)."""
-        key = (name, self._items(labels))
-        current = self.gauges.get(key)
-        if current is None or value > current:
-            self.gauges[key] = float(value)
+    def gauge(self, name: str, /, **labels) -> Gauge:
+        return self._series(self._gauges, (name, self._items(labels)), Gauge)
 
-    def observe(self, name: str, at_ms: float, value: float,
+    def histogram(self, name: str, /, **labels) -> Histogram:
+        return self._series(self._histograms, (name, self._items(labels)),
+                            self._new_histogram)
+
+    # -- by-name convenience (tests, cold seams): resolve, then delegate ------
+    def inc(self, name: str, amount: float = 1.0, /, **labels) -> None:
+        self._series(self._counters, (name, self._items(labels)),
+                     Counter).inc(amount)
+
+    def set_gauge(self, name: str, value: float, /, **labels) -> None:
+        self._series(self._gauges, (name, self._items(labels)),
+                     Gauge).set(value)
+
+    def max_gauge(self, name: str, value: float, /, **labels) -> None:
+        self._series(self._gauges, (name, self._items(labels)),
+                     Gauge).max(value)
+
+    def observe(self, name: str, at_ms: float, value: float, /,
                 **labels) -> None:
-        """Add ``value`` to the histogram series at sim-time ``at_ms``."""
-        key = (name, self._items(labels))
-        index = int(at_ms // self.window_ms)
-        per_window = self._windows.setdefault(key, {})
-        digest = per_window.get(index)
-        if digest is None:
-            digest = per_window[index] = _new_digest()
-        digest.add(value)
-        total = self._totals.get(key)
-        if total is None:
-            total = self._totals[key] = _new_digest()
-        total.add(value)
+        self._series(self._histograms, (name, self._items(labels)),
+                     self._new_histogram).observe(at_ms, value)
+
+    @property
+    def counters(self) -> Dict[SeriesKey, float]:
+        """A snapshot of every touched counter."""
+        return {key: series.value for key, series in self._counters.items()
+                if series.value is not None}
+
+    @property
+    def gauges(self) -> Dict[SeriesKey, float]:
+        return {key: series.value for key, series in self._gauges.items()
+                if series.value is not None}
+
+    def _observed(self, name: str, labels: Dict) -> Optional[Histogram]:
+        series = self._histograms.get((name, _label_items(labels)))
+        return series if series is not None and series.windows else None
 
     # -- fault windows -------------------------------------------------------
     @property
@@ -181,25 +287,20 @@ class MetricsRegistry:
             raise ReproError(
                 f"cannot merge registries with different windows "
                 f"({self.window_ms} vs {other.window_ms})")
-        for key, value in other.counters.items():
-            self.counters[key] = self.counters.get(key, 0.0) + value
-        for (name, items), value in other.gauges.items():
-            self.max_gauge(name, value, **dict(items))
-        for key, per_window in other._windows.items():
-            mine = self._windows.setdefault(key, {})
-            for index, digest in per_window.items():
-                existing = mine.get(index)
-                if existing is None:
-                    existing = mine[index] = _new_digest()
-                existing.merge(digest)
-        for key, total in other._totals.items():
-            existing = self._totals.get(key)
-            if existing is None:
-                existing = self._totals[key] = _new_digest()
-            existing.merge(total)
+        for key, theirs in other._counters.items():
+            if theirs.value is not None:
+                self._series(self._counters, key, Counter).inc(theirs.value)
+        for key, theirs in other._gauges.items():
+            if theirs.value is not None:
+                self._series(self._gauges, key, Gauge).max(theirs.value)
+        for key, theirs in other._histograms.items():
+            mine = self._series(self._histograms, key, self._new_histogram)
+            for index, digest in theirs.windows.items():
+                mine.window(index).merge(digest)
+            mine.total.merge(theirs.total)
 
     # -- queries -------------------------------------------------------------
-    def counter_value(self, name: str, **labels) -> float:
+    def counter_value(self, name: str, /, **labels) -> float:
         return self.counters.get((name, _label_items(labels)), 0.0)
 
     def counter_total(self, name: str) -> float:
@@ -207,32 +308,21 @@ class MetricsRegistry:
         return sum(v for (n, _), v in self.counters.items() if n == name)
 
     def histogram_names(self) -> List[str]:
-        return sorted({name for name, _ in self._windows})
+        return sorted({name for (name, _), series in self._histograms.items()
+                       if series.windows})
 
-    def quantile(self, name: str, q: float, **labels) -> Optional[float]:
-        total = self._totals.get((name, _label_items(labels)))
-        if total is None:
-            return None
-        return total.quantile(q)
+    def quantile(self, name: str, q: float, /, **labels) -> Optional[float]:
+        series = self._observed(name, labels)
+        return None if series is None else series.total.quantile(q)
 
-    def summary(self, name: str,
+    def summary(self, name: str, /,
                 quantiles: Sequence[float] = DEFAULT_QUANTILES,
                 **labels) -> Optional[Dict[str, float]]:
         """Run-level stats for one histogram series (None if unobserved)."""
-        total = self._totals.get((name, _label_items(labels)))
-        if total is None or total.count == 0:
-            return None
-        stats = {
-            "count": total.count,
-            "mean": total.mean,
-            "min": total.minimum,
-            "max": total.maximum,
-        }
-        for q in quantiles:
-            stats[f"p{int(round(q * 100))}"] = total.quantile(q)
-        return stats
+        series = self._observed(name, labels)
+        return None if series is None else _stats(series.total, quantiles)
 
-    def merged_quantiles(self, name: str, window_indices: Sequence[int],
+    def merged_quantiles(self, name: str, window_indices: Sequence[int], /,
                          quantiles: Sequence[float] = DEFAULT_QUANTILES,
                          **labels) -> Optional[Dict[str, float]]:
         """Stats over a subset of windows (e.g. one chaos phase).
@@ -240,31 +330,17 @@ class MetricsRegistry:
         Merges the per-window digests for ``window_indices`` into a scratch
         digest; returns None when none of those windows saw an observation.
         """
-        per_window = self._windows.get((name, _label_items(labels)))
-        if not per_window:
-            return None
+        series = self._observed(name, labels)
         scratch = _new_digest()
-        for index in window_indices:
-            digest = per_window.get(index)
+        for index in window_indices if series is not None else ():
+            digest = series.windows.get(index)
             if digest is not None:
                 scratch.merge(digest)
-        if scratch.count == 0:
-            return None
-        stats = {
-            "count": scratch.count,
-            "mean": scratch.mean,
-            "min": scratch.minimum,
-            "max": scratch.maximum,
-        }
-        for q in quantiles:
-            stats[f"p{int(round(q * 100))}"] = scratch.quantile(q)
-        return stats
+        return _stats(scratch, quantiles) if scratch.count else None
 
-    def window_indices(self, name: str, **labels) -> List[int]:
-        per_window = self._windows.get((name, _label_items(labels)))
-        if not per_window:
-            return []
-        return sorted(per_window)
+    def window_indices(self, name: str, /, **labels) -> List[int]:
+        series = self._observed(name, labels)
+        return [] if series is None else sorted(series.windows)
 
     def indices_in_range(self, start_ms: float, end_ms: float) -> List[int]:
         """Window indices whose midpoint falls in ``[start_ms, end_ms)``."""
@@ -292,24 +368,14 @@ class MetricsRegistry:
 
         fault_dicts = [w.as_dict() for w in self.fault_windows]
         series = []
-        for key in sorted(self._windows):
-            name, items = key
-            windows = []
-            per_window = self._windows[key]
-            for index in sorted(per_window):
-                digest = per_window[index]
-                entry = {
-                    "index": index,
-                    "start_ms": index * self.window_ms,
-                    "end_ms": (index + 1) * self.window_ms,
-                    "count": digest.count,
-                    "mean": digest.mean,
-                    "min": digest.minimum,
-                    "max": digest.maximum,
-                }
-                for q in quantiles:
-                    entry[f"p{int(round(q * 100))}"] = digest.quantile(q)
-                windows.append(entry)
+        for (name, items), histogram in sorted(self._histograms.items()):
+            if not histogram.windows:
+                continue
+            windows = [{"index": index,
+                        "start_ms": index * self.window_ms,
+                        "end_ms": (index + 1) * self.window_ms,
+                        **_stats(digest, quantiles)}
+                       for index, digest in sorted(histogram.windows.items())]
             join_fault_windows(windows, fault_dicts)
             series.append({
                 "name": name,
@@ -326,24 +392,22 @@ class MetricsRegistry:
                    quantiles: Sequence[float] = DEFAULT_QUANTILES) -> str:
         """Prometheus text-exposition snapshot (sorted, deterministic)."""
         lines: List[str] = []
-        for metric in sorted({name for name, _ in self.counters}):
-            lines.append(f"# TYPE {_prom_name(metric)} counter")
-            for (name, items), value in sorted(self.counters.items()):
-                if name != metric:
-                    continue
-                lines.append(f"{_prom_name(name)}{_prom_labels(items)} "
-                             f"{_prom_value(value)}")
-        for metric in sorted({name for name, _ in self.gauges}):
-            lines.append(f"# TYPE {_prom_name(metric)} gauge")
-            for (name, items), value in sorted(self.gauges.items()):
-                if name != metric:
-                    continue
-                lines.append(f"{_prom_name(name)}{_prom_labels(items)} "
-                             f"{_prom_value(value)}")
-        for metric in sorted({name for name, _ in self._totals}):
+        for kind, scalars in (("counter", self.counters),
+                              ("gauge", self.gauges)):
+            for metric in sorted({name for name, _ in scalars}):
+                lines.append(f"# TYPE {_prom_name(metric)} {kind}")
+                for (name, items), value in sorted(scalars.items()):
+                    if name != metric:
+                        continue
+                    lines.append(f"{_prom_name(name)}{_prom_labels(items)} "
+                                 f"{_prom_value(value)}")
+        totals = sorted((key, series.total)
+                        for key, series in self._histograms.items()
+                        if series.windows)
+        for metric in sorted({name for (name, _), _ in totals}):
             lines.append(f"# TYPE {_prom_name(metric)} summary")
-            for (name, items), total in sorted(self._totals.items()):
-                if name != metric or total.count == 0:
+            for (name, items), total in totals:
+                if name != metric:
                     continue
                 base = _prom_name(name)
                 for q in quantiles:

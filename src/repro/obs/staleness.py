@@ -32,8 +32,8 @@ property-tested in ``tests/properties/test_property_metrics.py``.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
-from typing import Dict, List, Optional, Set, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["StalenessProbe"]
 
@@ -41,13 +41,16 @@ __all__ = ["StalenessProbe"]
 class _PendingCommit:
     """Origin-side record of one committed version awaiting installs."""
 
-    __slots__ = ("commit_ms", "origin", "replicas", "installed")
+    __slots__ = ("commit_ms", "origin", "replicas", "owed", "installed")
 
     def __init__(self, commit_ms: float, origin: str,
-                 replicas: Optional[frozenset]):
+                 replicas: Optional[Sequence[str]], owed: Optional[int]):
         self.commit_ms = commit_ms
         self.origin = origin
+        #: The commit-time replica sites (distinct; shared, never mutated)
+        #: and how many of them besides the origin there are.
         self.replicas = replicas
+        self.owed = owed
         self.installed: Set[str] = set()
 
 
@@ -59,16 +62,23 @@ class StalenessProbe:
     installs:
 
     * a pending-commit map — commit time and origin of every committed
-      version, plus the set of replicas that have installed it (so
-      duplicate deliveries are counted once), and
+      version still owed an install, plus the set of replicas that have
+      installed it (so duplicate deliveries are counted once); a version
+      is forgotten once every commit-time replica has it, and
     * a per-key sorted ledger of committed timestamps — the global
-      version history against which k-staleness ranks each read.
+      version history against which k-staleness ranks each read, and what
+      makes a version "known".
     """
 
     def __init__(self, registry):
         self.registry = registry
         self._pending: Dict[Tuple[str, object], _PendingCommit] = {}
         self._ledger: Dict[str, List] = {}
+        self._t_visibility = registry.histogram("t_visibility_ms")
+        self._k_staleness = registry.histogram("k_staleness_versions")
+        self._commits = registry.counter("staleness_commits_total")
+        self._installs = registry.counter("staleness_installs_total")
+        self._reads = registry.counter("staleness_reads_total")
 
     # -- write path ----------------------------------------------------------
     def on_commit(self, key: str, timestamp, origin: str, at_ms: float,
@@ -77,20 +87,29 @@ class StalenessProbe:
 
         Called from the server-side put handlers (RU/quorum, master, MAV),
         which are the single points where a write becomes durable at its
-        origin.  Re-announcing a known version is a no-op.  ``replicas``,
-        when given, freezes the key's replica set *as of commit time*:
-        only installs at those sites count toward t-visibility, so a later
+        origin.  Re-announcing a known version (one in the key's ledger) is
+        a no-op.  ``replicas``, when given, is the key's replica set *as of
+        commit time* (distinct sites, never mutated afterwards): only
+        installs at those sites count toward t-visibility, so a later
         membership change re-routing old versions to brand-new owners (a
         bootstrapping node catching up on history that predates it) does
         not masquerade as replication lag.
         """
-        slot = (key, timestamp)
-        if slot in self._pending:
-            return
-        frozen = frozenset(replicas) if replicas is not None else None
-        self._pending[slot] = _PendingCommit(at_ms, origin, frozen)
-        insort(self._ledger.setdefault(key, []), timestamp)
-        self.registry.inc("staleness_commits_total")
+        ledger = self._ledger.get(key)
+        if ledger is None:
+            self._ledger[key] = [timestamp]
+        elif timestamp > ledger[-1]:  # the common case: commits in order
+            ledger.append(timestamp)
+        else:
+            at = bisect_left(ledger, timestamp)
+            if ledger[at] == timestamp:
+                return
+            ledger.insert(at, timestamp)
+        owed = None if replicas is None else len(replicas) - (origin in replicas)
+        if owed != 0:
+            self._pending[(key, timestamp)] = _PendingCommit(
+                at_ms, origin, replicas, owed)
+        self._commits.inc()
 
     def on_install(self, key: str, timestamp, site: str,
                    at_ms: float) -> None:
@@ -101,17 +120,20 @@ class StalenessProbe:
         set (when one was recorded) are bootstrap catch-up, not lag.
         Versions the probe never saw commit (preloaded state, lock-SR
         commit application) are ignored — the probe measures replication
-        lag of client writes, not bootstrap.
+        lag of client writes, not bootstrap — and so is a replay to a
+        version already forgotten as installed everywhere it went.
         """
-        record = self._pending.get((key, timestamp))
+        slot = (key, timestamp)
+        record = self._pending.get(slot)
         if record is None or site == record.origin or site in record.installed:
             return
         if record.replicas is not None and site not in record.replicas:
             return
         record.installed.add(site)
-        lag_ms = at_ms - record.commit_ms
-        self.registry.observe("t_visibility_ms", record.commit_ms, lag_ms)
-        self.registry.inc("staleness_installs_total")
+        if len(record.installed) == record.owed:
+            del self._pending[slot]
+        self._t_visibility.observe(record.commit_ms, at_ms - record.commit_ms)
+        self._installs.inc()
 
     # -- read path -----------------------------------------------------------
     def on_read(self, key: str, timestamp, at_ms: float) -> None:
@@ -126,10 +148,12 @@ class StalenessProbe:
             k = 0
         elif timestamp is None:
             k = len(ledger)
+        elif timestamp >= ledger[-1]:  # the common case: the freshest version
+            k = 0
         else:
             k = len(ledger) - bisect_right(ledger, timestamp)
-        self.registry.observe("k_staleness_versions", at_ms, float(k))
-        self.registry.inc("staleness_reads_total")
+        self._k_staleness.observe(at_ms, float(k))
+        self._reads.inc()
 
     # -- introspection -------------------------------------------------------
     def pending_installs(self) -> int:

@@ -5,8 +5,9 @@ when ``Scenario.tracing`` is on.  Instrumentation sites throughout the
 request path — client execute, RPC issue/complete, server dispatch,
 anti-entropy pushes, lock grants, session repairs — create :class:`Span`
 records stamped with *simulated-clock* timestamps, linked into per-
-transaction trees by :class:`TraceContext` (a trace id + parent span id
-pair carried on processes and messages).
+transaction trees by the trace context carried on processes and messages:
+the parent :class:`Span` itself, which already holds the trace id and the
+span id a child needs.
 
 The chaos nemesis and membership coordinator report faults as
 :class:`FaultWindow` intervals to the deployment's one :class:`FaultLedger`
@@ -25,24 +26,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["TraceContext", "Span", "FaultWindow", "FaultLedger", "Tracer"]
-
-
-class TraceContext:
-    """What propagates: which trace, and which span is the parent."""
-
-    __slots__ = ("trace_id", "span_id")
-
-    def __init__(self, trace_id: int, span_id: int):
-        self.trace_id = trace_id
-        self.span_id = span_id
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TraceContext(trace={self.trace_id}, span={self.span_id})"
+__all__ = ["Span", "SpanNames", "FaultWindow", "FaultLedger", "Tracer"]
 
 
 class Span:
-    """One timed unit of work on the simulated clock."""
+    """One timed unit of work on the simulated clock.
+
+    A span is also the trace context of its children: what propagates is
+    ``trace_id`` (which trace) and ``span_id`` (which span is the parent).
+    """
 
     __slots__ = ("span_id", "parent_id", "trace_id", "name", "kind", "site",
                  "start_ms", "end_ms", "status", "attrs", "faults")
@@ -80,6 +72,17 @@ class Span:
             "attrs": dict(self.attrs),
             "faults": list(self.faults),
         }
+
+
+class SpanNames(dict):
+    """``prefix:kind`` span names, each built once per message kind."""
+
+    def __init__(self, prefix: str):
+        self.prefix = prefix
+
+    def __missing__(self, kind: str) -> str:
+        name = self[kind] = f"{self.prefix}:{kind}"
+        return name
 
 
 class FaultWindow:
@@ -197,15 +200,16 @@ class Tracer:
         self._next_span = 1
         self._next_trace = 1
         self._by_txn: Dict[int, Span] = {}
+        self.rpc_names = SpanNames("rpc")
+        self.server_names = SpanNames("server")
 
     @property
     def fault_windows(self) -> List[FaultWindow]:
         return self.faults.windows
 
     # -- spans ---------------------------------------------------------------
-    def start_span(self, name: str, kind: str,
-                   parent: Optional[TraceContext], site: str,
-                   start_ms: float) -> Span:
+    def start_span(self, name: str, kind: str, parent: Optional[Span],
+                   site: str, start_ms: float) -> Span:
         """Open a span.  ``parent=None`` starts a fresh trace (e.g. an
         anti-entropy push, which no client transaction caused)."""
         if parent is None:
@@ -226,10 +230,11 @@ class Tracer:
         span.status = status
 
     @staticmethod
-    def context(span: Span) -> TraceContext:
-        return TraceContext(span.trace_id, span.span_id)
+    def context(span: Span) -> Span:
+        """What to propagate so children chain under ``span``: itself."""
+        return span
 
-    def event(self, name: str, parent: TraceContext, site: str,
+    def event(self, name: str, parent: Span, site: str,
               at_ms: float) -> Span:
         """An instantaneous annotation (failover, session repair, ...)."""
         span = self.start_span(name, "event", parent, site, at_ms)

@@ -33,7 +33,7 @@ not O(backlog x rounds).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, NamedTuple, Optional, TYPE_CHECKING
 
 from repro.cluster.config import ClusterConfig
 from repro.sim import Environment
@@ -148,6 +148,14 @@ class _Grid:
             self.arm()
 
 
+class _RoundSeries(NamedTuple):
+    """One service's series, resolved once from the metrics registry."""
+
+    backlog: object
+    rounds: object
+    versions_pushed: object
+
+
 class AntiEntropyClock:
     """A deployment's anti-entropy timer: one :class:`_Grid` per start phase."""
 
@@ -202,6 +210,14 @@ class AntiEntropyService:
         self._next_slot = 0
         #: The shared tick this service is registered with (None = stopped).
         self._grid: Optional[_Grid] = None
+        # Both sinks are installed on the network before servers are built.
+        network = server.network
+        self._tracer = network.tracer
+        metrics, node = network.metrics, server.name
+        self._probe = None if metrics is None else _RoundSeries(
+            metrics.histogram("ae_backlog_versions", node=node),
+            metrics.counter("ae_rounds_total", node=node),
+            metrics.counter("ae_versions_pushed_total", node=node))
 
     # -- dirty tracking ---------------------------------------------------------
     def mark_dirty(self, version: Version, delivered=None) -> None:
@@ -273,13 +289,11 @@ class AntiEntropyService:
         by an earlier round and costs only the request overhead.
         """
         pushed = self._push_dirty()
-        metrics = self.server.network.metrics
-        if metrics is not None and not self._dirty and not self._parked:
+        if self._probe is not None and not self._dirty and not self._parked:
             # No idle round follows to record the drained gauge, so a round
             # that leaves nothing queued closes the series with a zero: a
             # window without a sample means the service was idle.
-            metrics.observe("ae_backlog_versions", self.env.now, 0.0,
-                            node=self.server.name)
+            self._probe.backlog.observe(self.env.now, 0.0)
         return pushed
 
     def _coalesce(self, dirty: List[tuple]) -> List[tuple]:
@@ -335,18 +349,17 @@ class AntiEntropyService:
         return kept
 
     def _push_dirty(self) -> int:
-        metrics = self.server.network.metrics
-        if metrics is not None:
+        probe = self._probe
+        if probe is not None:
             # Backlog is sampled by every round that runs, so the windowed
             # series shows partition-era growth and post-heal drain.
-            metrics.observe("ae_backlog_versions", self.env.now,
-                            float(len(self._dirty) + len(self._parked)),
-                            node=self.server.name)
+            probe.backlog.observe(self.env.now,
+                                  len(self._dirty) + len(self._parked))
         if not self._dirty and not self._parked:
             return 0
         self.stats.rounds += 1
-        if metrics is not None:
-            metrics.inc("ae_rounds_total", node=self.server.name)
+        if probe is not None:
+            probe.rounds.inc()
         partitions = self.server.network.partitions
         stamp = (self.config.epoch, partitions.generation)
         if stamp != self._parked_stamp:
@@ -393,7 +406,7 @@ class AntiEntropyService:
                     self._parked_plain.setdefault(version.key, []).append(
                         self._next_slot)
                 self._next_slot += 1
-        tracer = self.server.network.tracer
+        tracer = self._tracer
         pushed = 0
         for peer, versions in batches.items():
             for start in range(0, len(versions), self.settings.batch_size):
@@ -412,7 +425,7 @@ class AntiEntropyService:
                         start_ms=self.env.now)
                     span.attrs["versions"] = len(chunk)
                     tracer.finish(span, self.env.now)
-                    trace = tracer.context(span)
+                    trace = span
                 self.server.network.send(
                     src=self.server.name,
                     dst=peer,
@@ -424,7 +437,6 @@ class AntiEntropyService:
                     size_bytes=self.settings.bytes_per_version * len(chunk),
                     trace=trace,
                 )
-        if metrics is not None and pushed:
-            metrics.inc("ae_versions_pushed_total", float(pushed),
-                        node=self.server.name)
+        if probe is not None and pushed:
+            probe.versions_pushed.inc(float(pushed))
         return pushed

@@ -1,7 +1,8 @@
 """Deterministic cost pins: simulator work per committed transaction.
 
 Events and messages per committed transaction depend only on the seed, never
-on the machine, so they can be asserted in tier-1 (ROADMAP item 1c).  MAV is
+on the machine, so they can be asserted in tier-1 (the ROADMAP's house rule:
+every perf change lands a deterministic pin here).  MAV is
 held to the budget its stabilisation needs — one acknowledgement message per
 destination server per handler, promotion inside the handler that saw the
 last ack — so a change that re-inflates the notify storm fails here, not
@@ -13,6 +14,8 @@ examines a bounded number of remembered keys per transaction.  Anti-entropy
 through a partition examines each stranded version once when it is marked and
 once when the heal re-queues it, never once per round in between — and a
 stack that never marks a version (``master``) pays nothing for it at all.
+Observability is pinned the same way: what a tracing + metrics run records
+per committed transaction, on the event sequence of the unobserved run.
 """
 
 from types import SimpleNamespace
@@ -122,3 +125,32 @@ def test_master_over_five_regions_pays_for_no_idle_replication_timer():
                   seed=0), testbed=testbed)
     assert stats.committed > 250
     assert testbed.env.events_executed / stats.committed <= 60.0
+
+
+def test_observing_a_run_costs_a_pinned_number_of_spans_and_observations(costs):
+    """The ``eventual`` run again with tracing and metrics on: the same
+    events, and exactly this much recorded per committed transaction, in
+    exactly this many series and window digests.  A seam that starts
+    recording more (or a digest kept per something finer than a series
+    window) fails here, not only in the benchmark's overhead ratio."""
+    scenario = Scenario(regions=["VA", "OR"], servers_per_cluster=2, seed=0,
+                        tracing=True, metrics=True)
+    testbed = build_testbed(scenario)
+    stats = run_workload(
+        RunConfig(protocol="eventual", scenario=scenario, duration_ms=1000.0,
+                  warmup_ms=0.0, seed=0), testbed=testbed)
+    events, _, _, committed = costs["eventual"].cost
+    assert (testbed.env.events_executed, stats.committed) == (events, committed)
+    spans = len(testbed.tracer.spans)
+    series = testbed.metrics.timeseries(quantiles=())["series"]
+    observations = sum(window["count"] for entry in series
+                       for window in entry["windows"])
+    # 17.7 spans and 25.5 histogram observations per committed transaction.
+    assert (spans, observations) == (19236, 27631)
+    # Four per-server series of each of three kinds plus the two recency
+    # series, three 500 ms windows each (preload included).
+    assert len(series) == 14
+    assert sum(len(entry["windows"]) for entry in series) == 42
+    # The recency probe forgot every version but the one still in flight
+    # to its other replica when the run ended.
+    assert testbed.metrics.staleness.pending_installs() == 1

@@ -40,6 +40,39 @@ class TestCounters:
         assert registry.counter_value("nope") == 0.0
         assert registry.counter_total("nope") == 0.0
 
+    def test_labels_may_be_called_what_the_parameters_are_called(self):
+        """``name``, ``value``, ``amount`` and ``at_ms`` are ordinary label
+        names: the recording parameters are positional-only, and ``merge``
+        never passes a stored series' labels back through keywords."""
+        def build():
+            registry = MetricsRegistry(window_ms=100.0)
+            registry.inc("ops_total", 2.0, name="x", amount="y")
+            registry.set_gauge("depth", 1.0, name="x", value="v")
+            registry.max_gauge("depth_max", 3.0, name="x", value="v")
+            registry.observe("lat_ms", 50.0, 7.0, name="x", at_ms="t",
+                             value="v")
+            return registry
+
+        registry = build()
+        labels = (("amount", "y"), ("name", "x"))
+        assert registry.counters == {("ops_total", labels): 2.0}
+        assert registry.counter_value("ops_total", name="x", amount="y") == 2.0
+        assert registry.summary("lat_ms", name="x", at_ms="t",
+                                value="v")["count"] == 1
+        assert registry.window_indices("lat_ms", name="x", at_ms="t",
+                                       value="v") == [0]
+        registry.merge(build())
+        assert registry.counters == {("ops_total", labels): 4.0}
+        assert registry.gauges == {
+            ("depth", (("name", "x"), ("value", "v"))): 1.0,
+            ("depth_max", (("name", "x"), ("value", "v"))): 3.0}
+        assert registry.summary("lat_ms", name="x", at_ms="t",
+                                value="v")["count"] == 2
+        text = registry.prometheus()
+        assert 'repro_ops_total{amount="y",name="x"} 4' in text
+        assert 'repro_depth_max{name="x",value="v"} 3' in text
+        assert 'repro_lat_ms_count{at_ms="t",name="x",value="v"} 2' in text
+
 
 class TestGauges:
     def test_set_and_max(self):
@@ -217,6 +250,47 @@ class TestStalenessProbe:
         probe.on_install("k", 1, "s3", 900.0)
         assert registry.summary("t_visibility_ms")["count"] == 1
         assert registry.summary("t_visibility_ms")["max"] == 40.0
+
+    def test_a_version_installed_everywhere_it_went_is_forgotten(self):
+        """``pending_installs`` counts versions still owed an install: it
+        read 1 after a two-replica version's only remote install."""
+        registry = MetricsRegistry()
+        probe = registry.staleness
+        probe.on_commit("k", 1, "s1", 0.0, replicas=("s1", "s2"))
+        probe.on_commit("k", 2, "s1", 5.0, replicas=("s1", "s2", "s3"))
+        assert probe.pending_installs() == 2
+        probe.on_install("k", 1, "s1", 0.0)  # the origin's own install
+        assert probe.pending_installs() == 2
+        probe.on_install("k", 1, "s2", 40.0)
+        assert probe.pending_installs() == 1
+        probe.on_install("k", 2, "s3", 45.0)
+        probe.on_install("k", 2, "s3", 50.0)  # a duplicate covers nothing
+        assert probe.pending_installs() == 1
+        probe.on_install("k", 2, "s2", 55.0)
+        assert probe.pending_installs() == 0
+        # A replay to a forgotten version is ignored as a duplicate was, and
+        # re-announcing it is still a no-op: the ledger remembers it.
+        probe.on_install("k", 1, "s2", 90.0)
+        probe.on_commit("k", 1, "s9", 99.0, replicas=("s9", "s2"))
+        probe.on_install("k", 1, "s2", 120.0)
+        assert probe.pending_installs() == 0
+        assert registry.counter_total("staleness_commits_total") == 2.0
+        assert registry.counter_total("staleness_installs_total") == 3.0
+        assert registry.summary("t_visibility_ms")["count"] == 3
+        assert registry.summary("t_visibility_ms")["max"] == 50.0
+        assert probe.ledger_depth("k") == 2
+
+    def test_a_version_with_no_other_replica_is_never_pending(self):
+        probe = MetricsRegistry().staleness
+        probe.on_commit("k", 1, "s1", 0.0, replicas=("s1",))
+        assert probe.pending_installs() == 0
+        assert probe.ledger_depth("k") == 1
+
+    def test_a_version_without_a_frozen_replica_set_stays_pending(self):
+        probe = MetricsRegistry().staleness
+        probe.on_commit("k", 1, "s1", 0.0)
+        probe.on_install("k", 1, "s2", 40.0)
+        assert probe.pending_installs() == 1
 
     def test_unknown_version_install_ignored(self):
         registry = MetricsRegistry()

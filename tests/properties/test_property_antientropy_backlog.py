@@ -69,8 +69,10 @@ class Deployment:
         self.backlog = []
         network = SimpleNamespace(
             partitions=self.partitions, tracer=None, send=self._send,
-            metrics=SimpleNamespace(observe=self._observe,
-                                    inc=lambda *a, **k: None))
+            metrics=SimpleNamespace(
+                histogram=self._histogram,
+                counter=lambda name, **labels: SimpleNamespace(
+                    inc=lambda amount=1.0: None)))
         self.service = AntiEntropyService(
             SimpleNamespace(now=0.0),
             SimpleNamespace(name=SELF, alive=True, network=network),
@@ -80,9 +82,10 @@ class Deployment:
     def _send(self, src, dst, kind, payload, size_bytes, trace):
         self.sent.append((dst, [id(v) for v in payload["versions"]]))
 
-    def _observe(self, name, at_ms, value, **labels):
+    def _histogram(self, name, **labels):
         assert name == "ae_backlog_versions"
-        self.backlog.append(value)
+        return SimpleNamespace(
+            observe=lambda at_ms, value: self.backlog.append(value))
 
     def apply(self, kind, arg):
         """A fault or membership step (shared by service and reference)."""

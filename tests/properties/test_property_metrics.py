@@ -152,3 +152,87 @@ def test_t_visibility_monotone_and_replay_invariant(commits, lags, replays,
     assert summary["mean"] == pytest.approx(expected["mean"])
     assert registry.counters == reference.counters
     assert registry.counter_total("staleness_installs_total") == len(installs)
+
+
+# -- series handles: one storage, one recording routine ------------------------
+
+# Window indices in any order (t-visibility is bucketed by commit time, so a
+# handle's cached window must follow the clock backwards too), two series.
+HANDLE_STREAM = st.lists(
+    st.tuples(st.sampled_from(["s1", "s2"]),             # node label
+              st.sampled_from(["handle", "by-name"]),    # which path records
+              st.floats(min_value=0.0, max_value=3_000.0,
+                        allow_nan=False, allow_infinity=False),  # at_ms
+              st.one_of(st.integers(min_value=0, max_value=500),
+                        st.floats(min_value=0.0, max_value=1e6,
+                                  allow_nan=False, allow_infinity=False))),
+    min_size=1, max_size=200)
+
+
+@given(stream=HANDLE_STREAM)
+@settings(max_examples=50, deadline=None)
+def test_handles_and_by_name_calls_record_identically(stream):
+    """The same stream through pre-bound handles, through the by-name API,
+    and through both at once on one series: byte-identical exports."""
+    by_name = MetricsRegistry(window_ms=250.0)
+    by_handle = MetricsRegistry(window_ms=250.0)
+    mixed = MetricsRegistry(window_ms=250.0)
+    handles = {
+        registry: {node: (registry.histogram("lat_ms", node=node),
+                          registry.counter("ops_total", node=node),
+                          registry.gauge("peak", node=node))
+                   for node in ("s1", "s2")}
+        for registry in (by_handle, mixed)}
+
+    def record_by_name(registry, node, at_ms, value):
+        registry.observe("lat_ms", at_ms, value, node=node)
+        registry.inc("ops_total", value, node=node)
+        registry.max_gauge("peak", value, node=node)
+
+    def record_by_handle(registry, node, at_ms, value):
+        histogram, counter, gauge = handles[registry][node]
+        histogram.observe(at_ms, value)
+        counter.inc(value)
+        gauge.max(value)
+
+    for node, path, at_ms, value in stream:
+        record_by_name(by_name, node, at_ms, value)
+        record_by_handle(by_handle, node, at_ms, value)
+        (record_by_handle if path == "handle" else record_by_name)(
+            mixed, node, at_ms, value)
+    # Each observation is in the window of its own timestamp, whichever
+    # window the handle wrote before it.
+    expected = {}
+    for node, _path, at_ms, _value in stream:
+        slot = (node, int(at_ms // 250.0))
+        expected[slot] = expected.get(slot, 0) + 1
+    assert {(entry["labels"]["node"], window["index"]): window["count"]
+            for entry in by_name.timeseries(quantiles=())["series"]
+            for window in entry["windows"]} == expected
+    for registry in (by_handle, mixed):
+        assert registry.prometheus() == by_name.prometheus()
+        assert registry.timeseries() == by_name.timeseries()
+        assert registry.counters == by_name.counters
+        assert registry.gauges == by_name.gauges
+
+
+def test_a_resolved_series_is_exported_only_once_touched():
+    registry = MetricsRegistry(window_ms=250.0)
+    counter = registry.counter("ops_total", node="s1")
+    gauge = registry.gauge("peak", node="s1")
+    histogram = registry.histogram("lat_ms", node="s1")
+    untouched = MetricsRegistry(window_ms=250.0)
+    assert registry.prometheus() == untouched.prometheus() == ""
+    assert registry.timeseries() == untouched.timeseries()
+    assert registry.counters == registry.gauges == {}
+    assert registry.histogram_names() == []
+    assert registry.summary("lat_ms", node="s1") is None
+    counter.inc(0.0)  # touched, even by nothing
+    gauge.set(0.0)
+    histogram.observe(10.0, 0.0)
+    assert registry.counters == {("ops_total", (("node", "s1"),)): 0.0}
+    assert registry.gauges == {("peak", (("node", "s1"),)): 0.0}
+    assert registry.histogram_names() == ["lat_ms"]
+    # Resolving again returns the same handle: one storage per series.
+    assert registry.counter("ops_total", node="s1") is counter
+    assert registry.histogram("lat_ms", node="s1") is histogram

@@ -9,6 +9,8 @@ the grid arithmetic at its edges — a mark exactly on an instant, a service
 started off-grid, a service that left.
 """
 
+from types import SimpleNamespace
+
 from repro.bench.runner import RunConfig, run_workload
 from repro.chaos import Nemesis, canonical_partition_campaign
 from repro.hat.testbed import (FIVE_REGION_DEPLOYMENT, Scenario, Testbed,
@@ -178,14 +180,17 @@ class TestBacklogGauge:
             anti_entropy=AntiEntropyConfig(interval_ms=5.0)))
         server = testbed.server_list()[0]
         samples = []
-        observe = testbed.metrics.observe
+        # The service resolved its ``ae_backlog_versions`` series when it was
+        # built: spy on that handle.
+        service = server.anti_entropy
+        backlog = service._probe.backlog
 
-        def spy(name, at_ms, value, **labels):
-            if name == "ae_backlog_versions" and labels["node"] == server.name:
-                samples.append((at_ms, value))
-            observe(name, at_ms, value, **labels)
+        def spy(at_ms, value):
+            samples.append((at_ms, value))
+            backlog.observe(at_ms, value)
 
-        testbed.metrics.observe = spy
+        service._probe = service._probe._replace(
+            backlog=SimpleNamespace(observe=spy))
         testbed.partition_regions([["VA"], ["OR"]])
         server.anti_entropy.mark_dirty(_version("user1", 1))
         testbed.run(18.0)

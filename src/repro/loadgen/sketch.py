@@ -40,14 +40,12 @@ DEFAULT_COMPRESSION = 100
 class LatencyDigest:
     """Streaming quantile sketch over latency samples (milliseconds).
 
-    ``add`` only buffers: the sample joins ``count``/``mean``/``minimum``/
-    ``maximum`` — folded from the buffer **in arrival order**, so every
-    float is the one eager bookkeeping would have produced — when the
-    buffer fills (``4 * compression`` samples, then it is compressed into
-    centroids and dropped: no raw sample outlives a compress) or when a
-    statistic is read.  ``merge`` folds in another digest; ``quantile``
-    interpolates between centroid means.  The four statistics are exact
-    (tracked outside the sketch), only interior quantiles are approximate.
+    ``add`` only buffers; ``merge`` folds in another digest; ``quantile``
+    interpolates between centroid means.  ``count``/``mean``/``minimum``/
+    ``maximum`` are exact (tracked outside the sketch, folded from the buffer
+    **in arrival order** when it fills — ``4 * compression`` samples, then it
+    is compressed and dropped — or when one is read: float for float what
+    per-sample bookkeeping gives); only interior quantiles are approximate.
     """
 
     def __init__(self, compression: int = DEFAULT_COMPRESSION):
@@ -60,8 +58,7 @@ class LatencyDigest:
         #: Uncompressed recent samples, folded in at the next compress.
         self._buffer: List[float] = []
         self._buffer_cap = 4 * self.compression
-        #: Statistics of every sample but the buffer's last
-        #: ``len(_buffer) - _folded`` (see :meth:`_fold`).
+        #: The statistics below cover all but ``_buffer[_folded:]``.
         self._folded = 0
         self._count = 0
         self._sum = 0.0
@@ -81,12 +78,8 @@ class LatencyDigest:
             self.add(value)
 
     def _fold(self) -> None:
-        """Bring the exact statistics up to date with the buffer.
-
-        The sum is accumulated sample by sample, as ``add`` used to do it
-        (not with ``sum``, whose float result differs across Python
-        versions), so deferring the bookkeeping moves no exported number.
-        """
+        """Bring the exact statistics up to date with the buffer (the sum
+        sample by sample: ``sum`` rounds differently across Pythons)."""
         fresh = self._buffer[self._folded:] if self._folded else self._buffer
         if not fresh:
             return

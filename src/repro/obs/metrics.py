@@ -19,13 +19,14 @@ coordinator), which is what lets the windowed export be *joined* with
 chaos phases: every exported window carries the ids of the fault windows
 it overlapped.
 
-Zero-overhead contract: like tracing, nothing here schedules simulator
-events or consumes randomness — all bookkeeping is inline arithmetic on
-plain dicts — and every instrumentation site guards on
-``metrics is not None``, so a metrics-off run executes the exact same
-event sequence (pinned by ``TestGoldenKernelRun`` in
-``tests/bench/test_golden_artifacts.py``, which runs the canonical causal
-config with metrics on and requires the metrics-off event count).
+Handles: ``histogram(name, **labels)`` / ``counter`` / ``gauge`` canonicalise
+``(name, labels)`` once and return the series itself — the one storage, whose
+``observe(at_ms, x)`` / ``inc(n)`` / ``set(x)`` / ``max(x)`` is the one
+recording routine; the by-name ``observe/inc/set_gauge/max_gauge`` resolve a
+handle and delegate.  A series enters the queries and exports when first
+*touched*, not when resolved.  Like tracing, nothing here schedules events or
+consumes randomness, so a metrics-on run executes the metrics-off event
+sequence (pinned by ``TestGoldenKernelRun``).
 
 Determinism: registries are keyed and iterated in sorted order, ids are
 registry-local, and the t-digest is the deterministic mergeable sketch
@@ -112,8 +113,6 @@ class _Scalar:
 
 
 class Counter(_Scalar):
-    """One counter series, resolved: ``inc`` is a float add."""
-
     __slots__ = ()
 
     def inc(self, amount: float = 1.0) -> None:
@@ -122,8 +121,6 @@ class Counter(_Scalar):
 
 
 class Gauge(_Scalar):
-    """One gauge series, resolved."""
-
     __slots__ = ()
 
     def set(self, value: float) -> None:
@@ -179,9 +176,7 @@ class MetricsRegistry:
         if window_ms <= 0.0:
             raise ReproError(f"window_ms must be > 0, got {window_ms!r}")
         self.window_ms = float(window_ms)
-        #: The one storage: series key -> its handle.  A series enters the
-        #: queries and exports only once touched (see :class:`_Scalar`; a
-        #: histogram is touched when it has a window).
+        #: Series key -> its handle (touched: a value, or a window).
         self._counters: Dict[SeriesKey, Counter] = {}
         self._gauges: Dict[SeriesKey, Gauge] = {}
         self._histograms: Dict[SeriesKey, Histogram] = {}

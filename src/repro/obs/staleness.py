@@ -47,8 +47,7 @@ class _PendingCommit:
                  replicas: Optional[Sequence[str]], owed: Optional[int]):
         self.commit_ms = commit_ms
         self.origin = origin
-        #: The commit-time replica sites (distinct; shared, never mutated)
-        #: and how many of them besides the origin there are.
+        #: Commit-time replica sites, and how many besides the origin.
         self.replicas = replicas
         self.owed = owed
         self.installed: Set[str] = set()

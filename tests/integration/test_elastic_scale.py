@@ -159,7 +159,7 @@ def _record_run(protocol: str, recorder: HistoryRecorder, make_campaign=None):
     # Every key the first join moved must be readable at its new owner.
     # (A MAV write that reaches a joiner only through post-flip
     # anti-entropy is held in pending, where bounded reads find it: its
-    # acks were spent on the old ring — ROADMAP item 5 tracks that hole.)
+    # acks were spent on the old ring — ROADMAP item 4 tracks that hole.)
     join = next(r for r in testbed.membership.records if r.kind == "join")
     assert join.done and join.moved_keys
     for key in join.moved_keys:

@@ -239,9 +239,10 @@ def _run_open_loop_inner(config: OpenLoopConfig, testbed: Testbed, env,
         # registry).
         deposits = denials = withdrawals = None
         if metrics is not None:
-            deposits, denials, withdrawals = (
-                metrics.counter(f"retry_budget_{event}_total", group=group)
-                for event in ("deposits", "denials", "withdrawals"))
+            deposits = metrics.counter("retry_budget_deposits_total", group=group)
+            denials = metrics.counter("retry_budget_denials_total", group=group)
+            withdrawals = metrics.counter("retry_budget_withdrawals_total",
+                                          group=group)
 
         def handle(client, session_id: int, request: PendingRequest):
             transaction = request.transaction

@@ -107,22 +107,24 @@ class LatencyDigest:
             self._min = other._min
         if self._max is None or other._max > self._max:
             self._max = other._max
-        self._merge_points([*zip(other._means, other._weights),
-                            *zip(other._buffer, repeat(1.0))])
+        self._merge_points(self._points() + other._points())
         return self
 
     def _compress(self) -> None:
         self._fold()
-        self._merge_points([])
+        self._merge_points(self._points())
+
+    def _points(self) -> List[Tuple[float, float]]:
+        """Centroids, then buffered samples at weight one: (mean, weight)."""
+        return [*zip(self._means, self._weights),
+                *zip(self._buffer, repeat(1.0))]
 
     def _merge_points(self, points: List[Tuple[float, float]]) -> None:
-        """One merging pass over our centroids, our buffer and ``points``:
-        sort by mean (stable: equal means keep that order), greedily fuse
+        """One merging pass replacing our centroids and buffer by ``points``:
+        sort by mean (stable: equal means keep their order), greedily fuse
         within Dunning's k1 scale limit — fine near the tails, coarse in the
         middle.  The total weight is the (already updated) sample count.
         """
-        points[:0] = [*zip(self._means, self._weights),
-                      *zip(self._buffer, repeat(1.0))]
         self._buffer = []
         self._folded = 0
         points.sort(key=itemgetter(0))

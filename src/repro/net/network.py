@@ -243,7 +243,8 @@ class Network:
                 self.stats.rpc_timeouts += 1
                 span = self._rpc_spans.pop(msg_id, None)
                 if span is not None:
-                    self.tracer.finish(span, now, status="timeout")
+                    span.end_ms = now
+                    span.status = "timeout"
                 pending.fail(RequestTimeout(
                     f"rpc {kind!r} from {src} to {dst} timed out after "
                     f"{timeout_ms} ms"

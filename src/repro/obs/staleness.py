@@ -70,7 +70,6 @@ class StalenessProbe:
     """
 
     def __init__(self, registry):
-        self.registry = registry
         self._pending: Dict[Tuple[str, object], _PendingCommit] = {}
         self._ledger: Dict[str, List] = {}
         self._t_visibility = registry.histogram("t_visibility_ms")

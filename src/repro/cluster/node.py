@@ -151,16 +151,15 @@ class ServerNode:
             else:
                 self._reject(message, "queue-full")
                 return
-        now = self.env._now
-        queue.append((message, now, len(queue)))
-        depth = len(queue)
+        found = len(queue)
+        queue.append((message, self.env._now, found))
         probe = self._probe
         if probe is not None:
-            probe.depth.observe(now, depth)
-        if depth > stats.max_queue_depth:
-            stats.max_queue_depth = depth
+            probe.depth.observe(self.env._now, found + 1)
+        if found >= stats.max_queue_depth:
+            stats.max_queue_depth = found + 1
             if probe is not None:  # the gauge is this same high-water mark
-                probe.depth_max.max(depth)
+                probe.depth_max.max(found + 1)
         if self._busy_workers < self.cost.concurrency:
             self._maybe_start_worker()
 

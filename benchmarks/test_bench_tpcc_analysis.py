@@ -14,7 +14,12 @@ The paper's claims, reproduced here as measurements:
 from conftest import scaled
 
 from repro.hat.testbed import Scenario, build_testbed
-from repro.workloads.tpcc import TPCCConfig, TPCCWorkload, district_next_oid_key
+from repro.workloads.tpcc import (
+    TPCCConfig,
+    TPCCWorkload,
+    district_next_oid_key,
+    initial_load_transactions,
+)
 from repro.workloads.tpcc_analysis import (
     check_sequential_order_ids,
     check_state,
@@ -30,7 +35,7 @@ def run_tpcc_on_hat(protocol="mav", transactions=scaled(60, 300)):
                                        customers_per_district=10, items=50), seed=1)
     client = testbed.make_client(protocol)
     env = testbed.env
-    for txn in workload.initial_load():
+    for txn in initial_load_transactions(workload.config):
         env.run_until_complete(client.execute(txn))
     committed = 0
     for _ in range(transactions):

@@ -14,18 +14,17 @@ Run with::
 """
 
 from repro.hat import Operation, Scenario, Transaction, build_testbed
-from repro.hat.sessions import SessionClient
 from repro.replication.antientropy import AntiEntropyConfig
 
 
 def profile_update_scenario(sticky):
     testbed = build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=2))
     home = testbed.config.cluster_names[0]
-    base = testbed.make_client("read-committed", home_cluster=home)
-    session = SessionClient(base, sticky=sticky)
+    client = testbed.make_client("read-committed+causal", home_cluster=home,
+                                 sticky=sticky)
 
     # The user updates their profile in the home datacenter.
-    write = testbed.env.run_until_complete(session.execute(
+    write = testbed.env.run_until_complete(client.execute(
         Transaction([Operation.write("profile:alice", "new-avatar")])
     ))
     assert write.committed
@@ -37,10 +36,10 @@ def profile_update_scenario(sticky):
         lambda site: None if site in home_servers else "rest"
     )
 
-    read = testbed.env.run_until_complete(session.execute(
+    read = testbed.env.run_until_complete(client.execute(
         Transaction([Operation.read("profile:alice")])
     ))
-    return read.value_read("profile:alice"), session
+    return read.value_read("profile:alice"), client
 
 
 def composite_causal_scenario():
@@ -89,11 +88,11 @@ def main():
     print("=" * 60)
 
     for sticky in (True, False):
-        value, session = profile_update_scenario(sticky)
+        value, client = profile_update_scenario(sticky)
         label = "sticky session  " if sticky else "non-sticky      "
         print(f"{label}: read profile = {value!r:14}  "
-              f"(cache hits: {session.state.cache_hits}, "
-              f"unrepaired stale reads: {session.violations()})")
+              f"(cache hits: {client.session.cache_hits}, "
+              f"unrepaired stale reads: {client.violations()})")
 
     print("\nThe sticky session serves the user's own write from its session")
     print("cache when the contacted replica is stale; the non-sticky session")

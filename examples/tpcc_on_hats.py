@@ -24,7 +24,11 @@ Run with::
 from repro.adya.history import HistoryRecorder
 from repro.bench.runner import RunConfig, run_workload
 from repro.hat import Scenario, build_testbed
-from repro.workloads.tpcc import TPCCConfig, TPCCWorkload
+from repro.workloads.tpcc import (
+    TPCCConfig,
+    TPCCWorkload,
+    initial_load_transactions,
+)
 from repro.workloads.tpcc_analysis import (
     check_sequential_order_ids,
     check_state,
@@ -40,7 +44,7 @@ def run_tpcc_mix(transactions=150):
     workload = TPCCWorkload(TPCCConfig(warehouses=2, districts_per_warehouse=2,
                                        customers_per_district=10, items=50), seed=42)
     client = testbed.make_client("mav")
-    for txn in workload.initial_load():
+    for txn in initial_load_transactions(workload.config):
         testbed.env.run_until_complete(client.execute(txn))
     committed = 0
     for _ in range(transactions):

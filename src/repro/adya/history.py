@@ -75,9 +75,6 @@ class HistoryTransaction:
             seen.setdefault(write.key, None)
         return list(seen)
 
-    def reads_of(self, key: str) -> List[ReadEvent]:
-        return [r for r in self.reads if r.key == key]
-
 
 class History:
     """A set of transactions, a per-item version order, and sessions."""

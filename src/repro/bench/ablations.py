@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.bench.metrics import RunStats
 from repro.bench.runner import RunConfig, run_workload
 from repro.hat.protocols import MASTER, QUORUM, READ_COMMITTED, TWO_PHASE_LOCKING
 from repro.hat.testbed import Scenario, build_testbed
@@ -139,58 +138,6 @@ def stickiness_ablation(sessions: int = 10, seed: int = 0) -> StickinessResult:
     )
 
 
-def _two_region_runs(protocols: Sequence[str], servers_per_cluster: int,
-                     workload: YCSBConfig, clients_per_cluster: int,
-                     duration_ms: float, seed: int) -> List[RunStats]:
-    """One closed-loop YCSB run per protocol on Virginia + Oregon."""
-    return [run_workload(RunConfig(
-        protocol=protocol,
-        scenario=Scenario(regions=["VA", "OR"],
-                          servers_per_cluster=servers_per_cluster, seed=seed),
-        workload=workload,
-        clients_per_cluster=clients_per_cluster,
-        duration_ms=duration_ms,
-        seed=seed,
-    )) for protocol in protocols]
-
-
-# ---------------------------------------------------------------------------
-# Session-layer overhead
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LayerOverheadPoint:
-    """Throughput/latency of one guarantee stack versus its bare base."""
-
-    protocol: str
-    throughput_txn_s: float
-    #: None when the run committed nothing (no latency samples).
-    mean_latency_ms: Optional[float]
-    remote_rpc_fraction: float
-
-
-def session_layer_overhead(
-    protocols: Sequence[str] = (READ_COMMITTED, f"{READ_COMMITTED}+causal",
-                                "mav", "mav+causal"),
-    clients_per_cluster: int = 2,
-    duration_ms: float = 600.0,
-    seed: int = 0,
-) -> List[LayerOverheadPoint]:
-    """Measure what stacking the session guarantees costs on a healthy network.
-
-    The layers' dependency forwarding only fires on failover, so on an
-    unpartitioned deployment a stacked client should track its base protocol
-    closely — this ablation quantifies the claim.
-    """
-    return [LayerOverheadPoint(
-        protocol=stats.protocol,
-        throughput_txn_s=stats.throughput_txn_s,
-        mean_latency_ms=stats.latency.mean,
-        remote_rpc_fraction=stats.remote_rpc_fraction,
-    ) for stats in _two_region_runs(protocols, 2, YCSBConfig(key_count=500),
-                                    clients_per_cluster, duration_ms, seed)]
-
-
 # ---------------------------------------------------------------------------
 # Coordinated baselines
 # ---------------------------------------------------------------------------
@@ -213,13 +160,23 @@ def coordinated_baselines(
     duration_ms: float = 1500.0,
     seed: int = 0,
 ) -> List[BaselinePoint]:
-    """Latency of the coordinated protocols on a two-region deployment."""
-    return [BaselinePoint(
-        protocol=stats.protocol,
-        mean_latency_ms=stats.latency.mean,
-        p95_latency_ms=stats.latency.p95,
-        throughput_txn_s=stats.throughput_txn_s,
-        abort_rate=stats.abort_rate,
-    ) for stats in _two_region_runs(
-        protocols, 3, YCSBConfig(operations_per_transaction=4, key_count=5000),
-        clients_per_cluster, duration_ms, seed)]
+    """Latency of the coordinated protocols on Virginia + Oregon."""
+    points = []
+    for protocol in protocols:
+        stats = run_workload(RunConfig(
+            protocol=protocol,
+            scenario=Scenario(regions=["VA", "OR"], servers_per_cluster=3,
+                              seed=seed),
+            workload=YCSBConfig(operations_per_transaction=4, key_count=5000),
+            clients_per_cluster=clients_per_cluster,
+            duration_ms=duration_ms,
+            seed=seed,
+        ))
+        points.append(BaselinePoint(
+            protocol=stats.protocol,
+            mean_latency_ms=stats.latency.mean,
+            p95_latency_ms=stats.latency.p95,
+            throughput_txn_s=stats.throughput_txn_s,
+            abort_rate=stats.abort_rate,
+        ))
+    return points

@@ -136,8 +136,8 @@ TRACE_PROTOCOLS = (EVENTUAL, "causal", MASTER, "lock-sr")
 #: wedges behind a reply the partition dropped — with the default 10 s
 #: deadline a client mid-RPC at partition onset would stay dark for the
 #: entire campaign.  The 2PL client waits on its own lock deadline, so
-#: lock protocols get the same bound (``client_kwargs`` applies it only
-#: to them).  One policy object replaces the per-experiment kwargs dicts.
+#: lock protocols get the same bound (``RetryPolicy.client_kwargs`` applies
+#: it only to them).
 CHAOS_RETRY = RetryPolicy(rpc_timeout_ms=2_000.0, lock_timeout_ms=2_000.0)
 
 #: The contended TPC-C scale the simulation sweeps by default (the same
@@ -190,7 +190,7 @@ def _install(testbed: Testbed,
 def _closed_loop_leg(protocol: str, testbed: Testbed,
                      campaign: Optional[Campaign], workload: Any, params, *,
                      duration_ms: Optional[float] = None,
-                     retry: Optional[RetryPolicy] = None,
+                     retry: RetryPolicy = RetryPolicy(),
                      recorder: Optional[object] = None,
                      telemetry: Optional[TimelineTelemetry] = None,
                      preload: bool = True
@@ -223,7 +223,7 @@ def _open_loop_leg(protocol: str, testbed: Testbed,
                    campaign: Optional[Campaign], arrivals, workload: Any,
                    params, *, duration_ms: Optional[float] = None,
                    seed: Optional[int] = None,
-                   retry: Optional[RetryPolicy] = None,
+                   retry: RetryPolicy = RetryPolicy(),
                    telemetry: Optional[TimelineTelemetry] = None
                    ) -> Tuple[OpenLoopStats, List[NarrationEntry]]:
     """The open-loop sibling of :func:`_closed_loop_leg`.
@@ -1346,7 +1346,7 @@ def _trace_stack_run(protocol: str, partition: bool,
         protocol, testbed, _partition_campaign(params) if partition else None,
         YCSBConfig(key_count=params.key_count), params,
         duration_ms=params.duration_ms,
-        retry=CHAOS_RETRY if partition else None)
+        retry=CHAOS_RETRY if partition else RetryPolicy())
     tracer.finalize(testbed.env.now)
     rows = _committed_breakdowns(tracer)
     committed = [(latency, breakdown) for latency, breakdown, _ in rows]

@@ -21,33 +21,24 @@ Closed-loop load is inherently self-throttling: clients wait for replies,
 so offered rate falls as the system slows and overload never shows.  For
 arrival-process load over bounded session pools — saturation knees,
 queueing delay, backlog drain — use the open-loop sibling,
-:func:`repro.loadgen.engine.run_open_loop`.
+:func:`repro.loadgen.engine.run_open_loop`, whose module also holds the
+harness both drivers run inside (GC pause, preload, where the measured
+interval and its grace period sit on the sim clock).
 """
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from repro.bench.metrics import RunStats, summarize_run
+from repro.errors import ReproError
 from repro.hat.testbed import Scenario, Testbed, build_testbed
-from repro.overload.retry import RetryPolicy
 from repro.hat.transaction import TransactionResult
-from repro.workloads.base import Workload, as_workload_factory, run_preload
+from repro.loadgen.engine import gc_paused, open_run_window
+from repro.overload.retry import RetryPolicy
+from repro.workloads.base import Workload, as_workload_factory
 from repro.workloads.ycsb import YCSBConfig
-
-#: Default grace period: this multiple of the deployment's worst mean RTT.
-GRACE_RTT_MULTIPLE = 10.0
-#: Floor on the default grace period (the historical fixed value), so small
-#: deployments keep their previous timing.
-MIN_GRACE_PERIOD_MS = 2_000.0
-#: Back-off before retrying after an abort that consumed no simulated time.
-#: Under a partition the unavailable protocols fail fast (the master check is
-#: a local routing-table lookup), and a zero-delay retry loop would freeze
-#: the simulated clock; any abort that *did* take time already paid its
-#: pacing (lock timeouts, RPC deadlines) and retries immediately as before.
-ZERO_TIME_ABORT_BACKOFF_MS = 25.0
 
 
 @dataclass
@@ -64,49 +55,40 @@ class RunConfig:
     warmup_ms: float = 100.0
     seed: int = 0
     #: How long to keep the simulation running past ``duration_ms`` so that
-    #: in-flight transactions finish.  ``None`` scales with the scenario:
-    #: ``GRACE_RTT_MULTIPLE`` times the worst mean RTT (with a floor of
-    #: ``MIN_GRACE_PERIOD_MS``), because a fixed grace period silently
-    #: truncates transactions in high-latency geo deployments.
+    #: in-flight transactions finish.  ``None`` scales with the scenario
+    #: (:func:`repro.loadgen.engine.default_grace_period_ms`), because a
+    #: fixed grace period silently truncates transactions in high-latency
+    #: geo deployments.
     grace_period_ms: Optional[float] = None
-    #: Retry back-off after an abort that consumed no simulated time (see
-    #: ``ZERO_TIME_ABORT_BACKOFF_MS``); only chaos runs ever hit it.
-    #: Superseded by :attr:`retry` when one is set.
-    abort_backoff_ms: float = ZERO_TIME_ABORT_BACKOFF_MS
-    #: Extra keyword arguments for every client the run constructs (e.g.
-    #: ``{"rpc_timeout_ms": 2_000.0}`` so chaos runs bound how long a
-    #: client wedges behind a reply the partition dropped).  Prefer
-    #: :attr:`retry` for timeout knobs; explicit entries here still win.
-    client_kwargs: Dict[str, Any] = field(default_factory=dict)
-    #: One documented home for the run's timeout/backoff discipline (RPC
-    #: deadline, per-protocol lock deadline, zero-time-abort pacing) —
-    #: see :class:`repro.overload.retry.RetryPolicy`.  ``None`` keeps the
-    #: legacy knobs above.
-    retry: Optional[RetryPolicy] = None
+    #: The run's timeout/backoff discipline (see
+    #: :class:`repro.overload.retry.RetryPolicy`): the RPC and lock
+    #: deadlines of every client the run constructs — chaos runs bound how
+    #: long a client wedges behind a reply the partition dropped — and
+    #: ``abort_backoff_ms``, the pause after an abort that consumed no
+    #: simulated time.  Under a partition the unavailable protocols fail
+    #: fast (the master check is a local routing-table lookup) and a
+    #: zero-delay retry loop would freeze the simulated clock; an abort
+    #: that *did* take time already paid its pacing and retries at once.
+    retry: RetryPolicy = RetryPolicy()
 
-    def effective_client_kwargs(self) -> Dict[str, Any]:
-        """Client kwargs with the retry policy's deadlines folded in."""
-        if self.retry is None:
-            return self.client_kwargs
-        merged = self.retry.client_kwargs(self.protocol)
-        merged.update(self.client_kwargs)
-        return merged
-
-    def effective_abort_backoff_ms(self) -> float:
-        if self.retry is None:
-            return self.abort_backoff_ms
-        return self.retry.abort_backoff_ms
+    def __post_init__(self) -> None:
+        # A closed-loop client reissues on completion and has no retry
+        # loop: refuse the knobs only the open-loop engine acts on.
+        for name in ("max_attempts", "retry_budget_ratio",
+                     "breaker_failure_threshold"):
+            value = getattr(self.retry, name)
+            if value != getattr(RetryPolicy, name):  # the field's default
+                raise ReproError(
+                    f"RunConfig.retry sets {name}={value!r}, which a "
+                    "closed-loop run ignores; retries, budgets and breakers "
+                    "belong to run_open_loop (repro.loadgen.engine)")
 
     @property
     def total_clients(self) -> int:
         return self.clients_per_cluster * len(self.scenario.cluster_regions())
 
 
-def default_grace_period_ms(testbed: Testbed) -> float:
-    """The grace period used when :attr:`RunConfig.grace_period_ms` is None."""
-    return max(MIN_GRACE_PERIOD_MS, GRACE_RTT_MULTIPLE * testbed.max_rtt_ms())
-
-
+@gc_paused()
 def run_workload(config: RunConfig,
                  testbed: Optional[Testbed] = None,
                  recorder: Optional[object] = None,
@@ -127,38 +109,11 @@ def run_workload(config: RunConfig,
     testbed = testbed or build_testbed(config.scenario)
     env = testbed.env
     factory = as_workload_factory(config.workload)
-    # The simulation allocates millions of short-lived tuples and messages;
-    # generational GC passes over them cost ~15% of a run's wall-clock and
-    # collect nothing of note mid-run.  Pause collection for the run's
-    # duration (cycles created during the run are reclaimed once normal
-    # collection resumes).
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        return _run_workload_inner(config, testbed, env, factory, recorder,
-                                   telemetry, preload)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-def _run_workload_inner(config: RunConfig, testbed: Testbed, env,
-                        factory, recorder, telemetry, preload) -> RunStats:
-    # Preload (e.g. the TPC-C initial contents) happens before the measured
-    # interval, through a plain eventual client with no recorder attached.
-    if preload:
-        run_preload(testbed, factory)
-    start_ms = env.now
-    end_ms = start_ms + config.duration_ms
+    start_ms, _, end_ms, horizon_ms = open_run_window(
+        config, testbed, telemetry, preload)
     results: List[TransactionResult] = []
-    if telemetry is not None:
-        # Windows tile the measured interval only, so windowed totals agree
-        # with the warmup-excluding aggregate stats.
-        telemetry.start_run(start_ms + config.warmup_ms, end_ms)
-
-    abort_backoff_ms = config.effective_abort_backoff_ms()
-    client_kwargs = config.effective_client_kwargs()
+    abort_backoff_ms = config.retry.abort_backoff_ms
+    client_kwargs = config.retry.client_kwargs(config.protocol)
 
     def client_loop(client, workload: Workload, group: str):
         observe = getattr(workload, "observe", None)
@@ -192,10 +147,7 @@ def _run_workload_inner(config: RunConfig, testbed: Testbed, env,
             client_index += 1
 
     # Let every in-flight transaction finish: run a grace period past the end.
-    grace_ms = config.grace_period_ms
-    if grace_ms is None:
-        grace_ms = default_grace_period_ms(testbed)
-    env.run(until=end_ms + grace_ms)
+    env.run(until=horizon_ms)
 
     return summarize_run(
         protocol=config.protocol,

@@ -31,20 +31,12 @@ class NetworkError(ReproError):
     """Base class for simulated network failures."""
 
 
-class PartitionedError(NetworkError):
-    """Raised when a message cannot be delivered because of a partition."""
-
-
 class RequestTimeout(NetworkError):
     """Raised when an RPC does not receive a response within its deadline."""
 
 
 class StorageError(ReproError):
     """Base class for storage-engine failures."""
-
-
-class KeyNotFound(StorageError):
-    """Raised when a read references a key with no visible version."""
 
 
 class TransactionError(ReproError):
@@ -90,10 +82,6 @@ class OverloadedError(ExternalAbort):
     *immediately* that the system is saturated instead of discovering it
     via a timed-out RPC that still consumed server capacity.
     """
-
-
-class IntegrityViolation(InternalAbort):
-    """A declared integrity constraint would have been violated."""
 
 
 class IsolationError(ReproError):

@@ -23,8 +23,6 @@ with sticky availability (Figure 2, Section 5.3).
   ``"mav+wfr+mr"``, or ``"causal"`` (all four session guarantees, sticky),
   derives each stack's availability class from the Table 3 taxonomy, and
   registers ``causal`` and ``mav+causal`` as first-class protocols.
-* :mod:`repro.hat.sessions` / :mod:`repro.hat.cut_isolation` — legacy
-  wrapper interfaces over the same layer logic.
 * :mod:`repro.hat.testbed` — builds a full simulated deployment (topology,
   network, clusters, servers, anti-entropy, clients) from a scenario;
   ``make_client`` accepts any registry spec.

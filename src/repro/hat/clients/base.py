@@ -241,10 +241,6 @@ class ProtocolClient:
         result.scan_results.append(versions)
         return versions
 
-    @staticmethod
-    def _reads_of(result: TransactionResult) -> List[ReadObservation]:
-        return result.reads
-
 
 @dataclass(slots=True)
 class ReadRequest:

@@ -199,14 +199,14 @@ class AtomicVisibilityLayer(WriteBufferingLayer):
 # Item and Predicate Cut Isolation (Section 5.1.1)
 # ---------------------------------------------------------------------------
 
-def split_cut_plan(operations: List[Operation],
-                   predicate_cut: bool = True) -> Tuple[List[Operation], List[str], List[str]]:
+def split_cut_plan(
+        operations: List[Operation]) -> Tuple[List[Operation], List[str], List[str]]:
     """Separate first reads from repeats (the cut-isolation rewrite).
 
     Returns ``(plan, duplicate_reads, duplicate_scans)``: the plan keeps the
-    first read of each item (and, with ``predicate_cut``, the first
-    evaluation of each named predicate); repeats are answered later from the
-    cache of first observations by :func:`replay_cut_duplicates`.
+    first read of each item and the first evaluation of each named
+    predicate; repeats are answered later from the cache of first
+    observations by :func:`replay_cut_duplicates`.
     """
     seen_keys: Dict[str, None] = {}
     seen_predicates: Dict[str, None] = {}
@@ -221,7 +221,7 @@ def split_cut_plan(operations: List[Operation],
                 continue
             seen_keys[op.key] = None
             plan.append(op)
-        elif op.is_scan and predicate_cut:
+        elif op.is_scan:
             name = op.predicate_name or "predicate"
             if name in seen_predicates:
                 duplicate_scans.append(name)
@@ -262,14 +262,8 @@ class CutIsolationLayer(GuaranteeLayer):
 
     token = "ci"
 
-    def __init__(self, predicate_cut: bool = True) -> None:
-        super().__init__()
-        self.predicate_cut = predicate_cut
-
     def plan(self, operations: List[Operation], ctx: TxnContext) -> List[Operation]:
-        plan, ctx.duplicate_reads, ctx.duplicate_scans = split_cut_plan(
-            operations, predicate_cut=self.predicate_cut
-        )
+        plan, ctx.duplicate_reads, ctx.duplicate_scans = split_cut_plan(operations)
         return plan
 
     def finalize(self, ctx: TxnContext) -> None:
@@ -350,14 +344,11 @@ class SessionState:
             self.seen_owed.add(key)
         self._raise_high_water(version.timestamp)
 
-    def remember_write(self, key: str, version: Version,
-                       update_last_seen: bool = False) -> None:
+    def remember_write(self, key: str, version: Version) -> None:
         current = self.own_writes.get(key)
         if current is None or version.timestamp > current.timestamp:
             self.own_writes[key] = version
             self.own_owed.add(key)
-        if update_last_seen:
-            self.remember_read(key, version)
         self._raise_high_water(version.timestamp)
 
     def _raise_high_water(self, timestamp: Timestamp) -> None:

@@ -19,9 +19,7 @@ from repro.cluster.config import ClusterConfig, build_cluster_config
 from repro.cluster.node import ServiceCostModel
 from repro.errors import ReproError
 from repro.hat.clients import ProtocolClient, build_client
-from repro.hat.cut_isolation import CutIsolationClient
 from repro.hat.server import HATServer
-from repro.hat.sessions import SessionClient
 from repro.membership.coordinator import MembershipCoordinator, MembershipEvent
 from repro.membership.ring import DEFAULT_VIRTUAL_NODES
 from repro.net.latency import EC2LatencyModel, FixedLatencyModel, LatencyModel
@@ -37,8 +35,6 @@ from repro.storage.lsm import LSMCostModel
 
 #: The five lowest-communication-cost regions the paper uses for Figure 3C.
 FIVE_REGION_DEPLOYMENT = ["VA", "CA", "OR", "IR", "SI"]
-
-_CLIENT_COUNTER = itertools.count(1)
 
 
 @dataclass
@@ -133,20 +129,17 @@ class Testbed:
 
     # -- client construction -----------------------------------------------------------
     def make_client(self, protocol: str, home_cluster: Optional[str] = None,
-                    recorder: Optional[object] = None,
-                    session: bool = False, sticky: bool = True,
-                    cut_isolation: bool = False,
+                    recorder: Optional[object] = None, sticky: bool = True,
                     **client_kwargs) -> ProtocolClient:
         """Create a client for a protocol spec, homed in ``home_cluster``.
 
         ``protocol`` is any spec the registry accepts — a plain base such as
         ``"mav"`` or a guarantee stack such as ``"causal"`` or
-        ``"mav+wfr+mr"`` (see :func:`repro.hat.protocols.parse_spec`).
-        ``sticky=False`` builds the stack in demonstration mode: session
-        layers record guarantee violations instead of repairing them.  The
-        legacy wrapper flags remain: ``session=True`` wraps the client with
-        the post-processing :class:`SessionClient` and ``cut_isolation=True``
-        with :class:`CutIsolationClient`.
+        ``"mav+wfr+mr"`` (see :func:`repro.hat.protocols.parse_spec`);
+        the spec is the only way to stack session guarantees or cut
+        isolation (``"read-committed+ci+causal"``).  ``sticky=False``
+        builds the stack in demonstration mode: session layers record
+        guarantee violations instead of repairing them.
         """
         if home_cluster is None:
             home_cluster = self.config.cluster_names[0]
@@ -160,13 +153,8 @@ class Testbed:
             value_bytes=self.scenario.value_bytes, sticky=sticky,
             **client_kwargs,
         )
-        wrapped: ProtocolClient = client
-        if cut_isolation:
-            wrapped = CutIsolationClient(wrapped)
-        if session:
-            wrapped = SessionClient(wrapped, sticky=sticky)
-        self.clients.append(wrapped)
-        return wrapped
+        self.clients.append(client)
+        return client
 
     def make_clients(self, protocol: str, per_cluster: int,
                      recorder: Optional[object] = None,

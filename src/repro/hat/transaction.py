@@ -110,9 +110,6 @@ class Transaction:
     #: Optional workload-level tag (e.g. a TPC-C transaction type); carried
     #: into recorded histories so auditors can group by program.
     label: Optional[str] = None
-    #: Legacy TPC-C annotation (the generators also set ``label``); an
-    #: explicit field because ``slots=True`` forbids ad-hoc attributes.
-    tpcc_type: Optional[str] = None
     #: Trace context of this transaction's root span (set by a traced
     #: client at execute time; None whenever tracing is off).
     trace: Optional[object] = None

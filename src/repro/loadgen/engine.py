@@ -15,13 +15,19 @@ The measured latency of a request is arrival-to-commit: queueing delay
 included, exactly what an open-loop system's users experience.  Committed
 latencies stream into a :class:`~repro.loadgen.sketch.LatencyDigest`
 (bounded memory, mergeable), never a sample list.
+
+What the two drivers share is a harness, not a body, and it lives here:
+:func:`gc_paused` and :func:`open_run_window` (preload, then the measured
+interval and its grace period laid out on the sim clock).  The closed loop
+imports both.
 """
 
 from __future__ import annotations
 
 import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.hat.testbed import Scenario, Testbed, build_testbed
@@ -34,6 +40,63 @@ from repro.workloads.base import as_arrival_source, run_preload
 from repro.workloads.ycsb import YCSBConfig
 
 __all__ = ["OpenLoopConfig", "OpenLoopStats", "BacklogSample", "run_open_loop"]
+
+#: Default grace period: this multiple of the deployment's worst mean RTT.
+GRACE_RTT_MULTIPLE = 10.0
+#: Floor on the default grace period (the historical fixed value), so small
+#: deployments keep their previous timing.
+MIN_GRACE_PERIOD_MS = 2_000.0
+#: How often the backlog sampler records queue depth / in-flight counts.
+BACKLOG_SAMPLE_MS = 100.0
+
+
+def default_grace_period_ms(testbed: Testbed) -> float:
+    """The grace period a run config's ``grace_period_ms=None`` stands for."""
+    return max(MIN_GRACE_PERIOD_MS, GRACE_RTT_MULTIPLE * testbed.max_rtt_ms())
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause generational GC for a run; decorates both drivers.
+
+    The simulation allocates millions of short-lived tuples and messages;
+    GC passes over them cost ~15% of a run's wall-clock and collect nothing
+    of note mid-run (cycles created during the run are reclaimed once
+    normal collection resumes).
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def open_run_window(config, testbed: Testbed, telemetry: Optional[object],
+                    preload: bool) -> Tuple[float, float, float, float]:
+    """Run the workload's preload, then place the run on the sim clock.
+
+    ``config`` is an :class:`OpenLoopConfig` or a closed-loop ``RunConfig``
+    (the fields read here are common to both).  Returns ``(start_ms,
+    measure_start_ms, end_ms, horizon_ms)``: the measured interval, where
+    the warm-up inside it ends, and the end of the grace period in-flight
+    requests finish in.  The preload (e.g. the TPC-C initial contents) goes
+    through a plain eventual client with no recorder and finishes before
+    ``start_ms``; telemetry windows tile the post-warm-up interval only, so
+    windowed totals agree with the aggregate stats.
+    """
+    if preload:
+        run_preload(testbed, config.workload)
+    start_ms = testbed.env.now
+    end_ms = start_ms + config.duration_ms
+    measure_start_ms = start_ms + config.warmup_ms
+    grace_ms = config.grace_period_ms
+    if grace_ms is None:
+        grace_ms = default_grace_period_ms(testbed)
+    if telemetry is not None:
+        telemetry.start_run(measure_start_ms, end_ms)
+    return start_ms, measure_start_ms, end_ms, end_ms + grace_ms
 
 
 @dataclass
@@ -62,18 +125,14 @@ class OpenLoopConfig:
     #: Bound on each pool's wait queue; arrivals beyond it are shed and
     #: counted.  None = unbounded queue (backlog growth stays observable).
     max_queue: Optional[int] = None
-    #: How often the backlog sampler records queue depth / in-flight counts.
-    backlog_sample_ms: float = 100.0
-    #: Extra keyword arguments for every session's protocol client.
-    client_kwargs: Dict[str, Any] = field(default_factory=dict)
-    #: Client-side retry discipline (see
-    #: :class:`repro.overload.retry.RetryPolicy`).  A failed (externally
-    #: aborted) request is retried by its session with jittered
-    #: exponential backoff, gated by the per-session retry budget and the
-    #: per-pool circuit breaker the policy configures.  ``None`` — and a
-    #: policy with the default ``max_attempts=1`` — never retries, which
-    #: is the engine's historical behaviour.
-    retry: Optional[RetryPolicy] = None
+    #: Client-side timeout and retry discipline (see
+    #: :class:`repro.overload.retry.RetryPolicy`): its deadlines go to
+    #: every session's protocol client, and a failed (externally aborted)
+    #: request is retried by its session with jittered exponential
+    #: backoff, gated by the per-session retry budget and the per-pool
+    #: circuit breaker the policy configures.  The default policy sets no
+    #: deadline and never retries (``max_attempts=1``).
+    retry: RetryPolicy = RetryPolicy()
 
     def __post_init__(self) -> None:
         if self.arrivals is None:
@@ -177,6 +236,7 @@ class _Counters:
         self.retry_denials = 0
 
 
+@gc_paused()
 def run_open_loop(config: OpenLoopConfig,
                   testbed: Optional[Testbed] = None,
                   recorder: Optional[object] = None,
@@ -190,37 +250,12 @@ def run_open_loop(config: OpenLoopConfig,
     up), and periodic ``observe_queue_depth`` samples — the offered-versus-
     completed and backlog series that make overload observable.
     """
+    from repro.bench.metrics import LatencySummary  # lazy: avoids a cycle
+
     testbed = testbed or build_testbed(config.scenario)
     env = testbed.env
-    # Same rationale as the closed-loop runner: generational GC passes over
-    # millions of short-lived simulation tuples collect nothing of note.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        return _run_open_loop_inner(config, testbed, env, recorder,
-                                    telemetry, preload)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-def _run_open_loop_inner(config: OpenLoopConfig, testbed: Testbed, env,
-                         recorder, telemetry, preload) -> OpenLoopStats:
-    from repro.bench.metrics import LatencySummary  # lazy: avoids a cycle
-    from repro.bench.runner import default_grace_period_ms
-
-    if preload:
-        run_preload(testbed, config.workload)
-    start_ms = env.now
-    end_ms = start_ms + config.duration_ms
-    measure_start = start_ms + config.warmup_ms
-    grace_ms = config.grace_period_ms
-    if grace_ms is None:
-        grace_ms = default_grace_period_ms(testbed)
-    horizon_ms = end_ms + grace_ms
-    if telemetry is not None:
-        telemetry.start_run(measure_start, end_ms)
+    start_ms, measure_start, end_ms, horizon_ms = open_run_window(
+        config, testbed, telemetry, preload)
 
     streams = RandomStreams(config.seed)
     counters = _Counters()
@@ -248,7 +283,7 @@ def _run_open_loop_inner(config: OpenLoopConfig, testbed: Testbed, env,
             transaction = request.transaction
             transaction.session_id = session_id
             budget = None
-            if retry is not None and retry.retry_budget_ratio is not None:
+            if retry.retry_budget_ratio is not None:
                 budget = budgets.get(session_id)
                 if budget is None:
                     budget = budgets[session_id] = retry.make_budget()
@@ -256,28 +291,27 @@ def _run_open_loop_inner(config: OpenLoopConfig, testbed: Testbed, env,
                 if deposits is not None:
                     deposits.inc()
             result = yield client.execute(transaction)
-            if retry is not None:
-                # Externally aborted requests (timeouts, overload
-                # rejections, unreachable replicas) are retried with
-                # jittered exponential backoff, bounded by the attempt
-                # cap and the session's retry budget; an internal abort
-                # is the transaction's own choice and is never retried.
-                attempt_no = 1
-                while (not result.committed and not result.internal_abort
-                       and attempt_no < retry.max_attempts):
-                    if budget is not None and not budget.withdraw():
-                        counters.retry_denials += 1
-                        if denials is not None:
-                            denials.inc()
-                        break
-                    if budget is not None and withdrawals is not None:
-                        withdrawals.inc()
-                    delay = retry.backoff_ms(attempt_no, retry_rng)
-                    if delay > 0.0:
-                        yield env.timeout(delay)
-                    counters.retries += 1
-                    attempt_no += 1
-                    result = yield client.execute(transaction)
+            # Externally aborted requests (timeouts, overload rejections,
+            # unreachable replicas) are retried with jittered exponential
+            # backoff, bounded by the attempt cap and the session's retry
+            # budget; an internal abort is the transaction's own choice
+            # and is never retried.
+            attempt_no = 1
+            while (not result.committed and not result.internal_abort
+                   and attempt_no < retry.max_attempts):
+                if budget is not None and not budget.withdraw():
+                    counters.retry_denials += 1
+                    if denials is not None:
+                        denials.inc()
+                    break
+                if budget is not None and withdrawals is not None:
+                    withdrawals.inc()
+                delay = retry.backoff_ms(attempt_no, retry_rng)
+                if delay > 0.0:
+                    yield env.timeout(delay)
+                counters.retries += 1
+                attempt_no += 1
+                result = yield client.execute(transaction)
             if result.end_ms >= measure_start:
                 if result.committed:
                     counters.committed += 1
@@ -322,28 +356,22 @@ def _run_open_loop_inner(config: OpenLoopConfig, testbed: Testbed, env,
                 for pool, group in zip(pools, groups):
                     telemetry.observe_queue_depth(group, env.now,
                                                   pool.backlog)
-            yield env.timeout(config.backlog_sample_ms)
+            yield env.timeout(BACKLOG_SAMPLE_MS)
 
     rejected_before = sum(server.stats.rejected
                           for server in testbed.servers.values())
     for cluster_index, cluster_name in enumerate(testbed.config.cluster_names):
         group = testbed.config.cluster(cluster_name).region
-        pool_kwargs = config.client_kwargs
-        retry_rng = None
-        if retry is not None:
-            # The policy's deadlines become client kwargs (explicit
-            # entries in config.client_kwargs still win).  Each pool gets
-            # its own jitter stream (named streams are independent, so a
-            # run without a retry policy draws the exact same random
-            # sequences as before the policy existed) and, when
-            # configured, one circuit breaker shared by its sessions.
-            pool_kwargs = retry.client_kwargs(config.protocol)
-            pool_kwargs.update(config.client_kwargs)
-            retry_rng = streams.stream(f"retry:{cluster_name}")
-            breaker = retry.make_breaker()
-            if breaker is not None:
-                breakers.append(breaker)
-                pool_kwargs["breaker"] = breaker
+        # The policy's deadlines become client kwargs.  Each pool gets its
+        # own jitter stream (named streams are independent: a policy that
+        # never retries draws nothing from it) and, when configured, one
+        # circuit breaker shared by its sessions.
+        pool_kwargs = retry.client_kwargs(config.protocol)
+        retry_rng = streams.stream(f"retry:{cluster_name}")
+        breaker = retry.make_breaker()
+        if breaker is not None:
+            breakers.append(breaker)
+            pool_kwargs["breaker"] = breaker
         pool = SessionPool(
             testbed, config.protocol, cluster_name,
             size=config.sessions_per_cluster, recorder=recorder,

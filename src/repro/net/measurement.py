@@ -60,14 +60,6 @@ class MeasurementStudy:
             return self.traces[(src, dst)]
         return self.traces[(dst, src)]
 
-    def mean_matrix(self, names: Sequence[str]) -> Dict[Tuple[str, str], float]:
-        """Mean RTTs for every unordered pair in ``names``."""
-        matrix: Dict[Tuple[str, str], float] = {}
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                matrix[(a, b)] = self.traces[(a, b)].mean
-        return matrix
-
 
 def run_ping_study(
     samples_per_link: int = 2000,

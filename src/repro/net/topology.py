@@ -90,10 +90,6 @@ class Topology:
         """All regions that currently have at least one site."""
         return sorted({site.region for site in self.sites.values()})
 
-    def sites_in_region(self, region: str) -> List[Site]:
-        """All sites placed in ``region``."""
-        return [s for s in self.sites.values() if s.region == region]
-
     def region_pairs(self) -> Iterable[Tuple[str, str]]:
         """Unordered pairs of distinct regions present in the topology."""
         return itertools.combinations(self.regions(), 2)

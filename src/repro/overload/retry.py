@@ -7,11 +7,10 @@ effective load becomes R times the offered load, and the system stays
 overloaded long after the trigger is gone.  The defenses here bound that
 amplification:
 
-* :class:`RetryPolicy` — the single documented home for every
-  timeout/backoff knob (RPC deadline, lock deadline, zero-time-abort
-  pacing, retry count, jittered exponential backoff, budget and breaker
-  parameters).  Run configs carry one of these instead of scattering
-  ``client_kwargs`` dictionaries and per-protocol special cases.
+* :class:`RetryPolicy` — the one home for every timeout/backoff knob
+  (RPC deadline, lock deadline, zero-time-abort pacing, retry count,
+  jittered exponential backoff, budget and breaker parameters).  Both
+  load drivers' run configs carry one and nothing else sets a deadline.
 * :class:`RetryBudget` — a token bucket in the style of Finagle's retry
   budget: fresh requests deposit a fraction of a token, retries withdraw a
   whole one, so sustained retry load is at most ``ratio`` times the
@@ -30,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+from repro.hat.protocols import TWO_PHASE_LOCKING, parse_spec
+
 __all__ = ["RetryPolicy", "RetryBudget", "CircuitBreaker"]
 
 
@@ -37,14 +38,12 @@ __all__ = ["RetryPolicy", "RetryBudget", "CircuitBreaker"]
 class RetryPolicy:
     """Every client-side timeout/backoff/retry knob, in one place.
 
-    The first three fields consolidate knobs that previously lived in
-    three different places: ``rpc_timeout_ms`` was passed through
-    ``client_kwargs``, ``lock_timeout_ms`` was special-cased per protocol
-    by the saturation bench, and the zero-time-abort backoff was a loose
-    constant on the closed-loop runner.  The remaining fields configure
-    the open-loop engine's retry loop and its defenses; with the default
-    ``max_attempts=1`` no retry ever happens and a run behaves exactly as
-    if no policy were set.
+    The first three fields apply to both load drivers: the deadlines
+    become client keyword arguments (:meth:`client_kwargs`) and
+    ``abort_backoff_ms`` paces the closed loop.  The remaining fields
+    configure the open-loop engine's retry loop and its defenses — the
+    closed loop refuses a policy that sets them — and with the default
+    ``max_attempts=1`` no retry ever happens.
     """
 
     #: RPC deadline for every request a client issues.  ``None`` keeps the
@@ -72,28 +71,24 @@ class RetryPolicy:
     #: ``ratio`` times the offered load.  ``None`` disables the budget
     #: (unbounded retries — the metastable configuration).
     retry_budget_ratio: Optional[float] = None
-    #: Token bucket capacity (the burst of back-to-back retries allowed).
-    retry_budget_burst: float = 10.0
     #: Consecutive failures that open the circuit breaker (``None``
     #: disables the breaker).
     breaker_failure_threshold: Optional[int] = None
     #: How long an open breaker fails fast before probing again.
     breaker_cooldown_ms: float = 1_000.0
-    #: Probes allowed in flight while half-open.
-    breaker_half_open_probes: int = 1
 
     def client_kwargs(self, protocol: str) -> Dict[str, Any]:
         """The keyword arguments this policy implies for a protocol client.
 
-        Replaces the per-protocol special-casing the benches used to do by
-        hand: every protocol gets the RPC deadline, and lock-based
-        protocols (specs starting with ``"lock"``) additionally get the
-        lock deadline.
+        Every protocol gets the RPC deadline; specs whose base is two-phase
+        locking — under any alias the registry accepts — additionally get
+        the lock deadline.
         """
         kwargs: Dict[str, Any] = {}
         if self.rpc_timeout_ms is not None:
             kwargs["rpc_timeout_ms"] = self.rpc_timeout_ms
-        if self.lock_timeout_ms is not None and protocol.startswith("lock"):
+        if (self.lock_timeout_ms is not None
+                and parse_spec(protocol).base == TWO_PHASE_LOCKING):
             kwargs["lock_timeout_ms"] = self.lock_timeout_ms
         return kwargs
 
@@ -116,7 +111,7 @@ class RetryPolicy:
     def make_budget(self) -> Optional["RetryBudget"]:
         if self.retry_budget_ratio is None:
             return None
-        return RetryBudget(self.retry_budget_ratio, self.retry_budget_burst)
+        return RetryBudget(self.retry_budget_ratio)
 
     def make_breaker(self) -> Optional["CircuitBreaker"]:
         if self.breaker_failure_threshold is None:
@@ -124,7 +119,6 @@ class RetryPolicy:
         return CircuitBreaker(
             failure_threshold=self.breaker_failure_threshold,
             cooldown_ms=self.breaker_cooldown_ms,
-            half_open_probes=self.breaker_half_open_probes,
         )
 
 

@@ -297,7 +297,7 @@ class AntiEntropyService:
         return pushed
 
     def _coalesce(self, dirty: List[tuple]) -> List[tuple]:
-        """Drop versions superseded by a later version of the same key.
+        """Drop versions that a later version of the same key supersedes.
 
         Under last-writer-wins every *visible* read on the peer resolves to
         the newest version, so pushing a superseded one changes nothing a

@@ -88,9 +88,3 @@ class LockManager:
     # -- inspection ------------------------------------------------------------
     def holder(self, key: str) -> Optional[int]:
         return self._holders.get(key)
-
-    def queue_length(self, key: str) -> int:
-        return len(self._waiters.get(key, ()))
-
-    def held_keys(self, txn_id: int) -> list:
-        return [k for k, holder in self._holders.items() if holder == txn_id]

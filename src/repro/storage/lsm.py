@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.storage.kvstore import VersionedStore
-from repro.storage.records import Timestamp, Version
+from repro.storage.records import Version
 
 
 @dataclass(slots=True)
@@ -98,11 +98,6 @@ class LSMStore:
     def get_latest(self, key: str) -> tuple:
         """Return ``(version, cost_ms)`` for the latest version of ``key``."""
         version = self.data.latest(key)
-        return version, self._read_cost()
-
-    def get_at_or_before(self, key: str, timestamp: Timestamp) -> tuple:
-        """Return ``(version or None, cost_ms)`` for a timestamp-bounded read."""
-        version = self.data.latest_at_or_before(key, timestamp)
         return version, self._read_cost()
 
     def scan(self, predicate) -> tuple:

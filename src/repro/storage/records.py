@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, FrozenSet, Iterable, Optional
+from typing import Any, FrozenSet, Optional
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,9 +52,6 @@ class Timestamp:
             return NotImplemented
         return (self.sequence, self.client_id) >= (other.sequence, other.client_id)
 
-    def as_tuple(self) -> tuple:
-        return (self.sequence, self.client_id)
-
     def __str__(self) -> str:
         return f"{self.sequence}.{self.client_id}"
 
@@ -77,17 +74,6 @@ class Version:
     siblings: FrozenSet[str] = field(default_factory=frozenset)
     #: ``True`` when this version is a delete marker.
     tombstone: bool = False
-
-    def with_siblings(self, siblings: Iterable[str]) -> "Version":
-        """Return a copy carrying MAV sibling metadata."""
-        return Version(
-            key=self.key,
-            value=self.value,
-            timestamp=self.timestamp,
-            txn_id=self.txn_id,
-            siblings=frozenset(siblings),
-            tombstone=self.tombstone,
-        )
 
     @property
     def metadata_bytes(self) -> int:

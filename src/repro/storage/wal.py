@@ -37,7 +37,6 @@ class WriteAheadLog:
 
     fsync_ms: float = 0.4
     bytes_per_ms: float = 200_000.0
-    group_commit: bool = True
     #: Bound on retained records (``None`` = keep everything).  Server nodes
     #: cap theirs: the retained records exist for replay and debugging, and
     #: an unbounded list grows forever on every replica of a long run.
@@ -66,12 +65,6 @@ class WriteAheadLog:
         cost = self.fsync_ms + self._unsynced_bytes / self.bytes_per_ms
         self._unsynced_bytes = 0
         return cost
-
-    def truncate(self, up_to_lsn: int) -> int:
-        """Drop records with lsn < ``up_to_lsn``; return how many were dropped."""
-        before = len(self._records)
-        self._records = [r for r in self._records if r[0] >= up_to_lsn]
-        return before - len(self._records)
 
     def replay(self) -> Iterator[LogRecord]:
         """Iterate over retained records in append order (crash recovery)."""

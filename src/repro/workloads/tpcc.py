@@ -10,7 +10,7 @@ transaction.
 Keys follow a simple composite naming convention::
 
     warehouse:<w>                  district:<w>:<d>
-    customer:<w>:<d>:<c>           stock:<w>:<i>
+    stock:<w>:<i>                  payment-history:<w>:<d>:<c>:<nonce>
     order:<w>:<d>:<o>              order-line:<w>:<d>:<o>:<n>
     new-order:<w>:<d>:<o>          district-next-oid:<w>:<d>
     customer-balance:<w>:<d>:<c>   warehouse-ytd:<w>    district-ytd:<w>:<d>
@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import WorkloadError
 from repro.hat.transaction import Operation, Transaction
+from repro.workloads.base import Workload
 
 NEW_ORDER = "new-order"
 PAYMENT = "payment"
@@ -90,10 +91,6 @@ def district_next_oid_key(w: int, d: int) -> str:
     return f"district-next-oid:{w}:{d}"
 
 
-def customer_key(w: int, d: int, c: int) -> str:
-    return f"customer:{w}:{d}:{c}"
-
-
 def customer_balance_key(w: int, d: int, c: int) -> str:
     return f"customer-balance:{w}:{d}:{c}"
 
@@ -148,42 +145,45 @@ class TPCCState:
                     self.customer_balance[(w, d, c)] = 0.0
 
 
-class TPCCWorkload:
-    """Generates TPC-C transactions as operation lists."""
+def initial_load_transactions(config: TPCCConfig) -> List[Transaction]:
+    """Static transactions that populate the initial TPC-C contents."""
+    transactions: List[Transaction] = []
+    for w in range(1, config.warehouses + 1):
+        transactions.append(Transaction([
+            Operation.write(warehouse_key(w), {"name": f"W{w}"}),
+            Operation.write(warehouse_ytd_key(w), 0.0),
+        ], label="load"))
+        transactions.append(Transaction([
+            Operation.write(stock_key(w, i), 100)
+            for i in range(1, config.items + 1)
+        ], label="load"))
+        for d in range(1, config.districts_per_warehouse + 1):
+            operations = [
+                Operation.write(district_key(w, d), {"name": f"D{w}.{d}"}),
+                Operation.write(district_ytd_key(w, d), 0.0),
+                Operation.write(district_next_oid_key(w, d), 1),
+            ]
+            operations.extend(
+                Operation.write(customer_balance_key(w, d, c), 0.0)
+                for c in range(1, config.customers_per_district + 1)
+            )
+            transactions.append(Transaction(operations, label="load"))
+    return transactions
 
-    def __init__(self, config: Optional[TPCCConfig] = None, seed: int = 0,
-                 session_id: Optional[int] = None):
-        self.config = config or TPCCConfig()
-        self.state = TPCCState(self.config)
+
+class TPCCStream(Workload):
+    """What the static generator and the live driver share.
+
+    One seeded RNG, the four pickers, the read-only Stock-Level program and
+    the mix draw; a subclass supplies ``new_order``, ``payment``,
+    ``order_status`` and ``delivery``.
+    """
+
+    def __init__(self, config: TPCCConfig, seed: int,
+                 session_id: Optional[int]):
+        self.config = config
         self._rng = random.Random(seed)
         self.session_id = session_id
-
-    # -- initial load -----------------------------------------------------------
-    def initial_load(self) -> List[Transaction]:
-        """Transactions that populate the initial database contents."""
-        cfg = self.config
-        transactions: List[Transaction] = []
-        for w in range(1, cfg.warehouses + 1):
-            operations = [Operation.write(warehouse_key(w), {"name": f"W{w}"}),
-                          Operation.write(warehouse_ytd_key(w), 0.0)]
-            transactions.append(Transaction(operations, session_id=self.session_id))
-            stock_ops = [
-                Operation.write(stock_key(w, i), 100)
-                for i in range(1, cfg.items + 1)
-            ]
-            transactions.append(Transaction(stock_ops, session_id=self.session_id))
-            for d in range(1, cfg.districts_per_warehouse + 1):
-                operations = [
-                    Operation.write(district_key(w, d), {"name": f"D{w}.{d}"}),
-                    Operation.write(district_ytd_key(w, d), 0.0),
-                    Operation.write(district_next_oid_key(w, d), 1),
-                ]
-                operations.extend(
-                    Operation.write(customer_balance_key(w, d, c), 0.0)
-                    for c in range(1, cfg.customers_per_district + 1)
-                )
-                transactions.append(Transaction(operations, session_id=self.session_id))
-        return transactions
 
     # -- random pickers -----------------------------------------------------------
     def _pick_warehouse(self) -> int:
@@ -197,6 +197,50 @@ class TPCCWorkload:
 
     def _pick_item(self) -> int:
         return self._rng.randint(1, self.config.items)
+
+    def stock_level(self) -> Transaction:
+        """Stock-Level: read-only scan over the counter and recent stock."""
+        w, d = self._pick_warehouse(), self._pick_district()
+        operations = [Operation.read(district_next_oid_key(w, d))]
+        for _ in range(5):
+            operations.append(Operation.read(stock_key(w, self._pick_item())))
+        return self._finish(operations, STOCK_LEVEL)
+
+    # -- stream generation --------------------------------------------------------
+    def next_transaction(self) -> Transaction:
+        """Draw a transaction type from the configured mix and generate it."""
+        point = self._rng.random()
+        cumulative = 0.0
+        for txn_type, fraction in self.config.mix.items():
+            cumulative += fraction
+            if point <= cumulative:
+                return self._generate(txn_type)
+        return self._generate(NEW_ORDER)
+
+    def _generate(self, txn_type: str) -> Transaction:
+        generators = {
+            NEW_ORDER: self.new_order,
+            PAYMENT: self.payment,
+            ORDER_STATUS: self.order_status,
+            DELIVERY: self.delivery,
+            STOCK_LEVEL: self.stock_level,
+        }
+        return generators[txn_type]()
+
+    def _finish(self, operations: List[Operation], txn_type: str) -> Transaction:
+        """Label the transaction with its type so reports and auditors can
+        group by program."""
+        return Transaction(operations=operations, session_id=self.session_id,
+                           label=txn_type)
+
+
+class TPCCWorkload(TPCCStream):
+    """Generates TPC-C transactions as static operation lists."""
+
+    def __init__(self, config: Optional[TPCCConfig] = None, seed: int = 0,
+                 session_id: Optional[int] = None):
+        super().__init__(config or TPCCConfig(), seed, session_id)
+        self.state = TPCCState(self.config)
 
     # -- transaction programs -----------------------------------------------------
     def new_order(self, warehouse: Optional[int] = None,
@@ -306,38 +350,3 @@ class TPCCWorkload:
             Operation.write(customer_balance_key(w, d, c), new_balance),
         ]
         return self._finish(operations, DELIVERY)
-
-    def stock_level(self) -> Transaction:
-        """Stock-Level: read-only scan over recent order lines and stock."""
-        w, d = self._pick_warehouse(), self._pick_district()
-        operations = [Operation.read(district_next_oid_key(w, d))]
-        for _ in range(5):
-            operations.append(Operation.read(stock_key(w, self._pick_item())))
-        return self._finish(operations, STOCK_LEVEL)
-
-    # -- stream generation ------------------------------------------------------------
-    def next_transaction(self) -> Transaction:
-        """Draw a transaction type from the configured mix and generate it."""
-        point = self._rng.random()
-        cumulative = 0.0
-        for txn_type, fraction in self.config.mix.items():
-            cumulative += fraction
-            if point <= cumulative:
-                return self._generate(txn_type)
-        return self._generate(NEW_ORDER)
-
-    def _generate(self, txn_type: str) -> Transaction:
-        generators = {
-            NEW_ORDER: self.new_order,
-            PAYMENT: self.payment,
-            ORDER_STATUS: self.order_status,
-            DELIVERY: self.delivery,
-            STOCK_LEVEL: self.stock_level,
-        }
-        return generators[txn_type]()
-
-    def _finish(self, operations: List[Operation], txn_type: str) -> Transaction:
-        transaction = Transaction(operations=operations, session_id=self.session_id)
-        # Annotate the type so benchmark reports can group by transaction.
-        transaction.tpcc_type = txn_type
-        return transaction

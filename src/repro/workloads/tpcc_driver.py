@@ -4,7 +4,8 @@
 from a driver-side oracle that assumes every transaction commits — good for
 the requirements analysis, useless for measuring anomalies, because the
 oracle itself serializes order-id assignment.  This module is the
-measurable version:
+measurable version (both build on :class:`~repro.workloads.tpcc.TPCCStream`,
+which holds the RNG, the pickers, Stock-Level and the mix draw):
 
 * Order ids, stock decrements, payment totals, and delivery billing are all
   **derived writes** (:meth:`repro.hat.transaction.Operation.derived_write`):
@@ -29,12 +30,11 @@ load plus an anti-entropy settle period.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.hat.transaction import Operation, Transaction, TransactionResult
-from repro.workloads.base import Workload, WorkloadFactory
+from repro.workloads.base import WorkloadFactory
 from repro.workloads.tpcc import (
     DELIVERY,
     NEW_ORDER,
@@ -42,15 +42,15 @@ from repro.workloads.tpcc import (
     PAYMENT,
     STOCK_LEVEL,
     TPCCConfig,
+    TPCCStream,
     customer_balance_key,
-    district_key,
     district_next_oid_key,
     district_ytd_key,
+    initial_load_transactions,
     new_order_key,
     order_key,
     order_line_key,
     stock_key,
-    warehouse_key,
     warehouse_ytd_key,
 )
 
@@ -162,36 +162,21 @@ class TPCCMirror:
         return issued[-1] if issued else 1
 
 
-class TPCCDriver(Workload):
+class TPCCDriver(TPCCStream):
     """One client's TPC-C stream over the key-value HAT store."""
 
     def __init__(self, config: Optional[TPCCConfig] = None,
                  mirror: Optional[TPCCMirror] = None,
                  seed: int = 0, session_id: Optional[int] = None):
-        self.config = config or TPCCConfig(mix=dict(CLUSTER_MIX))
+        super().__init__(config or TPCCConfig(mix=dict(CLUSTER_MIX)), seed,
+                         session_id)
         self.mirror = mirror or TPCCMirror(self.config)
-        self._rng = random.Random(seed)
-        self.session_id = session_id
-        self._last_label: Optional[str] = None
         #: txn_id -> label, so observe() can attribute results.
         self._labels: Dict[int, str] = {}
 
     # -- result feedback ----------------------------------------------------------
     def observe(self, result: TransactionResult) -> None:
         self.mirror.observe(result, label=self._labels.pop(result.txn_id, None))
-
-    # -- random pickers -----------------------------------------------------------
-    def _pick_warehouse(self) -> int:
-        return self._rng.randint(1, self.config.warehouses)
-
-    def _pick_district(self) -> int:
-        return self._rng.randint(1, self.config.districts_per_warehouse)
-
-    def _pick_customer(self) -> int:
-        return self._rng.randint(1, self.config.customers_per_district)
-
-    def _pick_item(self) -> int:
-        return self._rng.randint(1, self.config.items)
 
     # -- transaction programs -----------------------------------------------------
     def new_order(self, warehouse: Optional[int] = None,
@@ -335,67 +320,10 @@ class TPCCDriver(Workload):
         ]
         return self._finish(operations, DELIVERY)
 
-    def stock_level(self) -> Transaction:
-        """Stock-Level: read-only scan over the counter and recent stock."""
-        w, d = self._pick_warehouse(), self._pick_district()
-        operations = [Operation.read(district_next_oid_key(w, d))]
-        for _ in range(5):
-            operations.append(Operation.read(stock_key(w, self._pick_item())))
-        return self._finish(operations, STOCK_LEVEL)
-
-    # -- stream generation --------------------------------------------------------
-    def next_transaction(self) -> Transaction:
-        point = self._rng.random()
-        cumulative = 0.0
-        for txn_type, fraction in self.config.mix.items():
-            cumulative += fraction
-            if point <= cumulative:
-                return self._generate(txn_type)
-        return self._generate(NEW_ORDER)
-
-    def _generate(self, txn_type: str) -> Transaction:
-        generators = {
-            NEW_ORDER: self.new_order,
-            PAYMENT: self.payment,
-            ORDER_STATUS: self.order_status,
-            DELIVERY: self.delivery,
-            STOCK_LEVEL: self.stock_level,
-        }
-        return generators[txn_type]()
-
     def _finish(self, operations: List[Operation], txn_type: str) -> Transaction:
-        transaction = Transaction(operations=operations,
-                                  session_id=self.session_id, label=txn_type)
-        transaction.tpcc_type = txn_type  # legacy annotation, kept for parity
+        transaction = super()._finish(operations, txn_type)
         self._labels[transaction.txn_id] = txn_type
-        self._last_label = txn_type
         return transaction
-
-
-def initial_load_transactions(config: TPCCConfig) -> List[Transaction]:
-    """Static transactions that populate the initial TPC-C contents."""
-    transactions: List[Transaction] = []
-    for w in range(1, config.warehouses + 1):
-        transactions.append(Transaction([
-            Operation.write(warehouse_key(w), {"name": f"W{w}"}),
-            Operation.write(warehouse_ytd_key(w), 0.0),
-        ], label="load"))
-        transactions.append(Transaction([
-            Operation.write(stock_key(w, i), 100)
-            for i in range(1, config.items + 1)
-        ], label="load"))
-        for d in range(1, config.districts_per_warehouse + 1):
-            operations = [
-                Operation.write(district_key(w, d), {"name": f"D{w}.{d}"}),
-                Operation.write(district_ytd_key(w, d), 0.0),
-                Operation.write(district_next_oid_key(w, d), 1),
-            ]
-            operations.extend(
-                Operation.write(customer_balance_key(w, d, c), 0.0)
-                for c in range(1, config.customers_per_district + 1)
-            )
-            transactions.append(Transaction(operations, label="load"))
-    return transactions
 
 
 def contended_tpcc_config() -> TPCCConfig:

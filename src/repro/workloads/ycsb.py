@@ -32,10 +32,8 @@ class YCSBConfig:
     key_count: int = 100_000
     #: Value payload size in bytes (paper default: 1 KB).
     value_bytes: int = 1024
-    #: "uniform" (paper default) or "zipfian".
+    #: "uniform" (paper default) or "zipfian" (at YCSB's skew, 0.99).
     distribution: str = "uniform"
-    #: Zipfian skew parameter, used only for the zipfian distribution.
-    zipfian_theta: float = 0.99
 
     def __post_init__(self) -> None:
         if self.operations_per_transaction < 1:
@@ -62,6 +60,11 @@ class YCSBConfig:
     def initial_transactions(self) -> List[Transaction]:
         return []
 
+    def key_chooser(self) -> KeyChooser:
+        if self.distribution == "uniform":
+            return UniformKeys(self.key_count)
+        return ZipfianKeys(self.key_count)
+
 
 class YCSBWorkload(Workload):
     """Generates transactions according to a :class:`YCSBConfig`."""
@@ -71,13 +74,8 @@ class YCSBWorkload(Workload):
         self.config = config or YCSBConfig()
         self._rng = random.Random(seed)
         self.session_id = session_id
-        self._chooser = self._build_chooser()
+        self._chooser = self.config.key_chooser()
         self._value_counter = 0
-
-    def _build_chooser(self) -> KeyChooser:
-        if self.config.distribution == "uniform":
-            return UniformKeys(self.config.key_count)
-        return ZipfianKeys(self.config.key_count, self.config.zipfian_theta)
 
     # -- generation ------------------------------------------------------------
     def next_transaction(self) -> Transaction:
@@ -122,11 +120,7 @@ class YCSBArrivalSource:
         self.config = config or YCSBConfig()
         self.seed = seed
         self._rng = random.Random()
-        if self.config.distribution == "uniform":
-            self._chooser: KeyChooser = UniformKeys(self.config.key_count)
-        else:
-            self._chooser = ZipfianKeys(self.config.key_count,
-                                        self.config.zipfian_theta)
+        self._chooser = self.config.key_chooser()
 
     def transaction_for(self, user_id: int, arrival_index: int) -> Transaction:
         rng = self._rng

@@ -3,9 +3,9 @@
 from repro.bench.ablations import (
     anti_entropy_visibility,
     coordinated_baselines,
-    session_layer_overhead,
     stickiness_ablation,
 )
+from repro.bench.experiments import composite_guarantee_sweep
 
 
 class TestAntiEntropyVisibility:
@@ -32,14 +32,14 @@ class TestSessionLayerOverhead:
     def test_stacked_protocols_keep_local_latency(self):
         """On a healthy network the session layers forward nothing, so the
         causal stacks stay within HAT (local) latency like their bases."""
-        points = session_layer_overhead(duration_ms=300.0)
-        by_protocol = {p.protocol: p for p in points}
-        assert set(by_protocol) == {"read-committed", "read-committed+causal",
-                                    "mav", "mav+causal"}
+        stacks = ("read-committed", "read-committed+causal", "mav", "mav+causal")
+        points = composite_guarantee_sweep(protocols=stacks, client_counts=(4,),
+                                           duration_ms=300.0)
+        assert {p.protocol for p in points} == set(stacks)
         for point in points:
             assert point.throughput_txn_s > 0
             assert point.mean_latency_ms < 20.0
-            assert point.remote_rpc_fraction == 0.0
+            assert point.extras["remote_rpc_fraction"] == 0.0
 
 
 class TestCoordinatedBaselines:

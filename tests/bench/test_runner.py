@@ -4,13 +4,14 @@ import pytest
 
 from repro.bench.experiments import figure4_transaction_length
 from repro.bench.report import format_latency_and_throughput, format_series
-from repro.bench.runner import (
+from repro.bench.runner import RunConfig, run_workload
+from repro.errors import ReproError
+from repro.loadgen.engine import (
     GRACE_RTT_MULTIPLE,
     MIN_GRACE_PERIOD_MS,
-    RunConfig,
     default_grace_period_ms,
-    run_workload,
 )
+from repro.overload.retry import RetryPolicy
 from repro.hat.testbed import FIVE_REGION_DEPLOYMENT, Scenario, build_testbed
 from repro.workloads.ycsb import YCSBConfig
 
@@ -171,10 +172,22 @@ class TestPluggableWorkloads:
         assert stats.committed + stats.aborted > 0
 
     def test_backoff_config_still_exposed(self):
-        from repro.bench.runner import ZERO_TIME_ABORT_BACKOFF_MS
-
         config = quick_config("eventual")
-        assert config.abort_backoff_ms == ZERO_TIME_ABORT_BACKOFF_MS
+        assert config.retry.abort_backoff_ms == 25.0
+        paced = quick_config("eventual", retry=RetryPolicy(abort_backoff_ms=5.0))
+        assert paced.retry.abort_backoff_ms == 5.0
+
+    @pytest.mark.parametrize("knob", [
+        dict(max_attempts=3),
+        dict(retry_budget_ratio=0.1),
+        dict(breaker_failure_threshold=8),
+    ], ids=lambda knob: next(iter(knob)))
+    def test_open_loop_only_retry_knobs_are_refused(self, knob):
+        """The closed loop has no retry loop: a policy that asks for one is
+        rejected by name, not silently ignored."""
+        (field,) = knob
+        with pytest.raises(ReproError, match=rf"{field}.*run_open_loop"):
+            quick_config("eventual", retry=RetryPolicy(**knob))
 
 
 class TestTelemetryIntegration:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.hat.cut_isolation import CutIsolationClient
 from repro.hat.testbed import Scenario, build_testbed
 from repro.hat.transaction import Operation, Transaction
 
@@ -22,7 +21,7 @@ class TestItemCutIsolation:
     def test_repeated_reads_return_first_value(self, testbed):
         """Fuzzy reads are impossible: the second read is served from the
         per-transaction cache even if another client overwrites the item."""
-        reader = CutIsolationClient(testbed.make_client("eventual"))
+        reader = testbed.make_client("eventual+ci")
         writer = testbed.make_client("eventual")
         run(testbed, writer, [Operation.write("x", "v1")])
 
@@ -42,7 +41,7 @@ class TestItemCutIsolation:
 
     def test_write_overrides_cached_read(self, testbed):
         """A transaction that overwrites an item it read sees its own value."""
-        client = CutIsolationClient(testbed.make_client("read-committed"))
+        client = testbed.make_client("read-committed+ci")
         base = testbed.make_client("eventual")
         run(testbed, base, [Operation.write("x", "original")])
         result = run(testbed, client, [
@@ -55,7 +54,7 @@ class TestItemCutIsolation:
 
     def test_saves_rpcs_on_duplicate_reads(self, testbed):
         plain = testbed.make_client("eventual")
-        cached = CutIsolationClient(testbed.make_client("eventual"))
+        cached = testbed.make_client("eventual+ci")
         operations = [Operation.read("x"), Operation.read("x"), Operation.read("x")]
         plain_result = run(testbed, plain, operations)
         cached_result = run(testbed, cached, operations)
@@ -67,7 +66,7 @@ class TestItemCutIsolation:
 
 class TestPredicateCutIsolation:
     def test_repeated_scans_return_same_cut(self, testbed):
-        client = CutIsolationClient(testbed.make_client("eventual"), predicate_cut=True)
+        client = testbed.make_client("eventual+ci")
         seed = testbed.make_client("eventual")
         run(testbed, seed, [Operation.write("p1", 5), Operation.write("p2", 50)])
         predicate = Operation.scan(lambda key, value: isinstance(value, int) and value > 10,
@@ -82,9 +81,3 @@ class TestPredicateCutIsolation:
         first = {v.key for v in result.scan_results[0]}
         second = {v.key for v in result.scan_results[1]}
         assert first == second
-
-    def test_protocol_name_reflects_mode(self, testbed):
-        assert CutIsolationClient(testbed.make_client("eventual")).protocol_name \
-            == "eventual+p-ci"
-        assert CutIsolationClient(testbed.make_client("eventual"),
-                                  predicate_cut=False).protocol_name == "eventual+i-ci"

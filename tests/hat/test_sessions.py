@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.hat.sessions import SessionClient
 from repro.hat.testbed import Scenario, build_testbed
 from repro.hat.transaction import Operation, Transaction
 
@@ -20,88 +19,84 @@ def run(testbed, client, operations):
 
 class TestStickySessionGuarantees:
     def test_read_your_writes_across_transactions(self, testbed):
-        base = testbed.make_client("read-committed")
-        session = SessionClient(base, sticky=True)
-        run(testbed, session, [Operation.write("profile", "v1")])
-        result = run(testbed, session, [Operation.read("profile")])
+        client = testbed.make_client("read-committed+ryw", sticky=True)
+        run(testbed, client, [Operation.write("profile", "v1")])
+        result = run(testbed, client, [Operation.read("profile")])
         assert result.value_read("profile") == "v1"
-        assert session.violations() == 0
+        assert client.violations() == 0
 
     def test_monotonic_reads_never_go_backwards(self, testbed):
         """Even if a later read hits a stale replica, the session never
         observes an older version than it has already seen."""
-        base = testbed.make_client("eventual")
-        session = SessionClient(base, sticky=True)
+        client = testbed.make_client("eventual+mr", sticky=True)
         writer = testbed.make_client("eventual",
                                      home_cluster=testbed.config.cluster_names[1])
         run(testbed, writer, [Operation.write("feed", "old")])
         testbed.run(1500.0)
-        first = run(testbed, session, [Operation.read("feed")])
+        first = run(testbed, client, [Operation.read("feed")])
         assert first.value_read("feed") == "old"
         run(testbed, writer, [Operation.write("feed", "new")])
         testbed.run(1500.0)
-        second = run(testbed, session, [Operation.read("feed")])
+        second = run(testbed, client, [Operation.read("feed")])
         assert second.value_read("feed") == "new"
-        third = run(testbed, session, [Operation.read("feed")])
+        third = run(testbed, client, [Operation.read("feed")])
         assert third.value_read("feed") == "new"
 
     def test_session_cache_repairs_stale_replica_read(self, testbed):
         """If the contacted replica lags behind the session's own write, the
         sticky session serves the cached write (client-side caching)."""
-        base = testbed.make_client("read-committed",
-                                   home_cluster=testbed.config.cluster_names[0])
-        session = SessionClient(base, sticky=True)
-        run(testbed, session, [Operation.write("inbox", "mine")])
+        client = testbed.make_client(
+            "read-committed+causal",
+            home_cluster=testbed.config.cluster_names[0], sticky=True)
+        run(testbed, client, [Operation.write("inbox", "mine")])
         # Force the next read to another cluster that has not converged yet by
         # partitioning away the home cluster's servers.
         home_servers = testbed.config.cluster(testbed.config.cluster_names[0]).servers
         testbed.network.partitions.partition_by(
             lambda site: None if site in home_servers else "rest"
         )
-        result = run(testbed, session, [Operation.read("inbox")])
+        result = run(testbed, client, [Operation.read("inbox")])
         assert result.value_read("inbox") == "mine"
-        assert session.state.cache_hits >= 1
+        assert client.session.cache_hits >= 1
 
 
 class TestNonStickySessions:
     def test_ryw_violation_possible_without_stickiness(self, testbed):
         """The paper's impossibility argument: without stickiness, a client
         forced onto a different replica can miss its own writes."""
-        base = testbed.make_client("read-committed",
-                                   home_cluster=testbed.config.cluster_names[0])
-        session = SessionClient(base, sticky=False)
-        run(testbed, session, [Operation.write("cart", "item-1")])
+        client = testbed.make_client(
+            "read-committed+causal",
+            home_cluster=testbed.config.cluster_names[0], sticky=False)
+        run(testbed, client, [Operation.write("cart", "item-1")])
         home_servers = testbed.config.cluster(testbed.config.cluster_names[0]).servers
         testbed.network.partitions.partition_by(
             lambda site: None if site in home_servers else "rest"
         )
-        result = run(testbed, session, [Operation.read("cart")])
+        result = run(testbed, client, [Operation.read("cart")])
         # The stale read is observed (not repaired) and counted as a violation.
         assert result.value_read("cart") is None
-        assert session.violations() >= 1
+        assert client.violations() >= 1
 
     def test_sticky_flag_controls_repair(self, testbed):
-        sticky = SessionClient(testbed.make_client("read-committed"), sticky=True)
-        loose = SessionClient(testbed.make_client("read-committed"), sticky=False)
+        sticky = testbed.make_client("read-committed+causal", sticky=True)
+        loose = testbed.make_client("read-committed+causal", sticky=False)
         assert sticky.sticky and not loose.sticky
 
 
 class TestSessionBookkeeping:
     def test_high_water_mark_advances(self, testbed):
-        session = SessionClient(testbed.make_client("read-committed"))
-        run(testbed, session, [Operation.write("a", 1)])
-        first = session.state.high_water
-        run(testbed, session, [Operation.write("b", 2)])
-        assert session.state.high_water >= first
+        client = testbed.make_client("read-committed+causal")
+        run(testbed, client, [Operation.write("a", 1)])
+        first = client.session.high_water
+        run(testbed, client, [Operation.write("b", 2)])
+        assert client.session.high_water >= first
 
     def test_aborted_transactions_do_not_update_state(self, testbed):
-        testbed.partition_regions([["VA"], ["OR"]])
-        base = testbed.make_client("quorum")  # quorum cannot commit here
-        session = SessionClient(base, sticky=True)
-        result = run(testbed, session, [Operation.write("x", 1)])
-        assert not result.committed
-        assert session.state.own_writes == {}
-
-    def test_protocol_name_suffix(self, testbed):
-        session = SessionClient(testbed.make_client("mav"))
-        assert session.protocol_name == "mav+session"
+        client = testbed.make_client("read-committed+causal", sticky=True)
+        # A full partition: no replica of any key is reachable, so the
+        # write aborts externally.
+        testbed.network.partitions.partition_by(
+            lambda site: "client" if site == client.node.name else "servers")
+        result = run(testbed, client, [Operation.write("x", 1)])
+        assert not result.committed and not result.internal_abort
+        assert client.session.own_writes == {}

@@ -47,6 +47,15 @@ class TestBuildTestbed:
         with pytest.raises(ReproError):
             testbed.make_client("three-phase-hope")
 
+    def test_guarantees_stack_by_spec_only(self):
+        """The wrapper flags are gone: a guarantee is named in the spec."""
+        for flag in ("session", "cut_isolation"):
+            with pytest.raises(TypeError, match=flag):
+                build_testbed(Scenario()).make_client("read-committed",
+                                                      **{flag: True})
+        stacked = build_testbed(Scenario()).make_client("read-committed+ci+causal")
+        assert stacked.protocol_name == "read-committed+ci+causal"
+
     def test_make_clients_spreads_over_clusters(self):
         testbed = build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=1))
         clients = testbed.make_clients("eventual", per_cluster=2)

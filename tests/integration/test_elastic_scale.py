@@ -137,6 +137,7 @@ def _record_run(protocol: str, recorder: HistoryRecorder, make_campaign=None):
     from repro.chaos.campaign import canonical_elasticity_campaign
     from repro.chaos.nemesis import Nemesis
     from repro.hat.testbed import Scenario, build_testbed
+    from repro.overload.retry import RetryPolicy
     from repro.replication.antientropy import AntiEntropyConfig
     from repro.workloads.ycsb import YCSBConfig
 
@@ -154,7 +155,7 @@ def _record_run(protocol: str, recorder: HistoryRecorder, make_campaign=None):
                        workload=YCSBConfig(key_count=2_000),
                        clients_per_cluster=1,
                        duration_ms=campaign.duration_ms, warmup_ms=0.0,
-                       seed=0, client_kwargs={"rpc_timeout_ms": 2_000.0})
+                       seed=0, retry=RetryPolicy(rpc_timeout_ms=2_000.0))
     run_workload(config, testbed=testbed, recorder=recorder)
     # Every key the first join moved must be readable at its new owner.
     # (A MAV write that reaches a joiner only through post-flip

@@ -8,8 +8,6 @@ sides (the paper's eventual-consistency guarantee, Section 5.1.4).
 
 import pytest
 
-from repro.hat.cut_isolation import CutIsolationClient
-from repro.hat.sessions import SessionClient
 from repro.hat.testbed import Scenario, build_testbed
 from repro.hat.transaction import Operation, Transaction
 
@@ -27,17 +25,12 @@ def run(testbed, client, operations):
 
 class TestStackedWrappers:
     def test_session_over_cut_isolation_over_rc(self, testbed):
-        """The testbed can stack both wrappers; guarantees compose."""
-        client = testbed.make_client("read-committed", session=True,
-                                     cut_isolation=True)
+        """One spec stacks both layer families; guarantees compose."""
+        client = testbed.make_client("read-committed+ci+causal")
         run(testbed, client, [Operation.write("k", "v1")])
         result = run(testbed, client, [Operation.read("k"), Operation.read("k")])
         values = [obs.version.value for obs in result.reads]
         assert values == ["v1", "v1"]
-
-    def test_wrapper_protocol_names(self, testbed):
-        client = testbed.make_client("eventual", session=True, cut_isolation=True)
-        assert client.protocol_name == "eventual+p-ci+session"
 
 
 class TestMixedProtocolsOneDeployment:

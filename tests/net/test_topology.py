@@ -53,7 +53,8 @@ class TestTopology:
         topology.add_site("b", region="OR")
         topology.add_site("c", region="VA", zone="VA-b")
         assert topology.regions() == ["OR", "VA"]
-        assert {s.name for s in topology.sites_in_region("VA")} == {"a", "c"}
+        assert {name for name, site in topology.sites.items()
+                if site.region == "VA"} == {"a", "c"}
 
     def test_region_pairs(self):
         topology = Topology()

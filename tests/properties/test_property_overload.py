@@ -201,6 +201,8 @@ class TestRetryPolicyBackoff:
     def test_client_kwargs_per_protocol(self):
         policy = RetryPolicy(rpc_timeout_ms=2_000.0, lock_timeout_ms=1_000.0)
         assert policy.client_kwargs("eventual") == {"rpc_timeout_ms": 2_000.0}
-        assert policy.client_kwargs("lock-sr") == {
-            "rpc_timeout_ms": 2_000.0, "lock_timeout_ms": 1_000.0}
+        # The lock deadline follows the base protocol, not the spelling.
+        for spelling in ("lock-sr", "2pl", "two-phase-locking"):
+            assert policy.client_kwargs(spelling) == {
+                "rpc_timeout_ms": 2_000.0, "lock_timeout_ms": 1_000.0}
         assert RetryPolicy().client_kwargs("eventual") == {}

@@ -22,8 +22,7 @@ class TestLSMStore:
         store = LSMStore()
         store.put(v("x", 1, 1))
         store.put(v("x", 2, 5))
-        version, _cost = store.get_at_or_before("x", Timestamp(3, 9))
-        assert version.value == 1
+        assert store.data.latest_at_or_before("x", Timestamp(3, 9)).value == 1
 
     def test_put_cost_is_positive_and_counts(self):
         store = LSMStore()

@@ -39,8 +39,8 @@ class TestVersion:
         assert not version.tombstone
 
     def test_with_siblings(self):
-        version = Version("x", 1, Timestamp(1, 1), txn_id=7)
-        tagged = version.with_siblings({"x", "y", "z"})
+        tagged = Version("x", 1, Timestamp(1, 1), txn_id=7,
+                         siblings=frozenset({"x", "y", "z"}))
         assert tagged.siblings == frozenset({"x", "y", "z"})
         assert tagged.value == 1 and tagged.txn_id == 7
 

@@ -30,11 +30,11 @@ class TestWriteAheadLog:
         assert wal.sync() == 1.0  # nothing buffered -> fsync only
 
     def test_truncate_drops_prefix(self):
-        wal = WriteAheadLog()
+        """A bounded log truncates itself: the oldest records go first."""
+        wal = WriteAheadLog(max_records=2)
         for index in range(5):
             wal.append("put", f"k{index}", None)
-        dropped = wal.truncate(up_to_lsn=3)
-        assert dropped == 3
+        assert len(wal) == 2 and wal.last_lsn == 4
         assert [record.lsn for record in wal.replay()] == [3, 4]
 
     def test_replay_preserves_order_and_payload(self):

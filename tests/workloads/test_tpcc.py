@@ -12,6 +12,7 @@ from repro.workloads.tpcc import (
     TPCCConfig,
     TPCCWorkload,
     district_next_oid_key,
+    initial_load_transactions,
     new_order_key,
     stock_key,
 )
@@ -33,7 +34,7 @@ class TestTPCCConfig:
 
 class TestInitialLoad:
     def test_populates_warehouses_districts_and_stock(self, workload):
-        transactions = workload.initial_load()
+        transactions = initial_load_transactions(workload.config)
         keys = {op.key for txn in transactions for op in txn.operations}
         assert "warehouse:1" in keys and "warehouse:2" in keys
         assert district_next_oid_key(1, 1) in keys
@@ -48,7 +49,7 @@ class TestInitialLoad:
 class TestNewOrder:
     def test_writes_order_lines_and_stock(self, workload):
         txn = workload.new_order(warehouse=1, district=1)
-        assert txn.tpcc_type == NEW_ORDER
+        assert txn.label == NEW_ORDER
         write_keys = [op.key for op in txn.operations if op.is_write]
         assert any(key.startswith("order:1:1:") for key in write_keys)
         assert any(key.startswith("order-line:1:1:") for key in write_keys)
@@ -93,12 +94,12 @@ class TestPayment:
 class TestReadOnlyTransactions:
     def test_order_status_is_read_only(self, workload):
         txn = workload.order_status()
-        assert txn.tpcc_type == ORDER_STATUS
+        assert txn.label == ORDER_STATUS
         assert all(op.is_read for op in txn.operations)
 
     def test_stock_level_is_read_only(self, workload):
         txn = workload.stock_level()
-        assert txn.tpcc_type == STOCK_LEVEL
+        assert txn.label == STOCK_LEVEL
         assert all(op.is_read for op in txn.operations)
 
 
@@ -113,7 +114,7 @@ class TestDelivery:
 
     def test_delivery_with_empty_queue_degrades_to_read(self, workload):
         txn = workload.delivery(warehouse=1)
-        assert txn.tpcc_type == DELIVERY
+        assert txn.label == DELIVERY
         assert all(op.is_read for op in txn.operations)
 
 
@@ -122,7 +123,7 @@ class TestMix:
         counts = {}
         for _ in range(500):
             txn = workload.next_transaction()
-            counts[txn.tpcc_type] = counts.get(txn.tpcc_type, 0) + 1
+            counts[txn.label] = counts.get(txn.label, 0) + 1
         assert counts[NEW_ORDER] > counts.get(STOCK_LEVEL, 0)
         assert counts[PAYMENT] > counts.get(DELIVERY, 0)
         assert set(counts) <= {NEW_ORDER, PAYMENT, ORDER_STATUS, DELIVERY, STOCK_LEVEL}

@@ -1,11 +1,20 @@
 """Tests for the live TPC-C driver (derived writes + commit-fed mirror)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.hat.testbed import Scenario, build_testbed
 from repro.hat.transaction import Operation, resolve_derived
 from repro.workloads.base import run_preload
-from repro.workloads.tpcc import TPCCConfig, district_next_oid_key, new_order_key
+from repro.workloads.tpcc import (
+    TPCCConfig,
+    TPCCWorkload,
+    district_next_oid_key,
+    initial_load_transactions,
+    new_order_key,
+)
 from repro.workloads.tpcc_driver import (
     CLUSTER_MIX,
     DELIVERED,
@@ -13,7 +22,6 @@ from repro.workloads.tpcc_driver import (
     TPCCDriver,
     TPCCDriverFactory,
     TPCCMirror,
-    initial_load_transactions,
     parse_new_order_key,
     parse_next_oid_key,
 )
@@ -72,8 +80,25 @@ class TestDerivedNewOrder:
         driver = TPCCDriver(small_config(), seed=0, session_id=9)
         txn = driver.new_order()
         assert txn.label == "new-order"
-        assert txn.tpcc_type == "new-order"
         assert txn.session_id == 9
+
+
+class TestStreamPins:
+    """The generator and the driver share their pickers, Stock-Level and mix
+    draw (``TPCCStream``); sharing them must not reorder one RNG draw."""
+
+    @pytest.mark.parametrize("name, cls", [("driver", TPCCDriver),
+                                           ("workload", TPCCWorkload)])
+    def test_first_200_transactions_match_the_recorded_stream(self, name, cls):
+        # Recorded at b18d918, before the two classes shared any code.
+        pins = json.loads((Path(__file__).parents[1] / "data"
+                           / "golden_tpcc_streams.json").read_text())
+        stream = cls(seed=pins["seed"])
+        drawn = []
+        for _ in range(200):
+            txn = stream.next_transaction()
+            drawn.append([txn.label, txn.operations[0].key])
+        assert drawn == pins[name]
 
 
 class TestDerivedDelivery:

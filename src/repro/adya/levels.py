@@ -42,9 +42,6 @@ class IsolationLevel:
     adya_name: str = ""
     description: str = ""
 
-    def phenomena(self) -> List[str]:
-        return sorted(self.prohibits)
-
 
 def _level(name: str, prohibits, adya_name: str = "", description: str = "") -> IsolationLevel:
     return IsolationLevel(name=name, prohibits=frozenset(prohibits),

@@ -66,11 +66,6 @@ class CampaignAction:
     factor: Optional[float] = None
     note: str = ""
 
-    def describe(self) -> str:
-        if self.note:
-            return self.note
-        return self.kind
-
 
 @dataclass(frozen=True)
 class CampaignPhase:

@@ -101,10 +101,6 @@ class WindowStats:
     latency: object = field(default_factory=_empty_summary)
 
     @property
-    def attempts(self) -> int:
-        return self.committed + self.external_aborts + self.internal_aborts
-
-    @property
     def success_fraction(self) -> float:
         """Committed fraction of finished transactions (0 when silent)."""
         finished = self.committed + self.external_aborts
@@ -317,6 +313,7 @@ class TimelineTelemetry:
 
     # -- streaming aggregation --------------------------------------------------
     def _bucket(self, attempt: _Attempt) -> None:
+        """Count a completed attempt (those in flight are ``build``'s job)."""
         start, end = self._bounds
         windows = self._group_windows(attempt.group)
         # Outcome counters land in the window where the transaction finished.
@@ -326,7 +323,7 @@ class TimelineTelemetry:
         # combined with the stall rule below, count one attempt in two
         # windows.  Arrivals and queue samples keep pure half-open
         # semantics: they are instants, not interval ends.)
-        if attempt.end_ms is not None and start <= attempt.end_ms < end:
+        if start <= attempt.end_ms < end:
             offset = attempt.end_ms - start
             index = int(offset / self.window_ms)
             if index > 0 and offset == index * self.window_ms:
@@ -350,14 +347,6 @@ class TimelineTelemetry:
         # later times out and aborts, or never finishes at all) is.
         if attempt.committed:
             return
-        if attempt.end_ms is None:
-            # Never completed: it stalls every window it fully covers,
-            # including one it covers edge-to-edge (inclusive comparison —
-            # there is no completion event to count it anywhere else).
-            for window in windows:
-                if attempt.start_ms <= window.start_ms and end >= window.end_ms:
-                    window.stalled += 1
-            return
         # Completed without committing: the window where the abort was
         # *counted* must not also be stalled by it, so only windows the
         # attempt strictly outlived stall (boundary-exact ends excluded).
@@ -367,9 +356,6 @@ class TimelineTelemetry:
                 window.stalled += 1
 
     # -- aggregation ------------------------------------------------------------
-    def groups(self) -> List[str]:
-        return list(self._windows)
-
     def build(self) -> Dict[str, GroupTimeline]:
         """Snapshot everything recorded so far into per-group timelines.
 

@@ -253,7 +253,6 @@ class ClusterConfig:
 def build_cluster_config(
     regions: Sequence[str],
     servers_per_cluster: int,
-    cluster_prefix: str = "cluster",
     placement: str = "modulo",
     virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
 ) -> ClusterConfig:
@@ -266,7 +265,7 @@ def build_cluster_config(
         raise ReproError("servers_per_cluster must be >= 1")
     clusters = []
     for index, region in enumerate(regions):
-        name = f"{cluster_prefix}{index}-{region}"
+        name = f"cluster{index}-{region}"
         servers = [f"{name}-s{i}" for i in range(servers_per_cluster)]
         clusters.append(Cluster(name=name, region=region, servers=servers,
                                 placement=placement,

@@ -20,7 +20,7 @@ from repro.errors import ReproError
 from repro.net.network import Message, Network, OVERLOADED_REPLY
 from repro.overload.admission import AdmissionConfig
 from repro.sim import Environment
-from repro.storage.lsm import LSMCostModel, LSMStore
+from repro.storage.lsm import LSMStore
 from repro.storage.wal import WriteAheadLog
 
 
@@ -56,7 +56,6 @@ class _QueueSeries(NamedTuple):
     """One server's queue series, resolved once from the metrics registry."""
 
     depth: object
-    depth_max: object
     wait: object
 
 
@@ -75,7 +74,6 @@ class ServerNode:
         network: Network,
         name: str,
         cost_model: Optional[ServiceCostModel] = None,
-        lsm_cost: Optional[LSMCostModel] = None,
         keep_versions: Optional[int] = None,
         admission: Optional[AdmissionConfig] = None,
     ):
@@ -85,7 +83,7 @@ class ServerNode:
         self.cost = cost_model or ServiceCostModel()
         #: Admission controller (None = the historical unbounded FIFO).
         self.admission = admission
-        self.store = LSMStore(cost_model=lsm_cost, keep_versions=keep_versions)
+        self.store = LSMStore(keep_versions=keep_versions)
         # Server WAL records only matter for replay/debugging; bound their
         # retention so every replica's memory stays flat over long runs.
         self.wal = WriteAheadLog(max_records=1024)
@@ -96,12 +94,18 @@ class ServerNode:
         self._queue: Deque[Tuple[Message, float, int]] = deque()
         self._busy_workers = 0
         # The registry must be installed on the network before servers
-        # exist: the probe is resolved here, None in the common case.
-        metrics = network.metrics
-        self._probe = None if metrics is None else _QueueSeries(
-            metrics.histogram("server_queue_depth", node=name),
-            metrics.gauge("server_queue_depth_max", node=name),
-            metrics.histogram("server_queue_wait_ms", node=name))
+        # exist: the probe is resolved here, None in the common case, and
+        # the two scalars are read from ``stats`` when the registry exports.
+        metrics, stats = network.metrics, self.stats
+        self._probe = None
+        if metrics is not None:
+            self._probe = _QueueSeries(
+                metrics.histogram("server_queue_depth", node=name),
+                metrics.histogram("server_queue_wait_ms", node=name))
+            metrics.collect_gauge("server_queue_depth_max",
+                                  lambda: stats.max_queue_depth, node=name)
+            metrics.collect_counter("server_sheds_total",
+                                    lambda: stats.rejected, node=name)
         network.register(name, self._on_message)
 
     # -- handler registration -------------------------------------------------
@@ -158,8 +162,6 @@ class ServerNode:
             probe.depth.observe(self.env._now, found + 1)
         if found >= stats.max_queue_depth:
             stats.max_queue_depth = found + 1
-            if probe is not None:  # the gauge is this same high-water mark
-                probe.depth_max.max(found + 1)
         if self._busy_workers < self.cost.concurrency:
             self._maybe_start_worker()
 
@@ -183,9 +185,6 @@ class ServerNode:
         """
         self.stats.rejected += 1
         network = self.network
-        if network.metrics is not None:
-            network.metrics.inc("server_sheds_total", node=self.name,
-                                reason=reason, kind=message.kind)
         if message.trace is not None:
             event = network.tracer.event("queue-reject", message.trace,
                                          self.name, self.env._now)

@@ -108,29 +108,16 @@ class ProtocolClient:
             start_ms=self.node.env.now,
         )
         breaker = self.breaker
-        metrics = self.node.network.metrics
         denied = False
         try:
-            if breaker is not None:
-                state_before = breaker.state
-                allowed = breaker.allow(self.node.env.now)
-                if metrics is not None and breaker.state != state_before:
-                    # The open -> half-open transition happens inside
-                    # ``allow`` when the cooldown elapses.
-                    metrics.inc("breaker_transitions_total",
-                                protocol=self.protocol_name,
-                                to=breaker.state)
-                if not allowed:
-                    denied = True
-                    if metrics is not None:
-                        metrics.inc("breaker_denials_total",
-                                    protocol=self.protocol_name)
-                    if transaction.trace is not None:
-                        event = self._tracer.event(
-                            "breaker-open", transaction.trace,
-                            self.node.name, self.node.env.now)
-                        event.attrs["protocol"] = self.protocol_name
-                    raise OverloadedError("circuit breaker open")
+            if breaker is not None and not breaker.allow(self.node.env.now):
+                denied = True
+                if transaction.trace is not None:
+                    event = self._tracer.event(
+                        "breaker-open", transaction.trace,
+                        self.node.name, self.node.env.now)
+                    event.attrs["protocol"] = self.protocol_name
+                raise OverloadedError("circuit breaker open")
             yield from self._run(transaction, result)
             result.committed = True
         except TransactionAborted as abort:
@@ -144,12 +131,8 @@ class ProtocolClient:
             # not recorded.  An internal abort counts as success: the
             # system completed the round trip, the transaction chose to
             # abort itself.
-            state_before = breaker.state
             breaker.record(result.committed or result.internal_abort,
                            result.end_ms)
-            if metrics is not None and breaker.state != state_before:
-                metrics.inc("breaker_transitions_total",
-                            protocol=self.protocol_name, to=breaker.state)
         result.writes = transaction.write_set if result.committed else {}
         tracer = self._tracer
         if tracer is not None:
@@ -297,7 +280,7 @@ class LayeredClient(ProtocolClient):
     get_kind = "ru.get"
     put_kind = "ru.put"
 
-    def __init__(self, node: ClientNode, layers: Optional[List[object]] = None,
+    def __init__(self, node: ClientNode, layers: List[object],
                  protocol_name: Optional[str] = None, sticky: bool = True,
                  **kwargs):
         super().__init__(node, **kwargs)
@@ -306,8 +289,6 @@ class LayeredClient(ProtocolClient):
         #: Sticky clients repair stale reads from the session cache; a
         #: non-sticky client records the violation instead (Section 5.1.3).
         self.sticky = sticky
-        if layers is None:
-            layers = [factory() for factory in self.core_layer_factories]
         self.layers = list(layers)
         #: Shared session state, set by the first session layer to attach.
         self.session = None

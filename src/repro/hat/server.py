@@ -32,7 +32,6 @@ from repro.replication.antientropy import (AntiEntropyClock, AntiEntropyConfig,
                                            AntiEntropyService)
 from repro.replication.lockmanager import LockManager
 from repro.sim import Environment
-from repro.storage.lsm import LSMCostModel
 from repro.storage.records import Timestamp, Version
 
 #: One MAV acknowledgement — ``MAVState.record_ack``'s argument list:
@@ -63,18 +62,14 @@ class HATServer(ServerNode):
         name: str,
         config: ClusterConfig,
         cost_model: Optional[ServiceCostModel] = None,
-        lsm_cost: Optional[LSMCostModel] = None,
         anti_entropy: Optional[AntiEntropyConfig] = None,
-        durable: bool = True,
         keep_versions: Optional[int] = None,
         admission=None,
         ae_clock: Optional[AntiEntropyClock] = None,
     ):
         super().__init__(env, network, name, cost_model=cost_model,
-                         lsm_cost=lsm_cost, keep_versions=keep_versions,
-                         admission=admission)
+                         keep_versions=keep_versions, admission=admission)
         self.config = config
-        self.durable = durable
         self.mav = MAVState(replication_factor=config.replication_factor())
         self.locks = LockManager()
         self._prepared: Dict[int, List[Version]] = {}
@@ -82,8 +77,20 @@ class HATServer(ServerNode):
                                                ae_clock)
         self.handoff = HandoffStats()
         #: The recency probe (None unless the network carries a registry).
-        self._staleness = (None if network.metrics is None
-                           else network.metrics.staleness)
+        self._staleness = None
+        metrics = network.metrics
+        if metrics is not None:
+            self._staleness = metrics.staleness
+            # Counts this server already keeps, read when the registry exports.
+            handoff, locks = self.handoff, self.locks.stats
+            for series, read in (
+                    ("handoff_fetches_total", lambda: handoff.fetches_served),
+                    ("handoff_versions_sent_total", lambda: handoff.versions_sent),
+                    ("handoff_offers_total", lambda: handoff.offers_received),
+                    ("handoff_versions_received_total",
+                     lambda: handoff.versions_received),
+                    ("lock_waits_total", lambda: locks.waited)):
+                metrics.collect_counter(series, read, node=name)
 
         self.register_handler("ru.put", self._handle_ru_put)
         self.register_handler("ru.get", self._handle_ru_get)
@@ -112,9 +119,7 @@ class HATServer(ServerNode):
 
     # -- shared helpers ---------------------------------------------------------
     def _durable_write_cost(self, size_bytes: int) -> float:
-        """WAL cost for one durable write (zero for in-memory persistence)."""
-        if not self.durable:
-            return 0.0
+        """WAL cost for one durable write."""
         return self.wal.append("put", None, None, size_bytes=size_bytes)
 
     def _install(self, version: Version, size_bytes: int, durable: bool = True) -> float:
@@ -204,7 +209,7 @@ class HATServer(ServerNode):
             # of a write we already hold, pending or good, is a no-op.)
             self.mav.stats.puts += 1
             self.mav.stats.promoted += 1
-            cost += self._install(version, 1024, durable=self.durable)
+            cost += self._install(version, 1024)
         return cost
 
     def _flush_acks(self, outbox: AckOutbox) -> float:
@@ -232,7 +237,7 @@ class HATServer(ServerNode):
         record_ack = self.mav.record_ack
         for timestamp, origin, key, expected in acks:
             for version in record_ack(timestamp, origin, key, expected):
-                cost += self._install(version, 1024, durable=self.durable)
+                cost += self._install(version, 1024)
         return cost
 
     def _handle_mav_notify(self, message: Message) -> Tuple[None, float]:
@@ -263,7 +268,7 @@ class HATServer(ServerNode):
                 # MAV writes stay pending until their transaction is stable.
                 cost += self._accept_mav_write(version, 1024, outbox)
             else:
-                cost += self._install(version, 1024, durable=self.durable)
+                cost += self._install(version, 1024)
         if outbox:
             cost += self._flush_acks(outbox)
         return cost
@@ -291,37 +296,27 @@ class HATServer(ServerNode):
     def _handle_lock_acquire(self, message: Message) -> Tuple[None, float]:
         payload = message.payload
         key, txn_id = payload["key"], payload["txn_id"]
-        metrics = self.network.metrics
-        trace = message.trace
-        if trace is not None or metrics is not None:
-            tracer = self.network.tracer
-            requested_at = self.env.now
+        requested_at = self.env.now
 
-            def _grant() -> None:
-                if not self.alive:
-                    return
-                granted_at = self.env.now
-                if granted_at > requested_at:
-                    # Only contended grants earn a lock-wait span or a
-                    # wait observation; an immediate grant spent no time
-                    # blocked.
-                    if trace is not None:
-                        span = tracer.start_span(f"lock-wait:{key}", "lock",
-                                                 trace, self.name,
-                                                 start_ms=requested_at)
-                        span.attrs["key"] = key
-                        span.attrs["wait_ms"] = granted_at - requested_at
-                        tracer.finish(span, granted_at)
-                    if metrics is not None:
-                        metrics.observe("lock_wait_ms", granted_at,
-                                        granted_at - requested_at,
-                                        node=self.name)
-                        metrics.inc("lock_waits_total", node=self.name)
-                self.network.reply(message, {"granted": True, "key": key})
-        else:
-            def _grant() -> None:
-                if self.alive:
-                    self.network.reply(message, {"granted": True, "key": key})
+        def _grant() -> None:
+            if not self.alive:
+                return
+            wait_ms = self.env.now - requested_at
+            if wait_ms > 0.0:
+                # Only contended grants earn a lock-wait span or a wait
+                # observation; an immediate grant spent no time blocked.
+                network, trace = self.network, message.trace
+                if trace is not None:
+                    span = network.tracer.start_span(
+                        f"lock-wait:{key}", "lock", trace, self.name,
+                        start_ms=requested_at)
+                    span.attrs["key"] = key
+                    span.attrs["wait_ms"] = wait_ms
+                    network.tracer.finish(span, self.env.now)
+                if network.metrics is not None:
+                    network.metrics.observe("lock_wait_ms", self.env.now,
+                                            wait_ms, node=self.name)
+            self.network.reply(message, {"granted": True, "key": key})
 
         self.locks.acquire(key, txn_id, _grant)
         return None, 0.02
@@ -376,11 +371,6 @@ class HATServer(ServerNode):
         self.handoff.versions_sent += len(versions)
         self.handoff.bytes_sent += (
             self.anti_entropy.settings.bytes_per_version * len(versions))
-        metrics = self.network.metrics
-        if metrics is not None:
-            metrics.inc("handoff_fetches_total", node=self.name)
-            metrics.inc("handoff_versions_sent_total", float(len(versions)),
-                        node=self.name)
         # Cost model: one memtable/SSTable read per streamed key batch —
         # or, under capacity coupling, the same per-version streaming cost
         # anti-entropy catch-up pays, so a joiner's bulk fetch competes
@@ -398,11 +388,6 @@ class HATServer(ServerNode):
         self.handoff.offers_received += 1
         self.handoff.versions_received += len(versions)
         self.handoff.bytes_received += int(message.payload.get("size_bytes", 0))
-        metrics = self.network.metrics
-        if metrics is not None:
-            metrics.inc("handoff_offers_total", node=self.name)
-            metrics.inc("handoff_versions_received_total",
-                        float(len(versions)), node=self.name)
         return {"ok": True, "count": len(versions)}, cost
 
     # -- anti-entropy -----------------------------------------------------------------------------

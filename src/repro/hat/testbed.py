@@ -20,7 +20,7 @@ from repro.cluster.node import ServiceCostModel
 from repro.errors import ReproError
 from repro.hat.clients import ProtocolClient, build_client
 from repro.hat.server import HATServer
-from repro.membership.coordinator import MembershipCoordinator, MembershipEvent
+from repro.membership.coordinator import MembershipCoordinator
 from repro.membership.ring import DEFAULT_VIRTUAL_NODES
 from repro.net.latency import EC2LatencyModel, FixedLatencyModel, LatencyModel
 from repro.net.network import Network
@@ -31,7 +31,6 @@ from repro.obs.trace import FaultLedger, Tracer
 from repro.overload.admission import AdmissionConfig
 from repro.replication.antientropy import AntiEntropyClock, AntiEntropyConfig
 from repro.sim import Environment, RandomStreams
-from repro.storage.lsm import LSMCostModel
 
 #: The five lowest-communication-cost regions the paper uses for Figure 3C.
 FIVE_REGION_DEPLOYMENT = ["VA", "CA", "OR", "IR", "SI"]
@@ -46,7 +45,6 @@ class Scenario:
     servers_per_cluster: int = 5
     value_bytes: int = 1024
     seed: int = 0
-    durable: bool = True
     #: Anti-entropy settings (interval, per-round cap, capacity coupling,
     #: send costs, batch sizes).  Elastic scenarios cap
     #: ``max_versions_per_round`` so handoff/heal catch-up bursts do not
@@ -64,7 +62,6 @@ class Scenario:
     #: find what they need at benchmark write rates.
     keep_versions: Optional[int] = 64
     service_cost: ServiceCostModel = field(default_factory=ServiceCostModel)
-    lsm_cost: LSMCostModel = field(default_factory=LSMCostModel)
     #: Use a constant-latency network instead of the EC2 model (unit tests).
     fixed_latency_ms: Optional[float] = None
     #: ``"modulo"`` keeps the paper's static hash placement (byte-identical
@@ -72,9 +69,6 @@ class Scenario:
     #: consistent-hash ring, which elastic membership requires.
     placement: str = "modulo"
     virtual_nodes: int = DEFAULT_VIRTUAL_NODES
-    #: Membership timeline: join/leave events the coordinator schedules on
-    #: the sim clock at build time (requires ``placement="ring"``).
-    membership: List[MembershipEvent] = field(default_factory=list)
     #: Attach a :class:`repro.obs.trace.Tracer` to the deployment: every
     #: transaction, RPC, server dispatch, anti-entropy push, and lock grant
     #: records a causally linked span.  Off by default — a disabled run
@@ -103,17 +97,17 @@ class Testbed:
 
     def __init__(self, scenario: Scenario, env: Environment, topology: Topology,
                  network: Network, config: ClusterConfig,
-                 servers: Dict[str, HATServer], streams: RandomStreams,
-                 ae_clock: AntiEntropyClock, faults: FaultLedger):
+                 streams: RandomStreams, faults: FaultLedger):
         self.scenario = scenario
         self.env = env
         self.topology = topology
         self.network = network
         self.config = config
-        self.servers = servers
+        #: The active servers, filled by :meth:`_build_server`.
+        self.servers: Dict[str, HATServer] = {}
         self.streams = streams
         #: The one anti-entropy timer every server's service ticks on.
-        self.ae_clock = ae_clock
+        self.ae_clock = AntiEntropyClock(env)
         #: The one fault-window ledger: the nemesis and the membership
         #: coordinator feed it, the tracer and the metrics registry read it.
         self.faults = faults
@@ -189,17 +183,19 @@ class Testbed:
             raise ReproError(f"server name {server_name!r} already in use")
         zone = self.topology.site(cluster.servers[0]).zone
         self.topology.add_site(server_name, region=cluster.region, zone=zone)
-        server = HATServer(
+        return self._build_server(server_name)
+
+    def _build_server(self, server_name: str) -> HATServer:
+        """The one place a server is built from the scenario."""
+        scenario = self.scenario
+        server = self.servers[server_name] = HATServer(
             self.env, self.network, server_name, self.config,
-            cost_model=self.scenario.service_cost,
-            lsm_cost=self.scenario.lsm_cost,
-            anti_entropy=self.scenario.anti_entropy,
-            durable=self.scenario.durable,
-            keep_versions=self.scenario.keep_versions,
-            admission=self.scenario.admission,
+            cost_model=scenario.service_cost,
+            anti_entropy=scenario.anti_entropy,
+            keep_versions=scenario.keep_versions,
+            admission=scenario.admission,
             ae_clock=self.ae_clock,
         )
-        self.servers[server_name] = server
         return server
 
     def retire_server(self, server_name: str) -> None:
@@ -297,31 +293,8 @@ def build_testbed(scenario: Scenario) -> Testbed:
         network.metrics = MetricsRegistry(window_ms=scenario.metrics_window_ms,
                                           faults=faults)
 
-    servers: Dict[str, HATServer] = {}
-    ae_clock = AntiEntropyClock(env)
-    for cluster in config.clusters:
-        for server_name in cluster.servers:
-            server = HATServer(
-                env, network, server_name, config,
-                cost_model=scenario.service_cost,
-                lsm_cost=scenario.lsm_cost,
-                anti_entropy=scenario.anti_entropy,
-                durable=scenario.durable,
-                keep_versions=scenario.keep_versions,
-                admission=scenario.admission,
-                ae_clock=ae_clock,
-            )
-            server.anti_entropy.start()
-            servers[server_name] = server
-
-    testbed = Testbed(scenario, env, topology, network, config, servers, streams,
-                      ae_clock, faults)
-    if scenario.membership:
-        # Validates placement eagerly: a join against modulo placement has
-        # no minimal-disruption pending ring to hand off against.
-        if scenario.placement != "ring":
-            raise ReproError(
-                "Scenario.membership requires placement='ring' "
-                f"(got {scenario.placement!r})")
-        testbed.membership.schedule(scenario.membership)
+    testbed = Testbed(scenario, env, topology, network, config, streams,
+                      faults)
+    for server_name in config.all_servers:
+        testbed._build_server(server_name).anti_entropy.start()
     return testbed

@@ -155,10 +155,6 @@ class ReadObservation:
     def value(self) -> Any:
         return self.version.value
 
-    @property
-    def writer_txn(self) -> Optional[int]:
-        return self.version.txn_id
-
 
 @dataclass(slots=True)
 class TransactionResult:

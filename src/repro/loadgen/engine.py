@@ -109,8 +109,8 @@ class OpenLoopConfig:
     #: copy fed by an independently seeded RNG, so total offered load is
     #: ``len(clusters) * arrivals.mean_rate_per_s()``.
     arrivals: ArrivalProcess = None  # type: ignore[assignment]
-    #: Any workload factory; factories exposing ``arrival_source(seed)``
-    #: (YCSBConfig does) generate per-user transactions statelessly.
+    #: A workload factory exposing ``arrival_source(seed)`` (YCSBConfig
+    #: does): per-user transactions are generated statelessly.
     workload: Any = field(default_factory=YCSBConfig)
     #: Logical user population.  Only the *identity space* scales with this
     #: — memory is bounded by the session pools, which is the point.
@@ -204,10 +204,6 @@ class OpenLoopStats:
         return self.committed + self.aborted
 
     @property
-    def offered_rate_s(self) -> float:
-        return 1000.0 * self.offered / self.duration_ms
-
-    @property
     def committed_rate_s(self) -> float:
         return 1000.0 * self.committed / self.duration_ms
 
@@ -224,8 +220,7 @@ class _ShedResult:
 
 
 class _Counters:
-    __slots__ = ("offered", "committed", "aborted", "operations", "retries",
-                 "retry_denials")
+    __slots__ = ("offered", "committed", "aborted", "operations", "retries")
 
     def __init__(self):
         self.offered = 0
@@ -233,7 +228,6 @@ class _Counters:
         self.aborted = 0
         self.operations = 0
         self.retries = 0
-        self.retry_denials = 0
 
 
 @gc_paused()
@@ -266,18 +260,29 @@ def run_open_loop(config: OpenLoopConfig,
 
     retry = config.retry
     breakers: List[Any] = []
+    budget_pools: List[Dict[int, RetryBudget]] = []
     metrics = testbed.network.metrics
 
-    def make_handler(group: str, budgets: Dict[int, RetryBudget],
+    def make_handler(group: str, budgets: Dict[int, RetryBudget], breaker,
                      retry_rng):
-        # This pool's retry-budget counters, resolved once (None without a
-        # registry).
-        deposits = denials = withdrawals = None
         if metrics is not None:
-            deposits = metrics.counter("retry_budget_deposits_total", group=group)
-            denials = metrics.counter("retry_budget_denials_total", group=group)
-            withdrawals = metrics.counter("retry_budget_withdrawals_total",
-                                          group=group)
+            # What this pool's budgets and breaker already count, read (the
+            # budgets summed) when the registry exports.
+            metrics.collect_counter(
+                "retry_budget_deposits_total",
+                lambda: sum(b.deposits for b in budgets.values()), group=group)
+            metrics.collect_counter(
+                "retry_budget_withdrawals_total",
+                lambda: sum(b.withdrawals for b in budgets.values()),
+                group=group)
+            metrics.collect_counter(
+                "retry_budget_denials_total",
+                lambda: sum(b.denials for b in budgets.values()), group=group)
+            if breaker is not None:
+                metrics.collect_counter("breaker_opens_total",
+                                        lambda: breaker.opens, group=group)
+                metrics.collect_counter("breaker_denials_total",
+                                        lambda: breaker.denials, group=group)
 
         def handle(client, session_id: int, request: PendingRequest):
             transaction = request.transaction
@@ -288,8 +293,6 @@ def run_open_loop(config: OpenLoopConfig,
                 if budget is None:
                     budget = budgets[session_id] = retry.make_budget()
                 budget.deposit()
-                if deposits is not None:
-                    deposits.inc()
             result = yield client.execute(transaction)
             # Externally aborted requests (timeouts, overload rejections,
             # unreachable replicas) are retried with jittered exponential
@@ -300,12 +303,7 @@ def run_open_loop(config: OpenLoopConfig,
             while (not result.committed and not result.internal_abort
                    and attempt_no < retry.max_attempts):
                 if budget is not None and not budget.withdraw():
-                    counters.retry_denials += 1
-                    if denials is not None:
-                        denials.inc()
                     break
-                if budget is not None and withdrawals is not None:
-                    withdrawals.inc()
                 delay = retry.backoff_ms(attempt_no, retry_rng)
                 if delay > 0.0:
                     yield env.timeout(delay)
@@ -380,7 +378,9 @@ def run_open_loop(config: OpenLoopConfig,
             client_kwargs=pool_kwargs)
         pools.append(pool)
         groups.append(group)
-        pool.start(make_handler(group, {}, retry_rng))
+        budgets: Dict[int, RetryBudget] = {}
+        budget_pools.append(budgets)
+        pool.start(make_handler(group, budgets, breaker, retry_rng))
         source = as_arrival_source(config.workload,
                                    seed=config.seed * 10_000 + cluster_index)
         env.process(dispatcher(
@@ -407,7 +407,8 @@ def run_open_loop(config: OpenLoopConfig,
         digest=digest,
         backlog=backlog_series,
         retries=counters.retries,
-        retry_denials=counters.retry_denials,
+        retry_denials=sum(budget.denials for budgets in budget_pools
+                          for budget in budgets.values()),
         breaker_opens=sum(b.opens for b in breakers),
         breaker_denials=sum(b.denials for b in breakers),
         server_rejected=(sum(server.stats.rejected

@@ -8,7 +8,7 @@ clusters that grow and shrink *while serving*:
   nodes, exposing the same ``owner_for`` surface as the static modulo
   partitioner so clients, anti-entropy, and the config route unchanged;
 * :mod:`repro.membership.coordinator` — a membership coordinator that
-  schedules join/leave events on the simulation clock, streams owed
+  runs join/leave changes on the simulation clock, streams owed
   version history to joining servers over handoff RPCs (a joiner serves
   reads only after catch-up), drains leaving servers before departure,
   and flips the cluster epoch (invalidating every placement memo)

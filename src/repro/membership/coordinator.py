@@ -1,8 +1,9 @@
 """The membership coordinator: live join/leave with version handoff.
 
 The coordinator turns a static testbed into an elastic one.  Each
-membership change is a small simulated protocol, scheduled on the sim
-clock and driven as a coroutine process:
+membership change is a small simulated protocol driven as a coroutine
+process; :meth:`FaultSchedule.scale_out` / ``scale_in``
+(:mod:`repro.net.faults`) are the one way to put one on the sim clock:
 
 * **Join (scale-out)** — a new server is built and registered on the
   network, but *not* yet added to the cluster config, so no client routes
@@ -34,8 +35,8 @@ routing itself always follows the live config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import ReproError, RequestTimeout
 
@@ -64,22 +65,6 @@ DRAIN_POLL_MS = 10.0
 
 class HandoffFailed(ReproError):
     """A handoff peer stayed unreachable past the retry budget."""
-
-
-@dataclass(frozen=True)
-class MembershipEvent:
-    """One scheduled membership change in a scenario timeline."""
-
-    at_ms: float
-    kind: str  # "join" | "leave"
-    cluster: Optional[str] = None
-    server: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("join", "leave"):
-            raise ReproError(f"unknown membership event kind {self.kind!r}")
-        if self.at_ms < 0:
-            raise ReproError("membership events cannot be scheduled in the past")
 
 
 @dataclass
@@ -144,7 +129,7 @@ class RebalanceRecord:
 
 
 class MembershipCoordinator:
-    """Schedules and drives membership changes against a running testbed."""
+    """Drives membership changes against a running testbed."""
 
     def __init__(self, testbed):
         self.testbed = testbed
@@ -155,17 +140,6 @@ class MembershipCoordinator:
         #: Per-cluster stack of servers added by this coordinator, so a
         #: targetless scale-in removes the most recent joiner first.
         self._joined: Dict[str, List[str]] = {}
-
-    # -- scheduling ---------------------------------------------------------
-    def schedule(self, events: Sequence[MembershipEvent]) -> None:
-        """Register a scenario's membership timeline with the sim clock."""
-        for event in events:
-            if event.kind == "join":
-                self.testbed.env.schedule(event.at_ms, self.scale_out,
-                                          event.cluster, event.server)
-            else:
-                self.testbed.env.schedule(event.at_ms, self.scale_in,
-                                          event.cluster, event.server)
 
     # -- entry points --------------------------------------------------------
     def scale_out(self, cluster_name: Optional[str] = None,

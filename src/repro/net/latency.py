@@ -64,10 +64,15 @@ TABLE_1C_RTT_MS: Dict[Tuple[str, str], float] = {
 #: Mean intra-AZ RTTs (Table 1a) and inter-AZ RTTs (Table 1b).
 TABLE_1A_MEAN_RTT_MS = 0.554  # mean of {0.55, 0.56, 0.50}
 TABLE_1B_MEAN_RTT_MS = 2.59  # mean of {1.08, 3.12, 3.57}
+#: Two sites on one host (loopback; not in the paper's tables).
+SAME_HOST_RTT_MS = 0.1
 
 #: Lognormal sigma calibrated so that p95/mean is roughly 1.8, matching the
 #: Sao Paulo - Singapore link (649 ms p95 vs 362.8 ms mean).
-DEFAULT_SIGMA = 0.35
+LOGNORMAL_SIGMA = 0.35
+#: The lognormal location parameter that makes the multiplier's mean exactly
+#: 1: mean(lognormal(mu, sigma)) = exp(mu + sigma^2 / 2).
+LOGNORMAL_MU = -0.5 * LOGNORMAL_SIGMA * LOGNORMAL_SIGMA
 
 #: Latency multipliers are pre-sampled in blocks of this size (see
 #: :meth:`EC2LatencyModel._next_multiplier`).
@@ -125,21 +130,10 @@ class EC2LatencyModel(LatencyModel):
     def __init__(
         self,
         topology: Topology,
-        sigma: float = DEFAULT_SIGMA,
-        intra_az_rtt_ms: float = TABLE_1A_MEAN_RTT_MS,
-        inter_az_rtt_ms: float = TABLE_1B_MEAN_RTT_MS,
-        same_host_rtt_ms: float = 0.1,
         cross_region_overrides: Optional[Dict[Tuple[str, str], float]] = None,
     ):
         self.topology = topology
-        self.sigma = sigma
-        self.intra_az_rtt_ms = intra_az_rtt_ms
-        self.inter_az_rtt_ms = inter_az_rtt_ms
-        self.same_host_rtt_ms = same_host_rtt_ms
         self._overrides = dict(cross_region_overrides or {})
-        # Pre-compute the lognormal location parameter so that the mean of the
-        # multiplier is exactly 1: mean(lognormal(mu, sigma)) = exp(mu+sigma^2/2).
-        self._mu = -0.5 * sigma * sigma
         # Site placements are immutable once registered (sites are only ever
         # added), so the scope lookup — and with it the mean RTT — can be
         # memoized per ordered pair.  This was a top-five hot path in the
@@ -162,11 +156,11 @@ class EC2LatencyModel(LatencyModel):
     def _mean_rtt_uncached(self, src: str, dst: str) -> float:
         scope = self.topology.scope(src, dst)
         if scope == SCOPE_SAME_HOST:
-            return self.same_host_rtt_ms
+            return SAME_HOST_RTT_MS
         if scope == SCOPE_INTRA_AZ:
-            return self.intra_az_rtt_ms
+            return TABLE_1A_MEAN_RTT_MS
         if scope == SCOPE_INTER_AZ:
-            return self.inter_az_rtt_ms
+            return TABLE_1B_MEAN_RTT_MS
         if scope == SCOPE_CROSS_REGION:
             region_a = self.topology.site(src).region
             region_b = self.topology.site(dst).region
@@ -194,7 +188,7 @@ class EC2LatencyModel(LatencyModel):
         block: List[float] = entry[1]
         if index >= len(block):
             generator = np.random.Generator(np.random.PCG64(rng.getrandbits(64)))
-            block = generator.lognormal(self._mu, self.sigma,
+            block = generator.lognormal(LOGNORMAL_MU, LOGNORMAL_SIGMA,
                                         MULTIPLIER_BLOCK).tolist()
             entry[1] = block
             index = 0

@@ -4,7 +4,7 @@ One :class:`MetricsRegistry` per deployment (attached to the network when
 ``Scenario.metrics`` is on) collects three primitive kinds:
 
 * **counters** — monotonically increasing floats keyed by name + labels
-  (queue sheds by reason, breaker opens, anti-entropy rounds, ...),
+  (queue sheds, breaker opens, anti-entropy rounds, ...),
 * **gauges** — last-written values (queue depth high-water, backlog), and
 * **windowed histograms** — every observation lands in the t-digest for
   the window ``int(at_ms // window_ms)`` of its series *and* in a
@@ -24,9 +24,19 @@ Handles: ``histogram(name, **labels)`` / ``counter`` / ``gauge`` canonicalise
 ``observe(at_ms, x)`` / ``inc(n)`` / ``set(x)`` / ``max(x)`` is the one
 recording routine; the by-name ``observe/inc/set_gauge/max_gauge`` resolve a
 handle and delegate.  A series enters the queries and exports when first
-*touched*, not when resolved.  Like tracing, nothing here schedules events or
-consumes randomness, so a metrics-on run executes the metrics-off event
-sequence (pinned by ``TestGoldenKernelRun``).
+*touched*, not when resolved.
+
+Collected scalars: a count a component already keeps (a ``*Stats`` field, a
+breaker's ``opens``) is not recorded a second time.  The component registers
+a zero-argument reader when it is built (``collect_counter(name, read,
+**labels)`` / ``collect_gauge``) and only the ``counters`` / ``gauges``
+snapshots call it, so the scalar costs nothing per event and appears in every
+query and export while it is non-zero.  Readers registered under one series
+add up (counters) or keep the maximum (gauges), as merged series do.
+
+Like tracing, nothing here schedules events or consumes randomness, so a
+metrics-on run executes the metrics-off event sequence (pinned by
+``TestGoldenKernelRun``).
 
 Determinism: registries are keyed and iterated in sorted order, ids are
 registry-local, and the t-digest is the deterministic mergeable sketch
@@ -180,6 +190,9 @@ class MetricsRegistry:
         self._counters: Dict[SeriesKey, Counter] = {}
         self._gauges: Dict[SeriesKey, Gauge] = {}
         self._histograms: Dict[SeriesKey, Histogram] = {}
+        #: Series key -> the readers of a collected scalar (module docstring).
+        self._counter_readers: Dict[SeriesKey, List[Callable[[], float]]] = {}
+        self._gauge_readers: Dict[SeriesKey, List[Callable[[], float]]] = {}
         self._new_histogram = partial(Histogram, self.window_ms)
         #: The deployment's ledger (a private one for a bare registry).
         self.faults = faults if faults is not None else FaultLedger()
@@ -221,7 +234,19 @@ class MetricsRegistry:
         return self._series(self._histograms, (name, self._items(labels)),
                             self._new_histogram)
 
-    # -- by-name convenience (tests, cold seams): resolve, then delegate ------
+    # -- collected scalars: read at export, never recorded --------------------
+    def collect_counter(self, name: str, read: Callable[[], float], /,
+                        **labels) -> None:
+        """Export ``read()`` — a count its component keeps — as a counter."""
+        self._counter_readers.setdefault(
+            (name, self._items(labels)), []).append(read)
+
+    def collect_gauge(self, name: str, read: Callable[[], float], /,
+                      **labels) -> None:
+        self._gauge_readers.setdefault(
+            (name, self._items(labels)), []).append(read)
+
+    # -- by-name convenience (tests): resolve, then delegate ------------------
     def inc(self, name: str, amount: float = 1.0, /, **labels) -> None:
         self._series(self._counters, (name, self._items(labels)),
                      Counter).inc(amount)
@@ -239,16 +264,26 @@ class MetricsRegistry:
         self._series(self._histograms, (name, self._items(labels)),
                      self._new_histogram).observe(at_ms, value)
 
+    @staticmethod
+    def _snapshot(recorded: Dict, collected: Dict,
+                  fold: Callable) -> Dict[SeriesKey, float]:
+        values = {key: series.value for key, series in recorded.items()
+                  if series.value is not None}
+        for key, readers in collected.items():
+            value = float(fold(read() for read in readers))
+            if value:  # exported while non-zero: "once touched", read back
+                values[key] = (fold((values[key], value)) if key in values
+                               else value)
+        return values
+
     @property
     def counters(self) -> Dict[SeriesKey, float]:
-        """A snapshot of every touched counter."""
-        return {key: series.value for key, series in self._counters.items()
-                if series.value is not None}
+        """A snapshot of every touched or non-zero collected counter."""
+        return self._snapshot(self._counters, self._counter_readers, sum)
 
     @property
     def gauges(self) -> Dict[SeriesKey, float]:
-        return {key: series.value for key, series in self._gauges.items()
-                if series.value is not None}
+        return self._snapshot(self._gauges, self._gauge_readers, max)
 
     def _observed(self, name: str, labels: Dict) -> Optional[Histogram]:
         series = self._histograms.get((name, _label_items(labels)))
@@ -273,21 +308,21 @@ class MetricsRegistry:
         """Fold another registry into this one.
 
         Counters add; gauges keep the maximum (the only merge that is
-        associative, commutative, and idempotent for high-water marks);
-        histogram windows and totals merge digest-wise.  Fault windows are
-        not merged — they describe one deployment's timeline, and the
-        benches never split a single run across registries.
+        associative, commutative, and idempotent for high-water marks) —
+        both read from ``other``'s snapshots, so its collected scalars come
+        along at their current value; histogram windows and totals merge
+        digest-wise.  Fault windows are not merged — they describe one
+        deployment's timeline, and the benches never split a single run
+        across registries.
         """
         if other.window_ms != self.window_ms:
             raise ReproError(
                 f"cannot merge registries with different windows "
                 f"({self.window_ms} vs {other.window_ms})")
-        for key, theirs in other._counters.items():
-            if theirs.value is not None:
-                self._series(self._counters, key, Counter).inc(theirs.value)
-        for key, theirs in other._gauges.items():
-            if theirs.value is not None:
-                self._series(self._gauges, key, Gauge).max(theirs.value)
+        for key, value in other.counters.items():
+            self._series(self._counters, key, Counter).inc(value)
+        for key, value in other.gauges.items():
+            self._series(self._gauges, key, Gauge).max(value)
         for key, theirs in other._histograms.items():
             mine = self._series(self._histograms, key, self._new_histogram)
             for index, digest in theirs.windows.items():

@@ -243,14 +243,11 @@ class Tracer:
 
     # -- transactions --------------------------------------------------------
     def begin_transaction(self, txn_id: int, protocol: str, site: str,
-                          start_ms: float, label: Optional[str] = None,
-                          session_id: Optional[int] = None) -> Span:
+                          start_ms: float, label: Optional[str] = None) -> Span:
         span = self.start_span(f"txn:{protocol}", "txn", None, site, start_ms)
         span.attrs["protocol"] = protocol
         if label is not None:
             span.attrs["label"] = label
-        if session_id is not None:
-            span.attrs["session"] = session_id
         self._by_txn[txn_id] = span
         return span
 

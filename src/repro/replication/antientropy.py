@@ -33,7 +33,7 @@ not O(backlog x rounds).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.cluster.config import ClusterConfig
 from repro.sim import Environment
@@ -148,14 +148,6 @@ class _Grid:
             self.arm()
 
 
-class _RoundSeries(NamedTuple):
-    """One service's series, resolved once from the metrics registry."""
-
-    backlog: object
-    rounds: object
-    versions_pushed: object
-
-
 class AntiEntropyClock:
     """A deployment's anti-entropy timer: one :class:`_Grid` per start phase."""
 
@@ -213,11 +205,16 @@ class AntiEntropyService:
         # Both sinks are installed on the network before servers are built.
         network = server.network
         self._tracer = network.tracer
-        metrics, node = network.metrics, server.name
-        self._probe = None if metrics is None else _RoundSeries(
-            metrics.histogram("ae_backlog_versions", node=node),
-            metrics.counter("ae_rounds_total", node=node),
-            metrics.counter("ae_versions_pushed_total", node=node))
+        metrics, node, stats = network.metrics, server.name, self.stats
+        #: The ``ae_backlog_versions`` series (None without a registry); the
+        #: two counters are read from :attr:`stats` when the registry exports.
+        self._backlog = None
+        if metrics is not None:
+            self._backlog = metrics.histogram("ae_backlog_versions", node=node)
+            metrics.collect_counter("ae_rounds_total",
+                                    lambda: stats.rounds, node=node)
+            metrics.collect_counter("ae_versions_pushed_total",
+                                    lambda: stats.versions_pushed, node=node)
 
     # -- dirty tracking ---------------------------------------------------------
     def mark_dirty(self, version: Version, delivered=None) -> None:
@@ -289,11 +286,11 @@ class AntiEntropyService:
         by an earlier round and costs only the request overhead.
         """
         pushed = self._push_dirty()
-        if self._probe is not None and not self._dirty and not self._parked:
+        if self._backlog is not None and not self._dirty and not self._parked:
             # No idle round follows to record the drained gauge, so a round
             # that leaves nothing queued closes the series with a zero: a
             # window without a sample means the service was idle.
-            self._probe.backlog.observe(self.env.now, 0.0)
+            self._backlog.observe(self.env.now, 0.0)
         return pushed
 
     def _coalesce(self, dirty: List[tuple]) -> List[tuple]:
@@ -349,17 +346,14 @@ class AntiEntropyService:
         return kept
 
     def _push_dirty(self) -> int:
-        probe = self._probe
-        if probe is not None:
+        if self._backlog is not None:
             # Backlog is sampled by every round that runs, so the windowed
             # series shows partition-era growth and post-heal drain.
-            probe.backlog.observe(self.env.now,
+            self._backlog.observe(self.env.now,
                                   len(self._dirty) + len(self._parked))
         if not self._dirty and not self._parked:
             return 0
         self.stats.rounds += 1
-        if probe is not None:
-            probe.rounds.inc()
         partitions = self.server.network.partitions
         stamp = (self.config.epoch, partitions.generation)
         if stamp != self._parked_stamp:
@@ -437,6 +431,4 @@ class AntiEntropyService:
                     size_bytes=self.settings.bytes_per_version * len(chunk),
                     trace=trace,
                 )
-        if probe is not None and pushed:
-            probe.versions_pushed.inc(float(pushed))
         return pushed

@@ -66,21 +66,6 @@ class ArrivalSource(abc.ABC):
         executes it."""
 
 
-class _WorkloadStreamSource(ArrivalSource):
-    """Adapter: drive a per-session :class:`Workload` from arrivals.
-
-    For factories without a native ``arrival_source`` hook, one shared
-    stream generates transactions in arrival order and ``user_id`` is
-    ignored — closed-loop content on an open-loop clock.
-    """
-
-    def __init__(self, workload: Workload):
-        self._workload = workload
-
-    def transaction_for(self, user_id: int, arrival_index: int) -> Transaction:
-        return self._workload.next_transaction()
-
-
 class WorkloadFactory(abc.ABC):
     """Builds per-client workloads (and optionally preloads the store)."""
 
@@ -113,18 +98,17 @@ def as_workload_factory(workload: object) -> object:
 
 
 def as_arrival_source(workload: object, seed: int) -> ArrivalSource:
-    """Build an :class:`ArrivalSource` from any workload factory.
+    """Build the :class:`ArrivalSource` of an open-loop workload factory.
 
-    Factories exposing ``arrival_source(seed)`` (the open-loop native hook;
-    :class:`~repro.workloads.ycsb.YCSBConfig` does) get stateless per-user
-    generation; anything else with the ``build(seed, session_id)`` factory
-    shape is adapted through one shared per-run stream.
+    The factory must expose ``arrival_source(seed)`` — stateless per-user
+    generation (:class:`~repro.workloads.ycsb.YCSBConfig` does).
     """
     maker = getattr(workload, "arrival_source", None)
-    if callable(maker):
-        return maker(seed)
-    factory = as_workload_factory(workload)
-    return _WorkloadStreamSource(factory.build(seed=seed, session_id=None))
+    if not callable(maker):
+        raise WorkloadError(
+            f"{type(workload).__name__} cannot drive an open-loop run: "
+            "expected an arrival_source(seed) method (see repro.workloads.base)")
+    return maker(seed)
 
 
 def run_preload(testbed, factory, protocol: str = "eventual") -> int:

@@ -8,8 +8,10 @@ detected (and that the corresponding isolation level flags it).
 from repro.adya.history import HistoryBuilder
 from repro.adya.levels import check_history
 from repro.adya.phenomena import (
+    G0,
     G1A,
     G1B,
+    G1C,
     IMP,
     LOST_UPDATE,
     MRWD,
@@ -17,6 +19,7 @@ from repro.adya.phenomena import (
     N_MR,
     N_MW,
     OTV,
+    PMP,
     WRITE_SKEW,
     detect,
 )
@@ -62,6 +65,64 @@ class TestDirtyReadExamples:
         assert check_history(history, "RC").satisfied
 
 
+class TestDependencyCycleExamples:
+    """Definitions 17 and 20: the cycle detectors under RU and RC."""
+
+    def test_dirty_write_g0(self):
+        # T1 and T2 both write x and y; the replicas install them in
+        # opposite orders, so neither transaction's writes come "first".
+        builder = HistoryBuilder()
+        t1 = builder.transaction()
+        t1.write("x", 1).write("y", 1)
+        t2 = builder.transaction()
+        t2.write("x", 2).write("y", 2)
+        builder.version_order("x", t1.txn_id, t2.txn_id)
+        builder.version_order("y", t2.txn_id, t1.txn_id)
+        history = builder.build()
+        witness, = detect(history, G0)
+        assert witness.transactions == [t1.txn_id, t2.txn_id]
+        assert "write-dependency cycle" in witness.description
+        assert not check_history(history, "RU").satisfied
+        assert not check_history(history, "RC").satisfied
+
+    def test_consistent_install_order_is_not_g0(self):
+        # Same writes, one install order on both items (last writer wins).
+        builder = HistoryBuilder()
+        t1 = builder.transaction()
+        t1.write("x", 1).write("y", 1)
+        t2 = builder.transaction()
+        t2.write("x", 2).write("y", 2)
+        history = builder.build()
+        assert not detect(history, G0)
+        assert not detect(history, G1C)
+        assert check_history(history, "RU").satisfied
+
+    def test_circular_information_flow_g1c(self):
+        # T1 reads T2's y and T2 reads T1's x: each depends on the other.
+        builder = HistoryBuilder()
+        t1 = builder.transaction()
+        t2 = builder.transaction()
+        t1.write("x", 1).read("y", from_txn=t2.txn_id, value=2)
+        t2.write("y", 2).read("x", from_txn=t1.txn_id, value=1)
+        history = builder.build()
+        witness, = detect(history, G1C)
+        assert witness.transactions == [t1.txn_id, t2.txn_id]
+        assert not detect(history, G0)  # no write-write edge in the cycle
+        assert check_history(history, "RU").satisfied
+        assert not check_history(history, "RC").satisfied
+        assert not check_history(history, "MAV").satisfied
+
+    def test_one_way_information_flow_is_not_g1c(self):
+        builder = HistoryBuilder()
+        t1 = builder.transaction()
+        t1.write("x", 1)
+        t2 = builder.transaction()
+        t2.write("y", 2).read("x", from_txn=t1.txn_id, value=1)
+        history = builder.build()
+        assert not detect(history, G1C)
+        assert check_history(history, "RC").satisfied
+
+
 class TestCutIsolationExamples:
     def test_figure_7_imp_anomaly(self):
         # T3 reads x = 1 (from T1) and then x = 2 (from T2).
@@ -87,6 +148,41 @@ class TestCutIsolationExamples:
         history = builder.build()
         assert not detect(history, IMP)
         assert check_history(history, "I-CI").satisfied
+
+    def test_predicate_many_preceders_pmp(self):
+        # T3 evaluates "dept = sales" twice: the first evaluation matches
+        # T1's version of x, the second T2's.
+        builder = HistoryBuilder()
+        t1 = builder.transaction()
+        t1.write("x", "sales")
+        t2 = builder.transaction()
+        t2.write("x", "sales-emea")
+        t3 = builder.transaction()
+        t3.read("x", from_txn=t1.txn_id, value="sales", predicate="dept=sales")
+        t3.read("x", from_txn=t2.txn_id, value="sales-emea",
+                predicate="dept=sales")
+        history = builder.build()
+        witness, = detect(history, PMP)
+        assert witness.transactions == [t3.txn_id]
+        assert "'dept=sales'" in witness.description
+        assert not check_history(history, "P-CI").satisfied
+
+    def test_predicate_cut_isolation_satisfied_when_matches_are_stable(self):
+        # Two evaluations, same matches; a different predicate in between
+        # and an item read of the same key do not count against it.
+        builder = HistoryBuilder()
+        t1 = builder.transaction()
+        t1.write("x", "sales")
+        t2 = builder.transaction()
+        t2.write("y", "ops")
+        t3 = builder.transaction()
+        t3.read("x", from_txn=t1.txn_id, value="sales", predicate="dept=sales")
+        t3.read("y", from_txn=t2.txn_id, value="ops", predicate="dept=ops")
+        t3.read("x", from_txn=t1.txn_id, value="sales")
+        t3.read("x", from_txn=t1.txn_id, value="sales", predicate="dept=sales")
+        history = builder.build()
+        assert not detect(history, PMP)
+        assert check_history(history, "P-CI").satisfied
 
 
 class TestMAVExamples:

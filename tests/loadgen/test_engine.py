@@ -89,6 +89,26 @@ class TestRun:
         # Latency in the windows is arrival-to-commit, same as the digest.
         assert sum(w.latency.count for w in windows) == windowed
 
+    def test_a_shed_arrival_is_an_external_abort_in_its_window(self):
+        # One slow session and a one-deep queue: the arrivals the pool
+        # sheds complete on the spot, as aborts the system (not the
+        # transaction) chose, in the window they arrived in.
+        telemetry = TimelineTelemetry(window_ms=200.0)
+        stats = run_open_loop(config(protocol="lock-sr",
+                                     sessions_per_cluster=1, max_queue=1),
+                              telemetry=telemetry)
+        windows = telemetry.build()["VA"].windows
+        assert stats.shed > 0 and stats.aborted == 0
+        assert sum(w.external_aborts for w in windows) == stats.shed
+        assert not any(w.internal_aborts for w in windows)
+        for window in windows:
+            # Offered here = committed or shed here, give or take the one
+            # request in service and the one queued at each boundary.
+            assert abs(window.offered - window.committed
+                       - window.external_aborts) <= 2
+        # A shed arrival was in flight for no time: it stalls no window.
+        assert not any(w.stalled for w in windows)
+
     def test_open_loop_offered_rate_independent_of_protocol(self):
         # The whole point of open loop: a saturated protocol does not slow
         # arrivals down, it grows queueing delay (and backlog) instead.

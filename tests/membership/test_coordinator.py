@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ReproError
 from repro.hat.testbed import Scenario, build_testbed
 from repro.hat.transaction import Operation, Transaction
-from repro.membership.coordinator import MembershipEvent
 
 
 def ring_testbed(**overrides):
@@ -160,34 +159,6 @@ class TestSerialization:
         assert all(r.done for r in records)
         assert first.end_ms <= records[1].start_ms
         assert len(cluster.servers) == 4
-
-
-class TestScenarioTimeline:
-    def test_membership_events_schedule_at_build_time(self):
-        scenario = Scenario(regions=["VA", "OR"], servers_per_cluster=2,
-                            placement="ring", fixed_latency_ms=1.0,
-                            membership=[
-                                MembershipEvent(at_ms=50.0, kind="join"),
-                                MembershipEvent(at_ms=500.0, kind="leave"),
-                            ])
-        testbed = build_testbed(scenario)
-        testbed.run(1_500.0)
-        kinds = [r.kind for r in testbed.membership.records]
-        assert kinds == ["join", "leave"]
-        assert all(r.done for r in testbed.membership.records)
-        assert len(testbed.config.clusters[0].servers) == 2
-
-    def test_membership_requires_ring_placement(self):
-        scenario = Scenario(regions=["VA"], placement="modulo",
-                            membership=[MembershipEvent(at_ms=1.0, kind="join")])
-        with pytest.raises(ReproError):
-            build_testbed(scenario)
-
-    def test_event_validation(self):
-        with pytest.raises(ReproError):
-            MembershipEvent(at_ms=1.0, kind="explode")
-        with pytest.raises(ReproError):
-            MembershipEvent(at_ms=-1.0, kind="join")
 
 
 class TestReplicationObligations:

@@ -71,8 +71,7 @@ class Deployment:
             partitions=self.partitions, tracer=None, send=self._send,
             metrics=SimpleNamespace(
                 histogram=self._histogram,
-                counter=lambda name, **labels: SimpleNamespace(
-                    inc=lambda amount=1.0: None)))
+                collect_counter=lambda name, read, **labels: None))
         self.service = AntiEntropyService(
             SimpleNamespace(now=0.0),
             SimpleNamespace(name=SELF, alive=True, network=network),

@@ -183,14 +183,13 @@ class TestBacklogGauge:
         # The service resolved its ``ae_backlog_versions`` series when it was
         # built: spy on that handle.
         service = server.anti_entropy
-        backlog = service._probe.backlog
+        backlog = service._backlog
 
         def spy(at_ms, value):
             samples.append((at_ms, value))
             backlog.observe(at_ms, value)
 
-        service._probe = service._probe._replace(
-            backlog=SimpleNamespace(observe=spy))
+        service._backlog = SimpleNamespace(observe=spy)
         testbed.partition_regions([["VA"], ["OR"]])
         server.anti_entropy.mark_dirty(_version("user1", 1))
         testbed.run(18.0)

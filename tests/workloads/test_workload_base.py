@@ -8,6 +8,7 @@ from repro.hat.transaction import Operation, Transaction
 from repro.workloads.base import (
     Workload,
     WorkloadFactory,
+    as_arrival_source,
     as_workload_factory,
     run_preload,
 )
@@ -59,6 +60,12 @@ class TestFactoryShape:
     def test_non_factory_rejected(self):
         with pytest.raises(WorkloadError, match="workload factory"):
             as_workload_factory(object())
+
+    def test_a_factory_without_arrival_source_cannot_drive_the_open_loop(self):
+        with pytest.raises(WorkloadError, match=r"arrival_source\(seed\)"):
+            as_arrival_source(RecordingFactory(), seed=0)
+        source = as_arrival_source(YCSBConfig(key_count=10), seed=0)
+        assert source.transaction_for(3, 0).operations
 
     def test_abc_factory_defaults(self):
         factory = RecordingFactory()

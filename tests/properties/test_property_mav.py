@@ -44,7 +44,7 @@ class Harness:
                 self.owned[replica].append(key)
         self.owners = sorted(name for name, owned in self.owned.items() if owned)
 
-    def _capture(self, src, dst, kind, payload=None, **_kwargs):
+    def _capture(self, src, dst, kind, payload=None, *_args, **_kwargs):
         assert kind == "mav.notify", kind
         assert src != dst, "self-acks are applied in place, never sent"
         self.pool.append((dst, payload))

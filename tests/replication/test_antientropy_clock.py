@@ -33,12 +33,12 @@ def _record_pushes(testbed: Testbed) -> list:
     log = []
     send = testbed.network.send
 
-    def spy(src, dst, kind, payload, **kwargs):
+    def spy(src, dst, kind, payload=None, *args, **kwargs):
         if kind == "ae.push":
             log.append((testbed.env.now, src, dst,
                         [(v.key, v.timestamp.sequence)
                          for v in payload["versions"]]))
-        return send(src, dst, kind, payload, **kwargs)
+        return send(src, dst, kind, payload, *args, **kwargs)
 
     testbed.network.send = spy
     return log

@@ -87,16 +87,22 @@ class History:
 
     # -- construction ---------------------------------------------------------
     def add_transaction(self, transaction: HistoryTransaction) -> None:
+        """Add ``transaction``; its writes install in arrival order."""
+        self._register(transaction)
+        if transaction.committed:
+            # A transaction is added once and names each key once, so its id
+            # cannot already be in an order it is appended to.
+            for key in transaction.write_keys():
+                self.version_order.setdefault(key, []).append(transaction.txn_id)
+
+    def _register(self, transaction: HistoryTransaction) -> None:
+        """Take ``transaction`` in at the next commit position (the caller
+        supplies the version orders its writes belong to)."""
         if transaction.txn_id in self.transactions:
             raise IsolationError(f"duplicate transaction id {transaction.txn_id}")
         self._commit_counter += 1
         transaction.commit_order = self._commit_counter
         self.transactions[transaction.txn_id] = transaction
-        if transaction.committed:
-            for key in transaction.write_keys():
-                order = self.version_order.setdefault(key, [])
-                if transaction.txn_id not in order:
-                    order.append(transaction.txn_id)
 
     def set_version_order(self, key: str, txn_ids: Iterable[int]) -> None:
         """Override the version order for ``key`` (hand-built histories)."""
@@ -261,33 +267,30 @@ class HistoryRecorder:
         history = History()
         # Sort by commit time so commit_order reflects real time.
         ordered = sorted(self._results, key=lambda pair: pair[1].end_ms)
-        timestamps: Dict[str, List[Tuple[object, int]]] = {}
+        #: key -> (write timestamp, writer) per committed write, in commit
+        #: order; keys in first-writer order.
+        installs: Dict[str, List[Tuple[object, int]]] = {}
         for transaction, result in ordered:
-            txn = HistoryTransaction(
-                txn_id=result.txn_id,
-                committed=result.committed,
-                session_id=result.session_id,
-                label=getattr(transaction, "label", None),
-            )
-            index = 0
-            for observation in result.reads:
-                txn.reads.append(ReadEvent(
-                    key=observation.key,
-                    writer_txn=observation.version.txn_id,
-                    value=observation.version.value,
-                    index=index,
-                ))
-                index += 1
+            # Events by position (field order): one per operation recorded.
+            reads = [ReadEvent(observation.key, observation.version.txn_id,
+                               observation.version.value, index)
+                     for index, observation in enumerate(result.reads)]
+            writes: List[WriteEvent] = []
             if result.committed:
-                for key, value in result.writes.items():
-                    txn.writes.append(WriteEvent(key=key, value=value, index=index))
-                    index += 1
-                    if result.timestamp is not None:
-                        timestamps.setdefault(key, []).append(
-                            (result.timestamp, result.txn_id)
-                        )
-            history.add_transaction(txn)
-        for key, entries in timestamps.items():
-            entries.sort(key=lambda pair: pair[0])
-            history.set_version_order(key, [txn_id for _, txn_id in entries])
+                stamped = (result.timestamp, result.txn_id)
+                for index, (key, value) in enumerate(result.writes.items(),
+                                                     len(reads)):
+                    writes.append(WriteEvent(key, value, index))
+                    installs.setdefault(key, []).append(stamped)
+            history._register(HistoryTransaction(
+                result.txn_id, result.committed, result.session_id, reads,
+                writes, label=getattr(transaction, "label", None)))
+        for key, entries in installs.items():
+            # Timestamp order where the writers carry one (last-writer-wins
+            # installs; writers without are then left out), else commit order.
+            stamped = [entry for entry in entries if entry[0] is not None]
+            if stamped:
+                stamped.sort(key=lambda entry: entry[0])
+                entries = stamped
+            history.version_order[key] = [txn_id for _, txn_id in entries]
         return history

@@ -18,7 +18,7 @@ from typing import List, Optional
 from repro.cluster.config import ClusterConfig
 from repro.errors import ReproError
 from repro.net.network import Network
-from repro.sim import Environment, Future
+from repro.sim import Environment
 from repro.storage.records import Timestamp
 
 #: Process-wide counter so every client gets a unique id even across
@@ -59,7 +59,7 @@ class ClientNode:
         """A unique transaction timestamp (client id + sequence number)."""
         sequence = self._next_sequence
         self._next_sequence += 1
-        return Timestamp(sequence=sequence, client_id=self.client_id)
+        return Timestamp(sequence, self.client_id)
 
     def witness_timestamp(self, timestamp: Optional[Timestamp]) -> None:
         """Lamport receive rule: never issue a sequence at or below one read.
@@ -112,14 +112,3 @@ class ClientNode:
     def reachable_replicas(self, key: str) -> List[str]:
         """Replicas of ``key`` the client can currently reach."""
         return self.network.partitions.reachable_from(self.name, self.all_replicas(key))
-
-    # -- messaging -----------------------------------------------------------------
-    def rpc(self, dst: str, kind: str, payload: dict,
-            timeout_ms: Optional[float] = None) -> Future:
-        """Issue an RPC from this client to ``dst``."""
-        size = payload.get("size_bytes", 0) if type(payload) is dict else 0
-        if timeout_ms is None:
-            return self.network.rpc(self.name, dst, kind, payload,
-                                    size_bytes=size)
-        return self.network.rpc(self.name, dst, kind, payload,
-                                timeout_ms=timeout_ms, size_bytes=size)

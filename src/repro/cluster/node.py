@@ -156,14 +156,19 @@ class ServerNode:
                 self._reject(message, "queue-full")
                 return
         found = len(queue)
-        queue.append((message, self.env._now, found))
+        now = self.env._now
         probe = self._probe
         if probe is not None:
-            probe.depth.observe(self.env._now, found + 1)
+            probe.depth.observe(now, found + 1)
         if found >= stats.max_queue_depth:
             stats.max_queue_depth = found + 1
         if self._busy_workers < self.cost.concurrency:
-            self._maybe_start_worker()
+            # A worker is idle, so nothing is queued (every completion hands
+            # out queued requests while one is): served where it arrives, at
+            # zero wait, which no admission policy sheds or reorders.
+            self._serve(message, now, found)
+        else:
+            queue.append((message, now, found))
 
     def _evict_oldest_sheddable(self, admission: AdmissionConfig) -> bool:
         """Shed the oldest sheddable queued request; False = none found."""
@@ -194,17 +199,11 @@ class ServerNode:
         network.reply(message, OVERLOADED_REPLY)
 
     def _maybe_start_worker(self) -> None:
-        # Dequeue, dispatch, and completion scheduling are fused into one
-        # loop: this chain runs once per request on every server and the
-        # intermediate helper calls were measurable in the figure sweeps.
+        """Hand queued requests to idle workers, shedding what admission drops."""
         queue = self._queue
-        stats = self.stats
-        cost = self.cost
-        env = self.env
-        handlers = self._handlers
-        probe = self._probe
+        concurrency = self.cost.concurrency
         admission = self.admission
-        while self._busy_workers < cost.concurrency and queue:
+        while self._busy_workers < concurrency and queue:
             if admission is None:
                 message, enqueued_at, depth = queue.popleft()
             else:
@@ -216,7 +215,7 @@ class ServerNode:
                 else:
                     message, enqueued_at, depth = queue.popleft()
                 if (admission.policy == "codel"
-                        and env._now - enqueued_at > admission.codel_target_ms
+                        and self.env._now - enqueued_at > admission.codel_target_ms
                         and message.kind in admission.sheddable_kinds):
                     # Deadline-aware drop-on-dequeue: this request's queue
                     # wait already blew the latency target, so serving it
@@ -224,46 +223,56 @@ class ServerNode:
                     # cost instead.
                     self._reject(message, "stale")
                     continue
-            queue_wait = env._now - enqueued_at
-            stats.queue_wait_ms += queue_wait
-            if probe is not None:
-                probe.wait.observe(env._now, queue_wait)
-            self._busy_workers += 1
-            handler = handlers.get(message.kind)
-            span = None
-            if message.trace is not None and handler is not None:
-                tracer = self.network.tracer
-                # Publish the server span as the ambient context so any
-                # messages the handler itself sends (MAV sibling notifies,
-                # master replication pushes) chain under it.
-                span = env.current_trace = tracer.start_span(
-                    tracer.server_names[message.kind], "server",
-                    message.trace, self.name, enqueued_at)
-            if handler is None:
-                # Unknown request kinds get an error reply so clients fail
-                # fast instead of timing out.
-                reply_payload = {"error": f"no handler for {message.kind!r}"}
-                service_ms = 0.0
-            else:
-                reply_payload, extra_cost = handler(message)
-                service_ms = cost.request_overhead_ms + extra_cost
-                payload = message.payload
-                if type(payload) is dict:
-                    size = payload.get("size_bytes", 0)
-                    if size and isinstance(size, (int, float)):
-                        service_ms += (size / 1024.0) * cost.per_kb_ms
-            if span is not None:
-                env.current_trace = None
-                # The span covers queue wait plus the service time the reply
-                # will take; the completion instant is known now, so no
-                # extra event is needed to close it.
-                span.end_ms = enqueued_at + queue_wait + service_ms
-                attrs = span.attrs
-                attrs["queue_wait_ms"] = queue_wait
-                attrs["service_ms"] = service_ms
-                attrs["queue_depth"] = depth
-            stats.busy_ms += service_ms
-            env.schedule(service_ms, self._complete, message, reply_payload)
+            self._serve(message, enqueued_at, depth)
+
+    def _serve(self, message: Message, enqueued_at: float, depth: int) -> None:
+        """Occupy a worker with ``message``: run its handler now, reply after
+        the service time.  The one dispatch body, for a request served on
+        arrival and for one taken off the queue."""
+        env = self.env
+        stats = self.stats
+        cost = self.cost
+        queue_wait = env._now - enqueued_at
+        stats.queue_wait_ms += queue_wait
+        probe = self._probe
+        if probe is not None:
+            probe.wait.observe(env._now, queue_wait)
+        self._busy_workers += 1
+        handler = self._handlers.get(message.kind)
+        span = None
+        if message.trace is not None and handler is not None:
+            tracer = self.network.tracer
+            # Publish the server span as the ambient context so any
+            # messages the handler itself sends (MAV sibling notifies,
+            # master replication pushes) chain under it.
+            span = env.current_trace = tracer.start_span(
+                tracer.server_names[message.kind], "server",
+                message.trace, self.name, enqueued_at)
+        if handler is None:
+            # Unknown request kinds get an error reply so clients fail
+            # fast instead of timing out.
+            reply_payload = {"error": f"no handler for {message.kind!r}"}
+            service_ms = 0.0
+        else:
+            reply_payload, extra_cost = handler(message)
+            service_ms = cost.request_overhead_ms + extra_cost
+            payload = message.payload
+            if type(payload) is dict:
+                size = payload.get("size_bytes", 0)
+                if size and isinstance(size, (int, float)):
+                    service_ms += (size / 1024.0) * cost.per_kb_ms
+        if span is not None:
+            env.current_trace = None
+            # The span covers queue wait plus the service time the reply
+            # will take; the completion instant is known now, so no
+            # extra event is needed to close it.
+            span.end_ms = enqueued_at + queue_wait + service_ms
+            attrs = span.attrs
+            attrs["queue_wait_ms"] = queue_wait
+            attrs["service_ms"] = service_ms
+            attrs["queue_depth"] = depth
+        stats.busy_ms += service_ms
+        env.schedule(service_ms, self._complete, message, reply_payload)
 
     def _complete(self, message: Message, reply_payload: object) -> None:
         self._busy_workers -= 1

@@ -31,12 +31,15 @@ from repro.errors import (
     UnavailableError,
 )
 from repro.hat.transaction import (
+    READ,
+    WRITE,
     Operation,
     ReadObservation,
     Transaction,
     TransactionResult,
     resolve_derived,
 )
+from repro.net.network import DEFAULT_RPC_TIMEOUT_MS
 from repro.sim import Process
 from repro.sim.process import all_of
 from repro.storage.records import Timestamp, Version
@@ -65,16 +68,19 @@ class ProtocolClient:
         self.node = node
         self.recorder = recorder
         self.value_bytes = value_bytes
-        self.rpc_timeout_ms = rpc_timeout_ms
+        #: The deadline of every RPC this client issues.
+        self.rpc_timeout_ms = (DEFAULT_RPC_TIMEOUT_MS if rpc_timeout_ms is None
+                               else rpc_timeout_ms)
         #: Optional :class:`~repro.overload.retry.CircuitBreaker`, usually
         #: shared by every session of one pool.  While open, transactions
         #: fail fast with :class:`~repro.errors.OverloadedError` before
         #: issuing a single RPC — the client-side half of load shedding.
         self.breaker = breaker
         self.session_id = node.client_id
-        self._home_servers = frozenset(
-            node.config.cluster(node.home_cluster).servers
-        )
+        #: The home cluster (mutated in place by membership changes): its
+        #: per-key owner memo is the sticky-replica lookup.
+        self._home = node.config.cluster(node.home_cluster)
+        self._home_servers = frozenset(self._home.servers)
         # Both sinks are installed before any client is built; each is None
         # unless the scenario asked for it.
         network = node.network
@@ -85,7 +91,7 @@ class ProtocolClient:
     # -- public API ---------------------------------------------------------------
     def execute(self, transaction: Transaction) -> Process:
         """Run ``transaction``; the returned process resolves to its result."""
-        process = self.node.env.process(self._execute(transaction))
+        process = Process(self.node.env, self._execute(transaction))
         tracer = self._tracer
         if tracer is not None:
             # The span carries no session_id: client ids come from a
@@ -100,13 +106,10 @@ class ProtocolClient:
     # -- core driver -------------------------------------------------------------
     def _execute(self, transaction: Transaction) -> Generator:
         transaction.session_id = self.session_id
+        # Positional (field order): once per transaction on every run.
         result = TransactionResult(
-            txn_id=transaction.txn_id,
-            committed=False,
-            protocol=self.protocol_name,
-            session_id=self.session_id,
-            start_ms=self.node.env.now,
-        )
+            transaction.txn_id, False, self.protocol_name, None,
+            self.session_id, [], [], {}, self.node.env._now)
         breaker = self.breaker
         denied = False
         try:
@@ -149,12 +152,14 @@ class ProtocolClient:
     # -- helpers for subclasses -------------------------------------------------------
     def _make_version(self, key: str, value: Any, timestamp: Timestamp,
                       txn_id: int, siblings=frozenset()) -> Version:
-        return Version(key=key, value=value, timestamp=timestamp,
-                       txn_id=txn_id, siblings=frozenset(siblings))
+        return Version(key, value, timestamp, txn_id, frozenset(siblings))
 
     def _rpc(self, dst: str, kind: str, payload: Dict[str, Any]):
         """Issue one RPC without remote-hop accounting."""
-        return self.node.rpc(dst, kind, payload, timeout_ms=self.rpc_timeout_ms)
+        node = self.node
+        return node.network.rpc(node.name, dst, kind, payload,
+                                self.rpc_timeout_ms,
+                                payload.get("size_bytes", 0))
 
     def _issue(self, result: TransactionResult, dst: str, kind: str,
                payload: Dict[str, Any]):
@@ -168,7 +173,10 @@ class ProtocolClient:
         """
         if dst not in self._home_servers:
             result.remote_rpcs += 1
-        return self._rpc(dst, kind, payload)
+        node = self.node
+        return node.network.rpc(node.name, dst, kind, payload,
+                                self.rpc_timeout_ms,
+                                payload.get("size_bytes", 0))
 
     def _pick_replica(self, key: str) -> str:
         """The replica a HAT client contacts for ``key``.
@@ -179,9 +187,9 @@ class ProtocolClient:
         item is reachable, which is exactly the replica-availability
         precondition of transactional availability (Section 4.2).
         """
-        sticky = self.node.sticky_replica(key)
+        sticky = self._home.owner_for(key)
         partitions = self.node.network.partitions
-        if partitions.connected(self.node.name, sticky):
+        if partitions.idle or partitions.connected(self.node.name, sticky):
             return sticky
         reachable = self.node.reachable_replicas(key)
         if not reachable:
@@ -205,7 +213,7 @@ class ProtocolClient:
             # replies, session-cache repairs, and buffered-write echoes
             # alike — so this is the single k-staleness probe point.
             staleness.on_read(key, version.timestamp, self.node.env._now)
-        result.reads.append(ReadObservation(key=key, version=version))
+        result.reads.append(ReadObservation(key, version))
         return version
 
     def _scan_home_cluster(self, op: Operation, result: TransactionResult) -> Generator:
@@ -223,14 +231,6 @@ class ProtocolClient:
         versions = [version for reply in replies for version in reply["versions"]]
         result.scan_results.append(versions)
         return versions
-
-
-@dataclass(slots=True)
-class ReadRequest:
-    """One replica read about to be issued; layers may rewrite it."""
-
-    kind: str
-    payload: Dict[str, Any]
 
 
 @dataclass(slots=True)
@@ -296,6 +296,17 @@ class LayeredClient(ProtocolClient):
         self._write_layer = None
         for layer in self.layers:
             layer.attach(self)
+        # What the driver calls at each hook point: bound once, and only
+        # where some layer of this stack does something there.
+        from repro.hat.layers import bound_hooks  # layers imports this module
+
+        self._plan_hooks = bound_hooks(self.layers, "plan")
+        self._begin_hooks = bound_hooks(self.layers, "begin")
+        self._serve_read_hooks = bound_hooks(self.layers, "serve_read")
+        self._before_read_hooks = bound_hooks(self.layers, "before_read")
+        self._read_floor_hooks = bound_hooks(self.layers, "read_floor")
+        self._after_read_hooks = bound_hooks(self.layers, "after_read")
+        self._finalize_hooks = bound_hooks(self.layers, "finalize")
 
     # -- diagnostics -------------------------------------------------------------
     def violations(self) -> int:
@@ -329,83 +340,84 @@ class LayeredClient(ProtocolClient):
         return ctx.timestamp
 
     def _run(self, transaction: Transaction, result: TransactionResult) -> Generator:
-        ctx = TxnContext(transaction=transaction, result=result, timestamp=None)
         tracer = self._tracer
         trace = transaction.trace if tracer is not None else None
         env = self.node.env
+        # Positional (field order), like every per-transaction record.
+        ctx = TxnContext(transaction, result, None, (), {}, {}, {}, {}, (), ())
         plan = list(transaction.operations)
-        for layer in self.layers:
-            plan = layer.plan(plan, ctx)
+        for hook in self._plan_hooks:
+            plan = hook(plan, ctx)
         ctx.plan = plan
-        for layer in self.layers:
-            if trace is None:
-                yield from layer.begin(ctx)
-                continue
-            began_at = env.now
-            yield from layer.begin(ctx)
-            if env.now > began_at:
+        for begin in self._begin_hooks:
+            began_at = env._now
+            yield from begin(ctx)
+            if trace is not None and env._now > began_at:
                 # Only begins that did work (session dependency forwarding
                 # RPCs) earn a span; empty begins would drown the trace.
+                layer = begin.__self__
                 span = tracer.start_span(
                     f"layer:{layer.token or type(layer).__name__}.begin",
                     "layer", trace, self.node.name, began_at)
                 tracer.finish(span, env.now)
+        write_layer = self._write_layer
         for op in plan:
-            if op.is_write:
+            kind = op.kind
+            if kind == READ:
+                yield from self._layered_read(ctx, op)
+            elif kind == WRITE:
                 op = resolve_derived(transaction, op, result)
-                if self._write_layer is not None:
-                    self._write_layer.buffer_write(ctx, op)
+                if write_layer is not None:
+                    write_layer.buffer_write(ctx, op)
                 else:
                     yield from self._direct_write(ctx, op)
-            elif op.is_read:
-                yield from self._layered_read(ctx, op)
             else:
                 yield from self._scan_home_cluster(op, result)
-        if self._write_layer is not None:
-            if trace is None:
-                yield from self._write_layer.flush(ctx)
-            else:
-                flushed_at = env.now
-                yield from self._write_layer.flush(ctx)
+        if write_layer is not None:
+            flushed_at = env._now
+            yield from write_layer.flush(ctx)
+            if trace is not None:
                 span = tracer.start_span(
-                    f"layer:{self._write_layer.token}.flush", "layer",
+                    f"layer:{write_layer.token}.flush", "layer",
                     trace, self.node.name, flushed_at)
                 span.attrs["writes"] = len(ctx.write_buffer)
                 tracer.finish(span, env.now)
         # Read-only transactions still get a commit timestamp (post-reads).
         self._txn_timestamp(ctx)
-        for layer in self.layers:
-            layer.finalize(ctx)
+        for hook in self._finalize_hooks:
+            hook(ctx)
 
     def _direct_write(self, ctx: TxnContext, op: Operation) -> Generator:
         """Apply one write immediately at a sticky replica (Read Uncommitted)."""
-        replica = self._pick_replica(op.key)
-        version = self._make_version(op.key, op.value,
-                                     self._txn_timestamp(ctx, refresh=True),
-                                     ctx.transaction.txn_id)
+        key = op.key
+        replica = self._pick_replica(key)
+        version = Version(key, op.value, self._txn_timestamp(ctx, refresh=True),
+                          ctx.transaction.txn_id)
         yield self._issue(ctx.result, replica, self.put_kind, {
             "version": version,
             "size_bytes": self.value_bytes,
         })
-        ctx.write_targets[op.key] = replica
-        ctx.written_versions[op.key] = version
+        ctx.write_targets[key] = replica
+        ctx.written_versions[key] = version
 
     def _layered_read(self, ctx: TxnContext, op: Operation) -> Generator:
-        for layer in self.layers:
-            version = layer.serve_read(ctx, op)
+        key = op.key
+        for serve_read in self._serve_read_hooks:
+            version = serve_read(ctx, op)
             if version is not None:
-                self._observe(ctx.result, op.key, version)
+                self._observe(ctx.result, key, version)
                 return
-        request = ReadRequest(kind=self.get_kind, payload={"key": op.key})
-        for layer in self.layers:
-            layer.before_read(ctx, op, request)
-        replica = self._pick_replica(op.key)
-        reply = yield self._issue(ctx.result, replica, request.kind, request.payload)
-        replica_version = reply["version"]
-        version = self._apply_read_floors(ctx, replica_version)
-        for layer in self.layers:
-            layer.after_read(ctx, op, version, replica, replica_version)
-        self._observe(ctx.result, op.key, version)
+        payload = {"key": key}
+        for before_read in self._before_read_hooks:
+            before_read(ctx, op, payload)
+        replica = self._pick_replica(key)
+        reply = yield self._issue(ctx.result, replica, self.get_kind, payload)
+        version = replica_version = reply["version"]
+        if self._read_floor_hooks:
+            version = self._apply_read_floors(ctx, replica_version)
+        for after_read in self._after_read_hooks:
+            after_read(ctx, op, version, replica, replica_version)
+        self._observe(ctx.result, key, version)
 
     def _apply_read_floors(self, ctx: TxnContext, version: Version) -> Version:
         """Enforce the layers' lower bounds on revealed versions.
@@ -418,8 +430,8 @@ class LayeredClient(ProtocolClient):
         version, which is exactly the Section 5.1.3 impossibility argument.
         """
         floor: Optional[Version] = None
-        for layer in self.layers:
-            candidate = layer.read_floor(version.key)
+        for read_floor in self._read_floor_hooks:
+            candidate = read_floor(version.key)
             if candidate is not None and (
                 floor is None or candidate.timestamp > floor.timestamp
             ):

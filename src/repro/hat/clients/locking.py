@@ -55,9 +55,10 @@ class TwoPhaseLockingClient(ProtocolClient):
                 if master not in home_servers:
                     result.remote_rpcs += 1
                 try:
-                    yield self.node.rpc(master, "lock.acquire",
-                                        {"key": op.key, "txn_id": transaction.txn_id},
-                                        timeout_ms=self.lock_timeout_ms)
+                    yield self.node.network.rpc(
+                        self.node.name, master, "lock.acquire",
+                        {"key": op.key, "txn_id": transaction.txn_id},
+                        self.lock_timeout_ms)
                 except RequestTimeout as exc:
                     # Possible deadlock or partition: give up the lock request
                     # and abort.  The release also purges a queued waiter.

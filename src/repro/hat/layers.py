@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.errors import UnavailableError
-from repro.hat.clients.base import LayeredClient, ReadRequest, TxnContext
-from repro.hat.transaction import Operation, ReadObservation, Transaction, TransactionResult
+from repro.hat.clients.base import LayeredClient, TxnContext
+from repro.hat.transaction import WRITE, Operation, ReadObservation
 from repro.sim.process import all_of
 from repro.storage.records import Timestamp, Version
 
@@ -71,7 +71,8 @@ class GuaranteeLayer:
     def serve_read(self, ctx: TxnContext, op: Operation) -> Optional[Version]:
         return None
 
-    def before_read(self, ctx: TxnContext, op: Operation, request: ReadRequest) -> None:
+    def before_read(self, ctx: TxnContext, op: Operation,
+                    payload: Dict[str, Any]) -> None:
         return None
 
     def after_read(self, ctx: TxnContext, op: Operation, version: Version,
@@ -94,6 +95,27 @@ class GuaranteeLayer:
 
     def finalize(self, ctx: TxnContext) -> None:
         return None
+
+
+def bound_hooks(layers: List[GuaranteeLayer], name: str) -> list:
+    """The bound ``name`` hooks a driver calls, in stack order.
+
+    Only layers whose class overrides the hook contribute.  Layers that run
+    the *same* implementation over one shared :class:`SessionState` (MR and
+    WFR remember reads, RYW and MW remember writes) contribute it once: such
+    a hook only raises the state to what the transaction saw, so a second
+    run would find nothing left to do.
+    """
+    hooks, seen = [], set()
+    for layer in layers:
+        hook = getattr(layer, name)
+        if hook.__func__ is getattr(GuaranteeLayer, name):
+            continue
+        identity = (hook.__func__, id(getattr(layer, "state", layer)))
+        if identity not in seen:
+            seen.add(identity)
+            hooks.append(hook)
+    return hooks
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +194,9 @@ class AtomicVisibilityLayer(WriteBufferingLayer):
         client.get_kind = "mav.get"
         client.put_kind = "mav.put"
 
-    def before_read(self, ctx: TxnContext, op: Operation, request: ReadRequest) -> None:
-        request.payload["required"] = ctx.required.get(op.key)
+    def before_read(self, ctx: TxnContext, op: Operation,
+                    payload: Dict[str, Any]) -> None:
+        payload["required"] = ctx.required.get(op.key)
 
     def after_read(self, ctx: TxnContext, op: Operation, version: Version,
                    replica: str, replica_version: Version) -> None:
@@ -199,57 +222,6 @@ class AtomicVisibilityLayer(WriteBufferingLayer):
 # Item and Predicate Cut Isolation (Section 5.1.1)
 # ---------------------------------------------------------------------------
 
-def split_cut_plan(
-        operations: List[Operation]) -> Tuple[List[Operation], List[str], List[str]]:
-    """Separate first reads from repeats (the cut-isolation rewrite).
-
-    Returns ``(plan, duplicate_reads, duplicate_scans)``: the plan keeps the
-    first read of each item and the first evaluation of each named
-    predicate; repeats are answered later from the cache of first
-    observations by :func:`replay_cut_duplicates`.
-    """
-    seen_keys: Dict[str, None] = {}
-    seen_predicates: Dict[str, None] = {}
-    plan: List[Operation] = []
-    duplicate_reads: List[str] = []
-    duplicate_scans: List[str] = []
-    written: Dict[str, None] = {}
-    for op in operations:
-        if op.is_read:
-            if op.key in seen_keys and op.key not in written:
-                duplicate_reads.append(op.key)
-                continue
-            seen_keys[op.key] = None
-            plan.append(op)
-        elif op.is_scan:
-            name = op.predicate_name or "predicate"
-            if name in seen_predicates:
-                duplicate_scans.append(name)
-                continue
-            seen_predicates[name] = None
-            plan.append(op)
-        else:
-            if op.is_write:
-                written[op.key] = None
-            plan.append(op)
-    return plan, duplicate_reads, duplicate_scans
-
-
-def replay_cut_duplicates(result: TransactionResult,
-                          duplicate_reads: List[str],
-                          duplicate_scans: List[str]) -> None:
-    """Answer repeated reads from the cache of first observations."""
-    first_seen: Dict[str, Version] = {}
-    for observation in result.reads:
-        first_seen.setdefault(observation.key, observation.version)
-    for key in duplicate_reads:
-        if key in first_seen:
-            result.reads.append(ReadObservation(key=key, version=first_seen[key]))
-    for _name in duplicate_scans:
-        if result.scan_results:
-            result.scan_results.append(list(result.scan_results[0]))
-
-
 class CutIsolationLayer(GuaranteeLayer):
     """Item and Predicate Cut Isolation via per-transaction read caching.
 
@@ -263,11 +235,46 @@ class CutIsolationLayer(GuaranteeLayer):
     token = "ci"
 
     def plan(self, operations: List[Operation], ctx: TxnContext) -> List[Operation]:
-        plan, ctx.duplicate_reads, ctx.duplicate_scans = split_cut_plan(operations)
+        """Keep the first read of each item and the first evaluation of each
+        named predicate; ``finalize`` answers the repeats from those."""
+        seen_keys: Dict[str, None] = {}
+        seen_predicates: Dict[str, None] = {}
+        plan: List[Operation] = []
+        ctx.duplicate_reads = []
+        ctx.duplicate_scans = []
+        written: Dict[str, None] = {}
+        for op in operations:
+            if op.is_read:
+                if op.key in seen_keys and op.key not in written:
+                    ctx.duplicate_reads.append(op.key)
+                    continue
+                seen_keys[op.key] = None
+                plan.append(op)
+            elif op.is_scan:
+                name = op.predicate_name or "predicate"
+                if name in seen_predicates:
+                    ctx.duplicate_scans.append(name)
+                    continue
+                seen_predicates[name] = None
+                plan.append(op)
+            else:
+                if op.is_write:
+                    written[op.key] = None
+                plan.append(op)
         return plan
 
     def finalize(self, ctx: TxnContext) -> None:
-        replay_cut_duplicates(ctx.result, ctx.duplicate_reads, ctx.duplicate_scans)
+        """Answer repeated reads from the cache of first observations."""
+        result = ctx.result
+        first_seen: Dict[str, Version] = {}
+        for observation in result.reads:
+            first_seen.setdefault(observation.key, observation.version)
+        for key in ctx.duplicate_reads:
+            if key in first_seen:
+                result.reads.append(ReadObservation(key, first_seen[key]))
+        for _name in ctx.duplicate_scans:
+            if result.scan_results:
+                result.scan_results.append(list(result.scan_results[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -336,25 +343,6 @@ class SessionState:
     seen_owed: OwedIndex = field(default_factory=OwedIndex)
     own_owed: OwedIndex = field(default_factory=OwedIndex)
 
-    # -- memory -------------------------------------------------------------------
-    def remember_read(self, key: str, version: Version) -> None:
-        current = self.last_seen.get(key)
-        if current is None or version.timestamp > current.timestamp:
-            self.last_seen[key] = version
-            self.seen_owed.add(key)
-        self._raise_high_water(version.timestamp)
-
-    def remember_write(self, key: str, version: Version) -> None:
-        current = self.own_writes.get(key)
-        if current is None or version.timestamp > current.timestamp:
-            self.own_writes[key] = version
-            self.own_owed.add(key)
-        self._raise_high_water(version.timestamp)
-
-    def _raise_high_water(self, timestamp: Timestamp) -> None:
-        if self.high_water is None or timestamp > self.high_water:
-            self.high_water = timestamp
-
     # -- holder tracking ---------------------------------------------------------
     def note_holder(self, key: str, timestamp: Timestamp, replica: str) -> None:
         current = self.holders.get(key)
@@ -388,16 +376,47 @@ class SessionLayer(GuaranteeLayer):
         client.session = self.state
 
     # -- shared bookkeeping -------------------------------------------------------
+    # Hook implementations the four layers pick from.  Two layers over one
+    # state that pick the same one are driven once (see bound_hooks): each
+    # only raises the state to what the transaction saw.
+    def _note_read_holder(self, ctx: TxnContext, op: Operation, version: Version,
+                          replica: str, replica_version: Version) -> None:
+        self.state.note_holder(op.key, replica_version.timestamp, replica)
+
     def _remember_reads(self, ctx: TxnContext) -> None:
+        """Raise ``last_seen`` (and the high-water mark) to what the
+        transaction's reads observed."""
+        state = self.state
+        last_seen = state.last_seen
+        high_water = state.high_water
         for observation in ctx.result.reads:
-            self.state.remember_read(observation.key, observation.version)
+            version = observation.version
+            timestamp = version.timestamp
+            current = last_seen.get(observation.key)
+            if current is None or timestamp > current.timestamp:
+                last_seen[observation.key] = version
+                state.seen_owed.add(observation.key)
+            if high_water is None or timestamp > high_water:
+                high_water = timestamp
+        state.high_water = high_water
 
     def _remember_writes(self, ctx: TxnContext) -> None:
+        """Raise ``own_writes`` to the transaction's installed versions, each
+        held by the replica that accepted it."""
+        state = self.state
+        own_writes = state.own_writes
+        targets = ctx.write_targets
         for key, version in ctx.written_versions.items():
-            self.state.remember_write(key, version)
-            target = ctx.write_targets.get(key)
+            timestamp = version.timestamp
+            current = own_writes.get(key)
+            if current is None or timestamp > current.timestamp:
+                own_writes[key] = version
+                state.own_owed.add(key)
+            if state.high_water is None or timestamp > state.high_water:
+                state.high_water = timestamp
+            target = targets.get(key)
             if target is not None:
-                self.state.note_holder(key, version.timestamp, target)
+                state.note_holder(key, timestamp, target)
 
     def _forward(self, ctx: TxnContext, versions: Dict[str, Version],
                  index: OwedIndex) -> Generator:
@@ -428,7 +447,7 @@ class SessionLayer(GuaranteeLayer):
             index.owed.update(versions)
         futures = []
         delivered: List[Tuple[str, Timestamp, str]] = []
-        overwritten = {op.key for op in ctx.plan if op.is_write}
+        overwritten = {op.key for op in ctx.plan if op.kind == WRITE}
         candidates = sorted(index.owed, key=index.rank.__getitem__)
         state.forward_probes += len(candidates)
         for key in candidates:
@@ -472,12 +491,8 @@ class MonotonicReadsLayer(SessionLayer):
     def read_floor(self, key: str) -> Optional[Version]:
         return self.state.last_seen.get(key)
 
-    def after_read(self, ctx: TxnContext, op: Operation, version: Version,
-                   replica: str, replica_version: Version) -> None:
-        self.state.note_holder(op.key, replica_version.timestamp, replica)
-
-    def finalize(self, ctx: TxnContext) -> None:
-        self._remember_reads(ctx)
+    after_read = SessionLayer._note_read_holder
+    finalize = SessionLayer._remember_reads
 
 
 class ReadYourWritesLayer(SessionLayer):
@@ -495,8 +510,7 @@ class ReadYourWritesLayer(SessionLayer):
     def read_floor(self, key: str) -> Optional[Version]:
         return self.state.own_writes.get(key)
 
-    def finalize(self, ctx: TxnContext) -> None:
-        self._remember_writes(ctx)
+    finalize = SessionLayer._remember_writes
 
 
 class MonotonicWritesLayer(SessionLayer):
@@ -511,12 +525,11 @@ class MonotonicWritesLayer(SessionLayer):
     token = "mw"
 
     def begin(self, ctx: TxnContext) -> Generator:
-        if any(op.is_write for op in ctx.plan):
+        if any(op.kind == WRITE for op in ctx.plan):
             yield from self._forward(ctx, self.state.own_writes,
                                      self.state.own_owed)
 
-    def finalize(self, ctx: TxnContext) -> None:
-        self._remember_writes(ctx)
+    finalize = SessionLayer._remember_writes
 
 
 class WritesFollowReadsLayer(SessionLayer):
@@ -531,16 +544,12 @@ class WritesFollowReadsLayer(SessionLayer):
     token = "wfr"
 
     def begin(self, ctx: TxnContext) -> Generator:
-        if any(op.is_write for op in ctx.plan):
+        if any(op.kind == WRITE for op in ctx.plan):
             yield from self._forward(ctx, self.state.last_seen,
                                      self.state.seen_owed)
 
-    def after_read(self, ctx: TxnContext, op: Operation, version: Version,
-                   replica: str, replica_version: Version) -> None:
-        self.state.note_holder(op.key, replica_version.timestamp, replica)
-
-    def finalize(self, ctx: TxnContext) -> None:
-        self._remember_reads(ctx)
+    after_read = SessionLayer._note_read_holder
+    finalize = SessionLayer._remember_reads
 
 
 #: Registry token -> session layer class, in canonical stacking order.

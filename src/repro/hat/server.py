@@ -118,15 +118,11 @@ class HATServer(ServerNode):
         self.anti_entropy.wake()
 
     # -- shared helpers ---------------------------------------------------------
-    def _durable_write_cost(self, size_bytes: int) -> float:
-        """WAL cost for one durable write."""
-        return self.wal.append("put", None, None, size_bytes=size_bytes)
-
     def _install(self, version: Version, size_bytes: int, durable: bool = True) -> float:
         """Install a version into the main (good) store; return its cost."""
-        cost = self.store.put(version, value_bytes=size_bytes)
+        cost = self.store.put(version, size_bytes)
         if durable:
-            cost += self._durable_write_cost(size_bytes)
+            cost += self.wal.append("put", None, None, size_bytes)
         staleness = self._staleness
         if staleness is not None:
             # Single install chokepoint: anti-entropy batches, master
@@ -191,7 +187,8 @@ class HATServer(ServerNode):
         """
         # First write into the write-ahead log / pending set (first of the
         # "two writes for every client-side write" the paper describes).
-        cost = self._durable_write_cost(size_bytes + version.metadata_bytes)
+        cost = self.wal.append("put", None, None,
+                               size_bytes + version.metadata_bytes)
         timestamp = version.timestamp
         if self.mav.add_write(version):
             self.anti_entropy.mark_dirty(version)
@@ -331,14 +328,14 @@ class HATServer(ServerNode):
         txn_id = payload["txn_id"]
         versions: List[Version] = payload.get("versions", [])
         self._prepared[txn_id] = versions
-        cost = self._durable_write_cost(256 + 1024 * len(versions))
+        cost = self.wal.append("put", None, None, 256 + 1024 * len(versions))
         return {"vote": True, "txn_id": txn_id}, cost
 
     def _handle_txn_commit(self, message: Message) -> Tuple[dict, float]:
         payload = message.payload
         txn_id = payload["txn_id"]
         versions = self._prepared.pop(txn_id, [])
-        cost = self._durable_write_cost(128)
+        cost = self.wal.append("put", None, None, 128)
         for version in versions:
             cost += self._install(version, 1024, durable=False)
         return {"committed": True, "txn_id": txn_id}, cost

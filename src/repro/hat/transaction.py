@@ -20,8 +20,6 @@ READ = "read"
 WRITE = "write"
 SCAN = "scan"
 
-_OPERATION_KINDS = frozenset((READ, WRITE, SCAN))
-
 _TXN_IDS = itertools.count(1)
 
 
@@ -41,25 +39,29 @@ class Operation:
     derive: Optional[Callable[[Dict[str, Any]], "tuple"]] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _OPERATION_KINDS:
-            raise WorkloadError(f"unknown operation kind {self.kind!r}")
-        if self.kind in (READ, WRITE) and not self.key:
-            raise WorkloadError(f"{self.kind} operation requires a key")
-        if self.kind == SCAN and self.predicate is None:
+        kind = self.kind
+        if kind == READ or kind == WRITE:  # the common kinds first
+            if not self.key:
+                raise WorkloadError(f"{kind} operation requires a key")
+            if self.derive is not None and kind != WRITE:
+                raise WorkloadError("only write operations can be derived")
+        elif kind != SCAN:
+            raise WorkloadError(f"unknown operation kind {kind!r}")
+        elif self.predicate is None:
             raise WorkloadError("scan operation requires a predicate")
-        if self.derive is not None and self.kind != WRITE:
+        elif self.derive is not None:
             raise WorkloadError("only write operations can be derived")
 
     # -- constructors -----------------------------------------------------------
     @staticmethod
     def read(key: str) -> "Operation":
         """Read the current visible version of ``key``."""
-        return Operation(kind=READ, key=key)
+        return Operation(READ, key)
 
     @staticmethod
     def write(key: str, value: Any) -> "Operation":
         """Write ``value`` to ``key``."""
-        return Operation(kind=WRITE, key=key, value=value)
+        return Operation(WRITE, key, value)
 
     @staticmethod
     def derived_write(fn: Callable[[Dict[str, Any]], "tuple"],
@@ -105,7 +107,7 @@ class Transaction:
     """A client-submitted group of operations."""
 
     operations: List[Operation]
-    txn_id: int = field(default_factory=lambda: next(_TXN_IDS))
+    txn_id: int = field(default_factory=_TXN_IDS.__next__)
     session_id: Optional[int] = None
     #: Optional workload-level tag (e.g. a TPC-C transaction type); carried
     #: into recorded histories so auditors can group by program.
@@ -129,11 +131,7 @@ class Transaction:
     @property
     def write_set(self) -> Dict[str, Any]:
         """Final written value per key (last write wins within the txn)."""
-        writes: Dict[str, Any] = {}
-        for op in self.operations:
-            if op.is_write:
-                writes[op.key] = op.value
-        return writes
+        return {op.key: op.value for op in self.operations if op.kind == WRITE}
 
     def accessed_keys(self) -> List[str]:
         """Every key named by a read or write, deduplicated, in order."""

@@ -15,7 +15,8 @@ multiplier, which reproduces the long right tail visible in Figure 1.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from itertools import chain, repeat
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -75,7 +76,7 @@ LOGNORMAL_SIGMA = 0.35
 LOGNORMAL_MU = -0.5 * LOGNORMAL_SIGMA * LOGNORMAL_SIGMA
 
 #: Latency multipliers are pre-sampled in blocks of this size (see
-#: :meth:`EC2LatencyModel._next_multiplier`).
+#: :meth:`EC2LatencyModel.multipliers`).
 MULTIPLIER_BLOCK = 4096
 
 
@@ -93,15 +94,22 @@ def cross_region_rtt(region_a: str, region_b: str) -> float:
 
 
 class LatencyModel:
-    """Interface: one-way message latency between two sites."""
+    """Interface: one-way message latency between two sites — half the
+    pair's mean RTT times the next value of the caller's multiplier stream
+    (the network holds both factors, so a message costs it no call here)."""
 
     def one_way(self, rng: random.Random, src: str, dst: str) -> float:
         """Sample a one-way latency in milliseconds for a message."""
-        raise NotImplementedError
+        return self.mean_rtt(src, dst) * 0.5 * next(self.multipliers(rng))
 
     def mean_rtt(self, src: str, dst: str) -> float:
         """Mean round-trip time between two sites in milliseconds."""
         raise NotImplementedError
+
+    def multipliers(self, rng: random.Random) -> Iterator[float]:
+        """The endless dispersion stream drawn from ``rng`` (mean one); one
+        stream per ``rng``, shared by its callers.  No dispersion by default."""
+        return repeat(1.0)
 
 
 class FixedLatencyModel(LatencyModel):
@@ -111,9 +119,6 @@ class FixedLatencyModel(LatencyModel):
         if one_way_ms < 0:
             raise NetworkError("latency must be non-negative")
         self.one_way_ms = one_way_ms
-
-    def one_way(self, rng: random.Random, src: str, dst: str) -> float:
-        return self.one_way_ms
 
     def mean_rtt(self, src: str, dst: str) -> float:
         return 2.0 * self.one_way_ms
@@ -134,26 +139,11 @@ class EC2LatencyModel(LatencyModel):
     ):
         self.topology = topology
         self._overrides = dict(cross_region_overrides or {})
-        # Site placements are immutable once registered (sites are only ever
-        # added), so the scope lookup — and with it the mean RTT — can be
-        # memoized per ordered pair.  This was a top-five hot path in the
-        # figure sweeps: every message sampled it afresh.
-        self._mean_rtt_cache: Dict[Tuple[str, str], float] = {}
-        # Pre-sampled lognormal multiplier blocks, keyed by the id of the
-        # caller's random stream (the stream object itself is stored so an
-        # id cannot be silently recycled).
-        self._multiplier_blocks: Dict[int, list] = {}
+        #: random stream -> its multiplier stream (see :meth:`multipliers`).
+        self._multipliers: Dict[random.Random, Iterator[float]] = {}
 
     # -- means --------------------------------------------------------------
     def mean_rtt(self, src: str, dst: str) -> float:
-        cached = self._mean_rtt_cache.get((src, dst))
-        if cached is not None:
-            return cached
-        mean = self._mean_rtt_uncached(src, dst)
-        self._mean_rtt_cache[(src, dst)] = mean
-        return mean
-
-    def _mean_rtt_uncached(self, src: str, dst: str) -> float:
         scope = self.topology.scope(src, dst)
         if scope == SCOPE_SAME_HOST:
             return SAME_HOST_RTT_MS
@@ -171,32 +161,22 @@ class EC2LatencyModel(LatencyModel):
         raise NetworkError(f"unknown scope {scope!r}")
 
     # -- samples ------------------------------------------------------------
-    def _next_multiplier(self, rng: random.Random) -> float:
-        """One lognormal multiplier from the block sampler.
+    def multipliers(self, rng: random.Random) -> Iterator[float]:
+        """Lognormal multipliers from the block sampler.
 
         Multipliers are drawn 4096 at a time with numpy, seeded from the
-        caller's stream (one ``getrandbits`` per block), instead of paying
-        pure-Python ``gauss`` + ``exp`` per message — the same mean-one
-        lognormal distribution, deterministic per seed, at a fraction of
-        the per-sample cost.
+        caller's stream (one ``getrandbits`` per block, drawn when the
+        previous block runs out), instead of paying pure-Python ``gauss`` +
+        ``exp`` per message — the same mean-one lognormal distribution,
+        deterministic per seed, at a fraction of the per-sample cost.
         """
-        entry = self._multiplier_blocks.get(id(rng))
-        if entry is None or entry[0] is not rng:
-            entry = [rng, [], 0]
-            self._multiplier_blocks[id(rng)] = entry
-        index = entry[2]
-        block: List[float] = entry[1]
-        if index >= len(block):
-            generator = np.random.Generator(np.random.PCG64(rng.getrandbits(64)))
-            block = generator.lognormal(LOGNORMAL_MU, LOGNORMAL_SIGMA,
-                                        MULTIPLIER_BLOCK).tolist()
-            entry[1] = block
-            index = 0
-        entry[2] = index + 1
-        return block[index]
-
-    def one_way(self, rng: random.Random, src: str, dst: str) -> float:
-        return self.mean_rtt(src, dst) * 0.5 * self._next_multiplier(rng)
+        stream = self._multipliers.get(rng)
+        if stream is None:
+            stream = self._multipliers[rng] = chain.from_iterable(
+                np.random.Generator(np.random.PCG64(rng.getrandbits(64)))
+                .lognormal(LOGNORMAL_MU, LOGNORMAL_SIGMA, MULTIPLIER_BLOCK)
+                .tolist() for _ in repeat(None))
+        return stream
 
     def sample_rtt(self, rng: random.Random, src: str, dst: str) -> float:
         """Sample a full round trip (two independent one-way legs)."""

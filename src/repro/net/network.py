@@ -13,13 +13,15 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from heapq import heappush
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import NetworkError, OverloadedError, RequestTimeout
 from repro.net.latency import LatencyModel
 from repro.net.partitions import PartitionManager
 from repro.net.topology import Topology
 from repro.sim import Environment, Future, RandomStreams
+from repro.sim.events import PENDING
 
 #: Default RPC deadline.  Long enough that it only fires when a partition (or
 #: an overloaded server) genuinely prevents a response.
@@ -100,7 +102,11 @@ class Network:
         self.metrics = None
         #: msg_id -> open RPC span, finished on reply or timeout.
         self._rpc_spans: Dict[int, Any] = {}
-        self._rng = (streams or RandomStreams(0)).stream("network")
+        #: A message's delay: the next multiplier of the ``"network"`` random
+        #: stream times half the pair's mean RTT (placements never move).
+        self._multipliers = latency.multipliers(
+            (streams or RandomStreams(0)).stream("network"))
+        self._half_rtt: Dict[Tuple[str, str], float] = {}
         self._handlers: Dict[str, Callable[[Message], None]] = {}
         self._pending_rpcs: Dict[int, Future] = {}
         self._msg_ids = itertools.count(1)
@@ -148,11 +154,25 @@ class Network:
         # context (RPC spans, anti-entropy) wins; otherwise the ambient
         # context of whatever process/handler is sending.  Both are None
         # whenever tracing is off.
+        env = self.env
         message = Message(
             src, dst, kind, payload, msg_id, reply_to,
-            trace if trace is not None else self.env.current_trace)
-        delay = self.latency.one_way(self._rng, src, dst) * self.latency_factor
-        self.env.schedule(delay, self._deliver, message)
+            trace if trace is not None else env.current_trace)
+        pair = (src, dst)
+        try:
+            half_rtt = self._half_rtt[pair]
+        except KeyError:
+            half_rtt = self._half_rtt[pair] = (
+                self.latency.mean_rtt(src, dst) * 0.5)
+        delay = half_rtt * next(self._multipliers) * self.latency_factor
+        if delay > 0.0:
+            # Environment.schedule, in place: one heap push per message.
+            seq = env._next_seq
+            env._next_seq = seq + 1
+            heappush(env._queue, (env._now + delay, seq, self._deliver,
+                                  (message,)))
+        else:
+            env.schedule(delay, self._deliver, message)
         return msg_id
 
     # -- degraded-latency epochs ------------------------------------------------
@@ -176,7 +196,7 @@ class Network:
         reply_to = message.reply_to
         if reply_to is not None:
             pending = self._pending_rpcs.pop(reply_to, None)
-            if pending is not None and not pending.triggered:
+            if pending is not None and pending._value is PENDING:
                 payload = message.payload
                 if self._rpc_spans:
                     span = self._rpc_spans.pop(reply_to, None)
@@ -205,26 +225,26 @@ class Network:
         size_bytes: int = 0,
     ) -> Future:
         """Send a request and return a future for the matching response."""
-        response: Future = self.env.future()
-        parent = self.env.current_trace
+        env = self.env
+        response = Future(env)
+        parent = env.current_trace
         if parent is not None:  # set by traced code only: a tracer is installed
             tracer = self.tracer
             span = tracer.start_span(tracer.rpc_names[kind], "rpc", parent,
-                                     src, self.env._now)
+                                     src, env._now)
             span.attrs["dst"] = dst
-            msg_id = self.send(src, dst, kind, payload, size_bytes=size_bytes,
-                               trace=span)
+            msg_id = self.send(src, dst, kind, payload, None, size_bytes, span)
             self._rpc_spans[msg_id] = span
         else:
-            msg_id = self.send(src, dst, kind, payload, size_bytes=size_bytes)
+            msg_id = self.send(src, dst, kind, payload, None, size_bytes)
         self._pending_rpcs[msg_id] = response
         wheel = self._timeout_wheels.get(timeout_ms)
         if wheel is None:
             wheel = self._timeout_wheels[timeout_ms] = deque()
-        wheel.append((self.env.now + timeout_ms, msg_id, src, dst, kind))
+        wheel.append((env._now + timeout_ms, msg_id, src, dst, kind))
         if timeout_ms not in self._armed_wheels:
             self._armed_wheels.add(timeout_ms)
-            self.env.schedule(timeout_ms, self._sweep_timeouts, timeout_ms)
+            env.schedule(timeout_ms, self._sweep_timeouts, timeout_ms)
         return response
 
     def _sweep_timeouts(self, timeout_ms: float) -> None:
@@ -235,7 +255,7 @@ class Network:
         while wheel and wheel[0][0] <= now:
             _deadline, msg_id, src, dst, kind = wheel.popleft()
             pending = pending_rpcs.pop(msg_id, None)
-            if pending is not None and not pending.triggered:
+            if pending is not None and pending._value is PENDING:
                 self.stats.rpc_timeouts += 1
                 span = self._rpc_spans.pop(msg_id, None)
                 if span is not None:
@@ -253,11 +273,5 @@ class Network:
 
     def reply(self, request: Message, payload: Any = None, size_bytes: int = 0) -> None:
         """Send the response for ``request`` back to its sender."""
-        self.send(
-            src=request.dst,
-            dst=request.src,
-            kind=f"{request.kind}.reply",
-            payload=payload,
-            reply_to=request.msg_id,
-            size_bytes=size_bytes,
-        )
+        self.send(request.dst, request.src, f"{request.kind}.reply", payload,
+                  request.msg_id, size_bytes)

@@ -23,8 +23,9 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
-#: Sentinel used to mark a future that has not yet resolved.
-_PENDING = object()
+#: The value of a future that has not resolved yet (kernel-adjacent code tests
+#: ``future._value is PENDING`` where the ``triggered`` property is too slow).
+PENDING = object()
 
 
 class Future:
@@ -40,7 +41,7 @@ class Future:
 
     def __init__(self, env: "Environment"):
         self.env = env
-        self._value: Any = _PENDING
+        self._value: Any = PENDING
         self._failed = False
         self._callbacks: List[Callable[["Future"], None]] = []
 
@@ -48,43 +49,31 @@ class Future:
     @property
     def triggered(self) -> bool:
         """``True`` once the future has been resolved."""
-        return self._value is not _PENDING
+        return self._value is not PENDING
 
     @property
     def ok(self) -> bool:
         """``True`` when the future resolved successfully."""
-        return self._value is not _PENDING and not self._failed
+        return self._value is not PENDING and not self._failed
 
     @property
     def value(self) -> Any:
         """The resolution value (or the exception if the future failed)."""
-        if self._value is _PENDING:
+        if self._value is PENDING:
             raise SimulationError("future has not been resolved yet")
         return self._value
 
     # -- resolution -------------------------------------------------------
     def succeed(self, value: Any = None) -> "Future":
         """Resolve the future successfully with ``value``."""
-        self._resolve(value, failed=False)
-        return self
-
-    def fail(self, exception: BaseException) -> "Future":
-        """Resolve the future with an exception."""
-        if not isinstance(exception, BaseException):
-            raise SimulationError("Future.fail() requires an exception")
-        self._resolve(exception, failed=True)
-        return self
-
-    def _resolve(self, value: Any, failed: bool) -> None:
-        if self._value is not _PENDING:
+        if self._value is not PENDING:
             raise SimulationError("future resolved twice")
         self._value = value
-        self._failed = failed
         callbacks = self._callbacks
         if callbacks:
-            self._callbacks = []
             # Inlined schedule_now: resolution is the single hottest
-            # scheduling site (once per RPC reply and process hop).
+            # scheduling site (once per RPC reply and process hop).  The
+            # waiter runs from the immediate deque, never inside this frame.
             env = self.env
             immediate = env._immediate
             now = env._now
@@ -92,12 +81,23 @@ class Future:
             for callback in callbacks:
                 immediate.append((now, seq, callback, (self,)))
                 seq += 1
+            callbacks.clear()
             env._next_seq = seq
+        return self
+
+    def fail(self, exception: BaseException) -> "Future":
+        """Resolve the future with an exception."""
+        if not isinstance(exception, BaseException):
+            raise SimulationError("Future.fail() requires an exception")
+        # A failure is a resolution whose value is the exception.
+        if self._value is PENDING:
+            self._failed = True
+        return self.succeed(exception)
 
     # -- callbacks --------------------------------------------------------
     def add_callback(self, callback: Callable[["Future"], None]) -> None:
         """Run ``callback(self)`` once the future resolves."""
-        if self._value is not _PENDING:
+        if self._value is not PENDING:
             self.env.schedule_now(callback, self)
         else:
             self._callbacks.append(callback)
@@ -112,18 +112,14 @@ class Future:
 class Timeout(Future):
     """A future that resolves after a fixed simulated delay."""
 
-    __slots__ = ("delay", "_timeout_value")
+    __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
         super().__init__(env)
         self.delay = delay
-        self._timeout_value = value
-        env.schedule(delay, self._fire)
-
-    def _fire(self) -> None:
-        self.succeed(self._timeout_value)
+        env.schedule(delay, self.succeed, value)
 
 
 class Environment:
@@ -243,31 +239,21 @@ class Environment:
         immediate = self._immediate
         pop_heap = heappop
         pop_immediate = immediate.popleft
+        horizon = float("inf") if until is None else until
         executed = 0
         try:
-            if until is None:
-                while immediate or queue:
-                    if immediate and not (queue and queue[0] < immediate[0]):
-                        when, _seq, callback, args = pop_immediate()
-                    else:
-                        when, _seq, callback, args = pop_heap(queue)
-                    self._now = when
-                    executed += 1
-                    callback(*args)
-            else:
-                while immediate or queue:
-                    if immediate and not (queue and queue[0] < immediate[0]):
-                        # Immediate entries carry a past timestamp, so they
-                        # can never exceed ``until`` (which is >= now).
-                        when, _seq, callback, args = pop_immediate()
-                    else:
-                        if queue[0][0] > until:
-                            self._now = until
-                            return until
-                        when, _seq, callback, args = pop_heap(queue)
-                    self._now = when
-                    executed += 1
-                    callback(*args)
+            while immediate or queue:
+                if immediate and not (queue and queue[0] < immediate[0]):
+                    # Immediate entries carry a past timestamp, so they
+                    # can never exceed the horizon (which is >= now).
+                    when, _seq, callback, args = pop_immediate()
+                else:
+                    if queue[0][0] > horizon:
+                        break
+                    when, _seq, callback, args = pop_heap(queue)
+                self._now = when
+                executed += 1
+                callback(*args)
         finally:
             self.events_executed += executed
         if until is not None and until > self._now:
@@ -280,7 +266,7 @@ class Environment:
         Raises the future's exception if it failed, and
         :class:`SimulationError` if the event queue drains first.
         """
-        while not future.triggered:
+        while future._value is PENDING:
             when = self._next_when()
             if when is None:
                 raise SimulationError(

@@ -18,13 +18,13 @@ from __future__ import annotations
 from typing import Any, Generator, Iterable, List
 
 from repro.errors import ProcessInterrupt, SimulationError
-from repro.sim.events import Environment, Future
+from repro.sim.events import PENDING, Environment, Future
 
 
 class Process(Future):
     """Drives a generator as a simulated process."""
 
-    __slots__ = ("_generator", "_waiting_on", "trace")
+    __slots__ = ("_generator", "trace")
 
     def __init__(self, env: Environment, generator: Generator):
         if not hasattr(generator, "send"):
@@ -34,26 +34,37 @@ class Process(Future):
             )
         super().__init__(env)
         self._generator = generator
-        self._waiting_on: Future | None = None
         #: Trace context published as ``env.current_trace`` while the
         #: generator body runs (set by traced clients; None otherwise).
         self.trace = None
         # Start the process on the next tick so construction never reenters
         # user code synchronously.
-        env.schedule_now(self._resume, None, None)
+        env.schedule_now(self._resume, None)
 
     # -- interruption -----------------------------------------------------
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`ProcessInterrupt` into the process at its next wait."""
-        if self.triggered:
+        if self._value is not PENDING:
             return
         self.env.schedule_now(self._resume, None, ProcessInterrupt(cause))
 
     # -- internal machinery -----------------------------------------------
-    def _resume(self, value: Any, exception: BaseException | None) -> None:
-        if self.triggered:
+    def _resume(self, resolved: Future | None,
+                exception: BaseException | None = None) -> None:
+        """One generator step: the callback of whatever the process awaits.
+
+        ``resolved`` is the awaited future (its value is sent into the
+        generator, its exception thrown); ``None`` starts the process or,
+        with ``exception``, interrupts it.
+        """
+        if self._value is not PENDING:
             return
-        self._waiting_on = None
+        value = None
+        if resolved is not None:
+            if resolved._failed:
+                exception = resolved._value
+            else:
+                value = resolved._value
         # Publish the ambient trace context for the duration of the
         # generator step.  Resolving futures only *enqueues* callbacks (it
         # never runs user code nested inside this frame), so everything the
@@ -76,30 +87,18 @@ class Process(Future):
         finally:
             if trace is not None:
                 self.env.current_trace = None
-        self._wait_for(self._coerce(target))
-
-    def _coerce(self, target: Any) -> Future:
-        if isinstance(target, Future):
-            return target
-        if isinstance(target, (int, float)):
-            return self.env.timeout(float(target))
-        raise SimulationError(
-            f"process yielded an unsupported value: {target!r} "
-            "(expected a Future, Process, or a numeric delay)"
-        )
-
-    def _wait_for(self, future: Future) -> None:
-        self._waiting_on = future
-        future.add_callback(self._on_wait_resolved)
-
-    def _on_wait_resolved(self, resolved: Future) -> None:
-        # Slot access instead of the ``ok``/``value`` properties: this runs
-        # once per wait of every process, and the future is always resolved
-        # by the time the callback fires.
-        if resolved._failed:
-            self._resume(None, resolved._value)
+        if not isinstance(target, Future):
+            if not isinstance(target, (int, float)):
+                raise SimulationError(
+                    f"process yielded an unsupported value: {target!r} "
+                    "(expected a Future, Process, or a numeric delay)"
+                )
+            target = self.env.timeout(float(target))
+        # Future.add_callback, in place: once per wait of every process.
+        if target._value is PENDING:
+            target._callbacks.append(self._resume)
         else:
-            self._resume(resolved._value, None)
+            self.env.schedule_now(self._resume, target)
 
 
 def all_of(env: Environment, futures: Iterable[Future]) -> Future:
@@ -118,12 +117,12 @@ def all_of(env: Environment, futures: Iterable[Future]) -> Future:
 
     def _make_callback(index: int):
         def _callback(resolved: Future) -> None:
-            if result.triggered:
+            if result._value is not PENDING:
                 return
-            if not resolved.ok:
-                result.fail(resolved.value)
+            if resolved._failed:
+                result.fail(resolved._value)
                 return
-            values[index] = resolved.value
+            values[index] = resolved._value
             remaining[0] -= 1
             if remaining[0] == 0:
                 result.succeed(list(values))

@@ -58,10 +58,6 @@ class VersionedStore:
             del stamps[:overflow]
         return True
 
-    def put(self, version: Version) -> bool:
-        """Alias for :meth:`install` (LevelDB-style naming)."""
-        return self.install(version)
-
     # -- reads --------------------------------------------------------------
     def latest(self, key: str) -> Version:
         """Latest installed version, or the initial bottom version."""

@@ -83,7 +83,8 @@ class Version:
         transactions and ~1.9 KB for 128-operation transactions, i.e. roughly
         a constant plus ~15 bytes per sibling key.
         """
-        return 34 + 15 * max(0, len(self.siblings) - 1)
+        extra_siblings = len(self.siblings) - 1
+        return 34 + 15 * extra_siblings if extra_siblings > 0 else 34
 
 
 @lru_cache(maxsize=1 << 20)
@@ -94,7 +95,7 @@ def initial_version(key: str) -> Version:
     materializes this same bottom version, and benchmark workloads read from
     bounded key spaces.
     """
-    return Version(key=key, value=None, timestamp=NULL_TIMESTAMP, txn_id=None)
+    return Version(key, None, NULL_TIMESTAMP)
 
 
 def last_writer_wins(a: Optional[Version], b: Optional[Version]) -> Optional[Version]:

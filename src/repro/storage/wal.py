@@ -16,8 +16,9 @@ unbounded log on every replica.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Optional
+from collections import deque
+from dataclasses import dataclass
+from typing import Any, Deque, Iterator, Optional
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,18 +42,18 @@ class WriteAheadLog:
     #: cap theirs: the retained records exist for replay and debugging, and
     #: an unbounded list grows forever on every replica of a long run.
     max_records: Optional[int] = None
-    _records: List[tuple] = field(default_factory=list)
     _next_lsn: int = 0
     _unsynced_bytes: int = 0
+
+    def __post_init__(self) -> None:
+        # A bounded deque drops the oldest record in O(1) when full.
+        self._records: Deque[tuple] = deque(maxlen=self.max_records)
 
     def append(self, kind: str, key: Optional[str], payload: Any,
                size_bytes: int = 128, sync: bool = True) -> float:
         """Append a record; return the simulated time cost in milliseconds."""
-        records = self._records
-        records.append((self._next_lsn, kind, key, payload, size_bytes))
+        self._records.append((self._next_lsn, kind, key, payload, size_bytes))
         self._next_lsn += 1
-        if self.max_records is not None and len(records) > self.max_records:
-            del records[: len(records) - self.max_records]
         self._unsynced_bytes += size_bytes
         if not sync:
             return size_bytes / self.bytes_per_ms

@@ -2,16 +2,22 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import NetworkError
 from repro.net.latency import (
     EC2LatencyModel,
     FixedLatencyModel,
+    LOGNORMAL_MU,
+    LOGNORMAL_SIGMA,
+    MULTIPLIER_BLOCK,
     TABLE_1C_RTT_MS,
     cross_region_rtt,
 )
+from repro.net.network import Network
 from repro.net.topology import ec2_topology
+from repro.sim import Environment, RandomStreams
 
 
 @pytest.fixture
@@ -84,3 +90,83 @@ class TestEC2LatencyModel:
         topology = ec2_topology(regions=["CA", "OR"])
         model = EC2LatencyModel(topology, cross_region_overrides={("CA", "OR"): 99.0})
         assert model.mean_rtt("CA-0-0", "OR-0-0") == 99.0
+
+
+def _block_sampled_multipliers(rng, count):
+    """The multiplier sequence as ``one_way`` drew it before the stream
+    became an iterator: a 4096-block per ``getrandbits(64)``, refilled when
+    the index runs off the end."""
+    drawn, block, index = [], [], 0
+    for _ in range(count):
+        if index >= len(block):
+            generator = np.random.Generator(np.random.PCG64(rng.getrandbits(64)))
+            block = generator.lognormal(LOGNORMAL_MU, LOGNORMAL_SIGMA,
+                                        MULTIPLIER_BLOCK).tolist()
+            index = 0
+        drawn.append(block[index])
+        index += 1
+    return drawn
+
+
+class TestMultiplierStream:
+    """The network draws its dispersion from the model's stream directly;
+    the values, their order and the draws behind them are the block
+    sampler's, across a block boundary, whatever the seed."""
+
+    COUNT = 4096 + 50
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2013])
+    def test_the_network_delays_messages_by_the_block_samplers_sequence(self, seed):
+        topology = ec2_topology(zones_per_region=2, hosts_per_zone=2)
+        model = EC2LatencyModel(topology)
+        env = Environment()
+        network = Network(env, topology, model, streams=RandomStreams(seed))
+        arrived = {}
+        network.register("OR-0-0", lambda m: arrived.setdefault(m.payload, env.now))
+        for index in range(self.COUNT):
+            network.send("VA-0-0", "OR-0-0", "ping", index)
+        env.run()
+        half_rtt = model.mean_rtt("VA-0-0", "OR-0-0") * 0.5
+        expected = _block_sampled_multipliers(
+            RandomStreams(seed).stream("network"), self.COUNT)
+        assert [arrived[index] for index in range(self.COUNT)] == [
+            half_rtt * multiplier * 1.0 for multiplier in expected]
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_one_way_draws_the_same_sequence_from_a_callers_stream(self, model, seed):
+        rng = random.Random(seed)
+        samples = [model.one_way(rng, "VA-0-0", "VA-0-1")
+                   for _ in range(self.COUNT)]
+        half_rtt = model.mean_rtt("VA-0-0", "VA-0-1") * 0.5
+        assert samples == [half_rtt * multiplier for multiplier in
+                           _block_sampled_multipliers(random.Random(seed),
+                                                      self.COUNT)]
+        # One stream per random source, shared by everyone who draws from it.
+        assert model.multipliers(rng) is model.multipliers(rng)
+        assert model.multipliers(rng) is not model.multipliers(random.Random(seed))
+
+    def test_a_block_is_drawn_only_when_the_previous_one_runs_out(self, model):
+        rng, untouched = random.Random(5), random.Random(5)
+        stream = model.multipliers(rng)
+        assert rng.getstate() == untouched.getstate()  # nothing drawn yet
+        next(stream)
+        untouched.getrandbits(64)
+        assert rng.getstate() == untouched.getstate()
+        for _ in range(4095):
+            next(stream)
+        assert rng.getstate() == untouched.getstate()  # still the first block
+        next(stream)
+        untouched.getrandbits(64)
+        assert rng.getstate() == untouched.getstate()
+
+    def test_a_model_without_dispersion_keeps_its_constant(self):
+        topology = ec2_topology(zones_per_region=1, hosts_per_zone=2)
+        env = Environment()
+        network = Network(env, topology, FixedLatencyModel(0.3))
+        arrived = []
+        network.register("VA-0-1", lambda m: arrived.append(env.now))
+        network.send("VA-0-0", "VA-0-1", "ping")
+        network.degrade(3.0)
+        network.send("VA-0-0", "VA-0-1", "ping")
+        env.run()
+        assert arrived == [0.3, 0.3 * 3.0]

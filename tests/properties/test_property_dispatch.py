@@ -1,0 +1,195 @@
+"""Differential property: serving a request where it arrives changes nothing.
+
+``ServerNode`` serves a request on arrival when a worker is idle and nothing
+is queued, and queues it otherwise; one ``_serve`` body does the dispatch for
+both.  The reference below is the dispatcher as it stood before that: every
+request is appended to the queue and a fused loop pops it again, handler
+lookup, span, service time and completion scheduling written out inline.
+Random arrival schedules — bursts deeper than the worker pool, every
+admission policy, a crash with requests still queued — must produce the same
+replies at the same instants, the same ``ServerStats``, the same queue-probe
+observations and the same server spans from both.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster.node import ServerNode, ServiceCostModel
+from repro.errors import OverloadedError
+from repro.net.latency import FixedLatencyModel
+from repro.net.network import Network
+from repro.net.topology import Topology
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
+from repro.overload.admission import ADMISSION_POLICIES, AdmissionConfig
+from repro.sim import Environment
+
+SHEDDABLE = frozenset({"fg"})
+
+
+class AlwaysEnqueueNode(ServerNode):
+    """The reference dispatcher: append, then pop in one fused loop."""
+
+    def _on_message(self, message):
+        if not self.alive:
+            return
+        stats = self.stats
+        stats.requests += 1
+        kind = message.kind
+        stats.per_kind[kind] = stats.per_kind.get(kind, 0) + 1
+        queue = self._queue
+        admission = self.admission
+        if (admission is not None
+                and len(queue) >= admission.max_queue_depth
+                and kind in admission.sheddable_kinds):
+            if admission.policy == "adaptive-lifo":
+                if not self._evict_oldest_sheddable(admission):
+                    self._reject(message, "queue-full")
+                    return
+            else:
+                self._reject(message, "queue-full")
+                return
+        found = len(queue)
+        queue.append((message, self.env.now, found))
+        if self._probe is not None:
+            self._probe.depth.observe(self.env.now, found + 1)
+        stats.max_queue_depth = max(stats.max_queue_depth, found + 1)
+        if self._busy_workers < self.cost.concurrency:
+            self._maybe_start_worker()
+
+    def _maybe_start_worker(self):
+        queue, stats, cost, env = self._queue, self.stats, self.cost, self.env
+        admission = self.admission
+        while self._busy_workers < cost.concurrency and queue:
+            if (admission is not None and admission.policy == "adaptive-lifo"
+                    and len(queue) > admission.lifo_depth):
+                message, enqueued_at, depth = queue.pop()
+            else:
+                message, enqueued_at, depth = queue.popleft()
+            if (admission is not None and admission.policy == "codel"
+                    and env.now - enqueued_at > admission.codel_target_ms
+                    and message.kind in admission.sheddable_kinds):
+                self._reject(message, "stale")
+                continue
+            queue_wait = env.now - enqueued_at
+            stats.queue_wait_ms += queue_wait
+            if self._probe is not None:
+                self._probe.wait.observe(env.now, queue_wait)
+            self._busy_workers += 1
+            handler = self._handlers.get(message.kind)
+            span = None
+            if message.trace is not None and handler is not None:
+                tracer = self.network.tracer
+                span = env.current_trace = tracer.start_span(
+                    tracer.server_names[message.kind], "server",
+                    message.trace, self.name, enqueued_at)
+            if handler is None:
+                reply_payload = {"error": f"no handler for {message.kind!r}"}
+                service_ms = 0.0
+            else:
+                reply_payload, extra_cost = handler(message)
+                service_ms = cost.request_overhead_ms + extra_cost
+                size = message.payload.get("size_bytes", 0)
+                if size:
+                    service_ms += (size / 1024.0) * cost.per_kb_ms
+            if span is not None:
+                env.current_trace = None
+                span.end_ms = enqueued_at + queue_wait + service_ms
+                span.attrs["queue_wait_ms"] = queue_wait
+                span.attrs["service_ms"] = service_ms
+                span.attrs["queue_depth"] = depth
+            stats.busy_ms += service_ms
+            env.schedule(service_ms, self._complete, message, reply_payload)
+
+
+def _run(node_class, arrivals, concurrency, admission, crash_at, recover_at):
+    env = Environment()
+    topology = Topology()
+    topology.add_site("client", region="VA")
+    topology.add_site("server", region="VA")
+    network = Network(env, topology, FixedLatencyModel(0.25))
+    network.metrics = MetricsRegistry()
+    network.tracer = tracer = Tracer()
+    network.register("client", lambda message: None)
+    server = node_class(env, network, "server",
+                        cost_model=ServiceCostModel(concurrency=concurrency),
+                        admission=admission)
+
+    def handle(message):
+        payload = message.payload
+        reply = None if payload["silent"] else {"echo": payload["index"]}
+        return reply, payload["cost"]
+
+    server.register_handler("fg", handle)
+    server.register_handler("bg", handle)
+    replies = []
+
+    def fire(index, kind, cost, size, silent):
+        root = tracer.start_span(f"request-{index}", "client", None, "client",
+                                 env.now)
+        env.current_trace = root
+        future = network.rpc("client", "server", kind, {
+            "index": index, "cost": cost, "size_bytes": size,
+            "silent": silent}, timeout_ms=50.0)
+        env.current_trace = None
+        future.add_callback(lambda resolved: replies.append(
+            (index, env.now,
+             "shed" if isinstance(resolved.value, OverloadedError)
+             else repr(resolved.value))))
+
+    at = 0.0
+    for index, (gap, kind, cost, size, silent) in enumerate(arrivals):
+        at += gap
+        env.schedule(at, fire, index, kind, cost, size, silent)
+    if crash_at is not None:
+        env.schedule(crash_at, server.crash)
+        if recover_at is not None:
+            env.schedule(crash_at + recover_at, server.recover)
+    env.run()
+    assert server.busy_workers == 0 and server.queue_depth == 0
+    spans = [span.as_dict() for span in tracer.spans]
+    return (replies, server.stats, network.stats, env.events_executed,
+            network.metrics.timeseries(), spans)
+
+
+arrival = st.tuples(
+    st.sampled_from([0.0, 0.0, 0.0, 0.05, 0.4, 3.0]),       # gap: bursts mostly
+    st.sampled_from(["fg", "fg", "fg", "bg", "unknown"]),
+    st.sampled_from([0.0, 0.3, 2.0, 8.0]),                   # handler cost, ms
+    st.sampled_from([0, 1024, 8192]),                        # payload bytes
+    st.booleans())                                           # fire-and-forget
+admissions = st.one_of(
+    st.none(),
+    st.builds(AdmissionConfig,
+              max_queue_depth=st.integers(1, 5),
+              policy=st.sampled_from(ADMISSION_POLICIES),
+              lifo_depth=st.one_of(st.none(), st.integers(0, 3)),
+              codel_target_ms=st.sampled_from([0.2, 1.0, 5.0]),
+              sheddable_kinds=st.just(SHEDDABLE)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrivals=st.lists(arrival, min_size=1, max_size=40),
+       concurrency=st.integers(1, 3), admission=admissions,
+       crash_at=st.one_of(st.none(), st.sampled_from([0.3, 1.0, 4.0])),
+       recover_at=st.one_of(st.none(), st.sampled_from([0.5, 6.0])))
+def test_serving_on_arrival_matches_the_always_enqueue_dispatcher(
+        arrivals, concurrency, admission, crash_at, recover_at):
+    assert (_run(ServerNode, arrivals, concurrency, admission, crash_at,
+                 recover_at)
+            == _run(AlwaysEnqueueNode, arrivals, concurrency, admission,
+                    crash_at, recover_at))
+
+
+def test_the_schedules_reach_every_arm():
+    """A burst through each policy sheds, queues and serves on arrival —
+    otherwise the property above compares two idle servers."""
+    burst = [(0.0, "fg", 2.0, 1024, False)] * 12 + [(6.0, "fg", 0.3, 0, False)]
+    for policy in ADMISSION_POLICIES:
+        admission = AdmissionConfig(max_queue_depth=3, policy=policy,
+                                    codel_target_ms=3.0,
+                                    sheddable_kinds=SHEDDABLE)
+        replies, stats, *_ = _run(ServerNode, burst, 2, admission, None, None)
+        assert stats.rejected > 0 and stats.queue_wait_ms > 0.0
+        assert stats.max_queue_depth == 3 and len(replies) == len(burst)
+        assert replies[-1][2] != "shed"  # the late, lone request: zero wait

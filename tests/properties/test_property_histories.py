@@ -7,9 +7,13 @@ and detectors never crash on arbitrary well-formed histories.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.adya.history import HistoryBuilder
+from repro.adya.history import (History, HistoryBuilder, HistoryRecorder,
+                                HistoryTransaction, ReadEvent, WriteEvent)
 from repro.adya.levels import ISOLATION_LEVELS, check_history
 from repro.adya.phenomena import PHENOMENA
+from repro.hat.transaction import (Operation, ReadObservation, Transaction,
+                                   TransactionResult)
+from repro.storage.records import NULL_TIMESTAMP, Timestamp, Version
 
 KEYS = ["x", "y", "z"]
 
@@ -95,3 +99,72 @@ class TestDetectorRobustness:
             for strong_name, strong in ISOLATION_LEVELS.items():
                 if weak.prohibits <= strong.prohibits and not reports[weak_name].satisfied:
                     assert not reports[strong_name].satisfied
+
+
+# -- HistoryRecorder.build against the two-pass build it replaced ---------------
+
+def _two_pass_build(recorded):
+    """The recorder's build as it was: every transaction through
+    ``History.add_transaction`` (version orders in commit order), then each
+    key with a timestamped writer overridden by the timestamp sort."""
+    history = History()
+    timestamps = {}
+    for transaction, result in sorted(recorded, key=lambda pair: pair[1].end_ms):
+        txn = HistoryTransaction(txn_id=result.txn_id, committed=result.committed,
+                                 session_id=result.session_id,
+                                 label=transaction.label)
+        index = 0
+        for observation in result.reads:
+            txn.reads.append(ReadEvent(
+                key=observation.key, writer_txn=observation.version.txn_id,
+                value=observation.version.value, index=index))
+            index += 1
+        if result.committed:
+            for key, value in result.writes.items():
+                txn.writes.append(WriteEvent(key=key, value=value, index=index))
+                index += 1
+                if result.timestamp is not None:
+                    timestamps.setdefault(key, []).append(
+                        (result.timestamp, result.txn_id))
+        history.add_transaction(txn)
+    for key, entries in timestamps.items():
+        entries.sort(key=lambda pair: pair[0])
+        history.set_version_order(key, [txn_id for _, txn_id in entries])
+    return history
+
+
+@st.composite
+def recorded_runs(draw):
+    """What clients hand a recorder: results in any completion order, commit
+    timestamps that may tie, repeat out of order, or be missing."""
+    recorded = []
+    for txn_id in range(1, draw(st.integers(1, 12)) + 1):
+        timestamp = draw(st.one_of(
+            st.none(), st.builds(Timestamp, st.integers(0, 4), st.integers(1, 3))))
+        reads = [ReadObservation(key, Version(key, value, NULL_TIMESTAMP, writer))
+                 for key, value, writer in draw(st.lists(st.tuples(
+                     st.sampled_from(KEYS), st.integers(0, 9),
+                     st.one_of(st.none(), st.integers(1, 12))), max_size=3))]
+        writes = draw(st.dictionaries(st.sampled_from(KEYS), st.integers(0, 9),
+                                      max_size=3))
+        result = TransactionResult(
+            txn_id, draw(st.booleans()), "eventual", timestamp=timestamp,
+            session_id=draw(st.integers(1, 3)), reads=reads, writes=writes,
+            end_ms=float(draw(st.integers(0, 6))))
+        transaction = Transaction([Operation.read("x")], txn_id=txn_id,
+                                  label=draw(st.sampled_from([None, "payment"])))
+        recorded.append((transaction, result))
+    return recorded
+
+
+@settings(max_examples=200, deadline=None)
+@given(recorded=recorded_runs())
+def test_recorder_builds_the_history_the_two_pass_build_did(recorded):
+    recorder = HistoryRecorder()
+    for transaction, result in recorded:
+        recorder.record(transaction, result)
+    built, expected = recorder.build(), _two_pass_build(recorded)
+    assert built.transactions == expected.transactions
+    assert list(built.transactions) == list(expected.transactions)
+    assert built.version_order == expected.version_order
+    assert list(built.version_order) == list(expected.version_order)

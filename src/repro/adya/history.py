@@ -25,7 +25,7 @@ from repro.errors import IsolationError
 INITIAL = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ReadEvent:
     """One read: which transaction's write (by key) was observed."""
 
@@ -38,7 +38,7 @@ class ReadEvent:
     predicate: Optional[str] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class WriteEvent:
     """One write of ``value`` to ``key``."""
 

@@ -248,11 +248,15 @@ class Network:
         return response
 
     def _sweep_timeouts(self, timeout_ms: float) -> None:
-        """Expire every RPC of one timeout class whose deadline has passed."""
+        """Expire every RPC of one timeout class whose deadline has passed.
+
+        Entries already answered leave the front of the wheel whatever their
+        deadline, so the sweeper re-arms only for an RPC still outstanding.
+        """
         wheel = self._timeout_wheels[timeout_ms]
         now = self.env.now
         pending_rpcs = self._pending_rpcs
-        while wheel and wheel[0][0] <= now:
+        while wheel and (wheel[0][0] <= now or wheel[0][1] not in pending_rpcs):
             _deadline, msg_id, src, dst, kind = wheel.popleft()
             pending = pending_rpcs.pop(msg_id, None)
             if pending is not None and pending._value is PENDING:

@@ -29,6 +29,7 @@ import pytest
 from repro.bench.runner import RunConfig, run_workload
 from repro.chaos import Nemesis, canonical_partition_campaign
 from repro.hat.testbed import FIVE_REGION_DEPLOYMENT, Scenario, build_testbed
+from repro.overload.retry import RetryPolicy
 from repro.workloads.ycsb import YCSBConfig
 
 
@@ -96,6 +97,23 @@ def test_mav_still_costs_more_than_eventual(costs):
 
 def test_eventual_cost_is_pinned_exactly(costs):
     assert costs["eventual"].cost == (37773, 17748, 0, 1084)
+
+
+def test_an_answered_rpc_buys_no_timeout_sweep(costs):
+    """The pinned run again with a 100 ms RPC deadline, so it outlives its
+    timeout ten times over: the sweeper wakes once per deadline of an RPC
+    still outstanding (11 times here), not once per RPC ever issued (8 665
+    extra events when answered entries held the front of the wheel)."""
+    scenario = Scenario(regions=["VA", "OR"], servers_per_cluster=2, seed=0)
+    testbed = build_testbed(scenario)
+    stats = run_workload(
+        RunConfig(protocol="eventual", scenario=scenario, duration_ms=1000.0,
+                  warmup_ms=0.0, seed=0,
+                  retry=RetryPolicy(rpc_timeout_ms=100.0)), testbed=testbed)
+    events, messages, _, committed = costs["eventual"].cost
+    assert (testbed.network.stats.sent, stats.committed) == (messages, committed)
+    assert testbed.network.stats.rpc_timeouts == 0
+    assert events <= testbed.env.events_executed <= events + 20
 
 
 def test_causal_on_a_healthy_network_costs_what_eventual_costs(costs):

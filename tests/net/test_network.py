@@ -100,6 +100,36 @@ class TestRPC:
         with pytest.raises(RequestTimeout):
             env.run_until_complete(future)
 
+    def test_sweeper_wakes_only_for_an_rpc_still_outstanding(self):
+        """Answered RPCs leave the wheel with the sweep that finds them; one
+        issued among them and never answered fails at exactly its deadline."""
+        env, network = make_network(latency_ms=1.0)
+
+        def server(message):
+            if message.kind == "ping":
+                network.reply(message, "pong")
+
+        network.register("b", server)
+        network.register("a", lambda msg: None)
+        issued = []
+        for at_ms in range(0, 100, 10):
+            kind = "silent" if at_ms == 50 else "ping"
+            env.schedule(float(at_ms), lambda kind=kind: issued.append(
+                network.rpc("a", "b", kind, timeout_ms=200.0)))
+        env.run(until=150.0)
+        before = env.events_executed
+        silent = issued[5]
+        with pytest.raises(RequestTimeout):
+            env.run_until_complete(silent)
+        assert env.now == pytest.approx(250.0)
+        assert network.stats.rpc_timeouts == 1
+        env.run()
+        # One sweep at the first deadline (200 ms) drops the five answered
+        # entries ahead of the silent RPC, one at its deadline fails it and
+        # drops the four behind it; nothing is armed afterwards.
+        assert env.events_executed - before == 2
+        assert env.pending_events == 0 and not network._armed_wheels
+
     def test_late_reply_after_timeout_is_ignored(self):
         env, network = make_network(latency_ms=1.0)
         stashed = []

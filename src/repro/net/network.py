@@ -113,9 +113,11 @@ class Network:
         # Timeout wheels: one FIFO per distinct timeout duration.  RPCs with
         # the same timeout expire in issue order, so each wheel stays sorted
         # by deadline and a single armed sweeper event per wheel replaces the
-        # per-RPC expiry callback that used to dominate the event heap.
+        # per-RPC expiry callback that used to dominate the event heap.  A
+        # sweep also drops answered entries from the front, whatever their
+        # deadline, so it re-arms only for an RPC still outstanding; a wheel
+        # has a sweeper armed exactly while it holds entries.
         self._timeout_wheels: Dict[float, deque] = {}
-        self._armed_wheels: set = set()
 
     # -- registration -------------------------------------------------------
     def register(self, site: str, handler: Callable[[Message], None]) -> None:
@@ -241,18 +243,13 @@ class Network:
         wheel = self._timeout_wheels.get(timeout_ms)
         if wheel is None:
             wheel = self._timeout_wheels[timeout_ms] = deque()
-        wheel.append((env._now + timeout_ms, msg_id, src, dst, kind))
-        if timeout_ms not in self._armed_wheels:
-            self._armed_wheels.add(timeout_ms)
+        if not wheel:
             env.schedule(timeout_ms, self._sweep_timeouts, timeout_ms)
+        wheel.append((env._now + timeout_ms, msg_id, src, dst, kind))
         return response
 
     def _sweep_timeouts(self, timeout_ms: float) -> None:
-        """Expire every RPC of one timeout class whose deadline has passed.
-
-        Entries already answered leave the front of the wheel whatever their
-        deadline, so the sweeper re-arms only for an RPC still outstanding.
-        """
+        """Expire every RPC of one timeout class whose deadline has passed."""
         wheel = self._timeout_wheels[timeout_ms]
         now = self.env.now
         pending_rpcs = self._pending_rpcs
@@ -272,8 +269,6 @@ class Network:
         if wheel:
             self.env.schedule(wheel[0][0] - now, self._sweep_timeouts,
                               timeout_ms)
-        else:
-            self._armed_wheels.discard(timeout_ms)
 
     def reply(self, request: Message, payload: Any = None, size_bytes: int = 0) -> None:
         """Send the response for ``request`` back to its sender."""

@@ -128,7 +128,7 @@ class TestRPC:
         # entries ahead of the silent RPC, one at its deadline fails it and
         # drops the four behind it; nothing is armed afterwards.
         assert env.events_executed - before == 2
-        assert env.pending_events == 0 and not network._armed_wheels
+        assert env.pending_events == 0 and not network._timeout_wheels[200.0]
 
     def test_late_reply_after_timeout_is_ignored(self):
         env, network = make_network(latency_ms=1.0)

@@ -243,8 +243,8 @@ class ServerNode:
         if message.trace is not None and handler is not None:
             tracer = self.network.tracer
             # Publish the server span as the ambient context so any
-            # messages the handler itself sends (MAV sibling notifies,
-            # master replication pushes) chain under it.
+            # messages the handler itself sends (master replication
+            # pushes) chain under it.
             span = env.current_trace = tracer.start_span(
                 tracer.server_names[message.kind], "server",
                 message.trace, self.name, enqueued_at)

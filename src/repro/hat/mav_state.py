@@ -7,8 +7,11 @@ Replicas keep two sets of writes per data item:
 * ``good`` — the stable writes, which readers see by default (in this
   implementation ``good`` is the server's main LSM store).
 
-When a replica first receives a write for a key it owns, it notifies every
-replica of every sibling key in the same transaction.  A transaction becomes
+When a replica first receives a write for a key it owns, it acknowledges it
+to every replica of every sibling key: to itself at once, to the others via
+``owed`` — acks not yet handed to the network, which the anti-entropy tick
+sends as one ``mav.notify`` per destination and which stay owed while that
+destination is unreachable or the sender is down.  A transaction becomes
 pending stable at a replica once that replica has collected acknowledgements
 from all replicas of all the transaction's keys, at which point its local
 pending writes for that transaction move to ``good``.
@@ -32,6 +35,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.storage.records import Timestamp, Version
+
+#: One acknowledgement: ``record_ack``'s (timestamp, origin, key, expected).
+Ack = Tuple[Timestamp, str, str, int]
 
 
 @dataclass(slots=True)
@@ -65,6 +71,7 @@ class MAVState:
         self._pending_by_key: Dict[str, Dict[Timestamp, Version]] = {}
         #: Transactions that became stable here (the only per-txn residue).
         self._stable: Set[Timestamp] = set()
+        self.owed: Dict[str, List[Ack]] = {}  # destination -> unsent acks
         self.stats = MAVStats()
 
     # -- write arrival ------------------------------------------------------------

@@ -6,7 +6,8 @@ Section 6.3 — the testbed simply selects which client talks to it:
 * ``ru.*`` — Read Uncommitted / eventual and Read Committed writes and reads
   (RC differs from eventual only on the client, which buffers writes),
 * ``mav.*`` — the Monotonic Atomic View algorithm of Appendix B (pending and
-  good sets, per-server batches of sibling acknowledgements, promotion),
+  good sets, promotion; a server's own acknowledgement is applied in the
+  handler, the others are *owed* until the anti-entropy tick sends them),
 * ``master.*`` / ``repl.push`` — mastered per-key operation with asynchronous
   replication to the other replicas,
 * ``lock.*`` / ``txn.*`` — the per-key lock service and two-phase commit used
@@ -26,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.node import ServerNode, ServiceCostModel
-from repro.hat.mav_state import MAVState
+from repro.hat.mav_state import Ack, MAVState
 from repro.net.network import Message, Network
 from repro.replication.antientropy import (AntiEntropyClock, AntiEntropyConfig,
                                            AntiEntropyService)
@@ -34,10 +35,6 @@ from repro.replication.lockmanager import LockManager
 from repro.sim import Environment
 from repro.storage.records import Timestamp, Version
 
-#: One MAV acknowledgement — ``MAVState.record_ack``'s argument list:
-#: ``(timestamp, origin, key, expected)`` — and a handler's acks by destination.
-Ack = Tuple[Timestamp, str, str, int]
-AckOutbox = Dict[str, List[Ack]]
 
 
 @dataclass(slots=True)
@@ -173,17 +170,15 @@ class HATServer(ServerNode):
         # A MAV write is committed (acknowledged to the client) on arrival
         # at the origin; its remote installs happen at promotion time.
         self._stamp_commit(version)
-        outbox: AckOutbox = {}
-        cost = self._accept_mav_write(version, size, outbox)
-        cost += self._flush_acks(outbox)
-        return {"ok": True, "timestamp": version.timestamp}, cost
+        return ({"ok": True, "timestamp": version.timestamp},
+                self._accept_mav_write(version, size))
 
-    def _accept_mav_write(self, version: Version, size_bytes: int,
-                          outbox: AckOutbox) -> float:
+    def _accept_mav_write(self, version: Version, size_bytes: int) -> float:
         """Common path for MAV writes arriving from clients or anti-entropy.
 
-        Acks for a first-seen write go into ``outbox``; the calling handler
-        flushes it once, so each server gets one ``mav.notify`` per batch.
+        Our own ack for a first-seen write is applied here (a write whose
+        other acks arrived first is promoted in this handler); the other
+        servers' are owed until the tick (:meth:`send_owed_acks`).
         """
         # First write into the write-ahead log / pending set (first of the
         # "two writes for every client-side write" the paper describes).
@@ -191,14 +186,18 @@ class HATServer(ServerNode):
                                size_bytes + version.metadata_bytes)
         timestamp = version.timestamp
         if self.mav.add_write(version):
-            self.anti_entropy.mark_dirty(version)
+            self.anti_entropy.mark_dirty(version)  # also arms the tick
             siblings = version.siblings or (version.key,)
             replicas_for = self.config.replicas_for
             ack = (timestamp, self.name, version.key,
                    len(siblings) * self.config.replication_factor())
+            owed = self.mav.owed
             for server in {replica for sibling in siblings
                            for replica in replicas_for(sibling)}:
-                outbox.setdefault(server, []).append(ack)
+                if server == self.name:
+                    cost += self._apply_acks((ack,))
+                else:
+                    owed.setdefault(server, []).append(ack)
         elif (self.mav.is_stable(timestamp)
               and self.store.data.exact(version.key, timestamp) is None):
             # Every replica already acknowledged this transaction: nobody
@@ -209,20 +208,17 @@ class HATServer(ServerNode):
             cost += self._install(version, 1024)
         return cost
 
-    def _flush_acks(self, outbox: AckOutbox) -> float:
-        """Send each server its batch of acks; return local promotion cost.
-
-        Destinations are visited in sorted order so seeded runs stay
-        bit-identical across processes whatever the string-hash seed (the
-        parallel sweep executor relies on it).  Our own acks are applied in
-        place, so a write whose other acks arrived first is promoted here.
-        """
-        own = outbox.pop(self.name, ())
-        for server in sorted(outbox):
-            self.mav.stats.notifies_sent += 1
-            self.network.send(self.name, server, "mav.notify",
-                              {"acks": outbox[server]})
-        return self._apply_acks(own)
+    def send_owed_acks(self) -> None:
+        """The anti-entropy tick's first step: one batch per reachable server,
+        in sorted order (seeded runs stay bit-identical whatever the string-hash
+        seed); an unreachable one keeps its list, which keeps the tick armed."""
+        owed = self.mav.owed
+        connected = self.network.partitions.connected
+        for server in sorted(owed):
+            if connected(self.name, server):
+                self.mav.stats.notifies_sent += 1
+                self.network.send(self.name, server, "mav.notify",
+                                  {"acks": owed.pop(server)})
 
     def _apply_acks(self, acks: Sequence[Ack]) -> float:
         """Record acks; promote (pending -> good) what they made stable.
@@ -259,15 +255,12 @@ class HATServer(ServerNode):
     def _absorb_versions(self, versions: List[Version]) -> float:
         """Take in replicated history (anti-entropy batch, handoff offer)."""
         cost = 0.0
-        outbox: AckOutbox = {}
         for version in versions:
             if version.siblings:
                 # MAV writes stay pending until their transaction is stable.
-                cost += self._accept_mav_write(version, 1024, outbox)
+                cost += self._accept_mav_write(version, 1024)
             else:
                 cost += self._install(version, 1024)
-        if outbox:
-            cost += self._flush_acks(outbox)
         return cost
 
     # -- master / asynchronous replication -----------------------------------------------

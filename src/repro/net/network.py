@@ -114,9 +114,8 @@ class Network:
         # the same timeout expire in issue order, so each wheel stays sorted
         # by deadline and a single armed sweeper event per wheel replaces the
         # per-RPC expiry callback that used to dominate the event heap.  A
-        # sweep also drops answered entries from the front, whatever their
-        # deadline, so it re-arms only for an RPC still outstanding; a wheel
-        # has a sweeper armed exactly while it holds entries.
+        # sweep drops answered entries from the front too, so it re-arms only
+        # for an RPC still outstanding: armed exactly while the wheel is not empty.
         self._timeout_wheels: Dict[float, deque] = {}
 
     # -- registration -------------------------------------------------------

@@ -9,9 +9,13 @@ affected keys (the owners of the same partition in the other clusters).
 Lifecycle: services started with the same ``(interval_ms, start phase)``
 share one :class:`AntiEntropyClock` tick per grid instant, which runs a
 round on each of them that has work, in start order.  The tick is armed iff
-some started, live service has dirty or parked entries: a mark, a start or a
-recovery arms it for the next grid instant, and a tick that leaves every
-queue empty does not re-arm.  An idle deployment schedules no event at all.
+some started, live service has dirty or parked entries or owed MAV acks: a
+mark, a start or a recovery arms it for the next grid instant, and a tick
+that leaves every queue empty does not re-arm.  An idle deployment schedules
+no event at all.  MAV acknowledgements travel on this tick and nowhere else:
+a round begins with one ``mav.notify`` per reachable server carrying every
+ack owed to it, and like a parked version an ack owed to an unreachable
+server — or by a crashed one, until the tick its recovery wakes — stays owed.
 
 The cost matters for reproducing Figure 3C and Figure 6: with five clusters,
 "every YCSB put operation resulted in four put operations on remote replicas
@@ -254,12 +258,15 @@ class AntiEntropyService:
             self.wake()
 
     def stop(self) -> None:
+        """Leave the tick; acks owed to reachable servers leave first."""
         if self._grid is not None:
+            self.server.send_owed_acks()
             self._grid.services.remove(self)
             self._grid = None
 
     def has_work(self) -> bool:
-        return bool(self._dirty or self._parked) and self.server.alive
+        return (bool(self._dirty or self._parked or self.server.mav.owed)
+                and self.server.alive)
 
     def wake(self) -> None:
         """Arm the tick if this started, live service has entries queued."""
@@ -268,6 +275,9 @@ class AntiEntropyService:
 
     # -- push rounds ------------------------------------------------------------
     def _round(self) -> None:
+        self.server.send_owed_acks()
+        if not self._dirty and not self._parked:
+            return  # only acks were owed
         if self.settings.capacity_coupled:
             # Route the round through the server's own request queue: the
             # push happens when a worker picks it up and its cost occupies
@@ -391,8 +401,7 @@ class AntiEntropyService:
                     # pushed once the partition heals (epidemic repair).
                     deferred = True
                     continue
-                batch = batches.setdefault(peer, [])
-                batch.append(version)
+                batches.setdefault(peer, []).append(version)
                 delivered = (*(delivered or ()), peer)
             if deferred:
                 self._parked[self._next_slot] = (version, delivered)
@@ -413,22 +422,15 @@ class AntiEntropyService:
                     # Anti-entropy is background work no client caused:
                     # each push starts a trace of its own, and the receiving
                     # server's span chains under it.
-                    span = tracer.start_span(
+                    trace = tracer.start_span(
                         f"ae.push:{self.server.name}->{peer}", "ae",
                         parent=None, site=self.server.name,
                         start_ms=self.env.now)
-                    span.attrs["versions"] = len(chunk)
-                    tracer.finish(span, self.env.now)
-                    trace = span
+                    trace.attrs["versions"] = len(chunk)
+                    tracer.finish(trace, self.env.now)
+                size_bytes = self.settings.bytes_per_version * len(chunk)
                 self.server.network.send(
-                    src=self.server.name,
-                    dst=peer,
-                    kind="ae.push",
-                    payload={
-                        "versions": chunk,
-                        "size_bytes": self.settings.bytes_per_version * len(chunk),
-                    },
-                    size_bytes=self.settings.bytes_per_version * len(chunk),
-                    trace=trace,
-                )
+                    self.server.name, peer, "ae.push",
+                    {"versions": chunk, "size_bytes": size_bytes},
+                    size_bytes=size_bytes, trace=trace)
         return pushed

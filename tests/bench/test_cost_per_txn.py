@@ -4,9 +4,9 @@ Events and messages per committed transaction depend only on the seed, never
 on the machine, so they can be asserted in tier-1 (the ROADMAP's house rule:
 every perf change lands a deterministic pin here).  MAV is
 held to the budget its stabilisation needs — one acknowledgement message per
-destination server per handler, promotion inside the handler that saw the
-last ack — so a change that re-inflates the notify storm fails here, not
-only in the benchmark.  ``eventual`` is pinned exactly: nothing MAV-related
+destination server per anti-entropy tick, promotion inside the handler that
+saw the last ack — so a change that sends acks from the write's handler
+again fails here, not only in the benchmark.  ``eventual`` is pinned exactly: nothing MAV-related
 may move the base path.  ``causal`` is pinned to the same numbers: on a
 healthy network a sticky session forwards nothing, so the session stack adds
 client-side bookkeeping but not one event or message — and that bookkeeping
@@ -79,11 +79,14 @@ def costs():
 
 
 def test_mav_stays_inside_its_event_and_notify_budget(costs):
+    """37.83 events, 17.37 messages and 1.03 ack batches per committed
+    transaction (59.94 / 28.42 / 12.06 when every write handler sent its own
+    batches): four servers, three destinations each, a hundred ticks."""
     events, messages, notifies, committed = costs["mav"].cost
     assert committed > 500
-    assert events / committed <= 120.0
-    assert messages / committed <= 40.0
-    assert notifies / committed <= 20.0
+    assert events / committed <= 40.0
+    assert messages / committed <= 18.5
+    assert notifies / committed <= 1.5
 
 
 def test_mav_still_costs_more_than_eventual(costs):

@@ -136,8 +136,8 @@ class TestMAVHandlers:
             assert server.mav.stats.promoted == owned[name]
             assert server.store.stats.puts == owned[name]
             assert "mav.promote" not in server.stats.per_kind
-            # At most one notify per handler that accepted a write on
-            # another server: never one per sibling key this server owns.
+            # At most one notify per tick that found acks owed on another
+            # server: never one per sibling key this server owns.
             assert (server.stats.per_kind.get("mav.notify", 0)
                     <= sum(owned.values()) - owned[name])
             assert server.mav.tracked_transactions() == 0

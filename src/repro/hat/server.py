@@ -36,7 +36,6 @@ from repro.sim import Environment
 from repro.storage.records import Timestamp, Version
 
 
-
 @dataclass(slots=True)
 class HandoffStats:
     """Counters for membership handoff traffic through this server."""
@@ -210,8 +209,8 @@ class HATServer(ServerNode):
 
     def send_owed_acks(self) -> None:
         """The anti-entropy tick's first step: one batch per reachable server,
-        in sorted order (seeded runs stay bit-identical whatever the string-hash
-        seed); an unreachable one keeps its list, which keeps the tick armed."""
+        in sorted order (seeded runs stay bit-identical whatever the hash
+        seed); an unreachable one keeps its list and keeps the tick armed."""
         owed = self.mav.owed
         connected = self.network.partitions.connected
         for server in sorted(owed):

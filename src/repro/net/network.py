@@ -115,7 +115,7 @@ class Network:
         # by deadline and a single armed sweeper event per wheel replaces the
         # per-RPC expiry callback that used to dominate the event heap.  A
         # sweep drops answered entries from the front too, so it re-arms only
-        # for an RPC still outstanding: armed exactly while the wheel is not empty.
+        # for an outstanding RPC: armed exactly while the wheel is not empty.
         self._timeout_wheels: Dict[float, deque] = {}
 
     # -- registration -------------------------------------------------------

@@ -6,8 +6,9 @@ every perf change lands a deterministic pin here).  MAV is
 held to the budget its stabilisation needs — one acknowledgement message per
 destination server per anti-entropy tick, promotion inside the handler that
 saw the last ack — so a change that sends acks from the write's handler
-again fails here, not only in the benchmark.  ``eventual`` is pinned exactly: nothing MAV-related
-may move the base path.  ``causal`` is pinned to the same numbers: on a
+again fails here, not only in the benchmark.  ``eventual`` is pinned exactly
+(nothing MAV-related may move the base path), and so is what an answered RPC
+costs the timeout sweeper: nothing.  ``causal`` is pinned to the same numbers: on a
 healthy network a sticky session forwards nothing, so the session stack adds
 client-side bookkeeping but not one event or message — and that bookkeeping
 examines a bounded number of remembered keys per transaction.  Anti-entropy

@@ -12,33 +12,3 @@ phenomena.  This package implements that machinery so that:
   MAV runs never exhibit OTV, Read Committed runs never exhibit G1, and
   eventual/RU runs may exhibit IMP but never G0.
 """
-
-from repro.adya.history import (
-    History,
-    HistoryBuilder,
-    HistoryRecorder,
-    HistoryTransaction,
-    ReadEvent,
-    WriteEvent,
-)
-from repro.adya.graphs import DependencyEdge, build_dsg
-from repro.adya.phenomena import PHENOMENA, Phenomenon, Witness, detect
-from repro.adya.levels import ISOLATION_LEVELS, IsolationLevel, check_history
-
-__all__ = [
-    "History",
-    "HistoryBuilder",
-    "HistoryRecorder",
-    "HistoryTransaction",
-    "ReadEvent",
-    "WriteEvent",
-    "DependencyEdge",
-    "build_dsg",
-    "PHENOMENA",
-    "Phenomenon",
-    "Witness",
-    "detect",
-    "ISOLATION_LEVELS",
-    "IsolationLevel",
-    "check_history",
-]

@@ -5,39 +5,13 @@ crash/recover cycles, rolling restarts, and degraded-latency epochs — rather
 than as a single aggregate number (paper Sections 2.1 and 6.3).
 """
 
-from repro.chaos.campaign import (
-    Campaign,
-    CampaignAction,
-    CampaignError,
-    CampaignPhase,
-    CampaignSpec,
-    canonical_partition_campaign,
-    compile_campaign,
-    generate_campaign,
-)
-from repro.chaos.nemesis import NarrationEntry, Nemesis
-from repro.chaos.telemetry import (
-    AvailabilitySLO,
-    GroupTimeline,
-    TimelineTelemetry,
-    WindowStats,
-    availability_score,
-)
+from repro.chaos.campaign import CampaignPhase, canonical_partition_campaign
+from repro.chaos.nemesis import Nemesis
+from repro.chaos.telemetry import TimelineTelemetry
 
 __all__ = [
-    "AvailabilitySLO",
-    "Campaign",
-    "CampaignAction",
-    "CampaignError",
     "CampaignPhase",
-    "CampaignSpec",
-    "GroupTimeline",
-    "NarrationEntry",
     "Nemesis",
     "TimelineTelemetry",
-    "WindowStats",
-    "availability_score",
     "canonical_partition_campaign",
-    "compile_campaign",
-    "generate_campaign",
 ]

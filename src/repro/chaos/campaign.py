@@ -1,11 +1,11 @@
-"""Chaos campaigns: declarative fault timelines, synthesized and compiled.
+"""Chaos campaigns: declarative fault timelines, synthesized from a seed.
 
 Section 2.1 of the paper surveys production partition behaviour: failures
 arrive over time, last minutes, overlap, and heal.  A *campaign* replays that
 kind of history inside the simulation so experiments can measure a protocol
 *through* a failure timeline instead of under a single static fault.
 
-Three stages:
+Two stages here, a third in the nemesis:
 
 * :class:`CampaignSpec` — a declarative description of how much chaos of
   each kind a run should contain (how many region partitions, flapping
@@ -16,21 +16,20 @@ Three stages:
   spec.  Identical seeds yield bit-identical campaigns; each fault family
   draws from its own named random stream so tweaking one knob does not
   reshuffle the others.
-* :func:`compile_campaign` — lowers a campaign onto the existing
-  :class:`~repro.net.faults.FaultSchedule` / partition-manager machinery of
-  a built testbed.
+* :class:`~repro.chaos.nemesis.Nemesis` — checks a campaign against a built
+  testbed and puts each action on its clock; what each kind *does* is defined
+  there, in one table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.net.faults import FaultSchedule
 from repro.sim import RandomStreams
 
-#: Action kinds a campaign may contain, in the vocabulary of FaultSchedule.
+#: Action kinds a campaign may contain: the keys of ``nemesis.FAULTS``.
 PARTITION = "partition"
 CLEAR_PARTITION = "clear-partition"
 ISOLATE = "isolate"
@@ -48,7 +47,7 @@ MAX_FLAP_CYCLES = 10_000
 
 
 class CampaignError(ReproError):
-    """Raised for invalid campaign specs or uncompilable campaigns."""
+    """Raised for invalid campaign specs or campaigns a testbed cannot run."""
 
 
 @dataclass(frozen=True)
@@ -551,38 +550,3 @@ def _with_boundary_phases(duration_ms: float,
     if last < duration_ms:
         named.append(CampaignPhase("recovered", last, duration_ms))
     return named
-
-
-def compile_campaign(campaign: Campaign, testbed) -> FaultSchedule:
-    """Lower a campaign onto a testbed's fault-schedule machinery.
-
-    Returns the (un-installed) :class:`FaultSchedule`; callers — usually the
-    :class:`~repro.chaos.nemesis.Nemesis` — install it, optionally with a
-    narration observer.
-    """
-    schedule = FaultSchedule(testbed)
-    for action in campaign.timeline():
-        if action.kind == PARTITION:
-            schedule.partition_regions(
-                at_ms=action.at_ms, groups=[list(g) for g in action.groups])
-        elif action.kind == CLEAR_PARTITION:
-            schedule.clear_partitions(at_ms=action.at_ms)
-        elif action.kind == ISOLATE:
-            schedule.isolate_server(at_ms=action.at_ms, server=action.target)
-        elif action.kind == REJOIN:
-            schedule.rejoin_server(at_ms=action.at_ms, server=action.target)
-        elif action.kind == CRASH:
-            schedule.crash_server(at_ms=action.at_ms, server=action.target)
-        elif action.kind == RECOVER:
-            schedule.recover_server(at_ms=action.at_ms, server=action.target)
-        elif action.kind == DEGRADE:
-            schedule.degrade_latency(at_ms=action.at_ms, factor=action.factor)
-        elif action.kind == RESTORE:
-            schedule.restore_latency(at_ms=action.at_ms)
-        elif action.kind == SCALE_OUT:
-            schedule.scale_out(at_ms=action.at_ms, cluster=action.target)
-        elif action.kind == SCALE_IN:
-            schedule.scale_in(at_ms=action.at_ms, cluster=action.target)
-        else:
-            raise CampaignError(f"unknown campaign action kind {action.kind!r}")
-    return schedule

@@ -150,18 +150,6 @@ class Testbed:
         self.clients.append(client)
         return client
 
-    def make_clients(self, protocol: str, per_cluster: int,
-                     recorder: Optional[object] = None,
-                     **kwargs) -> List[ProtocolClient]:
-        """Create ``per_cluster`` clients homed in every cluster."""
-        clients = []
-        for cluster_name in self.config.cluster_names:
-            for _ in range(per_cluster):
-                clients.append(self.make_client(
-                    protocol, home_cluster=cluster_name, recorder=recorder, **kwargs
-                ))
-        return clients
-
     # -- elastic membership ------------------------------------------------------------
     def add_server(self, cluster_name: str, server_name: Optional[str] = None) -> HATServer:
         """Build and register a new server for ``cluster_name``.
@@ -224,10 +212,6 @@ class Testbed:
 
         self.network.partitions.partition_by(classify)
 
-    def heal(self) -> None:
-        """Remove all partitions."""
-        self.network.partitions.heal()
-
     # -- convenience ---------------------------------------------------------------------
     def run(self, duration_ms: float) -> float:
         """Advance the simulation by ``duration_ms``."""
@@ -235,9 +219,6 @@ class Testbed:
 
     def server_list(self) -> List[HATServer]:
         return list(self.servers.values())
-
-    def total_server_count(self) -> int:
-        return len(self.servers)
 
     def max_rtt_ms(self) -> float:
         """The worst mean round-trip time between any two servers.

@@ -188,12 +188,6 @@ class TransactionResult:
         return value
 
 
-def make_transaction(operations: Sequence[Operation],
-                     session_id: Optional[int] = None) -> Transaction:
-    """Convenience wrapper used by workloads and tests."""
-    return Transaction(operations=list(operations), session_id=session_id)
-
-
 def observed_values(result: TransactionResult) -> Dict[str, Any]:
     """The last value observed per key by ``result``'s reads so far."""
     values: Dict[str, Any] = {}

@@ -16,7 +16,7 @@ clusters that grow and shrink *while serving*:
 
 ``repro.cluster.config`` imports the ring, so this ``__init__`` must stay
 import-light: the coordinator is imported lazily by its users (the
-testbed, fault schedules) rather than re-exported here.
+testbed, the nemesis) rather than re-exported here.
 """
 
 from repro.membership.ring import DEFAULT_VIRTUAL_NODES, ConsistentHashRing

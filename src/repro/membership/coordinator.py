@@ -2,8 +2,8 @@
 
 The coordinator turns a static testbed into an elastic one.  Each
 membership change is a small simulated protocol driven as a coroutine
-process; :meth:`FaultSchedule.scale_out` / ``scale_in``
-(:mod:`repro.net.faults`) are the one way to put one on the sim clock:
+process; a campaign's ``scale-out`` / ``scale-in`` actions
+(:mod:`repro.chaos.nemesis`) are the one way to put one on the sim clock:
 
 * **Join (scale-out)** — a new server is built and registered on the
   network, but *not* yet added to the cluster config, so no client routes

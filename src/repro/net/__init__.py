@@ -13,22 +13,3 @@ the physical network with a calibrated model:
 * :mod:`repro.net.measurement` — the ping measurement study reproducing
   Table 1 and Figure 1.
 """
-
-from repro.net.topology import Site, Topology, ec2_topology
-from repro.net.latency import LatencyModel, EC2LatencyModel, FixedLatencyModel
-from repro.net.network import Message, Network
-from repro.net.partitions import PartitionManager
-from repro.net.faults import FaultSchedule
-
-__all__ = [
-    "Site",
-    "Topology",
-    "ec2_topology",
-    "LatencyModel",
-    "EC2LatencyModel",
-    "FixedLatencyModel",
-    "Message",
-    "Network",
-    "PartitionManager",
-    "FaultSchedule",
-]

@@ -14,9 +14,8 @@ distribution.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.errors import NetworkError
 
@@ -89,10 +88,6 @@ class Topology:
     def regions(self) -> List[str]:
         """All regions that currently have at least one site."""
         return sorted({site.region for site in self.sites.values()})
-
-    def region_pairs(self) -> Iterable[Tuple[str, str]]:
-        """Unordered pairs of distinct regions present in the topology."""
-        return itertools.combinations(self.regions(), 2)
 
 
 def ec2_topology(

@@ -22,9 +22,9 @@ it overlapped.
 Handles: ``histogram(name, **labels)`` / ``counter`` / ``gauge`` canonicalise
 ``(name, labels)`` once and return the series itself — the one storage, whose
 ``observe(at_ms, x)`` / ``inc(n)`` / ``set(x)`` / ``max(x)`` is the one
-recording routine; the by-name ``observe/inc/set_gauge/max_gauge`` resolve a
-handle and delegate.  A series enters the queries and exports when first
-*touched*, not when resolved.
+recording routine; the by-name ``observe`` resolves a handle and delegates.
+A series enters the queries and exports when first *touched*, not when
+resolved.
 
 Collected scalars: a count a component already keeps (a ``*Stats`` field, a
 breaker's ``opens``) is not recorded a second time.  The component registers
@@ -246,19 +246,7 @@ class MetricsRegistry:
         self._gauge_readers.setdefault(
             (name, self._items(labels)), []).append(read)
 
-    # -- by-name convenience (tests): resolve, then delegate ------------------
-    def inc(self, name: str, amount: float = 1.0, /, **labels) -> None:
-        self._series(self._counters, (name, self._items(labels)),
-                     Counter).inc(amount)
-
-    def set_gauge(self, name: str, value: float, /, **labels) -> None:
-        self._series(self._gauges, (name, self._items(labels)),
-                     Gauge).set(value)
-
-    def max_gauge(self, name: str, value: float, /, **labels) -> None:
-        self._series(self._gauges, (name, self._items(labels)),
-                     Gauge).max(value)
-
+    # -- by-name convenience: resolve, then delegate ----------------------
     def observe(self, name: str, at_ms: float, value: float, /,
                 **labels) -> None:
         self._series(self._histograms, (name, self._items(labels)),
@@ -293,11 +281,6 @@ class MetricsRegistry:
     @property
     def fault_windows(self) -> List[FaultWindow]:
         return self.faults.windows
-
-    def on_fault(self, kind: str, targets: Sequence[str], at_ms: float,
-                 description: str = "") -> None:
-        """Feed the ledger (see :meth:`FaultLedger.on_fault`)."""
-        self.faults.on_fault(kind, targets, at_ms, description)
 
     def finalize(self, now_ms: float) -> None:
         """Close any still-open fault windows at end of run."""

@@ -267,12 +267,6 @@ class Tracer:
     def transaction_span(self, txn_id: int) -> Optional[Span]:
         return self._by_txn.get(txn_id)
 
-    # -- fault windows -------------------------------------------------------
-    def on_fault(self, kind: str, targets: Sequence[str], at_ms: float,
-                 description: str = "") -> None:
-        """Feed the ledger (see :meth:`FaultLedger.on_fault`)."""
-        self.faults.on_fault(kind, targets, at_ms, description)
-
     # -- finalization --------------------------------------------------------
     def finalize(self, now_ms: float) -> None:
         """Close open windows and unfinished spans, stamp fault overlaps."""

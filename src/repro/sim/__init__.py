@@ -13,16 +13,8 @@ of SimPy's interface:
   random-number streams.
 """
 
-from repro.sim.events import Environment, Future, Timeout
-from repro.sim.process import Process, all_of, any_of
+from repro.sim.events import Environment, Future
+from repro.sim.process import Process
 from repro.sim.random import RandomStreams
 
-__all__ = [
-    "Environment",
-    "Future",
-    "Timeout",
-    "Process",
-    "RandomStreams",
-    "all_of",
-    "any_of",
-]
+__all__ = ["Environment", "Future", "Process", "RandomStreams"]

@@ -10,17 +10,3 @@ package provides the simulated equivalents used by each server node:
 * :mod:`repro.storage.lsm` — a LevelDB-like LSM tree (memtable, SSTables,
   compaction) with a cost model that feeds the server's service time.
 """
-
-from repro.storage.records import Version, Timestamp
-from repro.storage.kvstore import VersionedStore
-from repro.storage.wal import WriteAheadLog
-from repro.storage.lsm import LSMStore, LSMCostModel
-
-__all__ = [
-    "Version",
-    "Timestamp",
-    "VersionedStore",
-    "WriteAheadLog",
-    "LSMStore",
-    "LSMCostModel",
-]

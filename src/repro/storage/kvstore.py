@@ -107,25 +107,6 @@ class VersionedStore:
                 matches.append(version)
         return matches
 
-    # -- maintenance -----------------------------------------------------------
-    def garbage_collect(self, low_water_mark: Timestamp) -> int:
-        """Drop versions strictly older than the newest version <= mark.
-
-        Returns the number of versions removed.  Keeps at least one version
-        per key so reads never lose the item entirely.
-        """
-        removed = 0
-        for key, stamps in self._timestamps.items():
-            versions = self._versions[key]
-            index = bisect_right(stamps, low_water_mark)
-            # Keep the version at index-1 (still needed for reads at the mark).
-            cutoff = max(0, index - 1)
-            if cutoff > 0:
-                removed += cutoff
-                del versions[:cutoff]
-                del stamps[:cutoff]
-        return removed
-
     def __len__(self) -> int:
         return len(self._versions)
 

@@ -15,41 +15,3 @@
 * :mod:`repro.workloads.tpcc_audit` — the Section 6.2 anomaly auditor over
   recorded histories (duplicate/gapped order ids, double deliveries).
 """
-
-from repro.workloads.base import Workload, WorkloadFactory, as_workload_factory
-from repro.workloads.distributions import KeyChooser, UniformKeys, ZipfianKeys
-from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
-from repro.workloads.tpcc import TPCCConfig, TPCCWorkload, TPCCState
-from repro.workloads.tpcc_analysis import (
-    TPCC_TRANSACTION_PROFILES,
-    TransactionProfile,
-    hat_compliance_table,
-)
-from repro.workloads.tpcc_driver import (
-    TPCCDriver,
-    TPCCDriverFactory,
-    TPCCMirror,
-)
-from repro.workloads.tpcc_audit import TPCCAnomalyReport, audit_tpcc_history
-
-__all__ = [
-    "Workload",
-    "WorkloadFactory",
-    "as_workload_factory",
-    "KeyChooser",
-    "UniformKeys",
-    "ZipfianKeys",
-    "YCSBConfig",
-    "YCSBWorkload",
-    "TPCCConfig",
-    "TPCCWorkload",
-    "TPCCState",
-    "TPCC_TRANSACTION_PROFILES",
-    "TransactionProfile",
-    "hat_compliance_table",
-    "TPCCDriver",
-    "TPCCDriverFactory",
-    "TPCCMirror",
-    "TPCCAnomalyReport",
-    "audit_tpcc_history",
-]

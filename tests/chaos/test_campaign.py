@@ -16,9 +16,9 @@ from repro.chaos.campaign import (
     CampaignError,
     CampaignSpec,
     canonical_partition_campaign,
-    compile_campaign,
     generate_campaign,
 )
+from repro.chaos.nemesis import Nemesis
 from repro.hat.testbed import Scenario, build_testbed
 
 REGIONS = ["VA", "OR"]
@@ -217,7 +217,7 @@ class TestCompile:
     def test_canonical_campaign_applies_and_clears(self):
         testbed = build_testbed(Scenario(regions=REGIONS, servers_per_cluster=1))
         campaign = canonical_partition_campaign(REGIONS, 100.0, 200.0, 100.0)
-        compile_campaign(campaign, testbed).install()
+        Nemesis(testbed, campaign).install()
         va = testbed.config.cluster(testbed.config.cluster_names[0]).servers[0]
         orr = testbed.config.cluster(testbed.config.cluster_names[1]).servers[0]
         testbed.run(50.0)
@@ -240,7 +240,7 @@ class TestCompile:
             ),
             phases=(),
         )
-        compile_campaign(campaign, testbed).install()
+        Nemesis(testbed, campaign).install()
         testbed.run(200.0)
         assert not testbed.servers[victim].alive
         testbed.run(150.0)  # t=350, recovered
@@ -255,7 +255,7 @@ class TestCompile:
         campaign = Campaign(duration_ms=1.0, actions=(
             CampaignAction(at_ms=0.0, kind="meteor-strike"),), phases=())
         with pytest.raises(CampaignError):
-            compile_campaign(campaign, testbed)
+            Nemesis(testbed, campaign).install()
 
 
 class TestMembershipActions:
@@ -307,7 +307,7 @@ class TestMembershipActions:
         testbed = build_testbed(scenario)
         campaign = generate_campaign(spec, ["VA"], testbed.config.all_servers,
                                      seed=0, clusters=testbed.config.cluster_names)
-        compile_campaign(campaign, testbed).install()
+        Nemesis(testbed, campaign).install()
         testbed.run(3_000.0)
         records = testbed.membership.records
         assert [r.kind for r in records] == ["join"]

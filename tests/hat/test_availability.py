@@ -97,6 +97,6 @@ class TestRecoveryAfterHeal:
         client = testbed.make_client("quorum")
         blocked = run(testbed, client, [Operation.write("x", 1)])
         assert not blocked.committed
-        testbed.heal()
+        testbed.network.partitions.heal()
         recovered = run(testbed, client, [Operation.write("x", 1)])
         assert recovered.committed

@@ -19,13 +19,13 @@ class TestScenario:
 class TestBuildTestbed:
     def test_servers_match_configuration(self):
         testbed = build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=3))
-        assert testbed.total_server_count() == 6
+        assert len(testbed.servers) == 6
         assert len(testbed.config.cluster_names) == 2
 
     def test_five_region_deployment(self):
         testbed = build_testbed(Scenario(regions=list(FIVE_REGION_DEPLOYMENT),
                                          servers_per_cluster=1))
-        assert testbed.total_server_count() == 5
+        assert len(testbed.servers) == 5
         regions = {cluster.region for cluster in testbed.config.clusters}
         assert regions == set(FIVE_REGION_DEPLOYMENT)
 
@@ -55,13 +55,6 @@ class TestBuildTestbed:
                                                       **{flag: True})
         stacked = build_testbed(Scenario()).make_client("read-committed+ci+causal")
         assert stacked.protocol_name == "read-committed+ci+causal"
-
-    def test_make_clients_spreads_over_clusters(self):
-        testbed = build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=1))
-        clients = testbed.make_clients("eventual", per_cluster=2)
-        assert len(clients) == 4
-        homes = {client.node.home_cluster for client in clients}
-        assert homes == set(testbed.config.cluster_names)
 
     def test_clients_are_colocated_with_home_cluster(self):
         testbed = build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=1))

@@ -8,7 +8,6 @@ from repro.hat.transaction import (
     ReadObservation,
     Transaction,
     TransactionResult,
-    make_transaction,
     observed_values,
     resolve_derived,
 )
@@ -47,12 +46,12 @@ class TestTransaction:
             Transaction(operations=[])
 
     def test_unique_ids(self):
-        a = make_transaction([Operation.read("x")])
-        b = make_transaction([Operation.read("x")])
+        a = Transaction([Operation.read("x")])
+        b = Transaction([Operation.read("x")])
         assert a.txn_id != b.txn_id
 
     def test_read_and_write_keys(self):
-        txn = make_transaction([
+        txn = Transaction([
             Operation.write("a", 1),
             Operation.read("b"),
             Operation.write("c", 3),
@@ -63,7 +62,7 @@ class TestTransaction:
         assert txn.accessed_keys() == ["a", "b", "c"]
 
     def test_write_set_keeps_last_value(self):
-        txn = make_transaction([
+        txn = Transaction([
             Operation.write("x", 1),
             Operation.write("x", 2),
         ])
@@ -88,7 +87,7 @@ class TestDerivedWrites:
     def test_resolution_uses_reads_and_mutates_in_place(self):
         op = Operation.derived_write(
             lambda reads: ("counter", reads["counter"] + 1), key="counter")
-        txn = make_transaction([Operation.read("counter"), op])
+        txn = Transaction([Operation.read("counter"), op])
         result = self._result_with_read("counter", 41)
         resolved = resolve_derived(txn, op, result)
         assert resolved.value == 42
@@ -99,13 +98,13 @@ class TestDerivedWrites:
     def test_resolution_can_derive_the_key(self):
         op = Operation.derived_write(
             lambda reads: (f"order:{reads['next']}", "pending"), key="order:?")
-        txn = make_transaction([Operation.read("next"), op])
+        txn = Transaction([Operation.read("next"), op])
         resolved = resolve_derived(txn, op, self._result_with_read("next", 7))
         assert resolved.key == "order:7"
 
     def test_plain_ops_pass_through(self):
         op = Operation.write("x", 1)
-        txn = make_transaction([op])
+        txn = Transaction([op])
         result = TransactionResult(txn_id=1, committed=False, protocol="eventual")
         assert resolve_derived(txn, op, result) is op
 

@@ -70,7 +70,7 @@ class TestConvergenceAfterPartition:
                 result = run(testbed, client,
                              [Operation.write("contested", f"side{index}-r{round_number}")])
                 assert result.committed
-        testbed.heal()
+        testbed.network.partitions.heal()
         testbed.run(3000.0)
         observed = {
             run(testbed, client, [Operation.read("contested")]).value_read("contested")

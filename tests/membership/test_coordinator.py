@@ -180,7 +180,7 @@ class TestReplicationObligations:
         joiner = testbed.servers[record.server]
         for key in record.moved_keys:
             assert joiner.store.data.latest(key).value == "partition-era", key
-        testbed.heal()
+        testbed.network.partitions.heal()
         testbed.run(500.0)
         remote = testbed.config.cluster_names[1]
         for index in range(100):
@@ -209,7 +209,7 @@ class TestReplicationObligations:
         assert record.done and record.server in testbed.retired
         assert record.server == leaver.name
         assert leaver.anti_entropy.take_pending() == []
-        testbed.heal()
+        testbed.network.partitions.heal()
         testbed.run(500.0)
         remote = testbed.config.cluster_names[1]
         for index in range(100):

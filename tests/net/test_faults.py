@@ -1,11 +1,18 @@
-"""Tests for scripted fault schedules."""
+"""Tests for timed faults: partitions, crashes and isolations on a schedule.
+
+The schedule is a :class:`Campaign` installed by the :class:`Nemesis`.  The
+cases stay at this path (rather than in ``tests/chaos/test_nemesis.py``) so
+their ids do not change.
+"""
 
 import pytest
 
-from repro.errors import NetworkError
+from repro.chaos.campaign import Campaign, CampaignAction, CampaignError
+from repro.chaos.nemesis import Nemesis
 from repro.hat.testbed import Scenario, build_testbed
 from repro.hat.transaction import Operation, Transaction
-from repro.net.faults import FaultSchedule
+
+GROUPS = (("VA",), ("OR",))
 
 
 @pytest.fixture
@@ -19,38 +26,45 @@ def run(testbed, client, operations):
     )
 
 
+def campaign(*actions):
+    return Campaign(duration_ms=30_000.0, actions=tuple(actions), phases=())
+
+
+def install(testbed, *actions):
+    nemesis = Nemesis(testbed, campaign(*actions))
+    nemesis.install()
+    return nemesis
+
+
 class TestScheduleConstruction:
     def test_timeline_is_sorted(self, testbed):
-        schedule = FaultSchedule(testbed)
-        schedule.heal(at_ms=500.0)
-        schedule.partition_regions(at_ms=100.0, groups=[["VA"], ["OR"]])
-        timeline = schedule.timeline()
+        timeline = campaign(
+            CampaignAction(at_ms=500.0, kind="clear-partition"),
+            CampaignAction(at_ms=100.0, kind="partition", groups=GROUPS),
+        ).timeline()
         assert [event.at_ms for event in timeline] == [100.0, 500.0]
 
     def test_negative_time_rejected(self, testbed):
-        with pytest.raises(NetworkError):
-            FaultSchedule(testbed).heal(at_ms=-1.0)
+        with pytest.raises(CampaignError):
+            install(testbed, CampaignAction(at_ms=-1.0, kind="clear-partition"))
 
     def test_unknown_server_rejected(self, testbed):
-        with pytest.raises(NetworkError):
-            FaultSchedule(testbed).crash_server(at_ms=10.0, server="ghost")
+        with pytest.raises(CampaignError):
+            install(testbed,
+                    CampaignAction(at_ms=10.0, kind="crash", target="ghost"))
 
     def test_double_install_rejected(self, testbed):
-        schedule = FaultSchedule(testbed)
-        schedule.heal(at_ms=10.0)
-        schedule.install()
-        with pytest.raises(NetworkError):
-            schedule.install()
-        with pytest.raises(NetworkError):
-            schedule.heal(at_ms=20.0)
+        nemesis = install(testbed,
+                          CampaignAction(at_ms=10.0, kind="clear-partition"))
+        with pytest.raises(CampaignError):
+            nemesis.install()
 
 
 class TestScheduledPartition:
     def test_partition_applies_and_heals_on_schedule(self, testbed):
-        schedule = FaultSchedule(testbed)
-        schedule.partition_regions(at_ms=1_000.0, groups=[["VA"], ["OR"]])
-        schedule.heal(at_ms=5_000.0)
-        schedule.install()
+        install(testbed,
+                CampaignAction(at_ms=1_000.0, kind="partition", groups=GROUPS),
+                CampaignAction(at_ms=5_000.0, kind="clear-partition"))
 
         quorum_client = testbed.make_client("quorum")
         # Before the partition: quorum writes succeed.
@@ -66,9 +80,9 @@ class TestScheduledPartition:
 
     def test_crash_and_recover_server(self, testbed):
         victim = testbed.config.all_servers[0]
-        schedule = FaultSchedule(testbed)
-        schedule.crash_server(at_ms=100.0, server=victim, recover_after_ms=1_000.0)
-        schedule.install()
+        install(testbed,
+                CampaignAction(at_ms=100.0, kind="crash", target=victim),
+                CampaignAction(at_ms=1_100.0, kind="recover", target=victim))
         testbed.run(200.0)
         assert not testbed.servers[victim].alive
         testbed.run(2_000.0)
@@ -76,10 +90,9 @@ class TestScheduledPartition:
 
     def test_isolate_and_rejoin(self, testbed):
         victim = testbed.config.all_servers[0]
-        schedule = FaultSchedule(testbed)
-        schedule.isolate_server(at_ms=50.0, server=victim)
-        schedule.rejoin_server(at_ms=500.0, server=victim)
-        schedule.install()
+        install(testbed,
+                CampaignAction(at_ms=50.0, kind="isolate", target=victim),
+                CampaignAction(at_ms=500.0, kind="rejoin", target=victim))
         testbed.run(100.0)
         assert not testbed.network.partitions.connected(victim,
                                                         testbed.config.all_servers[1])

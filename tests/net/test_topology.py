@@ -56,12 +56,6 @@ class TestTopology:
         assert {name for name, site in topology.sites.items()
                 if site.region == "VA"} == {"a", "c"}
 
-    def test_region_pairs(self):
-        topology = Topology()
-        for region in ("VA", "OR", "CA"):
-            topology.add_site(region.lower(), region=region)
-        assert set(topology.region_pairs()) == {("CA", "OR"), ("CA", "VA"), ("OR", "VA")}
-
 
 class TestEC2Topology:
     def test_default_covers_all_eight_regions(self):

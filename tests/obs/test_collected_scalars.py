@@ -72,7 +72,7 @@ def churned_ring_deployment(seed):
     testbed.run(400.0)
     testbed.partition_regions([["VA"], ["OR"]])
     write(30, "partitioned")
-    testbed.heal()
+    testbed.network.partitions.heal()
     testbed.run(200.0)
     leave = testbed.membership.scale_in(home)
     testbed.run(800.0)
@@ -136,8 +136,8 @@ class TestCollectedFromStats:
         # Readers of one series add up (two pools of one region); a series
         # both recorded and collected adds the two (gauges: the maximum).
         registry.collect_counter("ops_total", lambda: 10, node="a")
-        registry.inc("ops_total", 100.0, node="a")
-        registry.max_gauge("depth_max", 5.0, node="a")
+        registry.counter("ops_total", node="a").inc(100.0)
+        registry.gauge("depth_max", node="a").max(5.0)
         assert registry.counter_value("ops_total", node="a") == 113.0
         assert registry.gauges == {("depth_max", (("node", "a"),)): 7.0}
 

@@ -11,9 +11,9 @@ from repro.obs.staleness import StalenessProbe
 class TestCounters:
     def test_inc_and_labels(self):
         registry = MetricsRegistry()
-        registry.inc("requests_total")
-        registry.inc("requests_total", 2.0)
-        registry.inc("requests_total", node="s1")
+        registry.counter("requests_total").inc()
+        registry.counter("requests_total").inc(2.0)
+        registry.counter("requests_total", node="s1").inc()
         assert registry.counter_value("requests_total") == 3.0
         assert registry.counter_value("requests_total", node="s1") == 1.0
         assert registry.counter_total("requests_total") == 4.0
@@ -23,13 +23,13 @@ class TestCounters:
         but stringify differently (1, 1.0, True) do not merge into one."""
         registry = MetricsRegistry()
         for _ in range(2):
-            registry.inc("sheds_total", node="s1", reason="full")
-            registry.inc("sheds_total", reason="full", node="s1")
+            registry.counter("sheds_total", node="s1", reason="full").inc()
+            registry.counter("sheds_total", reason="full", node="s1").inc()
         key = ("sheds_total", (("node", "s1"), ("reason", "full")))
         assert registry.counters == {key: 4.0}
         for shard in (1, 1.0, True, "1"):
-            registry.inc("by_shard_total", shard=shard)
-            registry.inc("by_shard_total", shard=shard)
+            registry.counter("by_shard_total", shard=shard).inc()
+            registry.counter("by_shard_total", shard=shard).inc()
         assert {items[0][1]: value
                 for (name, items), value in registry.counters.items()
                 if name == "by_shard_total"} == {
@@ -46,9 +46,9 @@ class TestCounters:
         never passes a stored series' labels back through keywords."""
         def build():
             registry = MetricsRegistry(window_ms=100.0)
-            registry.inc("ops_total", 2.0, name="x", amount="y")
-            registry.set_gauge("depth", 1.0, name="x", value="v")
-            registry.max_gauge("depth_max", 3.0, name="x", value="v")
+            registry.counter("ops_total", name="x", amount="y").inc(2.0)
+            registry.gauge("depth", name="x", value="v").set(1.0)
+            registry.gauge("depth_max", name="x", value="v").max(3.0)
             registry.observe("lat_ms", 50.0, 7.0, name="x", at_ms="t",
                              value="v")
             return registry
@@ -77,11 +77,11 @@ class TestCounters:
 class TestGauges:
     def test_set_and_max(self):
         registry = MetricsRegistry()
-        registry.set_gauge("depth", 4.0, node="s1")
-        registry.set_gauge("depth", 2.0, node="s1")
+        registry.gauge("depth", node="s1").set(4.0)
+        registry.gauge("depth", node="s1").set(2.0)
         assert registry.gauges[("depth", (("node", "s1"),))] == 2.0
-        registry.max_gauge("depth_max", 4.0)
-        registry.max_gauge("depth_max", 2.0)
+        registry.gauge("depth_max").max(4.0)
+        registry.gauge("depth_max").max(2.0)
         assert registry.gauges[("depth_max", ())] == 4.0
 
 
@@ -136,10 +136,10 @@ class TestMerge:
             target = part_a if i % 2 else part_b
             whole.observe("lat_ms", i * 25.0, float(i))
             target.observe("lat_ms", i * 25.0, float(i))
-            whole.inc("ops_total", node=f"s{i % 3}")
-            target.inc("ops_total", node=f"s{i % 3}")
-            whole.max_gauge("depth_max", float(i))
-            target.max_gauge("depth_max", float(i))
+            whole.counter("ops_total", node=f"s{i % 3}").inc()
+            target.counter("ops_total", node=f"s{i % 3}").inc()
+            whole.gauge("depth_max").max(float(i))
+            target.gauge("depth_max").max(float(i))
         part_a.merge(part_b)
         assert part_a.counter_total("ops_total") == whole.counter_total(
             "ops_total")
@@ -162,8 +162,8 @@ class TestMerge:
 class TestFaultWindows:
     def test_on_fault_opens_and_closes(self):
         registry = MetricsRegistry()
-        registry.on_fault("partition", ("VA", "OR"), 100.0, "split")
-        registry.on_fault("heal", (), 300.0, "heal")
+        registry.faults.on_fault("partition", ("VA", "OR"), 100.0, "split")
+        registry.faults.on_fault("heal", (), 300.0, "heal")
         assert len(registry.fault_windows) == 1
         window = registry.fault_windows[0]
         assert window.kind == "partition"
@@ -172,14 +172,14 @@ class TestFaultWindows:
 
     def test_marker_kinds_are_zero_width(self):
         registry = MetricsRegistry()
-        registry.on_fault("scale-out", ("c0",), 150.0, "join")
+        registry.faults.on_fault("scale-out", ("c0",), 150.0, "join")
         assert len(registry.fault_windows) == 1
         window = registry.fault_windows[0]
         assert window.start_ms == window.end_ms == 150.0
 
     def test_finalize_closes_open_windows(self):
         registry = MetricsRegistry()
-        registry.on_fault("partition", ("VA",), 100.0, "split")
+        registry.faults.on_fault("partition", ("VA",), 100.0, "split")
         registry.finalize(500.0)
         assert registry.fault_windows[0].end_ms == 500.0
 
@@ -187,11 +187,11 @@ class TestFaultWindows:
 class TestExports:
     def _populated(self):
         registry = MetricsRegistry(window_ms=100.0)
-        registry.inc("ops_total", 3.0, node="s1")
-        registry.set_gauge("depth", 2.0)
+        registry.counter("ops_total", node="s1").inc(3.0)
+        registry.gauge("depth").set(2.0)
         registry.observe("lat_ms", 50.0, 10.0)
         registry.observe("lat_ms", 150.0, 20.0)
-        registry.on_fault("partition", ("VA",), 100.0, "split")
+        registry.faults.on_fault("partition", ("VA",), 100.0, "split")
         registry.finalize(200.0)
         return registry
 

@@ -55,7 +55,7 @@ class TestFailoverPropagation:
         # the tracer the same way the nemesis narration does.
         def _isolate():
             testbed.network.partitions.isolate(servers[0])
-            tracer.on_fault("isolate", (servers[0],), testbed.env.now)
+            tracer.faults.on_fault("isolate", (servers[0],), testbed.env.now)
 
         testbed.env.schedule(1.0, _isolate)
         result = _run(testbed, client, [Operation.read(key_b),

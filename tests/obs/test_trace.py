@@ -76,40 +76,40 @@ class TestTransactions:
 class TestFaultWindows:
     def test_partition_opens_and_heal_closes(self):
         tracer = Tracer()
-        tracer.on_fault("partition", ("VA", "OR"), 10.0, "split")
-        tracer.on_fault("heal", (), 30.0)
+        tracer.faults.on_fault("partition", ("VA", "OR"), 10.0, "split")
+        tracer.faults.on_fault("heal", (), 30.0)
         (window,) = tracer.fault_windows
         assert window.kind == "partition"
         assert window.start_ms == 10.0 and window.end_ms == 30.0
 
     def test_clear_partition_also_closes_partitions(self):
         tracer = Tracer()
-        tracer.on_fault("partition", ("VA", "OR"), 5.0)
-        tracer.on_fault("clear-partition", (), 15.0)
+        tracer.faults.on_fault("partition", ("VA", "OR"), 5.0)
+        tracer.faults.on_fault("clear-partition", (), 15.0)
         assert tracer.fault_windows[0].end_ms == 15.0
 
     def test_targeted_closer_matches_targets(self):
         tracer = Tracer()
-        tracer.on_fault("isolate", ("s0",), 0.0)
-        tracer.on_fault("isolate", ("s1",), 1.0)
-        tracer.on_fault("rejoin", ("s1",), 5.0)
+        tracer.faults.on_fault("isolate", ("s0",), 0.0)
+        tracer.faults.on_fault("isolate", ("s1",), 1.0)
+        tracer.faults.on_fault("rejoin", ("s1",), 5.0)
         by_target = {w.targets: w for w in tracer.fault_windows}
         assert by_target[("s1",)].end_ms == 5.0
         assert by_target[("s0",)].end_ms is None
 
     def test_crash_recover_and_degrade_restore_pair(self):
         tracer = Tracer()
-        tracer.on_fault("crash", ("s0",), 0.0)
-        tracer.on_fault("degrade", (), 1.0)
-        tracer.on_fault("recover", ("s0",), 4.0)
-        tracer.on_fault("restore", (), 6.0)
+        tracer.faults.on_fault("crash", ("s0",), 0.0)
+        tracer.faults.on_fault("degrade", (), 1.0)
+        tracer.faults.on_fault("recover", ("s0",), 4.0)
+        tracer.faults.on_fault("restore", (), 6.0)
         kinds = {w.kind: w for w in tracer.fault_windows}
         assert kinds["crash"].end_ms == 4.0
         assert kinds["degrade"].end_ms == 6.0
 
     def test_informational_kinds_become_zero_width_markers(self):
         tracer = Tracer()
-        tracer.on_fault("scale-out", ("cluster0-VA",), 3.0)
+        tracer.faults.on_fault("scale-out", ("cluster0-VA",), 3.0)
         (window,) = tracer.fault_windows
         assert window.start_ms == window.end_ms == 3.0
 
@@ -128,7 +128,7 @@ class TestFinalize:
         tracer.finish(inside, 18.0)
         outside = tracer.start_span("t2", "txn", None, "s", 0.0)
         tracer.finish(outside, 5.0)
-        tracer.on_fault("partition", ("VA",), 10.0)
+        tracer.faults.on_fault("partition", ("VA",), 10.0)
         tracer.finalize(40.0)
         assert tracer.fault_windows[0].end_ms == 40.0
         assert inside.faults == (tracer.fault_windows[0].window_id,)
@@ -138,7 +138,7 @@ class TestFinalize:
         tracer = Tracer()
         span = tracer.start_span("t", "txn", None, "s", 0.0)
         tracer.finish(span, 10.0)
-        tracer.on_fault("scale-out", ("c",), 5.0)
+        tracer.faults.on_fault("scale-out", ("c",), 5.0)
         tracer.finalize(20.0)
         assert span.faults == ()
 

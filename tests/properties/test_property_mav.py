@@ -196,7 +196,7 @@ def test_acks_owed_to_an_unreachable_peer_are_neither_sent_nor_lost(data):
         elif fault == "isolate":
             partitions.isolate(data.draw(st.sampled_from(servers)))
         elif fault == "heal":
-            rig.testbed.heal()
+            rig.testbed.network.partitions.heal()
         step(rig, data)
     if not partitions.idle:
         # Whatever is cut off now holds its acks through any number of ticks.
@@ -209,5 +209,5 @@ def test_acks_owed_to_an_unreachable_peer_are_neither_sent_nor_lost(data):
             rig.tick(name)
         for (src, dst), acks in unreachable.items():
             assert rig.testbed.servers[src].mav.owed[dst][:len(acks)] == acks
-    rig.testbed.heal()
+    rig.testbed.network.partitions.heal()
     settle(rig, data)

@@ -49,11 +49,11 @@ def test_merge_of_parts_equals_whole(observations, events, split):
         whole.observe("lat_ms", at_ms, value)
         (part_a if i < split else part_b).observe("lat_ms", at_ms, value)
     for i, (name, node, amount) in enumerate(events):
-        whole.inc(name, amount, node=node)
-        whole.max_gauge("peak", amount, node=node)
+        whole.counter(name, node=node).inc(amount)
+        whole.gauge("peak", node=node).max(amount)
         target = part_a if i < split else part_b
-        target.inc(name, amount, node=node)
-        target.max_gauge("peak", amount, node=node)
+        target.counter(name, node=node).inc(amount)
+        target.gauge("peak", node=node).max(amount)
     part_a.merge(part_b)
     assert part_a.counters == pytest.approx(whole.counters)
     assert part_a.gauges == whole.gauges
@@ -76,9 +76,9 @@ def test_replay_is_bit_identical(observations, events):
         for at_ms, value in observations:
             registry.observe("lat_ms", at_ms, value)
         for name, node, amount in events:
-            registry.inc(name, amount, node=node)
-            registry.set_gauge("depth", amount, node=node)
-        registry.on_fault("partition", ("VA",), 100.0, "split")
+            registry.counter(name, node=node).inc(amount)
+            registry.gauge("depth", node=node).set(amount)
+        registry.faults.on_fault("partition", ("VA",), 100.0, "split")
         registry.finalize(10_000.0)
         return registry
 
@@ -186,8 +186,8 @@ def test_handles_and_by_name_calls_record_identically(stream):
 
     def record_by_name(registry, node, at_ms, value):
         registry.observe("lat_ms", at_ms, value, node=node)
-        registry.inc("ops_total", value, node=node)
-        registry.max_gauge("peak", value, node=node)
+        registry.counter("ops_total", node=node).inc(value)
+        registry.gauge("peak", node=node).max(value)
 
     def record_by_handle(registry, node, at_ms, value):
         histogram, counter, gauge = handles[registry][node]

@@ -114,7 +114,7 @@ def test_owed_index_forwards_what_a_full_scan_would(steps, converging):
             elif step == "partition":
                 testbed.partition_regions([["VA"], ["OR"]])
             elif step == "heal":
-                testbed.heal()
+                testbed.network.partitions.heal()
             elif step == "join" and len(joined) < 2:
                 joined.append(testbed.add_server(home).name)
                 testbed.config.add_server(home, joined[-1])

@@ -73,7 +73,7 @@ class TestAntiEntropy:
             remote.execute(Transaction([Operation.read("user3")]))
         )
         assert stale.value_read("user3") is None  # partition blocks propagation
-        testbed.heal()
+        testbed.network.partitions.heal()
         testbed.run(1500.0)
         fresh = testbed.env.run_until_complete(
             remote.execute(Transaction([Operation.read("user3")]))

@@ -195,6 +195,6 @@ class TestBacklogGauge:
         testbed.run(18.0)
         # Parked behind the partition: every round samples it, none closes it.
         assert samples == [(5.0, 1.0), (10.0, 1.0), (15.0, 1.0)]
-        testbed.heal()
+        testbed.network.partitions.heal()
         testbed.run(1_000.0)
         assert samples[3:] == [(20.0, 1.0), (20.0, 0.0)]

@@ -33,7 +33,7 @@ def _through_a_partition(partition_ms: float):
         assert result.committed
         testbed.run(10.0)
     testbed.run(partition_ms - testbed.env.now)
-    testbed.heal()
+    testbed.network.partitions.heal()
     testbed.run(1500.0)
     return [server.anti_entropy for server in testbed.server_list()
             if server.name.startswith(testbed.config.cluster_names[0])]
@@ -100,7 +100,7 @@ class TestCapSkipsTheStranded:
         for _ in range(3):
             service._push_dirty()
         assert service.stats.versions_pushed == 0
-        testbed.heal()
+        testbed.network.partitions.heal()
         service._push_dirty()
         testbed.run(200.0)
         latest = remote.store.data.latest

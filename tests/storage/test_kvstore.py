@@ -76,15 +76,6 @@ class TestVersionedStore:
         store.install(Version("a", None, Timestamp(2, 1), tombstone=True))
         assert store.scan(lambda key, version: True) == []
 
-    def test_garbage_collect_keeps_read_point(self):
-        store = VersionedStore()
-        for seq in range(1, 6):
-            store.install(v("x", seq, seq))
-        removed = store.garbage_collect(Timestamp(3, 9))
-        assert removed == 2  # versions 1 and 2 dropped; 3 kept for reads at the mark
-        assert [version.value for version in store.versions("x")] == [3, 4, 5]
-        assert store.latest_at_or_before("x", Timestamp(3, 9)).value == 3
-
     def test_contains_and_len(self):
         store = VersionedStore()
         assert "x" not in store and len(store) == 0

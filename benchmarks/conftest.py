@@ -5,23 +5,13 @@ and prints the corresponding rows/series.  Because the substrate is a
 simulator, absolute numbers differ from the paper's EC2 deployment; the
 benchmarks check and report the *shapes* (orderings, ratios, crossovers).
 
-Scale: the default sweeps are sized to finish in a few minutes total.  Set
-``REPRO_BENCH_SCALE=full`` for longer, higher-fidelity sweeps.
+The sweeps come in one size, a few seconds each: these files check shapes.
+Performance is measured by one referee, ``benchmarks/hatbench``.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
-
-#: "quick" (default) or "full".
-SCALE = os.environ.get("REPRO_BENCH_SCALE", "quick")
-
-
-def scaled(quick_value, full_value):
-    """Pick a parameter according to the benchmark scale."""
-    return full_value if SCALE == "full" else quick_value
 
 
 @pytest.fixture

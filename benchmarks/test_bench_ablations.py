@@ -1,7 +1,5 @@
 """Ablation benchmarks: design choices beyond the paper's headline figures."""
 
-from conftest import scaled
-
 from repro.bench.ablations import (
     anti_entropy_visibility,
     coordinated_baselines,
@@ -9,17 +7,11 @@ from repro.bench.ablations import (
 )
 
 
-def test_ablation_anti_entropy_interval(benchmark, bench_print):
+def test_ablation_anti_entropy_interval(bench_print):
     """Visibility lag at remote clusters grows with the anti-entropy interval,
     while the number of gossip messages shrinks — the knob trades staleness
     for background load."""
-    points = benchmark.pedantic(
-        anti_entropy_visibility,
-        kwargs=dict(intervals_ms=scaled((10.0, 100.0, 500.0),
-                                        (5.0, 20.0, 100.0, 500.0)),
-                    writes=scaled(15, 50)),
-        rounds=1, iterations=1,
-    )
+    points = anti_entropy_visibility(intervals_ms=(10.0, 100.0, 500.0), writes=15)
     lines = [f"{'interval (ms)':>15} {'visibility lag (ms)':>21} {'gossip msgs':>13}"]
     for point in points:
         lines.append(f"{point.interval_ms:>15.0f} {point.mean_visibility_ms:>21.1f} "
@@ -31,13 +23,10 @@ def test_ablation_anti_entropy_interval(benchmark, bench_print):
     assert points[-1].anti_entropy_messages <= points[0].anti_entropy_messages * 1.5
 
 
-def test_ablation_stickiness(benchmark, bench_print):
+def test_ablation_stickiness(bench_print):
     """Sticky sessions repair every stale read from the session cache;
     non-sticky sessions observe read-your-writes violations (Section 5.1.3)."""
-    result = benchmark.pedantic(
-        stickiness_ablation, kwargs=dict(sessions=scaled(6, 20)),
-        rounds=1, iterations=1,
-    )
+    result = stickiness_ablation(sessions=6)
     bench_print("Ablation: stickiness and read-your-writes", "\n".join([
         f"sessions:                       {result.sessions}",
         f"violations with sticky cache:   {result.sticky_violations}",
@@ -47,15 +36,11 @@ def test_ablation_stickiness(benchmark, bench_print):
     assert result.non_sticky_violations >= result.sessions * 0.8
 
 
-def test_ablation_coordinated_baselines(benchmark, bench_print):
+def test_ablation_coordinated_baselines(bench_print):
     """Master, two-phase locking, and quorum latency on a VA+OR deployment:
     every coordinated protocol pays wide-area round trips, and two-phase
     locking pays the most (one per lock plus commit)."""
-    points = benchmark.pedantic(
-        coordinated_baselines,
-        kwargs=dict(duration_ms=scaled(800.0, 3000.0)),
-        rounds=1, iterations=1,
-    )
+    points = coordinated_baselines(duration_ms=800.0)
     lines = [f"{'protocol':>20} {'mean (ms)':>11} {'p95 (ms)':>10} "
              f"{'txn/s':>8} {'aborts':>8}"]
     for point in points:

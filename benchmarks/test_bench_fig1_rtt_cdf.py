@@ -1,7 +1,5 @@
 """Figure 1: CDF of RTTs for intra-AZ, inter-AZ, and cross-region links."""
 
-from conftest import scaled
-
 from repro.net.measurement import run_ping_study
 
 #: The links Figure 1 plots: an intra-AZ link, an inter-AZ link, a nearby
@@ -18,15 +16,15 @@ LINKS = [
 
 def run_study():
     return run_ping_study(
-        samples_per_link=scaled(500, 5000),
+        samples_per_link=500,
         regions=["CA", "OR", "VA", "SP", "SI"],
         zones_per_region=3,
         hosts_per_zone=3,
     )
 
 
-def test_fig1_rtt_cdf(benchmark, bench_print):
-    study, _topology, _model = benchmark.pedantic(run_study, rounds=1, iterations=1)
+def test_fig1_rtt_cdf(bench_print):
+    study, _topology, _model = run_study()
 
     lines = [f"{'link':<28} {'p10':>9} {'p50':>9} {'p90':>9} {'p99':>9}  (RTT ms)"]
     summaries = {}

@@ -4,8 +4,8 @@ from repro.taxonomy.lattice import build_lattice
 from repro.taxonomy.models import MODELS
 
 
-def test_fig2_model_lattice(benchmark, bench_print):
-    lattice = benchmark.pedantic(build_lattice, rounds=1, iterations=1)
+def test_fig2_model_lattice(bench_print):
+    lattice = build_lattice()
 
     combinations = lattice.hat_combinations()
     strongest = lattice.strongest_hat_combination()

@@ -13,13 +13,12 @@ latency; MAV throughput is a constant factor below eventual/RC.
 """
 
 import pytest
-from conftest import scaled
 
 from repro.bench.experiments import figure3_geo_replication
 from repro.bench.report import format_latency_and_throughput
 
-CLIENTS = scaled((2, 6), (4, 16, 48))
-DURATION_MS = scaled(500.0, 2000.0)
+CLIENTS = (2, 6)
+DURATION_MS = 500.0
 
 
 def by_protocol(points, metric="mean_latency_ms"):
@@ -31,17 +30,14 @@ def by_protocol(points, metric="mean_latency_ms"):
 
 
 @pytest.mark.parametrize("deployment,servers", [
-    ("A-single-dc", scaled(2, 5)),
-    ("B-two-regions", scaled(2, 5)),
-    ("C-five-regions", scaled(1, 5)),
+    ("A-single-dc", 2),
+    ("B-two-regions", 2),
+    ("C-five-regions", 1),
 ])
-def test_fig3_geo_replication(benchmark, bench_print, deployment, servers):
-    points = benchmark.pedantic(
-        figure3_geo_replication,
-        kwargs=dict(deployment=deployment, client_counts=CLIENTS,
-                    duration_ms=DURATION_MS, servers_per_cluster=servers),
-        rounds=1, iterations=1,
-    )
+def test_fig3_geo_replication(bench_print, deployment, servers):
+    points = figure3_geo_replication(
+        deployment=deployment, client_counts=CLIENTS,
+        duration_ms=DURATION_MS, servers_per_cluster=servers)
     bench_print(f"Figure 3{deployment}: YCSB vs. number of clients",
                 format_latency_and_throughput(points))
 

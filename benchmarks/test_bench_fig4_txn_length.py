@@ -5,22 +5,16 @@ transaction length, while MAV's declines as transactions grow because its
 metadata (the sibling list) grows linearly with transaction length.
 """
 
-from conftest import scaled
-
 from repro.bench.experiments import figure4_transaction_length
 from repro.bench.report import format_series
 
-LENGTHS = scaled((1, 8, 32), (1, 2, 4, 8, 16, 32, 64, 128))
-DURATION_MS = scaled(500.0, 1500.0)
+LENGTHS = (1, 8, 32)
+DURATION_MS = 500.0
 
 
-def test_fig4_transaction_length(benchmark, bench_print):
-    points = benchmark.pedantic(
-        figure4_transaction_length,
-        kwargs=dict(lengths=LENGTHS, duration_ms=DURATION_MS,
-                    clients_per_cluster=scaled(3, 8)),
-        rounds=1, iterations=1,
-    )
+def test_fig4_transaction_length(bench_print):
+    points = figure4_transaction_length(
+        lengths=LENGTHS, duration_ms=DURATION_MS, clients_per_cluster=3)
     bench_print("Figure 4: transaction length vs. throughput (ops/s)",
                 format_series(points, value="throughput_ops_s"))
 

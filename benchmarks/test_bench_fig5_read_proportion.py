@@ -6,23 +6,17 @@ drops and MAV's gap to eventual widens (writes are what carry MAV's
 metadata and second-phase work).
 """
 
-from conftest import scaled
-
 from repro.bench.experiments import figure5_write_proportion
 from repro.bench.report import format_series
 
-WRITE_PROPORTIONS = scaled((0.0, 0.5, 1.0), (0.0, 0.2, 0.4, 0.6, 0.8, 1.0))
-DURATION_MS = scaled(400.0, 1500.0)
+WRITE_PROPORTIONS = (0.0, 0.5, 1.0)
+DURATION_MS = 400.0
 
 
-def test_fig5_write_proportion(benchmark, bench_print):
-    points = benchmark.pedantic(
-        figure5_write_proportion,
-        kwargs=dict(write_proportions=WRITE_PROPORTIONS, duration_ms=DURATION_MS,
-                    clients_per_cluster=scaled(12, 24),
-                    servers_per_cluster=scaled(2, 5)),
-        rounds=1, iterations=1,
-    )
+def test_fig5_write_proportion(bench_print):
+    points = figure5_write_proportion(
+        write_proportions=WRITE_PROPORTIONS, duration_ms=DURATION_MS,
+        clients_per_cluster=12, servers_per_cluster=2)
     bench_print("Figure 5: write proportion vs. throughput (txn/s)",
                 format_series(points, value="throughput_txn_s"))
 

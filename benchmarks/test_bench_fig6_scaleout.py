@@ -6,23 +6,17 @@ MAV scales slightly sub-linearly (paper: 3.8x for a 5x server increase, due
 to storage contention and anti-entropy amplification).
 """
 
-from conftest import scaled
-
 from repro.bench.experiments import figure6_scale_out
 from repro.bench.report import format_series
 
-SERVERS_PER_CLUSTER = scaled((2, 4, 8), (5, 10, 15, 25))
-DURATION_MS = scaled(400.0, 1200.0)
+SERVERS_PER_CLUSTER = (2, 4, 8)
+DURATION_MS = 400.0
 
 
-def test_fig6_scale_out(benchmark, bench_print):
-    points = benchmark.pedantic(
-        figure6_scale_out,
-        kwargs=dict(servers_per_cluster_values=SERVERS_PER_CLUSTER,
-                    duration_ms=DURATION_MS,
-                    clients_per_server=scaled(2, 3)),
-        rounds=1, iterations=1,
-    )
+def test_fig6_scale_out(bench_print):
+    points = figure6_scale_out(
+        servers_per_cluster_values=SERVERS_PER_CLUSTER,
+        duration_ms=DURATION_MS, clients_per_server=2)
     bench_print("Figure 6: scale-out (total servers vs. txn/s)",
                 format_series(points, value="throughput_txn_s"))
 

@@ -3,8 +3,8 @@
 from repro.taxonomy.survey import format_table_2, survey_statistics
 
 
-def test_table2_isolation_survey(benchmark, bench_print):
-    stats = benchmark.pedantic(survey_statistics, rounds=1, iterations=1)
+def test_table2_isolation_survey(bench_print):
+    stats = survey_statistics()
 
     body = format_table_2() + "\n\n" + "\n".join([
         f"databases surveyed:                    {stats.total}",

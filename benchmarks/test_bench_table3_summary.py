@@ -7,8 +7,8 @@ from repro.taxonomy.classification import (
 )
 
 
-def test_table3_availability_summary(benchmark, bench_print):
-    summary = benchmark.pedantic(availability_summary, rounds=1, iterations=1)
+def test_table3_availability_summary(bench_print):
+    summary = availability_summary()
 
     bench_print("Table 3: HAT availability classification", summary.as_table())
 

@@ -11,8 +11,6 @@ The paper's claims, reproduced here as measurements:
   concurrently — the condition that requires unavailable coordination.
 """
 
-from conftest import scaled
-
 from repro.hat.testbed import Scenario, build_testbed
 from repro.workloads.tpcc import (
     TPCCConfig,
@@ -28,7 +26,7 @@ from repro.workloads.tpcc_analysis import (
 )
 
 
-def run_tpcc_on_hat(protocol="mav", transactions=scaled(60, 300)):
+def run_tpcc_on_hat(protocol="mav", transactions=60):
     """Drive the TPC-C mix through one HAT client and validate the state."""
     testbed = build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=2))
     workload = TPCCWorkload(TPCCConfig(warehouses=2, districts_per_warehouse=2,
@@ -44,7 +42,7 @@ def run_tpcc_on_hat(protocol="mav", transactions=scaled(60, 300)):
     return testbed, workload, committed
 
 
-def concurrent_new_orders_during_partition(count_per_side=scaled(10, 40)):
+def concurrent_new_orders_during_partition(count_per_side=10):
     """Two clients on opposite sides of a partition both run New-Orders for
     the same district, each assigning ids from its own (stale) counter."""
     testbed = build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=2))
@@ -64,9 +62,8 @@ def concurrent_new_orders_during_partition(count_per_side=scaled(10, 40)):
     return issued
 
 
-def test_tpcc_hat_analysis(benchmark, bench_print):
-    testbed, workload, committed = benchmark.pedantic(
-        run_tpcc_on_hat, rounds=1, iterations=1)
+def test_tpcc_hat_analysis(bench_print):
+    testbed, workload, committed = run_tpcc_on_hat()
 
     report = check_state(workload.state)
     executable, total = hat_executable_count()

@@ -35,6 +35,12 @@ class ServiceCostModel:
     #: Number of requests a server can process concurrently (worker threads).
     concurrency: int = 4
 
+    def __post_init__(self) -> None:
+        if self.concurrency < 1:
+            raise ReproError(
+                f"ServiceCostModel.concurrency must be >= 1, got "
+                f"{self.concurrency}: with no worker every request queues forever")
+
 
 @dataclass(slots=True)
 class ServerStats:

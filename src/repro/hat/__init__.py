@@ -13,16 +13,19 @@ with sticky availability (Figure 2, Section 5.3).
   (eventual/RC writes, the MAV pending/good/notify machinery, master
   replication, the 2PL lock service, and quorum reads/writes).
 * :mod:`repro.hat.clients` — the replica-access core
-  (:class:`~repro.hat.clients.base.LayeredClient`) and the bespoke non-HAT
-  baselines; :func:`~repro.hat.clients.build_client` assembles a stacked
-  client from a registry spec.
+  (:class:`~repro.hat.clients.base.LayeredClient`, the one HAT client class)
+  and the bespoke non-HAT baselines;
+  :func:`~repro.hat.clients.build_client` assembles what the registry's rows
+  say a spec is made of.
 * :mod:`repro.hat.layers` — the guarantee layers: write buffering (RC),
   atomic visibility (MAV), cut isolation, and the four session guarantees
   (MR/MW/WFR/RYW) with their shared session cache and dependency forwarding.
-* :mod:`repro.hat.protocols` — the registry: parses specs such as ``"rc"``,
-  ``"mav+wfr+mr"``, or ``"causal"`` (all four session guarantees, sticky),
-  derives each stack's availability class from the Table 3 taxonomy, and
-  registers ``causal`` and ``mav+causal`` as first-class protocols.
+* :mod:`repro.hat.protocols` — the registry: one table in which a guarantee
+  is one row (its tokens, Table 3 codes, titles and implementing class).
+  Parsing specs such as ``"rc"``, ``"mav+wfr+mr"``, or ``"causal"`` (all four
+  session guarantees, sticky), canonical names, each stack's availability
+  class (the Figure 2 combination rule) and the first-class ``causal`` and
+  ``mav+causal`` protocols are all read off it.
 * :mod:`repro.hat.testbed` — builds a full simulated deployment (topology,
   network, clusters, servers, anti-entropy, clients) from a scenario;
   ``make_client`` accepts any registry spec.

@@ -1,57 +1,27 @@
 """Protocol clients.
 
 Each client exposes ``execute(transaction)`` returning a simulation process
-whose value is a :class:`~repro.hat.transaction.TransactionResult`.  The HAT
-clients are all the same :class:`~repro.hat.clients.base.LayeredClient`
-replica-access core under different guarantee-layer stacks — which is
-exactly the point the paper makes: the guarantees compose, and none of them
-ever waits on cross-datacenter coordination.  The non-HAT baselines (master,
-two-phase locking, quorum) must coordinate, and therefore remain bespoke
-subclasses of :class:`~repro.hat.clients.base.ProtocolClient`.
+whose value is a :class:`~repro.hat.transaction.TransactionResult`.  A HAT
+client is always the same :class:`~repro.hat.clients.base.LayeredClient`
+replica-access core under a stack of guarantee layers — which is exactly the
+point the paper makes: the guarantees compose, and none of them ever waits on
+cross-datacenter coordination.  The non-HAT baselines (master, two-phase
+locking, quorum) must coordinate, and therefore remain bespoke subclasses of
+:class:`~repro.hat.clients.base.ProtocolClient`.
 
 :func:`build_client` is the registry's constructor: it parses a protocol
-spec such as ``"mav+causal"`` and assembles the corresponding stacked
-client.
+spec such as ``"mav+causal"`` and builds what the rows of
+:mod:`repro.hat.protocols` say the spec is made of; a client learns its name
+from the spec it was built for.
 """
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.hat.clients.base import (
     DEFAULT_VALUE_BYTES,
     LayeredClient,
     ProtocolClient,
 )
-from repro.hat.clients.eventual import EventualClient
-from repro.hat.clients.read_committed import ReadCommittedClient
-from repro.hat.clients.mav import MAVClient
-from repro.hat.clients.master import MasterClient
-from repro.hat.clients.locking import TwoPhaseLockingClient
-from repro.hat.clients.quorum import QuorumClient
-from repro.hat.layers import (
-    CutIsolationLayer,
-    SESSION_LAYER_CLASSES,
-    SessionState,
-)
-from repro.hat.protocols import (
-    EVENTUAL,
-    MASTER,
-    MAV,
-    NON_HAT_PROTOCOLS,
-    QUORUM,
-    READ_COMMITTED,
-    TWO_PHASE_LOCKING,
-    parse_spec,
-)
-
-#: Base-protocol token -> client class.
-BASE_CLIENT_CLASSES = {
-    EVENTUAL: EventualClient,
-    READ_COMMITTED: ReadCommittedClient,
-    MAV: MAVClient,
-    MASTER: MasterClient,
-    TWO_PHASE_LOCKING: TwoPhaseLockingClient,
-    QUORUM: QuorumClient,
-}
 
 
 def build_client(spec: str, node, recorder: Optional[object] = None,
@@ -59,37 +29,35 @@ def build_client(spec: str, node, recorder: Optional[object] = None,
                  sticky: bool = True, **kwargs) -> ProtocolClient:
     """Assemble the client for a protocol spec string.
 
-    HAT specs become a :class:`LayeredClient` carrying the base protocol's
-    core layers plus any cut-isolation and session layers the spec names
-    (all session layers of one client share one
-    :class:`~repro.hat.layers.SessionState`).  Coordinated baselines take no
+    A spec over a HAT base becomes a :class:`LayeredClient` carrying the base
+    row's core layers, then the layer class of every layer token the spec
+    names (all session layers of one client share one
+    :class:`~repro.hat.layers.SessionState`).  A coordinated base takes no
     layers — :func:`~repro.hat.protocols.parse_spec` rejects such specs —
-    and are constructed directly.
+    and its row's client class is constructed directly.
     """
+    # The registry's rows name this package's client classes and the layers
+    # over its core, so both are imported once the package exists.
+    from repro.hat.layers import SessionState
+    from repro.hat.protocols import BASES, LAYERS, ProtocolSpecError, parse_spec
+
     parsed = parse_spec(spec)
-    cls = BASE_CLIENT_CLASSES[parsed.base]
-    if parsed.base in NON_HAT_PROTOCOLS:
-        return cls(node, recorder=recorder, value_bytes=value_bytes, **kwargs)
-    layers: List[object] = [factory() for factory in cls.core_layer_factories]
-    if parsed.cut_isolation:
-        layers.append(CutIsolationLayer())
-    if parsed.session:
-        state = SessionState()
-        for token in parsed.session_layers:
-            layers.append(SESSION_LAYER_CLASSES[token](state))
-    return cls(node, layers=layers, protocol_name=parsed.name, sticky=sticky,
-               recorder=recorder, value_bytes=value_bytes, **kwargs)
+    build = BASES[parsed.base].client
+    if not isinstance(build, tuple):
+        if not sticky:
+            raise ProtocolSpecError(
+                f"sticky=False with the coordinated base {parsed.base!r}: "
+                "stickiness is a property of HAT stacks")
+        return build(node, parsed.name, recorder=recorder,
+                     value_bytes=value_bytes, **kwargs)
+    layers = [layer_class() for layer_class in build]
+    state = SessionState() if parsed.session else None
+    for token in parsed.layer_tokens:
+        layer_class = LAYERS[token].layer
+        layers.append(layer_class(state) if token in parsed.session
+                      else layer_class())
+    return LayeredClient(node, parsed.name, layers, sticky=sticky,
+                         recorder=recorder, value_bytes=value_bytes, **kwargs)
 
 
-__all__ = [
-    "ProtocolClient",
-    "LayeredClient",
-    "EventualClient",
-    "ReadCommittedClient",
-    "MAVClient",
-    "MasterClient",
-    "TwoPhaseLockingClient",
-    "QuorumClient",
-    "BASE_CLIENT_CLASSES",
-    "build_client",
-]
+__all__ = ["ProtocolClient", "LayeredClient", "build_client"]

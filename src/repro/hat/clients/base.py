@@ -56,16 +56,14 @@ class ProtocolClient:
     any scan results) by mutating the result object passed to it.
     """
 
-    protocol_name = "abstract"
-    #: HAT clients may fail over to any reachable replica; non-HAT clients
-    #: must reach specific servers (master or a quorum).
-    highly_available = True
-
-    def __init__(self, node: ClientNode, recorder: Optional[object] = None,
+    def __init__(self, node: ClientNode, protocol_name: str,
+                 recorder: Optional[object] = None,
                  value_bytes: int = DEFAULT_VALUE_BYTES,
                  rpc_timeout_ms: Optional[float] = None,
                  breaker: Optional[object] = None):
         self.node = node
+        #: The canonical name of the spec this client was built for.
+        self.protocol_name = protocol_name
         self.recorder = recorder
         self.value_bytes = value_bytes
         #: The deadline of every RPC this client issues.
@@ -150,10 +148,6 @@ class ProtocolClient:
         raise NotImplementedError
 
     # -- helpers for subclasses -------------------------------------------------------
-    def _make_version(self, key: str, value: Any, timestamp: Timestamp,
-                      txn_id: int, siblings=frozenset()) -> Version:
-        return Version(key, value, timestamp, txn_id, frozenset(siblings))
-
     def _rpc(self, dst: str, kind: str, payload: Dict[str, Any]):
         """Issue one RPC without remote-hop accounting."""
         node = self.node
@@ -274,18 +268,13 @@ class LayeredClient(ProtocolClient):
     ``finalize`` (post-commit bookkeeping).
     """
 
-    #: Default layer stack, instantiated per client (subclasses override).
-    core_layer_factories = ()
     #: RPC verbs the core uses; an atomic-visibility layer swaps in ``mav.*``.
     get_kind = "ru.get"
     put_kind = "ru.put"
 
-    def __init__(self, node: ClientNode, layers: List[object],
-                 protocol_name: Optional[str] = None, sticky: bool = True,
-                 **kwargs):
-        super().__init__(node, **kwargs)
-        if protocol_name is not None:
-            self.protocol_name = protocol_name
+    def __init__(self, node: ClientNode, protocol_name: str,
+                 layers: List[object], sticky: bool = True, **kwargs):
+        super().__init__(node, protocol_name, **kwargs)
         #: Sticky clients repair stale reads from the session cache; a
         #: non-sticky client records the violation instead (Section 5.1.3).
         self.sticky = sticky

@@ -16,16 +16,13 @@ from typing import Dict, Generator, List, Tuple
 
 from repro.errors import ExternalAbort, RequestTimeout, UnavailableError
 from repro.hat.clients.base import ProtocolClient
-from repro.hat.protocols import TWO_PHASE_LOCKING
 from repro.hat.transaction import Transaction, TransactionResult, resolve_derived
 from repro.sim.process import all_of
+from repro.storage.records import Version
 
 
 class TwoPhaseLockingClient(ProtocolClient):
     """Serializable transactions via 2PL + 2PC (unavailable under partitions)."""
-
-    protocol_name = TWO_PHASE_LOCKING
-    highly_available = False
 
     def __init__(self, *args, lock_timeout_ms: float = 5000.0, **kwargs):
         super().__init__(*args, **kwargs)
@@ -68,9 +65,9 @@ class TwoPhaseLockingClient(ProtocolClient):
                 held.append((op.key, master))
                 if op.is_read:
                     if op.key in write_buffer:
-                        version = self._make_version(op.key, write_buffer[op.key],
-                                                     self.node.commit_timestamp(),
-                                                     transaction.txn_id)
+                        version = Version(op.key, write_buffer[op.key],
+                                          self.node.commit_timestamp(),
+                                          transaction.txn_id)
                         self._observe(result, op.key, version)
                     else:
                         reply = yield self._rpc(master, "master.get", {"key": op.key})
@@ -86,7 +83,7 @@ class TwoPhaseLockingClient(ProtocolClient):
             result.timestamp = timestamp
             writes_by_master: Dict[str, List] = {}
             for key, value in write_buffer.items():
-                version = self._make_version(key, value, timestamp, transaction.txn_id)
+                version = Version(key, value, timestamp, transaction.txn_id)
                 writes_by_master.setdefault(self.node.master_replica(key), []).append(version)
             if writes_by_master:
                 prepare_futures = []

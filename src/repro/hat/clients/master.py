@@ -14,15 +14,12 @@ from typing import Generator
 
 from repro.errors import RequestTimeout, UnavailableError
 from repro.hat.clients.base import ProtocolClient
-from repro.hat.protocols import MASTER
 from repro.hat.transaction import Transaction, TransactionResult, resolve_derived
+from repro.storage.records import Version
 
 
 class MasterClient(ProtocolClient):
     """Routes every operation to the key's designated master replica."""
-
-    protocol_name = MASTER
-    highly_available = False
 
     def _run(self, transaction: Transaction, result: TransactionResult) -> Generator:
         # The timestamp tracks simulated time so that versions install at the
@@ -46,8 +43,8 @@ class MasterClient(ProtocolClient):
                 result.remote_rpcs += 1
             try:
                 if op.is_write:
-                    version = self._make_version(op.key, op.value, timestamp,
-                                                 transaction.txn_id)
+                    version = Version(op.key, op.value, timestamp,
+                                      transaction.txn_id)
                     yield self._rpc(master, "master.put", {
                         "version": version,
                         "size_bytes": self.value_bytes,

@@ -14,16 +14,13 @@ from typing import Generator
 
 from repro.errors import UnavailableError
 from repro.hat.clients.base import ProtocolClient
-from repro.hat.protocols import QUORUM
 from repro.hat.transaction import Transaction, TransactionResult, resolve_derived
 from repro.replication.quorum import quorum_of
+from repro.storage.records import Version
 
 
 class QuorumClient(ProtocolClient):
     """Read/write majority quorum client."""
-
-    protocol_name = QUORUM
-    highly_available = False
 
     def _run(self, transaction: Transaction, result: TransactionResult) -> Generator:
         # Drawn lazily, per write, so the Lamport rule holds: a write's
@@ -43,8 +40,8 @@ class QuorumClient(ProtocolClient):
                 if timestamp is None or self.node.timestamp_is_stale(timestamp):
                     timestamp = self.node.next_timestamp()
                     result.timestamp = timestamp
-                version = self._make_version(op.key, op.value, timestamp,
-                                             transaction.txn_id)
+                version = Version(op.key, op.value, timestamp,
+                                  transaction.txn_id)
                 futures = [
                     self._rpc(replica, "quorum.put", {
                         "version": version,

@@ -145,9 +145,8 @@ class WriteBufferingLayer(GuaranteeLayer):
     def serve_read(self, ctx: TxnContext, op: Operation) -> Optional[Version]:
         if op.key not in ctx.write_buffer:
             return None
-        return self.client._make_version(op.key, ctx.write_buffer[op.key],
-                                         self.client._txn_timestamp(ctx),
-                                         ctx.transaction.txn_id)
+        return Version(op.key, ctx.write_buffer[op.key],
+                       self.client._txn_timestamp(ctx), ctx.transaction.txn_id)
 
     def flush(self, ctx: TxnContext) -> Generator:
         client = self.client
@@ -167,9 +166,8 @@ class WriteBufferingLayer(GuaranteeLayer):
             yield all_of(client.node.env, futures)
 
     def _flush_version(self, ctx: TxnContext, key: str, value: Any) -> Version:
-        return self.client._make_version(key, value,
-                                         self.client._txn_timestamp(ctx),
-                                         ctx.transaction.txn_id)
+        return Version(key, value, self.client._txn_timestamp(ctx),
+                       ctx.transaction.txn_id)
 
     def _flush_payload(self, version: Version) -> Dict[str, Any]:
         return {"version": version, "size_bytes": self.client.value_bytes}
@@ -208,10 +206,8 @@ class AtomicVisibilityLayer(WriteBufferingLayer):
                 ctx.required[sibling] = version.timestamp
 
     def _flush_version(self, ctx: TxnContext, key: str, value: Any) -> Version:
-        return self.client._make_version(key, value,
-                                         self.client._txn_timestamp(ctx),
-                                         ctx.transaction.txn_id,
-                                         siblings=frozenset(ctx.write_buffer))
+        return Version(key, value, self.client._txn_timestamp(ctx),
+                       ctx.transaction.txn_id, frozenset(ctx.write_buffer))
 
     def _flush_payload(self, version: Version) -> Dict[str, Any]:
         return {"version": version,
@@ -505,7 +501,6 @@ class ReadYourWritesLayer(SessionLayer):
     """
 
     token = "ryw"
-    requires_sticky = True
 
     def read_floor(self, key: str) -> Optional[Version]:
         return self.state.own_writes.get(key)
@@ -550,12 +545,3 @@ class WritesFollowReadsLayer(SessionLayer):
 
     after_read = SessionLayer._note_read_holder
     finalize = SessionLayer._remember_reads
-
-
-#: Registry token -> session layer class, in canonical stacking order.
-SESSION_LAYER_CLASSES = {
-    MonotonicReadsLayer.token: MonotonicReadsLayer,
-    MonotonicWritesLayer.token: MonotonicWritesLayer,
-    WritesFollowReadsLayer.token: WritesFollowReadsLayer,
-    ReadYourWritesLayer.token: ReadYourWritesLayer,
-}

@@ -1,4 +1,4 @@
-"""The protocol registry: spec strings, guarantee stacks, and classification.
+"""The protocol registry: one table of guarantees, and what derives from it.
 
 The paper's central result is that HAT guarantees *compose*: Read Committed,
 Monotonic Atomic View, cut isolation, and the four session guarantees can be
@@ -7,35 +7,86 @@ strongest combination achievable with sticky availability (Sections 4-5,
 Figure 2).  This module makes that composition addressable by name.  A
 *protocol spec* is a ``+``-separated string:
 
-* at most one **base**: ``eventual`` (alias ``ru``), ``read-committed``
-  (alias ``rc``), ``mav``, or one of the coordinated baselines ``master``,
-  ``two-phase-locking`` (alias ``2pl``), ``quorum``.  Omitting the base
-  means ``eventual``.
-* any number of **layers**: the session guarantees ``mr``, ``mw``, ``wfr``,
-  ``ryw``; the bundles ``pram`` (= mr+mw+ryw), ``causal`` / ``session``
-  (= mr+mw+wfr+ryw); and ``ci`` (item + predicate cut isolation).
+* at most one **base** (a row of :data:`BASES`): ``eventual`` (alias ``ru``),
+  ``read-committed`` (alias ``rc``), ``mav``, or one of the coordinated
+  baselines ``master``, ``two-phase-locking`` (alias ``2pl``), ``quorum``.
+  Omitting the base means ``eventual``.
+* any number of **layers** (rows of :data:`LAYERS`): ``ci`` (item + predicate
+  cut isolation) and the session guarantees ``mr``, ``mw``, ``wfr``, ``ryw``;
+  a **bundle** (a row of :data:`BUNDLES`) names several at once — ``pram``
+  (= mr+mw+ryw), ``causal`` / ``session`` (= mr+mw+wfr+ryw).
 
-``parse_spec`` normalises a spec into a :class:`ProtocolSpec`;
-:func:`protocol_info` derives the static :class:`Protocol` description,
-including the availability classification computed from the Table 3 model
-taxonomy ("the availability of a combination of models has the availability
-of the least available individual model").  Layers cannot stack on the
-coordinated baselines — they are not even sticky available, so a spec like
-``master+ryw`` is contradictory and rejected.
-
-``causal`` and ``mav+causal`` are registered as first-class protocols; the
-benchmark harness selects any spec by name, and
-:func:`cross_check_with_taxonomy` verifies every registered classification
-against :mod:`repro.taxonomy.classification` and the Figure 2 lattice.
+Each guarantee is stated once, as its row: its tokens, the Table 3 model
+codes it claims, the words that describe it, the class that implements it.
+The rest is read off the rows and :mod:`repro.taxonomy`: canonical names, the
+codes and the availability of a stack ("the availability of a combination of
+models has the availability of the least available individual model"),
+whether layers may stack on a base at all (not on one Table 3 marks
+unavailable, so ``master+ryw`` is rejected), the :class:`Protocol` of any
+spec, and the client :func:`~repro.hat.clients.build_client` assembles.  To
+add a guarantee, write its layer class and add its row.
+:func:`cross_check_with_taxonomy` verifies the rows against the lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.errors import ReproError
-from repro.taxonomy.models import AVAILABLE, MODELS, STICKY
+from repro.hat.clients.locking import TwoPhaseLockingClient
+from repro.hat.clients.master import MasterClient
+from repro.hat.clients.quorum import QuorumClient
+from repro.hat.layers import (
+    AtomicVisibilityLayer,
+    CutIsolationLayer,
+    MonotonicReadsLayer,
+    MonotonicWritesLayer,
+    ReadYourWritesLayer,
+    SessionLayer,
+    WriteBufferingLayer,
+    WritesFollowReadsLayer,
+)
+from repro.taxonomy.lattice import HATLattice, build_lattice
+from repro.taxonomy.models import AVAILABLE, UNAVAILABLE
+
+
+@dataclass(frozen=True)
+class Base:
+    """A base protocol: what the layers of a spec stack on."""
+
+    aliases: Tuple[str, ...]
+    #: Table 3 / Figure 2 model codes the base implements.
+    models: Tuple[str, ...]
+    isolation: str
+    description: str
+    #: What builds its client: the core layer classes a
+    #: :class:`~repro.hat.clients.base.LayeredClient` carries under any
+    #: stacked layers, or the coordinated client class.
+    client: Union[Tuple[type, ...], type]
+
+
+@dataclass(frozen=True)
+class Layer:
+    """A guarantee that stacks on a HAT base."""
+
+    aliases: Tuple[str, ...]
+    models: Tuple[str, ...]
+    title: str
+    layer: type
+
+
+@dataclass(frozen=True)
+class Bundle:
+    """A token for several session guarantees, and the code they earn together."""
+
+    aliases: Tuple[str, ...]
+    members: FrozenSet[str]
+    #: The model a session holding every member implements (Section 5.1.3:
+    #: PRAM = MR + MW + RYW; causal consistency = PRAM + WFR).
+    earns: str
+    title: str
+
 
 EVENTUAL = "eventual"
 READ_COMMITTED = "read-committed"
@@ -43,46 +94,88 @@ MAV = "mav"
 MASTER = "master"
 TWO_PHASE_LOCKING = "two-phase-locking"
 QUORUM = "quorum"
-
-#: Session-guarantee layer tokens, in canonical stacking/spelling order.
-SESSION_TOKENS: Tuple[str, ...] = ("mr", "mw", "wfr", "ryw")
 CUT_ISOLATION = "ci"
 
-#: Bundle tokens that expand to sets of session guarantees (Section 5.1.3:
-#: PRAM = MR + MW + RYW; causal consistency = PRAM + WFR).
-PRAM_SET: FrozenSet[str] = frozenset({"mr", "mw", "ryw"})
-CAUSAL_SET: FrozenSet[str] = frozenset({"mr", "mw", "wfr", "ryw"})
-BUNDLES: Dict[str, FrozenSet[str]] = {
-    "pram": PRAM_SET,
-    "causal": CAUSAL_SET,
-    "session": CAUSAL_SET,
+BASES: Dict[str, Base] = {
+    EVENTUAL: Base(
+        ("ru",), ("RU",), "Read Uncommitted (last-writer-wins)",
+        "Writes apply immediately at any replica; anti-entropy converges "
+        "replicas (paper Section 5.1.1, 'eventual').",
+        ()),
+    READ_COMMITTED: Base(
+        ("rc",), ("RC",), "Read Committed",
+        "Clients buffer writes until commit so no reader observes "
+        "uncommitted data (paper Section 5.1.1, 'RC').",
+        (WriteBufferingLayer,)),
+    MAV: Base(
+        (), ("RC", "MAV"), "Monotonic Atomic View",
+        "Two-phase pending/good visibility with per-transaction sibling "
+        "metadata (paper Section 5.1.2 and Appendix B).",
+        (AtomicVisibilityLayer,)),
+    MASTER: Base(
+        (), ("Linearizable",), "Per-key linearizable (single-key 'read latest')",
+        "All operations for a key route to its designated master replica "
+        "(paper Section 6.3, 'master').",
+        MasterClient),
+    TWO_PHASE_LOCKING: Base(
+        ("2pl", "lock-sr"), ("1SR",), "One-copy serializable",
+        "Distributed two-phase locking with two-phase commit "
+        "(paper Section 6.1/6.3 baseline).",
+        TwoPhaseLockingClient),
+    QUORUM: Base(
+        (), ("Regular",), "Regular register semantics per key",
+        "Read/write majority quorums as in Dynamo (paper Section 6.3).",
+        QuorumClient),
 }
 
-_HAT_BASES: Tuple[str, ...] = (EVENTUAL, READ_COMMITTED, MAV)
-_COORDINATED_BASES: Tuple[str, ...] = (MASTER, TWO_PHASE_LOCKING, QUORUM)
-_BASES: Tuple[str, ...] = _HAT_BASES + _COORDINATED_BASES
+#: In canonical stacking (and spelling) order.
+LAYERS: Dict[str, Layer] = {
+    CUT_ISOLATION: Layer(("cut-isolation",), ("I-CI", "P-CI"),
+                         "item/predicate cut isolation", CutIsolationLayer),
+    "mr": Layer((), ("MR",), "monotonic reads", MonotonicReadsLayer),
+    "mw": Layer((), ("MW",), "monotonic writes", MonotonicWritesLayer),
+    "wfr": Layer((), ("WFR",), "writes follow reads", WritesFollowReadsLayer),
+    "ryw": Layer((), ("RYW",), "read your writes", ReadYourWritesLayer),
+}
+
+BUNDLES: Dict[str, Bundle] = {
+    "pram": Bundle((), frozenset({"mr", "mw", "ryw"}), "PRAM", "PRAM"),
+    "causal": Bundle(("session",), frozenset({"mr", "mw", "wfr", "ryw"}),
+                     "Causal", "causal consistency"),
+}
+
+#: Stacks registered as first-class protocols (the paper's strongest HAT
+#: combinations), with their descriptions.
+COMPOSITES: Dict[str, str] = {
+    "causal": "Causal consistency: all four session guarantees stacked on "
+              "the eventual core; sticky available only (Section 5.1.3).",
+    "mav+causal": "Monotonic Atomic View plus causal consistency — the "
+                  "strongest sticky-available combination of Section 5.3.",
+}
+
+#: Session-guarantee layer tokens, in canonical stacking/spelling order.
+SESSION_TOKENS: Tuple[str, ...] = tuple(
+    token for token, row in LAYERS.items() if issubclass(row.layer, SessionLayer))
+PRAM_SET: FrozenSet[str] = BUNDLES["pram"].members
+CAUSAL_SET: FrozenSet[str] = BUNDLES["causal"].members
 
 _ALIASES: Dict[str, str] = {
-    "ru": EVENTUAL,
-    "rc": READ_COMMITTED,
-    "2pl": TWO_PHASE_LOCKING,
-    "lock-sr": TWO_PHASE_LOCKING,
-    "cut-isolation": CUT_ISOLATION,
+    alias: token
+    for table in (BASES, LAYERS, BUNDLES)
+    for token, row in table.items()
+    for alias in row.aliases
 }
 
-#: Table 3 / Figure 2 model codes implemented by each base and layer token.
-_BASE_MODELS: Dict[str, Tuple[str, ...]] = {
-    EVENTUAL: ("RU",),
-    READ_COMMITTED: ("RC",),
-    MAV: ("RC", "MAV"),
-}
-_LAYER_MODELS: Dict[str, Tuple[str, ...]] = {
-    "mr": ("MR",),
-    "mw": ("MW",),
-    "wfr": ("WFR",),
-    "ryw": ("RYW",),
-    CUT_ISOLATION: ("I-CI", "P-CI"),
-}
+
+def _stackable(base: str) -> bool:
+    """Layers stack on a base unless Table 3 marks its models unavailable."""
+    return HATLattice.combination_availability(BASES[base].models) != UNAVAILABLE
+
+
+HAT_PROTOCOLS: Tuple[str, ...] = tuple(b for b in BASES if _stackable(b))
+COMPOSITE_PROTOCOLS: Tuple[str, ...] = tuple(COMPOSITES)
+NON_HAT_PROTOCOLS: Tuple[str, ...] = tuple(b for b in BASES if not _stackable(b))
+ALL_PROTOCOLS: Tuple[str, ...] = HAT_PROTOCOLS + COMPOSITE_PROTOCOLS + NON_HAT_PROTOCOLS
 
 
 class ProtocolSpecError(ReproError, KeyError):
@@ -104,7 +197,6 @@ class ProtocolSpec:
     session: FrozenSet[str] = frozenset()
     cut_isolation: bool = False
 
-    # -- derived ------------------------------------------------------------------
     @property
     def session_layers(self) -> Tuple[str, ...]:
         """Session tokens in canonical stacking order."""
@@ -112,50 +204,36 @@ class ProtocolSpec:
 
     @property
     def layer_tokens(self) -> Tuple[str, ...]:
-        tokens: Tuple[str, ...] = ()
-        if self.cut_isolation:
-            tokens += (CUT_ISOLATION,)
-        return tokens + self.session_layers
+        cut = (CUT_ISOLATION,) if self.cut_isolation else ()
+        return cut + self.session_layers
+
+    @property
+    def bundle(self) -> Optional[str]:
+        """The bundle token that spells exactly this session, if one does."""
+        return next((token for token, row in BUNDLES.items()
+                     if row.members == self.session), None)
 
     @property
     def name(self) -> str:
         """Canonical spec string; bundles compress (``mr+mw+wfr+ryw`` -> ``causal``)."""
-        parts: List[str] = []
-        if self.session == CAUSAL_SET:
-            session_parts = ["causal"]
-        elif self.session == PRAM_SET:
-            session_parts = ["pram"]
-        else:
-            session_parts = list(self.session_layers)
-        if self.cut_isolation:
-            session_parts = [CUT_ISOLATION] + session_parts
-        if self.base != EVENTUAL or not session_parts:
-            parts.append(self.base)
-        parts.extend(session_parts)
+        parts = [CUT_ISOLATION] if self.cut_isolation else []
+        parts.extend([self.bundle] if self.bundle else self.session_layers)
+        if self.base != EVENTUAL or not parts:
+            parts.insert(0, self.base)
         return "+".join(parts)
 
     def model_codes(self) -> Tuple[str, ...]:
         """Table 3 model codes this spec claims to implement."""
-        codes = list(_BASE_MODELS.get(self.base, ()))
-        if self.cut_isolation:
-            codes.extend(_LAYER_MODELS[CUT_ISOLATION])
-        for token in self.session_layers:
-            codes.extend(_LAYER_MODELS[token])
-        if self.session >= PRAM_SET:
-            codes.append("PRAM")
-        if self.session >= CAUSAL_SET:
-            codes.append("Causal")
+        codes = list(BASES[self.base].models)
+        for token in self.layer_tokens:
+            codes.extend(LAYERS[token].models)
+        codes.extend(row.earns for row in BUNDLES.values()
+                     if self.session >= row.members)
         return tuple(codes)
 
     def availability(self) -> str:
-        """Worst availability class among the spec's models (Figure 2 caption)."""
-        ranking = {AVAILABLE: 0, STICKY: 1}
-        worst = AVAILABLE
-        for code in self.model_codes():
-            availability = MODELS[code].availability
-            if ranking.get(availability, 2) > ranking.get(worst, 2):
-                worst = availability
-        return worst
+        """Availability class of the stack: that of its least available model."""
+        return HATLattice.combination_availability(self.model_codes())
 
 
 def parse_spec(spec: str) -> ProtocolSpec:
@@ -163,13 +241,12 @@ def parse_spec(spec: str) -> ProtocolSpec:
     if not isinstance(spec, str) or not spec.strip():
         raise ProtocolSpecError(f"empty protocol spec {spec!r}")
     base = None
-    session = set()
-    cut_isolation = False
+    layers = set()
     for raw in spec.split("+"):
         token = _ALIASES.get(raw.strip().lower(), raw.strip().lower())
         if not token:
             raise ProtocolSpecError(f"empty token in protocol spec {spec!r}")
-        if token in _BASES:
+        if token in BASES:
             if base is not None and base != token:
                 raise ProtocolSpecError(
                     f"contradictory protocol spec {spec!r}: "
@@ -177,28 +254,27 @@ def parse_spec(spec: str) -> ProtocolSpec:
                 )
             base = token
         elif token in BUNDLES:
-            session |= BUNDLES[token]
-        elif token in SESSION_TOKENS:
-            session.add(token)
-        elif token == CUT_ISOLATION:
-            cut_isolation = True
+            layers |= BUNDLES[token].members
+        elif token in LAYERS:
+            layers.add(token)
         else:
+            bundles = sorted(
+                [*BUNDLES, *(a for row in BUNDLES.values() for a in row.aliases)])
             raise ProtocolSpecError(
                 f"unknown protocol token {token!r} in spec {spec!r}; expected a "
-                f"base ({', '.join(_BASES)}), a session guarantee "
+                f"base ({', '.join(BASES)}), a session guarantee "
                 f"({', '.join(SESSION_TOKENS)}), a bundle "
-                f"({', '.join(sorted(BUNDLES))}), or {CUT_ISOLATION!r}"
+                f"({', '.join(bundles)}), or {CUT_ISOLATION!r}"
             )
-    if base is None:
-        base = EVENTUAL
-    if base in _COORDINATED_BASES and (session or cut_isolation):
+    base = base or EVENTUAL
+    if layers and not _stackable(base):
         raise ProtocolSpecError(
             f"contradictory protocol spec {spec!r}: {base!r} is not even sticky "
             "available, so guarantee layers cannot stack on it (Table 3 — the "
             "availability of a combination is that of its least available member)"
         )
-    return ProtocolSpec(base=base, session=frozenset(session),
-                        cut_isolation=cut_isolation)
+    return ProtocolSpec(base=base, session=frozenset(layers - {CUT_ISOLATION}),
+                        cut_isolation=CUT_ISOLATION in layers)
 
 
 @dataclass(frozen=True)
@@ -218,44 +294,31 @@ class Protocol:
     models: Tuple[str, ...] = ()
 
 
-_LAYER_NAMES = {
-    "mr": "monotonic reads",
-    "mw": "monotonic writes",
-    "wfr": "writes follow reads",
-    "ryw": "read your writes",
-    CUT_ISOLATION: "item/predicate cut isolation",
-}
-
-_BASE_ISOLATION = {
-    EVENTUAL: "Read Uncommitted (last-writer-wins)",
-    READ_COMMITTED: "Read Committed",
-    MAV: "Monotonic Atomic View",
-}
-
-
-def _derive(spec: ProtocolSpec, description: str = "") -> Protocol:
-    """Build the static description of a (HAT-based) guarantee stack."""
-    availability = spec.availability()
-    isolation = _BASE_ISOLATION[spec.base]
-    if spec.session == CAUSAL_SET:
-        isolation += " + causal consistency"
-    elif spec.session >= PRAM_SET:
-        isolation += " + PRAM"
-    elif spec.session_layers:
-        isolation += " + " + ", ".join(_LAYER_NAMES[t] for t in spec.session_layers)
+def protocol_info(name: str) -> Protocol:
+    """The static description of a protocol spec, read off its rows."""
+    spec = parse_spec(name)  # raises ProtocolSpecError (a KeyError) if invalid
+    row = BASES[spec.base]
+    titles = [LAYERS[token].title for token in spec.layer_tokens]
+    isolation = row.isolation
+    if spec.bundle:
+        isolation += " + " + BUNDLES[spec.bundle].title
+    elif spec.session:
+        isolation += " + " + ", ".join(LAYERS[t].title for t in spec.session_layers)
     if spec.cut_isolation:
         isolation += " + cut isolation"
-    if not description:
-        description = (
-            f"Guarantee stack over the {spec.base!r} core: "
-            + (", ".join(_LAYER_NAMES[t] for t in spec.layer_tokens) or "no layers")
-            + " (paper Sections 5.1.1-5.1.3)."
-        )
+    if spec.name in COMPOSITES:
+        description = COMPOSITES[spec.name]
+    elif titles:
+        description = (f"Guarantee stack over the {spec.base!r} core: "
+                       f"{', '.join(titles)} (paper Sections 5.1.1-5.1.3).")
+    else:
+        description = row.description
+    availability = spec.availability()
     return Protocol(
         name=spec.name,
         isolation=isolation,
         highly_available=availability == AVAILABLE,
-        sticky_available=availability in (AVAILABLE, STICKY),
+        sticky_available=availability != UNAVAILABLE,
         description=description,
         base=spec.base,
         layers=spec.layer_tokens,
@@ -263,126 +326,30 @@ def _derive(spec: ProtocolSpec, description: str = "") -> Protocol:
     )
 
 
-_PROTOCOLS: Dict[str, Protocol] = {
-    EVENTUAL: Protocol(
-        name=EVENTUAL,
-        isolation=_BASE_ISOLATION[EVENTUAL],
-        highly_available=True,
-        sticky_available=True,
-        description="Writes apply immediately at any replica; anti-entropy "
-                    "converges replicas (paper Section 5.1.1, 'eventual').",
-        base=EVENTUAL,
-        models=_BASE_MODELS[EVENTUAL],
-    ),
-    READ_COMMITTED: Protocol(
-        name=READ_COMMITTED,
-        isolation=_BASE_ISOLATION[READ_COMMITTED],
-        highly_available=True,
-        sticky_available=True,
-        description="Clients buffer writes until commit so no reader observes "
-                    "uncommitted data (paper Section 5.1.1, 'RC').",
-        base=READ_COMMITTED,
-        models=_BASE_MODELS[READ_COMMITTED],
-    ),
-    MAV: Protocol(
-        name=MAV,
-        isolation=_BASE_ISOLATION[MAV],
-        highly_available=True,
-        sticky_available=True,
-        description="Two-phase pending/good visibility with per-transaction "
-                    "sibling metadata (paper Section 5.1.2 and Appendix B).",
-        base=MAV,
-        models=_BASE_MODELS[MAV],
-    ),
-    MASTER: Protocol(
-        name=MASTER,
-        isolation="Per-key linearizable (single-key 'read latest')",
-        highly_available=False,
-        sticky_available=False,
-        description="All operations for a key route to its designated master "
-                    "replica (paper Section 6.3, 'master').",
-        base=MASTER,
-    ),
-    TWO_PHASE_LOCKING: Protocol(
-        name=TWO_PHASE_LOCKING,
-        isolation="One-copy serializable",
-        highly_available=False,
-        sticky_available=False,
-        description="Distributed two-phase locking with two-phase commit "
-                    "(paper Section 6.1/6.3 baseline).",
-        base=TWO_PHASE_LOCKING,
-    ),
-    QUORUM: Protocol(
-        name=QUORUM,
-        isolation="Regular register semantics per key",
-        highly_available=False,
-        sticky_available=False,
-        description="Read/write majority quorums as in Dynamo "
-                    "(paper Section 6.3).",
-        base=QUORUM,
-    ),
-}
-
-#: First-class composite protocols (the paper's strongest HAT combinations).
-_PROTOCOLS["causal"] = _derive(
-    parse_spec("causal"),
-    description="Causal consistency: all four session guarantees stacked on "
-                "the eventual core; sticky available only (Section 5.1.3).",
-)
-_PROTOCOLS["mav+causal"] = _derive(
-    parse_spec("mav+causal"),
-    description="Monotonic Atomic View plus causal consistency — the "
-                "strongest sticky-available combination of Section 5.3.",
-)
-
-HAT_PROTOCOLS: Tuple[str, ...] = (EVENTUAL, READ_COMMITTED, MAV)
-COMPOSITE_PROTOCOLS: Tuple[str, ...] = ("causal", "mav+causal")
-NON_HAT_PROTOCOLS: Tuple[str, ...] = (MASTER, TWO_PHASE_LOCKING, QUORUM)
-ALL_PROTOCOLS: Tuple[str, ...] = HAT_PROTOCOLS + COMPOSITE_PROTOCOLS + NON_HAT_PROTOCOLS
-
-
-def protocol_info(name: str) -> Protocol:
-    """The static description of a protocol spec (registered or derived)."""
-    if name in _PROTOCOLS:
-        return _PROTOCOLS[name]
-    spec = parse_spec(name)  # raises ProtocolSpecError (a KeyError) if invalid
-    return _PROTOCOLS.get(spec.name) or _derive(spec)
-
-
 def cross_check_with_taxonomy() -> List[str]:
-    """Verify registered classifications against the taxonomy and lattice.
+    """Verify the rows against the Figure 2 lattice.
 
-    For every registered protocol that names Table 3 models, the availability
-    flags must match both :func:`repro.taxonomy.classification.classify` on
-    each individual model and the Figure 2 lattice's combination rule.
+    Every code a row names is a model of the lattice; the code a bundle earns
+    is stronger there than every code of its members; a coordinated client
+    class builds exactly the bases whose models Table 3 marks unavailable.
     Returns a list of inconsistencies (empty when everything lines up).
     """
-    from repro.taxonomy.classification import classify
-    from repro.taxonomy.lattice import build_lattice
-
     lattice = build_lattice()
     problems: List[str] = []
-    for name, protocol in _PROTOCOLS.items():
-        if not protocol.models:
-            continue
-        combined = lattice.combination_availability(protocol.models)
-        expected_ha = combined == AVAILABLE
-        expected_sticky = combined in (AVAILABLE, STICKY)
-        if protocol.highly_available != expected_ha:
+    for table in (BASES, LAYERS):
+        for token, row in table.items():
+            problems.extend(f"{token}: claims {code!r}, which is not in the lattice"
+                            for code in row.models if code not in lattice)
+    for token, row in BUNDLES.items():
+        for member in sorted(row.members):
+            problems.extend(
+                f"{token}: earns {row.earns!r}, which the lattice does not "
+                f"order above {code!r} of its member {member!r}"
+                for code in LAYERS[member].models
+                if not lattice.stronger_than(row.earns, code))
+    for token, row in BASES.items():
+        if isinstance(row.client, tuple) != _stackable(token):
             problems.append(
-                f"{name}: highly_available={protocol.highly_available} but the "
-                f"lattice classifies its models {protocol.models} as {combined!r}"
-            )
-        if protocol.sticky_available != expected_sticky:
-            problems.append(
-                f"{name}: sticky_available={protocol.sticky_available} but the "
-                f"lattice classifies its models {protocol.models} as {combined!r}"
-            )
-        for code in protocol.models:
-            model = classify(code)
-            if not model.is_hat and protocol.sticky_available:
-                problems.append(
-                    f"{name}: claims model {code!r}, which Table 3 marks "
-                    "unavailable, yet is registered as (sticky) available"
-                )
+                f"{token}: built by {row.client!r}, but the lattice classifies its "
+                f"models as {lattice.combination_availability(row.models)!r}")
     return problems

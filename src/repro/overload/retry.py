@@ -29,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from repro.hat.protocols import TWO_PHASE_LOCKING, parse_spec
-
 __all__ = ["RetryPolicy", "RetryBudget", "CircuitBreaker"]
 
 
@@ -84,6 +82,9 @@ class RetryPolicy:
         locking — under any alias the registry accepts — additionally get
         the lock deadline.
         """
+        # The registry sits above the servers, which import this package.
+        from repro.hat.protocols import TWO_PHASE_LOCKING, parse_spec
+
         kwargs: Dict[str, Any] = {}
         if self.rpc_timeout_ms is not None:
             kwargs["rpc_timeout_ms"] = self.rpc_timeout_ms

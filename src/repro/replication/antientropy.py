@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.cluster.config import ClusterConfig
+from repro.errors import ReproError
 from repro.sim import Environment
 from repro.storage.records import Version
 
@@ -85,6 +86,11 @@ class AntiEntropyConfig:
     #: Worker time to read, serialize, and stream one catch-up version
     #: when coupled (the same storage path a foreground write exercises).
     send_cost_ms_per_version: float = 0.05
+
+    def __post_init__(self) -> None:
+        if self.interval_ms <= 0:
+            raise ReproError(
+                f"AntiEntropyConfig.interval_ms must be > 0, got {self.interval_ms}")
 
     def effective_max_per_round(self) -> Optional[int]:
         """The per-round cap actually enforced.

@@ -4,13 +4,13 @@ Each replica keeps, per key, a list of versions ordered by timestamp.  The
 HAT algorithms of Section 5.1 rely on multi-versioning ("algorithms that rely
 on multi-versioning and limited client-side caching"), so the store exposes
 both "latest visible version" and "latest version not exceeding a timestamp"
-reads.  Older versions can be garbage collected once a low-water mark passes.
+reads.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from bisect import bisect_right
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.errors import StorageError
 from repro.storage.records import Timestamp, Version, initial_version

@@ -101,11 +101,14 @@ class HATLattice:
         return sorted(n for n in self.graph.nodes if self.graph.in_degree(n) == 0)
 
     # -- combinations ---------------------------------------------------------------
-    def combination_availability(self, codes: Iterable[str]) -> str:
+    @staticmethod
+    def combination_availability(codes: Iterable[str]) -> str:
         """Availability of simultaneously providing several models.
 
         "The availability of a combination of models has the availability of
-        the least available individual model." (Figure 2 caption)
+        the least available individual model." (Figure 2 caption)  The rule
+        reads only Table 3's classes, not the edges, so it needs no built
+        lattice: the protocol registry classifies every spec through it.
         """
         ranking = {AVAILABLE: 0, STICKY: 1, UNAVAILABLE: 2}
         worst = AVAILABLE

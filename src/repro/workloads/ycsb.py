@@ -40,6 +40,8 @@ class YCSBConfig:
             raise WorkloadError("operations_per_transaction must be >= 1")
         if not 0.0 <= self.write_proportion <= 1.0:
             raise WorkloadError("write_proportion must be in [0, 1]")
+        if self.key_count < 1:
+            raise WorkloadError("key_count must be >= 1")
         if self.distribution not in ("uniform", "zipfian"):
             raise WorkloadError(f"unknown distribution {self.distribution!r}")
 

@@ -1,15 +1,25 @@
 """Tests for the protocol registry: spec parsing, stacking, classification."""
 
+import dataclasses
+import json
+from pathlib import Path
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import ReproError
 from repro.hat.layers import SessionLayer
 from repro.hat.protocols import (
     ALL_PROTOCOLS,
+    BASES,
+    BUNDLES,
     CAUSAL_SET,
     COMPOSITE_PROTOCOLS,
     EVENTUAL,
+    HAT_PROTOCOLS,
+    LAYERS,
     MAV,
+    NON_HAT_PROTOCOLS,
     PRAM_SET,
     READ_COMMITTED,
     TWO_PHASE_LOCKING,
@@ -20,14 +30,86 @@ from repro.hat.protocols import (
 )
 from repro.hat.testbed import Scenario, build_testbed
 from repro.hat.transaction import Operation, Transaction
+from repro.taxonomy.lattice import build_lattice
+from repro.taxonomy.models import AVAILABLE, MODELS, UNAVAILABLE
+
+PIN = Path(__file__).resolve().parent.parent / "data" / "golden_registry_pin.json"
+
+CANONICAL_SPECS = [
+    "eventual", "read-committed", "mav", "causal", "mav+causal",
+    "mav+wfr", "mav+mr+wfr", "read-committed+ryw", "read-committed+ci+pram",
+    "mr+wfr", "ci",
+]
+ALIAS_SPECS = ["ru", "rc", "2pl", "lock-sr", "cut-isolation", "session"]
+#: Every spec the pin answers for, once each.
+PINNED_SPECS = list(dict.fromkeys(
+    [*ALL_PROTOCOLS, *CANONICAL_SPECS, *ALIAS_SPECS, "mav+ci+causal"]))
+#: The specs ``TestSpecRejection`` rejects; the pin holds their messages.
+REJECTED_SPECS = [
+    "read-committed+hope", "bogus", "master+ryw", "quorum+mr",
+    "two-phase-locking+causal", "master+ci", "mav+read-committed",
+    "", "  ", "mav++mr",
+]
+HOOKS = ("plan", "begin", "serve_read", "before_read", "read_floor",
+         "after_read", "finalize")
+
+
+def registry_snapshot():
+    """What the registry answers and assembles for every pinned spec."""
+    testbed = build_testbed(Scenario(regions=["VA"], servers_per_cluster=1))
+    specs = {}
+    for spec in PINNED_SPECS:
+        parsed = parse_spec(spec)
+        client = testbed.make_client(spec)
+        assembled = {"protocol_name": client.protocol_name}
+        if hasattr(client, "layers"):
+            assembled.update(
+                layers=[type(layer).__name__ for layer in client.layers],
+                get_kind=client.get_kind, put_kind=client.put_kind,
+                hooks={name: [hook.__self__.token
+                              for hook in getattr(client, f"_{name}_hooks")]
+                       for name in HOOKS})
+        else:
+            assembled["client_class"] = type(client).__name__
+        specs[spec] = {
+            "spec": {
+                "base": parsed.base, "session": sorted(parsed.session),
+                "cut_isolation": parsed.cut_isolation, "name": parsed.name,
+                "session_layers": parsed.session_layers,
+                "layer_tokens": parsed.layer_tokens,
+                "model_codes": parsed.model_codes(),
+                "availability": parsed.availability(),
+            },
+            "info": dataclasses.asdict(protocol_info(spec)),
+            "client": assembled,
+        }
+    errors = {}
+    for spec in REJECTED_SPECS:
+        with pytest.raises(ProtocolSpecError) as raised:
+            parse_spec(spec)
+        errors[spec] = str(raised.value)
+    return json.loads(json.dumps({"specs": specs, "errors": errors}))
+
+
+def test_registry_answers_match_the_pin_taken_before_the_table():
+    """Parsing, classification and client assembly answer what they did at
+    the commit before the registry became one table — except the corrections
+    the pin's header lists (the coordinated bases now claim the Table 3 code
+    their isolation string names, so they classify as unavailable)."""
+    pin = json.loads(PIN.read_text())
+    expected = pin["specs"]
+    for answers in expected.values():
+        corrected = pin["header"]["corrections"].get(answers["spec"]["base"], {})
+        for path, value in corrected.items():
+            section, field = path.split(".")
+            answers[section][field] = value
+    head = registry_snapshot()
+    assert head["specs"] == expected
+    assert head["errors"] == pin["errors"]
 
 
 class TestSpecParsing:
-    @pytest.mark.parametrize("spec", [
-        "eventual", "read-committed", "mav", "causal", "mav+causal",
-        "mav+wfr", "mav+mr+wfr", "read-committed+ryw", "read-committed+ci+pram",
-        "mr+wfr", "ci",
-    ])
+    @pytest.mark.parametrize("spec", CANONICAL_SPECS)
     def test_canonical_names_round_trip(self, spec):
         parsed = parse_spec(spec)
         assert parse_spec(parsed.name) == parsed
@@ -84,6 +166,15 @@ class TestSpecRejection:
         with pytest.raises(ProtocolSpecError):
             parse_spec(spec)
 
+    @pytest.mark.parametrize("base", NON_HAT_PROTOCOLS)
+    def test_sticky_false_rejected_on_coordinated_bases(self, base):
+        """``sticky`` used to be dropped silently for a coordinated client."""
+        testbed = build_testbed(Scenario(regions=["VA"], servers_per_cluster=1))
+        with pytest.raises(ProtocolSpecError, match=base) as raised:
+            testbed.make_client(base, sticky=False)
+        assert "stickiness is a property of HAT stacks" in str(raised.value)
+        assert testbed.env.pending_events == 0
+
     def test_two_bases_rejected(self):
         with pytest.raises(ProtocolSpecError):
             parse_spec("mav+read-committed")
@@ -131,6 +222,54 @@ class TestClassification:
         info = protocol_info("mav+wfr+mr")
         assert info.base == MAV
         assert info.layers == ("mr", "wfr")
+
+
+LATTICE = build_lattice()
+
+
+def assert_classified_by_the_lattice(spec):
+    parsed = parse_spec(spec)
+    expected = LATTICE.combination_availability(parsed.model_codes())
+    assert parsed.availability() == expected
+    info = protocol_info(spec)
+    assert info.highly_available == (expected == AVAILABLE)
+    assert info.sticky_available == (expected != UNAVAILABLE)
+
+
+class TestTableAgainstTable3:
+    def test_every_code_a_row_names_is_a_table_3_model(self):
+        named = {code for table in (BASES, LAYERS)
+                 for row in table.values() for code in row.models}
+        named |= {row.earns for row in BUNDLES.values()}
+        assert named <= set(MODELS)
+
+    def test_stackable_specs_claim_exactly_the_hat_models(self):
+        """Every HAT model of Table 3 is claimed by some spec, and a spec
+        that accepts layers claims no unavailable one."""
+        claimed = set()
+        for base in HAT_PROTOCOLS:
+            claimed.update(parse_spec(f"{base}+ci+causal").model_codes())
+        assert claimed == {code for code, model in MODELS.items() if model.is_hat}
+        assert claimed == {"RU", "RC", "MAV", "I-CI", "P-CI",
+                           "MR", "MW", "WFR", "RYW", "PRAM", "Causal"}
+
+    @pytest.mark.parametrize("base", NON_HAT_PROTOCOLS)
+    def test_coordinated_bases_are_unavailable(self, base):
+        assert parse_spec(base).availability() == UNAVAILABLE
+
+    @pytest.mark.parametrize("name", ALL_PROTOCOLS)
+    def test_registered_names_are_classified_by_the_lattice(self, name):
+        assert_classified_by_the_lattice(name)
+
+    @given(base=st.sampled_from(sorted(BASES)),
+           tokens=st.sets(st.sampled_from(sorted([*LAYERS, *BUNDLES]))))
+    def test_any_token_subset_is_classified_by_the_lattice(self, base, tokens):
+        spec = "+".join([base, *sorted(tokens)])
+        if tokens and base in NON_HAT_PROTOCOLS:
+            with pytest.raises(ProtocolSpecError):
+                parse_spec(spec)
+        else:
+            assert_classified_by_the_lattice(spec)
 
 
 class TestStackedClients:

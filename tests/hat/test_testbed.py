@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.cluster.node import ServiceCostModel
 from repro.errors import ReproError
 from repro.hat.protocols import ALL_PROTOCOLS, protocol_info
 from repro.hat.testbed import FIVE_REGION_DEPLOYMENT, Scenario, build_testbed
+from repro.replication.antientropy import AntiEntropyConfig
+from repro.workloads.ycsb import YCSBConfig
 
 
 class TestScenario:
@@ -14,6 +17,17 @@ class TestScenario:
 
     def test_default_is_single_region(self):
         assert Scenario().cluster_regions() == ["VA"]
+
+
+@pytest.mark.parametrize("config, field, value", [
+    (ServiceCostModel, "concurrency", 0),    # ran to the horizon, 0 commits
+    (AntiEntropyConfig, "interval_ms", 0.0),  # ZeroDivisionError in the clock
+    (YCSBConfig, "key_count", 0),             # failed at the first key draw
+])
+def test_a_configuration_that_cannot_run_is_rejected_when_it_is_written(
+        config, field, value):
+    with pytest.raises(ReproError, match=field):
+        config(**{field: value})
 
 
 class TestBuildTestbed:

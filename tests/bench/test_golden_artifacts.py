@@ -165,6 +165,17 @@ class TestGoldenArtifactPins:
             f"difference: {where}.  Deliberate change? replace its entry in "
             f"{ARTIFACT_PINS.name} with {json.dumps(actual)}")
 
+    @pytest.mark.parametrize("name", ["fig2", "table2", "table3", "tpcc"])
+    def test_static_artifact_text_matches_pin(self, name):
+        """The simulation-free artifacts, as ``python -m repro.bench`` prints
+        them: Tables 2 and 3, Figure 2 and the TPC-C compliance table."""
+        from repro.bench.__main__ import ARTIFACTS
+
+        text = ARTIFACTS[name].run(True, None).text
+        actual = {"text": hashlib.sha256(text.encode()).hexdigest()}
+        assert actual == json.loads(ARTIFACT_PINS.read_text())[name], (
+            f"the {name} artifact no longer prints byte-identically:\n{text}")
+
 
 class TestGoldenKernelRun:
     """The canonical causal run, observability off and on.

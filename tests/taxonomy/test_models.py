@@ -1,8 +1,13 @@
 """Unit tests for the model catalogue (Table 3 contents)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.adya.levels import ISOLATION_LEVELS
 from repro.errors import TaxonomyError
+from repro.taxonomy.lattice import build_lattice
 from repro.taxonomy.models import (
     AVAILABLE,
     MODELS,
@@ -61,3 +66,41 @@ class TestModelCatalogue:
     def test_hat_plus_sticky_count(self):
         hat_models = [m for m in MODELS.values() if m.is_hat]
         assert len(hat_models) == 11  # 8 HA + 3 sticky
+
+
+# -- the whole table, pinned ------------------------------------------------------
+
+MODELS_PIN = Path(__file__).resolve().parent.parent / "data" / "golden_models_pin.json"
+
+
+def table_as_pinned() -> dict:
+    """Per code: name, kind, Table 3 class and causes, the App. A.3 prohibited
+    set (None where a recorded history cannot be checked against the model)
+    and the Figure 2 downward closure.  ``name`` is the spelling a rendering
+    prints (``CheckReport.__str__`` prints the level's)."""
+    lattice = build_lattice()
+    rows = {}
+    for code, m in MODELS.items():
+        level = ISOLATION_LEVELS.get(code)
+        rows[code] = {
+            "name": level.name if level else m.name,
+            "kind": m.kind,
+            "availability": m.availability,
+            "causes": list(m.unavailability_causes),
+            "prohibits": sorted(level.prohibits) if level else None,
+            "all_weaker": sorted(lattice.all_weaker(code)),
+        }
+    return rows
+
+
+def test_every_model_matches_the_pinned_table():
+    pinned = json.loads(MODELS_PIN.read_text())
+    actual = table_as_pinned()
+    assert list(actual) == list(pinned)
+    for code in pinned:
+        assert actual[code] == pinned[code], code
+
+
+def test_the_two_tables_spell_one_name_differently():
+    assert {code for code, level in ISOLATION_LEVELS.items()
+            if level.name != MODELS[code].name} == {"RR"}

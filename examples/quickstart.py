@@ -12,7 +12,7 @@ Run with::
 """
 
 from repro.hat import Operation, Scenario, Transaction, build_testbed
-from repro.taxonomy.classification import availability_summary
+from repro.taxonomy.models import availability_summary
 
 
 def run_transfer(testbed, protocol):

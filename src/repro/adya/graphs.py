@@ -20,7 +20,7 @@ several dependencies at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -115,13 +115,40 @@ def cycles_with(
     (per required kind) is reconstructed for reporting, up to
     ``max_witnesses``.
     """
+    return _witness_cycles(graph.nodes, (
+        (src, dst, data) for src, dst, data in graph.edges(data=True)
+        if data["kind"] in allowed_kinds
+        and (item is None or data["kind"] == SESSION or data.get("item") == item)
+    ), required_kinds, max_witnesses)
+
+
+def cycles_by_item(
+    graph: nx.MultiDiGraph,
+    items: Iterable[str],
+    allowed_kinds: Set[str],
+    required_kinds: Optional[Set[str]] = None,
+) -> Iterator[Tuple[str, List[List[DependencyEdge]]]]:
+    """``cycles_with(graph, ..., item=item)`` for each of ``items``, over
+    dependency edges only (``allowed_kinds`` without ``SESSION``).
+
+    The graph's edges are read once and bucketed by item, so each item's
+    cycle search sees its own edges rather than re-filtering all of them.
+    """
+    buckets: Dict[Optional[str], list] = {}
+    for edge in graph.edges(data=True):
+        if edge[2]["kind"] in allowed_kinds:
+            buckets.setdefault(edge[2].get("item"), []).append(edge)
+    for item in items:
+        yield item, _witness_cycles(graph.nodes, buckets.get(item, ()),
+                                    required_kinds)
+
+
+def _witness_cycles(nodes, edges, required_kinds: Optional[Set[str]],
+                    max_witnesses: int = 25) -> List[List[DependencyEdge]]:
+    """One representative qualifying cycle per SCC of ``nodes`` + ``edges``."""
     filtered = nx.MultiDiGraph()
-    filtered.add_nodes_from(graph.nodes)
-    for src, dst, data in graph.edges(data=True):
-        if data["kind"] not in allowed_kinds:
-            continue
-        if item is not None and data["kind"] != SESSION and data.get("item") != item:
-            continue
+    filtered.add_nodes_from(nodes)
+    for src, dst, data in edges:
         filtered.add_edge(src, dst, kind=data["kind"], item=data.get("item"))
 
     results: List[List[DependencyEdge]] = []

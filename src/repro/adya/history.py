@@ -83,12 +83,16 @@ class History:
         self.transactions: Dict[int, HistoryTransaction] = {}
         #: key -> list of txn ids in version (installation) order.
         self.version_order: Dict[str, List[int]] = {}
+        #: key -> {txn id: position in the key's version order}, built on
+        #: first use by :meth:`version_position`, dropped by the mutators.
+        self._positions: Dict[str, Dict[int, int]] = {}
         self._commit_counter = 0
 
     # -- construction ---------------------------------------------------------
     def add_transaction(self, transaction: HistoryTransaction) -> None:
         """Add ``transaction``; its writes install in arrival order."""
         self._register(transaction)
+        self._positions.clear()
         if transaction.committed:
             # A transaction is added once and names each key once, so its id
             # cannot already be in an order it is appended to.
@@ -111,6 +115,7 @@ class History:
             if txn_id not in self.transactions:
                 raise IsolationError(f"unknown transaction {txn_id} in version order")
         self.version_order[key] = txn_ids
+        self._positions.clear()
 
     # -- queries -----------------------------------------------------------------
     def committed(self) -> List[HistoryTransaction]:
@@ -127,13 +132,14 @@ class History:
 
     def version_position(self, key: str, txn_id: Optional[int]) -> int:
         """Position of a writer in ``key``'s version order (-1 = initial)."""
-        if txn_id is INITIAL:
-            return -1
-        order = self.version_order.get(key, [])
-        try:
-            return order.index(txn_id)
-        except ValueError:
-            return -1
+        positions = self._positions.get(key)
+        if positions is None:
+            order = self.version_order.get(key, ())
+            # First occurrence wins, as ``list.index`` answers.
+            positions = self._positions[key] = {
+                writer: len(order) - 1 - back
+                for back, writer in enumerate(reversed(order))}
+        return positions.get(txn_id, -1)
 
     def next_writer(self, key: str, txn_id: Optional[int]) -> Optional[int]:
         """The transaction installing the version immediately after ``txn_id``'s."""

@@ -31,11 +31,11 @@ WSKEW     Write Skew (Adya G2-item): any cycle with an anti-dependency
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List
 
-from repro.adya.graphs import RW, SESSION, WR, WW, build_dsg, cycles_with
-from repro.adya.history import History, HistoryTransaction, INITIAL
+from repro.adya.graphs import RW, WR, WW, build_dsg, cycles_by_item, cycles_with
+from repro.adya.history import History, INITIAL
 
 G0 = "G0"
 G1A = "G1a"
@@ -71,69 +71,49 @@ class Phenomenon:
 
     name: str
     description: str
-    detector: Callable[[History], List[Witness]]
-
-    def detect(self, history: History) -> List[Witness]:
-        return self.detector(history)
+    #: ``detector(history)``, or ``detector(history, graph)`` when ``on_graph``.
+    detector: Callable[..., List[Witness]]
+    #: Cycle-based: the detector also takes the history's DSG (no session edges).
+    on_graph: bool = False
 
 
 # ---------------------------------------------------------------------------
-# Cycle-based detectors
+# Cycle-based detectors (over the history's DSG, built once by the caller)
 # ---------------------------------------------------------------------------
 
-def detect_g0(history: History) -> List[Witness]:
+def _cycle_witnesses(phenomenon: str, label: str, cycles) -> List[Witness]:
+    return [Witness(phenomenon=phenomenon,
+                    transactions=sorted({edge.src for edge in cycle}),
+                    description=f"{label}: " + " ".join(map(str, cycle)))
+            for cycle in cycles]
+
+
+def detect_g0(history: History, graph) -> List[Witness]:
     """Dirty Writes: a cycle made solely of write dependencies."""
-    graph = build_dsg(history, include_sessions=False)
-    witnesses = []
-    for cycle in cycles_with(graph, allowed_kinds={WW}):
-        nodes = sorted({edge.src for edge in cycle})
-        witnesses.append(Witness(
-            phenomenon=G0, transactions=nodes,
-            description="write-dependency cycle: " + " ".join(map(str, cycle)),
-        ))
-    return witnesses
+    return _cycle_witnesses(G0, "write-dependency cycle",
+                            cycles_with(graph, allowed_kinds={WW}))
 
 
-def detect_g1c(history: History) -> List[Witness]:
+def detect_g1c(history: History, graph) -> List[Witness]:
     """Circular Information Flow: cycle of write/read dependencies."""
-    graph = build_dsg(history, include_sessions=False)
-    witnesses = []
-    for cycle in cycles_with(graph, allowed_kinds={WW, WR}):
-        nodes = sorted({edge.src for edge in cycle})
-        witnesses.append(Witness(
-            phenomenon=G1C, transactions=nodes,
-            description="dependency cycle: " + " ".join(map(str, cycle)),
-        ))
-    return witnesses
+    return _cycle_witnesses(G1C, "dependency cycle",
+                            cycles_with(graph, allowed_kinds={WW, WR}))
 
 
-def detect_lost_update(history: History) -> List[Witness]:
+def detect_lost_update(history: History, graph) -> List[Witness]:
     """Lost Update: a single-item cycle containing an anti-dependency."""
-    graph = build_dsg(history, include_sessions=False)
-    witnesses = []
-    for key in history.keys():
-        for cycle in cycles_with(graph, allowed_kinds={WW, WR, RW},
-                                 required_kinds={RW}, item=key):
-            nodes = sorted({edge.src for edge in cycle})
-            witnesses.append(Witness(
-                phenomenon=LOST_UPDATE, transactions=nodes,
-                description=f"anti-dependency cycle on item {key!r}: "
-                            + " ".join(map(str, cycle)),
-            ))
-    return witnesses
+    per_item = cycles_by_item(graph, history.keys(), allowed_kinds={WW, WR, RW},
+                              required_kinds={RW})
+    return [witness for key, cycles in per_item
+            for witness in _cycle_witnesses(
+                LOST_UPDATE, f"anti-dependency cycle on item {key!r}", cycles)]
 
 
-def detect_write_skew(history: History) -> List[Witness]:
+def detect_write_skew(history: History, graph) -> List[Witness]:
     """Write Skew (Adya G2-item): any cycle with an item anti-dependency."""
-    graph = build_dsg(history, include_sessions=False)
-    witnesses = []
-    for cycle in cycles_with(graph, allowed_kinds={WW, WR, RW}, required_kinds={RW}):
-        nodes = sorted({edge.src for edge in cycle})
-        witnesses.append(Witness(
-            phenomenon=WRITE_SKEW, transactions=nodes,
-            description="anti-dependency cycle: " + " ".join(map(str, cycle)),
-        ))
-    return witnesses
+    return _cycle_witnesses(
+        WRITE_SKEW, "anti-dependency cycle",
+        cycles_with(graph, allowed_kinds={WW, WR, RW}, required_kinds={RW}))
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +187,6 @@ def detect_pmp(history: History) -> List[Witness]:
     """Predicate-Many-Preceders: overlapping predicate reads saw different sets."""
     witnesses = []
     for transaction in history.committed():
-        by_predicate: Dict[str, List[frozenset]] = {}
-        for read in transaction.reads:
-            if read.predicate is None:
-                continue
-            by_predicate.setdefault(read.predicate, [])
         # Group observed writer sets per predicate evaluation: reads carrying
         # the same predicate and the same index belong to one evaluation.
         evaluations: Dict[str, Dict[int, set]] = {}
@@ -391,7 +366,9 @@ def detect_missing_read_write_dependency(history: History) -> List[Witness]:
             session_reads.setdefault(transaction.session_id, {}).update(own_reads)
     for observer in committed:
         observed_at: Dict[int, int] = {}
+        reads_of: Dict[str, List] = {}
         for read in observer.reads:
+            reads_of.setdefault(read.key, []).append(read)
             if read.writer_txn is INITIAL or read.writer_txn == observer.txn_id:
                 continue
             observed_at.setdefault(read.writer_txn, read.index)
@@ -399,8 +376,8 @@ def detect_missing_read_write_dependency(history: History) -> List[Witness]:
             for dep_key, dep_writer in read_before_write.get(writer, []):
                 if dep_writer not in history.transactions:
                     continue
-                for read in observer.reads:
-                    if read.key != dep_key or read.index <= first_index:
+                for read in reads_of.get(dep_key, ()):
+                    if read.index <= first_index:
                         continue
                     observed_pos = history.version_position(dep_key, read.writer_txn)
                     required_pos = history.version_position(dep_key, dep_writer)
@@ -421,28 +398,37 @@ def detect_missing_read_write_dependency(history: History) -> List[Witness]:
 # Registry
 # ---------------------------------------------------------------------------
 
-PHENOMENA: Dict[str, Phenomenon] = {
-    G0: Phenomenon(G0, "Dirty Write: write-dependency cycle", detect_g0),
-    G1A: Phenomenon(G1A, "Aborted Read", detect_g1a),
-    G1B: Phenomenon(G1B, "Intermediate Read", detect_g1b),
-    G1C: Phenomenon(G1C, "Circular Information Flow", detect_g1c),
-    IMP: Phenomenon(IMP, "Item-Many-Preceders", detect_imp),
-    PMP: Phenomenon(PMP, "Predicate-Many-Preceders", detect_pmp),
-    OTV: Phenomenon(OTV, "Observed Transaction Vanishes", detect_otv),
-    N_MR: Phenomenon(N_MR, "Non-monotonic Reads", detect_non_monotonic_reads),
-    N_MW: Phenomenon(N_MW, "Non-monotonic Writes", detect_non_monotonic_writes),
-    MRWD: Phenomenon(MRWD, "Missing Read-Write Dependency", detect_missing_read_write_dependency),
-    MYR: Phenomenon(MYR, "Missing Your Writes", detect_missing_your_writes),
-    LOST_UPDATE: Phenomenon(LOST_UPDATE, "Lost Update", detect_lost_update),
-    WRITE_SKEW: Phenomenon(WRITE_SKEW, "Write Skew (G2-item)", detect_write_skew),
-}
+PHENOMENA: Dict[str, Phenomenon] = {row.name: row for row in (
+    Phenomenon(G0, "Dirty Write: write-dependency cycle", detect_g0, on_graph=True),
+    Phenomenon(G1A, "Aborted Read", detect_g1a),
+    Phenomenon(G1B, "Intermediate Read", detect_g1b),
+    Phenomenon(G1C, "Circular Information Flow", detect_g1c, on_graph=True),
+    Phenomenon(IMP, "Item-Many-Preceders", detect_imp),
+    Phenomenon(PMP, "Predicate-Many-Preceders", detect_pmp),
+    Phenomenon(OTV, "Observed Transaction Vanishes", detect_otv),
+    Phenomenon(N_MR, "Non-monotonic Reads", detect_non_monotonic_reads),
+    Phenomenon(N_MW, "Non-monotonic Writes", detect_non_monotonic_writes),
+    Phenomenon(MRWD, "Missing Read-Write Dependency", detect_missing_read_write_dependency),
+    Phenomenon(MYR, "Missing Your Writes", detect_missing_your_writes),
+    Phenomenon(LOST_UPDATE, "Lost Update", detect_lost_update, on_graph=True),
+    Phenomenon(WRITE_SKEW, "Write Skew (G2-item)", detect_write_skew, on_graph=True),
+)}
+
+
+def detect_each(history: History,
+                phenomena: Iterable[str] = PHENOMENA) -> Dict[str, List[Witness]]:
+    """Witnesses of each named phenomenon: every detector runs once, and the
+    cycle-based ones share one DSG."""
+    rows = [PHENOMENA[name] for name in phenomena]
+    graph = (build_dsg(history, include_sessions=False)
+             if any(row.on_graph for row in rows) else None)
+    return {row.name: row.detector(history, graph) if row.on_graph
+            else row.detector(history) for row in rows}
 
 
 def detect(history: History, phenomenon: str) -> List[Witness]:
     """Run one named detector against a history."""
-    try:
-        return PHENOMENA[phenomenon].detect(history)
-    except KeyError:
+    if phenomenon not in PHENOMENA:
         raise KeyError(
-            f"unknown phenomenon {phenomenon!r}; expected one of {sorted(PHENOMENA)}"
-        ) from None
+            f"unknown phenomenon {phenomenon!r}; expected one of {sorted(PHENOMENA)}")
+    return detect_each(history, (phenomenon,))[phenomenon]

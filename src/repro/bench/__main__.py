@@ -27,7 +27,7 @@ from repro.net.measurement import (
     format_table_1c,
     run_ping_study,
 )
-from repro.taxonomy.classification import availability_summary
+from repro.taxonomy.models import availability_summary
 from repro.taxonomy.lattice import build_lattice
 from repro.taxonomy.survey import format_table_2
 from repro.workloads.tpcc_analysis import hat_compliance_table

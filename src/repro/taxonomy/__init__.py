@@ -1,10 +1,11 @@
 """The HAT taxonomy: models, availability classes, lattice, and survey.
 
-* :mod:`repro.taxonomy.models` — every isolation / consistency / session
-  model the paper classifies, with its availability class and the reason for
-  unavailability (Table 3),
-* :mod:`repro.taxonomy.lattice` — the partial order of model strength
-  (Figure 2) and queries over it (comparability, combinations, counting),
+* :mod:`repro.taxonomy.models` — the one table of every isolation /
+  consistency / session model the paper classifies: a row states the models
+  it extends and the phenomena it adds; its prohibited set, availability
+  class and reason for unavailability (Table 3) are read off the table,
+* :mod:`repro.taxonomy.lattice` — queries over the table's partial order of
+  model strength (Figure 2): comparability, combinations, counting,
 * :mod:`repro.taxonomy.survey` — the Table 2 survey of default and maximum
   isolation levels in 18 ACID/NewSQL databases.
 """
@@ -15,10 +16,10 @@ from repro.taxonomy.models import (
     UNAVAILABLE,
     ConsistencyModel,
     MODELS,
+    availability_summary,
     model,
 )
 from repro.taxonomy.lattice import HATLattice, build_lattice
-from repro.taxonomy.classification import availability_summary, classify
 from repro.taxonomy.survey import DATABASE_SURVEY, DatabaseSurveyEntry, survey_statistics
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "HATLattice",
     "build_lattice",
     "availability_summary",
-    "classify",
     "DATABASE_SURVEY",
     "DatabaseSurveyEntry",
     "survey_statistics",

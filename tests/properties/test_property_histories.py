@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.adya.history import (History, HistoryBuilder, HistoryRecorder,
                                 HistoryTransaction, ReadEvent, WriteEvent)
-from repro.adya.levels import ISOLATION_LEVELS, check_history
-from repro.adya.phenomena import PHENOMENA
+from repro.adya.levels import CHECKABLE, check_all_levels, check_history
+from repro.adya.phenomena import PHENOMENA, detect
 from repro.hat.transaction import (Operation, ReadObservation, Transaction,
                                    TransactionResult)
 from repro.storage.records import NULL_TIMESTAMP, Timestamp, Version
@@ -74,7 +74,7 @@ class TestSerialHistoriesAreClean:
     @given(serial_histories())
     @settings(max_examples=50, deadline=None)
     def test_serial_histories_satisfy_every_level(self, history):
-        for name in ISOLATION_LEVELS:
+        for name in CHECKABLE:
             report = check_history(history, name)
             assert report.satisfied, f"{name} violated in a serial history:\n{report}"
 
@@ -83,9 +83,8 @@ class TestDetectorRobustness:
     @given(arbitrary_histories())
     @settings(max_examples=50, deadline=None)
     def test_detectors_never_crash(self, history):
-        for name, phenomenon in PHENOMENA.items():
-            witnesses = phenomenon.detect(history)
-            for witness in witnesses:
+        for name in PHENOMENA:
+            for witness in detect(history, name):
                 assert witness.phenomenon == name
                 assert witness.transactions
 
@@ -94,11 +93,50 @@ class TestDetectorRobustness:
     def test_stronger_levels_flag_supersets_of_weaker_levels(self, history):
         """If a weaker level is violated, every stronger level (by prohibited-
         phenomena inclusion) is violated too."""
-        reports = {name: check_history(history, name) for name in ISOLATION_LEVELS}
-        for weak_name, weak in ISOLATION_LEVELS.items():
-            for strong_name, strong in ISOLATION_LEVELS.items():
+        reports = {name: check_history(history, name) for name in CHECKABLE}
+        for weak_name, weak in CHECKABLE.items():
+            for strong_name, strong in CHECKABLE.items():
                 if weak.prohibits <= strong.prohibits and not reports[weak_name].satisfied:
                     assert not reports[strong_name].satisfied
+
+    @given(arbitrary_histories())
+    @settings(max_examples=50, deadline=None)
+    def test_the_one_pass_reports_what_each_level_checked_alone_does(self, history):
+        assert check_all_levels(history) == {
+            name: check_history(history, name) for name in CHECKABLE}
+
+
+@st.composite
+def histories_with_overridden_orders(draw):
+    """An arbitrary history, some version orders then overridden by hand —
+    shuffled, truncated or with a writer named twice."""
+    history = draw(arbitrary_histories())
+    writers = sorted(history.transactions)
+    for key in draw(st.sets(st.sampled_from(KEYS))):
+        history.set_version_order(key, draw(st.lists(st.sampled_from(writers),
+                                                     max_size=6)))
+    return history
+
+
+@settings(max_examples=100, deadline=None)
+@given(history=histories_with_overridden_orders(), data=st.data())
+def test_version_position_answers_what_list_index_does(history, data):
+    def by_index(key, txn_id):
+        order = history.version_order.get(key, [])
+        return order.index(txn_id) if txn_id in order else -1
+
+    candidates = [None, 99, *history.transactions]
+    for key in [*KEYS, "never-written"]:
+        for txn_id in candidates:
+            assert history.version_position(key, txn_id) == by_index(key, txn_id)
+    # Both mutators drop what was answered from.
+    key = data.draw(st.sampled_from(KEYS))
+    history.set_version_order(
+        key, list(reversed(history.version_order.get(key, []))))
+    late = HistoryTransaction(txn_id=98, writes=[WriteEvent(key)])
+    history.add_transaction(late)
+    for txn_id in [*candidates, 98]:
+        assert history.version_position(key, txn_id) == by_index(key, txn_id)
 
 
 # -- HistoryRecorder.build against the two-pass build it replaced ---------------

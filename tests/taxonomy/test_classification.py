@@ -1,13 +1,13 @@
 """Unit tests for the Table 3 availability classification."""
 
+import hashlib
+import json
+from pathlib import Path
+
 from repro.hat.protocols import HAT_PROTOCOLS, NON_HAT_PROTOCOLS, protocol_info
-from repro.taxonomy.classification import (
-    availability_summary,
-    classify,
-    cross_check_with_levels,
-    unavailability_reasons,
-)
-from repro.taxonomy.models import PREVENTS_LOST_UPDATE, REQUIRES_RECENCY
+from repro.taxonomy.models import availability_summary
+
+PINS = Path(__file__).resolve().parent.parent / "data" / "golden_artifact_pins.json"
 
 
 class TestAvailabilitySummary:
@@ -28,20 +28,16 @@ class TestAvailabilitySummary:
         assert "HA" in text and "Sticky" in text and "Unavailable" in text
         assert "MAV" in text and "Causal" in text and "SI" in text
 
-    def test_unavailability_reasons(self):
-        reasons = unavailability_reasons()
-        assert PREVENTS_LOST_UPDATE in reasons["SI"]
-        assert REQUIRES_RECENCY in reasons["Linearizable"]
-        assert "RC" not in reasons
-
-    def test_classify_single_model(self):
-        assert classify("MAV").is_hat
-        assert not classify("Strong-1SR").is_hat
-
 
 class TestCrossChecks:
     def test_classification_consistent_with_level_definitions(self):
-        assert cross_check_with_levels() == []
+        """The classes and causes are derived from the level definitions, so
+        the two cannot disagree; what can drift is the derivation, and the
+        derived Table 3 is pinned as the bench prints it."""
+        text = ("Table 3: availability classification\n"
+                + availability_summary().as_table())
+        pinned = json.loads(PINS.read_text())["table3"]["text"]
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned
 
     def test_protocol_registry_agrees_with_taxonomy(self):
         """Every implemented HAT protocol must target a HAT-compliant model,

@@ -5,9 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.adya.levels import ISOLATION_LEVELS
 from repro.errors import TaxonomyError
-from repro.taxonomy.lattice import build_lattice
 from repro.taxonomy.models import (
     AVAILABLE,
     MODELS,
@@ -17,30 +15,30 @@ from repro.taxonomy.models import (
     STICKY,
     UNAVAILABLE,
     model,
-    models_by_availability,
 )
+
+
+def codes_classified(availability):
+    return {code for code, m in MODELS.items() if m.availability == availability}
 
 
 class TestModelCatalogue:
     def test_table_3_highly_available_row(self):
         expected = {"RU", "RC", "MAV", "I-CI", "P-CI", "WFR", "MR", "MW"}
-        actual = {m.code for m in models_by_availability(AVAILABLE)}
-        assert actual == expected
+        assert codes_classified(AVAILABLE) == expected
 
     def test_table_3_sticky_row(self):
         expected = {"RYW", "PRAM", "Causal"}
-        actual = {m.code for m in models_by_availability(STICKY)}
-        assert actual == expected
+        assert codes_classified(STICKY) == expected
 
     def test_table_3_unavailable_row(self):
         expected = {"CS", "SI", "RR", "1SR", "Recency", "Safe", "Regular",
                     "Linearizable", "Strong-1SR"}
-        actual = {m.code for m in models_by_availability(UNAVAILABLE)}
-        assert actual == expected
+        assert codes_classified(UNAVAILABLE) == expected
 
     def test_unavailable_models_have_causes(self):
-        for m in models_by_availability(UNAVAILABLE):
-            assert m.unavailability_causes, m.code
+        for m in MODELS.values():
+            assert bool(m.unavailability_causes) == (m.availability == UNAVAILABLE), m.code
 
     def test_table_3_footnote_markers(self):
         assert model("CS").unavailability_causes == (PREVENTS_LOST_UPDATE,)
@@ -60,8 +58,6 @@ class TestModelCatalogue:
     def test_unknown_model_rejected(self):
         with pytest.raises(TaxonomyError):
             model("XXX")
-        with pytest.raises(TaxonomyError):
-            models_by_availability("sometimes available")
 
     def test_hat_plus_sticky_count(self):
         hat_models = [m for m in MODELS.values() if m.is_hat]
@@ -76,21 +72,16 @@ MODELS_PIN = Path(__file__).resolve().parent.parent / "data" / "golden_models_pi
 def table_as_pinned() -> dict:
     """Per code: name, kind, Table 3 class and causes, the App. A.3 prohibited
     set (None where a recorded history cannot be checked against the model)
-    and the Figure 2 downward closure.  ``name`` is the spelling a rendering
-    prints (``CheckReport.__str__`` prints the level's)."""
-    lattice = build_lattice()
-    rows = {}
-    for code, m in MODELS.items():
-        level = ISOLATION_LEVELS.get(code)
-        rows[code] = {
-            "name": level.name if level else m.name,
-            "kind": m.kind,
-            "availability": m.availability,
-            "causes": list(m.unavailability_causes),
-            "prohibits": sorted(level.prohibits) if level else None,
-            "all_weaker": sorted(lattice.all_weaker(code)),
-        }
-    return rows
+    and the Figure 2 downward closure — everything but ``name`` and ``kind``
+    derived from the row's ``extends`` / ``adds`` / ``sticky``."""
+    return {code: {
+        "name": m.name,
+        "kind": m.kind,
+        "availability": m.availability,
+        "causes": list(m.unavailability_causes),
+        "prohibits": None if m.prohibits is None else sorted(m.prohibits),
+        "all_weaker": sorted(m.all_weaker),
+    } for code, m in MODELS.items()}
 
 
 def test_every_model_matches_the_pinned_table():
@@ -101,6 +92,11 @@ def test_every_model_matches_the_pinned_table():
         assert actual[code] == pinned[code], code
 
 
-def test_the_two_tables_spell_one_name_differently():
-    assert {code for code, level in ISOLATION_LEVELS.items()
-            if level.name != MODELS[code].name} == {"RR"}
+def test_a_row_states_only_what_its_weaker_models_do_not():
+    """No row repeats a phenomenon a model it extends already prohibits, and
+    the one sticky mark is Read Your Writes'."""
+    for code, m in MODELS.items():
+        inherited = {p for weaker in m.all_weaker for p in MODELS[weaker].adds}
+        assert not inherited & set(m.adds), code
+        assert len(m.adds) <= 3, code
+    assert [code for code, m in MODELS.items() if m.sticky] == ["RYW"]

@@ -135,9 +135,9 @@ def cycles_by_item(
     cycle search sees its own edges rather than re-filtering all of them.
     """
     buckets: Dict[Optional[str], list] = {}
-    for edge in graph.edges(data=True):
-        if edge[2]["kind"] in allowed_kinds:
-            buckets.setdefault(edge[2].get("item"), []).append(edge)
+    for src, dst, data in graph.edges(data=True):
+        if data["kind"] in allowed_kinds:
+            buckets.setdefault(data.get("item"), []).append((src, dst, data))
     for item in items:
         yield item, _witness_cycles(graph.nodes, buckets.get(item, ()),
                                     required_kinds)

@@ -135,10 +135,11 @@ class History:
         positions = self._positions.get(key)
         if positions is None:
             order = self.version_order.get(key, ())
-            # First occurrence wins, as ``list.index`` answers.
+            # Filled back to front: the first occurrence wins, as with
+            # ``list.index``.
             positions = self._positions[key] = {
-                writer: len(order) - 1 - back
-                for back, writer in enumerate(reversed(order))}
+                writer: position
+                for position, writer in reversed(list(enumerate(order)))}
         return positions.get(txn_id, -1)
 
     def next_writer(self, key: str, txn_id: Optional[int]) -> Optional[int]:

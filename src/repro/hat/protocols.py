@@ -337,10 +337,8 @@ def cross_check_with_taxonomy() -> List[str]:
 
     Every code a row names is a model of Table 3; a bundle's earned model
     entails some layer; a coordinated client class builds exactly the bases
-    whose models Table 3 marks unavailable.  (That a bundle earns a code
-    stronger than its members' is not checked: the members are read off
-    Figure 2.)  Returns a list of inconsistencies (empty when everything
-    lines up).
+    whose models Table 3 marks unavailable.  Returns a list of
+    inconsistencies (empty when everything lines up).
     """
     problems: List[str] = []
     for table in (BASES, LAYERS):

@@ -5,16 +5,14 @@ Four parts:
 
 1. The static requirements analysis: which of the five TPC-C transactions can
    execute as HATs, and what each one needs.
-2. A live run of the TPC-C mix through the MAV configuration, with the TPC-C
-   consistency conditions checked afterwards.
+2. A live run of the TPC-C mix through the MAV configuration, with the
+   recorded history audited for the order-id and delivery anomalies.
 3. The failure case: concurrent New-Order transactions on opposite sides of a
-   network partition keep committing (availability!) but break the
-   *sequential* order-id requirement — exactly the coordination HATs cannot
-   provide.
-4. The measurement: the pluggable TPC-C driver run closed-loop through the
-   simulated cluster under a weak HAT stack and under serializable locking,
-   with the recorded histories audited for duplicate order ids and double
-   deliveries (the ``tpcc-sim`` bench artifact, in miniature).
+   network partition keep committing (availability!) but claim duplicate
+   order ids, breaking the *sequential* order-id requirement — exactly the
+   coordination HATs cannot provide.
+4. The comparison: the same closed-loop run under a weak HAT stack and under
+   serializable locking (the ``tpcc-sim`` bench artifact, in miniature).
 
 Run with::
 
@@ -24,50 +22,10 @@ Run with::
 from repro.adya.history import HistoryRecorder
 from repro.bench.runner import RunConfig, run_workload
 from repro.hat import Scenario, build_testbed
-from repro.workloads.tpcc import (
-    TPCCConfig,
-    TPCCWorkload,
-    initial_load_transactions,
-)
-from repro.workloads.tpcc_analysis import (
-    check_sequential_order_ids,
-    check_state,
-    check_unique_order_ids,
-    hat_compliance_table,
-)
+from repro.workloads.base import run_preload
+from repro.workloads.tpcc_analysis import hat_compliance_table
 from repro.workloads.tpcc_audit import audit_tpcc_history
 from repro.workloads.tpcc_driver import TPCCDriverFactory
-
-
-def run_tpcc_mix(transactions=150):
-    testbed = build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=2))
-    workload = TPCCWorkload(TPCCConfig(warehouses=2, districts_per_warehouse=2,
-                                       customers_per_district=10, items=50), seed=42)
-    client = testbed.make_client("mav")
-    for txn in initial_load_transactions(workload.config):
-        testbed.env.run_until_complete(client.execute(txn))
-    committed = 0
-    for _ in range(transactions):
-        result = testbed.env.run_until_complete(
-            client.execute(workload.next_transaction()))
-        committed += int(result.committed)
-    return workload, committed
-
-
-def partitioned_new_orders(per_side=15):
-    testbed = build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=2))
-    testbed.partition_regions([["VA"], ["OR"]])
-    issued = []
-    for cluster in testbed.config.cluster_names:
-        client = testbed.make_client("read-committed", home_cluster=cluster)
-        side = TPCCWorkload(TPCCConfig(warehouses=1, districts_per_warehouse=1,
-                                       customers_per_district=10, items=50), seed=7)
-        for _ in range(per_side):
-            result = testbed.env.run_until_complete(
-                client.execute(side.new_order(warehouse=1, district=1)))
-            assert result.committed, "HATs must stay available under the partition"
-        issued.extend(side.state.issued_order_ids[(1, 1)])
-    return issued
 
 
 def tpcc_through_the_cluster(protocol, duration_ms=800.0):
@@ -83,39 +41,51 @@ def tpcc_through_the_cluster(protocol, duration_ms=800.0):
     return stats, audit_tpcc_history(recorder.build())
 
 
+def partitioned_new_orders(per_side=15):
+    """Each side of a region partition runs New-Orders on one district."""
+    testbed = build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=2))
+    factory = TPCCDriverFactory()
+    run_preload(testbed, factory)
+    testbed.partition_regions([["VA"], ["OR"]])
+    recorder = HistoryRecorder()
+    for index, cluster in enumerate(testbed.config.cluster_names):
+        client = testbed.make_client("read-committed", home_cluster=cluster,
+                                     recorder=recorder)
+        driver = factory.build(seed=index, session_id=index)
+        for _ in range(per_side):
+            result = testbed.env.run_until_complete(
+                client.execute(driver.new_order(warehouse=1, district=1)))
+            assert result.committed, "HATs must stay available under the partition"
+            driver.observe(result)
+    return audit_tpcc_history(recorder.build())
+
+
+def summary(protocol, stats, audit):
+    return (f"  {protocol:<16} committed={stats.committed:<5} "
+            f"orders={audit.orders_claimed:<4} "
+            f"duplicate-ids={len(audit.duplicate_order_ids):<4} "
+            f"gaps={len(audit.gapped_order_ids):<3} "
+            f"double-deliveries={len(audit.double_deliveries)}")
+
+
 def main():
     print("Section 6.2 — TPC-C requirements analysis")
     print("=" * 64)
     print(hat_compliance_table())
 
     print("\nRunning the TPC-C mix through the MAV configuration...")
-    workload, committed = run_tpcc_mix()
-    report = check_state(workload.state)
-    print(f"  transactions committed:                    {committed}")
-    print(f"  Consistency Condition 1 (W_YTD = sum D_YTD) violations: "
-          f"{len(report['condition_1'])}")
-    print(f"  duplicate order ids:                       {len(report['unique_ids'])}")
-    print(f"  negative stock levels:                     "
-          f"{len(report['non_negative_stock'])}")
+    print(summary("mav", *tpcc_through_the_cluster("mav")))
 
     print("\nConcurrent New-Orders across a network partition...")
-    issued = partitioned_new_orders()
-    sequential = check_sequential_order_ids({(1, 1): issued})
-    unique = check_unique_order_ids({(1, 1): issued})
-    print(f"  orders committed during the partition:     {len(issued)}")
-    print(f"  ids assigned: {sorted(issued)}")
-    print(f"  dense sequential-id violations (TPC-C 3.3.2.2-3): {len(sequential)}")
-    print(f"  id collisions from naive per-side counters: {len(unique)} "
-          f"(a HAT system avoids these by deriving ids from client id + "
-          f"sequence number, at the cost of sequential ordering)")
+    audit = partitioned_new_orders()
+    print(f"  orders committed during the partition:     {audit.orders_claimed}")
+    print(f"  ids claimed: {sorted(audit.claims[(1, 1)])}")
+    print(f"  duplicate order ids (TPC-C 3.3.2.2-3 needs none): "
+          f"{len(audit.duplicate_order_ids)}")
+
     print("\nTPC-C through the simulated cluster (the tpcc-sim artifact)...")
     for protocol in ("read-committed", "lock-sr"):
-        stats, audit = tpcc_through_the_cluster(protocol)
-        print(f"  {protocol:<16} committed={stats.committed:<5} "
-              f"orders={audit.orders_claimed:<4} "
-              f"duplicate-ids={len(audit.duplicate_order_ids):<4} "
-              f"gaps={len(audit.gapped_order_ids):<3} "
-              f"double-deliveries={len(audit.double_deliveries)}")
+        print(summary(protocol, *tpcc_through_the_cluster(protocol)))
 
     print("\nTakeaway: four of five TPC-C transactions run happily as HATs;")
     print("sequential district order ids are the part that fundamentally needs")

@@ -140,10 +140,6 @@ TRACE_PROTOCOLS = (EVENTUAL, "causal", MASTER, "lock-sr")
 #: it only to them).
 CHAOS_RETRY = RetryPolicy(rpc_timeout_ms=2_000.0, lock_timeout_ms=2_000.0)
 
-#: The contended TPC-C scale the simulation sweeps by default (the same
-#: config :class:`TPCCDriverFactory` defaults to — one source of truth).
-default_tpcc_config = contended_tpcc_config
-
 
 # ---------------------------------------------------------------------------
 # The run every artifact shares: a seeded deployment, optionally under a
@@ -595,7 +591,7 @@ def _tpcc_sim_run(protocol: str, params: TPCCSimParams) -> TPCCSimResult:
     """One protocol's full TPC-C simulation (the parallel-sweep worker)."""
     testbed = build_testbed(_scenario(params))
     recorder = HistoryRecorder()
-    factory = TPCCDriverFactory(config=params.tpcc or default_tpcc_config())
+    factory = TPCCDriverFactory(config=params.tpcc or contended_tpcc_config())
     # Preload first: the campaign (if any) installs afterwards, so its
     # fault timeline is relative to the measured run, not the load.
     run_preload(testbed, factory)
@@ -1395,7 +1391,7 @@ def _trace_tpcc_run(params: TraceParams) -> TraceProvenanceResult:
     testbed = build_testbed(_scenario(params, tracing=True))
     tracer = testbed.tracer
     recorder = HistoryRecorder()
-    factory = TPCCDriverFactory(config=default_tpcc_config())
+    factory = TPCCDriverFactory()
     run_preload(testbed, factory)
     stats, narration = _closed_loop_leg(
         protocol, testbed, _partition_campaign(params), factory, params,

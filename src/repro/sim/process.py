@@ -132,23 +132,3 @@ def all_of(env: Environment, futures: Iterable[Future]) -> Future:
     for index, future in enumerate(futures):
         future.add_callback(_make_callback(index))
     return result
-
-
-def any_of(env: Environment, futures: Iterable[Future]) -> Future:
-    """Return a future that resolves with the first input to resolve."""
-    futures = list(futures)
-    if not futures:
-        raise SimulationError("any_of() requires at least one future")
-    result = env.future()
-
-    def _callback(resolved: Future) -> None:
-        if result.triggered:
-            return
-        if resolved.ok:
-            result.succeed(resolved.value)
-        else:
-            result.fail(resolved.value)
-
-    for future in futures:
-        future.add_callback(_callback)
-    return result

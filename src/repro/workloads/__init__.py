@@ -5,13 +5,14 @@
 * :mod:`repro.workloads.distributions` — uniform and zipfian key choosers,
 * :mod:`repro.workloads.ycsb` — the YCSB-like transactional workload the
   paper drives its prototype with (Section 6.3),
-* :mod:`repro.workloads.tpcc` — the TPC-C schema and the five transaction
-  programs, used for the Section 6.2 requirements analysis,
-* :mod:`repro.workloads.tpcc_analysis` — the HAT-compliance analysis of each
-  TPC-C transaction and the TPC-C consistency-condition checkers,
-* :mod:`repro.workloads.tpcc_driver` — TPC-C executed live through the
-  simulated cluster, with derived read-modify-writes and a commit-fed
-  application mirror,
-* :mod:`repro.workloads.tpcc_audit` — the Section 6.2 anomaly auditor over
-  recorded histories (duplicate/gapped order ids, double deliveries).
+* :mod:`repro.workloads.tpcc` — the TPC-C schema: scale and mix, key
+  names, initial load and the five program names,
+* :mod:`repro.workloads.tpcc_driver` — the one TPC-C generator: the five
+  programs as derived read-modify-writes run through the simulated
+  cluster, with a commit-fed application mirror,
+* :mod:`repro.workloads.tpcc_audit` — the one TPC-C checker: the Section
+  6.2 anomaly auditor over recorded histories (duplicate/gapped order ids,
+  double deliveries),
+* :mod:`repro.workloads.tpcc_analysis` — the Section 6.2 HAT-compliance
+  profile of each TPC-C program (the ``tpcc`` artifact's table).
 """

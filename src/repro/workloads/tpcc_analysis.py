@@ -9,15 +9,15 @@ prevention), and Delivery is non-monotonic (idempotent order removal needs
 lost-update prevention or real-world compensation).
 
 This module encodes that analysis as data (:data:`TPCC_TRANSACTION_PROFILES`)
-and provides checkers for the TPC-C consistency conditions the paper cites
-(3.3.2.1 and the atomically-maintainable conditions 4-12 via MAV, versus the
-problematic 2-3 which concern order-id sequencing).
+and renders it as the ``tpcc`` artifact's table.  Whether a run actually
+shows the predicted anomalies is measured on the store, not here: see
+:func:`~repro.workloads.tpcc_audit.audit_tpcc_history`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.workloads.tpcc import (
     DELIVERY,
@@ -25,7 +25,6 @@ from repro.workloads.tpcc import (
     ORDER_STATUS,
     PAYMENT,
     STOCK_LEVEL,
-    TPCCState,
 )
 
 
@@ -102,96 +101,3 @@ def hat_executable_count() -> Tuple[int, int]:
     executable = sum(1 for p in TPCC_TRANSACTION_PROFILES.values() if p.hat_executable)
     return executable, len(TPCC_TRANSACTION_PROFILES)
 
-
-# ---------------------------------------------------------------------------
-# Consistency-condition checkers
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ConsistencyViolation:
-    """One violated TPC-C consistency condition."""
-
-    condition: str
-    subject: str
-    detail: str
-
-
-def check_condition_1(warehouse_ytd: Dict[int, float],
-                      district_ytd: Dict[Tuple[int, int], float],
-                      tolerance: float = 1e-6) -> List[ConsistencyViolation]:
-    """Consistency Condition 1 (3.3.2.1): W_YTD == sum of its districts' D_YTD.
-
-    Maintainable under MAV because the warehouse and district rows are
-    updated atomically by each Payment transaction.
-    """
-    violations = []
-    per_warehouse: Dict[int, float] = {}
-    for (w, _d), ytd in district_ytd.items():
-        per_warehouse[w] = per_warehouse.get(w, 0.0) + ytd
-    for w, expected in per_warehouse.items():
-        actual = warehouse_ytd.get(w, 0.0)
-        if abs(actual - expected) > tolerance:
-            violations.append(ConsistencyViolation(
-                condition="3.3.2.1",
-                subject=f"warehouse {w}",
-                detail=f"W_YTD={actual} but sum(D_YTD)={expected}",
-            ))
-    return violations
-
-
-def check_sequential_order_ids(issued: Dict[Tuple[int, int], List[int]]
-                               ) -> List[ConsistencyViolation]:
-    """Consistency Conditions 2-3 (3.3.2.2-3): order ids densely sequential.
-
-    This is the condition HAT execution cannot guarantee: concurrent
-    New-Orders on opposite sides of a partition may assign duplicate or
-    non-consecutive district order ids.
-    """
-    violations = []
-    for (w, d), ids in issued.items():
-        expected = list(range(1, len(ids) + 1))
-        if sorted(ids) != expected:
-            violations.append(ConsistencyViolation(
-                condition="3.3.2.2-3",
-                subject=f"district {w}:{d}",
-                detail=f"order ids {sorted(ids)} are not densely sequential",
-            ))
-    return violations
-
-
-def check_unique_order_ids(issued: Dict[Tuple[int, int], List[int]]
-                           ) -> List[ConsistencyViolation]:
-    """The weaker guarantee HATs *can* provide: order ids are unique."""
-    violations = []
-    for (w, d), ids in issued.items():
-        if len(ids) != len(set(ids)):
-            violations.append(ConsistencyViolation(
-                condition="uniqueness",
-                subject=f"district {w}:{d}",
-                detail=f"duplicate order ids in {sorted(ids)}",
-            ))
-    return violations
-
-
-def check_no_negative_stock(stock: Dict[Tuple[int, int], int]
-                            ) -> List[ConsistencyViolation]:
-    """New-Order's restock-by-91 rule keeps stock non-negative (Section 6.2)."""
-    violations = []
-    for (w, item), level in stock.items():
-        if level < 0:
-            violations.append(ConsistencyViolation(
-                condition="stock >= 0",
-                subject=f"stock {w}:{item}",
-                detail=f"stock level {level} is negative",
-            ))
-    return violations
-
-
-def check_state(state: TPCCState) -> Dict[str, List[ConsistencyViolation]]:
-    """Run every checker against a driver-side TPC-C state."""
-    return {
-        "condition_1": check_condition_1(state.warehouse_ytd, state.district_ytd),
-        "sequential_ids": check_sequential_order_ids(state.issued_order_ids),
-        "unique_ids": check_unique_order_ids(state.issued_order_ids),
-        "non_negative_stock": check_no_negative_stock(state.stock_level),
-    }

@@ -83,10 +83,6 @@ class TPCCAnomalyReport:
         """Duplicate plus gapped ids — the sequential-id violation count."""
         return len(self.duplicate_order_ids) + len(self.gapped_order_ids)
 
-    @property
-    def total_anomalies(self) -> int:
-        return self.order_id_anomalies + len(self.double_deliveries)
-
     def as_dict(self) -> Dict[str, object]:
         """A JSON-safe summary (counts plus the offending orders)."""
         return {

@@ -1,11 +1,7 @@
-"""TPC-C executed through the simulated cluster (paper Section 6.2, live).
+"""The TPC-C generator: the five programs run through the simulated cluster.
 
-:class:`~repro.workloads.tpcc.TPCCWorkload` emits *static* operation lists
-from a driver-side oracle that assumes every transaction commits — good for
-the requirements analysis, useless for measuring anomalies, because the
-oracle itself serializes order-id assignment.  This module is the
-measurable version (both build on :class:`~repro.workloads.tpcc.TPCCStream`,
-which holds the RNG, the pickers, Stock-Level and the mix draw):
+:class:`TPCCDriver` is the one generator of TPC-C transactions (paper
+Section 6.2), over the schema in :mod:`repro.workloads.tpcc`:
 
 * Order ids, stock decrements, payment totals, and delivery billing are all
   **derived writes** (:meth:`repro.hat.transaction.Operation.derived_write`):
@@ -14,14 +10,15 @@ which holds the RNG, the pickers, Stock-Level and the mix draw):
   assigns dense sequential order ids and bills each delivery exactly once;
   a HAT system derives them from possibly stale reads — producing exactly
   the duplicate/gapped order ids and double deliveries Section 6.2
-  predicts.
+  predicts, which :func:`~repro.workloads.tpcc_audit.audit_tpcc_history`
+  finds in the recorded history.
 * The driver keeps an application-side mirror (:class:`TPCCMirror`) fed
   **only by commit results** via :meth:`TPCCDriver.observe` — never by
   generation-time assumptions.  The mirror models the shared application
-  tier: which orders are believed pending (TPC-C's deferred delivery
-  queue), and the highest order id observed so far.  Sharing the queue
-  across clients is what makes double delivery *possible*; whether it
-  actually happens is up to the protocol, which is the point.
+  tier's deferred delivery queue: which orders are believed pending.
+  Sharing the queue across clients is what makes double delivery
+  *possible*; whether it actually happens is up to the protocol, which is
+  the point.
 
 :class:`TPCCDriverFactory` plugs the driver into the benchmark runner
 (``RunConfig(workload=TPCCDriverFactory(...))``) and provides the initial
@@ -30,11 +27,12 @@ load plus an anti-entropy settle period.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.hat.transaction import Operation, Transaction, TransactionResult
-from repro.workloads.base import WorkloadFactory
+from repro.workloads.base import Workload, WorkloadFactory
 from repro.workloads.tpcc import (
     DELIVERY,
     NEW_ORDER,
@@ -42,7 +40,6 @@ from repro.workloads.tpcc import (
     PAYMENT,
     STOCK_LEVEL,
     TPCCConfig,
-    TPCCStream,
     customer_balance_key,
     district_next_oid_key,
     district_ytd_key,
@@ -54,21 +51,10 @@ from repro.workloads.tpcc import (
     warehouse_ytd_key,
 )
 
-#: Mix used when driving the cluster: Delivery is boosted well above the
-#: standard 4% so short simulated runs exercise the double-delivery path.
-CLUSTER_MIX: Dict[str, float] = {
-    NEW_ORDER: 0.50,
-    PAYMENT: 0.25,
-    ORDER_STATUS: 0.05,
-    DELIVERY: 0.15,
-    STOCK_LEVEL: 0.05,
-}
-
 #: Status values written to ``new-order:<w>:<d>:<o>`` placeholders.
 PENDING = "pending"
 DELIVERED = "delivered"
 
-NEXT_OID_PREFIX = "district-next-oid:"
 NEW_ORDER_PREFIX = "new-order:"
 
 
@@ -85,14 +71,6 @@ def _as_number(value: object, default: float = 0.0) -> float:
         return float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
         return default
-
-
-def parse_next_oid_key(key: str) -> Optional[Tuple[int, int]]:
-    """``district-next-oid:<w>:<d>`` -> ``(w, d)`` (None if not that key)."""
-    if not key.startswith(NEXT_OID_PREFIX):
-        return None
-    parts = key.split(":")
-    return int(parts[1]), int(parts[2])
 
 
 def parse_new_order_key(key: str) -> Optional[Tuple[int, int, int]]:
@@ -114,10 +92,7 @@ class TPCCMirror:
     about.
     """
 
-    def __init__(self, config: TPCCConfig):
-        self.config = config
-        #: (w, d) -> highest next-order-id value observed in a commit.
-        self.next_order_id: Dict[Tuple[int, int], int] = {}
+    def __init__(self) -> None:
         #: (w, d) -> order ids observed claimed, in observation order.
         self.issued: Dict[Tuple[int, int], List[int]] = {}
         #: (w, d) -> order ids believed pending delivery (the shared queue).
@@ -132,12 +107,6 @@ class TPCCMirror:
         if label:
             self.committed_by_type[label] = self.committed_by_type.get(label, 0) + 1
         for key, value in result.writes.items():
-            district = parse_next_oid_key(key)
-            if district is not None:
-                observed = _as_oid(value)
-                if observed > self.next_order_id.get(district, 1):
-                    self.next_order_id[district] = observed
-                continue
             order = parse_new_order_key(key)
             if order is None:
                 continue
@@ -162,32 +131,74 @@ class TPCCMirror:
         return issued[-1] if issued else 1
 
 
-class TPCCDriver(TPCCStream):
+class TPCCDriver(Workload):
     """One client's TPC-C stream over the key-value HAT store."""
 
     def __init__(self, config: Optional[TPCCConfig] = None,
                  mirror: Optional[TPCCMirror] = None,
                  seed: int = 0, session_id: Optional[int] = None):
-        super().__init__(config or TPCCConfig(mix=dict(CLUSTER_MIX)), seed,
-                         session_id)
-        self.mirror = mirror or TPCCMirror(self.config)
+        self.config = config or TPCCConfig()
+        self._rng = random.Random(seed)
+        self.session_id = session_id
+        self.mirror = mirror or TPCCMirror()
         #: txn_id -> label, so observe() can attribute results.
         self._labels: Dict[int, str] = {}
+        self._programs = {
+            NEW_ORDER: self.new_order,
+            PAYMENT: self.payment,
+            ORDER_STATUS: self.order_status,
+            DELIVERY: self.delivery,
+            STOCK_LEVEL: self.stock_level,
+        }
 
-    # -- result feedback ----------------------------------------------------------
+    # -- random pickers -----------------------------------------------------------
+    def _pick_warehouse(self) -> int:
+        return self._rng.randint(1, self.config.warehouses)
+
+    def _pick_district(self) -> int:
+        return self._rng.randint(1, self.config.districts_per_warehouse)
+
+    def _pick_customer(self) -> int:
+        return self._rng.randint(1, self.config.customers_per_district)
+
+    def _pick_item(self) -> int:
+        return self._rng.randint(1, self.config.items)
+
+    # -- stream generation and result feedback ------------------------------------
+    def next_transaction(self) -> Transaction:
+        """Draw a program from the configured mix and generate it."""
+        point = self._rng.random()
+        cumulative = 0.0
+        for program, share in self.config.mix.items():
+            cumulative += share
+            if point <= cumulative:
+                return self._programs[program]()
+        return self.new_order()
+
     def observe(self, result: TransactionResult) -> None:
         self.mirror.observe(result, label=self._labels.pop(result.txn_id, None))
+
+    def _finish(self, operations: List[Operation], program: str) -> Transaction:
+        """Label the transaction with its program so reports and auditors
+        can group by it, and remember the label for :meth:`observe`."""
+        transaction = Transaction(operations=operations,
+                                  session_id=self.session_id, label=program)
+        self._labels[transaction.txn_id] = program
+        return transaction
 
     # -- transaction programs -----------------------------------------------------
     def new_order(self, warehouse: Optional[int] = None,
                   district: Optional[int] = None) -> Transaction:
         """New-Order with the order id *derived from the in-transaction read*.
 
-        The id the transaction claims is whatever its read of the district's
-        next-order-id counter revealed — under serializable locking that
-        read-modify-write is atomic and ids come out dense and sequential;
-        under HAT execution concurrent claimants read the same (or stale)
-        counter and collide, which is the Section 6.2 anomaly.
+        Reads the district's next-order-id counter and the ordered items'
+        stock; writes the order, its lines, the decremented stock, a
+        new-order placeholder and the incremented counter.  The id the
+        transaction claims is whatever its counter read revealed — under
+        serializable locking that read-modify-write is atomic and ids come
+        out dense and sequential; under HAT execution concurrent claimants
+        read the same (or stale) counter and collide, which is the Section
+        6.2 anomaly.
         """
         w = warehouse if warehouse is not None else self._pick_warehouse()
         d = district if district is not None else self._pick_district()
@@ -320,10 +331,13 @@ class TPCCDriver(TPCCStream):
         ]
         return self._finish(operations, DELIVERY)
 
-    def _finish(self, operations: List[Operation], txn_type: str) -> Transaction:
-        transaction = super()._finish(operations, txn_type)
-        self._labels[transaction.txn_id] = txn_type
-        return transaction
+    def stock_level(self) -> Transaction:
+        """Stock-Level: read-only scan over the counter and recent stock."""
+        w, d = self._pick_warehouse(), self._pick_district()
+        operations = [Operation.read(district_next_oid_key(w, d))]
+        for _ in range(5):
+            operations.append(Operation.read(stock_key(w, self._pick_item())))
+        return self._finish(operations, STOCK_LEVEL)
 
 
 def contended_tpcc_config() -> TPCCConfig:
@@ -334,8 +348,7 @@ def contended_tpcc_config() -> TPCCConfig:
     Section 6.2 reasons about.
     """
     return TPCCConfig(warehouses=1, districts_per_warehouse=2,
-                      customers_per_district=10, items=50,
-                      max_order_lines=3, mix=dict(CLUSTER_MIX))
+                      customers_per_district=10, items=50, max_order_lines=3)
 
 
 @dataclass
@@ -348,7 +361,7 @@ class TPCCDriverFactory(WorkloadFactory):
     settle_ms: float = 400.0
 
     def __post_init__(self) -> None:
-        self.mirror = TPCCMirror(self.config)
+        self.mirror = TPCCMirror()
 
     def build(self, seed: int, session_id: int) -> TPCCDriver:
         return TPCCDriver(self.config, mirror=self.mirror,

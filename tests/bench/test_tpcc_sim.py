@@ -4,11 +4,9 @@ import json
 
 import pytest
 
-from repro.bench.experiments import (
-    TPCC_SIM_PROTOCOLS,
-    default_tpcc_config,
-)
+from repro.bench.experiments import TPCC_SIM_PROTOCOLS
 from repro.bench.report import format_tpcc_sim, tpcc_sim_report_json
+from repro.workloads.tpcc_driver import contended_tpcc_config
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +53,7 @@ class TestExperiment:
         assert result.narration, "the nemesis must have fired"
 
     def test_default_config_is_contended(self):
-        config = default_tpcc_config()
+        config = contended_tpcc_config()
         assert config.warehouses * config.districts_per_warehouse <= 4
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ProcessInterrupt, SimulationError
 from repro.sim import Environment
-from repro.sim.process import all_of, any_of
+from repro.sim.process import all_of
 
 
 class TestProcess:
@@ -146,15 +146,3 @@ class TestCombinators:
         with pytest.raises(RuntimeError):
             env.run_until_complete(combined)
         assert env.now < 10.0
-
-    def test_any_of_returns_first(self):
-        env = Environment()
-        slow = env.timeout(10.0, value="slow")
-        fast = env.timeout(2.0, value="fast")
-        assert env.run_until_complete(any_of(env, [slow, fast])) == "fast"
-        assert env.now == 2.0
-
-    def test_any_of_requires_inputs(self):
-        env = Environment()
-        with pytest.raises(SimulationError):
-            any_of(env, [])

@@ -1,4 +1,4 @@
-"""Unit tests for the TPC-C workload generator."""
+"""Unit tests for the TPC-C schema and the shape of the driver's programs."""
 
 import pytest
 
@@ -10,18 +10,35 @@ from repro.workloads.tpcc import (
     PAYMENT,
     STOCK_LEVEL,
     TPCCConfig,
-    TPCCWorkload,
     district_next_oid_key,
     initial_load_transactions,
     new_order_key,
     stock_key,
+    warehouse_ytd_key,
 )
+from repro.workloads.tpcc_driver import DELIVERED, PENDING, TPCCDriver
+
+
+class FakeResult:
+    """Just enough of a committed TransactionResult to feed the mirror."""
+
+    def __init__(self, txn_id, writes):
+        self.txn_id = txn_id
+        self.committed = True
+        self.writes = writes
 
 
 @pytest.fixture
-def workload():
-    return TPCCWorkload(TPCCConfig(warehouses=2, districts_per_warehouse=2,
-                                   customers_per_district=5, items=20), seed=1)
+def driver():
+    return TPCCDriver(TPCCConfig(warehouses=2, districts_per_warehouse=2,
+                                 customers_per_district=5, items=20), seed=1)
+
+
+def resolved_writes(txn, reads):
+    """``key -> value`` of every write, derived ones resolved against
+    ``reads`` as a protocol client would."""
+    return dict(op.derive(reads) if op.is_derived else (op.key, op.value)
+                for op in txn.operations if op.is_write)
 
 
 class TestTPCCConfig:
@@ -31,98 +48,121 @@ class TestTPCCConfig:
         with pytest.raises(WorkloadError):
             TPCCConfig(mix={NEW_ORDER: 0.5})
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("items", dict(items=0)),
+        ("customers_per_district", dict(customers_per_district=0)),
+        ("max_order_lines", dict(max_order_lines=0)),
+        ("mix", dict(mix={NEW_ORDER: 0.5, "refund": 0.5})),
+        ("mix", dict(mix={NEW_ORDER: 1.5, PAYMENT: -0.5})),
+    ], ids=["no-items", "no-customers", "no-order-lines", "unknown-program",
+            "negative-share"])
+    def test_rejects_what_cannot_run(self, field, kwargs):
+        with pytest.raises(WorkloadError, match=f"TPCCConfig.{field}"):
+            TPCCConfig(**kwargs)
+
 
 class TestInitialLoad:
-    def test_populates_warehouses_districts_and_stock(self, workload):
-        transactions = initial_load_transactions(workload.config)
+    def test_populates_warehouses_districts_and_stock(self, driver):
+        transactions = initial_load_transactions(driver.config)
         keys = {op.key for txn in transactions for op in txn.operations}
         assert "warehouse:1" in keys and "warehouse:2" in keys
         assert district_next_oid_key(1, 1) in keys
         assert stock_key(2, 20) in keys
 
-    def test_initial_state_counters(self, workload):
-        assert workload.state.next_order_id[(1, 1)] == 1
-        assert workload.state.stock_level[(1, 5)] == 100
-        assert workload.state.warehouse_ytd[1] == 0.0
+    def test_initial_state_counters(self, driver):
+        writes = {op.key: op.value
+                  for txn in initial_load_transactions(driver.config)
+                  for op in txn.operations}
+        assert writes[district_next_oid_key(1, 1)] == 1
+        assert writes[stock_key(1, 5)] == 100
+        assert writes[warehouse_ytd_key(1)] == 0.0
 
 
 class TestNewOrder:
-    def test_writes_order_lines_and_stock(self, workload):
-        txn = workload.new_order(warehouse=1, district=1)
+    def test_writes_order_lines_and_stock(self, driver):
+        txn = driver.new_order(warehouse=1, district=1)
         assert txn.label == NEW_ORDER
-        write_keys = [op.key for op in txn.operations if op.is_write]
+        write_keys = list(resolved_writes(txn, {district_next_oid_key(1, 1): 1}))
         assert any(key.startswith("order:1:1:") for key in write_keys)
         assert any(key.startswith("order-line:1:1:") for key in write_keys)
         assert any(key.startswith("stock:1:") for key in write_keys)
         assert district_next_oid_key(1, 1) in write_keys
         assert new_order_key(1, 1, 1) in write_keys
 
-    def test_order_ids_increment_per_district(self, workload):
-        workload.new_order(warehouse=1, district=1)
-        workload.new_order(warehouse=1, district=1)
-        workload.new_order(warehouse=1, district=2)
-        assert workload.state.issued_order_ids[(1, 1)] == [1, 2]
-        assert workload.state.issued_order_ids[(1, 2)] == [1]
+    def test_stock_never_negative(self, driver):
+        """A stock read of 10 drops below 10 for any quantity (1-10), so
+        TPC-C's restock rule adds 91: the derived level is 101 - quantity."""
+        for _ in range(20):
+            txn = driver.new_order(warehouse=1, district=1)
+            writes = resolved_writes(txn, {op.key: 10 for op in txn.operations
+                                           if op.is_read})
+            lines = [value for key, value in writes.items()
+                     if key.startswith("order-line:")]
+            assert lines
+            for line in lines:
+                level = writes[stock_key(1, line["item"])]
+                assert level == 101 - line["quantity"] and level >= 0
 
-    def test_stock_never_negative(self, workload):
-        for _ in range(200):
-            workload.new_order(warehouse=1)
-        assert all(level >= 0 for level in workload.state.stock_level.values())
-
-    def test_reads_district_counter_and_stock(self, workload):
-        txn = workload.new_order(warehouse=1, district=1)
+    def test_reads_district_counter_and_stock(self, driver):
+        txn = driver.new_order(warehouse=1, district=1)
         read_keys = [op.key for op in txn.operations if op.is_read]
         assert district_next_oid_key(1, 1) in read_keys
         assert any(key.startswith("stock:1:") for key in read_keys)
 
 
 class TestPayment:
-    def test_updates_three_balances_atomically(self, workload):
-        txn = workload.payment(warehouse=1)
+    def test_updates_three_balances_atomically(self, driver):
+        txn = driver.payment(warehouse=1)
         write_keys = [op.key for op in txn.operations if op.is_write]
         assert any(key.startswith("warehouse-ytd:") for key in write_keys)
         assert any(key.startswith("district-ytd:") for key in write_keys)
         assert any(key.startswith("customer-balance:") for key in write_keys)
         assert any(key.startswith("payment-history:") for key in write_keys)
 
-    def test_driver_state_tracks_ytd_sums(self, workload):
-        before = workload.state.warehouse_ytd[1]
-        workload.payment(warehouse=1)
-        assert workload.state.warehouse_ytd[1] > before
+    def test_increments_derive_from_the_observed_totals(self, driver):
+        txn = driver.payment(warehouse=1)
+        balances = [op.key for op in txn.operations if op.is_read]
+        writes = resolved_writes(txn, dict.fromkeys(balances, 100.0))
+        amount = next(value["amount"] for key, value in writes.items()
+                      if key.startswith("payment-history:"))
+        warehouse_ytd, district_ytd, balance = (writes[key] for key in balances)
+        assert warehouse_ytd == district_ytd == pytest.approx(100.0 + amount)
+        assert balance == pytest.approx(100.0 - amount)
 
 
 class TestReadOnlyTransactions:
-    def test_order_status_is_read_only(self, workload):
-        txn = workload.order_status()
+    def test_order_status_is_read_only(self, driver):
+        txn = driver.order_status()
         assert txn.label == ORDER_STATUS
         assert all(op.is_read for op in txn.operations)
 
-    def test_stock_level_is_read_only(self, workload):
-        txn = workload.stock_level()
+    def test_stock_level_is_read_only(self, driver):
+        txn = driver.stock_level()
         assert txn.label == STOCK_LEVEL
         assert all(op.is_read for op in txn.operations)
 
 
 class TestDelivery:
-    def test_delivery_pops_pending_order(self, workload):
-        workload.new_order(warehouse=1, district=1)
-        assert workload.state.pending_orders[(1, 1)] == [1]
-        # Deliver repeatedly until district (1, 1) is drained.
-        for _ in range(50):
-            workload.delivery(warehouse=1)
-        assert workload.state.pending_orders[(1, 1)] == []
+    def test_delivery_pops_pending_order(self, driver):
+        driver.mirror.observe(FakeResult(0, {new_order_key(1, 1, 1): PENDING}))
+        assert driver.mirror.pending[(1, 1)] == [1]
+        txn = driver.delivery(warehouse=1)
+        writes = resolved_writes(txn, {new_order_key(1, 1, 1): PENDING})
+        assert writes[new_order_key(1, 1, 1)] == DELIVERED
+        driver.observe(FakeResult(txn.txn_id, writes))
+        assert driver.mirror.pending[(1, 1)] == []
 
-    def test_delivery_with_empty_queue_degrades_to_read(self, workload):
-        txn = workload.delivery(warehouse=1)
+    def test_delivery_with_empty_queue_degrades_to_read(self, driver):
+        txn = driver.delivery(warehouse=1)
         assert txn.label == DELIVERY
         assert all(op.is_read for op in txn.operations)
 
 
 class TestMix:
-    def test_next_transaction_follows_mix(self, workload):
+    def test_next_transaction_follows_mix(self, driver):
         counts = {}
         for _ in range(500):
-            txn = workload.next_transaction()
+            txn = driver.next_transaction()
             counts[txn.label] = counts.get(txn.label, 0) + 1
         assert counts[NEW_ORDER] > counts.get(STOCK_LEVEL, 0)
         assert counts[PAYMENT] > counts.get(DELIVERY, 0)

@@ -6,16 +6,9 @@ from repro.workloads.tpcc import (
     ORDER_STATUS,
     PAYMENT,
     STOCK_LEVEL,
-    TPCCConfig,
-    TPCCWorkload,
 )
 from repro.workloads.tpcc_analysis import (
     TPCC_TRANSACTION_PROFILES,
-    check_condition_1,
-    check_no_negative_stock,
-    check_sequential_order_ids,
-    check_state,
-    check_unique_order_ids,
     hat_compliance_table,
     hat_executable_count,
 )
@@ -52,40 +45,3 @@ class TestProfiles:
         for name in TPCC_TRANSACTION_PROFILES:
             assert name in text
 
-
-class TestConsistencyCheckers:
-    def test_condition_1_balanced(self):
-        warehouse = {1: 300.0}
-        districts = {(1, 1): 100.0, (1, 2): 200.0}
-        assert check_condition_1(warehouse, districts) == []
-
-    def test_condition_1_violation(self):
-        warehouse = {1: 250.0}
-        districts = {(1, 1): 100.0, (1, 2): 200.0}
-        violations = check_condition_1(warehouse, districts)
-        assert len(violations) == 1
-        assert "warehouse 1" in violations[0].subject
-
-    def test_sequential_ids_checker(self):
-        assert check_sequential_order_ids({(1, 1): [1, 2, 3]}) == []
-        assert check_sequential_order_ids({(1, 1): [1, 3]})  # gap
-        assert check_sequential_order_ids({(1, 1): [1, 2, 2]})  # duplicate
-
-    def test_unique_ids_checker(self):
-        assert check_unique_order_ids({(1, 1): [1, 3, 7]}) == []
-        assert check_unique_order_ids({(1, 1): [1, 1]})
-
-    def test_negative_stock_checker(self):
-        assert check_no_negative_stock({(1, 1): 5}) == []
-        assert check_no_negative_stock({(1, 1): -3})
-
-    def test_driver_state_satisfies_all_conditions(self):
-        workload = TPCCWorkload(TPCCConfig(warehouses=1, districts_per_warehouse=2,
-                                           customers_per_district=5, items=20), seed=3)
-        for _ in range(100):
-            workload.next_transaction()
-        report = check_state(workload.state)
-        assert report["condition_1"] == []
-        assert report["sequential_ids"] == []
-        assert report["unique_ids"] == []
-        assert report["non_negative_stock"] == []

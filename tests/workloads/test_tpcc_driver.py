@@ -6,31 +6,27 @@ from pathlib import Path
 import pytest
 
 from repro.hat.testbed import Scenario, build_testbed
-from repro.hat.transaction import Operation, resolve_derived
+from repro.hat.transaction import Operation
 from repro.workloads.base import run_preload
 from repro.workloads.tpcc import (
     TPCCConfig,
-    TPCCWorkload,
     district_next_oid_key,
     initial_load_transactions,
     new_order_key,
 )
 from repro.workloads.tpcc_driver import (
-    CLUSTER_MIX,
     DELIVERED,
     PENDING,
     TPCCDriver,
     TPCCDriverFactory,
     TPCCMirror,
     parse_new_order_key,
-    parse_next_oid_key,
 )
 
 
 def small_config():
     return TPCCConfig(warehouses=1, districts_per_warehouse=2,
-                      customers_per_district=5, items=10,
-                      max_order_lines=2, mix=dict(CLUSTER_MIX))
+                      customers_per_district=5, items=10, max_order_lines=2)
 
 
 class FakeResult:
@@ -44,10 +40,6 @@ class FakeResult:
 
 
 class TestKeyParsing:
-    def test_next_oid_key_roundtrip(self):
-        assert parse_next_oid_key(district_next_oid_key(3, 7)) == (3, 7)
-        assert parse_next_oid_key("stock:1:2") is None
-
     def test_new_order_key_roundtrip(self):
         assert parse_new_order_key(new_order_key(1, 2, 9)) == (1, 2, 9)
         assert parse_new_order_key("order:1:2:9") is None
@@ -84,27 +76,25 @@ class TestDerivedNewOrder:
 
 
 class TestStreamPins:
-    """The generator and the driver share their pickers, Stock-Level and mix
-    draw (``TPCCStream``); sharing them must not reorder one RNG draw."""
+    """The driver's RNG draws, in order, under the default config: the
+    pickers, the mix draw and every program's own draws."""
 
-    @pytest.mark.parametrize("name, cls", [("driver", TPCCDriver),
-                                           ("workload", TPCCWorkload)])
-    def test_first_200_transactions_match_the_recorded_stream(self, name, cls):
-        # Recorded at b18d918, before the two classes shared any code.
+    def test_first_200_transactions_match_the_recorded_stream(self):
+        # Recorded at b18d918.
         pins = json.loads((Path(__file__).parents[1] / "data"
                            / "golden_tpcc_streams.json").read_text())
-        stream = cls(seed=pins["seed"])
+        stream = TPCCDriver(seed=pins["seed"])
         drawn = []
         for _ in range(200):
             txn = stream.next_transaction()
             drawn.append([txn.label, txn.operations[0].key])
-        assert drawn == pins[name]
+        assert drawn == pins["driver"]
 
 
 class TestDerivedDelivery:
     def test_billing_is_conditional_on_the_status_read(self):
         config = small_config()
-        mirror = TPCCMirror(config)
+        mirror = TPCCMirror()
         mirror.observe(FakeResult(writes={new_order_key(1, 1, 4): PENDING}))
         driver = TPCCDriver(config, mirror=mirror, seed=3, session_id=0)
         txn = driver.delivery(warehouse=1)
@@ -124,7 +114,7 @@ class TestDerivedDelivery:
 
 class TestMirror:
     def test_fed_only_by_commits(self):
-        mirror = TPCCMirror(small_config())
+        mirror = TPCCMirror()
         mirror.observe(FakeResult(committed=False,
                                   writes={new_order_key(1, 1, 1): PENDING}))
         assert mirror.pending == {}
@@ -132,22 +122,15 @@ class TestMirror:
                                           district_next_oid_key(1, 1): 2}))
         assert mirror.pending[(1, 1)] == [1]
         assert mirror.issued[(1, 1)] == [1]
-        assert mirror.next_order_id[(1, 1)] == 2
 
     def test_delivered_clears_pending(self):
-        mirror = TPCCMirror(small_config())
+        mirror = TPCCMirror()
         mirror.observe(FakeResult(writes={new_order_key(1, 1, 1): PENDING}))
         mirror.observe(FakeResult(writes={new_order_key(1, 1, 2): PENDING}))
         mirror.observe(FakeResult(writes={new_order_key(1, 1, 1): DELIVERED}))
         assert mirror.pending[(1, 1)] == [2]
         assert mirror.districts_with_pending() == [(1, 1)]
         assert mirror.districts_with_pending(warehouse=2) == []
-
-    def test_stale_counter_observations_do_not_regress(self):
-        mirror = TPCCMirror(small_config())
-        mirror.observe(FakeResult(writes={district_next_oid_key(1, 1): 5}))
-        mirror.observe(FakeResult(writes={district_next_oid_key(1, 1): 3}))
-        assert mirror.next_order_id[(1, 1)] == 5
 
     def test_driver_observe_attributes_labels(self):
         config = small_config()
@@ -174,7 +157,7 @@ class TestFactory:
         assert all(t.label == "load" for t in transactions)
 
     def test_mix_defaults_are_a_distribution(self):
-        assert sum(CLUSTER_MIX.values()) == pytest.approx(1.0)
+        assert sum(TPCCConfig().mix.values()) == pytest.approx(1.0)
         factory = TPCCDriverFactory()
         assert sum(factory.config.mix.values()) == pytest.approx(1.0)
 

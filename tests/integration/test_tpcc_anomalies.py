@@ -77,7 +77,7 @@ class TestOrderIdAnomalies:
         assert report.order_id_anomalies >= 1
         assert len(report.duplicate_order_ids) >= 1
 
-    @pytest.mark.parametrize("protocol", ["eventual", "causal"])
+    @pytest.mark.parametrize("protocol", ["eventual", "read-committed", "causal"])
     def test_hat_stacks_collide_across_a_partition(self, protocol):
         """Section 6.2's partition case, measured on the store: each side
         commits every New-Order against the counter its own region holds,

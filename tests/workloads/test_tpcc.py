@@ -34,11 +34,28 @@ def driver():
                                  customers_per_district=5, items=20), seed=1)
 
 
+@pytest.fixture
+def store(driver):
+    """``key -> value`` after the initial load."""
+    return {op.key: op.value for txn in initial_load_transactions(driver.config)
+            for op in txn.operations}
+
+
 def resolved_writes(txn, reads):
     """``key -> value`` of every write, derived ones resolved against
     ``reads`` as a protocol client would."""
     return dict(op.derive(reads) if op.is_derived else (op.key, op.value)
                 for op in txn.operations if op.is_write)
+
+
+def commit_serially(driver, txn, store):
+    """Run ``txn`` as a serial execution would: its reads see every earlier
+    commit, its writes land in ``store`` and the result feeds the mirror."""
+    reads = {op.key: store.get(op.key) for op in txn.operations if op.is_read}
+    writes = resolved_writes(txn, reads)
+    store.update(writes)
+    driver.observe(FakeResult(txn.txn_id, writes))
+    return writes
 
 
 class TestTPCCConfig:
@@ -54,8 +71,9 @@ class TestTPCCConfig:
         ("max_order_lines", dict(max_order_lines=0)),
         ("mix", dict(mix={NEW_ORDER: 0.5, "refund": 0.5})),
         ("mix", dict(mix={NEW_ORDER: 1.5, PAYMENT: -0.5})),
+        ("districts_per_warehouse", dict(districts_per_warehouse=0)),
     ], ids=["no-items", "no-customers", "no-order-lines", "unknown-program",
-            "negative-share"])
+            "negative-share", "no-districts"])
     def test_rejects_what_cannot_run(self, field, kwargs):
         with pytest.raises(WorkloadError, match=f"TPCCConfig.{field}"):
             TPCCConfig(**kwargs)
@@ -89,6 +107,14 @@ class TestNewOrder:
         assert district_next_oid_key(1, 1) in write_keys
         assert new_order_key(1, 1, 1) in write_keys
 
+    def test_order_ids_increment_per_district(self, driver, store):
+        for district in (1, 1, 2):
+            commit_serially(driver, driver.new_order(warehouse=1, district=district),
+                            store)
+        assert driver.mirror.issued[(1, 1)] == [1, 2]
+        assert driver.mirror.issued[(1, 2)] == [1]
+        assert store[district_next_oid_key(1, 1)] == 3
+
     def test_stock_never_negative(self, driver):
         """A stock read of 10 drops below 10 for any quantity (1-10), so
         TPC-C's restock rule adds 91: the derived level is 101 - quantity."""
@@ -102,6 +128,19 @@ class TestNewOrder:
             for line in lines:
                 level = writes[stock_key(1, line["item"])]
                 assert level == 101 - line["quantity"] and level >= 0
+
+    def test_stock_above_the_threshold_is_only_decremented(self, driver):
+        """A stock read of 50 stays at or above 10 for any quantity, so no
+        restock: the derived level is 50 - quantity."""
+        for _ in range(20):
+            txn = driver.new_order(warehouse=1, district=1)
+            writes = resolved_writes(txn, {op.key: 50 for op in txn.operations
+                                           if op.is_read})
+            lines = [value for key, value in writes.items()
+                     if key.startswith("order-line:")]
+            assert lines
+            for line in lines:
+                assert writes[stock_key(1, line["item"])] == 50 - line["quantity"]
 
     def test_reads_district_counter_and_stock(self, driver):
         txn = driver.new_order(warehouse=1, district=1)
@@ -128,6 +167,16 @@ class TestPayment:
         warehouse_ytd, district_ytd, balance = (writes[key] for key in balances)
         assert warehouse_ytd == district_ytd == pytest.approx(100.0 + amount)
         assert balance == pytest.approx(100.0 - amount)
+
+    def test_serial_payments_sum_into_the_warehouse_ytd(self, driver, store):
+        amounts = []
+        for _ in range(3):
+            writes = commit_serially(driver, driver.payment(warehouse=1), store)
+            amounts.extend(value["amount"] for key, value in writes.items()
+                           if key.startswith("payment-history:"))
+        assert len(amounts) == 3
+        assert store[warehouse_ytd_key(1)] == pytest.approx(sum(amounts))
+        assert driver.mirror.committed_by_type == {PAYMENT: 3}
 
 
 class TestReadOnlyTransactions:

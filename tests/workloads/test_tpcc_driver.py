@@ -13,6 +13,8 @@ from repro.workloads.tpcc import (
     district_next_oid_key,
     initial_load_transactions,
     new_order_key,
+    order_key,
+    order_line_key,
 )
 from repro.workloads.tpcc_driver import (
     DELIVERED,
@@ -131,6 +133,28 @@ class TestMirror:
         assert mirror.pending[(1, 1)] == [2]
         assert mirror.districts_with_pending() == [(1, 1)]
         assert mirror.districts_with_pending(warehouse=2) == []
+
+    def test_colliding_claims_are_issued_twice_but_queued_once(self):
+        """Two New-Orders that read the same counter claim the same id: the
+        mirror records both claims, but there is one order to deliver."""
+        mirror = TPCCMirror()
+        for txn_id in (1, 2):
+            mirror.observe(FakeResult(txn_id=txn_id,
+                                      writes={new_order_key(1, 1, 3): PENDING}))
+        assert mirror.issued[(1, 1)] == [3, 3]
+        assert mirror.pending[(1, 1)] == [3]
+
+    def test_order_status_probes_the_last_issued_order(self):
+        config = TPCCConfig(warehouses=1, districts_per_warehouse=1,
+                            customers_per_district=5, items=10)
+        driver = TPCCDriver(config, seed=6, session_id=0)
+        keys = [op.key for op in driver.order_status().operations]
+        assert order_key(1, 1, 1) in keys
+        driver.mirror.observe(FakeResult(writes={new_order_key(1, 1, 1): PENDING}))
+        driver.mirror.observe(FakeResult(writes={new_order_key(1, 1, 2): PENDING}))
+        keys = [op.key for op in driver.order_status().operations]
+        assert order_key(1, 1, 2) in keys
+        assert order_line_key(1, 1, 2, 1) in keys
 
     def test_driver_observe_attributes_labels(self):
         config = small_config()

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import IsolationError
+from repro.sim.events import gc_paused
 
 #: Writer id used for the initial (bottom) version of every item.
 INITIAL = None
@@ -185,8 +186,7 @@ class HistoryBuilder:
     """
 
     class _TxnHandle:
-        def __init__(self, builder: "HistoryBuilder", transaction: HistoryTransaction):
-            self._builder = builder
+        def __init__(self, transaction: HistoryTransaction):
             self._transaction = transaction
             self._index = 0
 
@@ -215,9 +215,9 @@ class HistoryBuilder:
             return self
 
     def __init__(self):
-        self._history = History()
         self._next_id = 1
         self._handles: List[HistoryBuilder._TxnHandle] = []
+        self._pending_orders: List[Tuple[str, List[int]]] = []
 
     def transaction(self, session: Optional[int] = None,
                     txn_id: Optional[int] = None) -> "HistoryBuilder._TxnHandle":
@@ -226,13 +226,12 @@ class HistoryBuilder:
             txn_id = self._next_id
         self._next_id = max(self._next_id, txn_id) + 1
         transaction = HistoryTransaction(txn_id=txn_id, session_id=session)
-        handle = HistoryBuilder._TxnHandle(self, transaction)
+        handle = HistoryBuilder._TxnHandle(transaction)
         self._handles.append(handle)
         return handle
 
     def version_order(self, key: str, *txn_ids: int) -> "HistoryBuilder":
         """Declare the version order of ``key`` explicitly."""
-        self._pending_orders = getattr(self, "_pending_orders", [])
         self._pending_orders.append((key, list(txn_ids)))
         return self
 
@@ -245,7 +244,7 @@ class HistoryBuilder:
         history = History()
         for handle in self._handles:
             history.add_transaction(handle._transaction)
-        for key, txn_ids in getattr(self, "_pending_orders", []):
+        for key, txn_ids in self._pending_orders:
             history.set_version_order(key, txn_ids)
         return history
 
@@ -269,8 +268,10 @@ class HistoryRecorder:
     def __len__(self) -> int:
         return len(self._results)
 
+    @gc_paused()
     def build(self) -> History:
-        """Convert everything recorded so far into a :class:`History`."""
+        """Convert everything recorded so far into a :class:`History` (with
+        the collector paused: everything it allocates stays live)."""
         history = History()
         # Sort by commit time so commit_order reflects real time.
         ordered = sorted(self._results, key=lambda pair: pair[1].end_ms)

@@ -22,8 +22,8 @@ so offered rate falls as the system slows and overload never shows.  For
 arrival-process load over bounded session pools — saturation knees,
 queueing delay, backlog drain — use the open-loop sibling,
 :func:`repro.loadgen.engine.run_open_loop`, whose module also holds the
-harness both drivers run inside (GC pause, preload, where the measured
-interval and its grace period sit on the sim clock).
+harness both drivers run inside (preload, where the measured interval and
+its grace period sit on the sim clock).
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ from repro.bench.metrics import RunStats, summarize_run
 from repro.errors import ReproError
 from repro.hat.testbed import Scenario, Testbed, build_testbed
 from repro.hat.transaction import TransactionResult
-from repro.loadgen.engine import gc_paused, open_run_window
+from repro.loadgen.engine import open_run_window
 from repro.overload.retry import RetryPolicy
+from repro.sim.events import gc_paused
 from repro.workloads.base import Workload, as_workload_factory
 from repro.workloads.ycsb import YCSBConfig
 

@@ -441,6 +441,8 @@ class SessionLayer(GuaranteeLayer):
         if index.stamp != stamp:
             index.stamp = stamp
             index.owed.update(versions)
+        if not index.owed:
+            return
         futures = []
         delivered: List[Tuple[str, Timestamp, str]] = []
         overwritten = {op.key for op in ctx.plan if op.kind == WRITE}

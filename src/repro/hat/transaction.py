@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.errors import WorkloadError
 from repro.storage.records import Timestamp, Version
@@ -21,12 +21,10 @@ WRITE = "write"
 SCAN = "scan"
 
 _TXN_IDS = itertools.count(1)
+_new_tuple = tuple.__new__
 
 
-@dataclass(frozen=True, slots=True)
-class Operation:
-    """One read, write, or predicate read within a transaction."""
-
+class _OperationFields(NamedTuple):
     kind: str
     key: Optional[str] = None
     value: Any = None
@@ -38,30 +36,44 @@ class Operation:
     #: protocol client at execution time (see :func:`resolve_derived`).
     derive: Optional[Callable[[Dict[str, Any]], "tuple"]] = None
 
-    def __post_init__(self) -> None:
-        kind = self.kind
+
+class Operation(_OperationFields):
+    """One read, write, or predicate read within a transaction (a tuple:
+    each transaction builds about eight).  Direct construction checks every
+    field; the keyed constructors below check the key and skip the rest."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> "Operation":
+        op = super().__new__(cls, *args, **kwargs)
+        kind = op.kind
         if kind == READ or kind == WRITE:  # the common kinds first
-            if not self.key:
+            if not op.key:
                 raise WorkloadError(f"{kind} operation requires a key")
-            if self.derive is not None and kind != WRITE:
+            if op.derive is not None and kind != WRITE:
                 raise WorkloadError("only write operations can be derived")
         elif kind != SCAN:
             raise WorkloadError(f"unknown operation kind {kind!r}")
-        elif self.predicate is None:
+        elif op.predicate is None:
             raise WorkloadError("scan operation requires a predicate")
-        elif self.derive is not None:
+        elif op.derive is not None:
             raise WorkloadError("only write operations can be derived")
+        return op
 
     # -- constructors -----------------------------------------------------------
     @staticmethod
     def read(key: str) -> "Operation":
         """Read the current visible version of ``key``."""
-        return Operation(READ, key)
+        if not key:
+            raise WorkloadError(f"{READ} operation requires a key")
+        return _new_tuple(Operation, (READ, key, None, None, None, None))
 
     @staticmethod
     def write(key: str, value: Any) -> "Operation":
         """Write ``value`` to ``key``."""
-        return Operation(WRITE, key, value)
+        if not key:
+            raise WorkloadError(f"{WRITE} operation requires a key")
+        return _new_tuple(Operation, (WRITE, key, value, None, None, None))
 
     @staticmethod
     def derived_write(fn: Callable[[Dict[str, Any]], "tuple"],
@@ -78,7 +90,9 @@ class Operation:
         delivery requirements fail under HAT execution (paper Section 6.2).
         ``key`` is only a placeholder label until the client resolves it.
         """
-        return Operation(kind=WRITE, key=key, derive=fn)
+        if not key:
+            raise WorkloadError(f"{WRITE} operation requires a key")
+        return _new_tuple(Operation, (WRITE, key, None, None, None, fn))
 
     @staticmethod
     def scan(predicate: Callable[[str, Any], bool], name: str = "predicate") -> "Operation":

@@ -17,17 +17,15 @@ latencies stream into a :class:`~repro.loadgen.sketch.LatencyDigest`
 (bounded memory, mergeable), never a sample list.
 
 What the two drivers share is a harness, not a body, and it lives here:
-:func:`gc_paused` and :func:`open_run_window` (preload, then the measured
-interval and its grace period laid out on the sim clock).  The closed loop
-imports both.
+:func:`open_run_window` (preload, then the measured interval and its grace
+period laid out on the sim clock), which the closed loop imports.  Both
+drivers run with the collector paused (:func:`repro.sim.events.gc_paused`).
 """
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.hat.testbed import Scenario, Testbed, build_testbed
@@ -36,6 +34,7 @@ from repro.loadgen.sessions import PendingRequest, SessionPool
 from repro.loadgen.sketch import LatencyDigest
 from repro.overload.retry import RetryBudget, RetryPolicy
 from repro.sim import RandomStreams
+from repro.sim.events import gc_paused
 from repro.workloads.base import as_arrival_source, run_preload
 from repro.workloads.ycsb import YCSBConfig
 
@@ -53,24 +52,6 @@ BACKLOG_SAMPLE_MS = 100.0
 def default_grace_period_ms(testbed: Testbed) -> float:
     """The grace period a run config's ``grace_period_ms=None`` stands for."""
     return max(MIN_GRACE_PERIOD_MS, GRACE_RTT_MULTIPLE * testbed.max_rtt_ms())
-
-
-@contextmanager
-def gc_paused() -> Iterator[None]:
-    """Pause generational GC for a run; decorates both drivers.
-
-    The simulation allocates millions of short-lived tuples and messages;
-    GC passes over them cost ~15% of a run's wall-clock and collect nothing
-    of note mid-run (cycles created during the run are reclaimed once
-    normal collection resumes).
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def open_run_window(config, testbed: Testbed, telemetry: Optional[object],

@@ -17,9 +17,11 @@ Three structural choices keep it fast without changing observable behaviour:
 
 from __future__ import annotations
 
+import gc
 from collections import deque
+from contextlib import contextmanager
 from heapq import heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -283,3 +285,22 @@ class Environment:
     def pending_events(self) -> int:
         """Number of callbacks waiting in the event queue."""
         return len(self._queue) + len(self._immediate)
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause generational GC; decorates both load drivers and
+    ``HistoryRecorder.build``.
+
+    Both allocate millions of objects that stay live until they finish; GC
+    passes over them cost ~15% of a run (~80% of a history build) and
+    collect nothing of note (cycles created meanwhile are reclaimed once
+    normal collection resumes).
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -10,47 +10,21 @@ same transaction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, FrozenSet, Optional
+from typing import Any, FrozenSet, NamedTuple, Optional
 
 
-@dataclass(frozen=True, slots=True)
-class Timestamp:
+class Timestamp(NamedTuple):
     """A globally unique transaction timestamp.
 
     Ordered first by the logical sequence number, then by client id to break
-    ties; this yields the total order per item required by Read Uncommitted
+    ties — tuple order, compared natively on every version install and read
+    floor; this yields the total order per item required by Read Uncommitted
     and a deterministic last-writer-wins winner.
-
-    All four ordering operators are written out instead of deriving three
-    of them with ``functools.total_ordering`` (derived operators cost 2-3x):
-    timestamps are compared on every version install and read floor, which
-    makes these among the hottest few functions in a benchmark run.
     """
 
     sequence: int
     client_id: int
-
-    def __lt__(self, other: "Timestamp") -> bool:
-        if not isinstance(other, Timestamp):
-            return NotImplemented
-        return (self.sequence, self.client_id) < (other.sequence, other.client_id)
-
-    def __le__(self, other: "Timestamp") -> bool:
-        if not isinstance(other, Timestamp):
-            return NotImplemented
-        return (self.sequence, self.client_id) <= (other.sequence, other.client_id)
-
-    def __gt__(self, other: "Timestamp") -> bool:
-        if not isinstance(other, Timestamp):
-            return NotImplemented
-        return (self.sequence, self.client_id) > (other.sequence, other.client_id)
-
-    def __ge__(self, other: "Timestamp") -> bool:
-        if not isinstance(other, Timestamp):
-            return NotImplemented
-        return (self.sequence, self.client_id) >= (other.sequence, other.client_id)
 
     def __str__(self) -> str:
         return f"{self.sequence}.{self.client_id}"
@@ -61,9 +35,8 @@ class Timestamp:
 NULL_TIMESTAMP = Timestamp(sequence=-1, client_id=-1)
 
 
-@dataclass(frozen=True, slots=True)
-class Version:
-    """One immutable version of a data item."""
+class Version(NamedTuple):
+    """One immutable version of a data item (a tuple: cheap to build)."""
 
     key: str
     value: Any

@@ -1,11 +1,15 @@
 """Unit tests for histories, the builder, and the recorder."""
 
+import gc
+
 import pytest
 
 from repro.adya.history import History, HistoryBuilder, HistoryRecorder, HistoryTransaction, WriteEvent
+from repro.bench.runner import RunConfig, run_workload
 from repro.errors import IsolationError
 from repro.hat.testbed import Scenario, build_testbed
 from repro.hat.transaction import Operation, Transaction
+from repro.sim.events import gc_paused
 
 
 class TestHistory:
@@ -125,3 +129,52 @@ class TestHistoryRecorder:
         ))
         history = recorder.build()
         assert len(history.aborted()) == 1
+
+
+class TestHistoryRecorderBuildsWithTheCollectorPaused:
+    @pytest.fixture(scope="class")
+    def recorder(self):
+        scenario = Scenario(regions=["VA", "OR"], servers_per_cluster=2, seed=0)
+        recorder = HistoryRecorder()
+        run_workload(RunConfig(protocol="eventual", scenario=scenario,
+                               duration_ms=300.0, warmup_ms=0.0, seed=0),
+                     recorder=recorder)
+        assert len(recorder) > 100
+        return recorder
+
+    def test_build_leaves_the_collector_as_it_found_it(self, recorder):
+        gc.enable()
+        recorder.build()
+        assert gc.isenabled()
+        with gc_paused():
+            recorder.build()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_a_paused_build_equals_a_collected_one(self, recorder):
+        """The same history with the collector run every 100 allocations;
+        the paused build runs at most the one gen-0 collection that the
+        first allocation after it resumes."""
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        threshold = gc.get_threshold()
+        gc.enable()
+        gc.set_threshold(100)
+        gc.callbacks.append(count)
+        try:
+            paused = recorder.build()
+            paused_collections = len(collections)
+            collected = HistoryRecorder.build.__wrapped__(recorder)
+        finally:
+            gc.callbacks.remove(count)
+            gc.set_threshold(*threshold)
+        assert paused_collections <= 1 < len(collections) - paused_collections
+        # Transactions compare with their read/write events and commit_order.
+        assert list(paused.transactions.items()) == list(
+            collected.transactions.items())
+        assert list(paused.version_order.items()) == list(
+            collected.version_order.items())

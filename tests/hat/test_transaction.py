@@ -1,5 +1,7 @@
 """Unit tests for transactions, operations, and results."""
 
+import re
+
 import pytest
 
 from repro.errors import WorkloadError
@@ -38,6 +40,37 @@ class TestOperation:
     def test_scan_requires_predicate(self):
         with pytest.raises(WorkloadError):
             Operation(kind="scan")
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Operation.read(""), "read operation requires a key"),
+        (lambda: Operation.write("", 1), "write operation requires a key"),
+        (lambda: Operation.derived_write(lambda reads: ("x", 1), key=""),
+         "write operation requires a key"),
+        (lambda: Operation.scan(None), "scan operation requires a predicate"),
+        (lambda: Operation(kind="read", key=""), "read operation requires a key"),
+        (lambda: Operation(kind="upsert", key="x"),
+         "unknown operation kind 'upsert'"),
+    ], ids=["read", "write", "derived-write", "scan", "direct-read",
+            "direct-upsert"])
+    def test_every_constructor_refuses_what_cannot_run(self, build, message):
+        with pytest.raises(WorkloadError, match=re.escape(message)):
+            build()
+
+    def test_fast_constructors_build_what_direct_construction_builds(self):
+        def fn(reads):
+            return ("x", 1)
+
+        pairs = [(Operation.read("x"), Operation("read", "x")),
+                 (Operation.write("x", 1), Operation("write", "x", 1)),
+                 (Operation.derived_write(fn), Operation(
+                     kind="write", key="<derived>", derive=fn))]
+        for fast, direct in pairs:
+            assert type(fast) is Operation and fast == direct
+
+    def test_repr_names_every_field(self):
+        assert repr(Operation.write("x", 1)) == (
+            "Operation(kind='write', key='x', value=1, predicate=None, "
+            "predicate_name=None, derive=None)")
 
 
 class TestTransaction:

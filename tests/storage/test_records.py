@@ -1,5 +1,7 @@
 """Unit tests for versioned records and timestamps."""
 
+import pickle
+
 import pytest
 
 from repro.storage.records import (
@@ -55,6 +57,21 @@ class TestVersion:
         version = Version("x", 1, Timestamp(1, 1))
         with pytest.raises(AttributeError):
             version.value = 2
+
+    def test_repr_names_every_field(self):
+        version = Version("x", 1, Timestamp(2, 3), txn_id=4,
+                          siblings=frozenset({"x"}))
+        assert repr(version) == (
+            "Version(key='x', value=1, timestamp=Timestamp(sequence=2, "
+            "client_id=3), txn_id=4, siblings=frozenset({'x'}), "
+            "tombstone=False)")
+
+    def test_round_trips_through_pickle(self):
+        """What a ``--jobs`` worker hands back is pickled."""
+        version = Version("x", {"n": 1}, Timestamp(2, 3), txn_id=4,
+                          siblings=frozenset({"x", "y"}), tombstone=True)
+        copy = pickle.loads(pickle.dumps(version))
+        assert type(copy) is Version and copy == version
 
 
 class TestLastWriterWins:

@@ -43,7 +43,7 @@ def profile_update_scenario(sticky):
 
 
 def composite_causal_scenario():
-    """The registry's composite ``causal`` client: all four session layers.
+    """The registry's composite ``causal`` client: all four session guarantees.
 
     A user posts a reply after reading a friend's message, then their home
     datacenter fails.  The causal stack (a) repairs the user's own stale
@@ -103,7 +103,7 @@ def main():
     print("=" * 60)
     user, observed = composite_causal_scenario()
     print(f"stack protocol  : {user.protocol_name}  "
-          f"(layers: {[type(layer).__name__ for layer in user.layers]})")
+          f"(guarantees: {[layer.token for layer in user.layers]})")
     print(f"remote reader   : reply = {observed.value_read('msg:alice')!r}, "
           f"cause = {observed.value_read('msg:bob')!r}")
     print("\nBecause the causal stack forwards happened-before versions ahead")

@@ -30,16 +30,16 @@ def build_client(spec: str, node, recorder: Optional[object] = None,
     """Assemble the client for a protocol spec string.
 
     A spec over a HAT base becomes a :class:`LayeredClient` carrying the base
-    row's core layers, then the layer class of every layer token the spec
-    names (all session layers of one client share one
-    :class:`~repro.hat.layers.SessionState`).  A coordinated base takes no
+    row's core layers, then cut isolation if the spec names it, then one
+    :class:`~repro.hat.layers.SessionLayer` built from all of its session
+    tokens (their rows all name that class).  A coordinated base takes no
     layers — :func:`~repro.hat.protocols.parse_spec` rejects such specs —
     and its row's client class is constructed directly.
     """
     # The registry's rows name this package's client classes and the layers
     # over its core, so both are imported once the package exists.
-    from repro.hat.layers import SessionState
-    from repro.hat.protocols import BASES, LAYERS, ProtocolSpecError, parse_spec
+    from repro.hat.protocols import (
+        BASES, CUT_ISOLATION, LAYERS, ProtocolSpecError, parse_spec)
 
     parsed = parse_spec(spec)
     build = BASES[parsed.base].client
@@ -51,11 +51,10 @@ def build_client(spec: str, node, recorder: Optional[object] = None,
         return build(node, parsed.name, recorder=recorder,
                      value_bytes=value_bytes, **kwargs)
     layers = [layer_class() for layer_class in build]
-    state = SessionState() if parsed.session else None
-    for token in parsed.layer_tokens:
-        layer_class = LAYERS[token].layer
-        layers.append(layer_class(state) if token in parsed.session
-                      else layer_class())
+    if parsed.cut_isolation:
+        layers.append(LAYERS[CUT_ISOLATION].layer())
+    if parsed.session:
+        layers.append(LAYERS[parsed.session_layers[0]].layer(parsed.session))
     return LayeredClient(node, parsed.name, layers, sticky=sticky,
                          recorder=recorder, value_bytes=value_bytes, **kwargs)
 

@@ -249,9 +249,10 @@ class TxnContext:
     write_targets: Dict[str, str] = field(default_factory=dict)
     #: key -> the version actually installed for that key (with metadata).
     written_versions: Dict[str, Version] = field(default_factory=dict)
-    #: Cut-isolation bookkeeping: repeated reads/scans removed from the plan.
+    #: Cut-isolation bookkeeping: repeated reads removed from the plan, and
+    #: per repeated scan the position of its predicate's first evaluation.
     duplicate_reads: List[str] = field(default_factory=list)
-    duplicate_scans: List[str] = field(default_factory=list)
+    duplicate_scans: List[int] = field(default_factory=list)
 
 
 class LayeredClient(ProtocolClient):
@@ -263,9 +264,9 @@ class LayeredClient(ProtocolClient):
     ``plan`` (rewrite the operation list), ``begin`` (pre-transaction RPCs,
     e.g. session dependency forwarding), ``buffer_write``/``serve_read``
     (client-side buffering), ``before_read``/``after_read`` (request metadata
-    such as MAV lower bounds), ``read_floor`` (session lower bounds on
-    revealed versions), ``flush`` (the commit-time write batch), and
-    ``finalize`` (post-commit bookkeeping).
+    such as MAV lower bounds), ``read_floor`` (the version a replica answer
+    reveals, under the session's lower bounds), ``flush`` (the commit-time
+    write batch), and ``finalize`` (post-commit bookkeeping).
     """
 
     #: RPC verbs the core uses; an atomic-visibility layer swaps in ``mav.*``.
@@ -279,7 +280,7 @@ class LayeredClient(ProtocolClient):
         #: non-sticky client records the violation instead (Section 5.1.3).
         self.sticky = sticky
         self.layers = list(layers)
-        #: Shared session state, set by the first session layer to attach.
+        #: The session layer's memory, if the stack has one.
         self.session = None
         #: The (single) layer that buffers writes until commit, if any.
         self._write_layer = None
@@ -339,16 +340,7 @@ class LayeredClient(ProtocolClient):
             plan = hook(plan, ctx)
         ctx.plan = plan
         for begin in self._begin_hooks:
-            began_at = env._now
             yield from begin(ctx)
-            if trace is not None and env._now > began_at:
-                # Only begins that did work (session dependency forwarding
-                # RPCs) earn a span; empty begins would drown the trace.
-                layer = begin.__self__
-                span = tracer.start_span(
-                    f"layer:{layer.token or type(layer).__name__}.begin",
-                    "layer", trace, self.node.name, began_at)
-                tracer.finish(span, env.now)
         write_layer = self._write_layer
         for op in plan:
             kind = op.kind
@@ -401,41 +393,9 @@ class LayeredClient(ProtocolClient):
             before_read(ctx, op, payload)
         replica = self._pick_replica(key)
         reply = yield self._issue(ctx.result, replica, self.get_kind, payload)
-        version = replica_version = reply["version"]
-        if self._read_floor_hooks:
-            version = self._apply_read_floors(ctx, replica_version)
-        for after_read in self._after_read_hooks:
-            after_read(ctx, op, version, replica, replica_version)
-        self._observe(ctx.result, key, version)
-
-    def _apply_read_floors(self, ctx: TxnContext, version: Version) -> Version:
-        """Enforce the layers' lower bounds on revealed versions.
-
-        A session layer may know a floor — something this session has already
-        read (monotonic reads) or written (read-your-writes).  When the
-        contacted replica returns something older, a sticky client serves the
-        cached floor instead (the paper's client-side caching construction);
-        a non-sticky client records the violation and returns the stale
-        version, which is exactly the Section 5.1.3 impossibility argument.
-        """
-        floor: Optional[Version] = None
+        version = reply["version"]
         for read_floor in self._read_floor_hooks:
-            candidate = read_floor(version.key)
-            if candidate is not None and (
-                floor is None or candidate.timestamp > floor.timestamp
-            ):
-                floor = candidate
-        if floor is None or version.timestamp >= floor.timestamp:
-            return version
-        state = self.session
-        if state is not None:
-            state.stale_reads += 1
-        if not self.sticky:
-            return version
-        if state is not None:
-            state.cache_hits += 1
-        if ctx.transaction.trace is not None:
-            event = self._tracer.event("session-repair", ctx.transaction.trace,
-                                       self.node.name, self.node.env.now)
-            event.attrs["key"] = version.key
-        return floor
+            version = read_floor(ctx, op, replica, version)
+        for after_read in self._after_read_hooks:
+            after_read(ctx, op, version)
+        self._observe(ctx.result, key, version)

@@ -17,18 +17,23 @@ Layer hook points (all optional):
     Rewrite the operation list before execution (cut isolation removes
     repeated reads).
 ``begin``
-    Simulation generator run before the first operation; the monotonic-writes
-    and writes-follow-reads layers forward the session's dependencies to the
-    replicas a failed-over transaction is about to write through, so
-    "happened-before" data is in place before the new writes land.
+    Simulation generator run before the first operation; the session layer
+    forwards the session's dependencies (monotonic writes, then
+    writes-follow-reads) to the replicas a failed-over transaction is about
+    to write through, so "happened-before" data is in place before the new
+    writes land.
 ``buffer_write`` / ``serve_read`` / ``flush``
     Client-side write buffering (Section 5.1.1's Read Committed construction
     and Appendix B's MAV commit protocol).
-``before_read`` / ``after_read``
-    Attach and harvest per-request metadata (the MAV ``required`` map).
+``before_read``
+    Attach per-request metadata (the MAV ``required`` map).
 ``read_floor``
-    A lower bound on the versions a read may reveal; the driver substitutes
-    the floor for stale replica answers on sticky clients.
+    Every replica answer passes through it before ``after_read`` and returns
+    the version the read reveals: the session layer enforces its lower bounds
+    there (a sticky client substitutes the floor for a stale answer) and
+    records which replica holds what.
+``after_read``
+    Harvest metadata from the revealed version (MAV's sibling bounds).
 ``finalize``
     Post-commit bookkeeping (session memory, cut-isolation replay).
 """
@@ -48,7 +53,7 @@ from repro.storage.records import Timestamp, Version
 class GuaranteeLayer:
     """Base class: every hook is a no-op so layers override only what they use."""
 
-    #: Registry token this layer implements (``"mr"``, ``"ryw"``, ...).
+    #: Registry token(s) this layer implements (``"rc"``, ``"mr+ryw"``, ...).
     token: str = ""
 
     def __init__(self) -> None:
@@ -75,18 +80,11 @@ class GuaranteeLayer:
                     payload: Dict[str, Any]) -> None:
         return None
 
-    def after_read(self, ctx: TxnContext, op: Operation, version: Version,
-                   replica: str, replica_version: Version) -> None:
-        """Post-read bookkeeping.
+    def read_floor(self, ctx: TxnContext, op: Operation, replica: str,
+                   version: Version) -> Version:
+        return version
 
-        ``version`` is what the transaction observes (possibly repaired from
-        the session cache); ``replica_version`` is what the replica actually
-        returned — holder tracking must use the latter, because a repaired
-        read says nothing about what the stale replica stores.
-        """
-        return None
-
-    def read_floor(self, key: str) -> Optional[Version]:
+    def after_read(self, ctx: TxnContext, op: Operation, version: Version) -> None:
         return None
 
     def flush(self, ctx: TxnContext) -> Generator:
@@ -98,24 +96,11 @@ class GuaranteeLayer:
 
 
 def bound_hooks(layers: List[GuaranteeLayer], name: str) -> list:
-    """The bound ``name`` hooks a driver calls, in stack order.
-
-    Only layers whose class overrides the hook contribute.  Layers that run
-    the *same* implementation over one shared :class:`SessionState` (MR and
-    WFR remember reads, RYW and MW remember writes) contribute it once: such
-    a hook only raises the state to what the transaction saw, so a second
-    run would find nothing left to do.
-    """
-    hooks, seen = [], set()
-    for layer in layers:
-        hook = getattr(layer, name)
-        if hook.__func__ is getattr(GuaranteeLayer, name):
-            continue
-        identity = (hook.__func__, id(getattr(layer, "state", layer)))
-        if identity not in seen:
-            seen.add(identity)
-            hooks.append(hook)
-    return hooks
+    """The bound ``name`` hooks a driver calls, in stack order: every layer's
+    but those still the inherited no-op."""
+    noop = getattr(GuaranteeLayer, name)
+    return [getattr(layer, name) for layer in layers
+            if getattr(layer, name).__func__ is not noop]
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +181,7 @@ class AtomicVisibilityLayer(WriteBufferingLayer):
                     payload: Dict[str, Any]) -> None:
         payload["required"] = ctx.required.get(op.key)
 
-    def after_read(self, ctx: TxnContext, op: Operation, version: Version,
-                   replica: str, replica_version: Version) -> None:
+    def after_read(self, ctx: TxnContext, op: Operation, version: Version) -> None:
         # Raise the lower bound for every sibling of the observed write:
         # future reads must see this transaction's effects.
         for sibling in version.siblings:
@@ -234,7 +218,8 @@ class CutIsolationLayer(GuaranteeLayer):
         """Keep the first read of each item and the first evaluation of each
         named predicate; ``finalize`` answers the repeats from those."""
         seen_keys: Dict[str, None] = {}
-        seen_predicates: Dict[str, None] = {}
+        #: predicate name -> position of its first evaluation among the scans.
+        seen_predicates: Dict[str, int] = {}
         plan: List[Operation] = []
         ctx.duplicate_reads = []
         ctx.duplicate_scans = []
@@ -249,9 +234,9 @@ class CutIsolationLayer(GuaranteeLayer):
             elif op.is_scan:
                 name = op.predicate_name or "predicate"
                 if name in seen_predicates:
-                    ctx.duplicate_scans.append(name)
+                    ctx.duplicate_scans.append(seen_predicates[name])
                     continue
-                seen_predicates[name] = None
+                seen_predicates[name] = len(seen_predicates)
                 plan.append(op)
             else:
                 if op.is_write:
@@ -260,7 +245,7 @@ class CutIsolationLayer(GuaranteeLayer):
         return plan
 
     def finalize(self, ctx: TxnContext) -> None:
-        """Answer repeated reads from the cache of first observations."""
+        """Answer repeats from the cache of first observations."""
         result = ctx.result
         first_seen: Dict[str, Version] = {}
         for observation in result.reads:
@@ -268,9 +253,8 @@ class CutIsolationLayer(GuaranteeLayer):
         for key in ctx.duplicate_reads:
             if key in first_seen:
                 result.reads.append(ReadObservation(key, first_seen[key]))
-        for _name in ctx.duplicate_scans:
-            if result.scan_results:
-                result.scan_results.append(list(result.scan_results[0]))
+        for first in ctx.duplicate_scans:
+            result.scan_results.append(list(result.scan_results[first]))
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +288,13 @@ class OwedIndex:
 class SessionState:
     """Everything a session remembers across transactions.
 
-    Shared by all session layers of one client: the monotonic-reads and
-    read-your-writes layers consult the two version maps as read floors, the
-    monotonic-writes and writes-follow-reads layers forward them to replicas
-    a failed-over session writes through, and the holder map records which
-    replicas are already known to store a remembered version so steady-state
-    (sticky, unpartitioned) operation forwards nothing.  Each version map has
-    an :class:`OwedIndex`: a key becomes owed when its remembered version
-    changes or its holder entry is replaced, and stops being owed only when
-    forwarding finds the routed replica already holds it.
+    The read floors consult the two version maps, forwarding pushes them to
+    replicas a failed-over session writes through, and the holder map records
+    which replicas are already known to store a remembered version so
+    steady-state (sticky, unpartitioned) operation forwards nothing.  Each
+    version map has an :class:`OwedIndex`: a key becomes owed when its
+    remembered version changes or its holder entry is replaced, and stops
+    being owed only when forwarding finds the routed replica already holds it.
     """
 
     #: Highest version observed by a session read, per key (MR floor; the
@@ -321,8 +303,6 @@ class SessionState:
     #: Highest version this session has written per key (RYW floor; the
     #: versions monotonic writes must order before the session's writes).
     own_writes: Dict[str, Version] = field(default_factory=dict)
-    #: Highest timestamp observed anywhere in the session.
-    high_water: Optional[Timestamp] = None
     #: Diagnostics: how often a read was served from the session cache.
     cache_hits: int = 0
     #: Diagnostics: reads that would have violated a guarantee had the cache
@@ -360,73 +340,153 @@ class SessionState:
         return current[1]
 
 
-class SessionLayer(GuaranteeLayer):
-    """Base for the four session-guarantee layers: shared session memory."""
+#: The four session guarantees of Section 5.1.3, in canonical stacking order:
+#: what each remembers (``"reads"`` raise ``last_seen``, ``"writes"`` raise
+#: ``own_writes``) and what it does with that memory — bound what a read may
+#: reveal (``"floor"``, the client-side caching construction of MR and RYW)
+#: or forward it ahead of the transaction's writes (``"forward"``, the
+#: constructive halves of MW and WFR).  PRAM is MR + MW + RYW; causal
+#: consistency is PRAM + WFR.
+SESSION_ROWS: Dict[str, Tuple[str, str]] = {
+    "mr": ("reads", "floor"),
+    "mw": ("writes", "forward"),
+    "wfr": ("reads", "forward"),
+    "ryw": ("writes", "floor"),
+}
 
-    def __init__(self, state: Optional[SessionState] = None) -> None:
+
+class SessionLayer(GuaranteeLayer):
+    """The session guarantees of one spec over the session's memory.
+
+    Built from the spec's session tokens, each a row of :data:`SESSION_ROWS`;
+    it owns the client's :class:`SessionState` and binds only the hooks its
+    rows use: ``read_floor`` when a row remembers reads (holder tracking) or
+    bounds them, ``begin`` when a row forwards, and ``finalize``.  Floors
+    repair stale reads on a sticky client only; a non-sticky client records
+    the violation, matching the impossibility argument of Section 5.1.3.
+    """
+
+    def __init__(self, tokens: frozenset) -> None:
         super().__init__()
-        self.state = state if state is not None else SessionState()
+        rows = [(token, *row) for token, row in SESSION_ROWS.items()
+                if token in tokens]
+        #: The rows' tokens in canonical order (``"mr+mw+wfr+ryw"``).
+        self.token = "+".join([token for token, _, _ in rows])
+        self.state = state = SessionState()
+        memory = {"reads": (state.last_seen, state.seen_owed),
+                  "writes": (state.own_writes, state.own_owed)}
+        remembered = {kind for _, kind, _ in rows}
+        self._reads = "reads" in remembered
+        self._writes = "writes" in remembered
+        #: The remembered maps a read may reveal nothing older than.
+        self._floors = [memory[kind][0] for _, kind, use in rows
+                        if use == "floor"]
+        #: (token, versions, owed index) forwarded before writes, in order.
+        self._forwards = [(token, *memory[kind]) for token, kind, use in rows
+                          if use == "forward"]
+        # A hook no row uses stays the inherited no-op, which bound_hooks skips.
+        if not (self._reads or self._floors):
+            self.read_floor = super().read_floor
+        if not self._forwards:
+            self.begin = super().begin
 
     def attach(self, client: LayeredClient) -> None:
         super().attach(client)
         client.session = self.state
 
-    # -- shared bookkeeping -------------------------------------------------------
-    # Hook implementations the four layers pick from.  Two layers over one
-    # state that pick the same one are driven once (see bound_hooks): each
-    # only raises the state to what the transaction saw.
-    def _note_read_holder(self, ctx: TxnContext, op: Operation, version: Version,
-                          replica: str, replica_version: Version) -> None:
-        self.state.note_holder(op.key, replica_version.timestamp, replica)
+    # -- hooks ---------------------------------------------------------------------
+    def begin(self, ctx: TxnContext) -> Generator:
+        """Forward each forwarding row's memory when the transaction writes,
+        one row after the other; a row that sent something earns a
+        ``layer:<token>.begin`` span (empty ones would drown the trace)."""
+        overwritten = {op.key for op in ctx.plan if op.kind == WRITE}
+        if not overwritten:
+            return
+        client = self.client
+        trace = ctx.transaction.trace
+        env = client.node.env
+        for token, versions, index in self._forwards:
+            began_at = env._now
+            yield from self._forward(ctx, versions, index, overwritten)
+            if trace is not None and env._now > began_at:
+                tracer = client._tracer
+                span = tracer.start_span(f"layer:{token}.begin", "layer", trace,
+                                         client.node.name, began_at)
+                tracer.finish(span, env.now)
 
-    def _remember_reads(self, ctx: TxnContext) -> None:
-        """Raise ``last_seen`` (and the high-water mark) to what the
-        transaction's reads observed."""
-        state = self.state
-        last_seen = state.last_seen
-        high_water = state.high_water
-        for observation in ctx.result.reads:
-            version = observation.version
-            timestamp = version.timestamp
-            current = last_seen.get(observation.key)
-            if current is None or timestamp > current.timestamp:
-                last_seen[observation.key] = version
-                state.seen_owed.add(observation.key)
-            if high_water is None or timestamp > high_water:
-                high_water = timestamp
-        state.high_water = high_water
+    def read_floor(self, ctx: TxnContext, op: Operation, replica: str,
+                   version: Version) -> Version:
+        """What a read reveals: the replica's answer, unless a floor is newer.
 
-    def _remember_writes(self, ctx: TxnContext) -> None:
-        """Raise ``own_writes`` to the transaction's installed versions, each
-        held by the replica that accepted it."""
+        The holder note uses the answer itself — a repaired read says
+        nothing about what the stale replica stores.  A sticky client serves
+        the higher floor in place of a stale answer ("a client might cache its
+        reads and writes"); a non-sticky one records the violation and
+        returns the stale version.
+        """
+        key = op.key
         state = self.state
-        own_writes = state.own_writes
-        targets = ctx.write_targets
-        for key, version in ctx.written_versions.items():
-            timestamp = version.timestamp
-            current = own_writes.get(key)
-            if current is None or timestamp > current.timestamp:
-                own_writes[key] = version
-                state.own_owed.add(key)
-            if state.high_water is None or timestamp > state.high_water:
-                state.high_water = timestamp
-            target = targets.get(key)
-            if target is not None:
-                state.note_holder(key, timestamp, target)
+        if self._reads:
+            state.note_holder(key, version.timestamp, replica)
+        floor = None
+        for versions in self._floors:
+            candidate = versions.get(key)
+            if candidate is not None and (
+                    floor is None or candidate.timestamp > floor.timestamp):
+                floor = candidate
+        if floor is None or version.timestamp >= floor.timestamp:
+            return version
+        state.stale_reads += 1
+        client = self.client
+        if not client.sticky:
+            return version
+        state.cache_hits += 1
+        trace = ctx.transaction.trace
+        if trace is not None:
+            event = client._tracer.event("session-repair", trace,
+                                         client.node.name, client.node.env.now)
+            event.attrs["key"] = key
+        return floor
+
+    def finalize(self, ctx: TxnContext) -> None:
+        """Raise ``last_seen`` to what the transaction read and ``own_writes``
+        to its installed versions, each held by the replica that accepted it
+        — whichever of the two the rows remember."""
+        state = self.state
+        if self._reads:
+            last_seen = state.last_seen
+            for observation in ctx.result.reads:
+                version = observation.version
+                current = last_seen.get(observation.key)
+                if current is None or version.timestamp > current.timestamp:
+                    last_seen[observation.key] = version
+                    state.seen_owed.add(observation.key)
+        if self._writes:
+            own_writes = state.own_writes
+            targets = ctx.write_targets
+            for key, version in ctx.written_versions.items():
+                timestamp = version.timestamp
+                current = own_writes.get(key)
+                if current is None or timestamp > current.timestamp:
+                    own_writes[key] = version
+                    state.own_owed.add(key)
+                target = targets.get(key)
+                if target is not None:
+                    state.note_holder(key, timestamp, target)
 
     def _forward(self, ctx: TxnContext, versions: Dict[str, Version],
-                 index: OwedIndex) -> Generator:
+                 index: OwedIndex, overwritten: Set[str]) -> Generator:
         """Push remembered versions to the replicas this transaction can reach.
 
-        The constructive halves of monotonic writes and writes-follow-reads:
-        before a (possibly failed-over) transaction writes, the versions that
+        Before a (possibly failed-over) transaction writes, the versions that
         must become visible *first* are installed at whichever replica the
         client would currently contact for them.  Replicas that already hold
         a version — or a newer one of the same key, which orders it under
         last-writer-wins — are skipped, so a sticky session on a healthy
-        network forwards nothing.  Unreachable dependency replicas are
-        skipped too — transactional availability only requires replicas for
-        the items the transaction itself accesses (Section 4.2).
+        network forwards nothing.  So are the keys in ``overwritten`` (the
+        transaction's own newer writes supersede them) and unreachable
+        dependency replicas — transactional availability only requires
+        replicas for the items the transaction itself accesses (Section 4.2).
 
         Only the owed keys of ``versions`` are examined, in first-remembered
         order; when routing moved since the map was last examined in full
@@ -445,7 +505,6 @@ class SessionLayer(GuaranteeLayer):
             return
         futures = []
         delivered: List[Tuple[str, Timestamp, str]] = []
-        overwritten = {op.key for op in ctx.plan if op.kind == WRITE}
         candidates = sorted(index.owed, key=index.rank.__getitem__)
         state.forward_probes += len(candidates)
         for key in candidates:
@@ -474,76 +533,3 @@ class SessionLayer(GuaranteeLayer):
             yield all_of(client.node.env, futures)
         for key, timestamp, replica in delivered:
             state.note_holder(key, timestamp, replica)
-
-
-class MonotonicReadsLayer(SessionLayer):
-    """MR: within a session, reads of an item never go backwards.
-
-    Achievable with plain high availability by maintaining lower bounds on
-    the versions revealed to the session — here, a client-side cache of the
-    highest version each read has observed.
-    """
-
-    token = "mr"
-
-    def read_floor(self, key: str) -> Optional[Version]:
-        return self.state.last_seen.get(key)
-
-    after_read = SessionLayer._note_read_holder
-    finalize = SessionLayer._remember_reads
-
-
-class ReadYourWritesLayer(SessionLayer):
-    """RYW: a session observes its own writes — sticky availability only.
-
-    The floor is the session's own write log; on a sticky client a stale
-    replica answer is repaired from it ("a client might cache its reads and
-    writes"), while a non-sticky client records the violation, matching the
-    impossibility argument of Section 5.1.3.
-    """
-
-    token = "ryw"
-
-    def read_floor(self, key: str) -> Optional[Version]:
-        return self.state.own_writes.get(key)
-
-    finalize = SessionLayer._remember_writes
-
-
-class MonotonicWritesLayer(SessionLayer):
-    """MW: a session's writes become visible in submission order.
-
-    Constructively: before this transaction's writes land anywhere, the
-    session's earlier writes are forwarded to the replicas the transaction
-    currently routes to, so no replica can reveal a later session write
-    while missing an earlier one it serves.
-    """
-
-    token = "mw"
-
-    def begin(self, ctx: TxnContext) -> Generator:
-        if any(op.kind == WRITE for op in ctx.plan):
-            yield from self._forward(ctx, self.state.own_writes,
-                                     self.state.own_owed)
-
-    finalize = SessionLayer._remember_writes
-
-
-class WritesFollowReadsLayer(SessionLayer):
-    """WFR: writes are ordered after the writes the session has observed.
-
-    Constructively: the versions this session has read are forwarded to the
-    replicas the transaction currently routes to before its own writes land,
-    so any reader that observes the new writes can also observe their
-    happened-before predecessors.
-    """
-
-    token = "wfr"
-
-    def begin(self, ctx: TxnContext) -> Generator:
-        if any(op.kind == WRITE for op in ctx.plan):
-            yield from self._forward(ctx, self.state.last_seen,
-                                     self.state.seen_owed)
-
-    after_read = SessionLayer._note_read_holder
-    finalize = SessionLayer._remember_reads

@@ -24,7 +24,8 @@ models has the availability of the least available individual model"),
 whether layers may stack on a base at all (not on one Table 3 marks
 unavailable, so ``master+ryw`` is rejected), the :class:`Protocol` of any
 spec, and the client :func:`~repro.hat.clients.build_client` assembles.  To
-add a guarantee, write its layer class and add its row.
+add a guarantee, write its layer class (a session guarantee: a row of
+:data:`~repro.hat.layers.SESSION_ROWS`) and add its row.
 :func:`cross_check_with_taxonomy` verifies the rows against that table.
 """
 
@@ -41,12 +42,8 @@ from repro.hat.clients.quorum import QuorumClient
 from repro.hat.layers import (
     AtomicVisibilityLayer,
     CutIsolationLayer,
-    MonotonicReadsLayer,
-    MonotonicWritesLayer,
-    ReadYourWritesLayer,
     SessionLayer,
     WriteBufferingLayer,
-    WritesFollowReadsLayer,
 )
 from repro.taxonomy.lattice import HATLattice
 from repro.taxonomy.models import AVAILABLE, MODELS, UNAVAILABLE
@@ -139,10 +136,10 @@ BASES: Dict[str, Base] = {
 LAYERS: Dict[str, Layer] = {
     CUT_ISOLATION: Layer(("cut-isolation",), ("I-CI", "P-CI"),
                          "item/predicate cut isolation", CutIsolationLayer),
-    "mr": Layer((), ("MR",), "monotonic reads", MonotonicReadsLayer),
-    "mw": Layer((), ("MW",), "monotonic writes", MonotonicWritesLayer),
-    "wfr": Layer((), ("WFR",), "writes follow reads", WritesFollowReadsLayer),
-    "ryw": Layer((), ("RYW",), "read your writes", ReadYourWritesLayer),
+    "mr": Layer((), ("MR",), "monotonic reads", SessionLayer),
+    "mw": Layer((), ("MW",), "monotonic writes", SessionLayer),
+    "wfr": Layer((), ("WFR",), "writes follow reads", SessionLayer),
+    "ryw": Layer((), ("RYW",), "read your writes", SessionLayer),
 }
 
 BUNDLES: Dict[str, Bundle] = {
@@ -161,7 +158,7 @@ COMPOSITES: Dict[str, str] = {
 
 #: Session-guarantee layer tokens, in canonical stacking/spelling order.
 SESSION_TOKENS: Tuple[str, ...] = tuple(
-    token for token, row in LAYERS.items() if issubclass(row.layer, SessionLayer))
+    token for token, row in LAYERS.items() if row.layer is SessionLayer)
 PRAM_SET: FrozenSet[str] = BUNDLES["pram"].members
 CAUSAL_SET: FrozenSet[str] = BUNDLES["causal"].members
 

@@ -81,3 +81,23 @@ class TestPredicateCutIsolation:
         first = {v.key for v in result.scan_results[0]}
         second = {v.key for v in result.scan_results[1]}
         assert first == second
+
+    def test_each_repeat_is_answered_from_its_own_predicate(self, testbed):
+        """Repeating the second of two predicates returns the second's
+        matches, not the first evaluation of the transaction."""
+        client = testbed.make_client("eventual+ci")
+        seed = testbed.make_client("eventual")
+        run(testbed, seed, [Operation.write("p1", 5), Operation.write("p2", 50)])
+
+        def scan(name, match):
+            return Operation.scan(
+                lambda key, value: isinstance(value, int) and match(value),
+                name=name)
+
+        result = run(testbed, client, [
+            scan("small", lambda value: value < 10),
+            scan("big", lambda value: value > 10),
+            scan("big", lambda value: value > 10),
+        ])
+        keys = [{v.key for v in found} for found in result.scan_results]
+        assert keys == [{"p1"}, {"p2"}, {"p2"}]

@@ -284,9 +284,10 @@ class TestStackedClients:
         assert result.protocol == "mav+mr+wfr"
 
     def test_session_layers_share_one_state(self):
+        """The four session guarantees are one layer that owns the memory."""
         testbed = build_testbed(Scenario(regions=["VA"], servers_per_cluster=1))
-        client = testbed.make_client("causal")
+        client = testbed.make_client("mav+causal")
         session_layers = [layer for layer in client.layers
                           if isinstance(layer, SessionLayer)]
-        assert len(session_layers) == 4
-        assert all(layer.state is client.session for layer in session_layers)
+        assert len(session_layers) == 1
+        assert session_layers[0].state is client.session

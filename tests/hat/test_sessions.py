@@ -84,13 +84,6 @@ class TestNonStickySessions:
 
 
 class TestSessionBookkeeping:
-    def test_high_water_mark_advances(self, testbed):
-        client = testbed.make_client("read-committed+causal")
-        run(testbed, client, [Operation.write("a", 1)])
-        first = client.session.high_water
-        run(testbed, client, [Operation.write("b", 2)])
-        assert client.session.high_water >= first
-
     def test_aborted_transactions_do_not_update_state(self, testbed):
         client = testbed.make_client("read-committed+causal", sticky=True)
         # A full partition: no replica of any key is reachable, so the

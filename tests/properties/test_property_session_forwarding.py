@@ -93,10 +93,10 @@ def test_owed_index_forwards_what_a_full_scan_would(steps, converging):
     forward = SessionLayer._forward
     checked = []
 
-    def checked_forward(layer, ctx, versions, index):
+    def checked_forward(layer, ctx, versions, index, overwritten):
         expected = full_scan(layer, ctx, versions)
         start = len(issued)
-        yield from forward(layer, ctx, versions, index)
+        yield from forward(layer, ctx, versions, index, overwritten)
         assert issued[start:] == expected
         checked.append(len(expected))
 

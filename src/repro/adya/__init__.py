@@ -2,9 +2,10 @@
 
 Appendix A of the paper defines HAT semantics with Adya's formalism:
 histories of transactions over multi-versioned objects, a Direct
-Serialization Graph (DSG) of write/read/anti-dependencies plus session
-dependencies, and isolation levels specified as sets of prohibited
-phenomena.  This package implements that machinery so that:
+Serialization Graph (DSG) of write/read/anti-dependencies, and isolation
+levels specified as sets of prohibited phenomena; session guarantees are
+checked over each session's commit order.  This package implements that
+machinery so that:
 
 * hand-written example histories (the paper's Figures 7-18) can be checked
   against each phenomenon definition, and

@@ -195,11 +195,21 @@ class HistoryBuilder:
             return self._transaction.txn_id
 
         def read(self, key: str, from_txn: Optional[int] = INITIAL,
-                 value: Any = None, predicate: Optional[str] = None) -> "HistoryBuilder._TxnHandle":
+                 value: Any = None) -> "HistoryBuilder._TxnHandle":
+            """An item read of the version ``from_txn`` installed."""
             self._transaction.reads.append(ReadEvent(
-                key=key, writer_txn=from_txn, value=value,
-                index=self._index, predicate=predicate,
-            ))
+                key=key, writer_txn=from_txn, value=value, index=self._index))
+            self._index += 1
+            return self
+
+        def scan(self, predicate: str,
+                 matches: Iterable[Tuple[str, Optional[int], Any]],
+                 ) -> "HistoryBuilder._TxnHandle":
+            """One evaluation of ``predicate``: each ``(key, from_txn, value)``
+            it matched, recorded under the evaluation's one index."""
+            self._transaction.reads.extend(
+                ReadEvent(key, from_txn, value, self._index, predicate)
+                for key, from_txn, value in matches)
             self._index += 1
             return self
 

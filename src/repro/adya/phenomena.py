@@ -71,9 +71,9 @@ class Phenomenon:
 
     name: str
     description: str
-    #: ``detector(history)``, or ``detector(history, graph)`` when ``on_graph``.
+    #: ``detector(history)``, or ``detector(history, dsg)`` when ``on_graph``.
     detector: Callable[..., List[Witness]]
-    #: Cycle-based: the detector also takes the history's DSG (no session edges).
+    #: Cycle-based: the detector also takes the history's DSG (its edge list).
     on_graph: bool = False
 
 
@@ -88,32 +88,32 @@ def _cycle_witnesses(phenomenon: str, label: str, cycles) -> List[Witness]:
             for cycle in cycles]
 
 
-def detect_g0(history: History, graph) -> List[Witness]:
+def detect_g0(history: History, dsg) -> List[Witness]:
     """Dirty Writes: a cycle made solely of write dependencies."""
     return _cycle_witnesses(G0, "write-dependency cycle",
-                            cycles_with(graph, allowed_kinds={WW}))
+                            cycles_with(dsg, allowed_kinds={WW}))
 
 
-def detect_g1c(history: History, graph) -> List[Witness]:
+def detect_g1c(history: History, dsg) -> List[Witness]:
     """Circular Information Flow: cycle of write/read dependencies."""
     return _cycle_witnesses(G1C, "dependency cycle",
-                            cycles_with(graph, allowed_kinds={WW, WR}))
+                            cycles_with(dsg, allowed_kinds={WW, WR}))
 
 
-def detect_lost_update(history: History, graph) -> List[Witness]:
+def detect_lost_update(history: History, dsg) -> List[Witness]:
     """Lost Update: a single-item cycle containing an anti-dependency."""
-    per_item = cycles_by_item(graph, history.keys(), allowed_kinds={WW, WR, RW},
+    per_item = cycles_by_item(dsg, history.keys(), allowed_kinds={WW, WR, RW},
                               required_kinds={RW})
     return [witness for key, cycles in per_item
             for witness in _cycle_witnesses(
                 LOST_UPDATE, f"anti-dependency cycle on item {key!r}", cycles)]
 
 
-def detect_write_skew(history: History, graph) -> List[Witness]:
+def detect_write_skew(history: History, dsg) -> List[Witness]:
     """Write Skew (Adya G2-item): any cycle with an item anti-dependency."""
     return _cycle_witnesses(
         WRITE_SKEW, "anti-dependency cycle",
-        cycles_with(graph, allowed_kinds={WW, WR, RW}, required_kinds={RW}))
+        cycles_with(dsg, allowed_kinds={WW, WR, RW}, required_kinds={RW}))
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +420,8 @@ def detect_each(history: History,
     """Witnesses of each named phenomenon: every detector runs once, and the
     cycle-based ones share one DSG."""
     rows = [PHENOMENA[name] for name in phenomena]
-    graph = (build_dsg(history, include_sessions=False)
-             if any(row.on_graph for row in rows) else None)
-    return {row.name: row.detector(history, graph) if row.on_graph
+    dsg = build_dsg(history) if any(row.on_graph for row in rows) else None
+    return {row.name: row.detector(history, dsg) if row.on_graph
             else row.detector(history) for row in rows}
 
 

@@ -9,27 +9,3 @@
 ``python -m repro.bench`` runs each artifact at a quick (CI smoke) or full
 parameterisation; the two override sets live in its ``ARTIFACTS`` table.
 """
-
-from repro.bench.metrics import LatencySummary, RunStats
-from repro.bench.runner import RunConfig, run_workload
-from repro.bench.experiments import (
-    ExperimentPoint,
-    figure3_geo_replication,
-    figure4_transaction_length,
-    figure5_write_proportion,
-    figure6_scale_out,
-)
-from repro.bench.report import format_series
-
-__all__ = [
-    "LatencySummary",
-    "RunStats",
-    "RunConfig",
-    "run_workload",
-    "ExperimentPoint",
-    "figure3_geo_replication",
-    "figure4_transaction_length",
-    "figure5_write_proportion",
-    "figure6_scale_out",
-    "format_series",
-]

@@ -9,8 +9,10 @@ Two kinds of history are pinned:
   commit order (the simulator draws them from a process-wide counter).
 
 For each: every level's ``satisfied``, every phenomenon's witness count, and
-a SHA-256 of the witness text of the detectors that search no cycle.  Re-pin
-with ``PYTHONPATH=src python tests/adya/test_checker_pin.py``.
+a SHA-256 of the witness text of the detectors that search no cycle.  The
+text of the four cycle witnesses is pinned apart, by SHA-256: which cycle
+represents a component is a rule of ``repro.adya.graphs``, not of Adya.
+Re-pin with ``PYTHONPATH=src python tests/adya/test_checker_pin.py``.
 """
 
 import hashlib
@@ -97,6 +99,10 @@ def verdicts(history: History):
     }
 
 
+def cycle_text_sha256(history: History) -> str:
+    return _sha(detect_each(history, CYCLE_DETECTORS), CYCLE_DETECTORS)
+
+
 def _pinned_histories(pin):
     yield from ((entry["name"], history_from(entry)) for entry in pin["histories"])
     yield RECORDED, recorded_history()
@@ -111,6 +117,12 @@ def test_every_pinned_history_keeps_its_verdicts_counts_and_text():
     assert moved == {}
 
 
+def test_every_pinned_history_keeps_its_cycle_witness_text():
+    pin = json.loads(PIN.read_text())
+    assert {name: cycle_text_sha256(history) for name, history
+            in _pinned_histories(pin)} == pin["cycle_text"]["sha256"]
+
+
 def test_the_recorded_history_exercises_every_cycle_detector_below_the_cap():
     counts = json.loads(PIN.read_text())["verdicts"][RECORDED]["witnesses"]
     assert all(0 < counts[name] < 25 for name in (G1C, LOST_UPDATE, WRITE_SKEW))
@@ -118,7 +130,9 @@ def test_the_recorded_history_exercises_every_cycle_detector_below_the_cap():
 
 if __name__ == "__main__":
     pin = json.loads(PIN.read_text())
-    pin["verdicts"] = {name: verdicts(history)
-                       for name, history in _pinned_histories(pin)}
+    histories = dict(_pinned_histories(pin))
+    pin["verdicts"] = {name: verdicts(history) for name, history in histories.items()}
+    pin["cycle_text"]["sha256"] = {name: cycle_text_sha256(history)
+                                   for name, history in histories.items()}
     PIN.write_text(json.dumps(pin, indent=1) + "\n")
     print(f"re-pinned {PIN}")

@@ -1,13 +1,11 @@
 """Unit tests for DSG construction."""
 
-from repro.adya.graphs import RW, SESSION, WR, WW, build_dsg, cycles_with, edges_of
+from repro.adya.graphs import RW, WR, WW, build_dsg, cycles_by_item, cycles_with
 from repro.adya.history import HistoryBuilder
 
 
-def edge_kinds(graph, src, dst):
-    if not graph.has_edge(src, dst):
-        return set()
-    return {data["kind"] for data in graph[src][dst].values()}
+def edge_kinds(dsg, src, dst):
+    return {edge.kind for edge in dsg if (edge.src, edge.dst) == (src, dst)}
 
 
 class TestBuildDSG:
@@ -17,9 +15,9 @@ class TestBuildDSG:
         t1.write("x", 1)
         t2 = builder.transaction()
         t2.write("x", 2)
-        graph = build_dsg(builder.build())
-        assert WW in edge_kinds(graph, t1.txn_id, t2.txn_id)
-        assert not graph.has_edge(t2.txn_id, t1.txn_id)
+        dsg = build_dsg(builder.build())
+        assert WW in edge_kinds(dsg, t1.txn_id, t2.txn_id)
+        assert not edge_kinds(dsg, t2.txn_id, t1.txn_id)
 
     def test_read_dependency(self):
         builder = HistoryBuilder()
@@ -27,8 +25,8 @@ class TestBuildDSG:
         t1.write("x", 1)
         t2 = builder.transaction()
         t2.read("x", from_txn=t1.txn_id, value=1)
-        graph = build_dsg(builder.build())
-        assert WR in edge_kinds(graph, t1.txn_id, t2.txn_id)
+        dsg = build_dsg(builder.build())
+        assert WR in edge_kinds(dsg, t1.txn_id, t2.txn_id)
 
     def test_anti_dependency(self):
         builder = HistoryBuilder()
@@ -36,19 +34,8 @@ class TestBuildDSG:
         t1.read("x", from_txn=None)          # reads the initial version
         t2 = builder.transaction()
         t2.write("x", 2)                     # installs the next version
-        graph = build_dsg(builder.build())
-        assert RW in edge_kinds(graph, t1.txn_id, t2.txn_id)
-
-    def test_session_edges(self):
-        builder = HistoryBuilder()
-        t1 = builder.transaction(session=1)
-        t1.write("x", 1)
-        t2 = builder.transaction(session=1)
-        t2.write("y", 1)
-        graph = build_dsg(builder.build(), include_sessions=True)
-        assert SESSION in edge_kinds(graph, t1.txn_id, t2.txn_id)
-        graph_no_sessions = build_dsg(builder.build(), include_sessions=False)
-        assert SESSION not in edge_kinds(graph_no_sessions, t1.txn_id, t2.txn_id)
+        dsg = build_dsg(builder.build())
+        assert RW in edge_kinds(dsg, t1.txn_id, t2.txn_id)
 
     def test_aborted_transactions_excluded(self):
         builder = HistoryBuilder()
@@ -56,17 +43,8 @@ class TestBuildDSG:
         t1.write("x", 1).abort()
         t2 = builder.transaction()
         t2.write("x", 2)
-        graph = build_dsg(builder.build())
-        assert t1.txn_id not in graph.nodes
-
-    def test_edges_of_reporting(self):
-        builder = HistoryBuilder()
-        t1 = builder.transaction()
-        t1.write("x", 1)
-        t2 = builder.transaction()
-        t2.read("x", from_txn=t1.txn_id)
-        edges = edges_of(build_dsg(builder.build()))
-        assert any(edge.kind == WR and edge.item == "x" for edge in edges)
+        dsg = build_dsg(builder.build())
+        assert all(t1.txn_id not in (edge.src, edge.dst) for edge in dsg)
 
 
 class TestCycleSearch:
@@ -80,8 +58,7 @@ class TestCycleSearch:
         t2.write("x", 2).write("y", 2)
         builder.version_order("x", t1.txn_id, t2.txn_id)
         builder.version_order("y", t2.txn_id, t1.txn_id)
-        graph = build_dsg(builder.build())
-        cycles = cycles_with(graph, allowed_kinds={WW})
+        cycles = cycles_with(build_dsg(builder.build()), allowed_kinds={WW})
         assert cycles, "expected a write-dependency cycle"
 
     def test_no_cycle_in_serial_history(self):
@@ -91,8 +68,7 @@ class TestCycleSearch:
         t2 = builder.transaction()
         t2.read("x", from_txn=t1.txn_id)
         t2.write("x", 2)
-        graph = build_dsg(builder.build())
-        assert cycles_with(graph, allowed_kinds={WW, WR, RW}) == []
+        assert cycles_with(build_dsg(builder.build()), allowed_kinds={WW, WR, RW}) == []
 
     def test_required_kind_filter(self):
         builder = HistoryBuilder()
@@ -100,9 +76,9 @@ class TestCycleSearch:
         t1.read("x", from_txn=None).write("y", 1)
         t2 = builder.transaction()
         t2.read("y", from_txn=None).write("x", 1)
-        graph = build_dsg(builder.build())
-        with_rw = cycles_with(graph, allowed_kinds={WW, WR, RW}, required_kinds={RW})
-        only_ww = cycles_with(graph, allowed_kinds={WW})
+        dsg = build_dsg(builder.build())
+        with_rw = cycles_with(dsg, allowed_kinds={WW, WR, RW}, required_kinds={RW})
+        only_ww = cycles_with(dsg, allowed_kinds={WW})
         assert with_rw and not only_ww
 
     def test_item_filter(self):
@@ -112,9 +88,6 @@ class TestCycleSearch:
         t1.read("x", from_txn=None).write("x", 1)
         t2 = builder.transaction()
         t2.read("x", from_txn=None).write("x", 2)
-        graph = build_dsg(builder.build())
-        on_x = cycles_with(graph, allowed_kinds={WW, WR, RW},
-                           required_kinds={RW}, item="x")
-        on_y = cycles_with(graph, allowed_kinds={WW, WR, RW},
-                           required_kinds={RW}, item="y")
-        assert on_x and not on_y
+        per_item = dict(cycles_by_item(build_dsg(builder.build()), ["x", "y"],
+                                       allowed_kinds={WW, WR, RW}, required_kinds={RW}))
+        assert per_item["x"] and not per_item["y"]

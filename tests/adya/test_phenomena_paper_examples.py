@@ -158,9 +158,8 @@ class TestCutIsolationExamples:
         t2 = builder.transaction()
         t2.write("x", "sales-emea")
         t3 = builder.transaction()
-        t3.read("x", from_txn=t1.txn_id, value="sales", predicate="dept=sales")
-        t3.read("x", from_txn=t2.txn_id, value="sales-emea",
-                predicate="dept=sales")
+        t3.scan("dept=sales", [("x", t1.txn_id, "sales")])
+        t3.scan("dept=sales", [("x", t2.txn_id, "sales-emea")])
         history = builder.build()
         witness, = detect(history, PMP)
         assert witness.transactions == [t3.txn_id]
@@ -176,10 +175,24 @@ class TestCutIsolationExamples:
         t2 = builder.transaction()
         t2.write("y", "ops")
         t3 = builder.transaction()
-        t3.read("x", from_txn=t1.txn_id, value="sales", predicate="dept=sales")
-        t3.read("y", from_txn=t2.txn_id, value="ops", predicate="dept=ops")
+        t3.scan("dept=sales", [("x", t1.txn_id, "sales")])
+        t3.scan("dept=ops", [("y", t2.txn_id, "ops")])
         t3.read("x", from_txn=t1.txn_id, value="sales")
-        t3.read("x", from_txn=t1.txn_id, value="sales", predicate="dept=sales")
+        t3.scan("dept=sales", [("x", t1.txn_id, "sales")])
+        history = builder.build()
+        assert not detect(history, PMP)
+        assert check_history(history, "P-CI").satisfied
+
+    def test_one_evaluation_matching_two_items_is_not_pmp(self):
+        # T3 evaluates "dept=sales" once; it matches x (from T1) and y (from
+        # T2).  One evaluation cannot disagree with itself.
+        builder = HistoryBuilder()
+        t1 = builder.transaction()
+        t1.write("x", "sales")
+        t2 = builder.transaction()
+        t2.write("y", "sales")
+        t3 = builder.transaction()
+        t3.scan("dept=sales", [("x", t1.txn_id, "sales"), ("y", t2.txn_id, "sales")])
         history = builder.build()
         assert not detect(history, PMP)
         assert check_history(history, "P-CI").satisfied

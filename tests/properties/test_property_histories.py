@@ -2,15 +2,20 @@
 
 The key invariants: serial histories (each transaction reads only from the
 most recently committed writer, in commit order) never exhibit any anomaly;
-and detectors never crash on arbitrary well-formed histories.
+detectors never crash on arbitrary well-formed histories; and every cycle
+witness is a real cycle of the DSG, one per component a brute-force
+transitive closure finds.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from repro.adya.graphs import (MAX_WITNESSES, RW, WR, WW, build_dsg,
+                               cycles_by_item, cycles_with)
 from repro.adya.history import (History, HistoryBuilder, HistoryRecorder,
                                 HistoryTransaction, ReadEvent, WriteEvent)
 from repro.adya.levels import CHECKABLE, check_all_levels, check_history
-from repro.adya.phenomena import PHENOMENA, detect
+from repro.adya.phenomena import (G0, G1C, LOST_UPDATE, PHENOMENA, WRITE_SKEW,
+                                  detect, detect_each)
 from repro.hat.transaction import (Operation, ReadObservation, Transaction,
                                    TransactionResult)
 from repro.storage.records import NULL_TIMESTAMP, Timestamp, Version
@@ -116,6 +121,53 @@ def histories_with_overridden_orders(draw):
         history.set_version_order(key, draw(st.lists(st.sampled_from(writers),
                                                      max_size=6)))
     return history
+
+
+# -- cycle witnesses against a brute-force closure ------------------------------
+
+#: Each cycle search the detectors run: (allowed kinds, required kinds).
+CYCLE_SEARCHES = {G0: ({WW}, None), G1C: ({WW, WR}, None),
+                  WRITE_SKEW: ({WW, WR, RW}, {RW}), LOST_UPDATE: ({WW, WR, RW}, {RW})}
+
+
+def _closure_count(edges, required_kinds):
+    """Components holding a qualifying edge, by Warshall's transitive closure."""
+    nodes = {edge.src for edge in edges} | {edge.dst for edge in edges}
+    reach = {node: {edge.dst for edge in edges if edge.src == node} for node in nodes}
+    for via in nodes:
+        for node in nodes:
+            if via in reach[node]:
+                reach[node] |= reach[via]
+    components = {frozenset({edge.src} | {other for other in reach[edge.src]
+                                          if edge.src in reach[other]})
+                  for edge in edges
+                  if edge.src in reach[edge.dst]
+                  and (required_kinds is None or edge.kind in required_kinds)}
+    return min(MAX_WITNESSES, len(components))
+
+
+@given(histories_with_overridden_orders())
+@settings(max_examples=200, deadline=None)
+def test_every_cycle_witness_is_a_dsg_cycle_one_per_component(history):
+    dsg = build_dsg(history)
+    found = detect_each(history)
+    for name, (allowed, required) in CYCLE_SEARCHES.items():
+        if name == LOST_UPDATE:
+            searches = [(item, [edge for edge in dsg if edge.item == item], cycles)
+                        for item, cycles in cycles_by_item(dsg, history.keys(),
+                                                           allowed, required)]
+        else:
+            searches = [(None, dsg, cycles_with(dsg, allowed, required))]
+        for item, edges, cycles in searches:
+            for cycle in cycles:
+                assert all(edge.dst == after.src
+                           for edge, after in zip(cycle, cycle[1:] + cycle[:1]))
+                assert all(edge in dsg and edge.kind in allowed for edge in cycle)
+                assert required is None or any(edge.kind in required for edge in cycle)
+                assert item is None or all(edge.item == item for edge in cycle)
+            allowed_edges = [edge for edge in edges if edge.kind in allowed]
+            assert len(cycles) == _closure_count(allowed_edges, required)
+        assert len(found[name]) == sum(len(cycles) for _, _, cycles in searches)
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,7 +2,8 @@
 
 Production has three doors: ``python -m repro.bench``, ``examples/*.py`` and
 ``benchmarks/hatbench``.  A module under ``src/repro`` that none of them
-imports is either waiting for a caller a ROADMAP item names, or dead.
+imports is either waiting for a caller a ROADMAP item names, or dead.  And a
+door imports only what it runs: a hatbench child's set-up is measured.
 """
 
 import subprocess
@@ -40,3 +41,32 @@ def test_every_module_is_imported_by_an_entry_point_or_reserved_by_name():
         .removesuffix(".__init__")
         for path in (SRC / "repro").rglob("*.py")}
     assert shipped - imported == set(RESERVED)
+
+
+#: What a hatbench child must not pay for at set-up: only ``python -m
+#: repro.bench`` runs artifacts or fans sweeps out to worker processes.
+NOT_AT_SETUP = {"multiprocessing", "concurrent.futures.process",
+                "repro.bench.experiments", "repro.bench.report",
+                "repro.bench.parallel"}
+#: The one third-party package set-up may load; the cycle search of the
+#: Adya checker needs no graph library.
+THIRD_PARTY_AT_SETUP = {"numpy"}
+
+IMPORT_THE_CHILD = """
+import pathlib, sys
+root = pathlib.Path(sys.argv[1])
+sys.path[:0] = [str(root / "src"), str(root / "benchmarks")]
+started_with = set(sys.modules)
+import hatbench.workloads
+print("\\n".join(sorted(set(sys.modules) - started_with)))
+"""
+
+
+def test_a_hatbench_child_imports_no_pool_no_artifact_and_no_third_party_but_numpy():
+    done = subprocess.run([sys.executable, "-c", IMPORT_THE_CHILD, str(ROOT)],
+                          capture_output=True, text=True, check=True)
+    imported = set(done.stdout.split())
+    assert NOT_AT_SETUP & imported == set()
+    packages = ({name.split(".")[0] for name in imported}
+                - set(sys.stdlib_module_names) - {"repro", "hatbench"})
+    assert packages <= THIRD_PARTY_AT_SETUP

@@ -55,7 +55,7 @@ def build_dsg(history: History) -> List[DependencyEdge]:
     for transaction in history.committed():
         reader = transaction.txn_id
         for read in transaction.reads:
-            writer = history.transactions.get(read.writer_txn)  # None if unrecorded
+            writer = history.transactions.get(read.writer_txn)  # None: INITIAL or unrecorded
             if writer is not None and writer.committed and writer is not transaction:
                 edges.append(DependencyEdge(writer.txn_id, reader, WR, read.key))
             next_writer = history.next_writer(read.key, read.writer_txn)

@@ -20,19 +20,24 @@ Placement comes in two modes, selected per cluster:
   (:mod:`repro.membership.ring`), the mode elastic scenarios use so that a
   join moves only ``~1/(n+1)`` of the key space.
 
-Since PR 5 membership is *mutable*: :meth:`ClusterConfig.add_server` and
+Every answer above reads one memo, key → :class:`Placement` (replicas,
+master, each replica's peers).  A miss hashes the key once and asks each
+cluster's partitioner for the owner of that hash; keys placed alike share one
+record, so there are at most ∏(servers per cluster) × clusters of them.
+
+Membership is *mutable*: :meth:`ClusterConfig.add_server` and
 :meth:`ClusterConfig.remove_server` change a cluster's server list
-mid-process.  Every placement answer below is memoized, so each mutation
-bumps :attr:`ClusterConfig.epoch` and invalidates every cache — callers
-holding a cached list must treat an epoch change as a routing flush.
+mid-process.  Each mutation clears the memo and bumps
+:attr:`ClusterConfig.epoch` — callers holding a placement list must treat an
+epoch change as a routing flush.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.cluster.partitioner import HashPartitioner
+from repro.cluster.partitioner import HashPartitioner, Partitioner, _stable_key_hash
 from repro.errors import ReproError
 from repro.membership.ring import DEFAULT_VIRTUAL_NODES, ConsistentHashRing
 
@@ -59,23 +64,16 @@ class Cluster:
             raise ReproError(
                 f"cluster {self.name!r}: unknown placement {self.placement!r} "
                 f"(expected one of {PLACEMENT_MODES})")
-        self._owner_cache: Dict[str, str] = {}
         self._rebuild_partitioner()
 
     def _rebuild_partitioner(self) -> None:
-        if self.placement == "ring":
-            self.partitioner: Union[HashPartitioner, ConsistentHashRing] = \
-                ConsistentHashRing(self.servers, self.virtual_nodes)
-        else:
-            self.partitioner = HashPartitioner(self.servers)
+        self.partitioner: Partitioner = (
+            ConsistentHashRing(self.servers, self.virtual_nodes)
+            if self.placement == "ring" else HashPartitioner(self.servers))
 
     def owner_for(self, key: str) -> str:
         """The server in this cluster that owns ``key``'s partition."""
-        owner = self._owner_cache.get(key)
-        if owner is None:
-            owner = self.partitioner.owner_for(key)
-            self._owner_cache[key] = owner
-        return owner
+        return self.partitioner.owner_for(key)
 
     def pending_partitioner(self, add: Optional[str] = None,
                             remove: Optional[str] = None):
@@ -97,27 +95,46 @@ class Cluster:
             return self.partitioner.with_owner(add)
         return self.partitioner.without_owner(remove)
 
-    # -- membership (called via ClusterConfig so config caches flush too) ------
-    def _add_server(self, server: str) -> None:
-        if server in self.servers:
-            raise ReproError(f"server {server!r} already in cluster {self.name!r}")
-        self.servers.append(server)
-        self._rebuild_partitioner()
-        self.invalidate()
 
-    def _remove_server(self, server: str) -> None:
-        if server not in self.servers:
-            raise ReproError(f"server {server!r} not in cluster {self.name!r}")
-        if len(self.servers) == 1:
-            raise ReproError(
-                f"cannot remove the last server of cluster {self.name!r}")
-        self.servers.remove(server)
-        self._rebuild_partitioner()
-        self.invalidate()
+class Placement(NamedTuple):
+    """Where a key lives: its replicas (one per cluster, in cluster order),
+    its master, and replica -> the other replicas."""
 
-    def invalidate(self) -> None:
-        """Drop memoized owner lookups (topology changed under them)."""
-        self._owner_cache.clear()
+    replicas: List[str]
+    master: str
+    peers: Dict[str, List[str]]
+
+
+class _Placements(dict):
+    """The placement memo: key -> its shared :class:`Placement` record.
+
+    A record depends only on the owners and the master slot
+    (``key_hash % clusters``), so ``records`` outlives a membership change.
+    Lists and records are shared — callers must not mutate them.
+    """
+
+    __slots__ = ("clusters", "records")
+
+    def __init__(self, clusters: List[Cluster]):
+        super().__init__()
+        self.clusters = clusters
+        self.records: Dict[Tuple[str, ...], Tuple[Placement, ...]] = {}
+
+    def __missing__(self, key: str) -> Placement:
+        key_hash = _stable_key_hash(key)
+        owners = []
+        for cluster in self.clusters:
+            owners.append(cluster.partitioner.owner_of_hash(key_hash))
+        owners = tuple(owners)
+        shared = self.records.get(owners)
+        if shared is None:
+            replicas = list(owners)
+            peers = {replica: [r for r in replicas if r != replica]
+                     for replica in replicas}
+            shared = self.records[owners] = tuple(
+                [Placement(replicas, master, peers) for master in replicas])
+        record = self[key] = shared[key_hash % len(shared)]
+        return record
 
 
 class ClusterConfig:
@@ -130,18 +147,14 @@ class ClusterConfig:
         if len(set(names)) != len(names):
             raise ReproError(f"duplicate cluster names: {names}")
         self.clusters: List[Cluster] = list(clusters)
-        self._by_name: Dict[str, Cluster] = {c.name: c for c in clusters}
+        self._index: Dict[str, int] = {c.name: i for i, c in enumerate(clusters)}
         self._server_to_cluster: Dict[str, str] = {}
         #: Membership epoch: bumped by every invalidation, so components
         #: that memoize placement externally can tag entries with it.
         self.epoch = 0
-        # Placement is memoized per key; any membership change invalidates
-        # every cache below (see invalidate()).  Cached lists are shared —
-        # callers must not mutate them (they only iterate and
-        # membership-test today).
-        self._replicas_cache: Dict[str, List[str]] = {}
-        self._master_cache: Dict[str, str] = {}
-        self._peers_cache: Dict[tuple, List[str]] = {}
+        #: The placement memo, key -> :class:`Placement`: indexing it
+        #: places a key on first use.  Read-only to callers.
+        self.placements = _Placements(self.clusters)
         for cluster in clusters:
             for server in cluster.servers:
                 if server in self._server_to_cluster:
@@ -149,11 +162,15 @@ class ClusterConfig:
                 self._server_to_cluster[server] = cluster.name
 
     # -- lookup ----------------------------------------------------------------
-    def cluster(self, name: str) -> Cluster:
+    def cluster_index(self, name: str) -> int:
+        """The position of cluster ``name`` in every replica list."""
         try:
-            return self._by_name[name]
+            return self._index[name]
         except KeyError:
             raise ReproError(f"unknown cluster {name!r}") from None
+
+    def cluster(self, name: str) -> Cluster:
+        return self.clusters[self.cluster_index(name)]
 
     def cluster_of_server(self, server: str) -> str:
         try:
@@ -171,46 +188,44 @@ class ClusterConfig:
 
     # -- membership -----------------------------------------------------------
     def invalidate(self) -> None:
-        """Flush every memoized placement answer and bump the epoch.
+        """Flush the placement memo and bump the epoch.
 
         Must be called (and is, by :meth:`add_server`/:meth:`remove_server`)
-        whenever any cluster's server list changes: the per-key caches here
-        and the per-cluster owner caches all hold pre-change routing.
+        whenever any cluster's server list changes: the memo holds
+        pre-change routing.
         """
         self.epoch += 1
-        self._replicas_cache.clear()
-        self._master_cache.clear()
-        self._peers_cache.clear()
-        for cluster in self.clusters:
-            cluster.invalidate()
+        self.placements.clear()
 
     def add_server(self, cluster_name: str, server: str) -> None:
-        """Add ``server`` to a cluster and flush all placement caches."""
+        """Add ``server`` to a cluster and flush the placement memo."""
         if server in self._server_to_cluster:
             raise ReproError(f"server {server!r} appears in two clusters")
-        self.cluster(cluster_name)._add_server(server)
+        cluster = self.cluster(cluster_name)
+        cluster.servers.append(server)
+        cluster._rebuild_partitioner()
         self._server_to_cluster[server] = cluster_name
         self.invalidate()
 
     def remove_server(self, server: str) -> None:
-        """Remove ``server`` from its cluster and flush all placement caches."""
-        cluster_name = self.cluster_of_server(server)
-        self.cluster(cluster_name)._remove_server(server)
+        """Remove ``server`` from its cluster and flush the placement memo."""
+        cluster = self.cluster(self.cluster_of_server(server))
+        if len(cluster.servers) == 1:
+            raise ReproError(
+                f"cannot remove the last server of cluster {cluster.name!r}")
+        cluster.servers.remove(server)
+        cluster._rebuild_partitioner()
         del self._server_to_cluster[server]
         self.invalidate()
 
     # -- placement -----------------------------------------------------------------
     def replicas_for(self, key: str) -> List[str]:
         """One replica per cluster: the key's partition owner in each."""
-        cached = self._replicas_cache.get(key)
-        if cached is None:
-            cached = [cluster.owner_for(key) for cluster in self.clusters]
-            self._replicas_cache[key] = cached
-        return cached
+        return self.placements[key].replicas
 
     def local_replica_for(self, key: str, cluster_name: str) -> str:
         """The replica of ``key`` inside ``cluster_name``."""
-        return self.cluster(cluster_name).owner_for(key)
+        return self.placements[key].replicas[self.cluster_index(cluster_name)]
 
     def master_for(self, key: str) -> str:
         """The designated master replica for ``key`` (non-HAT protocols).
@@ -227,23 +242,15 @@ class ClusterConfig:
         (:meth:`remove_server` — a decommission or ring departure)
         re-designates: the epoch flip drops the departed node from the
         key's replica list and the same deterministic rule elects a new
-        master from the survivors, again with no coordination.
+        master from the survivors, again with no coordination.  The rule:
+        ``replicas[key_hash(key) % len(replicas)]``.
         """
-        cached = self._master_cache.get(key)
-        if cached is None:
-            replicas = self.replicas_for(key)
-            cached = replicas[HashPartitioner.key_hash(key) % len(replicas)]
-            self._master_cache[key] = cached
-        return cached
+        return self.placements[key].master
 
     def peer_replicas(self, key: str, server: str) -> List[str]:
         """The other replicas of ``key``, excluding ``server`` itself."""
-        token = (key, server)
-        cached = self._peers_cache.get(token)
-        if cached is None:
-            cached = [r for r in self.replicas_for(key) if r != server]
-            self._peers_cache[token] = cached
-        return cached
+        record = self.placements[key]
+        return record.peers.get(server, record.replicas)
 
     def replication_factor(self) -> int:
         """Number of copies of each key (== number of clusters)."""

@@ -3,41 +3,31 @@
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.errors import ReproError
 
 
-@lru_cache(maxsize=1 << 20)
 def _stable_key_hash(key: str) -> int:
-    """SHA-1-derived 64-bit hash, memoized.
-
-    Workload key spaces are small (YCSB defaults to thousands of keys; TPC-C
-    to a few hundred rows at simulation scale) but every request re-routes
-    the same keys, so hashing was one of the hottest functions in the figure
-    sweeps.  The cache is process-wide and bounded.
-    """
+    """SHA-1-derived 64-bit hash (not memoized: ``ClusterConfig`` hashes a
+    key once, when it first places it)."""
     digest = hashlib.sha1(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
-class HashPartitioner:
-    """Deterministically maps keys onto a fixed list of owners.
-
-    The paper's prototype is "hash-based partitioned"; we use a stable hash
-    (SHA-1 of the key) so that placement does not depend on Python's
-    randomized ``hash()`` and is identical across runs and processes.
-    """
+class Partitioner:
+    """Maps keys onto owners through a stable hash (SHA-1 of the key), so
+    placement does not depend on Python's randomized ``hash()``.  A subclass
+    says which owner a hash lands on (:meth:`owner_of_hash`)."""
 
     def __init__(self, owners: Sequence[str]):
         if not owners:
-            raise ReproError("HashPartitioner requires at least one owner")
+            raise ReproError(f"{type(self).__name__} requires at least one owner")
         self._owners: List[str] = list(owners)
 
     @property
     def owners(self) -> List[str]:
-        """The ordered list of owners (one per partition slot)."""
+        """The owners in their registration order."""
         return list(self._owners)
 
     @staticmethod
@@ -45,17 +35,29 @@ class HashPartitioner:
         """A stable 64-bit hash of ``key``."""
         return _stable_key_hash(key)
 
-    def partition_index(self, key: str) -> int:
-        """The partition slot that owns ``key``."""
-        return _stable_key_hash(key) % len(self._owners)
+    def owner_of_hash(self, key_hash: int) -> str:
+        """The owner of the key whose :meth:`key_hash` is ``key_hash``."""
+        raise NotImplementedError
 
     def owner_for(self, key: str) -> str:
         """The owner responsible for ``key``."""
-        return self._owners[_stable_key_hash(key) % len(self._owners)]
+        return self.owner_of_hash(_stable_key_hash(key))
 
-    def keys_per_owner(self, keys: Sequence[str]) -> dict:
+    def keys_per_owner(self, keys: Sequence[str]) -> Dict[str, int]:
         """Histogram of how many of ``keys`` land on each owner."""
         counts = {owner: 0 for owner in self._owners}
         for key in keys:
             counts[self.owner_for(key)] += 1
         return counts
+
+
+class HashPartitioner(Partitioner):
+    """The paper's "hash-based partitioned" prototype: ``hash % n`` over a
+    fixed list of owners, one per partition slot."""
+
+    def partition_index(self, key: str) -> int:
+        """The partition slot that owns ``key``."""
+        return _stable_key_hash(key) % len(self._owners)
+
+    def owner_of_hash(self, key_hash: int) -> str:
+        return self._owners[key_hash % len(self._owners)]

@@ -75,10 +75,10 @@ class ProtocolClient:
         #: issuing a single RPC — the client-side half of load shedding.
         self.breaker = breaker
         self.session_id = node.client_id
-        #: The home cluster (mutated in place by membership changes): its
-        #: per-key owner memo is the sticky-replica lookup.
-        self._home = node.config.cluster(node.home_cluster)
-        self._home_servers = frozenset(self._home.servers)
+        self._config = node.config
+        self._placements = node.config.placements
+        #: The home cluster's slot in every placement record's replica list.
+        self._home_index = node.config.cluster_index(node.home_cluster)
         # Both sinks are installed before any client is built; each is None
         # unless the scenario asked for it.
         network = node.network
@@ -165,9 +165,9 @@ class ProtocolClient:
         (a selection whose RPC may never happen, e.g. because an earlier
         parallel write times out first).
         """
-        if dst not in self._home_servers:
-            result.remote_rpcs += 1
         node = self.node
+        if self._config.cluster_of_server(dst) != node.home_cluster:
+            result.remote_rpcs += 1
         return node.network.rpc(node.name, dst, kind, payload,
                                 self.rpc_timeout_ms,
                                 payload.get("size_bytes", 0))
@@ -181,7 +181,7 @@ class ProtocolClient:
         item is reachable, which is exactly the replica-availability
         precondition of transactional availability (Section 4.2).
         """
-        sticky = self._home.owner_for(key)
+        sticky = self._placements[key].replicas[self._home_index]
         partitions = self.node.network.partitions
         if partitions.idle or partitions.connected(self.node.name, sticky):
             return sticky

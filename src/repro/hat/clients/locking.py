@@ -32,7 +32,6 @@ class TwoPhaseLockingClient(ProtocolClient):
         held: List[Tuple[str, str]] = []
         write_buffer: Dict[str, object] = {}
         prepared_masters: List[str] = []
-        home_servers = set(self.node.config.cluster(self.node.home_cluster).servers)
 
         def _release_all() -> None:
             for key, master in held:
@@ -49,7 +48,8 @@ class TwoPhaseLockingClient(ProtocolClient):
                     raise UnavailableError("2PL prototype does not support scans")
                 op = resolve_derived(transaction, op, result)
                 master = self.node.master_replica(op.key)
-                if master not in home_servers:
+                if (self.node.config.cluster_of_server(master)
+                        != self.node.home_cluster):
                     result.remote_rpcs += 1
                 try:
                     yield self.node.network.rpc(

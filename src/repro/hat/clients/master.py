@@ -26,7 +26,6 @@ class MasterClient(ProtocolClient):
         # master in the order operations reach it (single-key linearizability).
         timestamp = self.node.commit_timestamp()
         result.timestamp = timestamp
-        home_servers = set(self.node.config.cluster(self.node.home_cluster).servers)
 
         for op in list(transaction.operations):
             if op.is_scan:
@@ -39,7 +38,8 @@ class MasterClient(ProtocolClient):
                     f"master {master!r} for key {op.key!r} is unreachable"
                 )
             # Count the wide-area hop only once the RPC is actually issued.
-            if master not in home_servers:
+            if (self.node.config.cluster_of_server(master)
+                    != self.node.home_cluster):
                 result.remote_rpcs += 1
             try:
                 if op.is_write:

@@ -27,7 +27,8 @@ class QuorumClient(ProtocolClient):
         # timestamp must order after every version this transaction has
         # read, or the quorum merge would discard it as older.
         timestamp = None
-        home_servers = set(self.node.config.cluster(self.node.home_cluster).servers)
+        cluster_of_server = self.node.config.cluster_of_server
+        home_cluster = self.node.home_cluster
 
         for op in list(transaction.operations):
             if op.is_scan:
@@ -35,7 +36,8 @@ class QuorumClient(ProtocolClient):
             op = resolve_derived(transaction, op, result)
             replicas = self.node.all_replicas(op.key)
             majority = len(replicas) // 2 + 1
-            result.remote_rpcs += sum(1 for r in replicas if r not in home_servers)
+            result.remote_rpcs += sum(1 for r in replicas
+                                      if cluster_of_server(r) != home_cluster)
             if op.is_write:
                 if timestamp is None or self.node.timestamp_is_stale(timestamp):
                     timestamp = self.node.next_timestamp()

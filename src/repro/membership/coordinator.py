@@ -26,11 +26,6 @@ process; a campaign's ``scale-out`` / ``scale-in`` actions
   away from the departed node — see
   :meth:`~repro.cluster.config.ClusterConfig.master_for`), anti-entropy
   stops, and the server unregisters from the network.
-
-Known diagnostic skew: protocol clients snapshot their home cluster's
-server set at construction for the remote-RPC *counter*, so operations
-served by a server that joined later may be miscounted as remote hops;
-routing itself always follows the live config.
 """
 
 from __future__ import annotations

@@ -21,9 +21,9 @@ after a join completes) before flipping the cluster's epoch.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.cluster.partitioner import _stable_key_hash
+from repro.cluster.partitioner import Partitioner, _stable_key_hash
 from repro.errors import ReproError
 
 #: Default tokens per owner.  128 keeps per-owner load within ~±10% of the
@@ -32,24 +32,23 @@ from repro.errors import ReproError
 DEFAULT_VIRTUAL_NODES = 128
 
 
-class ConsistentHashRing:
+class ConsistentHashRing(Partitioner):
     """Deterministically maps keys onto owners via a token ring.
 
-    Exposes the same ``owner_for``/``owners``/``keys_per_owner`` surface as
-    :class:`~repro.cluster.partitioner.HashPartitioner`, so a
+    Shares its query surface with
+    :class:`~repro.cluster.partitioner.HashPartitioner` (both are a
+    :class:`~repro.cluster.partitioner.Partitioner`), so a
     :class:`~repro.cluster.config.Cluster` can route through either without
     its callers noticing.
     """
 
     def __init__(self, owners: Sequence[str],
                  virtual_nodes: int = DEFAULT_VIRTUAL_NODES):
-        if not owners:
-            raise ReproError("ConsistentHashRing requires at least one owner")
+        super().__init__(owners)
         if len(set(owners)) != len(owners):
             raise ReproError(f"duplicate ring owners: {list(owners)}")
         if virtual_nodes < 1:
             raise ReproError("virtual_nodes must be at least 1")
-        self._owners: List[str] = list(owners)
         self.virtual_nodes = virtual_nodes
         # Token table sorted by token; ties (SHA-1 collisions across names)
         # are broken by owner name so insertion order never matters.
@@ -61,29 +60,12 @@ class ConsistentHashRing:
         self._tokens: List[int] = [token for token, _owner in entries]
         self._token_owners: List[str] = [owner for _token, owner in entries]
 
-    @property
-    def owners(self) -> List[str]:
-        """The owners in their registration order."""
-        return list(self._owners)
-
-    @staticmethod
-    def key_hash(key: str) -> int:
-        """The stable 64-bit key hash shared with the modulo partitioner."""
-        return _stable_key_hash(key)
-
-    def owner_for(self, key: str) -> str:
-        """The owner of the first token clockwise from ``key``'s hash."""
-        index = bisect_right(self._tokens, _stable_key_hash(key))
+    def owner_of_hash(self, key_hash: int) -> str:
+        """The owner of the first token clockwise from ``key_hash``."""
+        index = bisect_right(self._tokens, key_hash)
         if index == len(self._tokens):
             index = 0
         return self._token_owners[index]
-
-    def keys_per_owner(self, keys: Sequence[str]) -> Dict[str, int]:
-        """Histogram of how many of ``keys`` land on each owner."""
-        counts = {owner: 0 for owner in self._owners}
-        for key in keys:
-            counts[self.owner_for(key)] += 1
-        return counts
 
     # -- membership -------------------------------------------------------------
     def with_owner(self, owner: str) -> "ConsistentHashRing":

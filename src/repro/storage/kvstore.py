@@ -10,10 +10,14 @@ reads.
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import attrgetter
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.errors import StorageError
 from repro.storage.records import Timestamp, Version, initial_version
+
+#: The bisect key: a key's one version list is ordered by timestamp.
+_timestamp = attrgetter("timestamp")
 
 
 class VersionedStore:
@@ -25,7 +29,6 @@ class VersionedStore:
             raise StorageError("keep_versions must be at least 1")
         self._keep = keep_versions
         self._versions: Dict[str, List[Version]] = {}
-        self._timestamps: Dict[str, List[Timestamp]] = {}
 
     # -- writes --------------------------------------------------------------
     def install(self, version: Version) -> bool:
@@ -35,27 +38,21 @@ class VersionedStore:
         versions = self._versions.get(key)
         if versions is None:
             self._versions[key] = [version]
-            self._timestamps[key] = [timestamp]
             return True
-        stamps = self._timestamps[key]
-        last = stamps[-1]
+        last = versions[-1].timestamp
         if timestamp > last:
             # Common case: writes arrive in timestamp order — O(1) append
             # instead of bisect + insert.
-            stamps.append(timestamp)
             versions.append(version)
         elif timestamp == last:
             return False
         else:
-            index = bisect_right(stamps, timestamp)
-            if index > 0 and stamps[index - 1] == timestamp:
+            index = bisect_right(versions, timestamp, key=_timestamp)
+            if index > 0 and versions[index - 1].timestamp == timestamp:
                 return False
-            stamps.insert(index, timestamp)
             versions.insert(index, version)
         if self._keep is not None and len(versions) > self._keep:
-            overflow = len(versions) - self._keep
-            del versions[:overflow]
-            del stamps[:overflow]
+            del versions[:len(versions) - self._keep]
         return True
 
     # -- reads --------------------------------------------------------------
@@ -71,18 +68,18 @@ class VersionedStore:
         versions = self._versions.get(key)
         if not versions:
             return None
-        stamps = self._timestamps[key]
-        index = bisect_right(stamps, timestamp)
+        index = bisect_right(versions, timestamp, key=_timestamp)
         if index == 0:
             return None
         return versions[index - 1]
 
     def exact(self, key: str, timestamp: Timestamp) -> Optional[Version]:
         """The version with exactly ``timestamp``, if installed."""
-        versions = self._versions.get(key, [])
-        stamps = self._timestamps.get(key, [])
-        index = bisect_right(stamps, timestamp)
-        if index > 0 and stamps[index - 1] == timestamp:
+        versions = self._versions.get(key)
+        if not versions:
+            return None
+        index = bisect_right(versions, timestamp, key=_timestamp)
+        if index > 0 and versions[index - 1].timestamp == timestamp:
             return versions[index - 1]
         return None
 

@@ -29,7 +29,6 @@ import pytest
 
 from repro.bench.runner import RunConfig, run_workload
 from repro.chaos import Nemesis, canonical_partition_campaign
-from repro.cluster.partitioner import _stable_key_hash
 from repro.hat.testbed import FIVE_REGION_DEPLOYMENT, Scenario, build_testbed
 from repro.overload.retry import RetryPolicy
 from repro.storage.records import initial_version
@@ -47,12 +46,11 @@ def costs():
     diagnostics (``probes``, ``forwards``) summed over the clients, and
     ``frames`` = Python frames entered under ``src/repro`` during the run
     (function calls and generator resumptions, as ``sys.setprofile`` sees
-    them).  Every leg starts with the two process-wide memo caches empty, so
+    them).  Every leg starts with the one process-wide memo cache empty, so
     each pays the same first-use frames whatever ran before it."""
     measured = {}
     for protocol in ("eventual", "mav", "causal"):
         initial_version.cache_clear()
-        _stable_key_hash.cache_clear()
         scenario = Scenario(regions=["VA", "OR"], servers_per_cluster=2, seed=0)
         testbed = build_testbed(scenario)
         frames = [0]

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cluster.config import Cluster, ClusterConfig, build_cluster_config
+from repro.cluster.partitioner import HashPartitioner
 from repro.errors import ReproError
+from repro.membership.ring import ConsistentHashRing
 
 
 @pytest.fixture
@@ -161,16 +163,32 @@ class TestInvalidation:
         with pytest.raises(ReproError):
             config.cluster_of_server(victim)
 
-    def test_explicit_invalidate_bumps_epoch_and_clears_memos(self, config):
-        key = "user1"
-        config.replicas_for(key)
-        assert key in config._replicas_cache
+    def test_explicit_invalidate_bumps_epoch_and_clears_memos(self):
+        config = build_cluster_config(["VA", "OR"], 2, placement="ring")
+        home, other = config.clusters
+        keys = [f"user{i}" for i in range(300)]
+        for key in keys:  # warm every placement answer
+            config.replicas_for(key)
+            config.master_for(key)
+            config.local_replica_for(key, home.name)
+            config.peer_replicas(key, config.all_servers[0])
+        # Swap a server behind the config's back: only invalidate() tells it.
+        old, kept = home.servers
+        home.partitioner = home.pending_partitioner(add="swapped").without_owner(old)
         epoch = config.epoch
         config.invalidate()
         assert config.epoch == epoch + 1
-        assert not config._replicas_cache
-        assert not config._master_cache
-        assert not config._peers_cache
+        ring = ConsistentHashRing([kept, "swapped"], home.virtual_nodes)
+        for key in keys:
+            replicas = [ring.owner_for(key), other.owner_for(key)]
+            assert config.replicas_for(key) == replicas
+            assert config.local_replica_for(key, home.name) == replicas[0]
+            assert config.master_for(key) == replicas[
+                HashPartitioner.key_hash(key) % len(replicas)]
+            for replica in replicas:
+                assert config.peer_replicas(key, replica) == [
+                    r for r in replicas if r != replica]
+        assert "swapped" in {config.local_replica_for(k, home.name) for k in keys}
 
     def test_duplicate_and_last_server_guards(self):
         config = build_cluster_config(["VA"], 1, placement="ring")

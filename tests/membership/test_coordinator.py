@@ -95,6 +95,34 @@ class TestJoin:
         assert sent > 0
 
 
+class TestRemoteHopsFollowTheLiveConfig:
+    """A client built before a join counts the joiner as a home server."""
+
+    @pytest.mark.parametrize("protocol, route, remote", [
+        ("eventual", "local_replica_for", 0),
+        ("master", "master_for", 0),
+        ("two-phase-locking", "master_for", 0),
+        ("quorum", "local_replica_for", 1),  # the OR replica, not the joiner
+    ])
+    def test_an_operation_served_by_the_joiner_is_not_remote(
+            self, protocol, route, remote):
+        testbed = ring_testbed()
+        home = testbed.config.cluster_names[0]
+        client = testbed.make_client(protocol, home_cluster=home)
+        record = testbed.membership.scale_out(home)
+        testbed.run(500.0)
+        assert record.done
+        config = testbed.config
+        served = (config.local_replica_for if route == "local_replica_for"
+                  else lambda key, _home: config.master_for(key))
+        key = next(key for key in (f"user{i}" for i in range(1_000))
+                   if served(key, home) == record.server)
+        result = testbed.env.run_until_complete(client.execute(
+            Transaction([Operation.read(key)])))
+        assert result.committed
+        assert result.remote_rpcs == remote
+
+
 class TestLeave:
     def test_leave_drains_owned_keys_to_successors(self):
         testbed = ring_testbed(servers_per_cluster=3)

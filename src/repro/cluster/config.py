@@ -122,7 +122,7 @@ class _Placements(dict):
 
     def __missing__(self, key: str) -> Placement:
         key_hash = _stable_key_hash(key)
-        owners = []
+        owners = []  # a loop: a comprehension is one more frame on 3.11
         for cluster in self.clusters:
             owners.append(cluster.partitioner.owner_of_hash(key_hash))
         owners = tuple(owners)

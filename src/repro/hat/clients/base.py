@@ -75,7 +75,6 @@ class ProtocolClient:
         #: issuing a single RPC — the client-side half of load shedding.
         self.breaker = breaker
         self.session_id = node.client_id
-        self._config = node.config
         self._placements = node.config.placements
         #: The home cluster's slot in every placement record's replica list.
         self._home_index = node.config.cluster_index(node.home_cluster)
@@ -166,7 +165,7 @@ class ProtocolClient:
         parallel write times out first).
         """
         node = self.node
-        if self._config.cluster_of_server(dst) != node.home_cluster:
+        if node.config.cluster_of_server(dst) != node.home_cluster:
             result.remote_rpcs += 1
         return node.network.rpc(node.name, dst, kind, payload,
                                 self.rpc_timeout_ms,

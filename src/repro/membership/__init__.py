@@ -11,7 +11,7 @@ clusters that grow and shrink *while serving*:
   runs join/leave changes on the simulation clock, streams owed
   version history to joining servers over handoff RPCs (a joiner serves
   reads only after catch-up), drains leaving servers before departure,
-  and flips the cluster epoch (invalidating every placement memo)
+  and flips the cluster epoch (clearing the one placement memo)
   atomically per event.
 
 ``repro.cluster.config`` imports the ring, so this ``__init__`` must stay

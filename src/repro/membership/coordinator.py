@@ -11,8 +11,8 @@ process; a campaign's ``scale-out`` / ``scale-in`` actions
   and streams every version it will own from the prior owners via
   ``handoff.fetch`` RPCs, paying install cost for the catch-up.  Only
   once every prior owner has been drained does the coordinator flip the
-  config epoch — atomically adding the server, invalidating every
-  placement memo, and re-routing clients — and start the joiner's
+  config epoch — atomically adding the server, clearing the placement
+  memo, and re-routing clients — and start the joiner's
   anti-entropy service.  A joiner therefore serves reads only after
   catch-up.  Writes accepted by a prior owner *during* the handoff window
   are repaired deterministically: at the flip, the latest moved version

@@ -143,7 +143,7 @@ def test_the_per_operation_path_stays_one_frame_per_stage(costs):
     send → dispatch → reply → resume became one frame and the driver stopped
     calling hooks no layer overrides, this run entered 590.5 frames per
     committed ``eventual`` transaction (eight operations) and 808.7 per
-    ``causal`` one; it enters 352.3 and 389.8 (CPython 3.11, both memo caches
+    ``causal`` one; it enters 343.8 and 377.1 (CPython 3.11, the memo cache
     cold at the start of each leg).  Ceilings, not pins: CPython 3.12 inlines
     comprehensions, which only lowers the count.  A pass-through hop put back
     on the path costs 8 frames a transaction, a hook loop over inherited
@@ -153,10 +153,10 @@ def test_the_per_operation_path_stays_one_frame_per_stage(costs):
     assert costs["causal"].cost[3] == committed
     assert costs["eventual"].frames / committed <= 356.0
     assert costs["causal"].frames / committed <= 393.0
-    # The session stack costs client-side bookkeeping only: 37.4 frames a
+    # The session stack costs client-side bookkeeping only: 33.3 frames a
     # transaction on top of ``eventual`` for the same messages — holder
-    # notes 8.0, owed-index adds 8.0, forwarding's per-key probe 12.3
-    # (``_pick_replica``, ``owner_for``, ``holders_of``), the one read floor
+    # notes 8.0, owed-index adds 8.0, forwarding's per-key probe 8.2
+    # (``_pick_replica``, ``holders_of``), the one read floor
     # 3.9, ``begin`` and its one scan of the plan 2.0, ``_forward`` 2.0 and
     # ``finalize`` 1.0.  Four session layer classes cost 58.1: four frames a
     # read where there is one, and a write scan per forwarding row.

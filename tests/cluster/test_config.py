@@ -117,8 +117,8 @@ class TestInvalidation:
     """Satellite: placement memos must flush whenever topology changes."""
 
     def test_two_sequential_configs_in_one_process_route_correctly(self):
-        # The key-hash memo is process-wide; per-topology caches are not —
-        # two configs with different server lists must never cross-route.
+        # Placement memos are per config — two configs with different
+        # server lists must never cross-route.
         keys = [f"user{i}" for i in range(200)]
         for servers_per_cluster in (2, 3, 5):
             config = build_cluster_config(["VA", "OR"], servers_per_cluster)

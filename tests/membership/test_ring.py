@@ -40,7 +40,7 @@ class TestPlacement:
             assert hasattr(HashPartitioner(["a"]), surface)
 
     def test_key_hash_matches_modulo_partitioner(self):
-        # Both placements share one stable SHA-1 hash (and its memo cache).
+        # Both placements share one stable SHA-1 hash.
         for key in KEYS[:20]:
             assert (ConsistentHashRing.key_hash(key)
                     == HashPartitioner.key_hash(key))

@@ -7,7 +7,7 @@ same way — and a key's version history is one list.  Measured with
 ``tracemalloc`` (bytes requested, not RSS), so the numbers depend only on the
 interpreter, never on the machine.  Before the shared records the four
 placement answers cost 457 B a key on 2×2 and a single-version key 170 B in
-the store; they cost 47 B and 85 B.
+the store; they cost 21 B and 85 B.
 """
 
 import gc

@@ -206,12 +206,18 @@ class Network:
                         if payload is OVERLOADED_REPLY:
                             span.status = "overloaded"
                 if payload is OVERLOADED_REPLY:
-                    pending.fail(OverloadedError(
+                    pending._failed = True
+                    payload = OverloadedError(
                         f"server {message.src} shed "
-                        f"{message.kind.removesuffix('.reply')!r} (overloaded)"
-                    ))
-                else:
-                    pending.succeed(payload)
+                        f"{message.kind.removesuffix('.reply')!r} (overloaded)")
+                # Future.succeed, except that the waiters run here: this is
+                # a top-level event, so no caller's frame sits under them,
+                # and the reply costs one event instead of two.
+                pending._value = payload
+                callbacks = pending._callbacks
+                for callback in callbacks:
+                    callback(pending)
+                callbacks.clear()
             return
         handler(message)
 

@@ -6,11 +6,15 @@ Three structural choices keep it fast without changing observable behaviour:
 
 * ``__slots__`` on :class:`Future`/:class:`Timeout` (and :class:`Process` in
   :mod:`repro.sim.process`) removes a dict allocation per event,
-* zero-delay callbacks — every future resolution and process start — go to a
-  plain FIFO deque instead of the ``heapq``; the deque shares the heap's
+* zero-delay callbacks — a future's waiters and every process start — go to
+  a plain FIFO deque instead of the ``heapq``; the deque shares the heap's
   sequence counter and the dispatcher always runs whichever of (deque head,
   heap top) has the smaller ``(when, seq)``, so the execution order is
   *bit-identical* to a pure-heap kernel (seeded runs reproduce exactly),
+* the one exception is an RPC reply: ``Network._deliver`` is itself a
+  top-level event, so it resolves the caller's future and runs the waiters
+  in place — a round trip is two events (request delivery, reply delivery),
+  not four,
 * the :meth:`Environment.run` loop is inlined (no per-event ``step()`` call,
   locals bound outside the loop).
 """
@@ -73,9 +77,10 @@ class Future:
         self._value = value
         callbacks = self._callbacks
         if callbacks:
-            # Inlined schedule_now: resolution is the single hottest
-            # scheduling site (once per RPC reply and process hop).  The
-            # waiter runs from the immediate deque, never inside this frame.
+            # Inlined schedule_now: resolution is a hot scheduling site
+            # (once per process hop).  The waiter runs from the immediate
+            # deque, never inside this frame; only ``Network._deliver``, a
+            # top-level event, resolves a reply and runs its waiters in place.
             env = self.env
             immediate = env._immediate
             now = env._now

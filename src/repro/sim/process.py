@@ -66,10 +66,12 @@ class Process(Future):
             else:
                 value = resolved._value
         # Publish the ambient trace context for the duration of the
-        # generator step.  Resolving futures only *enqueues* callbacks (it
-        # never runs user code nested inside this frame), so everything the
-        # step does synchronously — including messages it sends — is
-        # attributed exactly to this process's trace.
+        # generator step.  Resolving a future only *enqueues* its callbacks,
+        # and the one place that runs waiters in place (a reply's
+        # ``Network._deliver``) is a top-level event, so no step ever runs
+        # nested inside this frame: everything the step does synchronously —
+        # including messages it sends — is attributed exactly to this
+        # process's trace.
         trace = self.trace
         if trace is not None:
             self.env.current_trace = trace

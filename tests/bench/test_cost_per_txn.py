@@ -103,7 +103,7 @@ def test_mav_still_costs_more_than_eventual(costs):
 
 
 def test_eventual_cost_is_pinned_exactly(costs):
-    assert costs["eventual"].cost == (37773, 17748, 0, 1084)
+    assert costs["eventual"].cost == (29101, 17748, 0, 1084)
 
 
 def test_an_answered_rpc_buys_no_timeout_sweep(costs):
@@ -126,7 +126,7 @@ def test_an_answered_rpc_buys_no_timeout_sweep(costs):
 def test_causal_on_a_healthy_network_costs_what_eventual_costs(costs):
     """Same transactions, same replicas, nothing forwarded: every write RPC
     is one of the workload's own writes."""
-    assert costs["causal"].cost == (37773, 17748, 0, 1084)
+    assert costs["causal"].cost == (29101, 17748, 0, 1084)
     assert costs["causal"].forwards == 0
     assert costs["causal"].puts == costs["eventual"].puts == 4400
 

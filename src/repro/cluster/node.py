@@ -3,7 +3,11 @@
 Each simulated server mirrors one m1.xlarge instance from the paper's
 deployment.  Requests arrive as network messages, wait in a FIFO queue, and
 are processed by a bounded pool of workers; every request's service time is
-the storage cost (LSM + WAL) plus a fixed CPU overhead.  This queueing model
+the storage cost (LSM + WAL) plus a fixed CPU overhead.  The handler runs
+when service starts and the reply is sent then, delivered one hop after the
+service ends; a busy worker is its completion instant on a heap, so no event
+marks a completion (one wake event hands queued requests to freed workers),
+and a crash recalls the replies of unfinished requests.  This queueing model
 is what produces the paper's throughput behaviour: adding closed-loop clients
 increases throughput until the servers saturate, after which latency grows
 linearly with the number of clients (Figure 3) and background work such as
@@ -14,7 +18,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, NamedTuple, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.net.network import Message, Network, OVERLOADED_REPLY
@@ -66,8 +71,8 @@ class _QueueSeries(NamedTuple):
 
 
 #: A handler receives the request message and returns ``(reply_payload,
-#: extra_cost_ms)``.  The extra cost is added to the request's service time
-#: *before* the reply is sent (e.g. a synchronous WAL flush).
+#: extra_cost_ms)``.  The extra cost is added to the request's service time,
+#: which the reply waits out before it leaves (e.g. a synchronous WAL flush).
 Handler = Callable[[Message], Tuple[object, float]]
 
 
@@ -98,7 +103,11 @@ class ServerNode:
         self._handlers: Dict[str, Handler] = {}
         #: ``(message, enqueued at, queue depth found)`` per waiting request.
         self._queue: Deque[Tuple[Message, float, int]] = deque()
-        self._busy_workers = 0
+        #: Busy workers: ``(completion instant, seq, reply id or 0, kind)``, a
+        #: heap; ``seq`` is drawn from the kernel's counter at service start,
+        #: placing the completion in the event order like a scheduled event.
+        self._workers: List[Tuple[float, int, int, str]] = []
+        self._waking = False  # a wake is armed (while requests are queued)
         # The registry must be installed on the network before servers
         # exist: the probe is resolved here, None in the common case, and
         # the two scalars are read from ``stats`` when the registry exports.
@@ -124,14 +133,38 @@ class ServerNode:
     # -- failure injection ------------------------------------------------------
     def crash(self) -> None:
         """Stop serving requests (messages to this server vanish)."""
-        self.alive = False
-        self.network.unregister(self.name)
+        if self.alive:
+            self.alive = False
+            self.network.unregister(self.name)
+            self._recall_replies(undo=False)
 
     def recover(self) -> None:
         """Come back online with the existing storage state."""
         if not self.alive:
             self.alive = True
             self.network.register(self.name, self._on_message)
+            self._recall_replies(undo=True)
+
+    def _recall_replies(self, undo: bool) -> None:
+        """Recall (or, on recovery, put back) the replies still in service."""
+        now = (self.env._now, self.env._seq)
+        for done_at, seq, reply_id, kind in self._workers:
+            if reply_id and (done_at, seq) > now:
+                self.network.recall(reply_id, kind, undo)
+                self.stats.replies += 1 if undo else -1
+
+    def _free_workers(self) -> list:
+        """Drop the workers whose completion the running event is past."""
+        workers, env = self._workers, self.env
+        passed = (env._now, env._seq + 1)
+        while workers and workers[0] < passed:
+            heappop(workers)
+        return workers
+
+    def _arm_wake(self) -> None:
+        """Wake at the earliest completion, in its place in the event order."""
+        self._waking = True
+        heappush(self.env._queue, (*self._workers[0][:2], self._wake, ()))
 
     # -- request processing -------------------------------------------------------
     def _on_message(self, message: Message) -> None:
@@ -168,13 +201,15 @@ class ServerNode:
             probe.depth.observe(now, found + 1)
         if found >= stats.max_queue_depth:
             stats.max_queue_depth = found + 1
-        if self._busy_workers < self.cost.concurrency:
-            # A worker is idle, so nothing is queued (every completion hands
-            # out queued requests while one is): served where it arrives, at
-            # zero wait, which no admission policy sheds or reorders.
+        if not queue and len(self._free_workers()) < self.cost.concurrency:
+            # A worker is idle and nothing is queued: served where it
+            # arrives, at zero wait, which no admission policy sheds or
+            # reorders.
             self._serve(message, now, found)
         else:
             queue.append((message, now, found))
+            if not self._waking:
+                self._arm_wake()
 
     def _evict_oldest_sheddable(self, admission: AdmissionConfig) -> bool:
         """Shed the oldest sheddable queued request; False = none found."""
@@ -204,12 +239,15 @@ class ServerNode:
             event.attrs["queue_depth"] = len(self._queue)
         network.reply(message, OVERLOADED_REPLY)
 
-    def _maybe_start_worker(self) -> None:
-        """Hand queued requests to idle workers, shedding what admission drops."""
+    def _wake(self) -> None:
+        """Hand queued requests to idle workers, shedding what admission
+        drops; re-armed while any request is still queued."""
+        self._waking = False
         queue = self._queue
+        workers = self._free_workers()
         concurrency = self.cost.concurrency
         admission = self.admission
-        while self._busy_workers < concurrency and queue:
+        while len(workers) < concurrency and queue:
             if admission is None:
                 message, enqueued_at, depth = queue.popleft()
             else:
@@ -230,11 +268,13 @@ class ServerNode:
                     self._reject(message, "stale")
                     continue
             self._serve(message, enqueued_at, depth)
+        if queue:
+            self._arm_wake()
 
     def _serve(self, message: Message, enqueued_at: float, depth: int) -> None:
-        """Occupy a worker with ``message``: run its handler now, reply after
-        the service time.  The one dispatch body, for a request served on
-        arrival and for one taken off the queue."""
+        """Occupy a worker with ``message``: run its handler and send the
+        reply now, to leave when the service time ends.  The one dispatch
+        body, for a request served on arrival and for one taken off the queue."""
         env = self.env
         stats = self.stats
         cost = self.cost
@@ -243,7 +283,6 @@ class ServerNode:
         probe = self._probe
         if probe is not None:
             probe.wait.observe(env._now, queue_wait)
-        self._busy_workers += 1
         handler = self._handlers.get(message.kind)
         span = None
         if message.trace is not None and handler is not None:
@@ -278,15 +317,17 @@ class ServerNode:
             attrs["service_ms"] = service_ms
             attrs["queue_depth"] = depth
         stats.busy_ms += service_ms
-        env.schedule(service_ms, self._complete, message, reply_payload)
-
-    def _complete(self, message: Message, reply_payload: object) -> None:
-        self._busy_workers -= 1
-        if self.alive and reply_payload is not None:
-            self.network.reply(message, reply_payload)
-            self.stats.replies += 1
-        if self._queue:
-            self._maybe_start_worker()
+        reply_id = 0
+        if reply_payload is not None:
+            reply_id = self.network.reply(message, reply_payload, service_ms)
+            if self.alive:
+                stats.replies += 1
+            else:  # a crashed server still drains its queue, recalled
+                self.network.recall(reply_id, message.kind)
+        seq = env._next_seq
+        env._next_seq = seq + 1
+        heappush(self._workers,
+                 (env._now + service_ms, seq, reply_id, message.kind))
 
     # -- convenience ---------------------------------------------------------------
     @property
@@ -296,10 +337,5 @@ class ServerNode:
     @property
     def busy_workers(self) -> int:
         """Requests currently being served (the membership drain waits on it)."""
-        return self._busy_workers
-
-    def utilization(self, elapsed_ms: float) -> float:
-        """Fraction of elapsed time the server spent serving requests."""
-        if elapsed_ms <= 0:
-            return 0.0
-        return min(1.0, self.stats.busy_ms / (elapsed_ms * self.cost.concurrency))
+        now = (self.env._now, self.env._seq)
+        return sum(entry[:2] > now for entry in self._workers)

@@ -19,14 +19,6 @@ class SimulationError(ReproError):
     """Raised when the discrete-event simulation kernel is misused."""
 
 
-class ProcessInterrupt(ReproError):
-    """Raised inside a simulated process when it is interrupted."""
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class NetworkError(ReproError):
     """Base class for simulated network failures."""
 
@@ -51,11 +43,6 @@ class TransactionAborted(TransactionError):
     #: system aborted it (timeouts, unreachable replicas, deadlock victim).
     internal = False
 
-
-class InternalAbort(TransactionAborted):
-    """The transaction aborted by its own volition (paper Section 4.2)."""
-
-    internal = True
 
 
 class ExternalAbort(TransactionAborted):

@@ -6,6 +6,11 @@ pairs a request with a response future and fails it with
 :class:`~repro.errors.RequestTimeout` if no reply arrives before the deadline.
 Partitioned messages are silently dropped, which is what a real WAN partition
 looks like to the sender.
+
+A server sends a reply when service starts, ``after_ms`` = the service time
+ahead of it: the multiplier is drawn, the latency factor read and partition
+connectivity checked then, not at completion.  A server that crashes in
+service ``recall``s the reply, and puts it back if it recovers in time.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappush
+from heapq import heapify, heappush
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import NetworkError, OverloadedError, RequestTimeout
@@ -109,6 +114,8 @@ class Network:
         self._half_rtt: Dict[Tuple[str, str], float] = {}
         self._handlers: Dict[str, Callable[[Message], None]] = {}
         self._pending_rpcs: Dict[int, Future] = {}
+        #: Recalled replies' delivery events, by message id.
+        self._recalled: Dict[int, tuple] = {}
         self._msg_ids = itertools.count(1)
         # Timeout wheels: one FIFO per distinct timeout duration.  RPCs with
         # the same timeout expire in issue order, so each wheel stays sorted
@@ -134,8 +141,9 @@ class Network:
     # -- messaging ------------------------------------------------------------
     def send(self, src: str, dst: str, kind: str, payload: Any = None,
              reply_to: Optional[int] = None, size_bytes: int = 0,
-             trace: Any = None) -> int:
-        """Send a one-way message; returns its message id."""
+             trace: Any = None, after_ms: float = 0.0) -> int:
+        """Send a one-way message that leaves ``after_ms`` from now; returns
+        its message id, negated when a partition dropped the message."""
         msg_id = next(self._msg_ids)
         stats = self.stats
         stats.sent += 1
@@ -149,7 +157,7 @@ class Network:
         if not partitions.idle and not partitions.connected(src, dst):
             # A dropped message is never observable, so it is never built.
             stats.dropped_partition += 1
-            return msg_id
+            return -msg_id
         # Positional (field order): the generated ``__init__`` matches
         # keywords at twice the cost, on every message of every run.  Explicit
         # context (RPC spans, anti-entropy) wins; otherwise the ambient
@@ -166,15 +174,36 @@ class Network:
             half_rtt = self._half_rtt[pair] = (
                 self.latency.mean_rtt(src, dst) * 0.5)
         delay = half_rtt * next(self._multipliers) * self.latency_factor
-        if delay > 0.0:
+        if delay > 0.0 or after_ms > 0.0:
             # Environment.schedule, in place: one heap push per message.
             seq = env._next_seq
             env._next_seq = seq + 1
-            heappush(env._queue, (env._now + delay, seq, self._deliver,
-                                  (message,)))
+            heappush(env._queue, (env._now + after_ms + delay, seq,
+                                  self._deliver, (message,)))
         else:
             env.schedule(delay, self._deliver, message)
         return msg_id
+
+    def recall(self, msg_id: int, kind: str, undo: bool = False) -> None:
+        """Take back the reply ``msg_id`` to a ``kind`` request (its server
+        crashed in service): no delivery event, no count.  ``undo`` puts it
+        back exactly where it was (a linear scan: crashes are rare)."""
+        sign = 1 if undo else -1
+        stats, queue, kind = self.stats, self.env._queue, kind + ".reply"
+        stats.sent += sign
+        stats.dropped_partition += sign * (msg_id < 0)
+        stats.per_kind[kind] = stats.per_kind.get(kind, 0) + sign
+        if not stats.per_kind[kind]:
+            del stats.per_kind[kind]
+        if undo:
+            if msg_id in self._recalled:
+                heappush(queue, self._recalled.pop(msg_id))
+            return
+        for index, entry in enumerate(queue):
+            if entry[2] == self._deliver and entry[3][0].msg_id == msg_id:
+                self._recalled[msg_id] = queue.pop(index)
+                heapify(queue)
+                return
 
     # -- degraded-latency epochs ------------------------------------------------
     def degrade(self, factor: float) -> None:
@@ -210,9 +239,8 @@ class Network:
                     payload = OverloadedError(
                         f"server {message.src} shed "
                         f"{message.kind.removesuffix('.reply')!r} (overloaded)")
-                # Future.succeed, except that the waiters run here: this is
-                # a top-level event, so no caller's frame sits under them,
-                # and the reply costs one event instead of two.
+                # Future.succeed, but the waiters run here (a top-level
+                # event: no caller's frame sits under them), not as events.
                 pending._value = payload
                 callbacks = pending._callbacks
                 for callback in callbacks:
@@ -275,7 +303,8 @@ class Network:
             self.env.schedule(wheel[0][0] - now, self._sweep_timeouts,
                               timeout_ms)
 
-    def reply(self, request: Message, payload: Any = None, size_bytes: int = 0) -> None:
+    def reply(self, request: Message, payload: Any = None,
+              after_ms: float = 0.0) -> int:
         """Send the response for ``request`` back to its sender."""
-        self.send(request.dst, request.src, f"{request.kind}.reply", payload,
-                  request.msg_id, size_bytes)
+        return self.send(request.dst, request.src, f"{request.kind}.reply",
+                         payload, request.msg_id, 0, None, after_ms)

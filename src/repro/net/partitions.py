@@ -9,16 +9,13 @@ sender observes a timeout), and messages within a group flow normally.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
-
-from repro.errors import NetworkError
+from typing import Callable, Iterable, List, Optional, Set
 
 
 class PartitionManager:
     """Tracks which sites can currently communicate."""
 
     def __init__(self):
-        self._groups: Optional[List[Set[str]]] = None
         self._isolated: Set[str] = set()
         self._classifier: Optional[Callable[[str], Optional[str]]] = None
         #: ``True`` while no partition, classifier, or isolation is in force.
@@ -32,41 +29,18 @@ class PartitionManager:
 
     def _changed(self) -> None:
         """Every mutator ends here: recompute ``idle``, bump ``generation``."""
-        self.idle = (self._groups is None and self._classifier is None
-                     and not self._isolated)
+        self.idle = self._classifier is None and not self._isolated
         self.generation += 1
 
     # -- configuration -------------------------------------------------------
-    def partition(self, groups: Sequence[Iterable[str]]) -> None:
-        """Split the network into ``groups`` of site names.
-
-        A site that appears in no group is unreachable from everywhere.
-        Groups must be disjoint.
-        """
-        seen: Set[str] = set()
-        normalized: List[Set[str]] = []
-        for group in groups:
-            group_set = set(group)
-            if group_set & seen:
-                raise NetworkError(
-                    f"partition groups overlap: {sorted(group_set & seen)}"
-                )
-            seen |= group_set
-            normalized.append(group_set)
-        self._groups = normalized
-        # A static partition replaces any classifier-based one: leaving a
-        # stale classifier in place would silently AND the two splits.
-        self._classifier = None
-        self._changed()
-
-    def partition_by(self, classifier: Callable[[str], Optional[str]]) -> None:
+    def partition_by(self, classifier: Callable[[str], Optional[object]]) -> None:
         """Partition by a classifier: sites communicate iff same group label.
 
-        Unlike :meth:`partition`, the classifier is evaluated at message time,
-        so sites registered *after* the partition started (e.g. new clients)
-        are still assigned to the right side of the split.  A classifier
-        returning ``None`` marks a site as unreachable from everywhere.
-        Replaces any static partition previously set with :meth:`partition`.
+        The classifier is evaluated at message time, so sites registered
+        *after* the partition started (e.g. new clients) are still assigned
+        to the right side of the split.  A classifier returning ``None``
+        marks a site as unreachable from everywhere (a fixed split is the
+        ``get`` of a site -> group dict).  Replaces any previous split.
 
         The classifier must be a pure function of the site name: routing
         memoised under :attr:`generation` assumes the split only changes
@@ -87,20 +61,18 @@ class PartitionManager:
         self._changed()
 
     def clear_partition(self) -> None:
-        """Remove the group/classifier split but keep per-site isolations.
+        """Remove the classifier split but keep per-site isolations.
 
         Chaos campaigns overlay independent fault elements — a region
         partition may heal while a flapping link is still mid-epoch — so
         ending the partition must not also rejoin isolated sites the way
         :meth:`heal` does.
         """
-        self._groups = None
         self._classifier = None
         self._changed()
 
     def heal(self) -> None:
         """Remove every partition and isolation."""
-        self._groups = None
         self._isolated.clear()
         self._classifier = None
         self._changed()
@@ -122,21 +94,8 @@ class PartitionManager:
             group_b = self._classifier(b)
             if group_a is None or group_b is None or group_a != group_b:
                 return False
-        if self._groups is None:
-            return True
-        for group in self._groups:
-            if a in group:
-                return b in group
-        return False
+        return True
 
     def reachable_from(self, site: str, candidates: Iterable[str]) -> List[str]:
         """Filter ``candidates`` down to those reachable from ``site``."""
         return [c for c in candidates if self.connected(site, c)]
-
-    def describe(self) -> Dict[str, object]:
-        """A plain-dict snapshot, convenient for logging and tests."""
-        return {
-            "groups": [sorted(g) for g in (self._groups or [])],
-            "isolated": sorted(self._isolated),
-            "active": self.active,
-        }

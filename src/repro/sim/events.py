@@ -4,17 +4,14 @@ This module is the simulator's hottest code: every message delivery, RPC
 completion, and process resumption passes through :meth:`Environment.run`.
 Three structural choices keep it fast without changing observable behaviour:
 
-* ``__slots__`` on :class:`Future`/:class:`Timeout` (and :class:`Process` in
+* ``__slots__`` on :class:`Future` (and :class:`Process` in
   :mod:`repro.sim.process`) removes a dict allocation per event,
 * zero-delay callbacks — a future's waiters and every process start — go to
   a plain FIFO deque instead of the ``heapq``; the deque shares the heap's
   sequence counter and the dispatcher always runs whichever of (deque head,
   heap top) has the smaller ``(when, seq)``, so the execution order is
-  *bit-identical* to a pure-heap kernel (seeded runs reproduce exactly),
-* the one exception is an RPC reply: ``Network._deliver`` is itself a
-  top-level event, so it resolves the caller's future and runs the waiters
-  in place — a round trip is two events (request delivery, reply delivery),
-  not four,
+  *bit-identical* to a pure-heap kernel (seeded runs reproduce exactly) —
+  except for an RPC reply, whose delivery event runs the waiters in place,
 * the :meth:`Environment.run` loop is inlined (no per-event ``step()`` call,
   locals bound outside the loop).
 """
@@ -116,19 +113,6 @@ class Future:
         return f"<Future {state} at t={self.env.now:.3f}>"
 
 
-class Timeout(Future):
-    """A future that resolves after a fixed simulated delay."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
-        super().__init__(env)
-        self.delay = delay
-        env.schedule(delay, self.succeed, value)
-
-
 class Environment:
     """The discrete-event loop and simulated clock.
 
@@ -137,11 +121,14 @@ class Environment:
     experiment code and the reported numbers aligned.
     """
 
-    __slots__ = ("_now", "_queue", "_immediate", "_next_seq", "events_executed",
-                 "current_trace")
+    __slots__ = ("_now", "_seq", "_queue", "_immediate", "_next_seq",
+                 "events_executed", "current_trace")
 
     def __init__(self, start: float = 0.0):
         self._now = float(start)
+        #: ``seq`` of the running event: with ``_now``, its place in the event
+        #: order (a server's workers are timers kept outside the queue).
+        self._seq = -1
         #: Delayed events: a heap of ``(when, seq, callback, args)``.
         self._queue: List[Tuple[float, int, Callable, tuple]] = []
         #: Zero-delay events, in the same tuple shape.  Entries are appended
@@ -189,9 +176,11 @@ class Environment:
         self._next_seq = seq + 1
         self._immediate.append((self._now, seq, callback, args))
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Return a future that resolves ``delay`` ms from now."""
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float, value: Any = None) -> Future:
+        """Return a future that resolves with ``value`` ``delay`` ms from now."""
+        future = Future(self)
+        self.schedule(delay, future.succeed, value)
+        return future
 
     def future(self) -> Future:
         """Return a new pending future bound to this environment."""
@@ -216,22 +205,11 @@ class Environment:
             return heappop(queue)
         raise SimulationError("cannot step an empty event queue")
 
-    def _next_when(self) -> Optional[float]:
-        """Timestamp of the next event, or ``None`` when idle."""
-        immediate = self._immediate
-        queue = self._queue
-        if immediate:
-            if queue and queue[0] < immediate[0]:
-                return queue[0][0]
-            return immediate[0][0]
-        if queue:
-            return queue[0][0]
-        return None
-
     def step(self) -> None:
         """Execute the next scheduled callback, advancing simulated time."""
-        when, _seq, callback, args = self._pop_next()
+        when, seq, callback, args = self._pop_next()
         self._now = when
+        self._seq = seq
         self.events_executed += 1
         callback(*args)
 
@@ -253,12 +231,13 @@ class Environment:
                 if immediate and not (queue and queue[0] < immediate[0]):
                     # Immediate entries carry a past timestamp, so they
                     # can never exceed the horizon (which is >= now).
-                    when, _seq, callback, args = pop_immediate()
+                    when, seq, callback, args = pop_immediate()
                 else:
                     if queue[0][0] > horizon:
                         break
-                    when, _seq, callback, args = pop_heap(queue)
+                    when, seq, callback, args = pop_heap(queue)
                 self._now = when
+                self._seq = seq
                 executed += 1
                 callback(*args)
         finally:
@@ -271,16 +250,16 @@ class Environment:
         """Run the loop until ``future`` resolves, then return its value.
 
         Raises the future's exception if it failed, and
-        :class:`SimulationError` if the event queue drains first.
+        :class:`SimulationError` if the event queue drains first or the next
+        event lies past ``limit`` (immediate events never do: they are due).
         """
         while future._value is PENDING:
-            when = self._next_when()
-            if when is None:
-                raise SimulationError(
-                    "event queue drained before the awaited future resolved"
-                )
-            if when > limit:
-                raise SimulationError(f"simulation exceeded time limit {limit}")
+            if not self._immediate:
+                if not self._queue:
+                    raise SimulationError(
+                        "event queue drained before the awaited future resolved")
+                if self._queue[0][0] > limit:
+                    raise SimulationError(f"simulation exceeded time limit {limit}")
             self.step()
         if not future.ok:
             raise future.value

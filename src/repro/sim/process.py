@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Iterable, List
 
-from repro.errors import ProcessInterrupt, SimulationError
+from repro.errors import SimulationError
 from repro.sim.events import PENDING, Environment, Future
 
 
@@ -41,25 +41,14 @@ class Process(Future):
         # user code synchronously.
         env.schedule_now(self._resume, None)
 
-    # -- interruption -----------------------------------------------------
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`ProcessInterrupt` into the process at its next wait."""
-        if self._value is not PENDING:
-            return
-        self.env.schedule_now(self._resume, None, ProcessInterrupt(cause))
-
     # -- internal machinery -----------------------------------------------
-    def _resume(self, resolved: Future | None,
-                exception: BaseException | None = None) -> None:
+    def _resume(self, resolved: Future | None) -> None:
         """One generator step: the callback of whatever the process awaits.
 
         ``resolved`` is the awaited future (its value is sent into the
-        generator, its exception thrown); ``None`` starts the process or,
-        with ``exception``, interrupts it.
+        generator, its exception thrown); ``None`` starts the process.
         """
-        if self._value is not PENDING:
-            return
-        value = None
+        value = exception = None
         if resolved is not None:
             if resolved._failed:
                 exception = resolved._value

@@ -66,7 +66,8 @@ class TestClientNode:
         local_sites = [node.name] + [
             r for r in all_replicas if config.cluster_of_server(r) == node.home_cluster
         ]
-        network.partitions.partition([local_sites, remote])
+        network.partitions.partition_by(
+            {site: site in remote for site in local_sites + remote}.get)
         reachable = node.reachable_replicas(key)
         assert set(reachable) == set(local_sites) - {node.name}
 

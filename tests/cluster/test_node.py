@@ -83,13 +83,40 @@ class TestServerNode:
         alive = network.rpc("client", "server", "echo", {})
         assert env.run_until_complete(alive) == {"ok": True}
 
-    def test_utilization_bounded(self):
-        env, network, node = make_rig(concurrency=2, overhead_ms=2.0)
+    @pytest.mark.parametrize("recover_at, answered", [
+        (None, False), (6.0, True), (12.0, False)])
+    def test_a_crash_in_service_recalls_the_reply_unless_it_recovers_in_time(
+            self, recover_at, answered):
+        """Served at 0.5 ms, service ends at 11.5: a crash at 3 ms takes the
+        reply back, a recovery before 11.5 restores it to its instant."""
+        env, network, node = make_rig(overhead_ms=1.0)
+        node.register_handler("echo", lambda msg: ({"ok": True}, 10.0))
+        future = network.rpc("client", "server", "echo", {}, timeout_ms=50.0)
+        replies = []
+        future.add_callback(lambda done: replies.append((env.now, done.ok)))
+        env.schedule(3.0, node.crash)
+        if recover_at is not None:
+            env.schedule(recover_at, node.recover)
+        env.run()
+        assert replies == ([(12.0, True)] if answered else [(50.0, False)])
+        assert node.stats.replies == int(answered)
+        assert network.stats.sent == 1 + answered
+        assert network.stats.per_kind.get("echo.reply", 0) == int(answered)
+        assert network.stats.rpc_timeouts == int(not answered)
+        assert node.busy_workers == 0
+
+    def test_busy_workers_counts_requests_in_service(self):
+        """Three 5 ms requests on two workers arrive at 0.5 ms; the third
+        starts when the first two end, at 5.5 ms."""
+        env, network, node = make_rig(concurrency=2, overhead_ms=5.0)
         node.register_handler("work", lambda msg: ({"ok": True}, 0.0))
-        futures = [network.rpc("client", "server", "work", {}) for _ in range(5)]
-        for future in futures:
-            env.run_until_complete(future)
-        assert 0.0 < node.utilization(env.now) <= 1.0
+        for _ in range(3):
+            network.rpc("client", "server", "work", {})
+        seen = []
+        for at in (1.0, 6.0, 11.0):
+            env.run(until=at)
+            seen.append((node.busy_workers, node.queue_depth))
+        assert seen == [(2, 1), (1, 0), (0, 0)]
 
     def test_payload_size_adds_cost(self):
         env, network, node = make_rig(overhead_ms=1.0)

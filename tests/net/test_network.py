@@ -51,7 +51,7 @@ class TestSend:
         env, network = make_network()
         received = []
         network.register("b", lambda msg: received.append(msg))
-        network.partitions.partition([["a"], ["b"]])
+        network.partitions.partition_by({"a": 0, "b": 1}.get)
         network.send("a", "b", "hello")
         env.run()
         assert received == []
@@ -85,7 +85,7 @@ class TestRPC:
         env, network = make_network()
         network.register("b", lambda msg: None)
         network.register("a", lambda msg: None)
-        network.partitions.partition([["a"], ["b"]])
+        network.partitions.partition_by({"a": 0, "b": 1}.get)
         future = network.rpc("a", "b", "ping", timeout_ms=50.0)
         with pytest.raises(RequestTimeout):
             env.run_until_complete(future)
@@ -142,3 +142,23 @@ class TestRPC:
             env.run_until_complete(future)
         env.run()  # the late reply must not blow up
         assert future.triggered and not future.ok
+
+    def test_a_reply_sent_ahead_leaves_when_service_ends(self):
+        """``after_ms`` is the service time still to run: the reply arrives
+        one hop after it, and a recalled reply never arrives nor counts."""
+        env, network = make_network(latency_ms=1.0)
+        stashed = []
+        network.register("b", stashed.append)
+        network.register("a", lambda msg: None)
+        kept = network.rpc("a", "b", "work")
+        taken = network.rpc("a", "b", "work", timeout_ms=50.0)
+        env.run(until=1.0)
+        reply_ids = [network.reply(request, request.msg_id, after_ms=4.0)
+                     for request in stashed]
+        network.recall(reply_ids[1], "work")
+        assert env.run_until_complete(kept) == stashed[0].msg_id
+        assert env.now == 6.0
+        with pytest.raises(RequestTimeout):
+            env.run_until_complete(taken)
+        assert network.stats.sent == 3 and network.stats.delivered == 3
+        assert network.stats.per_kind == {"work": 2, "work.reply": 1}

@@ -207,6 +207,15 @@ class TestFuture:
         with pytest.raises(SimulationError):
             env.run_until_complete(future)
 
+    def test_run_until_complete_stops_past_its_limit(self):
+        env = Environment()
+        future = env.future()
+        env.schedule(5.0, lambda: None)
+        env.schedule(50.0, lambda: future.succeed("late"))
+        with pytest.raises(SimulationError, match="time limit"):
+            env.run_until_complete(future, limit=20.0)
+        assert not future.triggered
+
 
 class TestTimeout:
     def test_timeout_resolves_after_delay(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ProcessInterrupt, SimulationError
+from repro.errors import SimulationError
 from repro.sim import Environment
 from repro.sim.process import all_of
 
@@ -92,36 +92,6 @@ class TestProcess:
         process = env.process(worker())
         with pytest.raises(SimulationError):
             env.run_until_complete(process)
-
-    def test_interrupt_raises_in_process(self):
-        env = Environment()
-        log = []
-
-        def worker():
-            try:
-                yield env.timeout(100.0)
-            except ProcessInterrupt as interrupt:
-                log.append(interrupt.cause)
-                return "interrupted"
-            return "finished"
-
-        process = env.process(worker())
-        env.schedule(5.0, lambda: process.interrupt("stop now"))
-        assert env.run_until_complete(process) == "interrupted"
-        assert log == ["stop now"]
-
-    def test_interrupt_after_completion_is_ignored(self):
-        env = Environment()
-
-        def worker():
-            yield env.timeout(1.0)
-            return "ok"
-
-        process = env.process(worker())
-        env.run()
-        process.interrupt("too late")
-        env.run()
-        assert process.ok and process.value == "ok"
 
 
 class TestCombinators:

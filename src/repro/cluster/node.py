@@ -322,7 +322,7 @@ class ServerNode:
             reply_id = self.network.reply(message, reply_payload, service_ms)
             if self.alive:
                 stats.replies += 1
-            else:  # a crashed server still drains its queue, recalled
+            else:  # crashed: the queue drains, the reply stays recalled
                 self.network.recall(reply_id, message.kind)
         seq = env._next_seq
         env._next_seq = seq + 1

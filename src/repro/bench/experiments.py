@@ -501,8 +501,7 @@ def _availability_run(protocol: str, params: AvailabilityParams,
     # A request the partition strands expires inside the recovery phase (the
     # default 10 s deadline outlives a quick campaign): half of it.
     recovered = campaign.phases[-1]
-    retry = RetryPolicy(
-        rpc_timeout_ms=(recovered.end_ms - recovered.start_ms) / 2)
+    retry = RetryPolicy(rpc_timeout_ms=(recovered.end_ms - recovered.start_ms) / 2)
     stats, narration = _closed_loop_leg(
         protocol, build_testbed(_scenario(params)), campaign,
         params.workload or YCSBConfig(key_count=10_000), params,

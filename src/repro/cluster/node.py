@@ -79,15 +79,10 @@ Handler = Callable[[Message], Tuple[object, float]]
 class ServerNode:
     """One database server: storage plus a queued request processor."""
 
-    def __init__(
-        self,
-        env: Environment,
-        network: Network,
-        name: str,
-        cost_model: Optional[ServiceCostModel] = None,
-        keep_versions: Optional[int] = None,
-        admission: Optional[AdmissionConfig] = None,
-    ):
+    def __init__(self, env: Environment, network: Network, name: str,
+                 cost_model: Optional[ServiceCostModel] = None,
+                 keep_versions: Optional[int] = None,
+                 admission: Optional[AdmissionConfig] = None):
         self.env = env
         self.network = network
         self.name = name
@@ -108,6 +103,7 @@ class ServerNode:
         #: placing the completion in the event order like a scheduled event.
         self._workers: List[Tuple[float, int, int, str]] = []
         self._waking = False  # a wake is armed (while requests are queued)
+        self._recalled: Dict[int, tuple] = {}  # a crash's replies, by id
         # The registry must be installed on the network before servers
         # exist: the probe is resolved here, None in the common case, and
         # the two scalars are read from ``stats`` when the registry exports.
@@ -144,13 +140,14 @@ class ServerNode:
             self.alive = True
             self.network.register(self.name, self._on_message)
             self._recall_replies(undo=True)
+            self._recalled.clear()  # the rest ended while the server was down
 
     def _recall_replies(self, undo: bool) -> None:
         """Recall (or, on recovery, put back) the replies still in service."""
         now = (self.env._now, self.env._seq)
         for done_at, seq, reply_id, kind in self._workers:
             if reply_id and (done_at, seq) > now:
-                self.network.recall(reply_id, kind, undo)
+                self.network.recall(reply_id, kind, self._recalled, undo)
                 self.stats.replies += 1 if undo else -1
 
     def _free_workers(self) -> list:
@@ -323,11 +320,10 @@ class ServerNode:
             if self.alive:
                 stats.replies += 1
             else:  # crashed: the queue drains, the reply stays recalled
-                self.network.recall(reply_id, message.kind)
+                self.network.recall(reply_id, message.kind, self._recalled)
         seq = env._next_seq
         env._next_seq = seq + 1
-        heappush(self._workers,
-                 (env._now + service_ms, seq, reply_id, message.kind))
+        heappush(self._workers, (env._now + service_ms, seq, reply_id, message.kind))
 
     # -- convenience ---------------------------------------------------------------
     @property

@@ -81,14 +81,9 @@ class NetworkStats:
 class Network:
     """Connects registered handlers through the latency model."""
 
-    def __init__(
-        self,
-        env: Environment,
-        topology: Topology,
-        latency: LatencyModel,
-        streams: Optional[RandomStreams] = None,
-        partitions: Optional[PartitionManager] = None,
-    ):
+    def __init__(self, env: Environment, topology: Topology,
+                 latency: LatencyModel, streams: Optional[RandomStreams] = None,
+                 partitions: Optional[PartitionManager] = None):
         self.env = env
         self.topology = topology
         self.latency = latency
@@ -114,8 +109,6 @@ class Network:
         self._half_rtt: Dict[Tuple[str, str], float] = {}
         self._handlers: Dict[str, Callable[[Message], None]] = {}
         self._pending_rpcs: Dict[int, Future] = {}
-        #: Recalled replies' delivery events, by message id.
-        self._recalled: Dict[int, tuple] = {}
         self._msg_ids = itertools.count(1)
         # Timeout wheels: one FIFO per distinct timeout duration.  RPCs with
         # the same timeout expire in issue order, so each wheel stays sorted
@@ -184,10 +177,12 @@ class Network:
             env.schedule(delay, self._deliver, message)
         return msg_id
 
-    def recall(self, msg_id: int, kind: str, undo: bool = False) -> None:
+    def recall(self, msg_id: int, kind: str, stash: Dict[int, tuple],
+               undo: bool = False) -> None:
         """Take back the reply ``msg_id`` to a ``kind`` request (its server
-        crashed in service): no delivery event, no count.  ``undo`` puts it
-        back exactly where it was (a linear scan: crashes are rare)."""
+        crashed in service): no count, and its delivery event waits in
+        ``stash`` for ``undo`` to put it back exactly where it was (a linear
+        scan: crashes are rare)."""
         sign = 1 if undo else -1
         stats, queue, kind = self.stats, self.env._queue, kind + ".reply"
         stats.sent += sign
@@ -196,12 +191,12 @@ class Network:
         if not stats.per_kind[kind]:
             del stats.per_kind[kind]
         if undo:
-            if msg_id in self._recalled:
-                heappush(queue, self._recalled.pop(msg_id))
+            if msg_id in stash:
+                heappush(queue, stash.pop(msg_id))
             return
         for index, entry in enumerate(queue):
             if entry[2] == self._deliver and entry[3][0].msg_id == msg_id:
-                self._recalled[msg_id] = queue.pop(index)
+                stash[msg_id] = queue.pop(index)
                 heapify(queue)
                 return
 
@@ -250,15 +245,9 @@ class Network:
         handler(message)
 
     # -- RPC ---------------------------------------------------------------------
-    def rpc(
-        self,
-        src: str,
-        dst: str,
-        kind: str,
-        payload: Any = None,
-        timeout_ms: float = DEFAULT_RPC_TIMEOUT_MS,
-        size_bytes: int = 0,
-    ) -> Future:
+    def rpc(self, src: str, dst: str, kind: str, payload: Any = None,
+            timeout_ms: float = DEFAULT_RPC_TIMEOUT_MS,
+            size_bytes: int = 0) -> Future:
         """Send a request and return a future for the matching response."""
         env = self.env
         response = Future(env)
@@ -295,10 +284,8 @@ class Network:
                 if span is not None:
                     span.end_ms = now
                     span.status = "timeout"
-                pending.fail(RequestTimeout(
-                    f"rpc {kind!r} from {src} to {dst} timed out after "
-                    f"{timeout_ms} ms"
-                ))
+                pending.fail(RequestTimeout(f"rpc {kind!r} from {src} to {dst} "
+                                            f"timed out after {timeout_ms} ms"))
         if wheel:
             self.env.schedule(wheel[0][0] - now, self._sweep_timeouts,
                               timeout_ms)

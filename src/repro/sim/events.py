@@ -193,21 +193,16 @@ class Environment:
         return Process(self, generator)
 
     # -- execution --------------------------------------------------------
-    def _pop_next(self) -> Tuple[float, int, Callable, tuple]:
-        """Remove and return the next event in ``(when, seq)`` order."""
-        immediate = self._immediate
-        queue = self._queue
-        if immediate:
-            if queue and queue[0] < immediate[0]:
-                return heappop(queue)
-            return immediate.popleft()
-        if queue:
-            return heappop(queue)
-        raise SimulationError("cannot step an empty event queue")
-
     def step(self) -> None:
-        """Execute the next scheduled callback, advancing simulated time."""
-        when, seq, callback, args = self._pop_next()
+        """Execute the next callback in ``(when, seq)`` order, advancing
+        simulated time."""
+        immediate, queue = self._immediate, self._queue
+        if immediate and not (queue and queue[0] < immediate[0]):
+            when, seq, callback, args = immediate.popleft()
+        elif queue:
+            when, seq, callback, args = heappop(queue)
+        else:
+            raise SimulationError("cannot step an empty event queue")
         self._now = when
         self._seq = seq
         self.events_executed += 1
@@ -242,6 +237,7 @@ class Environment:
                 callback(*args)
         finally:
             self.events_executed += executed
+        self._seq = self._next_seq  # all due by now ran: completions too
         if until is not None and until > self._now:
             self._now = until
         return self._now

@@ -28,10 +28,8 @@ class Process(Future):
 
     def __init__(self, env: Environment, generator: Generator):
         if not hasattr(generator, "send"):
-            raise SimulationError(
-                "Process requires a generator (did you forget to call the "
-                "generator function?)"
-            )
+            raise SimulationError("Process requires a generator (did you "
+                                  "forget to call the generator function?)")
         super().__init__(env)
         self._generator = generator
         #: Trace context published as ``env.current_trace`` while the
@@ -54,13 +52,11 @@ class Process(Future):
                 exception = resolved._value
             else:
                 value = resolved._value
-        # Publish the ambient trace context for the duration of the
-        # generator step.  Resolving a future only *enqueues* its callbacks,
-        # and the one place that runs waiters in place (a reply's
-        # ``Network._deliver``) is a top-level event, so no step ever runs
-        # nested inside this frame: everything the step does synchronously —
-        # including messages it sends — is attributed exactly to this
-        # process's trace.
+        # Publish the ambient trace context for the generator step.  No
+        # step runs nested inside another (resolving a future enqueues its
+        # waiters; a reply's ``Network._deliver``, which runs them in place,
+        # is a top-level event), so everything the step does synchronously —
+        # messages it sends included — is attributed exactly to this trace.
         trace = self.trace
         if trace is not None:
             self.env.current_trace = trace
@@ -82,8 +78,7 @@ class Process(Future):
             if not isinstance(target, (int, float)):
                 raise SimulationError(
                     f"process yielded an unsupported value: {target!r} "
-                    "(expected a Future, Process, or a numeric delay)"
-                )
+                    "(expected a Future, Process, or a numeric delay)")
             target = self.env.timeout(float(target))
         # Future.add_callback, in place: once per wait of every process.
         if target._value is PENDING:

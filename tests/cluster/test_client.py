@@ -66,8 +66,7 @@ class TestClientNode:
         local_sites = [node.name] + [
             r for r in all_replicas if config.cluster_of_server(r) == node.home_cluster
         ]
-        network.partitions.partition_by(
-            {site: site in remote for site in local_sites + remote}.get)
+        network.partitions.partition([local_sites, remote])
         reachable = node.reachable_replicas(key)
         assert set(reachable) == set(local_sites) - {node.name}
 

@@ -104,6 +104,22 @@ class TestServerNode:
         assert network.stats.per_kind.get("echo.reply", 0) == int(answered)
         assert network.stats.rpc_timeouts == int(not answered)
         assert node.busy_workers == 0
+        # The recalled reply is kept only while the server is down: a
+        # recovery restores it or, past its completion, drops it.
+        assert len(node._recalled) == (recover_at is None)
+
+    def test_a_crash_at_the_horizon_of_a_completion_keeps_its_reply(self):
+        """Service ends at 11.5 ms; ``run(until=11.5)`` has passed it (the
+        completion at the horizon counts as run), so a crash then is too
+        late to take the reply back."""
+        env, network, node = make_rig(overhead_ms=1.0)
+        node.register_handler("echo", lambda msg: ({"ok": True}, 10.0))
+        future = network.rpc("client", "server", "echo", {}, timeout_ms=50.0)
+        env.run(until=11.5)
+        assert node.busy_workers == 0
+        node.crash()
+        assert env.run_until_complete(future) == {"ok": True}
+        assert env.now == 12.0 and node.stats.replies == 1
 
     def test_busy_workers_counts_requests_in_service(self):
         """Three 5 ms requests on two workers arrive at 0.5 ms; the third

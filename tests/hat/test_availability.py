@@ -51,7 +51,7 @@ class TestHATAvailabilityUnderPartition:
         testbed = build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=1))
         client = testbed.make_client("eventual")
         # Cut the client off from every server.
-        testbed.network.partitions.partition_by({client.node.name: 0}.get)
+        testbed.network.partitions.partition([[client.node.name]])
         result = run(testbed, client, [Operation.write("x", 1)])
         assert not result.committed
         assert not result.internal_abort

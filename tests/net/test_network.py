@@ -51,7 +51,7 @@ class TestSend:
         env, network = make_network()
         received = []
         network.register("b", lambda msg: received.append(msg))
-        network.partitions.partition_by({"a": 0, "b": 1}.get)
+        network.partitions.partition([["a"], ["b"]])
         network.send("a", "b", "hello")
         env.run()
         assert received == []
@@ -85,7 +85,7 @@ class TestRPC:
         env, network = make_network()
         network.register("b", lambda msg: None)
         network.register("a", lambda msg: None)
-        network.partitions.partition_by({"a": 0, "b": 1}.get)
+        network.partitions.partition([["a"], ["b"]])
         future = network.rpc("a", "b", "ping", timeout_ms=50.0)
         with pytest.raises(RequestTimeout):
             env.run_until_complete(future)
@@ -155,7 +155,7 @@ class TestRPC:
         env.run(until=1.0)
         reply_ids = [network.reply(request, request.msg_id, after_ms=4.0)
                      for request in stashed]
-        network.recall(reply_ids[1], "work")
+        network.recall(reply_ids[1], "work", {})
         assert env.run_until_complete(kept) == stashed[0].msg_id
         assert env.now == 6.0
         with pytest.raises(RequestTimeout):

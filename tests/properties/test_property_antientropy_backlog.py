@@ -93,7 +93,7 @@ class Deployment:
             labels = dict(zip(REGIONS, arg))
             partitions.partition_by(lambda site: labels[region_of(site)])
         elif kind == "groups":
-            partitions.partition_by({s: s in arg for s in SITES}.get)
+            partitions.partition([arg, [s for s in SITES if s not in arg]])
         elif kind == "isolate":
             partitions.isolate(arg)
         elif kind == "rejoin":

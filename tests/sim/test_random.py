@@ -23,3 +23,12 @@ class TestRandomStreams:
     def test_stream_is_cached(self):
         streams = RandomStreams(0)
         assert streams.stream("a") is streams.stream("a")
+
+    def test_spawn_derives_independent_family(self):
+        parent = RandomStreams(3)
+        child = parent.spawn("worker-1")
+        assert child.seed != parent.seed
+        # Deterministic: spawning again gives the same family.
+        again = RandomStreams(3).spawn("worker-1")
+        assert again.seed == child.seed
+        assert child.stream("x").random() == again.stream("x").random()

@@ -261,27 +261,21 @@ class CutIsolationLayer(GuaranteeLayer):
 # Session guarantees (Section 5.1.3)
 # ---------------------------------------------------------------------------
 
+@dataclass(slots=True)
 class OwedIndex:
     """The keys of one remembered map that forwarding still has to examine.
 
     Invariant: a remembered key *outside* ``owed`` holds the bottom version,
-    or a version the replica it routed to under ``stamp`` is known to hold
-    (at that timestamp or a newer one).
+    or one the replica it routes to under ``stamp`` served or accepted (or a
+    newer one): routing is a pure function of the stamp, so a key becomes
+    owed only when the stamp moves, and then every key does.
     """
 
-    __slots__ = ("owed", "rank", "stamp")
-
-    def __init__(self) -> None:
-        self.owed: Set[str] = set()
-        #: key -> position in the remembered map (first-remembered order).
-        self.rank: Dict[str, int] = {}
-        #: ``(ClusterConfig.epoch, PartitionManager.generation)`` the map was
-        #: last examined in full under; routing is a pure function of it.
-        self.stamp: Optional[Tuple[int, int]] = None
-
-    def add(self, key: str) -> None:
-        self.rank.setdefault(key, len(self.rank))
-        self.owed.add(key)
+    #: Owed keys in first-remembered order (the map's insertion order).
+    owed: List[str] = field(default_factory=list)
+    #: ``(ClusterConfig.epoch, PartitionManager.generation)`` the map was
+    #: last examined in full under, or the session began under.
+    stamp: Optional[Tuple[int, int]] = None
 
 
 @dataclass
@@ -291,10 +285,10 @@ class SessionState:
     The read floors consult the two version maps, forwarding pushes them to
     replicas a failed-over session writes through, and the holder map records
     which replicas are already known to store a remembered version so
-    steady-state (sticky, unpartitioned) operation forwards nothing.  Each
-    version map has an :class:`OwedIndex`: a key becomes owed when its
-    remembered version changes or its holder entry is replaced, and stops
-    being owed only when forwarding finds the routed replica already holds it.
+    steady-state (sticky, unpartitioned) operation forwards nothing.  A map
+    a row forwards has an :class:`OwedIndex`: on a healthy network no key is
+    owed and forwarding examines nothing.  A stack that forwards nothing
+    keeps neither holders nor owed keys.
     """
 
     #: Highest version observed by a session read, per key (MR floor; the
@@ -315,18 +309,15 @@ class SessionState:
     #: tuple, not a set: at most one replica per cluster, one entry per key.
     holders: Dict[str, Tuple[Timestamp, Tuple[str, ...]]] = field(
         default_factory=dict)
-    #: What forwarding still owes from ``last_seen`` / ``own_writes``.
-    seen_owed: OwedIndex = field(default_factory=OwedIndex)
-    own_owed: OwedIndex = field(default_factory=OwedIndex)
+    #: What forwarding owes from ``last_seen`` / ``own_writes`` (None: unforwarded).
+    seen_owed: Optional[OwedIndex] = None
+    own_owed: Optional[OwedIndex] = None
 
     # -- holder tracking ---------------------------------------------------------
     def note_holder(self, key: str, timestamp: Timestamp, replica: str) -> None:
         current = self.holders.get(key)
         if current is None or timestamp > current[0]:
             self.holders[key] = (timestamp, (replica,))
-            for index in (self.seen_owed, self.own_owed):
-                if key in index.rank:
-                    index.owed.add(key)
         elif timestamp == current[0] and replica not in current[1]:
             self.holders[key] = (timestamp, current[1] + (replica,))
 
@@ -360,10 +351,10 @@ class SessionLayer(GuaranteeLayer):
 
     Built from the spec's session tokens, each a row of :data:`SESSION_ROWS`;
     it owns the client's :class:`SessionState` and binds only the hooks its
-    rows use: ``read_floor`` when a row remembers reads (holder tracking) or
-    bounds them, ``begin`` when a row forwards, and ``finalize``.  Floors
-    repair stale reads on a sticky client only; a non-sticky client records
-    the violation, matching the impossibility argument of Section 5.1.3.
+    rows use: ``read_floor`` when a row bounds reads or a forwarding stack
+    remembers them (holder tracking), ``begin`` when a row forwards, and
+    ``finalize``.  Floors repair stale reads on a sticky client only; a
+    non-sticky client records the violation (Section 5.1.3's impossibility).
     """
 
     def __init__(self, tokens: frozenset) -> None:
@@ -372,12 +363,16 @@ class SessionLayer(GuaranteeLayer):
                 if token in tokens]
         #: The rows' tokens in canonical order (``"mr+mw+wfr+ryw"``).
         self.token = "+".join([token for token, _, _ in rows])
-        self.state = state = SessionState()
+        forwarded = {kind for _, kind, use in rows if use == "forward"}
+        self.state = state = SessionState(
+            seen_owed=OwedIndex() if "reads" in forwarded else None,
+            own_owed=OwedIndex() if "writes" in forwarded else None)
         memory = {"reads": (state.last_seen, state.seen_owed),
                   "writes": (state.own_writes, state.own_owed)}
         remembered = {kind for _, kind, _ in rows}
         self._reads = "reads" in remembered
         self._writes = "writes" in remembered
+        self._note_reads = self._reads and bool(forwarded)  # holders serve forwarding
         #: The remembered maps a read may reveal nothing older than.
         self._floors = [memory[kind][0] for _, kind, use in rows
                         if use == "floor"]
@@ -385,7 +380,7 @@ class SessionLayer(GuaranteeLayer):
         self._forwards = [(token, *memory[kind]) for token, kind, use in rows
                           if use == "forward"]
         # A hook no row uses stays the inherited no-op, which bound_hooks skips.
-        if not (self._reads or self._floors):
+        if not (self._note_reads or self._floors):
             self.read_floor = super().read_floor
         if not self._forwards:
             self.begin = super().begin
@@ -393,16 +388,26 @@ class SessionLayer(GuaranteeLayer):
     def attach(self, client: LayeredClient) -> None:
         super().attach(client)
         client.session = self.state
+        stamp = (client.node.config.epoch, client.node.network.partitions.generation)
+        for _, _, index in self._forwards:  # nothing remembered, nothing owed
+            index.stamp = stamp
 
     # -- hooks ---------------------------------------------------------------------
     def begin(self, ctx: TxnContext) -> Generator:
         """Forward each forwarding row's memory when the transaction writes,
         one row after the other; a row that sent something earns a
-        ``layer:<token>.begin`` span (empty ones would drown the trace)."""
+        ``layer:<token>.begin`` span (empty ones would drown the trace).
+        While routing stays put and no key is owed, it returns at once."""
+        client = self.client
+        stamp = (client.node.config.epoch, client.node.network.partitions.generation)
+        for _, _, index in self._forwards:
+            if index.owed or index.stamp != stamp:
+                break
+        else:
+            return
         overwritten = {op.key for op in ctx.plan if op.kind == WRITE}
         if not overwritten:
             return
-        client = self.client
         trace = ctx.transaction.trace
         env = client.node.env
         for token, versions, index in self._forwards:
@@ -426,7 +431,7 @@ class SessionLayer(GuaranteeLayer):
         """
         key = op.key
         state = self.state
-        if self._reads:
+        if self._note_reads:
             state.note_holder(key, version.timestamp, replica)
         floor = None
         for versions in self._floors:
@@ -460,19 +465,16 @@ class SessionLayer(GuaranteeLayer):
                 current = last_seen.get(observation.key)
                 if current is None or version.timestamp > current.timestamp:
                     last_seen[observation.key] = version
-                    state.seen_owed.add(observation.key)
         if self._writes:
             own_writes = state.own_writes
-            targets = ctx.write_targets
+            targets = ctx.write_targets if self._forwards else None
             for key, version in ctx.written_versions.items():
                 timestamp = version.timestamp
                 current = own_writes.get(key)
                 if current is None or timestamp > current.timestamp:
                     own_writes[key] = version
-                    state.own_owed.add(key)
-                target = targets.get(key)
-                if target is not None:
-                    state.note_holder(key, timestamp, target)
+                if targets is not None:
+                    state.note_holder(key, timestamp, targets[key])
 
     def _forward(self, ctx: TxnContext, versions: Dict[str, Version],
                  index: OwedIndex, overwritten: Set[str]) -> Generator:
@@ -489,29 +491,26 @@ class SessionLayer(GuaranteeLayer):
         replicas for the items the transaction itself accesses (Section 4.2).
 
         Only the owed keys of ``versions`` are examined, in first-remembered
-        order; when routing moved since the map was last examined in full
-        (membership epoch or partition generation), every key is owed again.
-        A key stops being owed once its routed replica is found to hold it;
-        one skipped as overwritten or unreachable stays owed.
+        order; once routing moved (membership epoch or partition generation)
+        every key is owed again, and stays owed until its routed replica is
+        found to hold it.
         """
         client = self.client
         state = self.state
-        stamp = (client.node.config.epoch,
-                 client.node.network.partitions.generation)
+        stamp = (client.node.config.epoch, client.node.network.partitions.generation)
         if index.stamp != stamp:
             index.stamp = stamp
-            index.owed.update(versions)
-        if not index.owed:
-            return
+            index.owed = list(versions)
+        candidates = index.owed
+        state.forward_probes += len(candidates)
+        owed = index.owed = []
         futures = []
         delivered: List[Tuple[str, Timestamp, str]] = []
-        candidates = sorted(index.owed, key=index.rank.__getitem__)
-        state.forward_probes += len(candidates)
         for key in candidates:
             version = versions[key]
             if version.txn_id is None:
-                index.owed.discard(key)
                 continue  # the initial (bottom) version needs no forwarding
+            owed.append(key)
             if key in overwritten:
                 continue  # this transaction's own newer write supersedes it
             try:
@@ -519,7 +518,7 @@ class SessionLayer(GuaranteeLayer):
             except UnavailableError:
                 continue
             if replica in state.holders_of(key, version.timestamp):
-                index.owed.discard(key)
+                owed.pop()
                 continue
             size = client.value_bytes + (version.metadata_bytes
                                          if version.siblings else 0)

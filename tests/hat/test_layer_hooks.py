@@ -107,8 +107,10 @@ def _portable(version):  # transaction ids come from a process-wide counter
     return [version.value, version.timestamp, sorted(version.siblings)]
 
 
-def _owed(index):
-    return {"owed": sorted(index.owed), "rank": index.rank, "stamp": index.stamp}
+def _owed(index):  # None: no row of the stack forwards that map
+    if index is None:
+        return None
+    return {"owed": sorted(index.owed), "stamp": index.stamp}
 
 
 def _sessions(monkeypatch, protocol):
@@ -154,7 +156,8 @@ def session_state_pin(monkeypatch) -> dict:
         sessions = snapshot["sessions"]
         totals = {field: sum(len(s[field]) for s in sessions)
                   for field in ("last_seen", "own_writes", "holders")}
-        totals.update({f"{field}_keys": sum(len(s[field]["owed"]) for s in sessions)
+        totals.update({f"{field}_keys": sum(len(s[field]["owed"]) for s in sessions
+                                            if s[field] is not None)
                        for field in ("seen_owed", "own_owed")})
         totals.update({field: sum(s[field] for s in sessions)
                        for field in ("forward_probes", "forwards_issued",

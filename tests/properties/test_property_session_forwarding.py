@@ -1,11 +1,14 @@
 """Property test: the owed-key index forwards exactly what a full scan would.
 
 ``SessionLayer._forward`` examines only the keys its :class:`OwedIndex` says
-can be owed.  The reference here ignores the index and scans every remembered
-version — the loop the index replaced — at the moment each ``_forward``
-starts; whatever faults, membership changes and foreign writes happened in
-between, both must name the same ``(key, timestamp, replica)`` forwards in
-the same order.
+can be owed, and ``SessionLayer.begin`` does not enter it at all while
+routing has not moved and nothing is owed.  The reference here ignores the
+index and scans every remembered version — the loop the index replaced — at
+the moment each ``_forward`` starts, and at every writing transaction's
+``begin`` that enters no ``_forward``; whatever faults, membership changes
+and foreign writes happened in between, both must name the same
+``(key, timestamp, replica)`` forwards in the same order (none, for a
+``begin`` that returned early).
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -74,7 +77,24 @@ def test_owed_index_forwards_what_a_full_scan_would(steps, converging):
         anti_entropy=AntiEntropyConfig(
             interval_ms=10.0 if converging else 600_000.0)))
     home = testbed.config.cluster_names[0]
-    session = testbed.make_client("causal", home_cluster=home)
+    begin = SessionLayer.begin
+    checked = []
+
+    def checked_begin(layer, ctx):
+        writes = any(op.is_write for op in ctx.plan)
+        expected = [full_scan(layer, ctx, versions)
+                    for _, versions, _ in layer._forwards]
+        entered = len(checked)
+        yield from begin(layer, ctx)
+        if writes and len(checked) == entered:
+            assert expected == [[] for _ in layer._forwards]
+
+    # The client binds its hooks when it is built.
+    SessionLayer.begin = checked_begin
+    try:
+        session = testbed.make_client("causal", home_cluster=home)
+    finally:
+        SessionLayer.begin = begin
     # Homed with the session, so its writes are what the session reads next.
     author = testbed.make_client("eventual", home_cluster=home)
     servers = list(testbed.config.all_servers)
@@ -91,7 +111,6 @@ def test_owed_index_forwards_what_a_full_scan_would(steps, converging):
 
     session._issue = spy
     forward = SessionLayer._forward
-    checked = []
 
     def checked_forward(layer, ctx, versions, index, overwritten):
         expected = full_scan(layer, ctx, versions)

@@ -20,7 +20,7 @@ results are bit-identical to sequential ones.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.adya.history import HistoryRecorder
@@ -42,7 +42,8 @@ from repro.chaos.telemetry import (
     AvailabilitySLO,
     GroupTimeline,
     TimelineTelemetry,
-    availability_score,
+    WindowStats,
+    sum_groups,
 )
 from repro.errors import ReproError
 from repro.hat.protocols import EVENTUAL, MASTER, MAV, QUORUM, READ_COMMITTED
@@ -51,6 +52,7 @@ from repro.overload import AdmissionConfig, RetryPolicy
 from repro.replication.antientropy import AntiEntropyConfig
 from repro.obs.critical_path import aggregate_stack, decompose
 from repro.obs.export import chrome_trace
+from repro.obs.metrics import phase_tiles
 from repro.obs.provenance import join_anomalies
 from repro.loadgen import (
     OpenLoopConfig,
@@ -167,6 +169,14 @@ def _partition_campaign(params) -> Campaign:
     return canonical_partition_campaign(
         list(params.regions), baseline_ms=params.baseline_ms,
         partition_ms=params.partition_ms, recovery_ms=params.recovery_ms)
+
+
+def _shifted(campaign: Campaign, offset_ms: float) -> Campaign:
+    """``campaign`` with its phases on the clock of a run that starts at
+    ``offset_ms`` (its faults fire relative to that start)."""
+    return replace(campaign, phases=tuple(
+        CampaignPhase(phase.name, phase.start_ms + offset_ms,
+                      phase.end_ms + offset_ms) for phase in campaign.phases))
 
 
 def _install(testbed: Testbed,
@@ -612,18 +622,13 @@ def _tpcc_sim_run(protocol: str, params: TPCCSimParams) -> TPCCSimResult:
     report = audit_tpcc_history(recorder.build())
     phase_availability: Dict[str, Optional[float]] = {}
     if campaign is not None:
-        groups = telemetry.build()
-        for phase in campaign.phases:
-            # Telemetry windows carry absolute simulated times; shift the
-            # campaign phase by the preloaded run's start before scoring.
-            shifted = CampaignPhase(name=phase.name,
-                                    start_ms=phase.start_ms + run_start_ms,
-                                    end_ms=phase.end_ms + run_start_ms)
-            scores = [availability_score(t.phase_windows(shifted),
-                                         telemetry.slo)
-                      for t in groups.values()]
-            scores = [s for s in scores if s is not None]
-            phase_availability[phase.name] = min(scores) if scores else None
+        timeline = AvailabilityTimeline(
+            protocol=protocol, campaign=_shifted(campaign, run_start_ms),
+            window_ms=params.window_ms, slo=telemetry.slo,
+            groups=telemetry.build(), stats=stats)
+        phase_availability = {
+            phase.name: timeline.min_phase_availability(phase.name)
+            for phase in campaign.phases}
     return TPCCSimResult(
         protocol=protocol,
         stats=stats,
@@ -825,9 +830,9 @@ def _staleness_run(protocol: str, params: StalenessParams) -> StalenessResult:
     # absolute simulated times: phase windows index the registry directly.
     phase_recency: Dict[str, Dict[str, Optional[Dict[str, float]]]] = {}
     for phase in campaign.phases:
-        indices = registry.indices_in_range(phase.start_ms, phase.end_ms)
+        tiles = phase_tiles(phase.start_ms, phase.end_ms, registry.window_ms)
         phase_recency[phase.name] = {
-            metric: registry.merged_quantiles(metric, indices)
+            metric: registry.merged_quantiles(metric, tiles)
             for metric in RECENCY_METRICS}
     summaries = {metric: registry.summary(metric) for metric in RECENCY_METRICS}
     cdfs = {metric: [] if summaries[metric] is None else
@@ -901,36 +906,6 @@ class SaturationParams(DeploymentParams):
 
 
 @dataclass
-class SaturationWindow:
-    """One telemetry window of the ramp, merged over all client regions."""
-
-    index: int
-    start_ms: float
-    end_ms: float
-    offered: int
-    committed: int
-    aborted: int
-    #: Summed per-region peak backlog (queued + in flight) in the window.
-    queue_depth: int
-
-    def _rate_s(self, count: int) -> float:
-        return 1000.0 * count / max(self.end_ms - self.start_ms, 1e-9)
-
-    @property
-    def offered_rate_s(self) -> float:
-        return self._rate_s(self.offered)
-
-    @property
-    def committed_rate_s(self) -> float:
-        return self._rate_s(self.committed)
-
-    def as_dict(self) -> Dict[str, float]:
-        return {**asdict(self),
-                "offered_rate_s": self.offered_rate_s,
-                "committed_rate_s": self.committed_rate_s}
-
-
-@dataclass
 class SaturationResult:
     """One protocol's offered-load ramp plus its partition-heal drain run."""
 
@@ -939,8 +914,8 @@ class SaturationResult:
     sessions: int
     #: The healthy ramp run (offered load swept past the knee).
     ramp: OpenLoopStats
-    #: Per-window offered/committed/backlog series, merged across regions.
-    windows: List[SaturationWindow]
+    #: Per-window offered/committed/backlog series, summed across regions.
+    windows: List[WindowStats]
     #: Max windowed committed rate — the sustainable-throughput knee.
     knee_txn_s: float
     #: Offered rate of the first window whose backlog exceeded twice the
@@ -961,26 +936,6 @@ class SaturationResult:
     narration: List[NarrationEntry] = field(default_factory=list)
 
 
-def _merged_windows(groups: Dict[str, GroupTimeline]) -> List[SaturationWindow]:
-    """Sum the per-region window series into one cluster-wide series."""
-    timelines = list(groups.values())
-    if not timelines:
-        return []
-    merged = []
-    for index, window in enumerate(timelines[0].windows):
-        rows = [t.windows[index] for t in timelines]
-        merged.append(SaturationWindow(
-            index=index,
-            start_ms=window.start_ms,
-            end_ms=window.end_ms,
-            offered=sum(w.offered for w in rows),
-            committed=sum(w.committed for w in rows),
-            aborted=sum(w.external_aborts + w.internal_aborts for w in rows),
-            queue_depth=sum(w.queue_depth for w in rows),
-        ))
-    return merged
-
-
 def _saturation_run(protocol: str, params: SaturationParams) -> SaturationResult:
     """One protocol's ramp + heal runs (the parallel-sweep worker)."""
     scenario = _scenario(params)
@@ -993,7 +948,7 @@ def _saturation_run(protocol: str, params: SaturationParams) -> SaturationResult
         RampArrivals(params.ramp_start_rate_s, params.ramp_peak_rate_s,
                      params.ramp_ms),
         workload, params, duration_ms=params.ramp_ms, telemetry=telemetry)
-    windows = _merged_windows(telemetry.build())
+    windows = sum_groups(telemetry.build(), params.window_ms).windows
     sessions = ramp_stats.sessions
     digest = ramp_stats.digest
     has_commits = digest.count > 0
@@ -1018,7 +973,7 @@ def _saturation_run(protocol: str, params: SaturationParams) -> SaturationResult
         sessions=sessions,
         ramp=ramp_stats,
         windows=windows,
-        knee_txn_s=max((w.committed_rate_s for w in windows), default=0.0),
+        knee_txn_s=max((w.throughput_txn_s for w in windows), default=0.0),
         overload_offered_s=next(
             (w.offered_rate_s for w in windows
              if w.queue_depth > 2 * sessions), None),
@@ -1107,8 +1062,8 @@ class MetastabilityRun:
     #: aggressive retries).
     defended: bool
     stats: OpenLoopStats
-    #: Per-window offered/committed/backlog series, merged across regions.
-    windows: List[SaturationWindow]
+    #: Per-window offered/committed/backlog series, summed across regions.
+    windows: List[WindowStats]
     campaign: Campaign
     #: When the partition healed (the trigger ended), on the window clock.
     heal_at_ms: float
@@ -1138,10 +1093,10 @@ class MetastabilityResult:
     defended: MetastabilityRun
 
 
-def _mean_rate_s(windows: Sequence[SaturationWindow]) -> float:
+def _mean_rate_s(windows: Sequence[WindowStats]) -> float:
     if not windows:
         return 0.0
-    return sum(w.committed_rate_s for w in windows) / len(windows)
+    return sum(w.throughput_txn_s for w in windows) / len(windows)
 
 
 def _metastability_run(protocol: str, defended: bool,
@@ -1190,7 +1145,7 @@ def _metastability_run(protocol: str, defended: bool,
         anti_entropy=anti_entropy,
         admission=admission))
     campaign = _partition_campaign(params)
-    start_ms = testbed.env.now
+    baseline, _, recovery = _shifted(campaign, testbed.env.now).phases
     telemetry = TimelineTelemetry(window_ms=params.window_ms)
     stats, narration = _open_loop_leg(
         protocol, testbed, campaign, PoissonArrivals(params.rate_s),
@@ -1199,12 +1154,10 @@ def _metastability_run(protocol: str, defended: bool,
             operations_per_transaction=params.operations_per_transaction,
             write_proportion=params.write_proportion),
         params, retry=retry, telemetry=telemetry)
-    windows = _merged_windows(telemetry.build())
-    heal_at_ms = start_ms + params.baseline_ms + params.partition_ms
-    baseline_windows = [w for w in windows
-                        if w.end_ms <= start_ms + params.baseline_ms]
-    post_windows = [w for w in windows if w.start_ms >= heal_at_ms]
-    healthy_rate_s = _mean_rate_s(baseline_windows)
+    timeline = sum_groups(telemetry.build(), params.window_ms)
+    heal_at_ms = recovery.start_ms
+    post_windows = timeline.phase_windows(recovery)
+    healthy_rate_s = _mean_rate_s(timeline.phase_windows(baseline))
     post_heal_rate_s = _mean_rate_s(post_windows)
     pinned = bool(post_windows) and healthy_rate_s > 0.0 and (
         post_heal_rate_s <= METASTABILITY_PIN_FRACTION * healthy_rate_s)
@@ -1220,7 +1173,7 @@ def _metastability_run(protocol: str, defended: bool,
         protocol=protocol,
         defended=defended,
         stats=stats,
-        windows=windows,
+        windows=timeline.windows,
         campaign=campaign,
         heal_at_ms=heal_at_ms,
         healthy_rate_s=healthy_rate_s,

@@ -106,9 +106,9 @@ def _slo_strips(title: str, results: Sequence, column: int) -> List[str]:
     """SLO header plus one ``#``/``.`` strip per (protocol, client region).
 
     Each character is one SLO window: ``#`` served (window met the SLO),
-    ``.`` did not.  The per-phase columns (``column`` wide) give the
-    fraction of that phase's windows meeting the SLO — the availability
-    score.
+    ``.`` did not, ``-`` an edge window the run clipped (not scored).  The
+    per-phase columns (``column`` wide) give the fraction of that phase's
+    scored windows meeting the SLO — the availability score.
     """
     campaign = results[0].campaign
     slo = results[0].slo
@@ -129,7 +129,8 @@ def _slo_strips(title: str, results: Sequence, column: int) -> List[str]:
     lines += [header, "-" * len(header)]
     for result in results:
         for group in sorted(result.groups):
-            strip = "".join("#" if w.meets(result.slo) else "."
+            strip = "".join("-" if not w.scored
+                            else "#" if w.meets(result.slo) else "."
                             for w in result.groups[group].windows)
             scores = result.phase_availability(group)
             lines.append(

@@ -1,60 +1,42 @@
 """Timeline telemetry: per-window time-series and SLO availability scores.
 
-Aggregate throughput hides exactly what the paper's Table 3 is about: a
-protocol that stalls for the whole partition and then catches up can post
-the same aggregate numbers as one that served throughout.  This module
-slices a run into fixed windows and scores each window against a simple
-SLO, so "availability" becomes *the fraction of windows in which the
-protocol actually served* — per client group, per campaign phase.
+Aggregate throughput hides what the paper's Table 3 is about: a protocol
+that stalls through a partition and then catches up can post the same
+totals as one that served throughout.  So a run is sliced into windows,
+each scored against an SLO, and *availability* is the fraction of windows
+served — per client group, per campaign phase.  The runners report each
+transaction (``begin`` / ``complete``), the open-loop engine also arrivals
+(``offer``) and session-pool backlog (``observe_queue_depth``).
 
-The bench runner drives it: :meth:`TimelineTelemetry.begin` when a client
-starts a transaction, :meth:`TimelineTelemetry.complete` when it finishes,
-:meth:`TimelineTelemetry.build` after the run.  A transaction that spans a
-whole window without ever committing — a client wedged behind an RPC into a
-partition, whether it later aborts on timeout or never finishes at all —
-counts as a *stall* in every window it fully covers; a slow transaction
-that eventually commits is latency, not a stall.
+Windows are the metrics registry's tiles (:mod:`repro.obs.metrics`): an
+instant — a commit, an abort, an arrival, a queue sample — counts in the
+absolute half-open tile ``[i*w, (i+1)*w)`` holding it (``window_index``),
+so an instant on a boundary counts in the window that starts there.  A
+window belongs to the campaign phase containing its midpoint
+(``phase_tiles``).  The measured interval need not start or end on a
+boundary: a tile it clips is an *edge window*, reported with its clipped
+span and counted in every total, but not scored (``WindowStats.scored``).
 
-Aggregation is **streaming**: every completion buckets immediately into its
-window's counters, and latencies stream into a bounded
-:class:`~repro.loadgen.sketch.LatencyDigest` per window instead of a sample
-list, so memory is O(windows + in-flight transactions) no matter how many
-requests an open-loop run pushes through.  The open-loop engine adds two
-more per-window series via :meth:`TimelineTelemetry.offer` (arrivals, i.e.
-offered load) and :meth:`TimelineTelemetry.observe_queue_depth` (session
-pool backlog), which is what makes *overload* observable — a saturated run
-shows offered pulling away from completed and queue depth climbing, not
-just higher latency.
+A transaction that never commits (wedged behind an RPC into a partition,
+whether it later aborts or never finishes) *stalls* the tiles it covered:
+from the first tile starting at or after its begin up to, not including,
+the tile it ended in.  A slow commit is latency, not a stall.  Windows are
+created on first touch; latencies stream into a bounded
+:class:`~repro.loadgen.sketch.LatencyDigest` per window.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from copy import deepcopy
+from dataclasses import asdict, dataclass, field, replace
+from itertools import count
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.bench.metrics import LatencySummary
 from repro.chaos.campaign import CampaignPhase
 from repro.errors import ReproError
-
-
-def _empty_summary():
-    # Imported lazily: repro.bench's package __init__ pulls in the experiment
-    # module, which itself imports this telemetry layer.
-    from repro.bench.metrics import LatencySummary
-
-    return LatencySummary.empty()
-
-
-def _summary_from_digest(digest):
-    from repro.bench.metrics import LatencySummary
-
-    return LatencySummary.from_digest(digest)
-
-
-def _new_digest():
-    from repro.loadgen.sketch import LatencyDigest
-
-    return LatencyDigest()
+from repro.loadgen.sketch import LatencyDigest
+from repro.obs.metrics import phase_tiles, window_index
 
 
 @dataclass(frozen=True)
@@ -71,21 +53,23 @@ class AvailabilitySLO:
     allow_stalls: bool = True
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "min_success_fraction": self.min_success_fraction,
-            "min_committed": self.min_committed,
-            "max_p95_latency_ms": self.max_p95_latency_ms,
-            "allow_stalls": self.allow_stalls,
-        }
+        return asdict(self)
+
+
+#: The counters of a window; a cross-group sum adds each (backlog peaks too).
+_COUNTS = ("committed", "external_aborts", "internal_aborts", "stalled",
+           "offered", "queue_depth")
 
 
 @dataclass
 class WindowStats:
-    """Counters for one time window of one client group."""
+    """Counters for one window of one client group (or of their sum)."""
 
     index: int
     start_ms: float
     end_ms: float
+    #: False for an edge window: the measured interval clips its tile.
+    scored: bool = True
     committed: int = 0
     #: Transactions the system aborted (timeouts, unreachable replicas).
     external_aborts: int = 0
@@ -97,8 +81,19 @@ class WindowStats:
     offered: int = 0
     #: Peak sampled session-pool backlog during the window (open-loop runs).
     queue_depth: int = 0
-    #: :class:`~repro.bench.metrics.LatencySummary` of committed latencies.
-    latency: object = field(default_factory=_empty_summary)
+    #: Committed latencies, summarised by :attr:`latency`.
+    digest: LatencyDigest = field(default_factory=LatencyDigest)
+
+    def __add__(self, other: "WindowStats") -> "WindowStats":
+        """The same window of two groups, summed."""
+        return replace(
+            self, digest=LatencyDigest().merge(self.digest).merge(other.digest),
+            **{name: getattr(self, name) + getattr(other, name)
+               for name in _COUNTS})
+
+    @property
+    def latency(self) -> LatencySummary:
+        return LatencySummary.from_digest(self.digest)
 
     @property
     def success_fraction(self) -> float:
@@ -106,90 +101,47 @@ class WindowStats:
         finished = self.committed + self.external_aborts
         return self.committed / finished if finished else 0.0
 
+    def _rate_s(self, events: int) -> float:
+        return 1000.0 * events / max(self.end_ms - self.start_ms, 1e-9)
+
     @property
     def throughput_txn_s(self) -> float:
-        span_ms = max(self.end_ms - self.start_ms, 1e-9)
-        return 1000.0 * self.committed / span_ms
+        return self._rate_s(self.committed)
 
     @property
     def offered_rate_s(self) -> float:
-        span_ms = max(self.end_ms - self.start_ms, 1e-9)
-        return 1000.0 * self.offered / span_ms
+        return self._rate_s(self.offered)
 
     @property
     def completed_rate_s(self) -> float:
-        span_ms = max(self.end_ms - self.start_ms, 1e-9)
-        return 1000.0 * (self.committed + self.external_aborts
-                         + self.internal_aborts) / span_ms
+        return self._rate_s(self.committed + self.external_aborts
+                            + self.internal_aborts)
 
     def meets(self, slo: AvailabilitySLO) -> bool:
-        if self.committed < slo.min_committed:
-            return False
-        if self.success_fraction < slo.min_success_fraction:
-            return False
-        if not slo.allow_stalls and self.stalled:
-            return False
-        if (slo.max_p95_latency_ms is not None
-                and self.latency.p95 is not None
-                and self.latency.p95 > slo.max_p95_latency_ms):
-            return False
-        return True
+        bound = slo.max_p95_latency_ms
+        return (self.committed >= slo.min_committed
+                and self.success_fraction >= slo.min_success_fraction
+                and (slo.allow_stalls or not self.stalled)
+                and (bound is None or not self.committed
+                     or self.latency.p95 <= bound))
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "index": self.index,
-            "start_ms": self.start_ms,
-            "end_ms": self.end_ms,
-            "committed": self.committed,
-            "external_aborts": self.external_aborts,
-            "internal_aborts": self.internal_aborts,
-            "stalled": self.stalled,
-            "offered": self.offered,
-            "queue_depth": self.queue_depth,
-            "throughput_txn_s": self.throughput_txn_s,
-            "latency": self.latency.as_dict(),
-        }
+        return {"index": self.index, "start_ms": self.start_ms,
+                "end_ms": self.end_ms, "scored": self.scored,
+                **{name: getattr(self, name) for name in _COUNTS},
+                "throughput_txn_s": self.throughput_txn_s,
+                "offered_rate_s": self.offered_rate_s,
+                "completed_rate_s": self.completed_rate_s,
+                "latency": self.latency.as_dict()}
 
 
 def availability_score(windows: Sequence[WindowStats],
                        slo: AvailabilitySLO) -> Optional[float]:
-    """Fraction of ``windows`` meeting the SLO (None for an empty slice)."""
-    if not windows:
+    """Fraction of the scored ``windows`` meeting the SLO (None if none)."""
+    scored = [w for w in windows if w.scored]
+    if not scored:
         return None
-    return sum(1 for w in windows if w.meets(slo)) / len(windows)
-
-
-def join_fault_windows(windows: List[Dict[str, object]],
-                       fault_windows: Sequence[Dict[str, object]],
-                       ) -> List[Dict[str, object]]:
-    """Stamp each time-series window with the fault windows it overlapped.
-
-    ``windows`` are dicts with ``start_ms``/``end_ms`` (any windowed export
-    — the metrics registry's histogram series, or ``WindowStats.as_dict()``
-    rows); ``fault_windows`` are ``FaultWindow.as_dict()`` records.  Each
-    window gains a ``"faults"`` list of overlapping fault-window ids, which
-    is what lets a reader line a staleness spike up against the partition
-    that caused it without eyeballing timestamps.  A still-open fault
-    (``end_ms`` None) overlaps everything after its start; a zero-width
-    marker (scale-out, scale-in) is attributed to the single window
-    containing its instant.
-    """
-    for entry in windows:
-        w_start = entry["start_ms"]
-        w_end = entry["end_ms"]
-        hits = []
-        for fault in fault_windows:
-            f_start = fault["start_ms"]
-            f_end = fault["end_ms"]
-            if f_end is None:
-                f_end = float("inf")
-            if f_end == f_start:
-                if w_start <= f_start < w_end:
-                    hits.append(fault["window_id"])
-            elif w_start < f_end and w_end > f_start:
-                hits.append(fault["window_id"])
-        entry["faults"] = hits
-    return windows
+    return sum(1 for w in scored if w.meets(slo)) / len(scored)
 
 
 @dataclass
@@ -198,14 +150,15 @@ class GroupTimeline:
 
     group: str
     windows: List[WindowStats]
+    window_ms: float
 
     def availability(self, slo: AvailabilitySLO) -> Optional[float]:
         return availability_score(self.windows, slo)
 
     def phase_windows(self, phase: CampaignPhase) -> List[WindowStats]:
         """Windows whose midpoint falls inside ``phase``."""
-        return [w for w in self.windows
-                if phase.contains((w.start_ms + w.end_ms) / 2.0)]
+        tiles = phase_tiles(phase.start_ms, phase.end_ms, self.window_ms)
+        return [w for w in self.windows if w.index in tiles]
 
     def phase_availability(self, phases: Sequence[CampaignPhase],
                            slo: AvailabilitySLO) -> Dict[str, Optional[float]]:
@@ -213,26 +166,19 @@ class GroupTimeline:
                 for phase in phases}
 
 
-class _Attempt:
-    """One in-flight transaction tracked from begin to completion."""
-
-    __slots__ = ("group", "start_ms", "end_ms", "committed", "internal")
-
-    def __init__(self, group: str, start_ms: float):
-        self.group = group
-        self.start_ms = start_ms
-        self.end_ms: Optional[float] = None
-        self.committed = False
-        self.internal = False
+def sum_groups(groups: Dict[str, GroupTimeline],
+               window_ms: float) -> GroupTimeline:
+    """Every group's series summed window by window: the whole cluster's."""
+    rows = zip(*(timeline.windows for timeline in groups.values()))
+    return GroupTimeline(group="all", window_ms=window_ms,
+                         windows=[sum(row[1:], row[0]) for row in rows])
 
 
 class TimelineTelemetry:
-    """Collects per-transaction begin/complete events and builds timelines.
+    """Records transactions, arrivals and backlog into per-group windows.
 
-    Aggregation is streaming: counters and latency digests update at each
-    ``complete``/``offer``/``observe_queue_depth`` call, and only attempts
-    still in flight are held individually (for end-of-run stall
-    accounting), so memory does not grow with the number of requests.
+    ``begin`` returns an opaque handle for ``complete``; only attempts in
+    flight are held individually.
     """
 
     def __init__(self, window_ms: float = 500.0,
@@ -241,145 +187,106 @@ class TimelineTelemetry:
             raise ReproError("telemetry window must be positive")
         self.window_ms = float(window_ms)
         self.slo = slo or AvailabilitySLO()
-        self._bounds: Optional[tuple] = None
-        self._window_count = 0
-        self._windows: Dict[str, List[WindowStats]] = {}
-        self._digests: Dict[Tuple[str, int], object] = {}
-        #: Attempts begun but not yet completed (in-flight stall candidates).
-        self._open: Dict[_Attempt, None] = {}
+        self._interval: Optional[Tuple[float, float]] = None
+        self._tiles = range(0)  # the tiles the measured interval touches
+        #: Group -> tile index -> its window, created on first touch.
+        self._windows: Dict[str, Dict[int, WindowStats]] = {}
+        #: Attempts in flight: handle -> (group, begin_ms).
+        self._open: Dict[int, Tuple[str, float]] = {}
+        self._handles = count()
 
-    # -- recording (driven by the bench runner's client loop) -----------------
     def start_run(self, start_ms: float, end_ms: float) -> None:
-        """Fix the measured interval; windows tile [start_ms, end_ms)."""
+        """Fix the measured interval ``[start_ms, end_ms)``."""
         if end_ms <= start_ms:
             raise ReproError("telemetry run interval must be non-empty")
-        self._bounds = (float(start_ms), float(end_ms))
-        self._window_count = max(1, math.ceil((end_ms - start_ms)
-                                              / self.window_ms))
+        self._interval = (float(start_ms), float(end_ms))
+        last = window_index(end_ms, self.window_ms)
+        self._tiles = range(window_index(start_ms, self.window_ms),
+                            last + (last * self.window_ms < end_ms))
 
-    def _group_windows(self, group: str) -> List[WindowStats]:
-        windows = self._windows.get(group)
-        if windows is None:
-            start, end = self._require_bounds()
-            windows = [
-                WindowStats(index=i, start_ms=start + i * self.window_ms,
-                            end_ms=min(start + (i + 1) * self.window_ms, end))
-                for i in range(self._window_count)
-            ]
-            self._windows[group] = windows
-        return windows
-
-    def _require_bounds(self) -> tuple:
-        if self._bounds is None:
+    def _bounds(self) -> Tuple[float, float]:
+        if self._interval is None:
             raise ReproError("call start_run() before recording telemetry")
-        return self._bounds
+        return self._interval
 
-    def _window_index(self, t_ms: float) -> Optional[int]:
-        start, end = self._bounds
-        if not start <= t_ms < end:
-            return None
-        return min(int((t_ms - start) / self.window_ms),
-                   self._window_count - 1)
+    def _window(self, group: str, index: int) -> WindowStats:
+        windows = self._windows.setdefault(group, {})
+        window = windows.get(index)
+        if window is None:
+            start, end = self._interval
+            low, high = index * self.window_ms, (index + 1) * self.window_ms
+            window = windows[index] = WindowStats(
+                index, max(low, start), min(high, end),
+                scored=start <= low and high <= end)
+        return window
 
-    def begin(self, group: str, now_ms: float) -> _Attempt:
-        attempt = _Attempt(group, now_ms)
-        self._open[attempt] = None
-        return attempt
+    def _window_at(self, group: str, at_ms: float) -> Optional[WindowStats]:
+        """The window holding instant ``at_ms`` (None outside the interval)."""
+        start, end = self._bounds()
+        if start <= at_ms < end:
+            return self._window(group, window_index(at_ms, self.window_ms))
+        return None
 
-    def complete(self, attempt: _Attempt, result) -> None:
-        self._require_bounds()
-        attempt.end_ms = result.end_ms
-        attempt.committed = bool(result.committed)
-        attempt.internal = bool(result.internal_abort)
-        self._open.pop(attempt, None)
-        self._bucket(attempt)
+    def _stalled(self, begin_ms: float, until: int) -> range:
+        """The interval's tiles from the first one starting at or after
+        ``begin_ms`` up to, not including, tile ``until``."""
+        first = window_index(begin_ms, self.window_ms)
+        first += first * self.window_ms < begin_ms
+        return range(max(first, self._tiles.start),
+                     min(until, self._tiles.stop))
+
+    def begin(self, group: str, now_ms: float) -> int:
+        self._windows.setdefault(group, {})
+        handle = next(self._handles)
+        self._open[handle] = (group, now_ms)
+        return handle
+
+    def complete(self, attempt: int, result) -> None:
+        group, begin_ms = self._open.pop(attempt)
+        window = self._window_at(group, result.end_ms)
+        if window is not None:
+            if result.committed:
+                window.committed += 1
+                window.digest.add(result.end_ms - begin_ms)
+            elif result.internal_abort:
+                window.internal_aborts += 1
+            else:
+                window.external_aborts += 1
+        if not result.committed:
+            until = window_index(result.end_ms, self.window_ms)
+            for index in self._stalled(begin_ms, until):
+                self._window(group, index).stalled += 1
 
     def offer(self, group: str, now_ms: float) -> None:
         """Count one offered arrival (open-loop runs call this per arrival)."""
-        self._require_bounds()
-        index = self._window_index(now_ms)
-        if index is not None:
-            self._group_windows(group)[index].offered += 1
+        window = self._window_at(group, now_ms)
+        if window is not None:
+            window.offered += 1
 
     def observe_queue_depth(self, group: str, now_ms: float,
                             depth: int) -> None:
         """Record a sampled backlog depth (per window, the peak is kept)."""
-        self._require_bounds()
-        index = self._window_index(now_ms)
-        if index is not None:
-            window = self._group_windows(group)[index]
-            if depth > window.queue_depth:
-                window.queue_depth = depth
+        window = self._window_at(group, now_ms)
+        if window is not None and depth > window.queue_depth:
+            window.queue_depth = depth
 
-    # -- streaming aggregation --------------------------------------------------
-    def _bucket(self, attempt: _Attempt) -> None:
-        """Count a completed attempt (those in flight are ``build``'s job)."""
-        start, end = self._bounds
-        windows = self._group_windows(attempt.group)
-        # Outcome counters land in the window where the transaction finished.
-        # A completion *exactly on* a window boundary belongs to the window
-        # that ends there: it measures the interval that just closed.  (The
-        # naive half-open bucketing would put it in the next window — and,
-        # combined with the stall rule below, count one attempt in two
-        # windows.  Arrivals and queue samples keep pure half-open
-        # semantics: they are instants, not interval ends.)
-        if start <= attempt.end_ms < end:
-            offset = attempt.end_ms - start
-            index = int(offset / self.window_ms)
-            if index > 0 and offset == index * self.window_ms:
-                index -= 1
-            index = min(index, len(windows) - 1)
-            window = windows[index]
-            if attempt.committed:
-                window.committed += 1
-                key = (attempt.group, index)
-                digest = self._digests.get(key)
-                if digest is None:
-                    digest = self._digests[key] = _new_digest()
-                digest.add(attempt.end_ms - attempt.start_ms)
-            elif attempt.internal:
-                window.internal_aborts += 1
-            else:
-                window.external_aborts += 1
-        # Stalls: windows the attempt spans end-to-end without ever reaching
-        # a commit.  A slow transaction that eventually commits is latency,
-        # not a stall; a client wedged behind an RPC into a partition (which
-        # later times out and aborts, or never finishes at all) is.
-        if attempt.committed:
-            return
-        # Completed without committing: the window where the abort was
-        # *counted* must not also be stalled by it, so only windows the
-        # attempt strictly outlived stall (boundary-exact ends excluded).
-        for window in windows:
-            if (attempt.start_ms <= window.start_ms
-                    and attempt.end_ms > window.end_ms):
-                window.stalled += 1
-
-    # -- aggregation ------------------------------------------------------------
     def build(self) -> Dict[str, GroupTimeline]:
-        """Snapshot everything recorded so far into per-group timelines.
+        """Snapshot the per-group timelines: one window per tile of the
+        measured interval.
 
         Non-destructive (windows are copied), so it can be called again
-        after further recording; attempts still in flight contribute their
-        stall windows to the snapshot without being finalized.
+        after further recording; attempts still in flight stall the
+        snapshot's windows they have covered.
         """
-        start, end = self._require_bounds()
-        timelines: Dict[str, GroupTimeline] = {}
-        for group, windows in self._windows.items():
-            copies = [replace(window) for window in windows]
-            for (digest_group, index), digest in self._digests.items():
-                if digest_group == group:
-                    copies[index].latency = _summary_from_digest(digest)
-            timelines[group] = GroupTimeline(group=group, windows=copies)
-        # In-flight attempts stall every window they have fully covered.
-        for attempt in self._open:
-            timeline = timelines.get(attempt.group)
-            if timeline is None:
-                timeline = timelines[attempt.group] = GroupTimeline(
-                    group=attempt.group,
-                    windows=[replace(w) for w
-                             in self._group_windows(attempt.group)])
-            for window in timeline.windows:
-                if attempt.start_ms <= window.start_ms and window.end_ms <= end:
-                    window.stalled += 1
+        self._bounds()
+        timelines = {}
+        for group in list(self._windows):
+            windows = [self._window(group, index) for index in self._tiles]
+            timelines[group] = GroupTimeline(group, [
+                replace(w, digest=deepcopy(w.digest)) for w in windows],
+                self.window_ms)
+        for group, begin_ms in self._open.values():
+            windows = timelines[group].windows
+            for index in self._stalled(begin_ms, self._tiles.stop):
+                windows[index - self._tiles.start].stalled += 1
         return timelines

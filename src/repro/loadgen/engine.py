@@ -64,7 +64,7 @@ def open_run_window(config, testbed: Testbed, telemetry: Optional[object],
     the warm-up inside it ends, and the end of the grace period in-flight
     requests finish in.  The preload (e.g. the TPC-C initial contents) goes
     through a plain eventual client with no recorder and finishes before
-    ``start_ms``; telemetry windows tile the post-warm-up interval only, so
+    ``start_ms``; telemetry records the post-warm-up interval only, so
     windowed totals agree with the aggregate stats.
     """
     if preload:

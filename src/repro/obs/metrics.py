@@ -1,58 +1,42 @@
 """Unified metrics registry: deterministic sim-clock observability.
 
-One :class:`MetricsRegistry` per deployment (attached to the network when
-``Scenario.metrics`` is on) collects three primitive kinds:
+One :class:`MetricsRegistry` per deployment (on the network when
+``Scenario.metrics`` is on) exports **counters** (floats keyed by name +
+labels), **gauges** (high-water marks a component keeps) and **windowed
+histograms** (each observation lands in the t-digest of its window and in
+a whole-run digest: per-window quantile series and run-level CDFs from one
+feed).
 
-* **counters** — monotonically increasing floats keyed by name + labels
-  (queue sheds, breaker opens, anti-entropy rounds, ...),
-* **gauges** — last-written values (queue depth high-water, backlog), and
-* **windowed histograms** — every observation lands in the t-digest for
-  the window ``int(at_ms // window_ms)`` of its series *and* in a
-  whole-run digest, so both per-window quantile time-series and run-level
-  CDFs come out of the same feed.  Windows tile the absolute simulated
-  clock half-open (``[i*w, (i+1)*w)``), so an observation on a boundary
-  belongs to exactly one window by construction.
+The one tiling: every windowed series in the code — these histograms and
+the availability timelines of :mod:`repro.chaos.telemetry` — puts instant
+``t`` in window :func:`window_index` ``= int(t // w)``, the absolute
+half-open tile ``[i*w, (i+1)*w)``: an instant on a boundary belongs to the
+window that starts there, and to no other.  A series recording only a
+measured interval reports the tiles it clips with their clipped span
+(*edge windows*).  A window belongs to the phase containing its midpoint
+(:func:`phase_tiles`, the one phase selector); :func:`join_fault_windows`
+stamps exported windows with the deployment's fault windows they overlap.
 
-The registry reads the deployment's :class:`~repro.obs.trace.FaultLedger`
-(the one the tracer uses, fed by the nemesis and the membership
-coordinator), which is what lets the windowed export be *joined* with
-chaos phases: every exported window carries the ids of the fault windows
-it overlapped.
+Handles: ``histogram(name, **labels)`` / ``counter`` canonicalise the
+series once and return it — the one storage, whose ``observe(at_ms, x)`` /
+``inc(n)`` is the one recording routine.  A series enters the exports when
+first *touched*, not when resolved.  A count a component already keeps (a
+``*Stats`` field) is *collected*, not recorded: ``collect_counter(name,
+read, **labels)`` / ``collect_gauge`` register a reader that only the
+``counters`` / ``gauges`` snapshots call, so it costs nothing per event and
+is exported while non-zero.  Readers of one series add up (counters) or
+keep the maximum (gauges).
 
-Handles: ``histogram(name, **labels)`` / ``counter`` / ``gauge`` canonicalise
-``(name, labels)`` once and return the series itself — the one storage, whose
-``observe(at_ms, x)`` / ``inc(n)`` / ``set(x)`` / ``max(x)`` is the one
-recording routine; the by-name ``observe`` resolves a handle and delegates.
-A series enters the queries and exports when first *touched*, not when
-resolved.
-
-Collected scalars: a count a component already keeps (a ``*Stats`` field, a
-breaker's ``opens``) is not recorded a second time.  The component registers
-a zero-argument reader when it is built (``collect_counter(name, read,
-**labels)`` / ``collect_gauge``) and only the ``counters`` / ``gauges``
-snapshots call it, so the scalar costs nothing per event and appears in every
-query and export while it is non-zero.  Readers registered under one series
-add up (counters) or keep the maximum (gauges), as merged series do.
-
-Like tracing, nothing here schedules events or consumes randomness, so a
-metrics-on run executes the metrics-off event sequence (pinned by
-``TestGoldenKernelRun``).
-
-Determinism: registries are keyed and iterated in sorted order, ids are
-registry-local, and the t-digest is the deterministic mergeable sketch
-from :mod:`repro.loadgen.sketch` — two runs of the same seeded scenario
-produce byte-identical exports, including across ``--jobs`` pools.
-
-Prometheus exposition: :meth:`MetricsRegistry.prometheus` renders the
-standard text format — ``# TYPE`` headers, one sample per line, labels
-sorted, counters as ``counter``, gauges as ``gauge``, and each histogram
-series as a ``summary`` (``{quantile="0.5"}`` / ``{quantile="0.99"}``
-sample lines plus ``_sum`` and ``_count``).  Metric names are prefixed
-``repro_`` and sanitized to ``[a-zA-Z0-9_]``.
+Nothing here schedules events or draws randomness, so a metrics-on run
+executes the metrics-off event sequence (``TestGoldenKernelRun``), and
+exports are byte-identical across runs of one seeded scenario.
+:meth:`MetricsRegistry.prometheus` renders the Prometheus text format
+(labels sorted, names ``repro_``-prefixed, histograms as ``summary``).
 """
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -60,7 +44,8 @@ from repro.errors import ReproError
 from repro.obs.staleness import StalenessProbe
 from repro.obs.trace import FaultLedger, FaultWindow
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Histogram", "MetricsRegistry", "join_fault_windows",
+           "phase_tiles", "window_index"]
 
 #: Canonical series identity: metric name + sorted (label, value) pairs.
 LabelItems = Tuple[Tuple[str, str], ...]
@@ -72,6 +57,45 @@ DEFAULT_QUANTILES = (0.5, 0.9, 0.99)
 
 def _label_items(labels: Dict[str, object]) -> LabelItems:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+
+
+def window_index(at_ms: float, window_ms: float) -> int:
+    """The window of instant ``at_ms``: tile ``[i*w, (i+1)*w)`` holds it."""
+    return int(at_ms // window_ms)
+
+
+def phase_tiles(start_ms: float, end_ms: float, window_ms: float) -> range:
+    """The windows of a phase ``[start_ms, end_ms)``: tiles whose midpoint
+    the phase contains."""
+    def first_from(at_ms: float) -> int:
+        index = window_index(at_ms, window_ms)
+        return index + ((index + 0.5) * window_ms < at_ms)
+
+    return range(first_from(start_ms), first_from(end_ms))
+
+
+def join_fault_windows(windows: List[Dict[str, object]],
+                       fault_windows: Sequence[Dict[str, object]],
+                       ) -> List[Dict[str, object]]:
+    """Stamp each window dict (``start_ms`` / ``end_ms``: a histogram
+    window, ``WindowStats.as_dict()``) with the ids of the fault windows
+    (``FaultWindow.as_dict()``) it overlapped, under ``"faults"``.
+
+    A still-open fault (``end_ms`` None) overlaps everything after its
+    start; a zero-width marker (scale-out, scale-in) lands in the one
+    window holding its instant.
+    """
+    def overlaps(entry, fault) -> bool:
+        f_start, f_end = fault["start_ms"], fault["end_ms"]
+        if f_end == f_start:
+            return entry["start_ms"] <= f_start < entry["end_ms"]
+        return (entry["start_ms"] < (math.inf if f_end is None else f_end)
+                and entry["end_ms"] > f_start)
+
+    for entry in windows:
+        entry["faults"] = [fault["window_id"] for fault in fault_windows
+                           if overlaps(entry, fault)]
+    return windows
 
 
 def _new_digest():
@@ -113,73 +137,42 @@ def _stats(digest, quantiles: Sequence[float]) -> Dict:
     return stats
 
 
-class _Scalar:
-    """A series holding one float; ``None`` until first touched."""
+class Counter:
+    """A counter series: one float, ``None`` until first touched."""
 
     __slots__ = ("value",)
 
     def __init__(self):
         self.value: Optional[float] = None
 
-
-class Counter(_Scalar):
-    __slots__ = ()
-
     def inc(self, amount: float = 1.0) -> None:
         value = self.value
         self.value = 0.0 + amount if value is None else value + amount
 
 
-class Gauge(_Scalar):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def max(self, value: float) -> None:
-        """Keep the high-water mark (deterministic under any merge order)."""
-        current = self.value
-        if current is None or value > current:
-            self.value = float(value)
-
-
 class Histogram:
-    """One windowed histogram series, resolved.
+    """One windowed histogram series, resolved: a t-digest per window
+    index, created on first touch, and one over the whole run."""
 
-    ``observe`` keeps the digest of the window it last wrote bound, and
-    looks a window up again only when ``int(at_ms // window_ms)`` changes
-    (in either direction: t-visibility is bucketed by *commit* time).
-    """
-
-    __slots__ = ("windows", "total", "_window_ms", "_tile", "_add_window",
-                 "_add_total")
+    __slots__ = ("windows", "total", "_window_ms")
 
     def __init__(self, window_ms: float):
         self.windows: Dict[int, object] = {}  # window index -> its digest
         self.total = _new_digest()
         self._window_ms = window_ms
-        self._tile: Optional[float] = None  # at_ms // window_ms, last written
-        self._add_window: Optional[Callable[[float], None]] = None
-        self._add_total = self.total.add
-
-    def window(self, index: int):
-        digest = self.windows.get(index)
-        if digest is None:
-            digest = self.windows[index] = _new_digest()
-        return digest
 
     def observe(self, at_ms: float, value: float) -> None:
         """Add ``value`` to the series at sim-time ``at_ms``."""
-        tile = at_ms // self._window_ms
-        if tile != self._tile:
-            self._tile = tile
-            self._add_window = self.window(int(tile)).add
-        self._add_window(value)
-        self._add_total(value)
+        index = window_index(at_ms, self._window_ms)
+        digest = self.windows.get(index)
+        if digest is None:
+            digest = self.windows[index] = _new_digest()
+        digest.add(value)
+        self.total.add(value)
 
 
 class MetricsRegistry:
-    """Counters, gauges, and windowed t-digest histograms for one run."""
+    """Counters, collected gauges, and windowed t-digest histograms."""
 
     def __init__(self, window_ms: float = 500.0,
                  faults: Optional[FaultLedger] = None):
@@ -188,7 +181,6 @@ class MetricsRegistry:
         self.window_ms = float(window_ms)
         #: Series key -> its handle (touched: a value, or a window).
         self._counters: Dict[SeriesKey, Counter] = {}
-        self._gauges: Dict[SeriesKey, Gauge] = {}
         self._histograms: Dict[SeriesKey, Histogram] = {}
         #: Series key -> the readers of a collected scalar (module docstring).
         self._counter_readers: Dict[SeriesKey, List[Callable[[], float]]] = {}
@@ -227,9 +219,6 @@ class MetricsRegistry:
         return self._series(self._counters, (name, self._items(labels)),
                             Counter)
 
-    def gauge(self, name: str, /, **labels) -> Gauge:
-        return self._series(self._gauges, (name, self._items(labels)), Gauge)
-
     def histogram(self, name: str, /, **labels) -> Histogram:
         return self._series(self._histograms, (name, self._items(labels)),
                             self._new_histogram)
@@ -253,25 +242,24 @@ class MetricsRegistry:
                      self._new_histogram).observe(at_ms, value)
 
     @staticmethod
-    def _snapshot(recorded: Dict, collected: Dict,
-                  fold: Callable) -> Dict[SeriesKey, float]:
-        values = {key: series.value for key, series in recorded.items()
-                  if series.value is not None}
-        for key, readers in collected.items():
-            value = float(fold(read() for read in readers))
-            if value:  # exported while non-zero: "once touched", read back
-                values[key] = (fold((values[key], value)) if key in values
-                               else value)
-        return values
+    def _collected(readers: Dict, fold: Callable) -> Dict[SeriesKey, float]:
+        """The collected series read back, each while it is non-zero."""
+        values = {key: float(fold(read() for read in reads))
+                  for key, reads in readers.items()}
+        return {key: value for key, value in values.items() if value}
 
     @property
     def counters(self) -> Dict[SeriesKey, float]:
         """A snapshot of every touched or non-zero collected counter."""
-        return self._snapshot(self._counters, self._counter_readers, sum)
+        values = {key: series.value for key, series in self._counters.items()
+                  if series.value is not None}
+        for key, value in self._collected(self._counter_readers, sum).items():
+            values[key] = values.get(key, 0.0) + value
+        return values
 
     @property
     def gauges(self) -> Dict[SeriesKey, float]:
-        return self._snapshot(self._gauges, self._gauge_readers, max)
+        return self._collected(self._gauge_readers, max)
 
     def _observed(self, name: str, labels: Dict) -> Optional[Histogram]:
         series = self._histograms.get((name, _label_items(labels)))
@@ -285,32 +273,6 @@ class MetricsRegistry:
     def finalize(self, now_ms: float) -> None:
         """Close any still-open fault windows at end of run."""
         self.faults.close_all(now_ms)
-
-    # -- merge (property-tested: merge-of-parts == whole) --------------------
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one.
-
-        Counters add; gauges keep the maximum (the only merge that is
-        associative, commutative, and idempotent for high-water marks) —
-        both read from ``other``'s snapshots, so its collected scalars come
-        along at their current value; histogram windows and totals merge
-        digest-wise.  Fault windows are not merged — they describe one
-        deployment's timeline, and the benches never split a single run
-        across registries.
-        """
-        if other.window_ms != self.window_ms:
-            raise ReproError(
-                f"cannot merge registries with different windows "
-                f"({self.window_ms} vs {other.window_ms})")
-        for key, value in other.counters.items():
-            self._series(self._counters, key, Counter).inc(value)
-        for key, value in other.gauges.items():
-            self._series(self._gauges, key, Gauge).max(value)
-        for key, theirs in other._histograms.items():
-            mine = self._series(self._histograms, key, self._new_histogram)
-            for index, digest in theirs.windows.items():
-                mine.window(index).merge(digest)
-            mine.total.merge(theirs.total)
 
     # -- queries -------------------------------------------------------------
     def counter_value(self, name: str, /, **labels) -> float:
@@ -355,18 +317,6 @@ class MetricsRegistry:
         series = self._observed(name, labels)
         return [] if series is None else sorted(series.windows)
 
-    def indices_in_range(self, start_ms: float, end_ms: float) -> List[int]:
-        """Window indices whose midpoint falls in ``[start_ms, end_ms)``."""
-        w = self.window_ms
-        indices = []
-        index = int(start_ms // w)
-        while index * w < end_ms:
-            midpoint = (index + 0.5) * w
-            if start_ms <= midpoint < end_ms:
-                indices.append(index)
-            index += 1
-        return indices
-
     # -- exports -------------------------------------------------------------
     def timeseries(self,
                    quantiles: Sequence[float] = DEFAULT_QUANTILES) -> Dict:
@@ -374,11 +324,9 @@ class MetricsRegistry:
 
         Each histogram series becomes ``{"name", "labels", "windows"}`` with
         one entry per *observed* window (count, mean, min, max, quantiles);
-        :func:`repro.chaos.telemetry.join_fault_windows` then stamps every
-        window with the ids of the fault windows it overlapped.
+        :func:`join_fault_windows` then stamps every window with the ids of
+        the fault windows it overlapped.
         """
-        from repro.chaos.telemetry import join_fault_windows
-
         fault_dicts = [w.as_dict() for w in self.fault_windows]
         series = []
         for (name, items), histogram in sorted(self._histograms.items()):
@@ -390,16 +338,10 @@ class MetricsRegistry:
                         **_stats(digest, quantiles)}
                        for index, digest in sorted(histogram.windows.items())]
             join_fault_windows(windows, fault_dicts)
-            series.append({
-                "name": name,
-                "labels": dict(items),
-                "windows": windows,
-            })
-        return {
-            "window_ms": self.window_ms,
-            "series": series,
-            "fault_windows": fault_dicts,
-        }
+            series.append({"name": name, "labels": dict(items),
+                           "windows": windows})
+        return {"window_ms": self.window_ms, "series": series,
+                "fault_windows": fault_dicts}
 
     def prometheus(self,
                    quantiles: Sequence[float] = DEFAULT_QUANTILES) -> str:

@@ -9,6 +9,7 @@ from repro.chaos.telemetry import (
     AvailabilitySLO,
     TimelineTelemetry,
     availability_score,
+    sum_groups,
 )
 from repro.errors import ReproError
 
@@ -242,38 +243,37 @@ class TestRepeatableBuild:
 
 
 class TestWindowBoundaries:
-    """Regression: a boundary-exact observation counts in exactly one window."""
+    """Half-open absolute tiles: an instant on a boundary counts in the
+    window that starts there, and in exactly one window."""
 
     def test_boundary_commit_counts_once(self):
         telemetry = TimelineTelemetry(window_ms=100.0)
         telemetry.start_run(0.0, 300.0)
-        # Ends exactly on the 100 ms edge: it measures the interval that
-        # just closed, so it belongs to window 0 — and only window 0.
+        # Ends exactly on the 100 ms edge: tile [100, 200) holds it, as
+        # the registry's tile holds an observation at t = 100.
         record(telemetry, "VA", 10.0, 100.0)
         windows = telemetry.build()["VA"].windows
-        assert [w.committed for w in windows] == [1, 0, 0]
+        assert [w.committed for w in windows] == [0, 1, 0]
         assert sum(w.committed for w in windows) == 1
 
-    def test_boundary_abort_counts_once_and_never_stalls_earlier(self):
+    def test_boundary_abort_counts_once_and_stalls_the_window_it_covered(self):
         telemetry = TimelineTelemetry(window_ms=100.0)
         telemetry.start_run(0.0, 300.0)
-        # Aborts exactly at t=200: attributed to window 1 (the interval it
-        # closed), stalls only window 1 (which it strictly outlived is
-        # none; it covered window 1 in full via [90, 200)).
+        # Begins at 90 and aborts exactly at t=200: counted in window 2
+        # (the tile it ended in); it covered window 1 [100, 200) in full
+        # without finishing, so window 1 stalls.
         record(telemetry, "VA", 90.0, 200.0, committed=False)
         windows = telemetry.build()["VA"].windows
+        assert [w.external_aborts for w in windows] == [0, 0, 1]
+        assert [w.stalled for w in windows] == [0, 1, 0]
+        # Counted once, and never in a window it also stalls.
         assert sum(w.external_aborts for w in windows) == 1
-        assert windows[1].external_aborts == 1
-        # A completion landing exactly on a window's end does not also
-        # stall that window: total accounting for this attempt is 1.
-        total = sum(w.external_aborts + w.stalled for w in windows)
-        assert total == 1
+        assert not any(w.external_aborts and w.stalled for w in windows)
 
     def test_boundary_exact_at_run_start(self):
         telemetry = TimelineTelemetry(window_ms=100.0)
         telemetry.start_run(0.0, 200.0)
-        # Degenerate: completes at t=0.0, the very first boundary.  There
-        # is no earlier window, so it stays in window 0.
+        # Completes at t=0.0, the very first boundary: window 0.
         record(telemetry, "VA", 0.0, 0.0)
         windows = telemetry.build()["VA"].windows
         assert [w.committed for w in windows] == [1, 0]
@@ -284,6 +284,76 @@ class TestWindowBoundaries:
         record(telemetry, "VA", 100.0)  # never completes
         windows = telemetry.build()["VA"].windows
         assert [w.stalled for w in windows] == [0, 1, 1]
+
+    def test_clipped_edge_window_is_reported_but_not_scored(self):
+        # A run starting after a 488.9 ms preload: its first window is the
+        # 11.1 ms the interval leaves of tile [400, 500).
+        telemetry = TimelineTelemetry(window_ms=100.0)
+        telemetry.start_run(488.9, 800.0)
+        record(telemetry, "VA", 489.0, 499.0, committed=False)
+        record(telemetry, "VA", 500.0, 510.0)
+        record(telemetry, "VA", 600.0, 610.0)
+        record(telemetry, "VA", 700.0, 710.0)
+        timeline = telemetry.build()["VA"]
+        edge, *full = timeline.windows
+        assert (edge.index, edge.start_ms, edge.end_ms) == (4, 488.9, 500.0)
+        assert not edge.scored and all(w.scored for w in full)
+        assert [(w.start_ms, w.end_ms) for w in full] == [
+            (500.0, 600.0), (600.0, 700.0), (700.0, 800.0)]
+        # In the series and the totals ...
+        assert edge.external_aborts == 1
+        assert sum(w.committed + w.external_aborts
+                   for w in timeline.windows) == 4
+        # ... but a failing sliver does not cost availability.
+        assert not edge.meets(AvailabilitySLO())
+        assert timeline.availability(AvailabilitySLO()) == 1.0
+        phase = CampaignPhase("run", 488.9, 800.0)
+        assert timeline.phase_availability([phase], AvailabilitySLO()) == {
+            "run": 1.0}
+
+
+class TestOneTiling:
+    def test_phase_windows_pick_tiles_by_midpoint(self):
+        # Off the tile grid: a 200 ms tile belongs to the phase holding its
+        # midpoint, and the clipped last tile [1200, 1288.9) to neither.
+        telemetry = TimelineTelemetry(window_ms=200.0)
+        telemetry.start_run(488.9, 1288.9)
+        record(telemetry, "VA", 500.0, 510.0)
+        timeline = telemetry.build()["VA"]
+        assert [w.index for w in timeline.windows] == [2, 3, 4, 5, 6]
+        first = CampaignPhase("first", 488.9, 888.9)
+        second = CampaignPhase("second", 888.9, 1288.9)
+        assert [w.index for w in timeline.phase_windows(first)] == [2, 3]
+        assert [w.index for w in timeline.phase_windows(second)] == [4, 5]
+
+    def test_sum_groups_adds_every_counter_and_merges_latency(self):
+        telemetry = TimelineTelemetry(window_ms=100.0)
+        telemetry.start_run(0.0, 200.0)
+        record(telemetry, "VA", 0.0, 10.0)
+        record(telemetry, "OR", 0.0, 30.0)
+        record(telemetry, "OR", 50.0, 150.0, committed=False)
+        telemetry.offer("VA", 120.0)
+        telemetry.observe_queue_depth("VA", 130.0, 2)
+        telemetry.observe_queue_depth("OR", 140.0, 3)
+        total = sum_groups(telemetry.build(), telemetry.window_ms)
+        assert [w.committed for w in total.windows] == [2, 0]
+        assert [w.external_aborts for w in total.windows] == [0, 1]
+        assert [w.offered for w in total.windows] == [0, 1]
+        # Per-region backlog peaks add up to a cluster-wide one.
+        assert [w.queue_depth for w in total.windows] == [0, 5]
+        assert total.windows[0].latency.count == 2
+        assert total.windows[0].latency.mean == pytest.approx(20.0)
+        assert total.windows[1].offered_rate_s == pytest.approx(10.0)
+        assert total.windows[1].completed_rate_s == pytest.approx(10.0)
+
+    def test_a_snapshot_keeps_its_latencies(self):
+        telemetry = TimelineTelemetry(window_ms=100.0)
+        telemetry.start_run(0.0, 100.0)
+        record(telemetry, "VA", 0.0, 10.0)
+        snapshot = telemetry.build()["VA"].windows[0]
+        record(telemetry, "VA", 0.0, 90.0)
+        assert snapshot.latency.count == 1 and snapshot.committed == 1
+        assert telemetry.build()["VA"].windows[0].latency.count == 2
 
 
 class TestJoinFaultWindows:
@@ -299,21 +369,21 @@ class TestJoinFaultWindows:
         return fault.as_dict()
 
     def test_overlap_stamps_fault_ids(self):
-        from repro.chaos.telemetry import join_fault_windows
+        from repro.obs.metrics import join_fault_windows
         faults = [self._fault(7, "partition", ("VA",), 150.0, 250.0)]
         windows = self._window_dicts()
         join_fault_windows(windows, faults)
         assert [w["faults"] for w in windows] == [[], [7], [7], []]
 
     def test_open_fault_covers_suffix(self):
-        from repro.chaos.telemetry import join_fault_windows
+        from repro.obs.metrics import join_fault_windows
         faults = [self._fault(1, "crash", ("s1",), 250.0, None)]
         windows = self._window_dicts()
         join_fault_windows(windows, faults)
         assert [w["faults"] for w in windows] == [[], [], [1], [1]]
 
     def test_zero_width_marker_lands_in_one_window(self):
-        from repro.chaos.telemetry import join_fault_windows
+        from repro.obs.metrics import join_fault_windows
         # A marker exactly on a window edge belongs to the window that
         # *starts* there (instants use half-open [start, end) windows).
         faults = [self._fault(3, "scale-out", ("c0",), 200.0, 200.0)]

@@ -133,36 +133,14 @@ class TestCollectedFromStats:
         box.update(count=3, peak=7)
         assert registry.counter_value("ops_total", node="a") == 3.0
         assert registry.gauges == {("depth_max", (("node", "a"),)): 7.0}
-        # Readers of one series add up (two pools of one region); a series
-        # both recorded and collected adds the two (gauges: the maximum).
+        # Readers of one series add up (two pools of one region), gauges
+        # keep the maximum; a counter both recorded and collected adds the
+        # two.
         registry.collect_counter("ops_total", lambda: 10, node="a")
         registry.counter("ops_total", node="a").inc(100.0)
-        registry.gauge("depth_max", node="a").max(5.0)
+        registry.collect_gauge("depth_max", lambda: 5.0, node="a")
         assert registry.counter_value("ops_total", node="a") == 113.0
         assert registry.gauges == {("depth_max", (("node", "a"),)): 7.0}
-
-    def test_merge_adds_collected_counters_and_keeps_the_gauge_maximum(
-            self, testbed):
-        other = churned_ring_deployment(seed=1)
-        assert collected(other.metrics.counters) == server_scalars(other)[0]
-        ours, theirs = testbed.metrics, other.metrics
-        merged = MetricsRegistry(window_ms=ours.window_ms)
-        merged.merge(ours)
-        merged.merge(theirs)
-        counters = dict(ours.counters)
-        for key, value in theirs.counters.items():
-            counters[key] = counters.get(key, 0.0) + value
-        assert merged.counters == counters
-        assert all(counters[key] > value
-                   for key, value in collected(ours.counters).items())
-        assert merged.gauges == {
-            key: max(ours.gauges.get(key, 0.0), theirs.gauges.get(key, 0.0))
-            for key in {*ours.gauges, *theirs.gauges}}
-        # The merged registry holds values, not the other deployments'
-        # readers: later activity there does not leak in.
-        before = dict(merged.counters)
-        other.server_list()[0].anti_entropy.stats.rounds += 1
-        assert merged.counters == before
 
 
 def overload_leg(observed):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, phase_tiles
 from repro.obs.staleness import StalenessProbe
 
 
@@ -41,48 +41,27 @@ class TestCounters:
         assert registry.counter_total("nope") == 0.0
 
     def test_labels_may_be_called_what_the_parameters_are_called(self):
-        """``name``, ``value``, ``amount`` and ``at_ms`` are ordinary label
-        names: the recording parameters are positional-only, and ``merge``
-        never passes a stored series' labels back through keywords."""
-        def build():
-            registry = MetricsRegistry(window_ms=100.0)
+        """``name``, ``value``, ``amount``, ``read`` and ``at_ms`` are
+        ordinary label names: the recording parameters are positional-only."""
+        registry = MetricsRegistry(window_ms=100.0)
+        for _ in range(2):
             registry.counter("ops_total", name="x", amount="y").inc(2.0)
-            registry.gauge("depth", name="x", value="v").set(1.0)
-            registry.gauge("depth_max", name="x", value="v").max(3.0)
             registry.observe("lat_ms", 50.0, 7.0, name="x", at_ms="t",
                              value="v")
-            return registry
-
-        registry = build()
+        registry.collect_gauge("depth_max", lambda: 3.0, name="x", read="r")
         labels = (("amount", "y"), ("name", "x"))
-        assert registry.counters == {("ops_total", labels): 2.0}
-        assert registry.counter_value("ops_total", name="x", amount="y") == 2.0
-        assert registry.summary("lat_ms", name="x", at_ms="t",
-                                value="v")["count"] == 1
-        assert registry.window_indices("lat_ms", name="x", at_ms="t",
-                                       value="v") == [0]
-        registry.merge(build())
         assert registry.counters == {("ops_total", labels): 4.0}
+        assert registry.counter_value("ops_total", name="x", amount="y") == 4.0
         assert registry.gauges == {
-            ("depth", (("name", "x"), ("value", "v"))): 1.0,
-            ("depth_max", (("name", "x"), ("value", "v"))): 3.0}
+            ("depth_max", (("name", "x"), ("read", "r"))): 3.0}
         assert registry.summary("lat_ms", name="x", at_ms="t",
                                 value="v")["count"] == 2
+        assert registry.window_indices("lat_ms", name="x", at_ms="t",
+                                       value="v") == [0]
         text = registry.prometheus()
         assert 'repro_ops_total{amount="y",name="x"} 4' in text
-        assert 'repro_depth_max{name="x",value="v"} 3' in text
+        assert 'repro_depth_max{name="x",read="r"} 3' in text
         assert 'repro_lat_ms_count{at_ms="t",name="x",value="v"} 2' in text
-
-
-class TestGauges:
-    def test_set_and_max(self):
-        registry = MetricsRegistry()
-        registry.gauge("depth", node="s1").set(4.0)
-        registry.gauge("depth", node="s1").set(2.0)
-        assert registry.gauges[("depth", (("node", "s1"),))] == 2.0
-        registry.gauge("depth_max").max(4.0)
-        registry.gauge("depth_max").max(2.0)
-        assert registry.gauges[("depth_max", ())] == 4.0
 
 
 class TestWindows:
@@ -119,44 +98,14 @@ class TestWindows:
         assert registry.summary("lat_ms") is None
         assert registry.merged_quantiles("lat_ms", [0]) is None
 
-    def test_indices_in_range_uses_midpoints(self):
-        registry = MetricsRegistry(window_ms=100.0)
-        for at in (50.0, 150.0, 250.0):
-            registry.observe("lat_ms", at, 1.0)
-        assert registry.indices_in_range(0.0, 200.0) == [0, 1]
-        assert registry.indices_in_range(100.0, 300.0) == [1, 2]
-
-
-class TestMerge:
-    def test_merge_of_parts_equals_whole(self):
-        whole = MetricsRegistry(window_ms=100.0)
-        part_a = MetricsRegistry(window_ms=100.0)
-        part_b = MetricsRegistry(window_ms=100.0)
-        for i in range(20):
-            target = part_a if i % 2 else part_b
-            whole.observe("lat_ms", i * 25.0, float(i))
-            target.observe("lat_ms", i * 25.0, float(i))
-            whole.counter("ops_total", node=f"s{i % 3}").inc()
-            target.counter("ops_total", node=f"s{i % 3}").inc()
-            whole.gauge("depth_max").max(float(i))
-            target.gauge("depth_max").max(float(i))
-        part_a.merge(part_b)
-        assert part_a.counter_total("ops_total") == whole.counter_total(
-            "ops_total")
-        assert part_a.gauges == whole.gauges
-        merged = part_a.summary("lat_ms")
-        reference = whole.summary("lat_ms")
-        assert merged["count"] == reference["count"]
-        assert merged["mean"] == pytest.approx(reference["mean"])
-        assert merged["min"] == reference["min"]
-        assert merged["max"] == reference["max"]
-
-    def test_merge_rejects_window_mismatch(self):
-        from repro.errors import ReproError
-        a = MetricsRegistry(window_ms=100.0)
-        b = MetricsRegistry(window_ms=200.0)
-        with pytest.raises(ReproError):
-            a.merge(b)
+    def test_phase_tiles_use_midpoints(self):
+        assert list(phase_tiles(0.0, 200.0, 100.0)) == [0, 1]
+        assert list(phase_tiles(100.0, 300.0, 100.0)) == [1, 2]
+        # A phase off the tile grid owns the tiles whose midpoint it holds:
+        # [40, 160) holds 50 and 150; [60, 140) holds neither.
+        assert list(phase_tiles(40.0, 160.0, 100.0)) == [0, 1]
+        assert list(phase_tiles(60.0, 140.0, 100.0)) == []
+        assert list(phase_tiles(488.9, 888.9, 200.0)) == [2, 3]
 
 
 class TestFaultWindows:
@@ -188,7 +137,7 @@ class TestExports:
     def _populated(self):
         registry = MetricsRegistry(window_ms=100.0)
         registry.counter("ops_total", node="s1").inc(3.0)
-        registry.gauge("depth").set(2.0)
+        registry.collect_gauge("depth", lambda: 2.0)
         registry.observe("lat_ms", 50.0, 10.0)
         registry.observe("lat_ms", 150.0, 20.0)
         registry.faults.on_fault("partition", ("VA",), 100.0, "split")

@@ -1,12 +1,7 @@
 """Property tests for the metrics registry and the recency probes.
 
-Three contracts hold no matter what streams in:
+Two contracts hold no matter what streams in:
 
-* **Merge determinism** — splitting an observation stream across part
-  registries and merging must agree with one registry seeing the whole
-  stream on every exact statistic (counters, gauges, per-window and
-  whole-run count/mean/min/max).  This is what makes ``--jobs N``
-  roll-ups sound.
 * **Replay determinism** — feeding the identical stream twice produces
   bit-identical Prometheus snapshots.
 * **t-visibility probe laws** — observations are non-negative (installs
@@ -38,36 +33,6 @@ COUNTER_EVENTS = st.lists(
     min_size=0, max_size=100)
 
 
-@given(observations=OBSERVATIONS, events=COUNTER_EVENTS,
-       split=st.integers(min_value=0, max_value=200))
-@settings(max_examples=50, deadline=None)
-def test_merge_of_parts_equals_whole(observations, events, split):
-    whole = MetricsRegistry(window_ms=250.0)
-    part_a = MetricsRegistry(window_ms=250.0)
-    part_b = MetricsRegistry(window_ms=250.0)
-    for i, (at_ms, value) in enumerate(observations):
-        whole.observe("lat_ms", at_ms, value)
-        (part_a if i < split else part_b).observe("lat_ms", at_ms, value)
-    for i, (name, node, amount) in enumerate(events):
-        whole.counter(name, node=node).inc(amount)
-        whole.gauge("peak", node=node).max(amount)
-        target = part_a if i < split else part_b
-        target.counter(name, node=node).inc(amount)
-        target.gauge("peak", node=node).max(amount)
-    part_a.merge(part_b)
-    assert part_a.counters == pytest.approx(whole.counters)
-    assert part_a.gauges == whole.gauges
-    assert part_a.window_indices("lat_ms") == whole.window_indices("lat_ms")
-    for index in whole.window_indices("lat_ms"):
-        merged = part_a.merged_quantiles("lat_ms", [index])
-        reference = whole.merged_quantiles("lat_ms", [index])
-        assert merged["count"] == reference["count"]
-        assert merged["mean"] == pytest.approx(reference["mean"])
-        assert merged["min"] == reference["min"]
-        assert merged["max"] == reference["max"]
-    assert part_a.summary("lat_ms")["count"] == whole.summary("lat_ms")["count"]
-
-
 @given(observations=OBSERVATIONS, events=COUNTER_EVENTS)
 @settings(max_examples=50, deadline=None)
 def test_replay_is_bit_identical(observations, events):
@@ -77,7 +42,8 @@ def test_replay_is_bit_identical(observations, events):
             registry.observe("lat_ms", at_ms, value)
         for name, node, amount in events:
             registry.counter(name, node=node).inc(amount)
-            registry.gauge("depth", node=node).set(amount)
+            registry.collect_gauge("depth", lambda amount=amount: amount,
+                                   node=node)
         registry.faults.on_fault("partition", ("VA",), 100.0, "split")
         registry.finalize(10_000.0)
         return registry
@@ -179,21 +145,18 @@ def test_handles_and_by_name_calls_record_identically(stream):
     mixed = MetricsRegistry(window_ms=250.0)
     handles = {
         registry: {node: (registry.histogram("lat_ms", node=node),
-                          registry.counter("ops_total", node=node),
-                          registry.gauge("peak", node=node))
+                          registry.counter("ops_total", node=node))
                    for node in ("s1", "s2")}
         for registry in (by_handle, mixed)}
 
     def record_by_name(registry, node, at_ms, value):
         registry.observe("lat_ms", at_ms, value, node=node)
         registry.counter("ops_total", node=node).inc(value)
-        registry.gauge("peak", node=node).max(value)
 
     def record_by_handle(registry, node, at_ms, value):
-        histogram, counter, gauge = handles[registry][node]
+        histogram, counter = handles[registry][node]
         histogram.observe(at_ms, value)
         counter.inc(value)
-        gauge.max(value)
 
     for node, path, at_ms, value in stream:
         record_by_name(by_name, node, at_ms, value)
@@ -213,13 +176,11 @@ def test_handles_and_by_name_calls_record_identically(stream):
         assert registry.prometheus() == by_name.prometheus()
         assert registry.timeseries() == by_name.timeseries()
         assert registry.counters == by_name.counters
-        assert registry.gauges == by_name.gauges
 
 
 def test_a_resolved_series_is_exported_only_once_touched():
     registry = MetricsRegistry(window_ms=250.0)
     counter = registry.counter("ops_total", node="s1")
-    gauge = registry.gauge("peak", node="s1")
     histogram = registry.histogram("lat_ms", node="s1")
     untouched = MetricsRegistry(window_ms=250.0)
     assert registry.prometheus() == untouched.prometheus() == ""
@@ -228,10 +189,8 @@ def test_a_resolved_series_is_exported_only_once_touched():
     assert registry.histogram_names() == []
     assert registry.summary("lat_ms", node="s1") is None
     counter.inc(0.0)  # touched, even by nothing
-    gauge.set(0.0)
     histogram.observe(10.0, 0.0)
     assert registry.counters == {("ops_total", (("node", "s1"),)): 0.0}
-    assert registry.gauges == {("peak", (("node", "s1"),)): 0.0}
     assert registry.histogram_names() == ["lat_ms"]
     # Resolving again returns the same handle: one storage per series.
     assert registry.counter("ops_total", node="s1") is counter

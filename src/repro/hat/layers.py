@@ -138,24 +138,26 @@ class WriteBufferingLayer(GuaranteeLayer):
         # One commit timestamp for the whole batch, redrawn here if a read
         # after the early draw (a buffered-write echo) witnessed newer
         # versions — otherwise the batch would lose LWW to what it read.
-        client._txn_timestamp(ctx, refresh=True)
+        versions = self._flush_versions(
+            ctx, client._txn_timestamp(ctx, refresh=True))
+        size_bytes = client.value_bytes + (
+            versions[0].metadata_bytes if versions and versions[0].siblings else 0)
         futures = []
-        for key, value in ctx.write_buffer.items():
-            replica = client._pick_replica(key)
-            version = self._flush_version(ctx, key, value)
-            ctx.write_targets[key] = replica
-            ctx.written_versions[key] = version
-            futures.append(client._issue(ctx.result, replica, client.put_kind,
-                                         self._flush_payload(version)))
+        for version in versions:
+            replica = client._pick_replica(version.key)
+            ctx.write_targets[version.key] = replica
+            ctx.written_versions[version.key] = version
+            futures.append(client._issue(
+                ctx.result, replica, client.put_kind,
+                {"version": version, "size_bytes": size_bytes}))
         if futures:
             yield all_of(client.node.env, futures)
 
-    def _flush_version(self, ctx: TxnContext, key: str, value: Any) -> Version:
-        return Version(key, value, self.client._txn_timestamp(ctx),
-                       ctx.transaction.txn_id)
-
-    def _flush_payload(self, version: Version) -> Dict[str, Any]:
-        return {"version": version, "size_bytes": self.client.value_bytes}
+    def _flush_versions(self, ctx: TxnContext,
+                        timestamp: Timestamp) -> List[Version]:
+        txn_id = ctx.transaction.txn_id
+        return [Version(key, value, timestamp, txn_id)
+                for key, value in ctx.write_buffer.items()]
 
 
 class AtomicVisibilityLayer(WriteBufferingLayer):
@@ -189,13 +191,12 @@ class AtomicVisibilityLayer(WriteBufferingLayer):
             if current is None or version.timestamp > current:
                 ctx.required[sibling] = version.timestamp
 
-    def _flush_version(self, ctx: TxnContext, key: str, value: Any) -> Version:
-        return Version(key, value, self.client._txn_timestamp(ctx),
-                       ctx.transaction.txn_id, frozenset(ctx.write_buffer))
-
-    def _flush_payload(self, version: Version) -> Dict[str, Any]:
-        return {"version": version,
-                "size_bytes": self.client.value_bytes + version.metadata_bytes}
+    def _flush_versions(self, ctx: TxnContext,
+                        timestamp: Timestamp) -> List[Version]:
+        # One sibling set per transaction, shared by all of its writes.
+        txn_id, siblings = ctx.transaction.txn_id, frozenset(ctx.write_buffer)
+        return [Version(key, value, timestamp, txn_id, siblings)
+                for key, value in ctx.write_buffer.items()]
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,14 @@ Section 6.3 — the testbed simply selects which client talks to it:
   (RC differs from eventual only on the client, which buffers writes),
 * ``mav.*`` — the Monotonic Atomic View algorithm of Appendix B (pending and
   good sets, promotion; a server's own acknowledgement is applied in the
-  handler, the others are *owed* until the anti-entropy tick sends them),
+  handler, the others are *owed* until the anti-entropy tick sends them,
+  on that round's ``ae.push`` to their destination or in a ``mav.notify``),
 * ``master.*`` / ``repl.push`` — mastered per-key operation with asynchronous
   replication to the other replicas,
 * ``lock.*`` / ``txn.*`` — the per-key lock service and two-phase commit used
   by the distributed two-phase-locking baseline,
 * ``quorum.*`` — read/write handlers for Dynamo-style majority quorums,
-* ``ae.push`` — incoming anti-entropy batches.
+* ``ae.push`` — incoming anti-entropy batches and the acks riding them.
 
 Every handler returns ``(reply payload, extra service cost in ms)``; the
 underlying :class:`~repro.cluster.node.ServerNode` adds queueing and worker
@@ -66,7 +67,7 @@ class HATServer(ServerNode):
         super().__init__(env, network, name, cost_model=cost_model,
                          keep_versions=keep_versions, admission=admission)
         self.config = config
-        self.mav = MAVState(replication_factor=config.replication_factor())
+        self.mav = MAVState(name, config)
         self.locks = LockManager()
         self._prepared: Dict[int, List[Version]] = {}
         self.anti_entropy = AntiEntropyService(env, self, config, anti_entropy,
@@ -165,40 +166,38 @@ class HATServer(ServerNode):
     def _handle_mav_put(self, message: Message) -> Tuple[dict, float]:
         payload = message.payload
         version: Version = payload["version"]
-        size = int(payload.get("size_bytes", 1024))
+        size = int(payload.get("size_bytes", 1024 + version.metadata_bytes))
         # A MAV write is committed (acknowledged to the client) on arrival
         # at the origin; its remote installs happen at promotion time.
         self._stamp_commit(version)
         return ({"ok": True, "timestamp": version.timestamp},
-                self._accept_mav_write(version, size))
+                self._accept_mav_write(version, size, push=True))
 
-    def _accept_mav_write(self, version: Version, size_bytes: int) -> float:
+    def _accept_mav_write(self, version: Version, size_bytes: int,
+                          push: bool) -> float:
         """Common path for MAV writes arriving from clients or anti-entropy.
 
-        Our own ack for a first-seen write is applied here (a write whose
-        other acks arrived first is promoted in this handler); the other
-        servers' are owed until the tick (:meth:`send_owed_acks`).
+        ``size_bytes`` counts the value and the sibling metadata.  Our own
+        ack for a first-seen write is applied here (a write whose other acks
+        arrived first is promoted in this handler); the other servers' are
+        owed until the tick.  Only a server that ``push``es the write — its
+        origin or a leaver's successor, not an ``ae.push`` receiver — marks
+        it for anti-entropy.
         """
         # First write into the write-ahead log / pending set (first of the
         # "two writes for every client-side write" the paper describes).
-        cost = self.wal.append("put", None, None,
-                               size_bytes + version.metadata_bytes)
-        timestamp = version.timestamp
-        if self.mav.add_write(version):
-            self.anti_entropy.mark_dirty(version)  # also arms the tick
-            siblings = version.siblings or (version.key,)
-            replicas_for = self.config.replicas_for
-            ack = (timestamp, self.name, version.key,
-                   len(siblings) * self.config.replication_factor())
-            owed = self.mav.owed
-            for server in {replica for sibling in siblings
-                           for replica in replicas_for(sibling)}:
-                if server == self.name:
-                    cost += self._apply_acks((ack,))
-                else:
-                    owed.setdefault(server, []).append(ack)
-        elif (self.mav.is_stable(timestamp)
-              and self.store.data.exact(version.key, timestamp) is None):
+        cost = self.wal.append("put", None, None, size_bytes)
+        promoted = self.mav.add_write(version)
+        if promoted is not None:
+            # Arm the tick only now, with the acks it must send already owed.
+            if push:
+                self.anti_entropy.mark_dirty(version)
+            else:
+                self.anti_entropy.wake()
+            for stable in promoted:
+                cost += self._install(stable, 1024)
+        elif (self.mav.is_stable(version.timestamp)
+              and self.store.data.exact(version.key, version.timestamp) is None):
             # Every replica already acknowledged this transaction: nobody
             # waits for our ack, the write goes straight into good.  (An echo
             # of a write we already hold, pending or good, is a no-op.)
@@ -208,9 +207,10 @@ class HATServer(ServerNode):
         return cost
 
     def send_owed_acks(self) -> None:
-        """The anti-entropy tick's first step: one batch per reachable server,
-        in sorted order (seeded runs stay bit-identical whatever the hash
-        seed); an unreachable one keeps its list and keeps the tick armed."""
+        """Send the acks no push of this anti-entropy round carries: one
+        batch per reachable server, in sorted order (seeded runs stay
+        bit-identical whatever the hash seed); an unreachable one keeps its
+        list and keeps the tick armed."""
         owed = self.mav.owed
         connected = self.network.partitions.connected
         for server in sorted(owed):
@@ -220,21 +220,15 @@ class HATServer(ServerNode):
                                   {"acks": owed.pop(server)})
 
     def _apply_acks(self, acks: Sequence[Ack]) -> float:
-        """Record acks; promote (pending -> good) what they made stable.
-
-        The second write's install + WAL cost is returned so it occupies
-        the worker of whichever handler observed stability.
-        """
-        cost = 0.0
-        record_ack = self.mav.record_ack
-        for timestamp, origin, key, expected in acks:
-            for version in record_ack(timestamp, origin, key, expected):
-                cost += self._install(version, 1024)
+        """Record received acks (0.01 ms each); promote (pending -> good) what
+        they made stable, in the worker of the handler that saw stability."""
+        cost = 0.01 * len(acks)
+        for version in self.mav.record_acks(acks):
+            cost += self._install(version, 1024)
         return cost
 
     def _handle_mav_notify(self, message: Message) -> Tuple[None, float]:
-        acks = message.payload["acks"]
-        return None, 0.01 * len(acks) + self._apply_acks(acks)
+        return None, self._apply_acks(message.payload["acks"])
 
     def _handle_mav_get(self, message: Message) -> Tuple[dict, float]:
         payload = message.payload
@@ -251,13 +245,14 @@ class HATServer(ServerNode):
         # good version rather than blocking (availability first).
         return {"version": version, "stale": True}, cost
 
-    def _absorb_versions(self, versions: List[Version]) -> float:
+    def _absorb_versions(self, versions: List[Version], push: bool) -> float:
         """Take in replicated history (anti-entropy batch, handoff offer)."""
         cost = 0.0
         for version in versions:
             if version.siblings:
                 # MAV writes stay pending until their transaction is stable.
-                cost += self._accept_mav_write(version, 1024)
+                cost += self._accept_mav_write(
+                    version, 1024 + version.metadata_bytes, push=push)
             else:
                 cost += self._install(version, 1024)
         return cost
@@ -341,13 +336,11 @@ class HATServer(ServerNode):
     def _handle_handoff_fetch(self, message: Message) -> Tuple[dict, float]:
         """Stream the version history a joining server is owed.
 
-        The joiner sends a predicate describing the key range it will own
-        under the pending ring; this (prior) owner replies with every
-        retained version of the matching keys, plus its full key list so
-        the coordinator can measure the moved fraction against the
-        cluster's actual population.  The reply is a consistent scan of
-        current state — writes accepted afterwards are repaired at the
-        epoch flip by re-dirtying the moved keys for anti-entropy.
+        This prior owner replies with every retained version of the keys the
+        joiner's predicate selects (its range under the pending ring) and its
+        full key list, the population the moved fraction is measured
+        against.  Writes accepted after this scan are repaired at the epoch
+        flip, which re-dirties the moved keys for anti-entropy.
         """
         predicate = message.payload["predicate"]
         store = self.store.data
@@ -360,10 +353,8 @@ class HATServer(ServerNode):
         self.handoff.versions_sent += len(versions)
         self.handoff.bytes_sent += (
             self.anti_entropy.settings.bytes_per_version * len(versions))
-        # Cost model: one memtable/SSTable read per streamed key batch —
-        # or, under capacity coupling, the same per-version streaming cost
-        # anti-entropy catch-up pays, so a joiner's bulk fetch competes
-        # with foreground traffic the same way a heal backlog does.
+        # One memtable/SSTable read per streamed key batch — or, coupled,
+        # the streaming cost a heal backlog pays, competing the same way.
         settings = self.anti_entropy.settings
         per_version = (settings.send_cost_ms_per_version
                        if settings.capacity_coupled else 0.02)
@@ -373,7 +364,8 @@ class HATServer(ServerNode):
     def _handle_handoff_offer(self, message: Message) -> Tuple[dict, float]:
         """Absorb version history handed off by a leaving server."""
         versions: List[Version] = message.payload["versions"]
-        cost = self._absorb_versions(versions)
+        # The leaver's successor takes over its duty to push them.
+        cost = self._absorb_versions(versions, push=True)
         self.handoff.offers_received += 1
         self.handoff.versions_received += len(versions)
         self.handoff.bytes_received += int(message.payload.get("size_bytes", 0))
@@ -381,16 +373,18 @@ class HATServer(ServerNode):
 
     # -- anti-entropy -----------------------------------------------------------------------------
     def _handle_ae_round(self, message: Message) -> Tuple[None, float]:
-        """One capacity-coupled anti-entropy push round, as queued work.
-
-        Only sent when :attr:`AntiEntropyConfig.capacity_coupled` is on:
-        the round's serialization/streaming cost occupies this server's
-        worker, so a large catch-up backlog visibly steals capacity from
-        foreground requests instead of being free.
-        """
+        """One capacity-coupled anti-entropy round, as queued work: its
+        streaming cost occupies this server's worker, so a catch-up backlog
+        steals capacity from foreground requests instead of being free."""
         service = self.anti_entropy
         return None, (service.settings.send_cost_ms_per_version
                       * service.run_round())
 
     def _handle_ae_push(self, message: Message) -> Tuple[None, float]:
-        return None, self._absorb_versions(message.payload["versions"])
+        """The sender's versions, then the acks it owed us this round."""
+        payload = message.payload
+        cost = self._absorb_versions(payload["versions"], push=False)
+        acks = payload.get("acks")
+        if acks:
+            cost += self._apply_acks(acks)
+        return None, cost

@@ -3,8 +3,11 @@
 The paper's eventual/RC/MAV configurations propagate writes between clusters
 with "standard all-to-all anti-entropy between replicas" (Section 6.3) — the
 epidemic approach of Demers et al.  Each server periodically pushes the
-versions it accepted since the last round to the peer replicas of the
-affected keys (the owners of the same partition in the other clusters).
+versions clients wrote to it since the last round to the peer replicas of
+the affected keys (the owners of the same partition in the other clusters).
+A version that arrived by ``ae.push`` is not pushed on, MAV writes included:
+the origin pushes each write once to each remote replica (a leaver's
+successor takes over the pushes the leaver still owed).
 
 Lifecycle: services started with the same ``(interval_ms, start phase)``
 share one :class:`AntiEntropyClock` tick per grid instant, which runs a
@@ -13,14 +16,17 @@ some started, live service has dirty or parked entries or owed MAV acks: a
 mark, a start or a recovery arms it for the next grid instant, and a tick
 that leaves every queue empty does not re-arm.  An idle deployment schedules
 no event at all.  MAV acknowledgements travel on this tick and nowhere else:
-a round begins with one ``mav.notify`` per reachable server carrying every
-ack owed to it, and like a parked version an ack owed to an unreachable
-server — or by a crashed one, until the tick its recovery wakes — stays owed.
+the acks owed to a server the round pushes to ride that ``ae.push`` (applied
+after its versions); every other reachable server gets one ``mav.notify``
+with all the acks owed to it, on the tick or, coupled, in the queued round.
+Like a parked version an ack owed to an unreachable server — or by a crashed
+one, until the tick its recovery wakes — stays owed.
 
 The cost matters for reproducing Figure 3C and Figure 6: with five clusters,
 "every YCSB put operation resulted in four put operations on remote replicas
-and, accordingly, the cost of anti-entropy increased", which is why MAV's
-relative throughput drops as clusters are added.
+and, accordingly, the cost of anti-entropy increased" — four pushed versions
+per write here too — which is why MAV's relative throughput drops as
+clusters are added.
 
 A push round examines only entries whose outcome can have changed.  Fresh
 marks wait in ``_dirty``; an entry that was examined and is still owed a
@@ -66,14 +72,10 @@ class AntiEntropyConfig:
     batch_size: int = 256
     #: Approximate wire size per pushed version (1 KB value + metadata).
     bytes_per_version: int = 1100
-    #: Cap on dirty entries *processed* per round (None = all).  Bounding
-    #: it spreads a post-partition or post-rebalance catch-up backlog over
-    #: several rounds instead of saturating the receiving replicas with
-    #: one giant install burst; elastic scenarios set it, the default
-    #: keeps the historical flush-everything behaviour — except under
-    #: capacity coupling, where ``None`` means
-    #: :data:`DEFAULT_COUPLED_MAX_PER_ROUND` (see
-    #: :meth:`effective_max_per_round`).
+    #: Cap on dirty entries *processed* per round (None = all; under
+    #: capacity coupling :data:`DEFAULT_COUPLED_MAX_PER_ROUND`).  Bounding it
+    #: spreads a post-partition or post-rebalance catch-up backlog over
+    #: several rounds instead of one giant install burst at the receivers.
     max_versions_per_round: Optional[int] = None
     #: Couple replication to service capacity: each push round runs as a
     #: queued request on the *sending* server (occupying a worker for
@@ -93,19 +95,12 @@ class AntiEntropyConfig:
                 f"AntiEntropyConfig.interval_ms must be > 0, got {self.interval_ms}")
 
     def effective_max_per_round(self) -> Optional[int]:
-        """The per-round cap actually enforced.
-
-        An explicit :attr:`max_versions_per_round` always wins.  When the
-        service is capacity-coupled and no cap was chosen, the coupled
-        default applies: unbounded rounds under coupling would let one
-        heal burst wedge every worker at once, which is the failure the
-        coupling exists to expose *gradually* (and the defense to bound).
-        """
-        if self.max_versions_per_round is not None:
-            return self.max_versions_per_round
-        if self.capacity_coupled:
+        """The per-round cap enforced: an explicit one always wins; coupled
+        rounds are never unbounded, or one heal burst would wedge every
+        worker at once — the failure coupling exists to expose gradually."""
+        if self.max_versions_per_round is None and self.capacity_coupled:
             return DEFAULT_COUPLED_MAX_PER_ROUND
-        return None
+        return self.max_versions_per_round
 
 
 @dataclass(slots=True)
@@ -191,14 +186,11 @@ class AntiEntropyService:
         self.settings = settings or AntiEntropyConfig()
         self.clock = clock or AntiEntropyClock(env)
         self.stats = AntiEntropyStats()
-        #: Versions accepted locally and not yet examined by a push round,
-        #: in arrival order.  Each entry is ``(version, delivered_peers)``:
-        #: ``None``/empty means no peer has received it yet (the fresh-mark
-        #: case); a tuple lists peers that already got it, so a version
-        #: partitioned away from one peer is not re-pushed to the others.
-        #: The peers *owed* are computed from the live config when the entry
-        #: is examined, so a membership epoch change re-targets a deferred
-        #: push at the key's current owners.
+        #: Marked versions not yet examined by a push round, in arrival
+        #: order, as ``(version, delivered_peers)``: ``None`` when no peer has
+        #: it yet, else the peers that already got it (not pushed to again).
+        #: The peers owed come from the live config when the entry is
+        #: examined, so a membership change re-targets a deferred push.
         self._dirty: List[tuple] = []
         #: Examined entries still owed a push, in the order they were
         #: parked (the dict key is only a unique slot number).  Invariant:
@@ -281,9 +273,9 @@ class AntiEntropyService:
 
     # -- push rounds ------------------------------------------------------------
     def _round(self) -> None:
-        self.server.send_owed_acks()
         if not self._dirty and not self._parked:
-            return  # only acks were owed
+            self.server.send_owed_acks()  # only acks were owed
+            return
         if self.settings.capacity_coupled:
             # Route the round through the server's own request queue: the
             # push happens when a worker picks it up and its cost occupies
@@ -313,17 +305,11 @@ class AntiEntropyService:
         """Drop versions that a later version of the same key supersedes.
 
         Under last-writer-wins every *visible* read on the peer resolves to
-        the newest version, so pushing a superseded one changes nothing a
-        client can observe — the peer merely archives it.  The trade-off is
-        explicit: a coalesced peer's retained version *history* has gaps
-        (a timestamp-bounded read there may surface an older version than
-        an uncoalesced push would have), which is the standard behaviour of
-        real anti-entropy protocols that exchange only latest versions.
-        MAV writes (versions carrying sibling metadata) are exempt — every
-        replica must see each one so its transaction can collect the
-        acknowledgements that make it stable (Appendix B); coalescing one
-        away would strand the transaction in the pending set.
-
+        the newest version, so a superseded one would only be archived there;
+        the coalesced peer's version *history* has gaps, as with real
+        anti-entropy protocols that exchange only latest versions.  MAV
+        writes are exempt: every replica must see each one so its
+        transaction can collect the acks that make it stable (Appendix B).
         ``dirty`` also competes with the parked set, key by key: a newer
         version evicts the key's parked entries, an older-or-equal one is
         dropped — what coalescing the two lists together would do.
@@ -368,6 +354,7 @@ class AntiEntropyService:
             self._backlog.observe(self.env.now,
                                   len(self._dirty) + len(self._parked))
         if not self._dirty and not self._parked:
+            self.server.send_owed_acks()
             return 0
         self.stats.rounds += 1
         partitions = self.server.network.partitions
@@ -388,11 +375,8 @@ class AntiEntropyService:
         self.stats.entries_examined += len(dirty)
         reachable: Dict[str, bool] = {}
         for version, delivered in dirty:
-            # The owed set is the key's *current* peer replicas (a requeue
-            # after a membership epoch change re-targets deferred pushes at
-            # the live owners) minus the peers that already got this version
-            # (so a partition-stranded entry never re-sends to the reachable
-            # side).
+            # Owed: the key's *current* peer replicas (a membership change
+            # re-targets a requeued push) minus those that already got it.
             peers = self.config.peer_replicas(version.key, self.server.name)
             deferred = False
             for peer in peers:
@@ -415,9 +399,15 @@ class AntiEntropyService:
                     self._parked_plain.setdefault(version.key, []).append(
                         self._next_slot)
                 self._next_slot += 1
+        # The acks owed to a peer ride its first chunk; the rest go first,
+        # as ``mav.notify``.
+        owed = self.server.mav.owed
+        riding = {peer: owed.pop(peer) for peer in batches if peer in owed}
+        self.server.send_owed_acks()
         tracer = self._tracer
         pushed = 0
         for peer, versions in batches.items():
+            acks = riding.get(peer, ())
             for start in range(0, len(versions), self.settings.batch_size):
                 chunk = versions[start:start + self.settings.batch_size]
                 pushed += len(chunk)
@@ -437,6 +427,7 @@ class AntiEntropyService:
                 size_bytes = self.settings.bytes_per_version * len(chunk)
                 self.server.network.send(
                     self.server.name, peer, "ae.push",
-                    {"versions": chunk, "size_bytes": size_bytes},
+                    {"versions": chunk, "acks": acks, "size_bytes": size_bytes},
                     size_bytes=size_bytes, trace=trace)
+                acks = ()
         return pushed

@@ -74,7 +74,9 @@ class Deployment:
                 collect_counter=lambda name, read, **labels: None))
         self.service = AntiEntropyService(
             SimpleNamespace(now=0.0),
-            SimpleNamespace(name=SELF, alive=True, network=network),
+            SimpleNamespace(name=SELF, alive=True, network=network,
+                            mav=SimpleNamespace(owed={}),
+                            send_owed_acks=lambda: None),
             self.config,
             AntiEntropyConfig(batch_size=BATCH, max_versions_per_round=cap))
 

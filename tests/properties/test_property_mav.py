@@ -3,13 +3,14 @@
 Appendix B's condition is that a replica reveals a transaction's write only
 once every replica of every sibling key has acknowledged receiving its share.
 The servers reach it with local self-acks, acks owed per destination until
-the anti-entropy tick sends them, and in-handler promotion; none of that may
-depend on when a tick fires or in what order batches arrive.  Here hypothesis
-owns the network and the clock: every message a server sends is captured, and
-the schedule decides which write batch or captured ``mav.notify`` is
+the anti-entropy tick sends them (riding the round's ``ae.push`` to their
+destination, else in a ``mav.notify``), and in-handler promotion; none of
+that may depend on when a tick fires or in what order batches arrive.  Here
+hypothesis owns the network and the clock: every message a server sends is
+captured, and the schedule decides which write batch or captured message is
 delivered next, to whom, whether it is delivered again later, which server's
-tick fires when — and, in the second property, when partitions start and
-heal.  Whatever the schedule:
+tick fires when and whether it pushes — and, in the second property, when
+partitions start and heal.  Whatever the schedule:
 
 * a write is never in ``good`` before every replica of every sibling key
   holds its write (so no ack can have been skipped),
@@ -56,17 +57,23 @@ class Harness:
         self.seen = {name: set() for name in self.owners}
 
     def _capture(self, src, dst, kind, payload=None, *_args, **_kwargs):
-        assert kind == "mav.notify", kind
+        assert kind in ("mav.notify", "ae.push"), kind
         assert src != dst, "self-acks are applied in place, never sent"
         assert self.testbed.network.partitions.connected(src, dst), \
             f"{src} sent acks to unreachable {dst}"
-        assert payload["acks"], "an empty batch is not sent"
-        self.sent[src, dst] = self.sent.get((src, dst), 0) + len(payload["acks"])
-        self.pool.append((dst, payload))
+        acks = payload["acks"]
+        assert acks or kind == "ae.push", "an empty batch is not sent"
+        self.sent[src, dst] = self.sent.get((src, dst), 0) + len(acks)
+        self.pool.append((dst, kind, payload))
 
-    def tick(self, name):
-        """The anti-entropy tick's first step on one server."""
-        self.testbed.servers[name].send_owed_acks()
+    def tick(self, name, push):
+        """One server's anti-entropy round: with its pushes (owed acks ride
+        them) or, as a round with nothing to push sends, the acks alone."""
+        server = self.testbed.servers[name]
+        if push:
+            server.anti_entropy.run_round()
+        else:
+            server.send_owed_acks()
         self.check()
 
     def deliver_writes(self, dst, keys, as_put=False):
@@ -77,6 +84,12 @@ class Harness:
         else:
             self.deliver(dst, "ae.push",
                          {"versions": [self.versions[k] for k in keys]})
+
+    def deliver_captured(self, index, again=False):
+        dst, kind, payload = self.pool[index] if again else self.pool.pop(index)
+        if kind == "ae.push":
+            self.seen[dst].update(version.key for version in payload["versions"])
+        self.deliver(dst, kind, payload)
 
     def deliver(self, dst, kind, payload):
         server = self.testbed.servers[dst]
@@ -129,11 +142,9 @@ def settle(rig, data):
     while rig.pool or any(rig.testbed.servers[name].mav.owed
                           for name in rig.owners):
         for name in data.draw(st.permutations(rig.owners), label="tick order"):
-            rig.tick(name)
+            rig.tick(name, data.draw(st.booleans(), label="push"))
         while rig.pool:
-            dst, payload = rig.pool.pop(
-                data.draw(st.integers(0, len(rig.pool) - 1)))
-            rig.deliver(dst, "mav.notify", payload)
+            rig.deliver_captured(data.draw(st.integers(0, len(rig.pool) - 1)))
     for name, server in rig.testbed.servers.items():
         assert server.mav.stats.promoted == len(rig.owned[name])
         assert server.store.stats.puts == len(rig.owned[name])
@@ -146,17 +157,15 @@ def settle(rig, data):
 
 def step(rig, data):
     """One schedule step on a connected or partitioned network: deliver a
-    captured notify (perhaps again later), fire one server's tick, or hand
+    captured message (perhaps again later), fire one server's tick, or hand
     one server a batch of its writes."""
-    action = data.draw(st.sampled_from(["notify", "tick", "write"]))
-    if action == "notify" and rig.pool:
-        index = data.draw(st.integers(0, len(rig.pool) - 1))
-        dst, payload = rig.pool[index]
-        if not data.draw(st.booleans(), label="and again later"):
-            del rig.pool[index]
-        rig.deliver(dst, "mav.notify", payload)
+    action = data.draw(st.sampled_from(["deliver", "tick", "write"]))
+    if action == "deliver" and rig.pool:
+        rig.deliver_captured(data.draw(st.integers(0, len(rig.pool) - 1)),
+                             again=data.draw(st.booleans(), label="again later"))
     elif action == "tick":
-        rig.tick(data.draw(st.sampled_from(rig.owners)))
+        rig.tick(data.draw(st.sampled_from(rig.owners)),
+                 data.draw(st.booleans(), label="push"))
     else:
         dst = data.draw(st.sampled_from(rig.owners))
         batch = data.draw(st.lists(st.sampled_from(rig.owned[dst]), min_size=1,
@@ -206,7 +215,7 @@ def test_acks_owed_to_an_unreachable_peer_are_neither_sent_nor_lost(data):
             for dst, acks in rig.testbed.servers[src].mav.owed.items()
             if not partitions.connected(src, dst)}
         for name in rig.owners:
-            rig.tick(name)
+            rig.tick(name, data.draw(st.booleans(), label="push"))
         for (src, dst), acks in unreachable.items():
             assert rig.testbed.servers[src].mav.owed[dst][:len(acks)] == acks
     rig.testbed.network.partitions.heal()

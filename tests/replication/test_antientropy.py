@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.runner import RunConfig, run_workload
 from repro.hat.testbed import Scenario, Testbed, build_testbed
 from repro.hat.transaction import Operation, Transaction
 from repro.replication.antientropy import AntiEntropyConfig
@@ -129,3 +130,36 @@ class TestLifecycle:
             testbed.run(1.0)
         # Restarted at t=2 with a 5 ms interval: rounds at 7, 12, ..., 102.
         assert service.stats.rounds == 20
+
+
+def test_mav_pushes_each_write_once_to_each_remote_replica():
+    """Section 6.3's cost: a write costs one put per remote replica, pushed
+    by its origin (four over five clusters, two here).  A server that got a
+    MAV write by ``ae.push`` used to push it on to every peer, the sender
+    included: six pushes a write here, about twenty over five clusters."""
+    scenario = Scenario(regions=["VA", "OR", "IR"], servers_per_cluster=1,
+                        seed=0)
+    testbed = build_testbed(scenario)
+    pushed_by, received_by = set(), set()
+    for server in testbed.server_list():
+        handler = server._handlers["ae.push"]
+
+        def recording(message, handler=handler):
+            for version in message.payload["versions"]:
+                pushed_by.add((message.src, version.key, version.timestamp))
+                received_by.add((message.dst, version.key, version.timestamp))
+            return handler(message)
+
+        server._handlers["ae.push"] = recording
+    stats = run_workload(
+        RunConfig(protocol="mav", scenario=scenario, duration_ms=300.0,
+                  warmup_ms=0.0, seed=0), testbed=testbed)
+    testbed.run(2_000.0)
+    puts = testbed.network.stats.per_kind["mav.put"]
+    assert stats.committed > 50 and puts > stats.committed
+    servers = testbed.server_list()
+    assert all(server.mav.tracked_transactions() == 0 for server in servers)
+    regions = len(scenario.regions)
+    assert (sum(s.anti_entropy.stats.versions_pushed for s in servers)
+            == (regions - 1) * puts)
+    assert not pushed_by & received_by  # nothing comes back to its pusher

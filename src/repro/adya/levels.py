@@ -3,9 +3,12 @@
 Appendix A.3 (Definitions 17-41) specifies each level by the phenomena it
 prohibits — the ``prohibits`` set of its row in the one table of models.
 :func:`check_history` detects each phenomenon of a level once and reports
-whether the history satisfies it, with witnesses for each violation — this
-is how the integration tests verify that, e.g., the MAV protocol's recorded
-histories really provide Monotonic Atomic View.
+whether the history satisfies it, with witnesses for each violation.  A
+stack's recorded history is checked against every model it claims by
+:func:`repro.hat.protocols.verify_claims`, a lookup into one
+:func:`check_all_levels` pass — that is how the integration tests verify
+that, e.g., the MAV protocol's recorded histories really provide Monotonic
+Atomic View, and nothing weaker it entails is broken.
 """
 
 from __future__ import annotations

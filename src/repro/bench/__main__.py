@@ -27,8 +27,11 @@ from repro.net.measurement import (
     format_table_1c,
     run_ping_study,
 )
-from repro.taxonomy.models import availability_summary
-from repro.taxonomy.lattice import build_lattice
+from repro.taxonomy.models import (
+    FIGURE_2_EDGES,
+    availability_summary,
+    strongest_hat_combination,
+)
 from repro.taxonomy.survey import format_table_2
 from repro.workloads.tpcc_analysis import hat_compliance_table
 
@@ -79,10 +82,9 @@ def _table1(quick: bool) -> str:
 
 
 def _fig2(quick: bool) -> str:
-    lattice = build_lattice()
-    lines = [f"  {a} -> {b}" for a, b in lattice.edge_list()]
+    lines = [f"  {a} -> {b}" for a, b in sorted(FIGURE_2_EDGES)]
     lines.append(f"strongest HAT combination: "
-                 f"{', '.join(sorted(lattice.strongest_hat_combination()))}")
+                 f"{', '.join(sorted(strongest_hat_combination()))}")
     return "\n".join(lines)
 
 

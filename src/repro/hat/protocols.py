@@ -26,15 +26,20 @@ unavailable, so ``master+ryw`` is rejected), the :class:`Protocol` of any
 spec, and the client :func:`~repro.hat.clients.build_client` assembles.  To
 add a guarantee, write its layer class (a session guarantee: a row of
 :data:`~repro.hat.layers.SESSION_ROWS`) and add its row.
-:func:`cross_check_with_taxonomy` verifies the rows against that table.
+
+What a stack claims is answered once, here: :func:`claimed_levels` closes
+its codes downward through Figure 2, and :func:`verify_claims` reads each
+claim's verdict on a recorded history off one Adya checker pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple, Union
 
+from repro.adya.history import History
+from repro.adya.levels import CheckReport, check_all_levels
 from repro.errors import ReproError
 from repro.hat.clients.locking import TwoPhaseLockingClient
 from repro.hat.clients.master import MasterClient
@@ -45,8 +50,12 @@ from repro.hat.layers import (
     SessionLayer,
     WriteBufferingLayer,
 )
-from repro.taxonomy.lattice import HATLattice
-from repro.taxonomy.models import AVAILABLE, MODELS, UNAVAILABLE
+from repro.taxonomy.models import (
+    AVAILABLE,
+    MODELS,
+    UNAVAILABLE,
+    combination_availability,
+)
 
 
 @dataclass(frozen=True)
@@ -172,7 +181,7 @@ _ALIASES: Dict[str, str] = {
 
 def _stackable(base: str) -> bool:
     """Layers stack on a base unless Table 3 marks its models unavailable."""
-    return HATLattice.combination_availability(BASES[base].models) != UNAVAILABLE
+    return combination_availability(BASES[base].models) != UNAVAILABLE
 
 
 HAT_PROTOCOLS: Tuple[str, ...] = tuple(b for b in BASES if _stackable(b))
@@ -236,7 +245,7 @@ class ProtocolSpec:
 
     def availability(self) -> str:
         """Availability class of the stack: that of its least available model."""
-        return HATLattice.combination_availability(self.model_codes())
+        return combination_availability(self.model_codes())
 
 
 def parse_spec(spec: str) -> ProtocolSpec:
@@ -329,24 +338,52 @@ def protocol_info(name: str) -> Protocol:
     )
 
 
-def cross_check_with_taxonomy() -> List[str]:
-    """Verify the rows against the table of models.
+def claimed_levels(spec: str) -> FrozenSet[str]:
+    """Every model ``spec`` claims: its codes, closed downward through Figure 2.
 
-    Every code a row names is a model of Table 3; a bundle's earned model
-    entails some layer; a coordinated client class builds exactly the bases
-    whose models Table 3 marks unavailable.  Returns a list of
-    inconsistencies (empty when everything lines up).
+    Figure 2's one edge that is not containment of prohibited sets,
+    ``Causal -> 1SR``, is followed like the others: ``two-phase-locking``
+    claims ``Causal``, ``PRAM`` and the four session guarantees, so its
+    histories are checked for N-MR, N-MW, MYR and MRWD too, although Adya's
+    PL-3 prohibits none of them.
     """
-    problems: List[str] = []
-    for table in (BASES, LAYERS):
-        for token, row in table.items():
-            problems.extend(f"{token}: claims {code!r}, which is not in the lattice"
-                            for code in row.models if code not in MODELS)
-    problems.extend(f"{token}: earns {row.earns!r}, which entails no layer's models"
-                    for token, row in BUNDLES.items() if not row.members)
-    for token, row in BASES.items():
-        if isinstance(row.client, tuple) != _stackable(token):
-            problems.append(
-                f"{token}: built by {row.client!r}, but Table 3 classifies its "
-                f"models as {HATLattice.combination_availability(row.models)!r}")
-    return problems
+    codes = parse_spec(spec).model_codes()
+    return frozenset(codes).union(*(MODELS[code].all_weaker for code in codes))
+
+
+class Claim(NamedTuple):
+    """One model's row of :func:`verify_claims`."""
+
+    code: str
+    claimed: bool
+    #: The history's report against the model; None when the model needs a
+    #: recency guarantee, which a recorded history cannot show.
+    report: Optional[CheckReport]
+
+    @property
+    def verdict(self) -> str:
+        if self.report is None:
+            return "uncheckable"
+        return "held" if self.report.satisfied else "violated"
+
+    @property
+    def broken(self) -> bool:
+        """A claimed model the history violates."""
+        return self.claimed and self.verdict == "violated"
+
+    def __str__(self) -> str:
+        claim = "claimed" if self.claimed else "not claimed"
+        body = self.report if self.report is not None else f"{self.code}: uncheckable"
+        return f"[{claim}] {body}"
+
+
+def verify_claims(spec: str, history: History) -> Dict[str, Claim]:
+    """What ``spec`` claims of ``history``: one row per model, in table order.
+
+    A row says whether the stack claims the model (:func:`claimed_levels`)
+    and whether the history keeps it, with the witnesses if not; each is a
+    lookup into one :func:`~repro.adya.levels.check_all_levels` pass.
+    """
+    claimed = claimed_levels(spec)
+    reports = check_all_levels(history)
+    return {code: Claim(code, code in claimed, reports.get(code)) for code in MODELS}

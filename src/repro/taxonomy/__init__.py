@@ -1,11 +1,11 @@
-"""The HAT taxonomy: models, availability classes, lattice, and survey.
+"""The HAT taxonomy: models, availability classes, and survey.
 
 * :mod:`repro.taxonomy.models` — the one table of every isolation /
   consistency / session model the paper classifies: a row states the models
-  it extends and the phenomena it adds; its prohibited set, availability
-  class and reason for unavailability (Table 3) are read off the table,
-* :mod:`repro.taxonomy.lattice` — queries over the table's partial order of
-  model strength (Figure 2): comparability, combinations, counting,
+  it extends and the phenomena it adds; its prohibited set, downward closure
+  (Figure 2's order), availability class and reason for unavailability
+  (Table 3) are read off the table, and Figure 2's combinations are module
+  functions over it,
 * :mod:`repro.taxonomy.survey` — the Table 2 survey of default and maximum
   isolation levels in 18 ACID/NewSQL databases.
 """
@@ -19,7 +19,6 @@ from repro.taxonomy.models import (
     availability_summary,
     model,
 )
-from repro.taxonomy.lattice import HATLattice, build_lattice
 from repro.taxonomy.survey import DATABASE_SURVEY, DatabaseSurveyEntry, survey_statistics
 
 __all__ = [
@@ -29,8 +28,6 @@ __all__ = [
     "ConsistencyModel",
     "MODELS",
     "model",
-    "HATLattice",
-    "build_lattice",
     "availability_summary",
     "DATABASE_SURVEY",
     "DatabaseSurveyEntry",

@@ -7,14 +7,18 @@ recency guarantee.  A row of :data:`MODELS` therefore states only what cannot
 be derived — the models it is directly stronger than (Figure 2's edges), the
 phenomena it adds to theirs, and the one sticky mark on ``RYW`` — and the
 rest is read off the table: the full prohibited set, the downward closure,
-the availability class and Table 3's footnote causes.
+the availability class and Table 3's footnote causes.  The order questions
+Figure 2's caption asks of it — the availability of a combination of models,
+and which combinations are achievable at all — are the module functions
+after the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from itertools import combinations
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.adya.phenomena import (
     G0,
@@ -179,6 +183,59 @@ def model(code: str) -> ConsistencyModel:
         raise TaxonomyError(
             f"unknown model {code!r}; expected one of {sorted(MODELS)}"
         ) from None
+
+
+def _check_acyclic() -> None:
+    """Figure 2 is a partial order: no model is strictly weaker than itself."""
+    if any(code in m.all_weaker for code, m in MODELS.items()):
+        raise TaxonomyError("the model order must be acyclic")
+
+
+_check_acyclic()
+
+
+def combination_availability(codes: Iterable[str]) -> str:
+    """Availability of simultaneously providing several models.
+
+    "The availability of a combination of models has the availability of the
+    least available individual model." (Figure 2 caption)  The rule reads
+    only Table 3's classes, not the edges: the protocol registry classifies
+    every spec through it.
+    """
+    ranking = (AVAILABLE, STICKY, UNAVAILABLE)
+    return max((model(code).availability for code in codes),
+               key=ranking.index, default=AVAILABLE)
+
+
+def is_antichain(codes: Iterable[str]) -> bool:
+    """True when no model in ``codes`` is comparable to (or repeats) another."""
+    return not any(a == b or b in MODELS[a].all_weaker or a in MODELS[b].all_weaker
+                   for a, b in combinations(list(codes), 2))
+
+
+def hat_combinations() -> List[FrozenSet[str]]:
+    """All non-empty antichains of HAT-compliant (HA or sticky) models.
+
+    The paper's Figure 2 caption counts 144 such combinations for the models
+    it depicts; the exact number depends on which nodes one treats as
+    combinable, so the count is exposed rather than hard-coded.
+    """
+    hat_codes = sorted(code for code, m in MODELS.items() if m.is_hat)
+    return [frozenset(subset)
+            for size in range(1, len(hat_codes) + 1)
+            for subset in combinations(hat_codes, size)
+            if is_antichain(subset)]
+
+
+def strongest_hat_combination() -> Set[str]:
+    """The maximal HAT models: combining them all is still achievable.
+
+    Section 5.3: "If we combine all HAT and sticky guarantees, we have
+    transactional, causally consistent snapshot reads."
+    """
+    hat_codes = {code for code, m in MODELS.items() if m.is_hat}
+    return {code for code in hat_codes
+            if not any(code in MODELS[other].all_weaker for other in hat_codes)}
 
 
 @dataclass

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.adya.history import HistoryBuilder
 from repro.errors import ReproError
 from repro.hat.layers import SessionLayer
 from repro.hat.protocols import (
@@ -24,14 +25,19 @@ from repro.hat.protocols import (
     READ_COMMITTED,
     TWO_PHASE_LOCKING,
     ProtocolSpecError,
-    cross_check_with_taxonomy,
+    claimed_levels,
     parse_spec,
     protocol_info,
+    verify_claims,
 )
 from repro.hat.testbed import Scenario, build_testbed
 from repro.hat.transaction import Operation, Transaction
-from repro.taxonomy.lattice import build_lattice
-from repro.taxonomy.models import AVAILABLE, MODELS, UNAVAILABLE
+from repro.taxonomy.models import (
+    AVAILABLE,
+    MODELS,
+    UNAVAILABLE,
+    combination_availability,
+)
 
 PIN = Path(__file__).resolve().parent.parent / "data" / "golden_registry_pin.json"
 
@@ -215,22 +221,19 @@ class TestClassification:
             assert name in ALL_PROTOCOLS
             assert protocol_info(name).name == name
 
-    def test_cross_check_against_taxonomy_and_lattice(self):
-        assert cross_check_with_taxonomy() == []
-
     def test_derived_specs_are_classified_on_the_fly(self):
         info = protocol_info("mav+wfr+mr")
         assert info.base == MAV
         assert info.layers == ("mr", "wfr")
 
 
-LATTICE = build_lattice()
-
-
 def assert_classified_by_the_lattice(spec):
     parsed = parse_spec(spec)
-    expected = LATTICE.combination_availability(parsed.model_codes())
+    expected = combination_availability(parsed.model_codes())
     assert parsed.availability() == expected
+    claimed = claimed_levels(spec)  # downward closed, and classified alike
+    assert all(MODELS[code].all_weaker <= claimed for code in claimed)
+    assert combination_availability(claimed) == expected
     info = protocol_info(spec)
     assert info.highly_available == (expected == AVAILABLE)
     assert info.sticky_available == (expected != UNAVAILABLE)
@@ -242,12 +245,14 @@ class TestTableAgainstTable3:
                  for row in table.values() for code in row.models}
         named |= {row.earns for row in BUNDLES.values()}
         assert named <= set(MODELS)
+        assert all(row.members for row in BUNDLES.values())
 
     def test_stackable_specs_claim_exactly_the_hat_models(self):
         """Every HAT model of Table 3 is claimed by some spec, and a spec
         that accepts layers claims no unavailable one."""
         claimed = set()
         for base in HAT_PROTOCOLS:
+            assert isinstance(BASES[base].client, tuple)  # built from layers
             claimed.update(parse_spec(f"{base}+ci+causal").model_codes())
         assert claimed == {code for code, model in MODELS.items() if model.is_hat}
         assert claimed == {"RU", "RC", "MAV", "I-CI", "P-CI",
@@ -256,6 +261,7 @@ class TestTableAgainstTable3:
     @pytest.mark.parametrize("base", NON_HAT_PROTOCOLS)
     def test_coordinated_bases_are_unavailable(self, base):
         assert parse_spec(base).availability() == UNAVAILABLE
+        assert not isinstance(BASES[base].client, tuple)  # a coordinated client
 
     @pytest.mark.parametrize("name", ALL_PROTOCOLS)
     def test_registered_names_are_classified_by_the_lattice(self, name):
@@ -270,6 +276,38 @@ class TestTableAgainstTable3:
                 parse_spec(spec)
         else:
             assert_classified_by_the_lattice(spec)
+
+
+def aborted_read_g1a():
+    """App. A's G1a: T3 reads the write of T2, which aborts."""
+    builder = HistoryBuilder()
+    builder.transaction().write("x", 1)
+    t2 = builder.transaction()
+    t2.write("x", 3).abort()
+    builder.transaction().read("x", from_txn=t2.txn_id, value=3)
+    return builder.build()
+
+
+class TestClaimsAgainstAHistory:
+    @pytest.mark.parametrize("base", ["master", "quorum"])
+    def test_register_claims_are_uncheckable(self, base):
+        claims = verify_claims(base, aborted_read_g1a())
+        assert {c.verdict for c in claims.values() if c.claimed} == {"uncheckable"}
+        assert not any(c.broken for c in claims.values())
+
+    def test_g1a_breaks_read_committed_but_not_read_uncommitted(self):
+        claims = verify_claims("read-committed", aborted_read_g1a())
+        assert claims["RC"].broken and claims["RC"].report.witness_count() >= 1
+        assert claims["RU"].claimed and claims["RU"].verdict == "held"
+        assert "G1a" in str(claims["RC"]) and not claims["MAV"].claimed
+
+    def test_two_phase_locking_claims_the_session_guarantees_below_1sr(self):
+        """Figure 2's ``Causal -> 1SR`` edge is followed: a 2PL history is
+        checked for the session phenomena too."""
+        claimed = claimed_levels(TWO_PHASE_LOCKING)
+        assert {"Causal", "PRAM", "MR", "MW", "RYW", "WFR"} <= claimed
+        assert len(claimed) == 15
+        assert all(MODELS[code].prohibits is not None for code in claimed)
 
 
 class TestStackedClients:

@@ -2,21 +2,16 @@
 
 The registry's ``causal`` and ``mav+causal`` stacks must work through the
 whole pipeline — testbed, bench runner, history recorder — and their
-recorded histories must pass the Adya phenomena checks for the levels they
+recorded histories must pass the Adya phenomena checks for every level they
 claim.  The paper's causal HAT construction is client-centric (sticky
-clients plus session caching and dependency forwarding), so:
-
-* the session-scoped guarantees (PRAM: N-MR, N-MW, MYR) must hold even while
-  a partition forces every session to fail over mid-run, and
-* the full Causal level (which adds the globally-judged MRWD check) is
-  verified on a single-cluster deployment, where replica divergence cannot
-  reorder the visibility of concurrently re-forwarded dependencies.
+clients plus session caching and dependency forwarding), so Causal — the
+session guarantees plus the globally-judged MRWD check — must hold even while
+a partition forces every session to fail over mid-run.
 """
 
 import pytest
 
 from repro.adya.history import HistoryRecorder
-from repro.adya.levels import check_history
 from repro.adya.phenomena import MYR, N_MR, detect
 from repro.bench.runner import RunConfig, run_workload
 from repro.hat.testbed import Scenario, build_testbed
@@ -77,32 +72,21 @@ class TestRunnerAcceptsCompositeSpecs:
 
 
 class TestCausalPhenomena:
-    def test_causal_history_satisfies_claimed_level(self):
-        history = record_workload(
-            "causal", Scenario(regions=["VA"], servers_per_cluster=3)
-        )
-        report = check_history(history, "Causal")
-        assert report.satisfied, str(report)
-        assert check_history(history, "RU").satisfied
+    def test_causal_history_satisfies_claimed_level(self, claims_hold):
+        claims_hold("causal", record_workload(
+            "causal", Scenario(regions=["VA"], servers_per_cluster=3)))
 
-    def test_mav_causal_history_satisfies_both_claims(self):
-        single = record_workload(
-            "mav+causal", Scenario(regions=["VA"], servers_per_cluster=3)
-        )
-        assert check_history(single, "Causal").satisfied
-        geo = record_workload(
-            "mav+causal", Scenario(regions=["VA", "OR"], servers_per_cluster=2)
-        )
-        assert check_history(geo, "MAV").satisfied
-        assert check_history(geo, "RC").satisfied
+    def test_mav_causal_history_satisfies_both_claims(self, claims_hold):
+        for scenario in (Scenario(regions=["VA"], servers_per_cluster=3),
+                         Scenario(regions=["VA", "OR"], servers_per_cluster=2)):
+            claims_hold("mav+causal", record_workload("mav+causal", scenario))
 
-    def test_causal_upholds_pram_across_mid_run_failover(self):
-        """Every session keeps MR/MW/RYW while a partition forces failover."""
+    def test_causal_upholds_pram_across_mid_run_failover(self, claims_hold):
+        """Every session keeps MR/MW/WFR/RYW while a partition forces failover."""
         scenario = Scenario(regions=["VA", "OR"], servers_per_cluster=2,
                             anti_entropy=AntiEntropyConfig(interval_ms=600_000.0))
-        history = record_workload("causal", scenario, partition_home_after=12)
-        report = check_history(history, "PRAM")
-        assert report.satisfied, str(report)
+        claims_hold("causal",
+                    record_workload("causal", scenario, partition_home_after=12))
 
     def test_no_layer_control_violates_session_guarantees(self):
         """The same failover schedule without session layers shows the

@@ -8,11 +8,13 @@ must stay safe — every moved key readable at its new owner, and the
 recorded histories still passing the stack's declared Adya checks.
 """
 
+from functools import cache
+
 import pytest
 
 from repro.adya.history import HistoryRecorder
-from repro.adya.levels import check_history
 from repro.bench.report import elasticity_report_json, format_elasticity
+from repro.hat.protocols import verify_claims
 
 @pytest.fixture(scope="module")
 def sweep(artifact_sweep):
@@ -89,11 +91,8 @@ class TestRebalanceAccounting:
 
 
 class TestNoReadsLostInTransit:
-    @pytest.mark.parametrize("protocol,level", [
-        ("causal", "PRAM"),
-        ("read-committed", "RC"),
-    ])
-    def test_history_through_churn_passes_claimed_level(self, protocol, level):
+    @pytest.mark.parametrize("protocol", ["causal", "read-committed"])
+    def test_history_through_churn_passes_claimed_level(self, protocol, claims_hold):
         """Post-handoff histories on moved keys keep the stack's guarantees.
 
         A lost handoff version would surface as a session-order violation
@@ -103,32 +102,42 @@ class TestNoReadsLostInTransit:
         recorder = HistoryRecorder()
         history = _record_run(protocol, recorder)
         assert len(history.committed()) > 50
-        report = check_history(history, level)
-        assert report.satisfied, str(report)
-
+        claims_hold(protocol, history)
 
     @pytest.mark.parametrize("protocol", ["mav", "mav+causal"])
     def test_mav_history_through_a_scale_out(self, protocol):
         """A joiner is handed versions carrying sibling metadata mid-run
         (fetched history, then re-dirtied latest versions arriving as
         ``ae.push`` batches): atomic visibility must hold across it."""
-        from repro.chaos.campaign import (SCALE_OUT, Campaign, CampaignAction,
-                                          CampaignPhase)
-
-        def scale_out_only(cluster):
-            return Campaign(
-                duration_ms=1_600.0,
-                actions=(CampaignAction(at_ms=600.0, kind=SCALE_OUT,
-                                        target=cluster,
-                                        note=f"scale-out: {cluster}"),),
-                phases=(CampaignPhase("baseline", 0.0, 600.0),
-                        CampaignPhase("scale-out", 600.0, 1_600.0)))
-
-        recorder = HistoryRecorder()
-        history = _record_run(protocol, recorder, scale_out_only)
+        history = _scale_out_history(protocol)
         assert len(history.committed()) > 50
-        report = check_history(history, "MAV")
-        assert report.satisfied, str(report)
+        claim = verify_claims(protocol, history)["MAV"]
+        assert claim.verdict == "held", str(claim)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "MRWD(T301, T727, T758) on user1401, a key the join did not move, "
+        "breaks WFR and so Causal; cause undiagnosed: the MAV pending/good "
+        "read path, session forwarding on a ring change, or the recorder's "
+        "timestamp version order (ROADMAP item 4)"))
+    def test_mav_causal_scale_out_history_keeps_every_claim(self, claims_hold):
+        claims_hold("mav+causal", _scale_out_history("mav+causal"))
+
+
+@cache
+def _scale_out_history(protocol: str):
+    """One recorded run whose only fault is a scale-out at 600 ms."""
+    from repro.chaos.campaign import (SCALE_OUT, Campaign, CampaignAction,
+                                      CampaignPhase)
+
+    def scale_out_only(cluster):
+        return Campaign(
+            duration_ms=1_600.0,
+            actions=(CampaignAction(at_ms=600.0, kind=SCALE_OUT, target=cluster,
+                                    note=f"scale-out: {cluster}"),),
+            phases=(CampaignPhase("baseline", 0.0, 600.0),
+                    CampaignPhase("scale-out", 600.0, 1_600.0)))
+
+    return _record_run(protocol, HistoryRecorder(), scale_out_only)
 
 
 def _record_run(protocol: str, recorder: HistoryRecorder, make_campaign=None):

@@ -15,7 +15,7 @@ SRC = ROOT / "src"
 
 #: Modules no door imports yet, each with the ROADMAP item that will.
 RESERVED = {
-    "repro.bench.ablations": "item 6: the paper-fidelity scorecard calls it",
+    "repro.bench.ablations": "item 8: the paper-fidelity scorecard calls it",
 }
 
 IMPORT_THE_DOORS = """

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -115,7 +115,6 @@ class RunStats:
     throughput_ops_s: float
     #: fraction of transaction RPCs that left the client's datacenter.
     remote_rpc_fraction: float = 0.0
-    extras: Dict[str, float] = field(default_factory=dict)
 
     @property
     def abort_rate(self) -> float:
@@ -123,33 +122,42 @@ class RunStats:
         return self.aborted / total if total else 0.0
 
 
-def summarize_run(protocol: str, clients: int, duration_ms: float,
-                  results: List[object], warmup_ms: float = 0.0,
-                  start_ms: float = 0.0) -> RunStats:
-    """Aggregate a list of :class:`TransactionResult` into :class:`RunStats`.
+class RunTally:
+    """Running totals of one run, each result folded in as it completes.
 
-    Transactions finishing before ``start_ms + warmup_ms`` are excluded from
-    latency and throughput so that cold-start effects (empty stores, empty
-    anti-entropy queues) do not skew the numbers.
+    Results finishing before ``measure_start_ms`` (the end of the warm-up)
+    are left out, so cold-start effects (empty stores, empty anti-entropy
+    queues) do not skew the numbers; committed latencies are exact samples.
     """
-    cutoff = start_ms + warmup_ms
-    measured = [r for r in results if r.end_ms >= cutoff]
-    committed = [r for r in measured if r.committed]
-    aborted = [r for r in measured if not r.committed]
-    latencies = [r.latency_ms for r in committed]
-    operations = sum(len(r.reads) + len(r.writes) for r in committed)
-    effective_ms = max(duration_ms - warmup_ms, 1e-9)
-    remote = sum(r.remote_rpcs for r in measured)
-    total_rpcs = max(1, operations)
-    return RunStats(
-        protocol=protocol,
-        clients=clients,
-        duration_ms=effective_ms,
-        committed=len(committed),
-        aborted=len(aborted),
-        operations=operations,
-        latency=LatencySummary.from_samples(latencies),
-        throughput_txn_s=1000.0 * len(committed) / effective_ms,
-        throughput_ops_s=1000.0 * operations / effective_ms,
-        remote_rpc_fraction=remote / total_rpcs,
-    )
+
+    def __init__(self, measure_start_ms: float):
+        self.measure_start_ms = measure_start_ms
+        self.aborted = self.operations = self.remote = 0
+        self.latencies: List[float] = []
+
+    def add(self, result) -> None:
+        """Fold in one :class:`~repro.hat.transaction.TransactionResult`."""
+        if result.end_ms >= self.measure_start_ms:
+            self.remote += result.remote_rpcs
+            if result.committed:
+                self.latencies.append(result.latency_ms)
+                self.operations += len(result.reads) + len(result.writes)
+            else:
+                self.aborted += 1
+
+    def summarize(self, protocol: str, clients: int, duration_ms: float,
+                  warmup_ms: float = 0.0) -> RunStats:
+        committed = len(self.latencies)
+        effective_ms = max(duration_ms - warmup_ms, 1e-9)
+        return RunStats(
+            protocol=protocol,
+            clients=clients,
+            duration_ms=effective_ms,
+            committed=committed,
+            aborted=self.aborted,
+            operations=self.operations,
+            latency=LatencySummary.from_samples(self.latencies),
+            throughput_txn_s=1000.0 * committed / effective_ms,
+            throughput_ops_s=1000.0 * self.operations / effective_ms,
+            remote_rpc_fraction=self.remote / max(1, self.operations),
+        )

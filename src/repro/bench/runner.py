@@ -29,12 +29,11 @@ its grace period sit on the sim clock).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, Optional
 
-from repro.bench.metrics import RunStats, summarize_run
+from repro.bench.metrics import RunStats, RunTally
 from repro.errors import ReproError
 from repro.hat.testbed import Scenario, Testbed, build_testbed
-from repro.hat.transaction import TransactionResult
 from repro.loadgen.engine import open_run_window
 from repro.overload.retry import RetryPolicy
 from repro.sim.events import gc_paused
@@ -95,7 +94,8 @@ def run_workload(config: RunConfig,
                  recorder: Optional[object] = None,
                  telemetry: Optional[object] = None,
                  preload: bool = True) -> RunStats:
-    """Execute one closed-loop run and aggregate its results.
+    """Execute one closed-loop run, tallying each result as it completes
+    and then dropping it (a ``recorder`` keeps the results).
 
     ``telemetry`` (a :class:`~repro.chaos.telemetry.TimelineTelemetry`)
     receives a ``begin``/``complete`` pair per transaction, keyed by the
@@ -110,9 +110,9 @@ def run_workload(config: RunConfig,
     testbed = testbed or build_testbed(config.scenario)
     env = testbed.env
     factory = as_workload_factory(config.workload)
-    start_ms, _, end_ms, horizon_ms = open_run_window(
+    _, measure_start, end_ms, horizon_ms = open_run_window(
         config, testbed, telemetry, preload)
-    results: List[TransactionResult] = []
+    tally = RunTally(measure_start)
     abort_backoff_ms = config.retry.abort_backoff_ms
     client_kwargs = config.retry.client_kwargs(config.protocol)
 
@@ -124,7 +124,7 @@ def run_workload(config: RunConfig,
             if telemetry is not None:
                 attempt = telemetry.begin(group, env.now)
             result = yield client.execute(transaction)
-            results.append(result)
+            tally.add(result)
             if observe is not None:
                 observe(result)
             if attempt is not None:
@@ -150,11 +150,5 @@ def run_workload(config: RunConfig,
     # Let every in-flight transaction finish: run a grace period past the end.
     env.run(until=horizon_ms)
 
-    return summarize_run(
-        protocol=config.protocol,
-        clients=config.total_clients,
-        duration_ms=config.duration_ms,
-        results=results,
-        warmup_ms=config.warmup_ms,
-        start_ms=start_ms,
-    )
+    return tally.summarize(config.protocol, config.total_clients,
+                           config.duration_ms, config.warmup_ms)

@@ -112,10 +112,10 @@ class Network:
         self._msg_ids = itertools.count(1)
         # Timeout wheels: one FIFO per distinct timeout duration.  RPCs with
         # the same timeout expire in issue order, so each wheel stays sorted
-        # by deadline and a single armed sweeper event per wheel replaces the
-        # per-RPC expiry callback that used to dominate the event heap.  A
-        # sweep drops answered entries from the front too, so it re-arms only
-        # for an outstanding RPC: armed exactly while the wheel is not empty.
+        # by deadline and needs one armed sweeper event, not one per RPC.
+        # Answered entries leave its front at a sweep (so it re-arms only for
+        # an outstanding RPC: armed exactly while the wheel is not empty) and
+        # before the next RPC of its class is appended.
         self._timeout_wheels: Dict[float, deque] = {}
 
     # -- registration -------------------------------------------------------
@@ -267,6 +267,8 @@ class Network:
             wheel = self._timeout_wheels[timeout_ms] = deque()
         if not wheel:
             env.schedule(timeout_ms, self._sweep_timeouts, timeout_ms)
+        while wheel and wheel[0][1] not in self._pending_rpcs:
+            wheel.popleft()
         wheel.append((env._now + timeout_ms, msg_id, src, dst, kind))
         return response
 

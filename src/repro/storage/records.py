@@ -10,7 +10,6 @@ same transaction.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Any, FrozenSet, NamedTuple, Optional
 
 
@@ -61,14 +60,9 @@ class Version(NamedTuple):
         return 34 + 15 * extra_siblings if extra_siblings > 0 else 34
 
 
-@lru_cache(maxsize=1 << 20)
 def initial_version(key: str) -> Version:
-    """The bottom version (value ``None``) present before any write.
-
-    Memoized: versions are immutable, every read of a not-yet-written key
-    materializes this same bottom version, and benchmark workloads read from
-    bounded key spaces.
-    """
+    """The bottom version (value ``None``) present before any write, built
+    per read: a memo would keep one per distinct key for the process's life."""
     return Version(key, None, NULL_TIMESTAMP)
 
 

@@ -33,7 +33,6 @@ from repro.bench.runner import RunConfig, run_workload
 from repro.chaos import Nemesis, canonical_partition_campaign
 from repro.hat.testbed import FIVE_REGION_DEPLOYMENT, Scenario, build_testbed
 from repro.overload.retry import RetryPolicy
-from repro.storage.records import initial_version
 from repro.workloads.ycsb import YCSBConfig
 
 
@@ -48,11 +47,9 @@ def costs():
     diagnostics (``probes``, ``forwards``) summed over the clients, and
     ``frames`` = Python frames entered under ``src/repro`` during the run
     (function calls and generator resumptions, as ``sys.setprofile`` sees
-    them).  Every leg starts with the one process-wide memo cache empty, so
-    each pays the same first-use frames whatever ran before it."""
+    them)."""
     measured = {}
     for protocol in ("eventual", "mav", "causal"):
-        initial_version.cache_clear()
         scenario = Scenario(regions=["VA", "OR"], servers_per_cluster=2, seed=0)
         testbed = build_testbed(scenario)
         frames = [0]
@@ -150,12 +147,11 @@ def test_the_per_operation_path_stays_one_frame_per_stage(costs):
     send → dispatch → reply → resume became one frame and the driver stopped
     calling hooks no layer overrides, this run entered 590.5 frames per
     committed ``eventual`` transaction (eight operations) and 808.7 per
-    ``causal`` one; it enters 327.6 and 341.7 (CPython 3.11, the memo cache
-    cold at the start of each leg).  Ceilings, not pins: CPython 3.12 inlines
-    comprehensions, which only lowers the count.  A pass-through hop put back
-    on the path costs 8 frames a transaction, a hook loop over inherited
-    no-ops 16 a read, a validating frame per built operation 8 — each fails
-    here."""
+    ``causal`` one; it enters 327.0 and 341.1 (CPython 3.11).  Ceilings,
+    not pins: CPython 3.12 inlines comprehensions, which only lowers the
+    count.  A pass-through hop put back on the path costs 8 frames a
+    transaction, a hook loop over inherited no-ops 16 a read, a validating
+    frame per built operation 8 — each fails here."""
     committed = costs["eventual"].cost[3]
     assert costs["causal"].cost[3] == committed
     assert costs["eventual"].frames / committed <= 356.0

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench.metrics import LatencySummary, summarize_run
+from repro.bench.metrics import LatencySummary, RunTally
 from repro.hat.transaction import ReadObservation, TransactionResult
 from repro.storage.records import Timestamp, Version
 
@@ -51,11 +51,18 @@ class TestLatencySummary:
         assert payload["mean"] == pytest.approx(1.5)
 
 
+def tally_of(results, measure_start_ms=0.0):
+    tally = RunTally(measure_start_ms)
+    for r in results:
+        tally.add(r)
+    return tally
+
+
 class TestSummarizeRun:
     def test_throughput_and_latency(self):
         results = [result(i, start=0.0, end=5.0, reads=2, writes=2) for i in range(10)]
-        stats = summarize_run("eventual", clients=4, duration_ms=1000.0,
-                              results=results)
+        stats = tally_of(results).summarize("eventual", clients=4,
+                                            duration_ms=1000.0)
         assert stats.committed == 10
         assert stats.throughput_txn_s == pytest.approx(10.0 / 1.0)
         assert stats.operations == 40
@@ -64,20 +71,22 @@ class TestSummarizeRun:
     def test_warmup_exclusion(self):
         early = [result(1, start=0.0, end=50.0)]
         late = [result(2, start=500.0, end=600.0)]
-        stats = summarize_run("eventual", clients=1, duration_ms=1000.0,
-                              results=early + late, warmup_ms=100.0)
+        stats = tally_of(early + late, measure_start_ms=100.0).summarize(
+            "eventual", clients=1, duration_ms=1000.0, warmup_ms=100.0)
         assert stats.committed == 1
         assert stats.duration_ms == pytest.approx(900.0)
 
     def test_abort_rate(self):
         results = [result(1), result(2, committed=False), result(3, committed=False)]
-        stats = summarize_run("quorum", clients=1, duration_ms=1000.0, results=results)
+        stats = tally_of(results).summarize("quorum", clients=1,
+                                            duration_ms=1000.0)
         assert stats.aborted == 2
         assert stats.abort_rate == pytest.approx(2.0 / 3.0)
 
     def test_remote_rpc_fraction(self):
         results = [result(1, reads=4, remote=2)]
-        stats = summarize_run("master", clients=1, duration_ms=1000.0, results=results)
+        stats = tally_of(results).summarize("master", clients=1,
+                                            duration_ms=1000.0)
         assert stats.remote_rpc_fraction == pytest.approx(0.5)
 
 

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.adya.history import HistoryRecorder
 from repro.bench.experiments import figure4_transaction_length
+from repro.bench.metrics import LatencySummary, RunStats
 from repro.bench.report import format_latency_and_throughput, format_series
 from repro.bench.runner import RunConfig, run_workload
 from repro.errors import ReproError
@@ -13,6 +15,8 @@ from repro.loadgen.engine import (
 )
 from repro.overload.retry import RetryPolicy
 from repro.hat.testbed import FIVE_REGION_DEPLOYMENT, Scenario, build_testbed
+from repro.workloads.base import run_preload
+from repro.workloads.tpcc_driver import TPCCDriverFactory
 from repro.workloads.ycsb import YCSBConfig
 
 
@@ -51,6 +55,64 @@ class TestRunWorkload:
         b = run_workload(quick_config("eventual", seed=7))
         assert a.committed == b.committed
         assert a.latency.mean == pytest.approx(b.latency.mean)
+
+
+def summary_of_results(results, protocol, clients, duration_ms, warmup_ms,
+                       start_ms):
+    """The run's stats aggregated from the whole list of its results: the
+    reference the runner's running tally must reproduce exactly."""
+    measured = [r for r in results if r.end_ms >= start_ms + warmup_ms]
+    committed = [r for r in measured if r.committed]
+    operations = sum(len(r.reads) + len(r.writes) for r in committed)
+    effective_ms = max(duration_ms - warmup_ms, 1e-9)
+    return RunStats(
+        protocol=protocol, clients=clients, duration_ms=effective_ms,
+        committed=len(committed), aborted=len(measured) - len(committed),
+        operations=operations,
+        latency=LatencySummary.from_samples([r.latency_ms for r in committed]),
+        throughput_txn_s=1000.0 * len(committed) / effective_ms,
+        throughput_ops_s=1000.0 * operations / effective_ms,
+        remote_rpc_fraction=sum(r.remote_rpcs for r in measured)
+        / max(1, operations))
+
+
+def contended_2pl():
+    """2PL over two clusters in one region, 50 keys, a 5 ms lock deadline:
+    most transactions abort, after remote round trips."""
+    return quick_config(
+        "two-phase-locking",
+        scenario=Scenario(regions=["VA"], clusters_per_region=2,
+                          servers_per_cluster=2),
+        workload=YCSBConfig(key_count=50), clients_per_cluster=4,
+        retry=RetryPolicy(lock_timeout_ms=5.0))
+
+
+class TestTallyAgainstResultList:
+    @pytest.mark.parametrize("make_config", [
+        lambda: quick_config("mav"),
+        contended_2pl,
+        lambda: quick_config("read-committed", duration_ms=400.0,
+                             workload=TPCCDriverFactory()),
+    ], ids=["ycsb-mav", "ycsb-2pl-contended", "tpcc-rc"])
+    def test_recorded_run_summarizes_alike(self, make_config):
+        config = make_config()
+        testbed = build_testbed(config.scenario)
+        run_preload(testbed, config.workload)
+        start_ms = testbed.env.now
+        recorder = HistoryRecorder()
+        stats = run_workload(config, testbed=testbed, recorder=recorder,
+                             preload=False)
+        results = [result for _, result in recorder._results]
+        expected = summary_of_results(
+            results, config.protocol, config.total_clients,
+            config.duration_ms, config.warmup_ms, start_ms)
+        assert stats.committed > 10 and len(results) > stats.committed
+        for name in ("protocol", "clients", "duration_ms", "committed",
+                     "aborted", "operations", "throughput_txn_s",
+                     "throughput_ops_s", "remote_rpc_fraction"):
+            assert getattr(stats, name) == getattr(expected, name), name
+        assert stats.latency.as_dict() == expected.latency.as_dict()
+        assert stats == expected
 
 
 class TestGracePeriod:

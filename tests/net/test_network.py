@@ -101,8 +101,9 @@ class TestRPC:
             env.run_until_complete(future)
 
     def test_sweeper_wakes_only_for_an_rpc_still_outstanding(self):
-        """Answered RPCs leave the wheel with the sweep that finds them; one
-        issued among them and never answered fails at exactly its deadline."""
+        """Answered RPCs leave the wheel when their class issues its next
+        RPC; one issued among them and never answered fails at exactly its
+        deadline."""
         env, network = make_network(latency_ms=1.0)
 
         def server(message):
@@ -124,9 +125,10 @@ class TestRPC:
         assert env.now == pytest.approx(250.0)
         assert network.stats.rpc_timeouts == 1
         env.run()
-        # One sweep at the first deadline (200 ms) drops the five answered
-        # entries ahead of the silent RPC, one at its deadline fails it and
-        # drops the four behind it; nothing is armed afterwards.
+        # The five answered entries ahead of the silent RPC left as the next
+        # ones were issued.  One sweep at the first deadline (200 ms) finds
+        # the silent RPC at the front, one at its deadline fails it and drops
+        # the four behind it; nothing is armed afterwards.
         assert env.events_executed - before == 2
         assert env.pending_events == 0 and not network._timeout_wheels[200.0]
 

@@ -283,13 +283,16 @@ class ServerNode:
         handler = self._handlers.get(message.kind)
         span = None
         if message.trace is not None and handler is not None:
-            tracer = self.network.tracer
-            # Publish the server span as the ambient context so any
-            # messages the handler itself sends (master replication
-            # pushes) chain under it.
-            span = env.current_trace = tracer.start_span(
-                tracer.server_names[message.kind], "server",
-                message.trace, self.name, enqueued_at)
+            span = message.trace
+            if self.network._rpc_spans.get(message.msg_id) is not span:
+                # Not the request that opened its RPC span (a push sent while
+                # serving, a timed-out RPC): a server span of its own.
+                tracer = self.network.tracer
+                span = tracer.start_span(tracer.server_names[message.kind],
+                                         "server", span, self.name,
+                                         enqueued_at)
+            # The ambient context: what the handler sends chains under it.
+            env.current_trace = span
         if handler is None:
             # Unknown request kinds get an error reply so clients fail
             # fast instead of timing out.
@@ -305,11 +308,11 @@ class ServerNode:
                     service_ms += (size / 1024.0) * cost.per_kb_ms
         if span is not None:
             env.current_trace = None
-            # The span covers queue wait plus the service time the reply
-            # will take; the completion instant is known now, so no
-            # extra event is needed to close it.
-            span.end_ms = enqueued_at + queue_wait + service_ms
             attrs = span.attrs
+            if span is message.trace:  # the RPC's span: the server side
+                attrs["arrival_ms"] = enqueued_at
+            else:  # queue wait plus the service the reply waits out
+                span.end_ms = enqueued_at + queue_wait + service_ms
             attrs["queue_wait_ms"] = queue_wait
             attrs["service_ms"] = service_ms
             attrs["queue_depth"] = depth

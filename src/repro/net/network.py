@@ -100,7 +100,8 @@ class Network:
         #: ``Scenario.metrics`` is on; components resolve their series from
         #: it at construction, so it is installed before they are built.
         self.metrics = None
-        #: msg_id -> open RPC span, finished on reply or timeout.
+        #: msg_id -> open RPC span, finished on reply or timeout (a server
+        #: that finds its request's span here writes its side onto it).
         self._rpc_spans: Dict[int, Any] = {}
         #: A message's delay: the next multiplier of the ``"network"`` random
         #: stream times half the pair's mean RTT (placements never move).

@@ -9,7 +9,7 @@ exclusive, non-overlapping segments:
 ``retry``      RPCs that timed out (the client burned this time waiting for a
                reply a partition dropped),
 ``rtt``        network round-trip on successful RPCs (minus the server-side
-               time above — servers report their own spans),
+               time above, which the RPC span carries as attributes),
 ``client``     everything else: client-side compute, session-layer logic,
                and think gaps between operations.
 
@@ -24,7 +24,7 @@ the wire.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.obs.trace import Span
 
@@ -33,7 +33,7 @@ __all__ = ["SEGMENTS", "decompose", "aggregate_stack", "percentile"]
 #: Bucket names in display order.
 SEGMENTS = ("queueing", "rtt", "service", "retry", "lock_wait", "client")
 
-#: (kind, status) -> (segment, priority).  Higher priority wins overlaps.
+#: Segment -> priority.  Higher priority wins overlaps.
 _PRIORITY = {
     "lock_wait": 5,
     "service": 4,
@@ -44,23 +44,30 @@ _PRIORITY = {
 
 
 def _intervals_for(span: Span) -> List[Tuple[float, float, str]]:
-    """The (start, end, segment) claims one child span contributes."""
+    """The (start, end, segment) claims one child span contributes (a
+    served RPC span carries its server's queue wait and service)."""
     end = span.end_ms if span.end_ms is not None else span.start_ms
     if span.kind == "lock":
         return [(span.start_ms, end, "lock_wait")]
+    attrs = span.attrs
     if span.kind == "server":
-        out = []
-        service_ms = span.attrs.get("service_ms", 0.0)
-        queue_wait = span.attrs.get("queue_wait_ms", 0.0)
-        if service_ms:
-            out.append((end - service_ms, end, "service"))
-        if queue_wait:
-            out.append((span.start_ms, span.start_ms + queue_wait, "queueing"))
-        return out
-    if span.kind == "rpc":
-        segment = "retry" if span.status == "timeout" else "rtt"
-        return [(span.start_ms, end, segment)]
-    return []
+        arrival, done, claims = span.start_ms, end, []
+    elif span.kind == "rpc":
+        claims = [(span.start_ms, end,
+                   "retry" if span.status == "timeout" else "rtt")]
+        arrival = attrs.get("arrival_ms")
+        if arrival is None:  # no server took it up
+            return claims
+        done = arrival + attrs["queue_wait_ms"] + attrs["service_ms"]
+    else:
+        return []
+    service_ms = attrs.get("service_ms", 0.0)
+    queue_wait = attrs.get("queue_wait_ms", 0.0)
+    if service_ms:
+        claims.append((done - service_ms, done, "service"))
+    if queue_wait:
+        claims.append((arrival, arrival + queue_wait, "queueing"))
+    return claims
 
 
 def decompose(root: Span, children: Iterable[Span]) -> Dict[str, float]:
@@ -70,34 +77,30 @@ def decompose(root: Span, children: Iterable[Span]) -> Dict[str, float]:
     outside the root's interval are clipped to it).
     """
     start, end = root.start_ms, root.end_ms
+    totals = dict.fromkeys(SEGMENTS, 0.0)
     if end is None or end <= start:
-        return {name: 0.0 for name in SEGMENTS}
+        return totals
     claims: List[Tuple[float, float, str, int]] = []
     for span in children:
         for lo, hi, segment in _intervals_for(span):
-            lo = max(lo, start)
-            hi = min(hi, end)
+            lo, hi = max(lo, start), min(hi, end)
             if hi > lo:
                 claims.append((lo, hi, segment, _PRIORITY[segment]))
-    totals = {name: 0.0 for name in SEGMENTS}
-    if not claims:
-        totals["client"] = end - start
-        return totals
     points = sorted({start, end, *(c[0] for c in claims),
                      *(c[1] for c in claims)})
     for lo, hi in zip(points, points[1:]):
-        best: Optional[str] = None
-        best_priority = 0
+        best, best_priority = "client", 0
         for c_lo, c_hi, segment, priority in claims:
             if c_lo <= lo and c_hi >= hi and priority > best_priority:
-                best = segment
-                best_priority = priority
-        totals[best if best is not None else "client"] += hi - lo
+                best, best_priority = segment, priority
+        totals[best] += hi - lo
     return totals
 
 
 def percentile(values: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
+    """Sorted ``values`` at 0-based rank ``min(n - 1, int(fraction * n))``,
+    no interpolation: one rank above nearest-rank where ``fraction * n`` is
+    a whole number above 0, so the p99 of 1..100 is 100 (nearest-rank: 99)."""
     if not values:
         return 0.0
     ordered = sorted(values)
@@ -114,26 +117,18 @@ def aggregate_stack(breakdowns: Sequence[Tuple[float, Dict[str, float]]]
     tail slow" answer the window-level artifacts cannot give.
     """
     if not breakdowns:
-        return {
-            "transactions": 0,
-            "mean_latency_ms": 0.0,
-            "p99_latency_ms": 0.0,
-            "mean_breakdown_ms": {name: 0.0 for name in SEGMENTS},
-            "p99_breakdown_ms": {name: 0.0 for name in SEGMENTS},
-        }
+        return {"transactions": 0, "mean_latency_ms": 0.0,
+                "p99_latency_ms": 0.0,
+                "mean_breakdown_ms": dict.fromkeys(SEGMENTS, 0.0),
+                "p99_breakdown_ms": dict.fromkeys(SEGMENTS, 0.0)}
     latencies = [latency for latency, _ in breakdowns]
     count = len(breakdowns)
     mean = {name: sum(b[name] for _, b in breakdowns) / count
             for name in SEGMENTS}
     p99_latency = percentile(latencies, 0.99)
-    # The p99 transaction: first one at (or nearest below) the p99 latency.
-    p99_breakdown = {name: 0.0 for name in SEGMENTS}
-    best_gap = float("inf")
-    for latency, breakdown in breakdowns:
-        gap = abs(latency - p99_latency)
-        if gap < best_gap:
-            best_gap = gap
-            p99_breakdown = breakdown
+    # The p99 transaction: the first one nearest the p99 latency.
+    _, p99_breakdown = min(breakdowns,
+                           key=lambda row: abs(row[0] - p99_latency))
     return {
         "transactions": count,
         "mean_latency_ms": sum(latencies) / count,

@@ -162,13 +162,22 @@ class Histogram:
         self._window_ms = window_ms
 
     def observe(self, at_ms: float, value: float) -> None:
-        """Add ``value`` to the series at sim-time ``at_ms``."""
-        index = window_index(at_ms, self._window_ms)
+        """Add ``value`` at sim-time ``at_ms``: ``window_index`` and
+        ``LatencyDigest.add`` (window and run digests) in one frame."""
+        index = int(at_ms // self._window_ms)
         digest = self.windows.get(index)
         if digest is None:
             digest = self.windows[index] = _new_digest()
-        digest.add(value)
-        self.total.add(value)
+        value = float(value)
+        buffer = digest._buffer
+        buffer.append(value)
+        if len(buffer) >= digest._buffer_cap:
+            digest._compress()
+        digest = self.total
+        buffer = digest._buffer
+        buffer.append(value)
+        if len(buffer) >= digest._buffer_cap:
+            digest._compress()
 
 
 class MetricsRegistry:

@@ -59,19 +59,12 @@ class Span:
         return end - self.start_ms
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "trace_id": self.trace_id,
-            "name": self.name,
-            "kind": self.kind,
-            "site": self.site,
-            "start_ms": self.start_ms,
-            "end_ms": self.end_ms if self.end_ms is not None else self.start_ms,
-            "status": self.status,
-            "attrs": dict(self.attrs),
-            "faults": list(self.faults),
-        }
+        """Every field, in slot order; an open span ends where it starts."""
+        fields = {slot: getattr(self, slot) for slot in self.__slots__}
+        fields.update(end_ms=self.start_ms if self.end_ms is None
+                      else self.end_ms, attrs=dict(self.attrs),
+                      faults=list(self.faults))
+        return fields
 
 
 class SpanNames(dict):
@@ -105,14 +98,9 @@ class FaultWindow:
         return start_ms < window_end and end_ms > self.start_ms
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "window_id": self.window_id,
-            "kind": self.kind,
-            "targets": list(self.targets),
-            "start_ms": self.start_ms,
-            "end_ms": self.end_ms,
-            "description": self.description,
-        }
+        fields = {slot: getattr(self, slot) for slot in self.__slots__}
+        fields["targets"] = list(self.targets)
+        return fields
 
 
 #: Fault kinds that open an interval, mapped to the kinds that close it.
@@ -154,10 +142,8 @@ class FaultLedger:
     def close(self, window: FaultWindow, at_ms: float) -> None:
         if window.end_ms is None:
             window.end_ms = at_ms
-        try:
+        if window in self._open:
             self._open.remove(window)
-        except ValueError:
-            pass
 
     def on_fault(self, kind: str, targets: Sequence[str], at_ms: float,
                  description: str = "") -> None:

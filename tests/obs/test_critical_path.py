@@ -73,6 +73,31 @@ class TestDecompose:
         assert totals["lock_wait"] == pytest.approx(5.0)
         assert totals["service"] == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("status", ["ok", "timeout"])
+    def test_an_rpc_carrying_its_server_side_decomposes_like_the_pair(
+            self, status):
+        """Queue wait and service as attributes on the RPC span claim what
+        a ``server`` span under it claimed."""
+        pair, pair_root = _trace()
+        rpc = _rpc(pair, pair_root, 1.0, 9.0, status=status)
+        _server(pair, rpc, 2.0, 7.5, service_ms=4.0, queue_wait_ms=1.5)
+        pair.finish(pair_root, 10.0)
+        one, one_root = _trace()
+        rpc = _rpc(one, one_root, 1.0, 9.0, status=status)
+        rpc.attrs.update(arrival_ms=2.0, queue_wait_ms=1.5, service_ms=4.0)
+        one.finish(one_root, 10.0)
+        expected = decompose(pair_root, pair.trace(pair_root.trace_id)[1:])
+        assert decompose(one_root, one.trace(one_root.trace_id)[1:]) \
+            == expected
+        assert expected["service"] == 4.0 and expected["queueing"] == 1.5
+
+    def test_an_unserved_rpc_claims_only_its_wire_time(self):
+        tracer, root = _trace()
+        _rpc(tracer, root, 0.0, 10.0).attrs["dst"] = "server-0"
+        tracer.finish(root, 10.0)
+        totals = decompose(root, tracer.trace(root.trace_id)[1:])
+        assert totals["rtt"] == 10.0 and totals["service"] == 0.0
+
     def test_timed_out_rpc_counts_as_retry(self):
         tracer, root = _trace()
         _rpc(tracer, root, 0.0, 5.0, status="timeout")

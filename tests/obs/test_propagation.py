@@ -124,8 +124,8 @@ class TestRebalancePropagation:
         assert annotated, (window.start_ms, window.end_ms)
 
         # That transaction's trace is still a single connected tree with
-        # real server-side work in it.
+        # real server-side work in it: an RPC span carrying its service.
         spans = tracer.trace(annotated[0].trace_id)
         _assert_connected(spans)
-        assert any(s.kind == "rpc" for s in spans)
-        assert any(s.kind == "server" for s in spans)
+        assert any(s.kind == "rpc" and s.attrs.get("service_ms", 0.0) > 0.0
+                   for s in spans)

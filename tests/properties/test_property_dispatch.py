@@ -14,11 +14,14 @@ schedules — bursts deeper than the worker pool, every admission policy, a
 crash with requests in service and queued, a recovery before or after their
 completion instants — must produce the same replies at the same instants,
 the same ``ServerStats`` and ``NetworkStats``, the same queue-probe
-observations and the same server spans from both; and the server executes
+observations and the same spans from both (a request that opened its RPC
+span writes its server side onto it; one served after its RPC timed out
+gets a ``server`` span); and the server executes
 exactly one event fewer per request the reference served (its
 ``_complete``), plus one per wake.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -105,10 +108,13 @@ class CompleteEventNode(ServerNode):
             handler = self._handlers.get(message.kind)
             span = None
             if message.trace is not None and handler is not None:
-                tracer = self.network.tracer
-                span = env.current_trace = tracer.start_span(
-                    tracer.server_names[message.kind], "server",
-                    message.trace, self.name, enqueued_at)
+                span = message.trace
+                if self.network._rpc_spans.get(message.msg_id) is not span:
+                    tracer = self.network.tracer
+                    span = tracer.start_span(
+                        tracer.server_names[message.kind], "server",
+                        message.trace, self.name, enqueued_at)
+                env.current_trace = span
             if handler is None:
                 reply_payload = {"error": f"no handler for {message.kind!r}"}
                 service_ms = 0.0
@@ -120,7 +126,10 @@ class CompleteEventNode(ServerNode):
                     service_ms += (size / 1024.0) * cost.per_kb_ms
             if span is not None:
                 env.current_trace = None
-                span.end_ms = enqueued_at + queue_wait + service_ms
+                if span is message.trace:
+                    span.attrs["arrival_ms"] = enqueued_at
+                else:
+                    span.end_ms = enqueued_at + queue_wait + service_ms
                 span.attrs["queue_wait_ms"] = queue_wait
                 span.attrs["service_ms"] = service_ms
                 span.attrs["queue_depth"] = depth
@@ -232,6 +241,10 @@ admissions = st.one_of(
              max_queue_depth=1, policy="adaptive-lifo",
              sheddable_kinds=SHEDDABLE),
          crash_at=None, recover_at=None)
+# A queue deeper than the RPC timeout: the last three requests are served
+# after their RPCs timed out, so they get server spans.
+@example(arrivals=[(0.0, "fg", 8.0, 0, False)] * 10, concurrency=1,
+         admission=None, crash_at=None, recover_at=None)
 def test_replying_at_service_start_matches_the_complete_event_dispatcher(
         arrivals, concurrency, admission, crash_at, recover_at):
     replies, *observed, events, wakes = _run(
@@ -262,3 +275,25 @@ def test_the_schedules_reach_every_arm():
         assert stats.rejected > 0 and stats.queue_wait_ms > 0.0
         assert stats.max_queue_depth == 3 and len(replies) == len(burst)
         assert replies[-1][2] != "shed"  # the late, lone request: zero wait
+
+
+def test_a_request_writes_its_server_side_onto_its_rpc_span():
+    """Served in time, the request's RPC span carries where and how long it
+    waited and was served; served after its RPC timed out, the work gets a
+    ``server`` span under the closed RPC span instead."""
+    late = [(0.0, "fg", 8.0, 0, False)] * 10
+    *_, spans, _, _ = _run(ServerNode, late, 1, None, None, None)
+    by_id = {span["span_id"]: span for span in spans}
+    rpcs = [span for span in spans if span["kind"] == "rpc"]
+    servers = [span for span in spans if span["kind"] == "server"]
+    assert len(rpcs) == 10 and len(servers) == 3
+    assert all(by_id[span["parent_id"]]["status"] == "timeout"
+               for span in servers)
+    served = [span for span in rpcs if "arrival_ms" in span["attrs"]]
+    assert len(served) == 7
+    for index, span in enumerate(served):
+        attrs = span["attrs"]
+        assert attrs["arrival_ms"] == pytest.approx(span["start_ms"] + 0.25)
+        assert attrs["queue_wait_ms"] == pytest.approx(index * 8.12)
+        assert attrs["service_ms"] == pytest.approx(8.12)
+        assert attrs["queue_depth"] == max(0, index - 1)  # queued ahead

@@ -12,7 +12,7 @@ Two contracts hold no matter what streams in:
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -62,6 +62,41 @@ def test_every_observation_lands_in_exactly_one_window(observations):
     total = sum(registry.merged_quantiles("lat_ms", [index])["count"]
                 for index in registry.window_indices("lat_ms"))
     assert total == len(observations)
+
+
+def _state(digest):
+    """Everything a digest holds, as text (so 1 and 1.0 differ)."""
+    digest._fold()
+    return repr((digest._means, digest._weights, digest._buffer,
+                 digest._count, digest._sum, digest._min, digest._max))
+
+
+@given(stream=st.lists(
+    st.tuples(st.floats(min_value=0.0, max_value=1_000.0,
+                        allow_nan=False, allow_infinity=False),
+              st.one_of(st.integers(0, 10**6),
+                        st.floats(min_value=0.0, max_value=1e6,
+                                  allow_nan=False, allow_infinity=False))),
+    min_size=1, max_size=1_500))
+@settings(max_examples=30, deadline=None)
+@example(stream=[(float(i % 300), i // 3) for i in range(1_000)])
+def test_observe_is_the_digest_add_it_writes_out(stream):
+    """``Histogram.observe`` appends and compresses in its own frame: every
+    window's digest and the run's hold exactly what ``LatencyDigest.add``
+    builds from the same stream (streams long enough to compress: the
+    buffer holds 400 samples)."""
+    from repro.loadgen.sketch import LatencyDigest
+
+    histogram = MetricsRegistry(window_ms=250.0).histogram("lat_ms")
+    windows, total = {}, LatencyDigest()
+    for at_ms, value in stream:
+        histogram.observe(at_ms, value)
+        windows.setdefault(int(at_ms // 250.0), LatencyDigest()).add(value)
+        total.add(value)
+    assert sorted(histogram.windows) == sorted(windows)
+    for index, digest in windows.items():
+        assert _state(histogram.windows[index]) == _state(digest)
+    assert _state(histogram.total) == _state(total)
 
 
 # -- recency probe laws under replayed anti-entropy --------------------------

@@ -1,19 +1,15 @@
-"""Client-side node: a network endpoint plus sticky routing helpers.
+"""Client-side node: a network endpoint plus transaction timestamps.
 
 Every protocol client in :mod:`repro.hat.clients` owns a :class:`ClientNode`,
-which registers the client on the network (so replies can be delivered),
-assigns unique transaction timestamps, and answers routing questions:
-
-* the *sticky* replica for a key — the owner of the key's partition in the
-  client's home cluster (the paper's deployments "stick all clients within a
-  datacenter to their respective cluster"),
-* the key's master replica and full replica set for non-HAT protocols.
+which registers the client on the network (so replies can be delivered) and
+assigns unique transaction timestamps.  Clients route by reading a key's
+record off ``ClusterConfig.placements`` themselves.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional
+from typing import Optional
 
 from repro.cluster.config import ClusterConfig
 from repro.errors import ReproError
@@ -27,7 +23,7 @@ _CLIENT_IDS = itertools.count(1)
 
 
 class ClientNode:
-    """Network identity, timestamp assignment, and replica routing."""
+    """Network identity and timestamp assignment."""
 
     def __init__(
         self,
@@ -95,20 +91,3 @@ class ClientNode:
         """
         return Timestamp(sequence=int(self.env.now * 1000.0),
                          client_id=self.client_id)
-
-    # -- routing -----------------------------------------------------------------
-    def sticky_replica(self, key: str) -> str:
-        """The replica for ``key`` inside the client's home cluster."""
-        return self.config.local_replica_for(key, self.home_cluster)
-
-    def master_replica(self, key: str) -> str:
-        """The designated (possibly remote) master replica for ``key``."""
-        return self.config.master_for(key)
-
-    def all_replicas(self, key: str) -> List[str]:
-        """Every replica of ``key`` (one per cluster)."""
-        return self.config.replicas_for(key)
-
-    def reachable_replicas(self, key: str) -> List[str]:
-        """Replicas of ``key`` the client can currently reach."""
-        return self.network.partitions.reachable_from(self.name, self.all_replicas(key))

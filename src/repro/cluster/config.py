@@ -21,13 +21,15 @@ Placement comes in two modes, selected per cluster:
   join moves only ``~1/(n+1)`` of the key space.
 
 Every answer above reads one memo, key → :class:`Placement` (replicas,
-master, each replica's peers).  A miss hashes the key once and asks each
-cluster's partitioner for the owner of that hash; keys placed alike share one
-record, so there are at most ∏(servers per cluster) × clusters of them.
+master, each replica's peers).  A miss hashes the key once.  While every
+cluster places by modulo, ``key_hash % lcm(clusters, *servers per cluster)``
+fixes every owner and the master: a table of residues holds the records.
+Otherwise (a ring owner is a token bisect) each cluster's partitioner names
+the owner of that hash.  Keys placed alike share one record.
 
 Membership is *mutable*: :meth:`ClusterConfig.add_server` and
 :meth:`ClusterConfig.remove_server` change a cluster's server list
-mid-process.  Each mutation clears the memo and bumps
+mid-process.  Each mutation clears the memo and the residue table and bumps
 :attr:`ClusterConfig.epoch` — callers holding a placement list must treat an
 epoch change as a routing flush.
 """
@@ -35,9 +37,11 @@ epoch change as a routing flush.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from hashlib import sha1
+from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.cluster.partitioner import HashPartitioner, Partitioner, _stable_key_hash
+from repro.cluster.partitioner import HashPartitioner, Partitioner
 from repro.errors import ReproError
 from repro.membership.ring import DEFAULT_VIRTUAL_NODES, ConsistentHashRing
 
@@ -110,18 +114,36 @@ class _Placements(dict):
 
     A record depends only on the owners and the master slot
     (``key_hash % clusters``), so ``records`` outlives a membership change.
-    Lists and records are shared — callers must not mutate them.
+    ``residues`` maps each ``key_hash % period`` seen to its record; ``period``
+    is 0 unless every cluster places by modulo.  Lists and records are
+    shared — callers must not mutate them.
     """
 
-    __slots__ = ("clusters", "records")
+    __slots__ = ("clusters", "records", "residues", "period")
 
     def __init__(self, clusters: List[Cluster]):
         super().__init__()
         self.clusters = clusters
         self.records: Dict[Tuple[str, ...], Tuple[Placement, ...]] = {}
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every key and residue; size ``period`` to the servers."""
+        self.clear()
+        self.residues: Dict[int, Placement] = {}
+        clusters = self.clusters
+        self.period = (lcm(len(clusters), *[len(c.servers) for c in clusters])
+                       if all(c.placement == "modulo" for c in clusters) else 0)
 
     def __missing__(self, key: str) -> Placement:
-        key_hash = _stable_key_hash(key)
+        # Partitioner.key_hash, inline: one frame fewer per miss.
+        key_hash = int.from_bytes(sha1(key.encode()).digest()[:8], "big")
+        period = self.period
+        if period:
+            record = self.residues.get(key_hash % period)
+            if record is not None:
+                self[key] = record
+                return record
         owners = []  # a loop: a comprehension is one more frame on 3.11
         for cluster in self.clusters:
             owners.append(cluster.partitioner.owner_of_hash(key_hash))
@@ -134,6 +156,8 @@ class _Placements(dict):
             shared = self.records[owners] = tuple(
                 [Placement(replicas, master, peers) for master in replicas])
         record = self[key] = shared[key_hash % len(shared)]
+        if period:
+            self.residues[key_hash % period] = record
         return record
 
 
@@ -195,7 +219,7 @@ class ClusterConfig:
         pre-change routing.
         """
         self.epoch += 1
-        self.placements.clear()
+        self.placements.reset()
 
     def add_server(self, cluster_name: str, server: str) -> None:
         """Add ``server`` to a cluster and flush the placement memo."""
@@ -228,22 +252,18 @@ class ClusterConfig:
         return self.placements[key].replicas[self.cluster_index(cluster_name)]
 
     def master_for(self, key: str) -> str:
-        """The designated master replica for ``key`` (non-HAT protocols).
+        """The designated master replica for ``key`` (non-HAT protocols):
+        ``replicas[key_hash(key) % len(replicas)]``, one of the key's
+        replicas, so all clients agree without coordination.
 
-        The master is one of the key's replicas, selected deterministically
-        from the key hash so that all clients agree without coordination.
-
-        Re-designation story: while the master's node is merely *crashed*
-        or partitioned away, ``master_for`` keeps answering the same server
-        — mastership is a placement fact, not a liveness fact, so the key
-        is explicitly unavailable to master-routed clients until the node
-        recovers (the paper's Table 3 unavailability, and what the
-        availability experiments measure).  Only a *membership* change
-        (:meth:`remove_server` — a decommission or ring departure)
-        re-designates: the epoch flip drops the departed node from the
-        key's replica list and the same deterministic rule elects a new
-        master from the survivors, again with no coordination.  The rule:
-        ``replicas[key_hash(key) % len(replicas)]``.
+        Mastership is a placement fact, not a liveness fact: while the
+        master's node is crashed or partitioned away, the key stays
+        unavailable to master-routed clients until it recovers (the paper's
+        Table 3 unavailability, and what the availability experiments
+        measure).  Only a membership change (:meth:`remove_server` — a
+        decommission or ring departure) re-designates: the epoch flip drops
+        the departed node from the key's replicas and the same rule elects a
+        new master from the survivors, again with no coordination.
         """
         return self.placements[key].master
 

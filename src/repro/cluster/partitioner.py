@@ -9,8 +9,8 @@ from repro.errors import ReproError
 
 
 def _stable_key_hash(key: str) -> int:
-    """SHA-1-derived 64-bit hash (not memoized: ``ClusterConfig`` hashes a
-    key once, when it first places it)."""
+    """SHA-1-derived 64-bit hash (not memoized: ``ClusterConfig`` places a
+    key once, computing this same hash inline)."""
     digest = hashlib.sha1(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 

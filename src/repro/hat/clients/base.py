@@ -180,11 +180,12 @@ class ProtocolClient:
         item is reachable, which is exactly the replica-availability
         precondition of transactional availability (Section 4.2).
         """
-        sticky = self._placements[key].replicas[self._home_index]
+        replicas = self._placements[key].replicas
+        sticky = replicas[self._home_index]
         partitions = self.node.network.partitions
         if partitions.idle or partitions.connected(self.node.name, sticky):
             return sticky
-        reachable = self.node.reachable_replicas(key)
+        reachable = partitions.reachable_from(self.node.name, replicas)
         if not reachable:
             raise UnavailableError(f"no reachable replica for key {key!r}")
         trace = self.node.env.current_trace

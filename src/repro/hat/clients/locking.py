@@ -16,7 +16,7 @@ from typing import Dict, Generator, List, Tuple
 
 from repro.errors import ExternalAbort, RequestTimeout, UnavailableError
 from repro.hat.clients.base import ProtocolClient
-from repro.hat.transaction import Transaction, TransactionResult, resolve_derived
+from repro.hat.transaction import READ, SCAN, Transaction, TransactionResult, resolve_derived
 from repro.sim.process import all_of
 from repro.storage.records import Version
 
@@ -44,12 +44,13 @@ class TwoPhaseLockingClient(ProtocolClient):
             # writes resolve here, while every lock acquired so far is still
             # held — so the read-modify-write they encode is serialized.
             for op in list(transaction.operations):
-                if op.is_scan:
+                if op.kind == SCAN:
                     raise UnavailableError("2PL prototype does not support scans")
-                op = resolve_derived(transaction, op, result)
-                master = self.node.master_replica(op.key)
-                if (self.node.config.cluster_of_server(master)
-                        != self.node.home_cluster):
+                if op.derive is not None:
+                    op = resolve_derived(transaction, op, result)
+                record = self._placements[op.key]
+                master = record.master
+                if master is not record.replicas[self._home_index]:
                     result.remote_rpcs += 1
                 try:
                     yield self.node.network.rpc(
@@ -63,7 +64,7 @@ class TwoPhaseLockingClient(ProtocolClient):
                                            {"key": op.key, "txn_id": transaction.txn_id})
                     raise ExternalAbort(f"lock timeout on {op.key!r}") from exc
                 held.append((op.key, master))
-                if op.is_read:
+                if op.kind == READ:
                     if op.key in write_buffer:
                         version = Version(op.key, write_buffer[op.key],
                                           self.node.commit_timestamp(),
@@ -84,7 +85,7 @@ class TwoPhaseLockingClient(ProtocolClient):
             writes_by_master: Dict[str, List] = {}
             for key, value in write_buffer.items():
                 version = Version(key, value, timestamp, transaction.txn_id)
-                writes_by_master.setdefault(self.node.master_replica(key), []).append(version)
+                writes_by_master.setdefault(self._placements[key].master, []).append(version)
             if writes_by_master:
                 prepare_futures = []
                 for master, versions in writes_by_master.items():

@@ -14,7 +14,7 @@ from typing import Generator
 
 from repro.errors import RequestTimeout, UnavailableError
 from repro.hat.clients.base import ProtocolClient
-from repro.hat.transaction import Transaction, TransactionResult, resolve_derived
+from repro.hat.transaction import SCAN, WRITE, Transaction, TransactionResult, resolve_derived
 from repro.storage.records import Version
 
 
@@ -26,23 +26,24 @@ class MasterClient(ProtocolClient):
         # master in the order operations reach it (single-key linearizability).
         timestamp = self.node.commit_timestamp()
         result.timestamp = timestamp
-
+        partitions = self.node.network.partitions
         for op in list(transaction.operations):
-            if op.is_scan:
+            if op.kind == SCAN:
                 raise UnavailableError("the master configuration does not "
                                        "support predicate reads in this prototype")
-            op = resolve_derived(transaction, op, result)
-            master = self.node.master_replica(op.key)
-            if not self.node.network.partitions.connected(self.node.name, master):
+            if op.derive is not None:
+                op = resolve_derived(transaction, op, result)
+            record = self._placements[op.key]
+            master = record.master
+            if not (partitions.idle or partitions.connected(self.node.name, master)):
                 raise UnavailableError(
                     f"master {master!r} for key {op.key!r} is unreachable"
                 )
             # Count the wide-area hop only once the RPC is actually issued.
-            if (self.node.config.cluster_of_server(master)
-                    != self.node.home_cluster):
+            if master is not record.replicas[self._home_index]:
                 result.remote_rpcs += 1
             try:
-                if op.is_write:
+                if op.kind == WRITE:
                     version = Version(op.key, op.value, timestamp,
                                       transaction.txn_id)
                     yield self._rpc(master, "master.put", {

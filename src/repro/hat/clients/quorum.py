@@ -14,7 +14,7 @@ from typing import Generator
 
 from repro.errors import UnavailableError
 from repro.hat.clients.base import ProtocolClient
-from repro.hat.transaction import Transaction, TransactionResult, resolve_derived
+from repro.hat.transaction import SCAN, WRITE, Transaction, TransactionResult, resolve_derived
 from repro.replication.quorum import quorum_of
 from repro.storage.records import Version
 
@@ -27,18 +27,15 @@ class QuorumClient(ProtocolClient):
         # timestamp must order after every version this transaction has
         # read, or the quorum merge would discard it as older.
         timestamp = None
-        cluster_of_server = self.node.config.cluster_of_server
-        home_cluster = self.node.home_cluster
-
         for op in list(transaction.operations):
-            if op.is_scan:
+            if op.kind == SCAN:
                 raise UnavailableError("quorum prototype does not support scans")
-            op = resolve_derived(transaction, op, result)
-            replicas = self.node.all_replicas(op.key)
+            if op.derive is not None:
+                op = resolve_derived(transaction, op, result)
+            replicas = self._placements[op.key].replicas
             majority = len(replicas) // 2 + 1
-            result.remote_rpcs += sum(1 for r in replicas
-                                      if cluster_of_server(r) != home_cluster)
-            if op.is_write:
+            result.remote_rpcs += len(replicas) - 1  # all but the home replica
+            if op.kind == WRITE:
                 if timestamp is None or self.node.timestamp_is_stale(timestamp):
                     timestamp = self.node.next_timestamp()
                     result.timestamp = timestamp

@@ -45,29 +45,29 @@ class TestClientNode:
         _env, _network, config, node = rig
         home = config.cluster_names[0]
         for key in (f"user{i}" for i in range(20)):
-            assert config.cluster_of_server(node.sticky_replica(key)) == home
+            assert config.cluster_of_server(config.local_replica_for(key, home)) == home
 
     def test_all_replicas_one_per_cluster(self, rig):
-        _env, _network, config, node = rig
-        replicas = node.all_replicas("user1")
+        _env, _network, config, _node = rig
+        replicas = config.replicas_for("user1")
         assert len(replicas) == 2
         assert {config.cluster_of_server(r) for r in replicas} == set(config.cluster_names)
 
     def test_master_is_a_replica(self, rig):
-        _env, _network, _config, node = rig
-        assert node.master_replica("user1") in node.all_replicas("user1")
+        _env, _network, config, _node = rig
+        assert config.master_for("user1") in config.replicas_for("user1")
 
     def test_reachable_replicas_respects_partitions(self, rig):
         env, network, config, node = rig
         key = "user1"
-        all_replicas = node.all_replicas(key)
+        all_replicas = config.replicas_for(key)
         remote = [r for r in all_replicas
                   if config.cluster_of_server(r) != node.home_cluster]
         local_sites = [node.name] + [
             r for r in all_replicas if config.cluster_of_server(r) == node.home_cluster
         ]
         network.partitions.partition([local_sites, remote])
-        reachable = node.reachable_replicas(key)
+        reachable = network.partitions.reachable_from(node.name, all_replicas)
         assert set(reachable) == set(local_sites) - {node.name}
 
     def test_distinct_client_ids(self, rig):

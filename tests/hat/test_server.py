@@ -234,7 +234,7 @@ class TestCrashRecovery:
         testbed, _probe = rig
         client = testbed.make_client("eventual")
         key = "crash-key"
-        sticky = client.node.sticky_replica(key)
+        sticky = testbed.config.local_replica_for(key, client.node.home_cluster)
         testbed.servers[sticky].crash()
         from repro.hat.transaction import Operation, Transaction
         result = testbed.env.run_until_complete(client.execute(

@@ -1,14 +1,7 @@
 """Table 3: highly available, sticky available, and unavailable models."""
 
-import hashlib
-import json
-from pathlib import Path
-
 from repro.bench.__main__ import ARTIFACTS
 from repro.taxonomy.models import availability_summary
-
-PINS = (Path(__file__).resolve().parent.parent
-        / "tests" / "data" / "golden_artifact_pins.json")
 
 
 def test_table3_availability_summary(bench_print):
@@ -24,9 +17,8 @@ def test_table3_availability_summary(bench_print):
         "Strong-1SR"}
 
     # Every unavailable model cites a cause (Table 3's footnote markers), and
-    # the table derived from the level definitions is the pinned one.
+    # the bench prints the table derived from the level definitions (whose
+    # text tests/bench/test_golden_artifacts.py pins).
     assert all(summary.causes[code] for code in summary.unavailable)
     text = ARTIFACTS["table3"].run(True, None).text
     assert text.endswith(summary.as_table())
-    pinned = json.loads(PINS.read_text())["table3"]["text"]
-    assert hashlib.sha256(text.encode()).hexdigest() == pinned

@@ -142,10 +142,18 @@ class Nemesis:
                       "cluster": config.cluster_names,
                       "regions": {c.region for c in config.clusters}}
         timeline = self.campaign.timeline()
+        # A scale-in may retire any server of its cluster, so no later action
+        # may crash or recover one of them.
+        owner = {s: c.name for c in config.clusters for s in c.servers}
+        shrunk = set()
         for action in timeline:
             problem = _problem(action, deployment)
+            if action.kind in (CRASH, RECOVER) and owner.get(action.target) in shrunk:
+                problem = "names a server an earlier scale-in may have retired"
             if problem:
                 raise CampaignError(f"{action} {problem}")
+            if action.kind == SCALE_IN:
+                shrunk.add(action.target)
         self._installed = True
         for action in timeline:
             self.testbed.env.schedule(action.at_ms, self._fire, action)

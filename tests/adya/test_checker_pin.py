@@ -4,7 +4,8 @@ Two kinds of history are pinned:
 
 * the 36 histories the unit tests of ``test_phenomena_paper_examples.py``,
   ``test_graphs.py`` and ``test_history.py`` built when the pin was taken,
-  kept here as data so the pin outlives edits to those tests;
+  kept as data (``tests/data/adya_histories.json``) so the pin outlives
+  edits to those tests;
 * one short recorded ``eventual`` run, with transaction ids renumbered in
   commit order (the simulator draws them from a process-wide counter).
 
@@ -12,13 +13,14 @@ For each: every level's ``satisfied``, every phenomenon's witness count, and
 a SHA-256 of the witness text of the detectors that search no cycle.  The
 text of the four cycle witnesses is pinned apart, by SHA-256: which cycle
 represents a component is a rule of ``repro.adya.graphs``, not of Adya.
-Re-pin with ``PYTHONPATH=src python tests/adya/test_checker_pin.py``.
 """
 
 import hashlib
 import itertools
 import json
 from pathlib import Path
+
+import pytest
 
 from repro.adya.history import History, HistoryRecorder, HistoryTransaction, ReadEvent, WriteEvent
 from repro.adya.levels import check_all_levels
@@ -28,7 +30,7 @@ from repro.cluster import client as client_module
 from repro.hat.testbed import Scenario
 from repro.workloads.ycsb import YCSBConfig
 
-PIN = Path(__file__).resolve().parent.parent / "data" / "golden_checker_pin.json"
+HISTORIES = Path(__file__).resolve().parent.parent / "data" / "adya_histories.json"
 CYCLE_DETECTORS = (G0, G1C, LOST_UPDATE, WRITE_SKEW)
 RECORDED = "recorded eventual, VA+OR x 2 servers, 50 keys, 4 clients/cluster, seed 1, 300 ms"
 
@@ -103,36 +105,24 @@ def cycle_text_sha256(history: History) -> str:
     return _sha(detect_each(history, CYCLE_DETECTORS), CYCLE_DETECTORS)
 
 
-def _pinned_histories(pin):
-    yield from ((entry["name"], history_from(entry)) for entry in pin["histories"])
-    yield RECORDED, recorded_history()
+@pytest.fixture(scope="module")
+def histories():
+    pinned = json.loads(HISTORIES.read_text())
+    assert len(pinned) == 36
+    return {**{entry["name"]: history_from(entry) for entry in pinned},
+            RECORDED: recorded_history()}
 
 
-def test_every_pinned_history_keeps_its_verdicts_counts_and_text():
-    pin = json.loads(PIN.read_text())
-    assert len(pin["histories"]) == 36
-    moved = {name: verdicts(history) for name, history in _pinned_histories(pin)}
-    moved = {name: got for name, got in moved.items()
-             if got != pin["verdicts"][name]}
-    assert moved == {}
+def test_every_pinned_history_keeps_its_verdicts_counts_and_text(histories, assert_pin):
+    assert_pin("checker/verdicts", {name: verdicts(history)
+                                    for name, history in histories.items()})
 
 
-def test_every_pinned_history_keeps_its_cycle_witness_text():
-    pin = json.loads(PIN.read_text())
-    assert {name: cycle_text_sha256(history) for name, history
-            in _pinned_histories(pin)} == pin["cycle_text"]["sha256"]
+def test_every_pinned_history_keeps_its_cycle_witness_text(histories, assert_pin):
+    assert_pin("checker/cycle-text", {name: cycle_text_sha256(history)
+                                      for name, history in histories.items()})
 
 
-def test_the_recorded_history_exercises_every_cycle_detector_below_the_cap():
-    counts = json.loads(PIN.read_text())["verdicts"][RECORDED]["witnesses"]
+def test_the_recorded_history_exercises_every_cycle_detector_below_the_cap(histories):
+    counts = verdicts(histories[RECORDED])["witnesses"]
     assert all(0 < counts[name] < 25 for name in (G1C, LOST_UPDATE, WRITE_SKEW))
-
-
-if __name__ == "__main__":
-    pin = json.loads(PIN.read_text())
-    histories = dict(_pinned_histories(pin))
-    pin["verdicts"] = {name: verdicts(history) for name, history in histories.items()}
-    pin["cycle_text"]["sha256"] = {name: cycle_text_sha256(history)
-                                   for name, history in histories.items()}
-    PIN.write_text(json.dumps(pin, indent=1) + "\n")
-    print(f"re-pinned {PIN}")

@@ -1,115 +1,54 @@
-"""Golden pins: tracing must not disturb untraced artifacts.
-
-Two layers of bit-exactness, captured BEFORE the tracing subsystem landed:
-
-* the full quick availability artifact payload (pre-header, as the report
-  function produces it), and
-* a single canonical kernel run's event/commit/latency numbers.
-
-If either drifts, tracing (or any other change) perturbed the untraced
-simulation path — the zero-overhead-when-disabled contract is broken.
-
-The staleness artifact's quick payload (600 KB rendered) is pinned by its
-SHA-256 plus a summary small enough to read and to diff in review.
+"""Golden pins: the artifacts a refactor must leave byte-identical — the
+quick availability (pinned before tracing landed) and staleness payloads,
+every artifact's JSON and text on the artifact suites' small sweeps, the
+simulation-free tables, and one canonical kernel run with tracing and
+metrics off and on.  Each goes through ``assert_pin`` (``tests/pins.py``),
+whose own tests close this module.
 """
 
-import hashlib
+import copy
 import json
-from pathlib import Path
 
 import pytest
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+from pins import PINS, PinBook
+
+
+def quick(name):
+    """A ``--quick`` artifact's payload and its rendering as written to disk."""
+    from repro.bench.__main__ import ARTIFACTS
+
+    payload = ARTIFACTS[name].run(True, None).payload
+    return payload, json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.fixture(scope="module")
+def availability():
+    return quick("availability")
+
+
+@pytest.fixture(scope="module")
+def staleness():
+    return quick("staleness")
 
 
 class TestGoldenAvailability:
-    def test_quick_payload_is_bit_identical(self):
-        from repro.bench.__main__ import ARTIFACTS
-
-        payload = ARTIFACTS["availability"].run(True, None).payload
-        rendered = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-        golden = (DATA / "golden_availability_quick.json").read_text()
-        assert rendered == golden, (
-            "availability --quick payload drifted from the pre-tracing "
-            "golden — the untraced simulation path is no longer bit-exact"
-        )
-
-
-STALENESS_PIN = DATA / "golden_staleness_quick_pin.json"
-
-
-def render_staleness() -> str:
-    from repro.bench.__main__ import ARTIFACTS
-
-    payload = ARTIFACTS["staleness"].run(True, None).payload
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-
-
-def staleness_pin(rendered: str) -> dict:
-    """SHA-256 of the rendered payload plus the numbers a person reads."""
-    summary = {}
-    for entry in json.loads(rendered)["protocols"]:
-        row = {key: entry[key] for key in
-               ("committed_total", "aborted_total", "counters",
-                "partition_over_healthy_p99") if key in entry}
-        row["phase_recency"] = {
-            phase: {metric: stats and {q: stats[q] for q in ("count", "p50", "p99")}
-                    for metric, stats in metrics.items()}
-            for phase, metrics in entry["phase_recency"].items()}
-        summary[entry["protocol"]] = row
-    return {"sha256": hashlib.sha256(rendered.encode()).hexdigest(),
-            "summary": summary}
-
-
-def first_difference(pinned, actual, path="") -> str:
-    """Key path of the first place two JSON values differ ('' if equal)."""
-    if isinstance(pinned, dict) and isinstance(actual, dict):
-        for key in list(pinned) + [k for k in actual if k not in pinned]:
-            if key not in pinned or key not in actual:
-                return f"{path}/{key} (only in one side)"
-            found = first_difference(pinned[key], actual[key], f"{path}/{key}")
-            if found:
-                return found
-        return ""
-    return "" if pinned == actual else f"{path}: pinned {pinned!r}, got {actual!r}"
+    def test_quick_payload_is_bit_identical(self, availability, assert_pin):
+        assert_pin("availability-quick", *availability)
 
 
 class TestGoldenStaleness:
-    def test_quick_payload_matches_pin(self, tmp_path):
-        rendered = render_staleness()
-        actual = staleness_pin(rendered)
-        pinned = json.loads(STALENESS_PIN.read_text())
-        if actual != pinned:
-            dump = tmp_path / "staleness_quick.json"
-            dump.write_text(rendered)
-            where = (first_difference(pinned["summary"], actual["summary"])
-                     or "summary equal; only unpinned detail (cdfs, "
-                        "timeseries, prometheus text) moved")
-            pytest.fail(
-                "staleness --quick payload drifted from its pin — either the "
-                "metrics/probe path changed behaviour or the simulation "
-                f"under it did.  First difference: {where}.  Rendered "
-                f"payload: {dump}.  Deliberate change? re-pin with "
-                "`PYTHONPATH=src python tests/bench/test_golden_artifacts.py`")
+    def test_quick_payload_matches_pin(self, staleness, assert_pin):
+        assert_pin("staleness-quick", *staleness)
 
-    def test_first_difference_names_the_key_path(self):
-        pinned = {"a": {"b": 1, "c": [1, 2]}, "d": 0}
-        assert first_difference(pinned, pinned) == ""
-        assert first_difference(pinned, {"a": {"b": 1, "c": [1, 3]}, "d": 0}) \
-            == "/a/c: pinned [1, 2], got [1, 3]"
-        assert first_difference(pinned, {"a": {"b": 1, "c": [1, 2]}}) \
-            == "/d (only in one side)"
-
-    def test_partition_inflates_eventual_p99_tenfold(self):
+    def test_partition_inflates_eventual_p99_tenfold(self, staleness):
         """The acceptance headline: under a cross-region partition the
         eventual stack's p99 t-visibility blows up by >= 10x over healthy
         operation — recency is an operating-conditions property."""
-        pinned = json.loads(STALENESS_PIN.read_text())
-        eventual = pinned["summary"]["eventual"]
+        eventual, = [entry for entry in staleness[0]["protocols"]
+                     if entry["protocol"] == "eventual"]
         assert eventual["partition_over_healthy_p99"] >= 10.0
 
-
-ARTIFACT_PINS = DATA / "golden_artifact_pins.json"
 
 #: Sweep name (``artifact_sweep`` in tests/conftest.py) -> the report
 #: module's (JSON builder, text formatter); None where a form does not exist.
@@ -126,55 +65,33 @@ PINNED_ARTIFACTS = {
 }
 
 
-def artifact_hashes(name: str, results) -> dict:
-    """SHA-256 of each rendered form of one shared artifact sweep."""
-    from repro.bench import report
-
-    def sha(text: str) -> str:
-        return hashlib.sha256(text.encode()).hexdigest()
-
-    def json_sha(payload) -> str:
-        return sha(json.dumps(payload, indent=2, allow_nan=False))
-
-    # The trace experiment returns (stacks, provenance); its renderers take
-    # both, and the Chrome export rides beside the payload.
-    args = results if name == "trace" else (results,)
-    to_json, to_text = PINNED_ARTIFACTS[name]
-    hashes = {"text": sha(getattr(report, to_text)(*args))}
-    if to_json is not None:
-        hashes["json"] = json_sha(getattr(report, to_json)(*args))
-    if name == "trace":
-        hashes["chrome"] = json_sha(results[1].chrome)
-    return hashes
-
-
 class TestGoldenArtifactPins:
-    """Every artifact's JSON payload and text rendering, pinned by hash on
-    the small sweeps the artifact suites already run (zero extra
-    simulation): a refactor of the experiment/report layer must leave all
-    of them byte-identical."""
+    """Every artifact's JSON payload and text rendering on the small sweeps
+    the artifact suites already run (zero extra simulation): a refactor of
+    the experiment/report layer must leave all of them byte-identical."""
 
     @pytest.mark.parametrize("name", sorted(PINNED_ARTIFACTS))
-    def test_rendered_forms_match_pin(self, name, artifact_sweep):
-        pinned = json.loads(ARTIFACT_PINS.read_text())[name]
-        actual = artifact_hashes(name, artifact_sweep(name))
-        where = first_difference(pinned, actual, f"/{name}")
-        assert not where, (
-            f"the {name} sweep no longer renders byte-identically — the "
-            "simulation under it or its report function changed.  First "
-            f"difference: {where}.  Deliberate change? replace its entry in "
-            f"{ARTIFACT_PINS.name} with {json.dumps(actual)}")
+    def test_rendered_forms_match_pin(self, name, artifact_sweep, assert_pin):
+        from repro.bench import report
+
+        results = artifact_sweep(name)
+        # The trace experiment returns (stacks, provenance); its renderers
+        # take both, and the Chrome export rides beside the payload.
+        args = results if name == "trace" else (results,)
+        to_json, to_text = PINNED_ARTIFACTS[name]
+        assert_pin(f"artifact/{name}/text", getattr(report, to_text)(*args))
+        if to_json is not None:
+            assert_pin(f"artifact/{name}/json", getattr(report, to_json)(*args))
+        if name == "trace":
+            assert_pin("artifact/trace/chrome", results[1].chrome)
 
     @pytest.mark.parametrize("name", ["fig2", "table2", "table3", "tpcc"])
-    def test_static_artifact_text_matches_pin(self, name):
+    def test_static_artifact_text_matches_pin(self, name, assert_pin):
         """The simulation-free artifacts, as ``python -m repro.bench`` prints
         them: Tables 2 and 3, Figure 2 and the TPC-C compliance table."""
         from repro.bench.__main__ import ARTIFACTS
 
-        text = ARTIFACTS[name].run(True, None).text
-        actual = {"text": hashlib.sha256(text.encode()).hexdigest()}
-        assert actual == json.loads(ARTIFACT_PINS.read_text())[name], (
-            f"the {name} artifact no longer prints byte-identically:\n{text}")
+        assert_pin(f"artifact/{name}/text", ARTIFACTS[name].run(True, None).text)
 
 
 class TestGoldenKernelRun:
@@ -188,12 +105,11 @@ class TestGoldenKernelRun:
 
     @pytest.mark.parametrize("tracing, metrics", [
         (False, False), (True, False), (False, True), (True, True)])
-    def test_canonical_causal_run_matches_pin(self, tracing, metrics):
+    def test_canonical_causal_run_matches_pin(self, tracing, metrics, assert_pin):
         from repro.bench.runner import RunConfig, run_workload
         from repro.hat.testbed import Scenario, build_testbed
         from repro.workloads.ycsb import YCSBConfig
 
-        golden = json.loads((DATA / "golden_kernel_run.json").read_text())
         config = RunConfig(
             protocol="causal",
             scenario=Scenario(regions=["VA", "OR"], servers_per_cluster=2,
@@ -204,12 +120,13 @@ class TestGoldenKernelRun:
         )
         testbed = build_testbed(config.scenario)
         stats = run_workload(config, testbed=testbed)
-        assert testbed.env.events_executed == golden["events_executed"]
-        assert stats.committed == golden["committed"]
-        assert stats.aborted == golden["aborted"]
-        assert stats.throughput_txn_s == golden["throughput_txn_s"]
-        assert stats.latency.mean == golden["mean_latency_ms"]
-        assert stats.latency.p95 == golden["p95_latency_ms"]
+        assert_pin("kernel-run/causal", {
+            "protocol": config.protocol,
+            "events_executed": testbed.env.events_executed,
+            "committed": stats.committed, "aborted": stats.aborted,
+            "throughput_txn_s": stats.throughput_txn_s,
+            "mean_latency_ms": stats.latency.mean,
+            "p95_latency_ms": stats.latency.p95})
         # The instrumentation must actually have been on, not silently off.
         if tracing:
             assert len(testbed.tracer.spans) > stats.committed
@@ -219,7 +136,44 @@ class TestGoldenKernelRun:
             assert registry.counter_total("staleness_reads_total") > 0
 
 
-if __name__ == "__main__":
-    STALENESS_PIN.write_text(
-        json.dumps(staleness_pin(render_staleness()), indent=2) + "\n")
-    print(f"re-pinned {STALENESS_PIN}")
+class TestAssertPin:
+    """The helper itself, on the real availability payload and pin."""
+
+    @pytest.fixture
+    def moved(self, availability):
+        """A copy of the payload to perturb, and what its check then says."""
+        payload = copy.deepcopy(availability[0])
+
+        def message():
+            with pytest.raises(pytest.fail.Exception) as failed:
+                PinBook().check("availability-quick", payload)
+            return str(failed.value)
+        return payload, message
+
+    def test_a_perturbed_leaf_is_named_by_its_key_path(self, moved):
+        payload, message = moved
+        payload["protocols"][0]["committed_total"] = -1
+        assert message().count("\n  /") == 1
+        assert "\n  /protocols/0/committed_total: 3163 -> -1\n" in message()
+
+    def test_a_leaf_below_depth_3_is_named_by_its_depth_3_ancestor(self, moved):
+        payload, message = moved
+        payload["protocols"][0]["groups"]["OR"]["availability"] = -1
+        assert "\n  /protocols/0/groups: '#" in message()
+
+    def test_an_added_and_a_removed_key_are_each_named(self, moved):
+        payload, message = moved
+        payload["protocols"][0]["added"] = 1
+        del payload["protocols"][1]["committed_total"]
+        assert "/protocols/0/added added\n  /protocols/1/committed_total removed" \
+            in message()
+
+    def test_repin_of_an_unchanged_tree_is_byte_identical(self, availability, tmp_path):
+        copied = tmp_path / PINS.name
+        copied.write_bytes(PINS.read_bytes())
+        book = PinBook(copied, repin=True)
+        book.check("availability-quick", *availability)
+        assert book.write() == [f"re-pinned {PINS.name}: 0 pin(s) moved"]
+        assert copied.read_bytes() == PINS.read_bytes()
+        book.check("availability-quick", availability[0])
+        assert book.moved == {"availability-quick": ["only the rendering moved"]}

@@ -1,8 +1,5 @@
 """Unit tests for the nemesis: installation, validation, narration, the pin."""
 
-import json
-from pathlib import Path
-
 import pytest
 
 from repro.chaos.campaign import (
@@ -90,7 +87,43 @@ class TestValidation:
         assert testbed.env.pending_events == 0
 
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+def run_with_writers(testbed, campaign):
+    """Install ``campaign``, then run it under one eventual writer per cluster."""
+    nemesis = Nemesis(testbed, campaign)
+    nemesis.install()
+
+    def writer(client, first):
+        n = first
+        while testbed.env.now < campaign.duration_ms:
+            yield client.execute(Transaction([Operation.write(f"k{n % 16}", n)]))
+            yield testbed.env.timeout(20.0)
+            n += 1
+
+    for index, cluster in enumerate(testbed.config.cluster_names):
+        testbed.env.process(writer(
+            testbed.make_client("eventual", home_cluster=cluster), index * 1000))
+    testbed.run(campaign.duration_ms + 500.0)
+    return nemesis
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_a_generated_campaign_never_crashes_a_server_a_scale_in_retired(seed):
+    """A campaign that crashes or recovers a server after a scale-in of its
+    cluster (which may retire it) is refused before any event runs."""
+    testbed = build_testbed(Scenario(regions=REGIONS, servers_per_cluster=2,
+                                     placement="ring", seed=seed))
+    churn = CampaignSpec(duration_ms=3_000.0, partitions=0, crashes=3,
+                         crash_downtime_ms=(100.0, 300.0), scale_ins=2,
+                         rebalance_phase_ms=(200.0, 400.0))
+    campaign = generate_campaign(churn, REGIONS, testbed.config.all_servers,
+                                 seed=seed, clusters=testbed.config.cluster_names)
+    try:
+        nemesis = run_with_writers(testbed, campaign)
+    except CampaignError as refused:
+        assert "an earlier scale-in may have retired" in str(refused)
+        assert testbed.env.events_executed == 0
+    else:
+        assert [e.kind for e in nemesis.log] == [a.kind for a in campaign.timeline()]
 
 
 def _generated(**knobs):
@@ -128,38 +161,20 @@ PIN_CASES = {
 
 class TestEquivalencePin:
     """What the nemesis says and does, captured at the commit before the
-    fault path was rewritten (``tests/data/golden_nemesis_pin.json``): a
-    reworded description or two same-instant actions swapped fails here."""
+    fault path was rewritten (the ``nemesis/<case>`` pins): a reworded
+    description or two same-instant actions swapped fails here."""
 
     @pytest.mark.parametrize("case", sorted(PIN_CASES))
-    def test_narration_ledger_and_event_count_match_the_pin(self, case):
+    def test_narration_ledger_and_event_count_match_the_pin(self, case, assert_pin):
         testbed = build_testbed(Scenario(regions=REGIONS, servers_per_cluster=2,
                                          placement="ring"))
-        campaign = PIN_CASES[case](testbed)
-        nemesis = Nemesis(testbed, campaign)
-        nemesis.install()
-
-        def writer(client, first):
-            n = first
-            while testbed.env.now < campaign.duration_ms:
-                yield client.execute(
-                    Transaction([Operation.write(f"k{n % 16}", n)]))
-                yield testbed.env.timeout(20.0)
-                n += 1
-
-        for index, cluster in enumerate(testbed.config.cluster_names):
-            testbed.env.process(writer(
-                testbed.make_client("eventual", home_cluster=cluster),
-                index * 1000))
-        testbed.run(campaign.duration_ms + 500.0)
-        observed = {
+        nemesis = run_with_writers(testbed, PIN_CASES[case](testbed))
+        assert_pin(f"nemesis/{case}", {
             "narration": [[e.at_ms, e.kind, e.description, list(e.targets)]
                           for e in nemesis.log],
             "windows": [w.as_dict() for w in testbed.faults.windows],
             "events_executed": testbed.env.events_executed,
-        }
-        pinned = json.loads((DATA / "golden_nemesis_pin.json").read_text())
-        assert observed == pinned[case]
+        })
 
 
 class TestDegradedLatencyEpoch:

@@ -4,8 +4,31 @@ from __future__ import annotations
 
 import pytest
 
+from pins import PinBook
 from repro.hat.testbed import Scenario, Testbed, build_testbed
 from repro.sim import Environment
+
+REPINNED = pytest.StashKey[list]()
+
+
+def pytest_addoption(parser):
+    parser.addoption("--repin", action="store_true",
+                     help="rewrite the golden pin of every test run and print "
+                          "the key paths that moved (see tests/pins.py)")
+
+
+@pytest.fixture(scope="session")
+def assert_pin(request):
+    """``assert_pin(name, payload, text=None)``: the one golden check."""
+    book = PinBook(repin=request.config.getoption("--repin"))
+    yield book.check
+    if book.repin:
+        request.config.stash[REPINNED] = book.write()
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    for line in config.stash.get(REPINNED, []):
+        terminalreporter.write_line(line)
 
 
 @pytest.fixture
@@ -80,8 +103,7 @@ def _artifact_sweeps():
 def artifact_sweep():
     """``artifact_sweep(name)``: a small named artifact sweep, run once.
 
-    The artifact suites and the golden pins
-    (``tests/bench/test_golden_artifacts.py``) inspect the same results,
+    The artifact suites and the golden pins inspect the same results,
     so each sweep is simulated once per session whichever test asks first.
     Extra keywords (``jobs=2``) run it afresh with those added.
     """

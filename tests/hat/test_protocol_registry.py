@@ -1,8 +1,6 @@
 """Tests for the protocol registry: spec parsing, stacking, classification."""
 
 import dataclasses
-import json
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -38,8 +36,6 @@ from repro.taxonomy.models import (
     UNAVAILABLE,
     combination_availability,
 )
-
-PIN = Path(__file__).resolve().parent.parent / "data" / "golden_registry_pin.json"
 
 CANONICAL_SPECS = [
     "eventual", "read-committed", "mav", "causal", "mav+causal",
@@ -94,24 +90,15 @@ def registry_snapshot():
         with pytest.raises(ProtocolSpecError) as raised:
             parse_spec(spec)
         errors[spec] = str(raised.value)
-    return json.loads(json.dumps({"specs": specs, "errors": errors}))
+    return {"specs": specs, "errors": errors}
 
 
-def test_registry_answers_match_the_pin_taken_before_the_table():
+def test_registry_answers_match_the_pin_taken_before_the_table(assert_pin):
     """Parsing, classification and client assembly answer what they did at
-    the commit before the registry became one table — except the corrections
-    the pin's header lists (the coordinated bases now claim the Table 3 code
-    their isolation string names, so they classify as unavailable)."""
-    pin = json.loads(PIN.read_text())
-    expected = pin["specs"]
-    for answers in expected.values():
-        corrected = pin["header"]["corrections"].get(answers["spec"]["base"], {})
-        for path, value in corrected.items():
-            section, field = path.split(".")
-            answers[section][field] = value
-    head = registry_snapshot()
-    assert head["specs"] == expected
-    assert head["errors"] == pin["errors"]
+    the commit before the registry became one table — with the corrections
+    the pin's provenance lists (the coordinated bases now claim the Table 3
+    code their isolation string names, so they classify as unavailable)."""
+    assert_pin("registry", registry_snapshot())
 
 
 class TestSpecParsing:

@@ -1,14 +1,8 @@
 """Unit tests for the Table 3 availability classification."""
 
-import hashlib
-import json
-from pathlib import Path
-
 from repro.bench.__main__ import ARTIFACTS
 from repro.hat.protocols import HAT_PROTOCOLS, NON_HAT_PROTOCOLS, protocol_info
 from repro.taxonomy.models import availability_summary
-
-PINS = Path(__file__).resolve().parent.parent / "data" / "golden_artifact_pins.json"
 
 
 class TestAvailabilitySummary:
@@ -34,11 +28,9 @@ class TestCrossChecks:
     def test_classification_consistent_with_level_definitions(self):
         """The classes and causes are derived from the level definitions, so
         the two cannot disagree; what can drift is the derivation, and the
-        derived Table 3 is pinned as the bench prints it."""
+        derived Table 3 the bench prints is pinned (``artifact/table3/text``)."""
         text = ARTIFACTS["table3"].run(True, None).text
         assert text.endswith(availability_summary().as_table())
-        pinned = json.loads(PINS.read_text())["table3"]["text"]
-        assert hashlib.sha256(text.encode()).hexdigest() == pinned
 
     def test_protocol_registry_agrees_with_taxonomy(self):
         """Every implemented HAT protocol must target a HAT-compliant model,

@@ -1,8 +1,5 @@
 """Unit tests for the model catalogue (Table 3 contents)."""
 
-import json
-from pathlib import Path
-
 import pytest
 
 from repro.errors import TaxonomyError
@@ -66,9 +63,6 @@ class TestModelCatalogue:
 
 # -- the whole table, pinned ------------------------------------------------------
 
-MODELS_PIN = Path(__file__).resolve().parent.parent / "data" / "golden_models_pin.json"
-
-
 def table_as_pinned() -> dict:
     """Per code: name, kind, Table 3 class and causes, the App. A.3 prohibited
     set (None where a recorded history cannot be checked against the model)
@@ -84,12 +78,8 @@ def table_as_pinned() -> dict:
     } for code, m in MODELS.items()}
 
 
-def test_every_model_matches_the_pinned_table():
-    pinned = json.loads(MODELS_PIN.read_text())
-    actual = table_as_pinned()
-    assert list(actual) == list(pinned)
-    for code in pinned:
-        assert actual[code] == pinned[code], code
+def test_every_model_matches_the_pinned_table(assert_pin):
+    assert_pin("models", table_as_pinned())
 
 
 def test_a_row_states_only_what_its_weaker_models_do_not():

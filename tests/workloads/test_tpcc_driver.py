@@ -1,8 +1,5 @@
 """Tests for the live TPC-C driver (derived writes + commit-fed mirror)."""
 
-import json
-from pathlib import Path
-
 import pytest
 
 from repro.hat.testbed import Scenario, build_testbed
@@ -81,16 +78,11 @@ class TestStreamPins:
     """The driver's RNG draws, in order, under the default config: the
     pickers, the mix draw and every program's own draws."""
 
-    def test_first_200_transactions_match_the_recorded_stream(self):
-        # Recorded at b18d918.
-        pins = json.loads((Path(__file__).parents[1] / "data"
-                           / "golden_tpcc_streams.json").read_text())
-        stream = TPCCDriver(seed=pins["seed"])
-        drawn = []
-        for _ in range(200):
-            txn = stream.next_transaction()
-            drawn.append([txn.label, txn.operations[0].key])
-        assert drawn == pins["driver"]
+    def test_first_200_transactions_match_the_recorded_stream(self, assert_pin):
+        stream = TPCCDriver(seed=11)
+        drawn = [[txn.label, txn.operations[0].key]
+                 for txn in (stream.next_transaction() for _ in range(200))]
+        assert_pin("tpcc-stream/seed-11", drawn)
 
 
 class TestDerivedDelivery:

@@ -176,11 +176,6 @@ class CampaignSpec:
             raise CampaignError("degraded_factor must be positive")
 
 
-def _uniform(rng, bounds: Tuple[float, float]) -> float:
-    low, high = bounds
-    return rng.uniform(low, high)
-
-
 def _split_regions(rng, regions: Sequence[str]) -> Tuple[Tuple[str, ...], ...]:
     if len(regions) < 2:
         raise CampaignError(
@@ -199,7 +194,7 @@ def _partition_actions(spec: CampaignSpec, regions: Sequence[str],
     for index in range(spec.partitions):
         start, length = _slot_epoch(
             rng, spec.duration_ms, index, spec.partitions,
-            _uniform(rng, spec.partition_duration_ms))
+            rng.uniform(*spec.partition_duration_ms))
         if spec.partition_groups is not None:
             groups = tuple(tuple(group) for group in spec.partition_groups)
         else:
@@ -225,7 +220,7 @@ def _flapping_actions(spec: CampaignSpec, servers: Sequence[str],
         server = servers[rng.randrange(len(servers))]
         start, length = _slot_epoch(
             rng, spec.duration_ms, index, spec.flapping_servers,
-            _uniform(rng, spec.flap_duration_ms))
+            rng.uniform(*spec.flap_duration_ms))
         if length / spec.flap_period_ms > MAX_FLAP_CYCLES:
             raise CampaignError(
                 f"flap_period_ms={spec.flap_period_ms:g} is too small for a "
@@ -262,7 +257,16 @@ def _slot_epoch(rng, duration_ms: float, index: int, count: int,
     return index * slot + rng.uniform(0.0, slack), length
 
 
-def _downtime_actions(spec: CampaignSpec, servers: Sequence[str], crash_rng,
+def _unretired(servers, membership, until_ms: float, label: str) -> List[str]:
+    """The servers no scale-in by ``until_ms`` may retire (``<cluster>-s<i>``)."""
+    shrunk = {a.target for a in membership if a.kind == SCALE_IN and a.at_ms <= until_ms}
+    eligible = [s for s in servers if s.rsplit("-", 1)[0] not in shrunk]
+    if not eligible:
+        raise CampaignError(f"{label}: every server's cluster is scaled in by {until_ms:g} ms")
+    return eligible
+
+
+def _downtime_actions(spec: CampaignSpec, servers: Sequence[str], membership, crash_rng,
                       restart_rng) -> Tuple[List[CampaignAction], List[CampaignPhase]]:
     """Crash cycles and the rolling restart, slotted as *one* family.
 
@@ -270,18 +274,21 @@ def _downtime_actions(spec: CampaignSpec, servers: Sequence[str], crash_rng,
     overlap even across the two knobs: a recover from one epoch would revive
     a server inside another epoch's declared downtime.  The rolling restart,
     when enabled, takes the last slot (compressed to fit if necessary).
+    Each picks among the servers ``_unretired`` by the end of its slot.
     """
     actions: List[CampaignAction] = []
     phases: List[CampaignPhase] = []
     epochs = spec.crashes + (1 if spec.rolling_restart else 0)
     if epochs == 0:
         return actions, phases
+    slot = spec.duration_ms / epochs
     for index in range(spec.crashes):
-        server = servers[crash_rng.randrange(len(servers))]
+        label = f"crash-{index + 1}"
+        eligible = _unretired(servers, membership, (index + 1) * slot, label)
+        server = eligible[crash_rng.randrange(len(eligible))]
         start, downtime = _slot_epoch(
             crash_rng, spec.duration_ms, index, epochs,
-            _uniform(crash_rng, spec.crash_downtime_ms))
-        label = f"crash-{index + 1}"
+            crash_rng.uniform(*spec.crash_downtime_ms))
         actions.append(CampaignAction(
             at_ms=start, kind=CRASH, target=server,
             note=f"{label}: {server} crashes",
@@ -292,6 +299,7 @@ def _downtime_actions(spec: CampaignSpec, servers: Sequence[str], crash_rng,
         ))
         phases.append(CampaignPhase(label, start, start + downtime))
     if spec.rolling_restart:
+        servers = _unretired(servers, membership, spec.duration_ms, "rolling-restart")
         wanted = spec.restart_stagger_ms * len(servers) + spec.restart_downtime_ms
         start, total = _slot_epoch(restart_rng, spec.duration_ms,
                                    epochs - 1, epochs, wanted)
@@ -319,7 +327,7 @@ def _degraded_actions(spec: CampaignSpec,
     for index in range(spec.degraded_epochs):
         start, length = _slot_epoch(
             rng, spec.duration_ms, index, spec.degraded_epochs,
-            _uniform(rng, spec.degraded_duration_ms))
+            rng.uniform(*spec.degraded_duration_ms))
         label = f"degraded-{index + 1}"
         actions.append(CampaignAction(
             at_ms=start, kind=DEGRADE, factor=spec.degraded_factor,
@@ -358,7 +366,7 @@ def _membership_actions(spec: CampaignSpec, clusters: Sequence[str],
         cluster = clusters[rng.randrange(len(clusters))]
         start, length = _slot_epoch(
             rng, spec.duration_ms, index, epochs,
-            _uniform(rng, spec.rebalance_phase_ms))
+            rng.uniform(*spec.rebalance_phase_ms))
         if kind == "storm":
             label = f"storm-{index + 1}"
             for cycle in range(spec.storm_cycles):
@@ -402,13 +410,14 @@ def generate_campaign(spec: CampaignSpec, regions: Sequence[str],
     streams = RandomStreams(seed)
     actions: List[CampaignAction] = []
     phases: List[CampaignPhase] = []
+    membership = _membership_actions(spec, clusters, streams.stream("chaos-membership"))
     for part_actions, part_phases in (
         _partition_actions(spec, regions, streams.stream("chaos-partitions")),
         _flapping_actions(spec, servers, streams.stream("chaos-flapping")),
-        _downtime_actions(spec, servers, streams.stream("chaos-crashes"),
+        _downtime_actions(spec, servers, membership[0], streams.stream("chaos-crashes"),
                           streams.stream("chaos-restarts")),
         _degraded_actions(spec, streams.stream("chaos-degraded")),
-        _membership_actions(spec, clusters, streams.stream("chaos-membership")),
+        membership,
     ):
         actions.extend(part_actions)
         phases.extend(part_phases)

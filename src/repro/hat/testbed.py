@@ -31,6 +31,7 @@ from repro.obs.trace import FaultLedger, Tracer
 from repro.overload.admission import AdmissionConfig
 from repro.replication.antientropy import AntiEntropyClock, AntiEntropyConfig
 from repro.sim import Environment, RandomStreams
+from repro.sim.events import collect_promoted
 
 #: The five lowest-communication-cost regions the paper uses for Figure 3C.
 FIVE_REGION_DEPLOYMENT = ["VA", "CA", "OR", "IR", "SI"]
@@ -236,6 +237,7 @@ class Testbed:
 
 def build_testbed(scenario: Scenario) -> Testbed:
     """Construct every component of a simulated deployment."""
+    collect_promoted()  # frees the testbeds earlier paused runs dropped
     env = Environment()
     streams = RandomStreams(scenario.seed)
     topology = Topology()

@@ -2,24 +2,21 @@
 
 ``run_open_loop`` is the open-loop sibling of the closed-loop
 :func:`repro.bench.runner.run_workload`.  Load is an *arrival process*
-(:mod:`repro.loadgen.arrivals`) — the request rate is set by the traffic
-model, not by response latency — multiplexed over a bounded
-:class:`~repro.loadgen.sessions.SessionPool` per cluster, so a run over a
-million logical users costs O(pool size) protocol clients and O(sketch)
-latency memory.  Per-window offered/completed/queue-depth series flow
-through the chaos telemetry layer, which is what makes *overload* (offered
-rate above the knee, post-partition backlog) observable rather than just
-slow.
+(:mod:`repro.loadgen.arrivals`), not set by response latency, multiplexed
+over a bounded :class:`~repro.loadgen.sessions.SessionPool` per cluster: a
+run over a million logical users costs O(pool size) protocol clients and
+O(sketch) latency memory.  Per-window offered/completed/queue-depth series
+flow through the chaos telemetry layer, which makes *overload* (offered
+rate above the knee, post-partition backlog) observable, not just slow.
 
-The measured latency of a request is arrival-to-commit: queueing delay
-included, exactly what an open-loop system's users experience.  Committed
-latencies stream into a :class:`~repro.loadgen.sketch.LatencyDigest`
-(bounded memory, mergeable), never a sample list.
+A request's latency is arrival-to-commit, queueing included: what an
+open-loop system's users see.  Committed latencies stream into a
+:class:`~repro.loadgen.sketch.LatencyDigest` (bounded, mergeable).
 
-What the two drivers share is a harness, not a body, and it lives here:
-:func:`open_run_window` (preload, then the measured interval and its grace
-period laid out on the sim clock), which the closed loop imports.  Both
-drivers run with the collector paused (:func:`repro.sim.events.gc_paused`).
+The two drivers share :func:`open_run_window` (preload, then the measured
+interval and its grace period on the sim clock) and the collector pause
+(:func:`repro.sim.events.gc_paused`): no collector pass runs inside a run,
+and its survivors leave it already in the oldest generation.
 """
 
 from __future__ import annotations

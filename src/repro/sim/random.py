@@ -27,10 +27,5 @@ class RandomStreams:
             self._streams[name] = random.Random(int.from_bytes(digest[:8], "big"))
         return self._streams[name]
 
-    def spawn(self, name: str) -> "RandomStreams":
-        """Derive a child family whose streams are independent of the parent."""
-        digest = hashlib.sha256(f"{self.seed}:spawn:{name}".encode()).digest()
-        return RandomStreams(int.from_bytes(digest[:8], "big"))
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RandomStreams(seed={self.seed}, streams={sorted(self._streams)})"

@@ -6,6 +6,7 @@ from repro.cluster.config import Cluster, ClusterConfig, build_cluster_config
 from repro.cluster.partitioner import HashPartitioner
 from repro.errors import ReproError
 from repro.membership.ring import ConsistentHashRing
+from txn import run_txn
 
 
 @pytest.fixture
@@ -231,7 +232,7 @@ class TestMasterRedesignation:
         for key in (f"user{i}" for i in range(200)):
             assert a.master_for(key) == b.master_for(key)
 
-    def test_crash_does_not_redesignate(self, execute):
+    def test_crash_does_not_redesignate(self):
         # A crashed-but-configured master keeps the key unavailable: the
         # liveness fault is the *network's* problem, not placement's.
         from repro.hat.testbed import Scenario, build_testbed
@@ -244,11 +245,10 @@ class TestMasterRedesignation:
         master = config.master_for(key)
         testbed.servers[master].crash()
         assert config.master_for(key) == master  # still designated
-        from repro.hat.transaction import Operation, Transaction
+        from repro.hat.transaction import Operation
 
         client = testbed.make_client(
             "master", home_cluster=config.cluster_of_server(master),
             rpc_timeout_ms=200.0)
-        result = execute(testbed, client,
-                         Transaction([Operation.write(key, 1)]))
+        result = run_txn(testbed, client, [Operation.write(key, 1)])
         assert not result.committed  # explicit unavailability

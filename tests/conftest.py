@@ -50,17 +50,6 @@ def local_testbed() -> Testbed:
                                   fixed_latency_ms=1.0))
 
 
-def run_txn(testbed: Testbed, client, transaction):
-    """Run one transaction to completion and return its result."""
-    return testbed.env.run_until_complete(client.execute(transaction))
-
-
-@pytest.fixture
-def execute():
-    """Callable fixture: ``execute(testbed, client, transaction)``."""
-    return run_txn
-
-
 def _artifact_sweeps():
     from repro.bench import experiments as ex
 

@@ -10,7 +10,8 @@ import pytest
 
 from repro.hat.protocols import HAT_PROTOCOLS
 from repro.hat.testbed import Scenario, build_testbed
-from repro.hat.transaction import Operation, Transaction
+from repro.hat.transaction import Operation
+from txn import run_txn
 
 
 @pytest.fixture
@@ -21,13 +22,6 @@ def partitioned_testbed():
     return testbed
 
 
-def run(testbed, client, operations, timeout_ms=None):
-    kwargs = {} if timeout_ms is None else {"rpc_timeout_ms": timeout_ms}
-    return testbed.env.run_until_complete(
-        client.execute(Transaction(list(operations)))
-    )
-
-
 OPS = [Operation.write("k1", 1), Operation.write("k2", 2),
        Operation.read("k1"), Operation.read("k2")]
 
@@ -36,13 +30,13 @@ class TestHATAvailabilityUnderPartition:
     @pytest.mark.parametrize("protocol", HAT_PROTOCOLS)
     def test_hat_protocols_commit_during_partition(self, partitioned_testbed, protocol):
         client = partitioned_testbed.make_client(protocol)
-        result = run(partitioned_testbed, client, OPS)
+        result = run_txn(partitioned_testbed, client, OPS)
         assert result.committed, f"{protocol} should stay available: {result.error}"
 
     @pytest.mark.parametrize("protocol", HAT_PROTOCOLS)
     def test_hat_latency_unaffected_by_partition(self, partitioned_testbed, protocol):
         client = partitioned_testbed.make_client(protocol)
-        result = run(partitioned_testbed, client, OPS)
+        result = run_txn(partitioned_testbed, client, OPS)
         assert result.latency_ms < 50.0
 
     def test_replica_unavailability_aborts_externally(self):
@@ -52,7 +46,7 @@ class TestHATAvailabilityUnderPartition:
         client = testbed.make_client("eventual")
         # Cut the client off from every server.
         testbed.network.partitions.partition([[client.node.name]])
-        result = run(testbed, client, [Operation.write("x", 1)])
+        result = run_txn(testbed, client, [Operation.write("x", 1)])
         assert not result.committed
         assert not result.internal_abort
 
@@ -67,12 +61,12 @@ class TestNonHATUnavailabilityUnderPartition:
                 partitioned_testbed.config.master_for(key)
             ) == partitioned_testbed.config.cluster_names[1]
         )
-        result = run(partitioned_testbed, client, [Operation.write(remote_key, 1)])
+        result = run_txn(partitioned_testbed, client, [Operation.write(remote_key, 1)])
         assert not result.committed
 
     def test_quorum_unreachable_with_minority(self, partitioned_testbed):
         client = partitioned_testbed.make_client("quorum")
-        result = run(partitioned_testbed, client, [Operation.write("x", 1)])
+        result = run_txn(partitioned_testbed, client, [Operation.write("x", 1)])
         # With one replica per side of a two-way split, a majority of two is
         # unreachable from either side.
         assert not result.committed
@@ -86,7 +80,7 @@ class TestNonHATUnavailabilityUnderPartition:
                 partitioned_testbed.config.master_for(key)
             ) == partitioned_testbed.config.cluster_names[1]
         )
-        result = run(partitioned_testbed, client, [Operation.write(remote_key, 1)])
+        result = run_txn(partitioned_testbed, client, [Operation.write(remote_key, 1)])
         assert not result.committed
 
 
@@ -95,8 +89,8 @@ class TestRecoveryAfterHeal:
         testbed = build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=2))
         testbed.partition_regions([["VA"], ["OR"]])
         client = testbed.make_client("quorum")
-        blocked = run(testbed, client, [Operation.write("x", 1)])
+        blocked = run_txn(testbed, client, [Operation.write("x", 1)])
         assert not blocked.committed
         testbed.network.partitions.heal()
-        recovered = run(testbed, client, [Operation.write("x", 1)])
+        recovered = run_txn(testbed, client, [Operation.write("x", 1)])
         assert recovered.committed

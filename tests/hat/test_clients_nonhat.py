@@ -4,17 +4,12 @@ import pytest
 
 from repro.hat.testbed import Scenario, build_testbed
 from repro.hat.transaction import Operation, Transaction
+from txn import run_txn
 
 
 @pytest.fixture
 def testbed():
     return build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=2))
-
-
-def run(testbed, client, operations):
-    return testbed.env.run_until_complete(
-        client.execute(Transaction(list(operations)))
-    )
 
 
 class TestMasterClient:
@@ -23,15 +18,15 @@ class TestMasterClient:
         regardless of which datacenter the clients live in."""
         writer = testbed.make_client("master", home_cluster=testbed.config.cluster_names[0])
         reader = testbed.make_client("master", home_cluster=testbed.config.cluster_names[1])
-        run(testbed, writer, [Operation.write("x", "fresh")])
-        result = run(testbed, reader, [Operation.read("x")])
+        run_txn(testbed, writer, [Operation.write("x", "fresh")])
+        result = run_txn(testbed, reader, [Operation.read("x")])
         assert result.value_read("x") == "fresh"
 
     def test_pays_wide_area_latency(self, testbed):
         """Roughly half the keys are mastered in the remote region, so an
         8-operation transaction almost surely pays at least one WAN RTT."""
         client = testbed.make_client("master")
-        result = run(testbed, client,
+        result = run_txn(testbed, client,
                      [Operation.write(f"key{i}", i) for i in range(8)])
         assert result.committed
         assert result.latency_ms > 50.0
@@ -39,7 +34,7 @@ class TestMasterClient:
 
     def test_updates_replicate_asynchronously(self, testbed):
         client = testbed.make_client("master")
-        run(testbed, client, [Operation.write("x", 5)])
+        run_txn(testbed, client, [Operation.write("x", 5)])
         testbed.run(1000.0)
         replicas = testbed.config.replicas_for("x")
         values = {testbed.servers[r].store.data.latest("x").value for r in replicas}
@@ -49,15 +44,15 @@ class TestMasterClient:
 class TestTwoPhaseLockingClient:
     def test_serializable_read_modify_write(self, testbed):
         client = testbed.make_client("two-phase-locking")
-        run(testbed, client, [Operation.write("x", 1)])
-        result = run(testbed, client, [Operation.read("x"), Operation.write("x", 2)])
+        run_txn(testbed, client, [Operation.write("x", 1)])
+        result = run_txn(testbed, client, [Operation.read("x"), Operation.write("x", 2)])
         assert result.committed
-        check = run(testbed, client, [Operation.read("x")])
+        check = run_txn(testbed, client, [Operation.read("x")])
         assert check.value_read("x") == 2
 
     def test_locks_released_after_commit(self, testbed):
         client = testbed.make_client("two-phase-locking")
-        run(testbed, client, [Operation.write("x", 1)])
+        run_txn(testbed, client, [Operation.write("x", 1)])
         # Releases are asynchronous (fire-and-forget after commit): let the
         # release message reach the lock manager before checking.
         testbed.run(1000.0)
@@ -68,7 +63,7 @@ class TestTwoPhaseLockingClient:
         """Two read-modify-writes on the same key never both read the old value."""
         a = testbed.make_client("two-phase-locking")
         b = testbed.make_client("two-phase-locking")
-        run(testbed, a, [Operation.write("counter", 0)])
+        run_txn(testbed, a, [Operation.write("counter", 0)])
         txn = [Operation.read("counter"), Operation.write("counter", 1)]
         process_a = a.execute(Transaction(list(txn)))
         process_b = b.execute(Transaction(list(txn)))
@@ -98,19 +93,19 @@ class TestQuorumClient:
     def test_write_then_read_sees_latest(self, testbed):
         writer = testbed.make_client("quorum", home_cluster=testbed.config.cluster_names[0])
         reader = testbed.make_client("quorum", home_cluster=testbed.config.cluster_names[1])
-        run(testbed, writer, [Operation.write("x", "q-value")])
-        result = run(testbed, reader, [Operation.read("x")])
+        run_txn(testbed, writer, [Operation.write("x", "q-value")])
+        result = run_txn(testbed, reader, [Operation.read("x")])
         assert result.value_read("x") == "q-value"
 
     def test_majority_requires_wide_area_round_trip(self, testbed):
         """With one replica per datacenter, a majority always crosses the WAN."""
         client = testbed.make_client("quorum")
-        result = run(testbed, client, [Operation.write("x", 1)])
+        result = run_txn(testbed, client, [Operation.write("x", 1)])
         assert result.latency_ms > 30.0
 
     def test_reads_pick_highest_timestamp(self, testbed):
         client = testbed.make_client("quorum")
-        run(testbed, client, [Operation.write("x", "old")])
-        run(testbed, client, [Operation.write("x", "new")])
-        result = run(testbed, client, [Operation.read("x")])
+        run_txn(testbed, client, [Operation.write("x", "old")])
+        run_txn(testbed, client, [Operation.write("x", "new")])
+        result = run_txn(testbed, client, [Operation.read("x")])
         assert result.value_read("x") == "new"

@@ -4,17 +4,12 @@ import pytest
 
 from repro.hat.testbed import Scenario, build_testbed
 from repro.hat.transaction import Operation, Transaction
+from txn import run_txn
 
 
 @pytest.fixture
 def testbed():
     return build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=2))
-
-
-def run(testbed, client, operations):
-    return testbed.env.run_until_complete(
-        client.execute(Transaction(list(operations)))
-    )
 
 
 class TestItemCutIsolation:
@@ -23,7 +18,7 @@ class TestItemCutIsolation:
         per-transaction cache even if another client overwrites the item."""
         reader = testbed.make_client("eventual+ci")
         writer = testbed.make_client("eventual")
-        run(testbed, writer, [Operation.write("x", "v1")])
+        run_txn(testbed, writer, [Operation.write("x", "v1")])
 
         # Interleave: reader reads x, writer overwrites x, reader reads x again.
         long_txn = Transaction([Operation.read("x")]
@@ -43,8 +38,8 @@ class TestItemCutIsolation:
         """A transaction that overwrites an item it read sees its own value."""
         client = testbed.make_client("read-committed+ci")
         base = testbed.make_client("eventual")
-        run(testbed, base, [Operation.write("x", "original")])
-        result = run(testbed, client, [
+        run_txn(testbed, base, [Operation.write("x", "original")])
+        result = run_txn(testbed, client, [
             Operation.read("x"),
             Operation.write("x", "mine"),
             Operation.read("x"),
@@ -56,8 +51,8 @@ class TestItemCutIsolation:
         plain = testbed.make_client("eventual")
         cached = testbed.make_client("eventual+ci")
         operations = [Operation.read("x"), Operation.read("x"), Operation.read("x")]
-        plain_result = run(testbed, plain, operations)
-        cached_result = run(testbed, cached, operations)
+        plain_result = run_txn(testbed, plain, operations)
+        cached_result = run_txn(testbed, cached, operations)
         assert len(plain_result.reads) == 3
         assert len(cached_result.reads) == 3
         # The cached run contacted the replica once, so it finished faster.
@@ -68,10 +63,10 @@ class TestPredicateCutIsolation:
     def test_repeated_scans_return_same_cut(self, testbed):
         client = testbed.make_client("eventual+ci")
         seed = testbed.make_client("eventual")
-        run(testbed, seed, [Operation.write("p1", 5), Operation.write("p2", 50)])
+        run_txn(testbed, seed, [Operation.write("p1", 5), Operation.write("p2", 50)])
         predicate = Operation.scan(lambda key, value: isinstance(value, int) and value > 10,
                                    name="gt10")
-        result = run(testbed, client, [
+        result = run_txn(testbed, client, [
             predicate,
             Operation.read("p1"),
             Operation.scan(lambda key, value: isinstance(value, int) and value > 10,
@@ -87,14 +82,14 @@ class TestPredicateCutIsolation:
         matches, not the first evaluation of the transaction."""
         client = testbed.make_client("eventual+ci")
         seed = testbed.make_client("eventual")
-        run(testbed, seed, [Operation.write("p1", 5), Operation.write("p2", 50)])
+        run_txn(testbed, seed, [Operation.write("p1", 5), Operation.write("p2", 50)])
 
         def scan(name, match):
             return Operation.scan(
                 lambda key, value: isinstance(value, int) and match(value),
                 name=name)
 
-        result = run(testbed, client, [
+        result = run_txn(testbed, client, [
             scan("small", lambda value: value < 10),
             scan("big", lambda value: value > 10),
             scan("big", lambda value: value > 10),

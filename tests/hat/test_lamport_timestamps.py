@@ -21,6 +21,7 @@ import pytest
 from repro.hat.testbed import Scenario, build_testbed
 from repro.hat.transaction import Operation, Transaction
 from repro.workloads.base import WorkloadFactory, run_preload
+from txn import run_txn
 
 
 class _Preload(WorkloadFactory):
@@ -45,11 +46,6 @@ def preloaded_testbed():
     return testbed
 
 
-def execute(testbed, client, operations):
-    return testbed.env.run_until_complete(
-        client.execute(Transaction(list(operations))))
-
-
 @pytest.mark.parametrize("protocol", ["eventual", "read-committed", "mav",
                                       "causal", "quorum"])
 def test_first_write_after_a_read_wins_lww_over_the_preload(protocol):
@@ -57,13 +53,13 @@ def test_first_write_after_a_read_wins_lww_over_the_preload(protocol):
     (high sequence) and then overwrites it; the write must stick."""
     testbed = preloaded_testbed()
     client = testbed.make_client(protocol)
-    result = execute(testbed, client, [
+    result = run_txn(testbed, client, [
         Operation.read("x"),
         Operation.derived_write(lambda reads: ("x", f"{reads['x']}+new")),
     ])
     assert result.committed
     reader = testbed.make_client(protocol)
-    check = execute(testbed, reader, [Operation.read("x")])
+    check = run_txn(testbed, reader, [Operation.read("x")])
     assert check.value_read("x") == "old+new"
 
 
@@ -75,7 +71,7 @@ def test_buffered_echo_does_not_freeze_a_stale_timestamp(protocol):
     the committed write of x loses LWW and becomes invisible."""
     testbed = preloaded_testbed()
     client = testbed.make_client(protocol)
-    result = execute(testbed, client, [
+    result = run_txn(testbed, client, [
         Operation.write("x", "new"),
         Operation.read("x"),   # served from the write buffer (early draw)
         Operation.read("y"),   # witnesses the preload's higher sequence
@@ -83,7 +79,7 @@ def test_buffered_echo_does_not_freeze_a_stale_timestamp(protocol):
     assert result.committed
     assert result.value_read("x") == "new"
     reader = testbed.make_client(protocol)
-    check = execute(testbed, reader, [Operation.read("x")])
+    check = run_txn(testbed, reader, [Operation.read("x")])
     assert check.value_read("x") == "new"
 
 
@@ -92,14 +88,14 @@ def test_direct_writes_interleaved_with_reads_stay_visible():
     read must refresh its timestamp rather than reuse the first draw."""
     testbed = preloaded_testbed()
     client = testbed.make_client("eventual")
-    result = execute(testbed, client, [
+    result = run_txn(testbed, client, [
         Operation.read("pad0"),            # low-ish witness
         Operation.write("scratch", 1),     # first draw
         Operation.read("y"),               # higher witness
         Operation.derived_write(lambda reads: ("y", "updated")),
     ])
     assert result.committed
-    check = execute(testbed, testbed.make_client("eventual"),
+    check = run_txn(testbed, testbed.make_client("eventual"),
                     [Operation.read("y")])
     assert check.value_read("y") == "updated"
 
@@ -107,7 +103,7 @@ def test_direct_writes_interleaved_with_reads_stay_visible():
 def test_read_only_transactions_still_get_a_timestamp():
     testbed = preloaded_testbed()
     for protocol in ("eventual", "mav", "quorum"):
-        result = execute(testbed, testbed.make_client(protocol),
+        result = run_txn(testbed, testbed.make_client(protocol),
                          [Operation.read("x")])
         assert result.committed
         assert result.timestamp is not None

@@ -11,8 +11,9 @@ import pytest
 from repro.adya.history import HistoryRecorder
 from repro.adya.phenomena import MRWD, MYR, N_MR, detect
 from repro.hat.testbed import Scenario, build_testbed
-from repro.hat.transaction import Operation, Transaction
+from repro.hat.transaction import Operation
 from repro.replication.antientropy import AntiEntropyConfig
+from txn import run_txn
 
 
 def frozen_ae_testbed():
@@ -23,12 +24,6 @@ def frozen_ae_testbed():
     """
     return build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=2,
                                   anti_entropy=AntiEntropyConfig(interval_ms=600_000.0)))
-
-
-def run(testbed, client, operations):
-    return testbed.env.run_until_complete(
-        client.execute(Transaction(list(operations)))
-    )
 
 
 def partition_away(testbed, cluster_name):
@@ -45,9 +40,9 @@ class TestReadYourWrites:
         home = testbed.config.cluster_names[0]
         session = testbed.make_client(protocol, home_cluster=home,
                                       recorder=recorder)
-        run(testbed, session, [Operation.write("profile", "mine")])
+        run_txn(testbed, session, [Operation.write("profile", "mine")])
         partition_away(testbed, home)
-        result = run(testbed, session, [Operation.read("profile")])
+        result = run_txn(testbed, session, [Operation.read("profile")])
         return session, result
 
     def test_control_exhibits_ryw_violation(self):
@@ -74,15 +69,15 @@ class TestMonotonicReads:
         home = testbed.config.cluster_names[0]
         writer = testbed.make_client("eventual", home_cluster=home,
                                      recorder=recorder)
-        run(testbed, writer, [Operation.write("feed", "old")])
+        run_txn(testbed, writer, [Operation.write("feed", "old")])
         testbed.run(2_000.0)  # anti-entropy copies "old" everywhere
-        run(testbed, writer, [Operation.write("feed", "new")])
+        run_txn(testbed, writer, [Operation.write("feed", "new")])
         session = testbed.make_client(protocol, home_cluster=home,
                                       recorder=recorder)
-        first = run(testbed, session, [Operation.read("feed")])
+        first = run_txn(testbed, session, [Operation.read("feed")])
         assert first.value_read("feed") == "new"
         partition_away(testbed, home)
-        second = run(testbed, session, [Operation.read("feed")])
+        second = run_txn(testbed, session, [Operation.read("feed")])
         return session, second
 
     def test_control_reads_go_backwards(self):
@@ -105,10 +100,10 @@ class TestMonotonicWrites:
         home, away = testbed.config.cluster_names
         session = testbed.make_client(protocol, home_cluster=home)
         reader = testbed.make_client("eventual", home_cluster=away)
-        run(testbed, session, [Operation.write("first", "w1")])
+        run_txn(testbed, session, [Operation.write("first", "w1")])
         partition_away(testbed, home)
-        run(testbed, session, [Operation.write("second", "w2")])
-        observed = run(testbed, reader, [Operation.read("second"),
+        run_txn(testbed, session, [Operation.write("second", "w2")])
+        observed = run_txn(testbed, reader, [Operation.read("second"),
                                          Operation.read("first")])
         return observed
 
@@ -135,12 +130,12 @@ class TestWritesFollowReads:
                                       recorder=recorder)
         reader = testbed.make_client("eventual", home_cluster=away,
                                      recorder=recorder)
-        run(testbed, author, [Operation.write("message", "hello")])
-        seen = run(testbed, session, [Operation.read("message")])
+        run_txn(testbed, author, [Operation.write("message", "hello")])
+        seen = run_txn(testbed, session, [Operation.read("message")])
         assert seen.value_read("message") == "hello"
         partition_away(testbed, home)
-        run(testbed, session, [Operation.write("reply", "hello yourself")])
-        observed = run(testbed, reader, [Operation.read("reply"),
+        run_txn(testbed, session, [Operation.write("reply", "hello yourself")])
+        observed = run_txn(testbed, reader, [Operation.read("reply"),
                                          Operation.read("message")])
         return observed
 
@@ -174,14 +169,14 @@ class TestRepairedReadsDoNotPoisonForwarding:
         home, away = testbed.config.cluster_names
         session = testbed.make_client("causal", home_cluster=home)
         reader = testbed.make_client("eventual", home_cluster=away)
-        run(testbed, session, [Operation.write("cause", "x")])
+        run_txn(testbed, session, [Operation.write("cause", "x")])
         partition_away(testbed, home)
         # The failover replica returns the initial version; the session cache
         # repairs the observation — but the replica is still stale.
-        repaired = run(testbed, session, [Operation.read("cause")])
+        repaired = run_txn(testbed, session, [Operation.read("cause")])
         assert repaired.value_read("cause") == "x"
-        run(testbed, session, [Operation.write("effect", "y")])
-        observed = run(testbed, reader, [Operation.read("effect"),
+        run_txn(testbed, session, [Operation.write("effect", "y")])
+        observed = run_txn(testbed, reader, [Operation.read("effect"),
                                          Operation.read("cause")])
         assert observed.value_read("effect") == "y"
         assert observed.value_read("cause") == "x"
@@ -193,9 +188,9 @@ class TestForwardingIsLazy:
         the session's memory, so MW/WFR forwarding issues no extra RPCs."""
         testbed = frozen_ae_testbed()
         session = testbed.make_client("causal")
-        run(testbed, session, [Operation.write("a", 1)])
-        run(testbed, session, [Operation.read("a")])
-        result = run(testbed, session, [Operation.write("b", 2)])
+        run_txn(testbed, session, [Operation.write("a", 1)])
+        run_txn(testbed, session, [Operation.read("a")])
+        result = run_txn(testbed, session, [Operation.write("b", 2)])
         # One flush RPC for the write of b; nothing forwarded for a.
         assert result.remote_rpcs == 0
         assert session.session.holders_of(
@@ -213,17 +208,17 @@ class TestForwardingIsLazy:
         testbed = frozen_ae_testbed()
         author = testbed.make_client("eventual")
         session = testbed.make_client("causal")
-        run(testbed, author, [Operation.write("read-then-written", 1)])
-        run(testbed, session, [Operation.read("read-then-written")])
-        run(testbed, session, [Operation.write("read-then-written", 2),
+        run_txn(testbed, author, [Operation.write("read-then-written", 1)])
+        run_txn(testbed, session, [Operation.read("read-then-written")])
+        run_txn(testbed, session, [Operation.write("read-then-written", 2),
                                Operation.write("written-then-read", 3)])
         # The author reads first so its write orders after the session's.
-        run(testbed, author, [Operation.read("written-then-read"),
+        run_txn(testbed, author, [Operation.read("written-then-read"),
                               Operation.write("written-then-read", 4)])
-        seen = run(testbed, session, [Operation.read("written-then-read")])
+        seen = run_txn(testbed, session, [Operation.read("written-then-read")])
         assert seen.value_read("written-then-read") == 4
         for i in range(5):
-            result = run(testbed, session, [Operation.write(f"later{i}", i)])
+            result = run_txn(testbed, session, [Operation.write(f"later{i}", i)])
             assert result.committed
         assert session.session.forwards_issued == 0
 
@@ -242,7 +237,7 @@ def run_spying_forwards(testbed, client, operations):
 
     client._issue = spy
     try:
-        result = run(testbed, client, operations)
+        result = run_txn(testbed, client, operations)
     finally:
         del client._issue
     written = {op.key for op in operations if op.is_write}
@@ -257,7 +252,7 @@ class TestOwedIndex:
         home = testbed.config.cluster_names[0]
         session = testbed.make_client("causal", home_cluster=home)
         for key in keys:
-            run(testbed, session, [Operation.write(key, key.upper())])
+            run_txn(testbed, session, [Operation.write(key, key.upper())])
         return session, home
 
     def remembered(self, session):
@@ -278,7 +273,7 @@ class TestOwedIndex:
                 # not, so the pass finds every key held and forwards nothing).
                 testbed.network.partitions.heal()
                 passes.append(len(state.last_seen) + len(state.own_writes))
-            run(testbed, session, [Operation.read(f"k{i - 1}"),
+            run_txn(testbed, session, [Operation.read(f"k{i - 1}"),
                                    Operation.write(f"k{i}", i)])
         assert len(state.own_writes) == 100
         assert passes == [50, 150]
@@ -289,7 +284,7 @@ class TestOwedIndex:
     def test_a_stack_that_forwards_nothing_notes_no_holders(self, spec):
         testbed = frozen_ae_testbed()
         session = testbed.make_client(spec)
-        run(testbed, session, [Operation.write("a", 1), Operation.read("a"),
+        run_txn(testbed, session, [Operation.write("a", 1), Operation.read("a"),
                                Operation.read("b")])
         state = session.session
         assert state.last_seen or state.own_writes

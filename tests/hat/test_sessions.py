@@ -3,7 +3,8 @@
 import pytest
 
 from repro.hat.testbed import Scenario, build_testbed
-from repro.hat.transaction import Operation, Transaction
+from repro.hat.transaction import Operation
+from txn import run_txn
 
 
 @pytest.fixture
@@ -11,17 +12,11 @@ def testbed():
     return build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=2))
 
 
-def run(testbed, client, operations):
-    return testbed.env.run_until_complete(
-        client.execute(Transaction(list(operations)))
-    )
-
-
 class TestStickySessionGuarantees:
     def test_read_your_writes_across_transactions(self, testbed):
         client = testbed.make_client("read-committed+ryw", sticky=True)
-        run(testbed, client, [Operation.write("profile", "v1")])
-        result = run(testbed, client, [Operation.read("profile")])
+        run_txn(testbed, client, [Operation.write("profile", "v1")])
+        result = run_txn(testbed, client, [Operation.read("profile")])
         assert result.value_read("profile") == "v1"
         assert client.violations() == 0
 
@@ -31,15 +26,15 @@ class TestStickySessionGuarantees:
         client = testbed.make_client("eventual+mr", sticky=True)
         writer = testbed.make_client("eventual",
                                      home_cluster=testbed.config.cluster_names[1])
-        run(testbed, writer, [Operation.write("feed", "old")])
+        run_txn(testbed, writer, [Operation.write("feed", "old")])
         testbed.run(1500.0)
-        first = run(testbed, client, [Operation.read("feed")])
+        first = run_txn(testbed, client, [Operation.read("feed")])
         assert first.value_read("feed") == "old"
-        run(testbed, writer, [Operation.write("feed", "new")])
+        run_txn(testbed, writer, [Operation.write("feed", "new")])
         testbed.run(1500.0)
-        second = run(testbed, client, [Operation.read("feed")])
+        second = run_txn(testbed, client, [Operation.read("feed")])
         assert second.value_read("feed") == "new"
-        third = run(testbed, client, [Operation.read("feed")])
+        third = run_txn(testbed, client, [Operation.read("feed")])
         assert third.value_read("feed") == "new"
 
     def test_session_cache_repairs_stale_replica_read(self, testbed):
@@ -48,14 +43,14 @@ class TestStickySessionGuarantees:
         client = testbed.make_client(
             "read-committed+causal",
             home_cluster=testbed.config.cluster_names[0], sticky=True)
-        run(testbed, client, [Operation.write("inbox", "mine")])
+        run_txn(testbed, client, [Operation.write("inbox", "mine")])
         # Force the next read to another cluster that has not converged yet by
         # partitioning away the home cluster's servers.
         home_servers = testbed.config.cluster(testbed.config.cluster_names[0]).servers
         testbed.network.partitions.partition_by(
             lambda site: None if site in home_servers else "rest"
         )
-        result = run(testbed, client, [Operation.read("inbox")])
+        result = run_txn(testbed, client, [Operation.read("inbox")])
         assert result.value_read("inbox") == "mine"
         assert client.session.cache_hits >= 1
 
@@ -67,12 +62,12 @@ class TestNonStickySessions:
         client = testbed.make_client(
             "read-committed+causal",
             home_cluster=testbed.config.cluster_names[0], sticky=False)
-        run(testbed, client, [Operation.write("cart", "item-1")])
+        run_txn(testbed, client, [Operation.write("cart", "item-1")])
         home_servers = testbed.config.cluster(testbed.config.cluster_names[0]).servers
         testbed.network.partitions.partition_by(
             lambda site: None if site in home_servers else "rest"
         )
-        result = run(testbed, client, [Operation.read("cart")])
+        result = run_txn(testbed, client, [Operation.read("cart")])
         # The stale read is observed (not repaired) and counted as a violation.
         assert result.value_read("cart") is None
         assert client.violations() >= 1
@@ -90,6 +85,6 @@ class TestSessionBookkeeping:
         # write aborts externally.
         testbed.network.partitions.partition_by(
             lambda site: "client" if site == client.node.name else "servers")
-        result = run(testbed, client, [Operation.write("x", 1)])
+        result = run_txn(testbed, client, [Operation.write("x", 1)])
         assert not result.committed and not result.internal_abort
         assert client.session.own_writes == {}

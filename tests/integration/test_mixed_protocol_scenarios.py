@@ -9,7 +9,8 @@ sides (the paper's eventual-consistency guarantee, Section 5.1.4).
 import pytest
 
 from repro.hat.testbed import Scenario, build_testbed
-from repro.hat.transaction import Operation, Transaction
+from repro.hat.transaction import Operation
+from txn import run_txn
 
 
 @pytest.fixture
@@ -17,18 +18,12 @@ def testbed():
     return build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=2))
 
 
-def run(testbed, client, operations):
-    return testbed.env.run_until_complete(
-        client.execute(Transaction(list(operations)))
-    )
-
-
 class TestStackedWrappers:
     def test_session_over_cut_isolation_over_rc(self, testbed):
         """One spec stacks both layer families; guarantees compose."""
         client = testbed.make_client("read-committed+ci+causal")
-        run(testbed, client, [Operation.write("k", "v1")])
-        result = run(testbed, client, [Operation.read("k"), Operation.read("k")])
+        run_txn(testbed, client, [Operation.write("k", "v1")])
+        result = run_txn(testbed, client, [Operation.read("k"), Operation.read("k")])
         values = [obs.version.value for obs in result.reads]
         assert values == ["v1", "v1"]
 
@@ -42,19 +37,19 @@ class TestMixedProtocolsOneDeployment:
             "master", home_cluster=testbed.config.cluster_names[1])
         hat_reader = testbed.make_client(
             "eventual", home_cluster=testbed.config.cluster_names[1])
-        run(testbed, master_writer, [Operation.write("shared", "from-master")])
-        assert run(testbed, master_reader,
+        run_txn(testbed, master_writer, [Operation.write("shared", "from-master")])
+        assert run_txn(testbed, master_reader,
                    [Operation.read("shared")]).value_read("shared") == "from-master"
         testbed.run(2000.0)
-        assert run(testbed, hat_reader,
+        assert run_txn(testbed, hat_reader,
                    [Operation.read("shared")]).value_read("shared") == "from-master"
 
     def test_hat_write_visible_to_master_reader_at_master_site(self, testbed):
         hat_writer = testbed.make_client("eventual")
         master_reader = testbed.make_client("master")
-        run(testbed, hat_writer, [Operation.write("hat-key", 1)])
+        run_txn(testbed, hat_writer, [Operation.write("hat-key", 1)])
         testbed.run(2000.0)  # anti-entropy reaches the key's master replica
-        assert run(testbed, master_reader,
+        assert run_txn(testbed, master_reader,
                    [Operation.read("hat-key")]).value_read("hat-key") == 1
 
 
@@ -67,13 +62,13 @@ class TestConvergenceAfterPartition:
         testbed.partition_regions([["VA"], ["OR"]])
         for index, client in enumerate(clients):
             for round_number in range(3):
-                result = run(testbed, client,
+                result = run_txn(testbed, client,
                              [Operation.write("contested", f"side{index}-r{round_number}")])
                 assert result.committed
         testbed.network.partitions.heal()
         testbed.run(3000.0)
         observed = {
-            run(testbed, client, [Operation.read("contested")]).value_read("contested")
+            run_txn(testbed, client, [Operation.read("contested")]).value_read("contested")
             for client in clients
         }
         assert len(observed) == 1

@@ -10,7 +10,8 @@ import pytest
 from repro.chaos.campaign import Campaign, CampaignAction, CampaignError
 from repro.chaos.nemesis import Nemesis
 from repro.hat.testbed import Scenario, build_testbed
-from repro.hat.transaction import Operation, Transaction
+from repro.hat.transaction import Operation
+from txn import run_txn
 
 GROUPS = (("VA",), ("OR",))
 
@@ -18,12 +19,6 @@ GROUPS = (("VA",), ("OR",))
 @pytest.fixture
 def testbed():
     return build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=2))
-
-
-def run(testbed, client, operations):
-    return testbed.env.run_until_complete(
-        client.execute(Transaction(list(operations)))
-    )
 
 
 def campaign(*actions):
@@ -68,15 +63,15 @@ class TestScheduledPartition:
 
         quorum_client = testbed.make_client("quorum")
         # Before the partition: quorum writes succeed.
-        assert run(testbed, quorum_client, [Operation.write("a", 1)]).committed
+        assert run_txn(testbed, quorum_client, [Operation.write("a", 1)]).committed
         # Advance into the partition window: quorum writes abort, HAT commits.
         testbed.run(2_000.0)
-        assert not run(testbed, quorum_client, [Operation.write("b", 2)]).committed
+        assert not run_txn(testbed, quorum_client, [Operation.write("b", 2)]).committed
         hat_client = testbed.make_client("read-committed")
-        assert run(testbed, hat_client, [Operation.write("c", 3)]).committed
+        assert run_txn(testbed, hat_client, [Operation.write("c", 3)]).committed
         # Advance past the heal: quorum recovers.
         testbed.run(20_000.0)
-        assert run(testbed, quorum_client, [Operation.write("d", 4)]).committed
+        assert run_txn(testbed, quorum_client, [Operation.write("d", 4)]).committed
 
     def test_crash_and_recover_server(self, testbed):
         victim = testbed.config.all_servers[0]

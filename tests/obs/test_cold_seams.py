@@ -12,6 +12,7 @@ the handoff counters in its churned ring deployment.)
 from repro.hat.testbed import Scenario, build_testbed
 from repro.hat.transaction import Operation, Transaction
 from repro.replication.antientropy import AntiEntropyConfig
+from txn import run_txn
 
 
 def observed_testbed(**overrides):
@@ -21,11 +22,6 @@ def observed_testbed(**overrides):
         regions=["VA", "OR"], servers_per_cluster=2, tracing=True,
         metrics=True, anti_entropy=AntiEntropyConfig(interval_ms=600_000.0),
         **overrides))
-
-
-def run(testbed, client, operations):
-    return testbed.env.run_until_complete(
-        client.execute(Transaction(list(operations))))
 
 
 def events(testbed, name):
@@ -62,7 +58,7 @@ class TestLockWait:
     def test_an_uncontended_grant_records_nothing(self):
         testbed = observed_testbed(fixed_latency_ms=1.0)
         client = testbed.make_client("lock-sr")
-        assert run(testbed, client, [Operation.write("cold", 1)]).committed
+        assert run_txn(testbed, client, [Operation.write("cold", 1)]).committed
         assert not [s for s in testbed.tracer.spans if s.kind == "lock"]
         assert "lock_wait_ms" not in testbed.metrics.histogram_names()
         assert testbed.metrics.counter_total("lock_waits_total") == 0.0
@@ -73,7 +69,7 @@ class TestRpcTimeout:
         testbed = observed_testbed(fixed_latency_ms=1.0)
         client = testbed.make_client("master", rpc_timeout_ms=50.0)
         testbed.servers[testbed.config.master_for("profile")].crash()
-        result = run(testbed, client, [Operation.read("profile")])
+        result = run_txn(testbed, client, [Operation.read("profile")])
         assert not result.committed
         timed_out, = [s for s in testbed.tracer.spans if s.status == "timeout"]
         assert timed_out.name == "rpc:master.get"
@@ -87,11 +83,11 @@ class TestSessionRepair:
         testbed = observed_testbed()
         home = testbed.config.cluster_names[0]
         session = testbed.make_client("read-committed+ryw", home_cluster=home)
-        run(testbed, session, [Operation.write("profile", "mine")])
+        run_txn(testbed, session, [Operation.write("profile", "mine")])
         dead = set(testbed.config.cluster(home).servers)
         testbed.network.partitions.partition_by(
             lambda site: None if site in dead else "rest")
-        result = run(testbed, session, [Operation.read("profile")])
+        result = run_txn(testbed, session, [Operation.read("profile")])
         assert result.value_read("profile") == "mine"
         assert session.session.cache_hits == 1
 
@@ -113,13 +109,13 @@ class TestLayerBegin:
         session = testbed.make_client("causal", home_cluster=home)
         keys = [f"k{i}" for i in range(8)]
         for key in keys:
-            run(testbed, session, [Operation.write(key, key.upper())])
+            run_txn(testbed, session, [Operation.write(key, key.upper())])
         # Every begin so far found nothing owed: no span.
         assert not [s for s in testbed.tracer.spans if s.kind == "layer"
                     and s.name.endswith(".begin")]
         testbed.network.partitions.isolate(
             testbed.config.local_replica_for("k0", home))
-        result = run(testbed, session, [Operation.write("fresh", 1)])
+        result = run_txn(testbed, session, [Operation.write("fresh", 1)])
         assert result.committed and session.session.forwards_issued > 0
 
         begins = [s for s in testbed.tracer.spans if s.kind == "layer"

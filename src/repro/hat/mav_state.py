@@ -3,20 +3,20 @@
 Replicas keep two sets of writes per data item:
 
 * ``pending`` — writes received (from clients or via anti-entropy) whose
-  transactions are not yet *pending stable*,
+  transactions are not yet *pending stable*, kept on their transaction's one
+  pending record (:class:`PendingTransaction`, keyed by timestamp),
 * ``good`` — the stable writes, which readers see by default (in this
   implementation ``good`` is the server's main LSM store).
 
 When a replica first receives a write for a key it owns, it acknowledges it
-to every replica of every sibling key (a set computed once per transaction):
-to itself at once, to the others via ``owed`` — acks not yet handed to the
-network, which the anti-entropy tick sends on its ``ae.push`` to the
-destination if the round has one and in a ``mav.notify`` otherwise, and
-which stay owed while that destination is unreachable or the sender is
-down.  A transaction becomes pending stable at a replica once that replica
-has collected acknowledgements (:meth:`MAVState.record_acks`, its own
-included) from all replicas of all the transaction's keys, at which point
-its local pending writes for that transaction move to ``good``.
+to every replica of every sibling key (read off their placement records once
+per transaction): to itself in place, in :meth:`MAVState.add_write`, to the
+others via ``owed`` — acks the anti-entropy tick sends on its ``ae.push`` to
+the destination if the round has one and in a ``mav.notify`` otherwise, kept
+while that destination is unreachable or the sender is down.  Once a replica
+holds acks (its own and :meth:`MAVState.record_acks`') from all replicas of
+all the transaction's keys, either path takes the one transition to pending
+stable, :meth:`MAVState._promote`: its local pending writes move to ``good``.
 
 Reads carry a ``required`` timestamp lower bound: if ``good`` cannot satisfy
 it, the replica answers from ``pending`` — which is safe precisely because
@@ -27,7 +27,10 @@ paper's argument in Appendix B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.config import ClusterConfig
@@ -35,19 +38,25 @@ from repro.storage.records import Timestamp, Version
 
 #: One acknowledgement: (timestamp, acknowledging server, key, expected acks).
 Ack = Tuple[Timestamp, str, str, int]
+_replicas = attrgetter("replicas")  # of a Placement
 
 
-@dataclass(slots=True)
 class PendingTransaction:
     """Book-keeping for one not-yet-stable transaction at one replica."""
 
-    expected_acks: int
-    #: Distinct (origin server, key) acknowledgement pairs seen so far.
-    acks: Set[Tuple[str, str]] = field(default_factory=set)
-    #: Local writes for this transaction waiting to become stable.
-    writes: List[Version] = field(default_factory=list)
-    #: Every replica of every sibling key, set at the first local write.
-    destinations: Optional[Tuple[str, ...]] = None
+    __slots__ = ("expected_acks", "acks", "writes", "destinations", "acked_here")
+
+    def __init__(self, expected_acks: int):
+        self.expected_acks = expected_acks
+        #: Distinct (origin server, key) acknowledgement pairs seen so far.
+        self.acks: Set[Tuple[str, str]] = set()
+        #: key -> this replica's pending write of it, in arrival order.
+        self.writes: Dict[str, Version] = {}
+        #: Set at the first local write: the *other* replicas of every
+        #: sibling key (where this replica's acks are owed), and whether this
+        #: replica is one too (acknowledges to itself).
+        self.destinations: Optional[Tuple[str, ...]] = None
+        self.acked_here = False
 
 
 @dataclass
@@ -64,87 +73,78 @@ class MAVState:
 
     def __init__(self, name: str, config: ClusterConfig):
         self.name = name
-        self.replicas_for = config.replicas_for
+        self._placements = config.placements  # reset, never replaced
         self.replication_factor = config.replication_factor()
-        #: Transactions still collecting acknowledgements.
+        #: Transactions still collecting acknowledgements (and their writes).
         self._pending: Dict[Timestamp, PendingTransaction] = {}
-        #: key -> {timestamp -> version} for pending reads by exact timestamp.
-        self._pending_by_key: Dict[str, Dict[Timestamp, Version]] = {}
         #: Transactions that became stable here (the only per-txn residue).
         self._stable: Set[Timestamp] = set()
-        self.owed: Dict[str, List[Ack]] = {}  # destination -> unsent acks
+        #: destination -> unsent acks (index it only to owe: ``in`` / ``pop``).
+        self.owed: Dict[str, List[Ack]] = defaultdict(list)
         self.stats = MAVStats()
 
     # -- write arrival ------------------------------------------------------------
     def add_write(self, version: Version) -> Optional[List[Version]]:
         """Take in a write and acknowledge it; return the writes this
-        replica's own ack made stable.
-
-        ``None`` if the replica already holds this (key, timestamp) pair or
-        the transaction is already stable (see :meth:`is_stable`; such a
-        write belongs in ``good``): nothing is acknowledged then.
-        """
-        timestamp = version.timestamp
-        if timestamp in self._stable:
-            return None
-        by_key = self._pending_by_key.setdefault(version.key, {})
-        if timestamp in by_key:
-            return None
-        by_key[timestamp] = version
-        self.stats.puts += 1
-        siblings = version.siblings or (version.key,)
+        replica's own ack made stable, or ``None`` — nothing acknowledged — if
+        it already holds this (key, timestamp) pair or the transaction is
+        stable (see :meth:`is_stable`; such a write belongs in ``good``)."""
+        timestamp, key = version.timestamp, version.key
         entry = self._pending.get(timestamp)
         if entry is None:
+            if timestamp in self._stable:
+                return None
             entry = self._pending[timestamp] = PendingTransaction(
-                len(siblings) * self.replication_factor)
-        entry.writes.append(version)
-        destinations = entry.destinations
-        if destinations is None:
-            replicas_for = self.replicas_for
-            destinations = entry.destinations = tuple(
-                {replica for sibling in siblings
-                 for replica in replicas_for(sibling)})
-        name, owed = self.name, self.owed
-        ack = (timestamp, name, version.key, entry.expected_acks)
-        for server in destinations:
-            if server != name:
-                owed.setdefault(server, []).append(ack)
-        return self.record_acks((ack,)) if name in destinations else []
+                len(version.siblings or (key,)) * self.replication_factor)
+        elif key in entry.writes:
+            return None
+        entry.writes[key] = version
+        stats, name = self.stats, self.name
+        stats.puts += 1
+        if entry.destinations is None:  # one C-level pass over the siblings
+            replicas = set(chain.from_iterable(map(_replicas, map(
+                self._placements.__getitem__, version.siblings or (key,)))))
+            entry.acked_here = name in replicas
+            replicas.discard(name)
+            entry.destinations = tuple(replicas)
+        ack, owed = (timestamp, name, key, entry.expected_acks), self.owed
+        for server in entry.destinations:
+            owed[server].append(ack)
+        if not entry.acked_here:
+            return []
+        stats.notifies_received += 1
+        entry.acks.add((name, key))
+        if len(entry.acks) < entry.expected_acks:
+            return []
+        return self._promote(timestamp, entry)
 
     # -- acknowledgements ------------------------------------------------------------
     def record_acks(self, acks: Sequence[Ack]) -> List[Version]:
         """Record a batch of acknowledgements; return the writes they made
-        stable, in the order the transactions completed.
-
-        A transaction's writes are returned by the acknowledgement that
-        completes its set — the *transition* to stable — and the caller
-        installs them into ``good``.  Its entry goes; only the timestamp
-        stays, which later duplicates (stray acks, handed-off copies) are
-        checked against.  A set may complete before any local write arrived
-        (the transaction then contributes nothing).
-        """
+        stable, in the order the transactions completed.  A set may complete
+        before any local write arrived (the transaction then contributes
+        nothing); acks for a stable transaction are dropped."""
         promoted: List[Version] = []
-        pending, stable = self._pending, self._stable
+        pending = self._pending
         for timestamp, origin, key, expected in acks:
-            if timestamp in stable:
-                continue
             entry = pending.get(timestamp)
             if entry is None:
+                if timestamp in self._stable:
+                    continue
                 entry = pending[timestamp] = PendingTransaction(expected)
             entry.acks.add((origin, key))
-            if len(entry.acks) < entry.expected_acks:
-                continue
-            del pending[timestamp]
-            stable.add(timestamp)
-            for version in entry.writes:
-                by_key = self._pending_by_key[version.key]
-                del by_key[timestamp]
-                if not by_key:
-                    del self._pending_by_key[version.key]
-            promoted += entry.writes
+            if len(entry.acks) >= entry.expected_acks:
+                promoted += self._promote(timestamp, entry)
         self.stats.notifies_received += len(acks)
-        self.stats.promoted += len(promoted)
         return promoted
+
+    def _promote(self, timestamp: Timestamp, entry) -> List[Version]:
+        """The transition to stable: the entry goes, the timestamp stays (for
+        later duplicates) and the local writes go to the caller for good."""
+        del self._pending[timestamp]
+        self._stable.add(timestamp)
+        self.stats.promoted += len(entry.writes)
+        return list(entry.writes.values())
 
     def is_stable(self, timestamp: Timestamp) -> bool:
         return timestamp in self._stable
@@ -158,13 +158,13 @@ class MAVState:
         returned (stable writes are never pending: they are in ``good``).
         """
         self.stats.pending_reads += 1
-        by_key = self._pending_by_key.get(key)
-        return by_key.get(required) if by_key is not None else None
+        entry = self._pending.get(required)
+        return entry.writes.get(key) if entry is not None else None
 
     # -- introspection -----------------------------------------------------------------------
     def pending_count(self) -> int:
         """Number of writes currently waiting for stability."""
-        return sum(len(by_key) for by_key in self._pending_by_key.values())
+        return sum(len(entry.writes) for entry in self._pending.values())
 
     def tracked_transactions(self) -> int:
         """Transactions still holding an acknowledgement entry (unstable)."""

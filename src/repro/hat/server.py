@@ -6,9 +6,8 @@ Section 6.3 — the testbed simply selects which client talks to it:
 * ``ru.*`` — Read Uncommitted / eventual and Read Committed writes and reads
   (RC differs from eventual only on the client, which buffers writes),
 * ``mav.*`` — the Monotonic Atomic View algorithm of Appendix B (pending and
-  good sets, promotion; a server's own acknowledgement is applied in the
-  handler, the others are *owed* until the anti-entropy tick sends them,
-  on that round's ``ae.push`` to their destination or in a ``mav.notify``),
+  good sets, promotion; a server's own ack is applied in place, the others
+  are *owed* until the anti-entropy tick: see :mod:`repro.hat.mav_state`),
 * ``master.*`` / ``repl.push`` — mastered per-key operation with asynchronous
   replication to the other replicas,
 * ``lock.*`` / ``txn.*`` — the per-key lock service and two-phase commit used
@@ -166,7 +165,8 @@ class HATServer(ServerNode):
     def _handle_mav_put(self, message: Message) -> Tuple[dict, float]:
         payload = message.payload
         version: Version = payload["version"]
-        size = int(payload.get("size_bytes", 1024 + version.metadata_bytes))
+        size = payload.get("size_bytes")
+        size = int(size) if size is not None else 1024 + version.metadata_bytes
         # A MAV write is committed (acknowledged to the client) on arrival
         # at the origin; its remote installs happen at promotion time.
         self._stamp_commit(version)
@@ -175,25 +175,20 @@ class HATServer(ServerNode):
 
     def _accept_mav_write(self, version: Version, size_bytes: int,
                           push: bool) -> float:
-        """Common path for MAV writes arriving from clients or anti-entropy.
-
-        ``size_bytes`` counts the value and the sibling metadata.  Our own
-        ack for a first-seen write is applied here (a write whose other acks
-        arrived first is promoted in this handler); the other servers' are
-        owed until the tick.  Only a server that ``push``es the write — its
-        origin or a leaver's successor, not an ``ae.push`` receiver — marks
-        it for anti-entropy.
-        """
+        """Common path for MAV writes from clients or anti-entropy
+        (``size_bytes``: value plus sibling metadata).  Our own ack for a
+        first-seen write is applied here, promoting it if its other acks came
+        first; the others' are owed until the tick.  Only a server that
+        ``push``es the write (its origin or a leaver's successor) marks it for
+        anti-entropy, which arms the tick; an ``ae.push`` receiver's batch
+        wakes it once, in :meth:`_absorb_versions`."""
         # First write into the write-ahead log / pending set (first of the
         # "two writes for every client-side write" the paper describes).
         cost = self.wal.append("put", None, None, size_bytes)
         promoted = self.mav.add_write(version)
         if promoted is not None:
-            # Arm the tick only now, with the acks it must send already owed.
             if push:
                 self.anti_entropy.mark_dirty(version)
-            else:
-                self.anti_entropy.wake()
             for stable in promoted:
                 cost += self._install(stable, 1024)
         elif (self.mav.is_stable(version.timestamp)
@@ -246,15 +241,20 @@ class HATServer(ServerNode):
         return {"version": version, "stale": True}, cost
 
     def _absorb_versions(self, versions: List[Version], push: bool) -> float:
-        """Take in replicated history (anti-entropy batch, handoff offer)."""
-        cost = 0.0
+        """Take in replicated history (anti-entropy batch, handoff offer).
+        A batch not pushed on wakes the tick once after its MAV writes, for
+        the acks they owe (a no-op when the tick is already armed)."""
+        cost, mav_writes = 0.0, False
         for version in versions:
             if version.siblings:
                 # MAV writes stay pending until their transaction is stable.
                 cost += self._accept_mav_write(
                     version, 1024 + version.metadata_bytes, push=push)
+                mav_writes = True
             else:
                 cost += self._install(version, 1024)
+        if mav_writes and not push:
+            self.anti_entropy.wake()
         return cost
 
     # -- master / asynchronous replication -----------------------------------------------

@@ -208,6 +208,24 @@ def test_the_per_operation_path_stays_one_frame_per_stage(costs):
     assert surcharge / committed <= 21.0
 
 
+def test_the_mav_replica_path_does_its_bookkeeping_once(costs):
+    """Host-side cost of the ``mav`` run: 366.0 frames per committed
+    transaction (CPython 3.11), for the same events and messages as the
+    401.0 it entered while ``add_write`` handed its own ack to
+    ``record_acks`` as a batch of one and asked ``replicas_for`` for each
+    sibling's replicas, and each version an ``ae.push`` brought woke the
+    anti-entropy tick.  Its 62.0 frames beyond ``eventual``'s 304.0 are the
+    replica path (``mav_state`` 16.2: ``add_write`` 8.1, ``_promote`` and
+    its pending record 3.6 each; ``hat/server`` 9.4; the second write's WAL
+    append 8.1; ``metadata_bytes`` 5.0), the worker wakes the ack batches
+    add (9.3), the parallel flush's kernel callbacks (13.0) and the MAV
+    client layers net of the direct write path (2.6), less 1.5 elsewhere
+    (``cluster/client`` -3.1, ``net`` +1.6).  A ceiling, not a pin
+    (CPython 3.12 only lowers it)."""
+    committed = costs["mav"].cost[3]
+    assert costs["mav"].frames / committed <= 369.0
+
+
 def test_partition_backlog_is_not_rescanned_every_round():
     """A re-introduced rescan examines every stranded entry on each of the
     150 partition-era rounds: 63 examinations per pushed version on this

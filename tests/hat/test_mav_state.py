@@ -42,8 +42,14 @@ class TestMAVState:
     def test_ack_destinations_are_computed_once_per_transaction(self):
         state = mav_state()
         looked_up = []
-        replicas_for = state.replicas_for
-        state.replicas_for = lambda key: looked_up.append(key) or replicas_for(key)
+        placements = state._placements
+
+        class CountingPlacements(dict):
+            def __getitem__(self, key):
+                looked_up.append(key)
+                return placements[key]
+
+        state._placements = CountingPlacements()
         keys = {"x", "y", "z"}
         for key in sorted(keys):
             state.add_write(mav_write(key, 1, 1, keys))
@@ -110,7 +116,6 @@ class TestMAVState:
                                       (ts, THERE, "y", 4)])) == 2
         assert state.tracked_transactions() == 0
         assert state.pending_count() == 0
-        assert state._pending_by_key == {}
         assert state.stable_count() == 1
 
     def test_acks_arriving_before_write(self):
@@ -131,7 +136,6 @@ class TestMAVState:
         assert state.is_stable(ts)
         assert state.add_write(mav_write("x", 1, 3, {"x"})) is None
         assert state.pending_count() == 0
-        assert state._pending_by_key == {}
         assert state.owed == {}
 
     def test_read_pending_exact_timestamp(self):

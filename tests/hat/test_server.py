@@ -186,6 +186,41 @@ class TestMAVHandlers:
         read = rpc(testbed, probe, server_name, "mav.get", {"key": "handed"})
         assert read["version"].value == "second"
 
+    def test_an_ae_push_batch_wakes_the_tick_once(self, rig):
+        """A received batch wakes anti-entropy once after its MAV writes
+        (once per write while each pended write woke it), a batch of plain
+        versions not at all; the next tick still sends every ack owed."""
+        testbed, probe = rig
+        config = testbed.config
+        keys = [f"w{i}" for i in range(12)]
+        name = config.replicas_for(keys[0])[1]
+        receiver = testbed.servers[name]
+        mine = [key for key in keys if name in config.replicas_for(key)]
+        assert len(mine) >= 2
+        wakes = []
+        wake = receiver.anti_entropy.wake
+        receiver.anti_entropy.wake = lambda: wakes.append(testbed.env.now) or wake()
+        plain = [Version(key, "plain", Timestamp(50, 1)) for key in mine]
+        testbed.network.send(probe, name, "ae.push", {"versions": plain})
+        testbed.run(20.0)
+        assert wakes == []
+        ts = Timestamp(51, 1)
+        testbed.network.send(probe, name, "ae.push", {"versions": [
+            Version(key, f"v-{key}", ts, txn_id=51, siblings=frozenset(keys))
+            for key in mine]})
+        testbed.env.run(until=testbed.env.now + 1.0)  # delivered, not ticked
+        assert len(wakes) == 1
+        destinations = {replica for key in keys
+                        for replica in config.replicas_for(key)} - {name}
+        assert {dst: len(acks) for dst, acks in receiver.mav.owed.items()} == {
+            dst: len(mine) for dst in destinations}
+        testbed.run(20.0)
+        assert not receiver.mav.owed and len(wakes) == 1
+        assert receiver.mav.stats.notifies_sent == len(destinations)
+        for dst in destinations:
+            assert {(name, key) for key in mine} <= (
+                testbed.servers[dst].mav._pending[ts].acks)
+
 
 class TestTwoPhaseCommitHandlers:
     def test_prepare_then_commit_installs(self, rig):

@@ -176,5 +176,6 @@ def _record_run(protocol: str, recorder: HistoryRecorder, make_campaign=None):
         owner = testbed.servers[
             testbed.config.local_replica_for(key, join.cluster)]
         assert (owner.store.data.versions(key)
-                or owner.mav._pending_by_key.get(key)), key
+                or any(key in entry.writes
+                       for entry in owner.mav._pending.values())), key
     return recorder.build()

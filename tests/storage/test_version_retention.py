@@ -80,7 +80,6 @@ class TestMAVBookkeepingBound:
             mav = server.mav
             assert mav.tracked_transactions() == 0, server.name
             assert mav.pending_count() == 0, server.name
-            assert mav._pending_by_key == {}, server.name
             assert mav.stats.promoted == mav.stats.puts == server.store.stats.puts
             remembered += mav.stable_count()
         # One timestamp per server a transaction touched: never more than

@@ -31,7 +31,7 @@ def record_mav_workload():
 
     def client_loop(client, workload, count=30):
         for _ in range(count):
-            yield client.execute(workload.next_transaction())
+            yield from client.transact(workload.next_transaction())
 
     for index, cluster in enumerate(testbed.config.cluster_names * 2):
         client = testbed.make_client("mav", home_cluster=cluster, recorder=recorder)
@@ -50,7 +50,7 @@ def record_counter_contention(protocol):
     def increment_loop(client, repetitions=12):
         guess = 0
         for _ in range(repetitions):
-            result = yield client.execute(Transaction([
+            result = yield from client.transact(Transaction([
                 Operation.read("counter"),
                 Operation.write("counter", guess + 1),
             ]))

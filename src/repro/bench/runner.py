@@ -123,7 +123,7 @@ def run_workload(config: RunConfig,
             attempt = None
             if telemetry is not None:
                 attempt = telemetry.begin(group, env.now)
-            result = yield client.execute(transaction)
+            result = yield from client.transact(transaction)
             tally.add(result)
             if observe is not None:
                 observe(result)

@@ -3,6 +3,8 @@
 Two client shapes live here:
 
 * :class:`ProtocolClient` — timestamps, RPC helpers, and result assembly.
+  A load driver delegates to :meth:`~ProtocolClient.transact` on its own
+  process; :meth:`~ProtocolClient.execute` spawns one for one-off callers.
   The non-HAT baselines (master, two-phase locking, quorum) subclass it
   directly and implement :meth:`ProtocolClient._run` as a monolithic
   generator.
@@ -87,35 +89,38 @@ class ProtocolClient:
 
     # -- public API ---------------------------------------------------------------
     def execute(self, transaction: Transaction) -> Process:
-        """Run ``transaction``; the returned process resolves to its result."""
-        process = Process(self.node.env, self._execute(transaction))
+        """Run ``transaction`` on a process of its own, which resolves to its
+        result (one-off callers; a load driver delegates to :meth:`transact`)."""
+        return Process(self.node.env, self.transact(transaction))
+
+    # -- core driver -------------------------------------------------------------
+    def transact(self, transaction: Transaction) -> Generator:
+        """Run ``transaction`` on the calling process: ``result = yield from
+        client.transact(transaction)``.  A traced transaction's span is the
+        ambient context (``env.current_trace``) from here to its return."""
+        env = self.node.env
         tracer = self._tracer
         if tracer is not None:
             # The span carries no session_id: client ids come from a
             # process-global counter, so they diverge between --jobs pool
             # layouts.  The site (node name) identifies the session
             # deterministically.  The span is its own trace context.
-            process.trace = transaction.trace = tracer.begin_transaction(
+            env.current_trace = transaction.trace = tracer.begin_transaction(
                 transaction.txn_id, self.protocol_name, self.node.name,
-                self.node.env.now, label=transaction.label)
-        return process
-
-    # -- core driver -------------------------------------------------------------
-    def _execute(self, transaction: Transaction) -> Generator:
+                env._now, label=transaction.label)
         transaction.session_id = self.session_id
         # Positional (field order): once per transaction on every run.
         result = TransactionResult(
             transaction.txn_id, False, self.protocol_name, None,
-            self.session_id, [], [], {}, self.node.env._now)
+            self.session_id, [], [], {}, env._now)
         breaker = self.breaker
         denied = False
         try:
-            if breaker is not None and not breaker.allow(self.node.env.now):
+            if breaker is not None and not breaker.allow(env.now):
                 denied = True
                 if transaction.trace is not None:
-                    event = self._tracer.event(
-                        "breaker-open", transaction.trace,
-                        self.node.name, self.node.env.now)
+                    event = tracer.event("breaker-open", transaction.trace,
+                                         self.node.name, env.now)
                     event.attrs["protocol"] = self.protocol_name
                 raise OverloadedError("circuit breaker open")
             yield from self._run(transaction, result)
@@ -125,7 +130,7 @@ class ProtocolClient:
             result.internal_abort = abort.internal
         except RequestTimeout as timeout:
             result.error = str(timeout)
-        result.end_ms = self.node.env.now
+        result.end_ms = env.now
         if breaker is not None and not denied:
             # A denied attempt says nothing about the backend, so it is
             # not recorded.  An internal abort counts as success: the
@@ -134,11 +139,11 @@ class ProtocolClient:
             breaker.record(result.committed or result.internal_abort,
                            result.end_ms)
         result.writes = transaction.write_set if result.committed else {}
-        tracer = self._tracer
         if tracer is not None:
             tracer.finish_transaction(transaction.txn_id, result.end_ms,
                                       result.committed, error=result.error,
                                       remote_rpcs=result.remote_rpcs)
+            env.current_trace = None
         if self.recorder is not None:
             self.recorder.record(transaction, result)
         return result
@@ -345,13 +350,37 @@ class LayeredClient(ProtocolClient):
         for op in plan:
             kind = op.kind
             if kind == READ:
-                yield from self._layered_read(ctx, op)
+                key = op.key  # inline: a reply resumes one generator less
+                for serve_read in self._serve_read_hooks:
+                    version = serve_read(ctx, op)
+                    if version is not None:
+                        break
+                else:
+                    payload = {"key": key}
+                    for before_read in self._before_read_hooks:
+                        before_read(ctx, op, payload)
+                    replica = self._pick_replica(key)
+                    version = (yield self._issue(result, replica, self.get_kind,
+                                                 payload))["version"]
+                    for read_floor in self._read_floor_hooks:
+                        version = read_floor(ctx, op, replica, version)
+                    for after_read in self._after_read_hooks:
+                        after_read(ctx, op, version)
+                self._observe(result, key, version)
             elif kind == WRITE:
                 op = resolve_derived(transaction, op, result)
                 if write_layer is not None:
                     write_layer.buffer_write(ctx, op)
-                else:
-                    yield from self._direct_write(ctx, op)
+                    continue
+                key = op.key  # Read Uncommitted: applied at once
+                replica = self._pick_replica(key)
+                version = Version(key, op.value,
+                                  self._txn_timestamp(ctx, refresh=True),
+                                  transaction.txn_id)
+                yield self._issue(result, replica, self.put_kind, {
+                    "version": version, "size_bytes": self.value_bytes})
+                ctx.write_targets[key] = replica
+                ctx.written_versions[key] = version
             else:
                 yield from self._scan_home_cluster(op, result)
         if write_layer is not None:
@@ -367,35 +396,3 @@ class LayeredClient(ProtocolClient):
         self._txn_timestamp(ctx)
         for hook in self._finalize_hooks:
             hook(ctx)
-
-    def _direct_write(self, ctx: TxnContext, op: Operation) -> Generator:
-        """Apply one write immediately at a sticky replica (Read Uncommitted)."""
-        key = op.key
-        replica = self._pick_replica(key)
-        version = Version(key, op.value, self._txn_timestamp(ctx, refresh=True),
-                          ctx.transaction.txn_id)
-        yield self._issue(ctx.result, replica, self.put_kind, {
-            "version": version,
-            "size_bytes": self.value_bytes,
-        })
-        ctx.write_targets[key] = replica
-        ctx.written_versions[key] = version
-
-    def _layered_read(self, ctx: TxnContext, op: Operation) -> Generator:
-        key = op.key
-        for serve_read in self._serve_read_hooks:
-            version = serve_read(ctx, op)
-            if version is not None:
-                self._observe(ctx.result, key, version)
-                return
-        payload = {"key": key}
-        for before_read in self._before_read_hooks:
-            before_read(ctx, op, payload)
-        replica = self._pick_replica(key)
-        reply = yield self._issue(ctx.result, replica, self.get_kind, payload)
-        version = reply["version"]
-        for read_floor in self._read_floor_hooks:
-            version = read_floor(ctx, op, replica, version)
-        for after_read in self._after_read_hooks:
-            after_read(ctx, op, version)
-        self._observe(ctx.result, key, version)

@@ -271,7 +271,7 @@ def run_open_loop(config: OpenLoopConfig,
                 if budget is None:
                     budget = budgets[session_id] = retry.make_budget()
                 budget.deposit()
-            result = yield client.execute(transaction)
+            result = yield from client.transact(transaction)
             # Externally aborted requests (timeouts, overload rejections,
             # unreachable replicas) are retried with jittered exponential
             # backoff, bounded by the attempt cap and the session's retry
@@ -287,7 +287,7 @@ def run_open_loop(config: OpenLoopConfig,
                     yield env.timeout(delay)
                 counters.retries += 1
                 attempt_no += 1
-                result = yield client.execute(transaction)
+                result = yield from client.transact(transaction)
             if result.end_ms >= measure_start:
                 if result.committed:
                     counters.committed += 1

@@ -6,11 +6,12 @@ Three structural choices keep it fast without changing observable behaviour:
 
 * ``__slots__`` on :class:`Future` (and :class:`Process` in
   :mod:`repro.sim.process`) removes a dict allocation per event,
-* zero-delay callbacks — a future's waiters and every process start — go to
-  a plain FIFO deque instead of the ``heapq``; the deque shares the heap's
-  sequence counter and the dispatcher always runs whichever of (deque head,
-  heap top) has the smaller ``(when, seq)``, so the execution order is
-  *bit-identical* to a pure-heap kernel (seeded runs reproduce exactly) —
+* zero-delay callbacks — a future's waiters and a process's start (a load
+  driver's; its transactions run on its process) — go to a plain FIFO deque
+  instead of the ``heapq``; the deque shares the heap's sequence counter and
+  the dispatcher always runs whichever of (deque head, heap top) has the
+  smaller ``(when, seq)``, so the execution order is *bit-identical* to a
+  pure-heap kernel (seeded runs reproduce exactly) —
   except for an RPC reply, whose delivery event runs the waiters in place,
 * the :meth:`Environment.run` loop is inlined (no per-event ``step()`` call,
   locals bound outside the loop).
@@ -138,10 +139,10 @@ class Environment:
         self._next_seq = 0
         #: Total callbacks executed, for the benchmark ledger (events/sec).
         self.events_executed = 0
-        #: Ambient trace context while traced code runs (see repro.obs).
-        #: Published by Process._resume / server dispatch, read by the
-        #: network when stamping outbound messages; always None when
-        #: tracing is off.
+        #: Ambient trace context (see repro.obs): a process's own during its
+        #: steps (a transaction's span from its start to its return), a served
+        #: message's during dispatch, else None; the network stamps it on
+        #: outbound messages.  Always None when tracing is off.
         self.current_trace = None
 
     @property

@@ -32,8 +32,8 @@ class Process(Future):
                                   "forget to call the generator function?)")
         super().__init__(env)
         self._generator = generator
-        #: Trace context published as ``env.current_trace`` while the
-        #: generator body runs (set by traced clients; None otherwise).
+        #: Published as ``env.current_trace`` for each step: what the last
+        #: step left there (a traced transaction's span while it runs).
         self.trace = None
         # Start the process on the next tick so construction never reenters
         # user code synchronously.
@@ -52,14 +52,14 @@ class Process(Future):
                 exception = resolved._value
             else:
                 value = resolved._value
-        # Publish the ambient trace context for the generator step.  No
-        # step runs nested inside another (resolving a future enqueues its
-        # waiters; a reply's ``Network._deliver``, which runs them in place,
-        # is a top-level event), so everything the step does synchronously —
-        # messages it sends included — is attributed exactly to this trace.
-        trace = self.trace
-        if trace is not None:
-            self.env.current_trace = trace
+        # The ambient trace context: published for the step, and what the
+        # step leaves in ``env.current_trace`` is the process's context for
+        # its next one.  No step runs nested inside another (resolving a
+        # future enqueues its waiters; a reply's ``Network._deliver``, which
+        # runs them in place, is a top-level event), so what a step sends is
+        # attributed exactly to this trace, and no other step sees it.
+        env = self.env
+        env.current_trace = self.trace
         try:
             if exception is not None:
                 target = self._generator.throw(exception)
@@ -72,19 +72,19 @@ class Process(Future):
             self.fail(exc)
             return
         finally:
-            if trace is not None:
-                self.env.current_trace = None
+            self.trace = env.current_trace
+            env.current_trace = None
         if not isinstance(target, Future):
             if not isinstance(target, (int, float)):
                 raise SimulationError(
                     f"process yielded an unsupported value: {target!r} "
                     "(expected a Future, Process, or a numeric delay)")
-            target = self.env.timeout(float(target))
+            target = env.timeout(float(target))
         # Future.add_callback, in place: once per wait of every process.
         if target._value is PENDING:
             target._callbacks.append(self._resume)
         else:
-            self.env.schedule_now(self._resume, target)
+            env.schedule_now(self._resume, target)
 
 
 def all_of(env: Environment, futures: Iterable[Future]) -> Future:

@@ -88,16 +88,18 @@ def costs():
 
 
 def test_mav_stays_inside_its_event_and_notify_budget(costs):
-    """23.42 events, 16.90 messages and 0.61 ack batches per committed
+    """21.42 events, 16.90 messages and 0.61 ack batches per committed
     transaction: four servers, three ack destinations each, one of them (the
-    same-slot peer) pushed to, a hundred ticks.  24.56 / 17.36 / 1.02 while
-    every ack travelled in a ``mav.notify`` and a server pushed a write it
-    had received on to every peer, the sender included; 37.83 events when a
-    round trip cost four kernel events; 59.94 / 28.42 / 12.06 when every
-    write handler sent its own batches."""
+    same-slot peer) pushed to, a hundred ticks.  23.42 events while each
+    transaction was a process of its own (a start event, and one to resume
+    its driver); 24.56 / 17.36 / 1.02 while every ack travelled in a
+    ``mav.notify`` and a server pushed a write it had received on to every
+    peer, the sender included; 37.83 events when a round trip cost four
+    kernel events; 59.94 / 28.42 / 12.06 when every write handler sent its
+    own batches."""
     events, messages, notifies, committed = costs["mav"].cost
     assert committed > 500
-    assert events / committed <= 23.5
+    assert events / committed <= 21.5
     assert messages / committed <= 16.95
     assert notifies / committed <= 0.65
 
@@ -185,16 +187,24 @@ def test_the_per_operation_path_stays_one_frame_per_stage(costs):
     calling hooks no layer overrides, this run entered 590.5 frames per
     committed ``eventual`` transaction (eight operations) and 808.7 per
     ``causal`` one; 327.0 and 341.1 while a placement miss asked each
-    cluster's partitioner for an owner; it enters 304.0 and 318.1 (CPython
-    3.11) now that a miss is one hash and one residue-table index.  Ceilings,
-    not pins: CPython 3.12 inlines comprehensions, which only lowers the
-    count.  A pass-through hop put back on the path costs 8 frames a
-    transaction, a hook loop over inherited no-ops 16 a read, a validating
-    frame per built operation 8 — each fails here."""
+    cluster's partitioner for an owner; 304.0 and 318.1 while each
+    transaction was a process of its own; it enters 288.0 and 302.1 (CPython
+    3.11) now that it runs on its driver's process.  Of the 16.0 that went,
+    7.0 were that process (``execute``, its ``Process`` and ``Future``
+    constructors, ``schedule_now`` to start it, ``succeed`` and the two
+    ``_resume`` calls that started it and resumed the driver) and 16.0 the
+    per-operation ``_layered_read`` / ``_direct_write`` generators, folded
+    into ``LayeredClient._run``; ``client_loop`` now sits in each of the
+    eight round trips' resume chain (+7.0), and ``transact`` replaces
+    ``_execute`` one for one.  Ceilings, not pins: CPython 3.12 inlines
+    comprehensions, which only lowers the count.  A pass-through hop put
+    back on the path costs 8 frames a transaction, a hook loop over
+    inherited no-ops 16 a read, a validating frame per built operation 8 —
+    each fails here."""
     committed = costs["eventual"].cost[3]
     assert costs["causal"].cost[3] == committed
-    assert costs["eventual"].frames / committed <= 333.0
-    assert costs["causal"].frames / committed <= 347.0
+    assert costs["eventual"].frames / committed <= 294.0
+    assert costs["causal"].frames / committed <= 308.0
     # The session stack costs client-side bookkeeping only: 14.1 frames a
     # transaction on top of ``eventual`` for the same messages — holder
     # notes 8.0, the one read floor 3.9, ``begin`` 1.0 (it returns before
@@ -209,21 +219,23 @@ def test_the_per_operation_path_stays_one_frame_per_stage(costs):
 
 
 def test_the_mav_replica_path_does_its_bookkeeping_once(costs):
-    """Host-side cost of the ``mav`` run: 366.0 frames per committed
-    transaction (CPython 3.11), for the same events and messages as the
-    401.0 it entered while ``add_write`` handed its own ack to
-    ``record_acks`` as a batch of one and asked ``replicas_for`` for each
-    sibling's replicas, and each version an ``ae.push`` brought woke the
-    anti-entropy tick.  Its 62.0 frames beyond ``eventual``'s 304.0 are the
-    replica path (``mav_state`` 16.2: ``add_write`` 8.1, ``_promote`` and
-    its pending record 3.6 each; ``hat/server`` 9.4; the second write's WAL
-    append 8.1; ``metadata_bytes`` 5.0), the worker wakes the ack batches
-    add (9.3), the parallel flush's kernel callbacks (13.0) and the MAV
-    client layers net of the direct write path (2.6), less 1.5 elsewhere
-    (``cluster/client`` -3.1, ``net`` +1.6).  A ceiling, not a pin
-    (CPython 3.12 only lowers it)."""
+    """Host-side cost of the ``mav`` run: 355.1 frames per committed
+    transaction (CPython 3.11); 366.0 while each transaction was a process of
+    its own (7.0 frames) and a read its own generator (7.9, one per read;
+    MAV buffers its writes, so ``client_loop`` joins 4.0 resume chains, not
+    8), and 401.0 while ``add_write`` handed its own ack to ``record_acks``
+    as a batch of one and asked ``replicas_for`` for each sibling's
+    replicas, and each version an ``ae.push`` brought woke the anti-entropy
+    tick.  Its 67.1 frames beyond ``eventual``'s 288.0 are the replica path
+    (``mav_state`` 16.2: ``add_write`` 8.1, ``_promote`` and its pending
+    record 3.6 each; ``hat/server`` 9.4; the second write's WAL append 8.1;
+    ``metadata_bytes`` 5.0), the worker wakes the ack batches add (9.3), the
+    parallel flush's kernel callbacks (13.0) and the MAV client layers net
+    of the direct write path (7.7: a direct write no longer enters a
+    generator of its own, MAV's flush still does), less 1.5 elsewhere (``cluster/client`` -3.1, ``net`` +1.6).  A ceiling,
+    not a pin (CPython 3.12 only lowers it)."""
     committed = costs["mav"].cost[3]
-    assert costs["mav"].frames / committed <= 369.0
+    assert costs["mav"].frames / committed <= 359.0
 
 
 def test_partition_backlog_is_not_rescanned_every_round():
@@ -267,10 +279,11 @@ def test_master_over_five_regions_pays_for_no_idle_replication_timer(
     """RTT-bound clients, ten servers with nothing to push.  Ten
     free-running 10 ms timers cost this run 143 events per committed
     transaction; one timer armed only on work, 37.4 with four kernel events
-    per round trip and 19.7 with two."""
+    per round trip, 19.7 with two and 17.7 once a transaction stopped being
+    a process of its own."""
     run = master_five_regions
     assert run.committed > 250
-    assert run.events / run.committed <= 20.5
+    assert run.events / run.committed <= 18.5
 
 
 def test_a_master_routed_operation_reads_its_placement_once(master_five_regions):

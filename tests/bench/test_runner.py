@@ -4,7 +4,7 @@ import pytest
 
 from repro.adya.history import HistoryRecorder
 from repro.bench.experiments import figure4_transaction_length
-from repro.bench.metrics import LatencySummary, RunStats
+from repro.bench.metrics import LatencySummary, RunStats, RunTally
 from repro.bench.report import format_latency_and_throughput, format_series
 from repro.bench.runner import RunConfig, run_workload
 from repro.errors import ReproError
@@ -12,10 +12,11 @@ from repro.loadgen.engine import (
     GRACE_RTT_MULTIPLE,
     MIN_GRACE_PERIOD_MS,
     default_grace_period_ms,
+    open_run_window,
 )
 from repro.overload.retry import RetryPolicy
 from repro.hat.testbed import FIVE_REGION_DEPLOYMENT, Scenario, build_testbed
-from repro.workloads.base import run_preload
+from repro.workloads.base import as_workload_factory, run_preload
 from repro.workloads.tpcc_driver import TPCCDriverFactory
 from repro.workloads.ycsb import YCSBConfig
 
@@ -115,6 +116,65 @@ class TestTallyAgainstResultList:
         assert stats == expected
 
 
+def process_per_transaction_loop(config, testbed):
+    """``run_workload``'s closed loop with every transaction spawned as a
+    process of its own (``yield client.execute(transaction)``): the shape
+    the driver had before it ran transactions on its own process.  Returns
+    the stats and how many transactions started and finished."""
+    env = testbed.env
+    factory = as_workload_factory(config.workload)
+    _, measure_start, end_ms, horizon_ms = open_run_window(
+        config, testbed, None, True)
+    tally = RunTally(measure_start)
+    counts = [0, 0]
+
+    def client_loop(client, workload):
+        while env.now < end_ms:
+            counts[0] += 1
+            result = yield client.execute(workload.next_transaction())
+            counts[1] += 1
+            tally.add(result)
+            if not result.committed and result.latency_ms <= 0.0:
+                yield env.timeout(config.retry.abort_backoff_ms)
+
+    client_index = 0
+    for cluster_name in testbed.config.cluster_names:
+        for _ in range(config.clients_per_cluster):
+            client = testbed.make_client(
+                config.protocol, home_cluster=cluster_name,
+                **config.retry.client_kwargs(config.protocol))
+            workload = factory.build(seed=config.seed * 10_000 + client_index,
+                                     session_id=client_index)
+            env.process(client_loop(client, workload))
+            client_index += 1
+    env.run(until=horizon_ms)
+    stats = tally.summarize(config.protocol, config.total_clients,
+                            config.duration_ms, config.warmup_ms)
+    return stats, counts
+
+
+class TestTransactionsRunOnTheDriver:
+    @pytest.mark.parametrize("protocol", ["eventual", "mav"])
+    def test_the_driver_saves_two_events_a_transaction_and_nothing_else(
+            self, protocol):
+        """The same run, transaction for transaction and message for
+        message: spawning a process per transaction only added its start
+        event and the event that resumed the driver."""
+        config = quick_config(protocol, seed=3)
+        reference_bed = build_testbed(config.scenario)
+        expected, (started, finished) = process_per_transaction_loop(
+            config, reference_bed)
+        testbed = build_testbed(config.scenario)
+        stats = run_workload(config, testbed=testbed)
+
+        assert expected.committed > 50 and started == finished
+        assert stats == expected
+        assert (testbed.network.stats.per_kind
+                == reference_bed.network.stats.per_kind)
+        saved = reference_bed.env.events_executed - testbed.env.events_executed
+        assert saved == started + finished == 2 * started
+
+
 class TestGracePeriod:
     def test_default_keeps_historical_floor_for_small_deployments(self):
         testbed = build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=1))
@@ -209,7 +269,7 @@ class TestPluggableWorkloads:
         config = quick_config("eventual", workload=factory,
                               duration_ms=300.0, grace_period_ms=500.0)
         testbed = build_testbed(config.scenario)
-        from repro.workloads.base import run_preload
+        from repro.workloads.base import as_workload_factory, run_preload
 
         # Preload through a twin testbed to learn how long it takes; the
         # runner must end exactly at preload_end + duration + grace.

@@ -44,8 +44,9 @@ class TestLockWait:
         assert wait.attrs["key"] == "hot"
         assert wait.attrs["wait_ms"] == wait.duration_ms > 0.0
         # The span hangs in the waiter's trace, under its lock.acquire.
-        waiter = testbed.tracer.transaction_span(processes[1].value.txn_id)
-        assert wait.trace_id == waiter.trace_id != processes[0].trace.trace_id
+        first, waiter = (testbed.tracer.transaction_span(p.value.txn_id)
+                         for p in processes)
+        assert wait.trace_id == waiter.trace_id != first.trace_id
 
         metrics = testbed.metrics
         summary = metrics.summary("lock_wait_ms", node=master.name)

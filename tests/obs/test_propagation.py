@@ -7,8 +7,15 @@ ONE connected trace — every span reachable from the transaction root —
 with the fault annotated on the spans that overlapped it.
 """
 
+import pytest
+
+from repro.bench.runner import RunConfig, run_workload
+from repro.cluster.node import ServiceCostModel
 from repro.hat.testbed import Scenario, build_testbed
 from repro.hat.transaction import Operation, Transaction
+from repro.loadgen import OpenLoopConfig, PoissonArrivals, run_open_loop
+from repro.overload.retry import RetryPolicy
+from repro.workloads.ycsb import YCSBConfig
 
 
 def _run(testbed, client, operations):
@@ -129,3 +136,77 @@ class TestRebalancePropagation:
         _assert_connected(spans)
         assert any(s.kind == "rpc" and s.attrs.get("service_ms", 0.0) > 0.0
                    for s in spans)
+
+
+def _closed_loop(protocol):
+    scenario = Scenario(regions=["VA", "OR"], servers_per_cluster=2, seed=0,
+                        tracing=True)
+    testbed = build_testbed(scenario)
+    stats = run_workload(RunConfig(
+        protocol=protocol, scenario=scenario,
+        workload=YCSBConfig(key_count=200), clients_per_cluster=2,
+        duration_ms=300.0, warmup_ms=0.0), testbed=testbed)
+    return testbed, stats.committed
+
+
+def _open_loop_with_retries(protocol):
+    """Past a one-worker server's capacity with a short deadline: attempts
+    time out and their sessions retry them."""
+    scenario = Scenario(regions=["VA", "OR"], servers_per_cluster=1, seed=0,
+                        service_cost=ServiceCostModel(request_overhead_ms=2.5,
+                                                      concurrency=1),
+                        tracing=True)
+    testbed = build_testbed(scenario)
+    stats = run_open_loop(OpenLoopConfig(
+        protocol=protocol, scenario=scenario, arrivals=PoissonArrivals(150.0),
+        workload=YCSBConfig(key_count=200, operations_per_transaction=2),
+        users=1_000, sessions_per_cluster=16, duration_ms=400.0, seed=3,
+        retry=RetryPolicy(rpc_timeout_ms=40.0, max_attempts=3,
+                          backoff_base_ms=5.0)), testbed=testbed)
+    assert stats.retries > 0
+    return testbed, stats.committed
+
+
+class TestDriverPropagation:
+    """Both load drivers run each transaction on their own process: the
+    transaction's span is the trace context of its steps and of none of the
+    driver's steps around it."""
+
+    def test_a_driver_carries_no_context_between_transactions(self):
+        testbed = build_testbed(Scenario(regions=["VA"], servers_per_cluster=1,
+                                         fixed_latency_ms=1.0, tracing=True))
+        client, env = testbed.make_client("eventual"), testbed.env
+        seen = []
+
+        def driver():
+            for n in range(2):
+                yield from client.transact(Transaction([Operation.write("k", n)]))
+                seen.append(env.current_trace)
+                yield env.timeout(1.0)
+                seen.append(env.current_trace)
+
+        process = env.process(driver())
+        env.run_until_complete(process)
+        assert seen == [None] * 4 and process.trace is None
+        assert len([s for s in testbed.tracer.spans if s.kind == "txn"]) == 2
+
+    @pytest.mark.parametrize("run", [_closed_loop, _open_loop_with_retries],
+                             ids=["closed-loop", "open-loop-retries"])
+    @pytest.mark.parametrize("protocol", ["eventual", "mav"])
+    def test_every_rpc_span_hangs_under_its_own_transaction(self, run,
+                                                            protocol):
+        testbed, committed = run(protocol)
+        spans = testbed.tracer.spans
+        by_id = {span.span_id: span for span in spans}
+        rpcs = [span for span in spans if span.kind == "rpc"]
+        assert committed > 20 and len(rpcs) > committed
+        for span in rpcs:
+            root = span
+            while root.parent_id is not None:
+                root = by_id[root.parent_id]
+            assert root.kind == "txn" and root.site == span.site
+            assert root.trace_id == span.trace_id
+            # Sent while the transaction ran: not by an earlier one whose
+            # context outlived it, nor before the transaction began.
+            assert root.start_ms <= span.start_ms <= root.end_ms
+

@@ -94,6 +94,60 @@ class TestProcess:
             env.run_until_complete(process)
 
 
+class TestTraceContext:
+    def test_a_context_a_step_leaves_is_its_process_own(self):
+        """What a step leaves in ``env.current_trace`` is published for the
+        same process's later steps until one clears it; no other process's
+        step and no top-level event ever sees it."""
+        env = Environment()
+        seen = []
+
+        def traced():
+            env.current_trace = "span"
+            for _ in range(3):
+                yield env.timeout(1.0)
+                seen.append(("traced", env.now, env.current_trace))
+            env.current_trace = None
+            yield env.timeout(1.0)
+            seen.append(("traced", env.now, env.current_trace))
+
+        def other():
+            yield env.timeout(0.5)
+            for _ in range(5):
+                seen.append(("other", env.now, env.current_trace))
+                yield env.timeout(1.0)
+
+        process = env.process(traced())
+        env.process(other())
+        # Each runs next after a step of the traced process: the event
+        # right after its step at 1.0 and 3.0, the other process at 2.5.
+        for at in (1.25, 3.25):
+            env.schedule(at, lambda: seen.append(
+                ("event", env.now, env.current_trace)))
+        env.run()
+
+        mine = [entry for entry in seen if entry[0] == "traced"]
+        assert mine == [("traced", 1.0, "span"), ("traced", 2.0, "span"),
+                        ("traced", 3.0, "span"), ("traced", 4.0, None)]
+        others = [entry for entry in seen if entry[0] != "traced"]
+        assert len(others) == 7
+        assert all(trace is None for _, _, trace in others)
+        assert process.trace is None and env.current_trace is None
+
+    def test_a_process_that_fails_mid_context_leaks_it_nowhere(self):
+        env = Environment()
+
+        def traced():
+            env.current_trace = "span"
+            yield env.timeout(1.0)
+            raise ValueError("boom")
+
+        process = env.process(traced())
+        with pytest.raises(ValueError):
+            env.run_until_complete(process)
+        assert env.current_trace is None
+
+
 class TestCombinators:
     def test_all_of_collects_values_in_order(self):
         env = Environment()

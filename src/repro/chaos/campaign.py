@@ -122,7 +122,8 @@ class CampaignSpec:
     #: Fraction of each flap period the link is up.
     flap_duty: float = 0.5
     flap_duration_ms: Tuple[float, float] = (1_500.0, 3_000.0)
-    #: Number of crash/recover cycles (victims drawn with replacement).
+    #: Crash slots, each a crash/recover cycle (victims drawn with replacement);
+    #: a slot with no server a scale-in spares by its end stays empty.
     crashes: int = 0
     crash_downtime_ms: Tuple[float, float] = (500.0, 2_000.0)
     #: Restart every server once, staggered, each down for a fixed time.
@@ -257,13 +258,10 @@ def _slot_epoch(rng, duration_ms: float, index: int, count: int,
     return index * slot + rng.uniform(0.0, slack), length
 
 
-def _unretired(servers, membership, until_ms: float, label: str) -> List[str]:
+def _unretired(servers, membership, until_ms: float) -> List[str]:
     """The servers no scale-in by ``until_ms`` may retire (``<cluster>-s<i>``)."""
     shrunk = {a.target for a in membership if a.kind == SCALE_IN and a.at_ms <= until_ms}
-    eligible = [s for s in servers if s.rsplit("-", 1)[0] not in shrunk]
-    if not eligible:
-        raise CampaignError(f"{label}: every server's cluster is scaled in by {until_ms:g} ms")
-    return eligible
+    return [s for s in servers if s.rsplit("-", 1)[0] not in shrunk]
 
 
 def _downtime_actions(spec: CampaignSpec, servers: Sequence[str], membership, crash_rng,
@@ -274,7 +272,7 @@ def _downtime_actions(spec: CampaignSpec, servers: Sequence[str], membership, cr
     overlap even across the two knobs: a recover from one epoch would revive
     a server inside another epoch's declared downtime.  The rolling restart,
     when enabled, takes the last slot (compressed to fit if necessary).
-    Each picks among the servers ``_unretired`` by the end of its slot.
+    Each picks among the servers ``_unretired`` by the end of its slot, or none.
     """
     actions: List[CampaignAction] = []
     phases: List[CampaignPhase] = []
@@ -284,7 +282,9 @@ def _downtime_actions(spec: CampaignSpec, servers: Sequence[str], membership, cr
     slot = spec.duration_ms / epochs
     for index in range(spec.crashes):
         label = f"crash-{index + 1}"
-        eligible = _unretired(servers, membership, (index + 1) * slot, label)
+        eligible = _unretired(servers, membership, (index + 1) * slot)
+        if not eligible:
+            continue
         server = eligible[crash_rng.randrange(len(eligible))]
         start, downtime = _slot_epoch(
             crash_rng, spec.duration_ms, index, epochs,
@@ -298,8 +298,8 @@ def _downtime_actions(spec: CampaignSpec, servers: Sequence[str], membership, cr
             note=f"{label}: {server} recovers",
         ))
         phases.append(CampaignPhase(label, start, start + downtime))
-    if spec.rolling_restart:
-        servers = _unretired(servers, membership, spec.duration_ms, "rolling-restart")
+    servers = _unretired(servers, membership, spec.duration_ms) if spec.rolling_restart else []
+    if servers:
         wanted = spec.restart_stagger_ms * len(servers) + spec.restart_downtime_ms
         start, total = _slot_epoch(restart_rng, spec.duration_ms,
                                    epochs - 1, epochs, wanted)

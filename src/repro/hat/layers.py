@@ -47,7 +47,7 @@ from repro.errors import UnavailableError
 from repro.hat.clients.base import LayeredClient, TxnContext
 from repro.hat.transaction import WRITE, Operation, ReadObservation
 from repro.sim.process import all_of
-from repro.storage.records import Timestamp, Version
+from repro.storage.records import METADATA_BYTES, SIBLING_BYTES, Timestamp, Version
 
 
 class GuaranteeLayer:
@@ -140,8 +140,9 @@ class WriteBufferingLayer(GuaranteeLayer):
         # versions — otherwise the batch would lose LWW to what it read.
         versions = self._flush_versions(
             ctx, client._txn_timestamp(ctx, refresh=True))
+        siblings = len(versions[0].siblings) if versions else 0  # metadata_bytes, inline
         size_bytes = client.value_bytes + (
-            versions[0].metadata_bytes if versions and versions[0].siblings else 0)
+            METADATA_BYTES + SIBLING_BYTES * max(siblings - 1, 0) if siblings else 0)
         futures = []
         for version in versions:
             replica = client._pick_replica(version.key)

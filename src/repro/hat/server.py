@@ -33,7 +33,7 @@ from repro.replication.antientropy import (AntiEntropyClock, AntiEntropyConfig,
                                            AntiEntropyService)
 from repro.replication.lockmanager import LockManager
 from repro.sim import Environment
-from repro.storage.records import Timestamp, Version
+from repro.storage.records import METADATA_BYTES, SIBLING_BYTES, Timestamp, Version
 
 
 @dataclass(slots=True)
@@ -121,33 +121,25 @@ class HATServer(ServerNode):
             cost += self.wal.append("put", None, None, size_bytes)
         staleness = self._staleness
         if staleness is not None:
-            # Single install chokepoint: anti-entropy batches, master
-            # replication pushes, MAV promotions, and handoff offers all
-            # land here, so one probe call covers every replication path.
+            # Every replication path lands here (anti-entropy batches,
+            # master pushes, MAV promotions, handoff offers); a put handler
+            # installs at its origin directly, after ``on_commit``.
             staleness.on_install(version.key, version.timestamp, self.name,
                                  self.env._now)
         return cost
-
-    def _stamp_commit(self, version: Version) -> None:
-        """Tell the recency probe a client write committed at this origin.
-
-        The key's replica set is frozen as of commit time so that a later
-        rebalance streaming this version to a brand-new owner does not
-        count as t-visibility lag.
-        """
-        staleness = self._staleness
-        if staleness is not None:
-            staleness.on_commit(version.key, version.timestamp, self.name,
-                                self.env._now,
-                                self.config.replicas_for(version.key))
 
     # -- Read Uncommitted / Read Committed / quorum ------------------------------
     def _handle_ru_put(self, message: Message) -> Tuple[dict, float]:
         payload = message.payload
         version: Version = payload["version"]
         size = int(payload.get("size_bytes", 1024))
-        self._stamp_commit(version)
-        cost = self._install(version, size)
+        staleness = self._staleness
+        if staleness is not None and not staleness.on_commit(
+                version.key, version.timestamp, self.name, self.env._now,
+                self.config.placements[version.key].replicas):
+            # A quorum write's other replica, or a retry: not the origin.
+            staleness.on_install(version.key, version.timestamp, self.name, self.env._now)
+        cost = self.store.put(version, size) + self.wal.append("put", None, None, size)
         self.anti_entropy.mark_dirty(version)
         return {"ok": True, "timestamp": version.timestamp}, cost
 
@@ -169,7 +161,9 @@ class HATServer(ServerNode):
         size = int(size) if size is not None else 1024 + version.metadata_bytes
         # A MAV write is committed (acknowledged to the client) on arrival
         # at the origin; its remote installs happen at promotion time.
-        self._stamp_commit(version)
+        if self._staleness is not None:
+            self._staleness.on_commit(version.key, version.timestamp, self.name,
+                                      self.env._now, self.config.placements[version.key].replicas)
         return ({"ok": True, "timestamp": version.timestamp},
                 self._accept_mav_write(version, size, push=True))
 
@@ -246,10 +240,12 @@ class HATServer(ServerNode):
         the acks they owe (a no-op when the tick is already armed)."""
         cost, mav_writes = 0.0, False
         for version in versions:
-            if version.siblings:
-                # MAV writes stay pending until their transaction is stable.
-                cost += self._accept_mav_write(
-                    version, 1024 + version.metadata_bytes, push=push)
+            siblings = len(version.siblings)
+            if siblings:
+                # MAV writes stay pending until their transaction is stable
+                # (sized by ``Version.metadata_bytes``, inline).
+                size = 1024 + METADATA_BYTES + SIBLING_BYTES * max(siblings - 1, 0)
+                cost += self._accept_mav_write(version, size, push=push)
                 mav_writes = True
             else:
                 cost += self._install(version, 1024)
@@ -262,8 +258,12 @@ class HATServer(ServerNode):
         payload = message.payload
         version: Version = payload["version"]
         size = int(payload.get("size_bytes", 1024))
-        self._stamp_commit(version)
-        cost = self._install(version, size)
+        staleness = self._staleness
+        if staleness is not None and not staleness.on_commit(
+                version.key, version.timestamp, self.name, self.env._now,
+                self.config.placements[version.key].replicas):
+            staleness.on_install(version.key, version.timestamp, self.name, self.env._now)
+        cost = self.store.put(version, size) + self.wal.append("put", None, None, size)
         for peer in self.config.peer_replicas(version.key, self.name):
             self.network.send(self.name, peer, "repl.push",
                               {"version": version, "size_bytes": size},

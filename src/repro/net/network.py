@@ -147,8 +147,9 @@ class Network:
             per_kind[kind] += 1
         except KeyError:
             per_kind[kind] = 1
-        partitions = self.partitions
-        if not partitions.idle and not partitions.connected(src, dst):
+        partitions, pair = self.partitions, (src, dst)
+        if not (partitions.idle or partitions.verdicts.get(pair)
+                or partitions.connected(src, dst)):
             # A dropped message is never observable, so it is never built.
             stats.dropped_partition += 1
             return -msg_id
@@ -161,7 +162,6 @@ class Network:
         message = Message(
             src, dst, kind, payload, msg_id, reply_to,
             trace if trace is not None else env.current_trace)
-        pair = (src, dst)
         try:
             half_rtt = self._half_rtt[pair]
         except KeyError:

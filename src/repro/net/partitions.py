@@ -15,25 +15,28 @@ from repro.errors import NetworkError
 
 
 class PartitionManager:
-    """Tracks which sites can currently communicate."""
+    """Tracks which sites can currently communicate.  :meth:`connected` keeps
+    each pair's verdict until the next mutator (so a classifier must be pure)
+    unless a ``None`` label decided it: a site the classifier may learn later."""
 
     def __init__(self):
         self._groups: Optional[List[Set[str]]] = None  # for describe() only
         self._isolated: Set[str] = set()
         self._classifier: Optional[Callable[[str], Optional[str]]] = None
-        #: ``True`` while no partition, classifier, or isolation is in force.
-        #: Maintained eagerly so the network's per-message reachability check
-        #: is one attribute read in the (overwhelmingly common) healthy case.
+        #: ``True`` while no partition, classifier, or isolation is in force:
+        #: the network's per-message check is then one attribute read.
         self.idle: bool = True
-        #: Bumped by every mutator (never by a query).  Reachability is a
-        #: pure function of the state set since the last bump, so callers
-        #: may memoise routing decisions under a generation.
+        #: Bumped by every mutator, never by a query: reachability is a pure
+        #: function of the state since the last bump, so callers may memoise under it.
         self.generation: int = 0
+        #: ``(a, b)`` -> :meth:`connected`'s verdict (``Network.send`` reads it).
+        self.verdicts: Dict[tuple, bool] = {}
 
     def _changed(self) -> None:
-        """Every mutator ends here: recompute ``idle``, bump ``generation``."""
+        """Every mutator ends here: recompute ``idle``, bump ``generation``, forget verdicts."""
         self.idle = self._classifier is None and not self._isolated
         self.generation += 1
+        self.verdicts.clear()
 
     # -- configuration -------------------------------------------------------
     def partition(self, groups: Sequence[Iterable[str]]) -> None:
@@ -62,9 +65,9 @@ class PartitionManager:
         returning ``None`` marks a site as unreachable from everywhere.
         Replaces any static partition previously set with :meth:`partition`.
 
-        The classifier must be a pure function of the site name: routing
-        memoised under :attr:`generation` assumes the split only changes
-        through this manager's mutators.
+        The classifier must be a pure function of the site name: verdicts
+        (and routing memoised under :attr:`generation`) are kept until a
+        mutator runs; only a ``None`` label is asked again.
         """
         self._classifier = classifier
         self._groups = None
@@ -94,10 +97,8 @@ class PartitionManager:
 
     def heal(self) -> None:
         """Remove every partition and isolation."""
-        self._groups = None
         self._isolated.clear()
-        self._classifier = None
-        self._changed()
+        self.clear_partition()
 
     # -- queries ---------------------------------------------------------------
     @property
@@ -109,14 +110,16 @@ class PartitionManager:
         """Can a message currently travel from ``a`` to ``b``?"""
         if self.idle or a == b:
             return True
-        if a in self._isolated or b in self._isolated:
-            return False
-        if self._classifier is not None:
-            group_a = self._classifier(a)
-            group_b = self._classifier(b)
-            if group_a is None or group_b is None or group_a != group_b:
-                return False
-        return True
+        verdict = self.verdicts.get((a, b))
+        if verdict is None:
+            verdict = not (a in self._isolated or b in self._isolated)
+            if verdict and self._classifier is not None:
+                group_a, group_b = self._classifier(a), self._classifier(b)
+                if group_a is None or group_b is None:
+                    return False  # not memoised: the site may be learned later
+                verdict = group_a == group_b
+            self.verdicts[a, b] = verdict
+        return verdict
 
     def reachable_from(self, site: str, candidates: Iterable[str]) -> List[str]:
         """Filter ``candidates`` down to those reachable from ``site``."""

@@ -20,12 +20,12 @@ stamps exported windows with the deployment's fault windows they overlap.
 Handles: ``histogram(name, **labels)`` / ``counter`` canonicalise the
 series once and return it — the one storage, whose ``observe(at_ms, x)`` /
 ``inc(n)`` is the one recording routine.  A series enters the exports when
-first *touched*, not when resolved.  A count a component already keeps (a
-``*Stats`` field) is *collected*, not recorded: ``collect_counter(name,
-read, **labels)`` / ``collect_gauge`` register a reader that only the
-``counters`` / ``gauges`` snapshots call, so it costs nothing per event and
-is exported while non-zero.  Readers of one series add up (counters) or
-keep the maximum (gauges).
+first *touched*, not when resolved.  Every scalar a deployment exports is
+*collected*, not recorded: ``collect_counter(name, read, **labels)`` /
+``collect_gauge`` register a reader of a count kept anyway (a ``*Stats``
+field, a histogram's run count) that only the ``counters`` / ``gauges``
+snapshots call: free per event, exported while non-zero.  Readers of one
+series add up (counters) or keep the maximum (gauges).
 
 Nothing here schedules events or draws randomness, so a metrics-on run
 executes the metrics-off event sequence (``TestGoldenKernelRun``), and

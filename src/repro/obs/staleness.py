@@ -21,6 +21,8 @@ metrics, measured with oracle knowledge of the simulated cluster:
 Both probes are pure bookkeeping on the simulated clock: no events are
 scheduled, no randomness is consumed, and all state lives in plain dicts
 and sorted lists, so enabling them cannot perturb the event sequence.
+Their counts are *collected*, not recorded per event: installs and reads
+are the observation counts of the two histograms, commits a plain int.
 
 Idempotence: replayed anti-entropy (the same version pushed to the same
 replica twice, which the protocol allows) records at most one t-visibility
@@ -33,24 +35,19 @@ property-tested in ``tests/properties/test_property_metrics.py``.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = ["StalenessProbe"]
 
+_new_record = object.__new__
+
 
 class _PendingCommit:
-    """Origin-side record of one committed version awaiting installs."""
+    """One committed version awaiting installs, filled by ``on_commit`` (no
+    ``__init__`` frame): commit time, origin, commit-time ``replicas``, how
+    many besides the origin are ``owed``, and the sites that ``installed`` it."""
 
     __slots__ = ("commit_ms", "origin", "replicas", "owed", "installed")
-
-    def __init__(self, commit_ms: float, origin: str,
-                 replicas: Optional[Sequence[str]], owed: Optional[int]):
-        self.commit_ms = commit_ms
-        self.origin = origin
-        #: Commit-time replica sites, and how many besides the origin.
-        self.replicas = replicas
-        self.owed = owed
-        self.installed: Set[str] = set()
 
 
 class StalenessProbe:
@@ -72,26 +69,29 @@ class StalenessProbe:
     def __init__(self, registry):
         self._pending: Dict[Tuple[str, object], _PendingCommit] = {}
         self._ledger: Dict[str, List] = {}
-        self._t_visibility = registry.histogram("t_visibility_ms")
-        self._k_staleness = registry.histogram("k_staleness_versions")
-        self._commits = registry.counter("staleness_commits_total")
-        self._installs = registry.counter("staleness_installs_total")
-        self._reads = registry.counter("staleness_reads_total")
+        self._t_visibility = visibility = registry.histogram("t_visibility_ms")
+        self._k_staleness = staleness = registry.histogram("k_staleness_versions")
+        self._commits = 0
+        registry.collect_counter("staleness_commits_total", lambda: self._commits)
+        registry.collect_counter("staleness_installs_total", lambda: visibility.total.count)
+        registry.collect_counter("staleness_reads_total", lambda: staleness.total.count)
 
     # -- write path ----------------------------------------------------------
     def on_commit(self, key: str, timestamp, origin: str, at_ms: float,
-                  replicas=None) -> None:
+                  replicas=None) -> bool:
         """A version committed at its origin replica at ``at_ms``.
 
         Called from the server-side put handlers (RU/quorum, master, MAV),
         which are the single points where a write becomes durable at its
-        origin.  Re-announcing a known version (one in the key's ledger) is
-        a no-op.  ``replicas``, when given, is the key's replica set *as of
-        commit time* (distinct sites, never mutated afterwards): only
+        origin.  Returns ``False`` for a known version (one in the key's
+        ledger), recording nothing: a handler installing there at once then
+        reports that install; ``True`` when the origin's own install would
+        record nothing.  ``replicas``, when given, is the key's replica set
+        *as of commit time* (distinct sites, never mutated afterwards): only
         installs at those sites count toward t-visibility, so a later
         membership change re-routing old versions to brand-new owners (a
-        bootstrapping node catching up on history that predates it) does
-        not masquerade as replication lag.
+        bootstrapping node catching up on history that predates it) does not
+        masquerade as replication lag.
         """
         ledger = self._ledger.get(key)
         if ledger is None:
@@ -101,13 +101,15 @@ class StalenessProbe:
         else:
             at = bisect_left(ledger, timestamp)
             if ledger[at] == timestamp:
-                return
+                return False
             ledger.insert(at, timestamp)
         owed = None if replicas is None else len(replicas) - (origin in replicas)
         if owed != 0:
-            self._pending[(key, timestamp)] = _PendingCommit(
-                at_ms, origin, replicas, owed)
-        self._commits.inc()
+            record = self._pending[(key, timestamp)] = _new_record(_PendingCommit)
+            record.commit_ms, record.origin, record.installed = at_ms, origin, set()
+            record.replicas, record.owed = replicas, owed
+        self._commits += 1
+        return True
 
     def on_install(self, key: str, timestamp, site: str,
                    at_ms: float) -> None:
@@ -123,15 +125,13 @@ class StalenessProbe:
         """
         slot = (key, timestamp)
         record = self._pending.get(slot)
-        if record is None or site == record.origin or site in record.installed:
-            return
-        if record.replicas is not None and site not in record.replicas:
+        if (record is None or site == record.origin or site in record.installed
+                or record.replicas is not None and site not in record.replicas):
             return
         record.installed.add(site)
         if len(record.installed) == record.owed:
             del self._pending[slot]
         self._t_visibility.observe(record.commit_ms, at_ms - record.commit_ms)
-        self._installs.inc()
 
     # -- read path -----------------------------------------------------------
     def on_read(self, key: str, timestamp, at_ms: float) -> None:
@@ -151,7 +151,6 @@ class StalenessProbe:
         else:
             k = len(ledger) - bisect_right(ledger, timestamp)
         self._k_staleness.observe(at_ms, float(k))
-        self._reads.inc()
 
     # -- introspection -------------------------------------------------------
     def pending_installs(self) -> int:

@@ -28,30 +28,21 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["Span", "SpanNames", "FaultWindow", "FaultLedger", "Tracer"]
 
+_new_span = object.__new__
+
 
 class Span:
     """One timed unit of work on the simulated clock.
 
     A span is also the trace context of its children: what propagates is
     ``trace_id`` (which trace) and ``span_id`` (which span is the parent).
+    Only :meth:`Tracer.start_span` makes one, filling the slots of a bare
+    instance (no ``__init__`` frame per span): an open span has ``end_ms``
+    None, ``status`` ``"ok"``, empty ``attrs`` and no ``faults``.
     """
 
     __slots__ = ("span_id", "parent_id", "trace_id", "name", "kind", "site",
                  "start_ms", "end_ms", "status", "attrs", "faults")
-
-    def __init__(self, span_id: int, parent_id: Optional[int], trace_id: int,
-                 name: str, kind: str, site: str, start_ms: float):
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.trace_id = trace_id
-        self.name = name
-        self.kind = kind
-        self.site = site
-        self.start_ms = start_ms
-        self.end_ms: Optional[float] = None
-        self.status = "ok"
-        self.attrs: Dict[str, object] = {}
-        self.faults: Tuple[int, ...] = ()
 
     @property
     def duration_ms(self) -> float:
@@ -205,8 +196,11 @@ class Tracer:
         else:
             trace_id = parent.trace_id
             parent_id = parent.span_id
-        span = Span(self._next_span, parent_id, trace_id, name, kind, site,
-                    start_ms)
+        span = _new_span(Span)
+        span.span_id, span.parent_id, span.trace_id = self._next_span, parent_id, trace_id
+        span.name, span.kind, span.site = name, kind, site
+        span.start_ms, span.end_ms, span.status = start_ms, None, "ok"
+        span.attrs, span.faults = {}, ()
         self._next_span += 1
         self.spans.append(span)
         return span

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.storage.kvstore import VersionedStore
-from repro.storage.records import Version
+from repro.storage.records import METADATA_BYTES, SIBLING_BYTES, Version
 
 
 @dataclass(slots=True)
@@ -84,7 +84,8 @@ class LSMStore:
     def put(self, version: Version, value_bytes: Optional[int] = None) -> float:
         """Install a version; return the foreground cost in milliseconds."""
         size = value_bytes if value_bytes is not None else self.cost.default_value_bytes
-        size += version.metadata_bytes
+        siblings = len(version.siblings)  # ``Version.metadata_bytes``, inline
+        size += METADATA_BYTES if siblings < 2 else METADATA_BYTES + SIBLING_BYTES * (siblings - 1)
         self.data.install(version)
         self.stats.puts += 1
         self.stats.bytes_written += size

@@ -32,6 +32,9 @@ class Timestamp(NamedTuple):
 #: The "null" timestamp: smaller than every real timestamp, used for the
 #: initial (bottom) version of every item.
 NULL_TIMESTAMP = Timestamp(sequence=-1, client_id=-1)
+#: :attr:`Version.metadata_bytes` is ``METADATA_BYTES`` plus ``SIBLING_BYTES``
+#: per sibling beyond the first; per-install readers inline it from these.
+METADATA_BYTES, SIBLING_BYTES = 34, 15
 
 
 class Version(NamedTuple):
@@ -56,8 +59,7 @@ class Version(NamedTuple):
         transactions and ~1.9 KB for 128-operation transactions, i.e. roughly
         a constant plus ~15 bytes per sibling key.
         """
-        extra_siblings = len(self.siblings) - 1
-        return 34 + 15 * extra_siblings if extra_siblings > 0 else 34
+        return METADATA_BYTES + SIBLING_BYTES * max(len(self.siblings) - 1, 0)
 
 
 def initial_version(key: str) -> Version:

@@ -20,7 +20,10 @@ stack that never marks a version (``master``) pays nothing for it at all.
 Observability is pinned the same way: what a tracing + metrics run records
 per committed transaction, on the event sequence of the unobserved run.
 The host-side cost of that event sequence is held by a ceiling on the Python
-frames entered under ``src/repro`` per committed transaction.
+frames entered under ``src/repro`` per committed transaction.  An observed
+open-loop run through a partition is pinned too: its counts and exposition,
+its frames, one classifier judgement per site pair per split, and recency
+counters that are their histograms' counts.
 """
 
 import os
@@ -32,6 +35,7 @@ import pytest
 from repro.bench.runner import RunConfig, run_workload
 from repro.chaos import Nemesis, canonical_partition_campaign
 from repro.hat.testbed import FIVE_REGION_DEPLOYMENT, Scenario, build_testbed
+from repro.loadgen import OpenLoopConfig, PoissonArrivals, run_open_loop
 from repro.overload.retry import RetryPolicy
 from repro.workloads.ycsb import YCSBConfig
 
@@ -188,23 +192,27 @@ def test_the_per_operation_path_stays_one_frame_per_stage(costs):
     committed ``eventual`` transaction (eight operations) and 808.7 per
     ``causal`` one; 327.0 and 341.1 while a placement miss asked each
     cluster's partitioner for an owner; 304.0 and 318.1 while each
-    transaction was a process of its own; it enters 288.0 and 302.1 (CPython
-    3.11) now that it runs on its driver's process.  Of the 16.0 that went,
-    7.0 were that process (``execute``, its ``Process`` and ``Future``
-    constructors, ``schedule_now`` to start it, ``succeed`` and the two
-    ``_resume`` calls that started it and resumed the driver) and 16.0 the
-    per-operation ``_layered_read`` / ``_direct_write`` generators, folded
-    into ``LayeredClient._run``; ``client_loop`` now sits in each of the
-    eight round trips' resume chain (+7.0), and ``transact`` replaces
-    ``_execute`` one for one.  Ceilings, not pins: CPython 3.12 inlines
-    comprehensions, which only lowers the count.  A pass-through hop put
-    back on the path costs 8 frames a transaction, a hook loop over
-    inherited no-ops 16 a read, a validating frame per built operation 8 —
-    each fails here."""
+    transaction was a process of its own; 288.0 and 302.1 while every
+    install entered the ``Version.metadata_bytes`` property (8.1 a
+    transaction) and each write's put handler ``_stamp_commit`` and
+    ``_install`` (4.05 each) to tell a recency probe that was off; it
+    enters 271.8 and 285.9 (CPython 3.11) now that ``LSMStore.put`` sizes
+    the metadata inline and the handler installs at its origin itself.
+    Before that, when a transaction began to run on its driver's process,
+    7.0 frames went with its own process (``execute``, its ``Process`` and
+    ``Future`` constructors, ``schedule_now`` to start it, ``succeed`` and
+    the two ``_resume`` calls that started it and resumed the driver) and
+    16.0 with the per-operation ``_layered_read`` / ``_direct_write``
+    generators, folded into ``LayeredClient._run``; ``client_loop`` sits in
+    each of the eight round trips' resume chain (+7.0).  Ceilings, not
+    pins: CPython 3.12 inlines comprehensions, which only lowers the count.
+    A pass-through hop put back on the path costs 8 frames a transaction, a
+    hook loop over inherited no-ops 16 a read, a validating frame per built
+    operation 8 — each fails here."""
     committed = costs["eventual"].cost[3]
     assert costs["causal"].cost[3] == committed
-    assert costs["eventual"].frames / committed <= 294.0
-    assert costs["causal"].frames / committed <= 308.0
+    assert costs["eventual"].frames / committed <= 278.0
+    assert costs["causal"].frames / committed <= 292.0
     # The session stack costs client-side bookkeeping only: 14.1 frames a
     # transaction on top of ``eventual`` for the same messages — holder
     # notes 8.0, the one read floor 3.9, ``begin`` 1.0 (it returns before
@@ -219,23 +227,27 @@ def test_the_per_operation_path_stays_one_frame_per_stage(costs):
 
 
 def test_the_mav_replica_path_does_its_bookkeeping_once(costs):
-    """Host-side cost of the ``mav`` run: 355.1 frames per committed
-    transaction (CPython 3.11); 366.0 while each transaction was a process of
-    its own (7.0 frames) and a read its own generator (7.9, one per read;
-    MAV buffers its writes, so ``client_loop`` joins 4.0 resume chains, not
-    8), and 401.0 while ``add_write`` handed its own ack to ``record_acks``
-    as a batch of one and asked ``replicas_for`` for each sibling's
-    replicas, and each version an ``ae.push`` brought woke the anti-entropy
-    tick.  Its 67.1 frames beyond ``eventual``'s 288.0 are the replica path
-    (``mav_state`` 16.2: ``add_write`` 8.1, ``_promote`` and its pending
-    record 3.6 each; ``hat/server`` 9.4; the second write's WAL append 8.1;
-    ``metadata_bytes`` 5.0), the worker wakes the ack batches add (9.3), the
-    parallel flush's kernel callbacks (13.0) and the MAV client layers net
-    of the direct write path (7.7: a direct write no longer enters a
-    generator of its own, MAV's flush still does), less 1.5 elsewhere (``cluster/client`` -3.1, ``net`` +1.6).  A ceiling,
-    not a pin (CPython 3.12 only lowers it)."""
+    """Host-side cost of the ``mav`` run: 337.9 frames per committed
+    transaction (CPython 3.11); 355.1 while every install entered the
+    ``Version.metadata_bytes`` property and so did each sibling version an
+    ``ae.push`` brought (13.2) and the put handler entered ``_stamp_commit``
+    (4.05); 366.0 while each transaction was a process of its own (7.0
+    frames) and a read its own generator (7.9, one per read; MAV buffers its
+    writes, so ``client_loop`` joins 4.0 resume chains, not 8), and 401.0
+    while ``add_write`` handed its own ack to ``record_acks`` as a batch of
+    one and asked ``replicas_for`` for each sibling's replicas, and each
+    version an ``ae.push`` brought woke the anti-entropy tick.  Its 66.1
+    frames beyond ``eventual``'s 271.8 are the replica path (``mav_state``
+    16.2: ``add_write`` 8.1, ``_promote`` and its pending record 3.6 each;
+    ``hat/server`` 13.4, promotions still installing through ``_install``
+    where an ``eventual`` put no longer does; the second write's WAL append
+    8.1), the worker wakes the ack batches add (9.3), the parallel flush's
+    kernel callbacks (13.0) and the MAV client layers net of the direct
+    write path (7.7: a direct write no longer enters a generator of its own,
+    MAV's flush still does), less 1.5 elsewhere (``cluster/client`` -3.1,
+    ``net`` +1.6).  A ceiling, not a pin (CPython 3.12 only lowers it)."""
     committed = costs["mav"].cost[3]
-    assert costs["mav"].frames / committed <= 359.0
+    assert costs["mav"].frames / committed <= 342.0
 
 
 def test_partition_backlog_is_not_rescanned_every_round():
@@ -311,3 +323,108 @@ def test_observing_a_run_costs_a_pinned_number_of_spans_and_observations(
     # The recency probe forgot every version but the one still in flight
     # to its other replica when the run ended.
     assert testbed.metrics.staleness.pending_installs() == 1
+
+
+@pytest.fixture(scope="module")
+def partitioned():
+    """hatbench's ``openloop_rc_partition_obs`` at an eighth of its size:
+    ``read-committed`` at Poisson 300/s per cluster on VA+OR, two servers
+    each, through the canonical partition campaign (375 ms baseline, a
+    750 ms split, 375 ms recovery), frames counted, once with tracing and
+    metrics on and once off.  The split's classifier is wrapped to log each
+    call as ``(partitions.generation, site)``."""
+    measured = {}
+    for observed in (True, False):
+        scenario = Scenario(regions=["VA", "OR"], servers_per_cluster=2, seed=0,
+                            tracing=observed, metrics=observed)
+        testbed = build_testbed(scenario)
+        campaign = canonical_partition_campaign(
+            scenario.regions, baseline_ms=375.0, partition_ms=750.0,
+            recovery_ms=375.0)
+        Nemesis(testbed, campaign).install()
+        partitions, calls = testbed.network.partitions, []
+        split = partitions.partition_by
+
+        def counted(classifier, split=split, partitions=partitions, calls=calls):
+            def classify(site):
+                calls.append((partitions.generation, site))
+                return classifier(site)
+            split(classify)
+
+        partitions.partition_by = counted
+        stats, frames = _frames_entered(lambda: run_open_loop(OpenLoopConfig(
+            protocol="read-committed", scenario=scenario,
+            arrivals=PoissonArrivals(300.0), workload=YCSBConfig(),
+            sessions_per_cluster=8, duration_ms=campaign.duration_ms, seed=0),
+            testbed=testbed, preload=False))
+        measured[observed] = SimpleNamespace(
+            testbed=testbed, committed=stats.committed, frames=frames,
+            calls=calls)
+    return measured
+
+
+def test_a_partitioned_observed_run_does_its_bookkeeping_once(partitioned):
+    """Host-side cost of the observed run: 361.9 frames per committed
+    transaction with tracing and metrics on, 307.1 with them off (CPython
+    3.11).  446.5 and 356.9 while every message sent during the split asked
+    ``connected`` (13.1 a transaction) and it asked the testbed's
+    ``classify`` for both ends (25.6): the verdict memo, read by
+    ``Network.send`` itself, leaves 4.8 and 0.1, -33.8 on both runs.  The
+    rest of the observed run's -84.6: the recency probe's three per-event
+    ``Counter.inc`` (-12.0), its pending record's ``__init__`` (-4.0), the
+    origin's own ``on_install`` after ``on_commit`` (-4.0) and
+    ``replicas_for`` to freeze the commit's replica set (-4.0), each
+    ``Span.__init__`` (-10.7); on both runs ``Version.metadata_bytes`` in
+    ``LSMStore.put`` (-8.0), ``_stamp_commit`` and the put handler's
+    ``_install`` (-4.0 each).  Ceilings, not pins (CPython 3.12 only lowers
+    them)."""
+    observed, plain = partitioned[True], partitioned[False]
+    assert observed.committed == plain.committed > 800
+    assert observed.testbed.env.events_executed == plain.testbed.env.events_executed
+    assert observed.frames / observed.committed <= 362.0
+    assert plain.frames / plain.committed <= 308.0
+
+
+def test_the_partitioned_run_matches_its_pin(partitioned, assert_pin):
+    """The ``cost-per-txn/partitioned`` record, taken before the verdict
+    memo and the probe's collected counts: both runs' events, messages and
+    commits, and what the observed one recorded (spans, histogram
+    observations and the Prometheus exposition, collected counters
+    included)."""
+    runs = {str(observed): run for observed, run in partitioned.items()}
+    metrics = partitioned[True].testbed.metrics
+    windows = [series["windows"]
+               for series in metrics.timeseries(quantiles=())["series"]]
+    assert_pin("cost-per-txn/partitioned", {
+        "cost": {name: [run.testbed.env.events_executed,
+                        run.testbed.network.stats.sent, run.committed]
+                 for name, run in runs.items()},
+        "spans": len(partitioned[True].testbed.tracer.spans),
+        "observations": sum(w["count"] for ws in windows for w in ws),
+        "prometheus": metrics.prometheus(),
+    })
+
+
+def test_the_split_classifies_each_site_pair_once(partitioned):
+    """``connected`` asks the classifier about both ends of a pair once per
+    split, then answers from its verdicts: each logged call pairs up with
+    the next into one ``(split, a, b)`` judgement, and none repeats (every
+    site here is known before the split, so no verdict rests on ``None``)."""
+    for run in partitioned.values():
+        calls = run.calls
+        assert calls and len(calls) % 2 == 0
+        judged = [(a[0], a[1], b[1]) for a, b in zip(calls[::2], calls[1::2])]
+        assert all(a[0] == b[0] for a, b in zip(calls[::2], calls[1::2]))
+        assert len(set(judged)) == len(judged)
+
+
+def test_the_recency_counters_are_their_histograms_counts(partitioned):
+    """The probe keeps no per-event counter: installs and reads are read off
+    the t-visibility and k-staleness run digests, commits off a plain int."""
+    metrics = partitioned[True].testbed.metrics
+    installs = metrics.summary("t_visibility_ms")["count"]
+    reads = metrics.summary("k_staleness_versions")["count"]
+    assert installs > 0 and reads > 0
+    assert metrics.counter_value("staleness_installs_total") == installs
+    assert metrics.counter_value("staleness_reads_total") == reads
+    assert metrics.counter_value("staleness_commits_total") > 0

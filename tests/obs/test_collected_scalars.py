@@ -115,9 +115,9 @@ class TestCollectedFromStats:
         text = testbed.metrics.prometheus()
         commits = int(testbed.metrics.counter_value("staleness_commits_total"))
         assert commits > 0
-        # Recorded through a handle by the recency probe ...
+        # Read from the recency probe's own count ...
         assert f"repro_staleness_commits_total {commits}\n" in text
-        # ... and read from AntiEntropyStats at exposition time.
+        # ... and from AntiEntropyStats, both at exposition time.
         server = testbed.server_list()[0]
         assert (f'repro_ae_rounds_total{{node="{server.name}"}} '
                 f"{server.anti_entropy.stats.rounds}\n") in text

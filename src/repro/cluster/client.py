@@ -42,6 +42,8 @@ class ClientNode:
         self.name = name
         self.home_cluster = home_cluster
         self.client_id = client_id if client_id is not None else next(_CLIENT_IDS)
+        #: Lamport counter; ``ProtocolClient._observe`` advances it past
+        #: every sequence a read returns (the receive rule).
         self._next_sequence = 1
         network.register(name, self._on_message)
 
@@ -56,19 +58,6 @@ class ClientNode:
         sequence = self._next_sequence
         self._next_sequence += 1
         return Timestamp(sequence, self.client_id)
-
-    def witness_timestamp(self, timestamp: Optional[Timestamp]) -> None:
-        """Lamport receive rule: never issue a sequence at or below one read.
-
-        Without this, a fresh client's early writes carry lower sequence
-        numbers than versions already in the store (e.g. a benchmark
-        preload), so last-writer-wins silently discards them and the
-        read-your-writes session guarantee cannot hold.  Advancing the
-        counter past every observed timestamp makes the per-item LWW order
-        respect the reads-from order each client actually saw.
-        """
-        if timestamp is not None and timestamp.sequence >= self._next_sequence:
-            self._next_sequence = timestamp.sequence + 1
 
     def timestamp_is_stale(self, timestamp: Timestamp) -> bool:
         """True when reads have witnessed sequences beyond ``timestamp``.
@@ -89,5 +78,4 @@ class ClientNode:
         separated by lock-hold or master-processing intervals far longer than
         one microsecond, and the client id breaks residual ties.
         """
-        return Timestamp(sequence=int(self.env.now * 1000.0),
-                         client_id=self.client_id)
+        return Timestamp(sequence=int(self.env.now * 1000.0), client_id=self.client_id)

@@ -96,6 +96,7 @@ class ServerNode:
         self.stats = ServerStats()
         self.alive = True
         self._handlers: Dict[str, Handler] = {}
+        self._reply_kinds: Dict[str, str] = {}  # kind -> "<kind>.reply"
         #: ``(message, enqueued at, queue depth found)`` per waiting request.
         self._queue: Deque[Tuple[Message, float, int]] = deque()
         #: Busy workers: ``(completion instant, seq, reply id or 0, kind)``, a
@@ -125,6 +126,7 @@ class ServerNode:
         if kind in self._handlers:
             raise ReproError(f"server {self.name}: duplicate handler for {kind!r}")
         self._handlers[kind] = handler
+        self._reply_kinds[kind] = kind + ".reply"
 
     # -- failure injection ------------------------------------------------------
     def crash(self) -> None:
@@ -149,14 +151,6 @@ class ServerNode:
             if reply_id and (done_at, seq) > now:
                 self.network.recall(reply_id, kind, self._recalled, undo)
                 self.stats.replies += 1 if undo else -1
-
-    def _free_workers(self) -> list:
-        """Drop the workers whose completion the running event is past."""
-        workers, env = self._workers, self.env
-        passed = (env._now, env._seq + 1)
-        while workers and workers[0] < passed:
-            heappop(workers)
-        return workers
 
     def _arm_wake(self) -> None:
         """Wake at the earliest completion, in its place in the event order."""
@@ -198,10 +192,12 @@ class ServerNode:
             probe.depth.observe(now, found + 1)
         if found >= stats.max_queue_depth:
             stats.max_queue_depth = found + 1
-        if not queue and len(self._free_workers()) < self.cost.concurrency:
-            # A worker is idle and nothing is queued: served where it
-            # arrives, at zero wait, which no admission policy sheds or
-            # reorders.
+        workers = self._workers  # free those the running event is past
+        while workers and workers[0] < (now, self.env._seq + 1):
+            heappop(workers)
+        if not queue and len(workers) < self.cost.concurrency:
+            # A worker is idle and nothing is queued: served where it arrives,
+            # at zero wait, which no admission policy sheds or reorders.
             self._serve(message, now, found)
         else:
             queue.append((message, now, found))
@@ -240,8 +236,9 @@ class ServerNode:
         """Hand queued requests to idle workers, shedding what admission
         drops; re-armed while any request is still queued."""
         self._waking = False
-        queue = self._queue
-        workers = self._free_workers()
+        queue, workers, env = self._queue, self._workers, self.env
+        while workers and workers[0] < (env._now, env._seq + 1):  # past: free
+            heappop(workers)
         concurrency = self.cost.concurrency
         admission = self.admission
         while len(workers) < concurrency and queue:
@@ -256,7 +253,7 @@ class ServerNode:
                 else:
                     message, enqueued_at, depth = queue.popleft()
                 if (admission.policy == "codel"
-                        and self.env._now - enqueued_at > admission.codel_target_ms
+                        and env._now - enqueued_at > admission.codel_target_ms
                         and message.kind in admission.sheddable_kinds):
                     # Deadline-aware drop-on-dequeue: this request's queue
                     # wait already blew the latency target, so serving it
@@ -269,9 +266,9 @@ class ServerNode:
             self._arm_wake()
 
     def _serve(self, message: Message, enqueued_at: float, depth: int) -> None:
-        """Occupy a worker with ``message``: run its handler and send the
-        reply now, to leave when the service time ends.  The one dispatch
-        body, for a request served on arrival and for one taken off the queue."""
+        """Occupy a worker with ``message``: run its handler and send the reply
+        now, through ``Network.send`` under its registered reply kind, to leave
+        when the service time ends.  The one dispatch body, queued or not."""
         env = self.env
         stats = self.stats
         cost = self.cost
@@ -297,8 +294,9 @@ class ServerNode:
             # Unknown request kinds get an error reply so clients fail
             # fast instead of timing out.
             reply_payload = {"error": f"no handler for {message.kind!r}"}
-            service_ms = 0.0
+            reply_kind, service_ms = f"{message.kind}.reply", 0.0
         else:
+            reply_kind = self._reply_kinds[message.kind]
             reply_payload, extra_cost = handler(message)
             service_ms = cost.request_overhead_ms + extra_cost
             payload = message.payload
@@ -319,7 +317,9 @@ class ServerNode:
         stats.busy_ms += service_ms
         reply_id = 0
         if reply_payload is not None:
-            reply_id = self.network.reply(message, reply_payload, service_ms)
+            reply_id = self.network.send(message.dst, message.src, reply_kind,
+                                         reply_payload, message.msg_id, 0,
+                                         None, service_ms)
             if self.alive:
                 stats.replies += 1
             else:  # crashed: the queue drains, the reply stays recalled

@@ -78,14 +78,14 @@ class ProtocolClient:
         self.breaker = breaker
         self.session_id = node.client_id
         self._placements = node.config.placements
+        self._server_clusters = node.config._server_to_cluster  # server -> cluster
         #: The home cluster's slot in every placement record's replica list.
         self._home_index = node.config.cluster_index(node.home_cluster)
         # Both sinks are installed before any client is built; each is None
         # unless the scenario asked for it.
         network = node.network
         self._tracer = network.tracer
-        self._staleness = (None if network.metrics is None
-                           else network.metrics.staleness)
+        self._staleness = None if network.metrics is None else network.metrics.staleness
 
     # -- public API ---------------------------------------------------------------
     def execute(self, transaction: Transaction) -> Process:
@@ -136,8 +136,7 @@ class ProtocolClient:
             # not recorded.  An internal abort counts as success: the
             # system completed the round trip, the transaction chose to
             # abort itself.
-            breaker.record(result.committed or result.internal_abort,
-                           result.end_ms)
+            breaker.record(result.committed or result.internal_abort, result.end_ms)
         result.writes = transaction.write_set if result.committed else {}
         if tracer is not None:
             tracer.finish_transaction(transaction.txn_id, result.end_ms,
@@ -161,16 +160,13 @@ class ProtocolClient:
 
     def _issue(self, result: TransactionResult, dst: str, kind: str,
                payload: Dict[str, Any]):
-        """Issue one RPC, counting a remote hop at the moment it is sent.
-
-        The remote-RPC diagnostic counts round trips that actually left the
-        client's home cluster, so the counter is bumped here — where the RPC
-        is issued — rather than when a fallback replica is merely *selected*
-        (a selection whose RPC may never happen, e.g. because an earlier
-        parallel write times out first).
-        """
+        """Issue one RPC, counting a remote hop at the moment it is sent: a
+        round trip that left the home cluster, not a fallback replica merely
+        *selected* (its RPC may never happen, e.g. because an earlier parallel
+        write times out first).  The hop test reads the configuration's server
+        map in place (membership updates it): no ``cluster_of_server`` frame."""
         node = self.node
-        if node.config.cluster_of_server(dst) != node.home_cluster:
+        if self._server_clusters[dst] != node.home_cluster:
             result.remote_rpcs += 1
         return node.network.rpc(node.name, dst, kind, payload,
                                 self.rpc_timeout_ms,
@@ -187,10 +183,12 @@ class ProtocolClient:
         """
         replicas = self._placements[key].replicas
         sticky = replicas[self._home_index]
-        partitions = self.node.network.partitions
-        if partitions.idle or partitions.connected(self.node.name, sticky):
+        partitions, name = self.node.network.partitions, self.node.name
+        # The verdict memo first, as ``Network.send`` reads it.
+        if (partitions.idle or partitions.verdicts.get((name, sticky))
+                or partitions.connected(name, sticky)):
             return sticky
-        reachable = partitions.reachable_from(self.node.name, replicas)
+        reachable = partitions.reachable_from(name, replicas)
         if not reachable:
             raise UnavailableError(f"no reachable replica for key {key!r}")
         trace = self.node.env.current_trace
@@ -202,18 +200,19 @@ class ProtocolClient:
             event.attrs["to"] = reachable[0]
         return reachable[0]
 
-    def _observe(self, result: TransactionResult, key: str, version: Version) -> Version:
-        # Lamport receive rule: future timestamps must order after anything
-        # this client has read, or LWW would discard its subsequent writes.
-        self.node.witness_timestamp(version.timestamp)
+    def _observe(self, result: TransactionResult, key: str, version: Version) -> None:
+        # Lamport receive rule, in place: no sequence at or below one read, or
+        # LWW drops this client's later writes (a fresh one's, under a preload).
+        node, timestamp = self.node, version.timestamp
+        if timestamp is not None and timestamp.sequence >= node._next_sequence:
+            node._next_sequence = timestamp.sequence + 1
         staleness = self._staleness
         if staleness is not None:
             # Every read any stack serves flows through here — replica
             # replies, session-cache repairs, and buffered-write echoes
             # alike — so this is the single k-staleness probe point.
-            staleness.on_read(key, version.timestamp, self.node.env._now)
+            staleness.on_read(key, timestamp, node.env._now)
         result.reads.append(ReadObservation(key, version))
-        return version
 
     def _scan_home_cluster(self, op: Operation, result: TransactionResult) -> Generator:
         """Run a predicate read against every server of the home cluster.

@@ -28,6 +28,8 @@ from repro.net.topology import Topology
 from repro.sim import Environment, Future, RandomStreams
 from repro.sim.events import PENDING
 
+#: ``Future`` without its ``__init__`` frame: ``rpc`` sets the four slots.
+_new_future = object.__new__
 #: Default RPC deadline.  Long enough that it only fires when a partition (or
 #: an overloaded server) genuinely prevents a response.
 DEFAULT_RPC_TIMEOUT_MS = 10_000.0
@@ -165,8 +167,7 @@ class Network:
         try:
             half_rtt = self._half_rtt[pair]
         except KeyError:
-            half_rtt = self._half_rtt[pair] = (
-                self.latency.mean_rtt(src, dst) * 0.5)
+            half_rtt = self._half_rtt[pair] = self.latency.mean_rtt(src, dst) * 0.5
         delay = half_rtt * next(self._multipliers) * self.latency_factor
         if delay > 0.0 or after_ms > 0.0:
             # Environment.schedule, in place: one heap push per message.
@@ -251,12 +252,13 @@ class Network:
             size_bytes: int = 0) -> Future:
         """Send a request and return a future for the matching response."""
         env = self.env
-        response = Future(env)
+        response = _new_future(Future)
+        response.env, response._value, response._failed, response._callbacks = (
+            env, PENDING, False, [])
         parent = env.current_trace
         if parent is not None:  # set by traced code only: a tracer is installed
             tracer = self.tracer
-            span = tracer.start_span(tracer.rpc_names[kind], "rpc", parent,
-                                     src, env._now)
+            span = tracer.start_span(tracer.rpc_names[kind], "rpc", parent, src, env._now)
             span.attrs["dst"] = dst
             msg_id = self.send(src, dst, kind, payload, None, size_bytes, span)
             self._rpc_spans[msg_id] = span
@@ -290,11 +292,11 @@ class Network:
                 pending.fail(RequestTimeout(f"rpc {kind!r} from {src} to {dst} "
                                             f"timed out after {timeout_ms} ms"))
         if wheel:
-            self.env.schedule(wheel[0][0] - now, self._sweep_timeouts,
-                              timeout_ms)
+            self.env.schedule(wheel[0][0] - now, self._sweep_timeouts, timeout_ms)
 
     def reply(self, request: Message, payload: Any = None,
               after_ms: float = 0.0) -> int:
-        """Send the response for ``request`` back to its sender."""
+        """Send the response for ``request`` back to its sender (a rejection, a
+        lock grant; ``ServerNode._serve`` sends a served request's via ``send``)."""
         return self.send(request.dst, request.src, f"{request.kind}.reply",
                          payload, request.msg_id, 0, None, after_ms)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.storage.kvstore import VersionedStore
-from repro.storage.records import METADATA_BYTES, SIBLING_BYTES, Version
+from repro.storage.records import METADATA_BYTES, NULL_TIMESTAMP, SIBLING_BYTES, Version
 
 
 @dataclass(slots=True)
@@ -75,6 +75,7 @@ class LSMStore:
                  keep_versions: Optional[int] = None):
         self.cost = cost_model or LSMCostModel()
         self.data = VersionedStore(keep_versions=keep_versions)
+        self._versions = self.data._versions  # read in place by ``get_latest``
         self.stats = LSMStats()
         self._memtable_bytes = 0
         self._memtable_entries = 0
@@ -97,30 +98,27 @@ class LSMStore:
         return cost
 
     def get_latest(self, key: str) -> tuple:
-        """Return ``(version, cost_ms)`` for the latest version of ``key``."""
-        version = self.data.latest(key)
-        return version, self._read_cost()
+        """Return ``(version, cost_ms)`` for the latest version of ``key`` (or
+        its bottom version): ``VersionedStore.latest`` and the cost, one frame."""
+        self.stats.gets += 1
+        cost = self.cost
+        versions = self._versions.get(key)
+        return (versions[-1] if versions else Version(key, None, NULL_TIMESTAMP),
+                cost.get_memtable_ms + cost.get_per_sstable_ms * len(self._sstables))
 
     def scan(self, predicate) -> tuple:
         """Return ``(matching versions, cost_ms)`` for a predicate read."""
         matches = self.data.scan(predicate)
         # A scan touches the memtable plus every SSTable.
-        cost = self._read_cost() + self.cost.get_per_sstable_ms * max(1, len(matches)) * 0.1
-        return matches, cost
+        self.stats.gets += 1
+        cost = self.cost
+        return matches, (cost.get_memtable_ms + cost.get_per_sstable_ms * len(self._sstables)
+                         + cost.get_per_sstable_ms * max(1, len(matches)) * 0.1)
 
     # -- cost helpers ------------------------------------------------------------
-    def _read_cost(self) -> float:
-        self.stats.gets += 1
-        return (
-            self.cost.get_memtable_ms
-            + self.cost.get_per_sstable_ms * len(self._sstables)
-        )
-
     def _flush(self) -> float:
         """Flush the memtable; possibly trigger a compaction."""
-        self._sstables.append(
-            SSTable(entries=self._memtable_entries, size_bytes=self._memtable_bytes)
-        )
+        self._sstables.append(SSTable(self._memtable_entries, self._memtable_bytes))
         self._memtable_bytes = 0
         self._memtable_entries = 0
         self.stats.flushes += 1

@@ -38,6 +38,16 @@ class UniformKeys(KeyChooser):
     def choose(self, rng: random.Random) -> int:
         return rng.randrange(self.key_count)
 
+    def key(self, rng: random.Random, prefix: str = "user") -> str:
+        """Draw and format a key in one frame.  The loop is the one
+        ``randrange(key_count)`` runs (``Random._randbelow_with_getrandbits``):
+        the same ``getrandbits`` calls, so the same draws and stream after."""
+        count, getrandbits = self.key_count, rng.getrandbits
+        index, bits = count, count.bit_length()
+        while index >= count:  # draw, then reject: uniform on [0, count)
+            index = getrandbits(bits)
+        return f"{prefix}{index}"
+
 
 class ZipfianKeys(KeyChooser):
     """Zipfian selection with exponent ``theta`` (YCSB default 0.99).

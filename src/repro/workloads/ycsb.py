@@ -15,9 +15,12 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.errors import WorkloadError
-from repro.hat.transaction import Operation, Transaction
+from repro.hat.transaction import READ, WRITE, Operation, Transaction
 from repro.workloads.base import Workload
 from repro.workloads.distributions import KeyChooser, UniformKeys, ZipfianKeys
+
+#: ``Operation.read`` / ``.write`` without their frames (a drawn key is never empty).
+_new_op = tuple.__new__
 
 
 @dataclass
@@ -87,18 +90,15 @@ class YCSBWorkload(Workload):
             key = self._chooser.key(self._rng)
             if self._rng.random() < self.config.write_proportion:
                 self._value_counter += 1
-                operations.append(Operation.write(key, self._next_value()))
+                value = f"v{self._value_counter}"  # a tag: clients carry the size
+                operations.append(_new_op(Operation, (WRITE, key, value, None, None, None)))
             else:
-                operations.append(Operation.read(key))
+                operations.append(_new_op(Operation, (READ, key, None, None, None, None)))
         return Transaction(operations=operations, session_id=self.session_id)
 
     def transactions(self, count: int) -> List[Transaction]:
         """Generate ``count`` transactions."""
         return [self.next_transaction() for _ in range(count)]
-
-    def _next_value(self) -> str:
-        """A value tag; the simulated value *size* is carried by the client."""
-        return f"v{self._value_counter}"
 
     # -- preloading -----------------------------------------------------------------
     def load_keys(self, fraction: float = 0.01, limit: int = 1000) -> List[str]:
@@ -131,8 +131,8 @@ class YCSBArrivalSource:
         for op_index in range(self.config.operations_per_transaction):
             key = self._chooser.key(rng)
             if rng.random() < self.config.write_proportion:
-                operations.append(Operation.write(
-                    key, f"u{user_id}a{arrival_index}v{op_index}"))
+                value = f"u{user_id}a{arrival_index}v{op_index}"
+                operations.append(_new_op(Operation, (WRITE, key, value, None, None, None)))
             else:
-                operations.append(Operation.read(key))
+                operations.append(_new_op(Operation, (READ, key, None, None, None, None)))
         return Transaction(operations=operations)

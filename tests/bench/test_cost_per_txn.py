@@ -27,7 +27,9 @@ counters that are their histograms' counts.
 """
 
 import os
+import random
 import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -35,12 +37,33 @@ import pytest
 from repro.bench.runner import RunConfig, run_workload
 from repro.chaos import Nemesis, canonical_partition_campaign
 from repro.hat.testbed import FIVE_REGION_DEPLOYMENT, Scenario, build_testbed
+from repro.hat.transaction import TransactionResult
 from repro.loadgen import OpenLoopConfig, PoissonArrivals, run_open_loop
 from repro.overload.retry import RetryPolicy
+from repro.sim.events import PENDING
+from repro.workloads.distributions import UniformKeys
 from repro.workloads.ycsb import YCSBConfig
 
 
 _REPRO_SOURCE = os.sep + os.path.join("src", "repro") + os.sep
+
+
+def _frames_by_function(run):
+    """``run()``'s result and a ``Counter`` of the frames it entered under
+    ``src/repro``, by qualified name (for short runs: keying every frame
+    costs the long pinned runs 10-20 % more than :func:`_frames_entered`)."""
+    frames = Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and _REPRO_SOURCE in frame.f_code.co_filename:
+            frames[frame.f_code.co_qualname] += 1
+
+    sys.setprofile(count)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, frames
 
 
 def _frames_entered(run):
@@ -195,10 +218,21 @@ def test_the_per_operation_path_stays_one_frame_per_stage(costs):
     transaction was a process of its own; 288.0 and 302.1 while every
     install entered the ``Version.metadata_bytes`` property (8.1 a
     transaction) and each write's put handler ``_stamp_commit`` and
-    ``_install`` (4.05 each) to tell a recency probe that was off; it
-    enters 271.8 and 285.9 (CPython 3.11) now that ``LSMStore.put`` sizes
-    the metadata inline and the handler installs at its origin itself.
-    Before that, when a transaction began to run on its driver's process,
+    ``_install`` (4.05 each) to tell a recency probe that was off; 271.8
+    and 285.9 while a request-path stage entered more than one frame.  It
+    enters 203.6 and 217.7 (CPython 3.11) now that each runs in the frame
+    that owns it, 68.2 fewer: the server's worker sweep inline in
+    ``_on_message`` (-8.5), the reply sent by ``_serve`` through ``send``
+    (``Network.reply``, -8.0), ``get_latest`` reading the store itself
+    (``VersionedStore.latest``, ``_read_cost``, ``initial_version``, -11.8),
+    the issue's hop count off the server map (``cluster_of_server``, -8.0)
+    and its future built without ``__init__`` (-8.0), the Lamport rule
+    inside ``_observe`` (``witness_timestamp``, -4.0), the key drawn and
+    formatted in one frame (``KeyChooser.key`` and ``UniformKeys.choose``
+    became ``UniformKeys.key``, -8.0; ``randrange`` and ``_randbelow`` in
+    ``random`` are gone too) and the workload's operations built as tuples
+    (``Operation.read`` / ``.write`` -8.0, ``_next_value`` -4.05).
+    Earlier, when a transaction began to run on its driver's process,
     7.0 frames went with its own process (``execute``, its ``Process`` and
     ``Future`` constructors, ``schedule_now`` to start it, ``succeed`` and
     the two ``_resume`` calls that started it and resumed the driver) and
@@ -211,8 +245,8 @@ def test_the_per_operation_path_stays_one_frame_per_stage(costs):
     operation 8 — each fails here."""
     committed = costs["eventual"].cost[3]
     assert costs["causal"].cost[3] == committed
-    assert costs["eventual"].frames / committed <= 278.0
-    assert costs["causal"].frames / committed <= 292.0
+    assert costs["eventual"].frames / committed <= 204.0
+    assert costs["causal"].frames / committed <= 218.0
     # The session stack costs client-side bookkeeping only: 14.1 frames a
     # transaction on top of ``eventual`` for the same messages — holder
     # notes 8.0, the one read floor 3.9, ``begin`` 1.0 (it returns before
@@ -226,28 +260,77 @@ def test_the_per_operation_path_stays_one_frame_per_stage(costs):
     assert surcharge / committed <= 21.0
 
 
+def test_a_served_read_enters_one_frame_per_stage():
+    """One ``eventual`` read against an idle server, stage by stage: the key
+    draw, the sticky replica, the issue (no ``cluster_of_server`` for the
+    remote-hop count, no ``Future.__init__``), the request's delivery, the
+    dispatch (no ``_free_workers`` sweep), the handler and its store read
+    (no ``VersionedStore.latest``, ``_read_cost`` or ``initial_version``),
+    the reply (sent by ``_serve`` itself: no ``Network.reply``), its
+    delivery, and the Lamport receive rule (no ``witness_timestamp``).  The
+    same read entered 24 frames here (and ``randrange`` / ``_randbelow`` in
+    ``random``) before each stage became one; a stage that gains a frame
+    back fails here under that frame's name.  The round trip runs twice on
+    one key and the second is counted, so the key's placement and the
+    pair's latency are memoised as in a long run."""
+    testbed = build_testbed(Scenario(regions=["VA", "OR"],
+                                     servers_per_cluster=2, seed=0))
+    client, chooser, env = testbed.make_client("eventual"), UniformKeys(100_000), testbed.env
+    result = TransactionResult(1, False, client.protocol_name)
+
+    def round_trip():
+        key = chooser.key(random.Random(0))
+        replica = client._pick_replica(key)
+        reply = client._issue(result, replica, client.get_kind, {"key": key})
+        while reply._value is PENDING:
+            env.step()
+        client._observe(result, key, reply._value["version"])
+        return result.reads[-1].version
+
+    round_trip()
+    version, frames = _frames_by_function(round_trip)
+    assert version.value is None and len(result.reads) == 2
+    assert frames == {
+        "UniformKeys.key": 1,
+        "ProtocolClient._pick_replica": 1,
+        "ProtocolClient._issue": 1,
+        "Network.rpc": 1,
+        "Network.send": 2,  # the request, and the reply ``_serve`` sends
+        "Environment.step": 2,
+        "Network._deliver": 2,
+        "ServerNode._on_message": 1,
+        "ServerNode._serve": 1,
+        "HATServer._handle_ru_get": 1,
+        "LSMStore.get_latest": 1,
+        "ProtocolClient._observe": 1,
+    }
+
+
 def test_the_mav_replica_path_does_its_bookkeeping_once(costs):
-    """Host-side cost of the ``mav`` run: 337.9 frames per committed
-    transaction (CPython 3.11); 355.1 while every install entered the
-    ``Version.metadata_bytes`` property and so did each sibling version an
-    ``ae.push`` brought (13.2) and the put handler entered ``_stamp_commit``
-    (4.05); 366.0 while each transaction was a process of its own (7.0
-    frames) and a read its own generator (7.9, one per read; MAV buffers its
-    writes, so ``client_loop`` joins 4.0 resume chains, not 8), and 401.0
-    while ``add_write`` handed its own ack to ``record_acks`` as a batch of
-    one and asked ``replicas_for`` for each sibling's replicas, and each
-    version an ``ae.push`` brought woke the anti-entropy tick.  Its 66.1
-    frames beyond ``eventual``'s 271.8 are the replica path (``mav_state``
-    16.2: ``add_write`` 8.1, ``_promote`` and its pending record 3.6 each;
-    ``hat/server`` 13.4, promotions still installing through ``_install``
-    where an ``eventual`` put no longer does; the second write's WAL append
-    8.1), the worker wakes the ack batches add (9.3), the parallel flush's
-    kernel callbacks (13.0) and the MAV client layers net of the direct
-    write path (7.7: a direct write no longer enters a generator of its own,
-    MAV's flush still does), less 1.5 elsewhere (``cluster/client`` -3.1,
-    ``net`` +1.6).  A ceiling, not a pin (CPython 3.12 only lowers it)."""
+    """Host-side cost of the ``mav`` run: 268.1 frames per committed
+    transaction (CPython 3.11); 337.9 while a request-path stage entered
+    more than one frame (``eventual``'s -68.2, and -1.6 more for the worker
+    sweep of the wakes the ack batches add); 355.1 while every install
+    entered the ``Version.metadata_bytes`` property and so did each sibling
+    version an ``ae.push`` brought (13.2) and the put handler entered
+    ``_stamp_commit`` (4.05); 366.0 while each transaction was a process of
+    its own (7.0 frames) and a read its own generator (7.9, one per read;
+    MAV buffers its writes, so ``client_loop`` joins 4.0 resume chains, not
+    8), and 401.0 while ``add_write`` handed its own ack to ``record_acks``
+    as a batch of one and asked ``replicas_for`` for each sibling's
+    replicas, and each version an ``ae.push`` brought woke the anti-entropy
+    tick.  Its 64.5 frames beyond ``eventual``'s 203.6 are the replica path
+    (``mav_state`` 16.2: ``add_write`` 8.1, ``_promote`` and its pending
+    record 3.6 each; ``hat/server`` 13.4, promotions still installing
+    through ``_install`` where an ``eventual`` put no longer does; the
+    second write's WAL append 8.1), the worker wakes the ack batches add
+    (7.7), the parallel flush's kernel callbacks (13.0) and the MAV client
+    layers net of the direct write path (7.7: a direct write no longer
+    enters a generator of its own, MAV's flush still does), less 1.5
+    elsewhere (``cluster/client`` -3.1, ``net`` +1.6).  A ceiling, not a
+    pin (CPython 3.12 only lowers it)."""
     committed = costs["mav"].cost[3]
-    assert costs["mav"].frames / committed <= 342.0
+    assert costs["mav"].frames / committed <= 268.5
 
 
 def test_partition_backlog_is_not_rescanned_every_round():
@@ -299,15 +382,21 @@ def test_master_over_five_regions_pays_for_no_idle_replication_timer(
 
 
 def test_a_master_routed_operation_reads_its_placement_once(master_five_regions):
-    """Host-side cost of the five-region run: 247.4 frames per committed
-    transaction (CPython 3.11).  350.6 while a placement miss asked each of
+    """Host-side cost of the five-region run: 164.1 frames per committed
+    transaction (CPython 3.11); 244.5 while a request-path stage entered
+    more than one frame: the store read's three extra frames (-22.7, 95 %
+    reads), the worker sweep (-9.7), ``_rpc`` between ``MasterClient._run``
+    and ``Network.rpc``, the future's ``__init__``, ``Network.reply`` and
+    the key draw's second frame (-8.0 each), ``Operation.read`` /
+    ``.write`` (-8.0) and ``witness_timestamp`` (-7.6); 247.4 before the
+    metadata sizing went inline.  350.6 while a placement miss asked each of
     the five clusters' partitioners for an owner, rather than indexing a
     table of hash residues, and each operation routed through
     ``master_replica`` → ``master_for`` → the memo, then
     ``cluster_of_server`` for the remote-hop count, rather than reading the
     key's record once.  A ceiling, not a pin (CPython 3.12 only lowers it)."""
     run = master_five_regions
-    assert run.frames / run.committed <= 270.0
+    assert run.frames / run.committed <= 164.5
 
 
 def test_observing_a_run_costs_a_pinned_number_of_spans_and_observations(
@@ -364,25 +453,30 @@ def partitioned():
 
 
 def test_a_partitioned_observed_run_does_its_bookkeeping_once(partitioned):
-    """Host-side cost of the observed run: 361.9 frames per committed
-    transaction with tracing and metrics on, 307.1 with them off (CPython
-    3.11).  446.5 and 356.9 while every message sent during the split asked
-    ``connected`` (13.1 a transaction) and it asked the testbed's
-    ``classify`` for both ends (25.6): the verdict memo, read by
-    ``Network.send`` itself, leaves 4.8 and 0.1, -33.8 on both runs.  The
-    rest of the observed run's -84.6: the recency probe's three per-event
-    ``Counter.inc`` (-12.0), its pending record's ``__init__`` (-4.0), the
-    origin's own ``on_install`` after ``on_commit`` (-4.0) and
-    ``replicas_for`` to freeze the commit's replica set (-4.0), each
-    ``Span.__init__`` (-10.7); on both runs ``Version.metadata_bytes`` in
-    ``LSMStore.put`` (-8.0), ``_stamp_commit`` and the put handler's
-    ``_install`` (-4.0 each).  Ceilings, not pins (CPython 3.12 only lowers
-    them)."""
+    """Host-side cost of the observed run: 293.3 frames per committed
+    transaction with tracing and metrics on, 238.5 with them off (CPython
+    3.11); 361.9 and 307.1, 68.6 more on both, while a request-path stage
+    entered more than one frame (the stages of
+    :func:`test_the_per_operation_path_stays_one_frame_per_stage` but
+    ``_next_value``: -64.5) and ``_pick_replica`` asked ``connected`` for a
+    verdict the memo held (-4.1; it reads ``verdicts`` first now, as
+    ``Network.send`` and ``MasterClient._run`` do).  446.5 and 356.9 while
+    every message sent during the split asked ``connected`` (13.1 a
+    transaction) and it asked the testbed's ``classify`` for both ends
+    (25.6): the verdict memo, read by ``Network.send`` itself, leaves 4.8
+    and 0.1, -33.8 on both runs.  The rest of the observed run's -84.6: the
+    recency probe's three per-event ``Counter.inc`` (-12.0), its pending
+    record's ``__init__`` (-4.0), the origin's own ``on_install`` after
+    ``on_commit`` (-4.0) and ``replicas_for`` to freeze the commit's replica
+    set (-4.0), each ``Span.__init__`` (-10.7); on both runs
+    ``Version.metadata_bytes`` in ``LSMStore.put`` (-8.0), ``_stamp_commit``
+    and the put handler's ``_install`` (-4.0 each).  Ceilings, not pins
+    (CPython 3.12 only lowers them)."""
     observed, plain = partitioned[True], partitioned[False]
     assert observed.committed == plain.committed > 800
     assert observed.testbed.env.events_executed == plain.testbed.env.events_executed
-    assert observed.frames / observed.committed <= 362.0
-    assert plain.frames / plain.committed <= 308.0
+    assert observed.frames / observed.committed <= 293.5
+    assert plain.frames / plain.committed <= 239.0
 
 
 def test_the_partitioned_run_matches_its_pin(partitioned, assert_pin):

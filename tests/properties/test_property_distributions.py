@@ -8,13 +8,20 @@ Three properties per chooser family:
   for small keyspaces, every key is eventually drawn,
 * **determinism** — equal seeds yield identical sample streams, which is
   what makes benchmark runs replayable.
+
+And one for the uniform key draw, which runs ``randrange``'s rejection loop
+in its own frame: **equivalence** — it draws what ``randrange`` draws, call
+for call, leaves the generator where ``randrange`` leaves it, and the YCSB
+streams built on it are the ones built on ``randrange``.
 """
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.hat.transaction import Operation
 from repro.workloads.distributions import UniformKeys, ZipfianKeys
+from repro.workloads.ycsb import YCSBArrivalSource, YCSBConfig, YCSBWorkload
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 KEY_COUNTS = st.integers(min_value=2, max_value=400)
@@ -124,3 +131,65 @@ class TestDeterminism:
         rng = random.Random(seed)
         assert [chooser.key(rng) for _ in range(50)] == \
             [f"user{index}" for index in indices]
+
+
+#: Keyspace sizes at the rejection loop's edges: one key (a one-bit draw
+#: that rejects half the time), powers of two (no rejection) and one past
+#: them (rejection just under half the time), and the paper's 100 000.
+EDGE_KEY_COUNTS = st.one_of(
+    st.sampled_from([1, 2, 3, 100_000]),
+    st.integers(min_value=0, max_value=70).map(lambda k: 2**k),
+    st.integers(min_value=0, max_value=70).map(lambda k: 2**k + 1))
+ANY_SEEDS = st.integers()
+
+
+def reference_operations(rng, config, write_value):
+    """One YCSB transaction's operations, drawn with ``randrange``."""
+    operations = []
+    for op_index in range(config.operations_per_transaction):
+        key = f"user{rng.randrange(config.key_count)}"
+        if rng.random() < config.write_proportion:
+            operations.append(Operation.write(key, write_value(op_index)))
+        else:
+            operations.append(Operation.read(key))
+    return operations
+
+
+class TestUniformKeyIsRandrange:
+    @given(key_count=EDGE_KEY_COUNTS, seed=ANY_SEEDS)
+    @settings(max_examples=200, deadline=None)
+    def test_each_draw_is_the_randrange_draw(self, key_count, seed):
+        chooser, ours, theirs = (UniformKeys(key_count), random.Random(seed),
+                                 random.Random(seed))
+        for _ in range(64):
+            assert chooser.key(ours) == f"user{theirs.randrange(key_count)}"
+        assert ours.getstate() == theirs.getstate()
+
+    @given(key_count=EDGE_KEY_COUNTS, seed=ANY_SEEDS,
+           write_proportion=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+           operations=st.integers(min_value=1, max_value=12))
+    @settings(max_examples=50, deadline=None)
+    def test_ycsb_streams_are_the_randrange_streams(
+            self, key_count, seed, write_proportion, operations):
+        config = YCSBConfig(operations_per_transaction=operations,
+                            write_proportion=write_proportion,
+                            key_count=key_count)
+        rng, written = random.Random(seed), [0]
+
+        def next_value(_op_index):
+            written[0] += 1
+            return f"v{written[0]}"
+
+        stream = YCSBWorkload(config, seed=seed, session_id=7).transactions(50)
+        assert [list(txn.operations) for txn in stream] == [
+            reference_operations(rng, config, next_value) for _ in range(50)]
+        assert {txn.session_id for txn in stream} == {7}
+        assert all(type(op) is Operation for txn in stream
+                   for op in txn.operations)
+        source = YCSBArrivalSource(config, seed=seed)
+        for user_id, arrival in ((0, 0), (3, 1), (12_345, 678)):
+            rng.seed(f"{seed}:{user_id}:{arrival}")
+            expected = reference_operations(
+                rng, config, lambda i: f"u{user_id}a{arrival}v{i}")
+            assert list(source.transaction_for(user_id, arrival).operations) \
+                == expected

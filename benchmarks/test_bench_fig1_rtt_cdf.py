@@ -29,7 +29,7 @@ def test_fig1_rtt_cdf(bench_print):
     lines = [f"{'link':<28} {'p10':>9} {'p50':>9} {'p90':>9} {'p99':>9}  (RTT ms)"]
     summaries = {}
     for label, (src, dst) in LINKS:
-        trace = study.trace(src, dst)
+        trace = study.traces[src, dst]
         summaries[label] = trace
         lines.append(
             f"{label:<28} {trace.percentile(10):>9.2f} {trace.percentile(50):>9.2f} "
@@ -49,6 +49,6 @@ def test_fig1_rtt_cdf(bench_print):
 
     # Each CDF is a valid distribution function.
     for _label, (src, dst) in LINKS:
-        cdf = study.trace(src, dst).cdf(points=100)
+        cdf = study.traces[src, dst].cdf(points=100)
         fractions = [fraction for _rtt, fraction in cdf]
         assert fractions == sorted(fractions)

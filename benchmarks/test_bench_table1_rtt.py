@@ -22,8 +22,8 @@ def run_study():
 def test_table1_rtt_matrix(bench_print):
     study, _topology, _model = run_study()
 
-    intra = study.trace("CA-0-0", "CA-0-1").mean
-    inter = study.trace("CA-0-0", "CA-1-0").mean
+    intra = study.traces["CA-0-0", "CA-0-1"].mean
+    inter = study.traces["CA-0-0", "CA-1-0"].mean
     matrix = cross_region_mean_table(study, regions=REGIONS)
 
     lines = [

@@ -165,9 +165,6 @@ class History:
     def keys(self) -> List[str]:
         return sorted(self.version_order)
 
-    def __len__(self) -> int:
-        return len(self.transactions)
-
 
 class HistoryBuilder:
     """Fluent construction of hand-written histories (for tests/examples).

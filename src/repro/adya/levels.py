@@ -34,9 +34,6 @@ class CheckReport:
     satisfied: bool
     violations: Dict[str, List[Witness]] = field(default_factory=dict)
 
-    def witness_count(self) -> int:
-        return sum(len(w) for w in self.violations.values())
-
     def __str__(self) -> str:
         status = "satisfied" if self.satisfied else "VIOLATED"
         lines = [f"{self.level.name}: {status}"]

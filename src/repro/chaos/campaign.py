@@ -74,9 +74,6 @@ class CampaignPhase:
     start_ms: float
     end_ms: float
 
-    def contains(self, t_ms: float) -> bool:
-        return self.start_ms <= t_ms < self.end_ms
-
 
 @dataclass(frozen=True)
 class Campaign:
@@ -86,13 +83,6 @@ class Campaign:
     actions: Tuple[CampaignAction, ...]
     phases: Tuple[CampaignPhase, ...]
     seed: int = 0
-
-    def phase_at(self, t_ms: float) -> Optional[str]:
-        """The name of the first phase containing ``t_ms`` (None if outside)."""
-        for phase in self.phases:
-            if phase.contains(t_ms):
-                return phase.name
-        return None
 
     def timeline(self) -> List[CampaignAction]:
         return sorted(self.actions, key=lambda a: a.at_ms)

@@ -3,13 +3,12 @@
 A :class:`Cluster` is one fully replicated copy of the database, placed in one
 region (datacenter) and hash-partitioned across its servers.  The
 :class:`ClusterConfig` aggregates all clusters and answers the placement
-questions the protocols need:
-
-* ``replicas_for(key)`` — one server per cluster (the partition owner),
-* ``local_replica_for(key, cluster)`` — the owner within a specific cluster,
-* ``master_for(key)`` — the designated master replica used by the non-HAT
-  ``master``, locking, and quorum protocols (chosen deterministically from
-  the key hash, as in the paper's "randomly designated master per key").
+questions the protocols need through ``placements[key]``: one server per
+cluster (the partition owner), and the master replica the non-HAT ``master``,
+locking and quorum protocols use (``replicas[key_hash % clusters]``, the
+paper's "randomly designated master per key").  Mastership is a placement
+fact: a crashed or partitioned master keeps its keys unavailable to
+master-routed clients; only a membership change re-designates.
 
 Placement comes in two modes, selected per cluster:
 
@@ -20,7 +19,7 @@ Placement comes in two modes, selected per cluster:
   (:mod:`repro.membership.ring`), the mode elastic scenarios use so that a
   join moves only ``~1/(n+1)`` of the key space.
 
-Every answer above reads one memo, key → :class:`Placement` (replicas,
+Every answer reads one memo, key → :class:`Placement` (replicas,
 master, each replica's peers).  A miss hashes the key once.  While every
 cluster places by modulo, ``key_hash % lcm(clusters, *servers per cluster)``
 fixes every owner and the master: a table of residues holds the records.
@@ -74,10 +73,6 @@ class Cluster:
         self.partitioner: Partitioner = (
             ConsistentHashRing(self.servers, self.virtual_nodes)
             if self.placement == "ring" else HashPartitioner(self.servers))
-
-    def owner_for(self, key: str) -> str:
-        """The server in this cluster that owns ``key``'s partition."""
-        return self.partitioner.owner_for(key)
 
     def pending_partitioner(self, add: Optional[str] = None,
                             remove: Optional[str] = None):
@@ -246,26 +241,6 @@ class ClusterConfig:
     def replicas_for(self, key: str) -> List[str]:
         """One replica per cluster: the key's partition owner in each."""
         return self.placements[key].replicas
-
-    def local_replica_for(self, key: str, cluster_name: str) -> str:
-        """The replica of ``key`` inside ``cluster_name``."""
-        return self.placements[key].replicas[self.cluster_index(cluster_name)]
-
-    def master_for(self, key: str) -> str:
-        """The designated master replica for ``key`` (non-HAT protocols):
-        ``replicas[key_hash(key) % len(replicas)]``, one of the key's
-        replicas, so all clients agree without coordination.
-
-        Mastership is a placement fact, not a liveness fact: while the
-        master's node is crashed or partitioned away, the key stays
-        unavailable to master-routed clients until it recovers (the paper's
-        Table 3 unavailability, and what the availability experiments
-        measure).  Only a membership change (:meth:`remove_server` — a
-        decommission or ring departure) re-designates: the epoch flip drops
-        the departed node from the key's replicas and the same rule elects a
-        new master from the survivors, again with no coordination.
-        """
-        return self.placements[key].master
 
     def peer_replicas(self, key: str, server: str) -> List[str]:
         """The other replicas of ``key``, excluding ``server`` itself."""

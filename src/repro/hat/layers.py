@@ -45,7 +45,7 @@ from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.errors import UnavailableError
 from repro.hat.clients.base import LayeredClient, TxnContext
-from repro.hat.transaction import WRITE, Operation, ReadObservation
+from repro.hat.transaction import READ, SCAN, WRITE, Operation, ReadObservation
 from repro.sim.process import all_of
 from repro.storage.records import METADATA_BYTES, SIBLING_BYTES, Timestamp, Version
 
@@ -227,13 +227,13 @@ class CutIsolationLayer(GuaranteeLayer):
         ctx.duplicate_scans = []
         written: Dict[str, None] = {}
         for op in operations:
-            if op.is_read:
+            if op.kind == READ:
                 if op.key in seen_keys and op.key not in written:
                     ctx.duplicate_reads.append(op.key)
                     continue
                 seen_keys[op.key] = None
                 plan.append(op)
-            elif op.is_scan:
+            elif op.kind == SCAN:
                 name = op.predicate_name or "predicate"
                 if name in seen_predicates:
                     ctx.duplicate_scans.append(seen_predicates[name])
@@ -241,7 +241,7 @@ class CutIsolationLayer(GuaranteeLayer):
                 seen_predicates[name] = len(seen_predicates)
                 plan.append(op)
             else:
-                if op.is_write:
+                if op.kind == WRITE:
                     written[op.key] = None
                 plan.append(op)
         return plan

@@ -160,16 +160,3 @@ class MAVState:
         self.stats.pending_reads += 1
         entry = self._pending.get(required)
         return entry.writes.get(key) if entry is not None else None
-
-    # -- introspection -----------------------------------------------------------------------
-    def pending_count(self) -> int:
-        """Number of writes currently waiting for stability."""
-        return sum(len(entry.writes) for entry in self._pending.values())
-
-    def tracked_transactions(self) -> int:
-        """Transactions still holding an acknowledgement entry (unstable)."""
-        return len(self._pending)
-
-    def stable_count(self) -> int:
-        """Transactions remembered as stable (one timestamp each)."""
-        return len(self._stable)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.errors import WorkloadError
 from repro.storage.records import Timestamp, Version
@@ -99,22 +99,6 @@ class Operation(_OperationFields):
         """Predicate-based read (``SELECT WHERE``-style)."""
         return Operation(kind=SCAN, predicate=predicate, predicate_name=name)
 
-    @property
-    def is_read(self) -> bool:
-        return self.kind == READ
-
-    @property
-    def is_write(self) -> bool:
-        return self.kind == WRITE
-
-    @property
-    def is_scan(self) -> bool:
-        return self.kind == SCAN
-
-    @property
-    def is_derived(self) -> bool:
-        return self.derive is not None
-
 
 @dataclass(slots=True)
 class Transaction:
@@ -135,25 +119,9 @@ class Transaction:
             raise WorkloadError("a transaction needs at least one operation")
 
     @property
-    def read_keys(self) -> List[str]:
-        return [op.key for op in self.operations if op.is_read]
-
-    @property
-    def write_keys(self) -> List[str]:
-        return [op.key for op in self.operations if op.is_write]
-
-    @property
     def write_set(self) -> Dict[str, Any]:
         """Final written value per key (last write wins within the txn)."""
         return {op.key: op.value for op in self.operations if op.kind == WRITE}
-
-    def accessed_keys(self) -> List[str]:
-        """Every key named by a read or write, deduplicated, in order."""
-        seen: Dict[str, None] = {}
-        for op in self.operations:
-            if op.key is not None:
-                seen.setdefault(op.key, None)
-        return list(seen)
 
 
 @dataclass(slots=True)

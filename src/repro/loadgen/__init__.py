@@ -1,7 +1,7 @@
 """Open-loop load generation: arrival processes, session pools, sketches.
 
 * :mod:`repro.loadgen.arrivals` — seeded deterministic arrival processes
-  (Poisson, bursty MMPP, diurnal envelope, linear ramp),
+  (Poisson, bursty MMPP, linear ramp),
 * :mod:`repro.loadgen.sessions` — bounded pools of reusable protocol
   sessions with queue-depth accounting,
 * :mod:`repro.loadgen.sketch` — a mergeable streaming latency-quantile
@@ -12,7 +12,6 @@
 
 from repro.loadgen.arrivals import (
     ArrivalProcess,
-    DiurnalArrivals,
     MMPPArrivals,
     PoissonArrivals,
     RampArrivals,
@@ -30,7 +29,6 @@ __all__ = [
     "ArrivalProcess",
     "PoissonArrivals",
     "MMPPArrivals",
-    "DiurnalArrivals",
     "RampArrivals",
     "LatencyDigest",
     "SessionPool",

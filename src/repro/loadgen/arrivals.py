@@ -14,10 +14,9 @@ Three families, per the traffic the paper's availability story is about:
 * :class:`MMPPArrivals` — bursty traffic: a two-state Markov-modulated
   Poisson process alternating between a low and a high rate with
   exponentially distributed dwell times.
-* :class:`DiurnalArrivals` — a sinusoidal day/night rate envelope,
-  generated by thinning a peak-rate Poisson stream.
 * :class:`RampArrivals` — a linear rate ramp (the saturation experiment's
-  probe: offered load sweeps through the knee within one run).
+  probe: offered load sweeps through the knee within one run), generated
+  by thinning a peak-rate Poisson stream.
 
 Rates are expressed per *simulated second*; times are simulated
 milliseconds, matching the rest of the simulator.
@@ -26,7 +25,6 @@ milliseconds, matching the rest of the simulator.
 from __future__ import annotations
 
 import abc
-import math
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -37,7 +35,6 @@ __all__ = [
     "ArrivalProcess",
     "PoissonArrivals",
     "MMPPArrivals",
-    "DiurnalArrivals",
     "RampArrivals",
 ]
 
@@ -49,15 +46,6 @@ class ArrivalProcess(abc.ABC):
     def arrivals(self, rng: random.Random, start_ms: float,
                  end_ms: float) -> Iterator[float]:
         """Yield nondecreasing arrival times in ``[start_ms, end_ms)``."""
-
-    @abc.abstractmethod
-    def mean_rate_per_s(self) -> float:
-        """The long-run average arrival rate (for reporting and tolerance
-        checks, not used by generation)."""
-
-    def rate_at(self, elapsed_ms: float) -> float:
-        """Nominal instantaneous rate ``elapsed_ms`` into the interval."""
-        return self.mean_rate_per_s()
 
 
 def _check_rate(name: str, rate: float) -> None:
@@ -73,9 +61,6 @@ class PoissonArrivals(ArrivalProcess):
 
     def __post_init__(self) -> None:
         _check_rate("rate_per_s", self.rate_per_s)
-
-    def mean_rate_per_s(self) -> float:
-        return self.rate_per_s
 
     def arrivals(self, rng: random.Random, start_ms: float,
                  end_ms: float) -> Iterator[float]:
@@ -109,12 +94,6 @@ class MMPPArrivals(ArrivalProcess):
         _check_rate("mean_low_dwell_ms", self.mean_low_dwell_ms)
         _check_rate("mean_high_dwell_ms", self.mean_high_dwell_ms)
 
-    def mean_rate_per_s(self) -> float:
-        """Dwell-time-weighted average of the two state rates."""
-        total = self.mean_low_dwell_ms + self.mean_high_dwell_ms
-        return (self.low_rate_per_s * self.mean_low_dwell_ms
-                + self.high_rate_per_s * self.mean_high_dwell_ms) / total
-
     def arrivals(self, rng: random.Random, start_ms: float,
                  end_ms: float) -> Iterator[float]:
         t = start_ms
@@ -138,69 +117,16 @@ class MMPPArrivals(ArrivalProcess):
             yield t
 
 
-class _ThinnedArrivals(ArrivalProcess):
-    """Shared thinning machinery for rate-envelope (inhomogeneous) processes.
-
-    Generates a homogeneous Poisson stream at the envelope's peak rate and
-    accepts each candidate with probability ``rate(t) / peak`` — the
-    standard exact simulation of an inhomogeneous Poisson process.
-    """
-
-    def _peak_rate_per_s(self) -> float:
-        raise NotImplementedError
-
-    def arrivals(self, rng: random.Random, start_ms: float,
-                 end_ms: float) -> Iterator[float]:
-        peak = self._peak_rate_per_s()
-        lam_per_ms = peak / 1000.0
-        t = start_ms
-        while True:
-            t += rng.expovariate(lam_per_ms)
-            if t >= end_ms:
-                return
-            if rng.random() * peak <= self.rate_at(t - start_ms):
-                yield t
-
-
 @dataclass(frozen=True)
-class DiurnalArrivals(_ThinnedArrivals):
-    """A sinusoidal day/night envelope between a base and a peak rate.
-
-    ``rate(t) = base + (peak - base) * (1 - cos(2*pi*(t/period + phase)))/2``
-    — the rate starts at ``base`` for ``phase=0`` and crests at ``peak``
-    half a period in.
-    """
-
-    base_rate_per_s: float
-    peak_rate_per_s: float
-    period_ms: float = 10_000.0
-    phase: float = 0.0
-
-    def __post_init__(self) -> None:
-        _check_rate("base_rate_per_s", self.base_rate_per_s)
-        _check_rate("period_ms", self.period_ms)
-        if self.peak_rate_per_s < self.base_rate_per_s:
-            raise ReproError("peak_rate_per_s must be >= base_rate_per_s")
-
-    def _peak_rate_per_s(self) -> float:
-        return self.peak_rate_per_s
-
-    def mean_rate_per_s(self) -> float:
-        return (self.base_rate_per_s + self.peak_rate_per_s) / 2.0
-
-    def rate_at(self, elapsed_ms: float) -> float:
-        swing = self.peak_rate_per_s - self.base_rate_per_s
-        cycle = elapsed_ms / self.period_ms + self.phase
-        return self.base_rate_per_s + swing * (1.0 - math.cos(2.0 * math.pi * cycle)) / 2.0
-
-
-@dataclass(frozen=True)
-class RampArrivals(_ThinnedArrivals):
+class RampArrivals(ArrivalProcess):
     """A linear offered-load ramp over ``duration_ms`` (then held flat).
 
     The saturation experiment's probe: the offered rate sweeps from
     ``start_rate_per_s`` to ``end_rate_per_s`` within a single run, so the
     knee shows up as the window where completions stop tracking offers.
+    Generated by thinning: a homogeneous Poisson stream at the peak rate,
+    each candidate kept with probability ``rate(t) / peak`` — the standard
+    exact simulation of an inhomogeneous Poisson process.
     """
 
     start_rate_per_s: float
@@ -212,12 +138,18 @@ class RampArrivals(_ThinnedArrivals):
         _check_rate("end_rate_per_s", self.end_rate_per_s)
         _check_rate("duration_ms", self.duration_ms)
 
-    def _peak_rate_per_s(self) -> float:
-        return max(self.start_rate_per_s, self.end_rate_per_s)
-
-    def mean_rate_per_s(self) -> float:
-        return (self.start_rate_per_s + self.end_rate_per_s) / 2.0
-
     def rate_at(self, elapsed_ms: float) -> float:
         frac = min(max(elapsed_ms / self.duration_ms, 0.0), 1.0)
         return self.start_rate_per_s + (self.end_rate_per_s - self.start_rate_per_s) * frac
+
+    def arrivals(self, rng: random.Random, start_ms: float,
+                 end_ms: float) -> Iterator[float]:
+        peak = max(self.start_rate_per_s, self.end_rate_per_s)
+        lam_per_ms = peak / 1000.0
+        t = start_ms
+        while True:
+            t += rng.expovariate(lam_per_ms)
+            if t >= end_ms:
+                return
+            if rng.random() * peak <= self.rate_at(t - start_ms):
+                yield t

@@ -85,7 +85,7 @@ class OpenLoopConfig:
     scenario: Scenario
     #: The per-cluster arrival process; every cluster runs an identical
     #: copy fed by an independently seeded RNG, so total offered load is
-    #: ``len(clusters) * arrivals.mean_rate_per_s()``.
+    #: ``len(clusters)`` times its rate.
     arrivals: ArrivalProcess = None  # type: ignore[assignment]
     #: A workload factory exposing ``arrival_source(seed)`` (YCSBConfig
     #: does): per-user transactions are generated statelessly.
@@ -176,10 +176,6 @@ class OpenLoopStats:
     breaker_denials: int = 0
     #: Requests the servers shed via admission control during the run.
     server_rejected: int = 0
-
-    @property
-    def completed(self) -> int:
-        return self.committed + self.aborted
 
     @property
     def committed_rate_s(self) -> float:

@@ -14,7 +14,7 @@ how many users the run simulates.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.errors import ReproError

@@ -202,10 +202,6 @@ class LatencyDigest:
             prev_mean = mean
         return self._max
 
-    def centroid_count(self) -> int:
-        """Retained centroids + buffered samples (the memory bound)."""
-        return len(self._means) + len(self._buffer)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"LatencyDigest(count={self.count}, "
                 f"centroids={len(self._means)}, buffered={len(self._buffer)})")

@@ -23,8 +23,7 @@ process; a campaign's ``scale-out`` / ``scale-in`` actions
   offers the version history to each successor via ``handoff.offer``
   RPCs, with a second delta round for versions accepted while the first
   round was in flight.  Then the epoch flips (re-designating key masters
-  away from the departed node — see
-  :meth:`~repro.cluster.config.ClusterConfig.master_for`), anti-entropy
+  away from the departed node: ``Placement.master``), anti-entropy
   stops, and the server unregisters from the network.
 """
 
@@ -350,7 +349,7 @@ class MembershipCoordinator:
                 key for server_name in cluster.servers
                 for key in self.testbed.servers[server_name].store.data.keys()})
             # Epoch flip: the departed node leaves every replica list, and
-            # master_for re-designates the keys it mastered.
+            # the placement memo re-designates the keys it mastered.
             config.remove_server(leaver.name)
             record.epoch_after = config.epoch
             # Lame-duck: clients route elsewhere from the flip on, but

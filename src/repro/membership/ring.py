@@ -83,17 +83,6 @@ class ConsistentHashRing(Partitioner):
             raise ReproError("cannot remove the last owner from the ring")
         return ConsistentHashRing(remaining, self.virtual_nodes)
 
-    def moved_fraction(self, other: "ConsistentHashRing",
-                       keys: Sequence[str]) -> float:
-        """Fraction of ``keys`` whose owner differs between the two rings."""
-        if not keys:
-            return 0.0
-        moved = sum(1 for key in keys if self.owner_for(key) != other.owner_for(key))
-        return moved / len(keys)
-
-    def __len__(self) -> int:
-        return len(self._owners)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<ConsistentHashRing owners={len(self._owners)} "
                 f"virtual_nodes={self.virtual_nodes}>")

@@ -54,12 +54,6 @@ class MeasurementStudy:
 
     traces: Dict[Tuple[str, str], PingTrace] = field(default_factory=dict)
 
-    def trace(self, src: str, dst: str) -> PingTrace:
-        """Look up the trace for a link (direction-insensitive)."""
-        if (src, dst) in self.traces:
-            return self.traces[(src, dst)]
-        return self.traces[(dst, src)]
-
 
 def run_ping_study(
     samples_per_link: int = 2000,

@@ -9,9 +9,7 @@ sender observes a timeout), and messages within a group flow normally.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
-
-from repro.errors import NetworkError
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 
 class PartitionManager:
@@ -20,7 +18,6 @@ class PartitionManager:
     unless a ``None`` label decided it: a site the classifier may learn later."""
 
     def __init__(self):
-        self._groups: Optional[List[Set[str]]] = None  # for describe() only
         self._isolated: Set[str] = set()
         self._classifier: Optional[Callable[[str], Optional[str]]] = None
         #: ``True`` while no partition, classifier, or isolation is in force:
@@ -39,38 +36,20 @@ class PartitionManager:
         self.verdicts.clear()
 
     # -- configuration -------------------------------------------------------
-    def partition(self, groups: Sequence[Iterable[str]]) -> None:
-        """Split the network into ``groups`` of site names: the classifier
-        of each site's group index, replacing any previous split.
-
-        A site that appears in no group is unreachable from everywhere.
-        Groups must be disjoint.
-        """
-        normalized = [set(group) for group in groups]
-        index: Dict[str, int] = {}
-        for number, group in enumerate(normalized):
-            if group & index.keys():
-                raise NetworkError(
-                    f"partition groups overlap: {sorted(group & index.keys())}")
-            index.update(dict.fromkeys(group, number))
-        self.partition_by(index.get)
-        self._groups = normalized
-
     def partition_by(self, classifier: Callable[[str], Optional[str]]) -> None:
         """Partition by a classifier: sites communicate iff same group label.
 
-        Unlike :meth:`partition`, the classifier is evaluated at message time,
-        so sites registered *after* the partition started (e.g. new clients)
-        are still assigned to the right side of the split.  A classifier
-        returning ``None`` marks a site as unreachable from everywhere.
-        Replaces any static partition previously set with :meth:`partition`.
+        The classifier is evaluated at message time, so sites registered
+        *after* the partition started (e.g. new clients) are still assigned
+        to the right side of the split.  A classifier returning ``None``
+        marks a site as unreachable from everywhere.  Replaces any split set
+        before.
 
         The classifier must be a pure function of the site name: verdicts
         (and routing memoised under :attr:`generation`) are kept until a
         mutator runs; only a ``None`` label is asked again.
         """
         self._classifier = classifier
-        self._groups = None
         self._changed()
 
     def isolate(self, site: str) -> None:
@@ -84,28 +63,16 @@ class PartitionManager:
         self._changed()
 
     def clear_partition(self) -> None:
-        """Remove the group/classifier split but keep per-site isolations.
+        """Remove the classifier split but keep per-site isolations.
 
         Chaos campaigns overlay independent fault elements — a region
         partition may heal while a flapping link is still mid-epoch — so
-        ending the partition must not also rejoin isolated sites the way
-        :meth:`heal` does.
+        ending the partition must not also rejoin isolated sites.
         """
-        self._groups = None
         self._classifier = None
         self._changed()
 
-    def heal(self) -> None:
-        """Remove every partition and isolation."""
-        self._isolated.clear()
-        self.clear_partition()
-
     # -- queries ---------------------------------------------------------------
-    @property
-    def active(self) -> bool:
-        """``True`` when any partition or isolation is in force."""
-        return not self.idle
-
     def connected(self, a: str, b: str) -> bool:
         """Can a message currently travel from ``a`` to ``b``?"""
         if self.idle or a == b:
@@ -124,11 +91,3 @@ class PartitionManager:
     def reachable_from(self, site: str, candidates: Iterable[str]) -> List[str]:
         """Filter ``candidates`` down to those reachable from ``site``."""
         return [c for c in candidates if self.connected(site, c)]
-
-    def describe(self) -> Dict[str, object]:
-        """A plain-dict snapshot, convenient for logging and tests."""
-        return {
-            "groups": [sorted(g) for g in (self._groups or [])],
-            "isolated": sorted(self._isolated),
-            "active": self.active,
-        }

@@ -1,7 +1,7 @@
 """Unified metrics registry: deterministic sim-clock observability.
 
 One :class:`MetricsRegistry` per deployment (on the network when
-``Scenario.metrics`` is on) exports **counters** (floats keyed by name +
+``Scenario.metrics`` is on) exports **counters** (counts keyed by name +
 labels), **gauges** (high-water marks a component keeps) and **windowed
 histograms** (each observation lands in the t-digest of its window and in
 a whole-run digest: per-window quantile series and run-level CDFs from one
@@ -17,15 +17,15 @@ measured interval reports the tiles it clips with their clipped span
 (:func:`phase_tiles`, the one phase selector); :func:`join_fault_windows`
 stamps exported windows with the deployment's fault windows they overlap.
 
-Handles: ``histogram(name, **labels)`` / ``counter`` canonicalise the
-series once and return it — the one storage, whose ``observe(at_ms, x)`` /
-``inc(n)`` is the one recording routine.  A series enters the exports when
-first *touched*, not when resolved.  Every scalar a deployment exports is
-*collected*, not recorded: ``collect_counter(name, read, **labels)`` /
-``collect_gauge`` register a reader of a count kept anyway (a ``*Stats``
-field, a histogram's run count) that only the ``counters`` / ``gauges``
-snapshots call: free per event, exported while non-zero.  Readers of one
-series add up (counters) or keep the maximum (gauges).
+Handles: ``histogram(name, **labels)`` canonicalises the series once and
+returns it — the one storage, whose ``observe(at_ms, x)`` is the one
+recording routine.  A series enters the exports when first *touched*, not
+when resolved.  Every scalar is *collected*, not recorded:
+``collect_counter(name, read, **labels)`` / ``collect_gauge`` register a
+reader of a count kept anyway (a ``*Stats`` field, a histogram's run count)
+that only the ``counters`` / ``gauges`` snapshots call: free per event,
+exported while non-zero.  Readers of one series add up (counters) or keep
+the maximum (gauges).
 
 Nothing here schedules events or draws randomness, so a metrics-on run
 executes the metrics-off event sequence (``TestGoldenKernelRun``), and
@@ -44,7 +44,7 @@ from repro.errors import ReproError
 from repro.obs.staleness import StalenessProbe
 from repro.obs.trace import FaultLedger, FaultWindow
 
-__all__ = ["Counter", "Histogram", "MetricsRegistry", "join_fault_windows",
+__all__ = ["Histogram", "MetricsRegistry", "join_fault_windows",
            "phase_tiles", "window_index"]
 
 #: Canonical series identity: metric name + sorted (label, value) pairs.
@@ -137,19 +137,6 @@ def _stats(digest, quantiles: Sequence[float]) -> Dict:
     return stats
 
 
-class Counter:
-    """A counter series: one float, ``None`` until first touched."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value: Optional[float] = None
-
-    def inc(self, amount: float = 1.0) -> None:
-        value = self.value
-        self.value = 0.0 + amount if value is None else value + amount
-
-
 class Histogram:
     """One windowed histogram series, resolved: a t-digest per window
     index, created on first touch, and one over the whole run."""
@@ -181,15 +168,14 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Counters, collected gauges, and windowed t-digest histograms."""
+    """Collected counters and gauges, and windowed t-digest histograms."""
 
     def __init__(self, window_ms: float = 500.0,
                  faults: Optional[FaultLedger] = None):
         if window_ms <= 0.0:
             raise ReproError(f"window_ms must be > 0, got {window_ms!r}")
         self.window_ms = float(window_ms)
-        #: Series key -> its handle (touched: a value, or a window).
-        self._counters: Dict[SeriesKey, Counter] = {}
+        #: Series key -> its handle (touched: a window).
         self._histograms: Dict[SeriesKey, Histogram] = {}
         #: Series key -> the readers of a collected scalar (module docstring).
         self._counter_readers: Dict[SeriesKey, List[Callable[[], float]]] = {}
@@ -223,11 +209,6 @@ class MetricsRegistry:
             series = table[key] = new()
         return series
 
-    def counter(self, name: str, /, **labels) -> Counter:
-        """The handle of one series; hot seams resolve theirs once."""
-        return self._series(self._counters, (name, self._items(labels)),
-                            Counter)
-
     def histogram(self, name: str, /, **labels) -> Histogram:
         return self._series(self._histograms, (name, self._items(labels)),
                             self._new_histogram)
@@ -259,12 +240,8 @@ class MetricsRegistry:
 
     @property
     def counters(self) -> Dict[SeriesKey, float]:
-        """A snapshot of every touched or non-zero collected counter."""
-        values = {key: series.value for key, series in self._counters.items()
-                  if series.value is not None}
-        for key, value in self._collected(self._counter_readers, sum).items():
-            values[key] = values.get(key, 0.0) + value
-        return values
+        """A snapshot of every non-zero collected counter."""
+        return self._collected(self._counter_readers, sum)
 
     @property
     def gauges(self) -> Dict[SeriesKey, float]:
@@ -284,16 +261,10 @@ class MetricsRegistry:
         self.faults.close_all(now_ms)
 
     # -- queries -------------------------------------------------------------
-    def counter_value(self, name: str, /, **labels) -> float:
-        return self.counters.get((name, _label_items(labels)), 0.0)
 
     def counter_total(self, name: str) -> float:
         """Sum of a counter across every label combination."""
         return sum(v for (n, _), v in self.counters.items() if n == name)
-
-    def histogram_names(self) -> List[str]:
-        return sorted({name for (name, _), series in self._histograms.items()
-                       if series.windows})
 
     def quantile(self, name: str, q: float, /, **labels) -> Optional[float]:
         series = self._observed(name, labels)
@@ -321,10 +292,6 @@ class MetricsRegistry:
             if digest is not None:
                 scratch.merge(digest)
         return _stats(scratch, quantiles) if scratch.count else None
-
-    def window_indices(self, name: str, /, **labels) -> List[int]:
-        series = self._observed(name, labels)
-        return [] if series is None else sorted(series.windows)
 
     # -- exports -------------------------------------------------------------
     def timeseries(self,

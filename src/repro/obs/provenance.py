@@ -14,7 +14,7 @@ offsets, so absolute txn ids are not reproducible across pool layouts.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.obs.trace import Span, Tracer
 

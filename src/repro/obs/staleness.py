@@ -151,11 +151,3 @@ class StalenessProbe:
         else:
             k = len(ledger) - bisect_right(ledger, timestamp)
         self._k_staleness.observe(at_ms, float(k))
-
-    # -- introspection -------------------------------------------------------
-    def pending_installs(self) -> int:
-        """Versions committed but not yet installed everywhere they went."""
-        return len(self._pending)
-
-    def ledger_depth(self, key: str) -> int:
-        return len(self._ledger.get(key, ()))

@@ -49,14 +49,6 @@ class Span:
         end = self.end_ms if self.end_ms is not None else self.start_ms
         return end - self.start_ms
 
-    def as_dict(self) -> Dict[str, object]:
-        """Every field, in slot order; an open span ends where it starts."""
-        fields = {slot: getattr(self, slot) for slot in self.__slots__}
-        fields.update(end_ms=self.start_ms if self.end_ms is None
-                      else self.end_ms, attrs=dict(self.attrs),
-                      faults=list(self.faults))
-        return fields
-
 
 class SpanNames(dict):
     """``prefix:kind`` span names, each built once per message kind."""
@@ -209,11 +201,6 @@ class Tracer:
         span.end_ms = end_ms
         span.status = status
 
-    @staticmethod
-    def context(span: Span) -> Span:
-        """What to propagate so children chain under ``span``: itself."""
-        return span
-
     def event(self, name: str, parent: Span, site: str,
               at_ms: float) -> Span:
         """An instantaneous annotation (failover, session repair, ...)."""
@@ -261,10 +248,3 @@ class Tracer:
                              if w.overlaps(span.start_ms, span.end_ms))
                 if hits:
                     span.faults = hits
-
-    # -- queries -------------------------------------------------------------
-    def trace(self, trace_id: int) -> List[Span]:
-        return [s for s in self.spans if s.trace_id == trace_id]
-
-    def roots(self) -> List[Span]:
-        return [s for s in self.spans if s.parent_id is None]

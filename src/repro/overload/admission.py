@@ -81,6 +81,3 @@ class AdmissionConfig:
         if self.codel_target_ms <= 0.0:
             raise ReproError(
                 f"codel_target_ms must be > 0, got {self.codel_target_ms!r}")
-
-    def sheds(self, kind: str) -> bool:
-        return kind in self.sheddable_kinds

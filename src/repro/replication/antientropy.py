@@ -42,7 +42,7 @@ not O(backlog x rounds).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.cluster.config import ClusterConfig

@@ -13,8 +13,8 @@ aborts and releases its locks).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, Tuple
 
 
 @dataclass
@@ -73,10 +73,6 @@ class LockManager:
             del self._holders[key]
         return True
 
-    def cancel(self, key: str, txn_id: int) -> None:
-        """Remove a queued (not yet granted) request, e.g. after a timeout."""
-        self._purge_waiter(key, txn_id)
-
     def _purge_waiter(self, key: str, txn_id: int) -> None:
         queue = self._waiters.get(key)
         if not queue:
@@ -84,7 +80,3 @@ class LockManager:
         self._waiters[key] = deque(
             (tid, cb) for tid, cb in queue if tid != txn_id
         )
-
-    # -- inspection ------------------------------------------------------------
-    def holder(self, key: str) -> Optional[int]:
-        return self._holders.get(key)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, List
 
 from repro.errors import UnavailableError
-from repro.sim import Environment, Future
+from repro.sim.events import PENDING, Environment, Future
 
 
 def quorum_of(env: Environment, futures: Iterable[Future], required: int) -> Future:
@@ -35,7 +35,7 @@ def quorum_of(env: Environment, futures: Iterable[Future], required: int) -> Fut
     failures: List[BaseException] = []
 
     def _callback(resolved: Future) -> None:
-        if result.triggered:
+        if result._value is not PENDING:
             return
         if resolved.ok:
             successes.append(resolved.value)

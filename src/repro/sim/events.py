@@ -27,8 +27,8 @@ from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
-#: The value of a future that has not resolved yet (kernel-adjacent code tests
-#: ``future._value is PENDING`` where the ``triggered`` property is too slow).
+#: The value of a future that has not resolved yet (``future._value is
+#: PENDING`` asks whether it has).
 PENDING = object()
 
 
@@ -50,11 +50,6 @@ class Future:
         self._callbacks: List[Callable[["Future"], None]] = []
 
     # -- inspection -------------------------------------------------------
-    @property
-    def triggered(self) -> bool:
-        """``True`` once the future has been resolved."""
-        return self._value is not PENDING
-
     @property
     def ok(self) -> bool:
         """``True`` when the future resolved successfully."""
@@ -109,7 +104,7 @@ class Future:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "pending"
-        if self.triggered:
+        if self._value is not PENDING:
             state = "failed" if self._failed else "ok"
         return f"<Future {state} at t={self.env.now:.3f}>"
 

@@ -103,9 +103,3 @@ class VersionedStore:
             if not version.tombstone and predicate(key, version):
                 matches.append(version)
         return matches
-
-    def __len__(self) -> int:
-        return len(self._versions)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._versions

@@ -19,8 +19,8 @@ service time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.storage.kvstore import VersionedStore
 from repro.storage.records import METADATA_BYTES, NULL_TIMESTAMP, SIBLING_BYTES, Version
@@ -134,11 +134,3 @@ class LSMStore:
         self._sstables = [SSTable(entries=merged_entries, size_bytes=merged_bytes)]
         self.stats.compactions += 1
         return self.cost.compaction_ms
-
-    # -- introspection -------------------------------------------------------------
-    @property
-    def sstable_count(self) -> int:
-        return len(self._sstables)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.data

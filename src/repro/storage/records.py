@@ -66,12 +66,3 @@ def initial_version(key: str) -> Version:
     """The bottom version (value ``None``) present before any write, built
     per read: a memo would keep one per distinct key for the process's life."""
     return Version(key, None, NULL_TIMESTAMP)
-
-
-def last_writer_wins(a: Optional[Version], b: Optional[Version]) -> Optional[Version]:
-    """Pick the later of two versions (``None`` loses to anything)."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a.timestamp >= b.timestamp else b

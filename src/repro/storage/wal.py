@@ -70,11 +70,3 @@ class WriteAheadLog:
     def replay(self) -> Iterator[LogRecord]:
         """Iterate over retained records in append order (crash recovery)."""
         return iter([LogRecord(*record) for record in self._records])
-
-    @property
-    def last_lsn(self) -> int:
-        """LSN of the most recently appended record (-1 when empty)."""
-        return self._next_lsn - 1
-
-    def __len__(self) -> int:
-        return len(self._records)

@@ -10,7 +10,7 @@ module abstracts the two roles it actually needs:
   application-side counter mirror) can track what actually committed
   rather than assuming every generated transaction succeeds.
 * :class:`WorkloadFactory` — builds one :class:`Workload` per client and
-  optionally describes a preload: :meth:`WorkloadFactory.initial_transactions`
+  optionally describes a preload: an ``initial_transactions()`` method
   returns transactions that populate the store before the measured run, and
   :attr:`WorkloadFactory.settle_ms` is how long to let anti-entropy
   propagate the preload to every replica before the clock starts.
@@ -23,7 +23,7 @@ module abstracts the two roles it actually needs:
 from __future__ import annotations
 
 import abc
-from typing import Iterable, List, Optional
+from typing import Iterable, Optional
 
 from repro.errors import WorkloadError
 from repro.hat.transaction import Transaction, TransactionResult
@@ -76,10 +76,6 @@ class WorkloadFactory(abc.ABC):
     @abc.abstractmethod
     def build(self, seed: int, session_id: int) -> Workload:
         """A workload for the client identified by ``session_id``."""
-
-    def initial_transactions(self) -> List[Transaction]:
-        """Transactions that populate the initial database contents."""
-        return []
 
 
 def as_workload_factory(workload: object) -> object:

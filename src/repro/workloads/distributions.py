@@ -35,9 +35,6 @@ class KeyChooser:
 class UniformKeys(KeyChooser):
     """Uniform random key selection (the paper's configuration)."""
 
-    def choose(self, rng: random.Random) -> int:
-        return rng.randrange(self.key_count)
-
     def key(self, rng: random.Random, prefix: str = "user") -> str:
         """Draw and format a key in one frame.  The loop is the one
         ``randrange(key_count)`` runs (``Random._randbelow_with_getrandbits``):

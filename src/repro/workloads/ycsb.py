@@ -11,7 +11,7 @@ Figures 4 and 5.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import WorkloadError
@@ -96,15 +96,7 @@ class YCSBWorkload(Workload):
                 operations.append(_new_op(Operation, (READ, key, None, None, None, None)))
         return Transaction(operations=operations, session_id=self.session_id)
 
-    def transactions(self, count: int) -> List[Transaction]:
-        """Generate ``count`` transactions."""
-        return [self.next_transaction() for _ in range(count)]
-
     # -- preloading -----------------------------------------------------------------
-    def load_keys(self, fraction: float = 0.01, limit: int = 1000) -> List[str]:
-        """A deterministic subset of the keyspace for pre-loading stores."""
-        count = min(limit, max(1, int(self.config.key_count * fraction)))
-        return [f"user{index}" for index in range(count)]
 
 
 class YCSBArrivalSource:

@@ -72,7 +72,7 @@ class TestHistoryBuilder:
         t2 = builder.transaction()
         t2.read("x", from_txn=t1.txn_id, value=1)
         history = builder.build()
-        assert len(history) == 2
+        assert len(history.transactions) == 2
         assert history.transaction(t2.txn_id).reads[0].writer_txn == t1.txn_id
 
     def test_abort_marks_transaction(self):

@@ -228,7 +228,7 @@ def test_the_per_operation_path_stays_one_frame_per_stage(costs):
     the issue's hop count off the server map (``cluster_of_server``, -8.0)
     and its future built without ``__init__`` (-8.0), the Lamport rule
     inside ``_observe`` (``witness_timestamp``, -4.0), the key drawn and
-    formatted in one frame (``KeyChooser.key`` and ``UniformKeys.choose``
+    formatted in one frame (``KeyChooser.key`` and the draw
     became ``UniformKeys.key``, -8.0; ``randrange`` and ``_randbelow`` in
     ``random`` are gone too) and the workload's operations built as tuples
     (``Operation.read`` / ``.write`` -8.0, ``_next_value`` -4.05).
@@ -392,7 +392,7 @@ def test_a_master_routed_operation_reads_its_placement_once(master_five_regions)
     metadata sizing went inline.  350.6 while a placement miss asked each of
     the five clusters' partitioners for an owner, rather than indexing a
     table of hash residues, and each operation routed through
-    ``master_replica`` → ``master_for`` → the memo, then
+    ``master_replica`` → a config accessor → the memo, then
     ``cluster_of_server`` for the remote-hop count, rather than reading the
     key's record once.  A ceiling, not a pin (CPython 3.12 only lowers it)."""
     run = master_five_regions
@@ -411,7 +411,7 @@ def test_observing_a_run_costs_a_pinned_number_of_spans_and_observations(
     assert (testbed.env.events_executed, observed.committed) == (events, committed)
     # The recency probe forgot every version but the one still in flight
     # to its other replica when the run ended.
-    assert testbed.metrics.staleness.pending_installs() == 1
+    assert len(testbed.metrics.staleness._pending) == 1
 
 
 @pytest.fixture(scope="module")
@@ -519,6 +519,6 @@ def test_the_recency_counters_are_their_histograms_counts(partitioned):
     installs = metrics.summary("t_visibility_ms")["count"]
     reads = metrics.summary("k_staleness_versions")["count"]
     assert installs > 0 and reads > 0
-    assert metrics.counter_value("staleness_installs_total") == installs
-    assert metrics.counter_value("staleness_reads_total") == reads
-    assert metrics.counter_value("staleness_commits_total") > 0
+    assert metrics.counters.get(("staleness_installs_total", ()), 0.0) == installs
+    assert metrics.counters.get(("staleness_reads_total", ()), 0.0) == reads
+    assert metrics.counters.get(("staleness_commits_total", ()), 0.0) > 0

@@ -1,0 +1,355 @@
+"""The function-grain entry-point census: what ships is what a door runs.
+
+Production has three doors: ``python -m repro.bench``, ``examples/*.py`` and
+``benchmarks/hatbench``.  This script runs all of them in one process under
+``sys.setprofile`` (and ``threading.setprofile``), records every code object
+entered, and matches each function defined under ``src/repro`` against it by
+``(file, first line)`` -- a definition starts at its first decorator.  It
+prints the functions no door enters, by module, and exits non-zero when
+
+* a function no door enters is not named by :data:`RESERVED` (nor exempt:
+  a *declaration* or a ``__repr__`` / ``__str__``), or
+* a :data:`RESERVED` row covers a function a door now enters: the row leaves
+  when its item lands.
+
+Run it from the repository root (about four and a half minutes on two cores)::
+
+    PYTHONPATH=src python tests/census.py
+
+hatbench's ``profile`` mode is not run: cProfile replaces the hook.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import os
+import runpy
+import sys
+import tempfile
+import threading
+from functools import partial
+from pathlib import Path
+from typing import Callable, Dict, Iterator, List, NamedTuple, Set, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+PACKAGE = SRC / "repro"
+
+#: What no door enters, each with why it stays.  A key is a module (reserved
+#: whole: no door imports it), a class, or ``module:qualname``; nested
+#: functions go with the function they are in.  A reason is one of
+#:
+#: * ``item N: ...`` -- the ROADMAP open item whose PR calls it (or deletes it);
+#: * ``door: <artifact> --full ...`` -- a door reaches it only at full size;
+#: * ``guard: ...`` -- a path for an input or setting no door produces
+#:   (a validation, a fallback).
+RESERVED: Dict[str, str] = {
+    # item 1b: the claims matrix (every stack, every claim, every base)
+    "repro.hat.protocols:protocol_info":
+        "item 1b: the claims matrix reads a stack's codes and availability",
+    "repro.hat.protocols:ProtocolSpec.layer_tokens":
+        "item 1b: the claims matrix reads a stack's codes and availability",
+    "repro.hat.protocols:ProtocolSpec.availability":
+        "item 1b: the claims matrix reads a stack's codes and availability",
+    "repro.hat.protocols:ProtocolSpec.model_codes":
+        "item 1b: the claims matrix reads a stack's codes and availability",
+    "repro.hat.protocols:claimed_levels": "item 1b: a matrix row is a stack's claims",
+    "repro.hat.protocols:verify_claims": "item 1b: a matrix cell is a checked claim",
+    "repro.hat.protocols:Claim": "item 1b: a matrix cell is a checked claim",
+    "repro.hat.clients.quorum:QuorumClient": "item 1b: the quorum base's row",
+    "repro.replication.quorum:quorum_of": "item 1b: the quorum base's row",
+    "repro.hat.layers:CutIsolationLayer.plan":
+        "item 1b: the cut-isolation rows run repeated reads",
+    "repro.hat.layers:CutIsolationLayer.finalize":
+        "item 1b: the cut-isolation rows run repeated reads",
+    "repro.hat.transaction:Operation.scan": "item 1b: the predicate (P-CI) rows",
+    "repro.hat.clients.base:ProtocolClient._scan_home_cluster":
+        "item 1b: the predicate (P-CI) rows",
+    "repro.hat.server:HATServer._handle_ru_scan": "item 1b: the predicate (P-CI) rows",
+    "repro.storage.kvstore:VersionedStore.scan": "item 1b: the predicate (P-CI) rows",
+    "repro.storage.lsm:LSMStore.scan": "item 1b: the predicate (P-CI) rows",
+    # item 2: generated schedules, and the crashes they draw
+    "repro.chaos.campaign:CampaignSpec": "item 2: the spec a schedule is drawn from",
+    "repro.chaos.campaign:generate_campaign": "item 2: the schedule generator",
+    "repro.chaos.campaign:_split_regions": "item 2: the schedule generator",
+    "repro.chaos.campaign:_partition_actions": "item 2: the schedule generator",
+    "repro.chaos.campaign:_flapping_actions": "item 2: the schedule generator",
+    "repro.chaos.campaign:_slot_epoch": "item 2: the schedule generator",
+    "repro.chaos.campaign:_unretired": "item 2: the schedule generator",
+    "repro.chaos.campaign:_downtime_actions": "item 2: the schedule generator",
+    "repro.chaos.campaign:_degraded_actions": "item 2: the schedule generator",
+    "repro.chaos.campaign:_membership_actions": "item 2: the schedule generator",
+    "repro.chaos.campaign:_with_boundary_phases": "item 2: the schedule generator",
+    "repro.net.partitions:PartitionManager.isolate":
+        "item 2: the nemesis ISOLATE fault kind _flapping_actions draws",
+    "repro.net.partitions:PartitionManager.rejoin":
+        "item 2: the nemesis REJOIN fault kind _flapping_actions draws",
+    "repro.net.network:Network.degrade": "item 2: the nemesis DEGRADE fault kind",
+    "repro.net.network:Network.restore": "item 2: the nemesis RESTORE fault kind",
+    "repro.net.network:Network.recall": "item 2: a drawn crash recalls replies",
+    "repro.cluster.node:ServerNode.recover": "item 2: a drawn crash recovers",
+    "repro.hat.server:HATServer.recover": "item 2: a drawn crash recovers",
+    "repro.storage.wal:WriteAheadLog.sync": "item 2: durability across a drawn crash",
+    "repro.storage.wal:WriteAheadLog.replay": "item 2: durability across a drawn crash",
+    "repro.loadgen.arrivals:MMPPArrivals": "item 2: bursty arrivals the fuzzer draws",
+    "repro.workloads.distributions:ZipfianKeys":
+        "item 2: skewed small key spaces the fuzzer draws",
+    "repro.workloads.distributions:KeyChooser.key":
+        "item 2: how a ZipfianKeys draw is formatted",
+    # item 8: the paper-fidelity scorecard
+    "repro.bench.ablations": "item 8: the paper-fidelity scorecard calls it",
+    "repro.net.measurement:PingTrace.percentile":
+        "item 8: the Figure 1 row (benchmarks/test_bench_fig1_rtt_cdf.py)",
+    "repro.net.measurement:PingTrace.cdf":
+        "item 8: the Figure 1 row (benchmarks/test_bench_fig1_rtt_cdf.py)",
+    "repro.hat.testbed:Testbed.server_list":
+        "item 8: the scorecard's ablation rows (bench/ablations.py)",
+    "repro.bench.metrics:RunStats.abort_rate":
+        "item 8: the scorecard's ablation rows (bench/ablations.py)",
+    "repro.taxonomy.survey:survey_statistics": "item 8: the Table 2 row",
+    "repro.taxonomy.survey:DatabaseSurveyEntry": "item 8: the Table 2 row",
+    "repro.taxonomy.models:hat_combinations": "item 8: the Figure 2 row",
+    "repro.taxonomy.models:is_antichain": "item 8: the Figure 2 row",
+    "repro.workloads.tpcc_analysis:hat_executable_count": "item 8: the §6.2 row",
+    # item 11: recency is checkable
+    "repro.adya.history:HistoryBuilder":
+        "item 11: the App. A histories its detectors are checked against",
+    "repro.adya.history:History.add_transaction":
+        "item 11: how HistoryBuilder assembles a history",
+    "repro.adya.history:History.set_version_order":
+        "item 11: how HistoryBuilder assembles a history",
+    # item 18a: the oracle manager
+    "repro.sim.events:Environment.pending_events":
+        "item 18a: oracle (b), the run quiesces",
+    # validation and fallback paths
+    "repro.hat.transaction:Operation.__new__":
+        "guard: checks the fields of the public constructor; the doors build "
+        "operations through Operation.read / .write",
+    "repro.storage.records:initial_version":
+        "guard: the bottom version a read of a never-written key returns",
+    "repro.obs.trace:Tracer.event":
+        "guard: a traced run's failover, breaker-open, session-repair or "
+        "queue-reject annotation; no door's traced run meets one",
+    "repro.loadgen.engine:_ShedResult":
+        "guard: an arrival shed at a full queue (OpenLoopConfig.max_queue) "
+        "with telemetry on; no artifact bounds the queue",
+}
+
+
+class Function(NamedTuple):
+    """One ``def`` under ``src/repro``."""
+
+    module: str
+    qualname: str
+    path: str
+    first: int   # its first decorator's line, else the ``def`` line
+    lines: int
+    exempt: bool
+
+
+def module_name(path: Path) -> str:
+    return ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(
+        ".__init__")
+
+
+def _is_declaration(node: ast.AST) -> bool:
+    """``@abstractmethod``, or a body that (docstring aside) only declares:
+    ``pass``, ``...``, ``raise NotImplementedError``, or ``return`` of a
+    parameter or constant, with the ``yield`` that makes it a generator."""
+    if any(isinstance(d, (ast.Name, ast.Attribute))
+           and (d.id if isinstance(d, ast.Name) else d.attr) == "abstractmethod"
+           for d in node.decorator_list):
+        return True
+    body = list(node.body)
+    if (body and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)):
+        body = body[1:]
+    if (len(body) == 2 and isinstance(body[1], ast.Expr)
+            and isinstance(body[1].value, ast.Yield)
+            and body[1].value.value is None):
+        body = body[:1]
+    if len(body) != 1:
+        return not body
+    statement = body[0]
+    if isinstance(statement, ast.Pass):
+        return True
+    if isinstance(statement, ast.Expr):
+        return (isinstance(statement.value, ast.Constant)
+                and statement.value.value is Ellipsis)
+    if isinstance(statement, ast.Raise):
+        raised = statement.exc
+        if isinstance(raised, ast.Call):
+            raised = raised.func
+        return isinstance(raised, ast.Name) and raised.id == "NotImplementedError"
+    if isinstance(statement, ast.Return):
+        value = statement.value
+        parameters = {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+        return (value is None or isinstance(value, ast.Constant)
+                or (isinstance(value, ast.Name) and value.id in parameters))
+    return False
+
+
+def _walk(node: ast.AST, prefix: str) -> Iterator[Tuple[str, ast.AST]]:
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            qualname = prefix + child.name
+            yield qualname, child
+            yield from _walk(child, qualname + ".")
+        elif isinstance(child, ast.ClassDef):
+            yield prefix + child.name, child
+            yield from _walk(child, prefix + child.name + ".")
+        else:
+            yield from _walk(child, prefix)
+
+
+def module_definitions(module: str, path: str,
+                       tree: ast.AST) -> Tuple[List[Function], Set[str]]:
+    """The functions one module defines, and the ``module:qualname`` of
+    each of its classes and functions."""
+    functions: List[Function] = []
+    names: Set[str] = set()
+    for qualname, node in _walk(tree, ""):
+        names.add(f"{module}:{qualname}")
+        if isinstance(node, ast.ClassDef):
+            continue
+        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        functions.append(Function(
+            module, qualname, path, first, node.end_lineno - first + 1,
+            node.name in ("__repr__", "__str__") or _is_declaration(node)))
+    return functions, names
+
+
+def definitions() -> Tuple[List[Function], Set[str]]:
+    """Every function under ``src/repro``, and every module and class /
+    function qualname a :data:`RESERVED` key may name (``module:qualname``)."""
+    functions: List[Function] = []
+    names: Set[str] = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = module_name(path)
+        names.add(module)
+        found, named = module_definitions(module, str(path),
+                                          ast.parse(path.read_text()))
+        functions += found
+        names |= named
+    return functions, names
+
+
+def covers(key: str, function: Function) -> bool:
+    module, _, qualname = key.partition(":")
+    return function.module == module and (
+        not qualname or function.qualname == qualname
+        or function.qualname.startswith(qualname + "."))
+
+
+# -- the doors -------------------------------------------------------------------
+
+#: hatbench at a tenth of its size: every workload's code path, not its length.
+HATBENCH_SCALE = 0.1
+
+
+def _doors(workdir: str) -> Iterator[Tuple[str, Callable[[], object]]]:
+    """Every door, as ``(name, run)``.  The imports come first, so they run
+    under the hook the caller armed before asking for the first door."""
+    sys.path[:0] = [str(SRC), str(ROOT / "benchmarks")]
+    from repro.bench.__main__ import ARTIFACTS, main
+    from hatbench.ceilings import run_ceilings
+    from hatbench.child import run_repeat
+    from hatbench.spec import OBS_ON, WORKLOADS
+
+    yield ("python -m repro.bench <every artifact> --quick --json",
+           partial(main, list(ARTIFACTS) + ["--quick", "--json", workdir]))
+    for script in sorted((ROOT / "examples").glob("*.py")):
+        yield (f"examples/{script.name}",
+               partial(runpy.run_path, str(script), run_name="__main__"))
+    for workload in WORKLOADS:
+        for mode in ("plain", "obs_off", "setup_only"):
+            if mode != "obs_off" or workload in OBS_ON:
+                yield (f"hatbench {workload} {mode}",
+                       partial(run_repeat, workload, 0, HATBENCH_SCALE, mode))
+    yield "hatbench ceilings", partial(run_ceilings, 0, sample_s=0.01, samples=1)
+
+
+def entered_by_doors() -> Set[Tuple[str, int]]:
+    """``(co_filename, co_firstlineno)`` of every code object a door enters."""
+    codes: Set[object] = set()
+    add = codes.add
+
+    def hook(frame, _event, _arg):
+        add(frame.f_code)
+
+    def arm():  # again before each door: a door may clear the hook
+        sys.setprofile(hook)
+        threading.setprofile(hook)
+
+    with tempfile.TemporaryDirectory() as workdir:
+        cwd = os.getcwd()
+        os.chdir(workdir)   # the examples write their JSON to the cwd
+        arm()
+        try:
+            for name, run in _doors(workdir):
+                arm()
+                with contextlib.redirect_stdout(io.StringIO()):
+                    run()
+                print(f"ran {name}", file=sys.stderr)
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
+            os.chdir(cwd)
+    return {(code.co_filename, code.co_firstlineno) for code in codes}
+
+
+def failures(functions: List[Function], names: Set[str],
+             entered: Set[Tuple[str, int]],
+             reserved: Dict[str, str] = RESERVED) -> List[str]:
+    """What fails the census: an unentered function no ``reserved`` row names
+    (nor exempt), a row naming nothing, and a row covering an entered
+    function that is not exempt."""
+    found: List[str] = []
+    for function in functions:
+        if ((function.path, function.first) not in entered
+                and not function.exempt
+                and not any(covers(key, function) for key in reserved)):
+            found.append(f"{function.module}:{function.qualname} is entered "
+                         "by no door and RESERVED does not name it")
+    for key in reserved:
+        if key not in names:
+            found.append(f"RESERVED names {key}, which is not defined")
+        for function in functions:
+            if ((function.path, function.first) in entered
+                    and covers(key, function) and not function.exempt):
+                found.append(f"RESERVED row {key} covers "
+                             f"{function.module}:{function.qualname}, "
+                             "which a door now enters")
+    return found
+
+
+def main() -> int:
+    functions, names = definitions()
+    entered = entered_by_doors()
+    unentered = [f for f in functions if (f.path, f.first) not in entered]
+
+    print(f"{len(functions)} functions under src/repro "
+          f"({sum(f.lines for f in functions)} lines): "
+          f"{len(functions) - len(unentered)} entered by a door, "
+          f"{len(unentered)} not ({sum(f.lines for f in unentered)} lines)")
+    by_module: Dict[str, List[Function]] = {}
+    for function in unentered:
+        by_module.setdefault(function.module, []).append(function)
+    for module, held in by_module.items():
+        print(f"\n{module}")
+        for function in held:
+            keys = [key for key in RESERVED if covers(key, function)]
+            why = (RESERVED[keys[0]] if keys
+                   else "exempt" if function.exempt else "UNRESERVED")
+            print(f"  {function.qualname:<48} {function.lines:>4}  {why}")
+    found = failures(functions, names, entered)
+    for failure in found:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

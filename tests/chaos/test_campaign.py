@@ -192,10 +192,15 @@ class TestGenerator:
     def test_phase_at(self):
         campaign = canonical_partition_campaign(REGIONS, 1_000.0, 2_000.0,
                                                 1_000.0)
-        assert campaign.phase_at(500.0) == "baseline"
-        assert campaign.phase_at(1_500.0) == "partition"
-        assert campaign.phase_at(3_500.0) == "recovered"
-        assert campaign.phase_at(9_999.0) is None
+
+        def phase_at(t_ms):
+            return next((phase.name for phase in campaign.phases
+                         if phase.start_ms <= t_ms < phase.end_ms), None)
+
+        assert phase_at(500.0) == "baseline"
+        assert phase_at(1_500.0) == "partition"
+        assert phase_at(3_500.0) == "recovered"
+        assert phase_at(9_999.0) is None
 
 
 class TestCanonicalCampaign:
@@ -336,7 +341,7 @@ class TestElasticityCampaign:
         partition = next(p for p in campaign.phases
                          if p.name == "partitioned-rebalance")
         mid_joins = [a for a in campaign.actions if a.kind == SCALE_OUT
-                     and partition.contains(a.at_ms)]
+                     and partition.start_ms <= a.at_ms < partition.end_ms]
         assert len(mid_joins) == 1
 
     def test_needs_two_regions(self):

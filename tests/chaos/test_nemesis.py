@@ -53,11 +53,17 @@ class TestInstallation:
         assert nemesis.log == [] and testbed.faults.windows == []
 
     def test_phase_at_delegates_to_campaign(self):
+        """The nemesis fires the partition at its phase's edges: a phase is
+        the campaign's window, and what happens in it is the nemesis's."""
         testbed = build_testbed(Scenario(regions=REGIONS, servers_per_cluster=1))
         campaign = canonical_partition_campaign(REGIONS, 100.0, 200.0, 100.0)
         nemesis = Nemesis(testbed, campaign)
-        assert nemesis.campaign.phase_at(50.0) == "baseline"
-        assert nemesis.campaign.phase_at(150.0) == "partition"
+        nemesis.install()
+        testbed.run(campaign.duration_ms)
+        partition = next(p for p in nemesis.campaign.phases
+                         if p.name == "partition")
+        assert [entry.at_ms for entry in nemesis.log] == [partition.start_ms,
+                                                          partition.end_ms]
 
 
 class TestValidation:

@@ -44,8 +44,10 @@ class TestClientNode:
     def test_sticky_replica_is_in_home_cluster(self, rig):
         _env, _network, config, node = rig
         home = config.cluster_names[0]
+        index = config.cluster_index(home)
         for key in (f"user{i}" for i in range(20)):
-            assert config.cluster_of_server(config.local_replica_for(key, home)) == home
+            replica = config.placements[key].replicas[index]
+            assert config.cluster_of_server(replica) == home
 
     def test_all_replicas_one_per_cluster(self, rig):
         _env, _network, config, _node = rig
@@ -55,7 +57,7 @@ class TestClientNode:
 
     def test_master_is_a_replica(self, rig):
         _env, _network, config, _node = rig
-        assert config.master_for("user1") in config.replicas_for("user1")
+        assert config.placements["user1"].master in config.replicas_for("user1")
 
     def test_reachable_replicas_respects_partitions(self, rig):
         env, network, config, node = rig
@@ -66,7 +68,8 @@ class TestClientNode:
         local_sites = [node.name] + [
             r for r in all_replicas if config.cluster_of_server(r) == node.home_cluster
         ]
-        network.partitions.partition([local_sites, remote])
+        network.partitions.partition_by(
+            {**dict.fromkeys(local_sites, 0), **dict.fromkeys(remote, 1)}.get)
         reachable = network.partitions.reachable_from(node.name, all_replicas)
         assert set(reachable) == set(local_sites) - {node.name}
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.config import Cluster, ClusterConfig, build_cluster_config
-from repro.cluster.partitioner import HashPartitioner
+from repro.cluster.partitioner import _stable_key_hash
 from repro.errors import ReproError
 from repro.membership.ring import ConsistentHashRing
 from txn import run_txn
@@ -21,7 +21,7 @@ class TestCluster:
 
     def test_owner_is_one_of_the_servers(self):
         cluster = Cluster(name="c", region="VA", servers=["a", "b", "c"])
-        assert cluster.owner_for("user1") in {"a", "b", "c"}
+        assert cluster.partitioner.owner_for("user1") in {"a", "b", "c"}
 
 
 class TestClusterConfig:
@@ -50,15 +50,15 @@ class TestClusterConfig:
 
     def test_local_replica_is_in_cluster(self, config):
         name = config.cluster_names[0]
-        replica = config.local_replica_for("user42", name)
+        replica = config.placements["user42"].replicas[config.cluster_index(name)]
         assert config.cluster_of_server(replica) == name
 
     def test_master_is_a_replica(self, config):
         for key in (f"user{i}" for i in range(30)):
-            assert config.master_for(key) in config.replicas_for(key)
+            assert config.placements[key].master in config.replicas_for(key)
 
     def test_masters_spread_across_clusters(self, config):
-        masters = {config.cluster_of_server(config.master_for(f"user{i}"))
+        masters = {config.cluster_of_server(config.placements[f"user{i}"].master)
                    for i in range(200)}
         assert len(masters) > 1  # not all keys mastered in one datacenter
 
@@ -94,20 +94,18 @@ class TestPlacementCompat:
     def test_modulo_placement_is_byte_identical_to_the_hash_rule(self, config):
         # Pins the historical routing rule so the ring refactor can never
         # shift static figure sweeps: owner == servers[sha1(key) % n].
-        from repro.cluster.partitioner import _stable_key_hash
-
         for cluster in config.clusters:
             for key in (f"user{i}" for i in range(100)):
                 expected = cluster.servers[
                     _stable_key_hash(key) % len(cluster.servers)]
-                assert cluster.owner_for(key) == expected
+                assert cluster.partitioner.owner_for(key) == expected
 
     def test_ring_placement_is_selectable(self):
         config = build_cluster_config(["VA", "OR"], 3, placement="ring")
         for cluster in config.clusters:
             assert cluster.placement == "ring"
             for key in (f"user{i}" for i in range(50)):
-                assert cluster.owner_for(key) in cluster.servers
+                assert cluster.partitioner.owner_for(key) in cluster.servers
 
     def test_unknown_placement_rejected(self):
         with pytest.raises(ReproError):
@@ -125,8 +123,8 @@ class TestInvalidation:
             config = build_cluster_config(["VA", "OR"], servers_per_cluster)
             for key in keys:
                 for cluster in config.clusters:
-                    assert cluster.owner_for(key) in cluster.servers
-                assert config.master_for(key) in config.all_servers
+                    assert cluster.partitioner.owner_for(key) in cluster.servers
+                assert config.placements[key].master in config.all_servers
 
     def test_add_server_invalidates_every_cache(self):
         config = build_cluster_config(["VA", "OR"], 2, placement="ring")
@@ -134,20 +132,20 @@ class TestInvalidation:
         # Warm every memo path.
         for key in keys:
             config.replicas_for(key)
-            config.master_for(key)
+            config.placements[key].master
             config.peer_replicas(key, config.all_servers[0])
-        before = {key: config.cluster("cluster0-VA").owner_for(key)
+        before = {key: config.cluster("cluster0-VA").partitioner.owner_for(key)
                   for key in keys}
         epoch = config.epoch
         config.add_server("cluster0-VA", "cluster0-VA-s9")
         assert config.epoch > epoch
-        moved = [key for key in keys
-                 if config.cluster("cluster0-VA").owner_for(key) != before[key]]
+        owner_for = config.cluster("cluster0-VA").partitioner.owner_for
+        moved = [key for key in keys if owner_for(key) != before[key]]
         assert moved, "the new server took no load — caches were stale"
         for key in moved:
-            assert config.cluster("cluster0-VA").owner_for(key) == "cluster0-VA-s9"
+            assert owner_for(key) == "cluster0-VA-s9"
             assert "cluster0-VA-s9" in config.replicas_for(key)
-            assert config.master_for(key) in config.replicas_for(key)
+            assert config.placements[key].master in config.replicas_for(key)
         assert config.cluster_of_server("cluster0-VA-s9") == "cluster0-VA"
 
     def test_remove_server_invalidates_every_cache(self):
@@ -155,12 +153,12 @@ class TestInvalidation:
         keys = [f"user{i}" for i in range(300)]
         for key in keys:
             config.replicas_for(key)
-            config.master_for(key)
+            config.placements[key].master
         victim = config.cluster("cluster0-VA").servers[0]
         config.remove_server(victim)
         for key in keys:
             assert victim not in config.replicas_for(key)
-            assert config.master_for(key) != victim
+            assert config.placements[key].master != victim
         with pytest.raises(ReproError):
             config.cluster_of_server(victim)
 
@@ -170,8 +168,8 @@ class TestInvalidation:
         keys = [f"user{i}" for i in range(300)]
         for key in keys:  # warm every placement answer
             config.replicas_for(key)
-            config.master_for(key)
-            config.local_replica_for(key, home.name)
+            config.placements[key].master
+            config.placements[key].replicas[config.cluster_index(home.name)]
             config.peer_replicas(key, config.all_servers[0])
         # Swap a server behind the config's back: only invalidate() tells it.
         old, kept = home.servers
@@ -181,15 +179,15 @@ class TestInvalidation:
         assert config.epoch == epoch + 1
         ring = ConsistentHashRing([kept, "swapped"], home.virtual_nodes)
         for key in keys:
-            replicas = [ring.owner_for(key), other.owner_for(key)]
+            replicas = [ring.owner_for(key), other.partitioner.owner_for(key)]
             assert config.replicas_for(key) == replicas
-            assert config.local_replica_for(key, home.name) == replicas[0]
-            assert config.master_for(key) == replicas[
-                HashPartitioner.key_hash(key) % len(replicas)]
+            assert config.placements[key].replicas[0] == replicas[0]
+            assert config.placements[key].master == replicas[
+                _stable_key_hash(key) % len(replicas)]
             for replica in replicas:
                 assert config.peer_replicas(key, replica) == [
                     r for r in replicas if r != replica]
-        assert "swapped" in {config.local_replica_for(k, home.name) for k in keys}
+        assert "swapped" in {config.placements[k].replicas[0] for k in keys}
 
     def test_duplicate_and_last_server_guards(self):
         config = build_cluster_config(["VA"], 1, placement="ring")
@@ -213,11 +211,11 @@ class TestMasterRedesignation:
         config = build_cluster_config(["VA", "OR"], 3, placement="ring")
         victim = config.cluster("cluster0-VA").servers[0]
         mastered = [key for key in (f"user{i}" for i in range(300))
-                    if config.master_for(key) == victim]
+                    if config.placements[key].master == victim]
         assert mastered, "no keys mastered on the victim — widen the sample"
         config.remove_server(victim)
         for key in mastered:
-            new_master = config.master_for(key)
+            new_master = config.placements[key].master
             assert new_master != victim
             assert new_master in config.replicas_for(key)
 
@@ -230,7 +228,7 @@ class TestMasterRedesignation:
         a.remove_server(victim)
         b.remove_server(victim)
         for key in (f"user{i}" for i in range(200)):
-            assert a.master_for(key) == b.master_for(key)
+            assert a.placements[key].master == b.placements[key].master
 
     def test_crash_does_not_redesignate(self):
         # A crashed-but-configured master keeps the key unavailable: the
@@ -242,9 +240,9 @@ class TestMasterRedesignation:
                                          fixed_latency_ms=1.0))
         config = testbed.config
         key = "user42"
-        master = config.master_for(key)
+        master = config.placements[key].master
         testbed.servers[master].crash()
-        assert config.master_for(key) == master  # still designated
+        assert config.placements[key].master == master  # still designated
         from repro.hat.transaction import Operation
 
         client = testbed.make_client(

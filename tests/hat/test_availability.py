@@ -45,7 +45,7 @@ class TestHATAvailabilityUnderPartition:
         testbed = build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=1))
         client = testbed.make_client("eventual")
         # Cut the client off from every server.
-        testbed.network.partitions.partition([[client.node.name]])
+        testbed.network.partitions.partition_by({client.node.name: 0}.get)
         result = run_txn(testbed, client, [Operation.write("x", 1)])
         assert not result.committed
         assert not result.internal_abort
@@ -58,7 +58,7 @@ class TestNonHATUnavailabilityUnderPartition:
         remote_key = next(
             key for key in (f"key{i}" for i in range(100))
             if partitioned_testbed.config.cluster_of_server(
-                partitioned_testbed.config.master_for(key)
+                partitioned_testbed.config.placements[key].master
             ) == partitioned_testbed.config.cluster_names[1]
         )
         result = run_txn(partitioned_testbed, client, [Operation.write(remote_key, 1)])
@@ -77,7 +77,7 @@ class TestNonHATUnavailabilityUnderPartition:
         remote_key = next(
             key for key in (f"key{i}" for i in range(100))
             if partitioned_testbed.config.cluster_of_server(
-                partitioned_testbed.config.master_for(key)
+                partitioned_testbed.config.placements[key].master
             ) == partitioned_testbed.config.cluster_names[1]
         )
         result = run_txn(partitioned_testbed, client, [Operation.write(remote_key, 1)])
@@ -91,6 +91,6 @@ class TestRecoveryAfterHeal:
         client = testbed.make_client("quorum")
         blocked = run_txn(testbed, client, [Operation.write("x", 1)])
         assert not blocked.committed
-        testbed.network.partitions.heal()
+        testbed.network.partitions.clear_partition()
         recovered = run_txn(testbed, client, [Operation.write("x", 1)])
         assert recovered.committed

@@ -56,8 +56,8 @@ class TestTwoPhaseLockingClient:
         # Releases are asynchronous (fire-and-forget after commit): let the
         # release message reach the lock manager before checking.
         testbed.run(1000.0)
-        master = testbed.config.master_for("x")
-        assert testbed.servers[master].locks.holder("x") is None
+        master = testbed.config.placements["x"].master
+        assert testbed.servers[master].locks._holders.get("x") is None
 
     def test_conflicting_transactions_serialize(self, testbed):
         """Two read-modify-writes on the same key never both read the old value."""

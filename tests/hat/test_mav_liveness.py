@@ -66,8 +66,7 @@ def test_every_write_made_during_a_partition_is_promoted_after_the_heal():
     assert sum(s.anti_entropy.stats.requeues for s in servers) > 1_000
     assert testbed.network.stats.dropped_partition == 0
     for server in servers:
-        assert server.mav.tracked_transactions() == 0, server.name
-        assert server.mav.pending_count() == 0, server.name
+        assert len(server.mav._pending) == 0, server.name
         assert not server.mav.owed, server.name
         assert server.mav.stats.promoted == server.mav.stats.puts > 0
     # Quiesced means idle: nothing armed but (at most) one timeout sweep.
@@ -97,14 +96,14 @@ def test_a_crashed_server_sends_what_it_owes_after_it_recovers():
     assert delivered == {"ae.push": 0, "mav.notify": 0}
     assert testbed.env.pending_events <= 1
     assert [len(acks) for acks in origin.mav.owed.values()] == [1]
-    assert origin.mav.pending_count() == 1
+    assert sum(len(entry.writes) for entry in origin.mav._pending.values()) == 1
     origin.recover()
     testbed.run(100.0)
     # origin -> remote on the push of the write, then remote -> origin alone.
     assert delivered == {"ae.push": 1, "mav.notify": 1}
     for server in (origin, remote):
         assert not server.mav.owed
-        assert server.mav.tracked_transactions() == 0
+        assert len(server.mav._pending) == 0
         assert server.store.data.exact(key, version.timestamp) is version
 
 

@@ -23,7 +23,7 @@ class TestMAVState:
         version = mav_write("x", 1, 1, {"x", "y"})
         assert state.add_write(version) == []
         assert state.add_write(version) is None
-        assert state.pending_count() == 1
+        assert sum(len(entry.writes) for entry in state._pending.values()) == 1
 
     def test_expected_acks_is_siblings_times_replicas(self):
         state = mav_state(("VA", "OR", "SG"))
@@ -73,7 +73,7 @@ class TestMAVState:
         assert not state.is_stable(ts)
         assert state.record_acks([(ts, THERE, "y", 4)]) == [x, y]
         assert state.is_stable(ts)
-        assert state.pending_count() == 0
+        assert not any(entry.writes for entry in state._pending.values())
         assert state.stats.promoted == 2
 
     def test_one_batch_completes_transactions_in_ack_order(self):
@@ -84,7 +84,7 @@ class TestMAVState:
         batch = [(Timestamp(1, 1), THERE, "x", 2), (Timestamp(9, 1), THERE, "z", 2),
                  (Timestamp(2, 1), THERE, "y", 2)]
         assert state.record_acks(batch) == [first, second]
-        assert state.tracked_transactions() == 1  # the one still unheard of
+        assert len(state._pending) == 1  # the one still unheard of
         assert state.stats.notifies_received == 2 + len(batch)
 
     def test_duplicate_acks_do_not_double_count(self):
@@ -104,19 +104,18 @@ class TestMAVState:
         assert state.record_acks([(ts, THERE, "x", 2)]) == [version]
         assert state.record_acks([(ts, THERE, "x", 2), (ts, "r9", "x", 2)]) == []
         assert state.stats.promoted == 1
-        assert state.tracked_transactions() == 0
+        assert len(state._pending) == 0
 
     def test_stable_transaction_keeps_only_its_timestamp(self):
         state = mav_state()
         ts = Timestamp(1, 1)
         state.add_write(mav_write("x", 1, 1, {"x", "y"}))
         state.add_write(mav_write("y", 1, 1, {"x", "y"}))
-        assert state.tracked_transactions() == 1
+        assert len(state._pending) == 1
         assert len(state.record_acks([(ts, THERE, "x", 4),
                                       (ts, THERE, "y", 4)])) == 2
-        assert state.tracked_transactions() == 0
-        assert state.pending_count() == 0
-        assert state.stable_count() == 1
+        assert len(state._pending) == 0
+        assert len(state._stable) == 1
 
     def test_acks_arriving_before_write(self):
         """Acknowledgements may arrive before the anti-entropied write does."""
@@ -124,7 +123,7 @@ class TestMAVState:
         ts = Timestamp(3, 1)
         state.record_acks([(ts, THERE, "x", 4), (ts, THERE, "y", 4),
                            (ts, HERE, "y", 4)])
-        assert state.tracked_transactions() == 1
+        assert len(state._pending) == 1
         version = mav_write("x", 1, 3, {"x", "y"})
         assert state.add_write(version) == [version]  # its own ack completes it
 
@@ -135,7 +134,7 @@ class TestMAVState:
         assert state.record_acks([(ts, THERE, "x", 2), (ts, HERE, "x", 2)]) == []
         assert state.is_stable(ts)
         assert state.add_write(mav_write("x", 1, 3, {"x"})) is None
-        assert state.pending_count() == 0
+        assert not any(entry.writes for entry in state._pending.values())
         assert state.owed == {}
 
     def test_read_pending_exact_timestamp(self):
@@ -160,4 +159,4 @@ class TestMAVState:
         state = mav_state()
         state.add_write(mav_write("x", 1, 1, {"x"}))
         state.add_write(mav_write("y", 1, 2, {"y"}))
-        assert state.tracked_transactions() == 2
+        assert len(state._pending) == 2

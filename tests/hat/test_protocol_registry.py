@@ -284,7 +284,7 @@ class TestClaimsAgainstAHistory:
 
     def test_g1a_breaks_read_committed_but_not_read_uncommitted(self):
         claims = verify_claims("read-committed", aborted_read_g1a())
-        assert claims["RC"].broken and claims["RC"].report.witness_count() >= 1
+        assert claims["RC"].broken and any(claims["RC"].report.violations.values())
         assert claims["RU"].claimed and claims["RU"].verdict == "held"
         assert "G1a" in str(claims["RC"]) and not claims["MAV"].claimed
 

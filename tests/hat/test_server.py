@@ -71,7 +71,7 @@ class TestMAVHandlers:
         # Not yet stable: reads without a bound see the old (initial) value.
         read = rpc(testbed, probe, server_name, "mav.get", {"key": key})
         assert read["version"].value is None
-        assert server.mav.pending_count() >= 1
+        assert sum(len(entry.writes) for entry in server.mav._pending.values()) >= 1
 
     def test_mav_get_with_required_reads_pending(self, rig):
         testbed, probe = rig
@@ -140,8 +140,7 @@ class TestMAVHandlers:
             # server: never one per sibling key this server owns.
             assert (server.stats.per_kind.get("mav.notify", 0)
                     <= sum(owned.values()) - owned[name])
-            assert server.mav.tracked_transactions() == 0
-            assert server.mav.pending_count() == 0
+            assert len(server.mav._pending) == 0
         # Duplicate acks after stability change nothing.
         target = testbed.servers[testbed.config.replicas_for(keys[0])[0]]
         before = (target.mav.stats.promoted, target.store.stats.puts)
@@ -152,7 +151,7 @@ class TestMAVHandlers:
                      for origin in testbed.config.replicas_for(key)]})
         testbed.run(100.0)
         assert (target.mav.stats.promoted, target.store.stats.puts) == before
-        assert target.mav.tracked_transactions() == 0
+        assert len(target.mav._pending) == 0
         for key in keys:
             for replica in testbed.config.replicas_for(key):
                 read = rpc(testbed, probe, replica, "mav.get", {"key": key})
@@ -182,7 +181,7 @@ class TestMAVHandlers:
                     {"versions": [other]})
         assert reply["count"] == 1
         assert server.store.stats.puts == puts + 1
-        assert server.mav.pending_count() == 0
+        assert not any(entry.writes for entry in server.mav._pending.values())
         read = rpc(testbed, probe, server_name, "mav.get", {"key": "handed"})
         assert read["version"].value == "second"
 
@@ -226,7 +225,7 @@ class TestTwoPhaseCommitHandlers:
     def test_prepare_then_commit_installs(self, rig):
         testbed, probe = rig
         key = "pc"
-        server_name = testbed.config.master_for(key)
+        server_name = testbed.config.placements[key].master
         version = Version(key, 7, Timestamp(3, 1), txn_id=3)
         vote = rpc(testbed, probe, server_name, "txn.prepare",
                    {"txn_id": 3, "versions": [version]})
@@ -241,7 +240,7 @@ class TestTwoPhaseCommitHandlers:
     def test_abort_discards_prepared_writes(self, rig):
         testbed, probe = rig
         key = "ab"
-        server_name = testbed.config.master_for(key)
+        server_name = testbed.config.placements[key].master
         version = Version(key, 7, Timestamp(4, 1), txn_id=4)
         rpc(testbed, probe, server_name, "txn.prepare",
             {"txn_id": 4, "versions": [version]})
@@ -255,7 +254,7 @@ class TestMasterHandlers:
     def test_master_put_pushes_to_peers(self, rig):
         testbed, probe = rig
         key = "mst"
-        master = testbed.config.master_for(key)
+        master = testbed.config.placements[key].master
         peers = testbed.config.peer_replicas(key, master)
         version = Version(key, "replicated", Timestamp(6, 1), txn_id=6)
         rpc(testbed, probe, master, "master.put", {"version": version})
@@ -269,7 +268,8 @@ class TestCrashRecovery:
         testbed, _probe = rig
         client = testbed.make_client("eventual")
         key = "crash-key"
-        sticky = testbed.config.local_replica_for(key, client.node.home_cluster)
+        home = testbed.config.cluster_index(client.node.home_cluster)
+        sticky = testbed.config.placements[key].replicas[home]
         testbed.servers[sticky].crash()
         from repro.hat.transaction import Operation, Transaction
         result = testbed.env.run_until_complete(client.execute(

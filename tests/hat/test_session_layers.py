@@ -240,7 +240,7 @@ def run_spying_forwards(testbed, client, operations):
         result = run_txn(testbed, client, operations)
     finally:
         del client._issue
-    written = {op.key for op in operations if op.is_write}
+    written = {op.key for op in operations if op.kind == "write"}
     return result, [put for put in puts if put[0] not in written]
 
 
@@ -271,7 +271,7 @@ class TestOwedIndex:
             if i in (25, 75):
                 # A new partition generation: routing may have moved (it did
                 # not, so the pass finds every key held and forwards nothing).
-                testbed.network.partitions.heal()
+                testbed.network.partitions.clear_partition()
                 passes.append(len(state.last_seen) + len(state.own_writes))
             run_txn(testbed, session, [Operation.read(f"k{i - 1}"),
                                    Operation.write(f"k{i}", i)])
@@ -296,9 +296,10 @@ class TestOwedIndex:
         keys = [f"k{i}" for i in range(8)]
         session, home = self.session_with_memory(testbed, keys)
         remembered = self.remembered(session)
-        victim = testbed.config.local_replica_for("k0", home)
+        index = testbed.config.cluster_index(home)
+        victim = testbed.config.placements["k0"].replicas[index]
         stranded = {key for key in keys
-                    if testbed.config.local_replica_for(key, home) == victim}
+                    if testbed.config.placements[key].replicas[index] == victim}
         assert stranded and stranded != set(keys)
         testbed.network.partitions.isolate(victim)
 
@@ -323,8 +324,9 @@ class TestOwedIndex:
         remembered = self.remembered(session)
         joiner = testbed.add_server(home).name
         testbed.config.add_server(home, joiner)
+        index = testbed.config.cluster_index(home)
         moved = {key for key in keys
-                 if testbed.config.local_replica_for(key, home) == joiner}
+                 if testbed.config.placements[key].replicas[index] == joiner}
         assert moved and len(moved) < len(keys)
 
         _, forwards = run_spying_forwards(

@@ -19,15 +19,15 @@ from repro.storage.records import Timestamp, Version
 class TestOperation:
     def test_read_constructor(self):
         op = Operation.read("x")
-        assert op.is_read and not op.is_write and op.key == "x"
+        assert op.kind == "read" and op.key == "x"
 
     def test_write_constructor(self):
         op = Operation.write("x", 42)
-        assert op.is_write and op.value == 42
+        assert op.kind == "write" and op.value == 42
 
     def test_scan_constructor(self):
         op = Operation.scan(lambda key, value: True, name="all")
-        assert op.is_scan and op.predicate_name == "all"
+        assert op.kind == "scan" and op.predicate_name == "all"
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(WorkloadError):
@@ -83,17 +83,6 @@ class TestTransaction:
         b = Transaction([Operation.read("x")])
         assert a.txn_id != b.txn_id
 
-    def test_read_and_write_keys(self):
-        txn = Transaction([
-            Operation.write("a", 1),
-            Operation.read("b"),
-            Operation.write("c", 3),
-            Operation.read("a"),
-        ])
-        assert txn.read_keys == ["b", "a"]
-        assert txn.write_keys == ["a", "c"]
-        assert txn.accessed_keys() == ["a", "b", "c"]
-
     def test_write_set_keeps_last_value(self):
         txn = Transaction([
             Operation.write("x", 1),
@@ -111,7 +100,7 @@ class TestDerivedWrites:
 
     def test_derived_write_constructor(self):
         op = Operation.derived_write(lambda reads: ("k", 1))
-        assert op.is_write and op.is_derived
+        assert op.kind == "write" and op.derive is not None
 
     def test_derive_only_allowed_on_writes(self):
         with pytest.raises(WorkloadError, match="derived"):
@@ -124,7 +113,7 @@ class TestDerivedWrites:
         result = self._result_with_read("counter", 41)
         resolved = resolve_derived(txn, op, result)
         assert resolved.value == 42
-        assert not resolved.is_derived
+        assert resolved.derive is None
         assert txn.operations[1] is resolved
         assert txn.write_set == {"counter": 42}
 

@@ -172,9 +172,9 @@ def _record_run(protocol: str, recorder: HistoryRecorder, make_campaign=None):
     # acks were spent on the old ring — ROADMAP item 4 tracks that hole.)
     join = next(r for r in testbed.membership.records if r.kind == "join")
     assert join.done and join.moved_keys
+    index = testbed.config.cluster_index(join.cluster)
     for key in join.moved_keys:
-        owner = testbed.servers[
-            testbed.config.local_replica_for(key, join.cluster)]
+        owner = testbed.servers[testbed.config.placements[key].replicas[index]]
         assert (owner.store.data.versions(key)
                 or any(key in entry.writes
                        for entry in owner.mav._pending.values())), key

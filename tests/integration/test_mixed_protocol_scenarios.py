@@ -65,7 +65,7 @@ class TestConvergenceAfterPartition:
                 result = run_txn(testbed, client,
                              [Operation.write("contested", f"side{index}-r{round_number}")])
                 assert result.committed
-        testbed.network.partitions.heal()
+        testbed.network.partitions.clear_partition()
         testbed.run(3000.0)
         observed = {
             run_txn(testbed, client, [Operation.read("contested")]).value_read("contested")

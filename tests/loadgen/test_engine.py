@@ -45,7 +45,7 @@ class TestRun:
         assert stats.offered > 0
         assert stats.committed > 0
         assert stats.shed == 0  # unbounded queue by default
-        assert stats.completed + stats.backlog_final == stats.offered
+        assert (stats.committed + stats.aborted) + stats.backlog_final == stats.offered
         assert stats.latency.count == stats.committed
         assert stats.digest.count == stats.committed
         assert stats.backlog, "sampler should record backlog snapshots"
@@ -71,7 +71,7 @@ class TestRun:
                                      sessions_per_cluster=1, max_queue=1))
         assert stats.shed > 0
         assert stats.queue_peak <= 1
-        assert stats.offered >= stats.completed + stats.shed
+        assert stats.offered >= (stats.committed + stats.aborted) + stats.shed
 
     def test_telemetry_receives_offered_and_queue_series(self):
         telemetry = TimelineTelemetry(window_ms=200.0)

@@ -44,9 +44,9 @@ class TestJoin:
         testbed.run(500.0)
         joiner = testbed.servers[record.server]
         assert record.keys_moved > 0
+        index = testbed.config.cluster_index(record.cluster)
         for key in record.moved_keys:
-            assert testbed.config.local_replica_for(
-                key, record.cluster) == record.server
+            assert testbed.config.placements[key].replicas[index] == record.server
             assert joiner.store.data.versions(key), key
 
     def test_moved_fraction_near_consistent_hash_ideal(self):
@@ -113,10 +113,14 @@ class TestRemoteHopsFollowTheLiveConfig:
         testbed.run(500.0)
         assert record.done
         config = testbed.config
-        served = (config.local_replica_for if route == "local_replica_for"
-                  else lambda key, _home: config.master_for(key))
+        home_index = config.cluster_index(home)
+
+        def served(key):
+            placement = config.placements[key]
+            return (placement.master if route == "master_for"
+                    else placement.replicas[home_index])
         key = next(key for key in (f"user{i}" for i in range(1_000))
-                   if served(key, home) == record.server)
+                   if served(key) == record.server)
         result = testbed.env.run_until_complete(client.execute(
             Transaction([Operation.read(key)])))
         assert result.committed
@@ -133,8 +137,9 @@ class TestLeave:
         assert record.done
         assert record.server not in cluster.servers
         assert record.server in testbed.retired
+        index = testbed.config.cluster_index(cluster.name)
         for key in record.moved_keys:
-            owner = testbed.config.local_replica_for(key, cluster.name)
+            owner = testbed.config.placements[key].replicas[index]
             assert testbed.servers[owner].store.data.versions(key), key
 
     def test_leave_is_a_noop_on_a_single_server_cluster(self):
@@ -208,13 +213,13 @@ class TestReplicationObligations:
         joiner = testbed.servers[record.server]
         for key in record.moved_keys:
             assert joiner.store.data.latest(key).value == "partition-era", key
-        testbed.network.partitions.heal()
+        testbed.network.partitions.clear_partition()
         testbed.run(500.0)
         remote = testbed.config.cluster_names[1]
         for index in range(100):
             key = f"key{index}"
-            owner = testbed.servers[
-                testbed.config.local_replica_for(key, remote)]
+            index = testbed.config.cluster_index(remote)
+            owner = testbed.servers[testbed.config.placements[key].replicas[index]]
             assert owner.store.data.latest(key).value == "partition-era", key
 
     def test_leaver_obligations_survive_decommission_under_partition(self):
@@ -237,13 +242,13 @@ class TestReplicationObligations:
         assert record.done and record.server in testbed.retired
         assert record.server == leaver.name
         assert leaver.anti_entropy.take_pending() == []
-        testbed.network.partitions.heal()
+        testbed.network.partitions.clear_partition()
         testbed.run(500.0)
         remote = testbed.config.cluster_names[1]
         for index in range(100):
             key = f"key{index}"
-            owner = testbed.servers[
-                testbed.config.local_replica_for(key, remote)]
+            index = testbed.config.cluster_index(remote)
+            owner = testbed.servers[testbed.config.placements[key].replicas[index]]
             assert owner.store.data.latest(key).value == "partition-era", key
 
 
@@ -284,7 +289,7 @@ class TestFailureHandling:
         cluster = testbed.config.clusters[0]
         leaver_name = cluster.servers[-1]  # the default scale-in target
         key = next(k for k in (f"key{i}" for i in range(60))
-                   if cluster.owner_for(k) == leaver_name)
+                   if cluster.partitioner.owner_for(k) == leaver_name)
         record = testbed.membership.scale_in(cluster.name)
         leaver = testbed.servers[record.server]
         assert record.server == leaver_name
@@ -304,6 +309,6 @@ class TestFailureHandling:
         testbed.env.schedule(100.0, straggle)
         testbed.run(3_000.0)
         assert record.done
-        owner = testbed.servers[
-            testbed.config.local_replica_for(key, cluster.name)]
+        index = testbed.config.cluster_index(cluster.name)
+        owner = testbed.servers[testbed.config.placements[key].replicas[index]]
         assert owner.store.data.latest(key).value == "straggler"

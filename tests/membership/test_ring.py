@@ -1,8 +1,10 @@
 """Unit tests for the consistent-hash ring."""
 
+from collections import Counter
+
 import pytest
 
-from repro.cluster.partitioner import HashPartitioner
+from repro.cluster.partitioner import HashPartitioner, _stable_key_hash
 from repro.errors import ReproError
 from repro.membership.ring import ConsistentHashRing
 
@@ -31,23 +33,25 @@ class TestPlacement:
     def test_owner_is_member(self):
         ring = ConsistentHashRing(["s0", "s1", "s2"])
         for key in KEYS[:200]:
-            assert ring.owner_for(key) in ring.owners
+            assert ring.owner_for(key) in {"s0", "s1", "s2"}
 
     def test_same_surface_as_hash_partitioner(self):
         """The ring answers the exact query surface Cluster routes through."""
-        for surface in ("owner_for", "owners", "keys_per_owner", "key_hash"):
+        for surface in ("owner_for", "owner_of_hash"):
             assert hasattr(ConsistentHashRing(["a"]), surface)
             assert hasattr(HashPartitioner(["a"]), surface)
 
     def test_key_hash_matches_modulo_partitioner(self):
         # Both placements share one stable SHA-1 hash.
+        ring = ConsistentHashRing(["s0", "s1", "s2"])
+        modulo = HashPartitioner(["s0", "s1", "s2"])
         for key in KEYS[:20]:
-            assert (ConsistentHashRing.key_hash(key)
-                    == HashPartitioner.key_hash(key))
+            assert ring.owner_for(key) == ring.owner_of_hash(_stable_key_hash(key))
+            assert modulo.owner_for(key) == modulo.owner_of_hash(_stable_key_hash(key))
 
     def test_distribution_is_roughly_balanced(self):
         ring = ConsistentHashRing([f"s{i}" for i in range(4)])
-        counts = ring.keys_per_owner(KEYS)
+        counts = Counter(map(ring.owner_for, KEYS))
         expected = len(KEYS) / 4
         assert max(counts.values()) < 2 * expected
         assert min(counts.values()) > expected / 2
@@ -82,9 +86,9 @@ class TestMembership:
             ring.without_owner("a").without_owner("b")
 
     def test_moved_fraction(self):
+        def moved(a, b):
+            return sum(a.owner_for(key) != b.owner_for(key) for key in KEYS)
+
         before = ConsistentHashRing(["s0", "s1"])
-        assert before.moved_fraction(before, KEYS) == 0.0
-        after = before.with_owner("s2")
-        fraction = before.moved_fraction(after, KEYS)
-        assert 0.0 < fraction < 1.0
-        assert before.moved_fraction(after, []) == 0.0
+        assert moved(before, ConsistentHashRing(["s0", "s1"])) == 0
+        assert 0 < moved(before, before.with_owner("s2")) < len(KEYS)

@@ -23,11 +23,11 @@ def study():
 
 class TestPingStudy:
     def test_intra_az_matches_table_1a(self, study):
-        trace = study.trace("CA-0-0", "CA-0-1")
+        trace = study.traces["CA-0-0", "CA-0-1"]
         assert trace.mean == pytest.approx(TABLE_1A_MEAN_RTT_MS, rel=0.2)
 
     def test_inter_az_matches_table_1b(self, study):
-        trace = study.trace("CA-0-0", "CA-1-0")
+        trace = study.traces["CA-0-0", "CA-1-0"]
         assert trace.mean == pytest.approx(TABLE_1B_MEAN_RTT_MS, rel=0.2)
 
     def test_cross_region_matches_table_1c(self, study):
@@ -37,18 +37,18 @@ class TestPingStudy:
 
     def test_ordering_of_scopes(self, study):
         """Intra-AZ is 1.8-6.4x faster than inter-AZ and 40-647x faster than WAN."""
-        intra = study.trace("CA-0-0", "CA-0-1").mean
-        inter = study.trace("CA-0-0", "CA-1-0").mean
-        cross = study.trace("CA-0-0", "OR-0-0").mean
+        intra = study.traces["CA-0-0", "CA-0-1"].mean
+        inter = study.traces["CA-0-0", "CA-1-0"].mean
+        cross = study.traces["CA-0-0", "OR-0-0"].mean
         assert intra < inter < cross
         assert cross / intra > 20
 
     def test_p95_exceeds_mean(self, study):
-        trace = study.trace("SP-0-0", "SI-0-0")
+        trace = study.traces["SI-0-0", "SP-0-0"]
         assert trace.percentile(95) > trace.mean
 
     def test_cdf_is_monotone(self, study):
-        cdf = study.trace("CA-0-0", "OR-0-0").cdf(points=50)
+        cdf = study.traces["CA-0-0", "OR-0-0"].cdf(points=50)
         rtts = [x for x, _ in cdf]
         fractions = [y for _, y in cdf]
         assert rtts == sorted(rtts)
@@ -65,6 +65,6 @@ class TestPingStudy:
     def test_determinism(self):
         study_a, _, _ = run_ping_study(samples_per_link=50, regions=["CA", "OR"], seed=5)
         study_b, _, _ = run_ping_study(samples_per_link=50, regions=["CA", "OR"], seed=5)
-        assert study_a.trace("CA-0-0", "OR-0-0").mean == pytest.approx(
-            study_b.trace("CA-0-0", "OR-0-0").mean
+        assert study_a.traces["CA-0-0", "OR-0-0"].mean == pytest.approx(
+            study_b.traces["CA-0-0", "OR-0-0"].mean
         )

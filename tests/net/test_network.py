@@ -8,6 +8,7 @@ from repro.net.network import Network
 from repro.net.partitions import PartitionManager
 from repro.net.topology import Topology
 from repro.sim import Environment, RandomStreams
+from repro.sim.events import PENDING
 
 
 def make_network(latency_ms=1.0):
@@ -51,7 +52,7 @@ class TestSend:
         env, network = make_network()
         received = []
         network.register("b", lambda msg: received.append(msg))
-        network.partitions.partition([["a"], ["b"]])
+        network.partitions.partition_by({"a": 0, "b": 1}.get)
         network.send("a", "b", "hello")
         env.run()
         assert received == []
@@ -85,7 +86,7 @@ class TestRPC:
         env, network = make_network()
         network.register("b", lambda msg: None)
         network.register("a", lambda msg: None)
-        network.partitions.partition([["a"], ["b"]])
+        network.partitions.partition_by({"a": 0, "b": 1}.get)
         future = network.rpc("a", "b", "ping", timeout_ms=50.0)
         with pytest.raises(RequestTimeout):
             env.run_until_complete(future)
@@ -143,7 +144,7 @@ class TestRPC:
         with pytest.raises(RequestTimeout):
             env.run_until_complete(future)
         env.run()  # the late reply must not blow up
-        assert future.triggered and not future.ok
+        assert future._value is not PENDING and not future.ok
 
     def test_a_reply_sent_ahead_leaves_when_service_ends(self):
         """``after_ms`` is the service time still to run: the reply arrives

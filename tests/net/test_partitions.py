@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import NetworkError
 from repro.net.partitions import PartitionManager
 
 
@@ -10,33 +9,28 @@ class TestPartitionManager:
     def test_fully_connected_by_default(self):
         manager = PartitionManager()
         assert manager.connected("a", "b")
-        assert not manager.active
+        assert manager.idle
 
     def test_partition_splits_groups(self):
         manager = PartitionManager()
-        manager.partition([["a", "b"], ["c"]])
+        manager.partition_by({"a": 0, "b": 0, "c": 1}.get)
         assert manager.connected("a", "b")
         assert not manager.connected("a", "c")
         assert not manager.connected("c", "b")
-        assert manager.active
+        assert not manager.idle
 
     def test_site_outside_all_groups_is_unreachable(self):
         manager = PartitionManager()
-        manager.partition([["a", "b"]])
+        manager.partition_by({"a": 0, "b": 0}.get)
         assert not manager.connected("a", "z")
         assert not manager.connected("z", "a")
 
     def test_self_connectivity_always_holds(self):
         manager = PartitionManager()
-        manager.partition([["a"], ["b"]])
+        manager.partition_by({"a": 0, "b": 1}.get)
         assert manager.connected("a", "a")
         manager.isolate("a")
         assert manager.connected("a", "a")
-
-    def test_overlapping_groups_rejected(self):
-        manager = PartitionManager()
-        with pytest.raises(NetworkError):
-            manager.partition([["a", "b"], ["b", "c"]])
 
     def test_isolate_and_rejoin(self):
         manager = PartitionManager()
@@ -47,61 +41,54 @@ class TestPartitionManager:
 
     def test_heal_restores_connectivity(self):
         manager = PartitionManager()
-        manager.partition([["a"], ["b"]])
+        manager.partition_by({"a": 0, "b": 1}.get)
         manager.isolate("c")
-        manager.heal()
+        manager.clear_partition()
+        manager.rejoin("c")
         assert manager.connected("a", "b")
         assert manager.connected("c", "a")
-        assert not manager.active
+        assert manager.idle
 
     def test_reachable_from_filters(self):
         manager = PartitionManager()
-        manager.partition([["a", "b"], ["c", "d"]])
+        manager.partition_by({"a": 0, "b": 0, "c": 1, "d": 1}.get)
         assert manager.reachable_from("a", ["b", "c", "d"]) == ["b"]
 
-    def test_describe_snapshot(self):
-        manager = PartitionManager()
-        manager.partition([["b", "a"]])
-        manager.isolate("z")
-        snapshot = manager.describe()
-        assert snapshot["groups"] == [["a", "b"]]
-        assert snapshot["isolated"] == ["z"]
-        assert snapshot["active"] is True
 
 
 class TestPartitionStateTransitions:
-    """partition() and partition_by() replace each other, never stack."""
+    """A split replaces the split before it, never stacks on it."""
 
     def test_partition_clears_stale_classifier(self):
         manager = PartitionManager()
         manager.partition_by(lambda site: None)  # everything unreachable
-        manager.partition([["a", "b"], ["c"]])
-        # The classifier would have vetoed a<->b; the static split must win.
+        manager.partition_by({"a": 0, "b": 0, "c": 1}.get)
+        # The first classifier would have vetoed a<->b; the second must win.
         assert manager.connected("a", "b")
         assert not manager.connected("a", "c")
 
     def test_partition_by_clears_stale_groups(self):
         manager = PartitionManager()
-        manager.partition([["a"], ["b"]])
+        manager.partition_by({"a": 0, "b": 1}.get)
         manager.partition_by(lambda site: "same")
-        # The old groups would have vetoed a<->b; the classifier must win.
+        # The old groups would have vetoed a<->b; the new split must win.
         assert manager.connected("a", "b")
 
     def test_clear_partition_keeps_isolations(self):
         manager = PartitionManager()
         manager.isolate("flappy")
-        manager.partition([["a"], ["b"]])
+        manager.partition_by({"a": 0, "b": 1}.get)
         manager.clear_partition()
         assert manager.connected("a", "b")
         assert not manager.connected("flappy", "a")
-        assert manager.active
+        assert not manager.idle
 
     def test_clear_partition_removes_classifier_too(self):
         manager = PartitionManager()
         manager.partition_by(lambda site: None)
         manager.clear_partition()
         assert manager.connected("a", "b")
-        assert not manager.active
+        assert manager.idle
 
 
 class TestGeneration:
@@ -109,12 +96,10 @@ class TestGeneration:
     no query does."""
 
     MUTATORS = [
-        lambda m: m.partition([["a"], ["b"]]),
         lambda m: m.partition_by(lambda site: site),
         lambda m: m.isolate("a"),
         lambda m: m.rejoin("a"),
         lambda m: m.clear_partition(),
-        lambda m: m.heal(),
     ]
 
     @pytest.mark.parametrize("mutate", MUTATORS)
@@ -134,11 +119,10 @@ class TestGeneration:
 
     def test_queries_do_not_bump_it(self):
         manager = PartitionManager()
-        manager.partition([["a", "b"], ["c"]])
+        manager.partition_by({"a": 0, "b": 0, "c": 1}.get)
         manager.isolate("z")
         before = manager.generation
         manager.connected("a", "c")
         manager.reachable_from("a", ["b", "c", "z"])
-        manager.describe()
-        assert manager.active
+        assert not manager.idle
         assert manager.generation == before

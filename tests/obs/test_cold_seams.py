@@ -37,7 +37,7 @@ class TestLockWait:
         results = [testbed.env.run_until_complete(p) for p in processes]
         assert all(result.committed for result in results)
 
-        master = testbed.servers[testbed.config.master_for("hot")]
+        master = testbed.servers[testbed.config.placements["hot"].master]
         assert master.locks.stats.waited == 1
         wait, = events(testbed, "lock-wait:hot")
         assert wait.kind == "lock" and wait.site == master.name
@@ -52,8 +52,8 @@ class TestLockWait:
         summary = metrics.summary("lock_wait_ms", node=master.name)
         assert summary["count"] == 1
         assert summary["max"] == wait.attrs["wait_ms"]
-        assert metrics.counter_value("lock_waits_total",
-                                     node=master.name) == 1.0
+        waits = ("lock_waits_total", (("node", master.name),))
+        assert metrics.counters.get(waits, 0.0) == 1.0
         assert metrics.counter_total("lock_waits_total") == 1.0
 
     def test_an_uncontended_grant_records_nothing(self):
@@ -61,7 +61,7 @@ class TestLockWait:
         client = testbed.make_client("lock-sr")
         assert run_txn(testbed, client, [Operation.write("cold", 1)]).committed
         assert not [s for s in testbed.tracer.spans if s.kind == "lock"]
-        assert "lock_wait_ms" not in testbed.metrics.histogram_names()
+        assert "lock_wait_ms" not in testbed.metrics.prometheus()
         assert testbed.metrics.counter_total("lock_waits_total") == 0.0
 
 
@@ -69,7 +69,7 @@ class TestRpcTimeout:
     def test_an_rpc_to_a_crashed_server_closes_its_span_as_a_timeout(self):
         testbed = observed_testbed(fixed_latency_ms=1.0)
         client = testbed.make_client("master", rpc_timeout_ms=50.0)
-        testbed.servers[testbed.config.master_for("profile")].crash()
+        testbed.servers[testbed.config.placements["profile"].master].crash()
         result = run_txn(testbed, client, [Operation.read("profile")])
         assert not result.committed
         timed_out, = [s for s in testbed.tracer.spans if s.status == "timeout"]
@@ -115,7 +115,7 @@ class TestLayerBegin:
         assert not [s for s in testbed.tracer.spans if s.kind == "layer"
                     and s.name.endswith(".begin")]
         testbed.network.partitions.isolate(
-            testbed.config.local_replica_for("k0", home))
+            testbed.config.placements["k0"].replicas[testbed.config.cluster_index(home)])
         result = run_txn(testbed, session, [Operation.write("fresh", 1)])
         assert result.committed and session.session.forwards_issued > 0
 
@@ -129,6 +129,7 @@ class TestLayerBegin:
             assert span.parent_id == root.span_id
             assert span.duration_ms > 0.0
         # The forwarding RPCs themselves ran inside the begin span's interval.
-        forwards = [s for s in testbed.tracer.trace(root.trace_id)
-                    if s.kind == "rpc" and s.start_ms < begins[0].end_ms]
+        forwards = [s for s in testbed.tracer.spans
+                    if s.trace_id == root.trace_id and s.kind == "rpc"
+                    and s.start_ms < begins[0].end_ms]
         assert len(forwards) >= session.session.forwards_issued

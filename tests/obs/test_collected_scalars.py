@@ -72,7 +72,7 @@ def churned_ring_deployment(seed):
     testbed.run(400.0)
     testbed.partition_regions([["VA"], ["OR"]])
     write(30, "partitioned")
-    testbed.network.partitions.heal()
+    testbed.network.partitions.clear_partition()
     testbed.run(200.0)
     leave = testbed.membership.scale_in(home)
     testbed.run(800.0)
@@ -95,9 +95,9 @@ class TestCollectedFromStats:
                 "handoff_offers_total", "handoff_versions_received_total",
                 "ae_rounds_total", "ae_versions_pushed_total"} <= names
         retired, = testbed.retired
-        assert testbed.metrics.counter_value(
-            "ae_rounds_total", node=retired) == float(
-                testbed.retired[retired].anti_entropy.stats.rounds)
+        rounds = ("ae_rounds_total", (("node", retired),))
+        assert testbed.metrics.counters.get(rounds, 0.0) == float(
+            testbed.retired[retired].anti_entropy.stats.rounds)
         assert testbed.metrics.counter_total("handoff_offers_total") == sum(
             s.handoff.offers_received for s in testbed.servers.values())
 
@@ -113,7 +113,7 @@ class TestCollectedFromStats:
     def test_collected_and_recorded_series_coexist_in_the_exposition(
             self, testbed):
         text = testbed.metrics.prometheus()
-        commits = int(testbed.metrics.counter_value("staleness_commits_total"))
+        commits = int(testbed.metrics.counters.get(("staleness_commits_total", ()), 0.0))
         assert commits > 0
         # Read from the recency probe's own count ...
         assert f"repro_staleness_commits_total {commits}\n" in text
@@ -131,15 +131,13 @@ class TestCollectedFromStats:
         assert registry.counters == {} and registry.gauges == {}
         assert registry.prometheus() == ""
         box.update(count=3, peak=7)
-        assert registry.counter_value("ops_total", node="a") == 3.0
+        assert registry.counters.get(("ops_total", (("node", "a"),)), 0.0) == 3.0
         assert registry.gauges == {("depth_max", (("node", "a"),)): 7.0}
         # Readers of one series add up (two pools of one region), gauges
-        # keep the maximum; a counter both recorded and collected adds the
-        # two.
+        # keep the maximum.
         registry.collect_counter("ops_total", lambda: 10, node="a")
-        registry.counter("ops_total", node="a").inc(100.0)
         registry.collect_gauge("depth_max", lambda: 5.0, node="a")
-        assert registry.counter_value("ops_total", node="a") == 113.0
+        assert registry.counters.get(("ops_total", (("node", "a"),)), 0.0) == 13.0
         assert registry.gauges == {("depth_max", (("node", "a"),)): 7.0}
 
 
@@ -188,8 +186,8 @@ class TestObservedDefendedOverloadLeg:
         assert stats.retry_denials and stats.retries
         for server in testbed.server_list():
             assert server.stats.rejected > 0
-            assert metrics.counter_value(
-                "server_sheds_total", node=server.name) == server.stats.rejected
+            key = ("server_sheds_total", (("node", server.name),))
+            assert metrics.counters.get(key, 0.0) == server.stats.rejected
         assert metrics.counter_total("server_sheds_total") \
             == stats.server_rejected
         assert metrics.counter_total("breaker_opens_total") \
@@ -203,7 +201,7 @@ class TestObservedDefendedOverloadLeg:
             == stats.retries
         # One deposit per request a session picked up.
         deposits = metrics.counter_total("retry_budget_deposits_total")
-        assert stats.completed <= deposits <= stats.offered
+        assert stats.committed + stats.aborted <= deposits <= stats.offered
         # Per pool: one label set per region, nothing else.
         assert {items for (name, items) in collected(metrics.counters)
                 if name in POOL_COUNTERS} == {(("group", "VA"),),

@@ -17,15 +17,20 @@ def _trace():
     return tracer, root
 
 
+def _below(tracer, root):
+    """Every span of ``root``'s trace but the root, in creation order."""
+    return [s for s in tracer.spans if s.trace_id == root.trace_id][1:]
+
+
 def _rpc(tracer, root, start, end, status="ok"):
-    span = tracer.start_span("rpc", "rpc", tracer.context(root), "client",
+    span = tracer.start_span("rpc", "rpc", root, "client",
                              start)
     tracer.finish(span, end, status=status)
     return span
 
 
 def _server(tracer, parent, start, end, service_ms, queue_wait_ms=0.0):
-    span = tracer.start_span("srv", "server", tracer.context(parent),
+    span = tracer.start_span("srv", "server", parent,
                              "server-0", start)
     span.attrs["service_ms"] = service_ms
     span.attrs["queue_wait_ms"] = queue_wait_ms
@@ -39,7 +44,7 @@ class TestDecompose:
         rpc = _rpc(tracer, root, 1.0, 7.0)
         _server(tracer, rpc, 2.0, 6.0, service_ms=3.0, queue_wait_ms=1.0)
         tracer.finish(root, 10.0)
-        totals = decompose(root, tracer.trace(root.trace_id)[1:])
+        totals = decompose(root, _below(tracer, root))
         assert sum(totals.values()) == pytest.approx(10.0)
         assert set(totals) == set(SEGMENTS)
 
@@ -48,7 +53,7 @@ class TestDecompose:
         rpc = _rpc(tracer, root, 0.0, 10.0)
         _server(tracer, rpc, 2.0, 8.0, service_ms=6.0)
         tracer.finish(root, 10.0)
-        totals = decompose(root, tracer.trace(root.trace_id)[1:])
+        totals = decompose(root, _below(tracer, root))
         assert totals["service"] == pytest.approx(6.0)
         assert totals["rtt"] == pytest.approx(4.0)  # wire time minus service
 
@@ -57,7 +62,7 @@ class TestDecompose:
         rpc = _rpc(tracer, root, 0.0, 10.0)
         _server(tracer, rpc, 1.0, 9.0, service_ms=4.0, queue_wait_ms=3.0)
         tracer.finish(root, 10.0)
-        totals = decompose(root, tracer.trace(root.trace_id)[1:])
+        totals = decompose(root, _below(tracer, root))
         assert totals["queueing"] == pytest.approx(3.0)
         assert totals["service"] == pytest.approx(4.0)
 
@@ -65,11 +70,11 @@ class TestDecompose:
         tracer, root = _trace()
         rpc = _rpc(tracer, root, 0.0, 10.0)
         _server(tracer, rpc, 1.0, 9.0, service_ms=8.0)
-        lock = tracer.start_span("lock-wait:x", "lock", tracer.context(rpc),
+        lock = tracer.start_span("lock-wait:x", "lock", rpc,
                                  "server-0", 2.0)
         tracer.finish(lock, 7.0)
         tracer.finish(root, 10.0)
-        totals = decompose(root, tracer.trace(root.trace_id)[1:])
+        totals = decompose(root, _below(tracer, root))
         assert totals["lock_wait"] == pytest.approx(5.0)
         assert totals["service"] == pytest.approx(3.0)
 
@@ -86,8 +91,8 @@ class TestDecompose:
         rpc = _rpc(one, one_root, 1.0, 9.0, status=status)
         rpc.attrs.update(arrival_ms=2.0, queue_wait_ms=1.5, service_ms=4.0)
         one.finish(one_root, 10.0)
-        expected = decompose(pair_root, pair.trace(pair_root.trace_id)[1:])
-        assert decompose(one_root, one.trace(one_root.trace_id)[1:]) \
+        expected = decompose(pair_root, _below(pair, pair_root))
+        assert decompose(one_root, _below(one, one_root)) \
             == expected
         assert expected["service"] == 4.0 and expected["queueing"] == 1.5
 
@@ -95,7 +100,7 @@ class TestDecompose:
         tracer, root = _trace()
         _rpc(tracer, root, 0.0, 10.0).attrs["dst"] = "server-0"
         tracer.finish(root, 10.0)
-        totals = decompose(root, tracer.trace(root.trace_id)[1:])
+        totals = decompose(root, _below(tracer, root))
         assert totals["rtt"] == 10.0 and totals["service"] == 0.0
 
     def test_timed_out_rpc_counts_as_retry(self):
@@ -103,7 +108,7 @@ class TestDecompose:
         _rpc(tracer, root, 0.0, 5.0, status="timeout")
         _rpc(tracer, root, 5.0, 8.0)
         tracer.finish(root, 8.0)
-        totals = decompose(root, tracer.trace(root.trace_id)[1:])
+        totals = decompose(root, _below(tracer, root))
         assert totals["retry"] == pytest.approx(5.0)
         assert totals["rtt"] == pytest.approx(3.0)
 
@@ -111,7 +116,7 @@ class TestDecompose:
         tracer, root = _trace()
         _rpc(tracer, root, 2.0, 4.0)
         tracer.finish(root, 10.0)
-        totals = decompose(root, tracer.trace(root.trace_id)[1:])
+        totals = decompose(root, _below(tracer, root))
         assert totals["client"] == pytest.approx(8.0)
 
     def test_concurrent_rpcs_are_not_double_counted(self):
@@ -119,7 +124,7 @@ class TestDecompose:
         _rpc(tracer, root, 0.0, 6.0)
         _rpc(tracer, root, 2.0, 8.0)  # quorum fan-out overlap
         tracer.finish(root, 8.0)
-        totals = decompose(root, tracer.trace(root.trace_id)[1:])
+        totals = decompose(root, _below(tracer, root))
         assert totals["rtt"] == pytest.approx(8.0)
         assert sum(totals.values()) == pytest.approx(8.0)
 
@@ -128,7 +133,7 @@ class TestDecompose:
         root.start_ms = 2.0
         _rpc(tracer, root, 0.0, 10.0)
         tracer.finish(root, 6.0)
-        totals = decompose(root, tracer.trace(root.trace_id)[1:])
+        totals = decompose(root, _below(tracer, root))
         assert totals["rtt"] == pytest.approx(4.0)
         assert sum(totals.values()) == pytest.approx(4.0)
 

@@ -10,12 +10,14 @@ from repro.obs.staleness import StalenessProbe
 
 class TestCounters:
     def test_inc_and_labels(self):
+        """Readers of one series add up; a label set is its own series."""
         registry = MetricsRegistry()
-        registry.counter("requests_total").inc()
-        registry.counter("requests_total").inc(2.0)
-        registry.counter("requests_total", node="s1").inc()
-        assert registry.counter_value("requests_total") == 3.0
-        assert registry.counter_value("requests_total", node="s1") == 1.0
+        registry.collect_counter("requests_total", lambda: 1.0)
+        registry.collect_counter("requests_total", lambda: 2.0)
+        registry.collect_counter("requests_total", lambda: 1.0, node="s1")
+        assert registry.counters == {
+            ("requests_total", ()): 3.0,
+            ("requests_total", (("node", "s1"),)): 1.0}
         assert registry.counter_total("requests_total") == 4.0
 
     def test_series_identity_survives_the_label_memo(self):
@@ -23,13 +25,15 @@ class TestCounters:
         but stringify differently (1, 1.0, True) do not merge into one."""
         registry = MetricsRegistry()
         for _ in range(2):
-            registry.counter("sheds_total", node="s1", reason="full").inc()
-            registry.counter("sheds_total", reason="full", node="s1").inc()
+            registry.collect_counter("sheds_total", lambda: 1.0, node="s1",
+                                     reason="full")
+            registry.collect_counter("sheds_total", lambda: 1.0,
+                                     reason="full", node="s1")
         key = ("sheds_total", (("node", "s1"), ("reason", "full")))
         assert registry.counters == {key: 4.0}
         for shard in (1, 1.0, True, "1"):
-            registry.counter("by_shard_total", shard=shard).inc()
-            registry.counter("by_shard_total", shard=shard).inc()
+            registry.collect_counter("by_shard_total", lambda: 1.0, shard=shard)
+            registry.collect_counter("by_shard_total", lambda: 1.0, shard=shard)
         assert {items[0][1]: value
                 for (name, items), value in registry.counters.items()
                 if name == "by_shard_total"} == {
@@ -37,7 +41,7 @@ class TestCounters:
 
     def test_unknown_counter_is_zero(self):
         registry = MetricsRegistry()
-        assert registry.counter_value("nope") == 0.0
+        assert registry.counters == {}
         assert registry.counter_total("nope") == 0.0
 
     def test_labels_may_be_called_what_the_parameters_are_called(self):
@@ -45,19 +49,19 @@ class TestCounters:
         ordinary label names: the recording parameters are positional-only."""
         registry = MetricsRegistry(window_ms=100.0)
         for _ in range(2):
-            registry.counter("ops_total", name="x", amount="y").inc(2.0)
+            registry.collect_counter("ops_total", lambda: 2.0, name="x",
+                                     amount="y")
             registry.observe("lat_ms", 50.0, 7.0, name="x", at_ms="t",
                              value="v")
         registry.collect_gauge("depth_max", lambda: 3.0, name="x", read="r")
         labels = (("amount", "y"), ("name", "x"))
         assert registry.counters == {("ops_total", labels): 4.0}
-        assert registry.counter_value("ops_total", name="x", amount="y") == 4.0
         assert registry.gauges == {
             ("depth_max", (("name", "x"), ("read", "r"))): 3.0}
         assert registry.summary("lat_ms", name="x", at_ms="t",
                                 value="v")["count"] == 2
-        assert registry.window_indices("lat_ms", name="x", at_ms="t",
-                                       value="v") == [0]
+        assert list(registry.histogram("lat_ms", name="x", at_ms="t",
+                                       value="v").windows) == [0]
         text = registry.prometheus()
         assert 'repro_ops_total{amount="y",name="x"} 4' in text
         assert 'repro_depth_max{name="x",read="r"} 3' in text
@@ -70,14 +74,14 @@ class TestWindows:
         registry.observe("lat_ms", 10.0, 5.0)
         registry.observe("lat_ms", 150.0, 7.0)
         registry.observe("lat_ms", 199.0, 9.0)
-        assert registry.window_indices("lat_ms") == [0, 1]
+        assert sorted(registry.histogram("lat_ms").windows) == [0, 1]
         assert registry.merged_quantiles("lat_ms", [1])["count"] == 2
 
     def test_boundary_observation_in_exactly_one_window(self):
         registry = MetricsRegistry(window_ms=100.0)
         # Exactly on the tile edge: half-open [100, 200) owns it.
         registry.observe("lat_ms", 100.0, 1.0)
-        assert registry.window_indices("lat_ms") == [1]
+        assert sorted(registry.histogram("lat_ms").windows) == [1]
         total = sum(registry.merged_quantiles("lat_ms", [i])["count"]
                     for i in (0, 1, 2)
                     if registry.merged_quantiles("lat_ms", [i]) is not None)
@@ -136,7 +140,7 @@ class TestFaultWindows:
 class TestExports:
     def _populated(self):
         registry = MetricsRegistry(window_ms=100.0)
-        registry.counter("ops_total", node="s1").inc(3.0)
+        registry.collect_counter("ops_total", lambda: 3.0, node="s1")
         registry.collect_gauge("depth", lambda: 2.0)
         registry.observe("lat_ms", 50.0, 10.0)
         registry.observe("lat_ms", 150.0, 20.0)
@@ -174,7 +178,7 @@ class TestStalenessProbe:
         probe.on_commit("k", 1, "s1", 50.0)
         probe.on_install("k", 1, "s2", 450.0)
         # The 400 ms lag lands in the commit's window, not the install's.
-        assert registry.window_indices("t_visibility_ms") == [0]
+        assert sorted(registry.histogram("t_visibility_ms").windows) == [0]
         assert registry.summary("t_visibility_ms")["max"] == 400.0
 
     def test_duplicate_installs_and_commits_are_idempotent(self):
@@ -201,45 +205,45 @@ class TestStalenessProbe:
         assert registry.summary("t_visibility_ms")["max"] == 40.0
 
     def test_a_version_installed_everywhere_it_went_is_forgotten(self):
-        """``pending_installs`` counts versions still owed an install: it
+        """The probe's pending set holds versions still owed an install: it
         read 1 after a two-replica version's only remote install."""
         registry = MetricsRegistry()
         probe = registry.staleness
         probe.on_commit("k", 1, "s1", 0.0, replicas=("s1", "s2"))
         probe.on_commit("k", 2, "s1", 5.0, replicas=("s1", "s2", "s3"))
-        assert probe.pending_installs() == 2
+        assert len(probe._pending) == 2
         probe.on_install("k", 1, "s1", 0.0)  # the origin's own install
-        assert probe.pending_installs() == 2
+        assert len(probe._pending) == 2
         probe.on_install("k", 1, "s2", 40.0)
-        assert probe.pending_installs() == 1
+        assert len(probe._pending) == 1
         probe.on_install("k", 2, "s3", 45.0)
         probe.on_install("k", 2, "s3", 50.0)  # a duplicate covers nothing
-        assert probe.pending_installs() == 1
+        assert len(probe._pending) == 1
         probe.on_install("k", 2, "s2", 55.0)
-        assert probe.pending_installs() == 0
+        assert len(probe._pending) == 0
         # A replay to a forgotten version is ignored as a duplicate was, and
         # re-announcing it is still a no-op: the ledger remembers it.
         probe.on_install("k", 1, "s2", 90.0)
         probe.on_commit("k", 1, "s9", 99.0, replicas=("s9", "s2"))
         probe.on_install("k", 1, "s2", 120.0)
-        assert probe.pending_installs() == 0
+        assert len(probe._pending) == 0
         assert registry.counter_total("staleness_commits_total") == 2.0
         assert registry.counter_total("staleness_installs_total") == 3.0
         assert registry.summary("t_visibility_ms")["count"] == 3
         assert registry.summary("t_visibility_ms")["max"] == 50.0
-        assert probe.ledger_depth("k") == 2
+        assert len(probe._ledger.get("k", ())) == 2
 
     def test_a_version_with_no_other_replica_is_never_pending(self):
         probe = MetricsRegistry().staleness
         probe.on_commit("k", 1, "s1", 0.0, replicas=("s1",))
-        assert probe.pending_installs() == 0
-        assert probe.ledger_depth("k") == 1
+        assert len(probe._pending) == 0
+        assert len(probe._ledger.get("k", ())) == 1
 
     def test_a_version_without_a_frozen_replica_set_stays_pending(self):
         probe = MetricsRegistry().staleness
         probe.on_commit("k", 1, "s1", 0.0)
         probe.on_install("k", 1, "s2", 40.0)
-        assert probe.pending_installs() == 1
+        assert len(probe._pending) == 1
 
     def test_unknown_version_install_ignored(self):
         registry = MetricsRegistry()
@@ -260,7 +264,7 @@ class TestStalenessProbe:
         assert summary["min"] == 0.0
         assert summary["max"] == 3.0
         assert registry.counter_total("staleness_reads_total") == 4.0
-        assert probe.ledger_depth("k") == 3
+        assert len(probe._ledger.get("k", ())) == 3
 
 
 class TestOptIn:

@@ -44,8 +44,8 @@ class TestFailoverPropagation:
         cluster = client.node.home_cluster
         servers = testbed.config.cluster(cluster).servers
         keys = [f"key{i}" for i in range(64)]
-        owners = {k: testbed.config.local_replica_for(k, cluster)
-                  for k in keys}
+        index = testbed.config.cluster_index(cluster)
+        owners = {k: testbed.config.placements[k].replicas[index] for k in keys}
         key_a = next(k for k in keys if owners[k] == servers[0])
         key_b = next(k for k in keys if owners[k] == servers[1])
 
@@ -72,7 +72,7 @@ class TestFailoverPropagation:
 
         root = tracer.transaction_span(result.txn_id)
         assert root is not None and root.status == "ok"
-        spans = tracer.trace(root.trace_id)
+        spans = [s for s in tracer.spans if s.trace_id == root.trace_id]
         _assert_connected(spans)
 
         failovers = [s for s in spans if s.name == "failover"]
@@ -132,7 +132,7 @@ class TestRebalancePropagation:
 
         # That transaction's trace is still a single connected tree with
         # real server-side work in it: an RPC span carrying its service.
-        spans = tracer.trace(annotated[0].trace_id)
+        spans = [s for s in tracer.spans if s.trace_id == annotated[0].trace_id]
         _assert_connected(spans)
         assert any(s.kind == "rpc" and s.attrs.get("service_ms", 0.0) > 0.0
                    for s in spans)

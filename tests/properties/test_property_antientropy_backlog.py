@@ -95,13 +95,16 @@ class Deployment:
             labels = dict(zip(REGIONS, arg))
             partitions.partition_by(lambda site: labels[region_of(site)])
         elif kind == "groups":
-            partitions.partition([arg, [s for s in SITES if s not in arg]])
+            partitions.partition_by(
+                lambda site, side=set(arg): site in side if site in SITES else None)
         elif kind == "isolate":
             partitions.isolate(arg)
         elif kind == "rejoin":
             partitions.rejoin(arg)
         elif kind == "heal":
-            partitions.heal()
+            partitions.clear_partition()
+            for site in SITES:
+                partitions.rejoin(site)
         elif kind == "clear":
             partitions.clear_partition()
         elif kind == "flip":

@@ -3,8 +3,8 @@
 The traffic engine's whole claim is that load is a *deterministic seeded
 arrival process*: same seed, same arrivals, down to float equality.  These
 properties pin that, plus the statistical shape each generator promises —
-Poisson interarrival means, the MMPP dwell structure, and the diurnal/ramp
-rate envelopes (thinning can only ever *remove* arrivals from the peak-rate
+Poisson interarrival means, the MMPP dwell structure, and the ramp's rate
+envelope (thinning can only ever *remove* arrivals from the peak-rate
 Poisson stream, so envelope bounds are hard, not probabilistic).
 """
 
@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.loadgen.arrivals import (
-    DiurnalArrivals,
     MMPPArrivals,
     PoissonArrivals,
     RampArrivals,
@@ -28,13 +27,12 @@ PROCESS_BUILDERS = [
     lambda: PoissonArrivals(80.0),
     lambda: MMPPArrivals(20.0, 200.0, mean_low_dwell_ms=400.0,
                          mean_high_dwell_ms=150.0),
-    lambda: DiurnalArrivals(20.0, 150.0, period_ms=2_000.0),
     lambda: RampArrivals(10.0, 150.0, 3_000.0),
 ]
 
 
 @pytest.mark.parametrize("build", PROCESS_BUILDERS,
-                         ids=["poisson", "mmpp", "diurnal", "ramp"])
+                         ids=["poisson", "mmpp", "ramp"])
 @given(seed=SEEDS)
 @settings(max_examples=20, deadline=None)
 def test_same_seed_same_arrivals(build, seed):
@@ -44,7 +42,7 @@ def test_same_seed_same_arrivals(build, seed):
 
 
 @pytest.mark.parametrize("build", PROCESS_BUILDERS,
-                         ids=["poisson", "mmpp", "diurnal", "ramp"])
+                         ids=["poisson", "mmpp", "ramp"])
 def test_arrivals_sorted_and_in_window(build):
     times = list(build().arrivals(random.Random(7), 100.0, 4_100.0))
     assert times == sorted(times)
@@ -63,29 +61,6 @@ def test_poisson_interarrival_mean(rate, seed):
     gaps = [b - a for a, b in zip(times, times[1:])]
     mean_gap = sum(gaps) / len(gaps)
     assert mean_gap == pytest.approx(1000.0 / rate, rel=0.15)
-    assert process.mean_rate_per_s() == pytest.approx(rate)
-
-
-@given(seed=SEEDS)
-@settings(max_examples=25, deadline=None)
-def test_diurnal_rate_envelope(seed):
-    """Thinned arrivals can never exceed the peak-rate Poisson envelope.
-
-    Counting over many periods, the observed rate must land between the
-    base and peak rates (the sinusoid's extremes) and near the average the
-    generator reports.
-    """
-    base, peak, period = 30.0, 120.0, 1_000.0
-    process = DiurnalArrivals(base, peak, period_ms=period)
-    horizon_ms = 40 * period
-    times = list(process.arrivals(random.Random(seed), 0.0, horizon_ms))
-    observed_rate = len(times) / (horizon_ms / 1000.0)
-    assert base * 0.7 <= observed_rate <= peak
-    assert observed_rate == pytest.approx(process.mean_rate_per_s(), rel=0.2)
-    # The instantaneous rate itself stays inside [base, peak].
-    for elapsed in (0.0, 0.25, 0.5, 0.75):
-        rate = process.rate_at(elapsed * period)
-        assert base - 1e-9 <= rate <= peak + 1e-9
 
 
 @given(seed=SEEDS)

@@ -68,8 +68,8 @@ class TestSeedDeterminism:
     def test_ycsb_streams_bit_identical(self, seed):
         def keys():
             workload = YCSBWorkload(YCSBConfig(key_count=500), seed=seed)
-            return [(op.kind, op.key) for txn in workload.transactions(20)
-                    for op in txn.operations]
+            return [(op.kind, op.key) for _ in range(20)
+                    for op in workload.next_transaction().operations]
         assert keys() == keys()
 
     @settings(max_examples=10, deadline=None)

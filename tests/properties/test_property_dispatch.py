@@ -205,7 +205,9 @@ def _run(node_class, arrivals, concurrency, admission, crash_at, recover_at):
     # move the clock past the last one before asking for the idle pool.
     env.run(until=env.now + 100.0)
     assert server.busy_workers == 0
-    spans = [span.as_dict() for span in tracer.spans]
+    spans = [{**{slot: getattr(span, slot) for slot in span.__slots__},
+              "attrs": dict(span.attrs), "faults": list(span.faults)}
+             for span in tracer.spans]
     dispatch_events = wakes[0] if node_class is ServerNode else server.served
     return (replies, server.stats, network.stats,
             network.metrics.timeseries(), spans, env.events_executed,

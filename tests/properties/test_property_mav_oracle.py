@@ -134,10 +134,18 @@ class ReferenceMAVState:
         return len(self._stable)
 
 
+def _counts(state):
+    """Pending writes, transactions still tracked, stable timestamps."""
+    if isinstance(state, ReferenceMAVState):
+        return (state.pending_count(), state.tracked_transactions(),
+                state.stable_count())
+    return (sum(len(entry.writes) for entry in state._pending.values()),
+            len(state._pending), len(state._stable))
+
+
 def _observe(state, timestamps):
     return (dict(state.owed), [state.is_stable(ts) for ts in timestamps],
-            state.pending_count(), state.tracked_transactions(),
-            state.stable_count(), asdict(state.stats))
+            *_counts(state), asdict(state.stats))
 
 
 def _same_result(got, expected):

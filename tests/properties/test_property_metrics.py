@@ -41,7 +41,8 @@ def test_replay_is_bit_identical(observations, events):
         for at_ms, value in observations:
             registry.observe("lat_ms", at_ms, value)
         for name, node, amount in events:
-            registry.counter(name, node=node).inc(amount)
+            registry.collect_counter(name, lambda amount=amount: amount,
+                                     node=node)
             registry.collect_gauge("depth", lambda amount=amount: amount,
                                    node=node)
         registry.faults.on_fault("partition", ("VA",), 100.0, "split")
@@ -60,7 +61,7 @@ def test_every_observation_lands_in_exactly_one_window(observations):
     for at_ms, value in observations:
         registry.observe("lat_ms", at_ms, value)
     total = sum(registry.merged_quantiles("lat_ms", [index])["count"]
-                for index in registry.window_indices("lat_ms"))
+                for index in registry.histogram("lat_ms").windows)
     assert total == len(observations)
 
 
@@ -179,19 +180,15 @@ def test_handles_and_by_name_calls_record_identically(stream):
     by_handle = MetricsRegistry(window_ms=250.0)
     mixed = MetricsRegistry(window_ms=250.0)
     handles = {
-        registry: {node: (registry.histogram("lat_ms", node=node),
-                          registry.counter("ops_total", node=node))
+        registry: {node: registry.histogram("lat_ms", node=node)
                    for node in ("s1", "s2")}
         for registry in (by_handle, mixed)}
 
     def record_by_name(registry, node, at_ms, value):
         registry.observe("lat_ms", at_ms, value, node=node)
-        registry.counter("ops_total", node=node).inc(value)
 
     def record_by_handle(registry, node, at_ms, value):
-        histogram, counter = handles[registry][node]
-        histogram.observe(at_ms, value)
-        counter.inc(value)
+        handles[registry][node].observe(at_ms, value)
 
     for node, path, at_ms, value in stream:
         record_by_name(by_name, node, at_ms, value)
@@ -210,23 +207,18 @@ def test_handles_and_by_name_calls_record_identically(stream):
     for registry in (by_handle, mixed):
         assert registry.prometheus() == by_name.prometheus()
         assert registry.timeseries() == by_name.timeseries()
-        assert registry.counters == by_name.counters
 
 
 def test_a_resolved_series_is_exported_only_once_touched():
     registry = MetricsRegistry(window_ms=250.0)
-    counter = registry.counter("ops_total", node="s1")
     histogram = registry.histogram("lat_ms", node="s1")
     untouched = MetricsRegistry(window_ms=250.0)
     assert registry.prometheus() == untouched.prometheus() == ""
     assert registry.timeseries() == untouched.timeseries()
     assert registry.counters == registry.gauges == {}
-    assert registry.histogram_names() == []
     assert registry.summary("lat_ms", node="s1") is None
-    counter.inc(0.0)  # touched, even by nothing
-    histogram.observe(10.0, 0.0)
-    assert registry.counters == {("ops_total", (("node", "s1"),)): 0.0}
-    assert registry.histogram_names() == ["lat_ms"]
+    histogram.observe(10.0, 0.0)  # touched, even by nothing
+    assert registry.summary("lat_ms", node="s1")["count"] == 1
+    assert "# TYPE repro_lat_ms summary" in registry.prometheus()
     # Resolving again returns the same handle: one storage per series.
-    assert registry.counter("ops_total", node="s1") is counter
     assert registry.histogram("lat_ms", node="s1") is histogram

@@ -6,8 +6,8 @@ reference here is the rule it replaced, written out: consult the isolation
 set and the classifier on every query.  A state machine drives every
 mutator and both queries against the two; the classifier of a
 ``partition_by`` split learns sites while the split is in force (``None``
-for a site until then), ``partition`` groups may leave a site out, and a
-query may ask a site about itself.
+for a site until then, which also stands for a site left out of every
+group), and a query may ask a site about itself.
 """
 
 from hypothesis import settings, strategies as st
@@ -60,16 +60,6 @@ class MemoisedVerdicts(RuleBasedStateMachine):
         self.reference = Reference()
         self.learner = None
 
-    @rule(assignment=st.lists(st.sampled_from([None, 0, 1, 2]),
-                              min_size=len(SITES), max_size=len(SITES)))
-    def partition(self, assignment):
-        groups = [[site for site, group in zip(SITES, assignment) if group == n]
-                  for n in range(3)]
-        self.manager.partition(groups)
-        index = {site: n for n, group in enumerate(groups) for site in group}
-        self.reference.classifier = index.get
-        self.learner = None
-
     @rule(labels=st.dictionaries(sites, st.sampled_from(LABELS)))
     def partition_by(self, labels):
         self.learner = Learner(labels)
@@ -96,12 +86,6 @@ class MemoisedVerdicts(RuleBasedStateMachine):
     def clear_partition(self):
         self.manager.clear_partition()
         self.reference.classifier = self.learner = None
-
-    @rule()
-    def heal(self):
-        self.manager.heal()
-        self.reference.classifier = self.learner = None
-        self.reference.isolated.clear()
 
     @rule(a=sites, b=sites)
     def connected(self, a, b):

@@ -3,7 +3,7 @@
 ``ClusterConfig.placements`` answers a miss from a residue table while every
 cluster places by modulo, and from a per-cluster ``owner_of_hash`` loop once
 some cluster uses a ring.  Either way a key's record must be what the
-clusters themselves say: one owner per cluster (``Cluster.owner_for``), the
+clusters themselves say: one owner per cluster (``cluster.partitioner.owner_for``), the
 master ``replicas[key_hash % len(replicas)]`` and, per replica, the others.
 Deployments are modulo, ring or mixed, 1–5 clusters of 1–7 servers, checked
 before and after every ``add_server`` / ``remove_server``.
@@ -12,7 +12,7 @@ before and after every ``add_server`` / ``remove_server``.
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.config import Cluster, ClusterConfig
-from repro.cluster.partitioner import Partitioner
+from repro.cluster.partitioner import _stable_key_hash
 
 KEYS = [f"user{i}" for i in range(400)]
 
@@ -41,9 +41,9 @@ def deployments(draw):
 def assert_placements_match_partitioners(config: ClusterConfig) -> None:
     for key in KEYS:
         record = config.placements[key]
-        replicas = [cluster.owner_for(key) for cluster in config.clusters]
+        replicas = [cluster.partitioner.owner_for(key) for cluster in config.clusters]
         assert record.replicas == replicas
-        assert record.master == replicas[Partitioner.key_hash(key) % len(replicas)]
+        assert record.master == replicas[_stable_key_hash(key) % len(replicas)]
         assert record.peers == {replica: [r for r in replicas if r != replica]
                                 for replica in replicas}
 

@@ -36,7 +36,7 @@ steps = st.lists(st.one_of(
 def full_scan(layer, ctx, versions):
     """What forwarding owes, found by examining every remembered version."""
     client = layer.client
-    overwritten = {op.key for op in ctx.plan if op.is_write}
+    overwritten = {op.key for op in ctx.plan if op.kind == "write"}
     owed = []
     for key, version in versions.items():
         if version.txn_id is None or key in overwritten:
@@ -81,7 +81,7 @@ def test_owed_index_forwards_what_a_full_scan_would(steps, converging):
     checked = []
 
     def checked_begin(layer, ctx):
-        writes = any(op.is_write for op in ctx.plan)
+        writes = any(op.kind == "write" for op in ctx.plan)
         expected = [full_scan(layer, ctx, versions)
                     for _, versions, _ in layer._forwards]
         entered = len(checked)
@@ -133,7 +133,9 @@ def test_owed_index_forwards_what_a_full_scan_would(steps, converging):
             elif step == "partition":
                 testbed.partition_regions([["VA"], ["OR"]])
             elif step == "heal":
-                testbed.network.partitions.heal()
+                testbed.network.partitions.clear_partition()
+                for server in servers:
+                    testbed.network.partitions.rejoin(server)
             elif step == "join" and len(joined) < 2:
                 joined.append(testbed.add_server(home).name)
                 testbed.config.add_server(home, joined[-1])

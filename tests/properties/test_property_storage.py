@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.storage.kvstore import VersionedStore
-from repro.storage.records import Timestamp, Version, last_writer_wins
+from repro.storage.records import Timestamp, Version
 
 timestamps = st.builds(Timestamp,
                        sequence=st.integers(min_value=0, max_value=1000),
@@ -29,21 +29,47 @@ class TestTimestampProperties:
             assert a < c
 
 
+def _merged(*replicas):
+    """Anti-entropy's merge: a store holding every version the replicas do."""
+    store = VersionedStore()
+    for replica in replicas:
+        for key in list(replica.keys()):
+            for version in replica.versions(key):
+                store.install(version)
+    return store
+
+
+def _holding(*versions):
+    store = VersionedStore()
+    for version in versions:
+        store.install(version)
+    return store
+
+
 class TestLastWriterWinsProperties:
+    """Merging replicas is last-writer-wins per key: commutative, associative
+    and idempotent, so replicas converge however anti-entropy pairs them."""
+
     @given(versions, versions)
     def test_commutative(self, a, b):
-        assert last_writer_wins(a, b) == last_writer_wins(b, a) or \
-            last_writer_wins(a, b).timestamp == last_writer_wins(b, a).timestamp
+        left = _merged(_holding(a), _holding(b))
+        right = _merged(_holding(b), _holding(a))
+        for key in {a.key, b.key}:
+            assert left.latest(key).timestamp == right.latest(key).timestamp
 
     @given(versions, versions, versions)
     def test_associative_on_timestamps(self, a, b, c):
-        left = last_writer_wins(last_writer_wins(a, b), c)
-        right = last_writer_wins(a, last_writer_wins(b, c))
-        assert left.timestamp == right.timestamp
+        left = _merged(_merged(_holding(a), _holding(b)), _holding(c))
+        right = _merged(_holding(a), _merged(_holding(b), _holding(c)))
+        for key in {a.key, b.key, c.key}:
+            assert left.latest(key).timestamp == right.latest(key).timestamp
 
     @given(versions)
     def test_idempotent(self, a):
-        assert last_writer_wins(a, a) is a
+        store = _holding(a)
+        assert store.install(a) is False
+        assert store.latest(a.key) is a
+        assert store.versions(a.key) == [a]
 
 
 class TestVersionedStoreProperties:
@@ -57,7 +83,8 @@ class TestVersionedStoreProperties:
         for version in batch:
             if store.install(version):
                 current = accepted.get(version.key)
-                accepted[version.key] = last_writer_wins(current, version)
+                if current is None or version.timestamp > current.timestamp:
+                    accepted[version.key] = version
         for key, expected in accepted.items():
             assert store.latest(key).timestamp == expected.timestamp
 

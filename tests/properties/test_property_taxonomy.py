@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.partitioner import HashPartitioner
+from repro.cluster.partitioner import HashPartitioner, _stable_key_hash
 from repro.taxonomy.models import (
     AVAILABLE,
     MODELS,
@@ -67,4 +67,7 @@ class TestPartitionerProperties:
     def test_every_partition_index_in_range(self, owners):
         partitioner = HashPartitioner(owners)
         for i in range(50):
-            assert 0 <= partitioner.partition_index(f"key{i}") < len(owners)
+            key = f"key{i}"
+            index = _stable_key_hash(key) % len(owners)
+            assert 0 <= index < len(owners)
+            assert partitioner.owner_for(key) == owners[index]

@@ -74,7 +74,7 @@ class TestAntiEntropy:
             remote.execute(Transaction([Operation.read("user3")]))
         )
         assert stale.value_read("user3") is None  # partition blocks propagation
-        testbed.network.partitions.heal()
+        testbed.network.partitions.clear_partition()
         testbed.run(1500.0)
         fresh = testbed.env.run_until_complete(
             remote.execute(Transaction([Operation.read("user3")]))
@@ -158,7 +158,7 @@ def test_mav_pushes_each_write_once_to_each_remote_replica():
     puts = testbed.network.stats.per_kind["mav.put"]
     assert stats.committed > 50 and puts > stats.committed
     servers = testbed.server_list()
-    assert all(server.mav.tracked_transactions() == 0 for server in servers)
+    assert all(len(server.mav._pending) == 0 for server in servers)
     regions = len(scenario.regions)
     assert (sum(s.anti_entropy.stats.versions_pushed for s in servers)
             == (regions - 1) * puts)

@@ -92,7 +92,7 @@ class TestCoupledReplication:
         write_burst(testbed, 100)
         sender = testbed.server_list()[0]
         busy_before = sender.stats.busy_ms
-        testbed.network.partitions.heal()
+        testbed.network.partitions.clear_partition()
         testbed.run(500.0)
         assert sender.stats.busy_ms - busy_before >= 100.0
 
@@ -106,7 +106,7 @@ class TestHealBurstRegression:
         sender = testbed.server_list()[0]
         rounds_before = sender.anti_entropy.stats.rounds
         pushed_before = sender.anti_entropy.stats.versions_pushed
-        testbed.network.partitions.heal()
+        testbed.network.partitions.clear_partition()
         testbed.run(2_000.0)
         rounds = sender.anti_entropy.stats.rounds - rounds_before
         pushed = sender.anti_entropy.stats.versions_pushed - pushed_before
@@ -122,7 +122,7 @@ class TestHealBurstRegression:
         sender = testbed.server_list()[0]
         rounds_before = sender.anti_entropy.stats.rounds
         pushed_before = sender.anti_entropy.stats.versions_pushed
-        testbed.network.partitions.heal()
+        testbed.network.partitions.clear_partition()
         testbed.run(2_000.0)
         pushed = sender.anti_entropy.stats.versions_pushed - pushed_before
         rounds = sender.anti_entropy.stats.rounds - rounds_before

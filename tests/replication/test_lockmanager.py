@@ -9,7 +9,7 @@ class TestLockManager:
         grants = []
         assert locks.acquire("x", 1, lambda: grants.append(1)) is True
         assert grants == [1]
-        assert locks.holder("x") == 1
+        assert locks._holders.get("x") == 1
 
     def test_reentrant_acquire_by_same_txn(self):
         locks = LockManager()
@@ -34,7 +34,7 @@ class TestLockManager:
         locks.acquire("x", 3, lambda: grants.append(3))
         locks.release("x", 1)
         assert grants == [1, 2]
-        assert locks.holder("x") == 2
+        assert locks._holders.get("x") == 2
         locks.release("x", 2)
         assert grants == [1, 2, 3]
 
@@ -42,7 +42,7 @@ class TestLockManager:
         locks = LockManager()
         locks.acquire("x", 1, lambda: None)
         assert locks.release("x", 99) is False
-        assert locks.holder("x") == 1
+        assert locks._holders.get("x") == 1
 
     def test_release_purges_queued_request_of_releaser(self):
         locks = LockManager()
@@ -52,31 +52,21 @@ class TestLockManager:
         # Transaction 2 gives up while still queued (e.g. a timeout abort).
         locks.release("x", 2)
         locks.release("x", 1)
-        assert locks.holder("x") is None
+        assert locks._holders.get("x") is None
         assert grants == [1]
-
-    def test_cancel_removes_waiter(self):
-        locks = LockManager()
-        grants = []
-        locks.acquire("x", 1, lambda: grants.append(1))
-        locks.acquire("x", 2, lambda: grants.append(2))
-        locks.cancel("x", 2)
-        locks.release("x", 1)
-        assert grants == [1]
-        assert locks.holder("x") is None
 
     def test_release_frees_lock_when_no_waiters(self):
         locks = LockManager()
         locks.acquire("x", 1, lambda: None)
         locks.release("x", 1)
-        assert locks.holder("x") is None
+        assert locks._holders.get("x") is None
 
     def test_held_keys(self):
         locks = LockManager()
         locks.acquire("x", 1, lambda: None)
         locks.acquire("y", 1, lambda: None)
         locks.acquire("z", 2, lambda: None)
-        assert [key for key in "xyz" if locks.holder(key) == 1] == ["x", "y"]
+        assert [key for key in "xyz" if locks._holders.get(key) == 1] == ["x", "y"]
 
     def test_stats_counters(self):
         locks = LockManager()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Environment
+from repro.sim.events import PENDING
 
 
 class TestEnvironment:
@@ -138,9 +139,9 @@ class TestFuture:
     def test_succeed_resolves_value(self):
         env = Environment()
         future = env.future()
-        assert not future.triggered
+        assert future._value is PENDING
         future.succeed(42)
-        assert future.triggered and future.ok
+        assert future._value is not PENDING and future.ok
         assert future.value == 42
 
     def test_fail_records_exception(self):
@@ -148,7 +149,7 @@ class TestFuture:
         future = env.future()
         error = ValueError("boom")
         future.fail(error)
-        assert future.triggered and not future.ok
+        assert future._value is not PENDING and not future.ok
         assert future.value is error
 
     def test_fail_requires_exception(self):
@@ -214,7 +215,7 @@ class TestFuture:
         env.schedule(50.0, lambda: future.succeed("late"))
         with pytest.raises(SimulationError, match="time limit"):
             env.run_until_complete(future, limit=20.0)
-        assert not future.triggered
+        assert future._value is PENDING
 
 
 class TestTimeout:

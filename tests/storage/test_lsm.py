@@ -45,7 +45,7 @@ class TestLSMStore:
         for i in range(8):
             store.put(v(f"k{i}", i, i), value_bytes=1024)
         assert store.stats.compactions >= 1
-        assert store.sstable_count < store.stats.flushes
+        assert len(store._sstables) < store.stats.flushes
 
     def test_read_cost_grows_with_sstables(self):
         cost_model = LSMCostModel(memtable_bytes=1024, compaction_trigger=100)
@@ -66,9 +66,11 @@ class TestLSMStore:
 
     def test_contains(self):
         store = LSMStore()
-        assert "x" not in store
+        version, _ = store.get_latest("x")
+        assert version.value is None and "x" not in list(store.data.keys())
         store.put(v("x", 1, 1))
-        assert "x" in store
+        assert store.get_latest("x")[0].value == 1
+        assert list(store.data.keys()) == ["x"]
 
     def test_mav_metadata_increases_bytes(self):
         store = LSMStore()

@@ -4,12 +4,12 @@ import pickle
 
 import pytest
 
+from repro.storage.kvstore import VersionedStore
 from repro.storage.records import (
     NULL_TIMESTAMP,
     Timestamp,
     Version,
     initial_version,
-    last_writer_wins,
 )
 
 
@@ -75,19 +75,29 @@ class TestVersion:
 
 
 class TestLastWriterWins:
+    """A replica keeps every version; the one it reads is the last writer's:
+    the greatest timestamp, whatever order the versions arrived in."""
+
+    @staticmethod
+    def _latest(*versions):
+        store = VersionedStore()
+        for version in versions:
+            store.install(version)
+        return store.latest("x")
+
     def test_later_timestamp_wins(self):
         older = Version("x", "old", Timestamp(1, 1))
         newer = Version("x", "new", Timestamp(2, 1))
-        assert last_writer_wins(older, newer) is newer
-        assert last_writer_wins(newer, older) is newer
+        assert self._latest(older, newer) is newer
+        assert self._latest(newer, older) is newer
 
     def test_client_id_breaks_ties(self):
         a = Version("x", "a", Timestamp(1, 1))
         b = Version("x", "b", Timestamp(1, 2))
-        assert last_writer_wins(a, b) is b
+        assert self._latest(a, b) is b
+        assert self._latest(b, a) is b
 
     def test_none_loses(self):
         version = Version("x", 1, Timestamp(1, 1))
-        assert last_writer_wins(None, version) is version
-        assert last_writer_wins(version, None) is version
-        assert last_writer_wins(None, None) is None
+        assert self._latest().value is None
+        assert self._latest(version) is version

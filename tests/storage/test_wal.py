@@ -8,8 +8,8 @@ class TestWriteAheadLog:
         wal = WriteAheadLog()
         wal.append("put", "x", {"v": 1})
         wal.append("put", "y", {"v": 2})
-        assert wal.last_lsn == 1
-        assert len(wal) == 2
+        assert wal._next_lsn - 1 == 1
+        assert len(wal._records) == 2
 
     def test_sync_cost_includes_fsync_and_bytes(self):
         wal = WriteAheadLog(fsync_ms=1.0, bytes_per_ms=1000.0)
@@ -34,7 +34,7 @@ class TestWriteAheadLog:
         wal = WriteAheadLog(max_records=2)
         for index in range(5):
             wal.append("put", f"k{index}", None)
-        assert len(wal) == 2 and wal.last_lsn == 4
+        assert len(wal._records) == 2 and wal._next_lsn - 1 == 4
         assert [record.lsn for record in wal.replay()] == [3, 4]
 
     def test_replay_preserves_order_and_payload(self):
@@ -47,5 +47,5 @@ class TestWriteAheadLog:
 
     def test_empty_log(self):
         wal = WriteAheadLog()
-        assert wal.last_lsn == -1
+        assert wal._next_lsn - 1 == -1
         assert list(wal.replay()) == []

@@ -1,0 +1,156 @@
+"""Unit tests for the census's rules (``tests/census.py``), on snippets.
+
+The census itself runs every door (a CI step); these pin what it decides
+from a definition and a set of entered ``(file, first line)`` pairs.
+"""
+
+import ast
+import textwrap
+
+import pytest
+
+from census import covers, failures, module_definitions
+
+
+def _definitions(source, module="repro.m", path="m.py"):
+    return module_definitions(module, path, ast.parse(textwrap.dedent(source)))
+
+
+def _only(source):
+    functions, _ = _definitions(source)
+    assert len(functions) == 1
+    return functions[0]
+
+
+DECLARATIONS = {
+    "abstractmethod": "@abstractmethod\ndef f(self):\n    return self.x + 1\n",
+    "pass": "def f(self):\n    pass\n",
+    "ellipsis": "def f(self):\n    ...\n",
+    "not-implemented": "def f(self):\n    raise NotImplementedError\n",
+    "not-implemented-call": "def f(self):\n    raise NotImplementedError('f')\n",
+    "docstring-only": 'def f(self):\n    """Only a docstring."""\n',
+    "return-parameter": "def f(self, version):\n    return version\n",
+    "return-constant": 'def f(self):\n    """Nothing."""\n    return None\n',
+    "generator": "def f(self):\n    return\n    yield\n",
+}
+
+
+@pytest.mark.parametrize("source", DECLARATIONS.values(), ids=DECLARATIONS.keys())
+def test_a_declaration_is_exempt(source):
+    assert _only(source).exempt
+
+
+WORK = {
+    "return-attribute": "def f(self):\n    return self.x\n",
+    "return-global": "def f(self):\n    return TABLE\n",
+    "two-statements": "def f(self):\n    self.x = 1\n    return None\n",
+    "raise-other": "def f(self):\n    raise ValueError\n",
+}
+
+
+@pytest.mark.parametrize("source", WORK.values(), ids=WORK.keys())
+def test_a_body_that_does_work_is_not_exempt(source):
+    assert not _only(source).exempt
+
+
+def test_repr_and_str_are_exempt():
+    functions, _ = _definitions("""
+        class C:
+            def __repr__(self):
+                return f"<C {self.x}>"
+            def __str__(self):
+                return f"C {self.x}"
+            def __len__(self):
+                return len(self.x)
+    """)
+    assert {f.qualname: f.exempt for f in functions} == {
+        "C.__repr__": True, "C.__str__": True, "C.__len__": False}
+
+
+def test_a_definition_starts_at_its_first_decorator():
+    function = _only("""
+        @first
+        @second
+        def f(self):
+            return self.x
+    """)
+    # Line 1 is the dedented snippet's empty first line.
+    assert (function.first, function.lines) == (2, 4)
+
+
+def test_qualnames_of_methods_and_nested_functions():
+    functions, names = _definitions("""
+        class C:
+            def method(self):
+                def inner():
+                    return self.x
+                return inner
+        def top():
+            return 1
+    """)
+    assert [f.qualname for f in functions] == ["C.method", "C.method.inner", "top"]
+    assert names == {"repro.m:C", "repro.m:C.method", "repro.m:C.method.inner",
+                     "repro.m:top"}
+
+
+def test_a_key_covers_its_module_class_or_function_and_what_is_nested_in_it():
+    functions, _ = _definitions("""
+        class C:
+            def method(self):
+                def inner():
+                    return self.x
+                return inner
+        class Cache:
+            def get(self):
+                return self.x
+    """)
+    def covered(key):
+        return [f.qualname for f in functions if covers(key, f)]
+
+    assert covered("repro.m") == ["C.method", "C.method.inner", "Cache.get"]
+    assert covered("repro.m:C") == ["C.method", "C.method.inner"]
+    assert covered("repro.m:C.method.inner") == ["C.method.inner"]
+    assert covered("repro.other") == []
+
+
+SOURCE = """
+    class C:
+        def used(self):
+            return self.x
+        def held(self):
+            return self.y
+        def declared(self):
+            pass
+"""
+
+
+def _census(entered_names, reserved):
+    functions, names = _definitions(SOURCE)
+    entered = {(f.path, f.first) for f in functions if f.qualname in entered_names}
+    return failures(functions, names, entered, reserved)
+
+
+def test_an_unentered_function_no_row_names_fails_by_name():
+    assert _census({"C.used"}, {}) == [
+        "repro.m:C.held is entered by no door and RESERVED does not name it"]
+
+
+def test_a_reserved_or_declared_unentered_function_passes():
+    assert _census({"C.used"}, {"repro.m:C.held": "item 2: later"}) == []
+
+
+def test_a_row_covering_an_entered_function_fails_by_name():
+    assert _census({"C.used", "C.held"}, {"repro.m:C.held": "item 2: later"}) == [
+        "RESERVED row repro.m:C.held covers repro.m:C.held, which a door now "
+        "enters"]
+
+
+def test_a_row_naming_nothing_fails():
+    assert _census({"C.used", "C.held"}, {"repro.m:C.gone": "item 2: later"}) == [
+        "RESERVED names repro.m:C.gone, which is not defined"]
+
+
+def test_a_row_may_cover_an_entered_declaration():
+    """A class row covers its hook defaults too; entering one is no news."""
+    assert _census({"C.used", "C.declared"}, {"repro.m:C": "item 2: later"}) == [
+        "RESERVED row repro.m:C covers repro.m:C.used, which a door now enters"]

@@ -1,22 +1,22 @@
 """What ships is what an entry point imports.
 
 Production has three doors: ``python -m repro.bench``, ``examples/*.py`` and
-``benchmarks/hatbench``.  A module under ``src/repro`` that none of them
-imports is either waiting for a caller a ROADMAP item names, or dead.  And a
-door imports only what it runs: a hatbench child's set-up is measured.
+``benchmarks/hatbench``.  What none of them reaches is either waiting for a
+caller a ROADMAP item names, or dead: ``tests/census.py`` (a CI step) checks
+that per function against its ``RESERVED`` table, and this module checks the
+table itself and, per module, what the doors import.  And a door imports
+only what it runs: a hatbench child's set-up is measured.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+from census import RESERVED, definitions
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-
-#: Modules no door imports yet, each with the ROADMAP item that will.
-RESERVED = {
-    "repro.bench.ablations": "item 8: the paper-fidelity scorecard calls it",
-}
 
 IMPORT_THE_DOORS = """
 import importlib, importlib.util, pathlib, sys
@@ -40,7 +40,36 @@ def test_every_module_is_imported_by_an_entry_point_or_reserved_by_name():
         ".".join(path.relative_to(SRC).with_suffix("").parts)
         .removesuffix(".__init__")
         for path in (SRC / "repro").rglob("*.py")}
-    assert shipped - imported == set(RESERVED)
+    assert shipped - imported == {key for key in RESERVED if ":" not in key}
+
+
+def _open_items():
+    """``1b``, ``2``, ..., and lettered parts like ``18a``: every item under
+    ROADMAP "Open items"."""
+    text = (ROOT / "ROADMAP.md").read_text().split("## Open items", 1)[1]
+    return set(re.findall(r"^- \*\*(\w+)\.", text, re.M)) | set(
+        re.findall(r"\*\*\((\d+[a-z])\)", text))
+
+
+def test_every_reserved_row_names_a_definition_under_src_and_a_reason():
+    """The census table (``tests/census.py``, run by CI) is one table: each
+    key resolves by ``ast`` to a module, class or function under ``src/``,
+    and each reason is an open ROADMAP item, a ``--full`` door or a guard."""
+    from repro.bench.__main__ import ARTIFACTS
+
+    _, names = definitions()
+    items = _open_items()
+    for key, reason in RESERVED.items():
+        assert key in names, key
+        kind, _, why = reason.partition(": ")
+        assert why, (key, reason)
+        if kind.startswith("item "):
+            assert kind.removeprefix("item ") in items, (key, reason)
+        elif kind == "door":
+            artifact, flag = why.split()[:2]
+            assert artifact in ARTIFACTS and flag == "--full", (key, reason)
+        else:
+            assert kind == "guard", (key, reason)
 
 
 #: What a hatbench child must not pay for at set-up: only ``python -m

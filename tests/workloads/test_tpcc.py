@@ -44,14 +44,14 @@ def store(driver):
 def resolved_writes(txn, reads):
     """``key -> value`` of every write, derived ones resolved against
     ``reads`` as a protocol client would."""
-    return dict(op.derive(reads) if op.is_derived else (op.key, op.value)
-                for op in txn.operations if op.is_write)
+    return dict(op.derive(reads) if op.derive is not None else (op.key, op.value)
+                for op in txn.operations if op.kind == "write")
 
 
 def commit_serially(driver, txn, store):
     """Run ``txn`` as a serial execution would: its reads see every earlier
     commit, its writes land in ``store`` and the result feeds the mirror."""
-    reads = {op.key: store.get(op.key) for op in txn.operations if op.is_read}
+    reads = {op.key: store.get(op.key) for op in txn.operations if op.kind == "read"}
     writes = resolved_writes(txn, reads)
     store.update(writes)
     driver.observe(FakeResult(txn.txn_id, writes))
@@ -121,7 +121,7 @@ class TestNewOrder:
         for _ in range(20):
             txn = driver.new_order(warehouse=1, district=1)
             writes = resolved_writes(txn, {op.key: 10 for op in txn.operations
-                                           if op.is_read})
+                                           if op.kind == "read"})
             lines = [value for key, value in writes.items()
                      if key.startswith("order-line:")]
             assert lines
@@ -135,7 +135,7 @@ class TestNewOrder:
         for _ in range(20):
             txn = driver.new_order(warehouse=1, district=1)
             writes = resolved_writes(txn, {op.key: 50 for op in txn.operations
-                                           if op.is_read})
+                                           if op.kind == "read"})
             lines = [value for key, value in writes.items()
                      if key.startswith("order-line:")]
             assert lines
@@ -144,7 +144,7 @@ class TestNewOrder:
 
     def test_reads_district_counter_and_stock(self, driver):
         txn = driver.new_order(warehouse=1, district=1)
-        read_keys = [op.key for op in txn.operations if op.is_read]
+        read_keys = [op.key for op in txn.operations if op.kind == "read"]
         assert district_next_oid_key(1, 1) in read_keys
         assert any(key.startswith("stock:1:") for key in read_keys)
 
@@ -152,7 +152,7 @@ class TestNewOrder:
 class TestPayment:
     def test_updates_three_balances_atomically(self, driver):
         txn = driver.payment(warehouse=1)
-        write_keys = [op.key for op in txn.operations if op.is_write]
+        write_keys = [op.key for op in txn.operations if op.kind == "write"]
         assert any(key.startswith("warehouse-ytd:") for key in write_keys)
         assert any(key.startswith("district-ytd:") for key in write_keys)
         assert any(key.startswith("customer-balance:") for key in write_keys)
@@ -160,7 +160,7 @@ class TestPayment:
 
     def test_increments_derive_from_the_observed_totals(self, driver):
         txn = driver.payment(warehouse=1)
-        balances = [op.key for op in txn.operations if op.is_read]
+        balances = [op.key for op in txn.operations if op.kind == "read"]
         writes = resolved_writes(txn, dict.fromkeys(balances, 100.0))
         amount = next(value["amount"] for key, value in writes.items()
                       if key.startswith("payment-history:"))
@@ -183,12 +183,12 @@ class TestReadOnlyTransactions:
     def test_order_status_is_read_only(self, driver):
         txn = driver.order_status()
         assert txn.label == ORDER_STATUS
-        assert all(op.is_read for op in txn.operations)
+        assert all(op.kind == "read" for op in txn.operations)
 
     def test_stock_level_is_read_only(self, driver):
         txn = driver.stock_level()
         assert txn.label == STOCK_LEVEL
-        assert all(op.is_read for op in txn.operations)
+        assert all(op.kind == "read" for op in txn.operations)
 
 
 class TestDelivery:
@@ -204,7 +204,7 @@ class TestDelivery:
     def test_delivery_with_empty_queue_degrades_to_read(self, driver):
         txn = driver.delivery(warehouse=1)
         assert txn.label == DELIVERY
-        assert all(op.is_read for op in txn.operations)
+        assert all(op.kind == "read" for op in txn.operations)
 
 
 class TestMix:

@@ -50,7 +50,7 @@ class TestDerivedNewOrder:
         txn = driver.new_order(warehouse=1, district=1)
         next_key = district_next_oid_key(1, 1)
         assert txn.operations[0] == Operation.read(next_key)
-        derived = [op for op in txn.operations if op.is_derived]
+        derived = [op for op in txn.operations if op.derive is not None]
         assert derived, "New-Order must carry derived writes"
         # Resolve against a pretend read of next-oid = 5.
         reads = {next_key: 5}
@@ -63,7 +63,7 @@ class TestDerivedNewOrder:
         driver = TPCCDriver(small_config(), seed=2, session_id=0)
         txn = driver.new_order(warehouse=1, district=2)
         next_key = district_next_oid_key(1, 2)
-        bump = [op for op in txn.operations if op.is_derived][-1]
+        bump = [op for op in txn.operations if op.derive is not None][-1]
         assert bump.derive({next_key: None}) == (next_key, 2)
         assert bump.derive({}) == (next_key, 2)
 
@@ -93,7 +93,7 @@ class TestDerivedDelivery:
         driver = TPCCDriver(config, mirror=mirror, seed=3, session_id=0)
         txn = driver.delivery(warehouse=1)
         status_key = new_order_key(1, 1, 4)
-        bill = [op for op in txn.operations if op.is_derived][-1]
+        bill = [op for op in txn.operations if op.derive is not None][-1]
         bal_key, billed = bill.derive({status_key: PENDING, "x": 0})
         _, unbilled = bill.derive({status_key: DELIVERED})
         assert billed == pytest.approx(10.0)
@@ -102,7 +102,7 @@ class TestDerivedDelivery:
     def test_no_pending_orders_degrades_to_probe(self):
         driver = TPCCDriver(small_config(), seed=4, session_id=0)
         txn = driver.delivery()
-        assert all(op.is_read for op in txn.operations)
+        assert all(op.kind == "read" for op in txn.operations)
         assert txn.label == "delivery"
 
 

@@ -69,7 +69,7 @@ class TestFactoryShape:
 
     def test_abc_factory_defaults(self):
         factory = RecordingFactory()
-        assert factory.initial_transactions() == []
+        assert not hasattr(factory, "initial_transactions")  # no preload
         assert factory.settle_ms == 0.0
 
     def test_workload_observe_defaults_to_noop(self):

@@ -29,24 +29,25 @@ class TestYCSBWorkload:
         workload = YCSBWorkload(YCSBConfig(operations_per_transaction=8))
         txn = workload.next_transaction()
         assert len(txn.operations) == 8
-        assert all(op.is_read or op.is_write for op in txn.operations)
+        assert all(op.kind in ("read", "write") for op in txn.operations)
 
     def test_write_proportion_extremes(self):
         all_reads = YCSBWorkload(YCSBConfig(write_proportion=0.0)).next_transaction()
         all_writes = YCSBWorkload(YCSBConfig(write_proportion=1.0)).next_transaction()
-        assert all(op.is_read for op in all_reads.operations)
-        assert all(op.is_write for op in all_writes.operations)
+        assert all(op.kind == "read" for op in all_reads.operations)
+        assert all(op.kind == "write" for op in all_writes.operations)
 
     def test_write_proportion_statistics(self):
         workload = YCSBWorkload(YCSBConfig(write_proportion=0.3,
                                            operations_per_transaction=10), seed=1)
-        operations = [op for txn in workload.transactions(300) for op in txn.operations]
-        writes = sum(1 for op in operations if op.is_write)
+        operations = [op for _ in range(300)
+                      for op in workload.next_transaction().operations]
+        writes = sum(1 for op in operations if op.kind == "write")
         assert writes / len(operations) == pytest.approx(0.3, abs=0.05)
 
     def test_keys_within_configured_space(self):
         workload = YCSBWorkload(YCSBConfig(key_count=50), seed=2)
-        for txn in workload.transactions(50):
+        for txn in (workload.next_transaction() for _ in range(50)):
             for op in txn.operations:
                 assert op.key.startswith("user")
                 assert 0 <= int(op.key[4:]) < 50
@@ -64,10 +65,6 @@ class TestYCSBWorkload:
 
     def test_zipfian_mode(self):
         workload = YCSBWorkload(YCSBConfig(distribution="zipfian", key_count=1000), seed=4)
-        keys = [op.key for txn in workload.transactions(100) for op in txn.operations]
+        keys = [op.key for _ in range(100)
+                for op in workload.next_transaction().operations]
         assert len(set(keys)) < len(keys)  # repeats exist under skew
-
-    def test_load_keys_prefix(self):
-        workload = YCSBWorkload(YCSBConfig(key_count=10_000))
-        keys = workload.load_keys(fraction=0.01)
-        assert keys[0] == "user0" and len(keys) == 100

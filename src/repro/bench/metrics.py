@@ -5,19 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import numpy as np
-
-#: Below this many samples the summary is computed in pure Python: a numpy
-#: array allocation per tiny window costs more than it saves, and telemetry
-#: produces thousands of tiny windows per campaign.
-SMALL_SAMPLE_LIMIT = 64
-
 
 def _percentile(ordered: List[float], q: float) -> float:
-    """Linear-interpolation percentile over pre-sorted data.
-
-    The same definition as ``np.percentile``'s default method, so the small
-    and large paths agree.
+    """Linear-interpolation percentile over pre-sorted data: the ``q``-th
+    percentile lies ``(len - 1) * q / 100`` of the way along the sorted
+    samples (the "linear" / "inclusive" definition of ``statistics.quantiles``).
     """
     position = (len(ordered) - 1) * q / 100.0
     lower = int(position)
@@ -52,24 +44,14 @@ class LatencySummary:
     def from_samples(cls, samples: List[float]) -> "LatencySummary":
         if not samples:
             return cls.empty()
-        if len(samples) <= SMALL_SAMPLE_LIMIT:
-            ordered = sorted(float(sample) for sample in samples)
-            return cls(
-                count=len(ordered),
-                mean=sum(ordered) / len(ordered),
-                p50=_percentile(ordered, 50),
-                p95=_percentile(ordered, 95),
-                p99=_percentile(ordered, 99),
-                maximum=ordered[-1],
-            )
-        data = np.asarray(samples, dtype=float)
+        ordered = sorted(map(float, samples))
         return cls(
-            count=int(data.size),
-            mean=float(data.mean()),
-            p50=float(np.percentile(data, 50)),
-            p95=float(np.percentile(data, 95)),
-            p99=float(np.percentile(data, 99)),
-            maximum=float(data.max()),
+            count=len(ordered),
+            mean=sum(ordered) / len(ordered),
+            p50=_percentile(ordered, 50),
+            p95=_percentile(ordered, 95),
+            p99=_percentile(ordered, 99),
+            maximum=ordered[-1],
         )
 
     @classmethod

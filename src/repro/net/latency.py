@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import random
 from itertools import chain, repeat
+from math import exp, fsum
+from operator import itemgetter
+from statistics import NormalDist
+from struct import Struct
 from typing import Dict, Iterator, Optional, Tuple
-
-import numpy as np
 
 from repro.errors import NetworkError
 from repro.net.topology import (
@@ -75,9 +77,26 @@ LOGNORMAL_SIGMA = 0.35
 #: 1: mean(lognormal(mu, sigma)) = exp(mu + sigma^2 / 2).
 LOGNORMAL_MU = -0.5 * LOGNORMAL_SIGMA * LOGNORMAL_SIGMA
 
-#: Latency multipliers are pre-sampled in blocks of this size (see
-#: :meth:`EC2LatencyModel.multipliers`).
+#: Latency multipliers are drawn in blocks of this size (see
+#: :meth:`EC2LatencyModel.multipliers`): one ``randbytes`` draw, read as
+#: little-endian 16-bit indices whatever the host's byte order.
 MULTIPLIER_BLOCK = 4096
+_INDICES = Struct(f"<{MULTIPLIER_BLOCK}H")
+
+
+def _multiplier_table() -> Tuple[float, ...]:
+    """The lognormal's 2^16 midpoint quantiles, scaled to mean exactly one:
+    a uniform index into it is a lognormal multiplier (the table reaches
+    4.3 standard deviations into either tail)."""
+    size, quantile = 1 << 16, NormalDist(LOGNORMAL_MU, LOGNORMAL_SIGMA).inv_cdf
+    table = [exp(quantile((i + 0.5) / size)) for i in range(size)]
+    scale = size / fsum(table)
+    return tuple([multiplier * scale for multiplier in table])
+
+
+#: Every multiplier a draw can return, in ascending order; one 16-bit index
+#: picks one.
+MULTIPLIERS = _multiplier_table()
 
 
 def cross_region_rtt(region_a: str, region_b: str) -> float:
@@ -162,20 +181,15 @@ class EC2LatencyModel(LatencyModel):
 
     # -- samples ------------------------------------------------------------
     def multipliers(self, rng: random.Random) -> Iterator[float]:
-        """Lognormal multipliers from the block sampler.
-
-        Multipliers are drawn 4096 at a time with numpy, seeded from the
-        caller's stream (one ``getrandbits`` per block, drawn when the
-        previous block runs out), instead of paying pure-Python ``gauss`` +
-        ``exp`` per message — the same mean-one lognormal distribution,
-        deterministic per seed, at a fraction of the per-sample cost.
-        """
+        """Lognormal multipliers looked up in :data:`MULTIPLIERS`: 4096
+        indices per ``randbytes`` draw from the caller's stream, drawn when
+        the previous block runs out (deterministic per seed, a table lookup
+        per message instead of ``gauss`` + ``exp``)."""
         stream = self._multipliers.get(rng)
         if stream is None:
             stream = self._multipliers[rng] = chain.from_iterable(
-                np.random.Generator(np.random.PCG64(rng.getrandbits(64)))
-                .lognormal(LOGNORMAL_MU, LOGNORMAL_SIGMA, MULTIPLIER_BLOCK)
-                .tolist() for _ in repeat(None))
+                itemgetter(*_INDICES.unpack(rng.randbytes(_INDICES.size)))(
+                    MULTIPLIERS) for _ in repeat(None))
         return stream
 
     def sample_rtt(self, rng: random.Random, src: str, dst: str) -> float:

@@ -9,10 +9,10 @@ artifacts: the mean-RTT matrices of Table 1 and the RTT CDFs of Figure 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from statistics import fmean
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from repro.bench.metrics import _percentile
 from repro.net.latency import EC2LatencyModel
 from repro.net.topology import Topology, ec2_topology
 from repro.sim import RandomStreams
@@ -31,21 +31,20 @@ class PingTrace:
 
     @property
     def mean(self) -> float:
-        return float(np.mean(self.samples_ms)) if self.samples_ms else float("nan")
+        return fmean(self.samples_ms) if self.samples_ms else float("nan")
 
     def percentile(self, q: float) -> float:
-        return float(np.percentile(self.samples_ms, q)) if self.samples_ms else float("nan")
+        return _percentile(sorted(self.samples_ms), q) if self.samples_ms else float("nan")
 
     def cdf(self, points: int = 200) -> List[Tuple[float, float]]:
-        """Return (rtt_ms, cumulative fraction) pairs for plotting Figure 1."""
-        if not self.samples_ms:
-            return []
-        data = np.sort(np.asarray(self.samples_ms))
-        fractions = np.arange(1, len(data) + 1) / len(data)
-        if len(data) > points:
-            idx = np.linspace(0, len(data) - 1, points).astype(int)
-            data, fractions = data[idx], fractions[idx]
-        return list(zip(data.tolist(), fractions.tolist()))
+        """(rtt_ms, cumulative fraction) pairs for plotting Figure 1: every
+        sample, or ``points`` (at least two) evenly spaced by rank."""
+        data, count = sorted(self.samples_ms), len(self.samples_ms)
+        ranks = range(count)
+        if count > points:
+            step = (count - 1) / (points - 1)
+            ranks = [int(i * step) for i in range(points - 1)] + [count - 1]
+        return [(data[rank], (rank + 1) / count) for rank in ranks]
 
 
 @dataclass

@@ -115,7 +115,7 @@ def costs():
 
 
 def test_mav_stays_inside_its_event_and_notify_budget(costs):
-    """21.42 events, 16.90 messages and 0.61 ack batches per committed
+    """21.43 events, 16.90 messages and 0.61 ack batches per committed
     transaction: four servers, three ack destinations each, one of them (the
     same-slot peer) pushed to, a hundred ticks.  23.42 events while each
     transaction was a process of its own (a start event, and one to resume
@@ -409,9 +409,10 @@ def test_observing_a_run_costs_a_pinned_number_of_spans_and_observations(
     events, _, _, committed = costs["eventual"].cost
     testbed = observed.testbed
     assert (testbed.env.events_executed, observed.committed) == (events, committed)
-    # The recency probe forgot every version but the one still in flight
-    # to its other replica when the run ended.
-    assert len(testbed.metrics.staleness._pending) == 1
+    # The recency probe forgot every version but the two a newer version of
+    # the key overtook on the way to its other replica: a version that loses
+    # last-writer-wins there is never installed, so its record stays.
+    assert len(testbed.metrics.staleness._pending) == 2
 
 
 @pytest.fixture(scope="module")

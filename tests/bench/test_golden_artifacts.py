@@ -154,7 +154,7 @@ class TestAssertPin:
         payload, message = moved
         payload["protocols"][0]["committed_total"] = -1
         assert message().count("\n  /") == 1
-        assert "\n  /protocols/0/committed_total: 3163 -> -1\n" in message()
+        assert "\n  /protocols/0/committed_total: 3167 -> -1\n" in message()
 
     def test_a_leaf_below_depth_3_is_named_by_its_depth_3_ancestor(self, moved):
         payload, message = moved

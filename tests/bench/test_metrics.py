@@ -1,8 +1,11 @@
 """Unit tests for benchmark metrics aggregation."""
 
 import json
+import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.metrics import LatencySummary, RunTally
 from repro.hat.transaction import ReadObservation, TransactionResult
@@ -116,8 +119,8 @@ class TestFromDigest:
         assert json.loads(payload)["mean"] is None
 
     def test_agrees_with_small_sample_path(self):
-        """Regression: tiny windows go through the exact small-sample path;
-        digest summaries of the same data must agree on the exact stats."""
+        """Regression: digest summaries of a tiny window agree with the
+        exact sample path on the exact stats."""
         samples = [12.0, 3.0, 7.0]
         from_list = LatencySummary.from_samples(samples)
         from_sketch = LatencySummary.from_digest(self._digest(samples))
@@ -126,18 +129,20 @@ class TestFromDigest:
         assert from_sketch.maximum == from_list.maximum
 
 
-class TestSmallSamplePath:
-    def test_no_numpy_for_tiny_windows(self, monkeypatch):
-        """Regression: summarizing a tiny window must not materialize a
-        numpy array (the per-window hot path used to)."""
-        import repro.bench.metrics as metrics
+class TestOnePercentile:
+    """One path at every sample size, checked against the standard library:
+    ``statistics.quantiles``' inclusive method is the same linear
+    interpolation, computed another way."""
 
-        def forbidden(*args, **kwargs):  # pragma: no cover - trip wire
-            raise AssertionError("numpy used on the small-sample path")
-
-        monkeypatch.setattr(metrics.np, "asarray", forbidden, raising=False)
-        monkeypatch.setattr(metrics.np, "percentile", forbidden, raising=False)
-        summary = LatencySummary.from_samples([5.0, 1.0, 3.0])
-        assert summary.count == 3
-        assert summary.p50 == pytest.approx(3.0)
-        assert LatencySummary.from_samples([]).count == 0
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=2,
+                    max_size=500))
+    def test_percentiles_are_the_inclusive_quantiles(self, samples):
+        summary = LatencySummary.from_samples(samples)
+        cuts = statistics.quantiles(samples, n=100, method="inclusive")
+        for statistic, percent in ((summary.p50, 50), (summary.p95, 95),
+                                   (summary.p99, 99)):
+            assert statistic == pytest.approx(cuts[percent - 1], rel=1e-9)
+        assert summary.count == len(samples)
+        assert summary.mean == sum(sorted(samples)) / len(samples)
+        assert summary.maximum == max(samples)

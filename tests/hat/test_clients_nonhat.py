@@ -80,6 +80,11 @@ class TestTwoPhaseLockingClient:
         # The blocker grabs the lock and then stalls on many remote operations.
         long_txn = [Operation.read("hot")] + [Operation.read(f"other{i}") for i in range(200)]
         blocking_process = blocker.execute(Transaction(long_txn))
+        # The victim starts once the blocker holds the lock, whichever of
+        # the two requests the network would deliver first.
+        locks = testbed.servers[testbed.config.placements["hot"].master].locks
+        while locks._holders.get("hot") is None:
+            testbed.env.step()
         victim_result = testbed.env.run_until_complete(
             victim.execute(Transaction([Operation.read("hot"), Operation.write("hot", 1)]))
         )

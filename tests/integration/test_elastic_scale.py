@@ -115,7 +115,7 @@ class TestNoReadsLostInTransit:
         assert claim.verdict == "held", str(claim)
 
     @pytest.mark.xfail(strict=True, reason=(
-        "MRWD(T301, T727, T758) on user1401, a key the join did not move, "
+        "MRWD(T298, T721, T762) on user1401, a key the join did not move, "
         "breaks WFR and so Causal; cause undiagnosed: the MAV pending/good "
         "read path, session forwarding on a ring change, or the recorder's "
         "timestamp version order (ROADMAP item 4)"))

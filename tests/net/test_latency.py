@@ -1,8 +1,9 @@
 """Unit tests for the latency models (calibrated to Table 1)."""
 
 import random
+from math import fsum, log
+from statistics import NormalDist
 
-import numpy as np
 import pytest
 
 from repro.errors import NetworkError
@@ -12,6 +13,7 @@ from repro.net.latency import (
     LOGNORMAL_MU,
     LOGNORMAL_SIGMA,
     MULTIPLIER_BLOCK,
+    MULTIPLIERS,
     TABLE_1C_RTT_MS,
     cross_region_rtt,
 )
@@ -92,20 +94,50 @@ class TestEC2LatencyModel:
         assert model.mean_rtt("CA-0-0", "OR-0-0") == 99.0
 
 
-def _block_sampled_multipliers(rng, count):
-    """The multiplier sequence as ``one_way`` drew it before the stream
-    became an iterator: a 4096-block per ``getrandbits(64)``, refilled when
-    the index runs off the end."""
+def _table_multipliers(rng, count):
+    """The multiplier sequence, spelled out: a block of 4096 table indices
+    per ``randbytes`` draw, each index two bytes little-endian, the next
+    block drawn when the index runs off the end."""
     drawn, block, index = [], [], 0
     for _ in range(count):
         if index >= len(block):
-            generator = np.random.Generator(np.random.PCG64(rng.getrandbits(64)))
-            block = generator.lognormal(LOGNORMAL_MU, LOGNORMAL_SIGMA,
-                                        MULTIPLIER_BLOCK).tolist()
+            data = rng.randbytes(2 * MULTIPLIER_BLOCK)
+            block = [MULTIPLIERS[int.from_bytes(data[at:at + 2], "little")]
+                     for at in range(0, len(data), 2)]
             index = 0
         drawn.append(block[index])
         index += 1
     return drawn
+
+
+class TestMultiplierTable:
+    """The quantile table stands in for the lognormal it tabulates."""
+
+    def test_the_table_has_mean_one(self):
+        assert len(MULTIPLIERS) == 1 << 16
+        assert fsum(MULTIPLIERS) / len(MULTIPLIERS) == pytest.approx(1.0, abs=1e-12)
+        assert list(MULTIPLIERS) == sorted(MULTIPLIERS)
+
+    def test_draws_follow_the_lognormal_cdf(self, model):
+        """50 000 draws against the analytic CDF, ``NormalDist().cdf`` of
+        ``log x``: the Kolmogorov-Smirnov distance stays under its
+        alpha = 0.01 critical value, 1.628 / sqrt(n)."""
+        stream = model.multipliers(random.Random(11))
+        draws = sorted(next(stream) for _ in range(50_000))
+        cdf = NormalDist(LOGNORMAL_MU, LOGNORMAL_SIGMA).cdf
+        distance = max(max((rank + 1) / len(draws) - cdf(log(x)),
+                           cdf(log(x)) - rank / len(draws))
+                       for rank, x in enumerate(draws))
+        assert distance < 1.628 / len(draws) ** 0.5
+
+    def test_a_block_is_the_little_endian_16_bit_chunks_of_randbytes(self, model):
+        """The first block, indexed by hand: byte order never changes a
+        draw."""
+        stream = model.multipliers(random.Random(9))
+        data = random.Random(9).randbytes(2 * MULTIPLIER_BLOCK)
+        assert [next(stream) for _ in range(MULTIPLIER_BLOCK)] == [
+            MULTIPLIERS[int.from_bytes(data[2 * i:2 * i + 2], "little")]
+            for i in range(MULTIPLIER_BLOCK)]
 
 
 class TestMultiplierStream:
@@ -127,7 +159,7 @@ class TestMultiplierStream:
             network.send("VA-0-0", "OR-0-0", "ping", index)
         env.run()
         half_rtt = model.mean_rtt("VA-0-0", "OR-0-0") * 0.5
-        expected = _block_sampled_multipliers(
+        expected = _table_multipliers(
             RandomStreams(seed).stream("network"), self.COUNT)
         assert [arrived[index] for index in range(self.COUNT)] == [
             half_rtt * multiplier * 1.0 for multiplier in expected]
@@ -139,8 +171,7 @@ class TestMultiplierStream:
                    for _ in range(self.COUNT)]
         half_rtt = model.mean_rtt("VA-0-0", "VA-0-1") * 0.5
         assert samples == [half_rtt * multiplier for multiplier in
-                           _block_sampled_multipliers(random.Random(seed),
-                                                      self.COUNT)]
+                           _table_multipliers(random.Random(seed), self.COUNT)]
         # One stream per random source, shared by everyone who draws from it.
         assert model.multipliers(rng) is model.multipliers(rng)
         assert model.multipliers(rng) is not model.multipliers(random.Random(seed))
@@ -150,13 +181,13 @@ class TestMultiplierStream:
         stream = model.multipliers(rng)
         assert rng.getstate() == untouched.getstate()  # nothing drawn yet
         next(stream)
-        untouched.getrandbits(64)
+        untouched.randbytes(2 * MULTIPLIER_BLOCK)
         assert rng.getstate() == untouched.getstate()
-        for _ in range(4095):
+        for _ in range(MULTIPLIER_BLOCK - 1):
             next(stream)
         assert rng.getstate() == untouched.getstate()  # still the first block
         next(stream)
-        untouched.getrandbits(64)
+        untouched.randbytes(2 * MULTIPLIER_BLOCK)
         assert rng.getstate() == untouched.getstate()
 
     def test_a_model_without_dispersion_keeps_its_constant(self):

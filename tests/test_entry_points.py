@@ -5,9 +5,12 @@ Production has three doors: ``python -m repro.bench``, ``examples/*.py`` and
 caller a ROADMAP item names, or dead: ``tests/census.py`` (a CI step) checks
 that per function against its ``RESERVED`` table, and this module checks the
 table itself and, per module, what the doors import.  And a door imports
-only what it runs: a hatbench child's set-up is measured.
+only what it runs: a hatbench child's set-up is measured.  The core is
+stdlib-only: no module under ``src/`` imports, and no run loads, a package
+outside the standard library.
 """
 
+import ast
 import re
 import subprocess
 import sys
@@ -77,10 +80,6 @@ def test_every_reserved_row_names_a_definition_under_src_and_a_reason():
 NOT_AT_SETUP = {"multiprocessing", "concurrent.futures.process",
                 "repro.bench.experiments", "repro.bench.report",
                 "repro.bench.parallel"}
-#: The one third-party package set-up may load; the cycle search of the
-#: Adya checker needs no graph library.
-THIRD_PARTY_AT_SETUP = {"numpy"}
-
 IMPORT_THE_CHILD = """
 import pathlib, sys
 root = pathlib.Path(sys.argv[1])
@@ -91,11 +90,66 @@ print("\\n".join(sorted(set(sys.modules) - started_with)))
 """
 
 
-def test_a_hatbench_child_imports_no_pool_no_artifact_and_no_third_party_but_numpy():
+def test_a_hatbench_child_imports_no_pool_no_artifact_and_no_third_party_package():
     done = subprocess.run([sys.executable, "-c", IMPORT_THE_CHILD, str(ROOT)],
                           capture_output=True, text=True, check=True)
     imported = set(done.stdout.split())
     assert NOT_AT_SETUP & imported == set()
     packages = ({name.split(".")[0] for name in imported}
                 - set(sys.stdlib_module_names) - {"repro", "hatbench"})
-    assert packages <= THIRD_PARTY_AT_SETUP
+    assert packages == set()
+
+
+#: Runs what loads lazily, not only what imports: an EC2-latency YCSB run
+#: (the first multiplier block is drawn mid-run), then the Table 1 and
+#: Figure 1 renderings; prints every top-level package loaded on the way.
+RUN_THE_CORE = """
+import pathlib, sys
+root = pathlib.Path(sys.argv[1])
+sys.path[:0] = [str(root / "src")]
+started_with = set(sys.modules)
+from repro.bench.__main__ import ARTIFACTS
+from repro.bench.runner import RunConfig, run_workload
+from repro.hat.testbed import Scenario, build_testbed
+from repro.net.latency import EC2LatencyModel
+from repro.net.measurement import run_ping_study
+scenario = Scenario(regions=["VA", "OR"], servers_per_cluster=2)
+testbed = build_testbed(scenario)
+assert isinstance(testbed.network.latency, EC2LatencyModel)
+stats = run_workload(RunConfig(protocol="eventual", scenario=scenario,
+                               duration_ms=200.0, warmup_ms=0.0),
+                     testbed=testbed)
+assert stats.committed > 0 and stats.latency.p99 > 0
+assert ARTIFACTS["table1"].run(True).text.startswith("Table 1c")
+study, _, _ = run_ping_study(samples_per_link=50, regions=["CA", "OR"])
+trace = study.traces["CA-0-0", "OR-0-0"]
+assert trace.percentile(10) < trace.mean < trace.percentile(99)
+assert trace.cdf(points=10)[-1][1] == 1.0
+print("\\n".join(sorted({name.split(".")[0]
+                        for name in set(sys.modules) - started_with})))
+"""
+
+
+def test_a_run_and_the_table_1_and_figure_1_renderings_load_only_the_stdlib():
+    done = subprocess.run([sys.executable, "-c", RUN_THE_CORE, str(ROOT)],
+                          capture_output=True, text=True, check=True)
+    # ``multiprocessing`` aliases ``__main__`` as ``__mp_main__``.
+    loaded = set(done.stdout.split()) - {"__mp_main__"}
+    assert loaded - set(sys.stdlib_module_names) == {"repro"}
+
+
+def test_every_import_under_src_is_the_stdlib_or_repro():
+    """Read by ``ast``, so an import inside a function counts too."""
+    outside = set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside |= {f"{path.relative_to(SRC)}: {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names
+                        and name.split(".")[0] != "repro"}
+    assert outside == set()

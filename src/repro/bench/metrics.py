@@ -56,9 +56,10 @@ class LatencySummary:
 
     @classmethod
     def from_digest(cls, digest) -> "LatencySummary":
-        """Summarize a streaming quantile sketch (duck-typed: anything with
+        """Summarize a latency histogram (duck-typed: anything with
         ``count``/``mean``/``maximum`` and ``quantile(q)``, i.e. a
-        :class:`~repro.loadgen.sketch.LatencyDigest`).
+        :class:`~repro.loadgen.sketch.LatencyDigest`): each percentile to
+        within its bucket, count, mean and maximum exact.
 
         Keeps the ``None``-for-empty contract: an empty digest summarizes
         to all-``None`` statistics, exactly like an empty sample list.

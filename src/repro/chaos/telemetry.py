@@ -21,13 +21,13 @@ A transaction that never commits (wedged behind an RPC into a partition,
 whether it later aborts or never finishes) *stalls* the tiles it covered:
 from the first tile starting at or after its begin up to, not including,
 the tile it ended in.  A slow commit is latency, not a stall.  Windows are
-created on first touch; latencies stream into a bounded
-:class:`~repro.loadgen.sketch.LatencyDigest` per window.
+created on first touch; latencies stream into a log-linear histogram
+(:class:`~repro.loadgen.sketch.LatencyDigest`) per window, which a snapshot
+copies and a cross-group sum adds up by merging: bucket sums, exact.
 """
 
 from __future__ import annotations
 
-from copy import deepcopy
 from dataclasses import asdict, dataclass, field, replace
 from itertools import count
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -274,17 +274,18 @@ class TimelineTelemetry:
         """Snapshot the per-group timelines: one window per tile of the
         measured interval.
 
-        Non-destructive (windows are copied), so it can be called again
-        after further recording; attempts still in flight stall the
-        snapshot's windows they have covered.
+        Non-destructive (windows are copied, each histogram merged into a
+        fresh one), so it can be called again after further recording;
+        attempts still in flight stall the snapshot's windows they have
+        covered.
         """
         self._bounds()
         timelines = {}
         for group in list(self._windows):
             windows = [self._window(group, index) for index in self._tiles]
             timelines[group] = GroupTimeline(group, [
-                replace(w, digest=deepcopy(w.digest)) for w in windows],
-                self.window_ms)
+                replace(w, digest=LatencyDigest().merge(w.digest))
+                for w in windows], self.window_ms)
         for group, begin_ms in self._open.values():
             windows = timelines[group].windows
             for index in self._stalled(begin_ms, self._tiles.stop):

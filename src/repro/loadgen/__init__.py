@@ -4,8 +4,8 @@
   (Poisson, bursty MMPP, linear ramp),
 * :mod:`repro.loadgen.sessions` — bounded pools of reusable protocol
   sessions with queue-depth accounting,
-* :mod:`repro.loadgen.sketch` — a mergeable streaming latency-quantile
-  digest (bounded memory on the hot path),
+* :mod:`repro.loadgen.sketch` — a log-linear latency histogram whose
+  merge is bucket addition (memory set by the values' range),
 * :mod:`repro.loadgen.engine` — the open-loop run loop tying them
   together: 10^6 logical users at O(pool size) memory.
 """

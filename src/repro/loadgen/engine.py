@@ -5,13 +5,15 @@
 (:mod:`repro.loadgen.arrivals`), not set by response latency, multiplexed
 over a bounded :class:`~repro.loadgen.sessions.SessionPool` per cluster: a
 run over a million logical users costs O(pool size) protocol clients and
-O(sketch) latency memory.  Per-window offered/completed/queue-depth series
-flow through the chaos telemetry layer, which makes *overload* (offered
-rate above the knee, post-partition backlog) observable, not just slow.
+O(histogram buckets) latency memory.  Per-window offered/completed/
+queue-depth series flow through the chaos telemetry layer, which makes
+*overload* (offered rate above the knee, post-partition backlog)
+observable, not just slow.
 
 A request's latency is arrival-to-commit, queueing included: what an
 open-loop system's users see.  Committed latencies stream into a
-:class:`~repro.loadgen.sketch.LatencyDigest` (bounded, mergeable).
+:class:`~repro.loadgen.sketch.LatencyDigest` (log-linear buckets, exact
+merge).
 
 The two drivers share :func:`open_run_window` (preload, then the measured
 interval and its grace period on the sim clock) and the collector pause
@@ -162,7 +164,7 @@ class OpenLoopStats:
     backlog_final: int
     #: Arrival-to-commit latency summary of committed requests (post-warmup).
     latency: Any
-    #: The mergeable sketch behind ``latency`` (for cross-run roll-ups).
+    #: The histogram behind ``latency`` (for cross-run roll-ups).
     digest: LatencyDigest
     #: Periodic queue/in-flight snapshots (the saturation/drain signal).
     backlog: List[BacklogSample] = field(default_factory=list)

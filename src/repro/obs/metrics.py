@@ -3,9 +3,9 @@
 One :class:`MetricsRegistry` per deployment (on the network when
 ``Scenario.metrics`` is on) exports **counters** (counts keyed by name +
 labels), **gauges** (high-water marks a component keeps) and **windowed
-histograms** (each observation lands in the t-digest of its window and in
-a whole-run digest: per-window quantile series and run-level CDFs from one
-feed).
+histograms** (each observation lands in the log-linear histogram of its
+window; a run's histogram is the exact merge of its windows: per-window
+quantile series and run-level CDFs from one feed).
 
 The one tiling: every windowed series in the code — these histograms and
 the availability timelines of :mod:`repro.chaos.telemetry` — puts instant
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from math import frexp
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
@@ -98,12 +99,16 @@ def join_fault_windows(windows: List[Dict[str, object]],
     return windows
 
 
-def _new_digest():
+def _merged(digests):
+    """A new histogram holding every sample of ``digests`` (bucket sums)."""
     # Function-level: importing ``repro.loadgen.sketch`` runs the package's
     # ``__init__``, whose engine imports ``hat.testbed``, which imports us.
     from repro.loadgen.sketch import LatencyDigest
 
-    return LatencyDigest()
+    merged = LatencyDigest()
+    for digest in digests:
+        merged.merge(digest)
+    return merged
 
 
 def _prom_name(name: str) -> str:
@@ -138,37 +143,48 @@ def _stats(digest, quantiles: Sequence[float]) -> Dict:
 
 
 class Histogram:
-    """One windowed histogram series, resolved: a t-digest per window
-    index, created on first touch, and one over the whole run."""
+    """One windowed histogram series, resolved: a log-linear histogram
+    (:class:`~repro.loadgen.sketch.LatencyDigest`) per window index, created
+    on first touch; the run's is their merge, made when read."""
 
-    __slots__ = ("windows", "total", "_window_ms")
+    __slots__ = ("windows", "_window_ms", "_stride")
 
     def __init__(self, window_ms: float):
+        from repro.loadgen.sketch import STRIDE  # function-level: see _merged
+
         self.windows: Dict[int, object] = {}  # window index -> its digest
-        self.total = _new_digest()
         self._window_ms = window_ms
+        self._stride = STRIDE
+
+    @property
+    def total(self):
+        """The whole run's histogram: every window's, merged in order."""
+        return _merged(self.windows[index] for index in sorted(self.windows))
 
     def observe(self, at_ms: float, value: float) -> None:
         """Add ``value`` at sim-time ``at_ms``: ``window_index`` and
-        ``LatencyDigest.add`` (window and run digests) in one frame."""
+        ``LatencyDigest.add`` in one frame."""
+        value = float(value)
+        if not value >= 0.0:
+            raise ValueError(f"not a latency: {value!r}")
         index = int(at_ms // self._window_ms)
         digest = self.windows.get(index)
         if digest is None:
-            digest = self.windows[index] = _new_digest()
-        value = float(value)
-        buffer = digest._buffer
-        buffer.append(value)
-        if len(buffer) >= digest._buffer_cap:
-            digest._compress()
-        digest = self.total
-        buffer = digest._buffer
-        buffer.append(value)
-        if len(buffer) >= digest._buffer_cap:
-            digest._compress()
+            digest = self.windows[index] = _merged(())
+        mantissa, octave = frexp(value)
+        stride = self._stride
+        index = octave * stride + int(mantissa * stride)
+        buckets = digest.buckets
+        buckets[index] = buckets.get(index, 0) + 1
+        digest._sum += value
+        if value < digest._min:
+            digest._min = value
+        if value > digest._max:
+            digest._max = value
 
 
 class MetricsRegistry:
-    """Collected counters and gauges, and windowed t-digest histograms."""
+    """Collected counters and gauges, and windowed histograms."""
 
     def __init__(self, window_ms: float = 500.0,
                  faults: Optional[FaultLedger] = None):
@@ -282,16 +298,15 @@ class MetricsRegistry:
                          **labels) -> Optional[Dict[str, float]]:
         """Stats over a subset of windows (e.g. one chaos phase).
 
-        Merges the per-window digests for ``window_indices`` into a scratch
-        digest; returns None when none of those windows saw an observation.
+        Merges the per-window histograms for ``window_indices`` (exact:
+        bucket sums); returns None when none of those windows saw an
+        observation.
         """
         series = self._observed(name, labels)
-        scratch = _new_digest()
-        for index in window_indices if series is not None else ():
-            digest = series.windows.get(index)
-            if digest is not None:
-                scratch.merge(digest)
-        return _stats(scratch, quantiles) if scratch.count else None
+        windows = series.windows if series is not None else {}
+        merged = _merged(windows[index] for index in window_indices
+                         if index in windows)
+        return _stats(merged, quantiles) if merged.count else None
 
     # -- exports -------------------------------------------------------------
     def timeseries(self,

@@ -454,9 +454,11 @@ def partitioned():
 
 
 def test_a_partitioned_observed_run_does_its_bookkeeping_once(partitioned):
-    """Host-side cost of the observed run: 293.3 frames per committed
+    """Host-side cost of the observed run: 292.8 frames per committed
     transaction with tracing and metrics on, 238.5 with them off (CPython
-    3.11); 361.9 and 307.1, 68.6 more on both, while a request-path stage
+    3.11); 293.2 observed while the t-digest compressed its buffers, each
+    compress entering ``_compress``, ``_fold``, ``_points`` and
+    ``_merge_points`` (-0.4).  361.9 and 307.1, 68.6 more on both, while a request-path stage
     entered more than one frame (the stages of
     :func:`test_the_per_operation_path_stays_one_frame_per_stage` but
     ``_next_value``: -64.5) and ``_pick_replica`` asked ``connected`` for a
@@ -476,7 +478,7 @@ def test_a_partitioned_observed_run_does_its_bookkeeping_once(partitioned):
     observed, plain = partitioned[True], partitioned[False]
     assert observed.committed == plain.committed > 800
     assert observed.testbed.env.events_executed == plain.testbed.env.events_executed
-    assert observed.frames / observed.committed <= 293.5
+    assert observed.frames / observed.committed <= 293.0
     assert plain.frames / plain.committed <= 239.0
 
 

@@ -102,13 +102,13 @@ class TestFromDigest:
         return digest
 
     def test_matches_exact_stats(self):
+        """Integers below 256 are bucket edges: the nearest-rank samples."""
         samples = [float(v) for v in range(1, 101)]
         summary = LatencySummary.from_digest(self._digest(samples))
         assert summary.count == 100
-        assert summary.mean == pytest.approx(50.5)
+        assert summary.mean == 50.5
         assert summary.maximum == 100.0
-        assert summary.p50 == pytest.approx(50.5, abs=2.0)
-        assert summary.p99 == pytest.approx(99.0, abs=2.0)
+        assert (summary.p50, summary.p95, summary.p99) == (50.0, 95.0, 99.0)
 
     def test_none_and_empty_digest_yield_empty_summary(self):
         assert LatencySummary.from_digest(None) == LatencySummary.empty()
@@ -119,14 +119,14 @@ class TestFromDigest:
         assert json.loads(payload)["mean"] is None
 
     def test_agrees_with_small_sample_path(self):
-        """Regression: digest summaries of a tiny window agree with the
+        """Regression: histogram summaries of a tiny window agree with the
         exact sample path on the exact stats."""
         samples = [12.0, 3.0, 7.0]
         from_list = LatencySummary.from_samples(samples)
-        from_sketch = LatencySummary.from_digest(self._digest(samples))
-        assert from_sketch.count == from_list.count
-        assert from_sketch.mean == pytest.approx(from_list.mean)
-        assert from_sketch.maximum == from_list.maximum
+        from_digest = LatencySummary.from_digest(self._digest(samples))
+        assert from_digest.count == from_list.count
+        assert from_digest.mean == from_list.mean
+        assert from_digest.maximum == from_list.maximum
 
 
 class TestOnePercentile:

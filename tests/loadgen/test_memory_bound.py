@@ -3,16 +3,18 @@
 The issue's claim is that 10^6 logical users cost O(pool size) memory.
 These tests pin the mechanism at two orders of magnitude apart (10^3 vs
 10^5 users, identical otherwise): the number of protocol clients built is
-exactly the pool size both times, latency storage stays a bounded digest
-rather than a per-request list, and the measured allocation peak of the
-run barely moves.
+exactly the pool size both times, latency storage stays a bucket
+histogram rather than a per-request list, and the measured allocation peak
+of the run barely moves.
 """
 
 import tracemalloc
+from math import frexp
 
 from repro.hat.testbed import Scenario, build_testbed
 from repro.hat.testbed import Testbed
 from repro.loadgen import OpenLoopConfig, PoissonArrivals, run_open_loop
+from repro.loadgen.sketch import SUB_BUCKETS
 
 
 def _config(users):
@@ -55,10 +57,13 @@ def test_clients_scale_with_pool_not_users(monkeypatch):
 
 def test_latency_storage_is_bounded():
     stats = run_open_loop(_config(100_000))
-    # A sample list would hold one float per commit; the digest holds at
-    # most buffer + centroids regardless of how many commits streamed in.
-    assert stats.digest.count == stats.committed
-    assert len(stats.digest._means) + len(stats.digest._buffer) < 700
+    # A sample list would hold one float per commit; the histogram holds at
+    # most 128 buckets per octave between its min and max, plus zero's,
+    # however many commits streamed in.
+    digest = stats.digest
+    assert digest.count == stats.committed
+    octaves = frexp(digest.maximum)[1] - frexp(digest.minimum)[1] + 1
+    assert len(digest.buckets) <= SUB_BUCKETS * octaves + 1
 
 
 def test_allocation_peak_independent_of_user_count():

@@ -97,6 +97,17 @@ class TestWindows:
         assert summary["min"] == 1.0
         assert summary["max"] == 4.0
 
+    def test_a_negative_or_nan_observation_raises(self):
+        """``observe`` buckets in its own frame, and refuses what
+        ``LatencyDigest.add`` refuses."""
+        registry = MetricsRegistry()
+        for value in (-0.5, float("nan")):
+            with pytest.raises(ValueError):
+                registry.observe("lat_ms", 10.0, value)
+        assert registry.summary("lat_ms") is None  # nothing was touched
+        registry.observe("lat_ms", 10.0, -0.0)  # zero's bucket
+        assert registry.summary("lat_ms")["p50"] == 0.0
+
     def test_empty_summary_is_none(self):
         registry = MetricsRegistry()
         assert registry.summary("lat_ms") is None

@@ -37,9 +37,13 @@ class LatencyDigest:
             raise ValueError(f"not a latency: {value!r}")
         mantissa, octave = frexp(value)  # zero's is (0.0, 0): index 0
         index = octave * STRIDE + int(mantissa * STRIDE)
-        self.buckets[index] = self.buckets.get(index, 0) + 1
+        buckets = self.buckets
+        buckets[index] = buckets.get(index, 0) + 1
         self._sum += value
-        self._min, self._max = min(self._min, value), max(self._max, value)
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
 
     def extend(self, values: Iterable[float]) -> None:
         for value in values:

@@ -39,7 +39,6 @@ from repro.chaos.campaign import (
 from repro.membership.coordinator import RebalanceRecord
 from repro.chaos.nemesis import NarrationEntry, Nemesis
 from repro.chaos.telemetry import (
-    AvailabilitySLO,
     GroupTimeline,
     TimelineTelemetry,
     WindowStats,
@@ -48,7 +47,7 @@ from repro.chaos.telemetry import (
 from repro.errors import ReproError
 from repro.hat.protocols import EVENTUAL, MASTER, MAV, QUORUM, READ_COMMITTED
 from repro.hat.testbed import FIVE_REGION_DEPLOYMENT, Scenario, Testbed, build_testbed
-from repro.overload import AdmissionConfig, RetryPolicy
+from repro.overload import RetryPolicy
 from repro.replication.antientropy import AntiEntropyConfig
 from repro.obs.critical_path import aggregate_stack, decompose
 from repro.obs.export import chrome_trace
@@ -470,7 +469,6 @@ class AvailabilityParams(DeploymentParams):
     partition_ms: float = 6_000.0
     recovery_ms: float = 3_000.0
     window_ms: float = 500.0
-    slo: Optional[AvailabilitySLO] = None
     workload: Optional[YCSBConfig] = None
 
 
@@ -481,7 +479,6 @@ class AvailabilityTimeline:
     protocol: str
     campaign: Campaign
     window_ms: float
-    slo: AvailabilitySLO
     #: Home region -> per-window timeline for the clients homed there.
     groups: Dict[str, GroupTimeline]
     #: Aggregate stats of the same run (for cross-checking totals).
@@ -491,8 +488,7 @@ class AvailabilityTimeline:
 
     def phase_availability(self, group: str) -> Dict[str, Optional[float]]:
         """SLO-window availability per campaign phase for one client group."""
-        return self.groups[group].phase_availability(self.campaign.phases,
-                                                     self.slo)
+        return self.groups[group].phase_availability(self.campaign.phases)
 
     def min_phase_availability(self, phase: str) -> Optional[float]:
         """The worst group's availability during ``phase`` (None if unscored)."""
@@ -507,7 +503,7 @@ def _availability_run(protocol: str, params: AvailabilityParams,
                       ) -> AvailabilityTimeline:
     """One protocol's full availability run (the parallel-sweep worker)."""
     campaign = _partition_campaign(params)
-    telemetry = TimelineTelemetry(window_ms=params.window_ms, slo=params.slo)
+    telemetry = TimelineTelemetry(window_ms=params.window_ms)
     # A request the partition strands expires inside the recovery phase (the
     # default 10 s deadline outlives a quick campaign): half of it.
     recovered = campaign.phases[-1]
@@ -520,7 +516,6 @@ def _availability_run(protocol: str, params: AvailabilityParams,
         protocol=protocol,
         campaign=campaign,
         window_ms=params.window_ms,
-        slo=telemetry.slo,
         groups=telemetry.build(),
         stats=stats,
         narration=narration,
@@ -578,7 +573,6 @@ class TPCCSimParams(DeploymentParams):
     partition_ms: float = 2_000.0
     recovery_ms: float = 1_000.0
     window_ms: float = 500.0
-    slo: Optional[AvailabilitySLO] = None
 
 
 @dataclass
@@ -613,8 +607,7 @@ def _tpcc_sim_run(protocol: str, params: TPCCSimParams) -> TPCCSimResult:
     campaign = telemetry = None
     if params.partition:
         campaign = _partition_campaign(params)
-        telemetry = TimelineTelemetry(window_ms=params.window_ms,
-                                      slo=params.slo)
+        telemetry = TimelineTelemetry(window_ms=params.window_ms)
     stats, narration = _closed_loop_leg(
         protocol, testbed, campaign, factory, params,
         duration_ms=params.duration_ms, recorder=recorder,
@@ -624,8 +617,7 @@ def _tpcc_sim_run(protocol: str, params: TPCCSimParams) -> TPCCSimResult:
     if campaign is not None:
         timeline = AvailabilityTimeline(
             protocol=protocol, campaign=_shifted(campaign, run_start_ms),
-            window_ms=params.window_ms, slo=telemetry.slo,
-            groups=telemetry.build(), stats=stats)
+            window_ms=params.window_ms, groups=telemetry.build(), stats=stats)
         phase_availability = {
             phase.name: timeline.min_phase_availability(phase.name)
             for phase in campaign.phases}
@@ -673,14 +665,12 @@ class ElasticityParams(DeploymentParams):
     """Everything one elasticity run depends on besides the protocol."""
 
     clients_per_cluster: int = 2
-    virtual_nodes: int = 128
     baseline_ms: float = 2_000.0
     scale_out_ms: float = 2_500.0
     partition_ms: float = 4_000.0
     scale_in_ms: float = 2_500.0
     recovery_ms: float = 1_500.0
     window_ms: float = 500.0
-    slo: Optional[AvailabilitySLO] = None
     workload: Optional[YCSBConfig] = None
 
 
@@ -706,7 +696,7 @@ def _ring_scenario(params, **extra) -> Scenario:
     """Ring placement (elastic membership needs it), with catch-up rounds
     capped so handoff/heal bursts do not saturate replicas."""
     return _scenario(
-        params, placement="ring", virtual_nodes=params.virtual_nodes,
+        params, placement="ring",
         anti_entropy=AntiEntropyConfig(max_versions_per_round=32), **extra)
 
 
@@ -718,7 +708,7 @@ def _elasticity_run(protocol: str, params: ElasticityParams) -> ElasticityResult
         baseline_ms=params.baseline_ms, scale_out_ms=params.scale_out_ms,
         partition_ms=params.partition_ms, scale_in_ms=params.scale_in_ms,
         recovery_ms=params.recovery_ms)
-    telemetry = TimelineTelemetry(window_ms=params.window_ms, slo=params.slo)
+    telemetry = TimelineTelemetry(window_ms=params.window_ms)
     recorder = HistoryRecorder()
     stats, narration = _closed_loop_leg(
         protocol, testbed, campaign,
@@ -729,7 +719,6 @@ def _elasticity_run(protocol: str, params: ElasticityParams) -> ElasticityResult
         protocol=protocol,
         campaign=campaign,
         window_ms=params.window_ms,
-        slo=telemetry.slo,
         groups=telemetry.build(),
         stats=stats,
         rebalances=list(testbed.membership.records),
@@ -772,7 +761,6 @@ class StalenessParams(DeploymentParams):
     """Everything one staleness run depends on besides the protocol."""
 
     clients_per_cluster: int = 2
-    virtual_nodes: int = 128
     healthy_ms: float = 2_000.0
     partition_ms: float = 4_000.0
     rebalance_ms: float = 4_000.0
@@ -1129,8 +1117,6 @@ def _metastability_run(protocol: str, defended: bool,
         capacity_coupled=True,
         send_cost_ms_per_version=params.send_cost_ms_per_version,
         max_versions_per_round=None if defended else 1_000_000)
-    admission = AdmissionConfig(max_queue_depth=params.max_queue_depth,
-                                policy="adaptive-lifo") if defended else None
     defenses = dict(retry_budget_ratio=0.1, breaker_failure_threshold=8,
                     breaker_cooldown_ms=500.0) if defended else {}
     retry = RetryPolicy(
@@ -1143,7 +1129,7 @@ def _metastability_run(protocol: str, defended: bool,
         service_cost=ServiceCostModel(
             request_overhead_ms=params.request_overhead_ms, concurrency=1),
         anti_entropy=anti_entropy,
-        admission=admission))
+        max_queue_depth=params.max_queue_depth if defended else None))
     campaign = _partition_campaign(params)
     baseline, _, recovery = _shifted(campaign, testbed.env.now).phases
     telemetry = TimelineTelemetry(window_ms=params.window_ms)

@@ -20,6 +20,7 @@ from repro.bench.experiments import (
 )
 from repro.chaos.campaign import Campaign
 from repro.chaos.nemesis import NarrationEntry
+from repro.chaos.telemetry import MIN_COMMITTED, MIN_SUCCESS_FRACTION, SLO
 from repro.obs.critical_path import SEGMENTS
 
 
@@ -111,13 +112,10 @@ def _slo_strips(title: str, results: Sequence, column: int) -> List[str]:
     scored windows meeting the SLO — the availability score.
     """
     campaign = results[0].campaign
-    slo = results[0].slo
     lines = [
         f"{title} (window = {results[0].window_ms:g} ms)",
-        f"SLO per window: >= {slo.min_committed} commit(s), "
-        f">= {slo.min_success_fraction:.0%} success"
-        + (f", p95 <= {slo.max_p95_latency_ms:g} ms"
-           if slo.max_p95_latency_ms is not None else ""),
+        f"SLO per window: >= {MIN_COMMITTED} commit(s), "
+        f">= {MIN_SUCCESS_FRACTION:.0%} success",
         _phases_line(campaign),
         "",
     ]
@@ -130,7 +128,7 @@ def _slo_strips(title: str, results: Sequence, column: int) -> List[str]:
     for result in results:
         for group in sorted(result.groups):
             strip = "".join("-" if not w.scored
-                            else "#" if w.meets(result.slo) else "."
+                            else "#" if w.meets() else "."
                             for w in result.groups[group].windows)
             scores = result.phase_availability(group)
             lines.append(
@@ -144,7 +142,7 @@ def _groups_json(result) -> Dict:
     """Per-client-region availability, phase scores, and window series."""
     return {
         group: {
-            "availability": timeline.availability(result.slo),
+            "availability": timeline.availability(),
             "phase_availability": result.phase_availability(group),
             "windows": [w.as_dict() for w in timeline.windows],
         }
@@ -224,7 +222,7 @@ def availability_report_json(results: Sequence[AvailabilityTimeline]) -> Dict:
     payload: Dict = {"figure": "availability", "protocols": []}
     if results:
         payload["window_ms"] = results[0].window_ms
-        payload["slo"] = results[0].slo.as_dict()
+        payload["slo"] = dict(SLO)
         payload["campaign"] = _campaign_json(results[0].campaign)
     for result in results:
         payload["protocols"].append({
@@ -538,7 +536,7 @@ def elasticity_report_json(results: Sequence[ElasticityResult]) -> Dict:
     payload: Dict = {"figure": "elasticity", "protocols": []}
     if results:
         payload["window_ms"] = results[0].window_ms
-        payload["slo"] = results[0].slo.as_dict()
+        payload["slo"] = dict(SLO)
         payload["campaign"] = _campaign_json(results[0].campaign)
     for result in results:
         first = result.first_join()

@@ -40,6 +40,13 @@ from repro.sim.events import gc_paused
 from repro.workloads.base import Workload, as_workload_factory
 from repro.workloads.ycsb import YCSBConfig
 
+#: The closed loop's pause after an abort that consumed no simulated time.
+#: Under a partition the unavailable protocols fail fast (the master check is
+#: a local routing-table lookup) and a zero-delay retry loop would freeze the
+#: simulated clock; an abort that *did* take time already paid its pacing
+#: and retries at once.
+ABORT_BACKOFF_MS = 25.0
+
 
 @dataclass
 class RunConfig:
@@ -60,15 +67,10 @@ class RunConfig:
     #: fixed grace period silently truncates transactions in high-latency
     #: geo deployments.
     grace_period_ms: Optional[float] = None
-    #: The run's timeout/backoff discipline (see
+    #: The run's timeout discipline (see
     #: :class:`repro.overload.retry.RetryPolicy`): the RPC and lock
     #: deadlines of every client the run constructs — chaos runs bound how
-    #: long a client wedges behind a reply the partition dropped — and
-    #: ``abort_backoff_ms``, the pause after an abort that consumed no
-    #: simulated time.  Under a partition the unavailable protocols fail
-    #: fast (the master check is a local routing-table lookup) and a
-    #: zero-delay retry loop would freeze the simulated clock; an abort
-    #: that *did* take time already paid its pacing and retries at once.
+    #: long a client wedges behind a reply the partition dropped.
     retry: RetryPolicy = RetryPolicy()
 
     def __post_init__(self) -> None:
@@ -113,7 +115,6 @@ def run_workload(config: RunConfig,
     _, measure_start, end_ms, horizon_ms = open_run_window(
         config, testbed, telemetry, preload)
     tally = RunTally(measure_start)
-    abort_backoff_ms = config.retry.abort_backoff_ms
     client_kwargs = config.retry.client_kwargs(config.protocol)
 
     def client_loop(client, workload: Workload, group: str):
@@ -132,7 +133,7 @@ def run_workload(config: RunConfig,
             if not result.committed and result.latency_ms <= 0.0:
                 # Fail-fast abort (e.g. the master's local reachability
                 # check): back off so the simulated clock always advances.
-                yield env.timeout(abort_backoff_ms)
+                yield env.timeout(ABORT_BACKOFF_MS)
 
     client_index = 0
     for cluster_name in testbed.config.cluster_names:

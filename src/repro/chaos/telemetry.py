@@ -3,8 +3,11 @@
 Aggregate throughput hides what the paper's Table 3 is about: a protocol
 that stalls through a partition and then catches up can post the same
 totals as one that served throughout.  So a run is sliced into windows,
-each scored against an SLO, and *availability* is the fraction of windows
-served — per client group, per campaign phase.  The runners report each
+each scored against one SLO (at least :data:`MIN_COMMITTED` commit, and at
+least :data:`MIN_SUCCESS_FRACTION` of finished transactions committed), and
+*availability* is the fraction of windows served — per client group, per
+campaign phase.  A slow window, or one with a stalled client, that commits
+enough is served.  The runners report each
 transaction (``begin`` / ``complete``), the open-loop engine also arrivals
 (``offer``) and session-pool backlog (``observe_queue_depth``).
 
@@ -28,7 +31,7 @@ copies and a cross-group sum adds up by merging: bucket sums, exact.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from itertools import count
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,21 +42,16 @@ from repro.loadgen.sketch import LatencyDigest
 from repro.obs.metrics import phase_tiles, window_index
 
 
-@dataclass(frozen=True)
-class AvailabilitySLO:
-    """What a window must deliver to count as available."""
-
-    #: Minimum fraction of finished transactions that committed.
-    min_success_fraction: float = 0.9
-    #: Minimum number of commits (a silent window is not an available one).
-    min_committed: int = 1
-    #: Optional latency bound on the window's committed p95.
-    max_p95_latency_ms: Optional[float] = None
-    #: Whether a window may contain a fully stalled client and still pass.
-    allow_stalls: bool = True
-
-    def as_dict(self) -> Dict[str, object]:
-        return asdict(self)
+#: What a window must deliver to count as available: this fraction of its
+#: finished transactions committed ...
+MIN_SUCCESS_FRACTION = 0.9
+#: ... and this many commits (a silent window is not an available one).
+MIN_COMMITTED = 1
+#: The SLO as the availability payloads echo it: no latency bound, and a
+#: window with a stalled client may still pass.
+SLO = {"min_success_fraction": MIN_SUCCESS_FRACTION,
+       "min_committed": MIN_COMMITTED,
+       "max_p95_latency_ms": None, "allow_stalls": True}
 
 
 #: The counters of a window; a cross-group sum adds each (backlog peaks too).
@@ -117,13 +115,10 @@ class WindowStats:
         return self._rate_s(self.committed + self.external_aborts
                             + self.internal_aborts)
 
-    def meets(self, slo: AvailabilitySLO) -> bool:
-        bound = slo.max_p95_latency_ms
-        return (self.committed >= slo.min_committed
-                and self.success_fraction >= slo.min_success_fraction
-                and (slo.allow_stalls or not self.stalled)
-                and (bound is None or not self.committed
-                     or self.latency.p95 <= bound))
+    def meets(self) -> bool:
+        """Whether this window met the SLO (:data:`SLO`)."""
+        return (self.committed >= MIN_COMMITTED
+                and self.success_fraction >= MIN_SUCCESS_FRACTION)
 
     def as_dict(self) -> Dict[str, object]:
         return {"index": self.index, "start_ms": self.start_ms,
@@ -135,13 +130,12 @@ class WindowStats:
                 "latency": self.latency.as_dict()}
 
 
-def availability_score(windows: Sequence[WindowStats],
-                       slo: AvailabilitySLO) -> Optional[float]:
+def availability_score(windows: Sequence[WindowStats]) -> Optional[float]:
     """Fraction of the scored ``windows`` meeting the SLO (None if none)."""
     scored = [w for w in windows if w.scored]
     if not scored:
         return None
-    return sum(1 for w in scored if w.meets(slo)) / len(scored)
+    return sum(1 for w in scored if w.meets()) / len(scored)
 
 
 @dataclass
@@ -152,17 +146,17 @@ class GroupTimeline:
     windows: List[WindowStats]
     window_ms: float
 
-    def availability(self, slo: AvailabilitySLO) -> Optional[float]:
-        return availability_score(self.windows, slo)
+    def availability(self) -> Optional[float]:
+        return availability_score(self.windows)
 
     def phase_windows(self, phase: CampaignPhase) -> List[WindowStats]:
         """Windows whose midpoint falls inside ``phase``."""
         tiles = phase_tiles(phase.start_ms, phase.end_ms, self.window_ms)
         return [w for w in self.windows if w.index in tiles]
 
-    def phase_availability(self, phases: Sequence[CampaignPhase],
-                           slo: AvailabilitySLO) -> Dict[str, Optional[float]]:
-        return {phase.name: availability_score(self.phase_windows(phase), slo)
+    def phase_availability(self, phases: Sequence[CampaignPhase]
+                           ) -> Dict[str, Optional[float]]:
+        return {phase.name: availability_score(self.phase_windows(phase))
                 for phase in phases}
 
 
@@ -181,12 +175,10 @@ class TimelineTelemetry:
     flight are held individually.
     """
 
-    def __init__(self, window_ms: float = 500.0,
-                 slo: Optional[AvailabilitySLO] = None):
+    def __init__(self, window_ms: float = 500.0):
         if window_ms <= 0:
             raise ReproError("telemetry window must be positive")
         self.window_ms = float(window_ms)
-        self.slo = slo or AvailabilitySLO()
         self._interval: Optional[Tuple[float, float]] = None
         self._tiles = range(0)  # the tiles the measured interval touches
         #: Group -> tile index -> its window, created on first touch.

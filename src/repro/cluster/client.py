@@ -9,7 +9,6 @@ record off ``ClusterConfig.placements`` themselves.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
 
 from repro.cluster.config import ClusterConfig
 from repro.errors import ReproError
@@ -32,7 +31,6 @@ class ClientNode:
         config: ClusterConfig,
         name: str,
         home_cluster: str,
-        client_id: Optional[int] = None,
     ):
         if home_cluster not in config.cluster_names:
             raise ReproError(f"unknown home cluster {home_cluster!r}")
@@ -41,7 +39,7 @@ class ClientNode:
         self.config = config
         self.name = name
         self.home_cluster = home_cluster
-        self.client_id = client_id if client_id is not None else next(_CLIENT_IDS)
+        self.client_id = next(_CLIENT_IDS)
         #: Lamport counter; ``ProtocolClient._observe`` advances it past
         #: every sequence a read returns (the receive rule).
         self._next_sequence = 1
@@ -59,14 +57,6 @@ class ClientNode:
         self._next_sequence += 1
         return Timestamp(sequence, self.client_id)
 
-    def timestamp_is_stale(self, timestamp: Timestamp) -> bool:
-        """True when reads have witnessed sequences beyond ``timestamp``.
-
-        A write carrying a stale timestamp would order *before* a version
-        its transaction already observed, losing last-writer-wins to it.
-        """
-        return self._next_sequence > timestamp.sequence + 1
-
     def commit_timestamp(self) -> Timestamp:
         """A timestamp whose sequence tracks the current simulated time.
 
@@ -78,4 +68,4 @@ class ClientNode:
         separated by lock-hold or master-processing intervals far longer than
         one microsecond, and the client id breaks residual ties.
         """
-        return Timestamp(sequence=int(self.env.now * 1000.0), client_id=self.client_id)
+        return Timestamp(sequence=int(self.env._now * 1000.0), client_id=self.client_id)

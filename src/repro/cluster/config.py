@@ -42,7 +42,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cluster.partitioner import HashPartitioner, Partitioner
 from repro.errors import ReproError
-from repro.membership.ring import DEFAULT_VIRTUAL_NODES, ConsistentHashRing
+from repro.membership.ring import ConsistentHashRing
 
 #: The placement modes a cluster accepts.
 PLACEMENT_MODES = ("modulo", "ring")
@@ -58,7 +58,6 @@ class Cluster:
     #: ``"modulo"`` (static, byte-identical to the historical partitioner)
     #: or ``"ring"`` (consistent hashing, required for elastic membership).
     placement: str = "modulo"
-    virtual_nodes: int = DEFAULT_VIRTUAL_NODES
 
     def __post_init__(self) -> None:
         if not self.servers:
@@ -71,7 +70,7 @@ class Cluster:
 
     def _rebuild_partitioner(self) -> None:
         self.partitioner: Partitioner = (
-            ConsistentHashRing(self.servers, self.virtual_nodes)
+            ConsistentHashRing(self.servers)
             if self.placement == "ring" else HashPartitioner(self.servers))
 
     def pending_partitioner(self, add: Optional[str] = None,
@@ -256,7 +255,6 @@ def build_cluster_config(
     regions: Sequence[str],
     servers_per_cluster: int,
     placement: str = "modulo",
-    virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
 ) -> ClusterConfig:
     """Convenience constructor: one cluster per region, N servers each.
 
@@ -270,6 +268,5 @@ def build_cluster_config(
         name = f"cluster{index}-{region}"
         servers = [f"{name}-s{i}" for i in range(servers_per_cluster)]
         clusters.append(Cluster(name=name, region=region, servers=servers,
-                                placement=placement,
-                                virtual_nodes=virtual_nodes))
+                                placement=placement))
     return ClusterConfig(clusters)

@@ -23,10 +23,14 @@ from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.net.network import Message, Network, OVERLOADED_REPLY
-from repro.overload.admission import AdmissionConfig
+from repro.overload.admission import FOREGROUND_KINDS
 from repro.sim import Environment
 from repro.storage.lsm import LSMStore
 from repro.storage.wal import WriteAheadLog
+
+
+#: Service cost per kilobyte of request payload processed (milliseconds).
+PER_KB_MS = 0.01
 
 
 @dataclass(slots=True)
@@ -35,8 +39,6 @@ class ServiceCostModel:
 
     #: Fixed CPU cost per request (RPC decode, dispatch, encode).
     request_overhead_ms: float = 0.12
-    #: Extra cost per kilobyte of payload processed.
-    per_kb_ms: float = 0.01
     #: Number of requests a server can process concurrently (worker threads).
     concurrency: int = 4
 
@@ -56,9 +58,8 @@ class ServerStats:
     busy_ms: float = 0.0
     queue_wait_ms: float = 0.0
     max_queue_depth: int = 0
-    #: Foreground requests shed by admission control (queue-full rejections
-    #: plus CoDel-style stale drops at dequeue).  0 unless the server was
-    #: built with an :class:`~repro.overload.admission.AdmissionConfig`.
+    #: Foreground requests shed by admission control (rejected or evicted at
+    #: the bound).  0 unless the server was built with a ``max_queue_depth``.
     rejected: int = 0
     per_kind: Dict[str, int] = field(default_factory=dict)
 
@@ -82,13 +83,18 @@ class ServerNode:
     def __init__(self, env: Environment, network: Network, name: str,
                  cost_model: Optional[ServiceCostModel] = None,
                  keep_versions: Optional[int] = None,
-                 admission: Optional[AdmissionConfig] = None):
+                 max_queue_depth: Optional[int] = None):
+        if max_queue_depth is not None and max_queue_depth < 1:
+            raise ReproError(
+                f"max_queue_depth must be >= 1, got {max_queue_depth!r}")
         self.env = env
         self.network = network
         self.name = name
         self.cost = cost_model or ServiceCostModel()
-        #: Admission controller (None = the historical unbounded FIFO).
-        self.admission = admission
+        #: The admission bound on queued foreground requests (None = the
+        #: historical unbounded FIFO); past half of it, service is LIFO.
+        self.max_queue_depth = max_queue_depth
+        self._lifo_depth = None if max_queue_depth is None else max_queue_depth // 2
         self.store = LSMStore(keep_versions=keep_versions)
         # Server WAL records only matter for replay/debugging; bound their
         # retention so every replica's memory stays flat over long runs.
@@ -170,19 +176,14 @@ class ServerNode:
         except KeyError:
             per_kind[kind] = 1
         queue = self._queue
-        admission = self.admission
-        if (admission is not None
-                and len(queue) >= admission.max_queue_depth
-                and kind in admission.sheddable_kinds):
-            if admission.policy == "adaptive-lifo":
-                # Evict the oldest sheddable request instead of the
-                # newcomer: its client has waited longest and is the most
-                # likely to have already given up.  Background messages
-                # (anti-entropy, replication) are never evicted.
-                if not self._evict_oldest_sheddable(admission):
-                    self._reject(message, "queue-full")
-                    return
-            else:
+        bound = self.max_queue_depth
+        if (bound is not None and len(queue) >= bound
+                and kind in FOREGROUND_KINDS):
+            # Evict the oldest sheddable request instead of the newcomer:
+            # its client has waited longest and is the most likely to have
+            # already given up.  Background messages (anti-entropy,
+            # replication) are never evicted.
+            if not self._evict_oldest_sheddable():
                 self._reject(message, "queue-full")
                 return
         found = len(queue)
@@ -197,18 +198,18 @@ class ServerNode:
             heappop(workers)
         if not queue and len(workers) < self.cost.concurrency:
             # A worker is idle and nothing is queued: served where it arrives,
-            # at zero wait, which no admission policy sheds or reorders.
+            # at zero wait, which admission neither sheds nor reorders.
             self._serve(message, now, found)
         else:
             queue.append((message, now, found))
             if not self._waking:
                 self._arm_wake()
 
-    def _evict_oldest_sheddable(self, admission: AdmissionConfig) -> bool:
+    def _evict_oldest_sheddable(self) -> bool:
         """Shed the oldest sheddable queued request; False = none found."""
         queue = self._queue
         for index, (queued, _enqueued_at, _depth) in enumerate(queue):
-            if queued.kind in admission.sheddable_kinds:
+            if queued.kind in FOREGROUND_KINDS:
                 del queue[index]
                 self._reject(queued, "evicted")
                 return True
@@ -233,34 +234,21 @@ class ServerNode:
         network.reply(message, OVERLOADED_REPLY)
 
     def _wake(self) -> None:
-        """Hand queued requests to idle workers, shedding what admission
-        drops; re-armed while any request is still queued."""
+        """Hand queued requests to idle workers, newest-first past the LIFO
+        depth; re-armed while any request is still queued."""
         self._waking = False
         queue, workers, env = self._queue, self._workers, self.env
         while workers and workers[0] < (env._now, env._seq + 1):  # past: free
             heappop(workers)
         concurrency = self.cost.concurrency
-        admission = self.admission
+        lifo_depth = self._lifo_depth
         while len(workers) < concurrency and queue:
-            if admission is None:
-                message, enqueued_at, depth = queue.popleft()
+            if lifo_depth is not None and len(queue) > lifo_depth:
+                # Overloaded: serve newest-first so fresh requests see low
+                # latency while the backlog drains.
+                message, enqueued_at, depth = queue.pop()
             else:
-                if (admission.policy == "adaptive-lifo"
-                        and len(queue) > admission.lifo_depth):
-                    # Overloaded: serve newest-first so fresh requests see
-                    # low latency while the backlog drains.
-                    message, enqueued_at, depth = queue.pop()
-                else:
-                    message, enqueued_at, depth = queue.popleft()
-                if (admission.policy == "codel"
-                        and env._now - enqueued_at > admission.codel_target_ms
-                        and message.kind in admission.sheddable_kinds):
-                    # Deadline-aware drop-on-dequeue: this request's queue
-                    # wait already blew the latency target, so serving it
-                    # would likely be wasted work — shed it for a token
-                    # cost instead.
-                    self._reject(message, "stale")
-                    continue
+                message, enqueued_at, depth = queue.popleft()
             self._serve(message, enqueued_at, depth)
         if queue:
             self._arm_wake()
@@ -303,7 +291,7 @@ class ServerNode:
             if type(payload) is dict:
                 size = payload.get("size_bytes", 0)
                 if size and isinstance(size, (int, float)):
-                    service_ms += (size / 1024.0) * cost.per_kb_ms
+                    service_ms += (size / 1024.0) * PER_KB_MS
         if span is not None:
             env.current_trace = None
             attrs = span.attrs

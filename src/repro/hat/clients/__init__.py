@@ -17,15 +17,10 @@ from the spec it was built for.
 
 from typing import Optional
 
-from repro.hat.clients.base import (
-    DEFAULT_VALUE_BYTES,
-    LayeredClient,
-    ProtocolClient,
-)
+from repro.hat.clients.base import LayeredClient, ProtocolClient
 
 
 def build_client(spec: str, node, recorder: Optional[object] = None,
-                 value_bytes: int = DEFAULT_VALUE_BYTES,
                  sticky: bool = True, **kwargs) -> ProtocolClient:
     """Assemble the client for a protocol spec string.
 
@@ -48,15 +43,14 @@ def build_client(spec: str, node, recorder: Optional[object] = None,
             raise ProtocolSpecError(
                 f"sticky=False with the coordinated base {parsed.base!r}: "
                 "stickiness is a property of HAT stacks")
-        return build(node, parsed.name, recorder=recorder,
-                     value_bytes=value_bytes, **kwargs)
+        return build(node, parsed.name, recorder=recorder, **kwargs)
     layers = [layer_class() for layer_class in build]
     if parsed.cut_isolation:
         layers.append(LAYERS[CUT_ISOLATION].layer())
     if parsed.session:
         layers.append(LAYERS[parsed.session_layers[0]].layer(parsed.session))
     return LayeredClient(node, parsed.name, layers, sticky=sticky,
-                         recorder=recorder, value_bytes=value_bytes, **kwargs)
+                         recorder=recorder, **kwargs)
 
 
 __all__ = ["ProtocolClient", "LayeredClient", "build_client"]

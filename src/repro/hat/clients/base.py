@@ -46,8 +46,8 @@ from repro.sim import Process
 from repro.sim.process import all_of
 from repro.storage.records import Timestamp, Version
 
-#: YCSB's default value size, also used by the paper (1 KB).
-DEFAULT_VALUE_BYTES = 1024
+#: The size of every written value: YCSB's default, also the paper's (1 KB).
+VALUE_BYTES = 1024
 
 
 class ProtocolClient:
@@ -60,14 +60,12 @@ class ProtocolClient:
 
     def __init__(self, node: ClientNode, protocol_name: str,
                  recorder: Optional[object] = None,
-                 value_bytes: int = DEFAULT_VALUE_BYTES,
                  rpc_timeout_ms: Optional[float] = None,
                  breaker: Optional[object] = None):
         self.node = node
         #: The canonical name of the spec this client was built for.
         self.protocol_name = protocol_name
         self.recorder = recorder
-        self.value_bytes = value_bytes
         #: The deadline of every RPC this client issues.
         self.rpc_timeout_ms = (DEFAULT_RPC_TIMEOUT_MS if rpc_timeout_ms is None
                                else rpc_timeout_ms)
@@ -116,11 +114,11 @@ class ProtocolClient:
         breaker = self.breaker
         denied = False
         try:
-            if breaker is not None and not breaker.allow(env.now):
+            if breaker is not None and not breaker.allow(env._now):
                 denied = True
                 if transaction.trace is not None:
                     event = tracer.event("breaker-open", transaction.trace,
-                                         self.node.name, env.now)
+                                         self.node.name, env._now)
                     event.attrs["protocol"] = self.protocol_name
                 raise OverloadedError("circuit breaker open")
             yield from self._run(transaction, result)
@@ -130,7 +128,7 @@ class ProtocolClient:
             result.internal_abort = abort.internal
         except RequestTimeout as timeout:
             result.error = str(timeout)
-        result.end_ms = env.now
+        result.end_ms = env._now
         if breaker is not None and not denied:
             # A denied attempt says nothing about the backend, so it is
             # not recorded.  An internal abort counts as success: the
@@ -327,8 +325,11 @@ class LayeredClient(ProtocolClient):
         timestamp before a subsequent read.  All writes of one flush batch
         share the single timestamp drawn at the start of the flush.
         """
+        # A stale timestamp (reads witnessed sequences beyond it) would order
+        # a write *before* a version its transaction already observed.
         if ctx.timestamp is None or (
-                refresh and self.node.timestamp_is_stale(ctx.timestamp)):
+                refresh
+                and self.node._next_sequence > ctx.timestamp.sequence + 1):
             ctx.timestamp = self.node.next_timestamp()
             ctx.result.timestamp = ctx.timestamp
         return ctx.timestamp
@@ -377,7 +378,7 @@ class LayeredClient(ProtocolClient):
                                   self._txn_timestamp(ctx, refresh=True),
                                   transaction.txn_id)
                 yield self._issue(result, replica, self.put_kind, {
-                    "version": version, "size_bytes": self.value_bytes})
+                    "version": version, "size_bytes": VALUE_BYTES})
                 ctx.write_targets[key] = replica
                 ctx.written_versions[key] = version
             else:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Tuple
 
 from repro.errors import ExternalAbort, RequestTimeout, UnavailableError
-from repro.hat.clients.base import ProtocolClient
+from repro.hat.clients.base import VALUE_BYTES, ProtocolClient
 from repro.hat.transaction import READ, SCAN, Transaction, TransactionResult, resolve_derived
 from repro.sim.process import all_of
 from repro.storage.records import Version
@@ -93,7 +93,7 @@ class TwoPhaseLockingClient(ProtocolClient):
                     prepare_futures.append(self._rpc(master, "txn.prepare", {
                         "txn_id": transaction.txn_id,
                         "versions": versions,
-                        "size_bytes": self.value_bytes * len(versions),
+                        "size_bytes": VALUE_BYTES * len(versions),
                     }))
                 votes = yield all_of(self.node.env, prepare_futures)
                 if not all(vote.get("vote") for vote in votes):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.errors import RequestTimeout, UnavailableError
-from repro.hat.clients.base import ProtocolClient
+from repro.hat.clients.base import VALUE_BYTES, ProtocolClient
 from repro.hat.transaction import SCAN, WRITE, Transaction, TransactionResult, resolve_derived
 from repro.storage.records import Version
 
@@ -50,8 +50,8 @@ class MasterClient(ProtocolClient):
                     version = Version(op.key, op.value, timestamp, transaction.txn_id)
                     yield network.rpc(name, master, "master.put", {
                         "version": version,
-                        "size_bytes": self.value_bytes,
-                    }, timeout_ms, self.value_bytes)
+                        "size_bytes": VALUE_BYTES,
+                    }, timeout_ms, VALUE_BYTES)
                 else:
                     reply = yield network.rpc(name, master, "master.get",
                                               {"key": op.key}, timeout_ms, 0)

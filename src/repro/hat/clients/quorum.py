@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.errors import UnavailableError
-from repro.hat.clients.base import ProtocolClient
+from repro.hat.clients.base import VALUE_BYTES, ProtocolClient
 from repro.hat.transaction import SCAN, WRITE, Transaction, TransactionResult, resolve_derived
 from repro.replication.quorum import quorum_of
 from repro.storage.records import Version
@@ -36,7 +36,9 @@ class QuorumClient(ProtocolClient):
             majority = len(replicas) // 2 + 1
             result.remote_rpcs += len(replicas) - 1  # all but the home replica
             if op.kind == WRITE:
-                if timestamp is None or self.node.timestamp_is_stale(timestamp):
+                # Redrawn once reads witnessed sequences beyond it.
+                if (timestamp is None
+                        or self.node._next_sequence > timestamp.sequence + 1):
                     timestamp = self.node.next_timestamp()
                     result.timestamp = timestamp
                 version = Version(op.key, op.value, timestamp,
@@ -44,7 +46,7 @@ class QuorumClient(ProtocolClient):
                 futures = [
                     self._rpc(replica, "quorum.put", {
                         "version": version,
-                        "size_bytes": self.value_bytes,
+                        "size_bytes": VALUE_BYTES,
                     })
                     for replica in replicas
                 ]

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.errors import UnavailableError
-from repro.hat.clients.base import LayeredClient, TxnContext
+from repro.hat.clients.base import VALUE_BYTES, LayeredClient, TxnContext
 from repro.hat.transaction import READ, SCAN, WRITE, Operation, ReadObservation
 from repro.sim.process import all_of
 from repro.storage.records import METADATA_BYTES, SIBLING_BYTES, Timestamp, Version
@@ -141,7 +141,7 @@ class WriteBufferingLayer(GuaranteeLayer):
         versions = self._flush_versions(
             ctx, client._txn_timestamp(ctx, refresh=True))
         siblings = len(versions[0].siblings) if versions else 0  # metadata_bytes, inline
-        size_bytes = client.value_bytes + (
+        size_bytes = VALUE_BYTES + (
             METADATA_BYTES + SIBLING_BYTES * max(siblings - 1, 0) if siblings else 0)
         futures = []
         for version in versions:
@@ -522,7 +522,7 @@ class SessionLayer(GuaranteeLayer):
             if replica in state.holders_of(key, version.timestamp):
                 owed.pop()
                 continue
-            size = client.value_bytes + (version.metadata_bytes
+            size = VALUE_BYTES + (version.metadata_bytes
                                          if version.siblings else 0)
             futures.append(client._issue(ctx.result, replica, client.put_kind, {
                 "version": version,

@@ -29,8 +29,8 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.node import ServerNode, ServiceCostModel
 from repro.hat.mav_state import Ack, MAVState
 from repro.net.network import Message, Network
-from repro.replication.antientropy import (AntiEntropyClock, AntiEntropyConfig,
-                                           AntiEntropyService)
+from repro.replication.antientropy import (BYTES_PER_VERSION, AntiEntropyClock,
+                                           AntiEntropyConfig, AntiEntropyService)
 from repro.replication.lockmanager import LockManager
 from repro.sim import Environment
 from repro.storage.records import METADATA_BYTES, SIBLING_BYTES, Timestamp, Version
@@ -60,11 +60,12 @@ class HATServer(ServerNode):
         cost_model: Optional[ServiceCostModel] = None,
         anti_entropy: Optional[AntiEntropyConfig] = None,
         keep_versions: Optional[int] = None,
-        admission=None,
+        max_queue_depth: Optional[int] = None,
         ae_clock: Optional[AntiEntropyClock] = None,
     ):
         super().__init__(env, network, name, cost_model=cost_model,
-                         keep_versions=keep_versions, admission=admission)
+                         keep_versions=keep_versions,
+                         max_queue_depth=max_queue_depth)
         self.config = config
         self.mav = MAVState(name, config)
         self.locks = LockManager()
@@ -351,8 +352,7 @@ class HATServer(ServerNode):
                 versions.extend(store.versions(key))
         self.handoff.fetches_served += 1
         self.handoff.versions_sent += len(versions)
-        self.handoff.bytes_sent += (
-            self.anti_entropy.settings.bytes_per_version * len(versions))
+        self.handoff.bytes_sent += BYTES_PER_VERSION * len(versions)
         # One memtable/SSTable read per streamed key batch — or, coupled,
         # the streaming cost a heal backlog pays, competing the same way.
         settings = self.anti_entropy.settings

@@ -2,8 +2,8 @@
 
 A :class:`Scenario` describes the deployment the way Section 6.3 does: which
 datacenters (regions) host a cluster, how many servers per cluster, which
-protocol the clients speak, how many clients per cluster, and the workload
-value size.  :func:`build_testbed` wires together the simulation environment,
+protocol the clients speak and how many clients per cluster.
+:func:`build_testbed` wires together the simulation environment,
 topology, latency model, network, cluster configuration, servers,
 anti-entropy services, and a client factory.
 """
@@ -21,14 +21,12 @@ from repro.errors import ReproError
 from repro.hat.clients import ProtocolClient, build_client
 from repro.hat.server import HATServer
 from repro.membership.coordinator import MembershipCoordinator
-from repro.membership.ring import DEFAULT_VIRTUAL_NODES
 from repro.net.latency import EC2LatencyModel, FixedLatencyModel, LatencyModel
 from repro.net.network import Network
 from repro.net.partitions import PartitionManager
 from repro.net.topology import Topology
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import FaultLedger, Tracer
-from repro.overload.admission import AdmissionConfig
 from repro.replication.antientropy import AntiEntropyClock, AntiEntropyConfig
 from repro.sim import Environment, RandomStreams
 from repro.sim.events import collect_promoted
@@ -44,7 +42,6 @@ class Scenario:
     regions: List[str] = field(default_factory=lambda: ["VA"])
     clusters_per_region: int = 1
     servers_per_cluster: int = 5
-    value_bytes: int = 1024
     seed: int = 0
     #: Anti-entropy settings (interval, per-round cap, capacity coupling,
     #: send costs, batch sizes).  Elastic scenarios cap
@@ -52,10 +49,11 @@ class Scenario:
     #: saturate replicas; the overload experiments couple catch-up to
     #: service capacity.
     anti_entropy: AntiEntropyConfig = field(default_factory=AntiEntropyConfig)
-    #: Server-side admission control: bounded request queues with a
-    #: shedding policy (see :mod:`repro.overload.admission`).  ``None``
-    #: keeps the historical unbounded FIFO.
-    admission: Optional[AdmissionConfig] = None
+    #: Server-side admission control: each server's bound on queued
+    #: foreground requests, shed adaptive-LIFO (see
+    #: :mod:`repro.overload.admission`).  ``None`` keeps the historical
+    #: unbounded FIFO.
+    max_queue_depth: Optional[int] = None
     #: Versions retained per key on every server (None = unbounded).  The
     #: default bounds replica memory in long chaos runs — servers used to
     #: keep every version forever — while staying deep enough that
@@ -69,7 +67,6 @@ class Scenario:
     #: to every pre-elasticity figure); ``"ring"`` switches clusters to the
     #: consistent-hash ring, which elastic membership requires.
     placement: str = "modulo"
-    virtual_nodes: int = DEFAULT_VIRTUAL_NODES
     #: Attach a :class:`repro.obs.trace.Tracer` to the deployment: every
     #: transaction, RPC, server dispatch, anti-entropy push, and lock grant
     #: records a causally linked span.  Off by default — a disabled run
@@ -144,9 +141,7 @@ class Testbed:
         self.topology.add_site(name, region=region, zone=zone)
         node = ClientNode(self.env, self.network, self.config, name, home_cluster)
         client = build_client(
-            protocol, node, recorder=recorder,
-            value_bytes=self.scenario.value_bytes, sticky=sticky,
-            **client_kwargs,
+            protocol, node, recorder=recorder, sticky=sticky, **client_kwargs,
         )
         self.clients.append(client)
         return client
@@ -182,7 +177,7 @@ class Testbed:
             cost_model=scenario.service_cost,
             anti_entropy=scenario.anti_entropy,
             keep_versions=scenario.keep_versions,
-            admission=scenario.admission,
+            max_queue_depth=scenario.max_queue_depth,
             ae_clock=self.ae_clock,
         )
         return server
@@ -244,8 +239,7 @@ def build_testbed(scenario: Scenario) -> Testbed:
 
     cluster_regions = scenario.cluster_regions()
     config = build_cluster_config(cluster_regions, scenario.servers_per_cluster,
-                                  placement=scenario.placement,
-                                  virtual_nodes=scenario.virtual_nodes)
+                                  placement=scenario.placement)
 
     # Register every server site: each cluster lives in one availability zone
     # of its region; distinct clusters in the same region use distinct zones.

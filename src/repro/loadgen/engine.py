@@ -24,7 +24,7 @@ and its survivors leave it already in the oldest generation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.hat.testbed import Scenario, Testbed, build_testbed
@@ -97,11 +97,13 @@ class OpenLoopConfig:
     users: int = 1_000_000
     sessions_per_cluster: int = 8
     duration_ms: float = 2_000.0
-    warmup_ms: float = 0.0
     seed: int = 0
-    #: None scales with the deployment's worst RTT (same rule as the
-    #: closed-loop runner) so in-flight requests finish.
-    grace_period_ms: Optional[float] = None
+    #: An open-loop run measures from its start (no warm-up), and its grace
+    #: period scales with the deployment's worst RTT (the closed loop's
+    #: default) so in-flight requests finish; :func:`open_run_window` reads
+    #: both.
+    warmup_ms: ClassVar[float] = 0.0
+    grace_period_ms: ClassVar[Optional[float]] = None
     #: Bound on each pool's wait queue; arrivals beyond it are shed and
     #: counted.  None = unbounded queue (backlog growth stays observable).
     max_queue: Optional[int] = None

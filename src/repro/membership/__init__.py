@@ -19,6 +19,6 @@ import-light: the coordinator is imported lazily by its users (the
 testbed, the nemesis) rather than re-exported here.
 """
 
-from repro.membership.ring import DEFAULT_VIRTUAL_NODES, ConsistentHashRing
+from repro.membership.ring import VIRTUAL_NODES, ConsistentHashRing
 
-__all__ = ["ConsistentHashRing", "DEFAULT_VIRTUAL_NODES"]
+__all__ = ["ConsistentHashRing", "VIRTUAL_NODES"]

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import ReproError, RequestTimeout
+from repro.replication.antientropy import BYTES_PER_VERSION
 
 #: Deadline on one handoff RPC; short so a partitioned peer is retried
 #: rather than stalling the whole rebalance behind the default 10 s.
@@ -238,7 +239,6 @@ class MembershipCoordinator:
             prior_owners = list(cluster.servers)
             moved_keys: Set[str] = set()
             cluster_keys: Set[str] = set()
-            bytes_per_version = joiner.anti_entropy.settings.bytes_per_version
             for owner in prior_owners:
                 reply = yield from self._handoff_rpc(
                     joiner_name, owner, "handoff.fetch",
@@ -250,7 +250,7 @@ class MembershipCoordinator:
                     install_cost += joiner.store.put(version)
                     moved_keys.add(version.key)
                 record.versions_moved += len(versions)
-                record.bytes_moved += bytes_per_version * len(versions)
+                record.bytes_moved += BYTES_PER_VERSION * len(versions)
                 if install_cost > 0.0:
                     # Catch-up is real work: the joiner pays the install
                     # cost before it may serve reads.
@@ -308,7 +308,6 @@ class MembershipCoordinator:
         ring_before = cluster.partitioner
         offered: Set[tuple] = set()
         moved_keys: Set[str] = set()
-        bytes_per_version = leaver.anti_entropy.settings.bytes_per_version
 
         def offer_round():
             """Offer every not-yet-offered version of an owned key."""
@@ -329,9 +328,9 @@ class MembershipCoordinator:
                 yield from self._handoff_rpc(
                     leaver.name, successor, "handoff.offer",
                     {"versions": versions,
-                     "size_bytes": bytes_per_version * len(versions)})
+                     "size_bytes": BYTES_PER_VERSION * len(versions)})
                 record.versions_moved += len(versions)
-                record.bytes_moved += bytes_per_version * len(versions)
+                record.bytes_moved += BYTES_PER_VERSION * len(versions)
 
         faults = self.testbed.faults
         window = faults.open(

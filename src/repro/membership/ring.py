@@ -8,7 +8,7 @@ needs the opposite property — Karger-style consistent hashing moves only
 ``~1/(n+1)`` of the keys when a node joins, the *minimal disruption* the
 Dynamo lineage of AP stores (which HATs generalize) is built on.
 
-Each owner projects ``virtual_nodes`` tokens onto a 64-bit ring using the
+Each owner projects :data:`VIRTUAL_NODES` tokens onto a 64-bit ring using the
 same stable SHA-1 key hash the modulo partitioner uses, so placement is
 deterministic across runs, processes, and ``PYTHONHASHSEED`` values.  A
 key belongs to the owner of the first token clockwise from the key's
@@ -26,10 +26,10 @@ from typing import List, Sequence, Tuple
 from repro.cluster.partitioner import Partitioner, _stable_key_hash
 from repro.errors import ReproError
 
-#: Default tokens per owner.  128 keeps per-owner load within ~±10% of the
-#: 1/n ideal (relative spread ~ 1/sqrt(virtual_nodes)), tight enough that
-#: the minimal-disruption property tests hold with comfortable tolerance.
-DEFAULT_VIRTUAL_NODES = 128
+#: Tokens per owner.  128 keeps per-owner load within ~±10% of the 1/n ideal
+#: (relative spread ~ 1/sqrt(tokens)), tight enough that the
+#: minimal-disruption property tests hold with comfortable tolerance.
+VIRTUAL_NODES = 128
 
 
 class ConsistentHashRing(Partitioner):
@@ -42,19 +42,15 @@ class ConsistentHashRing(Partitioner):
     its callers noticing.
     """
 
-    def __init__(self, owners: Sequence[str],
-                 virtual_nodes: int = DEFAULT_VIRTUAL_NODES):
+    def __init__(self, owners: Sequence[str]):
         super().__init__(owners)
         if len(set(owners)) != len(owners):
             raise ReproError(f"duplicate ring owners: {list(owners)}")
-        if virtual_nodes < 1:
-            raise ReproError("virtual_nodes must be at least 1")
-        self.virtual_nodes = virtual_nodes
         # Token table sorted by token; ties (SHA-1 collisions across names)
         # are broken by owner name so insertion order never matters.
         entries: List[Tuple[int, str]] = []
         for owner in owners:
-            for index in range(virtual_nodes):
+            for index in range(VIRTUAL_NODES):
                 entries.append((_stable_key_hash(f"{owner}#vn{index}"), owner))
         entries.sort()
         self._tokens: List[int] = [token for token, _owner in entries]
@@ -72,7 +68,7 @@ class ConsistentHashRing(Partitioner):
         """A new ring with ``owner`` added (the pending post-join placement)."""
         if owner in self._owners:
             raise ReproError(f"owner {owner!r} is already on the ring")
-        return ConsistentHashRing(self._owners + [owner], self.virtual_nodes)
+        return ConsistentHashRing(self._owners + [owner])
 
     def without_owner(self, owner: str) -> "ConsistentHashRing":
         """A new ring with ``owner`` removed (the pending post-leave placement)."""
@@ -81,8 +77,7 @@ class ConsistentHashRing(Partitioner):
         remaining = [o for o in self._owners if o != owner]
         if not remaining:
             raise ReproError("cannot remove the last owner from the ring")
-        return ConsistentHashRing(remaining, self.virtual_nodes)
+        return ConsistentHashRing(remaining)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<ConsistentHashRing owners={len(self._owners)} "
-                f"virtual_nodes={self.virtual_nodes}>")
+        return f"<ConsistentHashRing owners={len(self._owners)}>"

@@ -20,7 +20,7 @@ from math import exp, fsum
 from operator import itemgetter
 from statistics import NormalDist
 from struct import Struct
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 from repro.errors import NetworkError
 from repro.net.topology import (
@@ -151,13 +151,8 @@ class EC2LatencyModel(LatencyModel):
     lognormal multiplier adds dispersion.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        cross_region_overrides: Optional[Dict[Tuple[str, str], float]] = None,
-    ):
+    def __init__(self, topology: Topology):
         self.topology = topology
-        self._overrides = dict(cross_region_overrides or {})
         #: random stream -> its multiplier stream (see :meth:`multipliers`).
         self._multipliers: Dict[random.Random, Iterator[float]] = {}
 
@@ -171,12 +166,8 @@ class EC2LatencyModel(LatencyModel):
         if scope == SCOPE_INTER_AZ:
             return TABLE_1B_MEAN_RTT_MS
         if scope == SCOPE_CROSS_REGION:
-            region_a = self.topology.site(src).region
-            region_b = self.topology.site(dst).region
-            for key in ((region_a, region_b), (region_b, region_a)):
-                if key in self._overrides:
-                    return self._overrides[key]
-            return cross_region_rtt(region_a, region_b)
+            return cross_region_rtt(self.topology.site(src).region,
+                                    self.topology.site(dst).region)
         raise NetworkError(f"unknown scope {scope!r}")
 
     # -- samples ------------------------------------------------------------

@@ -7,23 +7,17 @@ scattered across run configs, and its runtime companions — the
 :class:`RetryBudget` token bucket and the :class:`CircuitBreaker` — cap
 retry amplification at a known factor.  The *server* half
 (:mod:`repro.overload.admission`) bounds how much work a server accepts:
-a bounded request queue with pluggable shedding policies that return
-explicit ``Overloaded`` rejections instead of silently growing latency.
+a bounded request queue that sheds adaptive-LIFO with explicit
+``Overloaded`` rejections instead of silently growing latency.
 
 Everything here is opt-in: a run that configures none of it executes the
 exact same event sequence as before the subsystem existed.
 """
 
-from repro.overload.admission import (
-    ADMISSION_POLICIES,
-    AdmissionConfig,
-    FOREGROUND_KINDS,
-)
+from repro.overload.admission import FOREGROUND_KINDS
 from repro.overload.retry import CircuitBreaker, RetryBudget, RetryPolicy
 
 __all__ = [
-    "ADMISSION_POLICIES",
-    "AdmissionConfig",
     "CircuitBreaker",
     "FOREGROUND_KINDS",
     "RetryBudget",

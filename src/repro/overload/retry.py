@@ -8,8 +8,8 @@ overloaded long after the trigger is gone.  The defenses here bound that
 amplification:
 
 * :class:`RetryPolicy` — the one home for every timeout/backoff knob
-  (RPC deadline, lock deadline, zero-time-abort pacing, retry count,
-  jittered exponential backoff, budget and breaker parameters).  Both
+  (RPC deadline, lock deadline, retry count, exponential backoff with
+  :data:`JITTER`, budget and breaker parameters).  Both
   load drivers' run configs carry one and nothing else sets a deadline.
 * :class:`RetryBudget` — a token bucket in the style of Finagle's retry
   budget: fresh requests deposit a fraction of a token, retries withdraw a
@@ -31,14 +31,21 @@ from typing import Any, Dict, Optional
 
 __all__ = ["RetryPolicy", "RetryBudget", "CircuitBreaker"]
 
+#: Fraction of each backoff that is randomized.  Jitter decorrelates the
+#: retry herd that a partition heal otherwise releases in lockstep.
+JITTER = 0.5
+#: The retry budget's bucket size: no more retries than this in a row.
+BUDGET_BURST = 10.0
+#: Attempts a half-open circuit breaker admits before their outcomes decide.
+HALF_OPEN_PROBES = 1
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
     """Every client-side timeout/backoff/retry knob, in one place.
 
-    The first three fields apply to both load drivers: the deadlines
-    become client keyword arguments (:meth:`client_kwargs`) and
-    ``abort_backoff_ms`` paces the closed loop.  The remaining fields
+    The first two fields apply to both load drivers: the deadlines
+    become client keyword arguments (:meth:`client_kwargs`).  The remaining fields
     configure the open-loop engine's retry loop and its defenses — the
     closed loop refuses a policy that sets them — and with the default
     ``max_attempts=1`` no retry ever happens.
@@ -51,19 +58,12 @@ class RetryPolicy:
     #: Deadline for 2PL lock acquisition (only lock-based protocols accept
     #: it; :meth:`client_kwargs` forwards it to those alone).
     lock_timeout_ms: Optional[float] = None
-    #: Pacing after an abort that consumed no simulated time (fail-fast
-    #: aborts under a partition); keeps the simulated clock advancing.
-    abort_backoff_ms: float = 25.0
     #: Total tries per logical request (1 = never retry).
     max_attempts: int = 1
     #: First retry waits this long (before jitter); each further retry
     #: doubles it, capped at :attr:`backoff_cap_ms`.
     backoff_base_ms: float = 50.0
     backoff_cap_ms: float = 2_000.0
-    #: Fraction of each backoff that is randomized (0 = fully
-    #: deterministic, 1 = full jitter).  Jitter decorrelates the retry
-    #: herd that a partition heal otherwise releases in lockstep.
-    jitter: float = 0.5
     #: Retry-budget token bucket: fresh requests earn ``ratio`` tokens,
     #: each retry spends one, so sustained retry load is bounded by
     #: ``ratio`` times the offered load.  ``None`` disables the budget
@@ -98,16 +98,14 @@ class RetryPolicy:
 
         ``attempt`` counts completed tries (1 before the first retry).
         The deterministic part is ``base * 2**(attempt-1)`` capped at
-        :attr:`backoff_cap_ms`; the last :attr:`jitter` fraction of it is
+        :attr:`backoff_cap_ms`; the last :data:`JITTER` fraction of it is
         drawn from ``rng`` so seeded runs stay reproducible.
         """
         base = min(self.backoff_cap_ms,
                    self.backoff_base_ms * (2.0 ** (attempt - 1)))
         if base <= 0.0:
             return 0.0
-        if self.jitter <= 0.0:
-            return base
-        return base * (1.0 - self.jitter) + base * self.jitter * rng.random()
+        return base * (1.0 - JITTER) + base * JITTER * rng.random()
 
     def make_budget(self) -> Optional["RetryBudget"]:
         if self.retry_budget_ratio is None:
@@ -130,20 +128,17 @@ class RetryBudget:
     saturating at ``burst``; ``withdraw()`` (one call per retry) spends a
     whole token when at least one is available.  Sustained retry rate is
     therefore at most ``ratio`` times the fresh-request rate, and no burst
-    ever exceeds ``burst`` retries — pure arithmetic, no randomness.
+    ever exceeds :data:`BUDGET_BURST` retries — pure arithmetic, no
+    randomness.
     """
 
-    __slots__ = ("ratio", "burst", "tokens", "deposits", "withdrawals",
-                 "denials")
+    __slots__ = ("ratio", "tokens", "deposits", "withdrawals", "denials")
 
-    def __init__(self, ratio: float, burst: float = 10.0):
+    def __init__(self, ratio: float):
         if ratio < 0.0:
             raise ValueError(f"retry budget ratio must be >= 0, got {ratio!r}")
-        if burst <= 0.0:
-            raise ValueError(f"retry budget burst must be > 0, got {burst!r}")
         self.ratio = ratio
-        self.burst = burst
-        self.tokens = burst  # start full: a cold start may retry immediately
+        self.tokens = BUDGET_BURST  # start full: a cold start may retry at once
         self.deposits = 0
         self.withdrawals = 0
         self.denials = 0
@@ -151,7 +146,7 @@ class RetryBudget:
     def deposit(self) -> None:
         """Record one fresh request (earns ``ratio`` tokens, capped)."""
         self.deposits += 1
-        self.tokens = min(self.burst, self.tokens + self.ratio)
+        self.tokens = min(BUDGET_BURST, self.tokens + self.ratio)
 
     def withdraw(self) -> bool:
         """Spend one token for a retry; False = budget exhausted."""
@@ -172,30 +167,24 @@ class CircuitBreaker:
     (property-tested): the breaker only opens after ``failure_threshold``
     consecutive recorded failures, an open breaker admits nothing until
     ``cooldown_ms`` elapsed, and a half-open breaker admits at most
-    ``half_open_probes`` attempts before their outcomes decide the state.
+    :data:`HALF_OPEN_PROBES` attempts before their outcomes decide the state.
     """
 
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half-open"
 
-    __slots__ = ("failure_threshold", "cooldown_ms", "half_open_probes",
-                 "state", "failures", "opened_at_ms", "probes_in_flight",
+    __slots__ = ("failure_threshold", "cooldown_ms", "state", "failures", "opened_at_ms", "probes_in_flight",
                  "opens", "denials")
 
-    def __init__(self, failure_threshold: int, cooldown_ms: float,
-                 half_open_probes: int = 1):
+    def __init__(self, failure_threshold: int, cooldown_ms: float):
         if failure_threshold < 1:
             raise ValueError(
                 f"failure threshold must be >= 1, got {failure_threshold!r}")
         if cooldown_ms < 0.0:
             raise ValueError(f"cooldown must be >= 0, got {cooldown_ms!r}")
-        if half_open_probes < 1:
-            raise ValueError(
-                f"half-open probes must be >= 1, got {half_open_probes!r}")
         self.failure_threshold = failure_threshold
         self.cooldown_ms = cooldown_ms
-        self.half_open_probes = half_open_probes
         self.state = self.CLOSED
         self.failures = 0
         self.opened_at_ms = 0.0
@@ -214,8 +203,8 @@ class CircuitBreaker:
                 return True
             self.denials += 1
             return False
-        # Half-open: admit probes up to the configured limit.
-        if self.probes_in_flight < self.half_open_probes:
+        # Half-open: admit probes up to the limit.
+        if self.probes_in_flight < HALF_OPEN_PROBES:
             self.probes_in_flight += 1
             return True
         self.denials += 1

@@ -61,6 +61,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 #: instead of landing as one burst.
 DEFAULT_COUPLED_MAX_PER_ROUND = 64
 
+#: Maximum number of versions pushed to one peer in one message.
+BATCH_SIZE = 256
+#: Approximate wire size per pushed version (1 KB value + metadata).
+BYTES_PER_VERSION = 1100
+
 
 @dataclass
 class AntiEntropyConfig:
@@ -68,10 +73,6 @@ class AntiEntropyConfig:
 
     #: How often each server pushes its dirty set (milliseconds).
     interval_ms: float = 10.0
-    #: Maximum number of versions pushed to one peer per round.
-    batch_size: int = 256
-    #: Approximate wire size per pushed version (1 KB value + metadata).
-    bytes_per_version: int = 1100
     #: Cap on dirty entries *processed* per round (None = all; under
     #: capacity coupling :data:`DEFAULT_COUPLED_MAX_PER_ROUND`).  Bounding it
     #: spreads a post-partition or post-rebalance catch-up backlog over
@@ -408,8 +409,8 @@ class AntiEntropyService:
         pushed = 0
         for peer, versions in batches.items():
             acks = riding.get(peer, ())
-            for start in range(0, len(versions), self.settings.batch_size):
-                chunk = versions[start:start + self.settings.batch_size]
+            for start in range(0, len(versions), BATCH_SIZE):
+                chunk = versions[start:start + BATCH_SIZE]
                 pushed += len(chunk)
                 self.stats.versions_pushed += len(chunk)
                 self.stats.messages += 1
@@ -424,7 +425,7 @@ class AntiEntropyService:
                         start_ms=self.env.now)
                     trace.attrs["versions"] = len(chunk)
                     tracer.finish(trace, self.env.now)
-                size_bytes = self.settings.bytes_per_version * len(chunk)
+                size_bytes = BYTES_PER_VERSION * len(chunk)
                 self.server.network.send(
                     self.server.name, peer, "ae.push",
                     {"versions": chunk, "acks": acks, "size_bytes": size_bytes},

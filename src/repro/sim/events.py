@@ -120,8 +120,8 @@ class Environment:
     __slots__ = ("_now", "_seq", "_queue", "_immediate", "_next_seq",
                  "events_executed", "current_trace")
 
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
+    def __init__(self):
+        self._now = 0.0
         #: ``seq`` of the running event: with ``_now``, its place in the event
         #: order (a server's workers are timers kept outside the queue).
         self._seq = -1

@@ -26,26 +26,22 @@ from repro.storage.kvstore import VersionedStore
 from repro.storage.records import METADATA_BYTES, NULL_TIMESTAMP, SIBLING_BYTES, Version
 
 
-@dataclass(slots=True)
-class LSMCostModel:
-    """Tunable cost constants (all in milliseconds unless noted)."""
-
-    #: CPU + memtable insert cost per put.
-    put_ms: float = 0.05
-    #: Cost of a memtable lookup / block-cache hit.
-    get_memtable_ms: float = 0.03
-    #: Additional cost per SSTable consulted on a read miss path.
-    get_per_sstable_ms: float = 0.02
-    #: Memtable capacity in bytes before a flush is triggered.
-    memtable_bytes: int = 4 * 1024 * 1024
-    #: Cost to flush one memtable to an SSTable.
-    flush_ms: float = 8.0
-    #: Number of SSTables that triggers a compaction.
-    compaction_trigger: int = 4
-    #: Cost of one compaction pass.
-    compaction_ms: float = 20.0
-    #: Approximate size of a stored value in bytes (YCSB default: 1 KB).
-    default_value_bytes: int = 1024
+#: The cost model (milliseconds unless noted).  CPU + memtable insert per put:
+PUT_MS = 0.05
+#: A memtable lookup / block-cache hit.
+GET_MEMTABLE_MS = 0.03
+#: Each SSTable a read consults beyond the memtable.
+GET_PER_SSTABLE_MS = 0.02
+#: Memtable capacity in bytes before a flush is triggered.
+MEMTABLE_BYTES = 4 * 1024 * 1024
+#: Flushing one memtable to an SSTable.
+FLUSH_MS = 8.0
+#: SSTables that trigger a compaction.
+COMPACTION_TRIGGER = 4
+#: One compaction pass.
+COMPACTION_MS = 20.0
+#: A stored value's size in bytes when the caller gives none (YCSB: 1 KB).
+DEFAULT_VALUE_BYTES = 1024
 
 
 @dataclass(slots=True)
@@ -65,15 +61,12 @@ class LSMStats:
     flushes: int = 0
     compactions: int = 0
     bytes_written: int = 0
-    background_ms: float = 0.0
 
 
 class LSMStore:
     """Versioned key-value store with LevelDB-like cost accounting."""
 
-    def __init__(self, cost_model: Optional[LSMCostModel] = None,
-                 keep_versions: Optional[int] = None):
-        self.cost = cost_model or LSMCostModel()
+    def __init__(self, keep_versions: Optional[int] = None):
         self.data = VersionedStore(keep_versions=keep_versions)
         self._versions = self.data._versions  # read in place by ``get_latest``
         self.stats = LSMStats()
@@ -84,7 +77,7 @@ class LSMStore:
     # -- foreground operations -------------------------------------------------
     def put(self, version: Version, value_bytes: Optional[int] = None) -> float:
         """Install a version; return the foreground cost in milliseconds."""
-        size = value_bytes if value_bytes is not None else self.cost.default_value_bytes
+        size = value_bytes if value_bytes is not None else DEFAULT_VALUE_BYTES
         siblings = len(version.siblings)  # ``Version.metadata_bytes``, inline
         size += METADATA_BYTES if siblings < 2 else METADATA_BYTES + SIBLING_BYTES * (siblings - 1)
         self.data.install(version)
@@ -92,28 +85,25 @@ class LSMStore:
         self.stats.bytes_written += size
         self._memtable_bytes += size
         self._memtable_entries += 1
-        cost = self.cost.put_ms
-        if self._memtable_bytes >= self.cost.memtable_bytes:
-            cost += self._flush()
-        return cost
+        if self._memtable_bytes >= MEMTABLE_BYTES:
+            return PUT_MS + self._flush()
+        return PUT_MS
 
     def get_latest(self, key: str) -> tuple:
         """Return ``(version, cost_ms)`` for the latest version of ``key`` (or
         its bottom version): ``VersionedStore.latest`` and the cost, one frame."""
         self.stats.gets += 1
-        cost = self.cost
         versions = self._versions.get(key)
         return (versions[-1] if versions else Version(key, None, NULL_TIMESTAMP),
-                cost.get_memtable_ms + cost.get_per_sstable_ms * len(self._sstables))
+                GET_MEMTABLE_MS + GET_PER_SSTABLE_MS * len(self._sstables))
 
     def scan(self, predicate) -> tuple:
         """Return ``(matching versions, cost_ms)`` for a predicate read."""
         matches = self.data.scan(predicate)
         # A scan touches the memtable plus every SSTable.
         self.stats.gets += 1
-        cost = self.cost
-        return matches, (cost.get_memtable_ms + cost.get_per_sstable_ms * len(self._sstables)
-                         + cost.get_per_sstable_ms * max(1, len(matches)) * 0.1)
+        return matches, (GET_MEMTABLE_MS + GET_PER_SSTABLE_MS * len(self._sstables)
+                         + GET_PER_SSTABLE_MS * max(1, len(matches)) * 0.1)
 
     # -- cost helpers ------------------------------------------------------------
     def _flush(self) -> float:
@@ -122,15 +112,13 @@ class LSMStore:
         self._memtable_bytes = 0
         self._memtable_entries = 0
         self.stats.flushes += 1
-        cost = self.cost.flush_ms
-        if len(self._sstables) >= self.cost.compaction_trigger:
-            cost += self._compact()
-        self.stats.background_ms += cost
-        return cost
+        if len(self._sstables) >= COMPACTION_TRIGGER:
+            return FLUSH_MS + self._compact()
+        return FLUSH_MS
 
     def _compact(self) -> float:
         merged_entries = sum(t.entries for t in self._sstables)
         merged_bytes = sum(t.size_bytes for t in self._sstables)
         self._sstables = [SSTable(entries=merged_entries, size_bytes=merged_bytes)]
         self.stats.compactions += 1
-        return self.cost.compaction_ms
+        return COMPACTION_MS

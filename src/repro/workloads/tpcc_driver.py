@@ -134,10 +134,10 @@ class TPCCMirror:
 class TPCCDriver(Workload):
     """One client's TPC-C stream over the key-value HAT store."""
 
-    def __init__(self, config: Optional[TPCCConfig] = None,
+    def __init__(self, config: TPCCConfig,
                  mirror: Optional[TPCCMirror] = None,
                  seed: int = 0, session_id: Optional[int] = None):
-        self.config = config or TPCCConfig()
+        self.config = config
         self._rng = random.Random(seed)
         self.session_id = session_id
         self.mirror = mirror or TPCCMirror()
@@ -358,7 +358,7 @@ class TPCCDriverFactory(WorkloadFactory):
     config: TPCCConfig = field(default_factory=contended_tpcc_config)
     #: Simulated time for anti-entropy to replicate the preload everywhere
     #: (the EC2 model's worst two-region RTT is well under this).
-    settle_ms: float = 400.0
+    settle_ms = 400.0
 
     def __post_init__(self) -> None:
         self.mirror = TPCCMirror()

@@ -33,8 +33,6 @@ class YCSBConfig:
     write_proportion: float = 0.5
     #: Number of distinct keys (paper default: 100,000).
     key_count: int = 100_000
-    #: Value payload size in bytes (paper default: 1 KB).
-    value_bytes: int = 1024
     #: "uniform" (paper default) or "zipfian" (at YCSB's skew, 0.99).
     distribution: str = "uniform"
 

@@ -6,7 +6,7 @@ from repro.adya.history import HistoryRecorder
 from repro.bench.experiments import figure4_transaction_length
 from repro.bench.metrics import LatencySummary, RunStats, RunTally
 from repro.bench.report import format_latency_and_throughput, format_series
-from repro.bench.runner import RunConfig, run_workload
+from repro.bench.runner import ABORT_BACKOFF_MS, RunConfig, run_workload
 from repro.errors import ReproError
 from repro.loadgen.engine import (
     GRACE_RTT_MULTIPLE,
@@ -135,7 +135,7 @@ def process_per_transaction_loop(config, testbed):
             counts[1] += 1
             tally.add(result)
             if not result.committed and result.latency_ms <= 0.0:
-                yield env.timeout(config.retry.abort_backoff_ms)
+                yield env.timeout(ABORT_BACKOFF_MS)
 
     client_index = 0
     for cluster_name in testbed.config.cluster_names:
@@ -292,12 +292,6 @@ class TestPluggableWorkloads:
         stats = run_workload(config, testbed=testbed)
         assert testbed.env.now == pytest.approx(300.0)
         assert stats.committed + stats.aborted > 0
-
-    def test_backoff_config_still_exposed(self):
-        config = quick_config("eventual")
-        assert config.retry.abort_backoff_ms == 25.0
-        paced = quick_config("eventual", retry=RetryPolicy(abort_backoff_ms=5.0))
-        assert paced.retry.abort_backoff_ms == 5.0
 
     @pytest.mark.parametrize("knob", [
         dict(max_attempts=3),

@@ -1,18 +1,26 @@
-"""The function-grain entry-point census: what ships is what a door runs.
+"""The entry-point census at function and setting grain: what ships is what
+a door runs, and a setting is a constant until two doors need two values.
 
 Production has three doors: ``python -m repro.bench``, ``examples/*.py`` and
 ``benchmarks/hatbench``.  This script runs all of them in one process under
 ``sys.setprofile`` (and ``threading.setprofile``), records every code object
 entered, and matches each function defined under ``src/repro`` against it by
-``(file, first line)`` -- a definition starts at its first decorator.  It
-prints the functions no door enters, by module, and exits non-zero when
+``(file, first line)`` -- a definition starts at its first decorator.  The
+same hook records, on the call that enters a constructor, the value each
+component setting (:func:`class_settings`) receives.  It prints the
+functions no door enters, by module, and the settings fewer than two values
+reach, and exits non-zero when
 
 * a function no door enters is not named by :data:`RESERVED` (nor exempt:
-  a *declaration* or a ``__repr__`` / ``__str__``), or
+  a *declaration* or a ``__repr__`` / ``__str__``),
 * a :data:`RESERVED` row covers a function a door now enters: the row leaves
-  when its item lands.
+  when its item lands,
+* a setting fewer than two values reach is not named by
+  :data:`RESERVED_SETTINGS`: it becomes a constant, or its row names who
+  will pass a second value, or
+* a :data:`RESERVED_SETTINGS` row covers a setting two values now reach.
 
-Run it from the repository root (about four and a half minutes on two cores)::
+Run it from the repository root (about four minutes on two cores)::
 
     PYTHONPATH=src python tests/census.py
 
@@ -23,6 +31,9 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import dataclasses
+import importlib
+import inspect
 import io
 import os
 import runpy
@@ -31,7 +42,7 @@ import tempfile
 import threading
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, NamedTuple, Set, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -135,6 +146,57 @@ RESERVED: Dict[str, str] = {
     "repro.loadgen.engine:_ShedResult":
         "guard: an arrival shed at a full queue (OpenLoopConfig.max_queue) "
         "with telemetry on; no artifact bounds the queue",
+}
+
+#: Component settings (see :func:`class_settings`) that fewer than two values
+#: reach at the doors, each with why it stays settable.  A key is
+#: ``module:Class.parameter``, or ``module:Class`` for all of a class's.  A
+#: reason is one of
+#:
+#: * ``item N: ...`` -- the ROADMAP open item whose PR passes a second value;
+#: * ``fake: ...`` -- a test substitute for a production part;
+#: * ``guard: ...`` -- a bound or check no door's input reaches.
+RESERVED_SETTINGS: Dict[str, str] = {
+    # item 2: generated schedules draw what no door varies
+    "repro.chaos.campaign:CampaignSpec": "item 2: the spec a schedule is drawn from",
+    "repro.loadgen.arrivals:MMPPArrivals": "item 2: bursty arrivals the fuzzer draws",
+    "repro.workloads.distributions:ZipfianKeys":
+        "item 2: skewed small key spaces the fuzzer draws",
+    "repro.workloads.ycsb:YCSBConfig.distribution":
+        "item 2: skewed small key spaces the fuzzer draws",
+    "repro.workloads.tpcc:TPCCConfig.warehouses":
+        "item 2: the fuzzer draws small, contended workload shapes",
+    "repro.workloads.tpcc:TPCCConfig.districts_per_warehouse":
+        "item 2: the fuzzer draws small, contended workload shapes",
+    "repro.workloads.tpcc:TPCCConfig.customers_per_district":
+        "item 2: the fuzzer draws small, contended workload shapes",
+    "repro.workloads.tpcc:TPCCConfig.items":
+        "item 2: the fuzzer draws small, contended workload shapes",
+    "repro.workloads.tpcc:TPCCConfig.max_order_lines":
+        "item 2: the fuzzer draws small, contended workload shapes",
+    "repro.hat.testbed:Scenario.keep_versions":
+        "item 2: a keep_versions too shallow for a stack's bounded reads is "
+        "the combination it rejects up front",
+    "repro.hat.server:HATServer.keep_versions":
+        "item 2: a keep_versions too shallow for a stack's bounded reads is "
+        "the combination it rejects up front",
+    "repro.loadgen.sessions:SessionPool.recorder":
+        "item 2: the oracles check the history of an open-loop run",
+    # item 3: TPC-C §6.2 measured program by program
+    "repro.workloads.tpcc:TPCCConfig.mix":
+        "item 3: each program's invariant is read off a run of its own mix",
+    # test substitutes
+    "repro.hat.testbed:Scenario.fixed_latency_ms":
+        "fake: a constant-latency network for unit tests",
+    "repro.net.latency:FixedLatencyModel.one_way_ms":
+        "fake: a constant-latency network for unit tests",
+    # bounds no door's input reaches
+    "repro.loadgen.engine:OpenLoopConfig.max_queue":
+        "guard: a bound on the open-loop session queue (an arrival past it is "
+        "shed); no artifact bounds the queue",
+    "repro.loadgen.sessions:SessionPool.max_queue":
+        "guard: a bound on the open-loop session queue (an arrival past it is "
+        "shed); no artifact bounds the queue",
 }
 
 
@@ -264,21 +326,128 @@ def _doors(workdir: str) -> Iterator[Tuple[str, Callable[[], object]]]:
     for script in sorted((ROOT / "examples").glob("*.py")):
         yield (f"examples/{script.name}",
                partial(runpy.run_path, str(script), run_name="__main__"))
+    # hatbench runs a seed per repeat (``--seed``): set-up is built at a
+    # second one.
     for workload in WORKLOADS:
-        for mode in ("plain", "obs_off", "setup_only"):
+        for mode, seed in (("plain", 0), ("obs_off", 0), ("setup_only", 1)):
             if mode != "obs_off" or workload in OBS_ON:
-                yield (f"hatbench {workload} {mode}",
-                       partial(run_repeat, workload, 0, HATBENCH_SCALE, mode))
+                yield (f"hatbench {workload} {mode} seed {seed}",
+                       partial(run_repeat, workload, seed, HATBENCH_SCALE, mode))
     yield "hatbench ceilings", partial(run_ceilings, 0, sample_s=0.01, samples=1)
 
 
-def entered_by_doors() -> Set[Tuple[str, int]]:
-    """``(co_filename, co_firstlineno)`` of every code object a door enters."""
-    codes: Set[object] = set()
-    add = codes.add
+# -- settings --------------------------------------------------------------------
 
-    def hook(frame, _event, _arg):
-        add(frame.f_code)
+#: A dataclass whose name ends so is configuration: every field is a setting.
+CONFIG_SUFFIXES = ("Config", "Model", "Policy", "SLO")
+
+
+def _constructor(cls: type):
+    """The class's own ``__init__`` or ``__new__`` (written, or made by
+    ``@dataclass`` / ``NamedTuple``), else None."""
+    for name in ("__init__", "__new__"):
+        function = cls.__dict__.get(name)
+        if isinstance(function, staticmethod):
+            function = function.__func__
+        if inspect.isfunction(function):
+            return function
+    return None
+
+
+def class_settings(cls: type) -> List[Tuple[str, str]]:
+    """``(module:Class.parameter, parameter)`` of each setting a class
+    outside ``repro.bench`` takes: every field of ``Scenario`` and of a
+    dataclass named ``*Config`` / ``*Model`` / ``*Policy`` / ``*SLO``, and
+    each defaulted keyword of its constructor.  A record's constructor (one
+    ``@dataclass`` or ``NamedTuple`` made) has a setting only where its
+    default is a value: a field that starts empty, zero, ``None`` or
+    ``False``, or from a factory, is state the component fills in (a count,
+    a result, a buffer), not a choice."""
+    module = cls.__module__
+    constructor = _constructor(cls)
+    if (constructor is None or not module.startswith("repro.")
+            or module.startswith("repro.bench")):
+        return []
+    name = cls.__qualname__
+    whole = name == "Scenario" or (dataclasses.is_dataclass(cls)
+                                   and name.endswith(CONFIG_SUFFIXES))
+    made = not os.path.isfile(constructor.__code__.co_filename)  # no source
+    found = []
+    for parameter in list(inspect.signature(constructor).parameters.values())[1:]:
+        if parameter.kind in (parameter.VAR_POSITIONAL, parameter.VAR_KEYWORD):
+            continue
+        default = parameter.default
+        if whole or (default is not parameter.empty
+                     and (not made or _is_a_value(default))):
+            found.append((f"{module}:{name}.{parameter.name}", parameter.name))
+    return found
+
+
+def _is_a_value(default: object) -> bool:
+    """A constant that is not empty, zero, None or False (and not
+    ``@dataclass``'s factory sentinel)."""
+    return bool(isinstance(default, (int, float, str, bytes, tuple, frozenset))
+                and default)
+
+
+def settings() -> Dict[str, str]:
+    """Every component setting, ``module:Class.parameter`` -> ``module:Class``."""
+    found: Dict[str, str] = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = module_name(path)
+        for cls in vars(importlib.import_module(module)).values():
+            if inspect.isclass(cls) and cls.__module__ == module:
+                for key, _ in class_settings(cls):
+                    found[key] = key.rpartition(".")[0]
+    return found
+
+
+def _value(value: object) -> object:
+    """What tells two arguments apart: the value if hashable, else its repr."""
+    try:
+        hash(value)
+    except TypeError:
+        return repr(value)
+    return value
+
+
+def run_doors(doors: Callable[[str], Iterator[Tuple[str, Callable[[], object]]]]
+              = _doors) -> Tuple[Set[Tuple[str, int]], Dict[str, Set[object]]]:
+    """Run every door once under one profile hook.  Returns ``(co_filename,
+    co_firstlineno)`` of every code object entered, and the values each
+    setting received (up to two), by key."""
+    received: Dict[str, Set[object]] = {}
+    #: Every code object entered -> the ``(parameter, values)`` its calls
+    #: still record (a constructor with a setting short of two values), or
+    #: None.  A code is classified once, on the call that first enters it.
+    seen: Dict[object, Optional[List[Tuple[str, Set[object]]]]] = {}
+    get, unseen = seen.get, object()
+
+    def watch(frame) -> Optional[List[Tuple[str, Set[object]]]]:
+        code = frame.f_code   # a made ``__new__`` is named ``<lambda>``
+        if not code.co_argcount or code.co_varnames[0] not in frame.f_locals:
+            return None
+        first = frame.f_locals[code.co_varnames[0]]
+        for cls in (first if isinstance(first, type) else type(first)).__mro__:
+            constructor = _constructor(cls)
+            if constructor is not None and constructor.__code__ is code:
+                return [(parameter, received.setdefault(key, set()))
+                        for key, parameter in class_settings(cls)] or None
+        return None
+
+    def hook(frame, event, _arg):
+        pending = get(frame.f_code, unseen)
+        if pending is unseen:
+            pending = seen[frame.f_code] = watch(frame)
+        if pending is not None and event == "call":
+            arguments = frame.f_locals
+            short = False
+            for parameter, values in pending:
+                if len(values) < 2:
+                    values.add(_value(arguments[parameter]))
+                    short = short or len(values) < 2
+            if not short:
+                seen[frame.f_code] = None
 
     def arm():  # again before each door: a door may clear the hook
         sys.setprofile(hook)
@@ -289,7 +458,7 @@ def entered_by_doors() -> Set[Tuple[str, int]]:
         os.chdir(workdir)   # the examples write their JSON to the cwd
         arm()
         try:
-            for name, run in _doors(workdir):
+            for name, run in doors(workdir):
                 arm()
                 with contextlib.redirect_stdout(io.StringIO()):
                     run()
@@ -298,7 +467,8 @@ def entered_by_doors() -> Set[Tuple[str, int]]:
             sys.setprofile(None)
             threading.setprofile(None)
             os.chdir(cwd)
-    return {(code.co_filename, code.co_firstlineno) for code in codes}
+    return ({(code.co_filename, code.co_firstlineno) for code in seen},
+            received)
 
 
 def failures(functions: List[Function], names: Set[str],
@@ -326,9 +496,32 @@ def failures(functions: List[Function], names: Set[str],
     return found
 
 
+def setting_failures(known: Dict[str, str], received: Dict[str, Set[object]],
+                     reserved: Dict[str, str] = RESERVED_SETTINGS) -> List[str]:
+    """What fails the census at setting grain: a setting fewer than two
+    values reach that no ``reserved`` row names, a row naming no setting or
+    class of one, and a row covering a setting two values reach."""
+    found: List[str] = []
+    classes = set(known.values())
+    for key, owner in known.items():
+        if (len(received.get(key, ())) < 2
+                and key not in reserved and owner not in reserved):
+            found.append(f"{key} takes one value at the doors and "
+                         "RESERVED_SETTINGS does not name it")
+    for row in reserved:
+        if row not in known and row not in classes:
+            found.append(f"RESERVED_SETTINGS names {row}, which is not a setting")
+        for key, owner in known.items():
+            if row in (key, owner) and len(received.get(key, ())) >= 2:
+                found.append(f"RESERVED_SETTINGS row {row} covers {key}, "
+                             "which two values now reach")
+    return found
+
+
 def main() -> int:
     functions, names = definitions()
-    entered = entered_by_doors()
+    entered, received = run_doors()
+    known = settings()
     unentered = [f for f in functions if (f.path, f.first) not in entered]
 
     print(f"{len(functions)} functions under src/repro "
@@ -345,7 +538,16 @@ def main() -> int:
             why = (RESERVED[keys[0]] if keys
                    else "exempt" if function.exempt else "UNRESERVED")
             print(f"  {function.qualname:<48} {function.lines:>4}  {why}")
-    found = failures(functions, names, entered)
+    one = {key: owner for key, owner in known.items()
+           if len(received.get(key, ())) < 2}
+    print(f"\n{len(known)} component settings: {len(known) - len(one)} take two "
+          f"or more values at the doors, {len(one)} one or none")
+    for key in one:
+        why = RESERVED_SETTINGS.get(key) or RESERVED_SETTINGS.get(one[key],
+                                                                 "UNRESERVED")
+        values = ", ".join(repr(v)[:40] for v in received.get(key, ())) or "-"
+        print(f"  {key:<60} {values:<24} {why}")
+    found = failures(functions, names, entered) + setting_failures(known, received)
     for failure in found:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if found else 0

@@ -6,7 +6,6 @@ import pytest
 
 from repro.chaos.campaign import CampaignPhase
 from repro.chaos.telemetry import (
-    AvailabilitySLO,
     TimelineTelemetry,
     availability_score,
     sum_groups,
@@ -115,14 +114,14 @@ class TestSLOScoring:
         record(telemetry, "VA", 0.0, 10.0)
         window = telemetry.build()["VA"].windows[0]
         assert window.success_fraction == 1.0
-        assert window.meets(AvailabilitySLO())
+        assert window.meets()
 
     def test_silent_window_fails_min_committed(self):
         telemetry = TimelineTelemetry(window_ms=100.0)
         telemetry.start_run(0.0, 100.0)
         window = telemetry.build().get("VA")
         assert window is None  # no traffic, no group
-        score = availability_score([], AvailabilitySLO())
+        score = availability_score([])
         assert score is None
 
     def test_error_storm_fails_success_fraction(self):
@@ -133,7 +132,7 @@ class TestSLOScoring:
             record(telemetry, "VA", t * 10.0, t * 10.0 + 5.0, committed=False)
         window = telemetry.build()["VA"].windows[0]
         assert window.success_fraction == pytest.approx(1.0 / 6.0)
-        assert not window.meets(AvailabilitySLO())
+        assert not window.meets()
 
     def test_internal_aborts_do_not_hurt_availability(self):
         telemetry = TimelineTelemetry(window_ms=100.0)
@@ -142,15 +141,7 @@ class TestSLOScoring:
         record(telemetry, "VA", 0.0, 20.0, committed=False, internal=True)
         window = telemetry.build()["VA"].windows[0]
         assert window.success_fraction == 1.0
-        assert window.meets(AvailabilitySLO())
-
-    def test_p95_bound_and_stall_policy(self):
-        slo = AvailabilitySLO(max_p95_latency_ms=50.0, allow_stalls=False)
-        telemetry = TimelineTelemetry(window_ms=100.0, slo=slo)
-        telemetry.start_run(0.0, 100.0)
-        record(telemetry, "VA", 0.0, 80.0)  # latency 80 > bound
-        window = telemetry.build()["VA"].windows[0]
-        assert not window.meets(slo)
+        assert window.meets()
 
     def test_phase_availability(self):
         telemetry = TimelineTelemetry(window_ms=100.0)
@@ -161,7 +152,7 @@ class TestSLOScoring:
         timeline = telemetry.build()["VA"]
         phases = [CampaignPhase("good", 0.0, 200.0),
                   CampaignPhase("bad", 200.0, 400.0)]
-        scores = timeline.phase_availability(phases, AvailabilitySLO())
+        scores = timeline.phase_availability(phases)
         assert scores["good"] == 1.0
         assert scores["bad"] == 0.0
 
@@ -305,10 +296,10 @@ class TestWindowBoundaries:
         assert sum(w.committed + w.external_aborts
                    for w in timeline.windows) == 4
         # ... but a failing sliver does not cost availability.
-        assert not edge.meets(AvailabilitySLO())
-        assert timeline.availability(AvailabilitySLO()) == 1.0
+        assert not edge.meets()
+        assert timeline.availability() == 1.0
         phase = CampaignPhase("run", 488.9, 800.0)
-        assert timeline.phase_availability([phase], AvailabilitySLO()) == {
+        assert timeline.phase_availability([phase]) == {
             "run": 1.0}
 
 

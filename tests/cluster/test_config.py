@@ -177,7 +177,7 @@ class TestInvalidation:
         epoch = config.epoch
         config.invalidate()
         assert config.epoch == epoch + 1
-        ring = ConsistentHashRing([kept, "swapped"], home.virtual_nodes)
+        ring = ConsistentHashRing([kept, "swapped"])
         for key in keys:
             replicas = [ring.owner_for(key), other.partitioner.owner_for(key)]
             assert config.replicas_for(key) == replicas

@@ -20,10 +20,6 @@ class TestConstruction:
         with pytest.raises(ReproError):
             ConsistentHashRing(["a", "a"])
 
-    def test_rejects_zero_virtual_nodes(self):
-        with pytest.raises(ReproError):
-            ConsistentHashRing(["a"], virtual_nodes=0)
-
     def test_single_owner_gets_everything(self):
         ring = ConsistentHashRing(["only"])
         assert all(ring.owner_for(k) == "only" for k in KEYS[:50])

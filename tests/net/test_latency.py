@@ -88,11 +88,6 @@ class TestEC2LatencyModel:
         for _ in range(200):
             assert model.one_way(rng, "VA-0-0", "VA-0-1") > 0
 
-    def test_override_matrix(self):
-        topology = ec2_topology(regions=["CA", "OR"])
-        model = EC2LatencyModel(topology, cross_region_overrides={("CA", "OR"): 99.0})
-        assert model.mean_rtt("CA-0-0", "OR-0-0") == 99.0
-
 
 def _table_multipliers(rng, count):
     """The multiplier sequence, spelled out: a block of 4096 table indices

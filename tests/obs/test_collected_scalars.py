@@ -15,7 +15,6 @@ from repro.hat.testbed import Scenario, build_testbed
 from repro.hat.transaction import Operation, Transaction
 from repro.loadgen import OpenLoopConfig, PoissonArrivals, run_open_loop
 from repro.obs.metrics import MetricsRegistry
-from repro.overload.admission import AdmissionConfig
 from repro.overload.retry import RetryPolicy
 from repro.workloads.ycsb import YCSBConfig
 
@@ -146,7 +145,7 @@ def overload_leg(observed):
     scenario = Scenario(
         regions=["VA", "OR"], servers_per_cluster=1,
         service_cost=ServiceCostModel(request_overhead_ms=2.5, concurrency=1),
-        admission=AdmissionConfig(max_queue_depth=4, policy="adaptive-lifo"),
+        max_queue_depth=4,
         tracing=observed, metrics=observed)
     testbed = build_testbed(scenario)
     stats = run_open_loop(OpenLoopConfig(

@@ -98,7 +98,7 @@ class TestRebalancePropagation:
     def test_handoff_mid_write_yields_one_annotated_trace(self):
         scenario = Scenario(regions=["VA", "OR"], servers_per_cluster=2,
                             fixed_latency_ms=1.0, seed=0, placement="ring",
-                            virtual_nodes=32, tracing=True)
+                            tracing=True)
         testbed = build_testbed(scenario)
         tracer = testbed.tracer
         client = testbed.make_client("eventual")

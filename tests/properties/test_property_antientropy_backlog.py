@@ -14,6 +14,10 @@ cap), so the reference is the new rule done by brute force: entries stranded
 under the current stamp are rescanned every round — and must yield nothing —
 without counting toward the cap; when the stamp moves they re-enter the
 queue ahead of the fresh marks.
+
+A burst of MAV versions of one key (never coalesced) owes one peer more than
+a message's :data:`~repro.replication.antientropy.BATCH_SIZE` versions, so
+pushes are split into batches on both sides.
 """
 
 from types import SimpleNamespace
@@ -22,7 +26,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.cluster.config import build_cluster_config
 from repro.net.partitions import PartitionManager
-from repro.replication.antientropy import AntiEntropyConfig, AntiEntropyService
+from repro.replication.antientropy import (BATCH_SIZE, AntiEntropyConfig,
+                                           AntiEntropyService)
 from repro.storage.records import Timestamp, Version
 
 REGIONS = ["VA", "OR", "SG"]
@@ -33,7 +38,6 @@ FLIPPABLE = ["cluster0-VA-s1", "cluster1-OR-s1", "cluster1-OR-s2",
 SITES = [f"cluster{i}-{region}-s{n}"
          for i, region in enumerate(REGIONS) for n in range(3)]
 KEYS = ["a", "b", "c", "d"]
-BATCH = 3
 
 marks = st.tuples(
     st.just("mark"), st.sampled_from(KEYS),
@@ -43,6 +47,8 @@ marks = st.tuples(
 steps = st.lists(st.one_of(
     marks, marks,
     st.tuples(st.just("remark"), st.integers(0, 200)),    # same object again
+    st.tuples(st.just("burst"), st.sampled_from(KEYS),    # MAV versions of a key
+              st.sampled_from([BATCH_SIZE + 1, 2 * BATCH_SIZE + 1])),
     st.tuples(st.just("split"),
               st.lists(st.integers(0, 1), min_size=3, max_size=3)),
     st.tuples(st.just("groups"),
@@ -78,7 +84,7 @@ class Deployment:
                             mav=SimpleNamespace(owed={}),
                             send_owed_acks=lambda: None),
             self.config,
-            AntiEntropyConfig(batch_size=BATCH, max_versions_per_round=cap))
+            AntiEntropyConfig(max_versions_per_round=cap))
 
     def _send(self, src, dst, kind, payload, size_bytes, trace):
         self.sent.append((dst, [id(v) for v in payload["versions"]]))
@@ -194,9 +200,9 @@ class Reference:
             self.stranded += self._examine(fresh[:self.cap], batches)
         self.coalesced += dropped
         for peer, versions in batches.items():
-            for start in range(0, len(versions), BATCH):
+            for start in range(0, len(versions), BATCH_SIZE):
                 self.sent.append(
-                    (peer, [id(v) for v in versions[start:start + BATCH]]))
+                    (peer, [id(v) for v in versions[start:start + BATCH_SIZE]]))
 
 
 def run(steps, cap):
@@ -220,6 +226,14 @@ def run(steps, cap):
         elif kind == "remark":
             if marks:
                 mark(marks[step[1] % len(marks)], None)
+        elif kind == "burst":
+            _, key, count = step
+            first = len(marks)
+            for sequence in range(first, first + count):
+                mark(Version(key=key, value=sequence,
+                             siblings=frozenset((key, "z")),
+                             timestamp=Timestamp(sequence=sequence, client_id=2)),
+                     None)
         elif kind == "round":
             service._push_dirty()
             reference.round()
@@ -235,6 +249,7 @@ def run(steps, cap):
     assert ([(id(v), d) for v, d in service.take_pending()]
             == [(id(v), d) for v, d in reference.pending()])
     assert service.take_pending() == []
+    return deployment
 
 
 def _mark(key, sequence):
@@ -253,6 +268,17 @@ JOIN_RETARGETS = [_mark("a", 1), ("isolate", OR_S0), ("round", None),
 FRESH_MEETS_PARKED = [_mark("a", 2), ("isolate", OR_S0), ("round", None),
                       _mark("a", 3), _mark("a", 1), ("round", None),
                       ("heal", None), ("round", None)]
+#: One peer owed two batches and a version more.
+BURST = [("burst", "a", 2 * BATCH_SIZE + 1), ("round", None)]
+
+
+def test_a_peer_owed_more_than_a_batch_gets_it_in_batches():
+    sent = run(BURST, cap=None).sent
+    by_peer = {}
+    for peer, versions in sent:
+        by_peer.setdefault(peer, []).append(len(versions))
+    assert by_peer and all(sizes == [BATCH_SIZE, BATCH_SIZE, 1]
+                           for sizes in by_peer.values())
 
 
 @settings(max_examples=400, deadline=None)
@@ -260,6 +286,7 @@ FRESH_MEETS_PARKED = [_mark("a", 2), ("isolate", OR_S0), ("round", None),
 @example(steps=HEAL_REQUEUES)
 @example(steps=JOIN_RETARGETS)
 @example(steps=FRESH_MEETS_PARKED)
+@example(steps=BURST)
 def test_uncapped_rounds_send_exactly_what_a_full_rescan_sends(steps):
     run(steps, cap=None)
 
@@ -269,5 +296,6 @@ def test_uncapped_rounds_send_exactly_what_a_full_rescan_sends(steps):
 @example(steps=HEAL_REQUEUES, cap=2)
 @example(steps=JOIN_RETARGETS, cap=2)
 @example(steps=FRESH_MEETS_PARKED, cap=2)
+@example(steps=BURST, cap=BATCH_SIZE + 2)
 def test_capped_rounds_drain_oldest_first_past_the_stranded(steps, cap):
     run(steps, cap=cap)

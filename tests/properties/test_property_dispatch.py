@@ -10,7 +10,8 @@ the dispatcher as it stood before that, self-contained: its own busy-worker
 count, every request appended to the queue and popped again by a fused loop,
 and one ``_complete`` event per served request that sends the reply if the
 server is alive and starts the next queued request.  Random arrival
-schedules — bursts deeper than the worker pool, every admission policy, a
+schedules — bursts deeper than the worker pool, with and without an
+admission bound, a
 crash with requests in service and queued, a recovery before or after their
 completion instants — must produce the same replies at the same instants,
 the same ``ServerStats`` and ``NetworkStats``, the same queue-probe
@@ -25,17 +26,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.node import ServerNode, ServiceCostModel
+from repro.cluster.node import PER_KB_MS, ServerNode, ServiceCostModel
 from repro.errors import OverloadedError
 from repro.net.latency import FixedLatencyModel
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.overload.admission import ADMISSION_POLICIES, AdmissionConfig
+from repro.overload.admission import FOREGROUND_KINDS
 from repro.sim import Environment
 
-SHEDDABLE = frozenset({"fg"})
+#: A foreground (sheddable) request kind and a background one.
+FG, BG = "ru.get", "ae.push"
 
 
 class CompleteEventNode(ServerNode):
@@ -66,15 +68,10 @@ class CompleteEventNode(ServerNode):
         kind = message.kind
         stats.per_kind[kind] = stats.per_kind.get(kind, 0) + 1
         queue = self._queue
-        admission = self.admission
-        if (admission is not None
-                and len(queue) >= admission.max_queue_depth
-                and kind in admission.sheddable_kinds):
-            if admission.policy == "adaptive-lifo":
-                if not self._evict_oldest_sheddable(admission):
-                    self._reject(message, "queue-full")
-                    return
-            else:
+        bound = self.max_queue_depth
+        if (bound is not None and len(queue) >= bound
+                and kind in FOREGROUND_KINDS):
+            if not self._evict_oldest_sheddable():
                 self._reject(message, "queue-full")
                 return
         found = len(queue)
@@ -87,18 +84,12 @@ class CompleteEventNode(ServerNode):
 
     def _start_workers(self):
         queue, stats, cost, env = self._queue, self.stats, self.cost, self.env
-        admission = self.admission
+        bound = self.max_queue_depth
         while self.busy < cost.concurrency and queue:
-            if (admission is not None and admission.policy == "adaptive-lifo"
-                    and len(queue) > admission.lifo_depth):
+            if bound is not None and len(queue) > bound // 2:
                 message, enqueued_at, depth = queue.pop()
             else:
                 message, enqueued_at, depth = queue.popleft()
-            if (admission is not None and admission.policy == "codel"
-                    and env.now - enqueued_at > admission.codel_target_ms
-                    and message.kind in admission.sheddable_kinds):
-                self._reject(message, "stale")
-                continue
             queue_wait = env.now - enqueued_at
             stats.queue_wait_ms += queue_wait
             if self._probe is not None:
@@ -123,7 +114,7 @@ class CompleteEventNode(ServerNode):
                 service_ms = cost.request_overhead_ms + extra_cost
                 size = message.payload.get("size_bytes", 0)
                 if size:
-                    service_ms += (size / 1024.0) * cost.per_kb_ms
+                    service_ms += (size / 1024.0) * PER_KB_MS
             if span is not None:
                 env.current_trace = None
                 if span is message.trace:
@@ -145,7 +136,7 @@ class CompleteEventNode(ServerNode):
             self._start_workers()
 
 
-def _run(node_class, arrivals, concurrency, admission, crash_at, recover_at):
+def _run(node_class, arrivals, concurrency, bound, crash_at, recover_at):
     env = Environment()
     topology = Topology()
     topology.add_site("client", region="VA")
@@ -156,15 +147,15 @@ def _run(node_class, arrivals, concurrency, admission, crash_at, recover_at):
     network.register("client", lambda message: None)
     server = node_class(env, network, "server",
                         cost_model=ServiceCostModel(concurrency=concurrency),
-                        admission=admission)
+                        max_queue_depth=bound)
 
     def handle(message):
         payload = message.payload
         reply = None if payload["silent"] else {"echo": payload["index"]}
         return reply, payload["cost"]
 
-    server.register_handler("fg", handle)
-    server.register_handler("bg", handle)
+    server.register_handler(FG, handle)
+    server.register_handler(BG, handle)
     # The events each dispatcher adds: the reference's ``_complete`` per
     # served request, the server's wakes.
     wakes = [0]
@@ -216,43 +207,33 @@ def _run(node_class, arrivals, concurrency, admission, crash_at, recover_at):
 
 arrival = st.tuples(
     st.sampled_from([0.0, 0.0, 0.0, 0.05, 0.4, 3.0]),       # gap: bursts mostly
-    st.sampled_from(["fg", "fg", "fg", "bg", "unknown"]),
+    st.sampled_from([FG, FG, FG, BG, "unknown"]),
     st.sampled_from([0.0, 0.3, 2.0, 8.0]),                   # handler cost, ms
     st.sampled_from([0, 1024, 8192]),                        # payload bytes
     st.booleans())                                           # fire-and-forget
-admissions = st.one_of(
-    st.none(),
-    st.builds(AdmissionConfig,
-              max_queue_depth=st.integers(1, 5),
-              policy=st.sampled_from(ADMISSION_POLICIES),
-              lifo_depth=st.one_of(st.none(), st.integers(0, 3)),
-              codel_target_ms=st.sampled_from([0.2, 1.0, 5.0]),
-              sheddable_kinds=st.just(SHEDDABLE)))
+bounds = st.one_of(st.none(), st.integers(1, 5))
 
 
 @settings(max_examples=150, deadline=None)
 @given(arrivals=st.lists(arrival, min_size=1, max_size=40),
-       concurrency=st.integers(1, 3), admission=admissions,
+       concurrency=st.integers(1, 3), bound=bounds,
        crash_at=st.one_of(st.none(), st.sampled_from([0.3, 1.0, 4.0])),
        recover_at=st.one_of(st.none(), st.sampled_from([0.5, 6.0])))
 # An eviction that empties a one-deep queue appends into the queue whose wake
 # is still armed: arming a second one would double every wake after it.
-@example(arrivals=[(0.0, "fg", 2.0, 0, False)] * 4
-         + [(0.5, "fg", 2.0, 0, False)] * 3,
-         concurrency=1, admission=AdmissionConfig(
-             max_queue_depth=1, policy="adaptive-lifo",
-             sheddable_kinds=SHEDDABLE),
-         crash_at=None, recover_at=None)
+@example(arrivals=[(0.0, FG, 2.0, 0, False)] * 4
+         + [(0.5, FG, 2.0, 0, False)] * 3,
+         concurrency=1, bound=1, crash_at=None, recover_at=None)
 # A queue deeper than the RPC timeout: the last three requests are served
 # after their RPCs timed out, so they get server spans.
-@example(arrivals=[(0.0, "fg", 8.0, 0, False)] * 10, concurrency=1,
-         admission=None, crash_at=None, recover_at=None)
+@example(arrivals=[(0.0, FG, 8.0, 0, False)] * 10, concurrency=1,
+         bound=None, crash_at=None, recover_at=None)
 def test_replying_at_service_start_matches_the_complete_event_dispatcher(
-        arrivals, concurrency, admission, crash_at, recover_at):
+        arrivals, concurrency, bound, crash_at, recover_at):
     replies, *observed, events, wakes = _run(
-        ServerNode, arrivals, concurrency, admission, crash_at, recover_at)
+        ServerNode, arrivals, concurrency, bound, crash_at, recover_at)
     reference_replies, *reference, reference_events, served = _run(
-        CompleteEventNode, arrivals, concurrency, admission, crash_at,
+        CompleteEventNode, arrivals, concurrency, bound, crash_at,
         recover_at)
     # Every request's reply, with the same payload at the same instant (the
     # lists are in time order, so only replies sharing an instant can swap).
@@ -266,24 +247,24 @@ def test_replying_at_service_start_matches_the_complete_event_dispatcher(
 
 
 def test_the_schedules_reach_every_arm():
-    """A burst through each policy sheds, queues and serves on arrival —
-    otherwise the property above compares two idle servers."""
-    burst = [(0.0, "fg", 2.0, 1024, False)] * 12 + [(6.0, "fg", 0.3, 0, False)]
-    for policy in ADMISSION_POLICIES:
-        admission = AdmissionConfig(max_queue_depth=3, policy=policy,
-                                    codel_target_ms=3.0,
-                                    sheddable_kinds=SHEDDABLE)
-        replies, stats, *_ = _run(ServerNode, burst, 2, admission, None, None)
-        assert stats.rejected > 0 and stats.queue_wait_ms > 0.0
-        assert stats.max_queue_depth == 3 and len(replies) == len(burst)
-        assert replies[-1][2] != "shed"  # the late, lone request: zero wait
+    """A burst through a bounded queue sheds, queues, serves newest-first
+    and serves on arrival — otherwise the property above compares two idle
+    servers."""
+    burst = [(0.0, FG, 2.0, 1024, False)] * 12 + [(6.0, FG, 0.3, 0, False)]
+    replies, stats, *_ = _run(ServerNode, burst, 2, 3, None, None)
+    assert stats.rejected > 0 and stats.queue_wait_ms > 0.0
+    assert stats.max_queue_depth == 3 and len(replies) == len(burst)
+    served = [index for index, _, reply in sorted(replies, key=lambda r: r[1])
+              if reply != "shed"]
+    assert served[2:4] == [11, 10]  # past the LIFO depth: newest first
+    assert replies[-1][2] != "shed"  # the late, lone request: zero wait
 
 
 def test_a_request_writes_its_server_side_onto_its_rpc_span():
     """Served in time, the request's RPC span carries where and how long it
     waited and was served; served after its RPC timed out, the work gets a
     ``server`` span under the closed RPC span instead."""
-    late = [(0.0, "fg", 8.0, 0, False)] * 10
+    late = [(0.0, FG, 8.0, 0, False)] * 10
     *_, spans, _, _ = _run(ServerNode, late, 1, None, None, None)
     by_id = {span["span_id"]: span for span in spans}
     rpcs = [span for span in spans if span["kind"] == "rpc"]

@@ -2,7 +2,7 @@
 
 The metastability artifact rests on two client-side mechanisms behaving
 exactly as specified: the retry budget bounds sustained retry load to
-``ratio`` times the offered load (never more than ``burst`` in a row), and
+``ratio`` times the offered load (never more than ``BUDGET_BURST`` in a row), and
 the circuit breaker's state machine never opens early, never admits while
 open, and never loses an admitted request's outcome.  Both are pure
 deterministic arithmetic, which is what makes them property-testable.
@@ -12,11 +12,10 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.overload.retry import CircuitBreaker, RetryBudget, RetryPolicy
+from repro.overload.retry import (BUDGET_BURST, HALF_OPEN_PROBES, JITTER,
+                                  CircuitBreaker, RetryBudget, RetryPolicy)
 
 ratios = st.floats(min_value=0.0, max_value=1.0,
-                   allow_nan=False, allow_infinity=False)
-bursts = st.floats(min_value=1.0, max_value=50.0,
                    allow_nan=False, allow_infinity=False)
 #: A workload script: True = fresh request (deposit), False = retry attempt
 #: (withdraw).
@@ -25,38 +24,38 @@ scripts = st.lists(st.booleans(), max_size=400)
 
 class TestRetryBudget:
     @settings(max_examples=100, deadline=None)
-    @given(ratio=ratios, burst=bursts, script=scripts)
+    @given(ratio=ratios, script=scripts)
     def test_withdrawals_bounded_by_burst_plus_ratio_of_deposits(
-            self, ratio, burst, script):
+            self, ratio, script):
         """Sustained retry load <= burst + ratio * fresh requests."""
-        budget = RetryBudget(ratio, burst)
+        budget = RetryBudget(ratio)
         for fresh in script:
             if fresh:
                 budget.deposit()
             else:
                 budget.withdraw()
         deposits = sum(1 for fresh in script if fresh)
-        assert budget.withdrawals <= burst + ratio * deposits + 1e-6
+        assert budget.withdrawals <= BUDGET_BURST + ratio * deposits + 1e-6
 
     @settings(max_examples=100, deadline=None)
-    @given(ratio=ratios, burst=bursts, script=scripts)
+    @given(ratio=ratios, script=scripts)
     def test_tokens_never_exceed_burst_nor_go_negative(
-            self, ratio, burst, script):
-        budget = RetryBudget(ratio, burst)
+            self, ratio, script):
+        budget = RetryBudget(ratio)
         for fresh in script:
             if fresh:
                 budget.deposit()
             else:
                 budget.withdraw()
-            assert 0.0 <= budget.tokens <= burst + 1e-9
+            assert 0.0 <= budget.tokens <= BUDGET_BURST + 1e-9
 
     @settings(max_examples=50, deadline=None)
-    @given(ratio=ratios, burst=bursts, script=scripts)
-    def test_deterministic(self, ratio, burst, script):
+    @given(ratio=ratios, script=scripts)
+    def test_deterministic(self, ratio, script):
         """Same script, same counters — no hidden randomness."""
         outcomes = []
         for _ in range(2):
-            budget = RetryBudget(ratio, burst)
+            budget = RetryBudget(ratio)
             granted = [budget.withdraw() if not fresh else budget.deposit()
                        for fresh in script]
             outcomes.append((granted, budget.tokens, budget.withdrawals,
@@ -64,13 +63,14 @@ class TestRetryBudget:
         assert outcomes[0] == outcomes[1]
 
     def test_counters_reconcile(self):
-        budget = RetryBudget(0.1, 2.0)
-        for _ in range(50):
+        budget = RetryBudget(0.1)
+        for _ in range(150):
             budget.deposit()
             budget.withdraw()
-        assert budget.withdrawals + budget.denials == 50
-        # Ratio 0.1: after the burst of 2, only ~1 retry per 10 deposits.
-        assert budget.withdrawals <= 2 + 0.1 * 50 + 1
+        assert budget.withdrawals + budget.denials == 150
+        # Ratio 0.1: after the burst of 10, only ~1 retry per 10 deposits.
+        assert budget.withdrawals <= BUDGET_BURST + 0.1 * 150 + 1
+        assert budget.denials > 0
 
 
 #: A breaker script: (advance_ms, success) per admitted-or-denied attempt.
@@ -86,19 +86,17 @@ class TestCircuitBreaker:
     @given(threshold=st.integers(min_value=1, max_value=10),
            cooldown=st.floats(min_value=1.0, max_value=1_000.0,
                               allow_nan=False, allow_infinity=False),
-           probes=st.integers(min_value=1, max_value=4),
            steps=breaker_steps)
-    def test_state_machine_invariants(self, threshold, cooldown, probes,
-                                      steps):
+    def test_state_machine_invariants(self, threshold, cooldown, steps):
         """Drive the breaker through an arbitrary schedule and check:
 
         * it only ever occupies the three named states;
         * it never opens before ``threshold`` consecutive recorded failures;
         * while open, nothing is admitted until the cooldown elapsed;
-        * half-open admits at most ``probes`` concurrent probes;
+        * half-open admits at most ``HALF_OPEN_PROBES`` concurrent probes;
         * every admitted attempt can be recorded (no lost requests).
         """
-        breaker = CircuitBreaker(threshold, cooldown, probes)
+        breaker = CircuitBreaker(threshold, cooldown)
         now = 0.0
         consecutive_failures = 0
         admitted_probes = 0
@@ -119,7 +117,7 @@ class TestCircuitBreaker:
                 continue
             if breaker.state == CircuitBreaker.HALF_OPEN:
                 admitted_probes = breaker.probes_in_flight
-                assert admitted_probes <= probes
+                assert admitted_probes <= HALF_OPEN_PROBES
             breaker.record(success, now)
             if breaker.state == CircuitBreaker.CLOSED:
                 consecutive_failures = 0 if success else (
@@ -151,7 +149,7 @@ class TestCircuitBreaker:
         assert breaker.opens == 0
 
     def test_open_denies_until_cooldown_then_probes(self):
-        breaker = CircuitBreaker(1, cooldown_ms=100.0, half_open_probes=1)
+        breaker = CircuitBreaker(1, cooldown_ms=100.0)
         breaker.allow(0.0)
         breaker.record(False, 0.0)
         assert breaker.state == CircuitBreaker.OPEN
@@ -183,20 +181,20 @@ class TestRetryPolicyBackoff:
                           allow_nan=False, allow_infinity=False),
            cap=st.floats(min_value=0.1, max_value=5_000.0,
                          allow_nan=False, allow_infinity=False),
-           jitter=st.floats(min_value=0.0, max_value=1.0,
-                            allow_nan=False, allow_infinity=False),
            seed=st.integers(min_value=0, max_value=2**31 - 1))
     def test_backoff_bounded_and_seed_deterministic(self, attempt, base,
-                                                    cap, jitter, seed):
-        policy = RetryPolicy(backoff_base_ms=base, backoff_cap_ms=cap,
-                             jitter=jitter)
+                                                    cap, seed):
+        policy = RetryPolicy(backoff_base_ms=base, backoff_cap_ms=cap)
         delay = policy.backoff_ms(attempt, random.Random(seed))
         again = policy.backoff_ms(attempt, random.Random(seed))
         assert delay == again
         assert 0.0 <= delay <= cap
-        # The deterministic floor: at least (1 - jitter) of the capped base.
-        floor = min(cap, base * 2.0 ** (attempt - 1)) * (1.0 - jitter)
-        assert delay >= floor - 1e-9
+        # The deterministic floor: at least half (1 - JITTER, 0.5) of the
+        # capped base, and the draw moves the other half.
+        capped = min(cap, base * 2.0 ** (attempt - 1))
+        assert JITTER == 0.5
+        assert capped * 0.5 - 1e-9 <= delay
+        assert delay == capped * 0.5 + capped * 0.5 * random.Random(seed).random()
 
     def test_client_kwargs_per_protocol(self):
         policy = RetryPolicy(rpc_timeout_ms=2_000.0, lock_timeout_ms=1_000.0)

@@ -29,7 +29,7 @@ def deployments(draw):
                      if mode == "mixed" else mode)
         clusters.append(Cluster(
             name=f"c{index}", region=f"r{index}", placement=placement,
-            servers=[f"c{index}-s{i}" for i in range(size)], virtual_nodes=8))
+            servers=[f"c{index}-s{i}" for i in range(size)]))
     events = draw(st.lists(
         st.tuples(st.sampled_from(["add", "remove"]),
                   st.integers(min_value=0, max_value=len(sizes) - 1),

@@ -2,12 +2,26 @@
 
 import pytest
 
-from repro.storage.lsm import LSMCostModel, LSMStore
-from repro.storage.records import Timestamp, Version
+from repro.storage.lsm import (COMPACTION_MS, COMPACTION_TRIGGER, FLUSH_MS,
+                               GET_PER_SSTABLE_MS, MEMTABLE_BYTES, PUT_MS, LSMStore)
+from repro.storage.records import METADATA_BYTES, Timestamp, Version
 
 
 def v(key, value, seq):
     return Version(key=key, value=value, timestamp=Timestamp(seq, 1))
+
+
+#: Puts of a 1 KiB value (plus a plain version's metadata) that fill the
+#: 4 MiB memtable: the last one flushes it.
+PUTS_PER_FLUSH = -(-MEMTABLE_BYTES // (1024 + METADATA_BYTES))
+
+
+def fill(store, flushes):
+    """Put 1 KiB values under fresh keys through ``flushes`` memtables;
+    returns each put's cost."""
+    start = store.stats.puts
+    return [store.put(v(f"k{i}", i, i + 1), value_bytes=1024)
+            for i in range(start, start + flushes * PUTS_PER_FLUSH)]
 
 
 class TestLSMStore:
@@ -27,34 +41,35 @@ class TestLSMStore:
     def test_put_cost_is_positive_and_counts(self):
         store = LSMStore()
         cost = store.put(v("x", 1, 1))
-        assert cost >= store.cost.put_ms
+        assert cost == PUT_MS
         assert store.stats.puts == 1
         assert store.stats.bytes_written > 0
 
     def test_memtable_flush_triggers_on_size(self):
-        cost_model = LSMCostModel(memtable_bytes=4096, flush_ms=5.0)
-        store = LSMStore(cost_model)
-        # Each put writes ~1 KB + metadata; four puts should force a flush.
-        total = sum(store.put(v(f"k{i}", i, i), value_bytes=1024) for i in range(4))
-        assert store.stats.flushes >= 1
-        assert total > 4 * cost_model.put_ms
+        # Every put short of 4 MiB is a memtable insert; the one that
+        # reaches it pays the flush too.
+        store = LSMStore()
+        costs = fill(store, 1)
+        assert store.stats.flushes == 1
+        assert costs[:-1] == [PUT_MS] * (PUTS_PER_FLUSH - 1)
+        assert costs[-1] == PUT_MS + FLUSH_MS
+        assert store.put(v("after", 0, 1)) == PUT_MS
 
     def test_compaction_triggered_after_enough_sstables(self):
-        cost_model = LSMCostModel(memtable_bytes=1024, compaction_trigger=2)
-        store = LSMStore(cost_model)
-        for i in range(8):
-            store.put(v(f"k{i}", i, i), value_bytes=1024)
-        assert store.stats.compactions >= 1
-        assert len(store._sstables) < store.stats.flushes
+        store = LSMStore()
+        costs = fill(store, COMPACTION_TRIGGER)
+        assert store.stats.flushes == COMPACTION_TRIGGER
+        assert store.stats.compactions == 1
+        assert len(store._sstables) == 1
+        assert costs[-1] == PUT_MS + FLUSH_MS + COMPACTION_MS
+        assert store._sstables[0].entries == COMPACTION_TRIGGER * PUTS_PER_FLUSH
 
     def test_read_cost_grows_with_sstables(self):
-        cost_model = LSMCostModel(memtable_bytes=1024, compaction_trigger=100)
-        store = LSMStore(cost_model)
+        store = LSMStore()
         _, cold_cost = store.get_latest("x")
-        for i in range(6):
-            store.put(v(f"k{i}", i, i), value_bytes=1024)
+        fill(store, 2)
         _, warm_cost = store.get_latest("x")
-        assert warm_cost > cold_cost
+        assert warm_cost == cold_cost + 2 * GET_PER_SSTABLE_MS
 
     def test_scan_returns_matches(self):
         store = LSMStore()

@@ -1,6 +1,6 @@
 """Unit tests for the write-ahead log."""
 
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import BYTES_PER_MS, FSYNC_MS, WriteAheadLog
 
 
 class TestWriteAheadLog:
@@ -12,22 +12,14 @@ class TestWriteAheadLog:
         assert len(wal._records) == 2
 
     def test_sync_cost_includes_fsync_and_bytes(self):
-        wal = WriteAheadLog(fsync_ms=1.0, bytes_per_ms=1000.0)
-        cost = wal.append("put", "x", None, size_bytes=500, sync=True)
-        assert cost == 1.0 + 0.5
-
-    def test_async_append_is_cheaper(self):
-        wal = WriteAheadLog(fsync_ms=1.0, bytes_per_ms=1000.0)
-        async_cost = wal.append("put", "x", None, size_bytes=500, sync=False)
-        assert async_cost == 0.5
-        # The deferred sync later pays the fsync plus buffered bytes.
-        sync_cost = wal.sync()
-        assert sync_cost == 1.0 + 0.5
+        wal = WriteAheadLog()
+        cost = wal.append("put", "x", None, size_bytes=500_000)
+        assert cost == FSYNC_MS + 500_000 / BYTES_PER_MS == 2.9
 
     def test_sync_resets_buffered_bytes(self):
-        wal = WriteAheadLog(fsync_ms=1.0, bytes_per_ms=1000.0)
-        wal.append("put", "x", None, size_bytes=500, sync=True)
-        assert wal.sync() == 1.0  # nothing buffered -> fsync only
+        wal = WriteAheadLog()
+        wal.append("put", "x", None, size_bytes=500)
+        assert wal.sync() == FSYNC_MS  # nothing buffered -> fsync only
 
     def test_truncate_drops_prefix(self):
         """A bounded log truncates itself: the oldest records go first."""

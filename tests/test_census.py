@@ -1,15 +1,20 @@
 """Unit tests for the census's rules (``tests/census.py``), on snippets.
 
 The census itself runs every door (a CI step); these pin what it decides
-from a definition and a set of entered ``(file, first line)`` pairs.
+from a definition and a set of entered ``(file, first line)`` pairs, which
+constructor parameters are settings, what its profile hook records, and
+what it decides from the values each setting received.
 """
 
 import ast
 import textwrap
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import pytest
 
-from census import covers, failures, module_definitions
+from census import (class_settings, covers, failures, module_definitions,
+                    run_doors, setting_failures)
 
 
 def _definitions(source, module="repro.m", path="m.py"):
@@ -154,3 +159,118 @@ def test_a_row_may_cover_an_entered_declaration():
     """A class row covers its hook defaults too; entering one is no news."""
     assert _census({"C.used", "C.declared"}, {"repro.m:C": "item 2: later"}) == [
         "RESERVED row repro.m:C covers repro.m:C.used, which a door now enters"]
+
+
+# -- settings ---------------------------------------------------------------------
+
+def _in_repro(cls, module="repro.storage.wal"):
+    """``cls`` as if defined in a module under ``src/repro``."""
+    cls.__module__, cls.__qualname__ = module, cls.__name__
+    return cls
+
+
+def test_every_field_of_a_config_dataclass_is_a_setting():
+    @dataclass
+    class ThingConfig:
+        size: int
+        bound: int = 0
+        kinds: list = field(default_factory=list)
+
+    assert [key for key, _ in class_settings(_in_repro(ThingConfig))] == [
+        "repro.storage.wal:ThingConfig.size", "repro.storage.wal:ThingConfig.bound",
+        "repro.storage.wal:ThingConfig.kinds"]
+
+
+def test_a_written_constructor_has_its_defaulted_keywords():
+    class Thing:
+        def __init__(self, env, size=3, recorder=None, *args, **kwargs):
+            self.env = env
+
+    assert class_settings(_in_repro(Thing)) == [
+        ("repro.storage.wal:Thing.size", "size"),
+        ("repro.storage.wal:Thing.recorder", "recorder")]
+
+
+def test_a_records_setting_is_a_default_that_is_a_value():
+    """A made constructor's field that starts empty, zero, None, False or
+    from a factory is state; one that defaults to a value is a setting."""
+    @dataclass
+    class ThingStats:
+        name: str
+        count: int = 0
+        seen: dict = field(default_factory=dict)
+        label: str = ""
+        window_ms: float = 500.0
+
+    class Record(NamedTuple):
+        key: str
+        owner: object = None
+        weight: int = 2
+
+    assert class_settings(_in_repro(ThingStats)) == [
+        ("repro.storage.wal:ThingStats.window_ms", "window_ms")]
+    assert class_settings(_in_repro(Record)) == [
+        ("repro.storage.wal:Record.weight", "weight")]
+
+
+def test_the_bench_package_and_classes_outside_src_have_no_settings():
+    class Params:
+        def __init__(self, size=3):
+            self.size = size
+
+    assert class_settings(_in_repro(Params, "repro.bench.experiments")) == []
+    assert class_settings(Params) == []
+
+
+def test_the_hook_records_the_values_a_door_passes():
+    """One door under the profile hook: a written ``__init__``, a made
+    ``NamedTuple.__new__`` (a ``<lambda>``) and a dataclass ``__init__``."""
+    class Record(NamedTuple):
+        key: str
+        weight: int = 2
+
+    _in_repro(Record)
+
+    def doors(_workdir):
+        from repro.replication.antientropy import AntiEntropyConfig
+        from repro.storage.kvstore import VersionedStore
+
+        def run():
+            VersionedStore(keep_versions=3)
+            VersionedStore()
+            Record("k")
+            Record("k", weight=5)
+            AntiEntropyConfig(interval_ms=5.0)
+
+        yield "constructors", run
+
+    _, received = run_doors(doors)
+    assert received["repro.storage.kvstore:VersionedStore.keep_versions"] == {3, None}
+    assert received["repro.storage.wal:Record.weight"] == {2, 5}
+    assert received["repro.replication.antientropy:AntiEntropyConfig.interval_ms"] == {5.0}
+
+
+KNOWN = {"repro.m:C.a": "repro.m:C", "repro.m:C.b": "repro.m:C"}
+
+
+def test_a_setting_one_value_reaches_fails_unless_a_row_names_it():
+    received = {"repro.m:C.a": {1, 2}, "repro.m:C.b": {1}}
+    assert setting_failures(KNOWN, received, {}) == [
+        "repro.m:C.b takes one value at the doors and RESERVED_SETTINGS does "
+        "not name it"]
+    assert setting_failures(KNOWN, received, {"repro.m:C.b": "fake: a"}) == []
+    assert setting_failures(KNOWN, {"repro.m:C.a": {1, 2}},
+                            {"repro.m:C.b": "item 2: later"}) == []
+
+
+def test_a_row_whose_setting_takes_two_values_fails():
+    received = {"repro.m:C.a": {1, 2}, "repro.m:C.b": {1}}
+    assert setting_failures(KNOWN, received, {"repro.m:C": "item 2: later"}) == [
+        "RESERVED_SETTINGS row repro.m:C covers repro.m:C.a, which two values "
+        "now reach"]
+
+
+def test_a_row_naming_no_setting_fails():
+    received = {"repro.m:C.a": {1, 2}, "repro.m:C.b": {1, 2}}
+    assert setting_failures(KNOWN, received, {"repro.m:C.gone": "guard: x"}) == [
+        "RESERVED_SETTINGS names repro.m:C.gone, which is not a setting"]

@@ -3,8 +3,9 @@
 Production has three doors: ``python -m repro.bench``, ``examples/*.py`` and
 ``benchmarks/hatbench``.  What none of them reaches is either waiting for a
 caller a ROADMAP item names, or dead: ``tests/census.py`` (a CI step) checks
-that per function against its ``RESERVED`` table, and this module checks the
-table itself and, per module, what the doors import.  And a door imports
+that per function against its ``RESERVED`` table, and per component setting
+against its ``RESERVED_SETTINGS`` table; this module checks both tables
+themselves and, per module, what the doors import.  And a door imports
 only what it runs: a hatbench child's set-up is measured.  The core is
 stdlib-only: no module under ``src/`` imports, and no run loads, a package
 outside the standard library.
@@ -16,7 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from census import RESERVED, definitions
+from census import RESERVED, RESERVED_SETTINGS, definitions, settings
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -73,6 +74,22 @@ def test_every_reserved_row_names_a_definition_under_src_and_a_reason():
             assert artifact in ARTIFACTS and flag == "--full", (key, reason)
         else:
             assert kind == "guard", (key, reason)
+
+
+def test_every_reserved_setting_names_a_setting_and_a_reason():
+    """The census's setting-grain table is one table too: each key is a
+    component setting (``module:Class.parameter``) or a class that takes
+    one, and each reason is an open ROADMAP item, a fake or a guard."""
+    known = settings()
+    items = _open_items()
+    for key, reason in RESERVED_SETTINGS.items():
+        assert key in known or key in known.values(), key
+        kind, _, why = reason.partition(": ")
+        assert why, (key, reason)
+        if kind.startswith("item "):
+            assert kind.removeprefix("item ") in items, (key, reason)
+        else:
+            assert kind in ("fake", "guard"), (key, reason)
 
 
 #: What a hatbench child must not pay for at set-up: only ``python -m

@@ -79,7 +79,7 @@ class TestStreamPins:
     pickers, the mix draw and every program's own draws."""
 
     def test_first_200_transactions_match_the_recorded_stream(self, assert_pin):
-        stream = TPCCDriver(seed=11)
+        stream = TPCCDriver(TPCCConfig(), seed=11)
         drawn = [[txn.label, txn.operations[0].key]
                  for txn in (stream.next_transaction() for _ in range(200))]
         assert_pin("tpcc-stream/seed-11", drawn)

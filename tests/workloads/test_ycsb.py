@@ -12,7 +12,6 @@ class TestYCSBConfig:
         assert config.operations_per_transaction == 8
         assert config.write_proportion == 0.5
         assert config.key_count == 100_000
-        assert config.value_bytes == 1024
         assert config.distribution == "uniform"
 
     def test_validation(self):

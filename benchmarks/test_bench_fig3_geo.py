@@ -12,6 +12,8 @@ two orders of magnitude while eventual/RC/MAV stay near their single-DC
 latency; MAV throughput is a constant factor below eventual/RC.
 """
 
+from functools import lru_cache
+
 import pytest
 
 from repro.bench.experiments import figure3_geo_replication
@@ -19,6 +21,14 @@ from repro.bench.report import format_latency_and_throughput
 
 CLIENTS = (2, 6)
 DURATION_MS = 500.0
+
+
+@lru_cache(maxsize=None)
+def figure3(servers):
+    """All three panels at ``servers`` per cluster, swept once per size."""
+    return figure3_geo_replication(client_counts=CLIENTS,
+                                   duration_ms=DURATION_MS,
+                                   servers_per_cluster=servers)
 
 
 def by_protocol(points, metric="mean_latency_ms"):
@@ -35,9 +45,8 @@ def by_protocol(points, metric="mean_latency_ms"):
     ("C-five-regions", 1),
 ])
 def test_fig3_geo_replication(bench_print, deployment, servers):
-    points = figure3_geo_replication(
-        deployment=deployment, client_counts=CLIENTS,
-        duration_ms=DURATION_MS, servers_per_cluster=servers)
+    points = [point for point in figure3(servers)
+              if point.figure == f"fig3{deployment}"]
     bench_print(f"Figure 3{deployment}: YCSB vs. number of clients",
                 format_latency_and_throughput(points))
 

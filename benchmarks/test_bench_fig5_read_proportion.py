@@ -16,7 +16,7 @@ DURATION_MS = 400.0
 def test_fig5_write_proportion(bench_print):
     points = figure5_write_proportion(
         write_proportions=WRITE_PROPORTIONS, duration_ms=DURATION_MS,
-        clients_per_cluster=12, servers_per_cluster=2)
+        clients_per_cluster=12)
     bench_print("Figure 5: write proportion vs. throughput (txn/s)",
                 format_series(points, value="throughput_txn_s"))
 

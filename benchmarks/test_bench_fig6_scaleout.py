@@ -16,7 +16,7 @@ DURATION_MS = 400.0
 def test_fig6_scale_out(bench_print):
     points = figure6_scale_out(
         servers_per_cluster_values=SERVERS_PER_CLUSTER,
-        duration_ms=DURATION_MS, clients_per_server=2)
+        duration_ms=DURATION_MS)
     bench_print("Figure 6: scale-out (total servers vs. txn/s)",
                 format_series(points, value="throughput_txn_s"))
 

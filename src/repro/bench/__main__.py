@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, NamedTuple, Optional
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.bench import experiments, report
 from repro.bench.provenance import provenance_header
@@ -53,6 +53,8 @@ class Artifact:
     run: Callable[[bool, Optional[int]], Rendered]
     #: Whether ``run`` returns a payload ``--json`` can write.
     has_json: bool = False
+    #: A ``_sweep`` row's ``(experiment, its --full overrides)``.
+    full: Optional[Tuple[Callable, dict]] = None
 
 
 def _sweep(experiment: Callable, text: Callable, payload: Optional[Callable] = None,
@@ -68,7 +70,7 @@ def _sweep(experiment: Callable, text: Callable, payload: Optional[Callable] = N
         return Rendered(text(results),
                         payload(results) if payload is not None else None)
 
-    return Artifact(run, has_json=payload is not None)
+    return Artifact(run, has_json=payload is not None, full=(experiment, full))
 
 
 def _static(title: str, body: Callable[[bool], str]) -> Artifact:
@@ -151,8 +153,7 @@ ARTIFACTS: Dict[str, Artifact] = {
     "fig2": _static("Figure 2: model strength lattice (weaker -> stronger)",
                     _fig2),
     "fig3": _sweep(
-        partial(experiments.figure3_geo_replication,
-                deployment="B-two-regions"),
+        experiments.figure3_geo_replication,
         report.format_latency_and_throughput,
         quick=dict(client_counts=(2, 6), duration_ms=400.0,
                    servers_per_cluster=2),

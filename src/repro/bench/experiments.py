@@ -10,7 +10,11 @@ because the substrate is a simulator rather than EC2 hardware.
 Every artifact beyond the figures is the same methodology plus a fault
 campaign.  Each states its parameters once, as a frozen ``*Params``
 dataclass: ``x_experiment(protocols=..., jobs=..., **overrides)`` builds it
-from keyword overrides and hands it whole to the per-protocol worker.
+from keyword overrides and hands it whole to the per-protocol worker.  A
+parameter is a field only while two doors pass it two values (``python -m
+repro.bench`` at ``--quick`` and ``--full``, and the artifact sweeps the
+tests pin); every other is a constant, on the params class where a shared
+leg reads it, else at its one use.
 
 Every sweep accepts ``jobs``: each swept point is an independent seeded
 simulation, so with ``jobs=N`` the points fan out across a process pool (see
@@ -21,7 +25,7 @@ results are bit-identical to sequential ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.adya.history import HistoryRecorder
 from repro.adya.phenomena import detect
@@ -61,7 +65,6 @@ from repro.loadgen import (
     run_open_loop,
 )
 from repro.workloads.base import run_preload
-from repro.workloads.tpcc import TPCCConfig
 from repro.workloads.tpcc_audit import TPCCAnomalyReport, audit_tpcc_history
 from repro.workloads.tpcc_driver import TPCCDriverFactory, contended_tpcc_config
 from repro.workloads.ycsb import YCSBConfig
@@ -147,16 +150,17 @@ CHAOS_RETRY = RetryPolicy(rpc_timeout_ms=2_000.0, lock_timeout_ms=2_000.0)
 # nemesis campaign, driven closed-loop or open-loop
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DeploymentParams:
-    """What every artifact's params start from: the deployment and its seed."""
+class _Deployment:
+    """What every artifact's params start from, constants all: Virginia +
+    Oregon, two servers and two closed-loop clients per cluster, seed 0."""
 
-    regions: Sequence[str] = ("VA", "OR")
-    servers_per_cluster: int = 2
-    seed: int = 0
+    regions: ClassVar[Tuple[str, ...]] = ("VA", "OR")
+    servers_per_cluster: ClassVar[int] = 2
+    clients_per_cluster: ClassVar[int] = 2
+    seed: ClassVar[int] = 0
 
 
-def _scenario(params: DeploymentParams, **extra) -> Scenario:
+def _scenario(params: _Deployment, **extra) -> Scenario:
     """The deployment an artifact's params describe, plus its own extras."""
     return Scenario(regions=list(params.regions),
                     servers_per_cluster=params.servers_per_cluster,
@@ -277,29 +281,27 @@ class ExperimentPoint:
     extras: Dict[str, float] = field(default_factory=dict)
 
 
-def _figure_sweep(figure: str, x_label: str, protocols: Sequence[str],
-                  x_values: Sequence, point: Callable[[Any], tuple],
-                  duration_ms: float, seed: int,
+def _figure_sweep(x_label: str, protocols: Sequence[str], x_values: Sequence,
+                  point: Callable[[Any], tuple], duration_ms: float,
                   jobs: Optional[int]) -> List[ExperimentPoint]:
     """The double loop every figure is: protocols x swept values.
 
     ``point(x)`` says what one swept value means for the run, as
-    ``(x_value, scenario, workload, clients_per_cluster)``; each
+    ``(figure, x_value, scenario, workload, clients_per_cluster)``; each
     (protocol, x) pair is one closed-loop YCSB run of ``duration_ms``.
     """
-    x_of_config: List[float] = []
+    described: List[Tuple[str, float]] = []
     configs: List[RunConfig] = []
     for protocol in protocols:
         for x in x_values:
-            x_value, scenario, workload, clients_per_cluster = point(x)
-            x_of_config.append(x_value)
+            figure, x_value, scenario, workload, clients_per_cluster = point(x)
+            described.append((figure, x_value))
             configs.append(RunConfig(
                 protocol=protocol,
                 scenario=scenario,
                 workload=workload,
                 clients_per_cluster=clients_per_cluster,
                 duration_ms=duration_ms,
-                seed=seed,
             ))
     return [
         ExperimentPoint(
@@ -315,67 +317,53 @@ def _figure_sweep(figure: str, x_label: str, protocols: Sequence[str],
             aborted=stats.aborted,
             extras={"remote_rpc_fraction": stats.remote_rpc_fraction},
         )
-        for x_value, stats in zip(x_of_config, run_configs(configs, jobs=jobs))
+        for (figure, x_value), stats in zip(described,
+                                            run_configs(configs, jobs=jobs))
     ]
 
 
-def _two_regions(servers_per_cluster: int, seed: int) -> Scenario:
+def _two_regions(servers_per_cluster: int) -> Scenario:
     """The Virginia + Oregon deployment Figures 3B and 4-6 run on."""
-    return Scenario(regions=["VA", "OR"],
-                    servers_per_cluster=servers_per_cluster, seed=seed)
+    return Scenario(regions=["VA", "OR"], servers_per_cluster=servers_per_cluster)
 
 
-def _clients_point(scenario: Scenario, clients: int) -> tuple:
+def _clients_point(figure: str, scenario: Scenario, clients: int) -> tuple:
     """Spread ``clients`` evenly over the clusters (at least one each); the
     x-value is the client count actually run."""
     clusters = len(scenario.cluster_regions())
     per_cluster = max(1, clients // clusters)
-    return per_cluster * clusters, scenario, YCSBConfig(), per_cluster
+    return figure, per_cluster * clusters, scenario, YCSBConfig(), per_cluster
 
 
+#: Figure 3's panels: A two clusters in one datacenter, B Virginia + Oregon,
+#: C five regions.
 FIG3_DEPLOYMENTS: Dict[str, Scenario] = {
-    "A-single-dc": Scenario(regions=["VA"], clusters_per_region=2,
-                            servers_per_cluster=5),
-    "B-two-regions": Scenario(regions=["VA", "OR"], servers_per_cluster=5),
-    "C-five-regions": Scenario(regions=list(FIVE_REGION_DEPLOYMENT),
-                               servers_per_cluster=5),
+    "A-single-dc": Scenario(regions=["VA"], clusters_per_region=2),
+    "B-two-regions": Scenario(regions=["VA", "OR"]),
+    "C-five-regions": Scenario(regions=list(FIVE_REGION_DEPLOYMENT)),
 }
 
 
 def figure3_geo_replication(
-    deployment: str = "B-two-regions",
     client_counts: Sequence[int] = (2, 8, 16),
-    protocols: Sequence[str] = FIGURE_PROTOCOLS,
     duration_ms: float = 1000.0,
-    servers_per_cluster: Optional[int] = None,
-    seed: int = 0,
+    servers_per_cluster: int = 5,
     jobs: Optional[int] = None,
 ) -> List[ExperimentPoint]:
-    """Figure 3: YCSB latency/throughput versus number of clients.
-
-    ``deployment`` selects sub-figure A (two clusters in one datacenter),
-    B (Virginia + Oregon) or C (five regions).
-    """
-    base = FIG3_DEPLOYMENTS[deployment]
-
-    def point(clients: int) -> tuple:
-        return _clients_point(Scenario(
-            regions=list(base.regions),
-            clusters_per_region=base.clusters_per_region,
-            servers_per_cluster=servers_per_cluster or base.servers_per_cluster,
-            seed=seed,
-        ), clients)
-
-    return _figure_sweep(f"fig3{deployment}", "clients", protocols,
-                         client_counts, point, duration_ms, seed, jobs)
+    """Figure 3: YCSB latency/throughput versus number of clients, on each
+    of its three deployments (:data:`FIG3_DEPLOYMENTS`); a point's
+    ``figure`` names its panel, ``fig3<deployment>``."""
+    return _figure_sweep(
+        "clients", FIGURE_PROTOCOLS,
+        [(f"fig3{name}", replace(base, servers_per_cluster=servers_per_cluster),
+          clients)
+         for name, base in FIG3_DEPLOYMENTS.items() for clients in client_counts],
+        lambda x: _clients_point(*x), duration_ms, jobs)
 
 
 def composite_guarantee_sweep(
-    protocols: Sequence[str] = COMPOSITE_SWEEP_PROTOCOLS,
     client_counts: Sequence[int] = (2, 8),
     duration_ms: float = 800.0,
-    servers_per_cluster: int = 2,
-    seed: int = 0,
     jobs: Optional[int] = None,
 ) -> List[ExperimentPoint]:
     """Latency/throughput of stacked protocols on the two-region deployment.
@@ -386,10 +374,9 @@ def composite_guarantee_sweep(
     under the Figure 3B methodology.
     """
     return _figure_sweep(
-        "composite", "clients", protocols, client_counts,
-        lambda clients: _clients_point(
-            _two_regions(servers_per_cluster, seed), clients),
-        duration_ms, seed, jobs)
+        "clients", COMPOSITE_SWEEP_PROTOCOLS, client_counts,
+        lambda clients: _clients_point("composite", _two_regions(2), clients),
+        duration_ms, jobs)
 
 
 def figure4_transaction_length(
@@ -397,16 +384,15 @@ def figure4_transaction_length(
     protocols: Sequence[str] = FIGURE_PROTOCOLS,
     clients_per_cluster: int = 4,
     duration_ms: float = 800.0,
-    seed: int = 0,
     jobs: Optional[int] = None,
 ) -> List[ExperimentPoint]:
     """Figure 4: throughput versus operations per transaction (VA + OR)."""
     return _figure_sweep(
-        "fig4", "transaction length", protocols, lengths,
-        lambda length: (length, _two_regions(5, seed),
+        "transaction length", protocols, lengths,
+        lambda length: ("fig4", length, _two_regions(5),
                         YCSBConfig(operations_per_transaction=length),
                         clients_per_cluster),
-        duration_ms, seed, jobs)
+        duration_ms, jobs)
 
 
 def figure5_write_proportion(
@@ -414,11 +400,10 @@ def figure5_write_proportion(
     protocols: Sequence[str] = FIGURE_PROTOCOLS,
     clients_per_cluster: int = 12,
     duration_ms: float = 800.0,
-    servers_per_cluster: int = 2,
-    seed: int = 0,
     jobs: Optional[int] = None,
 ) -> List[ExperimentPoint]:
-    """Figure 5: throughput versus the fraction of write operations (VA + OR).
+    """Figure 5: throughput versus the fraction of write operations (VA + OR,
+    two servers per cluster).
 
     The default client count is chosen to saturate the (small) server pool,
     because the paper's read-versus-write throughput differences come from
@@ -427,33 +412,30 @@ def figure5_write_proportion(
     are the bottleneck.
     """
     return _figure_sweep(
-        "fig5", "write proportion", protocols, write_proportions,
-        lambda proportion: (proportion,
-                            _two_regions(servers_per_cluster, seed),
+        "write proportion", protocols, write_proportions,
+        lambda proportion: ("fig5", proportion, _two_regions(2),
                             YCSBConfig(write_proportion=proportion),
                             clients_per_cluster),
-        duration_ms, seed, jobs)
+        duration_ms, jobs)
 
 
 def figure6_scale_out(
     servers_per_cluster_values: Sequence[int] = (5, 10, 15, 25),
-    protocols: Sequence[str] = (EVENTUAL, READ_COMMITTED, MAV),
-    clients_per_server: int = 3,
     duration_ms: float = 800.0,
-    seed: int = 0,
     jobs: Optional[int] = None,
 ) -> List[ExperimentPoint]:
     """Figure 6: throughput versus total servers, two clusters (VA + OR).
 
-    The paper uses 15 YCSB clients per server; the default here is smaller so
-    the sweep completes quickly, but the client count still scales with the
+    The paper uses 15 YCSB clients per server; here it is three, so the
+    sweep completes quickly, but the client count still scales with the
     number of servers so linear scale-out is observable.
     """
     return _figure_sweep(
-        "fig6", "total servers", protocols, servers_per_cluster_values,
-        lambda servers: (servers * 2, _two_regions(servers, seed),
-                         YCSBConfig(), clients_per_server * servers),
-        duration_ms, seed, jobs)
+        "total servers", (EVENTUAL, READ_COMMITTED, MAV),
+        servers_per_cluster_values,
+        lambda servers: ("fig6", servers * 2, _two_regions(servers),
+                         YCSBConfig(), 3 * servers),
+        duration_ms, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -461,15 +443,12 @@ def figure6_scale_out(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AvailabilityParams(DeploymentParams):
+class AvailabilityParams(_Deployment):
     """Everything one availability run depends on besides the protocol."""
 
-    clients_per_cluster: int = 2
     baseline_ms: float = 3_000.0
     partition_ms: float = 6_000.0
     recovery_ms: float = 3_000.0
-    window_ms: float = 500.0
-    workload: Optional[YCSBConfig] = None
 
 
 @dataclass
@@ -503,19 +482,19 @@ def _availability_run(protocol: str, params: AvailabilityParams,
                       ) -> AvailabilityTimeline:
     """One protocol's full availability run (the parallel-sweep worker)."""
     campaign = _partition_campaign(params)
-    telemetry = TimelineTelemetry(window_ms=params.window_ms)
+    telemetry = TimelineTelemetry()
     # A request the partition strands expires inside the recovery phase (the
     # default 10 s deadline outlives a quick campaign): half of it.
     recovered = campaign.phases[-1]
     retry = RetryPolicy(rpc_timeout_ms=(recovered.end_ms - recovered.start_ms) / 2)
     stats, narration = _closed_loop_leg(
         protocol, build_testbed(_scenario(params)), campaign,
-        params.workload or YCSBConfig(key_count=10_000), params,
+        YCSBConfig(key_count=10_000), params,
         retry=retry, recorder=recorder, telemetry=telemetry)
     return AvailabilityTimeline(
         protocol=protocol,
         campaign=campaign,
-        window_ms=params.window_ms,
+        window_ms=telemetry.window_ms,
         groups=telemetry.build(),
         stats=stats,
         narration=narration,
@@ -560,13 +539,12 @@ def availability_experiment(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TPCCSimParams(DeploymentParams):
+class TPCCSimParams(_Deployment):
     """Everything one TPC-C simulation depends on besides the protocol."""
 
-    clients_per_cluster: int = 2
+    seed: int = 0
     #: Length of a healthy run; a partitioned run lasts its campaign.
     duration_ms: float = 1500.0
-    tpcc: Optional[TPCCConfig] = None
     #: Run under the canonical partition campaign with timeline telemetry.
     partition: bool = False
     baseline_ms: float = 1_000.0
@@ -599,7 +577,7 @@ def _tpcc_sim_run(protocol: str, params: TPCCSimParams) -> TPCCSimResult:
     """One protocol's full TPC-C simulation (the parallel-sweep worker)."""
     testbed = build_testbed(_scenario(params))
     recorder = HistoryRecorder()
-    factory = TPCCDriverFactory(config=params.tpcc or contended_tpcc_config())
+    factory = TPCCDriverFactory(config=contended_tpcc_config())
     # Preload first: the campaign (if any) installs afterwards, so its
     # fault timeline is relative to the measured run, not the load.
     run_preload(testbed, factory)
@@ -661,17 +639,15 @@ def tpcc_sim_experiment(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ElasticityParams(DeploymentParams):
+class ElasticityParams(_Deployment):
     """Everything one elasticity run depends on besides the protocol."""
 
-    clients_per_cluster: int = 2
     baseline_ms: float = 2_000.0
     scale_out_ms: float = 2_500.0
     partition_ms: float = 4_000.0
     scale_in_ms: float = 2_500.0
     recovery_ms: float = 1_500.0
     window_ms: float = 500.0
-    workload: Optional[YCSBConfig] = None
 
 
 @dataclass
@@ -711,8 +687,7 @@ def _elasticity_run(protocol: str, params: ElasticityParams) -> ElasticityResult
     telemetry = TimelineTelemetry(window_ms=params.window_ms)
     recorder = HistoryRecorder()
     stats, narration = _closed_loop_leg(
-        protocol, testbed, campaign,
-        params.workload or YCSBConfig(key_count=5_000), params,
+        protocol, testbed, campaign, YCSBConfig(key_count=5_000), params,
         retry=CHAOS_RETRY, recorder=recorder, telemetry=telemetry)
     history = recorder.build()
     return ElasticityResult(
@@ -757,10 +732,9 @@ def elasticity_experiment(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StalenessParams(DeploymentParams):
+class StalenessParams(_Deployment):
     """Everything one staleness run depends on besides the protocol."""
 
-    clients_per_cluster: int = 2
     healthy_ms: float = 2_000.0
     partition_ms: float = 4_000.0
     rebalance_ms: float = 4_000.0
@@ -874,7 +848,7 @@ def staleness_experiment(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SaturationParams(DeploymentParams):
+class SaturationParams(_Deployment):
     """Everything one saturation run depends on besides the protocol."""
 
     users: int = 1_000_000
@@ -882,10 +856,6 @@ class SaturationParams(DeploymentParams):
     ramp_start_rate_s: float = 20.0
     ramp_peak_rate_s: float = 600.0
     ramp_ms: float = 6_000.0
-    #: Per-cluster fixed rate of the heal pass — deliberately below every
-    #: protocol's healthy capacity, so backlog growth is attributable to
-    #: the partition rather than to standing overload.
-    heal_rate_s: float = 4.0
     baseline_ms: float = 1_500.0
     partition_ms: float = 3_000.0
     recovery_ms: float = 5_000.0
@@ -948,8 +918,11 @@ def _saturation_run(protocol: str, params: SaturationParams) -> SaturationResult
     heal_testbed = build_testbed(scenario)
     campaign = _partition_campaign(params)
     heal_at_ms = heal_testbed.env.now + params.baseline_ms + params.partition_ms
+    # Per cluster, 4 arrivals/s: deliberately below every protocol's healthy
+    # capacity, so backlog growth is attributable to the partition rather
+    # than to standing overload.
     heal_stats, narration = _open_loop_leg(
-        protocol, heal_testbed, campaign, PoissonArrivals(params.heal_rate_s),
+        protocol, heal_testbed, campaign, PoissonArrivals(4.0),
         workload, params, seed=params.seed + 1, retry=CHAOS_RETRY)
     drain_ms = next((sample.t_ms - heal_at_ms for sample in heal_stats.backlog
                      if sample.t_ms >= heal_at_ms
@@ -1005,38 +978,25 @@ def saturation_experiment(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MetastabilityParams(DeploymentParams):
+class MetastabilityParams(_Deployment):
     """Everything one leg depends on besides (protocol, defenses on/off)."""
 
-    servers_per_cluster: int = 1
-    #: Per-cluster offered rate — below the deployment's healthy knee, so
-    #: only retry amplification (never raw load) can exceed capacity.
-    rate_s: float = 120.0
+    #: One server per cluster, over a single worker (:func:`_metastability_run`).
+    servers_per_cluster: ClassVar[int] = 1
     #: Large pool: the retry storm needs concurrency to sustain itself.
-    sessions_per_cluster: int = 256
-    users: int = 100_000
+    sessions_per_cluster: ClassVar[int] = 256
+    users: ClassVar[int] = 100_000
     baseline_ms: float = 1_500.0
     partition_ms: float = 2_000.0
     recovery_ms: float = 6_000.0
     window_ms: float = 250.0
-    #: Raised per-request cost over a single worker: utilization sits
-    #: high enough that amplified load crosses capacity.
-    request_overhead_ms: float = 2.5
-    send_cost_ms_per_version: float = 2.0
-    ae_interval_ms: float = 25.0
-    #: Deliberately tight deadline — the knob every retry-storm postmortem
-    #: names.  The undefended catch-up burst wedges a worker for longer
-    #: than this, so every queued request's client gives up and re-sends.
-    rpc_timeout_ms: float = 250.0
-    max_attempts: int = 6
-    max_queue_depth: int = 48
-    #: Short interactive requests (the retry-storm literature's shape):
-    #: a timed-out attempt wastes a full request's worth of server work,
-    #: so ``max_attempts`` retries amplify load past what the same
-    #: arrival would cost when healthy.
-    operations_per_transaction: int = 2
-    write_proportion: float = 0.5
-    key_count: int = 10_000
+
+
+#: The metastability leg's deliberately tight RPC deadline — the knob every
+#: retry-storm postmortem names.  The undefended catch-up burst wedges a
+#: worker for longer than this, so every queued request's client gives up
+#: and re-sends.
+METASTABILITY_RPC_TIMEOUT_MS = 250.0
 
 
 @dataclass
@@ -1113,32 +1073,35 @@ def _metastability_run(protocol: str, defended: bool,
     # coupled default) reproduces the naive deployment: the first post-heal
     # round pushes the entire backlog as one request.
     anti_entropy = AntiEntropyConfig(
-        interval_ms=params.ae_interval_ms,
+        interval_ms=25.0,
         capacity_coupled=True,
-        send_cost_ms_per_version=params.send_cost_ms_per_version,
+        send_cost_ms_per_version=2.0,
         max_versions_per_round=None if defended else 1_000_000)
     defenses = dict(retry_budget_ratio=0.1, breaker_failure_threshold=8,
                     breaker_cooldown_ms=500.0) if defended else {}
     retry = RetryPolicy(
-        rpc_timeout_ms=params.rpc_timeout_ms,
-        lock_timeout_ms=params.rpc_timeout_ms,
-        max_attempts=params.max_attempts, backoff_base_ms=10.0,
-        backoff_cap_ms=80.0, **defenses)
+        rpc_timeout_ms=METASTABILITY_RPC_TIMEOUT_MS,
+        lock_timeout_ms=METASTABILITY_RPC_TIMEOUT_MS,
+        max_attempts=6, backoff_base_ms=10.0, backoff_cap_ms=80.0, **defenses)
+    # Raised per-request cost over a single worker: utilization sits high
+    # enough that amplified load crosses capacity.
     testbed = build_testbed(_scenario(
         params,
-        service_cost=ServiceCostModel(
-            request_overhead_ms=params.request_overhead_ms, concurrency=1),
+        service_cost=ServiceCostModel(request_overhead_ms=2.5, concurrency=1),
         anti_entropy=anti_entropy,
-        max_queue_depth=params.max_queue_depth if defended else None))
+        max_queue_depth=48 if defended else None))
     campaign = _partition_campaign(params)
     baseline, _, recovery = _shifted(campaign, testbed.env.now).phases
     telemetry = TimelineTelemetry(window_ms=params.window_ms)
+    # 120 arrivals/s per cluster, below the deployment's healthy knee, so only
+    # retry amplification (never raw load) can exceed capacity.  Short
+    # interactive requests (the retry-storm literature's shape): a timed-out
+    # attempt wastes a full request's worth of server work, so retries
+    # amplify load past what the same arrival would cost when healthy.
     stats, narration = _open_loop_leg(
-        protocol, testbed, campaign, PoissonArrivals(params.rate_s),
-        YCSBConfig(
-            key_count=params.key_count,
-            operations_per_transaction=params.operations_per_transaction,
-            write_proportion=params.write_proportion),
+        protocol, testbed, campaign, PoissonArrivals(120.0),
+        YCSBConfig(key_count=10_000, operations_per_transaction=2,
+                   write_proportion=0.5),
         params, retry=retry, telemetry=telemetry)
     timeline = sum_groups(telemetry.build(), params.window_ms)
     heal_at_ms = recovery.start_ms
@@ -1204,20 +1167,20 @@ def metastability_experiment(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TraceParams(DeploymentParams):
+class TraceParams(_Deployment):
     """Everything a traced run depends on besides (protocol, condition)."""
 
-    clients_per_cluster: int = 2
     #: Length of a healthy stack run; partitioned runs last the campaign.
     duration_ms: float = 3_000.0
     baseline_ms: float = 1_000.0
     partition_ms: float = 2_000.0
     recovery_ms: float = 1_000.0
     key_count: int = 10_000
-    #: The stack whose contended TPC-C run is audited and joined to traces.
-    provenance_protocol: str = EVENTUAL
-    #: Faulted-context traces exported beside the implicated ones.
-    context_traces: int = 25
+
+
+#: Faulted-context traces the provenance leg exports beside the implicated
+#: ones.
+CONTEXT_TRACES = 25
 
 
 @dataclass
@@ -1304,20 +1267,19 @@ def _trace_stack_run(protocol: str, partition: bool,
     )
 
 
-def _provenance_export_spans(tracer, provenance: Dict[str, object],
-                             context_traces: int) -> List:
+def _provenance_export_spans(tracer, provenance: Dict[str, object]) -> List:
     """The spans worth shipping: implicated traces plus faulted context.
 
     A full TPC-C run's span list is large; the artifact keeps every trace
     the provenance joiner implicated, then pads with the first
-    ``context_traces`` transaction traces that overlapped a fault (falling
+    :data:`CONTEXT_TRACES` transaction traces that overlapped a fault (falling
     back to the earliest transactions when none did).  Selection is by
     tracer-local trace id, so it is identical across ``--jobs`` layouts.
     """
     keep = {trace["trace_id"]
             for entry in provenance["entries"]
             for trace in entry["traces"]}
-    budget = len(keep) + context_traces
+    budget = len(keep) + CONTEXT_TRACES
     txn_roots = [span for span in tracer.spans
                  if span.kind == "txn" and span.parent_id is None]
     preferred = [span.trace_id for span in txn_roots if span.faults]
@@ -1329,8 +1291,9 @@ def _provenance_export_spans(tracer, provenance: Dict[str, object],
 
 
 def _trace_tpcc_run(params: TraceParams) -> TraceProvenanceResult:
-    """The traced TPC-C provenance leg: partitioned, audited, and joined."""
-    protocol = params.provenance_protocol
+    """The traced TPC-C provenance leg, on ``eventual``: partitioned,
+    audited, and joined."""
+    protocol = EVENTUAL
     testbed = build_testbed(_scenario(params, tracing=True))
     tracer = testbed.tracer
     recorder = HistoryRecorder()
@@ -1342,8 +1305,7 @@ def _trace_tpcc_run(params: TraceParams) -> TraceProvenanceResult:
     tracer.finalize(testbed.env.now)
     report = audit_tpcc_history(recorder.build())
     provenance = join_anomalies(report, tracer)
-    exported = _provenance_export_spans(tracer, provenance,
-                                        params.context_traces)
+    exported = _provenance_export_spans(tracer, provenance)
     chrome = chrome_trace(exported, tracer.fault_windows,
                           process_name=f"repro tpcc {protocol}")
     return TraceProvenanceResult(

@@ -53,11 +53,14 @@ def format_series(points: Sequence[ExperimentPoint],
 
 
 def format_latency_and_throughput(points: Sequence[ExperimentPoint]) -> str:
-    """Both panels of a Figure 3-style plot: latency and throughput tables."""
-    return "\n\n".join([
-        format_series(points, value="mean_latency_ms"),
-        format_series(points, value="throughput_txn_s"),
-    ])
+    """Both halves of a Figure 3-style plot, latency and throughput tables,
+    for each figure (panel) the points belong to, in first-seen order."""
+    panels: Dict[str, List[ExperimentPoint]] = {}
+    for point in points:
+        panels.setdefault(point.figure, []).append(point)
+    return "\n\n".join(format_series(panel, value=value)
+                       for panel in panels.values() or [[]]
+                       for value in ("mean_latency_ms", "throughput_txn_s"))
 
 
 # ---------------------------------------------------------------------------

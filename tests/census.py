@@ -6,8 +6,12 @@ Production has three doors: ``python -m repro.bench``, ``examples/*.py`` and
 ``sys.setprofile`` (and ``threading.setprofile``), records every code object
 entered, and matches each function defined under ``src/repro`` against it by
 ``(file, first line)`` -- a definition starts at its first decorator.  The
-same hook records, on the call that enters a constructor, the value each
-component setting (:func:`class_settings`) receives.  It prints the
+same hook records, on the call that enters a constructor or an experiment,
+the value each setting (:func:`class_settings`) receives.  What a
+``_sweep`` row passes at ``--full`` and what each ``artifact_sweep`` entry
+of ``tests/conftest.py`` passes count as well, read off their keywords and
+the defaults with no run (:func:`sweep_values`): ``--full`` is a door too
+slow to run here, and the golden pins read those sweeps.  It prints the
 functions no door enters, by module, and the settings fewer than two values
 reach, and exits non-zero when
 
@@ -41,6 +45,7 @@ import sys
 import tempfile
 import threading
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
@@ -134,6 +139,10 @@ RESERVED: Dict[str, str] = {
     # item 18a: the oracle manager
     "repro.sim.events:Environment.pending_events":
         "item 18a: oracle (b), the run quiesces",
+    # full-size doors
+    "repro.storage.lsm:LSMStore._compact":
+        "door: staleness --full fills four 4 MiB memtables on a server and "
+        "compacts them (twice); no --quick run fills that many",
     # validation and fallback paths
     "repro.hat.transaction:Operation.__new__":
         "guard: checks the fields of the public constructor; the doors build "
@@ -148,10 +157,10 @@ RESERVED: Dict[str, str] = {
         "with telemetry on; no artifact bounds the queue",
 }
 
-#: Component settings (see :func:`class_settings`) that fewer than two values
-#: reach at the doors, each with why it stays settable.  A key is
-#: ``module:Class.parameter``, or ``module:Class`` for all of a class's.  A
-#: reason is one of
+#: Settings (see :func:`class_settings`) that fewer than two values reach at
+#: the doors, each with why it stays settable.  A key is
+#: ``module:Owner.parameter``, or ``module:Owner`` for all of a class's or
+#: function's.  A reason is one of
 #:
 #: * ``item N: ...`` -- the ROADMAP open item whose PR passes a second value;
 #: * ``fake: ...`` -- a test substitute for a production part;
@@ -185,6 +194,9 @@ RESERVED_SETTINGS: Dict[str, str] = {
     # item 3: TPC-C §6.2 measured program by program
     "repro.workloads.tpcc:TPCCConfig.mix":
         "item 3: each program's invariant is read off a run of its own mix",
+    # item 18b: verify_claims on every history
+    "repro.bench.experiments:availability_experiment.recorder":
+        "item 18b: verify_claims checks the history an artifact sweep records",
     # test substitutes
     "repro.hat.testbed:Scenario.fixed_latency_ms":
         "fake: a constant-latency network for unit tests",
@@ -341,6 +353,9 @@ def _doors(workdir: str) -> Iterator[Tuple[str, Callable[[], object]]]:
 #: A dataclass whose name ends so is configuration: every field is a setting.
 CONFIG_SUFFIXES = ("Config", "Model", "Policy", "SLO")
 
+#: The module whose public functions' keywords are settings: the experiments.
+EXPERIMENTS = "repro.bench.experiments"
+
 
 def _constructor(cls: type):
     """The class's own ``__init__`` or ``__new__`` (written, or made by
@@ -354,23 +369,38 @@ def _constructor(cls: type):
     return None
 
 
-def class_settings(cls: type) -> List[Tuple[str, str]]:
-    """``(module:Class.parameter, parameter)`` of each setting a class
-    outside ``repro.bench`` takes: every field of ``Scenario`` and of a
-    dataclass named ``*Config`` / ``*Model`` / ``*Policy`` / ``*SLO``, and
-    each defaulted keyword of its constructor.  A record's constructor (one
-    ``@dataclass`` or ``NamedTuple`` made) has a setting only where its
-    default is a value: a field that starts empty, zero, ``None`` or
-    ``False``, or from a factory, is state the component fills in (a count,
-    a result, a buffer), not a choice."""
-    module = cls.__module__
-    constructor = _constructor(cls)
+def class_settings(owner) -> List[Tuple[str, str]]:
+    """``(module:Owner.parameter, parameter)`` of each setting a class or
+    function under ``src/repro`` takes:
+
+    * every field of ``Scenario``, of a dataclass named ``*Config`` /
+      ``*Model`` / ``*Policy`` / ``*SLO``, and of a ``repro.bench`` dataclass
+      named ``*Params`` (an artifact's parameters);
+    * each defaulted keyword of a constructor outside ``repro.bench``.  A
+      record's constructor (one ``@dataclass`` or ``NamedTuple`` made) has a
+      setting only where its default is a value: a field that starts empty,
+      zero, ``None`` or ``False``, or from a factory, is state the component
+      fills in (a count, a result, a buffer), not a choice;
+    * each defaulted keyword of a public function of
+      ``repro.bench.experiments``, but ``jobs``: that says how a sweep runs,
+      never what it returns (the determinism properties pin that).
+    """
+    module, name = owner.__module__, owner.__qualname__
+    if inspect.isfunction(owner):
+        if module != EXPERIMENTS or name.startswith("_") or "." in name:
+            return []
+        return [(f"{module}:{name}.{parameter.name}", parameter.name)
+                for parameter in inspect.signature(owner).parameters.values()
+                if parameter.default is not parameter.empty
+                and parameter.name != "jobs"]
+    constructor = _constructor(owner)
+    in_bench = module.startswith("repro.bench")
+    is_data = dataclasses.is_dataclass(owner)
     if (constructor is None or not module.startswith("repro.")
-            or module.startswith("repro.bench")):
+            or (in_bench and not (is_data and name.endswith("Params")))):
         return []
-    name = cls.__qualname__
-    whole = name == "Scenario" or (dataclasses.is_dataclass(cls)
-                                   and name.endswith(CONFIG_SUFFIXES))
+    whole = in_bench or name == "Scenario" or (
+        is_data and name.endswith(CONFIG_SUFFIXES))
     made = not os.path.isfile(constructor.__code__.co_filename)  # no source
     found = []
     for parameter in list(inspect.signature(constructor).parameters.values())[1:]:
@@ -391,13 +421,14 @@ def _is_a_value(default: object) -> bool:
 
 
 def settings() -> Dict[str, str]:
-    """Every component setting, ``module:Class.parameter`` -> ``module:Class``."""
+    """Every setting, ``module:Owner.parameter`` -> ``module:Owner``."""
     found: Dict[str, str] = {}
     for path in sorted(PACKAGE.rglob("*.py")):
         module = module_name(path)
-        for cls in vars(importlib.import_module(module)).values():
-            if inspect.isclass(cls) and cls.__module__ == module:
-                for key, _ in class_settings(cls):
+        for owner in vars(importlib.import_module(module)).values():
+            if ((inspect.isclass(owner) or inspect.isfunction(owner))
+                    and owner.__module__ == module):
+                for key, _ in class_settings(owner):
                     found[key] = key.rpartition(".")[0]
     return found
 
@@ -423,16 +454,22 @@ def run_doors(doors: Callable[[str], Iterator[Tuple[str, Callable[[], object]]]]
     seen: Dict[object, Optional[List[Tuple[str, Set[object]]]]] = {}
     get, unseen = seen.get, object()
 
+    def pending(owner) -> Optional[List[Tuple[str, Set[object]]]]:
+        return [(parameter, received.setdefault(key, set()))
+                for key, parameter in class_settings(owner)] or None
+
     def watch(frame) -> Optional[List[Tuple[str, Set[object]]]]:
         code = frame.f_code   # a made ``__new__`` is named ``<lambda>``
+        function = frame.f_globals.get(code.co_name)
+        if inspect.isfunction(function) and function.__code__ is code:
+            return pending(function)
         if not code.co_argcount or code.co_varnames[0] not in frame.f_locals:
             return None
         first = frame.f_locals[code.co_varnames[0]]
         for cls in (first if isinstance(first, type) else type(first)).__mro__:
             constructor = _constructor(cls)
             if constructor is not None and constructor.__code__ is code:
-                return [(parameter, received.setdefault(key, set()))
-                        for key, parameter in class_settings(cls)] or None
+                return pending(cls)
         return None
 
     def hook(frame, event, _arg):
@@ -455,7 +492,7 @@ def run_doors(doors: Callable[[str], Iterator[Tuple[str, Callable[[], object]]]]
 
     with tempfile.TemporaryDirectory() as workdir:
         cwd = os.getcwd()
-        os.chdir(workdir)   # the examples write their JSON to the cwd
+        os.chdir(workdir)   # what a door writes to the cwd lands here
         arm()
         try:
             for name, run in doors(workdir):
@@ -469,6 +506,49 @@ def run_doors(doors: Callable[[str], Iterator[Tuple[str, Callable[[], object]]]]
             os.chdir(cwd)
     return ({(code.co_filename, code.co_firstlineno) for code in seen},
             received)
+
+
+def artifact_sweeps(conftest: Path = ROOT / "tests" / "conftest.py"
+                    ) -> Iterator[Tuple[Callable, dict]]:
+    """Each ``artifact_sweep`` entry of ``tests/conftest.py`` as
+    ``(experiment, keywords)``, read off its source: every entry is a pair
+    ``(ex.<experiment>, dict(<literal keywords>))``."""
+    from repro.bench import experiments
+
+    for node in ast.walk(ast.parse(conftest.read_text())):
+        if (isinstance(node, ast.Tuple) and len(node.elts) == 2
+                and isinstance(node.elts[0], ast.Attribute)
+                and isinstance(node.elts[1], ast.Call)):
+            yield (getattr(experiments, node.elts[0].attr),
+                   {keyword.arg: ast.literal_eval(keyword.value)
+                    for keyword in node.elts[1].keywords})
+
+
+def full_sweeps() -> Iterator[Tuple[Callable, dict]]:
+    """Each ``_sweep`` row of ``python -m repro.bench`` as ``(experiment,
+    its --full overrides)``."""
+    from repro.bench.__main__ import ARTIFACTS
+
+    for artifact in ARTIFACTS.values():
+        if artifact.full is not None:
+            yield artifact.full
+
+
+def sweep_values(experiment: Callable, keywords: dict
+                 ) -> Iterator[Tuple[str, object]]:
+    """``(setting, value)`` for each setting a call ``experiment(**keywords)``
+    reaches, as the hook would record it: each of the experiment's own and,
+    when it hands ``**overrides`` to a ``*Params`` class, each of that
+    class's, at the value ``keywords`` names or else at its default."""
+    module = sys.modules[experiment.__module__]
+    owners = [experiment] + [getattr(module, name)
+                             for name in experiment.__code__.co_names
+                             if name.endswith("Params")]
+    for owner in owners:
+        constructor = owner if inspect.isfunction(owner) else _constructor(owner)
+        parameters = inspect.signature(constructor).parameters
+        for key, name in class_settings(owner):
+            yield key, keywords.get(name, parameters[name].default)
 
 
 def failures(functions: List[Function], names: Set[str],
@@ -521,6 +601,9 @@ def setting_failures(known: Dict[str, str], received: Dict[str, Set[object]],
 def main() -> int:
     functions, names = definitions()
     entered, received = run_doors()
+    for experiment, keywords in chain(full_sweeps(), artifact_sweeps()):
+        for key, value in sweep_values(experiment, keywords):
+            received.setdefault(key, set()).add(_value(value))
     known = settings()
     unentered = [f for f in functions if (f.path, f.first) not in entered]
 
@@ -540,7 +623,7 @@ def main() -> int:
             print(f"  {function.qualname:<48} {function.lines:>4}  {why}")
     one = {key: owner for key, owner in known.items()
            if len(received.get(key, ())) < 2}
-    print(f"\n{len(known)} component settings: {len(known) - len(one)} take two "
+    print(f"\n{len(known)} settings: {len(known) - len(one)} take two "
           f"or more values at the doors, {len(one)} one or none")
     for key in one:
         why = RESERVED_SETTINGS.get(key) or RESERVED_SETTINGS.get(one[key],

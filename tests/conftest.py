@@ -63,15 +63,15 @@ def _artifact_sweeps():
         "saturation": (ex.saturation_experiment, dict(
             protocols=("eventual", "lock-sr"), users=5_000,
             sessions_per_cluster=2, ramp_start_rate_s=10.0,
-            ramp_peak_rate_s=120.0, ramp_ms=1_200.0, heal_rate_s=4.0,
-            baseline_ms=400.0, partition_ms=800.0, recovery_ms=1_600.0,
-            window_ms=200.0, key_count=500)),
+            ramp_peak_rate_s=120.0, ramp_ms=1_200.0, baseline_ms=400.0,
+            partition_ms=800.0, recovery_ms=1_600.0, window_ms=200.0,
+            key_count=500)),
         "metastability": (ex.metastability_experiment, dict(
             protocols=("eventual",))),
         "trace": (ex.trace_experiment, dict(
             protocols=("eventual", "causal"), duration_ms=600.0,
             baseline_ms=400.0, partition_ms=800.0, recovery_ms=400.0,
-            key_count=500, seed=0)),
+            key_count=500)),
         "staleness": (ex.staleness_experiment, dict(
             protocols=("eventual", "master"), healthy_ms=600.0,
             partition_ms=1_000.0, rebalance_ms=800.0, window_ms=200.0)),

@@ -16,8 +16,7 @@ from repro.adya.history import HistoryRecorder
 from repro.bench.experiments import availability_experiment
 from repro.bench.report import availability_report_json, format_availability
 
-QUICK = dict(baseline_ms=1_000.0, partition_ms=2_500.0, recovery_ms=1_000.0,
-             window_ms=500.0)
+QUICK = dict(baseline_ms=1_000.0, partition_ms=2_500.0, recovery_ms=1_000.0)
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +84,7 @@ class TestAdyaChecksUnderChaos:
         recorder = HistoryRecorder()
         availability_experiment(protocols=(protocol,), recorder=recorder,
                                 baseline_ms=400.0, partition_ms=1_200.0,
-                                recovery_ms=400.0, window_ms=400.0)
+                                recovery_ms=400.0)
         history = recorder.build()
         assert len(history.committed()) > 50
         claims_hold(protocol, history)

@@ -116,9 +116,9 @@ class TestNoReadsLostInTransit:
 
     @pytest.mark.xfail(strict=True, reason=(
         "MRWD(T298, T721, T762) on user1401, a key the join did not move, "
-        "breaks WFR and so Causal; cause undiagnosed: the MAV pending/good "
-        "read path, session forwarding on a ring change, or the recorder's "
-        "timestamp version order (ROADMAP item 4)"))
+        "breaks WFR and so Causal: T298's write is pending on VA-s1, which "
+        "took it in after the flip, and the joiner VA-s2 that now owns the "
+        "key holds no copy, so session 1 never sees it (ROADMAP item 25)"))
     def test_mav_causal_scale_out_history_keeps_every_claim(self, claims_hold):
         claims_hold("mav+causal", _scale_out_history("mav+causal"))
 
@@ -169,7 +169,8 @@ def _record_run(protocol: str, recorder: HistoryRecorder, make_campaign=None):
     # Every key the first join moved must be readable at its new owner.
     # (A MAV write that reaches a joiner only through post-flip
     # anti-entropy is held in pending, where bounded reads find it: its
-    # acks were spent on the old ring — ROADMAP item 4 tracks that hole.)
+    # acks were spent on the old ring — ROADMAP items 4(b) and 25 track
+    # that hole.)
     join = next(r for r in testbed.membership.records if r.kind == "join")
     assert join.done and join.moved_keys
     index = testbed.config.cluster_index(join.cluster)

@@ -111,7 +111,6 @@ class TestParallelDeterminism:
 
     def test_figure_sweep_parallel_matches_sequential(self):
         kwargs = dict(client_counts=(2,), duration_ms=150.0,
-                      protocols=("eventual", "read-committed"),
                       servers_per_cluster=2)
         sequential = figure3_geo_replication(**kwargs)
         parallel = figure3_geo_replication(**kwargs, jobs=2)

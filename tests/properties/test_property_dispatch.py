@@ -11,7 +11,8 @@ count, every request appended to the queue and popped again by a fused loop,
 and one ``_complete`` event per served request that sends the reply if the
 server is alive and starts the next queued request.  Random arrival
 schedules — bursts deeper than the worker pool, with and without an
-admission bound, a
+admission bound (the reference spells adaptive LIFO's shedding out itself,
+so a wrong eviction or an uncounted rejection cannot hide on both sides), a
 crash with requests in service and queued, a recovery before or after their
 completion instants — must produce the same replies at the same instants,
 the same ``ServerStats`` and ``NetworkStats``, the same queue-probe
@@ -29,7 +30,7 @@ from hypothesis import strategies as st
 from repro.cluster.node import PER_KB_MS, ServerNode, ServiceCostModel
 from repro.errors import OverloadedError
 from repro.net.latency import FixedLatencyModel
-from repro.net.network import Network
+from repro.net.network import OVERLOADED_REPLY, Network
 from repro.net.topology import Topology
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -42,7 +43,10 @@ FG, BG = "ru.get", "ae.push"
 
 class CompleteEventNode(ServerNode):
     """The reference dispatcher: a busy count, append then pop in one fused
-    loop, and a ``_complete`` event that replies when service ends."""
+    loop, and a ``_complete`` event that replies when service ends.  At the
+    bound a sheddable arrival evicts the oldest queued sheddable request, or
+    is refused itself when none is queued; a refusal is counted and answered
+    with the overloaded reply (and annotated on a traced request)."""
 
     busy = 0
     served = 0
@@ -71,9 +75,13 @@ class CompleteEventNode(ServerNode):
         bound = self.max_queue_depth
         if (bound is not None and len(queue) >= bound
                 and kind in FOREGROUND_KINDS):
-            if not self._evict_oldest_sheddable():
-                self._reject(message, "queue-full")
+            oldest = next((entry for entry in queue
+                           if entry[0].kind in FOREGROUND_KINDS), None)
+            if oldest is None:
+                self._refuse(message, "queue-full")
                 return
+            queue.remove(oldest)
+            self._refuse(oldest[0], "evicted")
         found = len(queue)
         queue.append((message, self.env.now, found))
         if self._probe is not None:
@@ -81,6 +89,15 @@ class CompleteEventNode(ServerNode):
         stats.max_queue_depth = max(stats.max_queue_depth, found + 1)
         if self.busy < self.cost.concurrency:
             self._start_workers()
+
+    def _refuse(self, message, reason):
+        self.stats.rejected += 1
+        if message.trace is not None:
+            event = self.network.tracer.event("queue-reject", message.trace,
+                                              self.name, self.env.now)
+            event.attrs.update(kind=message.kind, reason=reason,
+                               queue_depth=len(self._queue))
+        self.network.reply(message, OVERLOADED_REPLY)
 
     def _start_workers(self):
         queue, stats, cost, env = self._queue, self.stats, self.cost, self.env
@@ -224,6 +241,10 @@ bounds = st.one_of(st.none(), st.integers(1, 5))
 @example(arrivals=[(0.0, FG, 2.0, 0, False)] * 4
          + [(0.5, FG, 2.0, 0, False)] * 3,
          concurrency=1, bound=1, crash_at=None, recover_at=None)
+# A full three-deep queue of sheddable requests: the arrival evicts the
+# oldest of them, not the newest.
+@example(arrivals=[(0.0, FG, 2.0, 0, False)] * 6, concurrency=1, bound=3,
+         crash_at=None, recover_at=None)
 # A queue deeper than the RPC timeout: the last three requests are served
 # after their RPCs timed out, so they get server spans.
 @example(arrivals=[(0.0, FG, 8.0, 0, False)] * 10, concurrency=1,

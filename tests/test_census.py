@@ -2,8 +2,9 @@
 
 The census itself runs every door (a CI step); these pin what it decides
 from a definition and a set of entered ``(file, first line)`` pairs, which
-constructor parameters are settings, what its profile hook records, and
-what it decides from the values each setting received.
+constructor and experiment parameters are settings, what its profile hook
+records, what it reads off the ``--full`` and artifact sweeps without a
+run, and what it decides from the values each setting received.
 """
 
 import ast
@@ -13,8 +14,9 @@ from typing import NamedTuple
 
 import pytest
 
-from census import (class_settings, covers, failures, module_definitions,
-                    run_doors, setting_failures)
+from census import (artifact_sweeps, class_settings, covers, failures,
+                    full_sweeps, module_definitions, run_doors,
+                    setting_failures, sweep_values)
 
 
 def _definitions(source, module="repro.m", path="m.py"):
@@ -164,7 +166,7 @@ def test_a_row_may_cover_an_entered_declaration():
 # -- settings ---------------------------------------------------------------------
 
 def _in_repro(cls, module="repro.storage.wal"):
-    """``cls`` as if defined in a module under ``src/repro``."""
+    """``cls`` (or a function) as if defined in a module under ``src/repro``."""
     cls.__module__, cls.__qualname__ = module, cls.__name__
     return cls
 
@@ -214,17 +216,98 @@ def test_a_records_setting_is_a_default_that_is_a_value():
 
 
 def test_the_bench_package_and_classes_outside_src_have_no_settings():
+    """In ``repro.bench`` only a ``*Params`` dataclass and a public
+    experiment function have settings."""
     class Params:
         def __init__(self, size=3):
             self.size = size
 
+    @dataclass
+    class RunConfig:
+        size: int = 3
+
+    def helper(size=3):
+        return size
+
+    def _private_experiment(size=3):
+        return size
+
     assert class_settings(_in_repro(Params, "repro.bench.experiments")) == []
+    assert class_settings(_in_repro(RunConfig, "repro.bench.runner")) == []
+    assert class_settings(_in_repro(helper, "repro.bench.report")) == []
+    assert class_settings(
+        _in_repro(_private_experiment, "repro.bench.experiments")) == []
     assert class_settings(Params) == []
+
+
+def test_a_params_field_and_an_experiment_keyword_are_settings():
+    """Every field of a bench ``*Params`` dataclass, whatever its default,
+    and every defaulted keyword of a public experiment but ``jobs``."""
+    @dataclass(frozen=True)
+    class ThingParams:
+        size: int = 0
+        label: str = "x"
+        workload: object = None
+
+    def thing_experiment(protocols, lengths=(1, 2), recorder=None, jobs=None,
+                         **overrides):
+        return ThingParams(**overrides)
+
+    module = "repro.bench.experiments"
+    assert class_settings(_in_repro(ThingParams, module)) == [
+        (f"{module}:ThingParams.size", "size"),
+        (f"{module}:ThingParams.label", "label"),
+        (f"{module}:ThingParams.workload", "workload")]
+    assert class_settings(_in_repro(thing_experiment, module)) == [
+        (f"{module}:thing_experiment.lengths", "lengths"),
+        (f"{module}:thing_experiment.recorder", "recorder")]
+
+
+def test_what_full_or_an_artifact_sweep_passes_is_a_second_value(tmp_path):
+    """Read with no run, a ``conftest.py`` entry and a ``_sweep`` row's
+    ``--full`` overrides pass each setting its named value or its default:
+    one the doors never pass is the second value that keeps it a setting."""
+    from repro.bench import experiments as ex
+
+    conftest = tmp_path / "conftest.py"
+    conftest.write_text(textwrap.dedent("""
+        def _artifact_sweeps():
+            return {"figure5": (ex.figure5_write_proportion, dict(
+                protocols=("eventual",), clients_per_cluster=1))}
+    """))
+    (sweep,) = artifact_sweeps(conftest)
+    assert sweep == (ex.figure5_write_proportion,
+                     {"protocols": ("eventual",), "clients_per_cluster": 1})
+    fig5 = "repro.bench.experiments:figure5_write_proportion"
+    values = dict(sweep_values(*sweep))
+    assert values[f"{fig5}.clients_per_cluster"] == 1
+    assert values[f"{fig5}.duration_ms"] == 800.0   # the default
+    # A keyword the experiment hands on (``**overrides``) sets its params.
+    full = dict(full_sweeps())[ex.metastability_experiment]
+    values = dict(sweep_values(ex.metastability_experiment, full))
+    assert values["repro.bench.experiments:MetastabilityParams.baseline_ms"] == (
+        full["baseline_ms"])
+
+    known = {f"{fig5}.clients_per_cluster": fig5}
+    at_the_doors = {f"{fig5}.clients_per_cluster": {12}}
+    assert setting_failures(known, at_the_doors, {}) == [
+        f"{fig5}.clients_per_cluster takes one value at the doors and "
+        "RESERVED_SETTINGS does not name it"]
+    at_the_doors[f"{fig5}.clients_per_cluster"].add(1)
+    assert setting_failures(known, at_the_doors, {}) == []
+
+
+def sweep_experiment(lengths=(1, 2), jobs=None):
+    """A stand-in for a public function of ``repro.bench.experiments``."""
+    return lengths
 
 
 def test_the_hook_records_the_values_a_door_passes():
     """One door under the profile hook: a written ``__init__``, a made
-    ``NamedTuple.__new__`` (a ``<lambda>``) and a dataclass ``__init__``."""
+    ``NamedTuple.__new__`` (a ``<lambda>``), a dataclass ``__init__`` and an
+    experiment function."""
+    _in_repro(sweep_experiment, "repro.bench.experiments")
+
     class Record(NamedTuple):
         key: str
         weight: int = 2
@@ -241,6 +324,8 @@ def test_the_hook_records_the_values_a_door_passes():
             Record("k")
             Record("k", weight=5)
             AntiEntropyConfig(interval_ms=5.0)
+            sweep_experiment()
+            sweep_experiment((4,), jobs=2)
 
         yield "constructors", run
 
@@ -248,6 +333,9 @@ def test_the_hook_records_the_values_a_door_passes():
     assert received["repro.storage.kvstore:VersionedStore.keep_versions"] == {3, None}
     assert received["repro.storage.wal:Record.weight"] == {2, 5}
     assert received["repro.replication.antientropy:AntiEntropyConfig.interval_ms"] == {5.0}
+    assert received["repro.bench.experiments:sweep_experiment.lengths"] == {
+        (1, 2), (4,)}
+    assert "repro.bench.experiments:sweep_experiment.jobs" not in received
 
 
 KNOWN = {"repro.m:C.a": "repro.m:C", "repro.m:C.b": "repro.m:C"}

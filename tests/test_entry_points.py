@@ -3,7 +3,7 @@
 Production has three doors: ``python -m repro.bench``, ``examples/*.py`` and
 ``benchmarks/hatbench``.  What none of them reaches is either waiting for a
 caller a ROADMAP item names, or dead: ``tests/census.py`` (a CI step) checks
-that per function against its ``RESERVED`` table, and per component setting
+that per function against its ``RESERVED`` table, and per setting
 against its ``RESERVED_SETTINGS`` table; this module checks both tables
 themselves and, per module, what the doors import.  And a door imports
 only what it runs: a hatbench child's set-up is measured.  The core is
@@ -78,7 +78,7 @@ def test_every_reserved_row_names_a_definition_under_src_and_a_reason():
 
 def test_every_reserved_setting_names_a_setting_and_a_reason():
     """The census's setting-grain table is one table too: each key is a
-    component setting (``module:Class.parameter``) or a class that takes
+    setting (``module:Owner.parameter``) or a class or function that takes
     one, and each reason is an open ROADMAP item, a fake or a guard."""
     known = settings()
     items = _open_items()

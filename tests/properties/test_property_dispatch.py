@@ -176,7 +176,7 @@ def _run(node_class, arrivals, concurrency, bound, crash_at, recover_at):
     # The events each dispatcher adds: the reference's ``_complete`` per
     # served request, the server's wakes.
     wakes = [0]
-    if node_class is ServerNode:
+    if not issubclass(node_class, CompleteEventNode):
         wake = server._wake
 
         def counted_wake():
@@ -216,7 +216,8 @@ def _run(node_class, arrivals, concurrency, bound, crash_at, recover_at):
     spans = [{**{slot: getattr(span, slot) for slot in span.__slots__},
               "attrs": dict(span.attrs), "faults": list(span.faults)}
              for span in tracer.spans]
-    dispatch_events = wakes[0] if node_class is ServerNode else server.served
+    dispatch_events = (server.served if isinstance(server, CompleteEventNode)
+                       else wakes[0])
     return (replies, server.stats, network.stats,
             network.metrics.timeseries(), spans, env.events_executed,
             dispatch_events)
@@ -301,3 +302,41 @@ def test_a_request_writes_its_server_side_onto_its_rpc_span():
         assert attrs["queue_wait_ms"] == pytest.approx(index * 8.12)
         assert attrs["service_ms"] == pytest.approx(8.12)
         assert attrs["queue_depth"] == max(0, index - 1)  # queued ahead
+
+
+class EvictNewestNode(ServerNode):
+    """A planted bug: at the bound, shed the newest queued sheddable
+    request instead of the oldest."""
+
+    def _evict_oldest_sheddable(self):
+        queue = self._queue
+        for index in reversed(range(len(queue))):
+            queued = queue[index][0]
+            if queued.kind in FOREGROUND_KINDS:
+                del queue[index]
+                self._reject(queued, "evicted")
+                return True
+        return False
+
+
+class UncountedRejectNode(ServerNode):
+    """A planted bug: a refusal is answered but not counted."""
+
+    def _reject(self, message, reason):
+        super()._reject(message, reason)
+        self.stats.rejected -= 1
+
+
+@pytest.mark.parametrize("mutant", [EvictNewestNode, UncountedRejectNode],
+                         ids=["evicts-newest", "rejects-uncounted"])
+def test_the_reference_does_not_share_a_shedding_bug(mutant):
+    """The reference spells eviction and rejection out itself, so a server
+    that gets either wrong differs from it on the full three-deep queue."""
+    schedule = ([(0.0, FG, 2.0, 0, False)] * 6, 1, 3, None, None)
+    replies, *observed, _, _ = _run(ServerNode, *schedule)
+    reference_replies, *reference, _, _ = _run(CompleteEventNode, *schedule)
+    assert sorted(replies) == sorted(reference_replies)
+    assert observed == reference
+    mutant_replies, *mutated, _, _ = _run(mutant, *schedule)
+    assert (sorted(mutant_replies), mutated) != (sorted(reference_replies),
+                                                 reference)

@@ -24,11 +24,11 @@ DURATION_MS = 500.0
 
 
 @lru_cache(maxsize=None)
-def figure3(servers):
-    """All three panels at ``servers`` per cluster, swept once per size."""
+def figure3():
+    """All three panels at two servers per cluster, swept once."""
     return figure3_geo_replication(client_counts=CLIENTS,
                                    duration_ms=DURATION_MS,
-                                   servers_per_cluster=servers)
+                                   servers_per_cluster=2)
 
 
 def by_protocol(points, metric="mean_latency_ms"):
@@ -39,13 +39,9 @@ def by_protocol(points, metric="mean_latency_ms"):
     return {protocol: sum(values) / len(values) for protocol, values in grouped.items()}
 
 
-@pytest.mark.parametrize("deployment,servers", [
-    ("A-single-dc", 2),
-    ("B-two-regions", 2),
-    ("C-five-regions", 1),
-])
-def test_fig3_geo_replication(bench_print, deployment, servers):
-    points = [point for point in figure3(servers)
+@pytest.mark.parametrize("deployment", ["A-single-dc", "B-two-regions", "C-five-regions"])
+def test_fig3_geo_replication(bench_print, deployment):
+    points = [point for point in figure3()
               if point.figure == f"fig3{deployment}"]
     bench_print(f"Figure 3{deployment}: YCSB vs. number of clients",
                 format_latency_and_throughput(points))

@@ -162,9 +162,6 @@ class History:
             transactions.sort(key=lambda t: t.commit_order)
         return grouped
 
-    def keys(self) -> List[str]:
-        return sorted(self.version_order)
-
 
 class HistoryBuilder:
     """Fluent construction of hand-written histories (for tests/examples).

@@ -1,11 +1,13 @@
 """Phenomenon detectors (paper Appendix A.3, Definitions 16-39).
 
-Each detector examines a :class:`~repro.adya.history.History` and returns the
-witnesses it finds.  Cycle-based phenomena (G0, G1c, Lost Update, Write Skew)
-follow Adya's serialization-graph definitions directly; the session and
-visibility phenomena use operational formulations equivalent to the paper's
-definitions, which are both easier to audit and robust on histories recorded
-from live protocol runs:
+Each detector returns the witnesses it finds in a
+:class:`~repro.adya.history.History`, or in a pass over it that it shares,
+built once per check: the DSG for the cycle-based phenomena (G0, G1c, Lost
+Update, Write Skew), which follow Adya's serialization-graph definitions
+directly, or one walk of each session's order for N-MR, N-MW and MYR.  The
+session phenomena (MRWD from each writer's session-read prefix) and the
+visibility ones use operational formulations equivalent to the paper's
+definitions, which are easier to audit and robust on live runs' histories:
 
 ========  ====================================================================
 G0        write-dependency cycle (Dirty Write)
@@ -32,7 +34,8 @@ WSKEW     Write Skew (Adya G2-item): any cycle with an anti-dependency
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.adya.graphs import RW, WR, WW, build_dsg, cycles_by_item, cycles_with
 from repro.adya.history import History, INITIAL
@@ -71,10 +74,10 @@ class Phenomenon:
 
     name: str
     description: str
-    #: ``detector(history)``, or ``detector(history, dsg)`` when ``on_graph``.
-    detector: Callable[..., List[Witness]]
-    #: Cycle-based: the detector also takes the history's DSG (its edge list).
-    on_graph: bool = False
+    #: ``detector(history)``, or ``detector(on(history))``: ``on`` is a pass
+    #: rows share (:func:`build_dsg`, :func:`walk_sessions`), built once per check.
+    detector: Callable[[Any], List[Witness]]
+    on: Optional[Callable[[History], Any]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -88,28 +91,28 @@ def _cycle_witnesses(phenomenon: str, label: str, cycles) -> List[Witness]:
             for cycle in cycles]
 
 
-def detect_g0(history: History, dsg) -> List[Witness]:
+def detect_g0(dsg) -> List[Witness]:
     """Dirty Writes: a cycle made solely of write dependencies."""
     return _cycle_witnesses(G0, "write-dependency cycle",
                             cycles_with(dsg, allowed_kinds={WW}))
 
 
-def detect_g1c(history: History, dsg) -> List[Witness]:
+def detect_g1c(dsg) -> List[Witness]:
     """Circular Information Flow: cycle of write/read dependencies."""
     return _cycle_witnesses(G1C, "dependency cycle",
                             cycles_with(dsg, allowed_kinds={WW, WR}))
 
 
-def detect_lost_update(history: History, dsg) -> List[Witness]:
+def detect_lost_update(dsg) -> List[Witness]:
     """Lost Update: a single-item cycle containing an anti-dependency."""
-    per_item = cycles_by_item(dsg, history.keys(), allowed_kinds={WW, WR, RW},
-                              required_kinds={RW})
+    per_item = cycles_by_item(dsg, sorted({edge.item for edge in dsg}),
+                              allowed_kinds={WW, WR, RW}, required_kinds={RW})
     return [witness for key, cycles in per_item
             for witness in _cycle_witnesses(
                 LOST_UPDATE, f"anti-dependency cycle on item {key!r}", cycles)]
 
 
-def detect_write_skew(history: History, dsg) -> List[Witness]:
+def detect_write_skew(dsg) -> List[Witness]:
     """Write Skew (Adya G2-item): any cycle with an item anti-dependency."""
     return _cycle_witnesses(
         WRITE_SKEW, "anti-dependency cycle",
@@ -252,81 +255,40 @@ def detect_otv(history: History) -> List[Witness]:
 # Session-guarantee detectors
 # ---------------------------------------------------------------------------
 
-def detect_non_monotonic_reads(history: History) -> List[Witness]:
-    """N-MR: a later transaction in a session read an older version."""
-    witnesses = []
+def walk_sessions(history: History) -> Dict[str, List[Witness]]:
+    """N-MR, N-MW and MYR, found in one walk of each session's order."""
+    found: Dict[str, List[Witness]] = {N_MR: [], N_MW: [], MYR: []}
+    position = history.version_position
     for session_id, transactions in history.sessions().items():
-        high_water: Dict[str, int] = {}
-        high_source: Dict[str, int] = {}
+        # key -> [highest position the session read, its reader, position of
+        # the session's latest write, its writer]; -2 is below every position.
+        seen: Dict[str, list] = {}
         for transaction in transactions:
+            txn_id = transaction.txn_id
             for read in transaction.reads:
-                position = history.version_position(read.key, read.writer_txn)
-                previous = high_water.get(read.key)
-                if previous is not None and position < previous:
-                    witnesses.append(Witness(
-                        phenomenon=N_MR,
-                        transactions=[high_source[read.key], transaction.txn_id],
-                        description=(
-                            f"session {session_id}: T{transaction.txn_id} read "
-                            f"{read.key!r} at version position {position}, older "
-                            f"than position {previous} read earlier"
-                        ),
-                    ))
-                if previous is None or position > previous:
-                    high_water[read.key] = position
-                    high_source[read.key] = transaction.txn_id
-    return witnesses
-
-
-def detect_non_monotonic_writes(history: History) -> List[Witness]:
-    """N-MW: a session's writes to an item installed out of session order."""
-    witnesses = []
-    for session_id, transactions in history.sessions().items():
-        last_position: Dict[str, int] = {}
-        last_writer: Dict[str, int] = {}
-        for transaction in transactions:
+                at = position(read.key, read.writer_txn)
+                state = seen.setdefault(read.key, [-2, None, -2, None])
+                high, reader, written, writer = state
+                if at < high:
+                    found[N_MR].append(Witness(N_MR, [reader, txn_id], (
+                        f"session {session_id}: T{txn_id} read {read.key!r} at "
+                        f"version position {at}, older than position {high} "
+                        "read earlier")))
+                elif at > high:
+                    state[:2] = at, txn_id
+                if at < written and read.writer_txn != txn_id:
+                    found[MYR].append(Witness(MYR, [writer, txn_id], (
+                        f"session {session_id}: T{txn_id} read {read.key!r} "
+                        f"older than the session's own write in T{writer}")))
             for key in transaction.write_keys():
-                position = history.version_position(key, transaction.txn_id)
-                previous = last_position.get(key)
-                if previous is not None and position < previous:
-                    witnesses.append(Witness(
-                        phenomenon=N_MW,
-                        transactions=[last_writer[key], transaction.txn_id],
-                        description=(
-                            f"session {session_id}: T{transaction.txn_id}'s write to "
-                            f"{key!r} installed before its predecessor "
-                            f"T{last_writer[key]}'s write"
-                        ),
-                    ))
-                last_position[key] = position
-                last_writer[key] = transaction.txn_id
-    return witnesses
-
-
-def detect_missing_your_writes(history: History) -> List[Witness]:
-    """MYR: a session read an item older than its own earlier write."""
-    witnesses = []
-    for session_id, transactions in history.sessions().items():
-        own_write_position: Dict[str, int] = {}
-        own_writer: Dict[str, int] = {}
-        for transaction in transactions:
-            for read in transaction.reads:
-                if read.key in own_write_position and read.writer_txn != transaction.txn_id:
-                    position = history.version_position(read.key, read.writer_txn)
-                    if position < own_write_position[read.key]:
-                        witnesses.append(Witness(
-                            phenomenon=MYR,
-                            transactions=[own_writer[read.key], transaction.txn_id],
-                            description=(
-                                f"session {session_id}: T{transaction.txn_id} read "
-                                f"{read.key!r} older than the session's own write in "
-                                f"T{own_writer[read.key]}"
-                            ),
-                        ))
-            for key in transaction.write_keys():
-                own_write_position[key] = history.version_position(key, transaction.txn_id)
-                own_writer[key] = transaction.txn_id
-    return witnesses
+                at = position(key, txn_id)
+                state = seen.setdefault(key, [-2, None, -2, None])
+                if at < state[2]:
+                    found[N_MW].append(Witness(N_MW, [state[3], txn_id], (
+                        f"session {session_id}: T{txn_id}'s write to {key!r} "
+                        f"installed before its predecessor T{state[3]}'s write")))
+                state[2:] = at, txn_id
+    return found
 
 
 def detect_missing_read_write_dependency(history: History) -> List[Witness]:
@@ -342,55 +304,43 @@ def detect_missing_read_write_dependency(history: History) -> List[Witness]:
     writes they depend on, but it never requires snapshot behaviour of reads
     issued *before* the dependent write was observed.
     """
-    witnesses = []
-    committed = sorted(history.committed(), key=lambda t: t.commit_order)
-    # Map: writer txn -> {(key, source txn)} it (or its session) read before
-    # writing.  Dependencies are deduplicated (key, writer) pairs — sessions
-    # re-read the same versions constantly, and copying the raw read log
-    # into every writing transaction would be quadratic in history length.
-    read_before_write: Dict[int, List] = {}
-    session_reads: Dict[int, Dict] = {}
-    for transaction in committed:
-        dependencies: Dict = {}
-        if transaction.session_id is not None:
-            dependencies.update(session_reads.get(transaction.session_id, {}))
-        own_reads: Dict = {}
+    position = history.version_position
+    #: session -> key -> {writer: (listing, its position)}: each (key, writer)
+    #: it read, once, numbered in first-seen order (no session: its own one).
+    sessions: Dict[int, Dict[str, Dict[int, Tuple[int, int]]]] = {}
+    #: writer -> (its session's reads, the number its dependencies are below)
+    prefixes: Dict[int, Tuple[Dict[str, Dict[int, Tuple[int, int]]], int]] = {}
+    listed = 0
+    for transaction in history.committed():  # in commit order
+        txn_id, session_id = transaction.txn_id, transaction.session_id
+        by_key = {} if session_id is None else sessions.setdefault(session_id, {})
         for read in transaction.reads:
-            if read.writer_txn is INITIAL or read.writer_txn == transaction.txn_id:
-                continue
-            own_reads[(read.key, read.writer_txn)] = None
-        dependencies.update(own_reads)
-        if dependencies and transaction.write_keys():
-            read_before_write[transaction.txn_id] = list(dependencies)
-        if transaction.session_id is not None:
-            session_reads.setdefault(transaction.session_id, {}).update(own_reads)
-    for observer in committed:
+            source, sources = read.writer_txn, by_key.setdefault(read.key, {})
+            if source != txn_id and source in history.transactions and source not in sources:
+                sources[source] = (listed, position(read.key, source))
+                listed += 1
+        if transaction.writes:
+            prefixes[txn_id] = (by_key, listed)
+    witnesses = []
+    for observer in history.committed():
         observed_at: Dict[int, int] = {}
-        reads_of: Dict[str, List] = {}
-        for read in observer.reads:
-            reads_of.setdefault(read.key, []).append(read)
-            if read.writer_txn is INITIAL or read.writer_txn == observer.txn_id:
-                continue
-            observed_at.setdefault(read.writer_txn, read.index)
+        reads = []
+        for at, read in enumerate(observer.reads):
+            if read.writer_txn != observer.txn_id:
+                observed_at.setdefault(read.writer_txn, read.index)
+            reads.append((at, read.key, read.index, position(read.key, read.writer_txn)))
         for writer, first_index in observed_at.items():
-            for dep_key, dep_writer in read_before_write.get(writer, []):
-                if dep_writer not in history.transactions:
-                    continue
-                for read in reads_of.get(dep_key, ()):
-                    if read.index <= first_index:
-                        continue
-                    observed_pos = history.version_position(dep_key, read.writer_txn)
-                    required_pos = history.version_position(dep_key, dep_writer)
-                    if observed_pos < required_pos:
-                        witnesses.append(Witness(
-                            phenomenon=MRWD,
-                            transactions=[dep_writer, writer, observer.txn_id],
-                            description=(
-                                f"T{observer.txn_id} observed T{writer} (which read "
-                                f"T{dep_writer}'s {dep_key!r}) but then read "
-                                f"{dep_key!r} from an older version"
-                            ),
-                        ))
+            by_key, end = prefixes.get(writer, ({}, 0))
+            # The writer's dependencies in listing order, each's reads in order.
+            finds = sorted(
+                (listing, at, source, key)
+                for at, key, index, observed in reads if index > first_index
+                for source, (listing, required) in by_key.get(key, {}).items()
+                if listing < end and observed < required)
+            witnesses.extend(Witness(MRWD, [source, writer, observer.txn_id], (
+                f"T{observer.txn_id} observed T{writer} (which read T{source}'s "
+                f"{key!r}) but then read {key!r} from an older version"))
+                for _, _, source, key in finds)
     return witnesses
 
 
@@ -399,30 +349,30 @@ def detect_missing_read_write_dependency(history: History) -> List[Witness]:
 # ---------------------------------------------------------------------------
 
 PHENOMENA: Dict[str, Phenomenon] = {row.name: row for row in (
-    Phenomenon(G0, "Dirty Write: write-dependency cycle", detect_g0, on_graph=True),
+    Phenomenon(G0, "Dirty Write: write-dependency cycle", detect_g0, on=build_dsg),
     Phenomenon(G1A, "Aborted Read", detect_g1a),
     Phenomenon(G1B, "Intermediate Read", detect_g1b),
-    Phenomenon(G1C, "Circular Information Flow", detect_g1c, on_graph=True),
+    Phenomenon(G1C, "Circular Information Flow", detect_g1c, on=build_dsg),
     Phenomenon(IMP, "Item-Many-Preceders", detect_imp),
     Phenomenon(PMP, "Predicate-Many-Preceders", detect_pmp),
     Phenomenon(OTV, "Observed Transaction Vanishes", detect_otv),
-    Phenomenon(N_MR, "Non-monotonic Reads", detect_non_monotonic_reads),
-    Phenomenon(N_MW, "Non-monotonic Writes", detect_non_monotonic_writes),
+    Phenomenon(N_MR, "Non-monotonic Reads", itemgetter(N_MR), on=walk_sessions),
+    Phenomenon(N_MW, "Non-monotonic Writes", itemgetter(N_MW), on=walk_sessions),
     Phenomenon(MRWD, "Missing Read-Write Dependency", detect_missing_read_write_dependency),
-    Phenomenon(MYR, "Missing Your Writes", detect_missing_your_writes),
-    Phenomenon(LOST_UPDATE, "Lost Update", detect_lost_update, on_graph=True),
-    Phenomenon(WRITE_SKEW, "Write Skew (G2-item)", detect_write_skew, on_graph=True),
+    Phenomenon(MYR, "Missing Your Writes", itemgetter(MYR), on=walk_sessions),
+    Phenomenon(LOST_UPDATE, "Lost Update", detect_lost_update, on=build_dsg),
+    Phenomenon(WRITE_SKEW, "Write Skew (G2-item)", detect_write_skew, on=build_dsg),
 )}
 
 
 def detect_each(history: History,
                 phenomena: Iterable[str] = PHENOMENA) -> Dict[str, List[Witness]]:
-    """Witnesses of each named phenomenon: every detector runs once, and the
-    cycle-based ones share one DSG."""
+    """Witnesses of each named phenomenon: every detector runs once, and each
+    pass detectors share (the DSG, the session walk) is built once."""
     rows = [PHENOMENA[name] for name in phenomena]
-    dsg = build_dsg(history) if any(row.on_graph for row in rows) else None
-    return {row.name: row.detector(history, dsg) if row.on_graph
-            else row.detector(history) for row in rows}
+    passes = {on: on(history) for on in dict.fromkeys(row.on for row in rows) if on}
+    return {row.name: row.detector(passes[row.on] if row.on else history)
+            for row in rows}
 
 
 def detect(history: History, phenomenon: str) -> List[Witness]:

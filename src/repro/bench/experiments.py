@@ -288,15 +288,14 @@ def _figure_sweep(x_label: str, protocols: Sequence[str], x_values: Sequence,
 
     ``point(x)`` says what one swept value means for the run, as
     ``(figure, x_value, scenario, workload, clients_per_cluster)``; each
-    (protocol, x) pair is one closed-loop YCSB run of ``duration_ms``.
+    distinct (protocol, figure, x_value) is one closed-loop YCSB run of
+    ``duration_ms`` (two swept values that map to one point run once).
     """
-    described: List[Tuple[str, float]] = []
-    configs: List[RunConfig] = []
+    configs: Dict[Tuple[str, str, float], RunConfig] = {}
     for protocol in protocols:
         for x in x_values:
             figure, x_value, scenario, workload, clients_per_cluster = point(x)
-            described.append((figure, x_value))
-            configs.append(RunConfig(
+            configs.setdefault((protocol, figure, x_value), RunConfig(
                 protocol=protocol,
                 scenario=scenario,
                 workload=workload,
@@ -317,8 +316,8 @@ def _figure_sweep(x_label: str, protocols: Sequence[str], x_values: Sequence,
             aborted=stats.aborted,
             extras={"remote_rpc_fraction": stats.remote_rpc_fraction},
         )
-        for (figure, x_value), stats in zip(described,
-                                            run_configs(configs, jobs=jobs))
+        for (_, figure, x_value), stats in zip(
+            configs, run_configs(list(configs.values()), jobs=jobs))
     ]
 
 

@@ -96,8 +96,9 @@ class TestChecker:
             check_history(HistoryBuilder().build(), code)
 
     def test_all_levels_are_checked_in_one_pass(self, monkeypatch):
-        """Each of the 13 phenomena detected once over one DSG (54 detector
-        passes and 19 graph builds when every level ran its own)."""
+        """Each of the 13 phenomena detected once over one DSG and one session
+        walk (54 detector passes and 19 graph builds when every level ran
+        its own)."""
         calls = []
 
         def counted(name, function):
@@ -106,16 +107,17 @@ class TestChecker:
                 return function(*args, **kwargs)
             return wrapper
 
+        passes = {}
         for name, row in PHENOMENA.items():
+            on = row.on and passes.setdefault(row.on, counted(row.on.__name__, row.on))
             monkeypatch.setitem(PHENOMENA, name, dataclasses.replace(
-                row, detector=counted(name, row.detector)))
-        monkeypatch.setattr(phenomena_module, "build_dsg",
-                            counted("build_dsg", phenomena_module.build_dsg))
+                row, detector=counted(name, row.detector), on=on))
         builder = HistoryBuilder()
         builder.transaction().read("x", from_txn=None, value=0).write("x", 1)
         builder.transaction().read("x", from_txn=None, value=0).write("x", 2)
         reports = check_all_levels(builder.build())
-        assert sorted(calls) == sorted([*PHENOMENA, "build_dsg"])
+        assert passes.keys() == {phenomena_module.build_dsg, phenomena_module.walk_sessions}
+        assert sorted(calls) == sorted([*PHENOMENA, "build_dsg", "walk_sessions"])
         assert not reports["SI"].satisfied and reports["MAV"].satisfied
 
     def test_empty_history_satisfies_everything(self):

@@ -154,7 +154,7 @@ def test_every_cycle_witness_is_a_dsg_cycle_one_per_component(history):
     for name, (allowed, required) in CYCLE_SEARCHES.items():
         if name == LOST_UPDATE:
             searches = [(item, [edge for edge in dsg if edge.item == item], cycles)
-                        for item, cycles in cycles_by_item(dsg, history.keys(),
+                        for item, cycles in cycles_by_item(dsg, sorted(history.version_order),
                                                            allowed, required)]
         else:
             searches = [(None, dsg, cycles_with(dsg, allowed, required))]

@@ -64,17 +64,11 @@ class HistoryTransaction:
 
     def final_write(self, key: str) -> Optional[WriteEvent]:
         """The transaction's last write to ``key`` (its installed version)."""
-        final = None
-        for write in self.writes:
-            if write.key == key:
-                final = write
-        return final
+        return next((write for write in reversed(self.writes)
+                     if write.key == key), None)
 
     def write_keys(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for write in self.writes:
-            seen.setdefault(write.key, None)
-        return list(seen)
+        return list(dict.fromkeys(write.key for write in self.writes))
 
 
 class History:
@@ -257,17 +251,17 @@ class HistoryRecorder:
     """Collects histories from live protocol runs.
 
     Pass an instance as ``recorder=`` when creating clients through the
-    testbed; each finished transaction is appended.  The version order per
-    key is the timestamp order of committed writes, matching the
-    last-writer-wins install order at replicas.
+    testbed; each finished transaction's label and result are kept (not its
+    operations).  The version order per key is the timestamp order of
+    committed writes, the last-writer-wins install order at replicas.
     """
 
     def __init__(self):
-        self._results: List[Tuple[object, object]] = []
+        self._results: List[Tuple[Optional[str], object]] = []
 
     def record(self, transaction, result) -> None:
         """Called by protocol clients when a transaction finishes."""
-        self._results.append((transaction, result))
+        self._results.append((transaction.label, result))
 
     def __len__(self) -> int:
         return len(self._results)
@@ -282,7 +276,7 @@ class HistoryRecorder:
         #: key -> (write timestamp, writer) per committed write, in commit
         #: order; keys in first-writer order.
         installs: Dict[str, List[Tuple[object, int]]] = {}
-        for transaction, result in ordered:
+        for label, result in ordered:
             # Events by position (field order): one per operation recorded.
             reads = [ReadEvent(observation.key, observation.version.txn_id,
                                observation.version.value, index)
@@ -296,7 +290,7 @@ class HistoryRecorder:
                     installs.setdefault(key, []).append(stamped)
             history._register(HistoryTransaction(
                 result.txn_id, result.committed, result.session_id, reads,
-                writes, label=getattr(transaction, "label", None)))
+                writes, label=label))
         for key, entries in installs.items():
             # Timestamp order where the writers carry one (last-writer-wins
             # installs; writers without are then left out), else commit order.

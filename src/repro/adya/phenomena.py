@@ -331,12 +331,15 @@ def detect_missing_read_write_dependency(history: History) -> List[Witness]:
             reads.append((at, read.key, read.index, position(read.key, read.writer_txn)))
         for writer, first_index in observed_at.items():
             by_key, end = prefixes.get(writer, ({}, 0))
-            # The writer's dependencies in listing order, each's reads in order.
-            finds = sorted(
-                (listing, at, source, key)
-                for at, key, index, observed in reads if index > first_index
-                for source, (listing, required) in by_key.get(key, {}).items()
-                if listing < end and observed < required)
+            finds = []
+            for at, key, index, observed in reads:
+                entries = by_key.get(key, {}) if index > first_index else {}
+                for source, (listing, required) in entries.items():  # listing order
+                    if listing >= end:  # past the writer's dependencies
+                        break
+                    if observed < required:
+                        finds.append((listing, at, source, key))
+            finds.sort()  # the writer's dependencies in order, each's reads in order
             witnesses.extend(Witness(MRWD, [source, writer, observer.txn_id], (
                 f"T{observer.txn_id} observed T{writer} (which read T{source}'s "
                 f"{key!r}) but then read {key!r} from an older version"))

@@ -294,14 +294,13 @@ class ServerNode:
                     service_ms += (size / 1024.0) * PER_KB_MS
         if span is not None:
             env.current_trace = None
-            attrs = span.attrs
             if span is message.trace:  # the RPC's span: the server side
-                attrs["arrival_ms"] = enqueued_at
+                span.arrival_ms = enqueued_at
             else:  # queue wait plus the service the reply waits out
                 span.end_ms = enqueued_at + queue_wait + service_ms
-            attrs["queue_wait_ms"] = queue_wait
-            attrs["service_ms"] = service_ms
-            attrs["queue_depth"] = depth
+            span.queue_wait_ms = queue_wait
+            span.service_ms = service_ms
+            span.queue_depth = depth
         stats.busy_ms += service_ms
         reply_id = 0
         if reply_payload is not None:

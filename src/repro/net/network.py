@@ -259,7 +259,7 @@ class Network:
         if parent is not None:  # set by traced code only: a tracer is installed
             tracer = self.tracer
             span = tracer.start_span(tracer.rpc_names[kind], "rpc", parent, src, env._now)
-            span.attrs["dst"] = dst
+            span.dst = dst
             msg_id = self.send(src, dst, kind, payload, None, size_bytes, span)
             self._rpc_spans[msg_id] = span
         else:

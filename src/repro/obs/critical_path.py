@@ -9,7 +9,7 @@ exclusive, non-overlapping segments:
 ``retry``      RPCs that timed out (the client burned this time waiting for a
                reply a partition dropped),
 ``rtt``        network round-trip on successful RPCs (minus the server-side
-               time above, which the RPC span carries as attributes),
+               time above, which the RPC span carries in its slots),
 ``client``     everything else: client-side compute, session-layer logic,
                and think gaps between operations.
 
@@ -49,24 +49,21 @@ def _intervals_for(span: Span) -> List[Tuple[float, float, str]]:
     end = span.end_ms if span.end_ms is not None else span.start_ms
     if span.kind == "lock":
         return [(span.start_ms, end, "lock_wait")]
-    attrs = span.attrs
     if span.kind == "server":
         arrival, done, claims = span.start_ms, end, []
     elif span.kind == "rpc":
         claims = [(span.start_ms, end,
                    "retry" if span.status == "timeout" else "rtt")]
-        arrival = attrs.get("arrival_ms")
+        arrival = span.arrival_ms
         if arrival is None:  # no server took it up
             return claims
-        done = arrival + attrs["queue_wait_ms"] + attrs["service_ms"]
+        done = arrival + span.queue_wait_ms + span.service_ms
     else:
         return []
-    service_ms = attrs.get("service_ms", 0.0)
-    queue_wait = attrs.get("queue_wait_ms", 0.0)
-    if service_ms:
-        claims.append((done - service_ms, done, "service"))
-    if queue_wait:
-        claims.append((arrival, arrival + queue_wait, "queueing"))
+    if span.service_ms:
+        claims.append((done - span.service_ms, done, "service"))
+    if span.queue_wait_ms:
+        claims.append((arrival, arrival + span.queue_wait_ms, "queueing"))
     return claims
 
 

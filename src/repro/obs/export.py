@@ -5,7 +5,7 @@ The Chrome trace-event format is a flat list of events; we emit complete
 from the simulated clock — grouped into tracks by site (each server,
 client, and the fault timeline get their own ``tid``), plus "M" metadata
 events naming the tracks.  A served RPC span also draws its server's
-slice (queue wait + service, from its attributes) on the server's track.
+slice (queue wait + service, from its slots) on the server's track.
 Load the file at https://ui.perfetto.dev or ``chrome://tracing``.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from repro.obs.trace import FaultWindow, Span
+from repro.obs.trace import SERVED, FaultWindow, Span
 
 __all__ = ["chrome_trace"]
 
@@ -36,9 +36,9 @@ def chrome_trace(spans: Iterable[Span],
     """Render spans + fault windows as a Chrome trace-event JSON dict."""
     spans = list(spans)
     windows = list(fault_windows)
-    served = [span for span in spans if "arrival_ms" in span.attrs]
+    served = [span for span in spans if span.arrival_ms is not None]
     sites = sorted({span.site for span in spans}
-                   | {span.attrs["dst"] for span in served})
+                   | {span.dst for span in served})
     tids = {site: index + 1 for index, site in enumerate(sites)}
     fault_tid = len(sites) + 1
     events: List[Dict[str, object]] = [
@@ -59,18 +59,18 @@ def chrome_trace(spans: Iterable[Span],
             args["parent_id"] = span.parent_id
         if span.faults:
             args["faults"] = list(span.faults)
-        args.update(span.attrs)
+        args.update(span.attrs or ())
+        args.update((field, value) for field in SERVED
+                    if (value := getattr(span, field)) is not None)
         events.append(_slice(span.name, span.kind, span.start_ms,
                              span.end_ms, tids[span.site], args))
     for span in served:  # the server's side of the round trip, on its track
-        attrs = span.attrs
-        arrival, wait = attrs["arrival_ms"], attrs["queue_wait_ms"]
+        arrival, wait = span.arrival_ms, span.queue_wait_ms
         events.append(_slice(
             "server:" + span.name.removeprefix("rpc:"), "server", arrival,
-            arrival + wait + attrs["service_ms"], tids[attrs["dst"]],
+            arrival + wait + span.service_ms, tids[span.dst],
             {"trace_id": span.trace_id, "span_id": span.span_id,
-             "queue_wait_ms": wait, "service_ms": attrs["service_ms"],
-             "queue_depth": attrs["queue_depth"]}))
+             **{field: getattr(span, field) for field in SERVED[2:]}}))
     for window in windows:
         events.append(_slice(
             f"{window.kind}:{','.join(window.targets) or '*'}", "fault",

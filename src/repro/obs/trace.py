@@ -7,7 +7,8 @@ anti-entropy pushes, lock grants, session repairs — create :class:`Span`
 records stamped with *simulated-clock* timestamps, linked into per-
 transaction trees by the trace context carried on processes and messages:
 the parent :class:`Span` itself, which already holds the trace id and the
-span id a child needs.
+span id a child needs.  A served round trip is one ``rpc`` span, its
+server's side in the span's :data:`SERVED` slots (no attribute dict).
 
 The chaos nemesis and membership coordinator report faults as
 :class:`FaultWindow` intervals to the deployment's one :class:`FaultLedger`
@@ -29,6 +30,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 __all__ = ["Span", "SpanNames", "FaultWindow", "FaultLedger", "Tracer"]
 
 _new_span = object.__new__
+#: A span's round-trip slots, in the order the Chrome export emits them.
+SERVED = ("dst", "arrival_ms", "queue_wait_ms", "service_ms", "queue_depth")
 
 
 class Span:
@@ -38,11 +41,13 @@ class Span:
     ``trace_id`` (which trace) and ``span_id`` (which span is the parent).
     Only :meth:`Tracer.start_span` makes one, filling the slots of a bare
     instance (no ``__init__`` frame per span): an open span has ``end_ms``
-    None, ``status`` ``"ok"``, empty ``attrs`` and no ``faults``.
+    None, ``status`` ``"ok"``, no ``faults`` and None in each :data:`SERVED`
+    slot (``Network.rpc`` writes ``dst``, the serving server the rest).  An
+    ``rpc`` or ``server`` span has ``attrs`` None; any other, a dict.
     """
 
     __slots__ = ("span_id", "parent_id", "trace_id", "name", "kind", "site",
-                 "start_ms", "end_ms", "status", "attrs", "faults")
+                 "start_ms", "end_ms", "status", "attrs", "faults") + SERVED
 
     @property
     def duration_ms(self) -> float:
@@ -192,7 +197,9 @@ class Tracer:
         span.span_id, span.parent_id, span.trace_id = self._next_span, parent_id, trace_id
         span.name, span.kind, span.site = name, kind, site
         span.start_ms, span.end_ms, span.status = start_ms, None, "ok"
-        span.attrs, span.faults = {}, ()
+        span.attrs, span.faults = None if kind in ("rpc", "server") else {}, ()
+        span.dst = span.arrival_ms = span.queue_wait_ms = span.service_ms = \
+            span.queue_depth = None
         self._next_span += 1
         self.spans.append(span)
         return span

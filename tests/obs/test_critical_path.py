@@ -32,8 +32,8 @@ def _rpc(tracer, root, start, end, status="ok"):
 def _server(tracer, parent, start, end, service_ms, queue_wait_ms=0.0):
     span = tracer.start_span("srv", "server", parent,
                              "server-0", start)
-    span.attrs["service_ms"] = service_ms
-    span.attrs["queue_wait_ms"] = queue_wait_ms
+    span.service_ms = service_ms
+    span.queue_wait_ms = queue_wait_ms
     tracer.finish(span, end)
     return span
 
@@ -81,15 +81,15 @@ class TestDecompose:
     @pytest.mark.parametrize("status", ["ok", "timeout"])
     def test_an_rpc_carrying_its_server_side_decomposes_like_the_pair(
             self, status):
-        """Queue wait and service as attributes on the RPC span claim what
-        a ``server`` span under it claimed."""
+        """Queue wait and service in the RPC span's slots claim what a
+        ``server`` span under it claimed."""
         pair, pair_root = _trace()
         rpc = _rpc(pair, pair_root, 1.0, 9.0, status=status)
         _server(pair, rpc, 2.0, 7.5, service_ms=4.0, queue_wait_ms=1.5)
         pair.finish(pair_root, 10.0)
         one, one_root = _trace()
         rpc = _rpc(one, one_root, 1.0, 9.0, status=status)
-        rpc.attrs.update(arrival_ms=2.0, queue_wait_ms=1.5, service_ms=4.0)
+        rpc.arrival_ms, rpc.queue_wait_ms, rpc.service_ms = 2.0, 1.5, 4.0
         one.finish(one_root, 10.0)
         expected = decompose(pair_root, _below(pair, pair_root))
         assert decompose(one_root, _below(one, one_root)) \
@@ -98,7 +98,7 @@ class TestDecompose:
 
     def test_an_unserved_rpc_claims_only_its_wire_time(self):
         tracer, root = _trace()
-        _rpc(tracer, root, 0.0, 10.0).attrs["dst"] = "server-0"
+        _rpc(tracer, root, 0.0, 10.0).dst = "server-0"
         tracer.finish(root, 10.0)
         totals = decompose(root, _below(tracer, root))
         assert totals["rtt"] == 10.0 and totals["service"] == 0.0

@@ -135,12 +135,12 @@ class CompleteEventNode(ServerNode):
             if span is not None:
                 env.current_trace = None
                 if span is message.trace:
-                    span.attrs["arrival_ms"] = enqueued_at
+                    span.arrival_ms = enqueued_at
                 else:
                     span.end_ms = enqueued_at + queue_wait + service_ms
-                span.attrs["queue_wait_ms"] = queue_wait
-                span.attrs["service_ms"] = service_ms
-                span.attrs["queue_depth"] = depth
+                span.queue_wait_ms = queue_wait
+                span.service_ms = service_ms
+                span.queue_depth = depth
             stats.busy_ms += service_ms
             env.schedule(service_ms, self._complete, message, reply_payload)
 
@@ -214,7 +214,7 @@ def _run(node_class, arrivals, concurrency, bound, crash_at, recover_at):
     env.run(until=env.now + 100.0)
     assert server.busy_workers == 0
     spans = [{**{slot: getattr(span, slot) for slot in span.__slots__},
-              "attrs": dict(span.attrs), "faults": list(span.faults)}
+              "attrs": dict(span.attrs or {}), "faults": list(span.faults)}
              for span in tracer.spans]
     dispatch_events = (server.served if isinstance(server, CompleteEventNode)
                        else wakes[0])
@@ -294,14 +294,13 @@ def test_a_request_writes_its_server_side_onto_its_rpc_span():
     assert len(rpcs) == 10 and len(servers) == 3
     assert all(by_id[span["parent_id"]]["status"] == "timeout"
                for span in servers)
-    served = [span for span in rpcs if "arrival_ms" in span["attrs"]]
+    served = [span for span in rpcs if span["arrival_ms"] is not None]
     assert len(served) == 7
     for index, span in enumerate(served):
-        attrs = span["attrs"]
-        assert attrs["arrival_ms"] == pytest.approx(span["start_ms"] + 0.25)
-        assert attrs["queue_wait_ms"] == pytest.approx(index * 8.12)
-        assert attrs["service_ms"] == pytest.approx(8.12)
-        assert attrs["queue_depth"] == max(0, index - 1)  # queued ahead
+        assert span["arrival_ms"] == pytest.approx(span["start_ms"] + 0.25)
+        assert span["queue_wait_ms"] == pytest.approx(index * 8.12)
+        assert span["service_ms"] == pytest.approx(8.12)
+        assert span["queue_depth"] == max(0, index - 1)  # queued ahead
 
 
 class EvictNewestNode(ServerNode):

@@ -750,7 +750,8 @@ class StalenessResult:
     #: phase name -> metric name -> quantile summary dict (or None when a
     #: phase recorded no observations for that metric — e.g. master writes
     #: stranded by a partition whose replica pushes are never retransmitted
-    #: simply have no t-visibility sample until they install, if ever).
+    #: (ROADMAP item 28: those replicas never converge) simply have no
+    #: t-visibility sample until they install, if ever).
     phase_recency: Dict[str, Dict[str, Optional[Dict[str, float]]]]
     #: metric name -> [(q, value), ...] whole-run CDF on a fixed grid.
     cdfs: Dict[str, List[Tuple[float, float]]]

@@ -23,7 +23,8 @@ Two stages here, a third in the nemesis:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
@@ -417,6 +418,34 @@ def generate_campaign(spec: CampaignSpec, regions: Sequence[str],
                     phases=tuple(named), seed=seed)
 
 
+#: The heal every canonical split ends with, at the start of its phase.
+_HEAL = CampaignAction(at_ms=0, kind=CLEAR_PARTITION, note="partition heals")
+
+
+def _region_split(regions: Sequence[str], campaign: str) -> CampaignAction:
+    """The canonical split, first region versus the rest, at the start of
+    its phase; ``campaign`` names the builder a one-region run is refused by."""
+    if len(regions) < 2:
+        raise CampaignError(f"the {campaign} campaign needs at least two regions")
+    groups = ((regions[0],), tuple(regions[1:]))
+    return CampaignAction(at_ms=0, kind=PARTITION, groups=groups,
+                          note=f"partition: {list(groups[0])} | {list(groups[1])}")
+
+
+def _phased(*phases: Tuple[str, float, Tuple[CampaignAction, ...]]) -> Campaign:
+    """Consecutive ``(name, length_ms, actions)`` phases from 0: an action's
+    ``at_ms`` is its offset into its phase."""
+    ends = list(accumulate(length for _name, length, _actions in phases))
+    starts = [0.0, *ends[:-1]]
+    return Campaign(
+        duration_ms=ends[-1],
+        actions=tuple(replace(action, at_ms=start + action.at_ms)
+                      for start, (_name, _length, actions) in zip(starts, phases)
+                      for action in actions),
+        phases=tuple(CampaignPhase(name, start, end) for start, end, (name, _, _)
+                     in zip(starts, ends, phases)))
+
+
 def canonical_partition_campaign(regions: Sequence[str],
                                  baseline_ms: float = 3_000.0,
                                  partition_ms: float = 6_000.0,
@@ -428,24 +457,10 @@ def canonical_partition_campaign(regions: Sequence[str],
     deterministic — no generator randomness — so the figure-style artifact
     is reproducible by construction.
     """
-    if len(regions) < 2:
-        raise CampaignError("the canonical campaign needs at least two regions")
-    groups = ((regions[0],), tuple(regions[1:]))
-    start = baseline_ms
-    end = baseline_ms + partition_ms
-    duration = baseline_ms + partition_ms + recovery_ms
-    actions = (
-        CampaignAction(at_ms=start, kind=PARTITION, groups=groups,
-                       note=f"partition: {list(groups[0])} | {list(groups[1])}"),
-        CampaignAction(at_ms=end, kind=CLEAR_PARTITION,
-                       note="partition heals"),
-    )
-    phases = (
-        CampaignPhase("baseline", 0.0, start),
-        CampaignPhase("partition", start, end),
-        CampaignPhase("recovered", end, duration),
-    )
-    return Campaign(duration_ms=duration, actions=actions, phases=phases)
+    return _phased(
+        ("baseline", baseline_ms, ()),
+        ("partition", partition_ms, (_region_split(regions, "canonical"),)),
+        ("recovered", recovery_ms, (_HEAL,)))
 
 
 def canonical_elasticity_campaign(regions: Sequence[str],
@@ -465,36 +480,22 @@ def canonical_elasticity_campaign(regions: Sequence[str],
     recovery.  Fully deterministic — no generator randomness — so the
     ``elasticity`` artifact is reproducible by construction.
     """
-    if len(regions) < 2:
-        raise CampaignError("the elasticity campaign needs at least two regions")
-    groups = ((regions[0],), tuple(regions[1:]))
-    t_scale_out = baseline_ms
-    t_partition = t_scale_out + scale_out_ms
-    t_scale_in = t_partition + partition_ms
-    t_recovered = t_scale_in + scale_in_ms
-    duration = t_recovered + recovery_ms
-    actions = (
-        CampaignAction(at_ms=t_scale_out, kind=SCALE_OUT, target=cluster,
-                       note=f"scale-out: {cluster} gains a server"),
-        CampaignAction(at_ms=t_partition, kind=PARTITION, groups=groups,
-                       note=f"partition: {list(groups[0])} | {list(groups[1])}"),
-        CampaignAction(at_ms=t_partition + partition_ms * 0.25,
-                       kind=SCALE_OUT, target=cluster,
-                       note=f"rebalance under partition: {cluster} "
-                            "gains another server"),
-        CampaignAction(at_ms=t_scale_in, kind=CLEAR_PARTITION,
-                       note="partition heals"),
-        CampaignAction(at_ms=t_scale_in, kind=SCALE_IN, target=cluster,
-                       note=f"scale-in: {cluster} drains a server"),
-    )
-    phases = (
-        CampaignPhase("baseline", 0.0, t_scale_out),
-        CampaignPhase("scale-out", t_scale_out, t_partition),
-        CampaignPhase("partitioned-rebalance", t_partition, t_scale_in),
-        CampaignPhase("scale-in", t_scale_in, t_recovered),
-        CampaignPhase("recovered", t_recovered, duration),
-    )
-    return Campaign(duration_ms=duration, actions=actions, phases=phases)
+    return _phased(
+        ("baseline", baseline_ms, ()),
+        ("scale-out", scale_out_ms, (
+            CampaignAction(at_ms=0, kind=SCALE_OUT, target=cluster,
+                           note=f"scale-out: {cluster} gains a server"),)),
+        ("partitioned-rebalance", partition_ms, (
+            _region_split(regions, "elasticity"),
+            CampaignAction(at_ms=partition_ms * 0.25, kind=SCALE_OUT,
+                           target=cluster,
+                           note=f"rebalance under partition: {cluster} "
+                                "gains another server"))),
+        ("scale-in", scale_in_ms, (
+            _HEAL,
+            CampaignAction(at_ms=0, kind=SCALE_IN, target=cluster,
+                           note=f"scale-in: {cluster} drains a server"))),
+        ("recovered", recovery_ms, ()))
 
 
 def canonical_staleness_campaign(regions: Sequence[str],
@@ -512,26 +513,13 @@ def canonical_staleness_campaign(regions: Sequence[str],
     Fully deterministic — no generator randomness — so the ``staleness``
     artifact is reproducible by construction.
     """
-    if len(regions) < 2:
-        raise CampaignError("the staleness campaign needs at least two regions")
-    groups = ((regions[0],), tuple(regions[1:]))
-    t_partition = healthy_ms
-    t_heal = healthy_ms + partition_ms
-    duration = t_heal + rebalance_ms
-    actions = (
-        CampaignAction(at_ms=t_partition, kind=PARTITION, groups=groups,
-                       note=f"partition: {list(groups[0])} | {list(groups[1])}"),
-        CampaignAction(at_ms=t_heal, kind=CLEAR_PARTITION,
-                       note="partition heals"),
-        CampaignAction(at_ms=t_heal, kind=SCALE_OUT, target=cluster,
-                       note=f"rebalance: {cluster} gains a server"),
-    )
-    phases = (
-        CampaignPhase("healthy", 0.0, t_partition),
-        CampaignPhase("partition", t_partition, t_heal),
-        CampaignPhase("rebalance", t_heal, duration),
-    )
-    return Campaign(duration_ms=duration, actions=actions, phases=phases)
+    return _phased(
+        ("healthy", healthy_ms, ()),
+        ("partition", partition_ms, (_region_split(regions, "staleness"),)),
+        ("rebalance", rebalance_ms, (
+            _HEAL,
+            CampaignAction(at_ms=0, kind=SCALE_OUT, target=cluster,
+                           note=f"rebalance: {cluster} gains a server"))))
 
 
 def _with_boundary_phases(duration_ms: float,

@@ -3,7 +3,8 @@
 Each simulated server mirrors one m1.xlarge instance from the paper's
 deployment.  Requests arrive as network messages, wait in a FIFO queue, and
 are processed by a bounded pool of workers; every request's service time is
-the storage cost (LSM + WAL) plus a fixed CPU overhead.  The handler runs
+the storage cost (LSM + WAL) plus a fixed CPU overhead plus a per-KB cost on
+the size its sender declared (``Message.size_bytes``).  The handler runs
 when service starts and the reply is sent then, delivered one hop after the
 service ends; a busy worker is its completion instant on a heap, so no event
 marks a completion (one wake event hands queued requests to freed workers),
@@ -29,7 +30,8 @@ from repro.storage.lsm import LSMStore
 from repro.storage.wal import WriteAheadLog
 
 
-#: Service cost per kilobyte of request payload processed (milliseconds).
+#: Service cost per kilobyte of a request's declared size (``Message.size_bytes``),
+#: in milliseconds.
 PER_KB_MS = 0.01
 
 
@@ -73,7 +75,8 @@ class _QueueSeries(NamedTuple):
 
 #: A handler receives the request message and returns ``(reply_payload,
 #: extra_cost_ms)``.  The extra cost is added to the request's service time,
-#: which the reply waits out before it leaves (e.g. a synchronous WAL flush).
+#: which the reply waits out before it leaves (e.g. a synchronous WAL flush),
+#: as is the per-KB cost of the size the sender declared on the message.
 Handler = Callable[[Message], Tuple[object, float]]
 
 
@@ -287,11 +290,9 @@ class ServerNode:
             reply_kind = self._reply_kinds[message.kind]
             reply_payload, extra_cost = handler(message)
             service_ms = cost.request_overhead_ms + extra_cost
-            payload = message.payload
-            if type(payload) is dict:
-                size = payload.get("size_bytes", 0)
-                if size and isinstance(size, (int, float)):
-                    service_ms += (size / 1024.0) * PER_KB_MS
+            size = message.size_bytes
+            if size:
+                service_ms += (size / 1024.0) * PER_KB_MS
         if span is not None:
             env.current_trace = None
             if span is message.trace:  # the RPC's span: the server side

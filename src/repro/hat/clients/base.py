@@ -149,15 +149,15 @@ class ProtocolClient:
         raise NotImplementedError
 
     # -- helpers for subclasses -------------------------------------------------------
-    def _rpc(self, dst: str, kind: str, payload: Dict[str, Any]):
+    def _rpc(self, dst: str, kind: str, payload: Dict[str, Any],
+             size_bytes: int = 0):
         """Issue one RPC without remote-hop accounting."""
         node = self.node
         return node.network.rpc(node.name, dst, kind, payload,
-                                self.rpc_timeout_ms,
-                                payload.get("size_bytes", 0))
+                                self.rpc_timeout_ms, size_bytes)
 
     def _issue(self, result: TransactionResult, dst: str, kind: str,
-               payload: Dict[str, Any]):
+               payload: Dict[str, Any], size_bytes: int = 0):
         """Issue one RPC, counting a remote hop at the moment it is sent: a
         round trip that left the home cluster, not a fallback replica merely
         *selected* (its RPC may never happen, e.g. because an earlier parallel
@@ -167,8 +167,7 @@ class ProtocolClient:
         if self._server_clusters[dst] != node.home_cluster:
             result.remote_rpcs += 1
         return node.network.rpc(node.name, dst, kind, payload,
-                                self.rpc_timeout_ms,
-                                payload.get("size_bytes", 0))
+                                self.rpc_timeout_ms, size_bytes)
 
     def _pick_replica(self, key: str) -> str:
         """The replica a HAT client contacts for ``key``.
@@ -377,8 +376,8 @@ class LayeredClient(ProtocolClient):
                 version = Version(key, op.value,
                                   self._txn_timestamp(ctx, refresh=True),
                                   transaction.txn_id)
-                yield self._issue(result, replica, self.put_kind, {
-                    "version": version, "size_bytes": VALUE_BYTES})
+                yield self._issue(result, replica, self.put_kind,
+                                  {"version": version}, VALUE_BYTES)
                 ctx.write_targets[key] = replica
                 ctx.written_versions[key] = version
             else:

@@ -93,8 +93,7 @@ class TwoPhaseLockingClient(ProtocolClient):
                     prepare_futures.append(self._rpc(master, "txn.prepare", {
                         "txn_id": transaction.txn_id,
                         "versions": versions,
-                        "size_bytes": VALUE_BYTES * len(versions),
-                    }))
+                    }, VALUE_BYTES * len(versions)))
                 votes = yield all_of(self.node.env, prepare_futures)
                 if not all(vote.get("vote") for vote in votes):
                     raise ExternalAbort("a participant voted no during prepare")

@@ -48,10 +48,8 @@ class MasterClient(ProtocolClient):
             try:  # ``_rpc``, in place: one frame fewer per operation
                 if op.kind == WRITE:
                     version = Version(op.key, op.value, timestamp, transaction.txn_id)
-                    yield network.rpc(name, master, "master.put", {
-                        "version": version,
-                        "size_bytes": VALUE_BYTES,
-                    }, timeout_ms, VALUE_BYTES)
+                    yield network.rpc(name, master, "master.put",
+                                      {"version": version}, timeout_ms, VALUE_BYTES)
                 else:
                     reply = yield network.rpc(name, master, "master.get",
                                               {"key": op.key}, timeout_ms, 0)

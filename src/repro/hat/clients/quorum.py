@@ -44,10 +44,8 @@ class QuorumClient(ProtocolClient):
                 version = Version(op.key, op.value, timestamp,
                                   transaction.txn_id)
                 futures = [
-                    self._rpc(replica, "quorum.put", {
-                        "version": version,
-                        "size_bytes": VALUE_BYTES,
-                    })
+                    self._rpc(replica, "quorum.put", {"version": version},
+                              VALUE_BYTES)
                     for replica in replicas
                 ]
                 yield quorum_of(self.node.env, futures, majority)

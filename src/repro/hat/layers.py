@@ -149,8 +149,8 @@ class WriteBufferingLayer(GuaranteeLayer):
             ctx.write_targets[version.key] = replica
             ctx.written_versions[version.key] = version
             futures.append(client._issue(
-                ctx.result, replica, client.put_kind,
-                {"version": version, "size_bytes": size_bytes}))
+                ctx.result, replica, client.put_kind, {"version": version},
+                size_bytes))
         if futures:
             yield all_of(client.node.env, futures)
 
@@ -522,12 +522,9 @@ class SessionLayer(GuaranteeLayer):
             if replica in state.holders_of(key, version.timestamp):
                 owed.pop()
                 continue
-            size = VALUE_BYTES + (version.metadata_bytes
-                                         if version.siblings else 0)
-            futures.append(client._issue(ctx.result, replica, client.put_kind, {
-                "version": version,
-                "size_bytes": size,
-            }))
+            futures.append(client._issue(
+                ctx.result, replica, client.put_kind, {"version": version},
+                VALUE_BYTES + (version.metadata_bytes if version.siblings else 0)))
             delivered.append((key, version.timestamp, replica))
         if futures:
             state.forwards_issued += len(futures)

@@ -17,7 +17,9 @@ Section 6.3 — the testbed simply selects which client talks to it:
 
 Every handler returns ``(reply payload, extra service cost in ms)``; the
 underlying :class:`~repro.cluster.node.ServerNode` adds queueing and worker
-occupancy, which is where throughput saturation comes from.
+occupancy, which is where throughput saturation comes from, and the per-KB
+cost of the message's declared size.  A handler that stores what it was sent
+stores it at that size too (``Message.size_bytes``): no payload carries one.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.node import ServerNode, ServiceCostModel
 from repro.hat.mav_state import Ack, MAVState
 from repro.net.network import Message, Network
-from repro.replication.antientropy import (BYTES_PER_VERSION, AntiEntropyClock,
-                                           AntiEntropyConfig, AntiEntropyService)
+from repro.replication.antientropy import (AntiEntropyClock, AntiEntropyConfig,
+                                           AntiEntropyService)
 from repro.replication.lockmanager import LockManager
 from repro.sim import Environment
 from repro.storage.records import METADATA_BYTES, SIBLING_BYTES, Timestamp, Version
@@ -44,8 +46,6 @@ class HandoffStats:
     offers_received: int = 0
     versions_sent: int = 0
     versions_received: int = 0
-    bytes_sent: int = 0
-    bytes_received: int = 0
 
 
 class HATServer(ServerNode):
@@ -131,9 +131,8 @@ class HATServer(ServerNode):
 
     # -- Read Uncommitted / Read Committed / quorum ------------------------------
     def _handle_ru_put(self, message: Message) -> Tuple[dict, float]:
-        payload = message.payload
-        version: Version = payload["version"]
-        size = int(payload.get("size_bytes", 1024))
+        version: Version = message.payload["version"]
+        size = message.size_bytes
         staleness = self._staleness
         if staleness is not None and not staleness.on_commit(
                 version.key, version.timestamp, self.name, self.env._now,
@@ -156,17 +155,14 @@ class HATServer(ServerNode):
 
     # -- Monotonic Atomic View (Appendix B) ------------------------------------------
     def _handle_mav_put(self, message: Message) -> Tuple[dict, float]:
-        payload = message.payload
-        version: Version = payload["version"]
-        size = payload.get("size_bytes")
-        size = int(size) if size is not None else 1024 + version.metadata_bytes
+        version: Version = message.payload["version"]
         # A MAV write is committed (acknowledged to the client) on arrival
         # at the origin; its remote installs happen at promotion time.
         if self._staleness is not None:
             self._staleness.on_commit(version.key, version.timestamp, self.name,
                                       self.env._now, self.config.placements[version.key].replicas)
         return ({"ok": True, "timestamp": version.timestamp},
-                self._accept_mav_write(version, size, push=True))
+                self._accept_mav_write(version, message.size_bytes, push=True))
 
     def _accept_mav_write(self, version: Version, size_bytes: int,
                           push: bool) -> float:
@@ -256,9 +252,8 @@ class HATServer(ServerNode):
 
     # -- master / asynchronous replication -----------------------------------------------
     def _handle_master_put(self, message: Message) -> Tuple[dict, float]:
-        payload = message.payload
-        version: Version = payload["version"]
-        size = int(payload.get("size_bytes", 1024))
+        version: Version = message.payload["version"]
+        size = message.size_bytes
         staleness = self._staleness
         if staleness is not None and not staleness.on_commit(
                 version.key, version.timestamp, self.name, self.env._now,
@@ -267,15 +262,11 @@ class HATServer(ServerNode):
         cost = self.store.put(version, size) + self.wal.append("put", None, None, size)
         for peer in self.config.peer_replicas(version.key, self.name):
             self.network.send(self.name, peer, "repl.push",
-                              {"version": version, "size_bytes": size},
-                              size_bytes=size)
+                              {"version": version}, size_bytes=size)
         return {"ok": True, "timestamp": version.timestamp}, cost
 
     def _handle_repl_push(self, message: Message) -> Tuple[None, float]:
-        payload = message.payload
-        version: Version = payload["version"]
-        cost = self._install(version, int(payload.get("size_bytes", 1024)))
-        return None, cost
+        return None, self._install(message.payload["version"], message.size_bytes)
 
     # -- two-phase locking / two-phase commit ----------------------------------------------
     def _handle_lock_acquire(self, message: Message) -> Tuple[None, float]:
@@ -352,7 +343,6 @@ class HATServer(ServerNode):
                 versions.extend(store.versions(key))
         self.handoff.fetches_served += 1
         self.handoff.versions_sent += len(versions)
-        self.handoff.bytes_sent += BYTES_PER_VERSION * len(versions)
         # One memtable/SSTable read per streamed key batch — or, coupled,
         # the streaming cost a heal backlog pays, competing the same way.
         settings = self.anti_entropy.settings
@@ -368,7 +358,6 @@ class HATServer(ServerNode):
         cost = self._absorb_versions(versions, push=True)
         self.handoff.offers_received += 1
         self.handoff.versions_received += len(versions)
-        self.handoff.bytes_received += int(message.payload.get("size_bytes", 0))
         return {"ok": True, "count": len(versions)}, cost
 
     # -- anti-entropy -----------------------------------------------------------------------------

@@ -199,7 +199,8 @@ class MembershipCoordinator:
                 "elastic membership requires placement='ring'")
 
     # -- RPC with retry -------------------------------------------------------
-    def _handoff_rpc(self, src: str, dst: str, kind: str, payload: dict):
+    def _handoff_rpc(self, src: str, dst: str, kind: str, payload: dict,
+                     size_bytes: int = 0):
         """Issue one handoff RPC, retrying through timeouts up to a budget.
 
         Raises :class:`HandoffFailed` once the budget is exhausted — the
@@ -210,8 +211,7 @@ class MembershipCoordinator:
         for _attempt in range(MAX_HANDOFF_ATTEMPTS):
             try:
                 reply = yield self.testbed.network.rpc(
-                    src, dst, kind, payload,
-                    timeout_ms=HANDOFF_RPC_TIMEOUT_MS)
+                    src, dst, kind, payload, HANDOFF_RPC_TIMEOUT_MS, size_bytes)
                 return reply
             except RequestTimeout:
                 yield env.timeout(HANDOFF_RETRY_BACKOFF_MS)
@@ -325,12 +325,12 @@ class MembershipCoordinator:
                     moved_keys.add(key)
             for successor in sorted(batches):
                 versions = batches[successor]
+                size_bytes = BYTES_PER_VERSION * len(versions)
                 yield from self._handoff_rpc(
                     leaver.name, successor, "handoff.offer",
-                    {"versions": versions,
-                     "size_bytes": BYTES_PER_VERSION * len(versions)})
+                    {"versions": versions}, size_bytes)
                 record.versions_moved += len(versions)
-                record.bytes_moved += BYTES_PER_VERSION * len(versions)
+                record.bytes_moved += size_bytes
 
         faults = self.testbed.faults
         window = faults.open(

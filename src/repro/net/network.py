@@ -66,6 +66,9 @@ class Message:
     reply_to: Optional[int] = None
     #: Trace context propagated with the message (None when tracing is off).
     trace: Any = None
+    #: The bytes the sender declared (``send``'s ``size_bytes``): counted in
+    #: ``NetworkStats.bytes_sent``, charged and installed by the receiver.
+    size_bytes: int = 0
 
 
 @dataclass(slots=True)
@@ -163,7 +166,7 @@ class Network:
         env = self.env
         message = Message(
             src, dst, kind, payload, msg_id, reply_to,
-            trace if trace is not None else env.current_trace)
+            trace if trace is not None else env.current_trace, size_bytes)
         try:
             half_rtt = self._half_rtt[pair]
         except KeyError:

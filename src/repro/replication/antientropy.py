@@ -425,10 +425,9 @@ class AntiEntropyService:
                         start_ms=self.env.now)
                     trace.attrs["versions"] = len(chunk)
                     tracer.finish(trace, self.env.now)
-                size_bytes = BYTES_PER_VERSION * len(chunk)
                 self.server.network.send(
                     self.server.name, peer, "ae.push",
-                    {"versions": chunk, "acks": acks, "size_bytes": size_bytes},
-                    size_bytes=size_bytes, trace=trace)
+                    {"versions": chunk, "acks": acks},
+                    size_bytes=BYTES_PER_VERSION * len(chunk), trace=trace)
                 acks = ()
         return pushed

@@ -1,9 +1,12 @@
 """The provenance header: shape, and injection into every written artifact."""
 
 import json
+import os
 import re
+import subprocess
 
 import repro.bench.__main__ as cli
+from repro.bench import provenance
 from repro.bench.provenance import SCHEMA_VERSION, git_sha, provenance_header
 
 
@@ -20,8 +23,21 @@ class TestHeaderShape:
     def test_json_safe(self):
         json.dumps(provenance_header("fig4", quick=False), allow_nan=False)
 
-    def test_git_sha_resolves_in_this_repo(self):
-        assert re.fullmatch(r"[0-9a-f]{40}", git_sha())
+    def test_git_sha_is_what_git_prints_where_the_package_lives(self):
+        """In a clone, the HEAD commit; where ``git rev-parse HEAD`` fails
+        in ``repro/bench``'s directory (a ``git archive`` copy, no git),
+        ``"unknown"``."""
+        try:
+            proc = subprocess.run(["git", "rev-parse", "HEAD"],
+                                  capture_output=True, text=True, timeout=10,
+                                  cwd=os.path.dirname(provenance.__file__))
+        except (OSError, subprocess.SubprocessError):
+            proc = None
+        if proc is None or proc.returncode != 0:
+            assert git_sha() == "unknown"
+        else:
+            assert re.fullmatch(r"[0-9a-f]{40}", git_sha())
+            assert git_sha() == proc.stdout.strip()
 
 
 class TestHeaderInjection:

@@ -134,12 +134,12 @@ class TestServerNode:
             seen.append((node.busy_workers, node.queue_depth))
         assert seen == [(2, 1), (1, 0), (0, 0)]
 
-    def test_payload_size_adds_cost(self):
+    def test_the_message_size_adds_cost(self):
         env, network, node = make_rig(overhead_ms=1.0)
         node.register_handler("put", lambda msg: ({"ok": True}, 0.0))
-        small = network.rpc("client", "server", "put", {"size_bytes": 0})
+        small = network.rpc("client", "server", "put", {}, size_bytes=0)
         env.run_until_complete(small)
         small_time = env.now
-        big = network.rpc("client", "server", "put", {"size_bytes": 1024 * 100})
+        big = network.rpc("client", "server", "put", {}, size_bytes=1024 * 100)
         env.run_until_complete(big)
         assert env.now - small_time > small_time

@@ -229,11 +229,11 @@ def run_spying_forwards(testbed, client, operations):
     puts = []
     original = client._issue
 
-    def spy(result, dst, kind, payload):
+    def spy(result, dst, kind, payload, size_bytes=0):
         if kind == client.put_kind:
             version = payload["version"]
             puts.append((version.key, version.timestamp, dst))
-        return original(result, dst, kind, payload)
+        return original(result, dst, kind, payload, size_bytes)
 
     client._issue = spy
     try:

@@ -142,6 +142,17 @@ class TestLeave:
             owner = testbed.config.placements[key].replicas[index]
             assert testbed.servers[owner].store.data.versions(key), key
 
+    def test_a_scale_in_counts_its_offers_in_bytes_sent(self):
+        """On an idle deployment a drain's only sized messages are its
+        handoff offers: the network counts each at the size it declares."""
+        testbed = ring_testbed(servers_per_cluster=3)
+        preload(testbed)
+        before = testbed.network.stats.bytes_sent
+        record = testbed.membership.scale_in(testbed.config.cluster_names[0])
+        testbed.run(1_000.0)
+        assert record.done and record.bytes_moved > 0
+        assert testbed.network.stats.bytes_sent - before == record.bytes_moved
+
     def test_leave_is_a_noop_on_a_single_server_cluster(self):
         testbed = ring_testbed(regions=["VA"], servers_per_cluster=1)
         assert testbed.membership.scale_in(testbed.config.cluster_names[0]) is None

@@ -129,7 +129,7 @@ class CompleteEventNode(ServerNode):
             else:
                 reply_payload, extra_cost = handler(message)
                 service_ms = cost.request_overhead_ms + extra_cost
-                size = message.payload.get("size_bytes", 0)
+                size = message.size_bytes
                 if size:
                     service_ms += (size / 1024.0) * PER_KB_MS
             if span is not None:
@@ -191,8 +191,8 @@ def _run(node_class, arrivals, concurrency, bound, crash_at, recover_at):
                                  env.now)
         env.current_trace = root
         future = network.rpc("client", "server", kind, {
-            "index": index, "cost": cost, "size_bytes": size,
-            "silent": silent}, timeout_ms=50.0)
+            "index": index, "cost": cost, "silent": silent},
+            timeout_ms=50.0, size_bytes=size)
         env.current_trace = None
         future.add_callback(lambda resolved: replies.append(
             (index, env.now,

@@ -26,8 +26,10 @@ partitions start and heal.  Whatever the schedule:
 
 from hypothesis import given, settings, strategies as st
 
+from repro.hat.clients.base import VALUE_BYTES
 from repro.hat.testbed import Scenario, build_testbed
 from repro.net.network import Message
+from repro.replication.antientropy import BYTES_PER_VERSION
 from repro.storage.records import Timestamp, Version
 
 KEY_POOL = ["k0", "k1", "k2", "k3", "k4", "k5"]
@@ -56,7 +58,8 @@ class Harness:
         #: server -> its keys whose write it has been given at least once.
         self.seen = {name: set() for name in self.owners}
 
-    def _capture(self, src, dst, kind, payload=None, *_args, **_kwargs):
+    def _capture(self, src, dst, kind, payload=None, reply_to=None,
+                 size_bytes=0, *_args, **_kwargs):
         assert kind in ("mav.notify", "ae.push"), kind
         assert src != dst, "self-acks are applied in place, never sent"
         assert self.testbed.network.partitions.connected(src, dst), \
@@ -64,7 +67,7 @@ class Harness:
         acks = payload["acks"]
         assert acks or kind == "ae.push", "an empty batch is not sent"
         self.sent[src, dst] = self.sent.get((src, dst), 0) + len(acks)
-        self.pool.append((dst, kind, payload))
+        self.pool.append((dst, kind, payload, size_bytes))
 
     def tick(self, name, push):
         """One server's anti-entropy round: with its pushes (owed acks ride
@@ -78,22 +81,29 @@ class Harness:
 
     def deliver_writes(self, dst, keys, as_put=False):
         self.seen[dst].update(keys)
+        # Each message at the size its real sender declares: a client's MAV
+        # write with its sibling metadata, an anti-entropy batch per version.
         if as_put:
             (key,) = keys
-            self.deliver(dst, "mav.put", {"version": self.versions[key]})
+            version = self.versions[key]
+            self.deliver(dst, "mav.put", {"version": version},
+                         VALUE_BYTES + version.metadata_bytes)
         else:
             self.deliver(dst, "ae.push",
-                         {"versions": [self.versions[k] for k in keys]})
+                         {"versions": [self.versions[k] for k in keys]},
+                         BYTES_PER_VERSION * len(keys))
 
     def deliver_captured(self, index, again=False):
-        dst, kind, payload = self.pool[index] if again else self.pool.pop(index)
+        dst, kind, payload, size = (self.pool[index] if again
+                                    else self.pool.pop(index))
         if kind == "ae.push":
             self.seen[dst].update(version.key for version in payload["versions"])
-        self.deliver(dst, kind, payload)
+        self.deliver(dst, kind, payload, size)
 
-    def deliver(self, dst, kind, payload):
+    def deliver(self, dst, kind, payload, size_bytes):
         server = self.testbed.servers[dst]
-        _reply, cost = server._handlers[kind](Message("test", dst, kind, payload))
+        _reply, cost = server._handlers[kind](
+            Message("test", dst, kind, payload, size_bytes=size_bytes))
         assert cost >= 0.0
         self.check()
 

@@ -103,11 +103,11 @@ def test_owed_index_forwards_what_a_full_scan_would(steps, converging):
     issued = []
     issue = session._issue
 
-    def spy(result, dst, kind, payload):
+    def spy(result, dst, kind, payload, size_bytes=0):
         if kind == session.put_kind:
             version = payload["version"]
             issued.append((version.key, version.timestamp, dst))
-        return issue(result, dst, kind, payload)
+        return issue(result, dst, kind, payload, size_bytes)
 
     session._issue = spy
     forward = SessionLayer._forward

@@ -44,8 +44,10 @@ from repro.hat.transaction import (
 from repro.net.network import DEFAULT_RPC_TIMEOUT_MS
 from repro.sim import Process
 from repro.sim.process import all_of
-from repro.storage.records import Timestamp, Version
+from repro.storage.records import NO_SIBLINGS, Timestamp, Version, new_tuple
 
+#: ``ReadObservation`` without its ``__init__`` frame: ``_observe`` sets both slots.
+_new_object = object.__new__
 #: The size of every written value: YCSB's default, also the paper's (1 KB).
 VALUE_BYTES = 1024
 
@@ -209,7 +211,9 @@ class ProtocolClient:
             # replies, session-cache repairs, and buffered-write echoes
             # alike — so this is the single k-staleness probe point.
             staleness.on_read(key, timestamp, node.env._now)
-        result.reads.append(ReadObservation(key, version))
+        observation = _new_object(ReadObservation)
+        observation.key, observation.version = key, version
+        result.reads.append(observation)
 
     def _scan_home_cluster(self, op: Operation, result: TransactionResult) -> Generator:
         """Run a predicate read against every server of the home cluster.
@@ -373,9 +377,9 @@ class LayeredClient(ProtocolClient):
                     continue
                 key = op.key  # Read Uncommitted: applied at once
                 replica = self._pick_replica(key)
-                version = Version(key, op.value,
-                                  self._txn_timestamp(ctx, refresh=True),
-                                  transaction.txn_id)
+                version = new_tuple(Version, (
+                    key, op.value, self._txn_timestamp(ctx, refresh=True),
+                    transaction.txn_id, NO_SIBLINGS, False))
                 yield self._issue(result, replica, self.put_kind,
                                   {"version": version}, VALUE_BYTES)
                 ctx.write_targets[key] = replica

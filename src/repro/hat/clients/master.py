@@ -15,7 +15,7 @@ from typing import Generator
 from repro.errors import RequestTimeout, UnavailableError
 from repro.hat.clients.base import VALUE_BYTES, ProtocolClient
 from repro.hat.transaction import SCAN, WRITE, Transaction, TransactionResult, resolve_derived
-from repro.storage.records import Version
+from repro.storage.records import NO_SIBLINGS, Version, new_tuple
 
 
 class MasterClient(ProtocolClient):
@@ -47,7 +47,8 @@ class MasterClient(ProtocolClient):
                 result.remote_rpcs += 1
             try:  # ``_rpc``, in place: one frame fewer per operation
                 if op.kind == WRITE:
-                    version = Version(op.key, op.value, timestamp, transaction.txn_id)
+                    version = new_tuple(Version, (op.key, op.value, timestamp,
+                                                  transaction.txn_id, NO_SIBLINGS, False))
                     yield network.rpc(name, master, "master.put",
                                       {"version": version}, timeout_ms, VALUE_BYTES)
                 else:

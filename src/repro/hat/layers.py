@@ -47,7 +47,8 @@ from repro.errors import UnavailableError
 from repro.hat.clients.base import VALUE_BYTES, LayeredClient, TxnContext
 from repro.hat.transaction import READ, SCAN, WRITE, Operation, ReadObservation
 from repro.sim.process import all_of
-from repro.storage.records import METADATA_BYTES, SIBLING_BYTES, Timestamp, Version
+from repro.storage.records import (
+    METADATA_BYTES, NO_SIBLINGS, SIBLING_BYTES, Timestamp, Version, new_tuple)
 
 
 class GuaranteeLayer:
@@ -157,7 +158,7 @@ class WriteBufferingLayer(GuaranteeLayer):
     def _flush_versions(self, ctx: TxnContext,
                         timestamp: Timestamp) -> List[Version]:
         txn_id = ctx.transaction.txn_id
-        return [Version(key, value, timestamp, txn_id)
+        return [new_tuple(Version, (key, value, timestamp, txn_id, NO_SIBLINGS, False))
                 for key, value in ctx.write_buffer.items()]
 
 
@@ -196,7 +197,7 @@ class AtomicVisibilityLayer(WriteBufferingLayer):
                         timestamp: Timestamp) -> List[Version]:
         # One sibling set per transaction, shared by all of its writes.
         txn_id, siblings = ctx.transaction.txn_id, frozenset(ctx.write_buffer)
-        return [Version(key, value, timestamp, txn_id, siblings)
+        return [new_tuple(Version, (key, value, timestamp, txn_id, siblings, False))
                 for key, value in ctx.write_buffer.items()]
 
 

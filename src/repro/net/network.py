@@ -28,8 +28,9 @@ from repro.net.topology import Topology
 from repro.sim import Environment, Future, RandomStreams
 from repro.sim.events import PENDING
 
-#: ``Future`` without its ``__init__`` frame: ``rpc`` sets the four slots.
-_new_future = object.__new__
+#: ``Future`` and ``Message`` without their ``__init__`` frames: ``rpc`` and
+#: ``send`` set their slots.
+_new_object = object.__new__
 #: Default RPC deadline.  Long enough that it only fires when a partition (or
 #: an overloaded server) genuinely prevents a response.
 DEFAULT_RPC_TIMEOUT_MS = 10_000.0
@@ -158,15 +159,13 @@ class Network:
             # A dropped message is never observable, so it is never built.
             stats.dropped_partition += 1
             return -msg_id
-        # Positional (field order): the generated ``__init__`` matches
-        # keywords at twice the cost, on every message of every run.  Explicit
-        # context (RPC spans, anti-entropy) wins; otherwise the ambient
-        # context of whatever process/handler is sending.  Both are None
-        # whenever tracing is off.
-        env = self.env
-        message = Message(
-            src, dst, kind, payload, msg_id, reply_to,
-            trace if trace is not None else env.current_trace, size_bytes)
+        # Explicit context (RPC spans, anti-entropy) wins; otherwise the
+        # ambient context of whatever process/handler is sending.  Both are
+        # None whenever tracing is off.
+        env, message = self.env, _new_object(Message)
+        message.src, message.dst, message.kind, message.payload = src, dst, kind, payload
+        message.msg_id, message.reply_to, message.size_bytes = msg_id, reply_to, size_bytes
+        message.trace = trace if trace is not None else env.current_trace
         try:
             half_rtt = self._half_rtt[pair]
         except KeyError:
@@ -255,7 +254,7 @@ class Network:
             size_bytes: int = 0) -> Future:
         """Send a request and return a future for the matching response."""
         env = self.env
-        response = _new_future(Future)
+        response = _new_object(Future)
         response.env, response._value, response._failed, response._callbacks = (
             env, PENDING, False, [])
         parent = env.current_trace

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.storage.kvstore import VersionedStore
-from repro.storage.records import METADATA_BYTES, NULL_TIMESTAMP, SIBLING_BYTES, Version
+from repro.storage.records import (
+    METADATA_BYTES, NO_SIBLINGS, NULL_TIMESTAMP, SIBLING_BYTES, Version, new_tuple)
 
 
 #: The cost model (milliseconds unless noted).  CPU + memtable insert per put:
@@ -68,7 +69,7 @@ class LSMStore:
 
     def __init__(self, keep_versions: Optional[int] = None):
         self.data = VersionedStore(keep_versions=keep_versions)
-        self._versions = self.data._versions  # read in place by ``get_latest``
+        self._latest = self.data._latest  # key -> newest version, read by ``get_latest``
         self.stats = LSMStats()
         self._memtable_bytes = 0
         self._memtable_entries = 0
@@ -93,8 +94,9 @@ class LSMStore:
         """Return ``(version, cost_ms)`` for the latest version of ``key`` (or
         its bottom version): ``VersionedStore.latest`` and the cost, one frame."""
         self.stats.gets += 1
-        versions = self._versions.get(key)
-        return (versions[-1] if versions else Version(key, None, NULL_TIMESTAMP),
+        version = self._latest.get(key)
+        return (version if version is not None else
+                new_tuple(Version, (key, None, NULL_TIMESTAMP, None, NO_SIBLINGS, False)),
                 GET_MEMTABLE_MS + GET_PER_SSTABLE_MS * len(self._sstables))
 
     def scan(self, predicate) -> tuple:

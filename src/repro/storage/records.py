@@ -35,6 +35,12 @@ NULL_TIMESTAMP = Timestamp(sequence=-1, client_id=-1)
 #: :attr:`Version.metadata_bytes` is ``METADATA_BYTES`` plus ``SIBLING_BYTES``
 #: per sibling beyond the first; per-install readers inline it from these.
 METADATA_BYTES, SIBLING_BYTES = 34, 15
+#: The sibling set of a version without MAV metadata, shared: a fresh empty
+#: set would cost 216 bytes per version.
+NO_SIBLINGS: FrozenSet[str] = frozenset()
+#: ``new_tuple(Version, fields)`` builds a version from all six fields without
+#: a ``__new__`` frame, as the per-operation paths do.
+new_tuple = tuple.__new__
 
 
 class Version(NamedTuple):
@@ -45,9 +51,8 @@ class Version(NamedTuple):
     timestamp: Timestamp
     #: Transaction id of the writer (used when reconstructing Adya histories).
     txn_id: Optional[int] = None
-    #: Keys written by the same transaction (MAV metadata, Appendix B).  One
-    #: shared empty set: a factory would allocate 216 bytes per version.
-    siblings: FrozenSet[str] = frozenset()
+    #: Keys written by the same transaction (MAV metadata, Appendix B).
+    siblings: FrozenSet[str] = NO_SIBLINGS
     #: ``True`` when this version is a delete marker.
     tombstone: bool = False
 

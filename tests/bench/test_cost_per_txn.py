@@ -50,13 +50,30 @@ _REPRO_SOURCE = os.sep + os.path.join("src", "repro") + os.sep
 
 def _frames_by_function(run):
     """``run()``'s result and a ``Counter`` of the frames it entered under
-    ``src/repro``, by qualified name (for short runs: keying every frame
-    costs the long pinned runs 10-20 % more than :func:`_frames_entered`)."""
+    ``src/repro``, by qualified name, and of the generated constructors of
+    ``repro`` classes, by class: a dataclass ``__init__`` or a NamedTuple
+    ``__new__`` is compiled from ``<string>``, so its file says nothing of
+    whose it is, but its ``self`` or ``_cls`` does (``Message.__init__``).
+    For short runs: keying every frame costs the long pinned runs 10-20 %
+    more than :func:`_frames_entered`."""
     frames = Counter()
 
     def count(frame, event, arg):
-        if event == "call" and _REPRO_SOURCE in frame.f_code.co_filename:
-            frames[frame.f_code.co_qualname] += 1
+        if event != "call":
+            return
+        code = frame.f_code
+        if _REPRO_SOURCE in code.co_filename:
+            frames[code.co_qualname] += 1
+        elif code.co_filename == "<string>":
+            local = frame.f_locals
+            if "self" in local:
+                cls, name = type(local["self"]), code.co_name
+            elif "_cls" in local:
+                cls, name = local["_cls"], "__new__"
+            else:
+                return
+            if cls.__module__.startswith("repro."):
+                frames[f"{cls.__name__}.{name}"] += 1
 
     sys.setprofile(count)
     try:
@@ -273,9 +290,12 @@ def test_a_served_read_enters_one_frame_per_stage():
     delivery, and the Lamport receive rule (no ``witness_timestamp``).  The
     same read entered 24 frames here (and ``randrange`` / ``_randbelow`` in
     ``random``) before each stage became one; a stage that gains a frame
-    back fails here under that frame's name.  The round trip runs twice on
-    one key and the second is counted, so the key's placement and the
-    pair's latency are memoised as in a long run."""
+    back fails here under that frame's name.  Generated constructors count
+    too, by class: the two messages, the observation and the bottom version
+    entered ``Message.__init__`` (2), ``ReadObservation.__init__`` and
+    ``Version.__new__`` before each was built without one.  The round trip
+    runs twice on one key and the second is counted, so the key's placement
+    and the pair's latency are memoised as in a long run."""
     testbed = build_testbed(Scenario(regions=["VA", "OR"],
                                      servers_per_cluster=2, seed=0))
     client, chooser, env = testbed.make_client("eventual"), UniformKeys(100_000), testbed.env

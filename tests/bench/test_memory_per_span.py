@@ -11,20 +11,28 @@ trip this run held 900 B per round trip; with one, 532 B (CPython 3.11),
 and 508 B once spans were built without ``__init__``.  The server's side
 then moved from an attribute dict to the span's own slots (``dst``,
 ``arrival_ms``, ``queue_wait_ms``, ``service_ms``, ``queue_depth``; an
-``rpc`` span has no ``attrs`` dict): 364 B.
+``rpc`` span has no ``attrs`` dict): 364 B.  The run is measured in a fresh
+interpreter, so it reads the same alone, after another pin and in tier-1.
 """
 
 import gc
+import json
 import tracemalloc
 
 import pytest
 
+from fresh_interpreter import measured_alone
 from repro.bench.runner import RunConfig, run_workload
 from repro.hat.testbed import Scenario, build_testbed
 
 
 @pytest.fixture(scope="module")
 def traced_run():
+    """:func:`measure`, in an interpreter of its own."""
+    return measured_alone(__file__)
+
+
+def measure():
     """The spans of 300 simulated ms of 2x2 ``eventual`` YCSB, by kind,
     and the bytes the tracer frees when it drops them."""
     scenario = Scenario(regions=["VA", "OR"], servers_per_cluster=2, seed=0,
@@ -76,3 +84,7 @@ def test_every_answered_rpc_span_carries_its_service_time(traced_run):
 def test_a_traced_round_trip_keeps_one_span(traced_run):
     _, _, round_trips, freed = traced_run
     assert freed / round_trips <= 380.0
+
+
+if __name__ == "__main__":
+    print(json.dumps(measure()))
